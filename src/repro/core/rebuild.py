@@ -1018,20 +1018,15 @@ class OnlineRebuild:
             raise
         ctx.txns.end_nta(txn)
         clear_protocol_bits(ctx, txn, cleanup, scan=True)
-        # The bit-clear was the last latch these source pages will ever
-        # see (they are already deallocated; freeing waits for commit).
-        # Tell the pool so the ring recycles them ahead of frames the
-        # copy loop still needs — without the hint the bit-clear's own
-        # re-reference parks them at the ring's recency end, shadowing
-        # live frames into eviction and re-read.  No-op when the ring
-        # is disabled.  With a write-behind scheduler running, also hand
-        # the (now dirty) pages to its writer: cleaned in one batched
-        # async call overlapped with the copy's reads, their ring
-        # evictions become free instead of each buying a write.
+        # The deallocated source pages are never latched again and carry
+        # no unflushed change but the unlogged bit set + clear: retire them
+        # rather than let eviction rewrite pages about to be freed (see
+        # BufferPool.retire_page on why no recovery path needs the write).
+        # The still-allocated ones (parent, PP, root) stay dirty: the next
+        # top action re-dirties them; §3 forces new pages and the seam PP.
         for pid in cleanup:
-            ctx.buffer.demote_page(pid)
-        if config.ring_frames > 0 and scheduler is not None:
-            scheduler.submit_write(cleanup)
+            if ctx.page_manager.state(pid) is PageState.DEALLOCATED:
+                ctx.buffer.retire_page(pid)
         txn_new_pages.extend(nta_new_pages)
         if txn_force_pages is not None and result.pp_page != NO_PAGE:
             # PP received this top action's seam rows (and its next-link

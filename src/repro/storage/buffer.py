@@ -36,12 +36,14 @@ allocations) go to a small bounded probationary *ring* that recycles its
 own frames first — a 50k-leaf scan can displace at most ``ring_frames``
 pages of the hot set.  A ring page re-referenced by a demand fetch is
 *promoted* to the protected region (``ring_promotions``).  Ring
-recycling keeps the scan fed: frames the rebuild has explicitly finished
-with (:meth:`demote_page`) go first, then speculative frames the scan
-has already moved past (they are dead weight), then the oldest consumed
-frames (clean before dirty; a dirty victim gang-flushes its demoted
-dirty neighbors in one coalesced write); the not-yet-consumed read-ahead
-window goes last, because evicting it re-buys its reads.  A small ghost
+recycling keeps the scan fed: speculative frames the scan has already
+moved past go first (they are dead weight), then the oldest consumed
+frames (clean before dirty; a dirty victim is written together with the
+dirty frames of its io-size-aligned disk run, whichever shards hold
+them, in one coalesced call); the not-yet-consumed read-ahead window
+goes last, because evicting it re-buys its reads.  Pages the rebuild
+has deallocated never reach that write path at all: :meth:`retire_page`
+drops them unwritten.  A small ghost
 list (2Q's A1out) spots scan reuse the ring cannot hold and promotes
 those admissions to the protected cold end; prefetch hints for ghosted
 pages are refused, and read-ahead is throttled once its unconsumed
@@ -59,14 +61,14 @@ tests exercise.
 *released* around every physical disk call — miss reads, aligned-run
 reads, prefetch reads, batch flushes, and dirty-eviction writes — so
 threads overlap their disk time instead of serializing on the pool.
-(Dirty evictions historically wrote under the pool lock; they now go
-through the same in-flight-write table as batch flushes, and
-``tools/lint_no_io_under_lock.py`` enforces statically that no disk call
-is issued under a shard lock.)  Two pieces of bookkeeping make the
-unlocked I/O safe:
+Every write — force, single-page flush, eviction — is one code path
+(:meth:`BufferPool._write_batch`), and ``tools/lint_no_io_under_lock.py``
+enforces statically that no disk call is issued under a shard lock.
+Two pieces of bookkeeping make the unlocked I/O safe:
 
 * a per-shard *in-flight read table* — a miss registers the page id before
-  dropping the lock; a second fetch of the same page waits on the shard's
+  dropping the lock (a large-I/O read also claims the run neighbors it
+  will admit); a second fetch of the same page waits on the shard's
   condition variable instead of issuing a duplicate read, and every
   admission point re-checks residency after reacquiring the lock;
 * a per-frame *version counter*, bumped whenever a frame becomes dirty —
@@ -90,10 +92,13 @@ from repro.storage.disk import Disk
 from repro.storage.page import Page
 
 
+_NEVER_STORED = -1
+
+
 class _Frame:
     __slots__ = (
         "page", "dirty", "pin_count", "prefetched", "version", "ring", "seq",
-        "dead",
+        "clean_lsn",
     )
 
     def __init__(self, page: Page) -> None:
@@ -103,10 +108,10 @@ class _Frame:
         # Admitted speculatively (run neighbor or read-ahead) and not yet
         # fetched: the first fetch counts a prefetch hit and clears it.
         self.prefetched = False
-        # The scan declared itself finished with this page for good
-        # (:meth:`BufferPool.demote_page`): first-choice ring victim.
-        # Any later fetch revives the frame.
-        self.dead = False
+        # ``page_lsn`` of the image last read from or written to disk
+        # (``_NEVER_STORED`` for a fresh allocation): while the page's LSN
+        # equals it, the stored image carries every logged change.
+        self.clean_lsn = page.page_lsn
         # Ring admission order; compared against the shard's consumed
         # watermark to tell bypassed speculative frames (dead, reclaim
         # first) from the not-yet-consumed read-ahead window.
@@ -196,7 +201,7 @@ class BufferPool:
 
     # Optional observability hooks (set by EngineContext when tracing is
     # on): miss reads emit buffer.read spans + buffer_read_seconds
-    # samples, ring gang-flushes emit buffer.gang_flush spans.
+    # samples, ring run writes emit buffer.gang_flush spans.
     tracer = None
     metrics = None
 
@@ -266,7 +271,6 @@ class BufferPool:
                     for pid in reversed(list(shard.ring)):
                         frame = shard.ring.pop(pid)
                         frame.ring = False
-                        frame.dead = False
                         shard.frames[pid] = frame
                         shard.frames.move_to_end(pid, last=False)
 
@@ -299,9 +303,6 @@ class BufferPool:
                 )
 
     # ------------------------------------------------------------------ fetch
-
-    def _shard_of(self, page_id: int) -> _Shard:
-        return self._shards[page_id % self.n_shards]
 
     def _io_unlocked(self, shard: _Shard, fn: Callable[[], object]):  # noqa: ANN201
         """Run a (retried) disk call with the shard's lock released.
@@ -388,7 +389,6 @@ class BufferPool:
                 if frame.ring and frame.seq > shard.consumed_seq:
                     shard.consumed_seq = frame.seq
             frame.prefetched = False
-            frame.dead = False  # any re-reference revives a demoted frame
             if not scan:
                 self.counters.add(
                     "pool_demand_misses" if missed else "pool_demand_hits"
@@ -400,7 +400,7 @@ class BufferPool:
                     # age refresh (no ticket consumed) keeps the frame in
                     # the eviction order's young class: the top action
                     # that just consumed it will re-latch it once more
-                    # for the protocol-bit clear before demoting it.
+                    # for the protocol-bit clear before retiring it.
                     shard.ring.move_to_end(page_id)
                     frame.seq = shard.admit_seq
                 else:
@@ -436,7 +436,7 @@ class BufferPool:
                     raise BufferError_(
                         f"page {page_id} is pinned; cannot reallocate"
                     )
-                self._write_frame(shard, page_id, stale)
+                self._write_unlocked(shard, [page_id], force=True)
                 # The write dropped the lock: revalidate before replacing.
                 stale = shard.lookup(page_id)
                 if stale is not None:
@@ -451,6 +451,7 @@ class BufferPool:
             frame.pin_count += 1
             frame.dirty = True
             frame.version += 1
+            frame.clean_lsn = _NEVER_STORED
             return frame.page
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
@@ -488,12 +489,7 @@ class BufferPool:
 
     def flush_page(self, page_id: int) -> None:
         """Force one page to disk (WAL-first)."""
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
-            if frame is None:
-                return
-            self._write_frame(shard, page_id, frame)
+        self._write_batch([page_id], force=True)
 
     def flush_pages(self, page_ids: list[int]) -> None:
         """Force a set of pages to disk, batching contiguous ids (§3).
@@ -504,40 +500,56 @@ class BufferPool:
         for bookkeeping, but the write itself is a single ``write_many``
         so contiguity survives striping.
         """
+        self._write_batch(page_ids, force=True)
+
+    def _write_batch(self, page_ids: list[int], force: bool) -> tuple[int, int]:
+        """Write the dirty frames among ``page_ids`` in one ``write_many``,
+        WAL-first, no shard lock held across the I/O.
+
+        With ``force`` every dirty frame is written, after waiting out
+        in-flight writes that overlap the batch.  Without it (an
+        eviction cleaning its victim's disk run) the batch is
+        opportunistic: pinned frames and frames another writer has
+        claimed are skipped, so the call never waits on a ``writing``
+        table.  Returns (pages written, shards they came from).
+        """
         by_shard: dict[int, set[int]] = {}
         for pid in page_ids:
             by_shard.setdefault(pid % self.n_shards, set()).add(pid)
         # Pass 1 — per shard, in ascending index order (the fixed order is
-        # what makes overlapping multi-shard flushes deadlock-free): wait
-        # out in-flight writes overlapping this batch, find the dirty
-        # frames, serialize them, and claim them in the shard's write
-        # table.  Clean frames are never serialized.
+        # what makes overlapping multi-shard flushes deadlock-free): find
+        # the dirty frames, serialize them, and claim them in the shard's
+        # write table.  Clean frames are never serialized.
         images: dict[int, bytes] = {}
         max_lsn = 0
-        claimed: list[tuple[_Shard, dict[int, tuple[_Frame, int]]]] = []
+        claimed: list[tuple[_Shard, dict[int, tuple[_Frame, int, int]]]] = []
         wrote = False
         try:
             for index in sorted(by_shard):
                 shard = self._shards[index]
                 ids = by_shard[index]
                 with shard:
-                    while not shard.writing.isdisjoint(ids):
+                    while force and not shard.writing.isdisjoint(ids):
                         shard.cond.wait()
-                    local: dict[int, tuple[_Frame, int]] = {}
+                    local: dict[int, tuple[_Frame, int, int]] = {}
                     for pid in ids:
                         frame = shard.lookup(pid)
-                        if frame is not None and frame.dirty:
-                            local[pid] = (frame, frame.version)
-                    if not local:
-                        continue
-                    for pid, (frame, _version) in local.items():
+                        if frame is None or not frame.dirty:
+                            continue
+                        if not force and (
+                            frame.pin_count > 0 or pid in shard.writing
+                        ):
+                            continue
+                        lsn = frame.page.page_lsn
+                        local[pid] = (frame, frame.version, lsn)
                         images[pid] = frame.page.to_bytes()
-                        if frame.page.page_lsn > max_lsn:
-                            max_lsn = frame.page.page_lsn
-                    shard.writing.update(local)
-                    claimed.append((shard, local))
+                        if lsn > max_lsn:
+                            max_lsn = lsn
+                    if local:
+                        shard.writing.update(local)
+                        claimed.append((shard, local))
             if not images:
-                return
+                return 0, 0
             # Pass 2 — WAL-flush and write with no shard lock held (both
             # can block on physical I/O).  Each dirty frame is written
             # exactly once even if its id repeats in ``page_ids``.
@@ -545,11 +557,15 @@ class BufferPool:
             def _wal_then_write() -> None:
                 if self._wal_hook is not None:
                     self._wal_hook(max_lsn)
-                self.disk.write_many(images)
+                if len(images) == 1:
+                    self.disk.write(*next(iter(images.items())))
+                else:
+                    self.disk.write_many(images)
 
             self.retrying(_wal_then_write)
             wrote = True
             self.counters.add("page_writes", len(images))
+            return len(images), len(claimed)
         finally:
             # Pass 3 — release the write claims; clear dirty only for
             # frames still resident at the version we serialized (anything
@@ -559,12 +575,11 @@ class BufferPool:
                     shard.writing.difference_update(local)
                     shard.cond.notify_all()
                     if wrote:
-                        for pid, (frame, version) in local.items():
-                            if (
-                                shard.lookup(pid) is frame
-                                and frame.version == version
-                            ):
-                                frame.dirty = False
+                        for pid, (frame, version, lsn) in local.items():
+                            if shard.lookup(pid) is frame:
+                                frame.clean_lsn = lsn
+                                if frame.version == version:
+                                    frame.dirty = False
 
     def flush_all(self) -> None:
         """Force every dirty resident page (checkpoint / clean shutdown)."""
@@ -578,31 +593,59 @@ class BufferPool:
                 ids.extend(shard.ring)
         return ids
 
-    def demote_page(self, page_id: int) -> None:
-        """Hint: the scan is finished with this ring page for good.
+    def retire_page(self, page_id: int) -> bool:
+        """Drop a page the caller has made unreachable, without writing
+        it when its stored image is already logically current.
 
-        The rebuild calls this for a source leaf once its protocol bits
-        are cleared — the page is deallocated and nothing will latch it
-        again.  Without the hint such pages sit at the ring's recency
-        end (the bit-clearing re-reference put them there) shadowing
-        frames the copy loop still needs, which then get recycled and
-        re-read.  The frame moves to the first-out end and becomes the
-        preferred victim; it is *not* dropped — a dirty demoted frame
-        may carry changes beyond the bit-clear (a foreground update
-        applied before the copy point, a page image that never reached
-        disk at all), so it still takes the normal write-on-evict path,
-        batched with its fellow demoted frames in one gang-flush call.
-        No-op for pages outside the ring — in particular whenever the
-        ring is disabled, so default behavior is untouched — and any
-        later fetch revives the frame.
+        The rebuild calls this for each source page of a finished top
+        action that is in ``DEALLOCATED`` state: unlinked, protocol bits
+        cleared, address lock released, freed at commit.  Such a frame
+        is dirty only from the *unlogged* SHRINK-bit set + clear, so
+        writing it — which eviction would otherwise do, one old page
+        per new page — buys nothing.  The frame is dropped (True) when
+        it is unpinned, no write of it is in flight, and it is clean or
+        its ``page_lsn`` still equals the LSN of the image last read
+        from or written to disk.  Why that is safe:
+
+        (a) the page is unreachable; a stale reader that re-fetches it
+            reads the rows a write-then-evict would have left on disk
+            (a stored SHRINK bit sends it to retraverse, as it would
+            have mid-top-action);
+        (b) a crash before commit keeps a completed top action (the
+            page stays deallocated and recovery frees it) or undoes an
+            incomplete one (the page is re-allocated and re-read, and
+            recovery's bit sweep clears a stored SHRINK bit) — the
+            outcome when an asynchronous write had not reached the
+            page yet, so no recovery path depends on that write;
+        (c) keycopy redo needs only the source *rows*, which the stored
+            image plus the log reconstruct; §3's force of the new pages
+            is untouched;
+        (d) a frame with a pending logged change (a foreground insert
+            before the copy point) or one never stored is *not*
+            dropped: it is aged to the ring's first-out end and takes
+            the normal write path (False).
         """
         shard = self._shards[page_id % self.n_shards]
         with shard:
-            frame = shard.ring.get(page_id)
+            frame = shard.lookup(page_id)
             if frame is None:
-                return
-            frame.dead = True
-            shard.ring.move_to_end(page_id, last=False)
+                return False
+            if (
+                frame.pin_count == 0
+                and page_id not in shard.writing
+                and (
+                    not frame.dirty
+                    or frame.page.page_lsn == frame.clean_lsn
+                )
+            ):
+                shard.pop(page_id)
+                if frame.dirty:
+                    self.counters.add("pool_retired_unwritten")
+                return True
+            if frame.ring:
+                frame.seq = 0  # out of the young band: evict (and write) early
+                shard.ring.move_to_end(page_id, last=False)
+            return False
 
     def drop_page(self, page_id: int) -> None:
         """Evict a page without writing (its id was freed and recycled)."""
@@ -731,12 +774,11 @@ class BufferPool:
     ) -> bool:
         """Recycle one ring frame.
 
-        Victim priority: a frame the scan *demoted* (declared finished
-        for good — :meth:`demote_page`), then a speculative frame the
-        scan has already moved past (``prefetched`` with ``seq`` at or
-        below the consumed watermark — dead weight, never coming back),
-        then the oldest consumed frame (the scan is done with it), and
-        only as a last resort the oldest not-yet-consumed frame —
+        Victim priority: a speculative frame the scan has already
+        moved past (``prefetched`` with ``seq`` at or below the consumed
+        watermark — dead weight, never coming back), then the oldest
+        consumed frame (the scan is done with it), and only as a last
+        resort the oldest not-yet-consumed frame —
         evicting the read-ahead window re-buys its reads, so it goes
         last (and is forbidden entirely with ``spare_window``, the
         speculative admission paths' flag).
@@ -745,15 +787,16 @@ class BufferPool:
         — a recently admitted frame is the current top action's working
         set (a target still being appended to, a source its bit-clear
         will re-latch), and evicting it re-buys a read or pays a
-        premature singleton write, so frames admitted within the last
-        eighth of the ring's quota yield to anything older — and *clean
-        before dirty* within each age class (a clean frame evicts for
-        free; a dirty one costs a write the write-behind batcher would
+        premature write, so frames admitted within the last eighth of
+        the ring's quota yield to anything older — and *clean before
+        dirty* within each age class (a clean frame evicts for free; a
+        dirty one costs a write the write-behind batcher would
         otherwise coalesce).
 
-        A dirty victim's write drops the shard lock, so the victim is
-        revalidated afterwards; with ``clean_only`` dirty frames are
-        skipped instead of written.
+        A dirty victim is written with its disk run (:meth:`_write_run`);
+        the write drops the shard lock, so the victim is revalidated
+        afterwards.  With ``clean_only`` dirty frames are skipped
+        instead of written.
         """
         while True:
             victim_id = None
@@ -779,11 +822,6 @@ class BufferPool:
             for pid, frame in shard.ring.items():
                 if frame.pin_count != 0 or (clean_only and frame.dirty):
                     continue
-                if frame.dead:
-                    # Demoted by the scan: declared finished-for-good,
-                    # the cheapest possible victim (sits at the front).
-                    victim_id, victim = pid, frame
-                    break
                 if frame.prefetched and frame.seq <= dead_below:
                     victim_id, victim = pid, frame  # bypassed speculative
                     break
@@ -809,7 +847,7 @@ class BufferPool:
             if victim_id is None or victim is None:
                 return False
             if victim.dirty:
-                self._write_ring_batch(shard, victim_id, victim)
+                self._write_run(shard, victim_id, victim)
                 if (
                     shard.ring.get(victim_id) is not victim
                     or victim.pin_count > 0
@@ -897,7 +935,7 @@ class BufferPool:
             if victim_id is None or victim is None:
                 return False
             if victim.dirty:
-                self._write_frame(shard, victim_id, victim)
+                self._write_unlocked(shard, [victim_id], force=True)
                 if (
                     shard.frames.get(victim_id) is not victim
                     or victim.pin_count > 0
@@ -934,159 +972,138 @@ class BufferPool:
         # window itself.
         return live < max(1, shard.ring_quota // 2)
 
-    def _write_ring_batch(
-        self, shard: _Shard, page_id: int, frame: _Frame
-    ) -> None:
-        """Write the dirty ring victim *and* every co-dirty ring frame in
-        one physical batch, WAL-first, with the shard lock released.
+    def _write_run(self, shard: _Shard, page_id: int, frame: _Frame) -> None:
+        """Write a dirty ring victim *and* the dirty frames of its
+        io-size-aligned disk run in one physical call.
 
-        A ring eviction that writes one page per call throws away the
-        batching the write-behind forcer exists for.  The co-batched
-        frames are the *demoted* dirty ones only — the scan is finished
-        with those for good, their ids are contiguous by construction,
-        and each will cost a write on its own eviction anyway.  Writing
-        them together turns K singleton device calls into
-        ~K/pages_per_io large ones and leaves them resident-but-clean,
-        so their own later evictions become free.  Frames merely dirty
-        (the rebuild's under-construction targets, still being appended
-        to) are left alone: writing those early is a wasted call — they
-        get redirtied and written again by the transaction boundary's
-        force.  Claim/version protocol mirrors :meth:`flush_pages`;
-        only the victim's eviction is decided here, the rest just get
-        cleaned opportunistically.
+        The device moves ``pages_per_io`` consecutive pages per call, so
+        the run-mates ride along for free and stay resident, clean —
+        their own evictions then cost nothing.  The batch is formed by
+        disk run, not by shard: striping puts consecutive ids in
+        different shards, so a batch gathered from one shard coalesces
+        nothing.  Called with the victim's shard lock held; it is
+        released while :meth:`_write_batch` visits the run's shards one
+        at a time, never waiting on their ``writing`` tables — no nested
+        lock, nothing to deadlock on.
         """
         while page_id in shard.writing:
             shard.cond.wait()
         if shard.ring.get(page_id) is not frame or not frame.dirty:
             return
-        batch: dict[int, tuple[_Frame, int]] = {}
-        for pid, fr in shard.ring.items():
-            if (
-                fr.dead and fr.pin_count == 0 and fr.dirty
-                and pid not in shard.writing
-            ):
-                batch[pid] = (fr, fr.version)
-        batch[page_id] = (frame, frame.version)
-        images = {
-            pid: fr.page.to_bytes() for pid, (fr, _v) in batch.items()
-        }
-        max_lsn = max(fr.page.page_lsn for fr, _v in batch.values())
-
-        def _wal_then_write() -> None:
-            if self._wal_hook is not None:
-                self._wal_hook(max_lsn)
-            self.disk.write_many(images)
-
+        ppio = self.disk.pages_per_io
+        start = ((page_id - 1) // ppio) * ppio + 1
         tracer = self.tracer
-        gang_span = (
-            tracer.begin("buffer.gang_flush", pages=len(batch))
-            if tracer is not None
-            else None
-        )
-        shard.writing.update(batch)
+        span = tracer.begin("buffer.gang_flush") if tracer is not None else None
+        pages = shards = 0
         try:
-            self._io_unlocked(shard, _wal_then_write)
+            pages, shards = self._write_unlocked(
+                shard, list(range(start, start + ppio)), force=False
+            )
         finally:
-            shard.writing.difference_update(batch)
-            shard.cond.notify_all()
-            if gang_span is not None:
-                tracer.finish(gang_span)
-        self.counters.add("page_writes", len(batch))
-        for pid, (fr, version) in batch.items():
-            if shard.lookup(pid) is fr and fr.version == version:
-                fr.dirty = False
+            if span is not None:
+                span.attrs = {"pages": pages, "shards": shards}
+                tracer.finish(span)
 
-    def _write_frame(self, shard: _Shard, page_id: int, frame: _Frame) -> None:
-        """Write one dirty frame, WAL-first, with the shard lock released.
+    def _write_unlocked(
+        self, shard: _Shard, page_ids: list[int], force: bool
+    ) -> tuple[int, int]:
+        """:meth:`_write_batch` with the (held) shard lock released around
+        it.  The world may have moved on by the time the lock is back:
+        callers revalidate the frame they meant to clean."""
+        shard.lock.release()
+        try:
+            return self._write_batch(page_ids, force)
+        finally:
+            shard.lock.acquire()
 
-        An unlocked write of this page may already be in flight; wait it
-        out (the wait releases the lock) and revalidate — the flush may
-        have cleaned the frame, or the world may have moved on.  The
-        frame's image and LSN are snapshotted under the lock, the claim in
-        ``shard.writing`` keeps any overlapping writer ordered behind us,
-        and the version check afterwards keeps a mid-write change dirty.
+    def _read_run(self, page_id: int) -> tuple[int, list, list[int]]:
+        """Read the aligned run containing ``page_id`` in one physical
+        call, with no shard lock held and ``page_id`` claimed in-flight
+        by the caller.  Returns (run start, images, claimed neighbors).
+
+        Before the read every run neighbor that is neither resident nor
+        being read is claimed in its shard's ``inflight`` table, and only
+        claimed neighbors may be admitted from the images afterwards
+        (:meth:`_admit_run`, which also releases the claims).  A page
+        resident at claim time may hold a newer image than the disk's; if
+        an evict-write of it lands during the read, the image read
+        before is stale and must not shadow it.  A claimed page cannot
+        become resident (fetches wait on the claim), so it cannot be
+        written either — its image is current.
         """
-        while page_id in shard.writing:
-            shard.cond.wait()
-        if shard.lookup(page_id) is not frame or not frame.dirty:
-            return
-        version = frame.version
-        lsn = frame.page.page_lsn
-        image = frame.page.to_bytes()
-
-        def _wal_then_write() -> None:
-            if self._wal_hook is not None:
-                self._wal_hook(lsn)
-            self.disk.write(page_id, image)
-
-        shard.writing.add(page_id)
+        ppio = self.disk.pages_per_io
+        start = ((page_id - 1) // ppio) * ppio + 1
+        claimed: list[int] = []
+        for pid in range(start, start + ppio):
+            if pid == page_id:
+                continue
+            neighbor = self._shards[pid % self.n_shards]
+            with neighbor:
+                if pid not in neighbor.inflight and neighbor.lookup(pid) is None:
+                    neighbor.inflight.add(pid)
+                    claimed.append(pid)
         try:
-            self._io_unlocked(shard, _wal_then_write)
-        finally:
-            shard.writing.discard(page_id)
-            shard.cond.notify_all()
-        self.counters.add("page_writes")
-        if shard.lookup(page_id) is frame and frame.version == version:
-            frame.dirty = False
+            images = self.retrying(lambda: self.disk.read_run(start, ppio))
+        except BaseException:
+            self._admit_run(claimed, start, [None] * ppio, scan=False)
+            raise
+        return start, images, claimed
+
+    def _admit_run(
+        self,
+        claimed: list[int],
+        start: int,
+        images: list,
+        scan: bool,
+        clean_only: bool = True,
+    ) -> None:
+        """Release the neighbor claims of :meth:`_read_run` (no shard lock
+        held), admitting each claimed page that has an image as an
+        opportunistic prefetch — skipped when no frame is evictable."""
+        for pid in claimed:
+            neighbor = self._shards[pid % self.n_shards]
+            with neighbor:
+                neighbor.inflight.discard(pid)
+                neighbor.cond.notify_all()
+                image = images[pid - start]
+                if image is None or neighbor.lookup(pid) is not None:
+                    continue
+                admitted = self._admit(
+                    neighbor,
+                    Page.from_bytes(image, self.disk.page_size),
+                    scan=scan,
+                    required=False,
+                    prefetched=True,
+                    clean_only=clean_only,
+                    spare_window=True,
+                )
+                if admitted is not None:
+                    self.counters.add("prefetch_admitted")
 
     def _read_aligned_run(self, shard: _Shard, page_id: int, scan: bool) -> None:
         """Miss path for large_io: read the aligned run containing the page.
 
-        The physical reads run with the shard lock released (the caller
-        holds the in-flight claim on ``page_id``), so residency is
-        re-checked before every admission.  The target page is admitted
-        first and held pinned for the rest of the run admission: the
-        neighbors live in *other* shards, so the target's shard lock is
-        dropped while they are admitted, and the pin keeps pressure from
-        evicting the target meanwhile.  The run's other pages are an
-        opportunistic prefetch — skipped, not fatal, when no frame is
-        evictable.
+        The physical read and the neighbors' admission (they live in
+        *other* shards) run with the shard lock released — the caller
+        holds the in-flight claim on ``page_id`` — so the target's
+        residency is re-checked before it is admitted.
         """
-        ppio = self.disk.pages_per_io
-        start = ((page_id - 1) // ppio) * ppio + 1
-        images = self._io_unlocked(
-            shard, lambda: self.disk.read_run(start, ppio)
-        )
-        target_image = images[page_id - start]
-        target_frame = shard.lookup(page_id)
-        if target_frame is None and target_image is None:
+        shard.lock.release()
+        try:
+            start, images, claimed = self._read_run(page_id)
+            self._admit_run(claimed, start, images, scan, clean_only=False)
+        finally:
+            shard.lock.acquire()
+        image = images[page_id - start]
+        if image is None and shard.lookup(page_id) is None:
             # read_run treats an invalid slot as absent; re-read the
             # required page directly so the disk raises the precise
             # error (never written vs ChecksumError).
-            target_image = self._io_unlocked(
-                shard, lambda: self.disk.read(page_id)
+            image = self._io_unlocked(shard, lambda: self.disk.read(page_id))
+        if shard.lookup(page_id) is None:
+            self._admit(
+                shard, Page.from_bytes(image, self.disk.page_size), scan=scan
             )
-            target_frame = shard.lookup(page_id)
-        if target_frame is None:
-            target_frame = self._admit(
-                shard,
-                Page.from_bytes(target_image, self.disk.page_size),
-                scan=scan,
-            )
-        target_frame.pin_count += 1
-        shard.lock.release()
-        try:
-            for offset, image in enumerate(images):
-                pid = start + offset
-                if image is None or pid == page_id:
-                    continue
-                neighbor = self._shards[pid % self.n_shards]
-                with neighbor:
-                    if pid in neighbor.inflight or neighbor.lookup(pid):
-                        continue
-                    admitted = self._admit(
-                        neighbor,
-                        Page.from_bytes(image, self.disk.page_size),
-                        scan=scan,
-                        required=False,
-                        prefetched=True,
-                        spare_window=True,
-                    )
-                    if admitted is not None:
-                        self.counters.add("prefetch_admitted")
-        finally:
-            shard.lock.acquire()
-            target_frame.pin_count -= 1
 
     # --------------------------------------------------------------- prefetch
 
@@ -1110,18 +1127,18 @@ class BufferPool:
         judged against how often it merely re-walked cached pages).
 
         Misses read the whole aligned physical run (§6.3 large I/O), the
-        same batching the demand-fetch miss path uses: one reader thread
-        must be able to stay ahead of several parallel rebuild workers,
-        which it cannot do at one page per device round-trip.  Only the
-        target page is claimed in-flight; a racing demand fetch of a run
-        *neighbor* may duplicate a read, which costs one physical call and
-        nothing else.  With the ring enabled, ``scan=True`` admissions go
-        to the ring's first-out end and recycle only ring frames — a
-        prefetch storm cannot touch the protected region at all.
+        same batching — and the same neighbor claims, see
+        :meth:`_read_run` — the demand-fetch miss path uses: one reader
+        thread must be able to stay ahead of several parallel rebuild
+        workers, which it cannot do at one page per device round-trip.
+        The target stays claimed in-flight until it is admitted.  With
+        the ring enabled, ``scan=True`` admissions go to the ring's
+        first-out end and recycle only ring frames — a prefetch storm
+        cannot touch the protected region at all.
         """
         shard = self._shards[page_id % self.n_shards]
-        ppio = self.disk.pages_per_io
-        start = ((page_id - 1) // ppio) * ppio + 1 if ppio > 1 else page_id
+        start, images, claimed = page_id, [], []
+        next_page: int | None = None
         with shard:
             frame = shard.lookup(page_id)
             if frame is not None:
@@ -1156,51 +1173,31 @@ class BufferPool:
                     shard, lambda: self.disk.exists(page_id)
                 ):
                     return None
-                if ppio > 1:
-                    images = self._io_unlocked(
-                        shard, lambda: self.disk.read_run(start, ppio)
-                    )
-                else:
-                    images = [
-                        self._io_unlocked(
-                            shard, lambda: self.disk.read(page_id)
-                        )
-                    ]
+                shard.lock.release()
+                try:
+                    start, images, claimed = self._read_run(page_id)
+                finally:
+                    shard.lock.acquire()
+                image = images[page_id - start]
+                if image is not None and shard.lookup(page_id) is None:
+                    page = Page.from_bytes(image, self.disk.page_size)
+                    if self._admit(
+                        shard, page, scan=scan, required=False,
+                        prefetched=True, clean_only=True, spare_window=True,
+                    ) is not None:
+                        self.counters.add("prefetch_admitted")
+                        next_page = page.next_page
             except Exception:
                 # Best effort on every axis: the page may have been freed
-                # between the exists check and the read.
-                return None
+                # between the exists check and the read.  Fall through so
+                # any neighbor claims are still released below.
+                pass
             finally:
                 shard.inflight.discard(page_id)
                 shard.cond.notify_all()
-        # All locks are dropped now; admit page by page, target first (when
-        # a shard's slice fills, the neighbors are the ones to skip).
-        next_page: int | None = None
-        order = sorted(
-            range(len(images)), key=lambda o: start + o != page_id
-        )
-        for offset in order:
-            image = images[offset]
-            pid = start + offset
-            if image is None:
-                continue
-            target = self._shards[pid % self.n_shards]
-            with target:
-                resident = target.lookup(pid)
-                if resident is not None or pid in target.inflight:
-                    if pid == page_id and resident is not None:
-                        next_page = resident.page.next_page
-                    continue
-                page = Page.from_bytes(image, self.disk.page_size)
-                admitted = self._admit(
-                    target, page, scan=scan, required=False,
-                    prefetched=True, clean_only=True, spare_window=True,
-                )
-                if admitted is None:
-                    continue
-                self.counters.add("prefetch_admitted")
-                if pid == page_id:
-                    next_page = page.next_page
+        # All locks are dropped now: the target went first (when a shard's
+        # slice fills, the neighbors are the ones to skip).
+        self._admit_run(claimed, start, images, scan)
         return next_page
 
     def evict_all(self) -> None:

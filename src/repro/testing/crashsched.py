@@ -97,6 +97,9 @@ class ScheduleOutcome:
     resumed: bool = False
     """A durable ``REBUILD_PROGRESS`` checkpoint existed after recovery
     and the follow-up rebuild restarted from it (resume mode only)."""
+    retired_unwritten: int = 0
+    """Source pages the rebuild had dropped from the pool unwritten
+    (``pool_retired_unwritten``) when the run ended or crashed."""
     error: str | None = None
 
     @property
@@ -144,6 +147,9 @@ class CrashScheduleHarness:
         finish_after_recovery: bool = False,
         resume_after_recovery: bool = False,
         parallel_workers: int = 1,
+        pipeline_depth: int = 0,
+        ring_frames: int = 0,
+        pool_shards: int = 1,
     ) -> None:
         self.key_count = key_count
         self.seed = seed
@@ -166,6 +172,15 @@ class CrashScheduleHarness:
         self.parallel_workers = parallel_workers
         """> 1 crashes the partitioned parallel rebuild (see the module
         docstring on approximate replay ordinals under threads)."""
+        self.pipeline_depth = pipeline_depth
+        self.ring_frames = ring_frames
+        self.pool_shards = pool_shards
+        """The benchmark's ``tuned`` knobs (write-behind + read-ahead
+        threads, scan ring, striped pool).  With a ``buffer_capacity``
+        well under the leaf count they put eviction's run writes and
+        :meth:`BufferPool.retire_page` on every schedule's path; the
+        I/O threads make disk-call ordinals approximate, like
+        ``parallel_workers`` does."""
 
     # ------------------------------------------------------------- scenario
 
@@ -173,7 +188,9 @@ class CrashScheduleHarness:
         return RebuildConfig(
             ntasize=self.ntasize,
             xactsize=self.xactsize,
-            pipeline_depth=0,  # determinism: no background I/O threads
+            # Default 0 for determinism: no background I/O threads.
+            pipeline_depth=self.pipeline_depth,
+            ring_frames=self.ring_frames,
             io_retry_limit=io_retry_limit,
             parallel_workers=self.parallel_workers,
         )
@@ -190,6 +207,7 @@ class CrashScheduleHarness:
             lock_timeout=15.0 if self.parallel_workers <= 1 else 5.0,
             io_size=self.io_size,
             fault_plan=plan,
+            pool_shards=self.pool_shards,
         )
         tree = engine.create_index(key_len=4)
         order = list(range(self.key_count))
@@ -372,6 +390,7 @@ class CrashScheduleHarness:
             return outcome
         outcome.retries = engine.counters.io_retries - retries_before
         outcome.oltp_ops_applied = len(applied)
+        outcome.retired_unwritten = engine.counters.pool_retired_unwritten
         if not outcome.crashed and getattr(
             engine.ctx.disk, "crash_armed", False
         ):

@@ -15,14 +15,16 @@ from repro import Engine, OnlineRebuild, RebuildConfig
 from tests.conftest import contents_as_ints, intkey, make_half_empty
 
 
-def build_two_indexes(buffer_capacity: int, pool_shards: int = 1):
+def build_two_indexes(
+    buffer_capacity: int, pool_shards: int = 1, big_keys: int = 8_000
+):
     engine = Engine(
         buffer_capacity=buffer_capacity,
         lock_timeout=30.0,
         pool_shards=pool_shards,
     )
     big = engine.create_index(key_len=4)
-    make_half_empty(big, 8_000)
+    make_half_empty(big, big_keys)
     hot = engine.create_index(key_len=4)
     for k in range(60):
         hot.insert(intkey(k), rowid=k)
@@ -74,10 +76,12 @@ def test_serial_defaults_fire_no_ring_machinery():
 
 
 def test_hot_index_survives_pressured_rebuild_with_ring():
-    # 64 frames against ~90 pages of rebuild traffic: without the ring
-    # the scan sweeps the other index's pages out; with it they stay.
-    def misses(ring_frames: int) -> int:
-        engine, big, hot = build_two_indexes(64)
+    # The rebuild retires its source leaves as it goes (they leave the
+    # pool unwritten), so the pollution the ring exists for is the *new*
+    # pages: 24k keys rebuild into ~72 of them, which alone sweep a
+    # 64-frame plain LRU; with the ring the other index's pages stay.
+    def misses(ring_frames: int, big_keys: int) -> int:
+        engine, big, hot = build_two_indexes(64, big_keys=big_keys)
         touch_hot(hot)
         config = RebuildConfig(
             ntasize=8, xactsize=32, ring_frames=ring_frames
@@ -86,5 +90,6 @@ def test_hot_index_survives_pressured_rebuild_with_ring():
             engine, lambda: OnlineRebuild(big, config).run()
         )
 
-    assert misses(ring_frames=32) == 0
-    assert misses(ring_frames=0) > 0
+    assert misses(ring_frames=32, big_keys=8_000) == 0
+    assert misses(ring_frames=32, big_keys=24_000) == 0
+    assert misses(ring_frames=0, big_keys=24_000) > 0

@@ -4,7 +4,10 @@ Random interleavings of demand fetches, scan fetches, prefetches, pins,
 dirtying, and new-page allocations against pools of varying shard/ring
 geometry must never (a) evict a pinned frame, (b) exceed total or
 per-shard capacity, or (c) let a scan through an enabled ring change a
-pure-OLTP workload's hit pattern.
+pure-OLTP workload's hit pattern.  With logged row appends, unlogged
+bit flips, flushes, large-I/O reads and ``retire_page`` in the mix, (d)
+every fetch still sees every logged change, and after a crash the
+stored images plus redo of the log reproduce the model.
 """
 
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
-from repro.storage.page import Page
+from repro.storage.page import Page, PageFlag
 
 PAGE_IDS = list(range(1, 61))
 
@@ -122,3 +125,92 @@ def test_oltp_hit_pattern_unchanged_by_scan_with_ring(hot, scan_pages):
         return snap["pool_demand_hits"], snap["pool_demand_misses"]
 
     assert run(False) == run(True)
+
+
+# ------------------------------------------------- stored image + redo == model
+
+WAL_IDS = PAGE_IDS[:12]
+
+wal_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["logged", "logged", "bits", "retire", "flush", "scan",
+             "large", "prefetch", "new"]
+        ),
+        # Few ids, so ops collide on a page: 1..12 are on disk from the
+        # start (three 4-page runs), 101..104 exist once "new"ed.
+        st.sampled_from(WAL_IDS + list(range(101, 105))),
+    ),
+    min_size=40,  # long enough for log-retire-refetch chains on one page
+    max_size=150,
+)
+
+
+@given(ops=wal_ops, geom=geometry)
+@settings(max_examples=100, deadline=None)
+def test_stored_image_plus_redo_equals_model_with_retire(ops, geom):
+    # The model is a durable log of row appends, each stamped into its
+    # page's page_lsn the way log_page_change does.  Bit flips are the
+    # rebuild's unlogged protocol state.  retire_page may drop a frame at
+    # any time; whatever it drops, no logged change may be lost — neither
+    # to a later fetch (a stale image shadowing a newer one) nor to
+    # recovery (stored image + redo of the records above its page_lsn).
+    capacity, shards, ring = geom
+    if capacity // shards < 8:
+        shards = 1
+    counters = Counters()
+    disk = Disk(io_size=4 * 2048, counters=counters)
+    for pid in WAL_IDS:
+        disk.write(pid, Page(pid, disk.page_size).to_bytes())
+    pool = BufferPool(
+        disk, capacity=capacity, counters=counters,
+        shards=shards, ring_frames=ring,
+    )
+    log: list[tuple[int, int, bytes]] = []  # (lsn, page id, row)
+    model: dict[int, list[bytes]] = {pid: [] for pid in WAL_IDS}
+
+    def append_logged(pid: int, page: Page) -> None:
+        lsn = len(log) + 1
+        row = b"r%d" % lsn
+        page.append_row(row)
+        page.page_lsn = lsn
+        log.append((lsn, pid, row))
+        model[pid].append(row)
+
+    for op, pid in ops:
+        if (op == "new") == (pid in model):
+            continue  # only fresh ids are allocated, only live ones used
+        if op == "new":
+            model[pid] = []
+            append_logged(pid, pool.new_page(pid, scan=ring > 0))
+            pool.unpin(pid, dirty=True)
+        elif op == "retire":
+            pool.retire_page(pid)
+        elif op == "flush":
+            pool.flush_page(pid)
+        elif op == "prefetch":
+            pool.prefetch(pid, scan=True)
+        else:
+            page = pool.fetch(
+                pid, large_io=op == "large", scan=op in ("scan", "bits")
+            )
+            assert page.rows == model[pid], f"{op} of {pid} lost a change"
+            if op == "logged":
+                append_logged(pid, page)
+            elif op == "bits":
+                page.set_flag(PageFlag.SHRINK)
+                pool.mark_dirty(pid)
+                page.clear_flag(PageFlag.SHRINK)
+            pool.unpin(pid, dirty=op in ("logged", "bits"))
+
+    pool.crash()  # every frame is lost; the log is durable
+    for pid, rows in model.items():
+        if disk.exists(pid):
+            stored = Page.from_bytes(disk.read(pid), disk.page_size)
+        else:
+            stored = Page(pid, disk.page_size)
+            stored.page_lsn = -1
+        redone = stored.rows + [
+            row for lsn, p, row in log if p == pid and lsn > stored.page_lsn
+        ]
+        assert redone == rows, f"page {pid}: stored image + redo != model"

@@ -160,6 +160,49 @@ def test_parallel_exhaustive_resume_sweep():
     assert report.resumes_taken > 0
 
 
+# ---------------------------------------- tuned knobs on a pool that evicts
+
+TUNED = dict(
+    key_count=4000, seed=11, buffer_capacity=32, resume_after_recovery=True,
+    pipeline_depth=4, ring_frames=16, pool_shards=4,
+)
+"""The benchmark's ``tuned`` profile on a 32-frame pool under ~50 source
+leaves: every schedule evicts (run-aligned writes) and retires source
+pages unwritten before its crash point."""
+
+
+def test_tuned_crash_between_retire_and_commit_resumes_clean():
+    """``rebuild.nta_end`` fires after a top action retired its source
+    leaves and before its transaction commits: the dropped frames' only
+    copy is the stored image, and recovery + resume must not miss the
+    writes that never happened."""
+    harness = CrashScheduleHarness(**TUNED)
+    schedules = [
+        s for s in harness.enumerate_schedules(include_faults=False)
+        if s.point == "rebuild.nta_end"
+    ]
+    report = harness.run_sweep(schedules=schedules, stride=2)
+    assert report.crashes_simulated == report.schedules_run > 0
+    assert report.ok, _fail_report(report)  # clean + zero floor violations
+    assert all(o.retired_unwritten > 0 for o in report.outcomes)
+    assert report.resumes_taken > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tuned_exhaustive_resume_sweep(workers):
+    """Every syncpoint crash of the serial and the 2-worker driver with
+    the tuned knobs, each recovered and resumed under the floor check."""
+    harness = CrashScheduleHarness(parallel_workers=workers, **TUNED)
+    report = harness.run_sweep(
+        schedules=harness.enumerate_schedules(include_faults=False)
+    )
+    assert report.schedules_run >= 30, "schedule enumeration shrank"
+    assert report.ok, _fail_report(report)
+    assert report.resumes_taken > 0
+    assert any(o.retired_unwritten > 0 for o in report.outcomes)
+
+
 # --------------------------------------------------------- scrubber crashes
 
 

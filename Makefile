@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench bench-quick
+.PHONY: test bench bench-quick suite-quick
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -10,3 +10,6 @@ bench:
 
 bench-quick:
 	PYTHONPATH=src $(PYTHON) benchmarks/run_perf.py --quick
+
+suite-quick:
+	$(PYTHON) -m pytest benchmarks/suite -q

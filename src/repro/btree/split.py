@@ -98,9 +98,7 @@ def split_leaf(
             LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=list(moved)),
             new_page,
         )
-        for i, row in enumerate(moved):
-            new_page.insert_row(i, row)
-        ctx.counters.add("bytes_copied", sum(len(r) for r in moved))
+        ctx.counters.add("bytes_copied", new_page.insert_rows(0, moved))
 
         # Chain links: leaf -> new -> old_next (footnote 3 for old_next.prev).
         ctx.log_page_change(
@@ -231,9 +229,7 @@ def _split_nonleaf(
         LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=sibling_rows),
         sibling,
     )
-    for i, row in enumerate(sibling_rows):
-        sibling.insert_row(i, row)
-    ctx.counters.add("bytes_copied", sum(len(r) for r in sibling_rows))
+    ctx.counters.add("bytes_copied", sibling.insert_rows(0, sibling_rows))
 
     # Place the pending entry on the correct side.
     entry = node.encode_entry(sep_key, new_child)
@@ -289,9 +285,7 @@ def _grow_root(
     ctx.log_page_change(
         txn, LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=rows), child
     )
-    for i, row in enumerate(rows):
-        child.insert_row(i, row)
-    ctx.counters.add("bytes_copied", sum(len(r) for r in rows))
+    ctx.counters.add("bytes_copied", child.insert_rows(0, rows))
     ctx.log_page_change(
         txn, LogRecord(type=RecordType.BATCHDELETE, pos=0, rows=rows), root
     )

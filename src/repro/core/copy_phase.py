@@ -35,7 +35,9 @@ DELETE.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from repro.btree import keys as K
@@ -122,28 +124,31 @@ def plan_copy(
                 f"leaf {src_id} is empty; empty leaves are shrunk, not "
                 "rebuilt"
             )
-        allocs_per_source[src_id] = []
-        run_start: int | None = None
-        for pos, unit in enumerate(rows):
-            cost = SLOT_OVERHEAD + len(unit)
-            if not targets or cost > free:
-                if run_start is not None:
-                    targets[-1].extents.append(
-                        KeyCopyEntry(src_id, 0, run_start, pos - 1)
-                    )
+        allocs = allocs_per_source[src_id] = []
+        # cost[k] = slotted bytes of rows[:k], strictly increasing, so "how
+        # many more rows fit" is a binary search instead of a per-row loop.
+        cost = list(
+            accumulate([SLOT_OVERHEAD + len(r) for r in rows], initial=0)
+        )
+        pos, n = 0, len(rows)
+        while pos < n:
+            end = bisect_right(cost, cost[pos] + free, pos + 1) - 1
+            if end == pos:
+                # The next unit does not fit (or there is no target yet):
+                # open a fresh page, which always takes at least one unit,
+                # budget or not.
                 targets.append(_TargetPlan(ordinal=next_ordinal))
-                allocs_per_source[src_id].append(next_ordinal)
+                allocs.append(next_ordinal)
                 next_ordinal += 1
                 free = budget
-                run_start = pos
-            elif run_start is None:
-                run_start = pos
-            targets[-1].units.append(unit)
-            free -= cost
-        if run_start is not None:
-            targets[-1].extents.append(
-                KeyCopyEntry(src_id, 0, run_start, len(rows) - 1)
-            )
+                end = max(
+                    pos + 1, bisect_right(cost, cost[pos] + free, pos + 1) - 1
+                )
+            target = targets[-1]
+            target.units += rows[pos:end]
+            target.extents.append(KeyCopyEntry(src_id, 0, pos, end - 1))
+            free -= cost[end] - cost[pos]
+            pos = end
     return [t for t in targets if t.units], allocs_per_source
 
 
@@ -585,7 +590,7 @@ def _apply_copy(
     lsn = ctx.txns.append(txn, keycopy)
     ctx.counters.add("top_actions")
 
-    # Apply: append the planned units to each target, stamp timestamps.
+    # Apply: one bulk append of the planned units per target, then stamp.
     copied_bytes = 0
     for t in targets:
         tgt_id = ordinal_to_id[t.ordinal]
@@ -594,9 +599,7 @@ def _apply_copy(
             page = pp_page
         else:
             page = new_pages[tgt_id]
-        for unit in t.units:
-            page.append_row(unit)
-            copied_bytes += len(unit)
+        copied_bytes += page.extend_rows(t.units)
         page.page_lsn = lsn
         ctx.buffer.mark_dirty(tgt_id)
     ctx.counters.add("bytes_copied", copied_bytes)

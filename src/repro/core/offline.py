@@ -183,8 +183,7 @@ def _write_fresh_page(
         LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=rows),
         page,
     )
-    for i, row in enumerate(rows):
-        page.insert_row(i, row)
+    page.insert_rows(0, rows)
     ctx.release_page(pid, dirty=True)
 
 
@@ -319,8 +318,7 @@ def _install_root(
                 LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=rows),
                 root,
             )
-            for i, row in enumerate(rows):
-                root.insert_row(i, row)
+            root.insert_rows(0, rows)
     finally:
         ctx.release_page(tree.root_page_id, dirty=True)
     if top_id != NO_PAGE:

@@ -408,8 +408,7 @@ def _redirect_to_left_sibling(
             LogRecord(type=RecordType.BATCHINSERT, pos=pos, rows=batch),
             left,
         )
-        for j, row in enumerate(batch):
-            left.insert_row(pos + j, row)
+        left.insert_rows(pos, batch)
         ctx.syncpoints.fire(
             "rebuild.level1_redirected", left=left_id, count=len(batch)
         )
@@ -493,8 +492,7 @@ def _insert_with_splits(
             LogRecord(type=RecordType.BATCHINSERT, pos=insert_pos, rows=new_rows),
             page,
         )
-        for j, row in enumerate(new_rows):
-            page.insert_row(insert_pos + j, row)
+        page.insert_rows(insert_pos, new_rows)
         return page, []
 
     if page.page_id == tree.root_page_id:
@@ -529,8 +527,7 @@ def _insert_with_splits(
             ),
             page,
         )
-        for j, row in enumerate(new_rows[:kept_new]):
-            page.insert_row(insert_pos + j, row)
+        page.insert_rows(insert_pos, new_rows[:kept_new])
 
     siblings: list[tuple[bytes, int]] = []
     for chunk in chunks[1:]:
@@ -560,8 +557,7 @@ def _insert_with_splits(
             LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=rows),
             sibling,
         )
-        for j, row in enumerate(rows):
-            sibling.insert_row(j, row)
+        sibling.insert_rows(0, rows)
         ctx.release_page(sib_id, dirty=True)
         siblings.append((sep, sib_id))
         new_pages.append(sib_id)

@@ -275,10 +275,9 @@ class OnlineRebuild:
             # itself only reconstructs the highest epoch, so this can
             # only happen when a caller holds on to an old checkpoint
             # object — reject it loudly instead of corrupting progress.
-            for rec in ctx.log.scan():
+            for rec in ctx.log.scan(types=(RecordType.REBUILD_PROGRESS,)):
                 if (
-                    rec.type is RecordType.REBUILD_PROGRESS
-                    and rec.index_id == tree.index_id
+                    rec.index_id == tree.index_id
                     and rec.epoch > resume_checkpoint.epoch
                 ):
                     raise RebuildError(
@@ -1202,7 +1201,11 @@ class OnlineRebuild:
         """§4.1.3: free this transaction's deallocated pages via a log scan."""
         ctx = self.ctx
         freed = 0
-        for rec in ctx.log.scan(from_lsn=txn.begin_lsn):
+        for rec in ctx.log.scan(
+            from_lsn=txn.begin_lsn,
+            types=(RecordType.DEALLOC,),
+            txn_id=txn.txn_id,
+        ):
             if rec.txn_id != txn.txn_id or rec.type is not RecordType.DEALLOC:
                 continue
             for pid in rec.page_ids or [rec.page_id]:

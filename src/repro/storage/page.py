@@ -35,9 +35,15 @@ HEADER_SIZE = 40
 SLOT_OVERHEAD = 2  # per-row slot-table cost, as in a real slotted page
 NO_PAGE = 0        # null page id; real ids start at 1
 
-_HEADER_FMT = "<HIHBBBBHIHIIQHH"
+_HEADER = struct.Struct("<HIHBBBBHIHIIQHH")
 _HEADER_MAGIC = 0xB7EE
-assert struct.calcsize(_HEADER_FMT) == 40  # == HEADER_SIZE exactly
+assert _HEADER.size == 40  # == HEADER_SIZE exactly
+
+_ROW_LEN = struct.Struct("<H")
+# Packed row-length prefixes for every length a default-size page can hold;
+# ``to_bytes`` indexes it instead of calling ``struct.pack`` per row and
+# falls back to packing for the rare larger page.
+_PACKED_LEN = tuple(map(_ROW_LEN.pack, range(PAGE_SIZE_DEFAULT + 1)))
 
 _debug_accounting = os.environ.get(
     "REPRO_PAGE_DEBUG_ACCOUNTING", ""
@@ -85,6 +91,9 @@ class PageFlag(enum.IntFlag):
     SHRINK = 2
     OLDPGOFSPLIT = 4
     SHRINKRANGE = 8
+
+
+_ALL_FLAGS = sum(PageFlag)  # ``from_bytes`` rejects any other bit
 
 
 class Page:
@@ -174,7 +183,9 @@ class Page:
         """Exact bytes this page would occupy on disk, excluding padding.
 
         O(1): mutators maintain the cached count.  ``rows`` must only be
-        mutated through the mutator methods, never in place.
+        mutated through the mutator methods (``insert_row`` / ``append_row``
+        / ``insert_rows`` / ``extend_rows`` / ``delete_row`` /
+        ``delete_rows`` / ``replace_row``), never in place.
         """
         if _debug_accounting:
             actual = self._recompute_used()
@@ -323,6 +334,31 @@ class Page:
     def append_row(self, data: bytes) -> None:
         self.insert_row(len(self.rows), data)
 
+    def insert_rows(self, pos: int, rows: list[bytes]) -> int:
+        """Insert the run ``rows`` at slot ``pos``; returns its row bytes.
+
+        The bulk form of :meth:`insert_row`: one fit check for the whole
+        batch and one slice assignment.  All-or-nothing — a batch that does
+        not fit raises :class:`PageFullError` and leaves the page untouched.
+        """
+        nbytes = sum(map(len, rows))
+        cost = nbytes + SLOT_OVERHEAD * len(rows)
+        if cost > self.page_size - self._used:
+            raise PageFullError(
+                f"{len(rows)} rows of {nbytes} bytes do not fit on page "
+                f"{self.page_id} (free={self.free_bytes})"
+            )
+        if not 0 <= pos <= len(self.rows):
+            raise PageFormatError(
+                f"insert position {pos} out of range on page {self.page_id}"
+            )
+        self.rows[pos:pos] = rows
+        self._used += cost
+        return nbytes
+
+    def extend_rows(self, rows: list[bytes]) -> int:
+        return self.insert_rows(len(self.rows), rows)
+
     def delete_row(self, pos: int) -> bytes:
         if not 0 <= pos < len(self.rows):
             raise PageFormatError(
@@ -340,7 +376,7 @@ class Page:
             )
         removed = self.rows[lo:hi]
         del self.rows[lo:hi]
-        self._used -= sum(SLOT_OVERHEAD + len(r) for r in removed)
+        self._used -= sum(map(len, removed)) + SLOT_OVERHEAD * len(removed)
         return removed
 
     def replace_row(self, pos: int, data: bytes) -> bytes:
@@ -363,8 +399,8 @@ class Page:
             raise PageFormatError(
                 f"page {self.page_id} overflows: {self.used_bytes} bytes"
             )
-        header = struct.pack(
-            _HEADER_FMT,
+        rows = self.rows
+        header = _HEADER.pack(
             _HEADER_MAGIC,
             self.page_id,
             self.index_id,
@@ -372,34 +408,44 @@ class Page:
             self.level,
             self._flags,
             0,  # pad
-            len(self.rows),
+            len(rows),
             self.side_page,
-            len(self.side_key),
+            len(self._side_key),
             self.prev_page,
             self.next_page,
             self.page_lsn,
-            len(self.blocked_lo),
-            len(self.blocked_hi),
+            len(self._blocked_lo),
+            len(self._blocked_hi),
         )
-        parts = [
-            header,
-            self.side_key,
-            self.blocked_lo,
-            self.blocked_hi,
-        ]
-        for r in self.rows:
-            parts.append(struct.pack("<H", len(r)))
-            parts.append(r)
+        # Interleave [head, len0, row0, len1, row1, ...] by strided slice
+        # assignment: no per-row call, one join.
+        parts = [header + self._side_key + self._blocked_lo + self._blocked_hi]
+        parts *= 2 * len(rows) + 1
+        try:
+            parts[1::2] = [_PACKED_LEN[len(r)] for r in rows]
+        except IndexError:  # a row longer than a default-size page
+            parts[1::2] = [_ROW_LEN.pack(len(r)) for r in rows]
+        parts[2::2] = rows
         body = b"".join(parts)
         return body + b"\x00" * (self.page_size - len(body))
 
     @classmethod
     def from_bytes(cls, data: bytes, page_size: int = PAGE_SIZE_DEFAULT) -> "Page":
-        """Parse a page image produced by :meth:`to_bytes`."""
+        """Parse a page image produced by :meth:`to_bytes`.
+
+        Every length field is bounds-checked against the image, so a
+        corrupted image ends in :class:`PageFormatError` whichever field
+        was hit, never in a ``struct.error`` or in rows silently sliced
+        from the wrong offsets.
+        """
         if len(data) != page_size:
             raise PageFormatError(
                 f"expected {page_size}-byte image, got {len(data)}"
             )
+        if type(data) is not bytes:
+            data = bytes(data)  # rows must be immutable slices
+        if page_size < HEADER_SIZE:
+            raise PageFormatError(f"{page_size}-byte image has no header")
         (
             magic,
             page_id,
@@ -416,35 +462,51 @@ class Page:
             page_lsn,
             blocked_lo_len,
             blocked_hi_len,
-        ) = struct.unpack_from(_HEADER_FMT, data)
+        ) = _HEADER.unpack_from(data)
         if magic != _HEADER_MAGIC:
             raise PageFormatError(f"bad page magic 0x{magic:04x}")
         page = cls(page_id, page_size)
         page.index_id = index_id
-        page.page_type = PageType(page_type)
+        try:
+            page.page_type = PageType(page_type)
+        except ValueError:
+            raise PageFormatError(
+                f"page {page_id}: bad page type {page_type}"
+            ) from None
+        if flags & ~_ALL_FLAGS:
+            raise PageFormatError(f"page {page_id}: bad flags 0x{flags:02x}")
         page.level = level
-        page.flags = PageFlag(flags)
+        page._flags = flags
         page.prev_page = prev_page
         page.next_page = next_page
         page.page_lsn = page_lsn
         page.side_page = side_page
-        off = HEADER_SIZE
-        page.side_key = bytes(data[off : off + side_key_len])
-        off += side_key_len
-        page.blocked_lo = bytes(data[off : off + blocked_lo_len])
-        off += blocked_lo_len
-        page.blocked_hi = bytes(data[off : off + blocked_hi_len])
-        off += blocked_hi_len
-        for _ in range(nrows):
-            (rlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            page.rows.append(bytes(data[off : off + rlen]))
-            off += rlen
+        lo_at = HEADER_SIZE + side_key_len
+        hi_at = lo_at + blocked_lo_len
+        off = hi_at + blocked_hi_len
+        page._side_key = data[HEADER_SIZE:lo_at]
+        page._blocked_lo = data[lo_at:hi_at]
+        page._blocked_hi = data[hi_at:off]
+        append = page.rows.append
+        try:
+            for _ in range(nrows):
+                start = off + SLOT_OVERHEAD
+                off = start + (data[off] | data[off + 1] << 8)
+                append(data[start:off])
+        except IndexError:  # a length prefix past the end of the image
+            off = page_size + 1
         if off > page_size:
             raise PageFormatError(
-                f"page {page_id} rows overflow the {page_size}-byte image"
+                f"page {page_id}: lengths overflow the {page_size}-byte image"
             )
-        page._used = page._recompute_used()
+        # ``to_bytes`` pads with zeros: anything else past the last row
+        # means a length field was corrupted to something shorter.
+        if data.count(0, off) != page_size - off:
+            raise PageFormatError(
+                f"page {page_id}: {page_size - off} bytes after the last "
+                "row are not padding"
+            )
+        page._used = off
         return page
 
     def copy(self) -> "Page":

@@ -102,8 +102,7 @@ def redo_record(rec: LogRecord, ctx: ApplyContext) -> None:
     elif t in (RecordType.INSERT, RecordType.BATCHINSERT):
         with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
             if page is not None:
-                for i, row in enumerate(rec.rows):
-                    page.insert_row(rec.pos + i, row)
+                page.insert_rows(rec.pos, rec.rows)
     elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
         with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
             if page is not None:
@@ -186,8 +185,13 @@ def _redo_keycopy(rec: LogRecord, ctx: ApplyContext) -> None:
         src = ctx.buffer.fetch(entry.src_page)
         tgt = ctx.buffer.fetch(entry.tgt_page)
         try:
-            for pos in range(entry.first_pos, entry.last_pos + 1):
-                tgt.append_row(src.row(pos))
+            if not 0 <= entry.first_pos <= entry.last_pos < src.nrows:
+                raise RecoveryError(
+                    f"keycopy redo: extent [{entry.first_pos}, "
+                    f"{entry.last_pos}] is out of range for source "
+                    f"{entry.src_page} ({src.nrows} rows)"
+                )
+            tgt.extend_rows(src.rows[entry.first_pos : entry.last_pos + 1])
         finally:
             ctx.buffer.unpin(entry.src_page)
             ctx.buffer.unpin(entry.tgt_page, dirty=True)
@@ -286,8 +290,7 @@ def apply_inverse(
                     f"{rec.pos} do not match the log record"
                 )
         elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
-            for i, row in enumerate(rec.rows):
-                page.insert_row(rec.pos + i, row)
+            page.insert_rows(rec.pos, rec.rows)
         elif t is RecordType.CHANGEPREVLINK:
             page.prev_page = rec.old_prev
         elif t is RecordType.CHANGENEXTLINK:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterator
 
 from repro.errors import WALError
 from repro.stats.counters import GLOBAL_COUNTERS, Counters
@@ -202,25 +202,37 @@ class LogManager:
 
     # ------------------------------------------------------------------- scan
 
-    def scan(self, from_lsn: int = 0, durable_only: bool = False) -> Iterator[LogRecord]:
-        """Decode records in LSN order, optionally only the durable prefix."""
+    def scan(
+        self,
+        from_lsn: int = 0,
+        durable_only: bool = False,
+        types: "Collection[RecordType] | None" = None,
+        txn_id: int | None = None,
+    ) -> Iterator[LogRecord]:
+        """Decode records in LSN order, optionally only the durable prefix.
+
+        ``types`` / ``txn_id`` keep only records of those types / of that
+        transaction; the test reads the fixed header alone, so records
+        that do not match are never payload-decoded.
+        """
         with self._lock:
             upto = self._flushed_upto if durable_only else len(self._records)
-            items = list(zip(self._offsets[:upto], self._records[:upto]))
-        for lsn, data in items:
-            if lsn >= from_lsn:
+            start = bisect_left(self._offsets, from_lsn, 0, upto)
+            records = self._records[start:upto]
+        if types is None and txn_id is None:
+            yield from map(LogRecord.decode, records)
+            return
+        for data in records:
+            rtype, rtxn = LogRecord.peek(data)
+            if (types is None or rtype in types) and (
+                txn_id is None or rtxn == txn_id
+            ):
                 yield LogRecord.decode(data)
 
     def record_at(self, lsn: int) -> LogRecord:
         """Random-access decode of the record starting at ``lsn``."""
         with self._lock:
-            lo, hi = 0, len(self._offsets)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._offsets[mid] < lsn:
-                    lo = mid + 1
-                else:
-                    hi = mid
+            lo = bisect_left(self._offsets, lsn)
             if lo >= len(self._offsets) or self._offsets[lo] != lsn:
                 raise WALError(f"no log record at lsn {lsn}")
             return LogRecord.decode(self._records[lo])

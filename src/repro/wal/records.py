@@ -66,6 +66,22 @@ _HEADER_MAGIC = 0x10C5
 _HEADER_STRUCT = struct.Struct(_HEADER_FMT)
 _HEADER_PAD = b"\x00" * (RECORD_OVERHEAD - _HEADER_STRUCT.size)
 assert _HEADER_STRUCT.size == 54  # padded to RECORD_OVERHEAD
+# The same header read only as far as (magic, type, flags, length, txn id).
+_PEEK_STRUCT = struct.Struct("<HBBI16xQ")
+
+
+def _unpack_header(header: struct.Struct, data: bytes) -> tuple:
+    """Unpack a record header (full or peek layout), checking the frame."""
+    if len(data) < RECORD_OVERHEAD:
+        raise LogFormatError(f"truncated record: {len(data)} bytes")
+    fields = header.unpack_from(data)
+    if fields[0] != _HEADER_MAGIC:
+        raise LogFormatError(f"bad record magic 0x{fields[0]:04x}")
+    if fields[3] != len(data):
+        raise LogFormatError(
+            f"record length field {fields[3]} != buffer {len(data)}"
+        )
+    return fields
 
 
 class RecordType(enum.IntEnum):
@@ -390,15 +406,27 @@ class LogRecord:
 
     # ----------------------------------------------------------------- decode
 
+    @staticmethod
+    def peek(data: bytes) -> tuple[int, int]:
+        """``(type, txn_id)`` from the fixed header, payload untouched.
+
+        Lets a filtered log scan skip records without decoding their
+        payloads; validates the magic and length like :meth:`decode`.
+        The type comes back as a raw int (it compares equal to its
+        :class:`RecordType` member).
+        """
+        _magic, rtype, _flags, _length, txn_id = _unpack_header(
+            _PEEK_STRUCT, data
+        )
+        return rtype, txn_id
+
     @classmethod
     def decode(cls, data: bytes) -> "LogRecord":
-        if len(data) < RECORD_OVERHEAD:
-            raise LogFormatError(f"truncated record: {len(data)} bytes")
         (
-            magic,
+            _magic,
             rtype,
             flags,
-            length,
+            _length,
             lsn,
             prev_lsn,
             txn_id,
@@ -406,13 +434,7 @@ class LogRecord:
             index_id,
             page_id,
             old_ts,
-        ) = _HEADER_STRUCT.unpack_from(data)
-        if magic != _HEADER_MAGIC:
-            raise LogFormatError(f"bad record magic 0x{magic:04x}")
-        if length != len(data):
-            raise LogFormatError(
-                f"record length field {length} != buffer {len(data)}"
-            )
+        ) = _unpack_header(_HEADER_STRUCT, data)
         rec = cls(
             type=RecordType(rtype),
             txn_id=txn_id,

@@ -1,0 +1,163 @@
+"""CPU budget of a cache-resident rebuild, as exact counts.
+
+The multipage top action pays its fixed costs once per run of rows, not
+once per row: the copy phase moves each target page's rows with one bulk
+call, and the commit-time free (§4.1.3) payload-decodes only the
+transaction's own DEALLOC records.  Single-threaded, so every count
+repeats exactly; the pinned values are those of the per-row engine this
+replaced — the packing, the log records and the rebuilt leaf images are
+byte-identical to it.
+"""
+
+import zlib
+
+import pytest
+
+from repro import Engine, OnlineRebuild, RebuildConfig
+from repro.core import copy_phase
+from repro.storage.page import Page
+from repro.wal.records import LogRecord, RecordType
+from repro.workload.builder import bulk_load
+from tests.conftest import intkey
+
+PACKING_RECORDS = (RecordType.KEYCOPY, RecordType.ALLOCRUN, RecordType.DEALLOC)
+
+# config, counter deltas of the run, CRC of the rebuilt leaf images in
+# chain order, CRC of the run's KEYCOPY / ALLOCRUN / DEALLOC records.
+PINNED = [
+    pytest.param(
+        RebuildConfig(),
+        {"log_bytes": 15661, "log_records": 74, "bytes_copied": 200000,
+         "new_pages_allocated": 120, "top_actions": 8},
+        1190492898,
+        993844878,
+        id="paper-defaults",
+    ),
+    pytest.param(
+        RebuildConfig(fillfactor=0.8, ntasize=8, xactsize=64),
+        {"log_bytes": 30749, "log_records": 276, "bytes_copied": 200000,
+         "new_pages_allocated": 151, "top_actions": 31},
+        708809116,
+        3168632069,
+        id="fill80-nta8-xact64",
+    ),
+]
+
+
+def _load(**engine_kwargs):
+    engine = Engine(
+        page_size=2048, io_size=16384, buffer_capacity=4096, **engine_kwargs
+    )
+    tree = bulk_load(
+        engine, [intkey(2 * i) for i in range(20_000)], 4, fill=0.5
+    )
+    return engine, tree
+
+
+def _leaf_crc(engine, tree, rows_only=False):
+    crc = 0
+    for pid in tree.verify().leaf_page_ids:
+        page = engine.buffer.fetch(pid)
+        if rows_only:
+            for row in page.rows:
+                crc = zlib.crc32(row, crc)
+            crc = zlib.crc32(b"|", crc)
+        else:
+            crc = zlib.crc32(page.to_bytes(), crc)
+        engine.buffer.unpin(pid)
+    return crc
+
+
+@pytest.mark.parametrize("config, counts, image_crc, records_crc", PINNED)
+def test_rebuild_moves_rows_by_run_and_frees_from_its_own_log_tail(
+    monkeypatch, config, counts, image_crc, records_crc
+):
+    engine, tree = _load()
+    log = engine.ctx.log
+
+    inside = {"copy": False, "free": False}
+    seen = {"insert_row": 0, "insert_rows": 0, "targets": 0}
+    decoded_in_free: list[LogRecord] = []
+
+    def bracket(owner, name, flag, on_enter=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if on_enter is not None:
+                on_enter(*args, **kwargs)
+            inside[flag] = True
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[flag] = False
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def count_targets(ctx, tree, txn, config, sources, targets, *rest):
+        seen["targets"] += len(targets)
+
+    bracket(copy_phase, "_apply_copy", "copy", count_targets)
+    bracket(OnlineRebuild, "_free_deallocated_of", "free")
+
+    def counting(name):
+        original = getattr(Page, name)
+
+        def wrapper(self, *args):
+            if inside["copy"]:
+                seen[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Page, name, wrapper)
+
+    counting("insert_row")
+    counting("insert_rows")
+
+    decode = LogRecord.decode
+
+    def counting_decode(data):
+        rec = decode(data)
+        if inside["free"]:
+            decoded_in_free.append(rec)
+        return rec
+
+    monkeypatch.setattr(LogRecord, "decode", staticmethod(counting_decode))
+
+    before = engine.counters.snapshot()
+    first_new_record = len(log._records)
+    report = OnlineRebuild(tree, config).run()
+    delta = engine.counters.diff(before)
+    run_records = [decode(d) for d in log._records[first_new_record:]]
+
+    # The copy phase: one bulk call per target page, no per-row call.
+    assert seen["insert_row"] == 0
+    assert seen["insert_rows"] == seen["targets"] > 0
+
+    # The commit-time free decodes the rebuild's DEALLOC records, each
+    # exactly once (by the transaction that wrote it), and nothing else.
+    deallocs = [r for r in run_records if r.type is RecordType.DEALLOC]
+    assert report.transactions >= 1
+    assert sorted(r.lsn for r in decoded_in_free) == [r.lsn for r in deallocs]
+
+    # Byte-identical to the per-row engine.
+    assert {name: delta[name] for name in counts} == counts
+    assert _leaf_crc(engine, tree) == image_crc
+    crc = 0
+    for data in log._records[first_new_record:]:
+        if LogRecord.peek(data)[0] in PACKING_RECORDS:
+            crc = zlib.crc32(data, crc)
+    assert crc == records_crc
+    tree.verify()
+
+
+def test_exact_packing_parallel_rebuild_matches_the_serial_leaf_level():
+    serial_engine, serial_tree = _load()
+    OnlineRebuild(serial_tree, RebuildConfig()).run()
+    engine, tree = _load(pool_shards=4)
+    OnlineRebuild(
+        tree, RebuildConfig(parallel_workers=3, partition_exact_packing=True)
+    ).run()
+    assert (
+        _leaf_crc(engine, tree, rows_only=True)
+        == _leaf_crc(serial_engine, serial_tree, rows_only=True)
+        == 1870674654
+    )

@@ -1,5 +1,7 @@
 """Unit tests for the slotted page layout (repro.storage.page)."""
 
+import struct
+
 import pytest
 
 from repro.errors import PageFormatError, PageFullError
@@ -178,6 +180,104 @@ def test_from_bytes_rejects_wrong_length():
 def test_from_bytes_rejects_bad_magic():
     with pytest.raises(PageFormatError):
         Page.from_bytes(b"\xff" * PAGE_SIZE_DEFAULT)
+
+
+# Where the header fields ``from_bytes`` can check sit in the image.
+_MAGIC, _NROWS, _SIDE_LEN, _LO_LEN, _HI_LEN = (
+    (off, "<H") for off in (0, 12, 18, 36, 38)
+)
+_PAGE_TYPE, _FLAGS = 8, 10  # single bytes
+
+
+def _full_page_image() -> tuple[Page, bytes]:
+    """A page with no padding, a side entry and a blocked range, whose
+    row bytes are all >= 0x80: any misread length prefix is out of range,
+    and any shortened one leaves non-padding bytes behind."""
+    page = Page(5)
+    page.page_type = PageType.NONLEAF
+    page.level = 1
+    page.set_side_entry(b"\x90side", 7)
+    page.set_blocked_range(b"\xa0lo", b"\xa0hi!")
+    for i in range(9):
+        page.append_row(bytes([0x80 + i]) * 200)
+    page.append_row(b"\xff" * (page.free_bytes - SLOT_OVERHEAD))
+    assert page.free_bytes == 0
+    return page, page.to_bytes()
+
+
+def _row_prefix_offsets(page: Page) -> list[int]:
+    off = page.used_bytes - sum(SLOT_OVERHEAD + len(r) for r in page.rows)
+    offsets = []
+    for row in page.rows:
+        offsets.append(off)
+        off += SLOT_OVERHEAD + len(row)
+    return offsets
+
+
+def test_from_bytes_rejects_every_corrupted_length_and_enum_field():
+    page, image = _full_page_image()
+    assert Page.from_bytes(image).rows == page.rows
+    fields = [_MAGIC, _NROWS, _SIDE_LEN, _LO_LEN, _HI_LEN]
+    fields += [(off, "<H") for off in _row_prefix_offsets(page)]
+    for off, fmt in fields:
+        (value,) = struct.unpack_from(fmt, image, off)
+        for bit in range(8 * struct.calcsize(fmt)):
+            bad = bytearray(image)
+            struct.pack_into(fmt, bad, off, value ^ (1 << bit))
+            with pytest.raises(PageFormatError):
+                Page.from_bytes(bytes(bad))
+    # A flip between two valid page types cannot be told from the image.
+    for off, value in [(_PAGE_TYPE, 3), (_PAGE_TYPE, 234)] + [
+        (_FLAGS, image[_FLAGS] | 1 << bit) for bit in range(4, 8)
+    ]:
+        bad = bytearray(image)
+        bad[off] = value
+        with pytest.raises(PageFormatError):
+            Page.from_bytes(bytes(bad))
+
+
+def test_from_bytes_fails_only_with_page_format_error():
+    """Flip every bit of the header and the first rows of a page that has
+    padding: the image decodes or raises PageFormatError, nothing else."""
+    page = Page(3)
+    page.page_type = PageType.LEAF
+    page.set_side_entry(b"sk", 4)
+    for i in range(20):
+        page.append_row(bytes([i]) * (i % 5))
+    image = page.to_bytes()
+    for pos in range(page.used_bytes):
+        for bit in range(8):
+            bad = bytearray(image)
+            bad[pos] ^= 1 << bit
+            try:
+                Page.from_bytes(bytes(bad))
+            except PageFormatError:
+                pass
+
+
+def test_from_bytes_rejects_non_padding_after_the_last_row():
+    page = Page(1)
+    page.append_row(b"abc")
+    image = bytearray(page.to_bytes())
+    image[-1] = 1
+    with pytest.raises(PageFormatError, match="not padding"):
+        Page.from_bytes(bytes(image))
+
+
+def test_insert_rows_is_all_or_nothing():
+    page = Page(1)
+    page.append_row(b"a" * 1000)
+    batch = [b"b" * 500, b"c" * 600]  # the first alone would fit
+    with pytest.raises(PageFullError):
+        page.insert_rows(1, batch)
+    assert page.rows == [b"a" * 1000]
+    assert page.used_bytes == HEADER_SIZE + SLOT_OVERHEAD + 1000
+    with pytest.raises(PageFormatError):
+        page.insert_rows(2, [b"x"])
+    assert page.insert_rows(0, [b"x", b"yz"]) == 3
+    assert page.extend_rows([b"", b"w"]) == 1
+    assert page.rows == [b"x", b"yz", b"a" * 1000, b"", b"w"]
+    assert page.used_bytes == HEADER_SIZE + 5 * SLOT_OVERHEAD + 1004
 
 
 def test_copy_is_deep():

@@ -189,6 +189,21 @@ def test_redo_keycopy_detects_timestamp_corruption(ctx):
         redo_record(rec, ctx)
 
 
+@pytest.mark.parametrize("first, last", [(1, 3), (3, 5), (2, 1)])
+def test_redo_keycopy_rejects_extent_outside_the_source(ctx, first, last):
+    put_page(ctx, 1, [b"k1", b"k2", b"k3"], ts=5)   # three rows: slots 0..2
+    put_page(ctx, 2, [b"k0"], ts=7)
+    rec = LogRecord(
+        type=RecordType.KEYCOPY, page_id=2, pp_page=2, pp_old_next=1,
+        pp_new_next=0, lsn=40,
+        entries=[KeyCopyEntry(1, 2, first, last)],
+        target_ts=[(2, 7)],
+    )
+    with pytest.raises(RecoveryError, match="out of range for source 1"):
+        redo_record(rec, ctx)
+    assert get_rows(ctx, 2) == [b"k0"]  # nothing half-copied
+
+
 def test_undo_insert_removes_and_verifies(ctx):
     put_page(ctx, 1, [b"a", b"b"], ts=20)
     rec = LogRecord(

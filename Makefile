@@ -1,9 +1,15 @@
 PYTHON ?= python
 
-.PHONY: test bench bench-quick suite-quick
+.PHONY: test guards bench bench-quick suite-quick
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+guards:
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
+		tests/integration/test_io_budget.py \
+		tests/integration/test_cpu_budget.py \
+		tests/integration/test_scan_budget.py
 
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/run_perf.py

@@ -1,18 +1,38 @@
-"""Index range scans (§2.5).
+"""Index range scans (§2.5): a scan qualifies a leaf per latch hold,
+validates by frame version, and re-positions by key.
 
-A scan qualifies keys under an S latch, but the latch is dropped *before*
-each qualifying key is returned to the caller and re-taken to resume — the
+A scan holds no latch and no pin while a key is with the caller — the
 paper's rule that keeps scans from holding physical resources across the
-query-processing layer.  Because anything can happen while unlatched (the
-page can split, shrink, or be rebuilt away), resumption revalidates the
-page and, when it is gone or its content moved, re-positions by key with a
-fresh traversal.  This is exactly what lets scans run concurrently with an
-online rebuild: a scan standing on a leaf that gets rebuilt simply
-re-traverses to the first key after the last one it returned.
+query-processing layer — and checks its page when it resumes.  It does
+both once per *leaf*, not once per row: one S-latch hold qualifies every
+remaining row of the leaf up to the upper bound (one bounded search for
+the end, one slice), notes the buffer frame's change counter, and
+unlatches; the rows are then handed out of that private run.  Before each
+row goes out the scan validates by frame version, without latching: the
+leaf must still be the same resident page image at the same counter.
+Every mutator bumps the counter before it drops its X latch, so an
+unchanged counter means the run still is the leaf, and row-granular
+visibility holds — a row deleted at the cursor is skipped, a row
+inserted ahead is seen.  With ``lock_rows`` the order is wait for the
+row lock, validate, return, so a row whose insert rolled back while the
+scan waited on it is never returned.
+
+Anything can happen while unlatched (the page can split, shrink, be
+evicted, or be rebuilt away and its id reused).  On a mismatch the scan
+revalidates the page under its latch and, when it is gone or its content
+moved, re-positions by key with a fresh traversal.  This is exactly what
+lets scans run concurrently with an online rebuild: a scan standing on a
+leaf that gets rebuilt simply re-traverses to the first key after the
+last one it returned.
 
 Walking to the right neighbor honors the SHRINK bit: the scan blocks via an
 instant-duration S address lock and then re-positions by key, since the
-neighbor may no longer exist.
+neighbor may no longer exist.  Both ways of reaching a leaf by an id read
+while unlatched — re-latching the scan's own leaf, stepping to the
+neighbor — check under the latch that the page still is an allocated leaf
+of this index (and, for the neighbor, still this page's right sibling):
+a page rebuilt away keeps its rows and loses its SHRINK bit when the top
+action ends, so its image alone cannot tell.
 """
 
 from __future__ import annotations
@@ -27,6 +47,7 @@ from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.errors import StorageError
+from repro.stats.counters import Counters
 from repro.storage.page import NO_PAGE, Page, PageFlag, PageType
 
 
@@ -46,41 +67,141 @@ def range_scan(
     row (cursor-stability-style reading).
     """
     unit_len = tree.key_len + K.ROWID_LEN
+    counters = ctx.counters
+    image_version = ctx.buffer.image_version
     traversal = Traversal(ctx, tree)
     last_returned: bytes | None = None
     page = traversal.traverse(lo_unit, AccessMode.READER, 0, txn)
-    pos, _found = node.leaf_search(page, lo_unit, ctx.counters)
+    pos, _found = node.leaf_search(page, lo_unit, counters)
 
     while True:
-        # Qualify as many rows as possible under this latch hold.
-        if pos >= page.nrows:
+        # ``page`` is S latched and pinned; ``pos`` is its first row that
+        # was not returned yet.
+        rows = page.rows
+        if pos >= len(rows):
             page, pos = _advance_right(ctx, tree, traversal, txn, page, last_returned, lo_unit)
             if page is None:
                 return
             continue
-        row = page.rows[pos]
-        unit = row[:unit_len]
-        if unit > hi_unit:
-            ctx.release_page(page.page_id)
-            return
+        # Qualify the rest of the leaf under this one latch hold.
+        end = _qualifying_end(rows, pos, hi_unit, unit_len, counters)
         page_id = page.page_id
-        ctx.release_page(page_id)  # §2.5: unlatch before returning the key
-        if lock_rows:
-            ctx.locks.wait_instant(
-                txn.txn_id, LockSpace.LOGICAL, unit, LockMode.S
-            )
-        key, rowid = K.split_unit(unit)
-        if with_payload:
-            yield key, rowid, row[unit_len:]
-        else:
-            yield key, rowid
-        last_returned = unit
+        if end == pos:
+            ctx.release_page(page_id)
+            return
+        run = rows[pos:end]
+        # A row above the bound sits on this leaf: the scan ends with the
+        # run unless the leaf changes first.
+        bound_on_leaf = end < len(rows)
+        version = image_version(page)
+        ctx.release_page(page_id)  # §2.5: unlatch before returning a key
+        counters.local_shard()["scan_leaf_visits"] += 1
 
-        # Resume: revalidate the page; if it moved on, re-position by key.
-        page = _reacquire(ctx, tree, traversal, txn, page_id, last_returned)
-        pos, found = node.leaf_search(page, last_returned, ctx.counters)
-        if found:
-            pos += 1
+        changed = False
+        handed_out = 0
+        try:
+            for row in run:
+                unit = row[:unit_len]
+                if lock_rows:
+                    ctx.locks.wait_instant(
+                        txn.txn_id, LockSpace.LOGICAL, unit, LockMode.S
+                    )
+                if image_version(page) != version:
+                    changed = True
+                    break
+                handed_out += 1
+                key, rowid = K.split_unit(unit)
+                if with_payload:
+                    yield key, rowid, row[unit_len:]
+                else:
+                    yield key, rowid
+                last_returned = unit
+        finally:
+            # The consumer may resume (or close) the scan on another
+            # thread: take the shard again rather than keep it over a yield.
+            counters.local_shard()["scan_rows_returned"] += handed_out
+        if not changed and bound_on_leaf:
+            if image_version(page) == version:
+                return
+            changed = True
+        if changed:
+            counters.local_shard()["scan_revalidation_failures"] += 1
+
+        # The leaf changed, or the run reached its last row: re-latch it
+        # (re-position by key if it moved on) at the first unit not yet
+        # returned.
+        resume = lo_unit if last_returned is None else last_returned
+        page = _reacquire(ctx, tree, traversal, txn, page_id, resume)
+        pos = _resume_pos(page, resume, last_returned, counters)
+
+
+def _resume_pos(
+    page: Page, resume: bytes, last_returned: bytes | None, counters: Counters
+) -> int:
+    """Position on ``page`` of the first unit not yet returned: at
+    ``resume``, or right after it when it is the last unit returned."""
+    pos, found = node.leaf_search(page, resume, counters)
+    if found and last_returned is not None:
+        pos += 1
+    return pos
+
+
+def _qualifying_end(
+    rows: list[bytes],
+    pos: int,
+    hi_unit: bytes,
+    unit_len: int,
+    counters: Counters,
+) -> int:
+    """End of the run of ``rows`` from ``pos`` whose units are <= ``hi_unit``.
+
+    The common case — the whole rest of the leaf qualifies — is one
+    comparison against the last row; otherwise a binary search bounded to
+    ``[pos, len(rows) - 1)``.
+    """
+    lo, hi = pos, len(rows) - 1
+    probes = 1
+    if rows[hi][:unit_len] <= hi_unit:
+        lo = hi + 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        probes += 1
+        if rows[mid][:unit_len] <= hi_unit:
+            lo = mid + 1
+        else:
+            hi = mid
+    counters.add("key_comparisons", probes)
+    return lo
+
+
+def _latch_live_leaf(
+    ctx: EngineContext, tree: "object", page_id: int
+) -> Page | None:
+    """S-latch ``page_id`` if it is a live leaf of this index, else None.
+
+    The scan reaches the page by an id it read while unlatched, so the
+    page may have been rebuilt or shrunk away — deallocated, freed, its id
+    reused — in between.  The allocation state is checked again *under*
+    the latch: a page leaves the allocated state only inside a top action
+    that holds its SHRINK bit, and setting that bit needs the X latch, so
+    "allocated and not SHRINK-marked" cannot change while the S latch is
+    held.  (The callers test the bit: they treat it differently.)  The
+    check before the latch only saves fetching a page already known dead.
+    """
+    if not ctx.page_manager.is_allocated(page_id):
+        return None
+    try:
+        page = ctx.get_latched(page_id, LatchMode.S)
+    except StorageError:
+        return None
+    if (
+        ctx.page_manager.is_allocated(page_id)
+        and page.page_type is PageType.LEAF
+        and page.index_id == getattr(tree, "index_id", page.index_id)
+    ):
+        return page
+    ctx.release_page(page_id)
+    return None
 
 
 def _reacquire(
@@ -89,7 +210,7 @@ def _reacquire(
     traversal: Traversal,
     txn: Transaction,
     page_id: int,
-    last_returned: bytes,
+    resume: bytes,
 ) -> Page:
     """Re-latch the scan's page, or re-traverse if it is no longer usable.
 
@@ -99,22 +220,16 @@ def _reacquire(
     traversal handles that if we re-traverse, so we only keep the page when
     the resume unit is clearly within it).
     """
-    if ctx.page_manager.is_allocated(page_id):
-        try:
-            page = ctx.get_latched(page_id, LatchMode.S)
-        except StorageError:
-            page = None
-        if page is not None:
-            if (
-                page.page_type is PageType.LEAF
-                and page.index_id == getattr(tree, "index_id", page.index_id)
-                and not page.has_flag(PageFlag.SHRINK)
-                and not page.is_empty
-                and page.rows[0] <= last_returned <= page.rows[-1]
-            ):
-                return page
-            ctx.release_page(page_id)
-    return traversal.traverse(last_returned, AccessMode.READER, 0, txn)
+    page = _latch_live_leaf(ctx, tree, page_id)
+    if page is not None:
+        if (
+            not page.has_flag(PageFlag.SHRINK)
+            and not page.is_empty
+            and page.rows[0] <= resume <= page.rows[-1]
+        ):
+            return page
+        ctx.release_page(page_id)
+    return traversal.traverse(resume, AccessMode.READER, 0, txn)
 
 
 def _advance_right(
@@ -129,22 +244,25 @@ def _advance_right(
     """Step to the right neighbor; returns (page, start_pos) or (None, 0).
 
     A SHRINK-marked neighbor forces a block-and-re-traverse; the traversal
-    lands on the leaf now covering the first not-yet-returned unit.
+    lands on the leaf now covering the first not-yet-returned unit.  So
+    does a neighbor that stopped being this page's live right sibling
+    between this page's unlatch and its own latch (rebuilt or shrunk away,
+    or a split slipped a page in between), minus the block.
     """
-    next_id = page.next_page
-    ctx.release_page(page.page_id)
+    page_id, next_id = page.page_id, page.next_page
+    ctx.release_page(page_id)
     if next_id == NO_PAGE:
         return None, 0
-    neighbor = ctx.get_latched(next_id, LatchMode.S)
-    if neighbor.has_flag(PageFlag.SHRINK):
+    neighbor = _latch_live_leaf(ctx, tree, next_id)
+    if neighbor is not None:
+        shrinking = neighbor.has_flag(PageFlag.SHRINK)
+        if not shrinking and neighbor.prev_page == page_id:
+            return neighbor, 0
         ctx.release_page(next_id)
-        ctx.locks.wait_instant(
-            txn.txn_id, LockSpace.ADDRESS, next_id, LockMode.S
-        )
-        resume = last_returned if last_returned is not None else lo_unit
-        neighbor = traversal.traverse(resume, AccessMode.READER, 0, txn)
-        pos, found = node.leaf_search(neighbor, resume, ctx.counters)
-        if found and last_returned is not None:
-            pos += 1  # the resume unit was already returned
-        return neighbor, pos
-    return neighbor, 0
+        if shrinking:
+            ctx.locks.wait_instant(
+                txn.txn_id, LockSpace.ADDRESS, next_id, LockMode.S
+            )
+    resume = lo_unit if last_returned is None else last_returned
+    neighbor = traversal.traverse(resume, AccessMode.READER, 0, txn)
+    return neighbor, _resume_pos(neighbor, resume, last_returned, ctx.counters)

@@ -404,6 +404,12 @@ def clear_protocol_bits(
 ) -> None:
     """Clear SPLIT/SHRINK/OLDPGOFSPLIT bits and drop the X address locks.
 
+    Each page's lock goes with its bit, before the next page is latched:
+    a writer that finds a page bit-free takes its address lock while it
+    holds the page's latch (locked-iff-bitted, §6.5), so a lock kept past
+    its bit while this loop waits for a later page's latch closes a
+    latch / lock cycle through any reader crabbing between the two pages.
+
     ``scan=True`` marks the fetches scan-class for the buffer pool (the
     rebuild clearing bits on its own run of source pages); the B+-tree's
     split/shrink callers use the default.
@@ -415,7 +421,6 @@ def clear_protocol_bits(
         page.clear_side_entry()
         page.clear_blocked_range()
         ctx.release_page(page_id, dirty=True)
-    for page_id in pages:
         ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)
 
 

@@ -189,7 +189,10 @@ class Traversal:
         except StorageError:
             return None
         if (
-            page.page_type is PageType.NONLEAF
+            # Again, now under the latch: the page may have been emptied,
+            # deallocated and its bits cleared since the check above.
+            ctx.page_manager.is_allocated(page_id)
+            and page.page_type is PageType.NONLEAF
             and page.level == level
             and page.index_id == getattr(self.tree, "index_id", page.index_id)
             and not page.has_flag(PageFlag.SHRINK)

@@ -401,6 +401,15 @@ def _redirect_to_left_sibling(
             free -= cost
         if not batch:
             return inserts
+        if left_id not in cleanup:
+            # ``left`` may be mid-split by a writer whose bit-clear needs
+            # this latch: an unconditional lock request here would never
+            # be granted.  Never wait for an optimization.
+            if not ctx.locks.try_acquire(
+                txn.txn_id, LockSpace.ADDRESS, left_id, LockMode.X
+            ):
+                return inserts
+            cleanup.append(left_id)
         _lock_and_bit(ctx, txn, left, PageFlag.SPLIT, cleanup)
         pos = left.nrows
         ctx.log_page_change(

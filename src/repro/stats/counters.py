@@ -75,6 +75,10 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "pages_visited",
     "key_comparisons",
     "bytes_copied",
+    # Range scans (btree/scan.py).
+    "scan_leaf_visits",      # latch holds that qualified a run of rows
+    "scan_rows_returned",    # rows handed to the caller
+    "scan_revalidation_failures",  # leaf image changed under a parked run
     # Logging.
     "log_records",
     "log_bytes",

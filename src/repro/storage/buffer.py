@@ -485,6 +485,26 @@ class BufferPool:
             frame = shard.lookup(page_id)
             return frame.pin_count if frame else 0
 
+    def image_version(self, page: Page) -> int | None:
+        """Change counter of the frame holding exactly this ``Page``
+        object, or ``None`` when the pool no longer holds it.
+
+        Read-only, shard lock only — no latch, no pin.  A reader notes the
+        value while it holds the page's latch; as long as later calls
+        return the same value, what it read under the latch is still the
+        page: every mutator dirties the frame (bumping the counter) before
+        it drops its X latch, and an evicted-and-re-read or dropped-and-
+        reallocated page id comes back as a different ``Page`` object
+        whose counter starts over, which is why the identity is compared
+        and not the number alone.
+        """
+        shard = self._shards[page.page_id % self.n_shards]
+        with shard:
+            frame = shard.lookup(page.page_id)
+            if frame is None or frame.page is not page:
+                return None
+            return frame.version
+
     # ------------------------------------------------------------------ flush
 
     def flush_page(self, page_id: int) -> None:

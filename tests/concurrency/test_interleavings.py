@@ -17,7 +17,12 @@ import time
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
+from repro.btree.split import clear_protocol_bits
+from repro.concurrency.latch import LatchMode
+from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import Rendezvous
+from repro.core.copy_phase import _acquire_page
+from repro.storage.page import PageFlag
 from tests.conftest import fill_index, intkey
 
 
@@ -224,3 +229,48 @@ def test_writer_during_rebuild_lands_correctly(engine):
     assert inserted.is_set()
     assert index.contains(intkey(100_000), 100_000)
     index.verify()
+
+
+def test_address_lock_goes_with_its_bit_when_a_top_action_ends(engine):
+    """Locked iff bitted (§6.5), also while the bits are being cleared: a
+    writer that finds a page bit-free requests its address lock with the
+    page's latch held, so a lock kept after its bit — while the clearing
+    thread waits for the *next* page's latch — could never be granted.
+    No sleeps: the clearing thread says when it asks for the second latch,
+    which this thread holds."""
+    index = make_full_tree(engine)
+    ctx = engine.ctx
+    first, second = index.verify().leaf_page_ids[:2]
+    owner = ctx.txns.begin()
+    for pid in (first, second):
+        assert _acquire_page(ctx, owner, pid, PageFlag.SHRINK)
+
+    ctx.latches.acquire(second, LatchMode.S)  # a reader standing on it
+    asked_for_second = threading.Event()
+    acquire = ctx.latches.acquire
+
+    def noting(page_id, mode):
+        if page_id == second:
+            asked_for_second.set()
+        acquire(page_id, mode)
+
+    ctx.latches.acquire = noting
+    t = run_thread(lambda: clear_protocol_bits(ctx, owner, [first, second]))
+    assert asked_for_second.wait(10), "the first page was never finished"
+
+    writer = ctx.txns.begin()
+    first_page = ctx.buffer.fetch(first)
+    ctx.buffer.unpin(first)
+    assert not first_page.has_flag(PageFlag.SHRINK)
+    assert ctx.locks.try_acquire(
+        writer.txn_id, LockSpace.ADDRESS, first, LockMode.X
+    ), "bit cleared but address lock still held"
+    assert not ctx.locks.try_acquire(
+        writer.txn_id, LockSpace.ADDRESS, second, LockMode.X
+    )
+    ctx.locks.release(writer.txn_id, LockSpace.ADDRESS, first)
+
+    ctx.latches.release(second)
+    t.join(10)
+    assert not t.is_alive()
+    assert not ctx.locks.held_resources(owner.txn_id)

@@ -9,10 +9,12 @@ from repro.btree import keys as K
 from repro.btree import node
 from repro.btree.traversal import Traversal
 from repro.btree.tree import BTree
+from repro.concurrency.locks import LockMode, LockSpace
 from repro.core.propagation import (
     PropOp,
     PropagationEntry,
     PropagationState,
+    _redirect_to_left_sibling,
     propagate_to_level,
 )
 from repro.errors import RebuildError
@@ -281,6 +283,34 @@ def test_redirect_to_prev_survivor():
     )
     # After the group, this page is remembered as the survivor.
     assert state.prev_survivor == h.parent
+
+
+def test_redirect_never_waits_for_a_left_sibling_another_top_action_holds():
+    """§5.5 is an optimization: a left sibling that a writer is splitting
+    (locked and bitted; the writer's bit-clear will need the latch this
+    call holds) is skipped, not waited for."""
+    h = Harness([[10, 11], [20, 21]])
+    left = h.parent
+    page = h.ctx.buffer.fetch(h._page(PageType.NONLEAF, 1, []))
+    inserts = [(sep(21, 30), h.new_leaf([30]))]
+    state = PropagationState(prev_survivor=left)
+    writer = h.ctx.txns.begin()
+    h.ctx.locks.acquire(writer.txn_id, LockSpace.ADDRESS, left, LockMode.X)
+    h.ctx.locks.timeout = 0.5  # the failure mode is a watchdog trip
+
+    def redirect():
+        return _redirect_to_left_sibling(
+            h.ctx, h.tree, h.txn, page, inserts, h.cleanup, state, {}
+        )
+
+    assert redirect() == inserts
+    assert h.cleanup == [] and len(h.parent_children()) == 2
+    assert not h.ctx.latches.held_by_me()
+
+    h.ctx.locks.release(writer.txn_id, LockSpace.ADDRESS, left)
+    assert redirect() == []
+    assert h.cleanup == [left] and len(h.parent_children()) == 3
+    assert h.ctx.locks.holds(h.txn.txn_id, LockSpace.ADDRESS, left, LockMode.X)
 
 
 def test_group_mismatch_raises():

@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test guards bench bench-quick suite-quick
+.PHONY: test guards suite-quick
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -10,12 +10,6 @@ guards:
 		tests/integration/test_io_budget.py \
 		tests/integration/test_cpu_budget.py \
 		tests/integration/test_scan_budget.py
-
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_perf.py
-
-bench-quick:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_perf.py --quick
 
 suite-quick:
 	$(PYTHON) -m pytest benchmarks/suite -q

@@ -59,13 +59,6 @@ class _Request:
 class _Resource:
     queue: list[_Request] = field(default_factory=list)
 
-    def granted_modes(self, excluding_txn: int | None = None) -> list[LockMode]:
-        return [
-            r.mode
-            for r in self.queue
-            if r.granted and r.txn_id != excluding_txn
-        ]
-
     def holders(self) -> set[int]:
         return {r.txn_id for r in self.queue if r.granted}
 

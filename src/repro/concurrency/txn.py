@@ -63,10 +63,6 @@ class Transaction:
         self.commit_hooks: list[Callable[[], None]] = []
         self.abort_hooks: list[Callable[[], None]] = []
 
-    @property
-    def in_nta(self) -> bool:
-        return bool(self._nta_stack)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Txn {self.txn_id} {self.state.value} last_lsn={self.last_lsn}>"
 

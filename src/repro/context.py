@@ -15,7 +15,9 @@ timestamp to the record's LSN, and mark the frame dirty.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.concurrency.latch import LatchManager, LatchMode
 from repro.concurrency.locks import LockManager
@@ -33,6 +35,51 @@ from repro.storage.page_manager import PageManager
 from repro.wal.apply import ApplyContext, undo_record
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord
+
+
+class HeldSetting:
+    """One engine-wide setting that background runs override while they
+    last (the pool's ring size, the log's group-commit window).
+
+    Runs on different indexes of one engine overlap, so a run cannot save
+    and restore the setting privately — the second to start would save the
+    first one's override as "the original" and put it back for good.  The
+    override is therefore in force while *any* run holds it: the first
+    holder notes the value it found, the last one to leave restores it.
+    A falsy ``value`` (0 / 0.0: "leave the engine's setting alone") holds
+    nothing.
+    """
+
+    def __init__(
+        self,
+        owner: object,
+        name: str,
+        setter: Callable[[object], None] | None = None,
+    ) -> None:
+        self._owner = owner
+        self._name = name
+        self._write = setter or (lambda value: setattr(owner, name, value))
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._found: object = None
+
+    def acquire(self, value) -> None:
+        if not value:
+            return
+        with self._lock:
+            if self._holders == 0:
+                self._found = getattr(self._owner, self._name)
+            self._holders += 1
+            self._write(value)
+
+    def release(self, value) -> None:
+        """Undo one :meth:`acquire` of the same ``value``."""
+        if not value:
+            return
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                self._write(self._found)
 
 
 @dataclass
@@ -68,25 +115,26 @@ class EngineContext:
     """Live rebuild/scrub progress board; always active (posts are a few
     attribute writes per top action), read via ``Engine.progress()``."""
 
+    def __post_init__(self) -> None:
+        # What RebuildConfig.ring_frames / .group_commit_window override
+        # while any rebuild runs with one.
+        self.ring_hold = HeldSetting(
+            self.buffer, "ring_frames", self.buffer.set_ring_frames
+        )
+        self.group_commit_hold = HeldSetting(self.log, "group_commit_window")
+
     @classmethod
     def create(
         cls,
         page_size: int = PAGE_SIZE_DEFAULT,
         io_size: int | None = None,
         buffer_capacity: int = 4096,
-        counters: Counters | None = None,
         lock_timeout: float = 30.0,
         storage_dir: str | None = None,
-        group_commit_window: float = 0.0,
         fault_plan=None,
-        checksums: bool = True,
         io_retry_limit: int = 12,
-        io_retry_backoff: float = 0.0005,
-        io_latency: float = 0.0,
         pool_shards: int = 1,
-        ring_frames: int = 0,
         trace: bool | None = None,
-        trace_capacity: int = 65536,
     ) -> "EngineContext":
         """Wire up a fresh engine: disk, pool, log, locks, transactions.
 
@@ -97,19 +145,15 @@ class EngineContext:
 
         ``fault_plan`` (a :class:`~repro.storage.faults.FaultPlan`) wraps
         the disk in a :class:`~repro.storage.faults.FaultyDisk`, injecting
-        that plan's faults into every physical I/O.  ``io_retry_limit`` /
-        ``io_retry_backoff`` tune the buffer pool's transient-error retry
-        layer; ``checksums=False`` disables CRC sealing (bench A/B only).
-
-        ``io_latency`` adds a simulated per-physical-call service time to
-        the in-memory disk (see :class:`~repro.storage.disk.Disk`); it is
-        ignored for file-backed stores, whose latency is real.
+        that plan's faults into every physical I/O.  ``io_retry_limit`` is
+        the one transient-error retry budget: the buffer pool's, which the
+        rebuild's reads and writes go through like everyone else's.
 
         ``pool_shards`` stripes the buffer pool's frame table and lock
-        (scale with the expected thread count); ``ring_frames`` sizes the
-        pool's scan-resistant rebuild ring (0 = disabled, plain LRU) —
-        the rebuild can also enable it for just its own duration via
-        ``RebuildConfig.ring_frames``.
+        (scale with the expected thread count).  The pool's scan-resistant
+        ring is sized by the rebuild that uses it
+        (``RebuildConfig.ring_frames``), as is the log's group-commit
+        window.
 
         ``trace`` turns on the observability layer (:mod:`repro.obs`):
         a live :class:`~repro.obs.tracer.Tracer` plus histogram metrics
@@ -117,21 +161,17 @@ class EngineContext:
         supervisor, scrubber, and workload runner.  ``None`` (default)
         reads the ``REPRO_TRACE`` environment variable (``1``/``true``
         /``yes`` = on), so a whole test run can be traced without code
-        changes.  ``trace_capacity`` bounds the span ring buffer.
+        changes.
         """
-        counters = counters if counters is not None else Counters()
+        counters = Counters()
         if trace is None:
             import os
 
             trace = os.environ.get("REPRO_TRACE", "").lower() in (
                 "1", "true", "yes",
             )
-        if trace:
-            tracer: Tracer = Tracer(capacity=trace_capacity, counters=counters)
-            metrics = MetricsRegistry(counters)
-        else:
-            tracer = NULL_TRACER
-            metrics = MetricsRegistry(counters)
+        tracer = Tracer(counters=counters) if trace else NULL_TRACER
+        metrics = MetricsRegistry(counters)
         if storage_dir is not None:
             import os
 
@@ -144,7 +184,6 @@ class EngineContext:
                 page_size=page_size,
                 io_size=io_size,
                 counters=counters,
-                checksums=checksums,
             )
             log: LogManager = FileLogManager(
                 os.path.join(storage_dir, "wal.log"), counters=counters
@@ -154,23 +193,18 @@ class EngineContext:
                 page_size=page_size,
                 io_size=io_size,
                 counters=counters,
-                checksums=checksums,
-                latency=io_latency,
             )
             log = LogManager(counters=counters)
         if fault_plan is not None:
             from repro.storage.faults import FaultyDisk
 
             disk = FaultyDisk(disk, fault_plan, counters=counters)
-        log.group_commit_window = group_commit_window
         buffer = BufferPool(
             disk,
             capacity=buffer_capacity,
             counters=counters,
             retry_limit=io_retry_limit,
-            retry_backoff=io_retry_backoff,
             shards=pool_shards,
-            ring_frames=ring_frames,
         )
         page_manager = PageManager(disk, counters=counters)
         buffer.set_wal_hook(log.flush_to)

@@ -42,7 +42,6 @@ class RebuildConfig:
     key range of the entries being deleted, so traversals looking for
     keys outside it pass through (helps when propagation continues above
     level 1)."""
-    use_large_io: bool = True
     pipeline_depth: int = 0
     """Asynchronous I/O pipelining (:mod:`repro.storage.io_scheduler`).
     0 keeps the serial behavior: forces at transaction boundaries are
@@ -52,11 +51,6 @@ class RebuildConfig:
     """Seconds the rebuild sets as the log's group-commit window for its
     duration (0.0 leaves the log untouched: one physical flush per
     commit)."""
-    io_retry_limit: int | None = None
-    """Transient-I/O retry budget the rebuild sets on the buffer pool for
-    its duration (None leaves the pool's own limit untouched).  Raising it
-    lets a rebuild ride out a transient-error storm that would be
-    unreasonable to absorb on user-facing reads."""
     parallel_workers: int = 1
     """Partitioned parallel copy phase (:mod:`repro.core.partition`).
     1 keeps today's serial driver byte-for-byte.  > 1 plans the leaf chain
@@ -65,22 +59,11 @@ class RebuildConfig:
     loop under its own transaction.  Only a full rebuild parallelizes;
     range-restricted and incremental (``max_pages`` / ``resume_after``)
     runs always use the serial driver."""
-    log_progress: bool = True
-    """Emit a durable ``REBUILD_PROGRESS`` WAL record per committed batch
-    transaction (one small standalone record appended just before the
-    commit, so it rides the commit's flush — no extra physical flushes).
-    Recovery reconstructs a :class:`~repro.wal.recovery.RebuildCheckpoint`
-    from them so an interrupted rebuild resumes instead of restarting.
-    Range-restricted runs never log progress regardless of this flag."""
     watchdog_timeout: float = 60.0
     """Seconds without top-action progress before a worker is considered
     stuck: the seam-handoff wait raises cleanly past this deadline, and
     the :class:`~repro.core.supervisor.RebuildSupervisor` watchdog fails a
     worker whose heartbeat is older than this."""
-    top_action_sleep: float = 0.0
-    """Seconds slept at every top-action boundary (0.0 = none).  The
-    supervisor's degradation ladder widens this at runtime to shed I/O and
-    lock pressure under a fault storm or an OLTP latency breach."""
     ring_frames: int = 0
     """Frames of the buffer pool's probationary *rebuild ring* the rebuild
     enables for its duration (0 leaves the pool's setting untouched —
@@ -89,13 +72,6 @@ class RebuildConfig:
     recycle at most this many frames instead of sweeping the OLTP working
     set out of the protected LRU.  Restored to the engine's setting when
     the rebuild ends."""
-    pool_shards: int = 0
-    """Lock stripes requested of the engine's buffer pool (0 = leave the
-    engine's pool as built).  Unlike ``ring_frames`` this cannot change at
-    rebuild runtime — the frame table is sharded at pool construction —
-    so the bench/engine wiring reads it when creating the
-    :class:`~repro.engine.Engine`; a sensible setting scales with
-    ``parallel_workers``."""
     partition_exact_packing: bool = False
     """Restrict partition seams to *clean* cut points — leaf boundaries
     where the serial packing stream would open a fresh target page — so
@@ -130,17 +106,9 @@ class RebuildConfig:
                 "group_commit_window must be >= 0, "
                 f"got {self.group_commit_window}"
             )
-        if self.io_retry_limit is not None and self.io_retry_limit < 0:
-            raise RebuildError(
-                f"io_retry_limit must be >= 0, got {self.io_retry_limit}"
-            )
         if self.watchdog_timeout <= 0.0:
             raise RebuildError(
                 f"watchdog_timeout must be > 0, got {self.watchdog_timeout}"
-            )
-        if self.top_action_sleep < 0.0:
-            raise RebuildError(
-                f"top_action_sleep must be >= 0, got {self.top_action_sleep}"
             )
         if not 1 <= self.parallel_workers <= 64:
             raise RebuildError(
@@ -150,8 +118,4 @@ class RebuildConfig:
         if self.ring_frames < 0:
             raise RebuildError(
                 f"ring_frames must be >= 0, got {self.ring_frames}"
-            )
-        if self.pool_shards < 0:
-            raise RebuildError(
-                f"pool_shards must be >= 0, got {self.pool_shards}"
             )

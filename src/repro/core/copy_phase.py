@@ -204,12 +204,11 @@ def copy_multipage(
     source_bit = (
         PageFlag.SPLIT if config.split_then_shrink else PageFlag.SHRINK
     )
-    large_io = config.use_large_io
     pp_id, p1_id = _lock_pp_and_p1(
-        ctx, txn, p1_id, cleanup, source_bit, large_io, pp_busy_wait
+        ctx, txn, p1_id, cleanup, source_bit, pp_busy_wait
     )
     old_ids = _extend_run(
-        ctx, txn, p1_id, config.ntasize, cleanup, source_bit, large_io,
+        ctx, txn, p1_id, config.ntasize, cleanup, source_bit,
         stop_unit, stop_before,
     )
     ctx.syncpoints.fire(
@@ -221,9 +220,7 @@ def copy_multipage(
     sources: list[tuple[int, list[bytes]]] = []
     next_after_run = NO_PAGE
     for pid in old_ids:
-        page = ctx.get_latched(
-            pid, LatchMode.S, large_io=config.use_large_io, scan=True
-        )
+        page = ctx.get_latched(pid, LatchMode.S, large_io=True, scan=True)
         sources.append((pid, list(page.rows)))
         next_after_run = page.next_page
         ctx.release_page(pid)
@@ -315,21 +312,20 @@ def _acquire_page(
     txn: Transaction,
     page_id: int,
     bit: PageFlag,
-    large_io: bool = False,
 ) -> bool:
     """Conditionally lock + bit one page under its X latch.
 
     Returns False when the page is held by another top action (foreign bit
     or lock) or is no longer an allocated page.  The bit goes on before the
     latch drops, preserving the locked-iff-bitted invariant latch-holders
-    rely on (§6.5).  ``large_io`` makes the (likely cold) source-page read
-    go through the big buffers, per §6.3.
+    rely on (§6.5).  The (likely cold) source-page read goes through the
+    big buffers, per §6.3.
     """
     if not ctx.page_manager.is_allocated(page_id):
         return False
     ctx.latches.acquire(page_id, LatchMode.X)
     try:
-        page = ctx.buffer.fetch(page_id, large_io=large_io, scan=True)
+        page = ctx.buffer.fetch(page_id, large_io=True, scan=True)
     except Exception:
         ctx.latches.release(page_id)
         return False
@@ -353,7 +349,6 @@ def _lock_pp_and_p1(
     p1_id: int,
     cleanup: list[int],
     source_bit: PageFlag,
-    large_io: bool = False,
     pp_busy_wait: "Callable[[], bool] | None" = None,
 ) -> tuple[int, int]:
     """Lock PP then P1, waiting (after releasing everything) when busy.
@@ -365,9 +360,7 @@ def _lock_pp_and_p1(
     while True:
         if not ctx.page_manager.is_allocated(p1_id):
             raise PositionLost(f"leaf {p1_id} is gone")
-        page = ctx.get_latched(
-            p1_id, LatchMode.S, large_io=large_io, scan=True
-        )
+        page = ctx.get_latched(p1_id, LatchMode.S, large_io=True, scan=True)
         if page.page_type is not PageType.LEAF:
             ctx.release_page(p1_id)
             raise PositionLost(f"page {p1_id} is no longer a leaf")
@@ -375,7 +368,7 @@ def _lock_pp_and_p1(
         ctx.release_page(p1_id)
 
         if pp_id != NO_PAGE:
-            if not _acquire_page(ctx, txn, pp_id, PageFlag.SHRINK, large_io):
+            if not _acquire_page(ctx, txn, pp_id, PageFlag.SHRINK):
                 if pp_busy_wait is None or not pp_busy_wait():
                     ctx.locks.wait_instant(
                         txn.txn_id, LockSpace.ADDRESS, pp_id, LockMode.S
@@ -393,7 +386,7 @@ def _lock_pp_and_p1(
                 _release_one(ctx, txn, pp_id)
                 continue
 
-        if not _acquire_page(ctx, txn, p1_id, source_bit, large_io):
+        if not _acquire_page(ctx, txn, p1_id, source_bit):
             if pp_id != NO_PAGE:
                 _release_one(ctx, txn, pp_id)
             # §6.5: release everything before waiting, then retry all.
@@ -419,7 +412,6 @@ def _extend_run(
     ntasize: int,
     cleanup: list[int],
     source_bit: PageFlag,
-    large_io: bool = False,
     stop_unit: bytes | None = None,
     stop_before: bytes | None = None,
 ) -> list[int]:
@@ -441,10 +433,10 @@ def _extend_run(
         if past_range or next_id == NO_PAGE:
             break
         if stop_before is not None and not _starts_below(
-            ctx, next_id, stop_before, large_io
+            ctx, next_id, stop_before
         ):
             break
-        if not _acquire_page(ctx, txn, next_id, source_bit, large_io):
+        if not _acquire_page(ctx, txn, next_id, source_bit):
             break  # §4.1.1: rebuild does not wait for P_i, i > 1
         cleanup.append(next_id)
         run.append(next_id)
@@ -453,10 +445,7 @@ def _extend_run(
 
 
 def _starts_below(
-    ctx: EngineContext,
-    page_id: int,
-    stop_before: bytes,
-    large_io: bool = False,
+    ctx: EngineContext, page_id: int, stop_before: bytes
 ) -> bool:
     """Peek whether a leaf's first unit is below the seam bound.
 
@@ -473,7 +462,7 @@ def _starts_below(
         return False
     try:
         page = ctx.get_latched(
-            page_id, LatchMode.S, large_io=large_io, scan=True
+            page_id, LatchMode.S, large_io=True, scan=True
         )
     except Exception:
         return False

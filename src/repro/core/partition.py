@@ -165,9 +165,7 @@ def plan_partitions(
     latency twice.
     """
     if not config.partition_exact_packing:
-        plan = _plan_from_level1(
-            ctx, tree, workers, large_io=config.use_large_io
-        )
+        plan = _plan_from_level1(ctx, tree, workers)
         if plan is not None:
             return plan
     return _plan_from_leaves(ctx, config, first_leaf, workers, prefetch_hint)
@@ -213,7 +211,7 @@ def repair_key_bounds(
 
 
 def _plan_from_level1(
-    ctx: EngineContext, tree: BTree, workers: int, large_io: bool = False
+    ctx: EngineContext, tree: BTree, workers: int
 ) -> PartitionPlan | None:
     """Plan from nonleaf separators: a few page reads, no leaf I/O.
 
@@ -231,7 +229,7 @@ def _plan_from_level1(
         # reads ride the same aligned-run batching as the copy phase
         # instead of issuing scattered single-page device calls.
         page = ctx.get_latched(
-            page_id, LatchMode.S, large_io=large_io, scan=True
+            page_id, LatchMode.S, large_io=True, scan=True
         )
         try:
             if page.page_type is not PageType.NONLEAF:
@@ -299,7 +297,7 @@ def _plan_from_leaves(
             break  # chain mutated mid-walk; plan what we have
         try:
             page = ctx.get_latched(
-                pid, LatchMode.S, large_io=config.use_large_io, scan=True
+                pid, LatchMode.S, large_io=True, scan=True
             )
         except Exception:
             break

@@ -165,9 +165,10 @@ class OnlineRebuild:
         # Supervision hooks (all idle unless a RebuildSupervisor drives
         # this instance — the serial/no-supervisor defaults cost two
         # attribute checks per top action and nothing else).
-        self.throttle_sleep: float = self.config.top_action_sleep
+        self.throttle_sleep: float = 0.0
         """Seconds slept at each top-action boundary; the supervisor's
-        monitor widens this at runtime to degrade gracefully."""
+        ladder sets it per attempt and its monitor widens and decays it at
+        runtime to degrade gracefully."""
         self.last_report: RebuildReport | None = None
         """The report of the most recent ``run`` (kept current even when
         the run raised — its ``resume_unit`` seeds a supervised retry)."""
@@ -315,9 +316,11 @@ class OnlineRebuild:
         # crashes) stamps this run's progress records; recovery keeps only
         # the highest epoch, which is the §7 "superseded rebuild" check.
         self._epoch = ctx.log.next_lsn
-        self._progress_enabled = (
-            config.log_progress and start_key is None and end_key is None
-        )
+        # One durable REBUILD_PROGRESS record per committed batch (it rides
+        # the commit's flush) lets recovery resume this run instead of
+        # restarting it; a range-restricted run is a repair, not a rebuild
+        # to resume, and logs none.
+        self._progress_enabled = start_key is None and end_key is None
         ctx.progress.rebuild_started(tree.index_id, self._epoch)
         tracer = ctx.tracer
         self._run_span = (
@@ -350,19 +353,12 @@ class OnlineRebuild:
                 depth=config.pipeline_depth
                 * (config.parallel_workers if use_parallel else 1),
             ).start()
-        saved_window = ctx.log.group_commit_window
-        if config.group_commit_window > 0.0:
-            ctx.log.group_commit_window = config.group_commit_window
-        saved_retry = ctx.buffer.retry_limit
-        if config.io_retry_limit is not None:
-            ctx.buffer.retry_limit = config.io_retry_limit
+        ctx.group_commit_hold.acquire(config.group_commit_window)
         # Scan resistance (issue 8): enable the pool's probationary ring
         # for the rebuild's duration so this scan's reads, prefetches, and
         # new-page allocations recycle ring frames instead of sweeping the
         # OLTP working set out of the protected LRU.
-        saved_ring = ctx.buffer.ring_frames
-        if config.ring_frames > 0:
-            ctx.buffer.set_ring_frames(config.ring_frames)
+        ctx.ring_hold.acquire(config.ring_frames)
         try:
             with timer:
                 if use_parallel:
@@ -386,10 +382,8 @@ class OnlineRebuild:
             if self._scheduler is not None:
                 self._scheduler.close()
                 self._scheduler = None
-            ctx.log.group_commit_window = saved_window
-            ctx.buffer.retry_limit = saved_retry
-            if config.ring_frames > 0:
-                ctx.buffer.set_ring_frames(saved_ring)
+            ctx.group_commit_hold.release(config.group_commit_window)
+            ctx.ring_hold.release(config.ring_frames)
             chunk_alloc.close()
             tree._rebuild_active = False  # type: ignore[attr-defined]
             ctx.progress.rebuild_finished(aborted=report.aborted)
@@ -1110,10 +1104,7 @@ class OnlineRebuild:
         ctx.release_page(leaf.page_id)
         if next_id == NO_PAGE:
             return None
-        nxt = ctx.get_latched(
-            next_id, LatchMode.S, large_io=self.config.use_large_io,
-            scan=True,
-        )
+        nxt = ctx.get_latched(next_id, LatchMode.S, large_io=True, scan=True)
         low = nxt.rows[0] if nxt.rows else None
         ctx.release_page(next_id)
         if (

@@ -545,8 +545,6 @@ class Scrubber:
         """Verify the stored physical image's CRC trailer, with retries
         to absorb a race against a concurrent flush of the same page."""
         disk = self.ctx.disk
-        if not getattr(disk, "checksums", True):
-            return True
         config = self.config
         for attempt in range(config.crc_retries + 1):
             blob = disk.read_physical(page_id)
@@ -751,8 +749,7 @@ class Scrubber:
             ctx.buffer.flush_page(page_id)
             blob = ctx.disk.read_physical(page_id)
             if blob is None or (
-                getattr(ctx.disk, "checksums", True)
-                and _CRC.unpack(blob[-CRC_TRAILER_SIZE:])[0]
+                _CRC.unpack(blob[-CRC_TRAILER_SIZE:])[0]
                 != zlib.crc32(blob[:-CRC_TRAILER_SIZE])
             ):
                 return False

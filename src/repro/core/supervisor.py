@@ -29,8 +29,8 @@ records make that progress survive a crash — but someone still has to
   p99 latency.  Pressure widens the rebuild's top-action sleep (shedding
   I/O and lock traffic) instead of aborting; calm decays it back.  Across
   *attempts* the ladder degrades harder: the retry after a failure halves
-  ``parallel_workers`` and widens the configured sleep, and later
-  attempts fall all the way back to the serial driver.  With the default
+  ``parallel_workers`` and starts from a wider sleep, and later attempts
+  fall all the way back to the serial driver.  With the default
   policy knobs and no supervisor, none of this machinery runs and the
   driver behaves exactly as before.
 
@@ -186,9 +186,9 @@ class RebuildSupervisor:
             if self._stopped:
                 break
             report.attempts = attempt
-            config = self._attempt_config(attempt)
+            rebuild = self.rebuild = self._attempt(attempt)
+            config = rebuild.config
             report.degraded_workers = config.parallel_workers
-            rebuild = self.rebuild = OnlineRebuild(self.tree, config)
             if resume_after is not None or (
                 attempt == 1 and resume_checkpoint is not None
             ):
@@ -269,24 +269,20 @@ class RebuildSupervisor:
             raise last_error
         return report
 
-    def _attempt_config(self, attempt: int) -> RebuildConfig:
+    def _attempt(self, attempt: int) -> OnlineRebuild:
         """The degradation ladder: each failed attempt runs narrower and
         gentler — half the workers per step (serial from the third
-        attempt at the default 4), with a widening top-action sleep."""
+        attempt at the default 4), from a wider top-action sleep."""
         config, policy = self.config, self.policy
-        if attempt == 1:
-            return config
         steps = attempt - 1
-        changes: dict = {}
-        if policy.degrade_workers and config.parallel_workers > 1:
-            changes["parallel_workers"] = max(
-                1, config.parallel_workers >> steps
+        if steps and policy.degrade_workers and config.parallel_workers > 1:
+            config = replace(
+                config,
+                parallel_workers=max(1, config.parallel_workers >> steps),
             )
-        if policy.degrade_sleep > 0.0:
-            changes["top_action_sleep"] = (
-                config.top_action_sleep + policy.degrade_sleep * steps
-            )
-        return replace(config, **changes) if changes else config
+        rebuild = OnlineRebuild(self.tree, config)
+        rebuild.throttle_sleep = max(0.0, policy.degrade_sleep) * steps
+        return rebuild
 
 
 class _Monitor(threading.Thread):
@@ -299,7 +295,7 @@ class _Monitor(threading.Thread):
     * an ``io_retries`` burst past ``storm_retry_threshold``, or an OLTP
       p99 past ``latency_budget_ms``, widens the rebuild's top-action
       sleep by ``throttle_step`` (capped); calm sweeps decay it back
-      toward the configured baseline.
+      toward the sleep the attempt started with.
     """
 
     def __init__(
@@ -314,6 +310,7 @@ class _Monitor(threading.Thread):
         self.report = report
         self._halt = threading.Event()  # NB: Thread owns a private _stop()
         self._last_retries = supervisor.ctx.counters.io_retries
+        self._baseline = rebuild.throttle_sleep  # the ladder's value
         self._tripped = False
 
     def stop(self) -> None:
@@ -370,7 +367,7 @@ class _Monitor(threading.Thread):
             pressured = (
                 pcts is not None and pcts["p99"] > policy.latency_budget_ms
             )
-        baseline = rebuild.config.top_action_sleep
+        baseline = self._baseline
         if pressured:
             widened = min(
                 policy.throttle_cap,
@@ -388,7 +385,7 @@ class _Monitor(threading.Thread):
                     "rebuild.supervisor.throttle", sleep=widened, burst=burst
                 )
         elif rebuild.throttle_sleep > baseline:
-            # Calm: decay toward the configured baseline.
+            # Calm: decay toward the attempt's baseline.
             rebuild.throttle_sleep = max(
                 baseline, rebuild.throttle_sleep - policy.throttle_step
             )

@@ -38,38 +38,24 @@ class Engine:
         page_size: int = PAGE_SIZE_DEFAULT,
         io_size: int | None = None,
         buffer_capacity: int = 4096,
-        counters: Counters | None = None,
         lock_timeout: float = 30.0,
         lock_rows: bool = False,
         storage_dir: str | None = None,
-        group_commit_window: float = 0.0,
         fault_plan=None,
-        checksums: bool = True,
         io_retry_limit: int = 12,
-        io_retry_backoff: float = 0.0005,
-        io_latency: float = 0.0,
         pool_shards: int = 1,
-        ring_frames: int = 0,
         trace: bool | None = None,
-        trace_capacity: int = 65536,
     ) -> None:
         self.ctx = EngineContext.create(
             page_size=page_size,
             io_size=io_size,
             buffer_capacity=buffer_capacity,
-            counters=counters,
             lock_timeout=lock_timeout,
             storage_dir=storage_dir,
-            group_commit_window=group_commit_window,
             fault_plan=fault_plan,
-            checksums=checksums,
             io_retry_limit=io_retry_limit,
-            io_retry_backoff=io_retry_backoff,
-            io_latency=io_latency,
             pool_shards=pool_shards,
-            ring_frames=ring_frames,
             trace=trace,
-            trace_capacity=trace_capacity,
         )
         self.storage_dir = storage_dir
         self.lock_rows = lock_rows

@@ -19,8 +19,7 @@ this package answers *when*, *how long*, and *how far along*:
 Everything here is **off by default**: ``EngineContext.create(trace=...)``
 (or ``Engine(trace=True)``, or the ``REPRO_TRACE=1`` environment
 variable) turns it on.  Disabled, the only cost at an instrumented site
-is one attribute/flag check; enabled, the ``--trace-ab`` bench holds the
-foreground overhead under 2%.
+is one attribute/flag check.
 """
 
 from repro.obs.metrics import Histogram, MetricsRegistry

@@ -292,18 +292,3 @@ def quarantine_payload(ranges: list[QuarantineRange]) -> list[dict]:
         }
         for r in sorted(ranges, key=lambda r: (r.index_id, r.start_unit))
     ]
-
-
-def replay_quarantine_records(
-    records: list[tuple[int, int, int, bytes, bytes]],
-) -> list[QuarantineRange]:
-    """Fold (state, index_id, epoch, start, end) tuples in LSN order into
-    the surviving ranges (recovery helper; pure so it is easy to test)."""
-    live: dict[tuple[int, int], QuarantineRange] = {}
-    for state, index_id, epoch, start, end in records:
-        key = (index_id, epoch)
-        if state == QUARANTINE_SET:
-            live[key] = QuarantineRange(index_id, start, end, epoch)
-        elif state == QUARANTINE_LIFT:
-            live.pop(key, None)
-    return list(live.values())

@@ -55,22 +55,17 @@ class Disk:
         page_size: int = PAGE_SIZE_DEFAULT,
         io_size: int | None = None,
         counters: Counters | None = None,
-        checksums: bool = True,
         latency: float = 0.0,
     ) -> None:
         """``io_size`` is the physical transfer size in bytes (default: one
         page).  It must be a multiple of ``page_size``; 16384 with 2048-byte
         pages reproduces the paper's 16 KB buffer-pool configuration.
 
-        ``checksums=False`` skips CRC computation and verification (the
-        physical layout keeps its trailer, zeroed) — the perf harness uses
-        it to price the checksum plumbing.
-
         ``latency`` is a simulated per-physical-call service time in
         seconds.  Each I/O call sleeps for that long *outside* the disk
         lock, so concurrent callers overlap their waits exactly as real
-        threads overlap real disk time — this is what the parallel-rebuild
-        A/B measures (the GIL is released during ``time.sleep``)."""
+        threads overlap real disk time (the GIL is released during
+        ``time.sleep``)."""
         if io_size is None:
             io_size = page_size
         if io_size % page_size != 0:
@@ -80,7 +75,6 @@ class Disk:
         self.page_size = page_size
         self.io_size = io_size
         self.pages_per_io = io_size // page_size
-        self.checksums = checksums
         if latency < 0.0:
             raise StorageError(f"latency must be >= 0, got {latency}")
         self.latency = latency
@@ -100,20 +94,17 @@ class Disk:
 
     def seal(self, data: bytes) -> bytes:
         """Logical page image -> stored physical image (CRC32 trailer)."""
-        if not self.checksums:
-            return bytes(data) + b"\x00" * CRC_TRAILER_SIZE
         return bytes(data) + _CRC.pack(zlib.crc32(data))
 
     def _unseal(self, page_id: int, blob: bytes) -> bytes:
         data = blob[:-CRC_TRAILER_SIZE]
-        if self.checksums:
-            (stored,) = _CRC.unpack(blob[-CRC_TRAILER_SIZE:])
-            if stored != zlib.crc32(data):
-                self.counters.add("disk_read_bad_crc")
-                raise ChecksumError(
-                    f"page {page_id}: stored image fails its CRC32 trailer "
-                    "(torn write or corruption)"
-                )
+        (stored,) = _CRC.unpack(blob[-CRC_TRAILER_SIZE:])
+        if stored != zlib.crc32(data):
+            self.counters.add("disk_read_bad_crc")
+            raise ChecksumError(
+                f"page {page_id}: stored image fails its CRC32 trailer "
+                "(torn write or corruption)"
+            )
         return data
 
     def _unseal_or_none(self, page_id: int, blob: bytes | None) -> bytes | None:

@@ -43,7 +43,6 @@ class FileDisk:
         page_size: int = PAGE_SIZE_DEFAULT,
         io_size: int | None = None,
         counters: Counters | None = None,
-        checksums: bool = True,
     ) -> None:
         if io_size is None:
             io_size = page_size
@@ -56,7 +55,6 @@ class FileDisk:
         self.slot_size = page_size + CRC_TRAILER_SIZE
         self.io_size = io_size
         self.pages_per_io = io_size // page_size
-        self.checksums = checksums
         self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self._lock = threading.Lock()
         flags = os.O_RDWR | os.O_CREAT
@@ -67,8 +65,6 @@ class FileDisk:
 
     def seal(self, data: bytes) -> bytes:
         """Logical page image -> stored physical slot (CRC32 trailer)."""
-        if not self.checksums:
-            return bytes(data) + b"\x00" * CRC_TRAILER_SIZE
         return bytes(data) + _CRC.pack(zlib.crc32(data))
 
     def _classify(self, blob: bytes) -> str:
@@ -78,11 +74,10 @@ class FileDisk:
         (magic,) = struct.unpack_from("<H", blob)
         if magic != _PAGE_MAGIC:
             return "magic"
-        if self.checksums:
-            data = blob[: self.page_size]
-            (stored,) = _CRC.unpack_from(blob, self.page_size)
-            if stored != zlib.crc32(data):
-                return "crc"
+        data = blob[: self.page_size]
+        (stored,) = _CRC.unpack_from(blob, self.page_size)
+        if stored != zlib.crc32(data):
+            return "crc"
         return "ok"
 
     _REJECT_COUNTER = {

@@ -22,7 +22,6 @@ from typing import Iterator
 from repro.errors import AllocationError, PageStateError
 from repro.stats.counters import GLOBAL_COUNTERS, Counters
 from repro.storage.disk import Disk
-from repro.storage.page import Page
 
 
 class PageState(enum.Enum):
@@ -294,8 +293,3 @@ class ChunkAllocator:
     def __iter__(self) -> Iterator[int]:  # pragma: no cover - convenience
         while True:
             yield self.next_page()
-
-
-def new_page_image(page_id: int, page_size: int) -> Page:
-    """A fresh RAW page object for a newly allocated id."""
-    return Page(page_id, page_size)

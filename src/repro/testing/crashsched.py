@@ -184,14 +184,13 @@ class CrashScheduleHarness:
 
     # ------------------------------------------------------------- scenario
 
-    def _config(self, io_retry_limit: int | None = None) -> RebuildConfig:
+    def _config(self) -> RebuildConfig:
         return RebuildConfig(
             ntasize=self.ntasize,
             xactsize=self.xactsize,
             # Default 0 for determinism: no background I/O threads.
             pipeline_depth=self.pipeline_depth,
             ring_frames=self.ring_frames,
-            io_retry_limit=io_retry_limit,
             parallel_workers=self.parallel_workers,
         )
 
@@ -207,6 +206,9 @@ class CrashScheduleHarness:
             lock_timeout=15.0 if self.parallel_workers <= 1 else 5.0,
             io_size=self.io_size,
             fault_plan=plan,
+            # The one retry budget (the pool's): an armed transient fault
+            # must be ridden out, never turned into an abort.
+            io_retry_limit=20,
             pool_shards=self.pool_shards,
         )
         tree = engine.create_index(key_len=4)
@@ -379,7 +381,7 @@ class CrashScheduleHarness:
 
         retries_before = engine.counters.io_retries
         try:
-            OnlineRebuild(tree, self._config(io_retry_limit=20)).run()
+            OnlineRebuild(tree, self._config()).run()
         except CrashPoint:
             outcome.crashed = True
         except RebuildAbortedError as exc:

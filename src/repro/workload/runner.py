@@ -118,7 +118,6 @@ class MixedWorkload:
         scan_width: int = 200,
         seed: int = 0,
         before_op=None,
-        think_time: float = 0.0,
     ) -> None:
         """``keyfn(i) -> bytes`` maps ordinals to keys; writers touch only
         odd ordinals in ``[1, key_count)``.
@@ -126,11 +125,6 @@ class MixedWorkload:
         ``before_op()`` (optional) runs before every operation — the §6.2
         offline-baseline bench uses it to take the instant table lock a
         query-processing layer would acquire before touching the table.
-        ``think_time`` sleeps that long between operations (outside the
-        measured latency), modelling transactions that arrive at a rate
-        rather than hammering back-to-back — with idle gaps, a page's
-        reuse interval is long enough that a concurrent scan can actually
-        evict it, which is the regime the issue 8 pool A/B measures.
         """
         self.tree = tree
         self.keyfn = keyfn
@@ -140,7 +134,6 @@ class MixedWorkload:
         self.scan_width = scan_width
         self.seed = seed
         self.before_op = before_op
-        self.think_time = think_time
         self.stats = OltpStats()
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -207,10 +200,6 @@ class MixedWorkload:
         )
         try:
             while not self._stop.is_set():
-                if self.think_time > 0.0:
-                    time.sleep(self.think_time)
-                    if self._stop.is_set():
-                        break
                 if self.before_op is not None:
                     self.before_op()
                 i = rnd.randrange(1, self.key_count, 2)

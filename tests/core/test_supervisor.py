@@ -137,19 +137,32 @@ def test_stop_interrupts_retry_backoff():
 # --------------------------------------------------------------- degradation
 
 
-def test_attempt_config_degradation_ladder():
-    config = RebuildConfig(parallel_workers=4, top_action_sleep=0.0)
-    supervisor = RebuildSupervisor.__new__(RebuildSupervisor)
-    supervisor.config = config
-    supervisor.policy = SupervisorConfig()
-    assert supervisor._attempt_config(1) is config
-    second = supervisor._attempt_config(2)
-    assert second.parallel_workers == 2
-    assert second.top_action_sleep == pytest.approx(0.002)
-    third = supervisor._attempt_config(3)
-    assert third.parallel_workers == 1  # serial fallback
-    assert third.top_action_sleep == pytest.approx(0.004)
-    assert supervisor._attempt_config(5).parallel_workers == 1
+def test_attempt_degradation_ladder():
+    engine, index, _ = _engine(1000)
+    config = RebuildConfig(parallel_workers=4)
+    supervisor = RebuildSupervisor(index, config, SupervisorConfig())
+    first = supervisor._attempt(1)
+    assert first.config is config
+    assert first.throttle_sleep == 0.0
+    second = supervisor._attempt(2)
+    assert second.config.parallel_workers == 2
+    assert second.throttle_sleep == pytest.approx(0.002)
+    third = supervisor._attempt(3)
+    assert third.config.parallel_workers == 1  # serial fallback
+    assert third.throttle_sleep == pytest.approx(0.004)
+    assert supervisor._attempt(5).config.parallel_workers == 1
+    # The monitor widens from, and decays back to, the attempt's own
+    # baseline — never below what the ladder set.
+    policy = supervisor.policy
+    monitor = _Monitor(supervisor, second, SupervisorReport())
+    engine.counters.add("io_retries", policy.storm_retry_threshold + 1)
+    monitor._sweep()
+    assert second.throttle_sleep == pytest.approx(
+        0.002 + policy.throttle_step
+    )
+    monitor._sweep()
+    monitor._sweep()
+    assert second.throttle_sleep == pytest.approx(0.002)
 
 
 # ------------------------------------------------------------------ watchdog
@@ -261,7 +274,7 @@ def test_supervised_rebuild_completes_under_transient_storm():
     expected = contents_as_ints(index)
     supervisor = RebuildSupervisor(
         index,
-        RebuildConfig(ntasize=4, xactsize=8, io_retry_limit=20),
+        RebuildConfig(ntasize=4, xactsize=8),
         SupervisorConfig(watchdog_poll=0.02, storm_retry_threshold=4,
                          retry_backoff=0.001),
     )
@@ -333,5 +346,3 @@ def test_policy_validation():
 def test_rebuild_config_validation():
     with pytest.raises(Exception):
         RebuildConfig(watchdog_timeout=0.0)
-    with pytest.raises(Exception):
-        RebuildConfig(top_action_sleep=-0.1)

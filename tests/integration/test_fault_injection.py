@@ -24,13 +24,16 @@ from tests.conftest import contents_as_ints, intkey, make_half_empty
 
 # pipeline_depth=0 keeps write_many call ordering deterministic, so the
 # n-th-call fault sites below land where the comments say they land.
-CONFIG = RebuildConfig(
-    ntasize=4, xactsize=8, pipeline_depth=0, io_retry_limit=20
-)
+CONFIG = RebuildConfig(ntasize=4, xactsize=8, pipeline_depth=0)
 
 
 def build_fragmented(plan=None, count=4000, **engine_kwargs):
-    engine = Engine(buffer_capacity=2048, fault_plan=plan, **engine_kwargs)
+    # The retry budget is the engine's (the pool's): the rebuild has none
+    # of its own.
+    engine = Engine(
+        buffer_capacity=2048, fault_plan=plan, io_retry_limit=20,
+        **engine_kwargs,
+    )
     index = engine.create_index(key_len=4)
     make_half_empty(index, count)
     return engine, index, contents_as_ints(index)

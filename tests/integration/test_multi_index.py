@@ -81,6 +81,80 @@ def test_concurrent_rebuilds_of_different_indexes(engine):
     assert b.verify().leaf_fill > 0.9
 
 
+def test_overlapping_rebuilds_restore_engine_settings(engine):
+    """A starts, B starts, A ends, B ends: the ring and the group-commit
+    window stay in force while either rebuild runs and go back to the
+    engine's own values when the last one leaves — B must not put back
+    A's override as "the original"."""
+    a = engine.create_index(key_len=4)
+    b = engine.create_index(key_len=4)
+    make_half_empty(a, 1500)
+    make_half_empty(b, 1500)
+    a_before, b_before = a.contents(), b.contents()
+    pool, log = engine.ctx.buffer, engine.ctx.log
+
+    def settings():
+        return pool.ring_frames, log.group_commit_window, pool.retry_limit
+
+    built = settings()
+    tuned = (64, 0.002, built[2])
+    config = RebuildConfig(
+        ntasize=8, xactsize=16, ring_frames=64, group_commit_window=0.002
+    )
+    a_running, b_running, a_ended = (threading.Event() for _ in range(3))
+    seen: dict[str, tuple] = {}
+    errors = []
+
+    def order(_ctx):
+        # Fires on the rebuild's own thread, between two of its
+        # transactions, with nothing latched or locked.
+        me = threading.current_thread().name
+        if me == "A" and not a_running.is_set():
+            a_running.set()
+            assert b_running.wait(30.0), "B never started"
+            seen["both"] = settings()
+        elif me == "B" and not b_running.is_set():
+            b_running.set()
+            assert a_ended.wait(30.0), "A never ended"
+            seen["b_alone"] = settings()
+
+    engine.syncpoints.on("rebuild.txn_committed", order)
+
+    def rebuild(tree):
+        try:
+            OnlineRebuild(tree, config).run()
+        except BaseException:
+            import traceback
+
+            errors.append(traceback.format_exc())
+
+    def run_a():
+        rebuild(a)
+        a_ended.set()
+
+    def run_b():
+        if a_running.wait(30.0):
+            rebuild(b)
+        else:
+            errors.append("A never reached its first commit")
+
+    threads = [
+        threading.Thread(target=run_a, name="A"),
+        threading.Thread(target=run_b, name="B"),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+        assert not t.is_alive()
+    assert errors == [], errors[:1]
+    assert seen == {"both": tuned, "b_alone": tuned}
+    assert settings() == built == (0, 0.0, 12)
+    assert a.contents() == a_before and b.contents() == b_before
+    a.verify()
+    b.verify()
+
+
 def test_recovery_restores_all_indexes(engine):
     a = engine.create_index(key_len=4)
     b = engine.create_index(key_len=8)

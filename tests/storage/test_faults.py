@@ -94,17 +94,6 @@ def test_file_disk_rejection_reason_counters(fdisk):
     assert fdisk.counters.disk_read_bad_crc == 1
 
 
-def test_checksums_off_skips_verification(tmp_path):
-    d = FileDisk(
-        str(tmp_path / "raw.pages"), counters=Counters(), checksums=False
-    )
-    d.write(1, image(1, 3))
-    blob = bytearray(d.read_physical(1))
-    blob[-1] ^= 0xFF  # trash the (zeroed) trailer: must not matter
-    d.write_physical(1, bytes(blob))
-    assert d.read(1) == image(1, 3)
-
-
 # ------------------------------------------------------------- FaultyDisk
 
 

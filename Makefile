@@ -9,7 +9,8 @@ guards:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/integration/test_io_budget.py \
 		tests/integration/test_cpu_budget.py \
-		tests/integration/test_scan_budget.py
+		tests/integration/test_scan_budget.py \
+		tests/integration/test_restart_budget.py
 
 suite-quick:
 	$(PYTHON) -m pytest benchmarks/suite -q

@@ -70,7 +70,12 @@ from repro.errors import (
 from repro.storage.disk import CRC_TRAILER_SIZE
 from repro.storage.page import NO_PAGE, PageFlag, PageType
 from repro.storage.page_manager import PageState
-from repro.wal.apply import ApplyContext, redo_record
+from repro.wal.apply import (
+    REDO_TYPES,
+    SINGLE_PAGE_REDO,
+    ApplyContext,
+    redo_record,
+)
 from repro.wal.records import RecordType
 
 _CRC = struct.Struct("<I")
@@ -79,15 +84,6 @@ _CRC = struct.Struct("<I")
 # walk calls the reference dangling instead of retrying forever.
 _STALE_RETRIES = 3
 
-_SIMPLE_REDO = (
-    RecordType.INSERT,
-    RecordType.DELETE,
-    RecordType.BATCHINSERT,
-    RecordType.BATCHDELETE,
-    RecordType.CHANGEPREVLINK,
-    RecordType.CHANGENEXTLINK,
-    RecordType.FORMAT,
-)
 
 
 @dataclass(frozen=True)
@@ -709,7 +705,7 @@ class Scrubber:
         records = []
         armed = True
         found_birth = False
-        for rec in ctx.log.scan(durable_only=True):
+        for rec in ctx.log.scan(durable_only=True, types=REDO_TYPES):
             t = rec.type
             if t is RecordType.ALLOC and rec.page_id == page_id:
                 found_birth, armed, records = True, True, [rec]
@@ -721,7 +717,7 @@ class Scrubber:
                 found_birth, records = False, []
             elif not found_birth:
                 continue
-            elif t in _SIMPLE_REDO and rec.page_id == page_id:
+            elif t in SINGLE_PAGE_REDO and rec.page_id == page_id:
                 records.append(rec)
             elif t is RecordType.KEYCOPY and (
                 rec.pp_page == page_id

@@ -241,6 +241,8 @@ class Engine:
             self.ctx.page_manager,
             counters=self.ctx.counters,
         )
+        manager.tracer = self.ctx.tracer
+        manager.syncpoints = self.ctx.syncpoints
         report = manager.recover()
         self.rebuild_checkpoints = dict(report.rebuild_checkpoints)
         # Re-fence damaged ranges that were standing at the crash: sets are
@@ -264,21 +266,28 @@ class Engine:
         return report
 
     def _clear_protocol_bits(self) -> None:
-        """Bits describe in-flight top actions; after a crash there are none."""
-        for page_id in self.ctx.page_manager.allocated_pages():
-            try:
-                page = self.ctx.buffer.fetch(page_id)
-            except ChecksumError:
-                # Rotted image with no redo history to rebuild it: leave
-                # it allocated and unreadable for the scrubber's repair
-                # ladder rather than failing the whole recovery.
-                continue
-            dirty = False
-            if page.flags != PageFlag.NONE or page.side_page:
-                page.clear_flag(PageFlag.SPLIT)
-                page.clear_flag(PageFlag.SHRINK)
-                page.clear_side_entry()
-                page.clear_blocked_range()
-                dirty = True
-            self.ctx.buffer.unpin(page_id, dirty=dirty)
-        self.ctx.buffer.flush_all()
+        """Bits describe in-flight top actions; after a crash there are none.
+
+        Allocated pages are visited in ascending id by large I/O, so what
+        redo did not leave resident is read a disk run at a time."""
+        buffer = self.ctx.buffer
+        with self.ctx.tracer.span("recovery.bit_sweep"):
+            for page_id in self.ctx.page_manager.allocated_pages():
+                try:
+                    page = buffer.fetch(page_id, large_io=True)
+                except ChecksumError:
+                    # Rotted image with no redo history to rebuild it:
+                    # leave it allocated and unreadable for the scrubber's
+                    # repair ladder rather than failing the whole
+                    # recovery.  (As a run neighbour of another page it is
+                    # simply not admitted.)
+                    continue
+                dirty = False
+                if page.flags != PageFlag.NONE or page.side_page:
+                    page.clear_flag(PageFlag.SPLIT)
+                    page.clear_flag(PageFlag.SHRINK)
+                    page.clear_side_entry()
+                    page.clear_blocked_range()
+                    dirty = True
+                buffer.unpin(page_id, dirty=dirty)
+            buffer.flush_all()

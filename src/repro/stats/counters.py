@@ -115,6 +115,10 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "scrub_throttles",           # pacing sleeps widened by OLTP p99 pressure
     "quarantine_blocked_ops",    # reads/writes rejected inside a quarantined range
     "quarantine_records",        # durable QUARANTINE log records appended
+    # Crash recovery (wal/recovery.py).
+    "recovery_records_scanned",   # durable records whose header analysis read
+    "recovery_payloads_decoded",  # records recovery payload-decoded (all phases)
+    "recovery_page_visits",       # pages visited by redo's page-ordered drains
     # Observability (repro/obs, PR 10).
     "obs_spans",                 # trace spans recorded into the ring sink
     "obs_spans_dropped",         # spans evicted from a full ring (oldest first)

@@ -6,7 +6,10 @@ and crash recovery (:mod:`repro.wal.recovery`).
 
 Redo follows the ARIES page-timestamp rule: a record is re-applied to a page
 iff the page's ``page_lsn`` is older than the record's LSN (a record's "new
-timestamp" is its own LSN).  KEYCOPY redo re-reads the *source* pages for
+timestamp" is its own LSN).  Records that change one page and read nothing
+else (:data:`SINGLE_PAGE_REDO`) can be redone a page at a time
+(:func:`redo_page_queue`); :func:`redo_record` redoes any type, one
+record at a time.  KEYCOPY redo re-reads the *source* pages for
 the key bytes — the paper's §3 flush-new-before-free-old discipline is what
 makes that sound — and checks the timestamp of each *target* page
 independently, since a crash can land between the forced writes of two
@@ -25,9 +28,7 @@ CLRs idempotently.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import RecoveryError
 from repro.storage.buffer import BufferPool
@@ -57,35 +58,62 @@ class ApplyContext:
             self.index_roots = {}
 
 
-@contextlib.contextmanager
-def _page_for_redo(
-    page_id: int, lsn: int, ctx: ApplyContext
-) -> Iterator[Page | None]:
-    """Yield the page if the record at ``lsn`` still needs redo, else None.
-
-    On a yield of a real page the body applies the change; the page is then
-    stamped with ``lsn`` and unpinned dirty.
-    """
-    page = ctx.buffer.fetch(page_id)
-    applied = False
-    try:
-        if page.page_lsn >= lsn:
-            yield None
-        else:
-            yield page
-            page.page_lsn = lsn
-            applied = True
-    finally:
-        ctx.buffer.unpin(page_id, dirty=applied)
-
-
 # --------------------------------------------------------------------- redo
+
+
+SINGLE_PAGE_REDO = frozenset(
+    {
+        RecordType.INSERT,
+        RecordType.DELETE,
+        RecordType.BATCHINSERT,
+        RecordType.BATCHDELETE,
+        RecordType.CHANGEPREVLINK,
+        RecordType.CHANGENEXTLINK,
+        RecordType.FORMAT,
+    }
+)
+"""Record types whose redo reads and writes ``rec.page_id`` and nothing
+else — no other page, no page-manager state.  Two of them on different
+pages commute, which is what lets crash recovery redo them page by page
+(:func:`redo_page_queue`) between the records that do not."""
+
+BARRIER_REDO = frozenset(
+    {
+        RecordType.ALLOC,
+        RecordType.ALLOCRUN,
+        RecordType.DEALLOC,
+        RecordType.KEYCOPY,
+        RecordType.CLR,
+    }
+)
+"""Record types whose redo touches several pages or page-manager state:
+``ALLOC`` / ``ALLOCRUN`` / ``DEALLOC`` (page-manager state, and a fresh
+incarnation that later records must find), ``KEYCOPY`` (reads its source
+pages) and ``CLR`` (the inverse of any record, possibly by key from the
+root).  Each must see exactly what log order would show it, so whoever
+reorders single-page redo applies everything queued before one of these
+(``RecoveryManager._redo``)."""
+
+REDO_TYPES = SINGLE_PAGE_REDO | BARRIER_REDO
+"""Every type :func:`redo_record` has work for; the rest (``TXN_*``,
+``NTA_*``, ``CHECKPOINT``, ``REBUILD_PROGRESS``, ``QUARANTINE``) have no
+page effect."""
 
 
 def redo_record(rec: LogRecord, ctx: ApplyContext) -> None:
     """Re-apply ``rec`` if its effects did not reach the page image."""
     t = rec.type
-    if t is RecordType.ALLOC:
+    if t in SINGLE_PAGE_REDO:
+        page = ctx.buffer.fetch(rec.page_id)
+        applied = False
+        try:
+            if page.page_lsn < rec.lsn:
+                _apply_to_page(rec, page)
+                page.page_lsn = rec.lsn
+                applied = True
+        finally:
+            ctx.buffer.unpin(rec.page_id, dirty=applied)
+    elif t is RecordType.ALLOC:
         _redo_alloc(rec, ctx)
     elif t is RecordType.ALLOCRUN:
         for i, pid in enumerate(rec.page_ids):
@@ -99,35 +127,53 @@ def redo_record(rec: LogRecord, ctx: ApplyContext) -> None:
     elif t is RecordType.DEALLOC:
         for pid in rec.page_ids or [rec.page_id]:
             ctx.page_manager.force_state(pid, PageState.DEALLOCATED)
-    elif t in (RecordType.INSERT, RecordType.BATCHINSERT):
-        with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
-            if page is not None:
-                page.insert_rows(rec.pos, rec.rows)
-    elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
-        with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
-            if page is not None:
-                page.delete_rows(rec.pos, rec.pos + len(rec.rows))
-    elif t is RecordType.CHANGEPREVLINK:
-        with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
-            if page is not None:
-                page.prev_page = rec.new_prev
-    elif t is RecordType.CHANGENEXTLINK:
-        with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
-            if page is not None:
-                page.next_page = rec.new_next
-    elif t is RecordType.FORMAT:
-        with _page_for_redo(rec.page_id, rec.lsn, ctx) as page:
-            if page is not None:
-                page.page_type = PageType(rec.page_type)
-                page.level = rec.level
-                page.prev_page = rec.prev_page
-                page.next_page = rec.next_page
     elif t is RecordType.KEYCOPY:
         _redo_keycopy(rec, ctx)
     elif t is RecordType.CLR:
         _redo_clr(rec, ctx)
-    # TXN_*, NTA_*, CHECKPOINT, REBUILD_PROGRESS, QUARANTINE have no
-    # page effects.
+    # Anything outside REDO_TYPES has no page effect.
+
+
+def redo_page_queue(
+    page_id: int, queue: list[tuple[int, bytes]], ctx: ApplyContext
+) -> int:
+    """Redo one page's queued :data:`SINGLE_PAGE_REDO` records in one visit.
+
+    ``queue`` holds ``(lsn, encoded record)`` in ascending LSN order.  The
+    page is fetched once — by large I/O, so that a caller walking pages in
+    ascending id reads each disk run once — and the timestamp rule is
+    tested on the header LSN: a record the image already carries is never
+    payload-decoded.  Returns how many records were decoded and applied.
+    """
+    page = ctx.buffer.fetch(page_id, large_io=True)
+    applied = 0
+    try:
+        for lsn, data in queue:
+            if page.page_lsn < lsn:
+                _apply_to_page(LogRecord.decode(data), page)
+                page.page_lsn = lsn
+                applied += 1
+    finally:
+        ctx.buffer.unpin(page_id, dirty=applied > 0)
+    return applied
+
+
+def _apply_to_page(rec: LogRecord, page: Page) -> None:
+    """The forward change of a :data:`SINGLE_PAGE_REDO` record."""
+    t = rec.type
+    if t in (RecordType.INSERT, RecordType.BATCHINSERT):
+        page.insert_rows(rec.pos, rec.rows)
+    elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
+        page.delete_rows(rec.pos, rec.pos + len(rec.rows))
+    elif t is RecordType.CHANGEPREVLINK:
+        page.prev_page = rec.new_prev
+    elif t is RecordType.CHANGENEXTLINK:
+        page.next_page = rec.new_next
+    else:  # FORMAT
+        page.page_type = PageType(rec.page_type)
+        page.level = rec.level
+        page.prev_page = rec.prev_page
+        page.next_page = rec.next_page
 
 
 def _redo_alloc(rec: LogRecord, ctx: ApplyContext) -> None:
@@ -275,7 +321,7 @@ def apply_inverse(
     if rec.flags & LEAF_ROW_FLAG:
         # Leaf-level user rows may have moved since (completed splits and
         # rebuild top actions are never undone): undo logically, by key.
-        _logical_leaf_inverse(rec, ctx, stamp_lsn)
+        _logical_leaf_inverse(rec, ctx, stamp_lsn, ts_checked)
         return
     page = ctx.buffer.fetch(rec.page_id)
     dirtied = False
@@ -310,15 +356,20 @@ def apply_inverse(
 
 
 def _logical_leaf_inverse(
-    rec: LogRecord, ctx: ApplyContext, stamp_lsn: int
+    rec: LogRecord, ctx: ApplyContext, stamp_lsn: int, ts_checked: bool
 ) -> None:
     """Undo a leaf insert/delete by key rather than by slot position.
 
-    Content-based and therefore naturally idempotent (safe for CLR redo):
-    an insert is undone by removing the unit *if present*, a delete by
-    re-inserting it *if absent*.  The row is located by descending from
-    the index root — the tree is structurally consistent at undo time
-    because completed top actions were redone, never undone.
+    Content-based: an insert is undone by removing the unit *if present*,
+    a delete by re-inserting it *if absent*.  The row is located by
+    descending from the index root — the tree is structurally consistent
+    at undo time because completed top actions were redone, never undone.
+
+    Content alone does not make the *redo* of a CLR idempotent, hence
+    ``ts_checked``: the leaf the descent ends on may carry an image
+    written after the CLR — at worst a later incarnation of a recycled
+    page id, holding another key range, where "absent" means nothing.  An
+    image stamped at or past the CLR is left alone, like any other redo.
     """
     from repro.btree import node as _node
 
@@ -337,8 +388,12 @@ def _logical_leaf_inverse(
         _pos, child = _node.child_search(page, unit, ctx.buffer.counters)
         ctx.buffer.unpin(page_id)
         page_id = child
+    dirtied = False
     try:
+        if ts_checked and page.page_lsn >= stamp_lsn:
+            return
         pos, found = _node.leaf_search(page, unit, ctx.buffer.counters)
+        dirtied = True
         if rec.type is RecordType.INSERT:
             if found:
                 page.delete_row(pos)
@@ -349,7 +404,7 @@ def _logical_leaf_inverse(
                 page.insert_row(pos, unit)
         page.page_lsn = max(page.page_lsn, stamp_lsn)
     finally:
-        ctx.buffer.unpin(page_id, dirty=True)
+        ctx.buffer.unpin(page_id, dirty=dirtied)
 
 
 def _undo_keycopy(

@@ -29,7 +29,7 @@ import zlib
 from repro.errors import LogFormatError
 from repro.stats.counters import Counters
 from repro.wal.log import LogManager
-from repro.wal.records import RECORD_OVERHEAD, LogRecord
+from repro.wal.records import RECORD_OVERHEAD, LogRecord, RecordType
 
 _FRAME = struct.Struct("<II")  # (record length, crc32 of record bytes)
 FRAME_OVERHEAD = _FRAME.size
@@ -65,13 +65,14 @@ class FileLogManager(LogManager):
             if zlib.crc32(data) != crc:
                 break  # torn/corrupt record bytes: stop before parsing them
             try:
-                record = LogRecord.decode(data)
+                raw_type, _flags, _length, lsn, *_ = LogRecord.peek(data)
             except LogFormatError:
                 break
+            rtype = RecordType(raw_type)
             self._records.append(data)
-            self._offsets.append(record.lsn)
-            self.bytes_by_type[record.type] += len(data)
-            self.count_by_type[record.type] += 1
+            self._offsets.append(lsn)
+            self.bytes_by_type[rtype] += len(data)
+            self.count_by_type[rtype] += 1
             offset = end
         if self._records:
             self._next_lsn = self._offsets[-1] + len(self._records[-1])

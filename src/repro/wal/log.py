@@ -202,6 +202,17 @@ class LogManager:
 
     # ------------------------------------------------------------------- scan
 
+    def raw_records(
+        self, from_lsn: int = 0, durable_only: bool = False
+    ) -> list[bytes]:
+        """The encoded records from ``from_lsn`` on, in LSN order, as one
+        consistent snapshot.  Readers that need only headers
+        (:meth:`LogRecord.peek`) start here and decode what they keep."""
+        with self._lock:
+            upto = self._flushed_upto if durable_only else len(self._records)
+            start = bisect_left(self._offsets, from_lsn, 0, upto)
+            return self._records[start:upto]
+
     def scan(
         self,
         from_lsn: int = 0,
@@ -215,15 +226,12 @@ class LogManager:
         transaction; the test reads the fixed header alone, so records
         that do not match are never payload-decoded.
         """
-        with self._lock:
-            upto = self._flushed_upto if durable_only else len(self._records)
-            start = bisect_left(self._offsets, from_lsn, 0, upto)
-            records = self._records[start:upto]
+        records = self.raw_records(from_lsn, durable_only)
         if types is None and txn_id is None:
             yield from map(LogRecord.decode, records)
             return
         for data in records:
-            rtype, rtxn = LogRecord.peek(data)
+            rtype, _, _, _, _, rtxn, _, _, _, _ = LogRecord.peek(data)
             if (types is None or rtype in types) and (
                 txn_id is None or rtxn == txn_id
             ):
@@ -251,12 +259,7 @@ class LogManager:
         the log can be truncated at every checkpoint even mid-rebuild.
         """
         with self._lock:
-            keep_from = 0
-            while (
-                keep_from < len(self._offsets)
-                and self._offsets[keep_from] < lsn
-            ):
-                keep_from += 1
+            keep_from = bisect_left(self._offsets, lsn)
             if keep_from > self._flushed_upto:
                 raise WALError(
                     "cannot truncate unflushed log records "

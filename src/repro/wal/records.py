@@ -66,21 +66,33 @@ _HEADER_MAGIC = 0x10C5
 _HEADER_STRUCT = struct.Struct(_HEADER_FMT)
 _HEADER_PAD = b"\x00" * (RECORD_OVERHEAD - _HEADER_STRUCT.size)
 assert _HEADER_STRUCT.size == 54  # padded to RECORD_OVERHEAD
-# The same header read only as far as (magic, type, flags, length, txn id).
-_PEEK_STRUCT = struct.Struct("<HBBI16xQ")
 
 
-def _unpack_header(header: struct.Struct, data: bytes) -> tuple:
-    """Unpack a record header (full or peek layout), checking the frame."""
+def _cut(payload: bytes, off: int, length: int) -> bytes:
+    """``payload[off : off + length]``, which must all be there (a plain
+    slice would hand back a short row from a short payload)."""
+    end = off + length
+    if end > len(payload):
+        raise ValueError(
+            f"field of {length} bytes at offset {off} overruns the "
+            f"{len(payload)}-byte payload"
+        )
+    return payload[off:end]
+
+
+def _unpack_header(data: bytes) -> tuple:
+    """Unpack a record header, checking the frame and the type byte."""
     if len(data) < RECORD_OVERHEAD:
         raise LogFormatError(f"truncated record: {len(data)} bytes")
-    fields = header.unpack_from(data)
+    fields = _HEADER_STRUCT.unpack_from(data)
     if fields[0] != _HEADER_MAGIC:
         raise LogFormatError(f"bad record magic 0x{fields[0]:04x}")
     if fields[3] != len(data):
         raise LogFormatError(
             f"record length field {fields[3]} != buffer {len(data)}"
         )
+    if fields[1] not in _KNOWN_TYPES:
+        raise LogFormatError(f"unknown record type {fields[1]}")
     return fields
 
 
@@ -106,6 +118,8 @@ class RecordType(enum.IntEnum):
     REBUILD_PROGRESS = 19
     QUARANTINE = 20
 
+
+_KNOWN_TYPES = frozenset(int(t) for t in RecordType)
 
 PROGRESS_RUNNING = 0
 """``REBUILD_PROGRESS`` state: units in ``(start_unit, last_unit]`` of this
@@ -407,21 +421,22 @@ class LogRecord:
     # ----------------------------------------------------------------- decode
 
     @staticmethod
-    def peek(data: bytes) -> tuple[int, int]:
-        """``(type, txn_id)`` from the fixed header, payload untouched.
+    def peek(data: bytes) -> tuple[int, ...]:
+        """The fixed header, payload untouched: ``(type, flags, length,
+        lsn, prev_lsn, txn_id, undo_next_lsn, index_id, page_id, old_ts)``.
 
-        Lets a filtered log scan skip records without decoding their
-        payloads; validates the magic and length like :meth:`decode`.
-        The type comes back as a raw int (it compares equal to its
-        :class:`RecordType` member).
+        Lets a log reader (a filtered scan, reopen, the analysis pass of
+        recovery) classify records without decoding their payloads;
+        validates the magic, the length and the type byte like
+        :meth:`decode`.  The type comes back as a raw int (it compares
+        equal to its :class:`RecordType` member).
         """
-        _magic, rtype, _flags, _length, txn_id = _unpack_header(
-            _PEEK_STRUCT, data
-        )
-        return rtype, txn_id
+        return _unpack_header(data)[1:]
 
     @classmethod
     def decode(cls, data: bytes) -> "LogRecord":
+        """Decode a record; anything malformed ends in
+        :class:`~repro.errors.LogFormatError`."""
         (
             _magic,
             rtype,
@@ -434,7 +449,7 @@ class LogRecord:
             index_id,
             page_id,
             old_ts,
-        ) = _unpack_header(_HEADER_STRUCT, data)
+        ) = _unpack_header(data)
         rec = cls(
             type=RecordType(rtype),
             txn_id=txn_id,
@@ -446,7 +461,14 @@ class LogRecord:
             undo_next_lsn=undo_next_lsn,
             flags=flags,
         )
-        rec._decode_payload(data[RECORD_OVERHEAD:])
+        try:
+            rec._decode_payload(data[RECORD_OVERHEAD:])
+        except (struct.error, ValueError) as exc:
+            # A payload shorter than its type needs (struct.error), or a
+            # checkpoint that is not JSON (ValueError).
+            raise LogFormatError(
+                f"malformed {rec.type.name} payload at lsn {lsn}: {exc}"
+            ) from exc
         return rec
 
     def _decode_payload(self, payload: bytes) -> None:
@@ -454,7 +476,7 @@ class LogRecord:
         if t in (RecordType.INSERT, RecordType.DELETE):
             pos, rlen = struct.unpack_from("<HH", payload)
             self.pos = pos
-            self.rows = [payload[4 : 4 + rlen]]
+            self.rows = [_cut(payload, 4, rlen)]
         elif t in (RecordType.BATCHINSERT, RecordType.BATCHDELETE):
             pos, nrows = struct.unpack_from("<HH", payload)
             self.pos = pos
@@ -462,7 +484,7 @@ class LogRecord:
             for _ in range(nrows):
                 (rlen,) = struct.unpack_from("<H", payload, off)
                 off += 2
-                self.rows.append(payload[off : off + rlen])
+                self.rows.append(_cut(payload, off, rlen))
                 off += rlen
         elif t is RecordType.KEYCOPY:
             (
@@ -533,10 +555,10 @@ class LogRecord:
                 slen,
             ) = struct.unpack_from("<QHBH", payload)
             off = 13
-            self.start_unit = payload[off : off + slen]
+            self.start_unit = _cut(payload, off, slen)
             off += slen
             (llen,) = struct.unpack_from("<H", payload, off)
             off += 2
-            self.last_unit = payload[off : off + llen]
+            self.last_unit = _cut(payload, off, llen)
         elif t is RecordType.CHECKPOINT:
             self.payload_json = json.loads(payload.decode()) if payload else {}

@@ -2,13 +2,21 @@
 
 The protocol is ARIES shaped, specialized to what the paper's engine needs:
 
-1. **Analysis** scans the durable log for the last checkpoint (which embeds
-   the page-manager state and index metadata) and classifies transactions:
-   any txn with a BEGIN but no durable COMMIT/ABORT is a *loser*.
-2. **Redo** replays every durable record from the checkpoint forward, using
-   page timestamps for idempotence (:mod:`repro.wal.apply`).  KEYCOPY redo
-   re-reads source pages; the §3 flush-new-before-free-old rule guarantees
-   the sources are still intact whenever a target needs redo.
+1. **Analysis** reads the durable log once, *by header*: it finds the last
+   checkpoint (which embeds the page-manager state and index metadata),
+   classifies transactions — any txn with a BEGIN but no durable
+   COMMIT/ABORT is a *loser* — folds rebuild progress and quarantines, and
+   hands redo the records past the checkpoint that change a page.  Only
+   the checkpoint, ``REBUILD_PROGRESS`` and ``QUARANTINE`` payloads are
+   decoded; a ``TXN_COMMIT`` is a header and nothing more.
+2. **Redo** replays those records *by page*, using page timestamps for
+   idempotence (:mod:`repro.wal.apply`): single-page records wait in a
+   per-page queue that is drained — ascending page id, one large-I/O
+   fetch per page — before every record that touches several pages or
+   page-manager state.  KEYCOPY redo re-reads source pages; the §3
+   flush-new-before-free-old rule guarantees the sources are still intact
+   whenever a target needs redo, and the drain before it guarantees they
+   carry every earlier logged change.
 3. **Undo** rolls back losers in descending LSN order, writing CLRs.
    Completed nested top actions are skipped via their dummy CLRs, so a
    rebuild that crashed mid-flight keeps all its finished multipage top
@@ -25,11 +33,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import RecoveryError
+from repro.obs.tracer import NULL_TRACER
 from repro.quarantine import QuarantineRange, quarantine_payload
 from repro.stats.counters import GLOBAL_COUNTERS, Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.page_manager import PageManager, PageState
-from repro.wal.apply import ApplyContext, redo_record, undo_record
+from repro.wal.apply import (
+    BARRIER_REDO,
+    REDO_TYPES,
+    ApplyContext,
+    redo_page_queue,
+    redo_record,
+    undo_record,
+)
 from repro.wal.log import LogManager
 from repro.wal.records import (
     PROGRESS_COMPLETE,
@@ -120,8 +136,54 @@ class RecoveryReport:
         return self.rebuild_checkpoints[min(self.rebuild_checkpoints)]
 
 
+def _standing_quarantines(
+    snapshot: list[dict], tail: list[LogRecord]
+) -> list[QuarantineRange]:
+    """Standing quarantines: the checkpoint's snapshot plus the
+    ``QUARANTINE`` records logged after it.
+
+    Sets are flushed at fence time, so a crash can never forget a
+    known-damaged range; lifts ride later flushes, so a *lift* may be
+    forgotten — the range comes back fenced, which is safe (the next
+    scrub pass of a clean range lifts it again).  The checkpoint
+    payload carries the map too, so log truncation cannot drop a
+    standing quarantine either.
+    """
+    live: dict[tuple[int, int], QuarantineRange] = {}
+    for entry in snapshot:
+        r = QuarantineRange(
+            index_id=int(entry["index_id"]),
+            start_unit=bytes.fromhex(entry["start_unit"]),
+            end_unit=bytes.fromhex(entry["end_unit"]),
+            epoch=int(entry["epoch"]),
+        )
+        live[(r.index_id, r.epoch)] = r
+    for rec in tail:
+        key = (rec.index_id, rec.epoch)
+        if rec.progress_state == QUARANTINE_SET:
+            live[key] = QuarantineRange(
+                rec.index_id, rec.start_unit, rec.last_unit, rec.epoch
+            )
+        else:
+            live.pop(key, None)
+    return list(live.values())
+
+
+_COMMIT = int(RecordType.TXN_COMMIT)
+_ABORT = int(RecordType.TXN_ABORT)
+_CHECKPOINT = int(RecordType.CHECKPOINT)
+_PROGRESS = int(RecordType.REBUILD_PROGRESS)
+_QUARANTINE = int(RecordType.QUARANTINE)
+
+
 class RecoveryManager:
     """Runs crash recovery over a log / buffer pool / page manager triple."""
+
+    # Optional hooks the engine sets on the instance: phase spans go to
+    # ``tracer``, and ``recovery.drained`` fires on ``syncpoints`` after
+    # every page-ordered drain of the redo queue.
+    tracer = NULL_TRACER
+    syncpoints = None
 
     def __init__(
         self,
@@ -140,36 +202,69 @@ class RecoveryManager:
 
     def recover(self) -> RecoveryReport:
         report = RecoveryReport()
-        records = list(self.log.scan(durable_only=True))
-        checkpoint = self._analysis(records, report)
-        self._rebuild_progress(records, report)
-        self._quarantine(records, report, checkpoint)
-        self._redo(records, checkpoint_lsn=report.checkpoint_lsn, report=report)
-        self._undo(records, report)
-        self._reclaim_phantom_allocations(report)
-        self._free_deallocated(report)
-        self._checkpoint_after_recovery(checkpoint, report)
+        tracer = self.tracer
+        with tracer.span("recovery.analysis"):
+            redo = self._analysis(report)
+        with tracer.span("recovery.redo", records=len(redo)):
+            self._redo(redo)
+        with tracer.span("recovery.undo", losers=len(report.loser_txns)):
+            self._undo(report)
+        with tracer.span("recovery.free"):
+            self._reclaim_phantom_allocations(report)
+            self._free_deallocated(report)
+            self._checkpoint_after_recovery(report)
         return report
 
     # --------------------------------------------------------------- analysis
 
-    def _analysis(
-        self, records: list[LogRecord], report: RecoveryReport
-    ) -> LogRecord | None:
-        checkpoint: LogRecord | None = None
+    def _analysis(self, report: RecoveryReport) -> list[tuple]:
+        """One pass over the durable log's record headers.
+
+        Classifies transactions (a txn id with no durable COMMIT/ABORT is
+        a *loser*; ARIES-style implicit BEGIN), finds the last checkpoint,
+        folds ``REBUILD_PROGRESS`` and ``QUARANTINE`` records — the only
+        payloads decoded here, with the checkpoint's — and returns the
+        redo work list: ``(lsn, type, page_id, encoded record)`` of every
+        record past the checkpoint that changes a page or page-manager
+        state.  Records with no page effect are counted, never built.
+        """
+        raws = self.log.raw_records(durable_only=True)
+        peek = LogRecord.peek
+        checkpoint_at = -1
         active: dict[int, int] = {}  # txn -> last durable lsn
-        for rec in records:
-            if rec.type is RecordType.CHECKPOINT:
-                checkpoint = rec
-            elif rec.type in (RecordType.TXN_COMMIT, RecordType.TXN_ABORT):
-                active.pop(rec.txn_id, None)
-            elif rec.txn_id:
-                # ARIES-style implicit BEGIN: the first record carrying a
-                # txn id starts that transaction.
-                active[rec.txn_id] = rec.lsn
+        redo: list[tuple] = []
+        quarantine_tail: list[LogRecord] = []
+        decoded = 0
+        for at, data in enumerate(raws):
+            rtype, _flags, _length, lsn, _prev, txn_id, _, _, page_id, _ = (
+                peek(data)
+            )
+            if rtype == _COMMIT or rtype == _ABORT:
+                active.pop(txn_id, None)
+            elif rtype == _CHECKPOINT:
+                # Everything at or below the latest checkpoint is in the
+                # page images and in its snapshots already.
+                checkpoint_at = at
+                redo.clear()
+                quarantine_tail.clear()
+            else:
+                if txn_id:
+                    active[txn_id] = lsn
+                if rtype in REDO_TYPES:
+                    redo.append((lsn, rtype, page_id, data))
+                elif rtype == _PROGRESS:
+                    self._fold_progress(LogRecord.decode(data), report)
+                    decoded += 1
+                elif rtype == _QUARANTINE:
+                    quarantine_tail.append(LogRecord.decode(data))
+                    decoded += 1
         report.loser_txns = sorted(active)
-        self._loser_last_lsn = dict(active)
-        if checkpoint is not None:
+        self._loser_last_lsn = active
+        report.records_redone = len(raws) - 1 - checkpoint_at
+        payload: dict = {}
+        if checkpoint_at >= 0:
+            checkpoint = LogRecord.decode(raws[checkpoint_at])
+            decoded += 1
             report.checkpoint_lsn = checkpoint.lsn
             payload = checkpoint.payload_json or {}
             snap = payload.get("page_manager")
@@ -185,14 +280,17 @@ class RecoveryManager:
                     for index_id, meta in report.index_meta.items()
                 }
             )
-        return checkpoint
+        report.quarantine_ranges = _standing_quarantines(
+            payload.get("quarantine", []), quarantine_tail
+        )
+        self.counters.add("recovery_records_scanned", len(raws))
+        self.counters.add("recovery_payloads_decoded", decoded)
+        return redo
 
-    # ----------------------------------------------------------- rebuild resume
-
-    def _rebuild_progress(
-        self, records: list[LogRecord], report: RecoveryReport
-    ) -> None:
-        """Reconstruct per-index :class:`RebuildCheckpoint`\\ s.
+    @staticmethod
+    def _fold_progress(rec: LogRecord, report: RecoveryReport) -> None:
+        """Fold one ``REBUILD_PROGRESS`` record into the report's
+        per-index :class:`RebuildCheckpoint`\\ s.
 
         Only the highest epoch per index counts — a later rebuild
         supersedes an earlier one, and epochs (the log's next LSN at run
@@ -202,89 +300,78 @@ class RecoveryManager:
         whether its transaction turned out to be a loser: the NTA_ENDs it
         summarizes are durable (prefix durability) and completed top
         actions are never undone."""
-        for rec in records:
-            if rec.type is not RecordType.REBUILD_PROGRESS:
-                continue
-            ckpt = report.rebuild_checkpoints.get(rec.index_id)
-            if ckpt is None or rec.epoch > ckpt.epoch:
-                ckpt = RebuildCheckpoint(epoch=rec.epoch, index_id=rec.index_id)
-                report.rebuild_checkpoints[rec.index_id] = ckpt
-            elif rec.epoch < ckpt.epoch:
-                continue  # superseded rebuild
-            if rec.progress_state == PROGRESS_COMPLETE:
-                ckpt.completed = True
-                ckpt.partitions.clear()
-                continue
-            part = ckpt.partitions.get(rec.partition)
-            if part is None:
-                part = ckpt.partitions[rec.partition] = PartitionProgress(
-                    start_unit=rec.start_unit
-                )
-            if rec.last_unit and rec.last_unit > part.last_unit:
-                part.last_unit = rec.last_unit
-            if rec.progress_state == PROGRESS_SEGMENT_DONE:
-                part.done = True
-
-    # ----------------------------------------------------------- quarantine
-
-    def _quarantine(
-        self,
-        records: list[LogRecord],
-        report: RecoveryReport,
-        checkpoint: LogRecord | None,
-    ) -> None:
-        """Reconstruct standing quarantines: checkpoint snapshot + log tail.
-
-        Sets are flushed at fence time, so a crash can never forget a
-        known-damaged range; lifts ride later flushes, so a *lift* may be
-        forgotten — the range comes back fenced, which is safe (the next
-        scrub pass of a clean range lifts it again).  The checkpoint
-        payload carries the map too, so log truncation cannot drop a
-        standing quarantine either.
-        """
-        live: dict[tuple[int, int], QuarantineRange] = {}
-        payload = (checkpoint.payload_json or {}) if checkpoint else {}
-        for entry in payload.get("quarantine", []):
-            r = QuarantineRange(
-                index_id=int(entry["index_id"]),
-                start_unit=bytes.fromhex(entry["start_unit"]),
-                end_unit=bytes.fromhex(entry["end_unit"]),
-                epoch=int(entry["epoch"]),
+        ckpt = report.rebuild_checkpoints.get(rec.index_id)
+        if ckpt is None or rec.epoch > ckpt.epoch:
+            ckpt = RebuildCheckpoint(epoch=rec.epoch, index_id=rec.index_id)
+            report.rebuild_checkpoints[rec.index_id] = ckpt
+        elif rec.epoch < ckpt.epoch:
+            return  # superseded rebuild
+        if rec.progress_state == PROGRESS_COMPLETE:
+            ckpt.completed = True
+            ckpt.partitions.clear()
+            return
+        part = ckpt.partitions.get(rec.partition)
+        if part is None:
+            part = ckpt.partitions[rec.partition] = PartitionProgress(
+                start_unit=rec.start_unit
             )
-            live[(r.index_id, r.epoch)] = r
-        for rec in records:
-            if rec.type is not RecordType.QUARANTINE:
-                continue
-            if rec.lsn <= report.checkpoint_lsn:
-                continue  # already folded into the checkpoint snapshot
-            key = (rec.index_id, rec.epoch)
-            if rec.progress_state == QUARANTINE_SET:
-                live[key] = QuarantineRange(
-                    rec.index_id, rec.start_unit, rec.last_unit, rec.epoch
-                )
-            else:
-                live.pop(key, None)
-        report.quarantine_ranges = list(live.values())
+        if rec.last_unit and rec.last_unit > part.last_unit:
+            part.last_unit = rec.last_unit
+        if rec.progress_state == PROGRESS_SEGMENT_DONE:
+            part.done = True
 
     # ------------------------------------------------------------------- redo
 
-    def _redo(
-        self,
-        records: list[LogRecord],
-        checkpoint_lsn: int,
-        report: RecoveryReport,
-    ) -> None:
-        for rec in records:
-            if rec.lsn <= checkpoint_lsn:
+    def _redo(self, work: list[tuple]) -> None:
+        """Redo by page between barriers.
+
+        A single-page record (:data:`~repro.wal.apply.SINGLE_PAGE_REDO`)
+        is queued under its page; two of them on different pages commute,
+        so the order across pages is free and each page is visited once
+        per drain with its records in LSN order.  A record that touches
+        several pages or page-manager state is a *barrier*: it may read
+        what a queued record writes (KEYCOPY re-reads its sources, a CLR
+        may descend from the root) or replace a page that queued records
+        must still find (ALLOC of a recycled id), so the queue is drained
+        before it and it goes through :func:`redo_record` in log order.
+        """
+        queued: dict[int, list[tuple[int, bytes]]] = {}
+        decoded = 0  # by the barriers; a drain counts its own
+        for lsn, rtype, page_id, data in work:
+            if rtype not in BARRIER_REDO:
+                records = queued.get(page_id)
+                if records is None:
+                    queued[page_id] = [(lsn, data)]
+                else:
+                    records.append((lsn, data))
                 continue
+            self._drain(queued)
+            rec = LogRecord.decode(data)
+            decoded += 1
             if rec.type is RecordType.CLR:
                 rec.resolved_undone = self.log.record_at(rec.undone_lsn)
+                decoded += 1
             redo_record(rec, self.ctx)
-            report.records_redone += 1
+        self._drain(queued)
+        self.counters.add("recovery_payloads_decoded", decoded)
+
+    def _drain(self, queued: dict[int, list[tuple[int, bytes]]]) -> None:
+        """Apply and empty the queue, pages in ascending id so that pool
+        misses arrive as aligned disk runs."""
+        if not queued:
+            return
+        decoded = 0
+        for page_id in sorted(queued):
+            decoded += redo_page_queue(page_id, queued[page_id], self.ctx)
+        self.counters.add("recovery_payloads_decoded", decoded)
+        self.counters.add("recovery_page_visits", len(queued))
+        if self.syncpoints is not None:
+            self.syncpoints.fire("recovery.drained", pages=len(queued))
+        queued.clear()
 
     # ------------------------------------------------------------------- undo
 
-    def _undo(self, records: list[LogRecord], report: RecoveryReport) -> None:
+    def _undo(self, report: RecoveryReport) -> None:
         """Roll back losers in globally descending LSN order with CLRs."""
         next_undo = dict(self._loser_last_lsn)
         chain_tail = dict(self._loser_last_lsn)  # txn -> lsn of its last record
@@ -296,6 +383,7 @@ class RecoveryManager:
                 del next_undo[txn_id]
                 continue
             rec = self.log.record_at(lsn)
+            self.counters.add("recovery_payloads_decoded")
             if rec.type in (RecordType.NTA_END, RecordType.CLR):
                 next_undo[txn_id] = rec.undo_next_lsn
                 continue
@@ -376,9 +464,7 @@ class RecoveryManager:
 
     # ------------------------------------------------------------- checkpoint
 
-    def _checkpoint_after_recovery(
-        self, old_checkpoint: LogRecord | None, report: RecoveryReport
-    ) -> None:
+    def _checkpoint_after_recovery(self, report: RecoveryReport) -> None:
         self.buffer.flush_all()
         payload = {
             "page_manager": self.page_manager.snapshot(),

@@ -1,0 +1,321 @@
+"""Restart budget of a crashed rebuild, as exact counts.
+
+Recovery reads the durable log once by header and redoes by page: records
+at or below the checkpoint and records with no page effect are never
+payload-decoded, and between two records that touch several pages (the
+*barriers*: ALLOC, ALLOCRUN, DEALLOC, KEYCOPY, CLR) every page with queued
+single-page records is fetched once, in ascending id, by large I/O.  This
+guard holds ``RecoveryManager`` to that shape on a small copy of the
+suite's ``crash_recover`` workload — committed inserts after the load
+checkpoint, a crash half way through a pass — single-threaded, so every
+count repeats exactly.  The drain schedule it expects is derived here, from
+the log, not taken from the code under test.
+"""
+
+import random
+import zlib
+
+import pytest
+
+from repro import Engine, OnlineRebuild, RebuildConfig
+from repro.concurrency.syncpoints import CrashPoint
+from repro.storage.buffer import BufferPool
+from repro.wal import recovery
+from repro.wal.apply import SINGLE_PAGE_REDO
+from repro.wal.records import LogRecord, RecordType
+from repro.wal.recovery import RecoveryManager
+from repro.workload.builder import bulk_load
+from tests.conftest import intkey
+
+KEYS = 8000
+INSERTS = 2400
+FILL = 0.8
+"""Fuller than the suite's 0.5, so that at this size the inserts split
+leaves: ALLOC barriers between the INSERTs, many pages in each drain."""
+HEADER_ONLY = {
+    RecordType.TXN_BEGIN, RecordType.TXN_COMMIT, RecordType.TXN_ABORT,
+    RecordType.NTA_BEGIN, RecordType.NTA_END,
+}
+BARRIERS = {
+    RecordType.ALLOC, RecordType.ALLOCRUN, RecordType.DEALLOC,
+    RecordType.KEYCOPY, RecordType.CLR,
+}
+
+
+def crashed_engine():
+    """A loaded, checkpointed index, ``INSERTS`` committed inserts after
+    the checkpoint, and a crash at the middle commit of a rebuild pass
+    with every frame and the unflushed log tail dropped.  Returns the
+    engine and the contents recovery must bring back."""
+    engine = Engine(page_size=2048, io_size=16384, buffer_capacity=4096)
+    tree = bulk_load(
+        engine, [intkey(2 * i) for i in range(KEYS)], 4, fill=FILL
+    )
+    for slot in random.Random(5).sample(range(KEYS), INSERTS):
+        tree.insert(intkey(2 * slot + 1), slot)
+    expected = tree.contents()
+    config = RebuildConfig(ntasize=8, xactsize=32)
+    crash_at = round(tree.verify().leaf_pages / config.xactsize / 2)
+    commits = [0]
+
+    def crash_hook(_ctx):
+        commits[0] += 1
+        if commits[0] == crash_at:
+            raise CrashPoint("rebuild.txn_committed")
+
+    engine.syncpoints.on("rebuild.txn_committed", crash_hook)
+    with pytest.raises(CrashPoint):
+        OnlineRebuild(tree, config).run()
+    engine.syncpoints.remove("rebuild.txn_committed", crash_hook)
+    engine.crash()
+    return engine, expected
+
+
+def expected_drains(records, checkpoint_lsn):
+    """The page sets a page-ordered redo must visit, in order: single-page
+    records past the checkpoint pile up per page until a barrier."""
+    drains, queued = [], set()
+    for rec in records:
+        if rec.lsn <= checkpoint_lsn:
+            continue
+        if rec.type in SINGLE_PAGE_REDO:
+            queued.add(rec.page_id)
+        elif rec.type in BARRIERS and queued:
+            drains.append(sorted(queued))
+            queued = set()
+    if queued:
+        drains.append(sorted(queued))
+    return drains
+
+
+class RedoMeter:
+    """Brackets the redo pass, each drain and each barrier with counter
+    snapshots, counts the read calls each drain made on ``disk``, and
+    lists every record payload-decoded meanwhile."""
+
+    def __init__(self, monkeypatch, counters, disk):
+        self.redo: dict[str, int] = {}
+        self.drains: list[tuple[list[int], dict[str, int], int, int]] = []
+        """Per drain: its pages, its counter deltas, its disk read calls,
+        and how many of its pages the pool held when it started."""
+        self.barriers = {"page_reads": 0, "disk_io_calls": 0}
+        self.decoded: list[tuple[int, RecordType]] = []
+        meter = self
+
+        run_redo = RecoveryManager._redo
+
+        def redo(manager, work):
+            before = counters.snapshot()
+            run_redo(manager, work)
+            meter.redo = counters.diff(before)
+
+        run_drain = RecoveryManager._drain
+
+        read_calls = [0]
+        read, read_run = disk.read, disk.read_run
+
+        def counting_read(page_id):
+            read_calls[0] += 1
+            return read(page_id)
+
+        def counting_read_run(start, count):
+            read_calls[0] += 1
+            return read_run(start, count)
+
+        def drain(manager, queued):
+            pages = sorted(queued)
+            held = sum(manager.buffer.is_resident(pid) for pid in pages)
+            before = counters.snapshot()
+            calls_before = read_calls[0]
+            run_drain(manager, queued)
+            if pages:
+                meter.drains.append((
+                    pages, counters.diff(before),
+                    read_calls[0] - calls_before, held,
+                ))
+
+        redo_record = recovery.redo_record
+
+        def barrier(rec, ctx):
+            before = counters.snapshot()
+            redo_record(rec, ctx)
+            delta = counters.diff(before)
+            for name in meter.barriers:
+                meter.barriers[name] += delta[name]
+
+        decode = LogRecord.decode
+
+        def counting_decode(data):
+            rec = decode(data)
+            meter.decoded.append((rec.lsn, rec.type))
+            return rec
+
+        monkeypatch.setattr(disk, "read", counting_read)
+        monkeypatch.setattr(disk, "read_run", counting_read_run)
+        monkeypatch.setattr(RecoveryManager, "_redo", redo)
+        monkeypatch.setattr(RecoveryManager, "_drain", drain)
+        monkeypatch.setattr(recovery, "redo_record", barrier)
+        monkeypatch.setattr(LogRecord, "decode", staticmethod(counting_decode))
+
+
+def image_crc(engine):
+    """CRC over the stored image of every allocated page, in id order."""
+    crc = 0
+    for pid in engine.page_manager.allocated_pages():
+        crc = zlib.crc32(engine.ctx.disk.read_physical(pid), crc)
+    return crc
+
+
+def test_restart_decodes_what_it_redoes_and_visits_each_page_once_per_drain(
+    monkeypatch,
+):
+    engine, expected = crashed_engine()
+    durable = list(engine.log.scan(durable_only=True))
+    checkpoint_lsn = max(
+        r.lsn for r in durable if r.type is RecordType.CHECKPOINT
+    )
+    past = [r for r in durable if r.lsn > checkpoint_lsn]
+    drains = expected_drains(durable, checkpoint_lsn)
+    assert len(drains) > 20
+    assert sum(r.lsn <= checkpoint_lsn for r in durable) > 100
+
+    meter = RedoMeter(monkeypatch, engine.counters, engine.ctx.disk)
+    before = engine.counters.snapshot()
+    report = engine.recover()
+    delta = engine.counters.diff(before)
+    monkeypatch.undo()
+
+    assert report.checkpoint_lsn == checkpoint_lsn
+    assert report.records_redone == len(past)
+    assert report.records_undone == 0 and report.loser_txns == []
+
+    # Payload decodes: nothing header-only, and at or below the checkpoint
+    # only the checkpoint itself and the standalone progress records.
+    assert not [t for _lsn, t in meter.decoded if t in HEADER_ONLY]
+    old = [(lsn, t) for lsn, t in meter.decoded if lsn <= checkpoint_lsn]
+    assert old.count((checkpoint_lsn, RecordType.CHECKPOINT)) == 1
+    assert {t for _lsn, t in old} <= {
+        RecordType.CHECKPOINT, RecordType.REBUILD_PROGRESS
+    }
+    page_effect = [
+        r for r in past if r.type in SINGLE_PAGE_REDO or r.type in BARRIERS
+    ]
+    progress = [r for r in durable if r.type is RecordType.REBUILD_PROGRESS]
+    assert len(meter.decoded) <= len(page_effect) + len(progress) + 1
+    assert delta["recovery_payloads_decoded"] == len(meter.decoded)
+    assert delta["recovery_records_scanned"] == len(durable)
+
+    # Pool fetches: one per distinct page per drain, plus the barriers' own.
+    assert [pages for pages, *_ in meter.drains] == drains
+    visits = sum(len(pages) for pages in drains)
+    assert all(d["page_reads"] == len(pages) for pages, d, *_ in meter.drains)
+    assert delta["recovery_page_visits"] == visits
+    assert meter.redo["page_reads"] == visits + meter.barriers["page_reads"]
+    assert visits < sum(r.type in SINGLE_PAGE_REDO for r in past)
+
+    # Disk calls: the pool holds everything, so each aligned run that holds
+    # a drained page is read at most once over the whole redo pass.
+    ppio = engine.ctx.disk.pages_per_io
+    assert ppio == 8
+    runs = {(pid - 1) // ppio for pages in drains for pid in pages}
+    drain_calls = sum(d["disk_io_calls"] for _, d, *_ in meter.drains)
+    assert drain_calls <= len(runs)
+    assert len(runs) <= -(-engine.page_manager.high_water_mark // ppio)
+    assert (
+        meter.redo["disk_io_calls"]
+        == drain_calls + meter.barriers["disk_io_calls"]
+    )
+
+    tree = engine.index(1)
+    tree.verify()
+    assert tree.contents() == expected
+    assert engine.rebuild_checkpoint(1).resume_key()
+
+
+def lru_misses(page_ids, frames):
+    """Misses of a ``frames``-frame LRU pool over a fetch sequence."""
+    pool: dict[int, None] = {}
+    misses = 0
+    for pid in page_ids:
+        if pid in pool:
+            del pool[pid]
+        else:
+            misses += 1
+            if len(pool) >= frames:
+                del pool[next(iter(pool))]
+        pool[pid] = None
+    return misses
+
+
+def test_a_32_frame_pool_reads_each_run_once_per_drain(monkeypatch):
+    """Log-order redo re-reads a page every time the log comes back to it
+    after 32 other pages; page-ordered redo reads it once per drain, and
+    the result is the image the big pool produces."""
+    big, _ = crashed_engine()
+    RecoveryManager(
+        big.log, big.buffer, big.page_manager, counters=big.counters
+    ).recover()
+
+    engine, _ = crashed_engine()
+    durable = list(engine.log.scan(durable_only=True))
+    pool = BufferPool(engine.ctx.disk, capacity=32, counters=engine.counters)
+    pool.set_wal_hook(engine.log.flush_to)
+    meter = RedoMeter(monkeypatch, engine.counters, engine.ctx.disk)
+    report = RecoveryManager(
+        engine.log, pool, engine.page_manager, counters=engine.counters
+    ).recover()
+    monkeypatch.undo()
+
+    ppio = engine.ctx.disk.pages_per_io
+    assert max(len(pages) for pages, *_ in meter.drains) > 32  # pressure
+    assert sum(d["disk_pages_written"] for _, d, *_ in meter.drains) > 0
+    for pages, _delta, read_calls, held in meter.drains:
+        # One read per aligned run.  A page the pool already held may be
+        # pushed out by the admission of its own run's other pages before
+        # the drain gets to it: one more read for each such page at most.
+        runs = {(pid - 1) // ppio for pid in pages}
+        assert read_calls <= len(runs) + held
+    drain_reads = sum(calls for *_, calls, _held in meter.drains)
+    in_log_order = [
+        r.page_id for r in durable
+        if r.lsn > report.checkpoint_lsn and r.type in SINGLE_PAGE_REDO
+    ]
+    assert 3 * drain_reads < lru_misses(in_log_order, 32)
+    assert engine.page_manager.snapshot() == big.page_manager.snapshot()
+    assert image_crc(engine) == image_crc(big)
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_crash_between_drains_after_a_partial_flush_recovers_the_same_index(
+    which,
+):
+    reference, expected = crashed_engine()
+    fired = [0]
+    reference.syncpoints.on(
+        "recovery.drained", lambda _ctx: fired.__setitem__(0, fired[0] + 1)
+    )
+    reference.recover()
+    want = reference.index(1).verify()
+    assert reference.index(1).contents() == expected
+    crash_at = {"first": 1, "middle": fired[0] // 2, "last": fired[0]}[which]
+
+    engine, _ = crashed_engine()
+    drained = [0]
+
+    def flush_some_then_crash(_ctx):
+        drained[0] += 1
+        if drained[0] == crash_at:
+            # Every other resident page reaches disk, the rest is lost.
+            engine.buffer.flush_pages(engine.buffer._resident_ids()[::2])
+            raise CrashPoint("recovery.drained")
+
+    engine.syncpoints.on("recovery.drained", flush_some_then_crash)
+    with pytest.raises(CrashPoint):
+        engine.recover()
+    engine.syncpoints.remove("recovery.drained", flush_some_then_crash)
+    engine.crash()
+    engine.recover()
+    tree = engine.index(1)
+    assert tree.verify() == want
+    assert tree.contents() == expected
+    assert engine.page_manager.snapshot() == reference.page_manager.snapshot()

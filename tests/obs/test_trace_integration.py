@@ -166,3 +166,36 @@ def test_repro_trace_env_enables_tracing(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE", "1")
     engine = Engine(buffer_capacity=256, trace=False)
     assert not engine.tracer.enabled
+
+
+def test_recovery_phases_are_spans_and_counters():
+    """A restart explains itself: one span per phase under the engine's
+    tracer, and the registered counters say how much of the log was read
+    by header only."""
+    engine = Engine(buffer_capacity=2048, trace=True)
+    index = engine.create_index(key_len=4)
+    make_half_empty(index, 600)
+    loser = engine.ctx.txns.begin()
+    index.insert((9000).to_bytes(4, "big"), 9000, txn=loser)
+    engine.ctx.log.flush_all()
+    engine.crash()
+    before = engine.counters.snapshot()
+    report = engine.recover()
+    delta = engine.counters.diff(before)
+
+    spans = {span.name: span for span in engine.tracer.spans()}
+    phases = [
+        "recovery.analysis", "recovery.redo", "recovery.undo",
+        "recovery.free", "recovery.bit_sweep",
+    ]
+    assert set(phases) <= set(spans)
+    starts = [spans[name].start for name in phases]
+    assert starts == sorted(starts)
+    assert all(spans[name].end >= spans[name].start for name in phases)
+    assert spans["recovery.undo"].attrs == {"losers": 1}
+
+    assert report.records_undone == 1
+    assert delta["recovery_records_scanned"] >= report.records_redone > 0
+    # Commits and top-action brackets are most of the log: never decoded.
+    assert 0 < delta["recovery_payloads_decoded"] < report.records_redone
+    assert 0 < delta["recovery_page_visits"] <= delta["page_reads"]

@@ -1,0 +1,414 @@
+"""Page-ordered redo against a log-order oracle, on drawn crash states.
+
+Crash recovery redoes single-page records page by page between *barrier*
+records (``repro.wal.recovery``).  The oracle here is the textbook loop —
+decode the whole durable log, redo every record past the checkpoint one at
+a time in LSN order — written in this file, sharing with the engine only
+``apply.redo_record`` (how one record changes a page) and the phases after
+redo.  A drawn history builds a crash state twice (single thread, so the
+two are identical); one copy recovers through the engine's path, the other
+through the oracle, and everything recovery leaves behind must be equal.
+
+Three mutants of the page-ordered path must each be told from the oracle
+by some history, or the comparison proves nothing: queueing across a
+KEYCOPY (it reads the pages queued records write), skipping the
+``page_lsn`` test, and draining a page's queue out of LSN order.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import random
+import zlib
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from repro import Engine, OnlineRebuild, RebuildConfig
+from repro import engine as engine_module
+from repro.concurrency.syncpoints import CrashPoint
+from repro.errors import PageFullError
+from repro.wal import recovery
+from repro.wal.apply import SINGLE_PAGE_REDO, redo_record
+from repro.wal.records import LogRecord, RecordType
+from repro.wal.recovery import RecoveryManager
+from tests.conftest import intkey
+
+KEYS = st.integers(min_value=0, max_value=399)
+PAYLOAD = 40
+"""Bytes of payload per row: about thirty rows to a 2 KB leaf, so a few
+hundred keys make a three-level tree that splits and shrinks readily."""
+
+
+# ----------------------------------------------------------------- histories
+
+ROW_OP = st.one_of(
+    st.tuples(st.just("insert"), KEYS),
+    st.tuples(st.just("delete"), KEYS),
+    st.tuples(st.just("delete_range"), KEYS, st.integers(1, 60)),
+    # Delete all but every n-th key from here on: sparse leaves, which a
+    # rebuild then copies into the previous page without allocating.
+    st.tuples(st.just("thin"), KEYS, st.sampled_from([5, 10, 20])),
+)
+BETWEEN = st.lists(ROW_OP, max_size=4)
+"""Row operations that run on the rebuild's thread between its
+transactions, one per commit: traffic interleaved with a pass, which is
+how a leaf comes to have unflushed changes when a KEYCOPY reads it."""
+STEP = st.one_of(
+    ROW_OP,
+    ROW_OP,
+    st.tuples(st.just("aborted_txn"), st.lists(ROW_OP, min_size=1, max_size=6)),
+    st.tuples(st.just("flush"), st.integers(0, 2**16), st.floats(0.0, 1.0)),
+    st.tuples(st.just("rebuild"), st.sampled_from([1, 2, 4]), BETWEEN),
+    st.tuples(st.just("checkpoint")),
+)
+LAST = st.one_of(
+    st.tuples(st.just("nothing")),
+    st.tuples(st.just("open_txn"), st.lists(ROW_OP, min_size=1, max_size=8)),
+    # Crash inside a pass, after its ``nth`` top action: the pass's
+    # transaction is a loser whose completed top actions must survive.
+    st.tuples(
+        st.just("crashing_rebuild"),
+        st.sampled_from([1, 2, 4]),
+        st.integers(1, 12),
+        BETWEEN,
+    ),
+    st.tuples(st.just("crashing_split"), KEYS),
+)
+
+
+@st.composite
+def histories(draw):
+    """(keys loaded before the checkpoint, steps, last step, share of the
+    unflushed log tail that reaches disk before the crash)."""
+    loaded = draw(st.integers(min_value=40, max_value=300))
+    steps = draw(st.lists(STEP, max_size=25))
+    return loaded, steps, draw(LAST), draw(st.floats(0.0, 1.0))
+
+
+class Replay:
+    """Drives one engine through a history, up to and including the crash."""
+
+    def __init__(self, history) -> None:
+        loaded, steps, last, tail_share = history
+        self.engine = Engine(
+            page_size=2048, io_size=16384, buffer_capacity=512
+        )
+        self.tree = self.engine.create_index(key_len=4)
+        self.present: set[int] = set()
+        for k in range(0, 2 * loaded, 2):
+            self.row_op(("insert", k % 400))
+        self.engine.checkpoint()
+        for step in steps:
+            self.step(step)
+        try:
+            self.last(last)
+        except CrashPoint:
+            pass
+        self.flush_log_tail(tail_share)
+        self.engine.crash()
+
+    def row_op(self, op, txn=None) -> None:
+        kind, k = op[0], op[1]
+        if kind == "insert":
+            if k not in self.present:
+                self.tree.insert(
+                    intkey(k), k, payload=bytes([k % 251]) * PAYLOAD, txn=txn
+                )
+                self.present.add(k)
+        elif kind == "delete":
+            if k in self.present:
+                self.tree.delete(intkey(k), k, txn=txn)
+                self.present.discard(k)
+        elif kind == "delete_range":
+            for victim in range(k, k + op[2]):
+                self.row_op(("delete", victim), txn)
+        else:  # thin
+            for victim in range(k, 400):
+                if victim % op[2]:
+                    self.row_op(("delete", victim), txn)
+
+    def step(self, step) -> None:
+        kind = step[0]
+        if kind == "aborted_txn":
+            txn = self.engine.ctx.txns.begin()
+            before = set(self.present)
+            for op in step[1]:
+                self.row_op(op, txn)
+            self.engine.ctx.txns.abort(txn)
+            self.present = before
+        elif kind == "flush":
+            resident = self.engine.buffer._resident_ids()
+            share = round(step[2] * len(resident))
+            self.engine.buffer.flush_pages(
+                random.Random(step[1]).sample(resident, share)
+            )
+        elif kind == "rebuild":
+            self.rebuild(step[1], step[2])
+        elif kind == "checkpoint":
+            self.engine.checkpoint()
+        else:
+            self.row_op(step)
+
+    def rebuild(self, ntasize: int, between, crash_at_nta: int = 0) -> None:
+        pending = list(between)
+        fired = [0]
+
+        def traffic(_ctx) -> None:
+            if pending:
+                self.row_op(pending.pop(0))
+
+        def crash(_ctx) -> None:
+            fired[0] += 1
+            if fired[0] == crash_at_nta:
+                raise CrashPoint("rebuild.nta_end")
+
+        syncpoints = self.engine.syncpoints
+        syncpoints.on("rebuild.txn_committed", traffic)
+        syncpoints.on("rebuild.nta_end", crash)
+        try:
+            OnlineRebuild(
+                self.tree,
+                RebuildConfig(
+                    ntasize=ntasize, xactsize=2 * ntasize, chunk_size=8
+                ),
+            ).run()
+        finally:
+            syncpoints.remove("rebuild.txn_committed", traffic)
+            syncpoints.remove("rebuild.nta_end", crash)
+
+    def last(self, last) -> None:
+        kind = last[0]
+        if kind == "open_txn":
+            txn = self.engine.ctx.txns.begin()
+            for op in last[1]:
+                self.row_op(op, txn)
+        elif kind == "crashing_rebuild":
+            self.rebuild(last[1], last[3], crash_at_nta=last[2])
+        elif kind == "crashing_split":
+
+            def crash(_ctx) -> None:
+                raise CrashPoint("split.leaf_done")
+
+            self.engine.syncpoints.once("split.leaf_done", crash)
+            for k in range(last[1], last[1] + 400):
+                self.row_op(("insert", 1000 + k))
+
+    def flush_log_tail(self, share: float) -> None:
+        log = self.engine.log
+        tail = log.raw_records(from_lsn=log.flushed_lsn)
+        upto = round(share * len(tail))
+        if upto:
+            log.flush_to(LogRecord.peek(tail[upto - 1])[3])
+
+
+# -------------------------------------------------------------------- oracle
+
+
+class LogOrderRecovery(RecoveryManager):
+    """The oracle: every durable record decoded, redo one record at a
+    time in LSN order.  (Histories quarantine nothing.)"""
+
+    def _analysis(self, report):
+        records = list(self.log.scan(durable_only=True))
+        checkpoint = None
+        active: dict[int, int] = {}
+        for rec in records:
+            if rec.type is RecordType.CHECKPOINT:
+                checkpoint = rec
+            elif rec.type in (RecordType.TXN_COMMIT, RecordType.TXN_ABORT):
+                active.pop(rec.txn_id, None)
+            elif rec.txn_id:
+                active[rec.txn_id] = rec.lsn
+            if rec.type is RecordType.REBUILD_PROGRESS:
+                self._fold_progress(rec, report)
+        report.loser_txns = sorted(active)
+        self._loser_last_lsn = active
+        if checkpoint is not None:
+            report.checkpoint_lsn = checkpoint.lsn
+            self.page_manager.restore(checkpoint.payload_json["page_manager"])
+            report.index_meta = dict(checkpoint.payload_json["index_meta"])
+            self.ctx.index_roots.update(
+                {int(i): int(m["root"]) for i, m in report.index_meta.items()}
+            )
+        work = [r for r in records if r.lsn > report.checkpoint_lsn]
+        report.records_redone = len(work)
+        return work
+
+    def _redo(self, work) -> None:
+        for rec in work:
+            if rec.type is RecordType.CLR:
+                rec.resolved_undone = self.log.record_at(rec.undone_lsn)
+            redo_record(rec, self.ctx)
+
+
+# ------------------------------------------------------------------- mutants
+
+
+class QueuesAcrossKeycopy(RecoveryManager):
+    """Mutant: a KEYCOPY no longer drains the queue first."""
+
+    def _redo(self, work) -> None:
+        queued: dict[int, list] = {}
+        for lsn, rtype, page_id, data in work:
+            if rtype in SINGLE_PAGE_REDO:
+                queued.setdefault(page_id, []).append((lsn, data))
+                continue
+            if rtype != RecordType.KEYCOPY:
+                self._drain(queued)
+            rec = LogRecord.decode(data)
+            if rec.type is RecordType.CLR:
+                rec.resolved_undone = self.log.record_at(rec.undone_lsn)
+            redo_record(rec, self.ctx)
+        self._drain(queued)
+
+
+def _queue_mutant(skip_lsn_test: bool = False, backwards: bool = False):
+    """``apply.redo_page_queue`` with one rule broken."""
+    from repro.wal.apply import _apply_to_page
+
+    def redo_page_queue(page_id, queue, ctx) -> int:
+        page = ctx.buffer.fetch(page_id, large_io=True)
+        try:
+            for lsn, data in reversed(queue) if backwards else queue:
+                if skip_lsn_test or page.page_lsn < lsn:
+                    _apply_to_page(LogRecord.decode(data), page)
+                    page.page_lsn = lsn
+        finally:
+            ctx.buffer.unpin(page_id, dirty=True)
+        return len(queue)
+
+    return mock.patch.object(recovery, "redo_page_queue", redo_page_queue)
+
+
+MUTANTS = {
+    "queues-across-keycopy": lambda: mock.patch.object(
+        engine_module, "RecoveryManager", QueuesAcrossKeycopy
+    ),
+    "skips-the-page-lsn-test": lambda: _queue_mutant(skip_lsn_test=True),
+    "drains-a-page-out-of-lsn-order": lambda: _queue_mutant(backwards=True),
+}
+
+
+# ---------------------------------------------------------------- comparison
+
+
+UNDO_NEEDS_A_SPLIT = {"error": "PageFullError"}
+"""Undoing a delete found its leaf full.  ``apply._logical_leaf_inverse``
+documents the case as out of scope (it needs an undo-time split); such a
+history is set aside, at run time or in recovery."""
+
+
+def recovered(history, patch=None):
+    """Everything recovery leaves behind for ``history``'s crash state
+    (a tree that verifies, to begin with), or the error it ended in."""
+    try:
+        engine = Replay(history).engine
+    except PageFullError:
+        return UNDO_NEEDS_A_SPLIT
+    try:
+        with patch or contextlib.nullcontext():
+            report = engine.recover()
+        engine.index(1).verify()
+    except PageFullError:
+        return UNDO_NEEDS_A_SPLIT
+    except Exception as exc:  # noqa: BLE001 - a mutant may fail anyhow
+        return {"error": type(exc).__name__}
+    disk = engine.ctx.disk
+    return {
+        "images": {
+            pid: zlib.crc32(disk.read_physical(pid))
+            for pid in engine.page_manager.allocated_pages()
+        },
+        "page_states": engine.page_manager.snapshot(),
+        "loser_txns": report.loser_txns,
+        "pages_freed": report.pages_freed,
+        "rebuild_checkpoint": report.rebuild_checkpoint,
+        "records_redone": report.records_redone,
+        "records_undone": report.records_undone,
+        "contents": engine.index(1).contents(),
+    }
+
+
+def by_the_oracle(history):
+    return recovered(
+        history,
+        mock.patch.object(engine_module, "RecoveryManager", LogOrderRecovery),
+    )
+
+
+KILLERS = {
+    # Sparse leaves, so top actions copy into the previous page and log
+    # no ALLOCRUN: the last barrier before a KEYCOPY is then the previous
+    # top action's DEALLOC, and a delete that ran between two rebuild
+    # transactions sits in the queue of the leaf the KEYCOPY reads next.
+    "queues-across-keycopy": (
+        200,
+        [("thin", 0, 20)],
+        (
+            "crashing_rebuild", 1, 6,
+            [("delete", 100), ("delete", 120), ("delete", 140)],
+        ),
+        1.0,
+    ),
+    # The leaf reaches disk carrying the first insert; replaying that
+    # insert onto it again doubles the row.
+    "skips-the-page-lsn-test": (
+        100, [("insert", 1), ("flush", 0, 1.0), ("insert", 3)],
+        ("nothing",), 1.0,
+    ),
+    # Two inserts on one unflushed leaf: the later one first stamps the
+    # page past the earlier one, which is then taken for applied.
+    "drains-a-page-out-of-lsn-order": (
+        100, [("insert", 1), ("insert", 3)], ("nothing",), 1.0,
+    ),
+}
+"""One history per mutant that tells it from the oracle.  Each is a value
+``histories()`` can draw, and each is an explicit example of the
+comparison below."""
+
+
+RECYCLED_LEAF = (
+    153,
+    [
+        ("thin", 39, 5),
+        ("aborted_txn", [("delete", 38)]),
+        ("rebuild", 1, []),
+        ("rebuild", 1, []),
+    ],
+    ("nothing",),
+    0.0,
+)
+"""Found by this test, in the oracle as much as in the engine: the leaf
+that held key 38 when its delete was rolled back is freed by the first
+pass and comes back, forced, as a leaf of another key range in the
+second.  Redo of the CLR descends to it by key, and used to re-insert 38
+there because it was "absent"."""
+
+
+@given(history=histories())
+@example(history=RECYCLED_LEAF)
+@example(history=KILLERS["queues-across-keycopy"])
+@example(history=KILLERS["skips-the-page-lsn-test"])
+@example(history=KILLERS["drains-a-page-out-of-lsn-order"])
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_page_ordered_redo_equals_log_order_redo(history):
+    want = by_the_oracle(history)
+    assume(want != UNDO_NEEDS_A_SPLIT)
+    assert "error" not in want
+    assert recovered(history) == want
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_the_comparison_kills_the_mutant(mutant):
+    history = KILLERS[mutant]
+    want = by_the_oracle(history)
+    assert "error" not in want
+    assert recovered(history, MUTANTS[mutant]()) != want

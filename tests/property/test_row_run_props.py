@@ -312,7 +312,8 @@ def test_filtered_scan_equals_filtering_the_full_scan(
 
 def test_peek_validates_like_decode():
     data = _record(RecordType.DEALLOC, 9).encode()
-    assert LogRecord.peek(data) == (RecordType.DEALLOC, 9)
+    rtype, _flags, length, _lsn, _prev, txn_id, *_ = LogRecord.peek(data)
+    assert (rtype, length, txn_id) == (RecordType.DEALLOC, len(data), 9)
     from repro.errors import LogFormatError
 
     for bad in (data[:40], b"\x00\x00" + data[2:], data + b"\x00"):

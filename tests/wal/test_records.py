@@ -190,6 +190,93 @@ def test_decode_rejects_garbage():
         LogRecord.decode(b"\xff" * RECORD_OVERHEAD)
 
 
+def _retyped(data: bytes, type_byte: int) -> bytes:
+    return data[:2] + bytes([type_byte]) + data[3:]
+
+
+def _resized(data: bytes, size: int) -> bytes:
+    """The first ``size`` bytes with the header's length field patched to
+    match, so only the payload is short."""
+    return data[:4] + size.to_bytes(4, "little") + data[8:size]
+
+
+@pytest.mark.parametrize("type_byte", [0, 21, 255])
+def test_unknown_type_byte_is_a_format_error(type_byte):
+    data = _retyped(LogRecord(type=RecordType.TXN_BEGIN).encode(), type_byte)
+    with pytest.raises(LogFormatError, match="unknown record type"):
+        LogRecord.decode(data)
+    with pytest.raises(LogFormatError, match="unknown record type"):
+        LogRecord.peek(data)
+
+
+PAYLOAD_SAMPLES = [
+    LogRecord(type=RecordType.INSERT, pos=3, rows=[b"k" * 12]),
+    LogRecord(type=RecordType.BATCHDELETE, pos=1, rows=[b"a" * 8, b"b" * 8]),
+    LogRecord(
+        type=RecordType.KEYCOPY,
+        pp_page=4,
+        pp_old_next=5,
+        pp_new_next=9,
+        entries=[KeyCopyEntry(5, 9, 0, 7), KeyCopyEntry(6, 9, 0, 3)],
+        target_ts=[(9, 100), (4, 90)],
+        links=[ChainLink(9, 4, 7)],
+    ),
+    LogRecord(type=RecordType.ALLOC, page_type=1, level=0, prev_page=2),
+    LogRecord(type=RecordType.ALLOCRUN, page_type=1, page_ids=[7, 8, 9]),
+    LogRecord(type=RecordType.DEALLOC, page_ids=[3, 4, 5]),
+    LogRecord(type=RecordType.CHANGEPREVLINK, old_prev=1, new_prev=2),
+    LogRecord(type=RecordType.CHANGENEXTLINK, old_next=1, new_next=2),
+    LogRecord(type=RecordType.FORMAT, page_type=2, level=1),
+    LogRecord(type=RecordType.CLR, undone_lsn=1234),
+    LogRecord(
+        type=RecordType.REBUILD_PROGRESS,
+        epoch=77,
+        start_unit=b"aaaa",
+        last_unit=b"mmmm",
+    ),
+    LogRecord(type=RecordType.QUARANTINE, epoch=5, start_unit=b"q" * 6),
+    LogRecord(type=RecordType.CHECKPOINT, payload_json={"page_manager": {}}),
+]
+
+
+@pytest.mark.parametrize(
+    "rec", PAYLOAD_SAMPLES, ids=lambda rec: rec.type.name
+)
+def test_short_payload_is_a_format_error(rec):
+    """Every strict prefix of a payload, framed with a consistent header,
+    is refused as ``LogFormatError`` — never ``struct.error``, a JSON
+    error, or a silently shortened row."""
+    data = rec.encode()
+    for size in range(RECORD_OVERHEAD, len(data)):
+        short = _resized(data, size)
+        assert LogRecord.peek(short)[0] == rec.type  # the header is fine
+        if rec.type is RecordType.CHECKPOINT and size == RECORD_OVERHEAD:
+            assert LogRecord.decode(short).payload_json == {}
+            continue
+        with pytest.raises(LogFormatError, match="malformed"):
+            LogRecord.decode(short)
+
+
+def test_peek_returns_the_whole_header():
+    rec = LogRecord(
+        type=RecordType.INSERT,
+        txn_id=7,
+        page_id=42,
+        index_id=3,
+        old_ts=900,
+        lsn=1000,
+        prev_lsn=500,
+        undo_next_lsn=11,
+        flags=1,
+        pos=2,
+        rows=[b"rowbytes"],
+    )
+    data = rec.encode()
+    assert LogRecord.peek(data) == (
+        RecordType.INSERT, 1, len(data), 1000, 500, 7, 11, 3, 42, 900,
+    )
+
+
 def test_rebuild_progress_record_roundtrip():
     back = roundtrip(
         LogRecord(

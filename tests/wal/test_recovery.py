@@ -154,3 +154,94 @@ def test_multiple_crash_cycles(engine):
         index.insert(intkey(1000 + round_no), 1000 + round_no)
         keys = sorted(keys + [1000 + round_no])
     index.verify()
+
+
+def test_bit_sweep_reads_by_run_and_skips_a_rotted_page():
+    """The post-recovery bit sweep reads what redo left on disk a run at a
+    time; a rotted page — met as the fetched page or as a run neighbour —
+    is left for the scrubber, and the pages around it are still swept."""
+    from repro.errors import ChecksumError
+    from repro.storage.faults import FaultPlan
+    from repro.storage.page import PageFlag
+
+    engine = Engine(
+        io_size=16384, buffer_capacity=2048, lock_timeout=15.0,
+        fault_plan=FaultPlan(),
+    )
+    index = engine.create_index(key_len=4)
+    fill_index(index, 3000)
+    ppio = engine.ctx.disk.pages_per_io
+    allocated = engine.ctx.page_manager.allocated_pages()
+    leaves = set(index.verify().leaf_page_ids)
+    # A leaf in the middle of an aligned run whose two neighbours are
+    # allocated too: one gets rot, the other a stale SPLIT bit.
+    victim = next(
+        pid for pid in allocated
+        if pid in leaves and (pid - 1) % ppio == 3
+        and {pid - 1, pid + 1} <= set(allocated)
+    )
+    flagged = victim + 1
+    page = engine.buffer.fetch(flagged)
+    page.set_flag(PageFlag.SPLIT)
+    engine.buffer.unpin(flagged, dirty=True)
+    engine.checkpoint()  # everything on disk, nothing left to redo
+    assert engine.ctx.disk.plant_rot(victim, bit=321)
+    engine.crash()
+
+    sweep = {}
+    original = Engine._clear_protocol_bits
+
+    def measured(self):
+        before = self.counters.snapshot()
+        original(self)
+        sweep.update(self.counters.diff(before))
+
+    Engine._clear_protocol_bits = measured
+    try:
+        engine.recover()
+    finally:
+        Engine._clear_protocol_bits = original
+
+    runs = len({(pid - 1) // ppio for pid in allocated})
+    # One read per aligned run; the victim, absent from its run's
+    # admission, costs its own attempt (the run again, then the direct
+    # re-read that names the defect).  The one write is ``flagged``.
+    assert sweep["disk_pages_written"] == 1
+    assert sweep["disk_io_calls"] - 1 == runs + 2
+    assert sweep["page_reads"] == len(allocated)
+    page = engine.buffer.fetch(flagged)
+    engine.buffer.unpin(flagged)
+    assert page.flags == PageFlag.NONE
+    assert engine.page_manager.state(victim) is PageState.ALLOCATED
+    with pytest.raises(ChecksumError):
+        engine.buffer.fetch(victim)
+    # The rest of the index serves: a key of the swept neighbour reads.
+    neighbour_key = page.rows[0][:4]
+    assert engine.index(1).lookup(neighbour_key) != []
+
+
+def test_clr_redo_leaves_a_later_incarnation_of_its_leaf_alone():
+    """A rolled-back delete is redone by key.  The leaf the key lived on
+    is freed by one rebuild pass and reallocated, forced, by the next for
+    another key range; the CLR's redo reaches that image and must see from
+    its timestamp that it is not the page the CLR changed."""
+    from repro import OnlineRebuild, RebuildConfig
+
+    engine = Engine(page_size=2048, io_size=16384, buffer_capacity=512)
+    index = engine.create_index(key_len=4)
+    for k in range(0, 306, 2):
+        index.insert(intkey(k), k, payload=bytes([k % 251]) * 40)
+    engine.checkpoint()
+    for k in range(40, 306, 2):
+        if k % 5:
+            index.delete(intkey(k), k)
+    txn = engine.ctx.txns.begin()
+    index.delete(intkey(38), 38, txn=txn)
+    engine.ctx.txns.abort(txn)
+    expected = contents_as_ints(index)
+    config = RebuildConfig(ntasize=1, xactsize=2, chunk_size=8)
+    OnlineRebuild(index, config).run()
+    OnlineRebuild(index, config).run()
+    crash_recover(engine)
+    engine.index(1).verify()
+    assert contents_as_ints(engine.index(1)) == expected

@@ -7,9 +7,11 @@ record round-trips through another reopen.
 """
 
 import os
+import zlib
 
 import pytest
 
+from repro.errors import LogFormatError
 from repro.stats.counters import Counters
 from repro.wal.file_log import FRAME_OVERHEAD, FileLogManager
 from repro.wal.records import LogRecord, RecordType
@@ -86,6 +88,54 @@ def test_corrupt_byte_inside_last_record_truncates(tmp_path):
     log = FileLogManager(path, counters=counters)
     assert len(list(log.scan())) == 2
     assert counters.log_torn_tail == 1
+    log.close()
+
+
+def _rewrite_last_record(path: str, n: int, edit) -> None:
+    """Replace the last of ``n`` identical frames by ``edit(record bytes)``
+    under a *valid* frame (length and CRC recomputed): the frame check
+    passes, so what reopen makes of the record is up to the record."""
+    full = os.path.getsize(path)
+    last_start = full - full // n
+    with open(path, "r+b") as f:
+        f.seek(last_start + FRAME_OVERHEAD)
+        data = edit(f.read())
+        f.seek(last_start)
+        f.truncate()
+        f.write(len(data).to_bytes(4, "little"))
+        f.write(zlib.crc32(data).to_bytes(4, "little"))
+        f.write(data)
+
+
+def test_unknown_record_type_under_a_valid_frame_truncates(tmp_path):
+    """A type byte no release ever wrote is a malformed record, not a
+    crash of the reopen: the log ends before it."""
+    path = str(tmp_path / "wal.log")
+    build_log(path, 3)
+    _rewrite_last_record(path, 3, lambda d: d[:2] + b"\xee" + d[3:])
+    counters = Counters()
+    log = FileLogManager(path, counters=counters)
+    assert len(list(log.scan())) == 2
+    assert counters.log_torn_tail == 1
+    log.close()
+
+
+def test_short_payload_under_a_valid_frame_is_a_format_error(tmp_path):
+    """Reopen reads headers only, so a record whose header is sound is
+    kept; whoever decodes its short payload gets ``LogFormatError``."""
+    path = str(tmp_path / "wal.log")
+    lsns = build_log(path, 3)
+
+    def shorten(data: bytes) -> bytes:
+        size = len(data) - 2
+        return data[:4] + size.to_bytes(4, "little") + data[8:size]
+
+    _rewrite_last_record(path, 3, shorten)
+    log = FileLogManager(path, counters=Counters())
+    assert [LogRecord.peek(d)[3] for d in log.raw_records()] == lsns
+    assert len(list(log.scan(types=(RecordType.TXN_COMMIT,)))) == 0
+    with pytest.raises(LogFormatError):
+        list(log.scan())
     log.close()
 
 

@@ -41,6 +41,7 @@ from itertools import accumulate
 from typing import Callable
 
 from repro.btree import keys as K
+from repro.btree import node
 from repro.btree.split import _update_prev_link
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
@@ -48,7 +49,7 @@ from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
 from repro.core.propagation import PropagationEntry, PropOp
-from repro.errors import RebuildError
+from repro.errors import RebuildError, StorageError
 from repro.storage.page import (
     HEADER_SIZE,
     NO_PAGE,
@@ -165,7 +166,6 @@ def copy_multipage(
     cleanup: list[int],
     deallocated: list[int],
     stop_unit: bytes | None = None,
-    prefetch_hint: "Callable[[int, int], None] | None" = None,
     stop_before: bytes | None = None,
     fill_pp: bool = True,
     pp_busy_wait: "Callable[[], bool] | None" = None,
@@ -177,11 +177,10 @@ def copy_multipage(
     ``p1_id`` stopped being a usable leaf before it could be locked (the
     driver re-discovers and retries).
 
-    ``prefetch_hint(next_leaf, npages)`` is called, when given, as soon as
-    the next top action's first source leaf is known — i.e. right after the
-    current run's source pages have been read, *before* the CPU-heavy
-    planning and apply work.  The I/O scheduler's reader uses the hint to
-    pull the next run into the buffer pool while this one is being copied.
+    The source leaves are usually resident by the time the locking pass
+    fetches them: the driver publishes ``p1_id`` to the I/O scheduler's
+    read-ahead before it calls in here (:func:`level1_leaf_order` is
+    where the scheduler learns which leaves come next).
 
     The three remaining knobs serve the partitioned parallel rebuild:
 
@@ -224,8 +223,6 @@ def copy_multipage(
         sources.append((pid, list(page.rows)))
         next_after_run = page.next_page
         ctx.release_page(pid)
-    if prefetch_hint is not None and next_after_run != NO_PAGE:
-        prefetch_hint(next_after_run, config.ntasize)
 
     pp_low_unit: bytes | None = None
     pp_last_unit: bytes | None = None
@@ -302,6 +299,85 @@ def copy_multipage(
         next_leaf=next_after_run,
         low_unit=low_unit,
     )
+
+
+# --------------------------------------------------------------- read-ahead
+
+_BUSY = PageFlag.SPLIT | PageFlag.SHRINK | PageFlag.OLDPGOFSPLIT
+
+
+def level1_leaf_order(
+    ctx: EngineContext, tree: "object", unit: bytes, count: int
+) -> tuple[list[int], bytes | None] | None:
+    """The source order of the copy phase, read off level 1 (§5): about
+    ``count`` leaf ids in chain order starting with the leaf whose range
+    holds ``unit``, and the unit the order continues from (``None`` at
+    the right edge of the index).
+
+    This is what lets read-ahead request upcoming runs without reading a
+    leaf for its ``next_page`` pointer.  Per nonleaf page: S-latch, copy
+    the child ids, release — the level-1 pages are the ones the rebuild's
+    propagation visits every top action, and the ones ahead are read
+    here a little before its traversal would have read them.  It is a
+    hint's read, so it never waits: a latch that is not free, a page that
+    cannot be read, or a SPLIT / SHRINK / OLDPGOFSPLIT bit on the way (a
+    top action is rearranging exactly these entries; waiting it out would
+    mean an address lock) returns ``None`` — or the part of the order
+    already copied — and the caller falls back to the ``next_page`` walk.
+    """
+    leaves: list[int] = []
+    at: bytes | None = unit
+    while at is not None and len(leaves) < count:
+        found = _level1_children(ctx, tree, at)
+        if found is None:
+            # What was copied so far is still good, and ``at`` is where
+            # the page that could not be read begins.
+            return (leaves, at) if leaves else None
+        children, at = found
+        leaves += children
+    return leaves, at
+
+
+def _level1_children(
+    ctx: EngineContext, tree: "object", unit: bytes
+) -> tuple[list[int], bytes | None] | None:
+    """Children of the level-1 page covering ``unit``, from the child
+    covering it on, and the unit at which the next level-1 page starts."""
+    page_id, level, bound = tree.root_page_id, None, None
+    while True:
+        if not (
+            ctx.page_manager.is_allocated(page_id)
+            and ctx.latches.try_acquire(page_id, LatchMode.S)
+        ):
+            return None
+        try:
+            page = ctx.buffer.fetch(page_id, scan=True)
+            try:
+                if (
+                    page.page_type is not PageType.NONLEAF
+                    or page.index_id != tree.index_id
+                    or (level is not None and page.level != level)
+                    or page.has_flag(_BUSY)
+                ):
+                    return None
+                pos, child = node.child_search(page, unit, ctx.counters)
+                level = page.level - 1
+                if level == 0:
+                    return [
+                        node.entry_child(row) for row in page.rows[pos:]
+                    ], bound
+                if pos + 1 < page.nrows:
+                    # The tightest separator above the path bounds the
+                    # level-1 page from the right: its right-hand
+                    # neighbor starts exactly there.
+                    bound = node.entry_key(page.rows[pos + 1])
+            finally:
+                ctx.buffer.unpin(page_id)
+        except StorageError:
+            return None  # unreadable nonleaf page: the rebuild will say so
+        finally:
+            ctx.latches.release(page_id)
+        page_id = child
 
 
 # ------------------------------------------------------------------ locking

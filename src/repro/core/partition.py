@@ -153,22 +153,22 @@ def plan_partitions(
     config: RebuildConfig,
     first_leaf: int,
     workers: int,
-    prefetch_hint=None,
+    readahead=None,
 ) -> PartitionPlan:
     """Cut the leaf chain into up to ``workers`` disjoint segments.
 
     Level-1 separator planning by default; the exact-packing leaf walk
     when configured, and as the fallback when the nonleaf descent hits a
-    concurrent restructure.  ``prefetch_hint(next_leaf, npages)``, when
-    given, feeds the I/O scheduler's reader during the leaf walk so it
-    reuses the rebuild's read-ahead machinery instead of paying cold-read
-    latency twice.
+    concurrent restructure.  ``readahead(next_leaf, unit)``, when given,
+    publishes the leaf walk's position to the I/O scheduler every
+    ``ntasize`` leaves, so the walk reads behind the rebuild's read-ahead
+    window instead of paying cold-read latency leaf by leaf.
     """
     if not config.partition_exact_packing:
         plan = _plan_from_level1(ctx, tree, workers)
         if plan is not None:
             return plan
-    return _plan_from_leaves(ctx, config, first_leaf, workers, prefetch_hint)
+    return _plan_from_leaves(ctx, config, first_leaf, workers, readahead)
 
 
 def repair_key_bounds(
@@ -281,7 +281,7 @@ def _plan_from_leaves(
     config: RebuildConfig,
     first_leaf: int,
     workers: int,
-    prefetch_hint=None,
+    readahead=None,
 ) -> PartitionPlan:
     """Walk the chain from ``first_leaf``, replaying the serial packing
     stream to tag clean boundaries; cut preferring them."""
@@ -304,6 +304,7 @@ def _plan_from_leaves(
         try:
             costs = [SLOT_OVERHEAD + len(r) for r in page.rows]
             first = page.rows[0] if page.nrows else None
+            last = page.rows[-1] if page.nrows else None
             next_id = page.next_page
         finally:
             ctx.release_page(pid)
@@ -317,12 +318,10 @@ def _plan_from_leaves(
             free -= cost
         cum_units += len(costs)
         leaves += 1
-        if (
-            prefetch_hint is not None
-            and next_id != NO_PAGE
-            and leaves % config.ntasize == 0
-        ):
-            prefetch_hint(next_id, config.ntasize)
+        if readahead is not None and leaves % config.ntasize == 0:
+            # The successor's range starts right behind this leaf's last
+            # unit (an empty leaf has no unit to offer: chain walk).
+            readahead(next_id, last + b"\x00" if last is not None else None)
         pid = next_id
     ctx.counters.add("partition_planner_leaves", leaves)
 

@@ -53,6 +53,7 @@ serial driver; an ordinary failure aborts that worker's transaction under
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
@@ -69,7 +70,11 @@ from repro.concurrency.syncpoints import CrashPoint
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
-from repro.core.copy_phase import PositionLost, copy_multipage
+from repro.core.copy_phase import (
+    PositionLost,
+    copy_multipage,
+    level1_leaf_order,
+)
 from repro.core.partition import (
     PartitionSegment,
     ResumeSegment,
@@ -342,16 +347,19 @@ class OnlineRebuild:
         log_before = ctx.log.usage_snapshot()
         timer = Timer()
         # Pipelining (issue 3): a nonzero pipeline_depth runs the §3 forces
-        # through a background writer and read-ahead through a background
-        # reader; a nonzero group_commit_window lets the rebuild's commits
+        # through a background writer and read-ahead through background
+        # readers; a nonzero group_commit_window lets the rebuild's commits
         # (and any concurrent user commits) share physical log flushes.
-        # The parallel driver scales the read-ahead depth by the worker
-        # count so each worker keeps its own prefetch window.
+        # Each driver loop (the serial one, or every parallel worker) is
+        # one read-ahead consumer with a window of pipeline_depth top
+        # actions, which the scheduler caps by what the pool's ring holds.
         if config.pipeline_depth > 0:
             self._scheduler = IOScheduler(
                 ctx.buffer, counters=ctx.counters,
-                depth=config.pipeline_depth
-                * (config.parallel_workers if use_parallel else 1),
+                window=config.pipeline_depth * config.ntasize,
+                consumers=config.parallel_workers if use_parallel else 1,
+                leaf_order=functools.partial(level1_leaf_order, ctx, tree),
+                tracer=tracer,
             ).start()
         ctx.group_commit_hold.acquire(config.group_commit_window)
         # Scan resistance (issue 8): enable the pool's probationary ring
@@ -488,6 +496,10 @@ class OnlineRebuild:
                     if p1 is None:
                         done = True
                         break
+                    if self._scheduler is not None:
+                        # Publish the position before the run is read:
+                        # read-ahead keeps its window beyond it requested.
+                        self._scheduler.advance(partition, p1, probe or b"")
                     with tracer.span(
                         "rebuild.top_action", partition=partition
                     ):
@@ -636,8 +648,12 @@ class OnlineRebuild:
         with ctx.tracer.span("rebuild.plan"):
             plan = plan_partitions(
                 ctx, self.tree, config, first, config.parallel_workers,
-                prefetch_hint=(
-                    scheduler.prefetch_chain if scheduler is not None else None
+                # The planner's leaf walk reads as consumer 0; the worker
+                # that takes the ordinal over starts its window afresh.
+                readahead=(
+                    functools.partial(scheduler.advance, 0)
+                    if scheduler is not None
+                    else None
                 ),
             )
         ctx.progress.set_units_total(plan.leaves_walked)
@@ -983,9 +999,6 @@ class OnlineRebuild:
             result = copy_multipage(
                 ctx, tree, txn, config, chunk_alloc, p1, cleanup,
                 deallocated, stop_unit=self._end_unit,
-                prefetch_hint=(
-                    scheduler.prefetch_chain if scheduler is not None else None
-                ),
                 stop_before=stop_before,
                 fill_pp=fill_pp,
                 pp_busy_wait=pp_busy_wait,

@@ -53,8 +53,11 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "prefetch_hits",       # fetches satisfied by a speculatively cached page
     "prefetch_unused",     # prefetched pages evicted before anyone fetched them
     "prefetch_skipped_resident",  # read-ahead hints dropped: page already cached
+    "prefetch_skipped_inflight",  # hints dropped: another thread is reading the page
     "prefetch_throttled",  # read-ahead refused: ring full of unconsumed window
     "prefetch_skipped_consumed",  # hint dropped: scan already consumed the page
+    "prefetch_errors",     # read-ahead attempts dropped on an error (never fatal)
+    "rebuild_demand_reads",  # source-run reads the scan had to issue itself
     "ring_ghost_promotions",  # scan re-read after ring eviction -> protected
     # Scan-resistant sharded buffer pool (PR 8).
     "pool_demand_hits",    # OLTP (scan=False) fetches served from the pool

@@ -377,6 +377,10 @@ class BufferPool:
                     shard.inflight.discard(page_id)
                     shard.cond.notify_all()
                 missed = True
+                if scan and large_io:
+                    # A source-leaf read the scan had to issue itself:
+                    # read-ahead did not have the run resident in time.
+                    self.counters.add("rebuild_demand_reads")
                 break
             if frame.prefetched:
                 self.counters.add("prefetch_hits")
@@ -969,6 +973,22 @@ class BufferPool:
                 self.counters.add("hot_evictions_by_scan")
             return True
 
+    def _window_frames(self, shard: _Shard) -> int:
+        """Frames of ``shard`` the not-yet-consumed read-ahead window may
+        hold: half its ring (half its slice when the ring is off).  The
+        other half is the copy loop's working room (current targets,
+        just-consumed sources) — a window allowed to fill the whole ring
+        leaves the rebuild's own demand admissions nothing to recycle
+        but the window itself."""
+        return max(1, (shard.ring_quota or shard.capacity) // 2)
+
+    def readahead_room(self) -> int:
+        """Pool-wide bound on speculative frames: what the I/O scheduler
+        sizes its read-ahead windows from (divided by the number of
+        consumers).  A window beyond it is read only to be evicted
+        unconsumed (``prefetch_unused``) and read again."""
+        return sum(self._window_frames(shard) for shard in self._shards)
+
     def _ring_headroom(self, shard: _Shard) -> bool:
         """True when a speculative admission into ``shard`` could land.
 
@@ -985,12 +1005,7 @@ class BufferPool:
         for frame in shard.ring.values():
             if frame.prefetched and frame.seq > shard.consumed_seq:
                 live += 1
-        # Cap the live window at half the ring: the other half is the
-        # copy loop's working room (current targets, just-consumed
-        # sources).  A window allowed to fill the whole ring leaves the
-        # rebuild's own demand admissions nothing to recycle but the
-        # window itself.
-        return live < max(1, shard.ring_quota // 2)
+        return live < self._window_frames(shard)
 
     def _write_run(self, shard: _Shard, page_id: int, frame: _Frame) -> None:
         """Write a dirty ring victim *and* the dirty frames of its
@@ -1127,98 +1142,101 @@ class BufferPool:
 
     # --------------------------------------------------------------- prefetch
 
-    def prefetch(self, page_id: int, scan: bool = False) -> int | None:
+    def prefetch(
+        self, page_id: int, scan: bool = False
+    ) -> tuple[bool, int | None]:
         """Opportunistically cache a page without pinning it (read-ahead).
 
-        Used by the I/O scheduler's reader thread to pull upcoming source
+        Used by the I/O scheduler's reader threads to pull upcoming source
         leaves into the pool while the copy loop is busy elsewhere.  Best
-        effort on every axis: an already-resident page, a missing page, or
-        a shard with no *clean* evictable frame all end the attempt quietly
-        — a prefetch must never write a dirty page (that is the write
-        path's job) and never raises.
+        effort on every axis: an already-resident page, one another thread
+        is reading, a missing page, or a shard with no *clean* evictable
+        frame all end the attempt quietly — a prefetch never writes a
+        dirty page (that is the write path's job) and never pins.  What
+        the device raises for the read (a :class:`PermanentIOError`, a
+        transient error past the retry budget) propagates with every
+        claim released; the reader counts it and drops the hint.
 
-        Returns the page's ``next_page`` sibling pointer so the caller can
-        chain along the leaf level without re-fetching, or ``None`` when
-        nothing was admitted.
+        Returns ``(read, next_page)``: whether a physical read was issued
+        — the aligned run is then as cached as it will get, so the caller
+        asks for none of its other pages — and the page's ``next_page``
+        sibling pointer when the page is resident on return (``None``
+        otherwise), so a caller without a better source of leaf order can
+        chain along the leaf level.
 
         An already-resident page costs no frame and no I/O: the chain
         pointer is answered from the pool and the skip is counted under
-        ``prefetch_skipped_resident`` (so read-ahead effectiveness can be
-        judged against how often it merely re-walked cached pages).
+        ``prefetch_skipped_resident``; a page with a read in flight is
+        counted under ``prefetch_skipped_inflight``.  A target the run
+        read brings back without a valid image (never written, or failing
+        its CRC) is counted under ``prefetch_errors``; the demand fetch
+        that follows raises the precise error.
 
         Misses read the whole aligned physical run (§6.3 large I/O), the
         same batching — and the same neighbor claims, see
-        :meth:`_read_run` — the demand-fetch miss path uses: one reader
-        thread must be able to stay ahead of several parallel rebuild
-        workers, which it cannot do at one page per device round-trip.
-        The target stays claimed in-flight until it is admitted.  With
-        the ring enabled, ``scan=True`` admissions go to the ring's
-        first-out end and recycle only ring frames — a prefetch storm
-        cannot touch the protected region at all.
+        :meth:`_read_run` — the demand-fetch miss path uses.  The target
+        stays claimed in-flight until it is admitted.  With the ring
+        enabled, ``scan=True`` admissions go to the ring's first-out end
+        and recycle only ring frames — a prefetch storm cannot touch the
+        protected region at all.
         """
         shard = self._shards[page_id % self.n_shards]
         start, images, claimed = page_id, [], []
         next_page: int | None = None
-        with shard:
-            frame = shard.lookup(page_id)
-            if frame is not None:
-                self.counters.add("prefetch_skipped_resident")
-                return frame.page.next_page
-            if page_id in shard.inflight:
-                # Someone is already reading it; treat like resident.
-                self.counters.add("prefetch_skipped_resident")
-                return None
-            if page_id in shard.ghost:
-                # The scan already consumed this page and the ring
-                # recycled it.  A read-ahead hint pointing here is the
-                # reader lagging behind the copy loop — re-reading a page
-                # in the scan's wake is pure waste (if the rebuild does
-                # re-latch it, that demand fetch promotes it out of the
-                # ring via the ghost entry).  Drop the hint unread; the
-                # reader resumes from a later chain position.
-                self.counters.add("prefetch_skipped_consumed")
-                return None
-            if not self._ring_headroom(shard):
-                # The ring is wall-to-wall with the not-yet-consumed
-                # read-ahead window: admitting more would either fail or
-                # eat the window itself.  Refuse *before* paying the
-                # physical read — the reader thread stops here and the
-                # next prefetch hint retries from a later chain position,
-                # so the window stays sized to what the ring can hold.
-                self.counters.add("prefetch_throttled")
-                return None
-            shard.inflight.add(page_id)
-            try:
-                if not self._io_unlocked(
-                    shard, lambda: self.disk.exists(page_id)
-                ):
-                    return None
-                shard.lock.release()
+        try:
+            with shard:
+                frame = shard.lookup(page_id)
+                if frame is not None:
+                    self.counters.add("prefetch_skipped_resident")
+                    return False, frame.page.next_page
+                if page_id in shard.inflight:
+                    self.counters.add("prefetch_skipped_inflight")
+                    return False, None
+                if page_id in shard.ghost:
+                    # The scan already consumed this page and the ring
+                    # recycled it.  A read-ahead hint pointing here is the
+                    # reader lagging behind the copy loop — re-reading a
+                    # page in the scan's wake is pure waste (if the rebuild
+                    # does re-latch it, that demand fetch promotes it out
+                    # of the ring via the ghost entry).
+                    self.counters.add("prefetch_skipped_consumed")
+                    return False, None
+                if not self._ring_headroom(shard):
+                    # The ring is wall-to-wall with the not-yet-consumed
+                    # read-ahead window: admitting more would either fail
+                    # or eat the window itself.  Refuse *before* paying
+                    # the physical read.
+                    self.counters.add("prefetch_throttled")
+                    return False, None
+                shard.inflight.add(page_id)
                 try:
-                    start, images, claimed = self._read_run(page_id)
+                    shard.lock.release()
+                    try:
+                        start, images, claimed = self._read_run(page_id)
+                    finally:
+                        shard.lock.acquire()
+                    image = images[page_id - start]
+                    if image is None:
+                        self.counters.add("prefetch_errors")
+                    elif shard.lookup(page_id) is None:
+                        page = Page.from_bytes(image, self.disk.page_size)
+                        if self._admit(
+                            shard, page, scan=scan, required=False,
+                            prefetched=True, clean_only=True,
+                            spare_window=True,
+                        ) is not None:
+                            self.counters.add("prefetch_admitted")
+                            next_page = page.next_page
                 finally:
-                    shard.lock.acquire()
-                image = images[page_id - start]
-                if image is not None and shard.lookup(page_id) is None:
-                    page = Page.from_bytes(image, self.disk.page_size)
-                    if self._admit(
-                        shard, page, scan=scan, required=False,
-                        prefetched=True, clean_only=True, spare_window=True,
-                    ) is not None:
-                        self.counters.add("prefetch_admitted")
-                        next_page = page.next_page
-            except Exception:
-                # Best effort on every axis: the page may have been freed
-                # between the exists check and the read.  Fall through so
-                # any neighbor claims are still released below.
-                pass
-            finally:
-                shard.inflight.discard(page_id)
-                shard.cond.notify_all()
-        # All locks are dropped now: the target went first (when a shard's
-        # slice fills, the neighbors are the ones to skip).
-        self._admit_run(claimed, start, images, scan)
-        return next_page
+                    shard.inflight.discard(page_id)
+                    shard.cond.notify_all()
+        finally:
+            # All locks are dropped now: the target went first (when a
+            # shard's slice fills, the neighbors are the ones to skip).
+            # Runs on the error path too — it is what releases the
+            # neighbor claims.
+            self._admit_run(claimed, start, images, scan)
+        return True, next_page
 
     def evict_all(self) -> None:
         """Flush every dirty page, then drop all unpinned frames.

@@ -4,12 +4,25 @@ The paper's wins come from amortizing per-page costs across batches —
 multipage top actions (§4.3) and large-buffer I/O (§6.3).  This module
 applies the same batching idea along the *time* axis:
 
-* **Read-ahead prefetch.**  While a top action's copy loop is busy with CPU
-  work (planning splits, moving entries), a reader thread walks the source
-  leaf chain ahead of it via :meth:`BufferPool.prefetch`, so the next run of
-  source leaves is already resident when the copy loop gets there.  Prefetch
-  is purely a hint: it never evicts a dirty frame, never pins, and a failure
-  is silently dropped.
+* **Read-ahead.**  Per consumer (the serial driver, or each parallel
+  worker) the scheduler tracks a *position* in leaf order and keeps a
+  window of leaves beyond it requested: ``window`` leaves
+  (``pipeline_depth × ntasize``), capped by the room the pool reports for
+  speculative frames (:meth:`BufferPool.readahead_room`) divided by the
+  number of consumers — a window the ring cannot hold is read only to be
+  evicted unconsumed and read again.  The copy loop publishes its position
+  *before* it reads a run (:meth:`IOScheduler.advance`); that only moves
+  the position within the order the scheduler already knows — nothing is
+  re-walked.  The order itself comes from the **level-1 child entries**
+  (``leaf_order``, supplied by the rebuild: S-latch, copy the child ids,
+  release), so upcoming aligned runs are known without reading a leaf and
+  ``_READS_IN_FLIGHT`` reader threads keep that many run reads in the
+  device at once, each aligned run claimed by one reader.  When the
+  level-1 read meets a SPLIT/SHRINK bit or fails, the window grows one
+  leaf at a time along ``next_page`` pointers instead.  Read-ahead is
+  purely a hint: it never evicts a dirty frame, never pins, never waits
+  on a latch or an address lock, and a failure is counted
+  (``prefetch_errors``) and dropped.
 
 * **Write-behind forcing.**  The §3 protocol forces each transaction's new
   pages to disk before the old pages are freed.  Serially that force sits on
@@ -39,8 +52,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from typing import Callable
 
 from repro.errors import IOSchedulerError, TransientIOError
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.counters import GLOBAL_COUNTERS, Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.page import NO_PAGE
@@ -48,6 +63,22 @@ from repro.storage.page import NO_PAGE
 _FORCE_TIMEOUT = 60.0  # seconds; a stuck writer surfaces as an error, not a hang
 _WRITER_RETRIES = 4  # extra transient retries on top of the pool's own layer
 _WRITER_BACKOFF = 0.002  # seconds, doubled per attempt
+_READS_IN_FLIGHT = 2
+"""Reader threads, i.e. run reads kept in the device at once.  Sized by
+measurement (docs/performance.md, "Read budget of a pipelined rebuild"):
+one reader caps a job at one device service time per run; a third only
+adds interpreter-lock hand-offs and, on a small ring, admissions out of
+consumption order."""
+_READER_JOIN_TIMEOUT = 2.0
+"""Seconds ``close`` / ``kill`` wait for a reader: it holds no durability
+obligation, so one parked in a device call is left to finish on its own
+(it exits as soon as the call returns) rather than holding shutdown."""
+
+LeafOrder = Callable[[bytes, int], "tuple[list[int], bytes | None] | None"]
+"""``leaf_order(unit, count)``: about ``count`` leaf ids in chain order
+starting with the leaf whose range holds ``unit``, plus the unit to
+continue from (``None`` at the right edge of the index) — or ``None``
+when the order cannot be read right now."""
 
 
 class CompletionToken:
@@ -104,44 +135,98 @@ class CompletionToken:
             ) from self._error
 
 
-class IOScheduler:
-    """Background reader (prefetch) + writer (write-behind) over a pool.
+class _Window:
+    """One consumer's read-ahead state; every field is guarded by the
+    scheduler's condition.
 
-    ``depth`` bounds how many read-ahead requests may be queued; write
+    ``order`` is the known leaf order from the consumer's position on
+    (``order[0]`` is the leaf it reads next, never absent) and ``issued``
+    how many of its leading entries have been handed to a reader.
+    ``resume`` is the unit at which the next level-1 read continues the
+    order exactly; ``None`` means the next one re-anchors from the
+    position (``unit``) and splices behind the order's tail.
+    """
+
+    __slots__ = (
+        "unit", "order", "issued", "resume", "end", "busy", "stuck", "epoch",
+    )
+
+    def __init__(self, leaf: int, unit: bytes | None) -> None:
+        self.order: deque[int] = deque()
+        self.epoch = 0
+        self.busy = False  # a reader is extending ``order``
+        self.reset(leaf, unit)
+
+    def reset(self, leaf: int, unit: bytes | None) -> None:
+        """Start over at ``leaf``: nothing known beyond it, nothing
+        requested.  The epoch bump voids an extension in progress."""
+        self.unit = unit
+        self.order.clear()
+        self.order.append(leaf)
+        self.issued = 0
+        self.resume: bytes | None = None
+        self.end = False  # ``order`` reaches the end of the leaf chain
+        # The last extension learned nothing (the tail's successor is
+        # behind a read in flight or a refusal): wait for a read to
+        # finish or the consumer to move instead of spinning.
+        self.stuck = False
+        self.epoch += 1
+
+
+class IOScheduler:
+    """Background readers (read-ahead) + writer (write-behind) over a pool.
+
+    ``window`` is how many leaves beyond each consumer's position
+    read-ahead keeps requested, before the cap by the pool's room shared
+    among ``consumers`` (see the module docstring); ``leaf_order`` is
+    where the order of upcoming leaves comes from (``None``: only the
+    ``next_page`` walk).  Write
     submissions are never dropped (they carry durability obligations),
     but the queue is drained by a single writer so submission order is
     flush order.
 
-    One scheduler may serve several rebuild workers at once: submissions
-    and barriers are queue-ordered, and a barrier makes durable
+    One scheduler may serve several rebuild workers at once: each is one
+    read-ahead consumer with its own window, and on the write side
+    submissions and barriers are queue-ordered — a barrier makes durable
     *everything* queued before it, which is a superset of the §3
-    obligation each worker needs for its own transaction.  The parallel
-    driver scales ``depth`` by the worker count so each worker keeps its
-    own read-ahead window.
+    obligation each worker needs for its own transaction.
     """
 
     def __init__(
         self,
         buffer: BufferPool,
         counters: Counters | None = None,
-        depth: int = 1,
+        window: int = 1,
+        consumers: int = 1,
+        leaf_order: LeafOrder | None = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
-        if depth < 1:
-            raise IOSchedulerError("io scheduler depth must be >= 1")
+        if window < 1 or consumers < 1:
+            raise IOSchedulerError(
+                "io scheduler window and consumers must be >= 1"
+            )
         self.buffer = buffer
         self.counters = counters if counters is not None else GLOBAL_COUNTERS
-        self.depth = depth
+        self.window = window
+        self.consumers = consumers
+        self.tracer = tracer
+        self._leaf_order = leaf_order
         self._cv = threading.Condition()
         # Write queue entries: (page_ids, token | None); a token entry is a
         # barrier — everything queued before it is durable when it completes.
         self._writes: deque[tuple[list[int], CompletionToken | None]] = deque()
         self._tail: list[int] = []  # retained trailing partial physical run
-        self._prefetches: deque[tuple[int, int]] = deque()  # (start, npages)
+        self._windows: dict[int, _Window] = {}  # consumer -> read-ahead state
+        self._reading: set[int] = set()  # aligned runs a reader has claimed
+        # Bumped whenever a read or a walk ends or a consumer moves: an
+        # extension that learned nothing parks its window (``stuck``) only
+        # if none of that happened while it was looking.
+        self._news = 0
         self._stop = False
         self._killed = False
         self._broken: BaseException | None = None
         self._writer: threading.Thread | None = None
-        self._reader: threading.Thread | None = None
+        self._readers: list[threading.Thread] = []
 
     # -------------------------------------------------------------- lifecycle
 
@@ -149,15 +234,18 @@ class IOScheduler:
         self._writer = threading.Thread(
             target=self._writer_loop, name="io-writer", daemon=True
         )
-        self._reader = threading.Thread(
-            target=self._reader_loop, name="io-reader", daemon=True
-        )
-        self._writer.start()
-        self._reader.start()
+        self._readers = [
+            threading.Thread(
+                target=self._reader_loop, name=f"io-reader-{i}", daemon=True
+            )
+            for i in range(_READS_IN_FLIGHT)
+        ]
+        for t in (self._writer, *self._readers):
+            t.start()
         return self
 
     def close(self) -> None:
-        """Drain queued writes (best effort), stop both threads, join."""
+        """Drain queued writes (best effort), stop every thread, join."""
         try:
             if self._broken is None and not self._killed:
                 self.drain()
@@ -166,16 +254,23 @@ class IOScheduler:
         with self._cv:
             self._stop = True
             self._cv.notify_all()
-        for t in (self._writer, self._reader):
-            if t is not None and t is not threading.current_thread():
-                t.join(timeout=_FORCE_TIMEOUT)
+        self._join_readers()
+        writer = self._writer
+        if writer is not None and writer is not threading.current_thread():
+            writer.join(timeout=_FORCE_TIMEOUT)
 
     def kill(self) -> None:
         """Fault injection: the writer dies *now*, failing all pending
-        tokens, as if the I/O thread crashed mid-transaction."""
+        tokens, as if the I/O thread crashed mid-transaction; the readers
+        go with it."""
         with self._cv:
             self._killed = True
             self._cv.notify_all()
+        self._join_readers()
+
+    def _join_readers(self) -> None:
+        for t in self._readers:
+            t.join(timeout=_READER_JOIN_TIMEOUT)
 
     # ----------------------------------------------------------------- writes
 
@@ -216,23 +311,62 @@ class IOScheduler:
         """Flush everything queued (tail included) and wait for it."""
         self.force([]).wait()
 
-    # --------------------------------------------------------------- prefetch
+    # -------------------------------------------------------------- read-ahead
 
-    def prefetch_chain(self, start_page: int, npages: int) -> None:
-        """Hint: the next ``npages`` source leaves starting at ``start_page``
-        will be fetched soon.  Bounded by ``depth``; stale hints (oldest
-        first) are dropped when the queue is full.  Pages already resident
-        cost the reader no frame and no I/O — the pool answers the chain
-        pointer from cache and counts ``prefetch_skipped_resident``."""
-        if start_page == NO_PAGE or npages <= 0:
+    def advance(
+        self, consumer: int, leaf: int, unit: bytes | None = None
+    ) -> None:
+        """Hint: ``consumer`` reads ``leaf`` next (``unit`` is a key unit
+        in its range, ``None`` when the caller has none).
+
+        Call *before* reading the run that starts at ``leaf``.  Within the
+        order the scheduler already knows this only moves the position —
+        what was requested stays requested, nothing resident is walked
+        again; a leaf outside it (first call, a resume, a chain rearranged
+        under the window) starts the window over from here.
+        """
+        if leaf == NO_PAGE:
             return
         with self._cv:
             if self._stop or self._killed:
                 return
-            while len(self._prefetches) >= self.depth:
-                self._prefetches.popleft()
-            self._prefetches.append((start_page, npages))
+            w = self._windows.get(consumer)
+            if w is None:
+                w = self._windows[consumer] = _Window(leaf, unit)
+            try:
+                at = w.order.index(leaf)
+            except ValueError:
+                w.reset(leaf, unit)
+            else:
+                for _ in range(at):
+                    w.order.popleft()
+                w.issued = max(0, w.issued - at)
+                w.unit, w.stuck = unit, False
+            self._news += 1
             self._cv.notify_all()
+
+    def wait_readahead(self, timeout: float = _FORCE_TIMEOUT) -> bool:
+        """Block until read-ahead has nothing left to do — every window
+        requested up to its cap (or the end of the chain) and no read in
+        the device.  The read side's counterpart of :meth:`drain`, for
+        tests and measurements; returns False on timeout."""
+        with self._cv:
+            return self._cv.wait_for(self._readahead_idle, timeout)
+
+    def _window_cap(self) -> tuple[int, int]:
+        """(leaves per consumer a window may hold, the pool's room)."""
+        room = self.buffer.readahead_room()
+        return max(1, min(self.window, room // self.consumers)), room
+
+    def _readahead_idle(self) -> bool:
+        if self._reading or any(w.busy for w in self._windows.values()):
+            return False
+        cap = self._window_cap()[0]
+        return all(
+            w.issued >= min(cap, len(w.order))
+            and (w.issued >= cap or w.end or w.stuck)
+            for w in self._windows.values()
+        )
 
     # ------------------------------------------------------------ writer loop
 
@@ -343,26 +477,159 @@ class IOScheduler:
         shard["writebehind_batches"] += 1
         shard["writebehind_pages"] += len(ids)
 
-    # ------------------------------------------------------------ reader loop
+    # ----------------------------------------------------------- reader loops
+
+    def _claim(
+        self, cap: int
+    ) -> tuple[int, _Window, int | None, list[int] | tuple] | None:
+        """Next piece of read-ahead work (condition held), or ``None``.
+
+        Either ``(consumer, window, run, leaves)`` — the unrequested
+        leaves of one aligned run, now this reader's to request — or
+        ``(consumer, window, None, extension)`` when a window's known
+        order ends short of its cap and must be extended first.  The
+        consumer with the least requested goes first: it is the one
+        closest to stalling.
+        """
+        ppio = self.buffer.disk.pages_per_io
+        for consumer, w in sorted(
+            self._windows.items(), key=lambda cw: cw[1].issued
+        ):
+            order = w.order
+            known = min(cap, len(order))
+            if w.issued < known:
+                first = w.issued
+                run = (order[first] - 1) // ppio
+                if run in self._reading:
+                    # Another reader is on this run (a chain that comes
+                    # back to it): whether it read it or found it cached
+                    # is known when it is done, which wakes this one.
+                    continue
+                w.issued += 1
+                while w.issued < known and (order[w.issued] - 1) // ppio == run:
+                    w.issued += 1
+                self._reading.add(run)
+                leaves = [order[i] for i in range(first, w.issued)]
+                return consumer, w, run, leaves
+            if (
+                w.issued == len(order)
+                and w.issued < cap
+                and not (w.end or w.busy or w.stuck)
+            ):
+                w.busy = True
+                # A re-anchoring read starts at the position, so it has
+                # the requested part of the window to get past first.
+                count = cap if w.resume is None else cap - w.issued
+                return consumer, w, None, (
+                    w.epoch, self._news, w.resume, w.unit, order[-1], count,
+                )
+        return None
+
+    def _request(self, leaves: list[int]) -> str:
+        """Ask the pool for the leaves of one aligned run, stopping at the
+        first physical read (it brings in the whole run).  Returns the
+        span attribute the outcome counts under."""
+        outcome = "skipped_resident"
+        for pid in leaves:
+            # Read-ahead is scan-class: with the ring enabled it recycles
+            # ring frames and never displaces hot pages.
+            read, next_page = self.buffer.prefetch(pid, scan=True)
+            if read:
+                return "requested"
+            if next_page is None:
+                outcome = "skipped_inflight"
+        return outcome
+
+    def _extend(
+        self, resume: bytes | None, unit: bytes | None, tail: int, count: int
+    ) -> tuple[list[int], bytes | None, bool]:
+        """Learn the leaves behind ``tail``, the last one known.  Returns
+        (leaves, the unit a level-1 read continues from, whether the
+        order now reaches the chain's end)."""
+        start = resume if resume is not None else unit
+        if start is not None and self._leaf_order is not None:
+            found = self._leaf_order(start, count)
+            if found is not None:
+                leaves, resume_at = found
+                if resume is None:
+                    # Read from the position: splice in behind the tail.
+                    leaves = (
+                        leaves[leaves.index(tail) + 1:]
+                        if tail in leaves
+                        else None
+                    )
+                if leaves is not None:
+                    return leaves, resume_at, resume_at is None
+        # No level-1 order to be had (a SPLIT/SHRINK bit on the way, the
+        # tail not among its children, no ``leaf_order`` at all): one step
+        # along the chain.  The pool answers a resident tail's pointer
+        # from cache, and reads the tail's run when it is absent.
+        _read, next_page = self.buffer.prefetch(tail, scan=True)
+        if next_page is None or next_page == NO_PAGE:
+            return [], None, next_page == NO_PAGE
+        return [next_page], None, False
 
     def _reader_loop(self) -> None:
+        tracer = self.tracer
+        span = None
         while True:
             with self._cv:
-                while not (self._prefetches or self._stop or self._killed):
+                while not (self._stop or self._killed):
+                    cap, room = self._window_cap()
+                    work = self._claim(cap)
+                    if work is not None:
+                        break
+                    if span is not None:
+                        tracer.finish(span)
+                        span = None
                     self._cv.wait()
-                if self._stop or self._killed:
+                else:
+                    if span is not None:
+                        tracer.finish(span)
                     return
-                start, npages = self._prefetches.popleft()
+            consumer, w, run, arg = work
+            if tracer.enabled and (
+                span is None or span.attrs["consumer"] != consumer
+            ):
+                # One span per stretch of work for one consumer.
+                if span is not None:
+                    tracer.finish(span)
+                span = tracer.begin(
+                    "iosched.readahead", consumer=consumer, requested=0,
+                    skipped_resident=0, skipped_inflight=0, window=cap,
+                    room=room,
+                )
+            grown = None
             try:
-                pid = start
-                for _ in range(npages):
-                    if pid == NO_PAGE:
-                        break
-                    # Read-ahead is scan-class: with the ring enabled it
-                    # recycles ring frames and never displaces hot pages.
-                    nxt = self.buffer.prefetch(pid, scan=True)
-                    if nxt is None:
-                        break
-                    pid = nxt
-            except BaseException:  # noqa: BLE001 - prefetch is only a hint
-                continue
+                if run is None:
+                    epoch, news, *how = arg
+                    grown = self._extend(*how)
+                else:
+                    outcome = self._request(arg)
+                    if span is not None:
+                        span.attrs[outcome] += 1
+            except Exception:  # noqa: BLE001 - read-ahead is only a hint
+                # A failed prefetch never fails the rebuild: its own
+                # demand fetch meets the same page and raises for real.
+                self.counters.add("prefetch_errors")
+            finally:
+                with self._cv:
+                    for other in self._windows.values():
+                        other.stuck = False
+                    if run is not None:
+                        self._reading.discard(run)
+                    else:
+                        w.busy = False
+                        learned = False
+                        if grown is not None and w.epoch == epoch:
+                            leaves, w.resume, w.end = grown
+                            w.order.extend(leaves)
+                            learned = bool(
+                                leaves or w.end or w.resume is not None
+                            )
+                        # What it saw may be stale already (the read it
+                        # found in flight has landed): park the window
+                        # only if nothing moved in the meantime.
+                        w.stuck = not learned and self._news == news
+                    self._news += 1
+                    self._cv.notify_all()

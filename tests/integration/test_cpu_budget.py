@@ -9,6 +9,7 @@ replaced — the packing, the log records and the rebuilt leaf images are
 byte-identical to it.
 """
 
+import dataclasses
 import zlib
 
 import pytest
@@ -141,12 +142,44 @@ def test_rebuild_moves_rows_by_run_and_frees_from_its_own_log_tail(
     # Byte-identical to the per-row engine.
     assert {name: delta[name] for name in counts} == counts
     assert _leaf_crc(engine, tree) == image_crc
+    assert _packing_crc(log, first_new_record) == records_crc
+    tree.verify()
+
+
+def _packing_crc(log, first_record):
     crc = 0
-    for data in log._records[first_new_record:]:
+    for data in log._records[first_record:]:
         if LogRecord.peek(data)[0] in PACKING_RECORDS:
             crc = zlib.crc32(data, crc)
-    assert crc == records_crc
-    tree.verify()
+    return crc
+
+
+@pytest.mark.parametrize("config", [p.values[0] for p in PINNED])
+def test_read_ahead_and_write_behind_move_no_output(config):
+    """Read-ahead is a hint and write-behind only moves the force: on a
+    cold pool (so the readers really read) the rebuilt leaf images and
+    the KEYCOPY / ALLOCRUN / DEALLOC records of a ``pipeline_depth=4``
+    run equal those of the ``pipeline_depth=0`` run byte for byte."""
+    outputs, own_reads = [], []
+    for depth in (0, 4):
+        engine, tree = _load()
+        engine.checkpoint()
+        engine.buffer.evict_all()
+        first_new_record = len(engine.ctx.log._records)
+        before = engine.counters.snapshot()
+        OnlineRebuild(
+            tree, dataclasses.replace(config, pipeline_depth=depth)
+        ).run()
+        delta = engine.counters.diff(before)
+        own_reads.append(delta["rebuild_demand_reads"])
+        outputs.append((
+            _leaf_crc(engine, tree),
+            _packing_crc(engine.ctx.log, first_new_record),
+            delta["log_bytes"],
+        ))
+        tree.verify()
+    assert outputs[0] == outputs[1]
+    assert own_reads[1] < own_reads[0]  # the readers did read ahead
 
 
 def test_exact_packing_parallel_rebuild_matches_the_serial_leaf_level():

@@ -13,8 +13,11 @@ import threading
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
-from repro.errors import RebuildAbortedError
+from repro.concurrency.syncpoints import CrashPoint
+from repro.errors import ChecksumError, RebuildAbortedError
+from repro.storage.faults import FaultPlan
 from repro.workload import MixedWorkload
+from repro.workload.builder import bulk_load
 from tests.conftest import intkey
 
 PIPELINED = RebuildConfig(
@@ -167,3 +170,80 @@ def test_pipelining_is_logically_invisible():
     piped_tree, piped_log, _ = results["pipelined"]
     assert serial_tree == piped_tree
     assert serial_log == piped_log
+
+
+# ------------------------------------------------- read-ahead is only a hint
+
+
+def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
+    """Rot one upcoming source leaf.  The reader meets it first and must
+    do no more than count it; the error the user sees is the rebuild's
+    own demand fetch raising the ``ChecksumError``."""
+    engine = Engine(
+        page_size=2048, io_size=16384, buffer_capacity=4096,
+        fault_plan=FaultPlan(),
+    )
+    index = bulk_load(
+        engine, [intkey(2 * i) for i in range(20_000)], 4, fill=0.5
+    )
+    leaves = index.verify().leaf_page_ids
+    engine.checkpoint()
+    engine.buffer.evict_all()
+    ppio = engine.ctx.disk.pages_per_io
+    # The first leaf of an aligned run, three top actions ahead.
+    victim = next(pid for pid in leaves[96:] if (pid - 1) % ppio == 0)
+    assert engine.ctx.disk.plant_rot(victim, bit=777)
+
+    rb = OnlineRebuild(index, RebuildConfig(pipeline_depth=4))
+    # Let the readers fill the window between top actions, so the reader
+    # (not the copy loop) is the first to touch the rotten image.
+    engine.syncpoints.on(
+        "rebuild.nta_end", lambda _ctx: rb._scheduler.wait_readahead(30.0)
+    )
+    with pytest.raises(RebuildAbortedError) as aborted:
+        rb.run()
+    engine.syncpoints.clear()
+    assert isinstance(aborted.value.__cause__, ChecksumError)
+    assert engine.counters.prefetch_errors == 1
+    assert rb.last_report.leaf_pages_rebuilt >= 96  # up to the rot, kept
+
+
+# ------------------------------------------------------------ thread hygiene
+
+
+def _io_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("io-")]
+
+
+@pytest.mark.parametrize("ending", ["returns", "killed", "crash"])
+def test_no_io_thread_outlives_the_run(ending):
+    engine, index = build_fragmented(key_count=8_000)
+    rb = OnlineRebuild(index, PIPELINED)
+    assert _io_threads() == []
+    seen_running: list[list[str]] = []
+
+    def on_nta_end(_ctx: dict) -> None:
+        seen_running.append(_io_threads())
+        if ending == "killed" and len(seen_running) == 2:
+            rb._scheduler.kill()
+
+    def on_commit(_ctx: dict) -> None:
+        if ending == "crash":
+            raise CrashPoint("rebuild.txn_committed")
+
+    engine.syncpoints.on("rebuild.nta_end", on_nta_end)
+    engine.syncpoints.on("rebuild.txn_committed", on_commit)
+    try:
+        if ending == "returns":
+            rb.run()
+        else:
+            with pytest.raises(
+                RebuildAbortedError if ending == "killed" else CrashPoint
+            ):
+                rb.run()
+    finally:
+        engine.syncpoints.clear()
+    assert sorted(seen_running[0]) == [
+        "io-reader-0", "io-reader-1", "io-writer",
+    ]
+    assert _io_threads() == []

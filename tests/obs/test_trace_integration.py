@@ -199,3 +199,47 @@ def test_recovery_phases_are_spans_and_counters():
     # Commits and top-action brackets are most of the log: never decoded.
     assert 0 < delta["recovery_payloads_decoded"] < report.records_redone
     assert 0 < delta["recovery_page_visits"] <= delta["page_reads"]
+
+
+def test_readahead_explains_itself_in_spans():
+    """A pipelined rebuild's reads can be accounted for from the engine's
+    own trace: each stretch of reader work for one consumer is a span
+    saying how many runs it requested or found cached, and against which
+    window and room."""
+    from repro.workload.builder import bulk_load
+
+    engine = Engine(
+        page_size=2048, io_size=16384, buffer_capacity=4096, trace=True
+    )
+    index = bulk_load(
+        engine, [intkey(2 * i) for i in range(20_000)], 4, fill=0.5
+    )
+    engine.checkpoint()
+    engine.buffer.evict_all()
+    rebuild = OnlineRebuild(index, RebuildConfig(pipeline_depth=4))
+    # Let the readers fill the window between top actions, so who read
+    # what does not depend on thread timing.
+    engine.syncpoints.on(
+        "rebuild.nta_end",
+        lambda _ctx: rebuild._scheduler.wait_readahead(30.0),
+    )
+    report = rebuild.run()
+    engine.syncpoints.clear()
+
+    spans = [s for s in engine.tracer.spans() if s.name == "iosched.readahead"]
+    assert spans
+    assert {s.thread for s in spans} <= {"io-reader-0", "io-reader-1"}
+    for s in spans:
+        assert s.attrs["consumer"] == 0
+        assert s.attrs["window"] == 4 * 32
+        assert s.attrs["room"] == engine.buffer.readahead_room()
+        assert s.end >= s.start
+        assert s.attrs["skipped_resident"] >= 0 <= s.attrs["skipped_inflight"]
+    requested = sum(s.attrs["requested"] for s in spans)
+    runs = report.leaf_pages_rebuilt // engine.ctx.disk.pages_per_io
+    # The spans and the counter account for the whole read pass: a source
+    # run was read by a reader or, failing that, by the copy loop.
+    demand = report.counter_deltas["rebuild_demand_reads"]
+    assert requested + demand >= runs
+    assert demand <= 32 // engine.ctx.disk.pages_per_io + 1 < requested
+    index.verify()

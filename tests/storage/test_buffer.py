@@ -260,7 +260,8 @@ def test_prefetch_resident_page_skips_io_and_counts(pool, disk, counters):
     pool.unpin(1)
     before_io = counters.disk_io_calls
     before_skip = counters.prefetch_skipped_resident
-    nxt = pool.prefetch(1)
+    read, nxt = pool.prefetch(1)
+    assert not read
     assert counters.disk_io_calls == before_io  # answered from the pool
     assert counters.prefetch_skipped_resident == before_skip + 1
     assert nxt == pool.fetch(1).next_page

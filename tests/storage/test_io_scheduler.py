@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -160,26 +161,97 @@ def test_tail_retention_saves_physical_calls():
 # ---------------------------------------------------------------- prefetch
 
 
-def test_prefetch_chain_populates_pool():
-    pool, counters = make_pool(pages=6)
-    # Link 1 -> 2 -> 3 on disk so the chain walk can follow next_page.
-    for pid in (1, 2, 3):
+def link_chain(pool: BufferPool, ids: list[int]) -> None:
+    """Store ``ids`` as one leaf chain (next_page pointers on disk)."""
+    for pid, nxt in zip(ids, ids[1:] + [NO_PAGE]):
         page = Page(pid, PAGE_SIZE_DEFAULT)
-        page.next_page = pid + 1 if pid < 3 else NO_PAGE
+        page.next_page = nxt
         pool.disk.write(pid, page.to_bytes())
-    sched = IOScheduler(pool, counters=counters, depth=2).start()
+
+
+def test_prefetch_chain_populates_pool():
+    """Without a level-1 order the window grows along next_page pointers."""
+    pool, counters = make_pool(pages=6)
+    link_chain(pool, [1, 2, 3])
+    sched = IOScheduler(pool, counters=counters, window=3).start()
     try:
-        sched.prefetch_chain(1, 3)
-        deadline = time.monotonic() + 5.0
-        while counters.prefetch_admitted < 3:
-            if time.monotonic() > deadline:
-                break
-            time.sleep(0.005)
+        sched.advance(0, 1)
+        assert sched.wait_readahead(timeout=5.0)
         assert pool.is_resident(1)
         assert pool.is_resident(2)
         assert pool.is_resident(3)
     finally:
         sched.close()
+
+
+def test_window_bounds_requested_leaves():
+    """No more than ``window`` leaves beyond the position are requested,
+    and moving the position requests only what came into the window."""
+    pool, counters = make_pool(pages=16)  # 4 pages per I/O
+    order = list(range(1, 17))
+    sched = IOScheduler(
+        pool, counters=counters, window=4,
+        leaf_order=lambda unit, count: (order, None),
+    ).start()
+    try:
+        sched.advance(0, 1, b"")
+        assert sched.wait_readahead(timeout=5.0)
+        assert [pool.is_resident(p) for p in (1, 4, 5)] == [True, True, False]
+        assert counters.disk_io_calls == 16 + 1  # the stores, one run read
+        walked = counters.prefetch_skipped_resident
+        sched.advance(0, 5, b"")  # a position inside the known order
+        assert sched.wait_readahead(timeout=5.0)
+        assert [pool.is_resident(p) for p in (5, 8, 9)] == [True, True, False]
+        assert counters.disk_io_calls == 16 + 2
+        assert counters.prefetch_skipped_resident == walked  # no re-walk
+    finally:
+        sched.close()
+
+
+def test_window_is_capped_by_the_pools_room():
+    pool, counters = make_pool(capacity=8, pages=16)
+    assert pool.readahead_room() == 4  # half of a ring-less pool's frames
+    order = list(range(1, 17))
+    sched = IOScheduler(
+        pool, counters=counters, window=16, consumers=2,
+        leaf_order=lambda unit, count: (order, None),
+    ).start()
+    try:
+        sched.advance(0, 1, b"")
+        sched.advance(1, 9, b"")  # two consumers share the room
+        assert sched.wait_readahead(timeout=5.0)
+        assert pool.is_resident(1) and pool.is_resident(9)
+        assert not pool.is_resident(5) and not pool.is_resident(13)
+    finally:
+        sched.close()
+
+
+def test_reader_error_is_counted_and_dropped():
+    """A failure in the read-ahead path is counted, never raised, and the
+    readers go on serving later hints."""
+    pool, counters = make_pool(pages=8)
+    calls = []
+
+    def broken_order(unit, count):
+        calls.append(unit)
+        if len(calls) == 1:
+            raise RuntimeError("bug in the order source")
+        return [5, 6, 7, 8], None
+
+    sched = IOScheduler(
+        pool, counters=counters, window=4, leaf_order=broken_order
+    ).start()
+    try:
+        sched.advance(0, 1, b"a")
+        assert sched.wait_readahead(timeout=5.0)
+        assert counters.prefetch_errors == 1
+        sched.advance(0, 5, b"b")
+        assert sched.wait_readahead(timeout=5.0)
+        assert pool.is_resident(5)
+        assert counters.prefetch_errors == 1
+    finally:
+        sched.close()
+    assert not any(t.is_alive() for t in sched._readers)
 
 
 def test_prefetch_never_evicts_dirty_frames():
@@ -188,7 +260,8 @@ def test_prefetch_never_evicts_dirty_frames():
     dirty = list(range(13, 21))
     dirty_pages(pool, dirty)
     writes_before = counters.page_writes
-    assert pool.prefetch(1) is None  # no clean victim: prefetch backs off
+    # No clean victim: the run is read, nothing is admitted or written.
+    assert pool.prefetch(1) == (True, None)
     assert counters.page_writes == writes_before
     for pid in dirty:
         assert pool.is_resident(pid)
@@ -196,7 +269,7 @@ def test_prefetch_never_evicts_dirty_frames():
 
 def test_prefetch_missing_page_is_silent():
     pool, _ = make_pool(pages=2)
-    assert pool.prefetch(99) is None
+    assert pool.prefetch(99) == (True, None)
 
 
 def test_prefetched_page_counts_hit_on_fetch():
@@ -220,15 +293,6 @@ def test_unused_prefetch_counted_on_eviction():
         pool.fetch(pid)
         pool.unpin(pid)
     assert counters.prefetch_unused >= 1
-
-
-def test_depth_bounds_queued_hints():
-    pool, _ = make_pool(pages=2)
-    sched = IOScheduler(pool, depth=2)  # not started: queue only
-    sched.prefetch_chain(1, 1)
-    sched.prefetch_chain(2, 1)
-    sched.prefetch_chain(1, 1)  # oldest hint dropped
-    assert len(sched._prefetches) == 2
 
 
 def test_kill_cuts_flush_retry_backoff_short(monkeypatch):
@@ -261,3 +325,36 @@ def test_kill_cuts_flush_retry_backoff_short(monkeypatch):
     assert time.monotonic() - start < 5.0, (
         "kill() waited out the 30 s flush-retry backoff"
     )
+
+
+def test_reader_parked_in_the_device_does_not_hold_close(monkeypatch):
+    """A reader carries no durability obligation: one stuck in a device
+    call is left to finish on its own instead of holding ``close`` for
+    the writer's ``_FORCE_TIMEOUT``.  It exits as soon as the call
+    returns, and every reader that did return has been joined."""
+    import repro.storage.io_scheduler as mod
+
+    pool, counters = make_pool(pages=8)
+    link_chain(pool, [1, 2])
+    parked, gate = threading.Event(), threading.Event()
+    service = pool.disk._service
+
+    def held_service(calls):
+        parked.set()
+        assert gate.wait(30.0)
+        service(calls)
+
+    monkeypatch.setattr(pool.disk, "_service", held_service)
+    monkeypatch.setattr(mod, "_READER_JOIN_TIMEOUT", 0.05)
+    sched = IOScheduler(pool, counters=counters, window=1).start()
+    sched.advance(0, 1)
+    assert parked.wait(30.0)
+    start = time.monotonic()
+    sched.close()
+    assert time.monotonic() - start < mod._FORCE_TIMEOUT / 4
+    alive = [t for t in sched._readers if t.is_alive()]
+    assert len(alive) == 1  # the parked one; the idle one was joined
+    assert not sched._writer.is_alive()
+    gate.set()
+    alive[0].join(30.0)
+    assert not alive[0].is_alive()

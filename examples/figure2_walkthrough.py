@@ -108,8 +108,8 @@ def main() -> None:
     print(f"  level 1:  L -> [PP]   P -> [P1, P2, P3]   Q -> [NP]")
     print(f"  level 2:  root -> [L, P, Q]\n")
 
-    config = RebuildConfig(ntasize=3, xactsize=3, chunk_size=4)
-    chunk = ChunkAllocator(ctx.page_manager, config.chunk_size)
+    config = RebuildConfig(ntasize=3, xactsize=3)
+    chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
     cleanup, deallocated, new_pages = [], [], []
     ctx.txns.begin_nta(txn)

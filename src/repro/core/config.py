@@ -34,7 +34,6 @@ class RebuildConfig:
     ntasize: int = 32
     xactsize: int = 256
     fillfactor: float = 1.0
-    chunk_size: int = 64
     reorganize_level1: bool = True
     split_then_shrink: bool = False
     nonleaf_range_side_entries: bool = False
@@ -44,26 +43,23 @@ class RebuildConfig:
     level 1)."""
     pipeline_depth: int = 0
     """Asynchronous I/O pipelining (:mod:`repro.storage.io_scheduler`).
-    0 keeps the serial behavior: forces at transaction boundaries are
-    synchronous and no read-ahead runs.  > 0 enables the write-behind
-    forcer and bounds the read-ahead queue to this many run hints."""
+    0: forces at transaction boundaries are synchronous and no read-ahead
+    runs.  > 0 enables the write-behind forcer and keeps a read-ahead
+    window of ``pipeline_depth × ntasize`` leaves requested beyond each
+    segment's position (capped by what the pool's ring holds)."""
     group_commit_window: float = 0.0
     """Seconds the rebuild sets as the log's group-commit window for its
     duration (0.0 leaves the log untouched: one physical flush per
     commit)."""
     parallel_workers: int = 1
-    """Partitioned parallel copy phase (:mod:`repro.core.partition`).
-    1 keeps today's serial driver byte-for-byte.  > 1 plans the leaf chain
-    into up to this many disjoint key-range segments and rebuilds them
-    from a pool of worker threads, each running the standard top-action
-    loop under its own transaction.  Only a full rebuild parallelizes;
-    range-restricted and incremental (``max_pages`` / ``resume_after``)
-    runs always use the serial driver."""
-    watchdog_timeout: float = 60.0
-    """Seconds without top-action progress before a worker is considered
-    stuck: the seam-handoff wait raises cleanly past this deadline, and
-    the :class:`~repro.core.supervisor.RebuildSupervisor` watchdog fails a
-    worker whose heartbeat is older than this."""
+    """Segments a full rebuild is tiled into (:mod:`repro.core.partition`),
+    each driven by the standard top-action loop under its own
+    transactions.  1 is the one-segment case of the same driver, run on
+    the calling thread; > 1 cuts the leaf chain into up to this many
+    disjoint key-range segments along level-1 separators and drives each
+    on its own thread.  Only a full rebuild is tiled; range-restricted
+    and incremental (``max_pages`` / ``resume_after``) runs are always one
+    segment."""
     ring_frames: int = 0
     """Frames of the buffer pool's probationary *rebuild ring* the rebuild
     enables for its duration (0 leaves the pool's setting untouched —
@@ -72,16 +68,6 @@ class RebuildConfig:
     recycle at most this many frames instead of sweeping the OLTP working
     set out of the protected LRU.  Restored to the engine's setting when
     the rebuild ends."""
-    partition_exact_packing: bool = False
-    """Restrict partition seams to *clean* cut points — leaf boundaries
-    where the serial packing stream would open a fresh target page — so
-    the rebuilt leaf level is byte-identical to a serial rebuild of the
-    same tree.  Clean cuts can be scarce (they depend on how leaf
-    populations align with the fillfactor budget), so the planner may
-    return fewer segments than requested; with the default ``False`` it
-    falls back to the best-balanced ordinary leaf boundaries, which keeps
-    the same logical contents but may leave up to ``segments - 1``
-    partially filled seam pages."""
 
     def __post_init__(self) -> None:
         if self.ntasize < 1:
@@ -95,8 +81,6 @@ class RebuildConfig:
             raise RebuildError(
                 f"fillfactor must be in [0.05, 1.0], got {self.fillfactor}"
             )
-        if self.chunk_size < 1:
-            raise RebuildError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.pipeline_depth < 0:
             raise RebuildError(
                 f"pipeline_depth must be >= 0, got {self.pipeline_depth}"
@@ -105,10 +89,6 @@ class RebuildConfig:
             raise RebuildError(
                 "group_commit_window must be >= 0, "
                 f"got {self.group_commit_window}"
-            )
-        if self.watchdog_timeout <= 0.0:
-            raise RebuildError(
-                f"watchdog_timeout must be > 0, got {self.watchdog_timeout}"
             )
         if not 1 <= self.parallel_workers <= 64:
             raise RebuildError(

@@ -402,7 +402,7 @@ def _acquire_page(
     ctx.latches.acquire(page_id, LatchMode.X)
     try:
         page = ctx.buffer.fetch(page_id, large_io=True, scan=True)
-    except Exception:
+    except StorageError:  # not a CrashPoint: callers retry on False forever
         ctx.latches.release(page_id)
         return False
     try:
@@ -680,6 +680,9 @@ def _apply_copy(
     # Relink the chain around the old run.
     if pp_page is not None:
         pp_page.next_page = pp_new_next
+        # Stamped even when PP took no rows (a seam PP, a full one): an
+        # unstamped link flip could reach disk ahead of the keycopy record.
+        pp_page.page_lsn = lsn
         ctx.buffer.unpin(pp_id, dirty=True)
         ctx.latches.release(pp_id)
     for pid in new_ids:

@@ -93,7 +93,7 @@ def _rebuild_locked(
     old_pages = _all_pages(ctx, tree)
     old_pages.discard(tree.root_page_id)
 
-    chunk = ChunkAllocator(ctx.page_manager, config.chunk_size)
+    chunk = ChunkAllocator(ctx.page_manager)
     try:
         level_pages = _build_leaves(ctx, tree, txn, config, chunk, units)
         report.leaf_pages_built = len(level_pages)

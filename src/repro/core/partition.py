@@ -7,85 +7,66 @@ disjoint key ranges*.  This module supplies the disjointness: the leaf
 chain is split into up to ``parallel_workers`` contiguous segments, and
 each worker's copy loop is bounded by an exclusive ``stop_before`` key.
 
-**Default planning is from level 1, not from the leaves.**  A nonleaf
-separator ``Ki`` partitions units exactly (``Ki <= unit`` routes right of
-it), so cutting on level-1 separators gives correct disjoint segments
-after reading only the nonleaf pages — a handful of reads even for a
-large index.  This matters for the whole point of the feature: a planner
-that walked the leaf chain would serially pre-pay exactly the cold-read
-I/O the parallel copy phase exists to overlap.  Each level-1 entry is one
-leaf, so cuts balance leaf counts; each page's first entry is keyless and
-simply offers no cut candidate.
+**Planning is from level 1, not from the leaves.**  A nonleaf separator
+``Ki`` partitions units exactly (``Ki <= unit`` routes right of it), so
+cutting on level-1 separators gives correct disjoint segments after
+reading only the nonleaf pages — a handful of reads even for a large
+index.  This matters for the whole point of the feature: a planner that
+walked the leaf chain would serially pre-pay exactly the cold-read I/O
+the parallel copy phase exists to overlap (measured: ``rebuild_io`` ran
+40 % slower and made 55 % more I/O calls per page behind a leaf walk).
+Each level-1 entry is one leaf, so cuts balance leaf counts; each page's
+first entry is keyless and simply offers no cut candidate.
 
-**Exact packing** (``partition_exact_packing=True``) walks the leaf chain
-instead and replays the serial rebuild's packing stream (pure arithmetic
-on row sizes) to find *clean* cuts — seams where that stream would open a
-fresh target page anyway — so the parallel leaf level is byte-identical
-to the serial one's, possibly at fewer segments.  Without it a dirty cut
-is still *correct* — the first worker of each segment leaves its PP's
-content untouched (``fill_pp=False``), so the only cost is up to
-``segments - 1`` seam pages packed short of the fillfactor.
+A level-1 cut says nothing about how the packing stream aligns with it,
+so the first worker of each non-leftmost segment leaves its PP's content
+untouched (``fill_pp=False``): the cost is up to ``segments - 1`` seam
+pages packed short of the fillfactor, never a wrong result.
 
-Both walks are latch-by-latch against the live tree (no locks, no bits)
-and best-effort under concurrent traffic: a mutated chain ends the walk
-early and the driver simply launches fewer segments.
+The descent is latch-by-latch against the live tree (no locks, no bits).
+When a concurrent split or shrink restructures the levels under it — or
+the index is a single root leaf — the plan is **one unbounded segment**:
+the run is then simply what a one-worker rebuild is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.btree import node
 from repro.btree.tree import BTree
 from repro.concurrency.latch import LatchMode
 from repro.context import EngineContext
-from repro.core.config import RebuildConfig
-from repro.storage.page import HEADER_SIZE, NO_PAGE, SLOT_OVERHEAD, PageType
+from repro.storage.page import PageType
 
 if TYPE_CHECKING:
     from repro.wal.recovery import RebuildCheckpoint
 
-_CLEAN_WINDOW_FRACTION = 0.25
-"""A clean boundary within this fraction of a segment's ideal weight wins
-over a closer dirty boundary (exact-packing walk only)."""
-
-
-@dataclass(frozen=True)
-class PartitionSegment:
-    """One worker's slice of the leaf chain."""
-
-    start_unit: bytes | None
-    """Probe for the worker's first position discovery (a level-1
-    separator, or the first unit of the segment's first leaf under exact
-    packing); None = start from the leftmost leaf."""
-    stop_before: bytes | None
-    """Exclusive upper bound: the copy loop never extends onto a leaf whose
-    first unit is >= this; None = run to the end of the chain."""
-    clean_start: bool
-    """The seam at the segment's *start* is packing-exact (trivially true
-    for the leftmost segment; always False for level-1 cuts, whose
-    alignment is unknown)."""
-
 
 @dataclass(frozen=True)
 class ResumeSegment:
-    """One worker's launch spec — a segment plus where to restart in it.
+    """One segment's launch spec — a slice of the leaf chain plus where to
+    (re)start in it.
 
-    Produced for fresh runs (probe = the segment start) and for resumed
-    runs (probe = the partition's highest durable unit, successor-probed),
-    so the parallel driver launches both through one code path.
+    Every run is a list of these: one unbounded spec for a one-worker,
+    restricted or sliced run, the level-1 plan for a fresh parallel run
+    (probe = the segment start), the recorded tiling for a resumed one
+    (probe = the partition's highest durable unit, successor-probed).
     """
 
     ordinal: int
     """Partition ordinal; also the worker's heartbeat key and the
     ``partition`` field of its progress records."""
-    segment: PartitionSegment
-    probe: bytes | None
+    start_unit: bytes | None = None
+    """Where the segment's coverage starts (a level-1 separator), which
+    its progress records carry verbatim across resumes; None = the
+    beginning of the index."""
+    stop_before: bytes | None = None
+    """Exclusive upper bound: the copy loop never extends onto a leaf whose
+    first unit is >= this; None = run to the end of the chain."""
+    probe: bytes | None = None
     """First position-discovery probe (None = leftmost leaf)."""
-    progress_start: bytes
-    """Coverage start recorded in this worker's progress records (b"" =
-    the beginning of the index); inherited verbatim across resumes."""
     done: bool = False
     """The segment already finished — skip it, pre-complete its token."""
 
@@ -113,62 +94,72 @@ def segments_from_checkpoint(
         part = parts[i]
         start = part.start_unit if part.start_unit else None
         stop = parts[i + 1].start_unit if i + 1 < count else None
-        segment = PartitionSegment(
-            # A resumed seam is never packing-exact territory: the worker
-            # either restarts past its own progress (its PP is a page it
-            # already rebuilt) or re-runs a dirty level-1 cut.
-            start_unit=start, stop_before=stop, clean_start=(i == 0),
-        )
-        probe = part.last_unit + b"\x00" if part.last_unit else start
         specs.append(
             ResumeSegment(
                 ordinal=i,
-                segment=segment,
-                probe=probe,
-                progress_start=part.start_unit,
+                start_unit=start,
+                stop_before=stop,
+                probe=part.last_unit + b"\x00" if part.last_unit else start,
                 done=part.done,
             )
         )
     return specs
 
 
-@dataclass
-class PartitionPlan:
-    """What one planner walk produced."""
-
-    segments: list[PartitionSegment] = field(default_factory=list)
-    leaves_walked: int = 0
-    """Leaves accounted: level-1 entries seen (default) or leaves latched
-    (exact packing)."""
-    total_units: int = 0
-    """Units replayed by the exact-packing walk; 0 for level-1 plans."""
-    clean_cuts: int = 0
-    """Cuts placed on packing-exact boundaries (out of
-    ``len(segments) - 1``)."""
-
-
 def plan_partitions(
-    ctx: EngineContext,
-    tree: BTree,
-    config: RebuildConfig,
-    first_leaf: int,
-    workers: int,
-    readahead=None,
-) -> PartitionPlan:
-    """Cut the leaf chain into up to ``workers`` disjoint segments.
+    ctx: EngineContext, tree: BTree, workers: int
+) -> list[ResumeSegment]:
+    """Cut the leaf chain into up to ``workers`` disjoint segments along
+    level-1 separators: a few nonleaf page reads, no leaf I/O.  The leaf
+    count it sees becomes the progress reporter's total.
 
-    Level-1 separator planning by default; the exact-packing leaf walk
-    when configured, and as the fallback when the nonleaf descent hits a
-    concurrent restructure.  ``readahead(next_leaf, unit)``, when given,
-    publishes the leaf walk's position to the I/O scheduler every
-    ``ntasize`` leaves, so the walk reads behind the rebuild's read-ahead
-    window instead of paying cold-read latency leaf by leaf.
+    The plan is one unbounded segment when the descent hits anything
+    unexpected — a root that is a leaf, a concurrent split/shrink
+    restructuring the levels mid-walk.
     """
-    if not config.partition_exact_packing:
-        plan = _plan_from_level1(ctx, tree, workers)
-        if plan is not None:
-            return plan
-    return _plan_from_leaves(ctx, config, first_leaf, workers, readahead)
+    # (leaves before the boundary, separator unit); built left to right.
+    boundaries: list[tuple[int, bytes]] = []
+    total = 0
+
+    def visit(page_id: int) -> None:
+        nonlocal total
+        # Large I/O on a cold pool: the descent's handful of nonleaf
+        # reads ride the same aligned-run batching as the copy phase
+        # instead of issuing scattered single-page device calls.
+        page = ctx.get_latched(
+            page_id, LatchMode.S, large_io=True, scan=True
+        )
+        try:
+            if page.page_type is not PageType.NONLEAF:
+                raise LookupError(f"page {page_id} is not a nonleaf page")
+            level = page.level
+            rows = list(page.rows)
+        finally:
+            ctx.release_page(page_id)
+        if level == 1:
+            for row in rows:
+                sep = node.entry_key(row)
+                # The keyless first entry of each page offers no cut.
+                if total > 0 and sep:
+                    boundaries.append((total, bytes(sep)))
+                total += 1
+        else:
+            for row in rows:
+                visit(node.entry_child(row))
+
+    try:
+        visit(tree.root_page_id)
+    except Exception:  # noqa: BLE001 - planning is best-effort
+        return [ResumeSegment(ordinal=0)]
+    ctx.counters.add("partition_planner_leaves", total)
+    ctx.progress.set_units_total(total)
+    seams = [sep for _cum, sep in _choose_cuts(boundaries, total, workers)]
+    return [
+        ResumeSegment(
+            ordinal=i, start_unit=start, stop_before=stop, probe=start
+        )
+        for i, (start, stop) in enumerate(zip([None] + seams, seams + [None]))
+    ]
 
 
 def repair_key_bounds(
@@ -207,189 +198,26 @@ def repair_key_bounds(
     return start_key, end_key
 
 
-# ------------------------------------------------------------ level-1 plan
-
-
-def _plan_from_level1(
-    ctx: EngineContext, tree: BTree, workers: int
-) -> PartitionPlan | None:
-    """Plan from nonleaf separators: a few page reads, no leaf I/O.
-
-    Returns None when the descent hits anything unexpected (a concurrent
-    split/shrink restructuring the levels mid-walk) — the caller falls
-    back to the leaf walk, which tolerates mutation by construction.
-    """
-    # (leaves before the boundary, separator unit); built left to right.
-    boundaries: list[tuple[int, bytes]] = []
-    total = 0
-
-    def visit(page_id: int) -> None:
-        nonlocal total
-        # Large I/O on a cold pool: the descent's handful of nonleaf
-        # reads ride the same aligned-run batching as the copy phase
-        # instead of issuing scattered single-page device calls.
-        page = ctx.get_latched(
-            page_id, LatchMode.S, large_io=True, scan=True
-        )
-        try:
-            if page.page_type is not PageType.NONLEAF:
-                raise _PlanFallback(page_id)
-            level = page.level
-            rows = list(page.rows)
-        finally:
-            ctx.release_page(page_id)
-        if level == 1:
-            for row in rows:
-                sep = node.entry_key(row)
-                # The keyless first entry of each page offers no cut.
-                if total > 0 and sep:
-                    boundaries.append((total, bytes(sep)))
-                total += 1
-        else:
-            for row in rows:
-                visit(node.entry_child(row))
-
-    try:
-        visit(tree.root_page_id)
-    except _PlanFallback:
-        return None
-    except Exception:  # noqa: BLE001 - planning is best-effort
-        return None
-    if total <= 0:
-        return None
-    ctx.counters.add("partition_planner_leaves", total)
-    plan = PartitionPlan(leaves_walked=total)
-    cuts = _choose_cuts(
-        [(cum, sep, False) for cum, sep in boundaries],
-        total,
-        workers,
-        exact_packing=False,
-    )
-    _finish(plan, cuts)
-    return plan
-
-
-class _PlanFallback(Exception):
-    """A nonleaf descent found a non-nonleaf page: replan from the leaves."""
-
-
-# --------------------------------------------------------- exact-packing plan
-
-
-def _plan_from_leaves(
-    ctx: EngineContext,
-    config: RebuildConfig,
-    first_leaf: int,
-    workers: int,
-    readahead=None,
-) -> PartitionPlan:
-    """Walk the chain from ``first_leaf``, replaying the serial packing
-    stream to tag clean boundaries; cut preferring them."""
-    budget = max(1, int(config.fillfactor * (ctx.page_size - HEADER_SIZE)))
-    # (cumulative units before the boundary, first unit after it, clean?)
-    boundaries: list[tuple[int, bytes, bool]] = []
-    free = 0  # packing-stream head room; 0 opens the first target page
-    cum_units = 0
-    leaves = 0
-    pid = first_leaf
-    while pid != NO_PAGE:
-        if not ctx.page_manager.is_allocated(pid):
-            break  # chain mutated mid-walk; plan what we have
-        try:
-            page = ctx.get_latched(
-                pid, LatchMode.S, large_io=True, scan=True
-            )
-        except Exception:
-            break
-        try:
-            costs = [SLOT_OVERHEAD + len(r) for r in page.rows]
-            first = page.rows[0] if page.nrows else None
-            last = page.rows[-1] if page.nrows else None
-            next_id = page.next_page
-        finally:
-            ctx.release_page(pid)
-        if leaves > 0 and first is not None:
-            boundaries.append(
-                (cum_units, bytes(first), SLOT_OVERHEAD + len(first) > free)
-            )
-        for cost in costs:
-            if cost > free:
-                free = budget
-            free -= cost
-        cum_units += len(costs)
-        leaves += 1
-        if readahead is not None and leaves % config.ntasize == 0:
-            # The successor's range starts right behind this leaf's last
-            # unit (an empty leaf has no unit to offer: chain walk).
-            readahead(next_id, last + b"\x00" if last is not None else None)
-        pid = next_id
-    ctx.counters.add("partition_planner_leaves", leaves)
-
-    plan = PartitionPlan(leaves_walked=leaves, total_units=cum_units)
-    cuts = _choose_cuts(
-        boundaries, cum_units, workers, config.partition_exact_packing
-    )
-    plan.clean_cuts = sum(1 for _cum, _unit, clean in cuts if clean)
-    _finish(plan, cuts)
-    return plan
-
-
 # ------------------------------------------------------------- cut selection
 
 
-def _finish(
-    plan: PartitionPlan, cuts: list[tuple[int, bytes, bool]]
-) -> None:
-    """Turn chosen cuts into the segment list."""
-    starts: list[tuple[bytes | None, bool]] = [(None, True)] + [
-        (unit, clean) for _cum, unit, clean in cuts
-    ]
-    stops: list[bytes | None] = [unit for _cum, unit, _clean in cuts] + [None]
-    plan.segments = [
-        PartitionSegment(start_unit=start, stop_before=stop, clean_start=clean)
-        for (start, clean), stop in zip(starts, stops)
-    ]
-
-
 def _choose_cuts(
-    boundaries: list[tuple[int, bytes, bool]],
-    total_units: int,
-    workers: int,
-    exact_packing: bool,
-) -> list[tuple[int, bytes, bool]]:
-    """Pick up to ``workers - 1`` strictly increasing boundaries.
-
-    For each ideal (equal-weight) cut position: the nearest *clean*
-    boundary wins if it lies within the clean window; otherwise the
-    nearest boundary of any kind — unless ``exact_packing``, which admits
-    only clean boundaries (possibly yielding fewer segments).
-    """
-    if workers <= 1 or not boundaries or total_units <= 0:
+    boundaries: list[tuple[int, bytes]], total: int, workers: int
+) -> list[tuple[int, bytes]]:
+    """Pick up to ``workers - 1`` strictly increasing boundaries: for each
+    ideal (equal-weight) cut position the nearest boundary not yet
+    passed."""
+    if workers <= 1 or total <= 0:
         return []
-    per = total_units / workers
-    window = per * _CLEAN_WINDOW_FRACTION
-    cuts: list[tuple[int, bytes, bool]] = []
+    per = total / workers
+    cuts: list[tuple[int, bytes]] = []
     min_cum = 0
     for w in range(1, workers):
         ideal = per * w
-        best: tuple[float, int, bytes, bool] | None = None
-        best_clean: tuple[float, int, bytes, bool] | None = None
-        for cum, unit, clean in boundaries:
-            if cum <= min_cum:
-                continue
-            d = abs(cum - ideal)
-            if clean and (best_clean is None or d < best_clean[0]):
-                best_clean = (d, cum, unit, clean)
-            if best is None or d < best[0]:
-                best = (d, cum, unit, clean)
-        if exact_packing:
-            choice = best_clean
-        elif best_clean is not None and best_clean[0] <= window:
-            choice = best_clean
-        else:
-            choice = best
-        if choice is None:
-            continue
-        cuts.append((choice[1], choice[2], choice[3]))
-        min_cum = choice[1]
+        later = [b for b in boundaries if b[0] > min_cum]
+        if not later:
+            break
+        choice = min(later, key=lambda b: abs(b[0] - ideal))
+        cuts.append(choice)
+        min_cum = choice[0]
     return cuts

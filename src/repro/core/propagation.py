@@ -36,7 +36,7 @@ pass); a page being split gets SHRINK plus a SHRINK-bitted, X-locked new
 sibling.  All bits and X address locks persist to the end of the top
 action.
 
-**Parallel rebuild note.**  The partitioned parallel driver runs several
+**Parallel rebuild note.**  A rebuild tiled into several segments runs
 top actions concurrently on disjoint key ranges, so two propagations can
 be in flight at once.  They cannot deadlock against each other: every top
 action processes levels strictly bottom-up and, within a level, parent

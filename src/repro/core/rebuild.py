@@ -24,13 +24,17 @@ highest copied unit is remembered, and the next top action re-discovers
 the first leaf holding anything greater.  This makes the rebuild immune to
 concurrent splits and shrinks rearranging the chain between top actions.
 
-**Parallel partitioned mode** (``parallel_workers > 1``): a planner walk
-(:mod:`repro.core.partition`) cuts the chain into disjoint key-range
-segments; a pool of worker threads then runs this same driver loop, one
-worker per segment, each under its own transactions, all sharing the one
-I/O scheduler.  Safety needs nothing new — address locks, SPLIT/SHRINK
-bits and the §3 flush-then-free ordering already make top actions on
-disjoint ranges independent; the only coordination is at partition seams:
+**One driver, any number of segments.**  Every run is a list of
+:class:`~repro.core.partition.ResumeSegment` specs, each driven by this
+same transaction loop (``_worker_main`` → ``_drive``) under its own
+transactions, all sharing the one I/O scheduler: a single unbounded spec
+for ``parallel_workers == 1`` and for any restricted, sliced or
+``resume_after`` run; the level-1 plan of :mod:`repro.core.partition` for
+a fresh parallel run; the recorded tiling for one resumed from a
+checkpoint.  One pending spec runs on the calling thread, several on one
+thread each.  Safety needs nothing new — address locks, SPLIT/SHRINK bits
+and the §3 flush-then-free ordering already make top actions on disjoint
+ranges independent; the only coordination is at partition seams:
 
 * a worker's copy run never crosses its ``stop_before`` bound (checked by
   peeking, not locking — see :func:`~repro.core.copy_phase._extend_run`);
@@ -45,10 +49,17 @@ Cross-worker propagation cannot deadlock: within a top action levels are
 processed strictly bottom-up and, within a level, groups left-to-right, so
 two neighbors can contend only on a single seam parent per level — a
 one-resource wait, never a cycle (and the §5.5 left-sibling redirection is
-strictly conditional).  A worker hitting a :class:`CrashPoint` (simulated
-power failure) stops the whole pool without any cleanup, exactly like the
-serial driver; an ordinary failure aborts that worker's transaction under
-§4.1.3 while the others finish their current transaction and stop.
+strictly conditional).
+
+**One failure channel.**  Every run has one :class:`_RunState`; the first
+crash or error recorded in it wins.  A :class:`CrashPoint` (simulated
+power failure) in any segment stops the whole run with no cleanup at all.
+An ordinary failure inside a top action aborts that segment's transaction
+under §4.1.3; :meth:`OnlineRebuild.fail` from another thread records the
+error without touching a transaction.  Either way every segment winds
+down at its next top-action boundary — completed top actions forced,
+committed, their old pages freed — and ``run`` raises
+:class:`~repro.errors.RebuildAbortedError` chained from the cause.
 """
 
 from __future__ import annotations
@@ -76,7 +87,6 @@ from repro.core.copy_phase import (
     level1_leaf_order,
 )
 from repro.core.partition import (
-    PartitionSegment,
     ResumeSegment,
     plan_partitions,
     segments_from_checkpoint,
@@ -95,6 +105,12 @@ from repro.wal.records import (
     RecordType,
 )
 from repro.wal.recovery import RebuildCheckpoint
+
+WATCHDOG_TIMEOUT = 60.0
+"""Seconds without top-action progress before a worker is considered
+stuck: the seam-handoff wait raises cleanly past this deadline, and the
+:class:`~repro.core.supervisor.RebuildSupervisor` watchdog fails a worker
+whose heartbeat is older than this."""
 
 
 @dataclass
@@ -115,29 +131,27 @@ class RebuildReport:
     aborted: bool = False
     completed: bool = True
     resume_unit: bytes | None = None
-    """Highest leaf unit copied.  When ``completed`` is False (a
-    ``max_pages`` slice ended early), pass this as ``resume_after`` to the
-    next ``run`` call to continue where this slice stopped — the §7
-    "incremental reorganization" mode that sidefile schemes cannot do."""
+    """Highest leaf unit of the contiguous copied prefix: everything at or
+    below it sits in a rebuilt page.  When ``completed`` is False (a
+    ``max_pages`` slice ended early, a run failed), pass this as
+    ``resume_after`` to the next ``run`` call to continue where this one
+    stopped — the §7 "incremental reorganization" mode that sidefile
+    schemes cannot do."""
     parallel_workers: int = 1
-    """Worker threads the run actually used (1 = serial driver)."""
+    """Segments the run actually drove (1 = on the calling thread)."""
     partition_segments: int = 0
-    """Segments the planner produced when the parallel driver ran."""
-    partition_clean_cuts: int = 0
-    """How many of the chosen seams were packing-exact (see
-    :mod:`repro.core.partition`)."""
+    """Segments of the tiling the planner or the checkpoint produced (0:
+    no tiling — one worker, or a restricted / sliced run)."""
     worker_reports: list["RebuildReport"] = field(default_factory=list)
-    """Per-worker sub-reports (parallel runs only); the top-level counts
-    above are their sums."""
+    """Per-segment sub-reports; the counts above are their sums."""
 
 
-class _PoolState:
-    """Shared stop/failure state of one parallel rebuild's worker pool.
+class _RunState:
+    """Stop/failure state of one run, shared by all its segments.
 
-    ``stop`` tells every worker to wind down at its next top-action
+    ``stop`` tells every segment to wind down at its next top-action
     boundary.  The first crash (simulated power failure) or error to be
-    recorded wins; later ones are dropped — exactly like the serial
-    driver, where only one failure can happen.
+    recorded wins; later ones are dropped.
     """
 
     def __init__(self) -> None:
@@ -146,16 +160,12 @@ class _PoolState:
         self.error: BaseException | None = None
         self._lock = threading.Lock()
 
-    def record_crash(self, exc: CrashPoint) -> None:
+    def record(self, exc: BaseException) -> None:
         with self._lock:
-            if self.crash is None:
-                self.crash = exc
-        self.stop.set()
-
-    def record_error(self, exc: BaseException) -> None:
-        with self._lock:
-            if self.error is None:
-                self.error = exc
+            if isinstance(exc, CrashPoint):
+                self.crash = self.crash or exc
+            else:
+                self.error = self.error or exc
         self.stop.set()
 
 
@@ -168,8 +178,8 @@ class OnlineRebuild:
         self.config = config if config is not None else RebuildConfig()
         self._scheduler: IOScheduler | None = None
         # Supervision hooks (all idle unless a RebuildSupervisor drives
-        # this instance — the serial/no-supervisor defaults cost two
-        # attribute checks per top action and nothing else).
+        # this instance — unsupervised they cost three attribute checks
+        # per top action and nothing else).
         self.throttle_sleep: float = 0.0
         """Seconds slept at each top-action boundary; the supervisor's
         ladder sets it per attempt and its monitor widens and decays it at
@@ -180,10 +190,10 @@ class OnlineRebuild:
         self._gate = threading.Event()
         self._gate.set()  # set = running; cleared = paused by the supervisor
         self._beats: dict[int, float] = {}
-        """Partition ordinal → ``time.monotonic()`` of its last completed
-        top action (the supervisor watchdog's heartbeat source)."""
-        self._poison: BaseException | None = None
-        self._pool: _PoolState | None = None
+        """Ordinal of each segment still running → ``time.monotonic()`` of
+        its last completed top action (the supervisor watchdog's heartbeat
+        source)."""
+        self._state = _RunState()  # of the next run; replaced when it ends
         self._epoch = 0
         self._resume_seam = False
         self._progress_enabled = False
@@ -193,13 +203,9 @@ class OnlineRebuild:
 
     def fail(self, exc: BaseException) -> None:
         """Fail the run cleanly from another thread (supervisor watchdog):
-        parallel runs go through the pool's first-error-wins channel;
-        serial runs raise at the next top-action boundary."""
-        pool = self._pool
-        if pool is not None:
-            pool.record_error(exc)
-        else:
-            self._poison = exc
+        every segment winds down at its next top-action boundary and
+        ``run`` raises :class:`RebuildAbortedError` chained from ``exc``."""
+        self._state.record(exc)
 
     def pause(self) -> None:
         """Suspend the copy phase at the next top-action boundary (locks
@@ -243,20 +249,25 @@ class OnlineRebuild:
         * ``resume_after`` — a previous report's ``resume_unit``;
           continues from its successor.
 
-        ``config.parallel_workers > 1`` engages the partitioned parallel
-        driver — for *full* rebuilds only.  Any of the restrictions above
-        forces the serial driver (a restricted range is one segment
-        already, and slice accounting is inherently sequential).
+        ``config.parallel_workers > 1`` tiles a *full* rebuild into that
+        many segments.  Any of the restrictions above makes the run one
+        segment (a restricted range is one segment already, and slice
+        accounting is inherently sequential).
 
         ``resume_checkpoint`` — a :class:`RebuildCheckpoint` recovered
         from durable ``REBUILD_PROGRESS`` records — continues an
-        interrupted rebuild: the serial driver restarts after the
-        checkpoint's contiguous covered prefix, and the parallel driver
-        reconstructs the original partition tiling and restarts every
-        unfinished segment from its own highest durable unit.  A
-        checkpoint for another index, or one whose rebuild completed, is
-        ignored (the epoch check already happened at recovery: only the
-        highest epoch's records survive reconstruction).
+        interrupted rebuild: a one-worker run restarts after the
+        checkpoint's contiguous covered prefix, and a tiled one relaunches
+        the recorded tiling, every unfinished segment from its own highest
+        durable unit.  A checkpoint for another index, or one whose
+        rebuild completed, is ignored (the epoch check already happened at
+        recovery: only the highest epoch's records survive
+        reconstruction).
+
+        A failure — in a top action, or posted through :meth:`fail` —
+        raises :class:`RebuildAbortedError` chained from its cause after
+        every segment has wound down; ``last_report.resume_unit`` then
+        seeds a retry.
         """
         tree, ctx, config = self.tree, self.ctx, self.config
         if getattr(tree, "_rebuild_active", False):
@@ -291,28 +302,23 @@ class OnlineRebuild:
                         f"{tree.index_id}: epoch {resume_checkpoint.epoch} "
                         f"superseded by epoch {rec.epoch} in the log"
                     )
-        use_parallel = config.parallel_workers > 1 and all(
+        tiled = config.parallel_workers > 1 and all(
             v is None for v in (start_key, end_key, max_pages, resume_after)
         )
         if (
             resume_checkpoint is not None
-            and not use_parallel
+            and not tiled
             and resume_after is None
             and start_key is None
             and end_key is None
         ):
-            # Serial resume: restart after the durable contiguous prefix.
+            # One-segment resume: restart after the durable contiguous
+            # prefix.
             resume_after = resume_checkpoint.resume_key()
-            resume_checkpoint = None
-        self._start_unit = (
-            resume_after + b"\x00"  # strictly after the last copied unit
-            if resume_after is not None
-            else (K.search_floor(start_key) if start_key is not None else None)
-        )
-        # A resume probe never re-copies its seam leaf (see
-        # _discover_position); a start_key probe includes its boundary
-        # leaf whole.
-        self._resume_seam = resume_after is not None
+        # A start_key probe includes its boundary leaf whole; every other
+        # probe (a resume's, a segment's) never re-copies the leaf it
+        # lands in (see _discover_position).
+        self._resume_seam = resume_after is not None or start_key is None
         self._end_unit = (
             K.search_ceiling(end_key) if end_key is not None else None
         )
@@ -333,34 +339,19 @@ class OnlineRebuild:
                 "rebuild.run",
                 index_id=tree.index_id,
                 epoch=self._epoch,
-                workers=config.parallel_workers if use_parallel else 1,
+                workers=config.parallel_workers if tiled else 1,
             )
             if tracer.enabled
             else None
         )
         tree._rebuild_active = True  # type: ignore[attr-defined]
-        chunk_alloc = ChunkAllocator(ctx.page_manager, config.chunk_size)
-        traversal = Traversal(ctx, tree, scan=True)
         report = RebuildReport()
         self.last_report = report  # kept current even when the run raises
         counters_before = ctx.counters.snapshot()
         log_before = ctx.log.usage_snapshot()
         timer = Timer()
-        # Pipelining (issue 3): a nonzero pipeline_depth runs the §3 forces
-        # through a background writer and read-ahead through background
-        # readers; a nonzero group_commit_window lets the rebuild's commits
-        # (and any concurrent user commits) share physical log flushes.
-        # Each driver loop (the serial one, or every parallel worker) is
-        # one read-ahead consumer with a window of pipeline_depth top
-        # actions, which the scheduler caps by what the pool's ring holds.
-        if config.pipeline_depth > 0:
-            self._scheduler = IOScheduler(
-                ctx.buffer, counters=ctx.counters,
-                window=config.pipeline_depth * config.ntasize,
-                consumers=config.parallel_workers if use_parallel else 1,
-                leaf_order=functools.partial(level1_leaf_order, ctx, tree),
-                tracer=tracer,
-            ).start()
+        # A nonzero group_commit_window lets the rebuild's commits (and any
+        # concurrent user commits) share physical log flushes.
         ctx.group_commit_hold.acquire(config.group_commit_window)
         # Scan resistance (issue 8): enable the pool's probationary ring
         # for the rebuild's duration so this scan's reads, prefetches, and
@@ -369,30 +360,53 @@ class OnlineRebuild:
         ctx.ring_hold.acquire(config.ring_frames)
         try:
             with timer:
-                if use_parallel:
-                    self._drive_parallel(
-                        chunk_alloc, traversal, report,
-                        checkpoint=resume_checkpoint,
-                    )
+                if tiled:
+                    specs = self._plan(resume_checkpoint, report)
                 else:
-                    self._drive(chunk_alloc, traversal, report)
-                if (
-                    self._progress_enabled
-                    and report.completed
-                    and not report.aborted
-                ):
+                    specs = [
+                        ResumeSegment(
+                            ordinal=0,
+                            probe=(
+                                # Strictly after the last copied unit.
+                                resume_after + b"\x00"
+                                if resume_after is not None
+                                else K.search_floor(start_key)
+                                if start_key is not None
+                                else None
+                            ),
+                        )
+                    ]
+                pending = [spec for spec in specs if not spec.done]
+                # Pipelining (issue 3): a nonzero pipeline_depth runs the
+                # §3 forces through a background writer and read-ahead
+                # through background readers.  Each segment driven is one
+                # read-ahead consumer with a window of pipeline_depth top
+                # actions, which the scheduler caps by what the pool's
+                # ring holds.
+                if config.pipeline_depth > 0:
+                    self._scheduler = IOScheduler(
+                        ctx.buffer, counters=ctx.counters,
+                        window=config.pipeline_depth * config.ntasize,
+                        consumers=max(1, len(pending)),
+                        leaf_order=functools.partial(
+                            level1_leaf_order, ctx, tree
+                        ),
+                        tracer=tracer,
+                    ).start()
+                self._launch(specs, pending, report)
+                if self._progress_enabled and report.completed:
                     # Terminal marker: recovery must not resume this epoch.
                     self._log_progress(
                         0, b"", report.resume_unit or b"",
                         PROGRESS_COMPLETE, flush=True,
                     )
         finally:
+            self._state = _RunState()
             if self._scheduler is not None:
                 self._scheduler.close()
                 self._scheduler = None
             ctx.group_commit_hold.release(config.group_commit_window)
             ctx.ring_hold.release(config.ring_frames)
-            chunk_alloc.close()
             tree._rebuild_active = False  # type: ignore[attr-defined]
             ctx.progress.rebuild_finished(aborted=report.aborted)
             if self._run_span is not None:
@@ -412,43 +426,69 @@ class OnlineRebuild:
         report.log_bytes_by_type = dict(usage["bytes"])
         return report
 
+    def _plan(
+        self, checkpoint: RebuildCheckpoint | None, report: RebuildReport
+    ) -> list[ResumeSegment]:
+        """The tiling of a full ``parallel_workers > 1`` run: the one a
+        ``checkpoint`` recorded, or — without one, or when the recorded
+        tiling has a coverage gap (a worker that never reported), which is
+        correct to replan, just not incremental — a fresh level-1 plan.
+        """
+        ctx = self.ctx
+        specs = (
+            segments_from_checkpoint(checkpoint)
+            if checkpoint is not None
+            else None
+        )
+        if specs is not None:
+            # Seed with the durable contiguous prefix so a fully-copied
+            # resume (every segment done, only the COMPLETE record
+            # missing) still reports an honest resume_unit.
+            report.resume_unit = checkpoint.resume_key()
+            ctx.syncpoints.fire(
+                "rebuild.partition.resumed",
+                segments=len(specs),
+                pending=sum(1 for spec in specs if not spec.done),
+                epoch=checkpoint.epoch,
+            )
+        else:
+            with ctx.tracer.span("rebuild.plan"):
+                specs = plan_partitions(
+                    ctx, self.tree, self.config.parallel_workers
+                )
+            ctx.syncpoints.fire(
+                "rebuild.partition.planned", segments=len(specs)
+            )
+            ctx.counters.add("partition_segments", len(specs))
+        report.partition_segments = len(specs)
+        return specs
+
     # ------------------------------------------------------------------ drive
 
     def _drive(
         self,
+        spec: ResumeSegment,
+        seam_token: CompletionToken | None,
         chunk_alloc: ChunkAllocator,
         traversal: Traversal,
         report: RebuildReport,
-        start_probe: bytes | None = None,
-        stop_before: bytes | None = None,
-        fill_pp_first: bool = True,
-        seam_token: CompletionToken | None = None,
-        pool: "_PoolState | None" = None,
-        partition: int = 0,
-        progress_start: bytes = b"",
     ) -> None:
-        """The transaction loop; serial callers use only the first three
-        arguments (and get today's behavior unchanged).  The parallel
-        driver runs one ``_drive`` per worker with:
-
-        * ``start_probe`` / ``stop_before`` — the worker's segment bounds;
-        * ``fill_pp_first=False`` — the first top action leaves its PP's
-          content to the left-hand neighbor's packing;
-        * ``seam_token`` — the left neighbor's completion token, waited on
-          (briefly, repeatedly) when the seam PP is busy;
-        * ``pool`` — the shared stop/crash state of the worker pool;
-        * ``partition`` / ``progress_start`` — the ordinal and recorded
-          coverage start stamped into this worker's progress records.
-        """
-        ctx, config = self.ctx, self.config
+        """The transaction loop over one segment: from ``spec.probe`` up
+        to ``spec.stop_before``.  ``seam_token`` is the left neighbor's
+        completion token, waited on (briefly, repeatedly) when the seam PP
+        is busy."""
+        ctx, config, state = self.ctx, self.config, self._state
         tracer = ctx.tracer
-        probe: bytes | None = (
-            start_probe if start_probe is not None else self._start_unit
-        )
-        # Fresh-worker probes equal their segment's first-leaf unit, so
-        # the seam rule is inert for them; resume probes engage it.
-        seam = start_probe is not None or self._resume_seam
-        filled_one = fill_pp_first
+        partition, stop_before = spec.ordinal, spec.stop_before
+        probe = spec.probe
+        seam = self._resume_seam
+        # The leftmost segment owns its first PP outright; every other
+        # segment's first PP is the left neighbor's seam page, whose
+        # content the first top action leaves to that neighbor's packing
+        # — unless this segment resumes past durable progress of its own,
+        # in which case its first PP is a page it itself already rebuilt
+        # and packing it further is the standard resume situation.
+        filled_one = partition == 0 or probe != spec.start_unit
         progress_logged: bytes | None = None
         self._beats[partition] = time.monotonic()
         ctx.progress.phase_change("copy")
@@ -465,24 +505,25 @@ class OnlineRebuild:
             pages_this_txn = 0
             try:
                 while pages_this_txn < config.xactsize and not done:
-                    if pool is not None and pool.stop.is_set():
-                        if pool.crash is not None:
-                            # A peer hit a simulated power failure: this
-                            # worker's power is out too — no cleanup.
-                            raise CrashPoint(pool.crash.name)
-                        report.completed = False
-                        done = True
-                        break
-                    # Supervision hooks: a poisoned run fails at this
-                    # boundary (no locks or latches held), a throttled one
-                    # sleeps, and a paused one waits on the gate.
-                    if self._poison is not None:
-                        exc, self._poison = self._poison, None
-                        raise exc
+                    # Supervision hooks, at a boundary where no locks or
+                    # latches are held: a throttled run sleeps, a paused
+                    # one waits on the gate, a failed one winds down.
                     if self.throttle_sleep:
                         time.sleep(self.throttle_sleep)
                     if not self._gate.is_set():
-                        self._pause_wait(pool)
+                        ctx.syncpoints.fire("rebuild.paused")
+                        while not (
+                            self._gate.wait(0.05) or state.stop.is_set()
+                        ):
+                            pass  # a crash or a failure cuts the wait short
+                    if state.stop.is_set():
+                        if state.crash is not None:
+                            # A peer hit a simulated power failure: this
+                            # worker's power is out too — no cleanup.
+                            raise CrashPoint(state.crash.name)
+                        report.completed = False
+                        done = True
+                        break
                     if (
                         self._max_pages is not None
                         and report.leaf_pages_rebuilt >= self._max_pages
@@ -505,8 +546,7 @@ class OnlineRebuild:
                     ):
                         outcome = self._one_top_action(
                             txn, chunk_alloc, traversal, p1, txn_new_pages,
-                            report,
-                            txn_force_pages=txn_force_pages,
+                            report, txn_force_pages,
                             stop_before=stop_before,
                             fill_pp=filled_one,
                             pp_busy_wait=(
@@ -515,7 +555,7 @@ class OnlineRebuild:
                                 # neighbor; afterwards PP is this worker's
                                 # own page and the default instant-lock
                                 # wait applies.
-                                self._seam_wait(seam_token, pool)
+                                self._seam_wait(seam_token)
                                 if not filled_one
                                 else None
                             ),
@@ -536,27 +576,15 @@ class OnlineRebuild:
                         and resume_unit >= self._end_unit
                     ):
                         done = True  # the requested range is finished
-            except CrashPoint:
-                raise  # simulated power failure: skip the abort protocol
-            except BaseException as exc:
-                self._abort(
-                    txn,
-                    txn_new_pages
-                    + sorted(txn_force_pages.difference(txn_new_pages)),
-                    report,
+                # §3 transaction boundary: force new pages, commit, free
+                # old.  Pipelined, the force is a barrier on the
+                # write-behind queue — the wait below IS the durability
+                # point; a writer failure must take the abort path
+                # (synchronous flush) before anything is freed, so the
+                # invariant is enforced, never assumed.
+                force_pages = txn_new_pages + sorted(
+                    txn_force_pages.difference(txn_new_pages)
                 )
-                raise RebuildAbortedError(
-                    f"online rebuild aborted: {exc}"
-                ) from exc
-            force_pages = txn_new_pages + sorted(
-                txn_force_pages.difference(txn_new_pages)
-            )
-            # §3 transaction boundary: force new pages, commit, free old.
-            # Pipelined, the force is a barrier on the write-behind queue —
-            # the wait below IS the durability point; a writer failure must
-            # take the abort path (synchronous flush) before anything is
-            # freed, so the invariant is enforced, never assumed.
-            try:
                 with tracer.span(
                     "rebuild.force", pages=len(force_pages),
                     partition=partition,
@@ -566,9 +594,14 @@ class OnlineRebuild:
                     else:
                         ctx.buffer.flush_pages(force_pages)
             except CrashPoint:
-                raise
+                raise  # simulated power failure: skip the abort protocol
             except BaseException as exc:
-                self._abort(txn, force_pages, report)
+                self._abort(
+                    txn,
+                    txn_new_pages
+                    + sorted(txn_force_pages.difference(txn_new_pages)),
+                    report,
+                )
                 raise RebuildAbortedError(
                     f"online rebuild aborted: {exc}"
                 ) from exc
@@ -587,7 +620,7 @@ class OnlineRebuild:
                 # it in LSN order — prefix durability keeps it honest even
                 # if this commit record itself never reaches disk.
                 self._log_progress(
-                    partition, progress_start, report.resume_unit,
+                    partition, spec.start_unit or b"", report.resume_unit,
                     PROGRESS_RUNNING,
                 )
                 progress_logged = report.resume_unit
@@ -601,174 +634,72 @@ class OnlineRebuild:
                 "rebuild.txn_committed", pages=pages_this_txn
             )
 
-    # --------------------------------------------------------------- parallel
+    # --------------------------------------------------------------- segments
 
-    def _drive_parallel(
+    def _launch(
         self,
-        chunk_alloc: ChunkAllocator,
-        traversal: Traversal,
+        specs: list[ResumeSegment],
+        pending: list[ResumeSegment],
         report: RebuildReport,
-        checkpoint: RebuildCheckpoint | None = None,
     ) -> None:
-        """Partitioned parallel driver (full rebuilds only).
-
-        Plans disjoint key-range segments over one walk of the leaf chain,
-        then runs one ``_drive`` loop per segment on its own thread, each
-        under its own transactions.  Falls back to the serial driver when
-        the planner cannot produce more than one segment (tiny index, or
-        the best-effort walk ended early under concurrent traffic).
-
-        With a ``checkpoint`` the original tiling is reconstructed from
-        the durable progress records instead of replanned: finished
-        segments are skipped outright, unfinished ones restart from their
-        own highest durable unit.  A checkpoint with a coverage gap (a
-        worker that never reported) falls back to a fresh plan — correct,
-        just not incremental.
-        """
-        ctx, config = self.ctx, self.config
-        resume: list[ResumeSegment] | None = (
-            segments_from_checkpoint(checkpoint)
-            if checkpoint is not None
-            else None
-        )
-        if resume is not None:
-            self._drive_parallel_resumed(
-                chunk_alloc, traversal, report, checkpoint, resume
-            )
-            return
-        txn = ctx.txns.begin()
-        try:
-            first = self._leftmost_leaf(txn)
-        finally:
-            ctx.txns.commit(txn)
-        if first == self.tree.root_page_id:
-            report.parallel_workers = 1
-            return  # single-leaf tree: nothing to relocate
-        scheduler = self._scheduler
-        with ctx.tracer.span("rebuild.plan"):
-            plan = plan_partitions(
-                ctx, self.tree, config, first, config.parallel_workers,
-                # The planner's leaf walk reads as consumer 0; the worker
-                # that takes the ordinal over starts its window afresh.
-                readahead=(
-                    functools.partial(scheduler.advance, 0)
-                    if scheduler is not None
-                    else None
-                ),
-            )
-        ctx.progress.set_units_total(plan.leaves_walked)
-        ctx.syncpoints.fire(
-            "rebuild.partition.planned",
-            segments=len(plan.segments),
-            clean_cuts=plan.clean_cuts,
-            leaves=plan.leaves_walked,
-        )
-        if len(plan.segments) <= 1:
-            report.parallel_workers = 1
-            self._drive(chunk_alloc, traversal, report)
-            return
-        nseg = len(plan.segments)
-        ctx.counters.add("partition_segments", nseg)
-        ctx.counters.add("partition_clean_cuts", plan.clean_cuts)
-        report.parallel_workers = nseg
-        report.partition_segments = nseg
-        report.partition_clean_cuts = plan.clean_cuts
-        specs = [
-            ResumeSegment(
-                ordinal=i,
-                segment=seg,
-                probe=seg.start_unit,
-                progress_start=seg.start_unit or b"",
-                done=False,
-            )
-            for i, seg in enumerate(plan.segments)
-        ]
-        self._launch_workers(specs, report)
-
-    def _drive_parallel_resumed(
-        self,
-        chunk_alloc: ChunkAllocator,
-        traversal: Traversal,
-        report: RebuildReport,
-        checkpoint: RebuildCheckpoint,
-        resume: list[ResumeSegment],
-    ) -> None:
-        """Relaunch the recorded tiling, skipping finished segments."""
-        ctx = self.ctx
-        nseg = len(resume)
-        report.parallel_workers = max(
-            1, sum(1 for spec in resume if not spec.done)
-        )
-        report.partition_segments = nseg
-        # Seed with the durable high-water mark so a fully-copied resume
-        # (every segment done, only the COMPLETE record missing) still
-        # reports an honest resume_unit.
-        report.resume_unit = max(
-            (
-                part.last_unit
-                for part in checkpoint.partitions.values()
-                if part.last_unit
-            ),
-            default=None,
-        )
-        ctx.syncpoints.fire(
-            "rebuild.partition.resumed",
-            segments=nseg,
-            pending=sum(1 for spec in resume if not spec.done),
-            epoch=checkpoint.epoch,
-        )
-        self._launch_workers(resume, report)
-
-    def _launch_workers(
-        self, specs: list[ResumeSegment], report: RebuildReport
-    ) -> None:
-        """Run one worker thread per unfinished spec and merge reports."""
-        ctx = self.ctx
+        """Drive every ``pending`` spec of the tiling ``specs`` — on the
+        calling thread when there is one, on a thread each otherwise —
+        merge their reports, and raise what the run's state recorded."""
+        ctx, state = self.ctx, self._state
         tokens = [CompletionToken() for _ in specs]
-        pool = _PoolState()
         reports = [RebuildReport() for _ in specs]
-        threads: list[threading.Thread] = []
-        for spec, token in zip(specs, tokens):
+        for spec in specs:
             if spec.done:
                 # Finished segment: nothing to run; its right-hand
                 # neighbor must not wait on the seam.
-                token.complete()
-                continue
-            threads.append(
+                tokens[spec.ordinal].complete()
+        report.parallel_workers = max(1, len(pending))
+        if len(pending) == 1:
+            (spec,) = pending
+            self._worker_main(spec, tokens, reports[spec.ordinal])
+        else:
+            threads = [
                 threading.Thread(
                     target=self._worker_main,
-                    args=(spec, tokens, pool, reports[spec.ordinal]),
+                    args=(spec, tokens, reports[spec.ordinal]),
                     name=f"rebuild-worker-{spec.ordinal}",
                     daemon=True,
                 )
-            )
-        self._pool = pool
-        try:
+                for spec in pending
+            ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-        finally:
-            self._pool = None
         ctx.progress.phase_change("merge")
         merge_span = (
-            ctx.tracer.begin("rebuild.merge", workers=len(threads))
+            ctx.tracer.begin("rebuild.merge", workers=len(pending))
             if ctx.tracer.enabled
             else None
         )
-        for sub in reports:
+        for sub in reports:  # in key order
             report.leaf_pages_rebuilt += sub.leaf_pages_rebuilt
             report.new_leaf_pages += sub.new_leaf_pages
             report.transactions += sub.transactions
             report.top_actions += sub.top_actions
             report.pages_freed += sub.pages_freed
             report.aborted = report.aborted or sub.aborted
-            report.completed = report.completed and sub.completed
-            if sub.resume_unit is not None and (
-                report.resume_unit is None
-                or sub.resume_unit > report.resume_unit
+            # resume_unit ends the *contiguous* copied prefix: it advances
+            # through segments in key order up to the first unfinished
+            # one — a retry resumes after it, so progress a later segment
+            # made beyond a gap must not count.
+            if (
+                report.completed
+                and sub.resume_unit is not None
+                and (
+                    report.resume_unit is None
+                    or sub.resume_unit > report.resume_unit
+                )
             ):
                 report.resume_unit = sub.resume_unit
+            report.completed = report.completed and sub.completed
+        if state.error is not None:
+            report.aborted, report.completed = True, False
         report.worker_reports = reports
         ctx.syncpoints.fire(
             "rebuild.partition.merged",
@@ -777,30 +708,30 @@ class OnlineRebuild:
         )
         if merge_span is not None:
             ctx.tracer.finish(merge_span)
-        if pool.crash is not None:
-            raise pool.crash
-        if pool.error is not None:
-            if isinstance(pool.error, RebuildAbortedError):
-                raise pool.error
+        if state.crash is not None:
+            raise state.crash
+        if state.error is not None:
+            if isinstance(state.error, RebuildAbortedError):
+                raise state.error
             raise RebuildAbortedError(
-                f"online rebuild aborted: {pool.error}"
-            ) from pool.error
+                f"online rebuild aborted: {state.error}"
+            ) from state.error
 
     def _worker_main(
         self,
         spec: ResumeSegment,
         tokens: list[CompletionToken],
-        pool: _PoolState,
         report: RebuildReport,
     ) -> None:
-        """Body of one rebuild worker thread (segment ``spec.ordinal``)."""
-        ctx, config = self.ctx, self.config
-        ordinal, seg = spec.ordinal, spec.segment
-        chunk_alloc = ChunkAllocator(ctx.page_manager, config.chunk_size)
+        """Drive one segment (``spec.ordinal``): the body of a worker
+        thread, or of ``run`` itself when no other segment is pending.
+        Nothing escapes — a crash or an error goes to the run's state."""
+        ctx, state = self.ctx, self._state
+        ordinal = spec.ordinal
+        chunk_alloc = ChunkAllocator(ctx.page_manager)
         traversal = Traversal(ctx, self.tree, scan=True)
-        left_token = tokens[ordinal - 1] if ordinal > 0 else None
         tracer = ctx.tracer
-        # Cross-thread parenting: this thread's span stack is empty, so
+        # Cross-thread parenting: a worker thread's span stack is empty, so
         # the worker span is parented explicitly under the driver's
         # rebuild.run span; everything the worker emits nests under it.
         worker_span = (
@@ -812,52 +743,40 @@ class OnlineRebuild:
         )
         try:
             ctx.syncpoints.fire(
-                "rebuild.partition.worker_start",
-                worker=ordinal,
-                clean_start=seg.clean_start,
+                "rebuild.partition.worker_start", worker=ordinal
             )
             self._drive(
+                spec,
+                tokens[ordinal - 1] if ordinal > 0 else None,
                 chunk_alloc, traversal, report,
-                start_probe=spec.probe,
-                stop_before=seg.stop_before,
-                # The leftmost worker owns its first PP outright; every
-                # other worker's first PP is the left neighbor's seam page
-                # — unless this worker resumes past durable progress of
-                # its own, in which case its first PP is a page it itself
-                # already rebuilt and packing it further is the standard
-                # serial-resume situation.
-                fill_pp_first=(ordinal == 0 or spec.probe != seg.start_unit),
-                seam_token=left_token,
-                pool=pool,
-                partition=ordinal,
-                progress_start=spec.progress_start,
             )
             if (
                 self._progress_enabled
+                and len(tokens) > 1
                 and report.completed
-                and not report.aborted
             ):
                 # Durable (at the next flush) marker: this segment needs
                 # no further work even though the run as a whole may not
-                # have finished.
+                # have finished.  A lone segment needs none: the run's
+                # COMPLETE record follows at once.
                 self._log_progress(
-                    ordinal, spec.progress_start,
+                    ordinal, spec.start_unit or b"",
                     report.resume_unit or b"", PROGRESS_SEGMENT_DONE,
                 )
             ctx.syncpoints.fire(
                 "rebuild.partition.worker_done", worker=ordinal
             )
-        except CrashPoint as exc:
-            # Simulated power failure: like the serial driver, no runtime
-            # cleanup at all — peers see it via the pool and "lose power"
-            # at their next top-action boundary.
-            pool.record_crash(exc)
         except BaseException as exc:  # noqa: BLE001 - thread boundary
-            pool.record_error(exc)
+            # After a simulated power failure no runtime cleanup at all:
+            # peers see it in the state and "lose power" at their next
+            # top-action boundary.
+            state.record(exc)
         finally:
+            # A finished segment has no heartbeat to go stale.
+            self._beats.pop(ordinal, None)
             # The right-hand neighbor may be waiting on this token;
             # complete it on *every* exit (a failed worker released its
-            # locks during abort, and a crashed one stops the pool).
+            # locks during abort, and a crashed one stops the run).
             tokens[ordinal].complete()
             if tracer.enabled:
                 tracer.event("rebuild.seam_release", worker=ordinal)
@@ -865,64 +784,60 @@ class OnlineRebuild:
                 ctx.syncpoints.fire(
                     "rebuild.partition.seam_released", worker=ordinal
                 )
-            except CrashPoint as exc:
-                pool.record_crash(exc)
-            except BaseException:  # noqa: BLE001 - thread boundary
-                pass
+            except BaseException as exc:  # noqa: BLE001 - thread boundary
+                state.record(exc)
             chunk_alloc.close()
             if worker_span is not None:
                 tracer.finish(worker_span)
 
-    def _seam_wait(
-        self,
-        token: CompletionToken | None,
-        pool: _PoolState | None,
-    ):
-        """Build the ``pp_busy_wait`` callable for a worker's seam top
+    def _seam_wait(self, token: CompletionToken | None):
+        """Build the ``pp_busy_wait`` callable for a segment's seam top
         action: while the left neighbor still owns the seam PP, wait on
-        its completion token (briefly, re-checking for a pool stop)
-        instead of camping in the lock manager's instant-wait loop.
+        its completion token (briefly, re-checking for a crash elsewhere
+        in the run) instead of camping in the lock manager's instant-wait
+        loop.
 
-        The wait carries a deadline (``config.watchdog_timeout`` from the
-        first busy poll): if the left neighbor dies without completing its
-        token *and* without posting a pool crash/error, this worker fails
-        cleanly through the pool instead of hanging it forever."""
-        ctx = self.ctx
+        The wait carries a deadline (``WATCHDOG_TIMEOUT`` from the first
+        busy poll): if the left neighbor dies without completing its token
+        *and* without posting a crash or error, this segment fails cleanly
+        instead of hanging the run forever."""
+        ctx, state = self.ctx, self._state
         tracer = ctx.tracer
-        timeout = self.config.watchdog_timeout
-        state: dict = {"deadline": 0.0, "span": None}
+        deadline = 0.0
+        span = None
 
         def _finish_span() -> None:
-            span = state["span"]
+            nonlocal span
             if span is not None:
-                state["span"] = None
-                tracer.finish(span)
+                done, span = span, None
+                tracer.finish(done)
                 ctx.metrics.histogram("seam_wait_seconds").record(
-                    span.duration
+                    done.duration
                 )
 
         def busy_wait() -> bool:
-            if pool is not None and pool.crash is not None:
-                raise CrashPoint(pool.crash.name)
+            nonlocal deadline, span
+            if state.crash is not None:
+                raise CrashPoint(state.crash.name)
             if token is None or token.done:
                 # Left neighbor finished (or aborted and released its
                 # locks): the ordinary instant-lock wait takes over.
                 _finish_span()
                 return False
             now = time.monotonic()
-            if not state["deadline"]:
-                state["deadline"] = now + timeout
+            if not deadline:
+                deadline = now + WATCHDOG_TIMEOUT
                 if tracer.enabled:
                     # The seam wait is a series of discrete busy polls;
                     # one span covers the whole episode, opened at the
                     # first busy poll and closed when the token is done.
-                    state["span"] = tracer.begin("rebuild.seam_wait")
-            elif now >= state["deadline"]:
+                    span = tracer.begin("rebuild.seam_wait")
+            elif now >= deadline:
                 ctx.counters.add("seam_wait_timeouts")
                 _finish_span()
                 raise RebuildError(
-                    "seam wait exceeded watchdog_timeout "
-                    f"({timeout:.1f}s) without the left neighbor "
+                    f"seam wait exceeded WATCHDOG_TIMEOUT "
+                    f"({WATCHDOG_TIMEOUT:.1f}s) without the left neighbor "
                     "completing its segment"
                 )
             ctx.counters.add("partition_seam_waits")
@@ -959,16 +874,6 @@ class OnlineRebuild:
         if flush:
             ctx.log.flush_to(lsn)
 
-    def _pause_wait(self, pool: "_PoolState | None") -> None:
-        """Block at a top-action boundary while the supervisor holds the
-        pause gate; pool stops and poisoning still cut the wait short."""
-        self.ctx.syncpoints.fire("rebuild.paused")
-        while not self._gate.wait(0.05):
-            if pool is not None and pool.stop.is_set():
-                return
-            if self._poison is not None:
-                return
-
     def _one_top_action(
         self,
         txn: Transaction,
@@ -977,24 +882,23 @@ class OnlineRebuild:
         p1: int,
         txn_new_pages: list[int],
         report: RebuildReport,
-        stop_before: bytes | None = None,
-        fill_pp: bool = True,
-        pp_busy_wait=None,
-        txn_force_pages: set[int] | None = None,
+        txn_force_pages: set[int],
+        stop_before: bytes | None,
+        fill_pp: bool,
+        pp_busy_wait,
     ) -> tuple[bytes, bool, int] | None:
         """Run one multipage rebuild top action starting at leaf ``p1``.
 
         Returns (resume_unit, reached_end, pages_rebuilt), or None when the
         position was lost before any work was logged (caller rediscovers).
-        The last three arguments are the parallel seam knobs, passed
-        through to :func:`copy_multipage`.
+        ``stop_before`` / ``fill_pp`` / ``pp_busy_wait`` are the seam
+        knobs, passed through to :func:`copy_multipage`.
         """
         ctx, config, tree = self.ctx, self.config, self.tree
         cleanup: list[int] = []
         deallocated: list[int] = []
         nta_new_pages: list[int] = []
         ctx.txns.begin_nta(txn)
-        scheduler = self._scheduler
         try:
             result = copy_multipage(
                 ctx, tree, txn, config, chunk_alloc, p1, cleanup,
@@ -1034,19 +938,19 @@ class OnlineRebuild:
             if ctx.page_manager.state(pid) is PageState.DEALLOCATED:
                 ctx.buffer.retire_page(pid)
         txn_new_pages.extend(nta_new_pages)
-        if txn_force_pages is not None and result.pp_page != NO_PAGE:
+        if result.pp_page != NO_PAGE:
             # PP received this top action's seam rows (and its next-link
             # flip) through the keycopy record; §3 forces it with the new
             # pages so redo never needs the — possibly unreadable — old
             # source images.
             txn_force_pages.add(result.pp_page)
-        if scheduler is not None:
+        if self._scheduler is not None:
             # Eager write-behind: this top action's pages are final for the
             # rest of the transaction, so the writer can start cleaning
             # them while the next top action copies.  The transaction
             # boundary's barrier still guarantees durability before any
             # old page is freed.
-            scheduler.submit_write(nta_new_pages)
+            self._scheduler.submit_write(nta_new_pages)
         report.top_actions += 1
         report.leaf_pages_rebuilt += len(result.old_pages)
         ctx.syncpoints.fire(
@@ -1064,8 +968,8 @@ class OnlineRebuild:
         self,
         txn: Transaction,
         probe: bytes | None,
-        stop_before: bytes | None = None,
-        seam: bool = False,
+        stop_before: bytes | None,
+        seam: bool,
     ) -> int | None:
         """Find the leaf holding the first unit >= ``probe`` (or the
         leftmost leaf when ``probe`` is None); None when past the end,

@@ -148,7 +148,7 @@ def _bulk_side_tree(
     the pages it occupies."""
     ctx = tree.ctx
     txn = ctx.txns.begin()
-    chunk = ChunkAllocator(ctx.page_manager, config.chunk_size)
+    chunk = ChunkAllocator(ctx.page_manager)
     try:
         if rows:
             level_pages = _build_leaves(ctx, tree, txn, config, chunk, rows)

@@ -15,12 +15,12 @@ records make that progress survive a crash — but someone still has to
   committed before the abort path raised), so work is never repaid.
 
 * **Watchdog.**  A monitor thread polls the rebuild's per-partition
-  heartbeats; a worker with no completed top action for
-  ``RebuildConfig.watchdog_timeout`` seconds is failed *cleanly* —
-  through the pool's first-error-wins channel for parallel runs, or a
-  poison raised at the next top-action boundary for serial ones — rather
-  than left to hang the pool.  (The seam-handoff wait carries its own
-  deadline from the same knob, so a worker stuck waiting on a dead left
+  heartbeats; a segment still running with no completed top action for
+  ``WATCHDOG_TIMEOUT`` seconds is failed *cleanly* — through
+  :meth:`OnlineRebuild.fail`, the run's first-error-wins channel, which
+  winds every segment down at its next top-action boundary — rather than
+  left to hang the run.  (The seam-handoff wait carries its own deadline
+  from the same constant, so a worker stuck waiting on a dead left
   neighbor also surfaces as a clean error, not a livelock.)
 
 * **Graceful degradation.**  The monitor watches transient-fault traffic
@@ -30,9 +30,8 @@ records make that progress survive a crash — but someone still has to
   I/O and lock traffic) instead of aborting; calm decays it back.  Across
   *attempts* the ladder degrades harder: the retry after a failure halves
   ``parallel_workers`` and starts from a wider sleep, and later attempts
-  fall all the way back to the serial driver.  With the default
-  policy knobs and no supervisor, none of this machinery runs and the
-  driver behaves exactly as before.
+  fall all the way back to one segment on the calling thread.  With no
+  supervisor, none of this machinery runs.
 
 Syncpoints ``rebuild.supervisor.retry`` / ``resume`` / ``gave_up`` /
 ``watchdog`` / ``throttle`` and the matching counters make every decision
@@ -46,9 +45,12 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.btree.tree import BTree
-from repro.concurrency.syncpoints import CrashPoint
 from repro.core.config import RebuildConfig
-from repro.core.rebuild import OnlineRebuild, RebuildReport
+from repro.core.rebuild import (
+    WATCHDOG_TIMEOUT,
+    OnlineRebuild,
+    RebuildReport,
+)
 from repro.errors import (
     RebuildAbortedError,
     RebuildError,
@@ -71,7 +73,7 @@ class SupervisorConfig:
     """Seconds between monitor sweeps (heartbeats, error rates, latency)."""
     degrade_workers: bool = True
     """Ladder step: halve ``parallel_workers`` per failed attempt (the
-    second retry onwards runs the serial driver)."""
+    second retry onwards runs one segment)."""
     degrade_sleep: float = 0.002
     """Ladder step: extra top-action sleep added per failed attempt."""
     storm_retry_threshold: int = 8
@@ -140,7 +142,7 @@ class RebuildSupervisor:
         self.policy = policy if policy is not None else SupervisorConfig()
         self.oltp_stats = oltp_stats
         self.rebuild: OnlineRebuild | None = None
-        """The attempt currently running (tests poke its gate/poison)."""
+        """The attempt currently running (tests poke its gate)."""
         self._wake = threading.Event()  # cuts retry backoff short on stop
         self._stopped = False
 
@@ -225,11 +227,8 @@ class RebuildSupervisor:
                 report.final = final
                 report.attempt_reports.append(final)
                 return report
-            except CrashPoint:
-                raise  # simulated power failure: nothing to supervise
-            except RebuildAbortedError as exc:
-                last_error = exc
             except RebuildError as exc:
+                # Not a CrashPoint: a power failure is not supervised.
                 last_error = exc
             finally:
                 monitor.stop()
@@ -290,7 +289,7 @@ class _Monitor(threading.Thread):
 
     Sweeps every ``watchdog_poll`` seconds while the attempt runs:
 
-    * heartbeats older than ``watchdog_timeout`` fail the run cleanly
+    * heartbeats older than ``WATCHDOG_TIMEOUT`` fail the run cleanly
       (``watchdog_trips``);
     * an ``io_retries`` burst past ``storm_retry_threshold``, or an OLTP
       p99 past ``latency_budget_ms``, widens the rebuild's top-action
@@ -331,7 +330,7 @@ class _Monitor(threading.Thread):
         now = time.monotonic()
         # --- watchdog: a worker with no top-action progress is stuck.
         if not self._tripped:
-            deadline = rebuild.config.watchdog_timeout
+            deadline = WATCHDOG_TIMEOUT
             for ordinal, beat in rebuild.heartbeats().items():
                 if now - beat > deadline:
                     self._tripped = True

@@ -186,5 +186,5 @@ class RebuildAbortedError(RebuildError):
 
 class RebuildWatchdogError(RebuildError):
     """A rebuild worker made no top-action progress past the watchdog
-    deadline (``RebuildConfig.watchdog_timeout``) and was failed cleanly
+    deadline (``repro.core.rebuild.WATCHDOG_TIMEOUT``) and was failed cleanly
     by the supervisor instead of being left to hang."""

@@ -169,7 +169,7 @@ class ProgressReporter:
             self._phase = ABORTED if aborted else COMPLETE
             if not aborted:
                 # The walk can overshoot the plan estimate slightly
-                # (splits during the copy), and the serial driver never
+                # (splits during the copy), and a one-segment run never
                 # plans a total at all; either way a finished rebuild
                 # copied everything — pin the bar at 100%.
                 self._units_total = max(

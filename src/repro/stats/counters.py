@@ -94,8 +94,7 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "new_pages_allocated",
     # Partitioned parallel rebuild (core/partition.py, core/rebuild.py).
     "partition_planner_leaves",  # leaves walked by the partition planner
-    "partition_segments",        # segments actually launched (> 1 = parallel)
-    "partition_clean_cuts",      # seams placed on packing-exact boundaries
+    "partition_segments",        # segments of a freshly planned tiling
     "partition_seam_waits",      # waits on a left neighbor's completion token
     # Crash-resumable rebuild + supervision (wal/records.py, core/supervisor.py).
     "rebuild_progress_records",  # durable REBUILD_PROGRESS records appended

@@ -1095,25 +1095,35 @@ class BufferPool:
         """Release the neighbor claims of :meth:`_read_run` (no shard lock
         held), admitting each claimed page that has an image as an
         opportunistic prefetch — skipped when no frame is evictable."""
-        for pid in claimed:
-            neighbor = self._shards[pid % self.n_shards]
-            with neighbor:
-                neighbor.inflight.discard(pid)
-                neighbor.cond.notify_all()
-                image = images[pid - start]
-                if image is None or neighbor.lookup(pid) is not None:
-                    continue
-                admitted = self._admit(
-                    neighbor,
-                    Page.from_bytes(image, self.disk.page_size),
-                    scan=scan,
-                    required=False,
-                    prefetched=True,
-                    clean_only=clean_only,
-                    spare_window=True,
-                )
-                if admitted is not None:
-                    self.counters.add("prefetch_admitted")
+        claims = iter(claimed)
+        try:
+            for pid in claims:
+                neighbor = self._shards[pid % self.n_shards]
+                with neighbor:
+                    neighbor.inflight.discard(pid)
+                    neighbor.cond.notify_all()
+                    image = images[pid - start]
+                    if image is None or neighbor.lookup(pid) is not None:
+                        continue
+                    admitted = self._admit(
+                        neighbor,
+                        Page.from_bytes(image, self.disk.page_size),
+                        scan=scan,
+                        required=False,
+                        prefetched=True,
+                        clean_only=clean_only,
+                        spare_window=True,
+                    )
+                    if admitted is not None:
+                        self.counters.add("prefetch_admitted")
+        finally:
+            # An admission raised (its eviction's write failed): nobody
+            # may be left waiting on the claims not reached.
+            for pid in claims:
+                neighbor = self._shards[pid % self.n_shards]
+                with neighbor:
+                    neighbor.inflight.discard(pid)
+                    neighbor.cond.notify_all()
 
     def _read_aligned_run(self, shard: _Shard, page_id: int, scan: bool) -> None:
         """Miss path for large_io: read the aligned run containing the page.

@@ -4,8 +4,8 @@ The paper's wins come from amortizing per-page costs across batches —
 multipage top actions (§4.3) and large-buffer I/O (§6.3).  This module
 applies the same batching idea along the *time* axis:
 
-* **Read-ahead.**  Per consumer (the serial driver, or each parallel
-  worker) the scheduler tracks a *position* in leaf order and keeps a
+* **Read-ahead.**  Per consumer (each segment the rebuild drives) the
+  scheduler tracks a *position* in leaf order and keeps a
   window of leaves beyond it requested: ``window`` leaves
   (``pipeline_depth × ntasize``), capped by the room the pool reports for
   speculative frames (:meth:`BufferPool.readahead_room`) divided by the
@@ -54,6 +54,7 @@ import threading
 from collections import deque
 from typing import Callable
 
+from repro.concurrency.syncpoints import CrashPoint
 from repro.errors import IOSchedulerError, TransientIOError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.counters import GLOBAL_COUNTERS, Counters
@@ -123,12 +124,17 @@ class CompletionToken:
 
         Raises :class:`IOSchedulerError` if the writer died, was killed, or
         did not finish within ``timeout`` — the caller must then force the
-        pages synchronously before freeing anything.
+        pages synchronously before freeing anything.  A simulated power
+        failure on the writer thread is one for the waiter too: it comes
+        back as the :class:`CrashPoint` it is, never as an error to clean
+        up after.
         """
         if not self._event.wait(timeout):
             raise IOSchedulerError(
                 f"write-behind force did not complete within {timeout:.0f}s"
             )
+        if isinstance(self._error, CrashPoint):
+            raise CrashPoint(self._error.name) from self._error
         if self._error is not None:
             raise IOSchedulerError(
                 f"write-behind force failed: {self._error!r}"

@@ -252,6 +252,10 @@ class PageManager:
             self._next_new = int(snap["next_new"])  # type: ignore[arg-type]
 
 
+CHUNK_SIZE = 64
+"""Pages the rebuild (and every bulk build) reserves at a time (§6.1)."""
+
+
 class ChunkAllocator:
     """Sequential allocation cursor over contiguous chunks (§6.1).
 
@@ -260,7 +264,9 @@ class ChunkAllocator:
     Call :meth:`close` to release reserved-but-unused pages.
     """
 
-    def __init__(self, page_manager: PageManager, chunk_size: int = 64) -> None:
+    def __init__(
+        self, page_manager: PageManager, chunk_size: int = CHUNK_SIZE
+    ) -> None:
         if chunk_size <= 0:
             raise AllocationError("chunk_size must be positive")
         self.page_manager = page_manager

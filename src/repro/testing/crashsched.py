@@ -28,9 +28,9 @@ thread itself — between rebuild transactions, when no rebuild locks are
 held — which keeps every run bit-deterministic while still interleaving
 user writes with the rebuild the way §6.2 does.
 
-**Parallel mode** (``parallel_workers > 1``) crashes the partitioned
-parallel rebuild instead, covering the ``rebuild.partition.*`` seam
-syncpoints.  Thread interleaving makes replay ordinals *approximate*
+**Parallel mode** (``parallel_workers > 1``) crashes a tiled rebuild
+instead, covering the ``rebuild.partition.*`` syncpoints with a seam
+between workers.  Thread interleaving makes replay ordinals *approximate*
 rather than exact: the nth firing of a syncpoint may land in a different
 worker than during enumeration, and a firing count that comes up short
 simply yields a clean (uncrashed) run.  The correctness check is

@@ -57,7 +57,7 @@ def bulk_load(
     ctx = tree.ctx
     txn = ctx.txns.begin()
     config = RebuildConfig(fillfactor=max(0.05, min(fill, 1.0)))
-    chunk = ChunkAllocator(ctx.page_manager, config.chunk_size)
+    chunk = ChunkAllocator(ctx.page_manager)
     try:
         level_pages = _build_leaves(ctx, tree, txn, config, chunk, units)
         level = 1

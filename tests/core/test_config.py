@@ -31,11 +31,6 @@ def test_rejects_bad_fillfactor():
         RebuildConfig(fillfactor=1.5)
 
 
-def test_rejects_bad_chunk_size():
-    with pytest.raises(RebuildError):
-        RebuildConfig(chunk_size=0)
-
-
 def test_frozen():
     config = RebuildConfig()
     with pytest.raises(Exception):

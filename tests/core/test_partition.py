@@ -3,18 +3,17 @@
 The planner's contract: up to ``workers`` contiguous disjoint segments
 whose seams are strictly increasing units, the first starting at the
 chain head (``start_unit=None``) and the last running to its end
-(``stop_before=None``).  The default plan comes from level-1 separators
-(no leaf I/O); the exact-packing plan walks the leaves and admits only
-packing-exact seams.
+(``stop_before=None``).  The plan comes from level-1 separators (no leaf
+I/O); when the descent finds no nonleaf level to read it is the one
+unbounded segment.
 """
 
 from __future__ import annotations
 
-from repro import Engine, RebuildConfig
+from repro import Engine
 from repro.core.partition import (
-    PartitionPlan,
+    ResumeSegment,
     _choose_cuts,
-    _plan_from_level1,
     plan_partitions,
 )
 from repro.storage.page import NO_PAGE, PageType
@@ -58,9 +57,10 @@ def _fragmented(key_count: int = 4000):
     return engine, tree
 
 
-def _check_plan_shape(plan: PartitionPlan, workers: int) -> None:
-    segs = plan.segments
+def _check_plan_shape(segs: list[ResumeSegment], workers: int) -> None:
     assert 1 <= len(segs) <= workers
+    assert [s.ordinal for s in segs] == list(range(len(segs)))
+    assert all(s.probe == s.start_unit and not s.done for s in segs)
     assert segs[0].start_unit is None
     assert segs[-1].stop_before is None
     for left, right in zip(segs, segs[1:]):
@@ -73,17 +73,15 @@ def _check_plan_shape(plan: PartitionPlan, workers: int) -> None:
 
 def test_level1_plan_covers_chain_disjointly():
     engine, tree = _fragmented()
-    plan = plan_partitions(
-        engine.ctx, tree, RebuildConfig(parallel_workers=4), 0, 4
-    )
+    plan = plan_partitions(engine.ctx, tree, 4)
     _check_plan_shape(plan, 4)
-    assert len(plan.segments) == 4  # 4000 half-empty keys: plenty of leaves
+    assert len(plan) == 4  # 4000 half-empty keys: plenty of leaves
     # Every seam splits the unit stream exactly: a unit belongs to the one
     # segment with start <= unit < stop.
     leaves = _leaf_chain_units(engine, tree)
     units = [u for leaf in leaves for u in leaf]
-    seams = [s.stop_before for s in plan.segments[:-1]]
-    counts = [0] * len(plan.segments)
+    seams = [s.stop_before for s in plan[:-1]]
+    counts = [0] * len(plan)
     for unit in units:
         owner = sum(1 for seam in seams if unit >= seam)
         counts[owner] += 1
@@ -98,101 +96,51 @@ def test_level1_seams_fall_on_leaf_boundaries():
     suffix-truncated), so every seam must split the chain *between* two
     leaves — each leaf is copied whole by exactly one worker."""
     engine, tree = _fragmented()
-    plan = _plan_from_level1(engine.ctx, tree, 4)
-    assert plan is not None
+    plan = plan_partitions(engine.ctx, tree, 4)
     leaves = _leaf_chain_units(engine, tree)
-    assert plan.leaves_walked == len(leaves)
-    for seg in plan.segments[:-1]:
+    assert engine.counters.partition_planner_leaves == len(leaves)
+    assert engine.progress().units_total == len(leaves)
+    for seg in plan[:-1]:
         seam = seg.stop_before
         for leaf in leaves:
             # No leaf straddles the seam.
             assert leaf[0] >= seam or leaf[-1] < seam
-    # Only the leftmost segment's start is packing-exact by construction.
-    assert plan.segments[0].clean_start
-    assert not any(s.clean_start for s in plan.segments[1:])
 
 
 def test_level1_falls_back_on_single_leaf_root():
     """A root-leaf tree has no nonleaf level: the descent bails and the
-    leaf walk plans the single segment."""
+    plan is the one unbounded segment, with no leaf accounted."""
     engine = Engine(buffer_capacity=256)
     tree = engine.create_index(key_len=4)
     for k in range(8):
         tree.insert(intkey(k), k)
-    assert _plan_from_level1(engine.ctx, tree, 4) is None
-    plan = plan_partitions(
-        engine.ctx, tree, RebuildConfig(parallel_workers=4),
-        tree.root_page_id, 4,
-    )
-    assert len(plan.segments) == 1
-    assert plan.segments[0].start_unit is None
-    assert plan.segments[0].stop_before is None
-
-
-def test_exact_packing_plan_admits_only_clean_cuts():
-    engine, tree = _fragmented()
-    config = RebuildConfig(parallel_workers=4, partition_exact_packing=True)
-    first = _first_leaf(engine, tree)
-    plan = plan_partitions(engine.ctx, tree, config, first, 4)
-    _check_plan_shape(plan, 4)
-    leaves = _leaf_chain_units(engine, tree)
-    assert plan.leaves_walked == len(leaves)
-    assert plan.total_units == sum(len(leaf) for leaf in leaves)
-    # Exact packing: every cut taken is clean (possibly fewer segments).
-    assert plan.clean_cuts == len(plan.segments) - 1
-    for seg in plan.segments:
-        assert seg.clean_start
+    plan = plan_partitions(engine.ctx, tree, 4)
+    assert plan == [ResumeSegment(ordinal=0)]
+    assert engine.counters.partition_planner_leaves == 0
 
 
 def test_workers_one_plans_single_segment():
     engine, tree = _fragmented(key_count=1000)
-    plan = plan_partitions(
-        engine.ctx, tree, RebuildConfig(), 0, 1
-    )
-    assert len(plan.segments) == 1
-    assert plan.segments[0] == plan.segments[0].__class__(
-        start_unit=None, stop_before=None, clean_start=True
-    )
+    plan = plan_partitions(engine.ctx, tree, 1)
+    assert plan == [ResumeSegment(ordinal=0)]
 
 
 # ------------------------------------------------------------- _choose_cuts
 
 
-def _b(cum: int, unit: bytes, clean: bool) -> tuple[int, bytes, bool]:
-    return (cum, unit, clean)
-
-
-def test_choose_cuts_prefers_clean_within_window():
-    # Ideal cut at 50; dirty boundary dead-on, clean one 10 units off
-    # (window = 25% of 50 = 12.5, so the clean one wins).
-    boundaries = [_b(40, b"a", True), _b(50, b"b", False)]
-    cuts = _choose_cuts(boundaries, 100, 2, exact_packing=False)
-    assert cuts == [(40, b"a", True)]
-
-
-def test_choose_cuts_takes_nearest_when_no_clean_in_window():
-    boundaries = [_b(10, b"a", True), _b(48, b"b", False)]
-    cuts = _choose_cuts(boundaries, 100, 2, exact_packing=False)
-    assert cuts == [(48, b"b", False)]
-
-
-def test_choose_cuts_exact_packing_drops_dirty_only_regions():
-    # Two cuts wanted; only one clean boundary exists → one cut, two
-    # segments instead of three.
-    boundaries = [_b(30, b"a", False), _b(33, b"b", True), _b(66, b"c", False)]
-    cuts = _choose_cuts(boundaries, 100, 3, exact_packing=True)
-    assert cuts == [(33, b"b", True)]
+def test_choose_cuts_takes_the_nearest_boundary():
+    # Ideal cut at 50: the boundary 2 off wins over the one 40 off.
+    cuts = _choose_cuts([(10, b"a"), (48, b"b")], 100, 2)
+    assert cuts == [(48, b"b")]
 
 
 def test_choose_cuts_strictly_increasing():
     # Both ideals (33, 66) are nearest to the same boundary; it may be
     # used once only.
-    boundaries = [_b(50, b"a", False)]
-    cuts = _choose_cuts(boundaries, 100, 3, exact_packing=False)
-    assert cuts == [(50, b"a", False)]
+    assert _choose_cuts([(50, b"a")], 100, 3) == [(50, b"a")]
 
 
 def test_choose_cuts_degenerate_inputs():
-    assert _choose_cuts([], 100, 4, exact_packing=False) == []
-    assert _choose_cuts([_b(1, b"a", True)], 0, 4, exact_packing=False) == []
-    assert _choose_cuts([_b(1, b"a", True)], 100, 1, exact_packing=False) == []
+    assert _choose_cuts([], 100, 4) == []
+    assert _choose_cuts([(1, b"a")], 0, 4) == []
+    assert _choose_cuts([(1, b"a")], 100, 1) == []

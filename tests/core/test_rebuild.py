@@ -224,3 +224,29 @@ def test_split_then_shrink_mode_equivalent_result(index):
     rebuild(index, split_then_shrink=True)
     assert index.contents() == before
     index.verify()
+
+
+def test_a_power_failure_is_not_a_busy_page(engine, index, monkeypatch):
+    """``_acquire_page`` answers "busy" for a page it cannot read, and its
+    callers retry on that forever; a simulated power failure on the read
+    must come out as itself, or a worker spins where the machine died."""
+    from repro.concurrency.syncpoints import CrashPoint
+    from repro.core.copy_phase import _acquire_page
+    from repro.errors import ChecksumError
+    from repro.storage.page import PageFlag
+
+    make_half_empty(index, 500)
+    leaf = index.verify().leaf_page_ids[0]
+    txn = engine.ctx.txns.begin()
+
+    def read_fails_with(exc):
+        def fetch(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(engine.ctx.buffer, "fetch", fetch)
+
+    read_fails_with(ChecksumError("rotten image"))
+    assert _acquire_page(engine.ctx, txn, leaf, PageFlag.SHRINK) is False
+    read_fails_with(CrashPoint("disk.crash_after_lost_write"))
+    with pytest.raises(CrashPoint):
+        _acquire_page(engine.ctx, txn, leaf, PageFlag.SHRINK)

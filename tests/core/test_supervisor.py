@@ -6,6 +6,9 @@ import time
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
+from repro.concurrency.syncpoints import CrashPoint
+from repro.core import rebuild as rebuild_mod
+from repro.core import supervisor as supervisor_mod
 from repro.core.supervisor import (
     RebuildSupervisor,
     SupervisorConfig,
@@ -134,6 +137,115 @@ def test_stop_interrupts_retry_backoff():
     assert isinstance(result.get("error"), RebuildAbortedError)
 
 
+# --------------------------------------------------------- the one channel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "how", ["fail_midrun", "fail_paused", "top_action_raises", "crash"]
+)
+def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
+    """However a run fails and however many segments it drives: one
+    exception type chained from the cause, a ``resume_unit`` that ends the
+    copied prefix, an index that verifies — and a supervised retry that
+    copies strictly after it and leaves nothing unrebuilt.  A crash is the
+    one exception: it comes out as itself and recovery takes over."""
+    engine, index, expected = _engine(8000)
+    config = RebuildConfig(ntasize=4, xactsize=8, parallel_workers=workers)
+    cause = RuntimeError("injected failure")
+    errors: list[tuple[BaseException, bytes | None]] = []
+    real_run = OnlineRebuild.run
+
+    def recording_run(self, *args, **kwargs):
+        try:
+            return real_run(self, *args, **kwargs)
+        except BaseException as exc:
+            errors.append((exc, self.last_report.resume_unit))
+            raise
+
+    monkeypatch.setattr(OnlineRebuild, "run", recording_run)
+    supervisor = RebuildSupervisor(index, config, FAST)
+    lock = threading.Lock()
+    done_by: dict[str, int] = {}  # driver thread -> top actions completed
+    armed = threading.Event()  # every segment has progress to lose
+    tripped = threading.Event()
+    copied_low: list[bytes] = []  # low units copied after the failure
+
+    def fail_from_another_thread():
+        poster = threading.Thread(
+            target=supervisor.rebuild.fail, args=(cause,)
+        )
+        poster.start()
+        poster.join(10.0)
+
+    def on_nta_end(ctx):
+        if errors:
+            copied_low.append(ctx["low_unit"])
+            return
+        me = threading.current_thread().name
+        with lock:
+            done_by[me] = done_by.get(me, 0) + 1
+            mine = done_by[me]
+            arming = (
+                not armed.is_set()
+                and len(done_by) == workers
+                and min(done_by.values()) >= 3
+            )
+        if not arming:
+            # Nobody runs ahead: the failure finds every segment with a
+            # transaction committed and more to do.
+            assert mine < 3 or armed.wait(30.0)
+            return
+        armed.set()
+        if how == "fail_midrun":
+            fail_from_another_thread()
+        elif how == "fail_paused":
+            supervisor.rebuild.pause()
+        elif how == "crash":
+            raise CrashPoint("rebuild.nta_end")
+
+    def on_copy_locked(_ctx):
+        if how == "top_action_raises" and armed.is_set():
+            with lock:
+                first, _ = not tripped.is_set(), tripped.set()
+            if first:
+                raise cause
+
+    engine.syncpoints.on("rebuild.nta_end", on_nta_end)
+    engine.syncpoints.on("rebuild.copy_locked", on_copy_locked)
+    engine.syncpoints.on(
+        "rebuild.paused", lambda _ctx: fail_from_another_thread()
+    )
+
+    if how == "crash":
+        with pytest.raises(CrashPoint):
+            supervisor.run()
+        ((error, resume_unit),) = errors
+        assert isinstance(error, CrashPoint) and resume_unit is not None
+        engine.crash()
+        engine.recover()
+        index = engine.index(1)
+        checkpoint = engine.rebuild_checkpoint(1)
+        floor = checkpoint.resume_key()
+        report = RebuildSupervisor(index, config, FAST).run(
+            resume_checkpoint=checkpoint
+        )
+    else:
+        report = supervisor.run()
+        assert report.attempts == 2 and report.resumes == 1
+        ((error, floor),) = errors
+        assert type(error) is RebuildAbortedError
+        assert error.__cause__ is cause
+        failed = report.attempt_reports[0]
+        assert failed.aborted and not failed.completed
+        assert failed.resume_unit == floor
+    assert floor is not None
+    assert copied_low and min(copied_low) > floor
+    assert report.final.completed
+    assert contents_as_ints(index) == expected
+    assert index.verify().leaf_fill > 0.85  # no stretch was skipped
+
+
 # --------------------------------------------------------------- degradation
 
 
@@ -168,48 +280,101 @@ def test_attempt_degradation_ladder():
 # ------------------------------------------------------------------ watchdog
 
 
-def _monitor_fixture(count=1000, **config_kw):
+def _monitor_fixture(count=1000):
     engine, index, _ = _engine(count)
-    config = RebuildConfig(**config_kw)
+    config = RebuildConfig()
     supervisor = RebuildSupervisor(index, config, SupervisorConfig())
     rebuild = OnlineRebuild(index, config)
     monitor = _Monitor(supervisor, rebuild, SupervisorReport())
     return engine, rebuild, monitor
 
 
-def test_watchdog_sweep_fails_stale_worker():
-    engine, rebuild, monitor = _monitor_fixture(watchdog_timeout=0.05)
+def test_watchdog_sweep_fails_stale_worker(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.05)
+    engine, rebuild, monitor = _monitor_fixture()
     rebuild._beats[0] = time.monotonic() - 1.0
     monitor._sweep()
-    assert isinstance(rebuild._poison, RebuildWatchdogError)
+    assert isinstance(rebuild._state.error, RebuildWatchdogError)
+    assert rebuild._state.stop.is_set()
     assert engine.counters.watchdog_trips == 1
     assert monitor.report.watchdog_trips == 1
-    # One trip per attempt: the sweep does not pile on more poison.
+    # One trip per attempt: the sweep does not pile on more errors.
     monitor._sweep()
     assert engine.counters.watchdog_trips == 1
 
 
 def test_watchdog_sweep_leaves_live_workers_alone():
-    engine, rebuild, monitor = _monitor_fixture(watchdog_timeout=60.0)
+    engine, rebuild, monitor = _monitor_fixture()
     rebuild._beats[0] = time.monotonic()
     monitor._sweep()
-    assert rebuild._poison is None
+    assert rebuild._state.error is None
     assert engine.counters.watchdog_trips == 0
 
 
-def test_watchdog_trip_retries_and_completes():
+def test_watchdog_ignores_a_finished_segment(monkeypatch):
+    """A finished segment has no heartbeat to go stale: with worker 0 done
+    longer ago than the deadline and worker 1 still at work, the sweep
+    must not trip on worker 0."""
+    engine, index, expected = _engine(4000)
+    config = RebuildConfig(ntasize=4, xactsize=8, parallel_workers=2)
+    supervisor = RebuildSupervisor(index, config, SupervisorConfig())
+    rebuild = OnlineRebuild(index, config)
+    monitor = _Monitor(supervisor, rebuild, SupervisorReport())
+    left_done, parked, release = (threading.Event() for _ in range(3))
+
+    def on_done(ctx):
+        if ctx["worker"] == 0:
+            left_done.set()
+
+    def park_right(_ctx):
+        if (
+            threading.current_thread().name == "rebuild-worker-1"
+            and not parked.is_set()
+        ):
+            # Hold the right-hand worker mid-segment until its neighbor
+            # is done and the test has looked.
+            assert left_done.wait(30.0)
+            parked.set()
+            assert release.wait(30.0)
+
+    engine.syncpoints.on("rebuild.partition.worker_done", on_done)
+    engine.syncpoints.on("rebuild.nta_end", park_right)
+    runner = threading.Thread(target=rebuild.run)
+    runner.start()
+    try:
+        assert parked.wait(30.0)
+        assert set(rebuild.heartbeats()) == {1}
+        # Any heartbeat in the past is now past the deadline; the worker
+        # still running is the only one that may answer for it.
+        monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.0)
+        rebuild._beats[1] = time.monotonic() + 60.0
+        monitor._sweep()
+        assert rebuild._state.error is None
+        assert monitor.report.watchdog_trips == 0
+        assert engine.counters.watchdog_trips == 0
+    finally:
+        release.set()
+        runner.join(30.0)
+    assert not runner.is_alive()
+    assert rebuild.heartbeats() == {}
+    assert contents_as_ints(index) == expected
+    index.verify()
+
+
+def test_watchdog_trip_retries_and_completes(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.1)
     engine, index, expected = _engine(4000)
     stalled = {"done": False}
 
     def stall_once(_ctx):
         if not stalled["done"]:
             stalled["done"] = True
-            time.sleep(0.6)  # well past watchdog_timeout below
+            time.sleep(0.6)  # well past the deadline patched above
 
     engine.syncpoints.on("rebuild.txn_committed", stall_once)
     supervisor = RebuildSupervisor(
         index,
-        RebuildConfig(ntasize=4, xactsize=8, watchdog_timeout=0.1),
+        RebuildConfig(ntasize=4, xactsize=8),
         SupervisorConfig(watchdog_poll=0.02, retry_backoff=0.001),
     )
     report = supervisor.run()
@@ -319,13 +484,14 @@ def test_pause_gate_holds_rebuild_between_top_actions():
 # ------------------------------------------------------------- seam deadline
 
 
-def test_seam_wait_deadline_raises_cleanly():
+def test_seam_wait_deadline_raises_cleanly(monkeypatch):
+    monkeypatch.setattr(rebuild_mod, "WATCHDOG_TIMEOUT", 0.05)
     engine, index, _ = _engine(1000)
-    rebuild = OnlineRebuild(index, RebuildConfig(watchdog_timeout=0.05))
+    rebuild = OnlineRebuild(index)
     token = CompletionToken()  # the left neighbor never completes it
-    busy_wait = rebuild._seam_wait(token, None)
+    busy_wait = rebuild._seam_wait(token)
     deadline = time.monotonic() + 5.0
-    with pytest.raises(RebuildError, match="watchdog_timeout"):
+    with pytest.raises(RebuildError, match="WATCHDOG_TIMEOUT"):
         while time.monotonic() < deadline:
             busy_wait()
     assert engine.counters.seam_wait_timeouts == 1
@@ -344,5 +510,7 @@ def test_policy_validation():
 
 
 def test_rebuild_config_validation():
-    with pytest.raises(Exception):
-        RebuildConfig(watchdog_timeout=0.0)
+    with pytest.raises(RebuildError):
+        RebuildConfig(parallel_workers=0)
+    with pytest.raises(RebuildError):
+        RebuildConfig(pipeline_depth=-1)

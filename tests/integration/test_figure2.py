@@ -123,8 +123,8 @@ def figure2():
 def run_top_action(engine, tree, ids):
     """One multipage rebuild top action over P1, P2, P3 (ntasize=3)."""
     ctx = engine.ctx
-    config = RebuildConfig(ntasize=3, xactsize=3, chunk_size=4)
-    chunk = ChunkAllocator(ctx.page_manager, config.chunk_size)
+    config = RebuildConfig(ntasize=3, xactsize=3)
+    chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
     cleanup: list[int] = []
     deallocated: list[int] = []
@@ -167,8 +167,8 @@ def test_copy_phase_fills_pp_and_one_new_page(figure2):
 def test_propagation_entries_match_figure(figure2):
     engine, tree, ids = figure2
     ctx = engine.ctx
-    config = RebuildConfig(ntasize=3, xactsize=3, chunk_size=4)
-    chunk = ChunkAllocator(ctx.page_manager, config.chunk_size)
+    config = RebuildConfig(ntasize=3, xactsize=3)
+    chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
     cleanup: list[int] = []
     deallocated: list[int] = []

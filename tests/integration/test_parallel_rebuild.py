@@ -1,17 +1,17 @@
 """Partitioned parallel rebuild: equivalence, guards, traffic (issue 6).
 
 The worker count is a physical knob only.  Whatever the partitioning did,
-the rebuilt index must hold exactly the keys a serial rebuild would have
-produced, verify clean, and — under ``partition_exact_packing`` — repack
-the leaf level byte-identically to the serial packing stream.
+the rebuilt index must hold exactly the keys a one-worker rebuild would
+have produced and verify clean.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
-from repro.storage.page import NO_PAGE, PageType
 from repro.workload import MixedWorkload
 from tests.conftest import contents_as_ints, intkey, make_half_empty
 
@@ -26,30 +26,6 @@ def build_fragmented(key_count: int = 8_000, buffer_capacity: int = 4096):
     index = engine.create_index(key_len=4)
     make_half_empty(index, key_count)
     return engine, index
-
-
-def _leaf_level(engine: Engine, tree) -> list[list[bytes]]:
-    """Units per leaf along the chain (quiesced tree only)."""
-    from repro.btree import node
-
-    pid = tree.root_page_id
-    while True:
-        page = engine.ctx.buffer.fetch(pid)
-        try:
-            if page.page_type is not PageType.NONLEAF:
-                break
-            pid = node.entry_child(page.rows[0])
-        finally:
-            engine.ctx.buffer.unpin(page.page_id)
-    out: list[list[bytes]] = []
-    while pid != NO_PAGE:
-        page = engine.ctx.buffer.fetch(pid)
-        try:
-            out.append([bytes(r) for r in page.rows])
-            pid = page.next_page
-        finally:
-            engine.ctx.buffer.unpin(page.page_id)
-    return out
 
 
 # ------------------------------------------------------------- equivalence
@@ -80,62 +56,19 @@ def test_worker_count_never_changes_contents(workers):
     assert stats.leaf_fill > 0.85  # actually repacked, not just preserved
 
 
-def test_exact_packing_matches_serial_leaf_level_byte_for_byte():
-    """``partition_exact_packing``: cuts land only where the serial
-    packing stream would open a fresh page, so the parallel leaf level is
-    byte-identical to the serial one — same page images, same seams.
-    (On a randomly fragmented tree the stream may offer no clean cut at
-    all; then the run degrades to one segment and equality is trivial —
-    the guarantee is *identical bytes*, not a segment count.)"""
-    results = {}
-    for label, config in (
-        ("serial", RebuildConfig(ntasize=8, xactsize=32)),
-        (
-            "parallel",
-            RebuildConfig(
-                ntasize=8, xactsize=32, parallel_workers=4,
-                partition_exact_packing=True,
-            ),
-        ),
-    ):
-        engine, index = build_fragmented(key_count=6_000)
-        report = OnlineRebuild(index, config).run()
-        index.verify()
-        results[label] = (_leaf_level(engine, index), report)
-    serial_leaves, _ = results["serial"]
-    parallel_leaves, report = results["parallel"]
-    assert parallel_leaves == serial_leaves
-    if report.parallel_workers > 1:
-        assert report.partition_clean_cuts == report.partition_segments - 1
-
-
-def test_exact_packing_splits_a_packed_tree_on_clean_seams():
-    """A tree that was just serially packed has *every* leaf boundary on
-    the packing stream (each leaf holds exactly one output page's worth),
-    so the exact-packing planner must find multiple all-clean segments —
-    and re-packing it in parallel must reproduce the same bytes."""
-    engine, index = build_fragmented(key_count=6_000)
-    OnlineRebuild(index, RebuildConfig(ntasize=8, xactsize=32)).run()
-    packed = _leaf_level(engine, index)
-    config = RebuildConfig(
-        ntasize=8, xactsize=32, parallel_workers=4,
-        partition_exact_packing=True,
-    )
-    report = OnlineRebuild(index, config).run()
-    index.verify()
-    assert report.parallel_workers == 4
-    assert report.partition_segments >= 2
-    assert report.partition_clean_cuts == report.partition_segments - 1
-    assert _leaf_level(engine, index) == packed
-
-
 # ------------------------------------------------------------------ guards
 
 
 def test_serial_default_fires_no_partition_machinery():
-    """``parallel_workers=1`` must not plan, partition, or thread: the
-    serial driver's behavior (and cost) is exactly the pre-issue-6 one."""
+    """``parallel_workers=1`` is the one-segment case of the one driver:
+    it must not plan, partition, or thread — no planner descent, no
+    tiling, the one segment driven on the calling thread."""
     engine, index = build_fragmented(key_count=2_000)
+    drivers: set[str] = set()
+    engine.syncpoints.on(
+        "rebuild.nta_end",
+        lambda _ctx: drivers.add(threading.current_thread().name),
+    )
     engine.syncpoints.record_fires = True
     report = OnlineRebuild(
         index, RebuildConfig(ntasize=8, xactsize=32)
@@ -143,18 +76,25 @@ def test_serial_default_fires_no_partition_machinery():
     engine.syncpoints.record_fires = False
     assert report.parallel_workers == 1
     assert report.partition_segments == 0
-    assert report.worker_reports == []
-    fired = [
+    assert len(report.worker_reports) == 1
+    assert drivers == {threading.current_thread().name}
+    # Of the partition syncpoints, only the ones every segment passes.
+    assert sorted(
         name for name in engine.syncpoints.fired
         if name.startswith("rebuild.partition.")
+    ) == [
+        "rebuild.partition.merged",
+        "rebuild.partition.seam_released",
+        "rebuild.partition.worker_done",
+        "rebuild.partition.worker_start",
     ]
-    assert fired == []
     assert engine.counters.partition_planner_leaves == 0
+    assert engine.counters.partition_segments == 0
 
 
 def test_restrictions_force_serial_driver():
     """Range-restricted and incremental rebuilds are one segment by
-    definition: workers > 1 silently runs the serial driver."""
+    definition: workers > 1 silently drives it on the calling thread."""
     engine, index = build_fragmented(key_count=2_000)
     report = OnlineRebuild(index, PARALLEL).run(
         start_key=intkey(100), end_key=intkey(900)
@@ -172,6 +112,43 @@ def test_single_leaf_tree_parallel_noop():
     report = OnlineRebuild(index, PARALLEL).run()
     assert report.parallel_workers == 1
     assert contents_as_ints(index) == list(range(6))
+    index.verify()
+
+
+def test_seam_pp_carries_the_lsn_of_its_link_flip():
+    """A right-hand worker's first top action leaves the seam PP's rows
+    alone but flips its ``next_page`` — the keycopy record's change, so PP
+    must carry that record's LSN like every target: an unstamped PP could
+    be written ahead of the log that explains where it points."""
+    engine, index = build_fragmented(key_count=4_000)
+    seam_done = threading.Event()
+    seen: list[tuple[bool, int, int]] = []  # (PP → new page, their LSNs)
+
+    def hold_left_worker(ctx):
+        if ctx["worker"] == 0:
+            assert seam_done.wait(30.0)
+
+    def after_seam_top_action(ctx):
+        if threading.current_thread().name != "rebuild-worker-1":
+            return
+        if not seam_done.is_set():
+            first = engine.ctx.buffer.fetch(ctx["new_pages"][0])
+            pp = engine.ctx.buffer.fetch(first.prev_page)
+            seen.append(
+                (pp.next_page == first.page_id, pp.page_lsn, first.page_lsn)
+            )
+            engine.ctx.buffer.unpin(pp.page_id)
+            engine.ctx.buffer.unpin(first.page_id)
+        seam_done.set()
+
+    engine.syncpoints.on("rebuild.partition.worker_start", hold_left_worker)
+    engine.syncpoints.on("rebuild.nta_end", after_seam_top_action)
+    report = OnlineRebuild(
+        index, RebuildConfig(ntasize=4, xactsize=8, parallel_workers=2)
+    ).run()
+    assert report.completed and report.parallel_workers == 2
+    ((linked, pp_lsn, new_lsn),) = seen
+    assert linked and pp_lsn == new_lsn
     index.verify()
 
 
@@ -202,8 +179,6 @@ def test_parallel_rebuild_with_concurrent_oltp():
 
 @pytest.mark.slow
 def test_parallel_rebuild_loses_no_tracked_insert():
-    import threading
-
     engine, index = build_fragmented(key_count=12_000, buffer_capacity=8192)
     inserted: list[int] = []
     stop = threading.Event()

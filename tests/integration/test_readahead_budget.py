@@ -10,8 +10,9 @@ scheduler's own condition (:meth:`IOScheduler.wait_readahead`).
 (a) two distinct aligned runs are in the device at once, never one twice;
 (b) with the window full, a top action's source reads cost the copy
     thread no physical call (``rebuild_demand_reads``);
-(c) the windows never exceed the pool's ``readahead_room()``, and
-    ``prefetch_unused`` stays at or below the parent commit's;
+(c) the windows never exceed the pool's ``readahead_room()`` shared
+    among the segments actually driven, and ``prefetch_unused`` stays at
+    or below the parent commit's;
 (d) a SHRINK bit on the level-1 page sends the reader down the
     ``next_page`` chain, never into an address-lock wait;
 (e) the leaf order read off level 1 equals the ``next_page`` chain on a
@@ -34,6 +35,7 @@ from repro.core.copy_phase import level1_leaf_order
 from repro.storage.disk import Disk
 from repro.storage.io_scheduler import _READS_IN_FLIGHT, IOScheduler
 from repro.storage.page import NO_PAGE, PageFlag
+from repro.wal.recovery import PartitionProgress, RebuildCheckpoint
 from repro.workload.builder import bulk_load
 from tests.conftest import intkey
 
@@ -181,9 +183,33 @@ def test_full_window_means_no_source_read_on_the_copy_thread():
 
 
 def test_windows_stay_within_the_rings_room():
+    windows_stay_within_the_rings_room(pending=2)
+
+
+def test_one_pending_segment_is_one_consumer():
+    windows_stay_within_the_rings_room(pending=1)
+
+
+def windows_stay_within_the_rings_room(pending: int) -> None:
     engine, tree, disk, chain = cold_index(
         100_000, buffer_capacity=512, pool_shards=4
     )
+    done = 0  # leaves of segments a previous run finished
+    checkpoint = None
+    if pending == 1:
+        # A 2-segment tiling resumed with its left half done: the one
+        # segment driven is the one consumer, and gets the whole room.
+        done = len(chain) // 2
+        seam = bytes(engine.buffer.fetch(chain[done]).rows[0])
+        engine.buffer.unpin(chain[done])
+        checkpoint = RebuildCheckpoint(
+            epoch=engine.ctx.log.next_lsn,
+            index_id=tree.index_id,
+            partitions={
+                0: PartitionProgress(b"", seam[:-1], done=True),
+                1: PartitionProgress(seam),
+            },
+        )
     rebuild = OnlineRebuild(
         tree,
         RebuildConfig(
@@ -191,7 +217,7 @@ def test_windows_stay_within_the_rings_room():
             group_commit_window=0.002,
         ),
     )
-    requested: list[tuple[int, int]] = []
+    requested: list[tuple[int, int, int]] = []
 
     def sample(_ctx: dict) -> None:
         sched = rebuild._scheduler
@@ -199,16 +225,24 @@ def test_windows_stay_within_the_rings_room():
             requested.append((
                 sum(w.issued for w in sched._windows.values()),
                 engine.buffer.readahead_room(),
+                sched.consumers,
             ))
 
     engine.syncpoints.on("rebuild.nta_end", sample)
-    report = rebuild.run()
+    report = rebuild.run(resume_checkpoint=checkpoint)
     engine.syncpoints.remove("rebuild.nta_end", sample)
 
-    assert report.parallel_workers == 2
-    assert report.leaf_pages_rebuilt == len(chain)
-    assert requested and all(room == 64 for _n, room in requested)
-    assert max(n for n, _room in requested) <= 64
+    assert report.parallel_workers == pending
+    assert report.leaf_pages_rebuilt == len(chain) - done
+    assert requested and all(
+        (room, consumers) == (64, pending)
+        for _n, room, consumers in requested
+    )
+    assert max(n for n, _room, _consumers in requested) <= 64
+    if pending == 1:
+        # Not halved for a neighbor that is not there: past the 32 leaves
+        # one of two consumers would get.
+        assert max(n for n, _room, _consumers in requested) > 32
     assert (
         report.counter_deltas["prefetch_unused"] <= PARENT_PREFETCH_UNUSED
     )

@@ -84,7 +84,7 @@ def test_scans_return_every_stable_key_once_under_writes_and_rebuilds(lock_rows)
             if stop.is_set():
                 break
             OnlineRebuild(
-                tree, RebuildConfig(ntasize=4, xactsize=16, chunk_size=16)
+                tree, RebuildConfig(ntasize=4, xactsize=16)
             ).run()
     finally:
         stop.set()

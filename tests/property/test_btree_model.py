@@ -73,7 +73,7 @@ def test_rebuild_after_random_ops_preserves_everything(ops, seed):
     apply_ops(index, ops)
     before = index.contents()
     OnlineRebuild(
-        index, RebuildConfig(ntasize=4, xactsize=8, chunk_size=8)
+        index, RebuildConfig(ntasize=4, xactsize=8)
     ).run()
     assert index.contents() == before
     index.verify()

@@ -27,7 +27,6 @@ def rebuild_config(draw):
         ntasize=ntasize,
         xactsize=ntasize * xact_mult,
         fillfactor=fillfactor,
-        chunk_size=8,
     )
 
 
@@ -92,7 +91,7 @@ def test_rebuild_invariants(state, config):
 def test_rebuild_then_crash_recovery(state):
     engine, index = build(state)
     OnlineRebuild(
-        index, RebuildConfig(ntasize=8, xactsize=16, chunk_size=8)
+        index, RebuildConfig(ntasize=8, xactsize=16)
     ).run()
     before = index.contents()
     engine.crash()
@@ -118,7 +117,7 @@ def test_tree_fully_usable_after_rebuild(state, ops):
 
     engine, index = build(state)
     OnlineRebuild(
-        index, RebuildConfig(ntasize=8, xactsize=16, chunk_size=8)
+        index, RebuildConfig(ntasize=8, xactsize=16)
     ).run()
     for is_insert, k in ops:
         try:

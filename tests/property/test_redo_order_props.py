@@ -171,9 +171,7 @@ class Replay:
         try:
             OnlineRebuild(
                 self.tree,
-                RebuildConfig(
-                    ntasize=ntasize, xactsize=2 * ntasize, chunk_size=8
-                ),
+                RebuildConfig(ntasize=ntasize, xactsize=2 * ntasize),
             ).run()
         finally:
             syncpoints.remove("rebuild.txn_committed", traffic)

@@ -102,8 +102,8 @@ class Side:
 
 REBUILDS = (
     RebuildConfig(),
-    RebuildConfig(ntasize=2, xactsize=4, fillfactor=0.5, chunk_size=8),
-    RebuildConfig(ntasize=3, xactsize=3, split_then_shrink=True, chunk_size=8),
+    RebuildConfig(ntasize=2, xactsize=4, fillfactor=0.5),
+    RebuildConfig(ntasize=3, xactsize=3, split_then_shrink=True),
 )
 
 deltas = st.integers(min_value=-4 * SPACING, max_value=30 * SPACING)

@@ -59,13 +59,13 @@ class EngineMachine(RuleBasedStateMachine):
     def rebuild(self, nta: int) -> None:
         OnlineRebuild(
             self.index,
-            RebuildConfig(ntasize=nta, xactsize=nta * 2, chunk_size=8),
+            RebuildConfig(ntasize=nta, xactsize=nta * 2),
         ).run()
 
     @rule()
     def rebuild_slice(self) -> None:
         OnlineRebuild(
-            self.index, RebuildConfig(ntasize=2, xactsize=2, chunk_size=8)
+            self.index, RebuildConfig(ntasize=2, xactsize=2)
         ).run(max_pages=2)
 
     @rule(truncate=st.booleans())

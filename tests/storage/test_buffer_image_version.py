@@ -139,7 +139,7 @@ def test_scan_parked_on_a_leaf_whose_id_the_rebuild_frees_and_a_split_reuses():
     def rebuild() -> None:
         try:
             OnlineRebuild(
-                index, RebuildConfig(ntasize=2, xactsize=2, chunk_size=8)
+                index, RebuildConfig(ntasize=2, xactsize=2)
             ).run()
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)

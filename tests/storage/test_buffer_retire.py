@@ -307,3 +307,28 @@ def test_run_read_failure_releases_the_neighbor_claims(counters):
     for pid in (1, 2, 5):
         pool.fetch(pid)
         pool.unpin(pid)
+
+
+def test_admission_failure_releases_the_claims_not_reached(
+    counters, monkeypatch
+):
+    """The run read came back, and admitting one neighbor raised (its
+    eviction's write failed): the neighbors behind it must not stay
+    claimed, or the next fetch of one waits forever."""
+    disk = HookedDisk(Disk(io_size=8 * 2048, counters=counters))
+    for pid in range(1, 9):
+        put_page(disk, pid)
+    pool = BufferPool(disk, capacity=64, counters=counters, shards=4)
+    admit = pool._admit
+
+    def fail_once(*args, **kwargs):
+        monkeypatch.setattr(pool, "_admit", admit)
+        raise RuntimeError("eviction write failed")
+
+    monkeypatch.setattr(pool, "_admit", fail_once)
+    with pytest.raises(RuntimeError):
+        pool.fetch(1, large_io=True)
+    assert all(not shard.inflight for shard in pool._shards)
+    for pid in range(1, 9):
+        pool.fetch(pid)
+        pool.unpin(pid)

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.storage.faults import FaultKind
 from repro.testing import CrashScheduleHarness, ScrubCrashHarness
 from repro.testing.crashsched import run_random_schedule
 
@@ -188,15 +189,28 @@ def test_tuned_crash_between_retire_and_commit_resumes_clean():
     assert report.resumes_taken > 0
 
 
+def test_tuned_torn_write_on_the_writer_thread_is_a_crash():
+    """With write-behind on, a ``torn write_many + crash`` fires on the
+    writer thread and reaches the driver through a barrier token: the
+    power failed there too — no abort protocol, recovery takes over."""
+    harness = CrashScheduleHarness(**TUNED)
+    torn = [
+        s for s in harness.enumerate_schedules()
+        if s.fault is FaultKind.TORN and s.crash and s.torn_byte >= 0
+    ]
+    report = harness.run_sweep(schedules=torn[:1])
+    assert report.crashes_simulated == report.schedules_run == 1
+    assert report.ok, _fail_report(report)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("workers", [1, 2])
 def test_tuned_exhaustive_resume_sweep(workers):
-    """Every syncpoint crash of the serial and the 2-worker driver with
-    the tuned knobs, each recovered and resumed under the floor check."""
+    """Every syncpoint crash and every injected-fault site of the
+    one-worker and the 2-worker run with the tuned knobs, each recovered
+    and resumed under the floor check."""
     harness = CrashScheduleHarness(parallel_workers=workers, **TUNED)
-    report = harness.run_sweep(
-        schedules=harness.enumerate_schedules(include_faults=False)
-    )
+    report = harness.run_sweep()
     assert report.schedules_run >= 30, "schedule enumeration shrank"
     assert report.ok, _fail_report(report)
     assert report.resumes_taken > 0

@@ -83,16 +83,15 @@ def test_segments_reconstruct_the_original_tiling():
     assert [s.ordinal for s in specs] == [0, 1, 2]
     assert specs[0].done and not specs[1].done and not specs[2].done
     # The tiling is contiguous: each stop is the right neighbor's start.
-    assert specs[0].segment.start_unit is None
-    assert specs[0].segment.stop_before == b"\x11"
-    assert specs[1].segment.start_unit == b"\x11"
-    assert specs[1].segment.stop_before == b"\x22"
-    assert specs[2].segment.stop_before is None
+    assert specs[0].start_unit is None
+    assert specs[0].stop_before == b"\x11"
+    assert specs[1].start_unit == b"\x11"
+    assert specs[1].stop_before == b"\x22"
+    assert specs[2].stop_before is None
     # Workers with durable progress restart strictly after it; those
     # without restart at their segment start.
     assert specs[1].probe == b"\x18\x00"
     assert specs[2].probe == b"\x22"
-    assert specs[0].segment.clean_start and not specs[1].segment.clean_start
 
 
 def test_segments_reject_gappy_or_offset_checkpoints():

@@ -239,7 +239,7 @@ def test_clr_redo_leaves_a_later_incarnation_of_its_leaf_alone():
     index.delete(intkey(38), 38, txn=txn)
     engine.ctx.txns.abort(txn)
     expected = contents_as_ints(index)
-    config = RebuildConfig(ntasize=1, xactsize=2, chunk_size=8)
+    config = RebuildConfig(ntasize=1, xactsize=2)
     OnlineRebuild(index, config).run()
     OnlineRebuild(index, config).run()
     crash_recover(engine)

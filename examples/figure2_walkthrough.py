@@ -16,11 +16,10 @@ Run:  python examples/figure2_walkthrough.py
 from repro import Engine, RebuildConfig
 from repro.btree import keys as K
 from repro.btree import node
-from repro.btree.split import clear_protocol_bits
 from repro.btree.traversal import Traversal
 from repro.btree.tree import BTree
 from repro.btree.verify import collect_contents
-from repro.core.copy_phase import copy_multipage
+from repro.core.copy_phase import copy_multipage, give_back
 from repro.core.propagation import PropagationState, run_propagation
 from repro.core.rebuild import OnlineRebuild
 from repro.storage.page import NO_PAGE, PageType
@@ -111,12 +110,12 @@ def main() -> None:
     config = RebuildConfig(ntasize=3, xactsize=3)
     chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
-    cleanup, deallocated, new_pages = [], [], []
+    cleanup, held, deallocated, new_pages = [], {}, [], []
     ctx.txns.begin_nta(txn)
 
     print("COPY PHASE (§4.1): rebuild P1, P2, P3 in one top action.")
     result = copy_multipage(
-        ctx, tree, txn, config, chunk, ids["P1"], cleanup, deallocated
+        ctx, tree, txn, config, chunk, ids["P1"], cleanup, held, deallocated
     )
     n1 = result.new_pages[0]
     name_of[n1] = "N1"
@@ -156,7 +155,7 @@ def main() -> None:
     print(f"  root's children now: {top}  (entry for P deleted at level 2)\n")
 
     ctx.txns.end_nta(txn)
-    clear_protocol_bits(ctx, txn, cleanup)
+    give_back(ctx, txn, cleanup, held)
     ctx.buffer.flush_pages(result.new_pages + new_pages)
     ctx.txns.commit(txn)
     OnlineRebuild(tree, config)._free_deallocated_of(txn)

@@ -399,8 +399,7 @@ def _finish_nta(ctx: EngineContext, txn: Transaction, cleanup: list[int]) -> Non
 
 
 def clear_protocol_bits(
-    ctx: EngineContext, txn: Transaction, pages: list[int],
-    scan: bool = False,
+    ctx: EngineContext, txn: Transaction, pages: list[int]
 ) -> None:
     """Clear SPLIT/SHRINK/OLDPGOFSPLIT bits and drop the X address locks.
 
@@ -409,13 +408,11 @@ def clear_protocol_bits(
     holds the page's latch (locked-iff-bitted, §6.5), so a lock kept past
     its bit while this loop waits for a later page's latch closes a
     latch / lock cycle through any reader crabbing between the two pages.
-
-    ``scan=True`` marks the fetches scan-class for the buffer pool (the
-    rebuild clearing bits on its own run of source pages); the B+-tree's
-    split/shrink callers use the default.
+    (The rebuild's top actions end with the same loop over pages they
+    kept pinned: :func:`repro.core.copy_phase.give_back`.)
     """
     for page_id in pages:
-        page = ctx.get_latched(page_id, LatchMode.X, scan=scan)
+        page = ctx.get_latched(page_id, LatchMode.X)
         page.clear_flag(PageFlag.SPLIT)
         page.clear_flag(PageFlag.SHRINK)
         page.clear_side_entry()

@@ -2,17 +2,22 @@
 
 One top action rebuilds up to ``ntasize`` contiguous leaves P1..Pn:
 
-1. **Locking** (§4.1.1, §6.5): X address locks and SHRINK bits go on PP
-   (P1's previous page), then P1..Pn left to right.  If PP or P1 is busy
-   the rebuild releases everything it holds, blocks via an instant S lock,
-   and retries; if a later Pi is busy the top action simply stops at Pi-1
-   ("rebuild does not wait").  Each lock is taken *conditionally under the
-   page's X latch* and the bit is set before the latch drops, preserving
-   the §6.5 invariant that a latched page is locked iff it is bitted —
-   which is what keeps latch-holders and lock-holders from deadlocking.
-   With ``split_then_shrink`` (§6.2) the old leaves carry SPLIT bits during
-   the copy — readers still allowed — and are flipped to SHRINK just
-   before the chain is relinked.
+1. **Locking and reading** (§4.1.1, §6.5): X address locks and SHRINK
+   bits go on PP (P1's previous page), then P1..Pn left to right.  If PP
+   or P1 is busy the rebuild gives back everything it holds, blocks via an
+   instant S lock, and retries; if a later Pi is busy the top action
+   simply stops at Pi-1 ("rebuild does not wait").  Each lock is taken
+   *conditionally under the page's X latch* and the bit is set before the
+   latch drops, preserving the §6.5 invariant that a latched page is
+   locked iff it is bitted — which is what keeps latch-holders and
+   lock-holders from deadlocking.  That latched visit is also the read:
+   from then on the address lock, not a latch, protects the leaf's rows
+   and ``next_page``, so they are copied out there (:class:`Frozen`) and
+   the leaf *stays pinned* until :func:`give_back` ends the top action —
+   two latched visits per source leaf, the pins bounded by what the pool
+   can spare.  With ``split_then_shrink`` (§6.2) the old leaves carry
+   SPLIT bits during the copy — readers still allowed — and are flipped
+   to SHRINK just before the chain is relinked.
 
 2. **Copying**: the keys move to PP (up to the fillfactor) and to freshly
    allocated pages from the contiguous chunk cursor, each filled to the
@@ -38,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.btree import keys as K
 from repro.btree import node
@@ -59,7 +64,7 @@ from repro.storage.page import (
     SLOT_OVERHEAD,
 )
 from repro.storage.page_manager import ChunkAllocator
-from repro.wal.records import ChainLink, KeyCopyEntry, LogRecord, RecordType
+from repro.wal.records import KeyCopyEntry, LogRecord, RecordType
 
 
 @dataclass
@@ -71,10 +76,8 @@ class CopyResult:
     old_pages: list[int]
     pp_page: int                 # NO_PAGE when P1 was the leftmost leaf
     pp_low_unit: bytes | None
-    last_target: int             # rightmost page holding copied keys
     resume_unit: bytes           # highest unit copied so far
     reached_end: bool            # Pn was the last leaf of the index
-    next_leaf: int = NO_PAGE     # first source leaf of the next top action
     low_unit: bytes = b""        # lowest unit copied (first unit of P1)
 
 
@@ -98,7 +101,7 @@ class _TargetPlan:
 
 
 def plan_copy(
-    sources: list[tuple[int, list[bytes]]],
+    sources: list[Frozen],
     pp_free_budget: int,
     capacity: int,
     fillfactor: float,
@@ -119,15 +122,23 @@ def plan_copy(
         free = pp_free_budget
     next_ordinal = 0
 
-    for src_id, rows in sources:
+    for src_id, rows, row_bytes, _next in sources:
         if not rows:
             raise RebuildError(
                 f"leaf {src_id} is empty; empty leaves are shrunk, not "
                 "rebuilt"
             )
         allocs = allocs_per_source[src_id] = []
-        # cost[k] = slotted bytes of rows[:k], strictly increasing, so "how
-        # many more rows fit" is a binary search instead of a per-row loop.
+        if row_bytes <= free:
+            # The whole leaf fits the open target: one extent, no sums.
+            target = targets[-1]
+            target.units += rows
+            target.extents.append(KeyCopyEntry(src_id, 0, 0, len(rows) - 1))
+            free -= row_bytes
+            continue
+        # The leaf straddles a target boundary.  cost[k] = slotted bytes of
+        # rows[:k], strictly increasing, so "how many more rows fit" is a
+        # binary search instead of a per-row loop.
         cost = list(
             accumulate([SLOT_OVERHEAD + len(r) for r in rows], initial=0)
         )
@@ -164,6 +175,7 @@ def copy_multipage(
     chunk_alloc: ChunkAllocator,
     p1_id: int,
     cleanup: list[int],
+    held: dict[int, Page],
     deallocated: list[int],
     stop_unit: bytes | None = None,
     stop_before: bytes | None = None,
@@ -172,6 +184,8 @@ def copy_multipage(
 ) -> CopyResult:
     """Run the copy phase for the run of leaves starting at ``p1_id``.
 
+    Every page locked here goes into ``cleanup``, PP and the sources also
+    pinned into ``held``, until the caller's :func:`give_back`.
     ``stop_unit`` bounds a range-restricted rebuild: the run does not
     extend past the leaf containing it.  Raises :class:`PositionLost` if
     ``p1_id`` stopped being a usable leaf before it could be locked (the
@@ -186,9 +200,9 @@ def copy_multipage(
 
     * ``stop_before`` is an *exclusive* bound — the run never extends onto
       a leaf whose first unit is >= it (a worker must not cross its
-      partition seam).  Unlike ``stop_unit`` it is checked by *peeking*
-      the next leaf's first unit under a plain S latch, without locking or
-      bitting it: the leaf may be the right-hand neighbor's P1.
+      partition seam).  Unlike ``stop_unit`` it is checked on the next
+      leaf itself, under the latch but before locking or bitting it: the
+      leaf may be the right-hand neighbor's P1.
     * ``fill_pp=False`` leaves PP's content untouched (budget 0) — a
       worker starting mid-chain must not pack keys into a page the
       left-hand worker owns the packing of.  PP is still locked, bitted,
@@ -203,44 +217,38 @@ def copy_multipage(
     source_bit = (
         PageFlag.SPLIT if config.split_then_shrink else PageFlag.SHRINK
     )
-    pp_id, p1_id = _lock_pp_and_p1(
-        ctx, txn, p1_id, cleanup, source_bit, pp_busy_wait
+    pp, p1 = _lock_pp_and_p1(
+        ctx, txn, p1_id, cleanup, held, source_bit, pp_busy_wait
     )
-    old_ids = _extend_run(
-        ctx, txn, p1_id, config.ntasize, cleanup, source_bit,
+    # The run stays pinned until given back: a small pool gets shorter
+    # top actions (this segment's share of its pins), not an exhausted pool.
+    max_run = min(
+        config.ntasize,
+        max(1, ctx.buffer.pin_room() // config.parallel_workers),
+    )
+    run = _extend_run(
+        ctx, txn, p1, max_run, cleanup, held, source_bit,
         stop_unit, stop_before,
     )
+    pp_id = pp.page_id if pp is not None else NO_PAGE
+    old_ids = [leaf.page_id for leaf in run]
     ctx.syncpoints.fire(
         "rebuild.copy_locked", pp=pp_id, sources=list(old_ids)
     )
+    next_after_run = run[-1].next_page
 
-    # Read the source rows (old pages are frozen now).  Large buffers are
-    # used for the sequential read of the old index (§6.3).
-    sources: list[tuple[int, list[bytes]]] = []
-    next_after_run = NO_PAGE
-    for pid in old_ids:
-        page = ctx.get_latched(pid, LatchMode.S, large_io=True, scan=True)
-        sources.append((pid, list(page.rows)))
-        next_after_run = page.next_page
-        ctx.release_page(pid)
-
-    pp_low_unit: bytes | None = None
-    pp_last_unit: bytes | None = None
-    pp_free_budget = 0
     capacity = ctx.page_size - HEADER_SIZE
-    if pp_id != NO_PAGE:
-        pp = ctx.get_latched(pp_id, LatchMode.S, scan=True)
-        pp_low_unit = pp.rows[0] if pp.rows else None
-        pp_last_unit = pp.rows[-1] if pp.rows else None
-        if fill_pp:
-            budget = max(1, int(config.fillfactor * capacity))
-            pp_free_budget = max(0, budget - (pp.used_bytes - HEADER_SIZE))
-            # Never overflow the physical page whatever the fillfactor says.
-            pp_free_budget = min(pp_free_budget, pp.free_bytes)
-        ctx.release_page(pp_id)
+    pp_rows = pp.rows if pp is not None else []
+    pp_low_unit = pp_rows[0] if pp_rows else None
+    pp_last_unit = pp_rows[-1] if pp_rows else None
+    pp_free_budget = 0
+    if pp is not None and fill_pp:
+        # Never overflow the physical page whatever the fillfactor says.
+        budget = min(capacity, max(1, int(config.fillfactor * capacity)))
+        pp_free_budget = max(0, budget - pp.row_bytes)
 
     targets, allocs_per_source = plan_copy(
-        sources, pp_free_budget, capacity, config.fillfactor
+        run, pp_free_budget, capacity, config.fillfactor
     )
 
     # Allocate the new pages from the contiguous chunk cursor (§6.1); a
@@ -256,8 +264,8 @@ def copy_multipage(
             new_ids.append(ordinal_to_id[t.ordinal])
 
     _apply_copy(
-        ctx, tree, txn, config, sources, targets, ordinal_to_id,
-        pp_id, p1_id, new_ids, next_after_run, cleanup,
+        ctx, tree, txn, config, old_ids, targets, ordinal_to_id,
+        pp_id, new_ids, next_after_run, cleanup, held,
     )
 
     # Deallocate the old pages in one batched record (allocation-state
@@ -276,14 +284,9 @@ def copy_multipage(
     ctx.counters.add("leaf_pages_rebuilt", len(old_ids))
 
     prop_entries = _propagation_entries(
-        sources, targets, allocs_per_source, ordinal_to_id, pp_last_unit,
+        run, targets, allocs_per_source, ordinal_to_id, pp_last_unit,
         unit_len=tree.key_len + 6,
     )
-    last_target = (
-        new_ids[-1] if new_ids else (pp_id if pp_id != NO_PAGE else NO_PAGE)
-    )
-    resume_unit = sources[-1][1][-1] if sources[-1][1] else b""
-    low_unit = sources[0][1][0] if sources[0][1] else b""
     ctx.syncpoints.fire(
         "rebuild.copy_done", sources=list(old_ids), new_pages=list(new_ids)
     )
@@ -293,11 +296,9 @@ def copy_multipage(
         old_pages=list(old_ids),
         pp_page=pp_id,
         pp_low_unit=pp_low_unit,
-        last_target=last_target,
-        resume_unit=resume_unit,
+        resume_unit=run[-1].rows[-1],  # plan_copy refused an empty leaf
         reached_end=next_after_run == NO_PAGE,
-        next_leaf=next_after_run,
-        low_unit=low_unit,
+        low_unit=run[0].rows[0],
     )
 
 
@@ -383,40 +384,98 @@ def _level1_children(
 # ------------------------------------------------------------------ locking
 
 
+class Frozen(NamedTuple):
+    """What a top action reads of a leaf in the latched visit that locks
+    and bits it.  The address lock freezes exactly this much — the rows
+    and ``next_page``; ``prev_page`` still moves under the left neighbor's
+    latch — so it is good until :func:`give_back`."""
+
+    page_id: int
+    rows: list[bytes]
+    row_bytes: int  # slotted bytes of ``rows``: what a target must hold
+    next_page: int
+
+
 def _acquire_page(
     ctx: EngineContext,
     txn: Transaction,
     page_id: int,
     bit: PageFlag,
-) -> bool:
-    """Conditionally lock + bit one page under its X latch.
+    cleanup: list[int],
+    held: dict[int, Page],
+    stop_before: bytes | None = None,
+) -> Frozen | None:
+    """Conditionally lock + bit one leaf under its X latch, read it there,
+    and keep it pinned: on success the page is in ``cleanup`` and its
+    pinned image in ``held``, for :func:`give_back`.
 
-    Returns False when the page is held by another top action (foreign bit
-    or lock) or is no longer an allocated page.  The bit goes on before the
-    latch drops, preserving the locked-iff-bitted invariant latch-holders
-    rely on (§6.5).  The (likely cold) source-page read goes through the
-    big buffers, per §6.3.
+    Returns None, nothing taken, when the page is held by another top
+    action (foreign bit or lock), is no longer an allocated leaf, or
+    starts at or beyond ``stop_before`` (it may be the right-hand worker's
+    P1, so the seam bound is checked before anything is taken).  The bit
+    goes on before the latch drops: locked iff bitted (§6.5).  The (likely
+    cold) read goes through the big buffers, per §6.3; a page that cannot
+    be read raises — "busy" is an answer callers wait on.
     """
     if not ctx.page_manager.is_allocated(page_id):
-        return False
-    ctx.latches.acquire(page_id, LatchMode.X)
-    try:
-        page = ctx.buffer.fetch(page_id, large_io=True, scan=True)
-    except StorageError:  # not a CrashPoint: callers retry on False forever
-        ctx.latches.release(page_id)
-        return False
-    try:
-        if page.has_flag(PageFlag.SPLIT) or page.has_flag(PageFlag.SHRINK):
-            return False
-        if not ctx.locks.try_acquire(
+        return None
+    page = ctx.get_latched(page_id, LatchMode.X, large_io=True, scan=True)
+    rows = page.rows
+    if (
+        page.page_type is not PageType.LEAF
+        or page.has_flag(PageFlag.SPLIT)
+        or page.has_flag(PageFlag.SHRINK)
+        or (stop_before is not None and not (rows and rows[0] < stop_before))
+        or not ctx.locks.try_acquire(
             txn.txn_id, LockSpace.ADDRESS, page_id, LockMode.X
+        )
+    ):
+        ctx.release_page(page_id)
+        return None
+    page.set_flag(bit)
+    cleanup.append(page_id)
+    held[page_id] = page
+    # No side entry or blocked range on a leaf nobody else holds: all
+    # past the header is rows (``used_bytes`` is O(1)).
+    frozen = Frozen(
+        page_id, list(rows), page.used_bytes - HEADER_SIZE, page.next_page
+    )
+    ctx.latches.release(page_id)
+    return frozen
+
+
+def give_back(
+    ctx: EngineContext,
+    txn: Transaction,
+    pages: list[int],
+    held: dict[int, Page],
+    aborted: bool = False,
+) -> None:
+    """The clearing visit: hand each of ``pages`` back — protocol bits and
+    side state cleared under the X latch, the pin (the one kept in
+    ``held``, or this visit's own) dropped with the dirty mark, then the
+    address lock; lock with bit, page by page, for the reason
+    :func:`~repro.btree.split.clear_protocol_bits` gives.  ``aborted``:
+    the top action was rolled back first, so a page it had allocated is
+    gone (skipped) and a lock may never have been taken.
+    """
+    for page_id in pages:
+        page = held.pop(page_id, None)
+        if page is not None:
+            ctx.latches.acquire(page_id, LatchMode.X)
+            ctx.counters.add("pages_visited")
+        elif not aborted or ctx.page_manager.is_allocated(page_id):
+            page = ctx.get_latched(page_id, LatchMode.X, scan=True)
+        if page is not None:
+            page.clear_flag(PageFlag.SPLIT)
+            page.clear_flag(PageFlag.SHRINK)
+            page.clear_side_entry()
+            page.clear_blocked_range()
+            ctx.release_page(page_id, dirty=True)
+        if not aborted or ctx.locks.holds(
+            txn.txn_id, LockSpace.ADDRESS, page_id
         ):
-            return False
-        page.set_flag(bit)
-        return True
-    finally:
-        ctx.buffer.unpin(page_id)
-        ctx.latches.release(page_id)
+            ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)
 
 
 def _lock_pp_and_p1(
@@ -424,137 +483,97 @@ def _lock_pp_and_p1(
     txn: Transaction,
     p1_id: int,
     cleanup: list[int],
+    held: dict[int, Page],
     source_bit: PageFlag,
     pp_busy_wait: "Callable[[], bool] | None" = None,
-) -> tuple[int, int]:
-    """Lock PP then P1, waiting (after releasing everything) when busy.
+) -> tuple[Frozen | None, Frozen]:
+    """Lock PP then P1 — the first pages of the top action, so ``cleanup``
+    arrives empty — waiting, after giving everything back, when busy.
 
     A busy PP first consults ``pp_busy_wait`` when given (the parallel
     seam-handoff wait); only when it declines does the default §6.5
-    instant-lock wait run.
+    instant-lock wait run.  A PP or P1 that cannot be read raises.
     """
+
+    def release_everything() -> None:
+        give_back(ctx, txn, cleanup, held)
+        cleanup.clear()
+
     while True:
         if not ctx.page_manager.is_allocated(p1_id):
             raise PositionLost(f"leaf {p1_id} is gone")
         page = ctx.get_latched(p1_id, LatchMode.S, large_io=True, scan=True)
-        if page.page_type is not PageType.LEAF:
-            ctx.release_page(p1_id)
-            raise PositionLost(f"page {p1_id} is no longer a leaf")
+        is_leaf = page.page_type is PageType.LEAF
         pp_id = page.prev_page
         ctx.release_page(p1_id)
+        if not is_leaf:
+            raise PositionLost(f"page {p1_id} is no longer a leaf")
 
+        pp: Frozen | None = None
         if pp_id != NO_PAGE:
-            if not _acquire_page(ctx, txn, pp_id, PageFlag.SHRINK):
+            pp = _acquire_page(ctx, txn, pp_id, PageFlag.SHRINK, cleanup, held)
+            if pp is None:
                 if pp_busy_wait is None or not pp_busy_wait():
                     ctx.locks.wait_instant(
                         txn.txn_id, LockSpace.ADDRESS, pp_id, LockMode.S
                     )
                 continue
             # Revalidate the chain under the lock.
-            pp = ctx.get_latched(pp_id, LatchMode.S, scan=True)
-            still_prev = (
+            if not (
                 ctx.page_manager.is_allocated(pp_id)
-                and pp.page_type is PageType.LEAF
                 and pp.next_page == p1_id
-            )
-            ctx.release_page(pp_id)
-            if not still_prev:
-                _release_one(ctx, txn, pp_id)
+            ):
+                release_everything()
                 continue
 
-        if not _acquire_page(ctx, txn, p1_id, source_bit):
-            if pp_id != NO_PAGE:
-                _release_one(ctx, txn, pp_id)
+        p1 = _acquire_page(ctx, txn, p1_id, source_bit, cleanup, held)
+        if p1 is None:
             # §6.5: release everything before waiting, then retry all.
+            release_everything()
             ctx.locks.wait_instant(
                 txn.txn_id, LockSpace.ADDRESS, p1_id, LockMode.S
             )
             continue
         if not ctx.page_manager.is_allocated(p1_id):
-            _release_one(ctx, txn, p1_id)
-            if pp_id != NO_PAGE:
-                _release_one(ctx, txn, pp_id)
+            release_everything()
             raise PositionLost(f"leaf {p1_id} vanished while locking")
-        if pp_id != NO_PAGE:
-            cleanup.append(pp_id)
-        cleanup.append(p1_id)
-        return pp_id, p1_id
+        return pp, p1
 
 
 def _extend_run(
     ctx: EngineContext,
     txn: Transaction,
-    p1_id: int,
-    ntasize: int,
+    p1: Frozen,
+    max_run: int,
     cleanup: list[int],
+    held: dict[int, Page],
     source_bit: PageFlag,
     stop_unit: bytes | None = None,
     stop_before: bytes | None = None,
-) -> list[int]:
-    """Lock P2..Pn along the chain; stop (don't wait) at the first busy
-    one, never extend past the leaf containing ``stop_unit``, and never
-    *onto* a leaf whose first unit is >= ``stop_before`` (the exclusive
-    partition-seam bound)."""
-    run = [p1_id]
-    current = p1_id
-    while len(run) < ntasize:
-        page = ctx.get_latched(current, LatchMode.S, scan=True)
-        next_id = page.next_page
-        past_range = (
-            stop_unit is not None
-            and page.nrows > 0
-            and page.rows[-1] >= stop_unit
-        )
-        ctx.release_page(current)
-        if past_range or next_id == NO_PAGE:
-            break
-        if stop_before is not None and not _starts_below(
-            ctx, next_id, stop_before
+) -> list[Frozen]:
+    """Lock P2..Pn along the chain, each step read off the leaf just
+    frozen; stop (don't wait) at the first busy or unreadable one, at
+    ``max_run`` leaves, never extend past the leaf containing
+    ``stop_unit``, and never *onto* a leaf whose first unit is >=
+    ``stop_before`` (the exclusive partition-seam bound)."""
+    run = [p1]
+    while len(run) < max_run:
+        last = run[-1]
+        if last.next_page == NO_PAGE or (
+            stop_unit is not None and last.rows and last.rows[-1] >= stop_unit
         ):
             break
-        if not _acquire_page(ctx, txn, next_id, source_bit):
+        try:
+            nxt = _acquire_page(
+                ctx, txn, last.next_page, source_bit, cleanup, held,
+                stop_before,
+            )
+        except StorageError:
+            break  # the next top action starts there and reports it
+        if nxt is None:
             break  # §4.1.1: rebuild does not wait for P_i, i > 1
-        cleanup.append(next_id)
-        run.append(next_id)
-        current = next_id
+        run.append(nxt)
     return run
-
-
-def _starts_below(
-    ctx: EngineContext, page_id: int, stop_before: bytes
-) -> bool:
-    """Peek whether a leaf's first unit is below the seam bound.
-
-    A plain S latch only — no lock, no bit: the page may be the
-    right-hand worker's P1, and conditionally acquiring it just to look
-    would create transient seam-bit collisions.  The peek uses the same
-    large-I/O fetch path as the copy itself: a single-page cold read here
-    would both fragment the device stream and leave the page resident,
-    defeating the aligned run read the copy would otherwise issue.  A
-    page that vanished or cannot be peeked reads as "not below" (the run
-    simply ends; the driver's next discovery sorts it out).
-    """
-    if not ctx.page_manager.is_allocated(page_id):
-        return False
-    try:
-        page = ctx.get_latched(
-            page_id, LatchMode.S, large_io=True, scan=True
-        )
-    except Exception:
-        return False
-    try:
-        return page.nrows > 0 and page.rows[0] < stop_before
-    finally:
-        ctx.release_page(page_id)
-
-
-def _release_one(ctx: EngineContext, txn: Transaction, page_id: int) -> None:
-    """Drop a conditionally acquired lock + bit (retry path)."""
-    page = ctx.get_latched(page_id, LatchMode.X, scan=True)
-    page.clear_flag(PageFlag.SPLIT)
-    page.clear_flag(PageFlag.SHRINK)
-    ctx.release_page(page_id, dirty=True)
-    ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)
 
 
 # ------------------------------------------------------------------ applying
@@ -565,17 +584,18 @@ def _apply_copy(
     tree: "object",
     txn: Transaction,
     config: RebuildConfig,
-    sources: list[tuple[int, list[bytes]]],
+    old_ids: list[int],
     targets: list[_TargetPlan],
     ordinal_to_id: dict[int, int],
     pp_id: int,
-    p1_id: int,
     new_ids: list[int],
     next_after_run: int,
     cleanup: list[int],
+    held: dict[int, Page],
 ) -> None:
-    """Materialize the plan: ALLOC records, one keycopy record, links."""
-    index_id = _index_id_of(ctx, p1_id)
+    """Materialize the plan: ALLOC records, one keycopy record, links.
+    PP and the sources are latched here, not fetched: ``held`` has them."""
+    index_id = tree.index_id
 
     # Chain layout: pp -> new pages -> next_after_run.  Only the *next*
     # component of PP's entry is ever applied (its prev is untouched); when
@@ -589,7 +609,7 @@ def _apply_copy(
 
     # One batched alloc+format record for the whole run of new pages
     # (X latched, X locked, SHRINK-bitted until the NTA ends).
-    new_pages: dict[int, Page] = {}
+    target_pages: dict[int, Page] = {}
     if new_ids:
         run_rec = LogRecord(
             type=RecordType.ALLOCRUN,
@@ -617,19 +637,18 @@ def _apply_copy(
             page.prev_page = prev
             page.next_page = nxt
             page.page_lsn = run_lsn
-            ctx.counters.add("new_pages_allocated")
-            new_pages[pid] = page
+            target_pages[pid] = page
+        ctx.counters.add("new_pages_allocated", len(new_ids))
 
     # The single keycopy record (§4.1.2).  Chain links of the new pages are
     # already captured by the ALLOCRUN record, so none are repeated here.
     entries: list[KeyCopyEntry] = []
     target_ts: list[tuple[int, int]] = []
-    chain_links: list[ChainLink] = []
     pp_page: Page | None = None
     pp_old_next = NO_PAGE
     if pp_id != NO_PAGE:
         ctx.latches.acquire(pp_id, LatchMode.X)
-        pp_page = ctx.buffer.fetch(pp_id, scan=True)
+        pp_page = target_pages[pp_id] = held[pp_id]
         pp_old_next = pp_page.next_page
         target_ts.append((pp_id, pp_page.page_lsn))
     for t in targets:
@@ -639,18 +658,18 @@ def _apply_copy(
                 KeyCopyEntry(e.src_page, tgt_id, e.first_pos, e.last_pos)
             )
         if t.ordinal >= 0:
-            target_ts.append((tgt_id, new_pages[tgt_id].page_lsn))
+            target_ts.append((tgt_id, target_pages[tgt_id].page_lsn))
     pp_new_next = links[pp_id][1] if pp_id != NO_PAGE else NO_PAGE
     keycopy = LogRecord(
         type=RecordType.KEYCOPY,
-        page_id=pp_id if pp_id != NO_PAGE else (new_ids[0] if new_ids else p1_id),
+        # No PP, no open target: the first source opened a new page.
+        page_id=pp_id if pp_id != NO_PAGE else new_ids[0],
         index_id=index_id,
         pp_page=pp_id,
         pp_old_next=pp_old_next,
         pp_new_next=pp_new_next,
         entries=entries,
         target_ts=target_ts,
-        links=chain_links,
     )
     lsn = ctx.txns.append(txn, keycopy)
     ctx.counters.add("top_actions")
@@ -658,24 +677,18 @@ def _apply_copy(
     # Apply: one bulk append of the planned units per target, then stamp.
     copied_bytes = 0
     for t in targets:
-        tgt_id = ordinal_to_id[t.ordinal]
-        if t.ordinal == -1:
-            assert pp_page is not None
-            page = pp_page
-        else:
-            page = new_pages[tgt_id]
+        page = target_pages[ordinal_to_id[t.ordinal]]
         copied_bytes += page.extend_rows(t.units)
         page.page_lsn = lsn
-        ctx.buffer.mark_dirty(tgt_id)
     ctx.counters.add("bytes_copied", copied_bytes)
 
     if config.split_then_shrink:
         # §6.2: flip the old pages' SPLIT bits to SHRINK before unlinking.
-        for src_id, _rows in sources:
-            page = ctx.get_latched(src_id, LatchMode.X, scan=True)
-            page.clear_flag(PageFlag.SPLIT)
-            page.set_flag(PageFlag.SHRINK)
-            ctx.release_page(src_id, dirty=True)
+        for src_id in old_ids:
+            ctx.latches.acquire(src_id, LatchMode.X)
+            held[src_id].clear_flag(PageFlag.SPLIT)
+            held[src_id].set_flag(PageFlag.SHRINK)
+            ctx.latches.release(src_id)
 
     # Relink the chain around the old run.
     if pp_page is not None:
@@ -683,7 +696,7 @@ def _apply_copy(
         # Stamped even when PP took no rows (a seam PP, a full one): an
         # unstamped link flip could reach disk ahead of the keycopy record.
         pp_page.page_lsn = lsn
-        ctx.buffer.unpin(pp_id, dirty=True)
+        ctx.buffer.mark_dirty(pp_id)
         ctx.latches.release(pp_id)
     for pid in new_ids:
         ctx.buffer.unpin(pid, dirty=True)
@@ -694,7 +707,7 @@ def _apply_copy(
 
 
 def _propagation_entries(
-    sources: list[tuple[int, list[bytes]]],
+    sources: list[Frozen],
     targets: list[_TargetPlan],
     allocs_per_source: dict[int, list[int]],
     ordinal_to_id: dict[int, int],
@@ -723,8 +736,8 @@ def _propagation_entries(
     }
 
     out: list[PropagationEntry] = []
-    for src_id, rows in sources:
-        route = rows[0]
+    for src in sources:
+        src_id, route = src.page_id, src.rows[0]
         ordinals = allocs_per_source[src_id]
         if not ordinals:
             out.append(
@@ -755,10 +768,3 @@ def _propagation_entries(
                 )
             )
     return out
-
-
-def _index_id_of(ctx: EngineContext, page_id: int) -> int:
-    page = ctx.buffer.fetch(page_id, scan=True)
-    index_id = page.index_id
-    ctx.buffer.unpin(page_id)
-    return index_id

@@ -38,6 +38,7 @@ from repro.btree import node
 from repro.btree.tree import BTree
 from repro.concurrency.latch import LatchMode
 from repro.context import EngineContext
+from repro.errors import StorageError
 from repro.storage.page import PageType
 
 if TYPE_CHECKING:
@@ -149,7 +150,9 @@ def plan_partitions(
 
     try:
         visit(tree.root_page_id)
-    except Exception:  # noqa: BLE001 - planning is best-effort
+    except (LookupError, StorageError):
+        # Restructured mid-walk, or unreadable (the copy phase will say
+        # so).  A simulated power failure is neither: it propagates.
         return [ResumeSegment(ordinal=0)]
     ctx.counters.add("partition_planner_leaves", total)
     ctx.progress.set_units_total(total)

@@ -36,8 +36,9 @@ thread each.  Safety needs nothing new — address locks, SPLIT/SHRINK bits
 and the §3 flush-then-free ordering already make top actions on disjoint
 ranges independent; the only coordination is at partition seams:
 
-* a worker's copy run never crosses its ``stop_before`` bound (checked by
-  peeking, not locking — see :func:`~repro.core.copy_phase._extend_run`);
+* a worker's copy run never crosses its ``stop_before`` bound (checked on
+  the next leaf before it is locked or bitted — see
+  :func:`~repro.core.copy_phase._acquire_page`);
 * the worker *owning* the left seam page finishes the boundary top action;
   its right-hand neighbor, finding its PP busy, waits on the owner's
   :class:`~repro.storage.io_scheduler.CompletionToken` instead of camping
@@ -72,11 +73,9 @@ from dataclasses import dataclass, field
 
 from repro.btree import keys as K
 from repro.btree import node
-from repro.btree.split import clear_protocol_bits
 from repro.btree.traversal import AccessMode, Traversal
 from repro.btree.tree import BTree
 from repro.concurrency.latch import LatchMode
-from repro.concurrency.locks import LockSpace
 from repro.concurrency.syncpoints import CrashPoint
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
@@ -84,6 +83,7 @@ from repro.core.config import RebuildConfig
 from repro.core.copy_phase import (
     PositionLost,
     copy_multipage,
+    give_back,
     level1_leaf_order,
 )
 from repro.core.partition import (
@@ -95,7 +95,7 @@ from repro.core.propagation import PropagationState, run_propagation
 from repro.errors import RebuildAbortedError, RebuildError
 from repro.stats.counters import Timer
 from repro.storage.io_scheduler import CompletionToken, IOScheduler
-from repro.storage.page import NO_PAGE, PageFlag
+from repro.storage.page import NO_PAGE, Page
 from repro.storage.page_manager import ChunkAllocator, PageState
 from repro.wal.records import (
     PROGRESS_COMPLETE,
@@ -896,12 +896,13 @@ class OnlineRebuild:
         """
         ctx, config, tree = self.ctx, self.config, self.tree
         cleanup: list[int] = []
+        held: dict[int, Page] = {}  # of ``cleanup``: PP and sources, pinned
         deallocated: list[int] = []
         nta_new_pages: list[int] = []
         ctx.txns.begin_nta(txn)
         try:
             result = copy_multipage(
-                ctx, tree, txn, config, chunk_alloc, p1, cleanup,
+                ctx, tree, txn, config, chunk_alloc, p1, cleanup, held,
                 deallocated, stop_unit=self._end_unit,
                 stop_before=stop_before,
                 fill_pp=fill_pp,
@@ -924,19 +925,18 @@ class OnlineRebuild:
         except BaseException:
             ctx.latches.release_all()
             ctx.txns.abort_nta(txn)
-            self._clear_bits_safely(txn, cleanup)
+            give_back(ctx, txn, cleanup, held, aborted=True)
             raise
         ctx.txns.end_nta(txn)
-        clear_protocol_bits(ctx, txn, cleanup, scan=True)
+        give_back(ctx, txn, cleanup, held)
         # The deallocated source pages are never latched again and carry
         # no unflushed change but the unlogged bit set + clear: retire them
         # rather than let eviction rewrite pages about to be freed (see
         # BufferPool.retire_page on why no recovery path needs the write).
         # The still-allocated ones (parent, PP, root) stay dirty: the next
         # top action re-dirties them; §3 forces new pages and the seam PP.
-        for pid in cleanup:
-            if ctx.page_manager.state(pid) is PageState.DEALLOCATED:
-                ctx.buffer.retire_page(pid)
+        for pid in deallocated:
+            ctx.buffer.retire_page(pid)
         txn_new_pages.extend(nta_new_pages)
         if result.pp_page != NO_PAGE:
             # PP received this top action's seam rows (and its next-link
@@ -1086,22 +1086,6 @@ class OnlineRebuild:
             report.pages_freed += self._free_deallocated_of(txn)
         report.aborted = True
         ctx.syncpoints.fire("rebuild.aborted")
-
-    def _clear_bits_safely(self, txn: Transaction, cleanup: list[int]) -> None:
-        """Clear bits / release locks for an aborted top action's pages."""
-        ctx = self.ctx
-        for page_id in cleanup:
-            if ctx.page_manager.is_allocated(page_id):
-                page = ctx.get_latched(page_id, LatchMode.X, scan=True)
-                page.clear_flag(PageFlag.SPLIT)
-                page.clear_flag(PageFlag.SHRINK)
-                page.clear_side_entry()
-                page.clear_blocked_range()
-                ctx.release_page(page_id, dirty=True)
-            if ctx.locks.holds(
-                txn.txn_id, LockSpace.ADDRESS, page_id
-            ):
-                ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)
 
     # ---------------------------------------------------------------- freeing
 

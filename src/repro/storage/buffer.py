@@ -989,6 +989,14 @@ class BufferPool:
         unconsumed (``prefetch_unused``) and read again."""
         return sum(self._window_frames(shard) for shard in self._shards)
 
+    def pin_room(self) -> int:
+        """Pool-wide bound on frames the rebuild's segments may together
+        keep pinned across their top actions (the locked source leaves): a
+        quarter of every shard's slice.  The rest is for what a top action
+        pins on top of them — targets, PP, the propagation path — and for
+        everyone else's fetches."""
+        return sum(shard.capacity // 4 for shard in self._shards)
+
     def _ring_headroom(self, shard: _Shard) -> bool:
         """True when a speculative admission into ``shard`` could land.
 

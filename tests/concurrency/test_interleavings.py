@@ -13,6 +13,7 @@ allowed through:
 
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.btree.split import clear_protocol_bits
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import Rendezvous
-from repro.core.copy_phase import _acquire_page
+from repro.core.copy_phase import _acquire_page, give_back
 from repro.storage.page import PageFlag
 from tests.conftest import fill_index, intkey
 
@@ -237,13 +238,29 @@ def test_address_lock_goes_with_its_bit_when_a_top_action_ends(engine):
     page's latch held, so a lock kept after its bit — while the clearing
     thread waits for the *next* page's latch — could never be granted.
     No sleeps: the clearing thread says when it asks for the second latch,
-    which this thread holds."""
+    which this thread holds.  Both clearing loops: the rebuild's, which
+    gives back pages it kept pinned, and split / shrink's."""
     index = make_full_tree(engine)
+    leaves = index.verify().leaf_page_ids
+    _lock_goes_with_bit(engine, leaves[:2], pinned=True)
+    _lock_goes_with_bit(engine, leaves[2:4], pinned=False)
+
+
+def _lock_goes_with_bit(engine, pages, pinned):
     ctx = engine.ctx
-    first, second = index.verify().leaf_page_ids[:2]
+    first, second = pages
     owner = ctx.txns.begin()
-    for pid in (first, second):
-        assert _acquire_page(ctx, owner, pid, PageFlag.SHRINK)
+    cleanup, held = [], {}
+    for pid in pages:
+        assert _acquire_page(
+            ctx, owner, pid, PageFlag.SHRINK, cleanup, held
+        )
+    if pinned:
+        clear = partial(give_back, ctx, owner, cleanup, held)
+    else:  # split / shrink hold no pin between their visits
+        for pid in pages:
+            ctx.buffer.unpin(pid)
+        clear = partial(clear_protocol_bits, ctx, owner, cleanup)
 
     ctx.latches.acquire(second, LatchMode.S)  # a reader standing on it
     asked_for_second = threading.Event()
@@ -255,7 +272,7 @@ def test_address_lock_goes_with_its_bit_when_a_top_action_ends(engine):
         acquire(page_id, mode)
 
     ctx.latches.acquire = noting
-    t = run_thread(lambda: clear_protocol_bits(ctx, owner, [first, second]))
+    t = run_thread(clear)
     assert asked_for_second.wait(10), "the first page was never finished"
 
     writer = ctx.txns.begin()
@@ -273,4 +290,6 @@ def test_address_lock_goes_with_its_bit_when_a_top_action_ends(engine):
     ctx.latches.release(second)
     t.join(10)
     assert not t.is_alive()
+    ctx.latches.acquire = acquire
+    assert not any(ctx.buffer.pin_count(pid) for pid in pages)
     assert not ctx.locks.held_resources(owner.txn_id)

@@ -52,3 +52,9 @@ def make_half_empty(index: BTree, count: int, seed: int = 42) -> list[int]:
 
 def contents_as_ints(index: BTree) -> list[int]:
     return [int.from_bytes(key, "big") for key, _rowid in index.contents()]
+
+
+def pinned_ids(engine: Engine) -> list[int]:
+    """Pages with a pin on them right now (none, between top actions)."""
+    pool = engine.buffer
+    return [pid for pid in pool._resident_ids() if pool.pin_count(pid)]

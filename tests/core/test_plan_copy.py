@@ -1,6 +1,6 @@
 """Unit tests for the copy-phase planner (pure function, §4.1 + §5.2 input)."""
 
-from repro.core.copy_phase import plan_copy
+from repro.core.copy_phase import Frozen, plan_copy
 from repro.storage.page import SLOT_OVERHEAD
 
 UNIT = b"u" * 10
@@ -11,9 +11,15 @@ def units(n):
     return [UNIT] * n
 
 
+def src(page_id, rows):
+    """A source leaf as its locking visit hands it over."""
+    row_bytes = sum(SLOT_OVERHEAD + len(r) for r in rows)
+    return Frozen(page_id, rows, row_bytes, next_page=0)
+
+
 def test_everything_fits_in_pp():
     targets, allocs = plan_copy(
-        [(100, units(5))], pp_free_budget=10 * COST, capacity=1000,
+        [src(100, units(5))], pp_free_budget=10 * COST, capacity=1000,
         fillfactor=1.0,
     )
     assert len(targets) == 1
@@ -24,7 +30,7 @@ def test_everything_fits_in_pp():
 
 def test_overflow_allocates_new_pages():
     targets, allocs = plan_copy(
-        [(100, units(10))], pp_free_budget=3 * COST, capacity=4 * COST,
+        [src(100, units(10))], pp_free_budget=3 * COST, capacity=4 * COST,
         fillfactor=1.0,
     )
     # 3 to PP, then pages of 4: 4 + 3.
@@ -35,7 +41,7 @@ def test_overflow_allocates_new_pages():
 
 def test_no_pp_starts_with_new_page():
     targets, allocs = plan_copy(
-        [(100, units(2))], pp_free_budget=0, capacity=1000, fillfactor=1.0
+        [src(100, units(2))], pp_free_budget=0, capacity=1000, fillfactor=1.0
     )
     assert targets[0].ordinal == 0
     assert allocs == {100: [0]}
@@ -43,7 +49,7 @@ def test_no_pp_starts_with_new_page():
 
 def test_fillfactor_limits_new_pages():
     targets, _ = plan_copy(
-        [(100, units(10))], pp_free_budget=0, capacity=10 * COST,
+        [src(100, units(10))], pp_free_budget=0, capacity=10 * COST,
         fillfactor=0.5,
     )
     # Half-full targets: 5 units each.
@@ -52,7 +58,7 @@ def test_fillfactor_limits_new_pages():
 
 def test_allocs_attributed_to_the_source_that_triggered_them():
     targets, allocs = plan_copy(
-        [(1, units(3)), (2, units(3)), (3, units(3))],
+        [src(1, units(3)), src(2, units(3)), src(3, units(3))],
         pp_free_budget=4 * COST,
         capacity=4 * COST,
         fillfactor=1.0,
@@ -65,7 +71,7 @@ def test_allocs_attributed_to_the_source_that_triggered_them():
 
 
 def test_extents_cover_each_source_exactly_once():
-    sources = [(1, units(4)), (2, units(6))]
+    sources = [src(1, units(4)), src(2, units(6))]
     targets, _ = plan_copy(
         sources, pp_free_budget=3 * COST, capacity=5 * COST, fillfactor=1.0
     )
@@ -73,7 +79,7 @@ def test_extents_cover_each_source_exactly_once():
     for t in targets:
         for e in t.extents:
             covered[e.src_page].append((e.first_pos, e.last_pos))
-    for src_id, rows in sources:
+    for src_id, rows, _row_bytes, _next in sources:
         spans = sorted(covered[src_id])
         positions = [p for lo, hi in spans for p in range(lo, hi + 1)]
         assert positions == list(range(len(rows)))
@@ -81,7 +87,7 @@ def test_extents_cover_each_source_exactly_once():
 
 def test_extents_split_at_target_boundaries():
     targets, _ = plan_copy(
-        [(1, units(10))], pp_free_budget=0, capacity=4 * COST, fillfactor=1.0
+        [src(1, units(10))], pp_free_budget=0, capacity=4 * COST, fillfactor=1.0
     )
     assert [t.extents for t in targets][0][0].first_pos == 0
     boundaries = [t.extents[0].first_pos for t in targets]
@@ -89,7 +95,7 @@ def test_extents_split_at_target_boundaries():
 
 
 def test_total_units_preserved():
-    sources = [(i, units(7)) for i in range(5)]
+    sources = [src(i, units(7)) for i in range(5)]
     targets, _ = plan_copy(
         sources, pp_free_budget=2 * COST, capacity=6 * COST, fillfactor=0.9
     )
@@ -102,7 +108,7 @@ def test_empty_source_rejected():
     from repro.errors import RebuildError
 
     with pytest.raises(RebuildError):
-        plan_copy([(1, [])], pp_free_budget=0, capacity=1000, fillfactor=1.0)
+        plan_copy([src(1, [])], pp_free_budget=0, capacity=1000, fillfactor=1.0)
 
 
 def test_oversized_unit_still_placed():
@@ -110,6 +116,6 @@ def test_oversized_unit_still_placed():
     # (one per page) rather than loop forever.
     big = b"B" * 500
     targets, _ = plan_copy(
-        [(1, [big, big])], pp_free_budget=0, capacity=600, fillfactor=0.1
+        [src(1, [big, big])], pp_free_budget=0, capacity=600, fillfactor=0.1
     )
     assert [len(t.units) for t in targets] == [1, 1]

@@ -227,9 +227,11 @@ def test_split_then_shrink_mode_equivalent_result(index):
 
 
 def test_a_power_failure_is_not_a_busy_page(engine, index, monkeypatch):
-    """``_acquire_page`` answers "busy" for a page it cannot read, and its
-    callers retry on that forever; a simulated power failure on the read
-    must come out as itself, or a worker spins where the machine died."""
+    """``_acquire_page`` answers "busy" only for a page another top action
+    holds — its callers wait and retry on that, forever.  A page it cannot
+    read, and a simulated power failure on the read, come out as
+    themselves with nothing taken, or a worker spins where the image
+    rotted or the machine died."""
     from repro.concurrency.syncpoints import CrashPoint
     from repro.core.copy_phase import _acquire_page
     from repro.errors import ChecksumError
@@ -245,8 +247,15 @@ def test_a_power_failure_is_not_a_busy_page(engine, index, monkeypatch):
 
         monkeypatch.setattr(engine.ctx.buffer, "fetch", fetch)
 
-    read_fails_with(ChecksumError("rotten image"))
-    assert _acquire_page(engine.ctx, txn, leaf, PageFlag.SHRINK) is False
-    read_fails_with(CrashPoint("disk.crash_after_lost_write"))
-    with pytest.raises(CrashPoint):
-        _acquire_page(engine.ctx, txn, leaf, PageFlag.SHRINK)
+    cleanup, held = [], {}
+    for exc in (
+        ChecksumError("rotten image"),
+        CrashPoint("disk.crash_after_lost_write"),
+    ):
+        read_fails_with(exc)
+        with pytest.raises(type(exc)):
+            _acquire_page(
+                engine.ctx, txn, leaf, PageFlag.SHRINK, cleanup, held
+            )
+    assert not cleanup and not held
+    assert not engine.ctx.latches.held_by_me()

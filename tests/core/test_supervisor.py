@@ -18,7 +18,7 @@ from repro.core.supervisor import (
 from repro.errors import RebuildAbortedError, RebuildError, RebuildWatchdogError
 from repro.storage.faults import FaultPlan
 from repro.storage.io_scheduler import CompletionToken
-from tests.conftest import contents_as_ints, make_half_empty
+from tests.conftest import contents_as_ints, make_half_empty, pinned_ids
 
 FAST = SupervisorConfig(retry_backoff=0.001, retry_backoff_cap=0.01)
 
@@ -149,11 +149,13 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
     exception type chained from the cause, a ``resume_unit`` that ends the
     copied prefix, an index that verifies — and a supervised retry that
     copies strictly after it and leaves nothing unrebuilt.  A crash is the
-    one exception: it comes out as itself and recovery takes over."""
+    one exception: it comes out as itself and recovery takes over.  No
+    way out of ``run`` leaves a frame pinned."""
     engine, index, expected = _engine(8000)
     config = RebuildConfig(ntasize=4, xactsize=8, parallel_workers=workers)
     cause = RuntimeError("injected failure")
     errors: list[tuple[BaseException, bytes | None]] = []
+    left_pinned: list[list[int]] = []  # per run(), returned or raised
     real_run = OnlineRebuild.run
 
     def recording_run(self, *args, **kwargs):
@@ -162,6 +164,8 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
         except BaseException as exc:
             errors.append((exc, self.last_report.resume_unit))
             raise
+        finally:
+            left_pinned.append(pinned_ids(engine))
 
     monkeypatch.setattr(OnlineRebuild, "run", recording_run)
     supervisor = RebuildSupervisor(index, config, FAST)
@@ -240,6 +244,7 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
         assert failed.aborted and not failed.completed
         assert failed.resume_unit == floor
     assert floor is not None
+    assert len(left_pinned) == 2 and not any(left_pinned)
     assert copied_low and min(copied_low) > floor
     assert report.final.completed
     assert contents_as_ints(index) == expected

@@ -6,11 +6,16 @@ call, and the commit-time free (§4.1.3) payload-decodes only the
 transaction's own DEALLOC records.  Single-threaded, so every count
 repeats exactly; the pinned values are those of the per-row engine this
 replaced — the packing, the log records and the rebuilt leaf images are
-byte-identical to it.
+byte-identical to it.  The page-visit counts (latch acquires, pool
+fetches, latched visits) are those of a top action that takes each source
+leaf once and gives it back once: 241 source leaves cost 2 x 241 of the
+836 latch acquires and 241 of the 461 fetches of the paper-default pass
+(1 325 and 1 213 when each leaf was latched four times and fetched five).
 """
 
 import dataclasses
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -29,7 +34,8 @@ PINNED = [
     pytest.param(
         RebuildConfig(),
         {"log_bytes": 15661, "log_records": 74, "bytes_copied": 200000,
-         "new_pages_allocated": 120, "top_actions": 8},
+         "new_pages_allocated": 120, "top_actions": 8,
+         "latch_acquires": 836, "page_reads": 461, "pages_visited": 705},
         1190492898,
         993844878,
         id="paper-defaults",
@@ -37,7 +43,8 @@ PINNED = [
     pytest.param(
         RebuildConfig(fillfactor=0.8, ntasize=8, xactsize=64),
         {"log_bytes": 30749, "log_records": 276, "bytes_copied": 200000,
-         "new_pages_allocated": 151, "top_actions": 31},
+         "new_pages_allocated": 151, "top_actions": 31,
+         "latch_acquires": 1221, "page_reads": 769, "pages_visited": 1024},
         708809116,
         3168632069,
         id="fill80-nta8-xact64",
@@ -139,6 +146,42 @@ def test_rebuild_moves_rows_by_run_and_frees_from_its_own_log_tail(
     assert _leaf_crc(engine, tree) == image_crc
     assert _packing_crc(log, first_new_record) == records_crc
     tree.verify()
+
+
+def test_a_top_action_visits_each_source_leaf_exactly_twice(monkeypatch):
+    """Lock, bit and read in one latched visit that keeps the pin; clear
+    and unpin in the other.  Only a top action's P1 is looked at more
+    often: position discovery and the PP lookup peek at it first."""
+    engine, tree = _load()
+    ctx = engine.ctx
+    old_leaves = tree.verify().leaf_page_ids
+    latched, fetched = Counter(), Counter()
+
+    def counting(owner, name, tally):
+        original = getattr(owner, name)
+
+        def wrapper(page_id, *args, **kwargs):
+            tally[page_id] += 1
+            return original(page_id, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ctx.latches, "acquire", latched)
+    counting(ctx.buffer, "fetch", fetched)
+    runs: list[list[int]] = []
+    engine.syncpoints.on(
+        "rebuild.copy_locked", lambda c: runs.append(c["sources"])
+    )
+    OnlineRebuild(tree, RebuildConfig()).run()
+
+    assert [leaf for run in runs for leaf in run] == old_leaves
+    for i, run in enumerate(runs):
+        for leaf in run[1:]:
+            assert (latched[leaf], fetched[leaf]) == (2, 1), leaf
+        # P1 was the previous top action's NP (back link flipped), then
+        # position discovery and the PP lookup each peeked at it.
+        extra = 3 if i else 2
+        assert (latched[run[0]], fetched[run[0]]) == (2 + extra, 1 + extra)
 
 
 def _packing_crc(log, first_record):

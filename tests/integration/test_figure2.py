@@ -31,10 +31,9 @@ from repro.btree import keys as KEYS
 from repro.btree import node
 from repro.btree.traversal import Traversal
 from repro.btree.tree import BTree
-from repro.core.copy_phase import copy_multipage
+from repro.core.copy_phase import copy_multipage, give_back
 from repro.core.propagation import PropOp, PropagationState, run_propagation
 from repro.core.rebuild import OnlineRebuild, RebuildReport
-from repro.btree.split import clear_protocol_bits
 from repro.storage.page import NO_PAGE, PageType
 from repro.storage.page_manager import ChunkAllocator, PageState
 
@@ -127,11 +126,12 @@ def run_top_action(engine, tree, ids):
     chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
     cleanup: list[int] = []
+    held: dict = {}
     deallocated: list[int] = []
     new_pages: list[int] = []
     ctx.txns.begin_nta(txn)
     result = copy_multipage(
-        ctx, tree, txn, config, chunk, ids["P1"], cleanup, deallocated
+        ctx, tree, txn, config, chunk, ids["P1"], cleanup, held, deallocated
     )
     state = PropagationState(
         pp_page=result.pp_page, pp_low_unit=result.pp_low_unit
@@ -141,7 +141,7 @@ def run_top_action(engine, tree, ids):
         cleanup, deallocated, new_pages, config, state,
     )
     ctx.txns.end_nta(txn)
-    clear_protocol_bits(ctx, txn, cleanup)
+    give_back(ctx, txn, cleanup, held)
     ctx.buffer.flush_pages(result.new_pages + new_pages)
     ctx.txns.commit(txn)
     rb = OnlineRebuild(tree, config)
@@ -171,10 +171,11 @@ def test_propagation_entries_match_figure(figure2):
     chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
     cleanup: list[int] = []
+    held: dict = {}
     deallocated: list[int] = []
     ctx.txns.begin_nta(txn)
     result = copy_multipage(
-        ctx, tree, txn, config, chunk, ids["P1"], cleanup, deallocated
+        ctx, tree, txn, config, chunk, ids["P1"], cleanup, held, deallocated
     )
     ops = [(e.op, e.origin) for e in result.prop_entries]
     n1 = result.new_pages[0]
@@ -190,9 +191,9 @@ def test_propagation_entries_match_figure(figure2):
     # N1's first key (20).
     assert unit(15) < update.new_key <= unit(20)
     # Roll the half-open top action back; this test only inspected the
-    # copy phase's outputs (abort releases the txn's locks).
+    # copy phase's outputs.
     ctx.txns.abort_nta(txn)
-    ctx.latches.release_all()
+    give_back(ctx, txn, cleanup, held, aborted=True)
     ctx.txns.abort(txn)
     chunk.close()
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.copy_phase import plan_copy
+from repro.core.copy_phase import Frozen, plan_copy
 from repro.errors import PageFormatError, PageFullError
 from repro.stats.counters import Counters
 from repro.storage.page import (
@@ -145,7 +145,13 @@ def test_plan_copy_equals_the_per_unit_greedy_packer(
     want_targets, want_allocs = _plan_copy_per_unit(
         sources, pp_free_budget, capacity, fillfactor
     )
-    targets, allocs = plan_copy(sources, pp_free_budget, capacity, fillfactor)
+    targets, allocs = plan_copy(
+        [
+            Frozen(pid, rows, sum(SLOT_OVERHEAD + len(r) for r in rows), 0)
+            for pid, rows in sources
+        ],
+        pp_free_budget, capacity, fillfactor,
+    )
     assert [(t.ordinal, t.units, t.extents) for t in targets] == want_targets
     assert allocs == want_allocs
 

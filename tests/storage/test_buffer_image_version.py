@@ -13,9 +13,8 @@ import threading
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
-from repro.btree.split import clear_protocol_bits
 from repro.concurrency.syncpoints import Rendezvous
-from repro.core.copy_phase import _acquire_page
+from repro.core.copy_phase import _acquire_page, give_back
 from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
@@ -77,9 +76,10 @@ def test_unlogged_protocol_bit_set_and_clear_changes_the_answer():
     noted = engine.buffer.image_version(page)
 
     txn = ctx.txns.begin()
-    assert _acquire_page(ctx, txn, leaf, PageFlag.SHRINK)
-    assert page.has_flag(PageFlag.SHRINK)
-    clear_protocol_bits(ctx, txn, [leaf])
+    cleanup, held = [], {}
+    assert _acquire_page(ctx, txn, leaf, PageFlag.SHRINK, cleanup, held)
+    assert page.has_flag(PageFlag.SHRINK) and held == {leaf: page}
+    give_back(ctx, txn, cleanup, held)
     ctx.txns.commit(txn)
 
     assert not page.has_flag(PageFlag.SHRINK)

@@ -11,7 +11,8 @@ guards:
 		tests/integration/test_cpu_budget.py \
 		tests/integration/test_scan_budget.py \
 		tests/integration/test_restart_budget.py \
-		tests/integration/test_readahead_budget.py
+		tests/integration/test_readahead_budget.py \
+		tests/integration/test_write_budget.py
 
 suite-quick:
 	$(PYTHON) -m pytest benchmarks/suite -q

@@ -116,12 +116,15 @@ class TransactionManager:
             txn.begin_lsn = lsn  # first record: the implicit BEGIN
         return lsn
 
-    def commit(self, txn: Transaction) -> None:
+    def commit(self, txn: Transaction, gather: bool = True) -> None:
+        """Log the commit record, force the log, release the locks.
+        ``gather`` is :meth:`LogManager.flush_commit`'s: whether this
+        commit, finding no group-commit round open, opens one."""
         if txn.last_lsn:
             lsn = self.append(
                 txn, LogRecord.header_record(RecordType.TXN_COMMIT)
             )
-            self.log.flush_commit(lsn)
+            self.log.flush_commit(lsn, gather)
         elif txn.state is not TxnState.ACTIVE:
             self._check_active(txn)
         txn.state = TxnState.COMMITTED

@@ -502,6 +502,9 @@ class OnlineRebuild:
             # repair rebuild may have been launched precisely because they
             # are unreadable on disk.
             txn_force_pages: set[int] = set()
+            # What write-behind was handed in its final state; the barrier
+            # carries the rest.
+            txn_behind: set[int] = set()
             pages_this_txn = 0
             try:
                 while pages_this_txn < config.xactsize and not done:
@@ -546,7 +549,7 @@ class OnlineRebuild:
                     ):
                         outcome = self._one_top_action(
                             txn, chunk_alloc, traversal, p1, txn_new_pages,
-                            report, txn_force_pages,
+                            report, txn_force_pages, txn_behind,
                             stop_before=stop_before,
                             fill_pp=filled_one,
                             pp_busy_wait=(
@@ -590,7 +593,14 @@ class OnlineRebuild:
                     partition=partition,
                 ):
                     if self._scheduler is not None:
-                        self._scheduler.force(force_pages).wait()
+                        # The barrier adds what write-behind was not
+                        # handed: the last leaf (the PP to be), the
+                        # nonleaf pages later top actions kept adding
+                        # entries to, a PP that was not this
+                        # transaction's own page.
+                        self._scheduler.force(
+                            [p for p in force_pages if p not in txn_behind]
+                        ).wait()
                     else:
                         ctx.buffer.flush_pages(force_pages)
             except CrashPoint:
@@ -625,7 +635,10 @@ class OnlineRebuild:
                 )
                 progress_logged = report.resume_unit
             with tracer.span("rebuild.commit", partition=partition):
-                ctx.txns.commit(txn)
+                # The window is held for the foreground's committers; this
+                # commit rides along with a round in progress but does not
+                # sleep one out on its own.
+                ctx.txns.commit(txn, gather=False)
             report.pages_freed += self._free_deallocated_of(txn)
             report.transactions += 1
             ctx.counters.add("rebuild_transactions")
@@ -883,6 +896,7 @@ class OnlineRebuild:
         txn_new_pages: list[int],
         report: RebuildReport,
         txn_force_pages: set[int],
+        txn_behind: set[int],
         stop_before: bytes | None,
         fill_pp: bool,
         pp_busy_wait,
@@ -937,6 +951,21 @@ class OnlineRebuild:
         # top action re-dirties them; §3 forces new pages and the seam PP.
         for pid in deallocated:
             ctx.buffer.retire_page(pid)
+        if self._scheduler is not None and result.new_pages:
+            # Eager write-behind of the leaves this thread is done with,
+            # so the writers can clean them while the next top action
+            # copies: the new leaves but the last — the next top action's
+            # PP, which this thread goes on filling, and a writer
+            # serializes a page without its latch — and, filled now, the
+            # PP the previous top action of this transaction kept back
+            # the same way (the ids are one contiguous stretch).  The
+            # transaction boundary's barrier still guarantees durability
+            # before any old page is freed.
+            behind = result.new_pages[:-1]
+            if result.pp_page in txn_new_pages:
+                behind.insert(0, result.pp_page)
+            self._scheduler.submit_write(behind)
+            txn_behind.update(behind)
         txn_new_pages.extend(nta_new_pages)
         if result.pp_page != NO_PAGE:
             # PP received this top action's seam rows (and its next-link
@@ -944,13 +973,6 @@ class OnlineRebuild:
             # pages so redo never needs the — possibly unreadable — old
             # source images.
             txn_force_pages.add(result.pp_page)
-        if self._scheduler is not None:
-            # Eager write-behind: this top action's pages are final for the
-            # rest of the transaction, so the writer can start cleaning
-            # them while the next top action copies.  The transaction
-            # boundary's barrier still guarantees durability before any
-            # old page is freed.
-            self._scheduler.submit_write(nta_new_pages)
         report.top_actions += 1
         report.leaf_pages_rebuilt += len(result.old_pages)
         ctx.syncpoints.fire(

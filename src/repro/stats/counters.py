@@ -67,6 +67,7 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "ring_promotions",     # ring pages promoted to protected by a demand hit
     "hot_evictions_by_scan",  # protected frames evicted by scan-class admissions
     "pool_retired_unwritten",  # dirty deallocated frames dropped without a write
+    "pool_dead_images_dropped",  # resident previous incarnations new_page dropped
     # Write-behind forcing (io_scheduler).
     "writebehind_batches", # physical flush batches issued by the background forcer
     "writebehind_pages",   # pages pushed through the forcer

@@ -43,7 +43,9 @@ dirty frames of its io-size-aligned disk run, whichever shards hold
 them, in one coalesced call); the not-yet-consumed read-ahead window
 goes last, because evicting it re-buys its reads.  Pages the rebuild
 has deallocated never reach that write path at all: :meth:`retire_page`
-drops them unwritten.  A small ghost
+drops them unwritten, and what is still resident of a freed page when its
+id is handed out again is a dead image :meth:`new_page` drops, dirty or
+not.  A small ghost
 list (2Q's A1out) spots scan reuse the ring cannot hold and promotes
 those admissions to the protected cold end; prefetch hints for ghosted
 pages are refused, and read-ahead is throttled once its unconsumed
@@ -428,27 +430,54 @@ class BufferPool:
         the page's freeing must find the old incarnation to apply against
         (their effects are later overwritten by this allocation's FORMAT).
 
+        A resident previous incarnation is a **dead image** and is dropped,
+        never written, however dirty it is (``pool_dead_images_dropped``;
+        a pinned one is a caller bug and raises, a write of it already in
+        the device is waited out so the ``writing`` table keeps naming
+        resident pages only).  Why no path needs that write:
+
+        (a) ``new_page`` is reached only for an id the page manager just
+            took from FREE (the copy phase, split, propagation, tree
+            creation, the offline and side-tree builders) or that redo is
+            re-creating (``apply._redo_fresh_page``, which drops a
+            resident older incarnation itself first).  A page reaches
+            FREE at the end of the shrink that emptied it (which
+            flushes it first) or after the rebuild transaction that
+            deallocated it committed, and §3 puts that commit after the
+            force of the pages that replaced it — so no KEYCOPY redo
+            reads the dead page as a source and no undo touches it;
+        (b) every logged change the dead frame carries beyond its stored
+            image lies after the last checkpoint (``Engine.checkpoint``
+            flushes every frame before it logs the record and truncates
+            only before that record), so after a crash redo re-derives
+            it from the stored image and the log — exactly the state of
+            a crash that lost the frame a moment earlier — and this
+            allocation's ALLOC / FORMAT then overwrites it;
+        (c) a stale reader that still holds the id re-checks allocation
+            and the frame's identity under the latch
+            (:meth:`image_version`) and meets the new incarnation or a
+            retraverse, never the dead rows.
+
+        A page that is only DEALLOCATED — its transaction not committed
+        yet — is a different matter: :meth:`retire_page` clause (d) keeps
+        a pending logged change of it.
+
         ``scan=True`` admits the fresh frame to the rebuild ring (when
         enabled): the rebuild's new pages are written once, forced, and
         not re-referenced, so they should recycle ahead of the hot set.
         """
         shard = self._shards[page_id % self.n_shards]
         with shard:
-            stale = shard.lookup(page_id)
-            if stale is not None:
-                if stale.pin_count > 0:
+            while (dead := shard.lookup(page_id)) is not None:
+                if dead.pin_count > 0:
                     raise BufferError_(
                         f"page {page_id} is pinned; cannot reallocate"
                     )
-                self._write_unlocked(shard, [page_id], force=True)
-                # The write dropped the lock: revalidate before replacing.
-                stale = shard.lookup(page_id)
-                if stale is not None:
-                    if stale.pin_count > 0:
-                        raise BufferError_(
-                            f"page {page_id} is pinned; cannot reallocate"
-                        )
+                if page_id not in shard.writing:
                     shard.pop(page_id)
+                    self.counters.add("pool_dead_images_dropped")
+                    break
+                shard.cond.wait()
             frame = self._admit(
                 shard, Page(page_id, self.disk.page_size), scan=scan
             )
@@ -647,7 +676,12 @@ class BufferPool:
         (d) a frame with a pending logged change (a foreground insert
             before the copy point) or one never stored is *not*
             dropped: it is aged to the ring's first-out end and takes
-            the normal write path (False).
+            the normal write path (False).  The page is only
+            DEALLOCATED here — its transaction can still abort — so the
+            change stays until eviction or a checkpoint writes it; if
+            neither has by the time the page was freed and its id is
+            handed out again, :meth:`new_page` drops the by then dead
+            image under its own argument.
         """
         shard = self._shards[page_id % self.n_shards]
         with shard:

@@ -27,30 +27,49 @@ applies the same batching idea along the *time* axis:
 * **Write-behind forcing.**  The §3 protocol forces each transaction's new
   pages to disk before the old pages are freed.  Serially that force sits on
   the critical path at every transaction boundary.  Here each completed top
-  action hands its new pages to a writer thread (:meth:`IOScheduler.submit_write`),
-  which coalesces them into large ``write_many`` batches while the next top
-  action is copying.  The transaction boundary then issues a **barrier**
-  (:meth:`IOScheduler.force`) and waits on its :class:`CompletionToken` —
-  the §3 invariant (new pages durable before old pages freed) holds exactly,
-  the durability point has just been moved off the copy loop's critical path.
-  Eagerly cleaning new pages also means a pressured buffer pool evicts them
-  for free instead of through one-page-per-call dirty writes.
+  action hands its new leaves to the forcer (:meth:`IOScheduler.submit_write`),
+  which writes them while the next top action is copying.  The transaction
+  boundary then issues a **barrier** (:meth:`IOScheduler.force`) — carrying
+  only what the rebuild kept back from write-behind — and waits on its
+  :class:`CompletionToken`: the §3 invariant (new pages durable before old
+  pages freed) holds exactly, the durability point has just been moved off
+  the copy loop's critical path.  Eagerly cleaning new pages also means a
+  pressured buffer pool evicts them for free instead of through
+  one-page-per-call dirty writes.
 
-  The writer retains a trailing partial physical run between batches
-  (``_split_tail``): flushing 33 contiguous pages with 16-page I/O calls
-  costs 3 calls, but flushing 32 now and the 33rd with the *next* batch
-  costs the same 3 calls for more pages.  Only a barrier flushes the tail.
+  The unit of work is a **run**: at most ``pages_per_io`` contiguous page
+  ids, i.e. one device call.  A submission is cut into runs as it is queued
+  (:meth:`IOScheduler._split_tail`) and ``_WRITES_IN_FLIGHT`` writer
+  threads take runs from the one queue, so that many calls sleep in the
+  device at once — the mirror of the two readers; a forcer with a single
+  call in the device is busy for (runs × service time) of every pass and
+  every barrier waits for its backlog.  Cutting by run costs no call: the
+  device would have moved the same ``pages_per_io`` pages per call out of
+  one large ``write_many``.  A barrier is a **count**: the runs queued
+  before it that are not durable yet; each one that lands takes one off,
+  in whatever order the writers finish, and the token completes at zero
+  (at once, on the caller's thread, when nothing is outstanding).
 
-The scheduler fails safe: if the writer thread dies or is killed mid-flight
-(:meth:`kill`, used by fault-injection tests), every pending and future
-token fails with :class:`~repro.errors.IOSchedulerError`, and the rebuild's
-abort path falls back to a synchronous ``flush_pages`` — old pages are never
-freed on the say-so of a force that did not complete.
+  The trailing partial run of a submission is retained (``_tail``) for
+  the next submission to complete: flushing 33 contiguous pages with
+  16-page I/O calls costs 3 calls, but flushing 32 now and the 33rd with
+  the *next* submission costs the same 3 calls for more pages.  Only a
+  barrier queues the tail as it is.
+
+The scheduler fails safe: if any writer dies or the forcer is killed
+mid-flight (:meth:`kill`, used by fault-injection tests), every pending and
+future token fails with :class:`~repro.errors.IOSchedulerError` — whatever
+the other writers still have in the device completes no token — and the
+rebuild's abort path falls back to a synchronous ``flush_pages``: old pages
+are never freed on the say-so of a force that did not complete.  A
+simulated power failure on a writer (:class:`CrashPoint`) reaches every
+waiter as itself.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
 from typing import Callable
 
@@ -70,6 +89,13 @@ measurement (docs/performance.md, "Read budget of a pipelined rebuild"):
 one reader caps a job at one device service time per run; a third only
 adds interpreter-lock hand-offs and, on a small ring, admissions out of
 consumption order."""
+_WRITES_IN_FLIGHT = 4
+"""Writer threads, i.e. disk runs kept in the device at once.  Sized by
+measurement (docs/performance.md, "Write budget of a pipelined rebuild"):
+one writer is busy for most of a pass and every transaction boundary
+waits for its backlog; the step from two to four still shortens the
+barrier waits of the job that runs under foreground traffic; beyond four
+the copy thread, not the device, bounds the pass."""
 _READER_JOIN_TIMEOUT = 2.0
 """Seconds ``close`` / ``kill`` wait for a reader: it holds no durability
 obligation, so one parked in a device call is left to finish on its own
@@ -101,9 +127,6 @@ class CompletionToken:
     def complete(self) -> None:
         """Mark the token done (wakes every waiter)."""
         self._event.set()
-
-    # Internal alias kept for the scheduler's writer loop.
-    _complete = complete
 
     def _fail(self, exc: BaseException) -> None:
         self._error = exc
@@ -139,6 +162,18 @@ class CompletionToken:
             raise IOSchedulerError(
                 f"write-behind force failed: {self._error!r}"
             ) from self._error
+
+
+class _Barrier:
+    """An open barrier: ``remaining`` of the runs numbered below ``upto``
+    are not durable yet (guarded by the scheduler's condition)."""
+
+    __slots__ = ("upto", "remaining", "token")
+
+    def __init__(self, upto: int, remaining: int, token: CompletionToken) -> None:
+        self.upto = upto
+        self.remaining = remaining
+        self.token = token
 
 
 class _Window:
@@ -180,22 +215,22 @@ class _Window:
 
 
 class IOScheduler:
-    """Background readers (read-ahead) + writer (write-behind) over a pool.
+    """Background readers (read-ahead) + writers (write-behind) over a pool.
 
     ``window`` is how many leaves beyond each consumer's position
     read-ahead keeps requested, before the cap by the pool's room shared
     among ``consumers`` (see the module docstring); ``leaf_order`` is
     where the order of upcoming leaves comes from (``None``: only the
     ``next_page`` walk).  Write
-    submissions are never dropped (they carry durability obligations),
-    but the queue is drained by a single writer so submission order is
-    flush order.
+    submissions are never dropped (they carry durability obligations);
+    the writers take them off one queue a run at a time, so runs become
+    durable in any order and only a barrier says "all of these".
 
     One scheduler may serve several rebuild workers at once: each is one
-    read-ahead consumer with its own window, and on the write side
-    submissions and barriers are queue-ordered — a barrier makes durable
-    *everything* queued before it, which is a superset of the §3
-    obligation each worker needs for its own transaction.
+    read-ahead consumer with its own window, and on the write side a
+    barrier makes durable *everything* queued before it, which is a
+    superset of the §3 obligation each worker needs for its own
+    transaction.
     """
 
     def __init__(
@@ -218,9 +253,13 @@ class IOScheduler:
         self.tracer = tracer
         self._leaf_order = leaf_order
         self._cv = threading.Condition()
-        # Write queue entries: (page_ids, token | None); a token entry is a
-        # barrier — everything queued before it is durable when it completes.
-        self._writes: deque[tuple[list[int], CompletionToken | None]] = deque()
+        # Write side.  Runs are numbered in queue order; a run is in
+        # ``_runs`` until a writer takes it and in ``_in_device`` until it
+        # is durable.
+        self._runs: deque[tuple[int, list[int]]] = deque()
+        self._queued = 0  # runs numbered so far
+        self._in_device = 0
+        self._barriers: list[_Barrier] = []
         self._tail: list[int] = []  # retained trailing partial physical run
         self._windows: dict[int, _Window] = {}  # consumer -> read-ahead state
         self._reading: set[int] = set()  # aligned runs a reader has claimed
@@ -231,22 +270,25 @@ class IOScheduler:
         self._stop = False
         self._killed = False
         self._broken: BaseException | None = None
-        self._writer: threading.Thread | None = None
+        self._writers: list[threading.Thread] = []
         self._readers: list[threading.Thread] = []
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self) -> "IOScheduler":
-        self._writer = threading.Thread(
-            target=self._writer_loop, name="io-writer", daemon=True
-        )
+        self._writers = [
+            threading.Thread(
+                target=self._writer_loop, name=f"io-writer-{i}", daemon=True
+            )
+            for i in range(_WRITES_IN_FLIGHT)
+        ]
         self._readers = [
             threading.Thread(
                 target=self._reader_loop, name=f"io-reader-{i}", daemon=True
             )
             for i in range(_READS_IN_FLIGHT)
         ]
-        for t in (self._writer, *self._readers):
+        for t in (*self._writers, *self._readers):
             t.start()
         return self
 
@@ -260,31 +302,39 @@ class IOScheduler:
         with self._cv:
             self._stop = True
             self._cv.notify_all()
-        self._join_readers()
-        writer = self._writer
-        if writer is not None and writer is not threading.current_thread():
-            writer.join(timeout=_FORCE_TIMEOUT)
+        self._join()
 
     def kill(self) -> None:
-        """Fault injection: the writer dies *now*, failing all pending
-        tokens, as if the I/O thread crashed mid-transaction; the readers
+        """Fault injection: the forcer dies *now*, failing all pending
+        tokens, as if the I/O threads crashed mid-transaction; what a
+        writer still has in the device completes nothing.  The readers
         go with it."""
         with self._cv:
             self._killed = True
-            self._cv.notify_all()
-        self._join_readers()
+            self._fail_pending_locked(
+                IOSchedulerError("io scheduler writer was killed")
+            )
+        self._join()
 
-    def _join_readers(self) -> None:
+    def _join(self) -> None:
+        """Join the readers (briefly: they owe nothing) and every writer
+        (within the force timeout: one may be finishing a device call)."""
         for t in self._readers:
             t.join(timeout=_READER_JOIN_TIMEOUT)
+        deadline = time.monotonic() + _FORCE_TIMEOUT
+        for t in self._writers:
+            if t is not threading.current_thread():
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
 
     # ----------------------------------------------------------------- writes
 
     def submit_write(self, page_ids: list[int]) -> None:
         """Queue pages for background forcing (no completion guarantee yet).
 
-        Called after each top action commits: the pages are immutable for
-        the rest of the rebuild transaction, so they can be written any
+        Called after each top action commits with the pages that are
+        immutable for the rest of the rebuild transaction (the caller
+        keeps back what is not — the last leaf, which the next top action
+        fills as its PP — for the barrier), so they can be written any
         time between now and the transaction boundary's barrier.
         """
         if not page_ids:
@@ -292,8 +342,7 @@ class IOScheduler:
         with self._cv:
             if self._stop or self._killed or self._broken is not None:
                 return  # the barrier will fail / fall back synchronously
-            self._writes.append((list(page_ids), None))
-            self._cv.notify_all()
+            self._queue_locked(page_ids, hold_tail=True)
 
     def force(self, page_ids: list[int]) -> CompletionToken:
         """Barrier: queue ``page_ids`` and return a token whose ``wait``
@@ -308,10 +357,31 @@ class IOScheduler:
                     else IOSchedulerError("io scheduler is stopped")
                 )
                 return token
-            self._writes.append((list(page_ids), token))
-            self._cv.notify_all()
+            self._queue_locked(page_ids, hold_tail=False)
+            outstanding = len(self._runs) + self._in_device
+            if outstanding:
+                self._barriers.append(
+                    _Barrier(self._queued, outstanding, token)
+                )
+            else:
+                token.complete()
         self.counters.add("writebehind_forces")
         return token
+
+    def _queue_locked(self, page_ids: list[int], hold_tail: bool) -> None:
+        """Cut the retained tail plus ``page_ids`` into runs and queue
+        them (condition held); with ``hold_tail`` the trailing partial
+        run stays behind for the next call to complete."""
+        runs, tail = self._split_tail(self._tail + list(page_ids))
+        if tail and not hold_tail:
+            runs.append(tail)
+            tail = []
+        self._tail = tail
+        for run in runs:
+            self._runs.append((self._queued, run))
+            self._queued += 1
+        if runs:
+            self._cv.notify_all()
 
     def drain(self) -> None:
         """Flush everything queued (tail included) and wait for it."""
@@ -374,81 +444,75 @@ class IOScheduler:
             for w in self._windows.values()
         )
 
-    # ------------------------------------------------------------ writer loop
+    # ----------------------------------------------------------- writer loops
 
     def _writer_loop(self) -> None:
+        """Take one run at a time off the queue and make it durable.
+        The first failure (or a kill) fails every barrier, open or
+        future, and ends every writer."""
         while True:
             with self._cv:
-                while not (self._writes or self._stop or self._killed):
+                while not (
+                    self._runs or self._stop or self._killed
+                    or self._broken is not None
+                ):
                     self._cv.wait()
-                if self._killed:
-                    self._fail_pending_locked(
-                        IOSchedulerError("io scheduler writer was killed")
-                    )
+                if self._killed or self._broken is not None or not self._runs:
                     return
-                if not self._writes and self._stop:
-                    return
-                batch = list(self._writes)
-                self._writes.clear()
+                number, ids = self._runs.popleft()
+                self._in_device += 1
             try:
-                self._process(batch)
+                self._flush(ids)
             except BaseException as exc:  # noqa: BLE001 - must fail tokens
                 with self._cv:
-                    self._broken = exc
-                    for _ids, token in batch:
-                        if token is not None:
-                            token._fail(exc)
                     self._fail_pending_locked(exc)
                 return
+            with self._cv:
+                self._in_device -= 1
+                if self._killed or self._broken is not None:
+                    return
+                self._landed_locked(number)
+
+    def _landed_locked(self, number: int) -> None:
+        """Run ``number`` is durable: one off every barrier queued after
+        it; a barrier with none left completes."""
+        still_open = []
+        for barrier in self._barriers:
+            if number < barrier.upto:
+                barrier.remaining -= 1
+                if barrier.remaining == 0:
+                    barrier.token.complete()
+                    continue
+            still_open.append(barrier)
+        self._barriers = still_open
 
     def _fail_pending_locked(self, exc: BaseException) -> None:
         if self._broken is None:
             self._broken = exc
-        while self._writes:
-            _ids, token = self._writes.popleft()
-            if token is not None:
-                token._fail(exc)
-
-    def _process(self, batch: list[tuple[list[int], CompletionToken | None]]) -> None:
-        """Flush a drained batch, completing barriers in submission order.
-
-        Non-barrier pages accumulate (starting with the retained tail);
-        a barrier flushes everything accumulated so far and completes its
-        token.  Leftover pages after the last barrier flush except for the
-        trailing partial physical run, which is retained for the next batch.
-        """
-        pending: list[int] = self._tail
+        self._runs.clear()
         self._tail = []
-        for ids, token in batch:
-            pending.extend(ids)
-            if token is not None:
-                if pending:
-                    self._flush(pending)
-                    pending = []
-                token._complete()
-        if pending:
-            pending, self._tail = self._split_tail(pending)
-            if pending:
-                self._flush(pending)
+        for barrier in self._barriers:
+            barrier.token._fail(exc)
+        self._barriers = []
+        self._cv.notify_all()
 
-    def _split_tail(self, ids: list[int]) -> tuple[list[int], list[int]]:
-        """Split ``ids`` into (flush-now, retain) so the retained part is the
-        trailing *partial* physical run of the final contiguous stretch —
-        the next contiguous submission can complete it into a full-size
-        physical call instead of paying a rounded-up call now."""
+    def _split_tail(self, ids: list[int]) -> tuple[list[list[int]], list[int]]:
+        """Cut ``ids`` into (runs, retained tail).  A run is what one
+        device call moves: up to ``pages_per_io`` consecutive ids, counted
+        from the start of each contiguous stretch as ``Disk.write_many``
+        does.  The tail is the trailing *partial* run of the final
+        stretch — the next contiguous submission can complete it into a
+        full-size call instead of paying a rounded-up call now."""
         ppio = self.buffer.disk.pages_per_io
-        if ppio <= 1 or not ids:
-            return ids, []
-        ordered = sorted(set(ids))
-        # Length of the trailing contiguous stretch.
-        run = 1
-        while run < len(ordered) and ordered[-run - 1] == ordered[-run] - 1:
-            run += 1
-        keep = run % ppio
-        if keep == 0 or keep == len(ordered):
-            return (ids, []) if keep == 0 else ([], ids)
-        retain = ordered[-keep:]
-        return ordered[:-keep], retain
+        runs: list[list[int]] = []
+        for pid in sorted(set(ids)):
+            if runs and runs[-1][-1] == pid - 1 and len(runs[-1]) < ppio:
+                runs[-1].append(pid)
+            else:
+                runs.append([pid])
+        if runs and len(runs[-1]) < ppio:
+            return runs[:-1], runs[-1]
+        return runs, []
 
     def _flush(self, ids: list[int]) -> None:
         # The pool's own retrying() already absorbs transient errors; this

@@ -100,6 +100,9 @@ class ScheduleOutcome:
     retired_unwritten: int = 0
     """Source pages the rebuild had dropped from the pool unwritten
     (``pool_retired_unwritten``) when the run ended or crashed."""
+    dead_images_dropped: int = 0
+    """Resident previous incarnations ``new_page`` dropped instead of
+    writing (``pool_dead_images_dropped``) during the swept pass."""
     error: str | None = None
 
     @property
@@ -150,6 +153,8 @@ class CrashScheduleHarness:
         pipeline_depth: int = 0,
         ring_frames: int = 0,
         pool_shards: int = 1,
+        fillfactor: float = 1.0,
+        warm_passes: int = 0,
     ) -> None:
         self.key_count = key_count
         self.seed = seed
@@ -181,6 +186,19 @@ class CrashScheduleHarness:
         :meth:`BufferPool.retire_page` on every schedule's path; the
         I/O threads make disk-call ordinals approximate, like
         ``parallel_workers`` does."""
+        self.fillfactor = fillfactor
+        self.warm_passes = warm_passes
+        """Complete passes run before the one that is swept, each (and the
+        swept one) preceded by committed inserts spread over the leaves
+        (:meth:`_touch_leaves`).  On a pool that holds the index those
+        leaves keep their pending logged change when a pass deallocates
+        them (``retire_page`` clause (d)) and are still resident when
+        they are freed; a later pass that is handed their ids again has
+        ``BufferPool.new_page`` drop dead images whose stored copy is
+        behind the log.  It takes two: the index is built by random
+        inserts, so the first pass is what lays leaves out in one
+        contiguous chunk, the second frees that chunk, and the swept
+        third pass's chunk allocator takes it back."""
 
     # ------------------------------------------------------------- scenario
 
@@ -192,6 +210,7 @@ class CrashScheduleHarness:
             pipeline_depth=self.pipeline_depth,
             ring_frames=self.ring_frames,
             parallel_workers=self.parallel_workers,
+            fillfactor=self.fillfactor,
         )
 
     def _build(self, plan: FaultPlan):
@@ -222,7 +241,23 @@ class CrashScheduleHarness:
         # reads source leaves from disk, so read/read_run fault sites exist.
         engine.ctx.buffer.evict_all()
         expected = set(range(1, self.key_count, 2))
+        for warm in range(self.warm_passes):
+            self._touch_leaves(tree, expected, warm)
+            OnlineRebuild(tree, self._config()).run()
+        if self.warm_passes:
+            self._touch_leaves(tree, expected, self.warm_passes)
         return engine, tree, expected
+
+    def _touch_leaves(self, tree, expected: set[int], round_: int) -> None:
+        """Committed inserts of keys the fragmentation deleted, every
+        ``stride``-th of them: each lands in another leaf the coming pass
+        has not copied yet — the first of a run (its P1) as often as any
+        other — and leaves it with a logged change no write has stored."""
+        stride = 2 * (5 + round_)  # another set of leaves every round
+        for k in range(2 * round_, self.key_count, stride):
+            if k not in expected:
+                tree.insert(_key(k), k)
+                expected.add(k)
 
     def _attach_oltp(self, engine: Engine, tree, expected: set[int]) -> list:
         """OLTP between rebuild transactions: deterministic inserts of
@@ -380,6 +415,7 @@ class CrashScheduleHarness:
             engine.syncpoints.on(schedule.point, boom)
 
         retries_before = engine.counters.io_retries
+        dropped_before = engine.counters.pool_dead_images_dropped
         try:
             OnlineRebuild(tree, self._config()).run()
         except CrashPoint:
@@ -393,6 +429,9 @@ class CrashScheduleHarness:
         outcome.retries = engine.counters.io_retries - retries_before
         outcome.oltp_ops_applied = len(applied)
         outcome.retired_unwritten = engine.counters.pool_retired_unwritten
+        outcome.dead_images_dropped = (
+            engine.counters.pool_dead_images_dropped - dropped_before
+        )
         if not outcome.crashed and getattr(
             engine.ctx.disk, "crash_armed", False
         ):

@@ -99,23 +99,27 @@ class LogManager:
 
     # ------------------------------------------------------------------ flush
 
-    def flush_to(self, lsn: int, group: bool = False) -> None:
-        """Make every record with ``record.lsn <= lsn`` durable.
-
-        With ``group=True`` and a nonzero :attr:`group_commit_window`, the
-        call may wait up to the window so concurrent committers share one
-        physical flush.  Plain calls (the buffer pool's WAL hook, the
-        checkpoint) always flush immediately and never sleep.
-        """
-        if group and self.group_commit_window > 0.0:
-            self._group_flush(lsn)
-            return
+    def flush_to(self, lsn: int) -> None:
+        """Make every record with ``record.lsn <= lsn`` durable, now: the
+        buffer pool's WAL hook and the checkpoint come through here and
+        must never sleep.  Commits use :meth:`flush_commit`."""
         with self._lock:
             self._advance_locked(lsn)
 
-    def flush_commit(self, lsn: int) -> None:
-        """Commit-path flush: participates in group commit when enabled."""
-        self.flush_to(lsn, group=True)
+    def flush_commit(self, lsn: int, gather: bool = True) -> None:
+        """Commit-path flush: with a nonzero :attr:`group_commit_window`
+        the call may wait up to the window so concurrent committers share
+        one physical flush.
+
+        ``gather=False`` is for a committer with nobody to wait for — the
+        rebuild's own transaction, which commits once per ``xactsize``
+        pages on the pass's critical path: it still rides along as a
+        follower when a leader is gathering, but with none it flushes at
+        once instead of sleeping out a window as the leader."""
+        if self.group_commit_window > 0.0:
+            self._group_flush(lsn, gather)
+        else:
+            self.flush_to(lsn)
 
     def flush_all(self) -> None:
         with self._lock:
@@ -153,7 +157,7 @@ class LogManager:
         is the index advance itself, so this is a no-op hook for subclasses
         (:class:`~repro.wal.file_log.FileLogManager` writes and fsyncs)."""
 
-    def _group_flush(self, lsn: int) -> None:
+    def _group_flush(self, lsn: int, gather: bool) -> None:
         """Leader/follower group commit.
 
         The first committer in a round becomes the *leader*: it registers
@@ -161,11 +165,15 @@ class LogManager:
         register theirs as *followers*, then performs one flush to the
         highest registered LSN.  Followers just wait until durability
         covers their own LSN — usually satisfied by the leader's single
-        physical flush.
+        physical flush.  A committer that does not ``gather`` never
+        leads: with no round open it flushes at once.
         """
         with self._flush_cv:
             if self._flushed_upto and self._offsets[self._flushed_upto - 1] >= lsn:
                 return  # already durable
+            if not (gather or self._gc_leader):
+                self._advance_locked(lsn)
+                return
             self._gc_target = max(self._gc_target, lsn)
             if self._gc_leader:
                 # Follower: wait for a flush that covers us.

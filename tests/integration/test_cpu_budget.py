@@ -14,6 +14,7 @@ leaf once and gives it back once: 241 source leaves cost 2 x 241 of the
 """
 
 import dataclasses
+import sys
 import zlib
 from collections import Counter
 
@@ -205,9 +206,17 @@ def test_read_ahead_and_write_behind_move_no_output(config):
         engine.buffer.evict_all()
         first_new_record = len(engine.ctx.log._records)
         before = engine.counters.snapshot()
-        OnlineRebuild(
-            tree, dataclasses.replace(config, pipeline_depth=depth)
-        ).run()
+        # The device costs nothing here, so the pass lasts about five of
+        # the interpreter's default switch intervals: short ones, or the
+        # two readers may never get a turn among the scheduler's threads.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            OnlineRebuild(
+                tree, dataclasses.replace(config, pipeline_depth=depth)
+            ).run()
+        finally:
+            sys.setswitchinterval(interval)
         delta = engine.counters.diff(before)
         own_reads.append(delta["rebuild_demand_reads"])
         outputs.append((

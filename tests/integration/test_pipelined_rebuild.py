@@ -14,11 +14,17 @@ import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import CrashPoint
-from repro.errors import ChecksumError, RebuildAbortedError
+from repro.errors import (
+    ChecksumError,
+    IOSchedulerError,
+    PermanentIOError,
+    RebuildAbortedError,
+)
 from repro.storage.faults import FaultPlan
 from repro.workload import MixedWorkload
 from repro.workload.builder import bulk_load
 from tests.conftest import intkey
+from tests.integration.test_write_budget import GatedDisk
 
 PIPELINED = RebuildConfig(
     ntasize=16, xactsize=64, pipeline_depth=4, group_commit_window=0.002
@@ -90,27 +96,23 @@ def test_pipelined_rebuild_loses_no_tracked_insert():
 # --------------------------------------------------------- §3 enforcement
 
 
-def test_killed_forcer_never_frees_before_durability():
-    """Kill the write-behind writer mid-transaction: the rebuild must abort,
-    and at the moment any old page is freed, every new page of the
-    transaction's completed top actions must already be durable on disk."""
-    engine, index = build_fragmented(key_count=8_000)
+def run_checking_every_free(engine, rb, on_nta_end) -> int:
+    """Run ``rb`` to its abort with ``on_nta_end(ordinal, new pages)``
+    called after each top action.  At the moment any old page is freed, every new page
+    of the transaction's completed top actions must already be durable on
+    disk.  Returns how many top actions completed."""
     ctx = engine.ctx
-    rb = OnlineRebuild(index, PIPELINED)
-
     expected_durable: list[int] = []
     violations: list[str] = []
     ntas_done = 0
 
-    def on_nta_end(hook_ctx: dict) -> None:
+    def hook(hook_ctx: dict) -> None:
         nonlocal ntas_done
         expected_durable.extend(hook_ctx["new_pages"])
         ntas_done += 1
-        if ntas_done == 2 and rb._scheduler is not None:
-            rb._scheduler.kill()  # the I/O thread dies mid-transaction
+        on_nta_end(ntas_done, hook_ctx["new_pages"])
 
-    engine.syncpoints.on("rebuild.nta_end", on_nta_end)
-
+    engine.syncpoints.on("rebuild.nta_end", hook)
     real_free = ctx.page_manager.free
 
     def checked_free(page_id: int) -> None:
@@ -128,10 +130,99 @@ def test_killed_forcer_never_frees_before_durability():
     finally:
         ctx.page_manager.free = real_free  # type: ignore[method-assign]
         engine.syncpoints.clear()
-    assert ntas_done >= 2  # the kill actually happened mid-transaction
     assert violations == []
+    return ntas_done
+
+
+def test_killed_forcer_never_frees_before_durability():
+    """Kill the write-behind forcer mid-transaction: the rebuild must abort,
+    and nothing is freed before what replaced it is durable."""
+    engine, index = build_fragmented(key_count=8_000)
+    rb = OnlineRebuild(index, PIPELINED)
+
+    def kill_after_the_second(ordinal: int, _new_pages) -> None:
+        if ordinal == 2 and rb._scheduler is not None:
+            rb._scheduler.kill()  # the I/O threads die mid-transaction
+
+    done = run_checking_every_free(engine, rb, kill_after_the_second)
+    assert done >= 2  # the kill actually happened mid-transaction
     # The abort path's synchronous flush preserved completed top actions.
     index.verify()
+
+
+def held_index():
+    """A bulk-loaded index whose device holds every write until the test
+    opens the gate (17 new pages per top action: two runs for
+    write-behind, the last leaf kept back for the barrier)."""
+    engine = Engine(page_size=2048, io_size=16384, buffer_capacity=8192)
+    index = bulk_load(engine, [intkey(2 * i) for i in range(40_000)], 4)
+    engine.checkpoint()
+    disk = engine.ctx.disk
+    disk.__class__ = GatedDisk
+    disk.arm()
+    disk.gate.clear()
+    config = RebuildConfig(ntasize=34, xactsize=136, pipeline_depth=4)
+    return engine, index, disk, OnlineRebuild(index, config)
+
+
+def test_forcer_killed_with_two_writes_in_flight_never_frees_early():
+    """The same, with the kill landing while two writers sleep in the
+    device: their writes land afterwards and complete no barrier."""
+    engine, index, disk, rb = held_index()
+    in_flight: list[int] = []
+
+    def kill_with_writes_in_the_device(_ordinal: int, _new_pages) -> None:
+        if in_flight:
+            return
+        with disk.changed:  # this top action queued two runs
+            assert disk.changed.wait_for(
+                lambda: len(disk.in_service) >= 2, 30.0
+            )
+            in_flight.append(len(disk.in_service))
+        sched = rb._scheduler
+        killer = threading.Thread(target=sched.kill)  # joins the writers
+        killer.start()
+        with pytest.raises(IOSchedulerError):
+            sched.force([]).wait(30.0)  # dead already, writes still asleep
+        assert len(disk.in_service) == in_flight[0]
+        disk.gate.set()
+        killer.join(30.0)
+        assert not killer.is_alive()
+
+    done = run_checking_every_free(
+        engine, rb, kill_with_writes_in_the_device
+    )
+    assert in_flight and in_flight[0] >= 2 and done >= 1
+    assert _io_threads() == []
+    index.verify()
+
+
+def test_one_writer_failing_mid_transaction_never_frees_early():
+    """One writer meets a permanent device error while two others sleep:
+    the barrier fails, the abort path's own flush fails on the same page,
+    and the old pages stay deallocated — not freed."""
+    engine, index, disk, rb = held_index()
+    disk.holds = 2  # the first top action's two runs; later writes pass
+
+    def poison_the_next_run(ordinal: int, new_pages) -> None:
+        if ordinal == 1:
+            assert disk.parked(2)  # both runs of this top action sleep
+            # The chunk allocator hands out consecutive ids: the next top
+            # action's first run starts here, and a free writer takes it.
+            disk.poison = max(new_pages) + 1
+        elif ordinal == 2:
+            assert disk.poison in new_pages
+            with pytest.raises(IOSchedulerError) as failed:
+                rb._scheduler.force([]).wait(30.0)
+            assert isinstance(failed.value.__cause__, PermanentIOError)
+            assert len(disk.in_service) == 2  # the sleepers, still asleep
+            disk.gate.set()
+
+    done = run_checking_every_free(engine, rb, poison_the_next_run)
+    assert done >= 2
+    assert rb.last_report.pages_freed == 0  # the abort's flush failed too
+    assert rb.last_report.transactions == 0
+    assert _io_threads() == []
 
 
 # ------------------------------------------------------------- A/B parity
@@ -244,6 +335,7 @@ def test_no_io_thread_outlives_the_run(ending):
     finally:
         engine.syncpoints.clear()
     assert sorted(seen_running[0]) == [
-        "io-reader-0", "io-reader-1", "io-writer",
+        "io-reader-0", "io-reader-1",
+        "io-writer-0", "io-writer-1", "io-writer-2", "io-writer-3",
     ]
     assert _io_threads() == []

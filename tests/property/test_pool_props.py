@@ -5,11 +5,14 @@ dirtying, and new-page allocations against pools of varying shard/ring
 geometry must never (a) evict a pinned frame, (b) exceed total or
 per-shard capacity, or (c) let a scan through an enabled ring change a
 pure-OLTP workload's hit pattern.  With logged row appends, unlogged
-bit flips, flushes, large-I/O reads and ``retire_page`` in the mix, (d)
-every fetch still sees every logged change, and after a crash the
-stored images plus redo of the log reproduce the model.
+bit flips, flushes, large-I/O reads, ``retire_page``, pages freed and
+their ids handed out again (``new_page`` drops the dead image) and
+truncating checkpoints in the mix, (d) every fetch still sees every
+logged change, and after a crash the stored images plus redo of what is
+left of the log reproduce the model.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,7 +138,7 @@ wal_ops = st.lists(
     st.tuples(
         st.sampled_from(
             ["logged", "logged", "bits", "retire", "flush", "scan",
-             "large", "prefetch", "new"]
+             "large", "prefetch", "new", "free", "checkpoint"]
         ),
         # Few ids, so ops collide on a page: 1..12 are on disk from the
         # start (three 4-page runs), 101..104 exist once "new"ed.
@@ -146,15 +149,17 @@ wal_ops = st.lists(
 )
 
 
-@given(ops=wal_ops, geom=geometry)
-@settings(max_examples=100, deadline=None)
-def test_stored_image_plus_redo_equals_model_with_retire(ops, geom):
+def run_wal_ops(ops, geom) -> None:
     # The model is a durable log of row appends, each stamped into its
     # page's page_lsn the way log_page_change does.  Bit flips are the
     # rebuild's unlogged protocol state.  retire_page may drop a frame at
-    # any time; whatever it drops, no logged change may be lost — neither
-    # to a later fetch (a stale image shadowing a newer one) nor to
-    # recovery (stored image + redo of the records above its page_lsn).
+    # any time, and "free" ends a page's life: whatever of it is resident
+    # when "new" hands the id out again is dropped by new_page, whose
+    # first logged record formats the page.  "checkpoint" flushes every
+    # frame and truncates the log.  Whatever is dropped, no logged change
+    # may be lost — neither to a later fetch (a stale image shadowing a
+    # newer one) nor to recovery (stored image + redo of what is left of
+    # the log above its page_lsn).
     capacity, shards, ring = geom
     if capacity // shards < 8:
         shards = 1
@@ -166,24 +171,34 @@ def test_stored_image_plus_redo_equals_model_with_retire(ops, geom):
         disk, capacity=capacity, counters=counters,
         shards=shards, ring_frames=ring,
     )
-    log: list[tuple[int, int, bytes]] = []  # (lsn, page id, row)
+    log: list[tuple[int, int, bytes | None]] = []  # (lsn, page id, row)
+    truncated = 0  # records up to this LSN are gone from the log
     model: dict[int, list[bytes]] = {pid: [] for pid in WAL_IDS}
 
-    def append_logged(pid: int, page: Page) -> None:
+    def append_logged(pid: int, page: Page, formats: bool = False) -> None:
         lsn = len(log) + 1
-        row = b"r%d" % lsn
-        page.append_row(row)
+        row = None if formats else b"r%d" % lsn
+        if row is not None:
+            page.append_row(row)
+            model[pid].append(row)
         page.page_lsn = lsn
         log.append((lsn, pid, row))
-        model[pid].append(row)
 
     for op, pid in ops:
+        if op == "checkpoint":
+            pool.flush_all()
+            truncated = len(log)
+            continue
         if (op == "new") == (pid in model):
-            continue  # only fresh ids are allocated, only live ones used
+            continue  # only fresh or freed ids are allocated, live ones used
         if op == "new":
             model[pid] = []
-            append_logged(pid, pool.new_page(pid, scan=ring > 0))
+            page = pool.new_page(pid, scan=ring > 0)
+            append_logged(pid, page, formats=True)
+            append_logged(pid, page)
             pool.unpin(pid, dirty=True)
+        elif op == "free":
+            del model[pid]
         elif op == "retire":
             pool.retire_page(pid)
         elif op == "flush":
@@ -203,14 +218,41 @@ def test_stored_image_plus_redo_equals_model_with_retire(ops, geom):
                 page.clear_flag(PageFlag.SHRINK)
             pool.unpin(pid, dirty=op in ("logged", "bits"))
 
-    pool.crash()  # every frame is lost; the log is durable
+    pool.crash()  # every frame is lost; what is left of the log is durable
     for pid, rows in model.items():
         if disk.exists(pid):
             stored = Page.from_bytes(disk.read(pid), disk.page_size)
         else:
             stored = Page(pid, disk.page_size)
             stored.page_lsn = -1
-        redone = stored.rows + [
-            row for lsn, p, row in log if p == pid and lsn > stored.page_lsn
-        ]
+        redone = list(stored.rows)
+        for lsn, p, row in log[truncated:]:
+            if p == pid and lsn > stored.page_lsn:
+                if row is None:
+                    redone = []
+                else:
+                    redone.append(row)
         assert redone == rows, f"page {pid}: stored image + redo != model"
+
+
+@given(ops=wal_ops, geom=geometry)
+@settings(max_examples=100, deadline=None)
+def test_stored_image_plus_redo_equals_model_with_retire(ops, geom):
+    run_wal_ops(ops, geom)
+
+
+def test_dropping_a_deallocated_pages_pending_change_is_told(monkeypatch):
+    """Mutant: ``retire_page`` drops like ``new_page`` does — whatever the
+    frame carries.  A page that is only deallocated can come back (its
+    top action rolled back, its transaction a loser at restart), and the
+    frame was the one place its last logged change lived."""
+
+    def retire_dropping_anything(pool, page_id):
+        pool.drop_page(page_id)
+        return True
+
+    ops = [("logged", 1), ("retire", 1), ("scan", 1)]
+    run_wal_ops(ops, (8, 1, 2))
+    monkeypatch.setattr(BufferPool, "retire_page", retire_dropping_anything)
+    with pytest.raises(AssertionError, match="scan of 1 lost a change"):
+        run_wal_ops(ops, (8, 1, 2))

@@ -13,6 +13,14 @@ Three mutants of the page-ordered path must each be told from the oracle
 by some history, or the comparison proves nothing: queueing across a
 KEYCOPY (it reads the pages queued records write), skipping the
 ``page_lsn`` test, and draining a page's queue out of LSN order.
+
+Histories free pages, hand their ids out again and have
+``BufferPool.new_page`` drop the resident dead image unwritten.  Two
+more comparisons hold that rule to its argument: a crash state built by
+a pool that *writes* the dead image first (the reference, in this file)
+recovers to the same state, and a checkpoint that does not flush every
+frame before it logs its record — the one thing the argument leans on —
+is told apart by a history that then drops across it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from repro import Engine, OnlineRebuild, RebuildConfig
 from repro import engine as engine_module
 from repro.concurrency.syncpoints import CrashPoint
 from repro.errors import PageFullError
+from repro.storage.buffer import _NEVER_STORED, BufferPool
 from repro.wal import recovery
 from repro.wal.apply import SINGLE_PAGE_REDO, redo_record
 from repro.wal.records import LogRecord, RecordType
@@ -299,11 +308,14 @@ documents the case as out of scope (it needs an undo-time split); such a
 history is set aside, at run time or in recovery."""
 
 
-def recovered(history, patch=None):
+def recovered(history, patch=None, building=None):
     """Everything recovery leaves behind for ``history``'s crash state
-    (a tree that verifies, to begin with), or the error it ended in."""
+    (a tree that verifies, to begin with), or the error it ended in.
+    ``building`` is in force while the crash state is built, ``patch``
+    while it is recovered."""
     try:
-        engine = Replay(history).engine
+        with building or contextlib.nullcontext():
+            engine = Replay(history).engine
     except PageFullError:
         return UNDO_NEEDS_A_SPLIT
     try:
@@ -386,8 +398,90 @@ second.  Redo of the CLR descends to it by key, and used to re-insert 38
 there because it was "absent"."""
 
 
+RECYCLES = {
+    # Odd keys land on leaves the checkpoint stored; a pass frees those
+    # leaves with the inserts still unwritten (``retire_page`` clause
+    # (d)); the splits that follow take the lowest free ids.
+    "pending-logged-change": (
+        150,
+        [("insert", k) for k in (1, 61, 121, 181, 241)]
+        + [("rebuild", 4, [])]
+        + [("insert", k) for k in range(3, 300, 2)],
+        ("nothing",),
+        1.0,
+    ),
+    # Leaves a split allocated after the checkpoint: nothing ever stored
+    # them, a pass copies them away and frees them, splits recycle them.
+    "never-stored": (
+        40,
+        [("insert", k) for k in range(301, 400, 2)]
+        + [("rebuild", 4, [])]
+        + [("insert", k) for k in range(1, 300, 2)],
+        ("nothing",),
+        1.0,
+    ),
+    # The same leaves shrunk away instead: the shrink's own flush is the
+    # only image of theirs on disk, and redo meets ALLOC, the rows, the
+    # deletes, DEALLOC and the second ALLOC of one id in one window.
+    "shrunk-away": (
+        40,
+        [("insert", k) for k in range(300, 400)]
+        + [("delete_range", 300, 100)]
+        + [("insert", k) for k in range(1, 200, 2)],
+        ("nothing",),
+        1.0,
+    ),
+}
+"""Histories that free pages and hand their ids out again while the
+previous incarnation is resident: what ``new_page`` drops in each is
+checked by ``test_the_recycling_histories_drop_what_they_say``."""
+
+
+@contextlib.contextmanager
+def watching_drops(dropped: list):
+    """Record ``(page_lsn, LSN of the stored image, dirty)`` of every
+    resident previous incarnation ``new_page`` is about to drop."""
+    new_page = BufferPool.new_page
+
+    def watching(pool, page_id, scan=False):
+        shard = pool._shards[page_id % pool.n_shards]
+        with shard:
+            frame = shard.lookup(page_id)
+            if frame is not None:
+                dropped.append(
+                    (frame.page.page_lsn, frame.clean_lsn, frame.dirty)
+                )
+        return new_page(pool, page_id, scan)
+
+    with mock.patch.object(BufferPool, "new_page", watching):
+        yield
+
+
+def test_the_recycling_histories_drop_what_they_say():
+    seen = {}
+    for name, history in RECYCLES.items():
+        seen[name] = []
+        with watching_drops(seen[name]):
+            engine = Replay(history).engine
+        assert engine.counters.pool_dead_images_dropped == len(seen[name])
+        assert engine.counters.page_writes  # something else was written
+    assert any(
+        dirty and stored != _NEVER_STORED and lsn > stored
+        for lsn, stored, dirty in seen["pending-logged-change"]
+    )
+    assert any(
+        dirty and stored == _NEVER_STORED for _, stored, dirty in seen["never-stored"]
+    )
+    assert seen["shrunk-away"] and all(
+        not dirty and lsn == stored for lsn, stored, dirty in seen["shrunk-away"]
+    )
+
+
 @given(history=histories())
 @example(history=RECYCLED_LEAF)
+@example(history=RECYCLES["pending-logged-change"])
+@example(history=RECYCLES["never-stored"])
+@example(history=RECYCLES["shrunk-away"])
 @example(history=KILLERS["queues-across-keycopy"])
 @example(history=KILLERS["skips-the-page-lsn-test"])
 @example(history=KILLERS["drains-a-page-out-of-lsn-order"])
@@ -410,3 +504,88 @@ def test_the_comparison_kills_the_mutant(mutant):
     want = by_the_oracle(history)
     assert "error" not in want
     assert recovered(history, MUTANTS[mutant]()) != want
+
+
+# ---------------------------------------------------------- dead images
+
+
+def writing_dead_images():
+    """The reference pool: a resident previous incarnation is written
+    out before ``new_page`` replaces it."""
+    new_page = BufferPool.new_page
+
+    def write_then_replace(pool, page_id, scan=False):
+        if pool.is_resident(page_id) and not pool.pin_count(page_id):
+            pool.flush_page(page_id)
+        return new_page(pool, page_id, scan)
+
+    return mock.patch.object(BufferPool, "new_page", write_then_replace)
+
+
+def whole_log_durable(history):
+    """The write of a dead image flushes the log up to it, so the two
+    pools leave different tails behind; with the whole log on disk at the
+    crash the stored pages are all that differs."""
+    return history[:3] + (1.0,)
+
+
+@given(history=histories())
+@example(history=RECYCLED_LEAF)
+@example(history=RECYCLES["pending-logged-change"])
+@example(history=RECYCLES["never-stored"])
+@example(history=RECYCLES["shrunk-away"])
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_a_dropped_dead_image_is_invisible_to_recovery(history):
+    history = whole_log_durable(history)
+    want = recovered(history, building=writing_dead_images())
+    assume(want != UNDO_NEEDS_A_SPLIT)
+    assert "error" not in want
+    assert recovered(history) == want
+
+
+def checkpoint_that_does_not_flush():
+    """Mutant: a history's checkpoint steps log their record over dirty
+    frames."""
+    step = Replay.step
+
+    def mutant_step(replay, what) -> None:
+        if what[0] != "checkpoint":
+            return step(replay, what)
+        with mock.patch.object(BufferPool, "flush_all", lambda pool: None):
+            step(replay, what)
+
+    return mock.patch.object(Replay, "step", mutant_step)
+
+
+DROPS_ACROSS_A_CHECKPOINT = (
+    100,
+    # Rows appended to the last leaf, a checkpoint, and one of them
+    # deleted again behind it: replayed onto an image without the rows
+    # the delete's position is past the end of the page.
+    [("insert", k) for k in (301, 303, 305)]
+    + [("checkpoint",), ("delete", 305)]
+    + [("rebuild", 4, [])]
+    + [("insert", k) for k in range(1, 300, 2)],
+    ("nothing",),
+    1.0,
+)
+"""The leaf with the pending changes is freed by the pass and its id
+handed out again: the drop is sound only because the checkpoint had
+stored everything logged before it."""
+
+
+def test_dropping_across_a_checkpoint_that_did_not_flush_is_told():
+    history = DROPS_ACROSS_A_CHECKPOINT
+    want = by_the_oracle(history)
+    assert "error" not in want and recovered(history) == want
+    mutant = checkpoint_that_does_not_flush
+    assert recovered(history, building=mutant()) != want
+    # With the dead image written instead of dropped, the page the delete
+    # is replayed onto is whole again: the mutant passes for sound.
+    with writing_dead_images():
+        assert recovered(history, building=mutant()) == want

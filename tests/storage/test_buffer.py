@@ -1,5 +1,7 @@
 """Unit tests for the buffer pool: pinning, LRU, WAL hook, crash."""
 
+import threading
+
 import pytest
 
 from repro.errors import BufferError_, StorageError
@@ -7,6 +9,7 @@ from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.page import Page
+from tests.storage.test_buffer_concurrency import GatedDisk
 
 
 @pytest.fixture
@@ -69,16 +72,70 @@ def test_new_page_is_pinned_and_dirty(pool):
     assert pool.disk.exists(5)
 
 
-def test_new_page_replaces_stale_resident_incarnation(pool, disk):
+def test_new_page_replaces_stale_resident_incarnation(pool, disk, counters):
+    """A resident previous incarnation is a dead image: dropped, however
+    dirty, never written."""
     put_page(disk, 3, b"old")
     old = pool.fetch(3)
+    old.append_row(b"pending change")  # what a write of it would store
     pool.unpin(3, dirty=True)
+    calls = counters.disk_io_calls
     fresh = pool.new_page(3)
     assert fresh.rows == []
     assert fresh is not old
-    # The stale dirty frame must have been written out before replacement.
+    assert counters.disk_io_calls == calls
+    assert counters.page_writes == 0
+    assert counters.pool_dead_images_dropped == 1
+    # The stored image is still the old incarnation's, untouched.
     assert Page.from_bytes(disk.read(3)).rows == [b"old"]
     pool.unpin(3)
+    # A clean one is dropped (and counted) the same way; no frame, nothing.
+    put_page(disk, 4)
+    pool.fetch(4)
+    pool.unpin(4)
+    pool.new_page(4)
+    pool.unpin(4)
+    pool.new_page(5)
+    pool.unpin(5)
+    assert counters.pool_dead_images_dropped == 2
+
+
+def test_new_page_waits_out_a_write_of_the_dead_image_in_flight(counters):
+    """The ``writing`` table names resident pages only: a write of the
+    previous incarnation already in the device is let finish first."""
+    disk = GatedDisk(Disk(counters=counters))
+    pool = BufferPool(disk, capacity=8, counters=counters)
+    put_page(disk, 3, b"old")
+    pool.fetch(3).append_row(b"newer")
+    pool.unpin(3, dirty=True)
+    disk.write_gate.clear()
+    flusher = threading.Thread(target=pool.flush_page, args=(3,))
+    flusher.start()
+    assert disk.write_entered.wait(10)
+    cond = pool._shards[0].cond
+    parked, real_wait = threading.Event(), cond.wait
+
+    def wait_noting_it(timeout=None):
+        parked.set()
+        return real_wait(timeout)
+
+    cond.wait = wait_noting_it
+    got: list[Page] = []
+    allocator = threading.Thread(target=lambda: got.append(pool.new_page(3)))
+    allocator.start()
+    assert parked.wait(10) and not got  # parked behind the write
+    disk.write_gate.set()
+    flusher.join(10)
+    allocator.join(10)
+    assert not flusher.is_alive() and not allocator.is_alive()
+    assert got and got[0].rows == []
+    assert counters.pool_dead_images_dropped == 1
+    assert Page.from_bytes(disk.read(3)).rows == [b"old", b"newer"]
+    # The finished write did not clean the new incarnation's frame.
+    writes = counters.page_writes
+    pool.unpin(3)
+    pool.flush_page(3)
+    assert counters.page_writes == writes + 1
 
 
 def test_new_page_on_pinned_frame_raises(pool, disk):

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import IOSchedulerError
+from repro.errors import IOSchedulerError, PermanentIOError
 from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.io_scheduler import CompletionToken, IOScheduler
 from repro.storage.page import NO_PAGE, PAGE_SIZE_DEFAULT, Page
+from tests.integration.test_write_budget import GatedDisk
 
 
 def make_pool(capacity: int = 64, pages: int = 0) -> tuple[BufferPool, Counters]:
@@ -51,7 +53,7 @@ def test_token_wait_raises_on_failure():
 
 def test_token_done_after_complete():
     token = CompletionToken()
-    token._complete()
+    token.complete()
     token.wait(timeout=0.01)
     assert token.done
 
@@ -115,30 +117,154 @@ def test_close_drains_submitted_writes():
         assert pool.disk.exists(pid)
 
 
+# ------------------------------------------------ several writes in flight
+
+
+def make_held_pool() -> tuple[BufferPool, Counters]:
+    pool, counters = make_pool()
+    pool.disk.__class__ = GatedDisk
+    pool.disk.arm()
+    pool.disk.gate.clear()  # every write parks in the device until opened
+    return pool, counters
+
+
+def io_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("io-")]
+
+
+def test_barrier_completes_only_when_every_run_before_it_landed():
+    pool, counters = make_held_pool()  # pages_per_io = 4
+    dirty_pages(pool, list(range(1, 13)))
+    sched = IOScheduler(pool, counters=counters).start()
+    try:
+        sched.submit_write([1, 2, 3, 4, 5, 6, 7, 8])
+        assert pool.disk.parked(2)  # two runs, two writers, both asleep
+        assert set(pool.disk.in_service) == {
+            frozenset([1, 2, 3, 4]), frozenset([5, 6, 7, 8]),
+        }
+        token = sched.force([9, 10, 11, 12])
+        assert pool.disk.parked(3)
+        assert not token.wait_done(0.0)
+        pool.disk.gate.set()
+        token.wait(timeout=10.0)
+        assert all(pool.disk.exists(pid) for pid in range(1, 13))
+        assert counters.writebehind_batches == 3
+        assert counters.writebehind_pages == 12
+        # Nothing outstanding: the next barrier is done before it returns.
+        assert sched.force([]).done
+    finally:
+        pool.disk.gate.set()
+        sched.close()
+    assert io_threads() == []
+
+
+def test_kill_with_two_writes_in_flight_fails_the_barrier():
+    pool, counters = make_held_pool()
+    dirty_pages(pool, list(range(1, 9)))
+    sched = IOScheduler(pool, counters=counters).start()
+    sched.submit_write([1, 2, 3, 4, 5, 6, 7, 8])
+    assert pool.disk.parked(2)
+    token = sched.force([])
+    killer = threading.Thread(target=sched.kill)  # joins the writers
+    killer.start()
+    with pytest.raises(IOSchedulerError, match="killed"):
+        token.wait(timeout=10.0)  # failed while both writes still sleep
+    assert len(pool.disk.in_service) == 2 and killer.is_alive()
+    pool.disk.gate.set()
+    killer.join(10.0)
+    assert not killer.is_alive()
+    # What was in the device landed, and completed nothing.
+    assert not token.done
+    with pytest.raises(IOSchedulerError):
+        sched.force([]).wait(timeout=1.0)
+    sched.close()
+    assert io_threads() == []
+
+
+def test_one_writer_failing_fails_every_token_while_another_sleeps():
+    pool, counters = make_held_pool()
+    dirty_pages(pool, list(range(1, 13)))
+    pool.disk.poison = 9
+    sched = IOScheduler(pool, counters=counters).start()
+    try:
+        sched.submit_write([1, 2, 3, 4, 5, 6, 7, 8])
+        assert pool.disk.parked(2)
+        token = sched.force([9, 10, 11, 12])  # a third writer takes it
+        with pytest.raises(IOSchedulerError, match="medium error") as failed:
+            token.wait(timeout=10.0)
+        assert isinstance(failed.value.__cause__, PermanentIOError)
+        assert len(pool.disk.in_service) == 2  # the sleepers, still asleep
+        # Broken for good: later submissions are refused, later barriers
+        # fail with the same cause.
+        with pytest.raises(IOSchedulerError, match="medium error"):
+            sched.force([]).wait(timeout=1.0)
+    finally:
+        pool.disk.gate.set()
+        sched.close()
+    assert io_threads() == []
+    assert not token.done
+
+
+def test_many_barriers_from_many_threads_each_cover_their_own_pages():
+    """More submitters than cores, a shortened switch interval: every
+    barrier that returns finds its pages stored, whatever order the
+    writers finished in."""
+    pool, counters = make_pool(capacity=512)
+    sched = IOScheduler(pool, counters=counters).start()
+    missing: list[int] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+
+    def submitter(base: int) -> None:
+        for round_ in range(10):
+            ids = list(range(base + 7 * round_, base + 7 * round_ + 7))
+            dirty_pages(pool, ids)
+            sched.submit_write(ids[:4])
+            sched.force(ids[4:]).wait(timeout=30.0)
+            missing.extend(p for p in ids if not pool.disk.exists(p))
+
+    threads = [
+        threading.Thread(target=submitter, args=(1 + 100 * n,))
+        for n in range(5)
+    ]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+        sched.close()
+    assert not any(t.is_alive() for t in threads)
+    assert missing == []
+    assert counters.writebehind_forces == 50 + 1  # and the closing drain
+    assert io_threads() == []
+
+
 # -------------------------------------------------- tail-retention batching
 
 
 def test_split_tail_retains_partial_run():
     pool, _ = make_pool()  # pages_per_io = 4
     sched = IOScheduler(pool)
-    flush_now, retain = sched._split_tail([1, 2, 3, 4, 5, 6])
-    assert flush_now == [1, 2, 3, 4]
+    runs, retain = sched._split_tail([1, 2, 3, 4, 5, 6])
+    assert runs == [[1, 2, 3, 4]]
     assert retain == [5, 6]
 
 
 def test_split_tail_full_runs_flush_everything():
     pool, _ = make_pool()
     sched = IOScheduler(pool)
-    flush_now, retain = sched._split_tail([1, 2, 3, 4, 5, 6, 7, 8])
-    assert flush_now == [1, 2, 3, 4, 5, 6, 7, 8]
+    runs, retain = sched._split_tail([1, 2, 3, 4, 5, 6, 7, 8])
+    assert runs == [[1, 2, 3, 4], [5, 6, 7, 8]]
     assert retain == []
 
 
 def test_split_tail_all_partial_retains_everything():
     pool, _ = make_pool()
     sched = IOScheduler(pool)
-    flush_now, retain = sched._split_tail([9, 10])
-    assert flush_now == []
+    runs, retain = sched._split_tail([9, 10])
+    assert runs == []
     assert retain == [9, 10]
 
 
@@ -354,7 +480,7 @@ def test_reader_parked_in_the_device_does_not_hold_close(monkeypatch):
     assert time.monotonic() - start < mod._FORCE_TIMEOUT / 4
     alive = [t for t in sched._readers if t.is_alive()]
     assert len(alive) == 1  # the parked one; the idle one was joined
-    assert not sched._writer.is_alive()
+    assert not any(t.is_alive() for t in sched._writers)
     gate.set()
     alive[0].join(30.0)
     assert not alive[0].is_alive()

@@ -217,6 +217,46 @@ def test_tuned_exhaustive_resume_sweep(workers):
     assert any(o.retired_unwritten > 0 for o in report.outcomes)
 
 
+# ------------------------------------------ recycled ids, dead images dropped
+
+RECYCLING = dict(
+    key_count=4000, seed=11, buffer_capacity=2048, resume_after_recovery=True,
+    pipeline_depth=4, ring_frames=512, pool_shards=4, fillfactor=0.7,
+    warm_passes=2,
+)
+"""The benchmark's repeated ``tuned`` fill-0.7 pass on a pool that holds
+the index: committed inserts touch the leaves before every pass, so the
+swept pass allocates ids whose previous incarnation is still resident
+with a logged change no write has stored — ``BufferPool.new_page`` drops
+those frames, and the crash that follows loses what they carried."""
+
+
+def test_recycling_pass_sweep_strided():
+    """Crash the recycling pass at every fifth syncpoint firing: recover,
+    ``verify()``, contents equal the model, resume under the floor check."""
+    harness = CrashScheduleHarness(**RECYCLING)
+    schedules = harness.enumerate_schedules(include_faults=False)
+    report = harness.run_sweep(schedules=schedules, stride=5)
+    assert report.crashes_simulated == report.schedules_run > 0
+    assert report.ok, _fail_report(report)
+    assert any(o.dead_images_dropped > 0 for o in report.outcomes)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", [1, 2])
+def test_recycling_pass_exhaustive_sweep(workers):
+    """Every syncpoint of the recycling pass, one worker and two."""
+    harness = CrashScheduleHarness(parallel_workers=workers, **RECYCLING)
+    schedules = harness.enumerate_schedules(include_faults=False)
+    assert len(schedules) >= 30, "schedule enumeration shrank"
+    report = harness.run_sweep(schedules=schedules)
+    assert report.ok, _fail_report(report)
+    assert report.crashes_simulated > 0
+    assert sum(o.dead_images_dropped > 0 for o in report.outcomes) > (
+        report.schedules_run // 2
+    )
+
+
 # --------------------------------------------------------- scrubber crashes
 
 

@@ -91,6 +91,29 @@ def test_non_disk_call_under_lock_is_clean():
     assert violations(src) == []
 
 
+def test_pool_flush_under_the_schedulers_condition_is_flagged():
+    # The I/O scheduler's writers and readers share ``self._cv``: a flush
+    # (or a read-ahead) issued under it holds every one of them up.
+    src = (
+        "def _writer_loop(self):\n"
+        "    with self._cv:\n"
+        "        number, ids = self._runs.popleft()\n"
+        "        self.buffer.flush_pages(ids)\n"
+        "        self.buffer.prefetch(ids[0], scan=True)\n"
+    )
+    assert len(violations(src)) == 2
+
+
+def test_pool_flush_after_the_condition_is_released_is_clean():
+    src = (
+        "def _writer_loop(self):\n"
+        "    with self._cv:\n"
+        "        number, ids = self._runs.popleft()\n"
+        "    self.buffer.flush_pages(ids)\n"
+    )
+    assert violations(src) == []
+
+
 def test_storage_tree_is_clean():
     storage = REPO_ROOT / "src" / "repro" / "storage"
     failures = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.stats.counters import Counters
 from repro.wal.file_log import FileLogManager
@@ -114,3 +115,61 @@ def test_follower_satisfied_by_unrelated_flush():
     t.join(5.0)
     assert not t.is_alive()
     assert counters.log_flushes == 1
+
+
+# ------------------------------------------- a committer that does not gather
+
+
+def test_committer_that_does_not_gather_flushes_at_once_without_a_round():
+    """The rebuild's own commit has nobody to wait for: with no round open
+    it never sleeps a window out as the leader."""
+    counters = Counters()
+    log = LogManager(counters=counters)
+    log.group_commit_window = 10.0  # absurd window: leading would hang
+    lsn = _append(log)
+    log.flush_commit(lsn, gather=False)
+    assert log.flushed_lsn > lsn
+    assert counters.log_flushes == 1
+    assert counters.log_flushes_coalesced == 0
+
+
+def test_committer_that_does_not_gather_still_rides_a_round_in_progress(
+    monkeypatch,
+):
+    """…but a leader that is gathering covers it: one physical flush,
+    one request coalesced, exactly as for any follower."""
+    import repro.wal.log as log_module
+
+    counters = Counters()
+    log = LogManager(counters=counters)
+    log.group_commit_window = 0.002
+    window_open, window_over = threading.Event(), threading.Event()
+
+    def held_window(_seconds: float) -> None:
+        window_open.set()
+        assert window_over.wait(10.0)
+
+    monkeypatch.setattr(log_module.time, "sleep", held_window)
+    first = _append(log)
+    leader = threading.Thread(target=log.flush_commit, args=(first,))
+    leader.start()
+    assert window_open.wait(10.0)
+    second = _append(log)
+    rider = threading.Thread(
+        target=log.flush_commit, args=(second,), kwargs={"gather": False}
+    )
+    rider.start()
+    deadline = time.monotonic() + 10.0
+    while True:  # until the rider has registered its target with the round
+        with log._flush_cv:
+            if log._gc_target >= second:
+                break
+        assert time.monotonic() < deadline
+    assert counters.log_flushes == 0  # it did not flush on its own
+    window_over.set()
+    leader.join(10.0)
+    rider.join(10.0)
+    assert not leader.is_alive() and not rider.is_alive()
+    assert log.flushed_lsn > second
+    assert counters.log_flushes == 1
+    assert counters.log_flushes_coalesced == 1

@@ -6,7 +6,11 @@ prefetch reads, batch flushes, dirty-eviction writes — runs with the
 shard lock *released*.  This tool turns that promise from convention into
 a static guarantee: it fails if any ``*.disk.*(...)`` call is
 syntactically nested inside a ``with <lock-ish>:`` block in the storage
-layer.
+layer.  The pool entry points the I/O scheduler's threads drive the
+device through (``*.buffer.flush_pages(...)``, ``flush_page``,
+``flush_all``, ``prefetch``) count as disk calls: its writers and readers
+share one condition variable, and a flush issued under it would park
+every one of them behind a single device call.
 
 What counts as a lock-ish ``with`` context manager:
 
@@ -60,6 +64,22 @@ def _is_disk_call(call: ast.Call) -> bool:
     return isinstance(node, ast.Name) and node.id == "disk"
 
 
+POOL_IO = frozenset({"flush_page", "flush_pages", "flush_all", "prefetch"})
+"""Buffer-pool methods the scheduler's threads reach the device through."""
+
+
+def _is_pool_io_call(call: ast.Call) -> bool:
+    """True for ``<...>.buffer.<io method>(...)`` / ``pool.<io method>(...)``."""
+    node = call.func
+    if not (isinstance(node, ast.Attribute) and node.attr in POOL_IO):
+        return False
+    owner = node.value
+    name = owner.attr if isinstance(owner, ast.Attribute) else getattr(
+        owner, "id", ""
+    )
+    return name in ("buffer", "pool")
+
+
 def _exempt_subtrees(tree: ast.AST) -> set[int]:
     """ids() of Lambda/def nodes passed as arguments to ``_io_unlocked``."""
     exempt: set[int] = set()
@@ -83,7 +103,9 @@ def _walk_flagging(
     for child in ast.iter_child_nodes(node):
         if id(child) in exempt:
             continue
-        if isinstance(child, ast.Call) and _is_disk_call(child):
+        if isinstance(child, ast.Call) and (
+            _is_disk_call(child) or _is_pool_io_call(child)
+        ):
             violations.append(
                 (
                     child.lineno,

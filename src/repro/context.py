@@ -109,7 +109,7 @@ class EngineContext:
     ``with ctx.tracer.span(...)`` uniformly or guard on ``tracer.enabled``
     on the hottest paths."""
     metrics: MetricsRegistry
-    """Histogram registry (latch wait, seam wait, WAL flush, ...); shares
+    """Histogram registry (latch wait, WAL flush, ...); shares
     the tracer's enablement — populated only when tracing is on."""
     progress: ProgressReporter
     """Live rebuild/scrub progress board; always active (posts are a few

@@ -45,21 +45,12 @@ class RebuildConfig:
     """Asynchronous I/O pipelining (:mod:`repro.storage.io_scheduler`).
     0: forces at transaction boundaries are synchronous and no read-ahead
     runs.  > 0 enables the write-behind forcer and keeps a read-ahead
-    window of ``pipeline_depth × ntasize`` leaves requested beyond each
-    segment's position (capped by what the pool's ring holds)."""
+    window of ``pipeline_depth × ntasize`` leaves requested beyond the
+    rebuild's position (capped by what the pool's ring holds)."""
     group_commit_window: float = 0.0
     """Seconds the rebuild sets as the log's group-commit window for its
     duration (0.0 leaves the log untouched: one physical flush per
     commit)."""
-    parallel_workers: int = 1
-    """Segments a full rebuild is tiled into (:mod:`repro.core.partition`),
-    each driven by the standard top-action loop under its own
-    transactions.  1 is the one-segment case of the same driver, run on
-    the calling thread; > 1 cuts the leaf chain into up to this many
-    disjoint key-range segments along level-1 separators and drives each
-    on its own thread.  Only a full rebuild is tiled; range-restricted
-    and incremental (``max_pages`` / ``resume_after``) runs are always one
-    segment."""
     ring_frames: int = 0
     """Frames of the buffer pool's probationary *rebuild ring* the rebuild
     enables for its duration (0 leaves the pool's setting untouched —
@@ -89,11 +80,6 @@ class RebuildConfig:
             raise RebuildError(
                 "group_commit_window must be >= 0, "
                 f"got {self.group_commit_window}"
-            )
-        if not 1 <= self.parallel_workers <= 64:
-            raise RebuildError(
-                f"parallel_workers must be in [1, 64], got "
-                f"{self.parallel_workers}"
             )
         if self.ring_frames < 0:
             raise RebuildError(

@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from repro.btree import keys as K
 from repro.btree import node
@@ -178,9 +178,6 @@ def copy_multipage(
     held: dict[int, Page],
     deallocated: list[int],
     stop_unit: bytes | None = None,
-    stop_before: bytes | None = None,
-    fill_pp: bool = True,
-    pp_busy_wait: "Callable[[], bool] | None" = None,
 ) -> CopyResult:
     """Run the copy phase for the run of leaves starting at ``p1_id``.
 
@@ -195,40 +192,16 @@ def copy_multipage(
     fetches them: the driver publishes ``p1_id`` to the I/O scheduler's
     read-ahead before it calls in here (:func:`level1_leaf_order` is
     where the scheduler learns which leaves come next).
-
-    The three remaining knobs serve the partitioned parallel rebuild:
-
-    * ``stop_before`` is an *exclusive* bound — the run never extends onto
-      a leaf whose first unit is >= it (a worker must not cross its
-      partition seam).  Unlike ``stop_unit`` it is checked on the next
-      leaf itself, under the latch but before locking or bitting it: the
-      leaf may be the right-hand neighbor's P1.
-    * ``fill_pp=False`` leaves PP's content untouched (budget 0) — a
-      worker starting mid-chain must not pack keys into a page the
-      left-hand worker owns the packing of.  PP is still locked, bitted,
-      and relinked as usual.
-    * ``pp_busy_wait()`` runs when PP is held by another top action,
-      *before* the default blocking instant-lock wait; returning True
-      means "I waited on the seam-handoff token, retry now", False falls
-      through to the instant lock.  This keeps a worker whose PP is the
-      left neighbor's last source page from blocking inside the lock
-      manager while the neighbor runs an entire top action.
     """
     source_bit = (
         PageFlag.SPLIT if config.split_then_shrink else PageFlag.SHRINK
     )
-    pp, p1 = _lock_pp_and_p1(
-        ctx, txn, p1_id, cleanup, held, source_bit, pp_busy_wait
-    )
+    pp, p1 = _lock_pp_and_p1(ctx, txn, p1_id, cleanup, held, source_bit)
     # The run stays pinned until given back: a small pool gets shorter
-    # top actions (this segment's share of its pins), not an exhausted pool.
-    max_run = min(
-        config.ntasize,
-        max(1, ctx.buffer.pin_room() // config.parallel_workers),
-    )
+    # top actions, not an exhausted pool.
+    max_run = min(config.ntasize, max(1, ctx.buffer.pin_room()))
     run = _extend_run(
-        ctx, txn, p1, max_run, cleanup, held, source_bit,
-        stop_unit, stop_before,
+        ctx, txn, p1, max_run, cleanup, held, source_bit, stop_unit
     )
     pp_id = pp.page_id if pp is not None else NO_PAGE
     old_ids = [leaf.page_id for leaf in run]
@@ -242,7 +215,7 @@ def copy_multipage(
     pp_low_unit = pp_rows[0] if pp_rows else None
     pp_last_unit = pp_rows[-1] if pp_rows else None
     pp_free_budget = 0
-    if pp is not None and fill_pp:
+    if pp is not None:
         # Never overflow the physical page whatever the fillfactor says.
         budget = min(capacity, max(1, int(config.fillfactor * capacity)))
         pp_free_budget = max(0, budget - pp.row_bytes)
@@ -403,29 +376,24 @@ def _acquire_page(
     bit: PageFlag,
     cleanup: list[int],
     held: dict[int, Page],
-    stop_before: bytes | None = None,
 ) -> Frozen | None:
     """Conditionally lock + bit one leaf under its X latch, read it there,
     and keep it pinned: on success the page is in ``cleanup`` and its
     pinned image in ``held``, for :func:`give_back`.
 
     Returns None, nothing taken, when the page is held by another top
-    action (foreign bit or lock), is no longer an allocated leaf, or
-    starts at or beyond ``stop_before`` (it may be the right-hand worker's
-    P1, so the seam bound is checked before anything is taken).  The bit
-    goes on before the latch drops: locked iff bitted (§6.5).  The (likely
+    action (foreign bit or lock) or is no longer an allocated leaf.  The
+    bit goes on before the latch drops: locked iff bitted (§6.5).  The (likely
     cold) read goes through the big buffers, per §6.3; a page that cannot
     be read raises — "busy" is an answer callers wait on.
     """
     if not ctx.page_manager.is_allocated(page_id):
         return None
     page = ctx.get_latched(page_id, LatchMode.X, large_io=True, scan=True)
-    rows = page.rows
     if (
         page.page_type is not PageType.LEAF
         or page.has_flag(PageFlag.SPLIT)
         or page.has_flag(PageFlag.SHRINK)
-        or (stop_before is not None and not (rows and rows[0] < stop_before))
         or not ctx.locks.try_acquire(
             txn.txn_id, LockSpace.ADDRESS, page_id, LockMode.X
         )
@@ -438,7 +406,8 @@ def _acquire_page(
     # No side entry or blocked range on a leaf nobody else holds: all
     # past the header is rows (``used_bytes`` is O(1)).
     frozen = Frozen(
-        page_id, list(rows), page.used_bytes - HEADER_SIZE, page.next_page
+        page_id, list(page.rows), page.used_bytes - HEADER_SIZE,
+        page.next_page,
     )
     ctx.latches.release(page_id)
     return frozen
@@ -485,14 +454,10 @@ def _lock_pp_and_p1(
     cleanup: list[int],
     held: dict[int, Page],
     source_bit: PageFlag,
-    pp_busy_wait: "Callable[[], bool] | None" = None,
 ) -> tuple[Frozen | None, Frozen]:
     """Lock PP then P1 — the first pages of the top action, so ``cleanup``
-    arrives empty — waiting, after giving everything back, when busy.
-
-    A busy PP first consults ``pp_busy_wait`` when given (the parallel
-    seam-handoff wait); only when it declines does the default §6.5
-    instant-lock wait run.  A PP or P1 that cannot be read raises.
+    arrives empty — waiting (the §6.5 instant-lock wait), after giving
+    everything back, when busy.  A PP or P1 that cannot be read raises.
     """
 
     def release_everything() -> None:
@@ -513,10 +478,9 @@ def _lock_pp_and_p1(
         if pp_id != NO_PAGE:
             pp = _acquire_page(ctx, txn, pp_id, PageFlag.SHRINK, cleanup, held)
             if pp is None:
-                if pp_busy_wait is None or not pp_busy_wait():
-                    ctx.locks.wait_instant(
-                        txn.txn_id, LockSpace.ADDRESS, pp_id, LockMode.S
-                    )
+                ctx.locks.wait_instant(
+                    txn.txn_id, LockSpace.ADDRESS, pp_id, LockMode.S
+                )
                 continue
             # Revalidate the chain under the lock.
             if not (
@@ -549,13 +513,11 @@ def _extend_run(
     held: dict[int, Page],
     source_bit: PageFlag,
     stop_unit: bytes | None = None,
-    stop_before: bytes | None = None,
 ) -> list[Frozen]:
     """Lock P2..Pn along the chain, each step read off the leaf just
     frozen; stop (don't wait) at the first busy or unreadable one, at
-    ``max_run`` leaves, never extend past the leaf containing
-    ``stop_unit``, and never *onto* a leaf whose first unit is >=
-    ``stop_before`` (the exclusive partition-seam bound)."""
+    ``max_run`` leaves, and never extend past the leaf containing
+    ``stop_unit``."""
     run = [p1]
     while len(run) < max_run:
         last = run[-1]
@@ -565,8 +527,7 @@ def _extend_run(
             break
         try:
             nxt = _acquire_page(
-                ctx, txn, last.next_page, source_bit, cleanup, held,
-                stop_before,
+                ctx, txn, last.next_page, source_bit, cleanup, held
             )
         except StorageError:
             break  # the next top action starts there and reports it
@@ -693,8 +654,8 @@ def _apply_copy(
     # Relink the chain around the old run.
     if pp_page is not None:
         pp_page.next_page = pp_new_next
-        # Stamped even when PP took no rows (a seam PP, a full one): an
-        # unstamped link flip could reach disk ahead of the keycopy record.
+        # Stamped even when PP took no rows (a full one): an unstamped
+        # link flip could reach disk ahead of the keycopy record.
         pp_page.page_lsn = lsn
         ctx.buffer.mark_dirty(pp_id)
         ctx.latches.release(pp_id)

@@ -35,16 +35,6 @@ bit (traversals blocked); an insert-only page gets the SPLIT bit (readers
 pass); a page being split gets SHRINK plus a SHRINK-bitted, X-locked new
 sibling.  All bits and X address locks persist to the end of the top
 action.
-
-**Parallel rebuild note.**  A rebuild tiled into several segments runs
-top actions concurrently on disjoint key ranges, so two propagations can
-be in flight at once.  They cannot deadlock against each other: every top
-action processes levels strictly bottom-up and, within a level, parent
-groups strictly left to right, so two adjacent workers can contend only
-on the single parent page that straddles their seam at each level — a
-one-resource wait, never a cycle.  The §5.5 left-sibling redirection and
-the PP-of-PP discovery both acquire strictly conditionally (try-lock, no
-wait), which keeps the claim true even across the seam.
 """
 
 from __future__ import annotations

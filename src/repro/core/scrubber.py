@@ -59,7 +59,6 @@ from repro.btree.verify import leaf_local_problems
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.syncpoints import CrashPoint
 from repro.core.config import RebuildConfig
-from repro.core.partition import repair_key_bounds
 from repro.core.supervisor import RebuildSupervisor, SupervisorConfig
 from repro.errors import (
     ChecksumError,
@@ -842,3 +841,39 @@ class Scrubber:
     def _scrub_root_leaf(self, report: ScrubReport, handled: set[int]) -> None:
         """Scrub a single-leaf tree (the root is the only page)."""
         self._scrub_one(report, handled, self.tree.root_page_id, b"", b"")
+
+
+def repair_key_bounds(
+    key_len: int, start_sep: bytes, end_sep: bytes
+) -> tuple[bytes | None, bytes | None]:
+    """Convert a separator interval ``[start_sep, end_sep)`` into the
+    ``(start_key, end_key)`` arguments of a range-scoped rebuild.
+
+    The scrubber quarantines a damaged child by the separator bounds its
+    latched parent snapshot assigns to it; this translates those
+    *unit-space prefixes* (separators are suffix-compressed) into the
+    inclusive full-length key bounds ``OnlineRebuild.run`` /
+    ``RebuildSupervisor.run`` accept, such that the rebuilt leaves cover
+    every unit in the quarantined interval:
+
+    * ``start_key`` — ``start_sep`` zero-padded: its search floor is the
+      smallest unit at/above the separator, so the start probe lands on
+      the damaged leaf itself.  An empty separator (first child) means
+      "from the beginning" → None.
+    * ``end_key`` — ``end_sep`` zero-padded minus one: its search ceiling
+      is the largest unit strictly below the separator.  An empty
+      separator (last child, parent bound unknown) means "to the end" →
+      None.
+    """
+    start_key: bytes | None = None
+    if start_sep:
+        start_key = start_sep[:key_len].ljust(key_len, b"\x00")
+    end_key: bytes | None = None
+    if end_sep:
+        padded = end_sep[:key_len].ljust(key_len, b"\x00")
+        as_int = int.from_bytes(padded, "big")
+        if as_int > 0:
+            end_key = (as_int - 1).to_bytes(key_len, "big")
+        # An all-zero end separator bounds an empty interval; leave the
+        # rebuild unbounded rather than underflow (harmlessly wider).
+    return start_key, end_key

@@ -14,24 +14,19 @@ records make that progress survive a crash — but someone still has to
   guarantee makes that sound: completed top actions were flushed and
   committed before the abort path raised), so work is never repaid.
 
-* **Watchdog.**  A monitor thread polls the rebuild's per-partition
-  heartbeats; a segment still running with no completed top action for
+* **Watchdog.**  A monitor thread polls the rebuild's heartbeat; a copy
+  loop still running with no completed top action for
   ``WATCHDOG_TIMEOUT`` seconds is failed *cleanly* — through
   :meth:`OnlineRebuild.fail`, the run's first-error-wins channel, which
-  winds every segment down at its next top-action boundary — rather than
-  left to hang the run.  (The seam-handoff wait carries its own deadline
-  from the same constant, so a worker stuck waiting on a dead left
-  neighbor also surfaces as a clean error, not a livelock.)
+  winds it down at its next top-action boundary — rather than left to
+  hang the run.
 
 * **Graceful degradation.**  The monitor watches transient-fault traffic
   (the ``io_retries`` counter — the FaultyDisk's visible error rate) and,
   when given an :class:`~repro.workload.runner.OltpStats`, the workload's
   p99 latency.  Pressure widens the rebuild's top-action sleep (shedding
-  I/O and lock traffic) instead of aborting; calm decays it back.  Across
-  *attempts* the ladder degrades harder: the retry after a failure halves
-  ``parallel_workers`` and starts from a wider sleep, and later attempts
-  fall all the way back to one segment on the calling thread.  With no
-  supervisor, none of this machinery runs.
+  I/O and lock traffic) instead of aborting; calm decays it back.  With
+  no supervisor, none of this machinery runs.
 
 Syncpoints ``rebuild.supervisor.retry`` / ``resume`` / ``gave_up`` /
 ``watchdog`` / ``throttle`` and the matching counters make every decision
@@ -42,21 +37,21 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.btree.tree import BTree
 from repro.core.config import RebuildConfig
-from repro.core.rebuild import (
-    WATCHDOG_TIMEOUT,
-    OnlineRebuild,
-    RebuildReport,
-)
+from repro.core.rebuild import OnlineRebuild, RebuildReport
 from repro.errors import (
     RebuildAbortedError,
     RebuildError,
     RebuildWatchdogError,
 )
 from repro.wal.recovery import RebuildCheckpoint
+
+WATCHDOG_TIMEOUT = 60.0
+"""Seconds without a completed top action before the watchdog fails a
+running rebuild."""
 
 
 @dataclass(frozen=True)
@@ -71,11 +66,6 @@ class SupervisorConfig:
     """Upper bound on one retry sleep."""
     watchdog_poll: float = 0.25
     """Seconds between monitor sweeps (heartbeats, error rates, latency)."""
-    degrade_workers: bool = True
-    """Ladder step: halve ``parallel_workers`` per failed attempt (the
-    second retry onwards runs one segment)."""
-    degrade_sleep: float = 0.002
-    """Ladder step: extra top-action sleep added per failed attempt."""
     storm_retry_threshold: int = 8
     """``io_retries`` counter growth per poll that counts as a transient
     fault storm (0 disables storm throttling)."""
@@ -113,14 +103,12 @@ class SupervisorReport:
     throttles: int = 0
     watchdog_trips: int = 0
     gave_up: bool = False
-    degraded_workers: int = 0
-    """Workers the final attempt ran with (vs. the configured count)."""
     final: RebuildReport | None = None
     attempt_reports: list[RebuildReport] = field(default_factory=list)
 
 
 class RebuildSupervisor:
-    """Owns one index's rebuild lifecycle: run, watch, retry, degrade.
+    """Owns one index's rebuild lifecycle: run, watch, retry, throttle.
 
     One supervisor drives one rebuild to completion (or exhaustion); it is
     not reentrant.  ``oltp_stats`` may be a live
@@ -163,10 +151,10 @@ class RebuildSupervisor:
         start_key: bytes | None = None,
         end_key: bytes | None = None,
     ) -> SupervisorReport:
-        """Drive the rebuild to completion, retrying and degrading as
-        needed.  ``resume_checkpoint`` (from :meth:`Engine.recover`)
-        resumes an interrupted rebuild's durable progress; later attempts
-        resume from whatever the failed attempt itself reported.
+        """Drive the rebuild to completion, retrying as needed.
+        ``resume_checkpoint`` (from :meth:`Engine.recover`) resumes an
+        interrupted rebuild's durable progress; later attempts resume
+        from whatever the failed attempt itself reported.
 
         ``start_key`` / ``end_key`` scope every attempt to one key range —
         the integrity scrubber's *targeted repair* dispatch (a quarantined
@@ -188,9 +176,7 @@ class RebuildSupervisor:
             if self._stopped:
                 break
             report.attempts = attempt
-            rebuild = self.rebuild = self._attempt(attempt)
-            config = rebuild.config
-            report.degraded_workers = config.parallel_workers
+            rebuild = self.rebuild = OnlineRebuild(self.tree, self.config)
             if resume_after is not None or (
                 attempt == 1 and resume_checkpoint is not None
             ):
@@ -204,11 +190,7 @@ class RebuildSupervisor:
             monitor = _Monitor(self, rebuild, report)
             monitor.start()
             attempt_span = (
-                ctx.tracer.begin(
-                    "supervisor.attempt",
-                    attempt=attempt,
-                    workers=config.parallel_workers,
-                )
+                ctx.tracer.begin("supervisor.attempt", attempt=attempt)
                 if ctx.tracer.enabled
                 else None
             )
@@ -268,33 +250,17 @@ class RebuildSupervisor:
             raise last_error
         return report
 
-    def _attempt(self, attempt: int) -> OnlineRebuild:
-        """The degradation ladder: each failed attempt runs narrower and
-        gentler — half the workers per step (serial from the third
-        attempt at the default 4), from a wider top-action sleep."""
-        config, policy = self.config, self.policy
-        steps = attempt - 1
-        if steps and policy.degrade_workers and config.parallel_workers > 1:
-            config = replace(
-                config,
-                parallel_workers=max(1, config.parallel_workers >> steps),
-            )
-        rebuild = OnlineRebuild(self.tree, config)
-        rebuild.throttle_sleep = max(0.0, policy.degrade_sleep) * steps
-        return rebuild
-
 
 class _Monitor(threading.Thread):
     """Per-attempt watchdog + pressure monitor.
 
     Sweeps every ``watchdog_poll`` seconds while the attempt runs:
 
-    * heartbeats older than ``WATCHDOG_TIMEOUT`` fail the run cleanly
+    * a heartbeat older than ``WATCHDOG_TIMEOUT`` fails the run cleanly
       (``watchdog_trips``);
     * an ``io_retries`` burst past ``storm_retry_threshold``, or an OLTP
       p99 past ``latency_budget_ms``, widens the rebuild's top-action
-      sleep by ``throttle_step`` (capped); calm sweeps decay it back
-      toward the sleep the attempt started with.
+      sleep by ``throttle_step`` (capped); calm sweeps decay it back.
     """
 
     def __init__(
@@ -309,7 +275,6 @@ class _Monitor(threading.Thread):
         self.report = report
         self._halt = threading.Event()  # NB: Thread owns a private _stop()
         self._last_retries = supervisor.ctx.counters.io_retries
-        self._baseline = rebuild.throttle_sleep  # the ladder's value
         self._tripped = False
 
     def stop(self) -> None:
@@ -328,28 +293,38 @@ class _Monitor(threading.Thread):
         supervisor, rebuild = self.supervisor, self.rebuild
         ctx, policy = supervisor.ctx, supervisor.policy
         now = time.monotonic()
-        # --- watchdog: a worker with no top-action progress is stuck.
+        # --- watchdog: a copy loop with no top-action progress is stuck
+        # (a finished run has no heartbeat).
         if not self._tripped:
-            deadline = WATCHDOG_TIMEOUT
-            for ordinal, beat in rebuild.heartbeats().items():
-                if now - beat > deadline:
+            for beat in rebuild.heartbeats().values():
+                stalled = now - beat
+                if stalled > WATCHDOG_TIMEOUT:
                     self._tripped = True
                     self.report.watchdog_trips += 1
                     ctx.counters.add("watchdog_trips")
+                    index_id = supervisor.tree.index_id
+                    last = rebuild.last_report
+                    resume_unit = last.resume_unit if last else None
                     if ctx.tracer.enabled:
                         ctx.tracer.event(
-                            "supervisor.watchdog_trip", worker=ordinal
+                            "supervisor.watchdog_trip",
+                            index_id=index_id,
+                            resume_unit=resume_unit,
+                            stalled_seconds=stalled,
                         )
                     ctx.syncpoints.fire(
-                        "rebuild.supervisor.watchdog", worker=ordinal
+                        "rebuild.supervisor.watchdog",
+                        index_id=index_id,
+                        resume_unit=resume_unit,
+                        stalled_seconds=stalled,
                     )
                     rebuild.fail(
                         RebuildWatchdogError(
-                            f"worker {ordinal} made no top-action progress "
-                            f"for {deadline:.1f}s"
+                            f"rebuild of index {index_id} made no top-action "
+                            f"progress for {stalled:.1f}s (last resume_unit "
+                            f"{resume_unit!r})"
                         )
                     )
-                    break
         # --- pressure: transient-fault storms and OLTP latency breaches.
         retries = ctx.counters.io_retries
         burst = retries - self._last_retries
@@ -366,11 +341,10 @@ class _Monitor(threading.Thread):
             pressured = (
                 pcts is not None and pcts["p99"] > policy.latency_budget_ms
             )
-        baseline = self._baseline
         if pressured:
             widened = min(
                 policy.throttle_cap,
-                max(rebuild.throttle_sleep, baseline) + policy.throttle_step,
+                rebuild.throttle_sleep + policy.throttle_step,
             )
             if widened > rebuild.throttle_sleep:
                 rebuild.throttle_sleep = widened
@@ -383,8 +357,8 @@ class _Monitor(threading.Thread):
                 ctx.syncpoints.fire(
                     "rebuild.supervisor.throttle", sleep=widened, burst=burst
                 )
-        elif rebuild.throttle_sleep > baseline:
-            # Calm: decay toward the attempt's baseline.
+        elif rebuild.throttle_sleep > 0.0:
+            # Calm: decay back.
             rebuild.throttle_sleep = max(
-                baseline, rebuild.throttle_sleep - policy.throttle_step
+                0.0, rebuild.throttle_sleep - policy.throttle_step
             )

@@ -132,9 +132,8 @@ class Engine:
     def progress(self):  # noqa: ANN201
         """Live rebuild/scrub progress: a
         :class:`~repro.obs.progress.ProgressSnapshot` with phase, units
-        copied (monotonic within an epoch), total estimate, per-worker
-        breakdown, ETA, and scrub pass state.  Always available — the
-        reporter runs whether or not tracing is on."""
+        copied (monotonic within an epoch) and scrub pass state.  Always
+        available — the reporter runs whether or not tracing is on."""
         return self.ctx.progress.snapshot()
 
     # ---------------------------------------------------------------- catalog

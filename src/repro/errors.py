@@ -185,6 +185,6 @@ class RebuildAbortedError(RebuildError):
 
 
 class RebuildWatchdogError(RebuildError):
-    """A rebuild worker made no top-action progress past the watchdog
-    deadline (``repro.core.rebuild.WATCHDOG_TIMEOUT``) and was failed cleanly
-    by the supervisor instead of being left to hang."""
+    """A rebuild made no top-action progress past the watchdog deadline
+    (``repro.core.supervisor.WATCHDOG_TIMEOUT``) and was failed cleanly by
+    the supervisor instead of being left to hang."""

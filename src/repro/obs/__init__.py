@@ -9,7 +9,7 @@ this package answers *when*, *how long*, and *how far along*:
   misses, per-OLTP-op) so background-work interference with foreground
   latency can be read straight off overlapping span timestamps;
 * :mod:`repro.obs.metrics` — an HDR-style log-bucketed histogram
-  registry (latch wait, seam wait, WAL flush, scrub pause, per-op OLTP
+  registry (latch wait, WAL flush, scrub pause, per-op OLTP
   latency) with Prometheus-text and JSON exporters that fold in the
   sharded counters;
 * :mod:`repro.obs.progress` — a live :class:`ProgressReporter` fed by

@@ -86,10 +86,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     OnlineRebuild(index, RebuildConfig(ntasize=8, xactsize=16)).run()
     snap = engine.progress()
     print(format_forest(engine.tracer.forest()))
-    print(
-        f"\nprogress: phase={snap.phase} units={snap.units_copied}"
-        f"/{snap.units_total}"
-    )
+    print(f"\nprogress: phase={snap.phase} units={snap.units_copied}")
     if args.json:
         engine.tracer.export_jsonl(args.json)
         print(f"spans written to {args.json}")

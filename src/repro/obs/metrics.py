@@ -2,7 +2,7 @@
 
 The engine's :class:`~repro.stats.counters.Counters` record *how many*;
 histograms record *how long*.  One :class:`Histogram` covers one latency
-class (``latch_wait_seconds``, ``wal_flush_seconds``, ``seam_wait_seconds``,
+class (``latch_wait_seconds``, ``wal_flush_seconds``,
 ``scrub_pause_seconds``, ``oltp_op_seconds{op=...}``) with 64 power-of-two
 buckets over microseconds — bucket ``i`` holds samples whose value in µs
 has ``bit_length() == i``, i.e. ``[2**(i-1), 2**i)`` µs.  That gives
@@ -278,7 +278,6 @@ def parse_prometheus(text: str) -> dict[str, float]:
 # Canonical histogram names threaded through the engine — keep in sync
 # with docs/observability.md.
 LATCH_WAIT = "latch_wait_seconds"
-SEAM_WAIT = "seam_wait_seconds"
 WAL_FLUSH = "wal_flush_seconds"
 GROUP_COMMIT_WAIT = "group_commit_wait_seconds"
 SCRUB_PAUSE = "scrub_pause_seconds"

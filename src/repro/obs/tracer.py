@@ -3,8 +3,7 @@
 A :class:`Span` is one timed region of engine work ("rebuild.top_action",
 "wal.flush", "oltp.insert").  Spans form a forest: each carries the id of
 the span that was *current on its thread* when it started (or an explicit
-cross-thread parent — a rebuild worker parents its spans under the
-driver's root span).  Timestamps come from one ``time.monotonic`` clock,
+cross-thread parent).  Timestamps come from one ``time.monotonic`` clock,
 so spans from different threads can be correlated purely by overlap —
 which is exactly how OLTP interference with a concurrent rebuild is read.
 
@@ -228,7 +227,7 @@ class Tracer:
         parent: "Span | int | None" = None,
         **attrs: object,
     ) -> _SpanHandle:
-        """``with tracer.span("rebuild.top_action", worker=0): ...``"""
+        """``with tracer.span("rebuild.top_action"): ...``"""
         return _SpanHandle(self, self.begin(name, parent=parent, **attrs))
 
     def event(
@@ -238,7 +237,7 @@ class Tracer:
         **attrs: object,
     ) -> Span:
         """A zero-duration span (a point-in-time marker, e.g. a watchdog
-        trip or a seam release)."""
+        trip)."""
         span = self.begin(name, parent=parent, **attrs)
         self.finish(span)
         return span

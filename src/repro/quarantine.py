@@ -272,7 +272,6 @@ def _record(
         type=RecordType.QUARANTINE,
         index_id=index_id,
         epoch=epoch,
-        partition=0,
         progress_state=state,
         start_unit=start_unit,
         last_unit=end_unit,

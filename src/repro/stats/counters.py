@@ -93,18 +93,13 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "rebuild_transactions",
     "leaf_pages_rebuilt",
     "new_pages_allocated",
-    # Partitioned parallel rebuild (core/partition.py, core/rebuild.py).
-    "partition_planner_leaves",  # leaves walked by the partition planner
-    "partition_segments",        # segments of a freshly planned tiling
-    "partition_seam_waits",      # waits on a left neighbor's completion token
     # Crash-resumable rebuild + supervision (wal/records.py, core/supervisor.py).
     "rebuild_progress_records",  # durable REBUILD_PROGRESS records appended
-    "seam_wait_timeouts",        # seam waits abandoned at the watchdog deadline
     "supervisor_retries",        # rebuild attempts retried after an abort
     "supervisor_resumes",        # retries that resumed from durable/reported progress
     "supervisor_gave_up",        # supervisors that exhausted their attempt budget
     "supervisor_throttles",      # degradation actions (sleep widened / paused)
-    "watchdog_trips",            # workers failed for a stale heartbeat
+    "watchdog_trips",            # rebuilds failed for a stale heartbeat
     # Online integrity scrubber + quarantine (core/scrubber.py, PR 9).
     "scrub_passes",              # full leaf-chain scrub passes completed
     "scrub_pages_checked",       # leaf pages verified (CRC + local invariants)

@@ -1018,15 +1018,15 @@ class BufferPool:
 
     def readahead_room(self) -> int:
         """Pool-wide bound on speculative frames: what the I/O scheduler
-        sizes its read-ahead windows from (divided by the number of
-        consumers).  A window beyond it is read only to be evicted
-        unconsumed (``prefetch_unused``) and read again."""
+        sizes its read-ahead window from.  A window beyond it is read
+        only to be evicted unconsumed (``prefetch_unused``) and read
+        again."""
         return sum(self._window_frames(shard) for shard in self._shards)
 
     def pin_room(self) -> int:
-        """Pool-wide bound on frames the rebuild's segments may together
-        keep pinned across their top actions (the locked source leaves): a
-        quarter of every shard's slice.  The rest is for what a top action
+        """Pool-wide bound on frames the rebuild may keep pinned across a
+        top action (the locked source leaves): a quarter of every shard's
+        slice.  The rest is for what a top action
         pins on top of them — targets, PP, the propagation path — and for
         everyone else's fetches."""
         return sum(shard.capacity // 4 for shard in self._shards)

@@ -4,14 +4,13 @@ The paper's wins come from amortizing per-page costs across batches —
 multipage top actions (§4.3) and large-buffer I/O (§6.3).  This module
 applies the same batching idea along the *time* axis:
 
-* **Read-ahead.**  Per consumer (each segment the rebuild drives) the
-  scheduler tracks a *position* in leaf order and keeps a
-  window of leaves beyond it requested: ``window`` leaves
-  (``pipeline_depth × ntasize``), capped by the room the pool reports for
-  speculative frames (:meth:`BufferPool.readahead_room`) divided by the
-  number of consumers — a window the ring cannot hold is read only to be
-  evicted unconsumed and read again.  The copy loop publishes its position
-  *before* it reads a run (:meth:`IOScheduler.advance`); that only moves
+* **Read-ahead.**  The scheduler tracks the rebuild's *position* in leaf
+  order and keeps a window of leaves beyond it requested: ``window``
+  leaves (``pipeline_depth × ntasize``), capped by the room the pool
+  reports for speculative frames (:meth:`BufferPool.readahead_room`) — a
+  window the ring cannot hold is read only to be evicted unconsumed and
+  read again.  The copy loop publishes its position *before* it reads a
+  run (:meth:`IOScheduler.advance`); that only moves
   the position within the order the scheduler already knows — nothing is
   re-walked.  The order itself comes from the **level-1 child entries**
   (``leaf_order``, supplied by the rebuild: S-latch, copy the child ids,
@@ -109,14 +108,8 @@ when the order cannot be read right now."""
 
 
 class CompletionToken:
-    """Handle for one completion another thread waits on.
-
-    The write-behind forcer hands one out per barrier; the partitioned
-    parallel rebuild also uses free-standing tokens for its seam-handoff
-    protocol (a worker :meth:`complete`\\ s its token when its segment is
-    done, and the right-hand neighbor waits on it before contending for
-    the seam page).
-    """
+    """Handle for one completion another thread waits on: the
+    write-behind forcer hands one out per barrier."""
 
     __slots__ = ("_event", "_error")
 
@@ -135,12 +128,6 @@ class CompletionToken:
     @property
     def done(self) -> bool:
         return self._event.is_set() and self._error is None
-
-    def wait_done(self, timeout: float) -> bool:
-        """Bounded wait that reports completion instead of raising — the
-        seam-handoff waiter polls this so it can keep checking for a
-        worker-pool stop signal between waits."""
-        return self._event.wait(timeout) and self._error is None
 
     def wait(self, timeout: float = _FORCE_TIMEOUT) -> None:
         """Block until the barrier's pages are durable.
@@ -177,10 +164,10 @@ class _Barrier:
 
 
 class _Window:
-    """One consumer's read-ahead state; every field is guarded by the
-    scheduler's condition.
+    """The read-ahead state; every field is guarded by the scheduler's
+    condition.
 
-    ``order`` is the known leaf order from the consumer's position on
+    ``order`` is the known leaf order from the rebuild's position on
     (``order[0]`` is the leaf it reads next, never absent) and ``issued``
     how many of its leading entries have been handed to a reader.
     ``resume`` is the unit at which the next level-1 read continues the
@@ -209,7 +196,7 @@ class _Window:
         self.end = False  # ``order`` reaches the end of the leaf chain
         # The last extension learned nothing (the tail's successor is
         # behind a read in flight or a refusal): wait for a read to
-        # finish or the consumer to move instead of spinning.
+        # finish or the position to move instead of spinning.
         self.stuck = False
         self.epoch += 1
 
@@ -217,20 +204,13 @@ class _Window:
 class IOScheduler:
     """Background readers (read-ahead) + writers (write-behind) over a pool.
 
-    ``window`` is how many leaves beyond each consumer's position
-    read-ahead keeps requested, before the cap by the pool's room shared
-    among ``consumers`` (see the module docstring); ``leaf_order`` is
-    where the order of upcoming leaves comes from (``None``: only the
-    ``next_page`` walk).  Write
+    ``window`` is how many leaves beyond the rebuild's position
+    read-ahead keeps requested, before the cap by the pool's room (see
+    the module docstring); ``leaf_order`` is where the order of upcoming
+    leaves comes from (``None``: only the ``next_page`` walk).  Write
     submissions are never dropped (they carry durability obligations);
     the writers take them off one queue a run at a time, so runs become
     durable in any order and only a barrier says "all of these".
-
-    One scheduler may serve several rebuild workers at once: each is one
-    read-ahead consumer with its own window, and on the write side a
-    barrier makes durable *everything* queued before it, which is a
-    superset of the §3 obligation each worker needs for its own
-    transaction.
     """
 
     def __init__(
@@ -238,18 +218,14 @@ class IOScheduler:
         buffer: BufferPool,
         counters: Counters | None = None,
         window: int = 1,
-        consumers: int = 1,
         leaf_order: LeafOrder | None = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        if window < 1 or consumers < 1:
-            raise IOSchedulerError(
-                "io scheduler window and consumers must be >= 1"
-            )
+        if window < 1:
+            raise IOSchedulerError("io scheduler window must be >= 1")
         self.buffer = buffer
         self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.window = window
-        self.consumers = consumers
         self.tracer = tracer
         self._leaf_order = leaf_order
         self._cv = threading.Condition()
@@ -261,9 +237,9 @@ class IOScheduler:
         self._in_device = 0
         self._barriers: list[_Barrier] = []
         self._tail: list[int] = []  # retained trailing partial physical run
-        self._windows: dict[int, _Window] = {}  # consumer -> read-ahead state
+        self._window: _Window | None = None  # set by the first advance
         self._reading: set[int] = set()  # aligned runs a reader has claimed
-        # Bumped whenever a read or a walk ends or a consumer moves: an
+        # Bumped whenever a read or a walk ends or the position moves: an
         # extension that learned nothing parks its window (``stuck``) only
         # if none of that happened while it was looking.
         self._news = 0
@@ -389,10 +365,8 @@ class IOScheduler:
 
     # -------------------------------------------------------------- read-ahead
 
-    def advance(
-        self, consumer: int, leaf: int, unit: bytes | None = None
-    ) -> None:
-        """Hint: ``consumer`` reads ``leaf`` next (``unit`` is a key unit
+    def advance(self, leaf: int, unit: bytes | None = None) -> None:
+        """Hint: the rebuild reads ``leaf`` next (``unit`` is a key unit
         in its range, ``None`` when the caller has none).
 
         Call *before* reading the run that starts at ``leaf``.  Within the
@@ -406,9 +380,9 @@ class IOScheduler:
         with self._cv:
             if self._stop or self._killed:
                 return
-            w = self._windows.get(consumer)
+            w = self._window
             if w is None:
-                w = self._windows[consumer] = _Window(leaf, unit)
+                w = self._window = _Window(leaf, unit)
             try:
                 at = w.order.index(leaf)
             except ValueError:
@@ -422,7 +396,7 @@ class IOScheduler:
             self._cv.notify_all()
 
     def wait_readahead(self, timeout: float = _FORCE_TIMEOUT) -> bool:
-        """Block until read-ahead has nothing left to do — every window
+        """Block until read-ahead has nothing left to do — the window
         requested up to its cap (or the end of the chain) and no read in
         the device.  The read side's counterpart of :meth:`drain`, for
         tests and measurements; returns False on timeout."""
@@ -430,18 +404,19 @@ class IOScheduler:
             return self._cv.wait_for(self._readahead_idle, timeout)
 
     def _window_cap(self) -> tuple[int, int]:
-        """(leaves per consumer a window may hold, the pool's room)."""
+        """(leaves the window may hold, the pool's room)."""
         room = self.buffer.readahead_room()
-        return max(1, min(self.window, room // self.consumers)), room
+        return max(1, min(self.window, room)), room
 
     def _readahead_idle(self) -> bool:
-        if self._reading or any(w.busy for w in self._windows.values()):
+        w = self._window
+        if w is None:
+            return not self._reading
+        if self._reading or w.busy:
             return False
         cap = self._window_cap()[0]
-        return all(
-            w.issued >= min(cap, len(w.order))
-            and (w.issued >= cap or w.end or w.stuck)
-            for w in self._windows.values()
+        return w.issued >= min(cap, len(w.order)) and (
+            w.issued >= cap or w.end or w.stuck
         )
 
     # ----------------------------------------------------------- writer loops
@@ -549,50 +524,45 @@ class IOScheduler:
 
     # ----------------------------------------------------------- reader loops
 
-    def _claim(
-        self, cap: int
-    ) -> tuple[int, _Window, int | None, list[int] | tuple] | None:
+    def _claim(self, cap: int) -> tuple[int | None, list[int] | tuple] | None:
         """Next piece of read-ahead work (condition held), or ``None``.
 
-        Either ``(consumer, window, run, leaves)`` — the unrequested
-        leaves of one aligned run, now this reader's to request — or
-        ``(consumer, window, None, extension)`` when a window's known
-        order ends short of its cap and must be extended first.  The
-        consumer with the least requested goes first: it is the one
-        closest to stalling.
+        Either ``(run, leaves)`` — the unrequested leaves of one aligned
+        run, now this reader's to request — or ``(None, extension)`` when
+        the window's known order ends short of its cap and must be
+        extended first.
         """
+        w = self._window
+        if w is None:
+            return None
         ppio = self.buffer.disk.pages_per_io
-        for consumer, w in sorted(
-            self._windows.items(), key=lambda cw: cw[1].issued
-        ):
-            order = w.order
-            known = min(cap, len(order))
-            if w.issued < known:
-                first = w.issued
-                run = (order[first] - 1) // ppio
-                if run in self._reading:
-                    # Another reader is on this run (a chain that comes
-                    # back to it): whether it read it or found it cached
-                    # is known when it is done, which wakes this one.
-                    continue
+        order = w.order
+        known = min(cap, len(order))
+        if w.issued < known:
+            first = w.issued
+            run = (order[first] - 1) // ppio
+            if run in self._reading:
+                # Another reader is on this run (a chain that comes
+                # back to it): whether it read it or found it cached
+                # is known when it is done, which wakes this one.
+                return None
+            w.issued += 1
+            while w.issued < known and (order[w.issued] - 1) // ppio == run:
                 w.issued += 1
-                while w.issued < known and (order[w.issued] - 1) // ppio == run:
-                    w.issued += 1
-                self._reading.add(run)
-                leaves = [order[i] for i in range(first, w.issued)]
-                return consumer, w, run, leaves
-            if (
-                w.issued == len(order)
-                and w.issued < cap
-                and not (w.end or w.busy or w.stuck)
-            ):
-                w.busy = True
-                # A re-anchoring read starts at the position, so it has
-                # the requested part of the window to get past first.
-                count = cap if w.resume is None else cap - w.issued
-                return consumer, w, None, (
-                    w.epoch, self._news, w.resume, w.unit, order[-1], count,
-                )
+            self._reading.add(run)
+            return run, [order[i] for i in range(first, w.issued)]
+        if (
+            w.issued == len(order)
+            and w.issued < cap
+            and not (w.end or w.busy or w.stuck)
+        ):
+            w.busy = True
+            # A re-anchoring read starts at the position, so it has
+            # the requested part of the window to get past first.
+            count = cap if w.resume is None else cap - w.issued
+            return None, (
+                w.epoch, self._news, w.resume, w.unit, order[-1], count,
+            )
         return None
 
     def _request(self, leaves: list[int]) -> str:
@@ -657,17 +627,13 @@ class IOScheduler:
                     if span is not None:
                         tracer.finish(span)
                     return
-            consumer, w, run, arg = work
-            if tracer.enabled and (
-                span is None or span.attrs["consumer"] != consumer
-            ):
-                # One span per stretch of work for one consumer.
-                if span is not None:
-                    tracer.finish(span)
+            run, arg = work
+            w = self._window
+            if tracer.enabled and span is None:
+                # One span per stretch of work.
                 span = tracer.begin(
-                    "iosched.readahead", consumer=consumer, requested=0,
-                    skipped_resident=0, skipped_inflight=0, window=cap,
-                    room=room,
+                    "iosched.readahead", requested=0, skipped_resident=0,
+                    skipped_inflight=0, window=cap, room=room,
                 )
             grown = None
             try:
@@ -684,8 +650,7 @@ class IOScheduler:
                 self.counters.add("prefetch_errors")
             finally:
                 with self._cv:
-                    for other in self._windows.values():
-                        other.stuck = False
+                    w.stuck = False
                     if run is not None:
                         self._reading.discard(run)
                     else:

@@ -27,22 +27,11 @@ The OLTP ops run from a ``rebuild.txn_committed`` hook on the rebuild
 thread itself — between rebuild transactions, when no rebuild locks are
 held — which keeps every run bit-deterministic while still interleaving
 user writes with the rebuild the way §6.2 does.
-
-**Parallel mode** (``parallel_workers > 1``) crashes a tiled rebuild
-instead, covering the ``rebuild.partition.*`` syncpoints with a seam
-between workers.  Thread interleaving makes replay ordinals *approximate*
-rather than exact: the nth firing of a syncpoint may land in a different
-worker than during enumeration, and a firing count that comes up short
-simply yields a clean (uncrashed) run.  The correctness check is
-unaffected either way — ``expected`` tracks exactly the ops that
-completed (under a lock) before whatever crash actually happened, so
-verification is sound for every interleaving the replay produces.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 
 from repro.concurrency.syncpoints import CrashPoint
@@ -149,7 +138,6 @@ class CrashScheduleHarness:
         io_size: int = 8192,
         finish_after_recovery: bool = False,
         resume_after_recovery: bool = False,
-        parallel_workers: int = 1,
         pipeline_depth: int = 0,
         ring_frames: int = 0,
         pool_shards: int = 1,
@@ -174,9 +162,6 @@ class CrashScheduleHarness:
         ``REBUILD_PROGRESS`` checkpoint, and a ``rebuild.nta_end`` hook
         asserts that no top action re-copies a unit at or below the
         durable progress key — the PR 7 no-repaid-work guarantee."""
-        self.parallel_workers = parallel_workers
-        """> 1 crashes the partitioned parallel rebuild (see the module
-        docstring on approximate replay ordinals under threads)."""
         self.pipeline_depth = pipeline_depth
         self.ring_frames = ring_frames
         self.pool_shards = pool_shards
@@ -184,8 +169,12 @@ class CrashScheduleHarness:
         threads, scan ring, striped pool).  With a ``buffer_capacity``
         well under the leaf count they put eviction's run writes and
         :meth:`BufferPool.retire_page` on every schedule's path; the
-        I/O threads make disk-call ordinals approximate, like
-        ``parallel_workers`` does."""
+        I/O threads make disk-call ordinals approximate: the nth call may
+        come from another thread than during enumeration, and a count
+        that comes up short simply yields a clean (uncrashed) run.  The
+        correctness check is unaffected either way — ``expected`` tracks
+        exactly the ops that completed before whatever crash actually
+        happened."""
         self.fillfactor = fillfactor
         self.warm_passes = warm_passes
         """Complete passes run before the one that is swept, each (and the
@@ -209,7 +198,6 @@ class CrashScheduleHarness:
             # Default 0 for determinism: no background I/O threads.
             pipeline_depth=self.pipeline_depth,
             ring_frames=self.ring_frames,
-            parallel_workers=self.parallel_workers,
             fillfactor=self.fillfactor,
         )
 
@@ -218,11 +206,7 @@ class CrashScheduleHarness:
         (engine, tree, expected-key-set)."""
         engine = Engine(
             buffer_capacity=self.buffer_capacity,
-            # Parallel runs keep the timeout short: after a simulated power
-            # failure in one worker, a peer blocked on the dead worker's
-            # locks must fall out of its wait quickly instead of stretching
-            # every crash schedule by a full serial-length timeout.
-            lock_timeout=15.0 if self.parallel_workers <= 1 else 5.0,
+            lock_timeout=15.0,
             io_size=self.io_size,
             fault_plan=plan,
             # The one retry budget (the pool's): an armed transient fault
@@ -268,26 +252,20 @@ class CrashScheduleHarness:
         fresh = {"next": self.key_count}
         deletable = sorted(expected)
         applied: list[tuple[str, int]] = []
-        # Parallel rebuilds fire txn_committed from several worker threads;
-        # the hook's shared state (rng, expected, applied) is serialized
-        # here.  `expected` is updated only after the op returns, so at a
-        # crash it holds exactly the committed logical state.
-        hook_lock = threading.Lock()
 
         def ops(_ctx: dict) -> None:
-            with hook_lock:
-                for _ in range(self.oltp_ops_per_boundary):
-                    if rng.random() < 0.5 or not deletable:
-                        k = fresh["next"]
-                        fresh["next"] += 1
-                        tree.insert(_key(k), k)
-                        expected.add(k)
-                        applied.append(("insert", k))
-                    else:
-                        k = deletable.pop(rng.randrange(len(deletable)))
-                        tree.delete(_key(k), k)
-                        expected.discard(k)
-                        applied.append(("delete", k))
+            for _ in range(self.oltp_ops_per_boundary):
+                if rng.random() < 0.5 or not deletable:
+                    k = fresh["next"]
+                    fresh["next"] += 1
+                    tree.insert(_key(k), k)
+                    expected.add(k)
+                    applied.append(("insert", k))
+                else:
+                    k = deletable.pop(rng.randrange(len(deletable)))
+                    tree.delete(_key(k), k)
+                    expected.discard(k)
+                    applied.append(("delete", k))
 
         engine.syncpoints.on("rebuild.txn_committed", ops)
         return applied
@@ -397,13 +375,10 @@ class CrashScheduleHarness:
         applied = self._attach_oltp(engine, tree, expected)
         if schedule.kind == "syncpoint":
             seen = {"n": 0}
-            seen_lock = threading.Lock()
 
             def boom(_ctx: dict) -> None:
-                with seen_lock:
-                    seen["n"] += 1
-                    fire = seen["n"] == schedule.nth
-                if fire:
+                seen["n"] += 1
+                if seen["n"] == schedule.nth:
                     raise CrashPoint(schedule.point)
 
             # Register the crash hook *before* the OLTP hook fires for the

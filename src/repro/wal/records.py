@@ -25,10 +25,11 @@ NTA_BEGIN / NTA_END  nested-top-action brackets; NTA_END is the dummy CLR
                      whose undo_next jumps over the completed action
 CLR                  compensation record written during rollback
 CHECKPOINT           page-manager snapshot + tree root (JSON)
-REBUILD_PROGRESS     rebuild epoch + partition ordinal + state + segment
-                     start key + last durably copied unit; appended
-                     standalone (txn id 0) just before each rebuild batch
-                     commit so the commit's flush makes it durable for free
+REBUILD_PROGRESS     rebuild epoch + state + last durably copied unit (the
+                     ordinal word and the start key of the payload are
+                     written 0 / empty); appended standalone (txn id 0)
+                     just before each rebuild batch commit so the
+                     commit's flush makes it durable for free
 QUARANTINE           scrub epoch + set/lift state + quarantined unit range
                      (same payload shape as REBUILD_PROGRESS); appended
                      standalone (txn id 0) and flushed at set time so a
@@ -122,12 +123,10 @@ class RecordType(enum.IntEnum):
 _KNOWN_TYPES = frozenset(int(t) for t in RecordType)
 
 PROGRESS_RUNNING = 0
-"""``REBUILD_PROGRESS`` state: units in ``(start_unit, last_unit]`` of this
-partition are durably copied (the record is appended just before the batch
-transaction's commit, after the §3 force, so prefix durability covers every
-NTA_END it summarizes)."""
-PROGRESS_SEGMENT_DONE = 1
-"""``REBUILD_PROGRESS`` state: this partition's whole segment is copied."""
+"""``REBUILD_PROGRESS`` state: every unit up to ``last_unit`` is durably
+copied (the record is appended just before the batch transaction's commit,
+after the §3 force, so prefix durability covers every NTA_END it
+summarizes)."""
 PROGRESS_COMPLETE = 2
 """``REBUILD_PROGRESS`` state: the entire rebuild finished — recovery must
 not resume anything from this epoch."""
@@ -219,15 +218,13 @@ class LogRecord:
     epoch: int = 0
     """Rebuild epoch (the log's next LSN when the run started — unique and
     monotone even across crashes); recovery keeps only the highest."""
-    partition: int = 0
-    """Partition ordinal (0 for serial runs)."""
     progress_state: int = 0
-    """One of PROGRESS_RUNNING / PROGRESS_SEGMENT_DONE / PROGRESS_COMPLETE."""
+    """PROGRESS_RUNNING or PROGRESS_COMPLETE."""
     start_unit: bytes = b""
-    """First key this partition's coverage starts *after* (b"" = the very
-    beginning of the index — units are never empty)."""
+    """``QUARANTINE`` only: where the quarantined range starts."""
     last_unit: bytes = b""
-    """Highest unit durably copied by this partition so far."""
+    """Highest unit durably copied so far (``QUARANTINE``: where the
+    quarantined range ends)."""
     resolved_undone: "LogRecord | None" = None
     """Transient (never serialized): during recovery, the decoded record a
     CLR compensates, resolved from ``undone_lsn`` by the recovery driver."""
@@ -273,7 +270,6 @@ class LogRecord:
         rec.payload_json = None
         rec.undone_lsn = 0
         rec.epoch = 0
-        rec.partition = 0
         rec.progress_state = 0
         rec.start_unit = b""
         rec.last_unit = b""
@@ -400,12 +396,13 @@ class LogRecord:
             # QUARANTINE reuses the progress payload shape: epoch is the
             # scrub epoch, progress_state is QUARANTINE_SET / QUARANTINE_LIFT,
             # start_unit/last_unit bound the quarantined range and index_id
-            # (header) names the index.
+            # (header) names the index.  The 16-bit word after the epoch
+            # is reserved: written 0.
             return (
                 struct.pack(
                     "<QHBH",
                     self.epoch,
-                    self.partition,
+                    0,
                     self.progress_state,
                     len(self.start_unit),
                 )
@@ -550,10 +547,19 @@ class LogRecord:
         elif t in (RecordType.REBUILD_PROGRESS, RecordType.QUARANTINE):
             (
                 self.epoch,
-                self.partition,
+                reserved,
                 self.progress_state,
                 slen,
             ) = struct.unpack_from("<QHBH", payload)
+            if t is RecordType.REBUILD_PROGRESS and (
+                reserved
+                or self.progress_state
+                not in (PROGRESS_RUNNING, PROGRESS_COMPLETE)
+            ):
+                raise ValueError(
+                    f"progress state {self.progress_state}, "
+                    f"ordinal {reserved}"
+                )
             off = 13
             self.start_unit = _cut(payload, off, slen)
             off += slen

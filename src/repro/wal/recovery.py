@@ -49,24 +49,10 @@ from repro.wal.apply import (
 from repro.wal.log import LogManager
 from repro.wal.records import (
     PROGRESS_COMPLETE,
-    PROGRESS_SEGMENT_DONE,
     QUARANTINE_SET,
     LogRecord,
     RecordType,
 )
-
-
-@dataclass
-class PartitionProgress:
-    """Durable copy progress of one rebuild partition (one worker)."""
-
-    start_unit: bytes = b""
-    """The segment's coverage starts strictly after this key (b"" = the
-    very beginning of the index)."""
-    last_unit: bytes = b""
-    """Highest unit the partition durably copied."""
-    done: bool = False
-    """The partition finished its whole segment."""
 
 
 @dataclass
@@ -79,34 +65,16 @@ class RebuildCheckpoint:
     index_id: int
     completed: bool = False
     """A ``PROGRESS_COMPLETE`` record exists: nothing to resume."""
-    partitions: dict[int, PartitionProgress] = field(default_factory=dict)
-    """Partition ordinal → its durable progress."""
+    last_unit: bytes = b""
+    """The last ``PROGRESS_RUNNING`` record's unit (b"": none yet)."""
 
     def resume_key(self) -> bytes | None:
-        """Highest key with *contiguous* durable coverage from the start
-        of the index: every unit at or below it was copied, so a serial
-        resume may pass it as ``resume_after``.  None means no usable
-        prefix (nothing durable, or partition 0 never reported).
-
-        Partitions tile the key space contiguously in ordinal order (each
-        segment's ``stop_before`` is its right neighbor's ``start_unit``),
-        so the walk extends coverage partition by partition and stops at
-        the first one that has not finished — or at a gap, an ordinal that
-        never got a durable record."""
-        if self.completed or not self.partitions:
+        """Highest durably copied unit: every unit at or below it sits in
+        a rebuilt page, so a resume may pass it as ``resume_after``.  None
+        means nothing to resume from (nothing durable, or completed)."""
+        if self.completed or not self.last_unit:
             return None
-        covered: bytes | None = None
-        for ordinal in range(max(self.partitions) + 1):
-            part = self.partitions.get(ordinal)
-            if part is None:
-                return covered  # gap: a worker never reported
-            if ordinal == 0 and part.start_unit != b"":
-                return None  # coverage does not reach the beginning
-            if part.last_unit and (covered is None or part.last_unit > covered):
-                covered = part.last_unit
-            if not part.done:
-                return covered
-        return covered
+        return self.last_unit
 
 
 @dataclass
@@ -308,17 +276,8 @@ class RecoveryManager:
             return  # superseded rebuild
         if rec.progress_state == PROGRESS_COMPLETE:
             ckpt.completed = True
-            ckpt.partitions.clear()
-            return
-        part = ckpt.partitions.get(rec.partition)
-        if part is None:
-            part = ckpt.partitions[rec.partition] = PartitionProgress(
-                start_unit=rec.start_unit
-            )
-        if rec.last_unit and rec.last_unit > part.last_unit:
-            part.last_unit = rec.last_unit
-        if rec.progress_state == PROGRESS_SEGMENT_DONE:
-            part.done = True
+        else:
+            ckpt.last_unit = rec.last_unit
 
     # ------------------------------------------------------------------- redo
 

@@ -4,7 +4,7 @@ The locking visit of a source leaf (``_acquire_page``: X latch, address
 lock, bit) is also the read, and the leaf stays pinned until the clearing
 visit (``give_back``).  What that must not cost: a pin left behind on any
 way out of a top action, an aborted rebuild on a pool too small to hold a
-whole ``ntasize`` run, a worker that spins on a page it cannot read, or
+whole ``ntasize`` run, a rebuild that spins on a page it cannot read, or
 one that runs on after the power failed under a fetch.
 """
 
@@ -16,7 +16,6 @@ from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import CrashPoint
 from repro.core.copy_phase import copy_multipage, give_back
-from repro.core.partition import plan_partitions
 from repro.errors import ChecksumError, RebuildAbortedError
 from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
 from repro.storage.page_manager import ChunkAllocator
@@ -51,7 +50,7 @@ def _crash_on_next_read(engine):
         )
 
 
-def _copy_phase(engine, index, p1, config=SMALL, **seam):
+def _copy_phase(engine, index, p1, config=SMALL):
     """The copy phase of one top action, as the driver calls it; returns
     what it took (``cleanup``, ``held``) next to the result or the error."""
     ctx = engine.ctx
@@ -61,7 +60,7 @@ def _copy_phase(engine, index, p1, config=SMALL, **seam):
     chunk = ChunkAllocator(ctx.page_manager)
     try:
         taken["result"] = copy_multipage(
-            ctx, index, txn, config, chunk, p1, cleanup, held, [], **seam
+            ctx, index, txn, config, chunk, p1, cleanup, held, []
         )
     except BaseException as exc:  # noqa: BLE001 - handed to the test
         taken["error"] = exc
@@ -155,11 +154,10 @@ def test_a_top_action_that_raises_in_propagation_leaves_no_pin():
         (
             64,
             {"pool_shards": 4},
-            dict(parallel_workers=2, pipeline_depth=4,
-                 group_commit_window=0.002, ring_frames=16),
+            dict(pipeline_depth=4, group_commit_window=0.002, ring_frames=16),
         ),
     ],
-    ids=["24", "40", "64", "64-tuned-2-workers"],
+    ids=["24", "40", "64", "64-tuned"],
 )
 def test_a_small_pool_gets_shorter_top_actions_not_an_abort(
     frames, engine_kwargs, extra
@@ -172,8 +170,7 @@ def test_a_small_pool_gets_shorter_top_actions_not_an_abort(
     index = engine.create_index(key_len=4)
     make_half_empty(index, 6000)
     expected = contents_as_ints(index)
-    workers = extra.get("parallel_workers", 1)
-    bound = engine.buffer.pin_room() // workers
+    bound = engine.buffer.pin_room()
     assert 1 <= bound < 32
     runs = []
     engine.syncpoints.on(
@@ -258,33 +255,18 @@ def test_a_rotted_source_leaf_ends_the_run_through_the_one_channel(which):
 # ------------------------------------------- a power failure under a fetch
 
 
-def test_a_power_failure_on_the_seam_leaf_is_not_the_end_of_the_segment():
-    """The leaf past the run is looked at for the seam bound; the machine
-    dying under that read is not "not below the seam"."""
+def test_a_power_failure_on_the_next_leaf_is_not_the_end_of_the_run():
+    """An unreadable P_i (i > 1) ends the locking at P_i-1; the machine
+    dying under that read is not "unreadable"."""
     engine, index, leaves, _ = _cold()
     ctx = engine.ctx
     # P1 resident by a single-page read, so the next disk read is P2's.
     ctx.buffer.fetch(leaves[0])
     ctx.buffer.unpin(leaves[0])
     _crash_on_next_read(engine)
-    _txn, cleanup, _held, taken = _copy_phase(
-        engine, index, leaves[0], stop_before=b"\xff" * 10
-    )
+    _txn, cleanup, _held, taken = _copy_phase(engine, index, leaves[0])
     assert isinstance(taken.get("error"), CrashPoint), taken
     assert cleanup == [leaves[0]]  # no cleanup after a power failure
-
-
-@pytest.mark.parametrize("through_run", [False, True])
-def test_a_power_failure_under_the_planner_is_not_a_one_segment_plan(
-    through_run,
-):
-    engine, index, _leaves, _ = _cold()
-    _crash_on_next_read(engine)
-    with pytest.raises(CrashPoint):
-        if through_run:
-            OnlineRebuild(index, RebuildConfig(parallel_workers=2)).run()
-        else:
-            plan_partitions(engine.ctx, index, 2)
 
 
 def test_give_back_after_an_abort_skips_what_the_rollback_freed():

@@ -259,3 +259,40 @@ def test_a_power_failure_is_not_a_busy_page(engine, index, monkeypatch):
             )
     assert not cleanup and not held
     assert not engine.ctx.latches.held_by_me()
+
+
+def test_a_full_pp_carries_the_lsn_of_its_link_flip(engine):
+    """A PP already at the fillfactor takes no rows, but the top action
+    flips its ``next_page`` — the keycopy record's change, so PP must
+    carry that record's LSN like every target: an unstamped PP could be
+    written ahead of the log that explains where it points."""
+    tree = bulk_load(engine, [intkey(i) for i in range(3000)], 4, fill=1.0)
+    leaves = tree.verify().leaf_page_ids
+    pp_id, p1_id = leaves[4], leaves[5]
+    pool = engine.buffer
+    start_key = bytes(pool.fetch(p1_id).rows[0][:4])
+    pool.unpin(p1_id)
+    pp = pool.fetch(pp_id)
+    rows_before, lsn_before = list(pp.rows), pp.page_lsn
+    pool.unpin(pp_id)
+    seen = []
+
+    def after_top_action(ctx):
+        first = pool.fetch(ctx["new_pages"][0])
+        pp = pool.fetch(pp_id)
+        seen.append((
+            list(pp.rows), pp.next_page == first.page_id,
+            pp.page_lsn, first.page_lsn,
+        ))
+        pool.unpin(pp_id)
+        pool.unpin(first.page_id)
+
+    engine.syncpoints.on("rebuild.nta_end", after_top_action)
+    report = OnlineRebuild(tree, RebuildConfig(ntasize=4, xactsize=8)).run(
+        start_key=start_key, max_pages=4
+    )
+    assert report.top_actions == 1
+    ((rows, linked, pp_lsn, new_lsn),) = seen
+    assert rows == rows_before  # nothing packed into the full PP
+    assert linked and pp_lsn == new_lsn > lsn_before
+    tree.verify()

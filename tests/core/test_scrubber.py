@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
-from repro.core.scrubber import ScrubConfig, Scrubber
+from repro.core.scrubber import ScrubConfig, Scrubber, repair_key_bounds
 from repro.errors import QuarantinedRangeError, ScrubError
 from repro.storage.faults import FaultPlan
 
@@ -175,16 +175,50 @@ def test_ladder3_quarantine_and_targeted_rebuild():
     expected = make_half_empty(tree, 3000)
     before = contents_as_ints(tree)
     engine.checkpoint(truncate=True)  # birth records gone: replay ineligible
-    victim = tree.verify().leaf_page_ids[3]
+    leaves_before = tree.verify().leaf_page_ids
+    victim = leaves_before[3]
     assert engine.ctx.disk.plant_rot(victim, bit=700)
+    rebuilt: list[int] = []
+    engine.syncpoints.on(
+        "rebuild.nta_end", lambda ctx: rebuilt.extend(ctx["old_pages"])
+    )
     report = Scrubber(tree).run_pass()
     assert [d.kind for d in report.defects] == ["checksum"]
     assert report.defects[0].action == "repaired"
+    # The quarantined interval, from its own leaf, in one top action: at
+    # most the right-hand neighbour rides along (whole leaves; the run
+    # ends at the first leaf whose last unit reaches the end bound).
+    assert 1 <= len(rebuilt) <= 2
+    assert rebuilt == leaves_before[3:3 + len(rebuilt)]
     assert engine.counters.scrub_quarantines == 1
     assert engine.counters.scrub_quarantine_lifts == 1
     assert engine.quarantine.ranges(tree.index_id) == []
     assert contents_as_ints(tree) == before == sorted(expected)
     tree.verify()
+
+
+@pytest.mark.parametrize(
+    "start_sep, end_sep, bounds",
+    [
+        # First and last child: unbounded on that side.
+        (b"", b"", (None, None)),
+        (b"", b"\x00\x02", (None, b"\x00\x01\xff\xff")),
+        # Suffix-compressed separators are zero-padded to a key; the end
+        # key is the largest one strictly below the end separator.
+        (b"\x00\x01", b"\x00\x02", (b"\x00\x01\x00\x00", b"\x00\x01\xff\xff")),
+        # A separator that runs into the ROWID is cut at the key.
+        (
+            b"\x00\x00\x00\x05\x00\x09",
+            b"\x00\x00\x00\x09\x00\x01",
+            (b"\x00\x00\x00\x05", b"\x00\x00\x00\x08"),
+        ),
+        # An all-zero end separator bounds nothing: left unbounded.
+        (b"", b"\x00", (None, None)),
+    ],
+    ids=["whole-index", "first-child", "padded", "cut-at-key", "zero-end"],
+)
+def test_repair_key_bounds(start_sep, end_sep, bounds):
+    assert repair_key_bounds(4, start_sep, end_sep) == bounds
 
 
 def test_quarantine_stands_when_rebuild_fails(monkeypatch):

@@ -1,4 +1,4 @@
-"""RebuildSupervisor: retry/backoff, watchdog, throttling, degradation."""
+"""RebuildSupervisor: retry/backoff, watchdog, throttling."""
 
 import threading
 import time
@@ -7,7 +7,6 @@ import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import CrashPoint
-from repro.core import rebuild as rebuild_mod
 from repro.core import supervisor as supervisor_mod
 from repro.core.supervisor import (
     RebuildSupervisor,
@@ -17,7 +16,6 @@ from repro.core.supervisor import (
 )
 from repro.errors import RebuildAbortedError, RebuildError, RebuildWatchdogError
 from repro.storage.faults import FaultPlan
-from repro.storage.io_scheduler import CompletionToken
 from tests.conftest import contents_as_ints, make_half_empty, pinned_ids
 
 FAST = SupervisorConfig(retry_backoff=0.001, retry_backoff_cap=0.01)
@@ -140,19 +138,18 @@ def test_stop_interrupts_retry_backoff():
 # --------------------------------------------------------- the one channel
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "how", ["fail_midrun", "fail_paused", "top_action_raises", "crash"]
 )
-def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
-    """However a run fails and however many segments it drives: one
-    exception type chained from the cause, a ``resume_unit`` that ends the
-    copied prefix, an index that verifies — and a supervised retry that
-    copies strictly after it and leaves nothing unrebuilt.  A crash is the
-    one exception: it comes out as itself and recovery takes over.  No
-    way out of ``run`` leaves a frame pinned."""
+def test_every_failure_takes_the_one_channel(monkeypatch, how):
+    """However a run fails: one exception type chained from the cause, a
+    ``resume_unit`` that ends the copied prefix, an index that verifies —
+    and a supervised retry that copies strictly after it and leaves
+    nothing unrebuilt.  A crash is the one exception: it comes out as
+    itself and recovery takes over.  No way out of ``run`` leaves a frame
+    pinned."""
     engine, index, expected = _engine(8000)
-    config = RebuildConfig(ntasize=4, xactsize=8, parallel_workers=workers)
+    config = RebuildConfig(ntasize=4, xactsize=8)
     cause = RuntimeError("injected failure")
     errors: list[tuple[BaseException, bytes | None]] = []
     left_pinned: list[list[int]] = []  # per run(), returned or raised
@@ -169,10 +166,7 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
 
     monkeypatch.setattr(OnlineRebuild, "run", recording_run)
     supervisor = RebuildSupervisor(index, config, FAST)
-    lock = threading.Lock()
-    done_by: dict[str, int] = {}  # driver thread -> top actions completed
-    armed = threading.Event()  # every segment has progress to lose
-    tripped = threading.Event()
+    done = {"top_actions": 0, "tripped": False}
     copied_low: list[bytes] = []  # low units copied after the failure
 
     def fail_from_another_thread():
@@ -186,21 +180,11 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
         if errors:
             copied_low.append(ctx["low_unit"])
             return
-        me = threading.current_thread().name
-        with lock:
-            done_by[me] = done_by.get(me, 0) + 1
-            mine = done_by[me]
-            arming = (
-                not armed.is_set()
-                and len(done_by) == workers
-                and min(done_by.values()) >= 3
-            )
-        if not arming:
-            # Nobody runs ahead: the failure finds every segment with a
-            # transaction committed and more to do.
-            assert mine < 3 or armed.wait(30.0)
+        done["top_actions"] += 1
+        if done["top_actions"] != 3:
+            # The failure finds the run with a transaction committed and
+            # more to do.
             return
-        armed.set()
         if how == "fail_midrun":
             fail_from_another_thread()
         elif how == "fail_paused":
@@ -209,11 +193,13 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
             raise CrashPoint("rebuild.nta_end")
 
     def on_copy_locked(_ctx):
-        if how == "top_action_raises" and armed.is_set():
-            with lock:
-                first, _ = not tripped.is_set(), tripped.set()
-            if first:
-                raise cause
+        if (
+            how == "top_action_raises"
+            and done["top_actions"] >= 3
+            and not done["tripped"]
+        ):
+            done["tripped"] = True
+            raise cause
 
     engine.syncpoints.on("rebuild.nta_end", on_nta_end)
     engine.syncpoints.on("rebuild.copy_locked", on_copy_locked)
@@ -251,37 +237,6 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how, workers):
     assert index.verify().leaf_fill > 0.85  # no stretch was skipped
 
 
-# --------------------------------------------------------------- degradation
-
-
-def test_attempt_degradation_ladder():
-    engine, index, _ = _engine(1000)
-    config = RebuildConfig(parallel_workers=4)
-    supervisor = RebuildSupervisor(index, config, SupervisorConfig())
-    first = supervisor._attempt(1)
-    assert first.config is config
-    assert first.throttle_sleep == 0.0
-    second = supervisor._attempt(2)
-    assert second.config.parallel_workers == 2
-    assert second.throttle_sleep == pytest.approx(0.002)
-    third = supervisor._attempt(3)
-    assert third.config.parallel_workers == 1  # serial fallback
-    assert third.throttle_sleep == pytest.approx(0.004)
-    assert supervisor._attempt(5).config.parallel_workers == 1
-    # The monitor widens from, and decays back to, the attempt's own
-    # baseline — never below what the ladder set.
-    policy = supervisor.policy
-    monitor = _Monitor(supervisor, second, SupervisorReport())
-    engine.counters.add("io_retries", policy.storm_retry_threshold + 1)
-    monitor._sweep()
-    assert second.throttle_sleep == pytest.approx(
-        0.002 + policy.throttle_step
-    )
-    monitor._sweep()
-    monitor._sweep()
-    assert second.throttle_sleep == pytest.approx(0.002)
-
-
 # ------------------------------------------------------------------ watchdog
 
 
@@ -297,9 +252,18 @@ def _monitor_fixture(count=1000):
 def test_watchdog_sweep_fails_stale_worker(monkeypatch):
     monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.05)
     engine, rebuild, monitor = _monitor_fixture()
-    rebuild._beats[0] = time.monotonic() - 1.0
+    rebuild._beat = time.monotonic() - 1.0
+    said: list[dict] = []
+    engine.syncpoints.on("rebuild.supervisor.watchdog", said.append)
     monitor._sweep()
-    assert isinstance(rebuild._state.error, RebuildWatchdogError)
+    error = rebuild._state.error
+    assert isinstance(error, RebuildWatchdogError)
+    # Both say what stalled: which index, how far it got, for how long.
+    (what,) = said
+    assert what["index_id"] == 1 and what["resume_unit"] is None
+    assert 1.0 <= what["stalled_seconds"] < 5.0
+    assert "index 1" in str(error) and "resume_unit None" in str(error)
+    assert f"{what['stalled_seconds']:.1f}s" in str(error)
     assert rebuild._state.stop.is_set()
     assert engine.counters.watchdog_trips == 1
     assert monitor.report.watchdog_trips == 1
@@ -310,58 +274,33 @@ def test_watchdog_sweep_fails_stale_worker(monkeypatch):
 
 def test_watchdog_sweep_leaves_live_workers_alone():
     engine, rebuild, monitor = _monitor_fixture()
-    rebuild._beats[0] = time.monotonic()
+    rebuild._beat = time.monotonic()
     monitor._sweep()
     assert rebuild._state.error is None
     assert engine.counters.watchdog_trips == 0
 
 
-def test_watchdog_ignores_a_finished_segment(monkeypatch):
-    """A finished segment has no heartbeat to go stale: with worker 0 done
-    longer ago than the deadline and worker 1 still at work, the sweep
-    must not trip on worker 0."""
+def test_watchdog_ignores_a_finished_run(monkeypatch):
+    """A finished run has no heartbeat to go stale: with the copy loop
+    done longer ago than the deadline, the sweep must not trip on it."""
     engine, index, expected = _engine(4000)
-    config = RebuildConfig(ntasize=4, xactsize=8, parallel_workers=2)
+    config = RebuildConfig(ntasize=4, xactsize=8)
     supervisor = RebuildSupervisor(index, config, SupervisorConfig())
     rebuild = OnlineRebuild(index, config)
     monitor = _Monitor(supervisor, rebuild, SupervisorReport())
-    left_done, parked, release = (threading.Event() for _ in range(3))
-
-    def on_done(ctx):
-        if ctx["worker"] == 0:
-            left_done.set()
-
-    def park_right(_ctx):
-        if (
-            threading.current_thread().name == "rebuild-worker-1"
-            and not parked.is_set()
-        ):
-            # Hold the right-hand worker mid-segment until its neighbor
-            # is done and the test has looked.
-            assert left_done.wait(30.0)
-            parked.set()
-            assert release.wait(30.0)
-
-    engine.syncpoints.on("rebuild.partition.worker_done", on_done)
-    engine.syncpoints.on("rebuild.nta_end", park_right)
-    runner = threading.Thread(target=rebuild.run)
-    runner.start()
-    try:
-        assert parked.wait(30.0)
-        assert set(rebuild.heartbeats()) == {1}
-        # Any heartbeat in the past is now past the deadline; the worker
-        # still running is the only one that may answer for it.
-        monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.0)
-        rebuild._beats[1] = time.monotonic() + 60.0
-        monitor._sweep()
-        assert rebuild._state.error is None
-        assert monitor.report.watchdog_trips == 0
-        assert engine.counters.watchdog_trips == 0
-    finally:
-        release.set()
-        runner.join(30.0)
-    assert not runner.is_alive()
+    beats: list[dict] = []
+    engine.syncpoints.on(
+        "rebuild.nta_end", lambda _ctx: beats.append(rebuild.heartbeats())
+    )
+    rebuild.run()
+    assert beats and all(set(beat) == {0} for beat in beats)
     assert rebuild.heartbeats() == {}
+    # Any heartbeat in the past would now be past the deadline.
+    monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.0)
+    monitor._sweep()
+    assert rebuild._state.error is None
+    assert monitor.report.watchdog_trips == 0
+    assert engine.counters.watchdog_trips == 0
     assert contents_as_ints(index) == expected
     index.verify()
 
@@ -486,22 +425,6 @@ def test_pause_gate_holds_rebuild_between_top_actions():
     assert contents_as_ints(index) == expected
 
 
-# ------------------------------------------------------------- seam deadline
-
-
-def test_seam_wait_deadline_raises_cleanly(monkeypatch):
-    monkeypatch.setattr(rebuild_mod, "WATCHDOG_TIMEOUT", 0.05)
-    engine, index, _ = _engine(1000)
-    rebuild = OnlineRebuild(index)
-    token = CompletionToken()  # the left neighbor never completes it
-    busy_wait = rebuild._seam_wait(token)
-    deadline = time.monotonic() + 5.0
-    with pytest.raises(RebuildError, match="WATCHDOG_TIMEOUT"):
-        while time.monotonic() < deadline:
-            busy_wait()
-    assert engine.counters.seam_wait_timeouts == 1
-
-
 # --------------------------------------------------------------------- knobs
 
 
@@ -515,7 +438,5 @@ def test_policy_validation():
 
 
 def test_rebuild_config_validation():
-    with pytest.raises(RebuildError):
-        RebuildConfig(parallel_workers=0)
     with pytest.raises(RebuildError):
         RebuildConfig(pipeline_depth=-1)

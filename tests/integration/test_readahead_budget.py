@@ -10,9 +10,9 @@ scheduler's own condition (:meth:`IOScheduler.wait_readahead`).
 (a) two distinct aligned runs are in the device at once, never one twice;
 (b) with the window full, a top action's source reads cost the copy
     thread no physical call (``rebuild_demand_reads``);
-(c) the windows never exceed the pool's ``readahead_room()`` shared
-    among the segments actually driven, and ``prefetch_unused`` stays at
-    or below the parent commit's;
+(c) the window never exceeds the pool's ``readahead_room()`` and is
+    requested past half of it, and ``prefetch_unused`` stays at or below
+    the parent commit's;
 (d) a SHRINK bit on the level-1 page sends the reader down the
     ``next_page`` chain, never into an address-lock wait;
 (e) the leaf order read off level 1 equals the ``next_page`` chain on a
@@ -35,7 +35,6 @@ from repro.core.copy_phase import level1_leaf_order
 from repro.storage.disk import Disk
 from repro.storage.io_scheduler import _READS_IN_FLIGHT, IOScheduler
 from repro.storage.page import NO_PAGE, PageFlag
-from repro.wal.recovery import PartitionProgress, RebuildCheckpoint
 from repro.workload.builder import bulk_load
 from tests.conftest import intkey
 
@@ -119,7 +118,7 @@ def test_two_distinct_runs_in_the_device_and_never_the_same_run_twice():
     sched = scheduler_for(engine, tree, window=128)
     try:
         disk.gate.clear()
-        sched.advance(0, chain[0], b"")
+        sched.advance(chain[0], b"")
         with disk.changed:
             assert disk.changed.wait_for(
                 lambda: len(disk.in_service) == _READS_IN_FLIGHT, WAIT
@@ -183,66 +182,33 @@ def test_full_window_means_no_source_read_on_the_copy_thread():
 
 
 def test_windows_stay_within_the_rings_room():
-    windows_stay_within_the_rings_room(pending=2)
-
-
-def test_one_pending_segment_is_one_consumer():
-    windows_stay_within_the_rings_room(pending=1)
-
-
-def windows_stay_within_the_rings_room(pending: int) -> None:
+    """The one window is requested up to the pool's whole room — not a
+    share of it — and never past it."""
     engine, tree, disk, chain = cold_index(
         100_000, buffer_capacity=512, pool_shards=4
     )
-    done = 0  # leaves of segments a previous run finished
-    checkpoint = None
-    if pending == 1:
-        # A 2-segment tiling resumed with its left half done: the one
-        # segment driven is the one consumer, and gets the whole room.
-        done = len(chain) // 2
-        seam = bytes(engine.buffer.fetch(chain[done]).rows[0])
-        engine.buffer.unpin(chain[done])
-        checkpoint = RebuildCheckpoint(
-            epoch=engine.ctx.log.next_lsn,
-            index_id=tree.index_id,
-            partitions={
-                0: PartitionProgress(b"", seam[:-1], done=True),
-                1: PartitionProgress(seam),
-            },
-        )
     rebuild = OnlineRebuild(
         tree,
         RebuildConfig(
-            parallel_workers=2, pipeline_depth=4, ring_frames=128,
-            group_commit_window=0.002,
+            pipeline_depth=4, ring_frames=128, group_commit_window=0.002
         ),
     )
-    requested: list[tuple[int, int, int]] = []
+    requested: list[tuple[int, int]] = []
 
     def sample(_ctx: dict) -> None:
         sched = rebuild._scheduler
         with sched._cv:
-            requested.append((
-                sum(w.issued for w in sched._windows.values()),
-                engine.buffer.readahead_room(),
-                sched.consumers,
-            ))
+            requested.append(
+                (sched._window.issued, engine.buffer.readahead_room())
+            )
 
     engine.syncpoints.on("rebuild.nta_end", sample)
-    report = rebuild.run(resume_checkpoint=checkpoint)
+    report = rebuild.run()
     engine.syncpoints.remove("rebuild.nta_end", sample)
 
-    assert report.parallel_workers == pending
-    assert report.leaf_pages_rebuilt == len(chain) - done
-    assert requested and all(
-        (room, consumers) == (64, pending)
-        for _n, room, consumers in requested
-    )
-    assert max(n for n, _room, _consumers in requested) <= 64
-    if pending == 1:
-        # Not halved for a neighbor that is not there: past the 32 leaves
-        # one of two consumers would get.
-        assert max(n for n, _room, _consumers in requested) > 32
+    assert report.leaf_pages_rebuilt == len(chain)
+    assert requested and all(room == 64 for _n, room in requested)
+    assert 32 < max(n for n, _room in requested) <= 64
     assert (
         report.counter_deltas["prefetch_unused"] <= PARENT_PREFETCH_UNUSED
     )
@@ -280,7 +246,7 @@ def test_shrink_bit_on_level1_falls_back_to_the_chain_walk():
     assert level1_leaf_order(ctx, tree, b"", 64) is None
     sched = scheduler_for(engine, tree, window=16)
     try:
-        sched.advance(0, chain[0], b"")
+        sched.advance(chain[0], b"")
         assert sched.wait_readahead(WAIT)
     finally:
         sched.close()

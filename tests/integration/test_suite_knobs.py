@@ -8,15 +8,15 @@ turn the ``tuned`` profile into something else.  This pins what the suite
 asks for to what it gets.
 """
 
+import ast
+import dataclasses
 import importlib.util
 import pathlib
 
 from repro.core.config import RebuildConfig
 
-_HARNESS = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "benchmarks" / "suite" / "harness.py"
-)
+_SUITE = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "suite"
+_HARNESS = _SUITE / "harness.py"
 
 
 def _load_harness():
@@ -29,14 +29,39 @@ def _load_harness():
 H = _load_harness()
 
 
+def _extra_knobs() -> set[str]:
+    """Every key of an ``extra={...}`` a workload's ``Spec`` passes on to
+    ``rebuild_config``."""
+    tree = ast.parse((_SUITE / "workloads.py").read_text(encoding="utf-8"))
+    return {
+        key.value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        for kw in call.keywords
+        if kw.arg == "extra" and isinstance(kw.value, ast.Dict)
+        for key in kw.value.keys
+    }
+
+
 def test_tuned_profile_keeps_every_knob_it_asks_for():
+    """``rebuild_io`` asks for ``parallel_workers=2`` and gets one copy
+    thread: the tiled rebuild was measured and deleted (ROADMAP item 4).
+    On the parent commit, the suite's spec overridden to one worker, 15 s
+    runs in alternating pairs, no failed operation in 32 runs:
+    ``rebuild_pages_per_s`` 6 584 → 5 961 (−9.5 %, seed 1, 10 pairs;
+    bound 25 %) and 6 300 → 6 137 (−2.6 %, seed 7, 6 pairs);
+    ``rebuild_io_calls_per_page`` 0.2067 → 0.19793 in every one of 16
+    runs (two workers spread 0.2023–0.2095); log bytes per page +0.19 %,
+    space +0.1 %.  That one is known and meant; any *other* keyword the
+    suite asks for and does not get fails here."""
     config = H.rebuild_config("tuned", 512, parallel_workers=2)
     assert config == RebuildConfig(
         pipeline_depth=4,
         group_commit_window=0.002,
         ring_frames=128,
-        parallel_workers=2,
     )
+    declared = {f.name for f in dataclasses.fields(RebuildConfig)}
+    assert _extra_knobs() - declared == {"parallel_workers"}
 
 
 def test_paper_profile_is_the_defaults():

@@ -287,7 +287,7 @@ def test_writes_in_flight_distinct_runs_and_a_barrier_that_counts():
         # A barrier queued now waits for all of it: the runs in the device
         # and the ones still queued — and for nothing queued after it.
         token = sched.force([])
-        assert not token.wait_done(0.0)
+        assert not token.done
         late = range(runs * ppio + 1, (runs + 1) * ppio + 1)
         dirty_pages(pool, late)
         disk.gate.set()

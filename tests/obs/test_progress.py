@@ -1,4 +1,4 @@
-"""ProgressReporter unit tests: monotonicity, phases, ETA, scrub state."""
+"""ProgressReporter unit tests: monotonicity, phases, scrub state."""
 
 from repro.obs.progress import ProgressReporter
 
@@ -24,21 +24,17 @@ def test_initial_snapshot_is_idle():
     snap = rep.snapshot()
     assert snap.phase == "idle"
     assert snap.units_copied == 0
-    assert snap.units_total is None
-    assert snap.fraction is None
-    assert snap.eta_seconds is None
     assert snap.index_id is None
 
 
 def test_lifecycle_and_monotonic_units():
     rep, clock = make()
     rep.rebuild_started(index_id=1, epoch=42)
-    assert rep.snapshot().phase == "plan"
-    rep.phase_change("copy")
+    assert rep.snapshot().phase == "copy"
     seen = [rep.snapshot().units_copied]
     for units in (3, 1, 5):
         clock.advance(1.0)
-        rep.add_units(units, worker=0)
+        rep.add_units(units)
         seen.append(rep.snapshot().units_copied)
     assert seen == sorted(seen), "units_copied must be monotonic"
     assert rep.snapshot().units_copied == 9
@@ -48,34 +44,9 @@ def test_lifecycle_and_monotonic_units():
     assert snap.epoch == 42 and snap.index_id == 1
 
 
-def test_phase_never_regresses():
-    rep, _ = make()
-    rep.rebuild_started(1, 1)
-    rep.phase_change("merge")
-    rep.phase_change("copy")  # stale post from a finishing worker
-    assert rep.snapshot().phase == "merge"
-    rep.rebuild_finished()
-    rep.phase_change("copy")
-    assert rep.snapshot().phase == "complete"  # terminal sticks
-
-
-def test_per_worker_units_fold_into_global():
-    rep, _ = make()
-    rep.rebuild_started(1, 1, units_total=10)
-    rep.add_units(4, worker=0)
-    rep.add_units(3, worker=1)
-    rep.add_units(2, worker=0)
-    snap = rep.snapshot()
-    assert snap.workers == {0: 6, 1: 3}
-    assert snap.units_copied == 9
-    assert snap.fraction == 0.9
-    rep.add_units(0, worker=1)  # no-op post changes nothing
-    assert rep.snapshot().workers == {0: 6, 1: 3}
-
-
 def test_units_floor_carries_resumed_progress():
     rep, _ = make()
-    rep.rebuild_started(1, epoch=9, units_total=20, units_floor=8)
+    rep.rebuild_started(1, epoch=9, units_floor=8)
     assert rep.snapshot().units_copied == 8
     rep.add_units(2)
     assert rep.snapshot().units_copied == 10
@@ -91,63 +62,14 @@ def test_new_epoch_resets_counters():
     assert snap.epoch == 6
 
 
-def test_eta_from_observed_rate():
-    rep, clock = make()
-    rep.rebuild_started(1, 1, units_total=100)
-    clock.advance(10.0)
-    rep.add_units(50)  # 5 units/s observed
-    snap = rep.snapshot()
-    assert snap.eta_seconds is not None
-    assert abs(snap.eta_seconds - 10.0) < 1e-9
-    assert snap.fraction == 0.5
-
-
-def test_eta_unknown_without_total_or_rate():
-    rep, clock = make()
-    rep.rebuild_started(1, 1)  # no total
-    clock.advance(1.0)
-    rep.add_units(5)
-    assert rep.snapshot().eta_seconds is None
-
-
-def test_completion_pins_total_at_copied():
-    rep, _ = make()
-    rep.rebuild_started(1, 1, units_total=10)
-    rep.add_units(12)  # copy overshot the plan estimate
-    assert rep.snapshot().fraction == 1.0  # clamped during the run
-    rep.rebuild_finished()
-    snap = rep.snapshot()
-    assert snap.units_total == 12
-    assert snap.fraction == 1.0
-
-
 def test_aborted_phase():
     rep, _ = make()
-    rep.rebuild_started(1, 1, units_total=100)
+    rep.rebuild_started(1, 1)
     rep.add_units(3)
     rep.rebuild_finished(aborted=True)
     snap = rep.snapshot()
     assert snap.phase == "aborted"
-    assert snap.units_total == 100  # not pinned on abort
-
-
-def test_fraction_complete_without_total():
-    rep, _ = make()
-    rep.rebuild_started(1, 1)
-    rep.rebuild_finished()
-    assert rep.snapshot().fraction == 1.0
-
-
-def test_completion_pins_total_on_unplanned_serial_run():
-    # The serial driver never plans a total; finishing must still pin
-    # units_total so "units=N/None" can't appear on a complete rebuild.
-    rep, _ = make()
-    rep.rebuild_started(1, 1)  # no units_total
-    rep.add_units(4)
-    rep.rebuild_finished()
-    snap = rep.snapshot()
-    assert snap.units_total == 4
-    assert snap.fraction == 1.0
+    assert snap.units_copied == 3
 
 
 def test_scrub_state_independent_of_rebuild():
@@ -172,10 +94,9 @@ def test_to_dict_is_json_safe():
     import json
 
     rep, _ = make()
-    rep.rebuild_started(2, 3, units_total=4)
-    rep.add_units(1, worker=0)
+    rep.rebuild_started(2, 3)
+    rep.add_units(1)
     data = rep.snapshot().to_dict()
     json.dumps(data)
-    assert data["phase"] == "plan"
-    assert data["workers"] == {0: 1}
-    assert data["fraction"] == 0.25
+    assert data["phase"] == "copy"
+    assert data["units_copied"] == 1

@@ -144,7 +144,7 @@ def test_barrier_completes_only_when_every_run_before_it_landed():
         }
         token = sched.force([9, 10, 11, 12])
         assert pool.disk.parked(3)
-        assert not token.wait_done(0.0)
+        assert not token.done
         pool.disk.gate.set()
         token.wait(timeout=10.0)
         assert all(pool.disk.exists(pid) for pid in range(1, 13))
@@ -301,7 +301,7 @@ def test_prefetch_chain_populates_pool():
     link_chain(pool, [1, 2, 3])
     sched = IOScheduler(pool, counters=counters, window=3).start()
     try:
-        sched.advance(0, 1)
+        sched.advance(1)
         assert sched.wait_readahead(timeout=5.0)
         assert pool.is_resident(1)
         assert pool.is_resident(2)
@@ -320,12 +320,12 @@ def test_window_bounds_requested_leaves():
         leaf_order=lambda unit, count: (order, None),
     ).start()
     try:
-        sched.advance(0, 1, b"")
+        sched.advance(1, b"")
         assert sched.wait_readahead(timeout=5.0)
         assert [pool.is_resident(p) for p in (1, 4, 5)] == [True, True, False]
         assert counters.disk_io_calls == 16 + 1  # the stores, one run read
         walked = counters.prefetch_skipped_resident
-        sched.advance(0, 5, b"")  # a position inside the known order
+        sched.advance(5, b"")  # a position inside the known order
         assert sched.wait_readahead(timeout=5.0)
         assert [pool.is_resident(p) for p in (5, 8, 9)] == [True, True, False]
         assert counters.disk_io_calls == 16 + 2
@@ -339,15 +339,14 @@ def test_window_is_capped_by_the_pools_room():
     assert pool.readahead_room() == 4  # half of a ring-less pool's frames
     order = list(range(1, 17))
     sched = IOScheduler(
-        pool, counters=counters, window=16, consumers=2,
+        pool, counters=counters, window=16,
         leaf_order=lambda unit, count: (order, None),
     ).start()
     try:
-        sched.advance(0, 1, b"")
-        sched.advance(1, 9, b"")  # two consumers share the room
+        sched.advance(1, b"")
         assert sched.wait_readahead(timeout=5.0)
-        assert pool.is_resident(1) and pool.is_resident(9)
-        assert not pool.is_resident(5) and not pool.is_resident(13)
+        assert all(pool.is_resident(p) for p in (1, 2, 3, 4))
+        assert not pool.is_resident(5)
     finally:
         sched.close()
 
@@ -368,10 +367,10 @@ def test_reader_error_is_counted_and_dropped():
         pool, counters=counters, window=4, leaf_order=broken_order
     ).start()
     try:
-        sched.advance(0, 1, b"a")
+        sched.advance(1, b"a")
         assert sched.wait_readahead(timeout=5.0)
         assert counters.prefetch_errors == 1
-        sched.advance(0, 5, b"b")
+        sched.advance(5, b"b")
         assert sched.wait_readahead(timeout=5.0)
         assert pool.is_resident(5)
         assert counters.prefetch_errors == 1
@@ -473,7 +472,7 @@ def test_reader_parked_in_the_device_does_not_hold_close(monkeypatch):
     monkeypatch.setattr(pool.disk, "_service", held_service)
     monkeypatch.setattr(mod, "_READER_JOIN_TIMEOUT", 0.05)
     sched = IOScheduler(pool, counters=counters, window=1).start()
-    sched.advance(0, 1)
+    sched.advance(1)
     assert parked.wait(30.0)
     start = time.monotonic()
     sched.close()

@@ -63,57 +63,6 @@ def test_randomized_schedule_smoke():
     )
 
 
-# ------------------------------------------------------- parallel rebuild
-
-
-def test_parallel_quick_sweep_partition_points():
-    """Crash the 2-worker partitioned rebuild at every
-    ``rebuild.partition.*`` syncpoint (plan, worker start, seam release,
-    worker done, merge): each crash must recover to exactly the committed
-    key set.  This is the seam-handoff protocol's power-failure coverage."""
-    harness = CrashScheduleHarness(key_count=2000, seed=11, parallel_workers=2)
-    schedules = [
-        s
-        for s in harness.enumerate_schedules(include_faults=False)
-        if s.point is not None and s.point.startswith("rebuild.partition.")
-    ]
-    assert len(schedules) >= 8, "partition syncpoint enumeration shrank"
-    report = harness.run_sweep(schedules=schedules)
-    assert report.crashes_simulated == report.schedules_run
-    assert report.ok, _fail_report(report)
-
-
-@pytest.mark.slow
-def test_parallel_exhaustive_sweep_all_schedules():
-    """Every enumerated schedule — copy/propagation syncpoints and disk
-    faults included — against the 2-worker driver.  A crash in one worker
-    must never strand a peer (the pool-stop protocol) or lose a committed
-    transaction from any worker."""
-    harness = CrashScheduleHarness(key_count=2000, seed=11, parallel_workers=2)
-    report = harness.run_sweep()
-    assert report.schedules_run >= 30, "schedule enumeration shrank"
-    assert report.crashes_simulated > 0
-    assert report.ok, _fail_report(report)
-
-
-@pytest.mark.slow
-def test_parallel_sweep_rebuild_finishes_after_recovery():
-    """After every partition-point crash, a fresh (still parallel) rebuild
-    runs to completion and verifies — restartability holds regardless of
-    which worker died."""
-    harness = CrashScheduleHarness(
-        key_count=2000, seed=11, parallel_workers=2,
-        finish_after_recovery=True,
-    )
-    schedules = [
-        s
-        for s in harness.enumerate_schedules(include_faults=False)
-        if s.point is not None and s.point.startswith("rebuild.partition.")
-    ]
-    report = harness.run_sweep(schedules=schedules)
-    assert report.ok, _fail_report(report)
-
-
 # ------------------------------------------------------ resumable rebuild
 
 
@@ -142,21 +91,6 @@ def test_exhaustive_resume_sweep_all_schedules():
     )
     report = harness.run_sweep()
     assert report.schedules_run >= 30, "schedule enumeration shrank"
-    assert report.ok, _fail_report(report)
-    assert report.resumes_taken > 0
-
-
-@pytest.mark.slow
-def test_parallel_exhaustive_resume_sweep():
-    """The 2-worker driver, crashed at every syncpoint, then resumed in
-    parallel from the reconstructed per-partition segments."""
-    harness = CrashScheduleHarness(
-        key_count=2000, seed=11, parallel_workers=2,
-        resume_after_recovery=True,
-    )
-    report = harness.run_sweep(
-        schedules=harness.enumerate_schedules(include_faults=False)
-    )
     assert report.ok, _fail_report(report)
     assert report.resumes_taken > 0
 
@@ -204,12 +138,11 @@ def test_tuned_torn_write_on_the_writer_thread_is_a_crash():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [1, 2])
-def test_tuned_exhaustive_resume_sweep(workers):
-    """Every syncpoint crash and every injected-fault site of the
-    one-worker and the 2-worker run with the tuned knobs, each recovered
-    and resumed under the floor check."""
-    harness = CrashScheduleHarness(parallel_workers=workers, **TUNED)
+def test_tuned_exhaustive_resume_sweep():
+    """Every syncpoint crash and every injected-fault site of the run
+    with the tuned knobs, each recovered and resumed under the floor
+    check."""
+    harness = CrashScheduleHarness(**TUNED)
     report = harness.run_sweep()
     assert report.schedules_run >= 30, "schedule enumeration shrank"
     assert report.ok, _fail_report(report)
@@ -243,10 +176,9 @@ def test_recycling_pass_sweep_strided():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [1, 2])
-def test_recycling_pass_exhaustive_sweep(workers):
-    """Every syncpoint of the recycling pass, one worker and two."""
-    harness = CrashScheduleHarness(parallel_workers=workers, **RECYCLING)
+def test_recycling_pass_exhaustive_sweep():
+    """Every syncpoint of the recycling pass."""
+    harness = CrashScheduleHarness(**RECYCLING)
     schedules = harness.enumerate_schedules(include_faults=False)
     assert len(schedules) >= 30, "schedule enumeration shrank"
     report = harness.run_sweep(schedules=schedules)

@@ -5,112 +5,73 @@ import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import CrashPoint
-from repro.errors import RebuildError
-from repro.core.partition import segments_from_checkpoint
-from repro.wal.recovery import PartitionProgress, RebuildCheckpoint
+from repro.errors import LogFormatError, RebuildError
+from repro.wal.records import (
+    PROGRESS_COMPLETE,
+    PROGRESS_RUNNING,
+    LogRecord,
+    RecordType,
+)
+from repro.wal.recovery import RebuildCheckpoint
 from tests.conftest import contents_as_ints, make_half_empty
 
 
-def _ckpt(parts: dict[int, PartitionProgress], **kw) -> RebuildCheckpoint:
-    return RebuildCheckpoint(epoch=7, index_id=1, partitions=parts, **kw)
+def _ckpt(**kw) -> RebuildCheckpoint:
+    return RebuildCheckpoint(epoch=7, index_id=1, **kw)
 
 
 # ----------------------------------------------------------- resume_key
 
 
 def test_resume_key_empty_and_completed():
-    assert _ckpt({}).resume_key() is None
-    done = _ckpt({0: PartitionProgress(last_unit=b"k")}, completed=True)
-    assert done.resume_key() is None
+    assert _ckpt().resume_key() is None
+    assert _ckpt(last_unit=b"k", completed=True).resume_key() is None
 
 
 def test_resume_key_serial_running():
-    ckpt = _ckpt({0: PartitionProgress(start_unit=b"", last_unit=b"\x05")})
-    assert ckpt.resume_key() == b"\x05"
+    assert _ckpt(last_unit=b"\x05").resume_key() == b"\x05"
 
 
-def test_resume_key_contiguous_prefix():
-    # p0 done through A, p1 running through B: coverage reaches B.
-    ckpt = _ckpt(
-        {
-            0: PartitionProgress(last_unit=b"\x10", done=True),
-            1: PartitionProgress(start_unit=b"\x11", last_unit=b"\x20"),
-        }
+# ------------------------------------------------------ the record's states
+
+
+def _progress_bytes(state: int, ordinal: int = 0) -> bytes:
+    """An encoded ``REBUILD_PROGRESS`` record with the state byte and the
+    reserved ordinal word (payload offsets 10 and 8) set by hand."""
+    rec = LogRecord(
+        type=RecordType.REBUILD_PROGRESS, index_id=1, epoch=7,
+        last_unit=b"\x05",
     )
-    assert ckpt.resume_key() == b"\x20"
+    data = bytearray(rec.encode())
+    payload = len(data) - len(rec._encode_payload())
+    data[payload + 8:payload + 10] = ordinal.to_bytes(2, "little")
+    data[payload + 10] = state
+    return bytes(data)
 
 
-def test_resume_key_stops_at_first_unfinished_partition():
-    # p1 has no durable progress yet, so p2's units are NOT contiguous
-    # coverage — the serial resume floor is p0's last unit.
-    ckpt = _ckpt(
-        {
-            0: PartitionProgress(last_unit=b"\x10", done=True),
-            1: PartitionProgress(start_unit=b"\x11"),
-            2: PartitionProgress(start_unit=b"\x22", last_unit=b"\x30"),
-        }
-    )
-    assert ckpt.resume_key() == b"\x10"
+@pytest.mark.parametrize("state", [PROGRESS_RUNNING, PROGRESS_COMPLETE])
+def test_the_two_progress_states_decode(state):
+    rec = LogRecord.decode(_progress_bytes(state))
+    assert rec.progress_state == state and rec.last_unit == b"\x05"
 
 
-def test_resume_key_missing_ordinal_truncates_coverage():
-    ckpt = _ckpt(
-        {
-            0: PartitionProgress(last_unit=b"\x10", done=True),
-            2: PartitionProgress(start_unit=b"\x22", last_unit=b"\x30"),
-        }
-    )
-    assert ckpt.resume_key() == b"\x10"
-
-
-def test_resume_key_requires_partition_zero_from_start():
-    ckpt = _ckpt({0: PartitionProgress(start_unit=b"\x09", last_unit=b"\x10")})
-    assert ckpt.resume_key() is None
-
-
-# ------------------------------------------------- segments_from_checkpoint
-
-
-def test_segments_reconstruct_the_original_tiling():
-    ckpt = _ckpt(
-        {
-            0: PartitionProgress(last_unit=b"\x08", done=True),
-            1: PartitionProgress(start_unit=b"\x11", last_unit=b"\x18"),
-            2: PartitionProgress(start_unit=b"\x22"),
-        }
-    )
-    specs = segments_from_checkpoint(ckpt)
-    assert [s.ordinal for s in specs] == [0, 1, 2]
-    assert specs[0].done and not specs[1].done and not specs[2].done
-    # The tiling is contiguous: each stop is the right neighbor's start.
-    assert specs[0].start_unit is None
-    assert specs[0].stop_before == b"\x11"
-    assert specs[1].start_unit == b"\x11"
-    assert specs[1].stop_before == b"\x22"
-    assert specs[2].stop_before is None
-    # Workers with durable progress restart strictly after it; those
-    # without restart at their segment start.
-    assert specs[1].probe == b"\x18\x00"
-    assert specs[2].probe == b"\x22"
-
-
-def test_segments_reject_gappy_or_offset_checkpoints():
-    assert segments_from_checkpoint(_ckpt({})) is None
-    gappy = _ckpt(
-        {
-            0: PartitionProgress(done=True),
-            2: PartitionProgress(start_unit=b"\x22"),
-        }
-    )
-    assert segments_from_checkpoint(gappy) is None
-    offset = _ckpt({0: PartitionProgress(start_unit=b"\x05")})
-    assert segments_from_checkpoint(offset) is None
+@pytest.mark.parametrize(
+    "state, ordinal", [(1, 0), (3, 0), (PROGRESS_RUNNING, 1)]
+)
+def test_any_other_progress_state_or_ordinal_is_a_format_error(
+    state, ordinal
+):
+    """State 1 was "segment done" and a nonzero ordinal a partition of the
+    tiled rebuild: a log that carries either is not one this engine
+    wrote, and ends like every other malformed record."""
+    with pytest.raises(LogFormatError, match="REBUILD_PROGRESS"):
+        LogRecord.decode(_progress_bytes(state, ordinal))
 
 
 # --------------------------------------------------- end-to-end recovery
 
 
-def _crash_rebuild(engine, index, point: str, nth: int, workers: int = 1):
+def _crash_rebuild(engine, index, point: str, nth: int):
     count = {"n": 0}
 
     def boom(_ctx):
@@ -120,10 +81,7 @@ def _crash_rebuild(engine, index, point: str, nth: int, workers: int = 1):
 
     engine.syncpoints.on(point, boom)
     with pytest.raises(CrashPoint):
-        OnlineRebuild(
-            index,
-            RebuildConfig(ntasize=4, xactsize=8, parallel_workers=workers),
-        ).run()
+        OnlineRebuild(index, RebuildConfig(ntasize=4, xactsize=8)).run()
     engine.crash()
     engine.syncpoints.clear()
 
@@ -133,7 +91,7 @@ def test_recovery_reconstructs_serial_checkpoint():
     index = engine.create_index(key_len=4)
     make_half_empty(index, 4000)
     expected = contents_as_ints(index)
-    _crash_rebuild(engine, index, "rebuild.txn_committed", 2)
+    _crash_rebuild(engine, index, "rebuild.txn_committed", 3)
     engine.recover()
     ckpt = engine.rebuild_checkpoint(1)
     assert ckpt is not None and not ckpt.completed
@@ -168,7 +126,7 @@ def test_higher_epoch_supersedes_older_progress():
     _crash_rebuild(engine, index, "rebuild.txn_committed", 2)
     engine.recover()
     first = engine.rebuild_checkpoint(1)
-    assert first is not None and len(first.partitions) == 1
+    assert first is not None and first.last_unit
     # A second, fresh rebuild (higher epoch) crashes after 1 batch.  Its
     # records alone must form the surviving checkpoint: the log still
     # holds both runs' progress, and trusting the first run's (2-batch)
@@ -178,9 +136,8 @@ def test_higher_epoch_supersedes_older_progress():
     engine.recover()
     ckpt = engine.rebuild_checkpoint(1)
     assert ckpt.epoch > first.epoch
-    assert len(ckpt.partitions) == 1
     # Exactly one RUNNING record from the new epoch: one committed batch.
-    assert ckpt.partitions[0].last_unit != first.partitions[0].last_unit
+    assert ckpt.last_unit != first.last_unit
     assert ckpt.resume_key() is not None
 
 
@@ -232,22 +189,4 @@ def test_resume_from_stale_epoch_rejected():
     OnlineRebuild(index, RebuildConfig(ntasize=4, xactsize=8)).run(
         resume_checkpoint=current
     )
-    index.verify()
-
-
-def test_recovery_reconstructs_parallel_checkpoint():
-    engine = Engine(buffer_capacity=2048, lock_timeout=5.0)
-    index = engine.create_index(key_len=4)
-    make_half_empty(index, 4000)
-    expected = contents_as_ints(index)
-    _crash_rebuild(engine, index, "rebuild.txn_committed", 3, workers=2)
-    engine.recover()
-    ckpt = engine.rebuild_checkpoint(1)
-    assert ckpt is not None
-    assert segments_from_checkpoint(ckpt) is not None
-    index = engine.index(1)
-    OnlineRebuild(
-        index, RebuildConfig(ntasize=4, xactsize=8, parallel_workers=2)
-    ).run(resume_checkpoint=ckpt)
-    assert contents_as_ints(index) == expected
     index.verify()

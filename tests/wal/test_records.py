@@ -283,24 +283,22 @@ def test_rebuild_progress_record_roundtrip():
             type=RecordType.REBUILD_PROGRESS,
             index_id=3,
             epoch=1 << 40,
-            partition=2,
-            progress_state=1,
+            progress_state=2,
             start_unit=b"\x00\x01start",
             last_unit=b"\x00\x02last!",
         )
     )
     assert back.index_id == 3
     assert back.epoch == 1 << 40
-    assert back.partition == 2
-    assert back.progress_state == 1
+    assert back.progress_state == 2
     assert back.start_unit == b"\x00\x01start"
     assert back.last_unit == b"\x00\x02last!"
 
 
 def test_rebuild_progress_record_empty_units():
-    # Partition 0 / serial runs record coverage from the very beginning
-    # (an empty start unit); a COMPLETE record may carry an empty last
-    # unit when the index was already a single leaf.
+    # A progress record's start unit is written empty; a COMPLETE record
+    # may carry an empty last unit when the index was already a single
+    # leaf.
     back = roundtrip(
         LogRecord(type=RecordType.REBUILD_PROGRESS, epoch=1, progress_state=2)
     )

@@ -19,7 +19,7 @@ import time
 from collections import defaultdict
 
 from repro.errors import LatchError, LockTimeoutError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 
 
 class LatchMode(enum.Enum):
@@ -50,7 +50,7 @@ class LatchManager:
         counters: Counters | None = None,
         timeout: float = 30.0,
     ) -> None:
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self.timeout = timeout
         self._latches: dict[int, _Latch] = defaultdict(_Latch)
         # A plain Lock (not the default RLock) backs the condition: latch

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.errors import DeadlockError, LockError, LockTimeoutError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 
 
 class LockMode(enum.Enum):
@@ -75,7 +75,7 @@ class LockManager:
         counters: Counters | None = None,
         timeout: float = 30.0,
     ) -> None:
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self.timeout = timeout
         self._table: dict[ResourceKey, _Resource] = {}
         self._cond = threading.Condition()

@@ -24,7 +24,7 @@ import threading
 from typing import Callable
 
 from repro.errors import TransactionError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord, RecordType
 
@@ -76,7 +76,7 @@ class TransactionManager:
         counters: Counters | None = None,
     ) -> None:
         self.log = log
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self.active: dict[int, Transaction] = {}

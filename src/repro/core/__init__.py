@@ -11,6 +11,7 @@ from repro.core.scrubber import (
     ScrubReport,
 )
 from repro.core.supervisor import (
+    Pacer,
     RebuildSupervisor,
     SupervisorConfig,
     SupervisorReport,
@@ -19,6 +20,7 @@ from repro.core.supervisor import (
 __all__ = [
     "OfflineReport",
     "OnlineRebuild",
+    "Pacer",
     "PropOp",
     "PropagationEntry",
     "RebuildConfig",

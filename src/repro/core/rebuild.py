@@ -136,7 +136,7 @@ class OnlineRebuild:
         self.config = config if config is not None else RebuildConfig()
         self._scheduler: IOScheduler | None = None
         # Supervision hooks (all idle unless a RebuildSupervisor drives
-        # this instance — unsupervised they cost three attribute checks
+        # this instance — unsupervised they cost two attribute checks
         # per top action and nothing else).
         self.throttle_sleep: float = 0.0
         """Seconds slept at each top-action boundary; the supervisor's
@@ -144,11 +144,10 @@ class OnlineRebuild:
         self.last_report: RebuildReport | None = None
         """The report of the most recent ``run`` (kept current even when
         the run raised — its ``resume_unit`` seeds a supervised retry)."""
-        self._gate = threading.Event()
-        self._gate.set()  # set = running; cleared = paused by the supervisor
-        self._beat: float | None = None
+        self.heartbeat: float | None = None
         """``time.monotonic()`` of the last completed top action while the
-        copy loop runs (the supervisor watchdog's heartbeat source)."""
+        copy loop runs, None when none runs (what the supervisor's
+        watchdog reads)."""
         self._state = _RunState()  # of the next run; replaced when it ends
         self._epoch = 0
         self._resume_seam = False
@@ -161,25 +160,6 @@ class OnlineRebuild:
         it winds down at its next top-action boundary and ``run`` raises
         :class:`RebuildAbortedError` chained from ``exc``."""
         self._state.record(exc)
-
-    def pause(self) -> None:
-        """Suspend the copy phase at the next top-action boundary (locks
-        and latches are never held across the gate)."""
-        self._gate.clear()
-
-    def unpause(self) -> None:
-        """Resume a paused copy phase."""
-        self._gate.set()
-
-    @property
-    def paused(self) -> bool:
-        return not self._gate.is_set()
-
-    def heartbeats(self) -> dict[int, float]:
-        """The running copy loop's last-progress timestamp
-        (``time.monotonic()`` clock) under key 0; empty when none runs."""
-        beat = self._beat
-        return {} if beat is None else {0: beat}
 
     def run(
         self,
@@ -369,7 +349,7 @@ class OnlineRebuild:
         tracer = ctx.tracer
         seam = self._resume_seam
         progress_logged: bytes | None = None
-        self._beat = time.monotonic()
+        self.heartbeat = time.monotonic()
         done = False
         while not done:
             txn = ctx.txns.begin()
@@ -387,16 +367,10 @@ class OnlineRebuild:
             try:
                 while pages_this_txn < config.xactsize and not done:
                     # Supervision hooks, at a boundary where no locks or
-                    # latches are held: a throttled run sleeps, a paused
-                    # one waits on the gate, a failed one winds down.
+                    # latches are held: a throttled run sleeps, a failed
+                    # one winds down.
                     if self.throttle_sleep:
                         time.sleep(self.throttle_sleep)
-                    if not self._gate.is_set():
-                        ctx.syncpoints.fire("rebuild.paused")
-                        while not (
-                            self._gate.wait(0.05) or state.stop.is_set()
-                        ):
-                            pass  # a crash or a failure cuts the wait short
                     if state.stop.is_set():
                         if state.crash is not None:
                             # A simulated power failure posted through
@@ -433,7 +407,7 @@ class OnlineRebuild:
                     seam = True  # in-run probes are resume probes
                     pages_this_txn += rebuilt
                     ctx.progress.add_units(rebuilt)
-                    self._beat = time.monotonic()
+                    self.heartbeat = time.monotonic()
                     done = reached_end
                     if (
                         self._end_unit is not None
@@ -517,7 +491,7 @@ class OnlineRebuild:
             state.record(exc)
         finally:
             # A finished run has no heartbeat to go stale.
-            self._beat = None
+            self.heartbeat = None
             chunk_alloc.close()
         if state.crash is not None:
             # After a simulated power failure no runtime cleanup at all.

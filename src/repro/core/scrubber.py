@@ -39,10 +39,11 @@ On a confirmed defect the scrubber escalates through a repair ladder:
    the quarantine lifts when the repair commits, and *stands* (bounded
    degradation) if even the rebuild cannot read the data back.
 
-The walk is paced: a per-batch sleep widens while the concurrent OLTP
-workload's p99 latency breaches ``latency_budget_ms`` and decays back
-when calm — the scrubber sheds before it is shed.  ``scrub.*``
-syncpoints make every decision crash-schedulable.
+The walk is paced by the :class:`~repro.core.supervisor.Pacer` it is
+given: between parent batches it steps the pacer and sleeps its delay,
+which widens while the concurrent OLTP workload's p99 breaches the
+pacer's budget and decays back when calm — the scrubber sheds before it
+is shed.  ``scrub.*`` syncpoints make every decision crash-schedulable.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ from repro.btree.traversal import AccessMode, Traversal
 from repro.btree.verify import leaf_local_problems
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.syncpoints import CrashPoint
-from repro.core.config import RebuildConfig
-from repro.core.supervisor import RebuildSupervisor, SupervisorConfig
+from repro.core.supervisor import Pacer, RebuildSupervisor, SupervisorConfig
 from repro.errors import (
     ChecksumError,
     RebuildError,
@@ -82,42 +82,24 @@ _CRC = struct.Struct("<I")
 # Fresh parent snapshots a persistently-stale child survives before the
 # walk calls the reference dangling instead of retrying forever.
 _STALE_RETRIES = 3
-
+# Physical re-reads before a CRC mismatch counts as rot (absorbs races
+# with a concurrent flush of the same page), and the sleep between them.
+CRC_RETRIES = 3
+CRC_RETRY_SLEEP = 0.001
+# Background mode: seconds between full passes.
+PASS_INTERVAL = 0.25
+# Safety cap: a pass gives up after this many times ``allocated_pages``
+# parent batches (a pathological churn storm, not a hang).
+MAX_LOOP_FACTOR = 6
 
 
 @dataclass(frozen=True)
 class ScrubConfig:
-    """Policy knobs of one :class:`Scrubber`."""
+    """Policy of one :class:`Scrubber`."""
 
-    pause: float = 0.0
-    """Baseline sleep between parent batches (seconds)."""
-    throttle_step: float = 0.002
-    """Pause widening per OLTP-pressure observation."""
-    throttle_cap: float = 0.05
-    """Upper bound on the pressure-widened pause."""
-    latency_budget_ms: float = 0.0
-    """OLTP p99 budget; breaches widen the batch pause.  0 disables
-    latency pacing (or pass no ``oltp_stats``)."""
-    crc_retries: int = 3
-    """Physical re-reads before a CRC mismatch counts as rot (absorbs
-    races with a concurrent flush of the same page)."""
-    crc_retry_sleep: float = 0.001
     repair: bool = True
     """Run the repair ladder on confirmed defects (False = detect and
     report only)."""
-    pass_interval: float = 0.25
-    """Background mode: sleep between full passes."""
-    max_loop_factor: int = 6
-    """Safety cap: a pass gives up after ``factor * allocated_pages``
-    parent batches (a pathological churn storm, not a hang)."""
-
-    def __post_init__(self) -> None:
-        if self.crc_retries < 0:
-            raise ScrubError(f"crc_retries must be >= 0, got {self.crc_retries}")
-        if self.max_loop_factor < 1:
-            raise ScrubError(
-                f"max_loop_factor must be >= 1, got {self.max_loop_factor}"
-            )
 
 
 @dataclass
@@ -185,23 +167,22 @@ class Scrubber:
         self,
         tree,
         config: ScrubConfig | None = None,
-        rebuild_config: RebuildConfig | None = None,
         supervisor_policy: SupervisorConfig | None = None,
-        oltp_stats=None,
+        pacer: Pacer | None = None,
     ) -> None:
         self.tree = tree
         self.ctx = tree.ctx
         self.config = config if config is not None else ScrubConfig()
-        self.rebuild_config = rebuild_config
         self.supervisor_policy = supervisor_policy
-        self.oltp_stats = oltp_stats
+        self.pacer = pacer if pacer is not None else Pacer()
+        """Steps between parent batches, and paces the repair rebuilds
+        the scrubber dispatches."""
         self.passes: list[ScrubReport] = []
         self.segment_epochs: dict[bytes, int] = {}
         """Low separator of each parent segment -> epoch of the last pass
         that scrubbed it (staleness map for monitoring)."""
         self.last_error: BaseException | None = None
         self._epoch = 0
-        self._pause = self.config.pause
         self._halt = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -232,7 +213,7 @@ class Scrubber:
                 raise
             except Exception as exc:  # noqa: BLE001 - scrubbing must not die
                 self.last_error = exc
-            self._halt.wait(self.config.pass_interval)
+            self._halt.wait(PASS_INTERVAL)
 
     # ----------------------------------------------------------------- pass
 
@@ -252,7 +233,7 @@ class Scrubber:
         handled: set[int] = set()
         stale_counts: dict[int, int] = {}
         position = b""
-        cap = self.config.max_loop_factor * (
+        cap = MAX_LOOP_FACTOR * (
             len(ctx.page_manager.allocated_pages()) + 8
         )
         batches = 0
@@ -540,8 +521,7 @@ class Scrubber:
         """Verify the stored physical image's CRC trailer, with retries
         to absorb a race against a concurrent flush of the same page."""
         disk = self.ctx.disk
-        config = self.config
-        for attempt in range(config.crc_retries + 1):
+        for attempt in range(CRC_RETRIES + 1):
             blob = disk.read_physical(page_id)
             if blob is None:
                 # Never flushed (or torn away entirely): the WAL, not the
@@ -553,8 +533,8 @@ class Scrubber:
             if stored == zlib.crc32(data):
                 report.crc_checked += 1
                 return True
-            if attempt < config.crc_retries:
-                time.sleep(config.crc_retry_sleep)
+            if attempt < CRC_RETRIES:
+                time.sleep(CRC_RETRY_SLEEP)
         return False
 
     def _confirm_structure(self, page_id: int) -> bool:
@@ -785,10 +765,7 @@ class Scrubber:
             tree.key_len, defect.start_sep, defect.end_sep
         )
         supervisor = RebuildSupervisor(
-            tree,
-            config=self.rebuild_config,
-            policy=self.supervisor_policy,
-            oltp_stats=self.oltp_stats,
+            tree, policy=self.supervisor_policy, pacer=self.pacer
         )
         try:
             supervisor.run(start_key=start_key, end_key=end_key)
@@ -811,30 +788,18 @@ class Scrubber:
     # -------------------------------------------------------------- pacing
 
     def _pace(self, report: ScrubReport) -> None:
-        """Sleep between parent batches, widening under OLTP pressure."""
-        config = self.config
-        pause = self._pause
-        if config.latency_budget_ms > 0.0 and self.oltp_stats is not None:
-            pcts = self.oltp_stats.latency_percentiles().get("all")
-            if pcts is not None and pcts["p99"] > config.latency_budget_ms:
-                widened = min(
-                    config.throttle_cap,
-                    max(pause, config.pause) + config.throttle_step,
+        """Step the pacer and sleep its delay between parent batches."""
+        ctx, pacer = self.ctx, self.pacer
+        if pacer.step():
+            report.throttles += 1
+            ctx.counters.add("scrub_throttles")
+            ctx.syncpoints.fire("scrub.throttle", pause=pacer.delay)
+        if pacer.delay > 0.0:
+            if ctx.tracer.enabled:
+                ctx.metrics.histogram("scrub_pause_seconds").record(
+                    pacer.delay
                 )
-                if widened > pause:
-                    pause = widened
-                    report.throttles += 1
-                    self.ctx.counters.add("scrub_throttles")
-                    self.ctx.syncpoints.fire("scrub.throttle", pause=pause)
-            else:
-                pause = max(config.pause, pause - config.throttle_step)
-        self._pause = pause
-        if pause > 0.0:
-            if self.ctx.tracer.enabled:
-                self.ctx.metrics.histogram("scrub_pause_seconds").record(
-                    pause
-                )
-            time.sleep(pause)
+            time.sleep(pacer.delay)
 
     # ------------------------------------------------------- height-1 trees
 

@@ -8,7 +8,7 @@ records make that progress survive a crash — but someone still has to
 * **Retry with capped exponential backoff.**  A
   :class:`~repro.errors.RebuildAbortedError` (injected fault, lock storm,
   writer failure) is retried up to ``max_attempts`` times, sleeping
-  ``retry_backoff * 2**attempt`` capped at ``retry_backoff_cap`` — the
+  ``retry_backoff * 2**attempt`` capped at ``RETRY_BACKOFF_CAP`` — the
   same policy shape as :meth:`BufferPool.retrying`, one layer up.  Each
   retry *resumes* from the failed run's ``resume_unit`` (the §4.1.3
   guarantee makes that sound: completed top actions were flushed and
@@ -21,12 +21,13 @@ records make that progress survive a crash — but someone still has to
   winds it down at its next top-action boundary — rather than left to
   hang the run.
 
-* **Graceful degradation.**  The monitor watches transient-fault traffic
-  (the ``io_retries`` counter — the FaultyDisk's visible error rate) and,
-  when given an :class:`~repro.workload.runner.OltpStats`, the workload's
-  p99 latency.  Pressure widens the rebuild's top-action sleep (shedding
-  I/O and lock traffic) instead of aborting; calm decays it back.  With
-  no supervisor, none of this machinery runs.
+* **Graceful degradation.**  Every sweep the monitor steps the
+  supervisor's :class:`Pacer`, telling it of transient-fault traffic (the
+  ``io_retries`` counter — the FaultyDisk's visible error rate); a pacer
+  built over a live workload's latency histograms also reads its p99
+  since the previous step.  Pressure widens the rebuild's top-action
+  sleep (shedding I/O and lock traffic) instead of aborting; calm decays
+  it back.  With no supervisor, none of this machinery runs.
 
 Syncpoints ``rebuild.supervisor.retry`` / ``resume`` / ``gave_up`` /
 ``watchdog`` / ``throttle`` and the matching counters make every decision
@@ -37,7 +38,9 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.btree.tree import BTree
 from repro.core.config import RebuildConfig
@@ -47,11 +50,51 @@ from repro.errors import (
     RebuildError,
     RebuildWatchdogError,
 )
+from repro.obs.metrics import Histogram, merged, since
 from repro.wal.recovery import RebuildCheckpoint
 
 WATCHDOG_TIMEOUT = 60.0
 """Seconds without a completed top action before the watchdog fails a
 running rebuild."""
+WATCHDOG_POLL = 0.25  # seconds between monitor sweeps
+RETRY_BACKOFF_CAP = 2.0  # upper bound on one retry sleep, seconds
+STORM_RETRIES = 8  # io_retries growth per sweep that counts as a storm
+PACER_STEP = 0.002  # seconds a pacer widens by under pressure, decays by calm
+PACER_CAP = 0.05  # upper bound on a pacer's delay, seconds
+
+
+class Pacer:
+    """The one widen/decay rule of background work beside OLTP traffic.
+
+    Each :meth:`step` is one observation.  Pressured — the caller says so,
+    or the p99 of what ``histograms`` (a live workload's
+    ``OltpStats.histograms.values()``) recorded *since the previous step*
+    is over ``budget_ms`` — adds ``PACER_STEP`` to :attr:`delay`, up to
+    ``PACER_CAP``; calm takes one step off, down to zero.  The caller
+    sleeps :attr:`delay` between its units of work, never under a latch
+    or a lock.  One thread steps a pacer at a time.
+    """
+
+    def __init__(
+        self, histograms: Iterable[Histogram] = (), budget_ms: float = 0.0
+    ) -> None:
+        self.histograms = tuple(histograms)
+        self.budget_ms = budget_ms
+        self.delay = 0.0
+        self._seen = merged(self.histograms).snapshot()
+
+    def step(self, pressured: bool = False) -> bool:
+        """Observe once and move :attr:`delay`; True when it widened."""
+        view = merged(self.histograms)
+        now = view.snapshot()
+        p99_ms = view.percentile(0.99, since(now, self._seen)) * 1000.0
+        self._seen = now
+        if not (pressured or p99_ms > self.budget_ms):
+            self.delay = max(0.0, self.delay - PACER_STEP)
+            return False
+        before = self.delay
+        self.delay = min(PACER_CAP, before + PACER_STEP)
+        return self.delay > before
 
 
 @dataclass(frozen=True)
@@ -62,32 +105,15 @@ class SupervisorConfig:
     """Total rebuild attempts (first run + retries) before giving up."""
     retry_backoff: float = 0.05
     """Base retry sleep in seconds, doubled per failed attempt."""
-    retry_backoff_cap: float = 2.0
-    """Upper bound on one retry sleep."""
-    watchdog_poll: float = 0.25
-    """Seconds between monitor sweeps (heartbeats, error rates, latency)."""
-    storm_retry_threshold: int = 8
-    """``io_retries`` counter growth per poll that counts as a transient
-    fault storm (0 disables storm throttling)."""
-    throttle_step: float = 0.002
-    """Seconds added to the running rebuild's top-action sleep per
-    pressure observation."""
-    throttle_cap: float = 0.05
-    """Upper bound on the monitor-imposed top-action sleep."""
-    latency_budget_ms: float = 0.0
-    """OLTP p99 budget in milliseconds; breaches throttle the rebuild.
-    0 disables latency-based throttling (or pass no ``oltp_stats``)."""
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise RebuildError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.retry_backoff < 0 or self.retry_backoff_cap < 0:
-            raise RebuildError("retry backoff knobs must be >= 0")
-        if self.watchdog_poll <= 0:
+        if self.retry_backoff < 0:
             raise RebuildError(
-                f"watchdog_poll must be > 0, got {self.watchdog_poll}"
+                f"retry_backoff must be >= 0, got {self.retry_backoff}"
             )
 
 
@@ -102,6 +128,9 @@ class SupervisorReport:
     attempt's reported progress instead of from the first leaf."""
     throttles: int = 0
     watchdog_trips: int = 0
+    monitor_error: str = ""
+    """Traceback of the first monitor sweep that raised (the attempt keeps
+    running unwatched by that sweep; later sweeps still run)."""
     gave_up: bool = False
     final: RebuildReport | None = None
     attempt_reports: list[RebuildReport] = field(default_factory=list)
@@ -111,10 +140,10 @@ class RebuildSupervisor:
     """Owns one index's rebuild lifecycle: run, watch, retry, throttle.
 
     One supervisor drives one rebuild to completion (or exhaustion); it is
-    not reentrant.  ``oltp_stats`` may be a live
-    :class:`~repro.workload.runner.OltpStats` that a concurrent workload
-    appends latency samples to — the monitor reads its percentiles to
-    detect OLTP pressure.
+    not reentrant.  ``pacer`` is the :class:`Pacer` the monitor steps —
+    build it over a concurrent workload's live histograms to shed load
+    when its p99 breaches a budget; the default one reacts to fault
+    storms alone.
     """
 
     def __init__(
@@ -122,15 +151,15 @@ class RebuildSupervisor:
         tree: BTree,
         config: RebuildConfig | None = None,
         policy: SupervisorConfig | None = None,
-        oltp_stats=None,
+        pacer: Pacer | None = None,
     ) -> None:
         self.tree = tree
         self.ctx = tree.ctx
         self.config = config if config is not None else RebuildConfig()
         self.policy = policy if policy is not None else SupervisorConfig()
-        self.oltp_stats = oltp_stats
+        self.pacer = pacer if pacer is not None else Pacer()
         self.rebuild: OnlineRebuild | None = None
-        """The attempt currently running (tests poke its gate)."""
+        """The attempt currently running."""
         self._wake = threading.Event()  # cuts retry backoff short on stop
         self._stopped = False
 
@@ -238,7 +267,7 @@ class RebuildSupervisor:
                 self._wake.wait(
                     min(
                         policy.retry_backoff * (1 << (attempt - 1)),
-                        policy.retry_backoff_cap,
+                        RETRY_BACKOFF_CAP,
                     )
                 )
         report.gave_up = last_error is not None
@@ -254,13 +283,13 @@ class RebuildSupervisor:
 class _Monitor(threading.Thread):
     """Per-attempt watchdog + pressure monitor.
 
-    Sweeps every ``watchdog_poll`` seconds while the attempt runs:
+    Sweeps every ``WATCHDOG_POLL`` seconds while the attempt runs:
 
     * a heartbeat older than ``WATCHDOG_TIMEOUT`` fails the run cleanly
       (``watchdog_trips``);
-    * an ``io_retries`` burst past ``storm_retry_threshold``, or an OLTP
-      p99 past ``latency_budget_ms``, widens the rebuild's top-action
-      sleep by ``throttle_step`` (capped); calm sweeps decay it back.
+    * the supervisor's :class:`Pacer` takes one step — told of an
+      ``io_retries`` burst of ``STORM_RETRIES`` or more — and its delay
+      becomes the rebuild's top-action sleep.
     """
 
     def __init__(
@@ -282,83 +311,66 @@ class _Monitor(threading.Thread):
         self.join()
 
     def run(self) -> None:  # noqa: D102 - thread body
-        policy = self.supervisor.policy
-        while not self._halt.wait(policy.watchdog_poll):
+        ctx = self.supervisor.ctx
+        while not self._halt.wait(WATCHDOG_POLL):
             try:
                 self._sweep()
             except Exception:  # noqa: BLE001 - monitoring must not kill runs
-                continue
+                if not self.report.monitor_error:
+                    self.report.monitor_error = traceback.format_exc()
+                    ctx.tracer.event(
+                        "supervisor.monitor_error",
+                        error=self.report.monitor_error,
+                    )
 
     def _sweep(self) -> None:
         supervisor, rebuild = self.supervisor, self.rebuild
-        ctx, policy = supervisor.ctx, supervisor.policy
-        now = time.monotonic()
+        ctx, pacer = supervisor.ctx, supervisor.pacer
         # --- watchdog: a copy loop with no top-action progress is stuck
         # (a finished run has no heartbeat).
-        if not self._tripped:
-            for beat in rebuild.heartbeats().values():
-                stalled = now - beat
-                if stalled > WATCHDOG_TIMEOUT:
-                    self._tripped = True
-                    self.report.watchdog_trips += 1
-                    ctx.counters.add("watchdog_trips")
-                    index_id = supervisor.tree.index_id
-                    last = rebuild.last_report
-                    resume_unit = last.resume_unit if last else None
-                    if ctx.tracer.enabled:
-                        ctx.tracer.event(
-                            "supervisor.watchdog_trip",
-                            index_id=index_id,
-                            resume_unit=resume_unit,
-                            stalled_seconds=stalled,
-                        )
-                    ctx.syncpoints.fire(
-                        "rebuild.supervisor.watchdog",
+        beat = rebuild.heartbeat
+        if not self._tripped and beat is not None:
+            stalled = time.monotonic() - beat
+            if stalled > WATCHDOG_TIMEOUT:
+                self._tripped = True
+                self.report.watchdog_trips += 1
+                ctx.counters.add("watchdog_trips")
+                index_id = supervisor.tree.index_id
+                last = rebuild.last_report
+                resume_unit = last.resume_unit if last else None
+                if ctx.tracer.enabled:
+                    ctx.tracer.event(
+                        "supervisor.watchdog_trip",
                         index_id=index_id,
                         resume_unit=resume_unit,
                         stalled_seconds=stalled,
                     )
-                    rebuild.fail(
-                        RebuildWatchdogError(
-                            f"rebuild of index {index_id} made no top-action "
-                            f"progress for {stalled:.1f}s (last resume_unit "
-                            f"{resume_unit!r})"
-                        )
+                ctx.syncpoints.fire(
+                    "rebuild.supervisor.watchdog",
+                    index_id=index_id,
+                    resume_unit=resume_unit,
+                    stalled_seconds=stalled,
+                )
+                rebuild.fail(
+                    RebuildWatchdogError(
+                        f"rebuild of index {index_id} made no top-action "
+                        f"progress for {stalled:.1f}s (last resume_unit "
+                        f"{resume_unit!r})"
                     )
-        # --- pressure: transient-fault storms and OLTP latency breaches.
+                )
+        # --- pressure: transient-fault storms, and whatever the pacer
+        # reads from the workload itself.
         retries = ctx.counters.io_retries
         burst = retries - self._last_retries
         self._last_retries = retries
-        pressured = (
-            policy.storm_retry_threshold > 0
-            and burst >= policy.storm_retry_threshold
-        )
-        if not pressured and (
-            policy.latency_budget_ms > 0.0
-            and supervisor.oltp_stats is not None
-        ):
-            pcts = supervisor.oltp_stats.latency_percentiles().get("all")
-            pressured = (
-                pcts is not None and pcts["p99"] > policy.latency_budget_ms
-            )
-        if pressured:
-            widened = min(
-                policy.throttle_cap,
-                rebuild.throttle_sleep + policy.throttle_step,
-            )
-            if widened > rebuild.throttle_sleep:
-                rebuild.throttle_sleep = widened
-                self.report.throttles += 1
-                ctx.counters.add("supervisor_throttles")
-                if ctx.tracer.enabled:
-                    ctx.tracer.event(
-                        "supervisor.throttle", sleep=widened, burst=burst
-                    )
-                ctx.syncpoints.fire(
-                    "rebuild.supervisor.throttle", sleep=widened, burst=burst
+        if pacer.step(pressured=burst >= STORM_RETRIES):
+            self.report.throttles += 1
+            ctx.counters.add("supervisor_throttles")
+            if ctx.tracer.enabled:
+                ctx.tracer.event(
+                    "supervisor.throttle", sleep=pacer.delay, burst=burst
                 )
-        elif rebuild.throttle_sleep > 0.0:
-            # Calm: decay back.
-            rebuild.throttle_sleep = max(
-                0.0, rebuild.throttle_sleep - policy.throttle_step
+            ctx.syncpoints.fire(
+                "rebuild.supervisor.throttle", sleep=pacer.delay, burst=burst
             )
+        rebuild.throttle_sleep = pacer.delay

@@ -23,6 +23,7 @@ JSON (round-trippable via :meth:`MetricsRegistry.from_json`).
 from __future__ import annotations
 
 import json
+import math
 import threading
 from typing import Iterable
 
@@ -54,17 +55,16 @@ class Histogram:
     takes the registration lock briefly to copy shard references.
     """
 
-    __slots__ = ("name", "help", "_lock", "_shards", "_local", "_merged")
+    __slots__ = ("name", "help", "_lock", "_shards", "_local")
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
-        self._shards: list[_HistShard] = []
-        self._local = threading.local()
         # Shards of exited threads are never removed (same lifetime rule
         # as Counters): merged totals must not go backwards.
-        self._merged = None  # unused slot kept for symmetry/debug
+        self._shards: list[_HistShard] = []
+        self._local = threading.local()
 
     def _shard(self) -> _HistShard:
         try:
@@ -121,9 +121,12 @@ class Histogram:
         }
 
     def percentile(self, q: float, snapshot: dict | None = None) -> float:
-        """Value (seconds) at quantile ``q`` in [0, 1]: the upper bound
-        of the bucket holding the nearest-rank sample, clamped to the
-        observed max so a lone sample doesn't report double.  0.0 when
+        """Value (seconds) at quantile ``q`` in [0, 1] of this histogram,
+        or of ``snapshot`` — the engine's one percentile definition: the
+        upper bound of the bucket holding the nearest-rank sample (rank
+        ``ceil(q * count)``), clamped to the observed max so a lone sample
+        doesn't report double.  So never below the exact nearest-rank
+        value of the samples, at most one bucket (2x) above it.  0.0 when
         empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -131,7 +134,7 @@ class Histogram:
         count = snap["count"]
         if count == 0:
             return 0.0
-        rank = max(1, int(round(q * count)))
+        rank = max(1, math.ceil(q * count))
         seen = 0
         for i, n in enumerate(snap["buckets"]):
             seen += n
@@ -162,6 +165,27 @@ class Histogram:
                 shard.vmin = snapshot["min"]
             if snapshot["max"] > shard.vmax:
                 shard.vmax = snapshot["max"]
+
+
+def merged(histograms: Iterable[Histogram]) -> Histogram:
+    """A point-in-time copy of several histograms as one — the op classes
+    of one workload seen as one latency class."""
+    out = Histogram("merged")
+    for hist in histograms:
+        out.load(hist.snapshot())
+    return out
+
+
+def since(now: dict, before: dict) -> dict:
+    """What was recorded between two snapshots of the same histograms.
+    ``min`` and ``max`` stay those of ``now``: they bound the window's
+    samples too, so a percentile clamped to them is never optimistic."""
+    return dict(
+        now,
+        buckets=[n - b for n, b in zip(now["buckets"], before["buckets"])],
+        count=now["count"] - before["count"],
+        sum=now["sum"] - before["sum"],
+    )
 
 
 class MetricsRegistry:
@@ -273,16 +297,6 @@ def parse_prometheus(text: str) -> dict[str, float]:
         name, _, value = line.rpartition(" ")
         out[name] = float(value)
     return out
-
-
-# Canonical histogram names threaded through the engine — keep in sync
-# with docs/observability.md.
-LATCH_WAIT = "latch_wait_seconds"
-WAL_FLUSH = "wal_flush_seconds"
-GROUP_COMMIT_WAIT = "group_commit_wait_seconds"
-SCRUB_PAUSE = "scrub_pause_seconds"
-BUFFER_READ = "buffer_read_seconds"
-TOP_ACTION = "top_action_seconds"
 
 
 def oltp_op(op: str) -> str:

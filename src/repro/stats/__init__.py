@@ -1,12 +1,11 @@
 """Deterministic cost-model counters, timing, fragmentation analysis."""
 
-from repro.stats.counters import GLOBAL_COUNTERS, Counters, Timer
+from repro.stats.counters import Counters, Timer
 from repro.stats.fragmentation import FragmentationReport, analyze_index
 
 __all__ = [
     "Counters",
     "FragmentationReport",
-    "GLOBAL_COUNTERS",
     "Timer",
     "analyze_index",
 ]

@@ -98,7 +98,7 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "supervisor_retries",        # rebuild attempts retried after an abort
     "supervisor_resumes",        # retries that resumed from durable/reported progress
     "supervisor_gave_up",        # supervisors that exhausted their attempt budget
-    "supervisor_throttles",      # degradation actions (sleep widened / paused)
+    "supervisor_throttles",      # degradation actions (top-action sleep widened)
     "watchdog_trips",            # rebuilds failed for a stale heartbeat
     # Online integrity scrubber + quarantine (core/scrubber.py, PR 9).
     "scrub_passes",              # full leaf-chain scrub passes completed
@@ -306,7 +306,3 @@ class Timer:
     def __exit__(self, *exc_info: object) -> None:
         self.wall_seconds = time.perf_counter() - self._wall0
         self.cpu_seconds = time.process_time() - self._cpu0
-
-
-GLOBAL_COUNTERS = Counters()
-"""Default counters used when an engine is built without an explicit bag."""

@@ -89,7 +89,7 @@ from collections import OrderedDict
 from typing import Callable
 
 from repro.errors import BufferError_, TransientIOError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.storage.disk import Disk
 from repro.storage.page import Page
 
@@ -236,7 +236,7 @@ class BufferPool:
         self.retry_limit = retry_limit
         self.retry_backoff = retry_backoff
         self.retry_backoff_cap = retry_backoff_cap
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self._shards = [
             _Shard(
                 capacity // shards + (1 if i < capacity % shards else 0),

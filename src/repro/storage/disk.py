@@ -40,7 +40,7 @@ import time
 import zlib
 
 from repro.errors import ChecksumError, StorageError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
 CRC_TRAILER_SIZE = 4
@@ -78,7 +78,7 @@ class Disk:
         if latency < 0.0:
             raise StorageError(f"latency must be >= 0, got {latency}")
         self.latency = latency
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self._pages: dict[int, bytes] = {}
         self._lock = threading.Lock()
 

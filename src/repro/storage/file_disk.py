@@ -26,7 +26,7 @@ import threading
 import zlib
 
 from repro.errors import ChecksumError, StorageError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.storage.disk import CRC_TRAILER_SIZE, _io_calls
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
@@ -55,7 +55,7 @@ class FileDisk:
         self.slot_size = page_size + CRC_TRAILER_SIZE
         self.io_size = io_size
         self.pages_per_io = io_size // page_size
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self._lock = threading.Lock()
         flags = os.O_RDWR | os.O_CREAT
         self._fd = os.open(path, flags, 0o644)

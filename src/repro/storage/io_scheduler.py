@@ -75,7 +75,7 @@ from typing import Callable
 from repro.concurrency.syncpoints import CrashPoint
 from repro.errors import IOSchedulerError, TransientIOError
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.page import NO_PAGE
 
@@ -224,7 +224,7 @@ class IOScheduler:
         if window < 1:
             raise IOSchedulerError("io scheduler window must be >= 1")
         self.buffer = buffer
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self.window = window
         self.tracer = tracer
         self._leaf_order = leaf_order

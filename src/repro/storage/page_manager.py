@@ -20,7 +20,7 @@ import threading
 from typing import Iterator
 
 from repro.errors import AllocationError, PageStateError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.storage.disk import Disk
 
 
@@ -39,7 +39,7 @@ class PageManager:
 
     def __init__(self, disk: Disk, counters: Counters | None = None) -> None:
         self.disk = disk
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self._states: dict[int, PageState] = {}
         self._free: set[int] = set()
         self._next_new = 1  # high-water mark: smallest never-used id

@@ -30,7 +30,7 @@ from collections import defaultdict
 from typing import Callable, Collection, Iterator
 
 from repro.errors import WALError
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.wal.records import LogRecord, RecordType
 
 
@@ -45,7 +45,7 @@ class LogManager:
     metrics = None
 
     def __init__(self, counters: Counters | None = None) -> None:
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self._records: list[bytes] = []
         self._offsets: list[int] = []     # lsn of each record
         self._next_lsn = 1                # byte offset; 0 means "no record"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.errors import RecoveryError
 from repro.obs.tracer import NULL_TRACER
 from repro.quarantine import QuarantineRange, quarantine_payload
-from repro.stats.counters import GLOBAL_COUNTERS, Counters
+from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.page_manager import PageManager, PageState
 from repro.wal.apply import (
@@ -163,7 +163,7 @@ class RecoveryManager:
         self.log = log
         self.buffer = buffer
         self.page_manager = page_manager
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
+        self.counters = counters if counters is not None else Counters()
         self.ctx = ApplyContext(buffer, page_manager)
 
     # ------------------------------------------------------------------ drive

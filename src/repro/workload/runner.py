@@ -27,7 +27,9 @@ from repro.errors import (
     QuarantinedRangeError,
     StorageError,
 )
-from repro.obs.metrics import oltp_op
+from repro.obs.metrics import Histogram, merged, oltp_op
+
+OPS = ("insert", "delete", "scan")
 
 
 @dataclass
@@ -50,9 +52,16 @@ class OltpStats:
     *expected* unavailability while a repair runs, tallied separately
     from faults so benches can tell degradation from damage."""
     errors: list[str] = field(default_factory=list)
-    latency_samples: dict[str, list[float]] = field(default_factory=dict)
-    """Per-op-class wall-clock latencies in seconds (completed ops only),
-    keyed by ``insert`` / ``delete`` / ``scan``."""
+    histograms: dict[str, Histogram] = field(
+        default_factory=lambda: {op: Histogram(oltp_op(op)) for op in OPS}
+    )
+    """One latency histogram per op class (seconds, completed ops only),
+    recorded into as each op completes — a reader sees a running workload,
+    and nothing is kept per sample.  A :class:`MixedWorkload` puts its
+    engine's ``oltp_<op>_seconds`` histograms here, so the exported
+    registry and a :class:`~repro.core.supervisor.Pacer` built over
+    ``histograms.values()`` read the same objects (and a second workload
+    on the same engine continues them)."""
 
     @property
     def operations(self) -> int:
@@ -69,40 +78,17 @@ class OltpStats:
 
         Tail percentiles are what a rebuild running alongside the workload
         actually moves — mean throughput can look flat while blocked-time
-        spikes show up squarely in p99.  Nearest-rank on the raw samples.
-        Every standard op class (``insert`` / ``delete`` / ``scan``) and
-        ``all`` is always present with exactly ``p50``/``p95``/``p99``
-        keys: a class with no samples reports 0.0 across the board, and a
-        single sample is its own p50 = p95 = p99 — so benches and
-        dashboards can index the dict without existence checks.
+        spikes show up squarely in p99.  Read through
+        :meth:`Histogram.percentile`: never below the exact nearest-rank
+        value, at most one bucket above it.  Every op class and ``all``
+        is always present with exactly ``p50``/``p95``/``p99`` keys: a
+        class with no samples reports 0.0 across the board, and a single
+        sample is its own p50 = p95 = p99 — so benches and dashboards can
+        index the dict without existence checks.
         """
-        out: dict[str, dict[str, float]] = {}
-        merged: list[float] = []
-        for op in ("insert", "delete", "scan"):
-            samples = self.latency_samples.get(op, [])
-            out[op] = _percentiles_ms(samples)
-            merged.extend(samples)
-        # Nonstandard classes a custom workload recorded still show up,
-        # and still feed the merged view.
-        for op, samples in sorted(self.latency_samples.items()):
-            if op not in out:
-                out[op] = _percentiles_ms(samples)
-                merged.extend(samples)
-        out["all"] = _percentiles_ms(merged)
+        out = {op: h.percentiles() for op, h in self.histograms.items()}
+        out["all"] = merged(self.histograms.values()).percentiles()
         return out
-
-
-def _percentiles_ms(samples: list[float]) -> dict[str, float]:
-    ordered = sorted(samples)
-    n = len(ordered)
-    if n == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def rank(p: float) -> float:
-        idx = max(0, min(n - 1, int(p * n + 0.5) - 1))
-        return ordered[idx] * 1000.0
-
-    return {"p50": rank(0.50), "p95": rank(0.95), "p99": rank(0.99)}
 
 
 class MixedWorkload:
@@ -134,7 +120,11 @@ class MixedWorkload:
         self.scan_width = scan_width
         self.seed = seed
         self.before_op = before_op
-        self.stats = OltpStats()
+        self.stats = OltpStats(
+            histograms={
+                op: tree.ctx.metrics.histogram(oltp_op(op)) for op in OPS
+            }
+        )
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._workers: list[threading.Thread] = []
@@ -184,20 +174,12 @@ class MixedWorkload:
     def _worker(self, ordinal: int) -> None:
         rnd = random.Random(self.seed * 1000 + ordinal)
         inserts = deletes = scans = scan_rows = 0
-        samples: dict[str, list[float]] = {
-            "insert": [], "delete": [], "scan": []
-        }
+        hists = self.stats.histograms
         # Per-op tracing rides on the engine context the tree runs
         # against; everything below stays a single bool check per op when
         # tracing is off (the default).
-        ctx = getattr(self.tree, "ctx", None)
-        tracer = ctx.tracer if ctx is not None else None
-        trace_on = tracer is not None and tracer.enabled
-        hists = (
-            {op: ctx.metrics.histogram(oltp_op(op)) for op in samples}
-            if trace_on
-            else {}
-        )
+        tracer = self.tree.ctx.tracer
+        trace_on = tracer.enabled
         try:
             while not self._stop.is_set():
                 if self.before_op is not None:
@@ -242,10 +224,7 @@ class MixedWorkload:
                                 break
                         scans += 1
                         scan_rows += rows
-                    elapsed = time.perf_counter() - began
-                    samples[op].append(elapsed)
-                    if trace_on:
-                        hists[op].record(elapsed)
+                    hists[op].record(time.perf_counter() - began)
                 except QuarantinedRangeError as exc:
                     # The op landed inside a fenced range: bounded,
                     # deliberate unavailability while the repair runs —
@@ -291,8 +270,3 @@ class MixedWorkload:
                 self.stats.deletes += deletes
                 self.stats.scans += scans
                 self.stats.scan_rows += scan_rows
-                for op, vals in samples.items():
-                    if vals:
-                        self.stats.latency_samples.setdefault(
-                            op, []
-                        ).extend(vals)

@@ -55,13 +55,6 @@ def test_single_leaf_root_pass():
     assert report.pages_checked == 1
 
 
-def test_config_validation():
-    with pytest.raises(ScrubError):
-        ScrubConfig(crc_retries=-1)
-    with pytest.raises(ScrubError):
-        ScrubConfig(max_loop_factor=0)
-
-
 # --------------------------------------------------------- seeded detection
 
 
@@ -306,19 +299,25 @@ def test_structural_damage_reported_not_rewritten():
 # ----------------------------------------------------- pacing and lifecycle
 
 
-def test_background_thread_runs_passes_and_stops():
+def test_background_thread_runs_passes_and_stops(monkeypatch):
+    import threading
+
+    from repro.core import scrubber as scrubber_mod
+
+    monkeypatch.setattr(scrubber_mod, "PASS_INTERVAL", 0.01)
     engine = faulty_engine()
     tree = engine.create_index(key_len=4)
     fill_index(tree, 800)
-    scrubber = Scrubber(tree, config=ScrubConfig(pass_interval=0.01))
+    three_done = threading.Event()
+    engine.syncpoints.on(
+        "scrub.pass_done",
+        lambda ctx: three_done.set() if ctx["epoch"] >= 3 else None,
+    )
+    scrubber = Scrubber(tree)
     scrubber.start()
     with pytest.raises(ScrubError):
         scrubber.start()
-    import time
-
-    deadline = time.monotonic() + 10.0
-    while len(scrubber.passes) < 3 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    assert three_done.wait(10.0)
     scrubber.stop()
     assert len(scrubber.passes) >= 3
     assert scrubber.last_error is None
@@ -326,37 +325,30 @@ def test_background_thread_runs_passes_and_stops():
 
 
 def test_throttle_widens_pause_under_latency_pressure():
-    class FakeStats:
-        def __init__(self):
-            self.p99 = 99.0
-
-        def latency_percentiles(self):
-            return {"all": {"p50": 50.0, "p95": 90.0, "p99": self.p99}}
-
     from repro.core.scrubber import ScrubReport
+    from repro.core.supervisor import PACER_STEP, Pacer
+    from repro.obs.metrics import Histogram
 
     engine = faulty_engine()
     tree = engine.create_index(key_len=4)
     fill_index(tree, 200)
-    stats = FakeStats()
-    scrubber = Scrubber(
-        tree,
-        config=ScrubConfig(
-            latency_budget_ms=1.0, throttle_step=0.001, throttle_cap=0.003
-        ),
-        oltp_stats=stats,
-    )
+    oltp = Histogram("oltp_scan_seconds")
+    pacer = Pacer([oltp], budget_ms=1.0)
+    scrubber = Scrubber(tree, pacer=pacer)
     report = ScrubReport()
-    scrubber._pace(report)
-    scrubber._pace(report)
+    for _ in range(2):  # two batches, each beside an op over the budget
+        oltp.record(0.099)
+        scrubber._pace(report)
     assert report.throttles == 2
     assert engine.counters.scrub_throttles == 2
-    assert scrubber._pause > scrubber.config.pause
-    # Calm OLTP decays the pause back toward the configured baseline.
-    stats.p99 = 0.1
-    for _ in range(10):
-        scrubber._pace(report)
-    assert scrubber._pause == pytest.approx(scrubber.config.pause)
+    assert pacer.delay == pytest.approx(2 * PACER_STEP)
+    # Calm OLTP — the old outliers are in no later window — decays the
+    # pause back to nothing, and the repair rebuilds are paced by the same
+    # pacer.
+    oltp.record(0.0001)
+    scrubber._pace(report)
+    scrubber._pace(report)
+    assert pacer.delay == 0.0 and report.throttles == 2
 
 
 def test_segment_epochs_track_coverage():

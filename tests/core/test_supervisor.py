@@ -9,16 +9,21 @@ from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import CrashPoint
 from repro.core import supervisor as supervisor_mod
 from repro.core.supervisor import (
+    PACER_CAP,
+    PACER_STEP,
+    STORM_RETRIES,
+    Pacer,
     RebuildSupervisor,
     SupervisorConfig,
     SupervisorReport,
     _Monitor,
 )
 from repro.errors import RebuildAbortedError, RebuildError, RebuildWatchdogError
+from repro.obs.metrics import Histogram
 from repro.storage.faults import FaultPlan
 from tests.conftest import contents_as_ints, make_half_empty, pinned_ids
 
-FAST = SupervisorConfig(retry_backoff=0.001, retry_backoff_cap=0.01)
+FAST = SupervisorConfig(retry_backoff=0.001)
 
 
 def _engine(count: int = 2000, **kw):
@@ -104,17 +109,21 @@ def test_gives_up_after_max_attempts():
     index.verify()
 
 
-def test_stop_interrupts_retry_backoff():
+def test_stop_interrupts_retry_backoff(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "RETRY_BACKOFF_CAP", 30.0)
     engine, index, _ = _engine(1000)
     engine.syncpoints.on(
         "rebuild.copy_locked",
         lambda _ctx: (_ for _ in ()).throw(RuntimeError("always broken")),
     )
+    backing_off = threading.Event()
+    engine.syncpoints.on(
+        "rebuild.supervisor.retry", lambda _ctx: backing_off.set()
+    )
     supervisor = RebuildSupervisor(
         index,
         RebuildConfig(ntasize=4, xactsize=8),
-        SupervisorConfig(max_attempts=3, retry_backoff=30.0,
-                         retry_backoff_cap=30.0),
+        SupervisorConfig(max_attempts=3, retry_backoff=30.0),
     )
     result: dict = {}
 
@@ -127,7 +136,9 @@ def test_stop_interrupts_retry_backoff():
     thread = threading.Thread(target=drive)
     start = time.monotonic()
     thread.start()
-    time.sleep(0.3)  # let attempt 1 fail and the 30 s backoff begin
+    # Attempt 1 has failed and the 30 s backoff is about to begin (a
+    # stop() that lands before the wait cuts it just the same).
+    assert backing_off.wait(10.0)
     supervisor.stop()
     thread.join(timeout=10.0)
     assert not thread.is_alive(), "stop() did not cut the backoff short"
@@ -138,9 +149,7 @@ def test_stop_interrupts_retry_backoff():
 # --------------------------------------------------------- the one channel
 
 
-@pytest.mark.parametrize(
-    "how", ["fail_midrun", "fail_paused", "top_action_raises", "crash"]
-)
+@pytest.mark.parametrize("how", ["fail_midrun", "top_action_raises", "crash"])
 def test_every_failure_takes_the_one_channel(monkeypatch, how):
     """However a run fails: one exception type chained from the cause, a
     ``resume_unit`` that ends the copied prefix, an index that verifies —
@@ -187,8 +196,6 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how):
             return
         if how == "fail_midrun":
             fail_from_another_thread()
-        elif how == "fail_paused":
-            supervisor.rebuild.pause()
         elif how == "crash":
             raise CrashPoint("rebuild.nta_end")
 
@@ -203,9 +210,6 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how):
 
     engine.syncpoints.on("rebuild.nta_end", on_nta_end)
     engine.syncpoints.on("rebuild.copy_locked", on_copy_locked)
-    engine.syncpoints.on(
-        "rebuild.paused", lambda _ctx: fail_from_another_thread()
-    )
 
     if how == "crash":
         with pytest.raises(CrashPoint):
@@ -252,7 +256,7 @@ def _monitor_fixture(count=1000):
 def test_watchdog_sweep_fails_stale_worker(monkeypatch):
     monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.05)
     engine, rebuild, monitor = _monitor_fixture()
-    rebuild._beat = time.monotonic() - 1.0
+    rebuild.heartbeat = time.monotonic() - 1.0
     said: list[dict] = []
     engine.syncpoints.on("rebuild.supervisor.watchdog", said.append)
     monitor._sweep()
@@ -274,7 +278,7 @@ def test_watchdog_sweep_fails_stale_worker(monkeypatch):
 
 def test_watchdog_sweep_leaves_live_workers_alone():
     engine, rebuild, monitor = _monitor_fixture()
-    rebuild._beat = time.monotonic()
+    rebuild.heartbeat = time.monotonic()
     monitor._sweep()
     assert rebuild._state.error is None
     assert engine.counters.watchdog_trips == 0
@@ -288,13 +292,13 @@ def test_watchdog_ignores_a_finished_run(monkeypatch):
     supervisor = RebuildSupervisor(index, config, SupervisorConfig())
     rebuild = OnlineRebuild(index, config)
     monitor = _Monitor(supervisor, rebuild, SupervisorReport())
-    beats: list[dict] = []
+    beats: list[float | None] = []
     engine.syncpoints.on(
-        "rebuild.nta_end", lambda _ctx: beats.append(rebuild.heartbeats())
+        "rebuild.nta_end", lambda _ctx: beats.append(rebuild.heartbeat)
     )
     rebuild.run()
-    assert beats and all(set(beat) == {0} for beat in beats)
-    assert rebuild.heartbeats() == {}
+    assert beats and None not in beats
+    assert rebuild.heartbeat is None
     # Any heartbeat in the past would now be past the deadline.
     monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.0)
     monitor._sweep()
@@ -307,19 +311,21 @@ def test_watchdog_ignores_a_finished_run(monkeypatch):
 
 def test_watchdog_trip_retries_and_completes(monkeypatch):
     monkeypatch.setattr(supervisor_mod, "WATCHDOG_TIMEOUT", 0.1)
+    monkeypatch.setattr(supervisor_mod, "WATCHDOG_POLL", 0.02)
     engine, index, expected = _engine(4000)
-    stalled = {"done": False}
+    tripped = threading.Event()
+    engine.syncpoints.on(
+        "rebuild.supervisor.watchdog", lambda _ctx: tripped.set()
+    )
 
     def stall_once(_ctx):
-        if not stalled["done"]:
-            stalled["done"] = True
-            time.sleep(0.6)  # well past the deadline patched above
+        # Hold the copy thread until the watchdog has seen it stalled.
+        if not tripped.is_set():
+            assert tripped.wait(10.0)
 
     engine.syncpoints.on("rebuild.txn_committed", stall_once)
     supervisor = RebuildSupervisor(
-        index,
-        RebuildConfig(ntasize=4, xactsize=8),
-        SupervisorConfig(watchdog_poll=0.02, retry_backoff=0.001),
+        index, RebuildConfig(ntasize=4, xactsize=8), FAST
     )
     report = supervisor.run()
     assert report.watchdog_trips >= 1
@@ -335,42 +341,93 @@ def test_watchdog_trip_retries_and_completes(monkeypatch):
 
 def test_storm_sweep_throttles_then_decays():
     engine, rebuild, monitor = _monitor_fixture()
-    policy = monitor.supervisor.policy
-    engine.counters.add("io_retries", policy.storm_retry_threshold + 1)
+    engine.counters.add("io_retries", STORM_RETRIES)
     monitor._sweep()
-    assert rebuild.throttle_sleep == pytest.approx(policy.throttle_step)
+    assert rebuild.throttle_sleep == pytest.approx(PACER_STEP)
     assert engine.counters.supervisor_throttles == 1
     # Another stormy sweep widens further, up to the cap.
-    engine.counters.add("io_retries", policy.storm_retry_threshold + 1)
+    engine.counters.add("io_retries", STORM_RETRIES + 1)
     monitor._sweep()
-    assert rebuild.throttle_sleep == pytest.approx(2 * policy.throttle_step)
-    # Calm sweeps decay back toward the configured baseline.
+    assert rebuild.throttle_sleep == pytest.approx(2 * PACER_STEP)
+    # Calm sweeps (one retry is no storm) decay back to zero.
+    engine.counters.add("io_retries", 1)
     monitor._sweep()
     monitor._sweep()
-    assert rebuild.throttle_sleep == pytest.approx(0.0)
+    assert rebuild.throttle_sleep == 0.0
+    assert monitor.report.throttles == 2
 
 
 def test_latency_budget_breach_throttles():
+    """A pacer over a workload's histograms: a sweep whose window holds an
+    op over the budget widens the rebuild's sleep, and the same op does
+    not keep it widened — the next window is empty, and calm."""
     engine, index, _ = _engine(1000)
-
-    class Stats:
-        def latency_percentiles(self):
-            return {"all": {"p50": 1.0, "p95": 20.0, "p99": 80.0}}
-
+    oltp = Histogram("oltp_insert_seconds")
     config = RebuildConfig()
     supervisor = RebuildSupervisor(
-        index, config,
-        SupervisorConfig(storm_retry_threshold=0, latency_budget_ms=50.0),
-        oltp_stats=Stats(),
+        index, config, pacer=Pacer([oltp], budget_ms=50.0)
     )
     rebuild = OnlineRebuild(index, config)
     monitor = _Monitor(supervisor, rebuild, SupervisorReport())
+    oltp.record(0.001)
     monitor._sweep()
-    assert rebuild.throttle_sleep > 0.0
+    assert rebuild.throttle_sleep == 0.0
+    oltp.record(0.080)
+    monitor._sweep()
+    assert rebuild.throttle_sleep == pytest.approx(PACER_STEP)
     assert engine.counters.supervisor_throttles == 1
+    monitor._sweep()
+    assert rebuild.throttle_sleep == 0.0
 
 
-def test_supervised_rebuild_completes_under_transient_storm():
+def test_pacer_widens_to_its_cap_and_decays_to_zero():
+    pacer = Pacer()
+    steps = round(PACER_CAP / PACER_STEP)
+    assert all(pacer.step(pressured=True) for _ in range(steps))
+    assert pacer.delay == pytest.approx(PACER_CAP)
+    assert not pacer.step(pressured=True)  # at the cap: no wider
+    assert pacer.delay == pytest.approx(PACER_CAP)
+    assert not any(pacer.step() for _ in range(steps))
+    assert pacer.delay == 0.0
+
+
+def test_raising_sweep_is_recorded_and_the_attempt_completes(monkeypatch):
+    """Monitoring must not kill a run, and must not fail silently either:
+    the first sweep that raises is in the report and in the trace."""
+    monkeypatch.setattr(supervisor_mod, "WATCHDOG_POLL", 0.005)
+    engine = Engine(buffer_capacity=2048, trace=True)
+    index = engine.create_index(key_len=4)
+    make_half_empty(index, 2000)
+    expected = contents_as_ints(index)
+    swept = threading.Event()
+
+    def broken_sweep(self):
+        swept.set()
+        raise RuntimeError("sweep bug")
+
+    monkeypatch.setattr(_Monitor, "_sweep", broken_sweep)
+    # The copy thread waits for the monitor's first sweep at its first
+    # transaction boundary.
+    engine.syncpoints.on(
+        "rebuild.txn_committed", lambda _ctx: swept.wait(10.0)
+    )
+    report = RebuildSupervisor(
+        index, RebuildConfig(ntasize=4, xactsize=8), FAST
+    ).run()
+    assert swept.is_set()
+    assert report.attempts == 1 and report.final.completed
+    assert "RuntimeError: sweep bug" in report.monitor_error
+    events = [
+        s for s in engine.ctx.tracer.spans()
+        if s.name == "supervisor.monitor_error"
+    ]
+    assert len(events) == 1, "one event for the first error, not one a sweep"
+    assert contents_as_ints(index) == expected
+
+
+def test_supervised_rebuild_completes_under_transient_storm(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "WATCHDOG_POLL", 0.02)
+    monkeypatch.setattr(supervisor_mod, "STORM_RETRIES", 4)
     plan = FaultPlan(
         seed=23,
         transient_read_rate=0.02,
@@ -382,47 +439,12 @@ def test_supervised_rebuild_completes_under_transient_storm():
     make_half_empty(index, 3000)
     expected = contents_as_ints(index)
     supervisor = RebuildSupervisor(
-        index,
-        RebuildConfig(ntasize=4, xactsize=8),
-        SupervisorConfig(watchdog_poll=0.02, storm_retry_threshold=4,
-                         retry_backoff=0.001),
+        index, RebuildConfig(ntasize=4, xactsize=8), FAST
     )
     report = supervisor.run()
     assert report.final.completed and not report.gave_up
     assert contents_as_ints(index) == expected
     index.verify()
-
-
-# ------------------------------------------------------------ pause / resume
-
-
-def test_pause_gate_holds_rebuild_between_top_actions():
-    engine, index, expected = _engine()
-    supervisor = RebuildSupervisor(
-        index, RebuildConfig(ntasize=4, xactsize=8), FAST
-    )
-    paused = threading.Event()
-    engine.syncpoints.on("rebuild.paused", lambda _ctx: paused.set())
-
-    def pause_once(_ctx):
-        rebuild = supervisor.rebuild
-        if rebuild is not None and not paused.is_set():
-            rebuild.pause()
-
-    engine.syncpoints.on("rebuild.txn_committed", pause_once)
-
-    def release():
-        assert paused.wait(10.0)
-        assert supervisor.rebuild.paused
-        supervisor.rebuild.unpause()
-
-    releaser = threading.Thread(target=release)
-    releaser.start()
-    report = supervisor.run()
-    releaser.join(timeout=10.0)
-    assert paused.is_set(), "rebuild never parked on the pause gate"
-    assert report.final.completed
-    assert contents_as_ints(index) == expected
 
 
 # --------------------------------------------------------------------- knobs
@@ -431,8 +453,6 @@ def test_pause_gate_holds_rebuild_between_top_actions():
 def test_policy_validation():
     with pytest.raises(RebuildError):
         SupervisorConfig(max_attempts=0)
-    with pytest.raises(RebuildError):
-        SupervisorConfig(watchdog_poll=0.0)
     with pytest.raises(RebuildError):
         SupervisorConfig(retry_backoff=-1.0)
 

@@ -13,14 +13,17 @@ from __future__ import annotations
 import threading
 
 from repro import Engine
-from repro.core.scrubber import ScrubConfig, Scrubber
+from repro.core import scrubber as scrubber_mod
+from repro.core.scrubber import Scrubber
+from repro.core.supervisor import Pacer
 from repro.storage.faults import FaultPlan
 from repro.workload.runner import MixedWorkload
 
 from ..conftest import contents_as_ints, intkey, make_half_empty
 
 
-def test_self_healing_under_oltp():
+def test_self_healing_under_oltp(monkeypatch):
+    monkeypatch.setattr(scrubber_mod, "PASS_INTERVAL", 0.01)
     engine = Engine(
         buffer_capacity=4096, lock_timeout=15.0, fault_plan=FaultPlan()
     )
@@ -46,8 +49,11 @@ def test_self_healing_under_oltp():
     workload = MixedWorkload(
         tree, intkey, key_count, threads=2, seed=7, write_fraction=0.5
     )
+    # The scrub walk and the repair rebuild both yield to the workload's
+    # live p99 through the one pacer.
     scrubber = Scrubber(
-        tree, config=ScrubConfig(pass_interval=0.01), oltp_stats=workload.stats
+        tree,
+        pacer=Pacer(workload.stats.histograms.values(), budget_ms=50.0),
     )
     # Rendezvous on the scrubber's own syncpoints instead of polling
     # counters on a sleep loop: "healed" means a fence was lifted AND a

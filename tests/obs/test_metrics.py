@@ -1,5 +1,6 @@
 """Histogram and registry unit tests: bucketing, percentiles, exporters."""
 
+import math
 import threading
 
 import pytest
@@ -8,8 +9,10 @@ from repro.obs.metrics import (
     _UPPER_SECONDS,
     Histogram,
     MetricsRegistry,
+    merged,
     oltp_op,
     parse_prometheus,
+    since,
 )
 from repro.stats.counters import Counters
 
@@ -61,6 +64,25 @@ def test_percentile_upper_bound_never_optimistic():
     assert h.percentile(0.5) >= 3e-6
 
 
+def test_percentile_is_nearest_rank_for_every_count():
+    """Rank ``ceil(q * count)``: for every count 1..200 the answer is never
+    below that sample of the sorted list and at most one bucket above it
+    (``round`` put the p50 of five samples under their median)."""
+    h = Histogram("x")
+    ordered: list[float] = []
+    for count in range(1, 201):
+        value = 0.9e-3 * 2 ** (count % 11)  # 0.9 ms .. 0.92 s, a bucket each
+        h.record(value)
+        ordered = sorted(ordered + [value])
+        for q in (0.0, 0.25, 0.50, 0.95, 0.99, 1.0):
+            exact = ordered[max(0, math.ceil(q * count) - 1)]
+            assert exact <= h.percentile(q) <= 2 * exact, (count, q)
+    five = Histogram("x")
+    for ms in (0.9, 1.8, 3.6, 7.2, 14.4):
+        five.record(ms / 1000.0)
+    assert 3.6e-3 <= five.percentile(0.5) <= 7.2e-3
+
+
 def test_percentile_clamped_to_observed_max():
     h = Histogram("x")
     h.record(3e-6)
@@ -95,6 +117,38 @@ def test_percentile_ordering():
     p95 = h.percentile(0.95, snap)
     p99 = h.percentile(0.99, snap)
     assert p50 <= p95 <= p99 <= snap["max"]
+
+
+# ------------------------------------------------------ merged and since
+
+
+def test_merged_sees_several_histograms_as_one():
+    a, b = Histogram("a"), Histogram("b")
+    a.record(0.001)
+    b.record(0.004)
+    b.record(0.016)
+    snap = merged([a, b]).snapshot()
+    assert snap["count"] == 3 and sum(snap["buckets"]) == 3
+    assert snap["min"] == pytest.approx(0.001)
+    assert snap["max"] == pytest.approx(0.016)
+    assert merged([a, b]).percentile(1.0) == pytest.approx(0.016)
+    b.record(1.0)  # a copy, not a view
+    assert snap["count"] == 3
+    empty = merged([]).snapshot()
+    assert empty["count"] == 0 and empty["min"] == empty["max"] == 0.0
+
+
+def test_since_is_what_was_recorded_between_two_snapshots():
+    h = Histogram("x")
+    h.record(0.5)  # an old outlier the window must not keep answering
+    before = h.snapshot()
+    assert h.percentile(0.99, since(h.snapshot(), before)) == 0.0  # empty
+    h.record(0.001)
+    h.record(0.002)
+    window = since(h.snapshot(), before)
+    assert window["count"] == 2 and sum(window["buckets"]) == 2
+    assert window["sum"] == pytest.approx(0.003)
+    assert 0.002 <= h.percentile(0.99, window) <= 0.004
 
 
 # -------------------------------------------------------------- sharding

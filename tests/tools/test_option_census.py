@@ -1,7 +1,7 @@
 """Every option has a setter that is not a test.
 
-For each ``RebuildConfig`` and ``SupervisorConfig`` field and each
-``Engine`` keyword parameter, some file under ``src/`` or
+For each ``RebuildConfig``, ``SupervisorConfig`` and ``ScrubConfig``
+field and each ``Engine`` keyword parameter, some file under ``src/`` or
 ``benchmarks/`` — not ``tests/``, not ``examples/`` — passes the name by
 keyword or as a dict key (the declaration itself is neither).  An option only tests set is one value in
 use and a second path nobody runs: it fails here the day it appears, and
@@ -14,6 +14,7 @@ import inspect
 from pathlib import Path
 
 from repro import Engine, RebuildConfig
+from repro.core.scrubber import ScrubConfig
 from repro.core.supervisor import SupervisorConfig
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -23,14 +24,12 @@ WAIVED = {
     # level 1, which no benchmark workload reaches yet; it stays until a
     # benchmark-only PR adds one (ROADMAP item 2).
     "nonleaf_range_side_entries",
-    # The supervisor's pacing knobs, set by tests alone today: they are
-    # what the one governor of ROADMAP item 6 replaces, and go with it.
-    "retry_backoff_cap",
-    "watchdog_poll",
-    "storm_retry_threshold",
-    "throttle_step",
-    "throttle_cap",
-    "latency_budget_ms",
+    # Detect-and-report-only scrubbing is the mode an operator runs before
+    # trusting the repair ladder with a damaged index, and the reference
+    # the false-positive property tests compare against; nothing in
+    # ``src/`` or ``benchmarks/`` scrubs yet (ROADMAP item 3's
+    # ``oltp_scrub`` row).
+    "repair",
 }
 
 
@@ -55,7 +54,7 @@ def names_passed() -> set[str]:
 def test_every_option_is_set_outside_tests():
     fields = {
         f.name
-        for config in (RebuildConfig, SupervisorConfig)
+        for config in (RebuildConfig, SupervisorConfig, ScrubConfig)
         for f in dataclasses.fields(config)
     }
     options = fields | set(inspect.signature(Engine).parameters)

@@ -87,18 +87,29 @@ def test_stop_joins_cleanly_within_timeout():
     assert stats.errors == []
 
 
-def test_latency_percentiles_nearest_rank():
-    from repro.workload.runner import OltpStats, _percentiles_ms
+def _stats(**samples):
+    """An ``OltpStats`` whose op classes recorded ``samples`` (seconds)."""
+    from repro.obs.metrics import Histogram, oltp_op
+    from repro.workload.runner import OltpStats
 
+    stats = OltpStats()
+    for op, values in samples.items():
+        hist = stats.histograms.setdefault(op, Histogram(oltp_op(op)))
+        for value in values:
+            hist.record(value)
+    return stats
+
+
+def test_latency_percentiles_nearest_rank():
+    """The one percentile definition: never below the exact nearest-rank
+    value of the samples, at most one (power-of-two) bucket above it."""
     samples = [i / 1000.0 for i in range(1, 101)]  # 1ms .. 100ms
-    pct = _percentiles_ms(samples)
-    assert pct == {"p50": 50.0, "p95": 95.0, "p99": 99.0}
-    stats = OltpStats(latency_samples={"insert": samples, "scan": [0.002]})
-    out = stats.latency_percentiles()
-    assert out["insert"]["p95"] == 95.0
+    out = _stats(insert=samples, scan=[0.002]).latency_percentiles()
+    for name, exact in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
+        assert exact <= out["insert"][name] <= 2 * exact
     assert out["scan"] == {"p50": 2.0, "p95": 2.0, "p99": 2.0}
-    # "all" merges every op class.
-    assert out["all"]["p99"] == 99.0
+    # "all" merges every op class: 101 samples, the p99 is the 100th.
+    assert 100.0 <= out["all"]["p99"] <= 200.0
 
 
 def test_latency_percentiles_empty_stats():
@@ -114,10 +125,7 @@ def test_latency_percentiles_empty_stats():
 
 
 def test_latency_percentiles_single_sample():
-    from repro.workload.runner import OltpStats
-
-    stats = OltpStats(latency_samples={"scan": [0.004]})
-    out = stats.latency_percentiles()
+    out = _stats(scan=[0.004]).latency_percentiles()
     assert set(out) == {"insert", "delete", "scan", "all"}
     # One sample is its own p50 = p95 = p99.
     assert out["scan"] == {"p50": 4.0, "p95": 4.0, "p99": 4.0}
@@ -127,21 +135,14 @@ def test_latency_percentiles_single_sample():
 
 
 def test_latency_percentiles_nonstandard_class_included():
-    from repro.workload.runner import OltpStats
-
-    stats = OltpStats(latency_samples={"lookup": [0.001, 0.003]})
-    out = stats.latency_percentiles()
+    out = _stats(lookup=[0.001, 0.003]).latency_percentiles()
     assert set(out) == {"insert", "delete", "scan", "lookup", "all"}
     assert out["lookup"]["p99"] == 3.0
     assert out["all"]["p99"] == 3.0
 
 
 def test_latency_percentiles_exactly_three_keys():
-    from repro.workload.runner import OltpStats
-
-    stats = OltpStats(
-        latency_samples={"insert": [0.002, 0.001], "delete": [], "scan": []}
-    )
+    stats = _stats(insert=[0.002, 0.001], delete=[], scan=[])
     for cls in stats.latency_percentiles().values():
         assert set(cls) == {"p50", "p95", "p99"}
 
@@ -156,10 +157,76 @@ def test_workload_collects_latency_samples():
     )
     stats = workload.run_for(0.2, join_timeout=10.0)
     assert stats.errors == []
-    total = sum(len(v) for v in stats.latency_samples.values())
+    # The stats' histograms are the engine's own: the exported registry
+    # and a pacer read what the workers recorded, and nothing is kept per
+    # sample.
+    registry = engine.ctx.metrics.histograms()
+    assert all(
+        stats.histograms[op] is registry[f"oltp_{op}_seconds"]
+        for op in ("insert", "delete", "scan")
+    )
+    assert not hasattr(stats, "latency_samples")
+    total = sum(h.snapshot()["count"] for h in stats.histograms.values())
     # One sample per *attempted* op; the op tallies count only effective
     # ones (a duplicate insert or missing-key delete is sampled, not
     # tallied), so samples can only exceed the tallies.
     assert total >= stats.operations > 0
     pct = stats.latency_percentiles()
     assert pct["all"]["p50"] <= pct["all"]["p95"] <= pct["all"]["p99"]
+
+
+def test_live_workload_feeds_percentiles_and_a_pacer(monkeypatch):
+    """One stalled op shows in the p99 of the *running* workload; a pacer
+    over its histograms widens on the step that sees the stall and is back
+    at its floor after as many calm steps."""
+    import threading
+    import time
+
+    from repro.core.supervisor import PACER_STEP, Pacer
+
+    engine = Engine(buffer_capacity=2048)
+    index = engine.create_index(key_len=4)
+    for k in range(0, 500, 2):
+        index.insert(intkey(k), k)
+    stalled, release = threading.Event(), threading.Event()
+    recorded, go_on = threading.Event(), threading.Event()
+    real_insert = index.insert
+
+    def stall_once(key, rowid):
+        if not stalled.is_set():
+            stalled.set()
+            assert release.wait(10.0)
+        return real_insert(key, rowid)
+
+    def park_after_the_stall():
+        # The one worker beginning its next op has recorded the stalled
+        # one; held here, it records nothing more until the test lets go.
+        if stalled.is_set() and not recorded.is_set():
+            recorded.set()
+            assert go_on.wait(10.0)
+
+    monkeypatch.setattr(index, "insert", stall_once)
+    workload = MixedWorkload(
+        index, intkey, key_count=500, threads=1, write_fraction=1.0,
+        before_op=park_after_the_stall,
+    )
+    pacer = Pacer(workload.stats.histograms.values(), budget_ms=20.0)
+    workload.start()
+    try:
+        assert stalled.wait(10.0)
+        time.sleep(0.03)  # the stalled op now outlasts the budget
+        release.set()
+        assert recorded.wait(10.0)
+        # Before stop(): the handful of ops so far, the stalled one on top.
+        assert workload.stats.latency_percentiles()["all"]["p99"] >= 30.0
+        assert pacer.step() and pacer.delay == PACER_STEP
+    finally:
+        release.set()
+        go_on.set()
+        stats = workload.stop(join_timeout=10.0)
+    assert stats.errors == []
+    pacer.step()  # the ops between the widening step and stop(), calm or not
+    assert pacer.delay <= 2 * PACER_STEP
+    # Nothing completes after stop(): calm steps, one step down each.
+    assert not pacer.step() and not pacer.step()
+    assert pacer.delay == 0.0

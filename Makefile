@@ -12,7 +12,8 @@ guards:
 		tests/integration/test_scan_budget.py \
 		tests/integration/test_restart_budget.py \
 		tests/integration/test_readahead_budget.py \
-		tests/integration/test_write_budget.py
+		tests/integration/test_write_budget.py \
+		tests/integration/test_io_mode.py
 
 suite-quick:
 	$(PYTHON) -m pytest benchmarks/suite -q

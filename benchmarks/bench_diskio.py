@@ -71,9 +71,9 @@ def test_rebuild_io_calls_vs_buffer_size(benchmark, io_size):
 def test_pressured_tuned_rebuild_io_calls(benchmark):
     """The same budget on the benchmark suite's pressured configuration:
     200k keys (~2400 half-full leaves), a cold 512-frame pool striped
-    over 4 shards, a 128-frame scan ring, write-behind + read-ahead and
-    1 ms per device call (the read-ahead's waste depends on how the
-    reader thread is paced).  Ideal = (old + new) / 8 calls."""
+    over 4 shards (a 128-frame scan ring) and 1 ms per device call —
+    slow enough that the rebuild starts write-behind + read-ahead itself
+    (the read-ahead's waste depends on how the reader thread is paced).  Ideal = (old + new) / 8 calls."""
     keys, key_len = keys_for_config("int4", 200_000)
     engine = Engine(buffer_capacity=512, io_size=16384, pool_shards=4)
     index = bulk_load(engine, keys, key_len, fill=0.5)
@@ -84,13 +84,7 @@ def test_pressured_tuned_rebuild_io_calls(benchmark):
     report = {}
 
     def rebuild():
-        report["r"] = OnlineRebuild(
-            index,
-            RebuildConfig(
-                pipeline_depth=4, group_commit_window=0.002,
-                ring_frames=128,
-            ),
-        ).run()
+        report["r"] = OnlineRebuild(index).run()
 
     benchmark.pedantic(rebuild, rounds=1, iterations=1)
     diff = engine.counters.diff(before)

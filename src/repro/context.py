@@ -15,9 +15,7 @@ timestamp to the record's LSN, and mark the frame dirty.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.concurrency.latch import LatchManager, LatchMode
 from repro.concurrency.locks import LockManager
@@ -35,51 +33,6 @@ from repro.storage.page_manager import PageManager
 from repro.wal.apply import ApplyContext, undo_record
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord
-
-
-class HeldSetting:
-    """One engine-wide setting that background runs override while they
-    last (the pool's ring size, the log's group-commit window).
-
-    Runs on different indexes of one engine overlap, so a run cannot save
-    and restore the setting privately — the second to start would save the
-    first one's override as "the original" and put it back for good.  The
-    override is therefore in force while *any* run holds it: the first
-    holder notes the value it found, the last one to leave restores it.
-    A falsy ``value`` (0 / 0.0: "leave the engine's setting alone") holds
-    nothing.
-    """
-
-    def __init__(
-        self,
-        owner: object,
-        name: str,
-        setter: Callable[[object], None] | None = None,
-    ) -> None:
-        self._owner = owner
-        self._name = name
-        self._write = setter or (lambda value: setattr(owner, name, value))
-        self._lock = threading.Lock()
-        self._holders = 0
-        self._found: object = None
-
-    def acquire(self, value) -> None:
-        if not value:
-            return
-        with self._lock:
-            if self._holders == 0:
-                self._found = getattr(self._owner, self._name)
-            self._holders += 1
-            self._write(value)
-
-    def release(self, value) -> None:
-        """Undo one :meth:`acquire` of the same ``value``."""
-        if not value:
-            return
-        with self._lock:
-            self._holders -= 1
-            if self._holders == 0:
-                self._write(self._found)
 
 
 @dataclass
@@ -109,19 +62,12 @@ class EngineContext:
     ``with ctx.tracer.span(...)`` uniformly or guard on ``tracer.enabled``
     on the hottest paths."""
     metrics: MetricsRegistry
-    """Histogram registry (latch wait, WAL flush, ...); shares
-    the tracer's enablement — populated only when tracing is on."""
+    """Histogram registry.  The workload runner's ``oltp_<op>_seconds``
+    are always recorded; the subsystem histograms (latch wait, WAL flush,
+    buffer read, ...) only when tracing is on."""
     progress: ProgressReporter
     """Live rebuild/scrub progress board; always active (posts are a few
     attribute writes per top action), read via ``Engine.progress()``."""
-
-    def __post_init__(self) -> None:
-        # What RebuildConfig.ring_frames / .group_commit_window override
-        # while any rebuild runs with one.
-        self.ring_hold = HeldSetting(
-            self.buffer, "ring_frames", self.buffer.set_ring_frames
-        )
-        self.group_commit_hold = HeldSetting(self.log, "group_commit_window")
 
     @classmethod
     def create(
@@ -150,10 +96,7 @@ class EngineContext:
         rebuild's reads and writes go through like everyone else's.
 
         ``pool_shards`` stripes the buffer pool's frame table and lock
-        (scale with the expected thread count).  The pool's scan-resistant
-        ring is sized by the rebuild that uses it
-        (``RebuildConfig.ring_frames``), as is the log's group-commit
-        window.
+        (scale with the expected thread count).
 
         ``trace`` turns on the observability layer (:mod:`repro.obs`):
         a live :class:`~repro.obs.tracer.Tracer` plus histogram metrics

@@ -18,6 +18,10 @@ benches:
 * ``split_then_shrink`` — stage SPLIT bits on the old leaves during the
   copy (readers still allowed) and flip them to SHRINK only for the final
   unlink, instead of SHRINK for the whole top action.
+
+How the I/O is done is not configured: a run decides for itself, from the
+device service time the pool observes, whether to hide the device behind
+read-ahead and write-behind threads (``rebuild.PIPELINE_MIN_SERVICE``).
 """
 
 from __future__ import annotations
@@ -41,24 +45,6 @@ class RebuildConfig:
     key range of the entries being deleted, so traversals looking for
     keys outside it pass through (helps when propagation continues above
     level 1)."""
-    pipeline_depth: int = 0
-    """Asynchronous I/O pipelining (:mod:`repro.storage.io_scheduler`).
-    0: forces at transaction boundaries are synchronous and no read-ahead
-    runs.  > 0 enables the write-behind forcer and keeps a read-ahead
-    window of ``pipeline_depth × ntasize`` leaves requested beyond the
-    rebuild's position (capped by what the pool's ring holds)."""
-    group_commit_window: float = 0.0
-    """Seconds the rebuild sets as the log's group-commit window for its
-    duration (0.0 leaves the log untouched: one physical flush per
-    commit)."""
-    ring_frames: int = 0
-    """Frames of the buffer pool's probationary *rebuild ring* the rebuild
-    enables for its duration (0 leaves the pool's setting untouched —
-    ring disabled by default, i.e. today's plain LRU).  With a ring, the
-    rebuild's scan-class reads, prefetches, and new-page allocations
-    recycle at most this many frames instead of sweeping the OLTP working
-    set out of the protected LRU.  Restored to the engine's setting when
-    the rebuild ends."""
 
     def __post_init__(self) -> None:
         if self.ntasize < 1:
@@ -71,17 +57,4 @@ class RebuildConfig:
         if not 0.05 <= self.fillfactor <= 1.0:
             raise RebuildError(
                 f"fillfactor must be in [0.05, 1.0], got {self.fillfactor}"
-            )
-        if self.pipeline_depth < 0:
-            raise RebuildError(
-                f"pipeline_depth must be >= 0, got {self.pipeline_depth}"
-            )
-        if self.group_commit_window < 0.0:
-            raise RebuildError(
-                "group_commit_window must be >= 0, "
-                f"got {self.group_commit_window}"
-            )
-        if self.ring_frames < 0:
-            raise RebuildError(
-                f"ring_frames must be >= 0, got {self.ring_frames}"
             )

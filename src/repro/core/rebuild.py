@@ -28,7 +28,9 @@ concurrent splits and shrinks rearranging the chain between top actions.
 sliced, resumed — is this one transaction loop (``_drive``) on the calling
 thread, from a probe to the end of the chain or of the requested range.
 The only other threads are the I/O scheduler's readers and writers, which
-hide the device from the copy thread (``pipeline_depth > 0``).
+hide the device from the copy thread.  The run starts them itself, as soon
+as the device proves slow enough to be worth hiding
+(:data:`PIPELINE_MIN_SERVICE`); on a fast one it stays synchronous.
 
 **One failure channel.**  Every run has one :class:`_RunState`; the first
 crash or error recorded in it wins.  A :class:`CrashPoint` (simulated
@@ -77,6 +79,18 @@ from repro.wal.records import (
     RecordType,
 )
 from repro.wal.recovery import RebuildCheckpoint
+
+PIPELINE_MIN_SERVICE = 0.0002
+"""Seconds per device call at or above which a run hides the device behind
+the I/O threads; below it their hand-offs cost more than the waits they
+hide.  Ten times a call into the in-memory disk (≈ 0.02 ms), a fifth of the
+1 ms simulated device; compared with the *smallest* of the pool's last few
+samples, so one stalled call cannot flip a job on a fast device
+(docs/performance.md, "How a rebuild picks its I/O mode")."""
+PIPELINE_WINDOW = 4
+"""Top actions of read-ahead a pipelined run keeps requested beyond its
+position (the scheduler caps it by what the pool's ring holds)."""
+
 
 @dataclass
 class RebuildReport:
@@ -197,7 +211,7 @@ class OnlineRebuild:
         the run has wound down; ``last_report.resume_unit`` then seeds a
         retry.
         """
-        tree, ctx, config = self.tree, self.ctx, self.config
+        tree, ctx = self.tree, self.ctx
         if getattr(tree, "_rebuild_active", False):
             raise RebuildError(
                 f"index {tree.index_id} already has a rebuild in progress"
@@ -270,30 +284,8 @@ class OnlineRebuild:
         counters_before = ctx.counters.snapshot()
         log_before = ctx.log.usage_snapshot()
         timer = Timer()
-        # A nonzero group_commit_window lets the rebuild's commits (and any
-        # concurrent user commits) share physical log flushes.
-        ctx.group_commit_hold.acquire(config.group_commit_window)
-        # Scan resistance (issue 8): enable the pool's probationary ring
-        # for the rebuild's duration so this scan's reads, prefetches, and
-        # new-page allocations recycle ring frames instead of sweeping the
-        # OLTP working set out of the protected LRU.
-        ctx.ring_hold.acquire(config.ring_frames)
         try:
             with timer:
-                # Pipelining (issue 3): a nonzero pipeline_depth runs the
-                # §3 forces through background writers and read-ahead
-                # through background readers, with a window of
-                # pipeline_depth top actions, which the scheduler caps by
-                # what the pool's ring holds.
-                if config.pipeline_depth > 0:
-                    self._scheduler = IOScheduler(
-                        ctx.buffer, counters=ctx.counters,
-                        window=config.pipeline_depth * config.ntasize,
-                        leaf_order=functools.partial(
-                            level1_leaf_order, ctx, tree
-                        ),
-                        tracer=tracer,
-                    ).start()
                 probe = (
                     # Strictly after the last copied unit.
                     resume_after + b"\x00"
@@ -314,8 +306,7 @@ class OnlineRebuild:
             if self._scheduler is not None:
                 self._scheduler.close()
                 self._scheduler = None
-            ctx.group_commit_hold.release(config.group_commit_window)
-            ctx.ring_hold.release(config.ring_frames)
+                ctx.log.release_window()
             tree._rebuild_active = False  # type: ignore[attr-defined]
             ctx.progress.rebuild_finished(aborted=report.aborted)
             if run_span is not None:
@@ -390,6 +381,8 @@ class OnlineRebuild:
                     if p1 is None:
                         done = True
                         break
+                    if self._scheduler is None:
+                        self._maybe_pipeline()
                     if self._scheduler is not None:
                         # Publish the position before the run is read:
                         # read-ahead keeps its window beyond it requested.
@@ -475,6 +468,30 @@ class OnlineRebuild:
             ctx.syncpoints.fire(
                 "rebuild.txn_committed", pages=pages_this_txn
             )
+
+    def _maybe_pipeline(self) -> None:
+        """Start the I/O threads — and hold the log's group-commit window
+        until the run ends — if the device is slow enough to hide.
+
+        Asked before every top action until it says yes: a cold run's own
+        descent supplies the samples before its first one, a later pass on
+        the same engine finds the previous pass's.  Starting late is safe:
+        the transaction boundary's barrier forces whatever write-behind
+        was not handed.  Once started a run stays pipelined.
+        """
+        ctx = self.ctx
+        samples = ctx.buffer.service_samples()
+        if min(samples, default=0.0) < PIPELINE_MIN_SERVICE:
+            return
+        self._scheduler = IOScheduler(
+            ctx.buffer, counters=ctx.counters,
+            window=PIPELINE_WINDOW * self.config.ntasize,
+            leaf_order=functools.partial(level1_leaf_order, ctx, self.tree),
+            tracer=ctx.tracer,
+        ).start()
+        ctx.log.hold_window()
+        ctx.counters.add("rebuild_pipeline_starts")
+        ctx.tracer.event("rebuild.pipeline_started", samples=samples)
 
     def _run_to_end(self, probe: bytes | None, report: RebuildReport) -> None:
         """Drive the copy loop from ``probe`` and raise what the run's

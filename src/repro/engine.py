@@ -125,8 +125,9 @@ class Engine:
 
     @property
     def metrics(self):  # noqa: ANN201
-        """Histogram registry + exporters (see :mod:`repro.obs.metrics`);
-        histograms populate only when tracing is enabled."""
+        """Histogram registry + exporters (see :mod:`repro.obs.metrics`).
+        The workload runner's ``oltp_<op>_seconds`` are always recorded;
+        the subsystem histograms only when tracing is enabled."""
         return self.ctx.metrics
 
     def progress(self):  # noqa: ANN201

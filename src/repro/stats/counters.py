@@ -93,6 +93,7 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "rebuild_transactions",
     "leaf_pages_rebuilt",
     "new_pages_allocated",
+    "rebuild_pipeline_starts",  # runs that started the I/O threads (slow device)
     # Crash-resumable rebuild + supervision (wal/records.py, core/supervisor.py).
     "rebuild_progress_records",  # durable REBUILD_PROGRESS records appended
     "supervisor_retries",        # rebuild attempts retried after an abort

@@ -27,17 +27,18 @@ and still issue a *single* ``write_many`` so contiguous ids keep
 coalescing into large physical I/Os.  ``shards=1`` (the default) is the
 historical single-lock pool.
 
-**Scan resistance (2Q-style rebuild ring).**  A rebuild's sequential
+**Scan resistance (2Q-style scan ring).**  A rebuild's sequential
 leaf-chain scan would sweep the OLTP working set out of an LRU pool, so
-frames are tagged by admission class.  Demand (OLTP) fetches go to the
-*protected* LRU.  With ``ring_frames > 0``, scan-class reads
+frames are tagged by admission class — the pool's one admission policy.
+Demand (OLTP) fetches go to the *protected* LRU.  Scan-class reads
 (``fetch(..., scan=True)``, scan prefetches, and the rebuild's new-page
-allocations) go to a small bounded probationary *ring* that recycles its
-own frames first — a 50k-leaf scan can displace at most ``ring_frames``
-pages of the hot set.  A ring page re-referenced by a demand fetch is
-*promoted* to the protected region (``ring_promotions``).  Ring
-recycling keeps the scan fed: speculative frames the scan has already
-moved past go first (they are dead weight), then the oldest consumed
+allocations) go to a bounded probationary *ring* of a quarter of each
+shard's slice that recycles its own frames first — a 50k-leaf scan can
+displace at most that quarter of the hot set.  A ring page re-referenced
+by a demand fetch is *promoted* to the protected region
+(``ring_promotions``).  Ring recycling keeps the scan fed: speculative
+frames the scan has already moved past go first (they are dead weight),
+then the oldest consumed
 frames (clean before dirty; a dirty victim is written together with the
 dirty frames of its io-size-aligned disk run, whichever shards hold
 them, in one coalesced call); the not-yet-consumed read-ahead window
@@ -52,8 +53,6 @@ pages are refused, and read-ahead is throttled once its unconsumed
 window fills half the ring.  Under global pressure the ring is evicted
 before the protected LRU; a scan-class admission that does evict a
 protected frame is counted under ``hot_evictions_by_scan``.
-``ring_frames=0`` (the default) disables the ring entirely: every
-admission behaves exactly as the historical LRU.
 
 A simulated **crash** (:meth:`crash`) discards every frame without writing —
 the disk keeps only what was explicitly flushed, which is what recovery
@@ -79,22 +78,35 @@ Two pieces of bookkeeping make the unlocked I/O safe:
   version, so a change that lands mid-write is never lost.  The per-shard
   *in-flight write table* orders overlapping writes of the same page, so
   a slower writer holding an older image can never land after a newer one.
+
+**Device service time.**  :meth:`BufferPool.retrying`, which every
+physical call goes through, times each successful attempt and keeps the
+last few per-device-call figures (:meth:`BufferPool.service_samples`):
+what a rebuild decides from whether the device is worth hiding behind
+I/O threads (:mod:`repro.core.rebuild`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Callable
 
 from repro.errors import BufferError_, TransientIOError
 from repro.stats.counters import Counters
-from repro.storage.disk import Disk
+from repro.storage.disk import Disk, write_calls
 from repro.storage.page import Page
 
 
 _NEVER_STORED = -1
+_RETRY_BACKOFF = 0.0005  # seconds before the first retry, doubled per attempt
+_RETRY_BACKOFF_CAP = 0.01
+_SERVICE_SAMPLES = 3
+"""Per-device-call service times :meth:`BufferPool.service_samples` keeps.
+Three is the descent of a cold run (root, level 1, leaf): a rebuild on a
+slow device knows it before its first top action, while a fast device
+has to stall on three calls in a row to be mistaken for a slow one."""
 
 
 class _Frame:
@@ -141,7 +153,7 @@ class _Shard:
         "ghost",
     )
 
-    def __init__(self, capacity: int, ring_quota: int, counters: Counters) -> None:
+    def __init__(self, capacity: int, counters: Counters) -> None:
         self.lock = threading.Lock()
         self.cond = threading.Condition(self.lock)
         self.frames: OrderedDict[int, _Frame] = OrderedDict()  # protected LRU
@@ -155,7 +167,7 @@ class _Shard:
         # never see a half-updated disk image either.
         self.writing: set[int] = set()
         self.capacity = capacity
-        self.ring_quota = ring_quota
+        self.ring_quota = capacity // 4  # the scan ring's share of the slice
         self.counters = counters
         # Ring admission ticket and the highest ticket any fetch has
         # consumed: a prefetched ring frame with seq below the watermark
@@ -213,10 +225,7 @@ class BufferPool:
         capacity: int = 1024,
         counters: Counters | None = None,
         retry_limit: int = 12,
-        retry_backoff: float = 0.0005,
-        retry_backoff_cap: float = 0.01,
         shards: int = 1,
-        ring_frames: int = 0,
     ) -> None:
         if capacity < 8:
             raise BufferError_("buffer pool needs at least 8 frames")
@@ -227,71 +236,53 @@ class BufferPool:
                 f"capacity {capacity} leaves under 8 frames per shard "
                 f"across {shards} shards"
             )
-        if ring_frames < 0:
-            raise BufferError_(f"ring_frames must be >= 0, got {ring_frames}")
         self.disk = disk
         self.capacity = capacity
         self.n_shards = shards
-        self.ring_frames = ring_frames
         self.retry_limit = retry_limit
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
         self.counters = counters if counters is not None else Counters()
         self._shards = [
             _Shard(
                 capacity // shards + (1 if i < capacity % shards else 0),
-                ring_frames // shards + (1 if i < ring_frames % shards else 0),
                 self.counters,
             )
             for i in range(shards)
         ]
         self._wal_hook: Callable[[int], None] | None = None
+        self._service: deque[float] = deque(maxlen=_SERVICE_SAMPLES)
+        self._service_lock = threading.Lock()
 
     def set_wal_hook(self, hook: Callable[[int], None]) -> None:
         """Install ``flush_log_to(lsn)``, called before any dirty write."""
         self._wal_hook = hook
 
-    def set_ring_frames(self, ring_frames: int) -> None:
-        """Resize (or disable, with 0) the probationary ring at runtime.
-
-        The online rebuild uses this to enable the ring for its own
-        duration and restore the engine's setting afterwards.  Disabling
-        demotes resident ring frames to the *cold* end of the protected
-        LRU — they stay resident, and stay first in line for eviction.
-        A shrunken quota is enforced lazily by the next ring admission.
-        """
-        if ring_frames < 0:
-            raise BufferError_(f"ring_frames must be >= 0, got {ring_frames}")
-        self.ring_frames = ring_frames
-        n = self.n_shards
-        for i, shard in enumerate(self._shards):
-            quota = ring_frames // n + (1 if i < ring_frames % n else 0)
-            with shard:
-                shard.ring_quota = quota
-                if quota == 0:
-                    shard.ghost.clear()
-                    for pid in reversed(list(shard.ring)):
-                        frame = shard.ring.pop(pid)
-                        frame.ring = False
-                        shard.frames[pid] = frame
-                        shard.frames.move_to_end(pid, last=False)
-
     # ------------------------------------------------------------------ retry
 
-    def retrying(self, fn: Callable[[], object]):  # noqa: ANN201
+    def retrying(  # noqa: ANN201
+        self,
+        fn: Callable[[], object],
+        calls: int = 1,
+        histogram=None,  # noqa: ANN001
+    ):
         """Run a disk call, absorbing :class:`TransientIOError` with capped
-        exponential backoff (``retry_backoff * 2**attempt``, capped).
+        exponential backoff (``_RETRY_BACKOFF * 2**attempt``, capped).
 
         After ``retry_limit`` failed attempts the error propagates — at a
         30% injected failure rate, 12 retries leave ~5e-7 per call, so a
         transient storm slows the rebuild but does not abort it.  Anything
         that is not a :class:`TransientIOError` (PermanentIOError,
         ChecksumError, CrashPoint) passes straight through.
+
+        The attempt that succeeds is timed: its duration goes to
+        ``histogram`` when one is given, and, divided by the ``calls``
+        device calls ``fn`` makes, to :meth:`service_samples`.  No shard
+        lock is held here.
         """
         attempt = 0
         while True:
+            start = time.perf_counter()
             try:
-                return fn()
+                result = fn()
             except TransientIOError:
                 attempt += 1
                 if attempt > self.retry_limit:
@@ -299,15 +290,34 @@ class BufferPool:
                 self.counters.add("io_retries")
                 time.sleep(
                     min(
-                        self.retry_backoff * (1 << (attempt - 1)),
-                        self.retry_backoff_cap,
+                        _RETRY_BACKOFF * (1 << (attempt - 1)),
+                        _RETRY_BACKOFF_CAP,
                     )
                 )
+                continue
+            seconds = time.perf_counter() - start
+            with self._service_lock:
+                self._service.append(seconds / calls)
+            if histogram is not None:
+                histogram.record(seconds)
+            return result
+
+    def service_samples(self) -> tuple[float, ...]:
+        """Seconds per device call of the last few physical calls, oldest
+        first (empty before the first one)."""
+        with self._service_lock:
+            return tuple(self._service)
 
     # ------------------------------------------------------------------ fetch
 
-    def _io_unlocked(self, shard: _Shard, fn: Callable[[], object]):  # noqa: ANN201
-        """Run a (retried) disk call with the shard's lock released.
+    def _io_unlocked(  # noqa: ANN201
+        self,
+        shard: _Shard,
+        fn: Callable[[], object],
+        histogram=None,  # noqa: ANN001
+    ):
+        """Run a (retried, timed) one-call disk read with the shard's lock
+        released.
 
         Must be called with the shard lock held; the lock is reacquired
         before returning or raising, so callers resume with their
@@ -316,7 +326,7 @@ class BufferPool:
         """
         shard.lock.release()
         try:
-            return self.retrying(fn)
+            return self.retrying(fn, histogram=histogram)
         finally:
             shard.lock.acquire()
 
@@ -330,10 +340,10 @@ class BufferPool:
         read instead of duplicating it.
 
         ``scan=True`` tags the access as scan-class (the rebuild's
-        sequential read of the old index): with the ring enabled the page
-        is admitted to — and re-referenced within — the probationary ring
-        instead of the protected LRU.  A demand (``scan=False``) hit on a
-        ring-resident page promotes it to the protected region.
+        sequential read of the old index): the page is admitted to — and
+        re-referenced within — the probationary ring instead of the
+        protected LRU.  A demand (``scan=False``) hit on a ring-resident
+        page promotes it to the protected region.
         """
         shard = self._shards[page_id % self.n_shards]
         missed = False
@@ -353,19 +363,26 @@ class BufferPool:
                         frame = shard.lookup(page_id)
                     if frame is None:
                         tracer = self.tracer
+                        read_span = histogram = None
                         if tracer is not None:
                             read_span = tracer.begin(
                                 "buffer.read", page_id=page_id, scan=scan
                             )
-                            read_start = time.monotonic()
-                        image = self._io_unlocked(
-                            shard, lambda: self.disk.read(page_id)
-                        )
-                        if tracer is not None:
-                            self.metrics.histogram(
+                            histogram = self.metrics.histogram(
                                 "buffer_read_seconds"
-                            ).record(time.monotonic() - read_start)
-                            tracer.finish(read_span)
+                            )
+                        try:
+                            image = self._io_unlocked(
+                                shard, lambda: self.disk.read(page_id),
+                                histogram,
+                            )
+                        except BaseException as exc:
+                            if read_span is not None:
+                                read_span.attrs["error"] = type(exc).__name__
+                            raise
+                        finally:
+                            if read_span is not None:
+                                tracer.finish(read_span)
                         # The lock was released: a prefetch or run read may
                         # have admitted the page meanwhile.
                         frame = shard.lookup(page_id)
@@ -462,9 +479,9 @@ class BufferPool:
         yet — is a different matter: :meth:`retire_page` clause (d) keeps
         a pending logged change of it.
 
-        ``scan=True`` admits the fresh frame to the rebuild ring (when
-        enabled): the rebuild's new pages are written once, forced, and
-        not re-referenced, so they should recycle ahead of the hot set.
+        ``scan=True`` admits the fresh frame to the ring: the rebuild's
+        new pages are written once, forced, and not re-referenced, so
+        they should recycle ahead of the hot set.
         """
         shard = self._shards[page_id % self.n_shards]
         with shard:
@@ -615,7 +632,10 @@ class BufferPool:
                 else:
                     self.disk.write_many(images)
 
-            self.retrying(_wal_then_write)
+            self.retrying(
+                _wal_then_write,
+                write_calls(sorted(images), self.disk.pages_per_io),
+            )
             wrote = True
             self.counters.add("page_writes", len(images))
             return len(images), len(claimed)
@@ -739,9 +759,9 @@ class BufferPool:
     ) -> _Frame | None:
         """Insert a frame, evicting if the shard's slice is full.
 
-        Scan-class admissions go to the ring when it is enabled, recycling
-        the ring's own frames first.  With ``required=False``
-        (opportunistic admission) a shard full of pinned frames returns
+        Scan-class admissions go to the ring, recycling the ring's own
+        frames first.  With ``required=False`` (opportunistic
+        admission) a shard full of pinned frames returns
         ``None`` instead of raising; ``clean_only`` additionally forbids
         writing a dirty victim (the prefetch paths must never write);
         ``spare_window`` forbids evicting a not-yet-consumed speculative
@@ -755,7 +775,7 @@ class BufferPool:
         existing = shard.lookup(page.page_id)
         if existing is not None:
             return existing
-        to_ring = scan and shard.ring_quota > 0
+        to_ring = scan
         ghost_promotion = (
             to_ring and not prefetched and page.page_id in shard.ghost
         )
@@ -782,7 +802,7 @@ class BufferPool:
             # 2Q budget rule: until the ring has consumed its quota, a
             # scan admission takes a frame from the protected region
             # (coldest first) to grow the ring — so the scan's total toll
-            # on the hot set is bounded by ring_frames, paid once, instead
+            # on the hot set is bounded by its quota, paid once, instead
             # of dripping out of a starved ring for the whole scan.  At
             # quota the ring recycles itself; everyone else recycles the
             # ring before touching protected.  A ghost promotion also
@@ -1009,12 +1029,11 @@ class BufferPool:
 
     def _window_frames(self, shard: _Shard) -> int:
         """Frames of ``shard`` the not-yet-consumed read-ahead window may
-        hold: half its ring (half its slice when the ring is off).  The
-        other half is the copy loop's working room (current targets,
-        just-consumed sources) — a window allowed to fill the whole ring
-        leaves the rebuild's own demand admissions nothing to recycle
-        but the window itself."""
-        return max(1, (shard.ring_quota or shard.capacity) // 2)
+        hold: half its ring.  The other half is the copy loop's working
+        room (current targets, just-consumed sources) — a window allowed
+        to fill the whole ring leaves the rebuild's own demand admissions
+        nothing to recycle but the window itself."""
+        return shard.ring_quota // 2
 
     def readahead_room(self) -> int:
         """Pool-wide bound on speculative frames: what the I/O scheduler
@@ -1037,11 +1056,11 @@ class BufferPool:
         With the ring at quota, that means some unpinned *clean* frame is
         evictable without touching the live window: already consumed
         (``prefetched`` cleared) or bypassed speculative (``seq`` at or
-        below the consumed watermark).  Below quota (or with the ring
-        disabled) there is always room — growth comes out of the 2Q
-        budget or the protected LRU's clean tail.
+        below the consumed watermark).  Below quota there is always room
+        — growth comes out of the 2Q budget or the protected LRU's clean
+        tail.
         """
-        if shard.ring_quota <= 0 or len(shard.ring) < shard.ring_quota:
+        if len(shard.ring) < shard.ring_quota:
             return True
         live = 0
         for frame in shard.ring.values():
@@ -1227,10 +1246,10 @@ class BufferPool:
         Misses read the whole aligned physical run (§6.3 large I/O), the
         same batching — and the same neighbor claims, see
         :meth:`_read_run` — the demand-fetch miss path uses.  The target
-        stays claimed in-flight until it is admitted.  With the ring
-        enabled, ``scan=True`` admissions go to the ring's first-out end
-        and recycle only ring frames — a prefetch storm cannot touch the
-        protected region at all.
+        stays claimed in-flight until it is admitted.  ``scan=True``
+        admissions go to the ring's first-out end and recycle only ring
+        frames — a prefetch storm cannot touch the protected region at
+        all.
         """
         shard = self._shards[page_id % self.n_shards]
         start, images, claimed = page_id, [], []

@@ -173,15 +173,7 @@ class Disk:
         with self._lock:
             for pid in ids:
                 self._store_locked(pid, items[pid])
-        calls = 0
-        run = 1
-        for prev, cur in zip(ids, ids[1:]):
-            if cur == prev + 1 and run < self.pages_per_io:
-                run += 1
-            else:
-                calls += 1
-                run = 1
-        calls += 1
+        calls = write_calls(ids, self.pages_per_io)
         self._service(calls)
         self.counters.add("disk_io_calls", calls)
         self.counters.add("disk_pages_written", len(ids))
@@ -246,3 +238,18 @@ class Disk:
 def _io_calls(pages: int, pages_per_io: int) -> int:
     """Physical calls needed to move ``pages`` contiguous pages."""
     return -(-pages // pages_per_io)
+
+
+def write_calls(ids: list[int], pages_per_io: int) -> int:
+    """Physical calls ``write_many`` charges for the ascending ``ids``:
+    one per run of up to ``pages_per_io`` consecutive ids, counted from
+    the start of each contiguous stretch."""
+    calls = 1
+    run = 1
+    for prev, cur in zip(ids, ids[1:]):
+        if cur == prev + 1 and run < pages_per_io:
+            run += 1
+        else:
+            calls += 1
+            run = 1
+    return calls

@@ -27,7 +27,7 @@ import zlib
 
 from repro.errors import ChecksumError, StorageError
 from repro.stats.counters import Counters
-from repro.storage.disk import CRC_TRAILER_SIZE, _io_calls
+from repro.storage.disk import CRC_TRAILER_SIZE, _io_calls, write_calls
 from repro.storage.page import PAGE_SIZE_DEFAULT
 
 _PAGE_MAGIC = 0xB7EE  # keep in sync with repro.storage.page._HEADER_MAGIC
@@ -147,16 +147,9 @@ class FileDisk:
                     self._size, self._offset(pid) + self.slot_size
                 )
             os.fsync(self._fd)
-        calls = 0
-        run = 1
-        for prev, cur in zip(ids, ids[1:]):
-            if cur == prev + 1 and run < self.pages_per_io:
-                run += 1
-            else:
-                calls += 1
-                run = 1
-        calls += 1
-        self.counters.add("disk_io_calls", calls)
+        self.counters.add(
+            "disk_io_calls", write_calls(ids, self.pages_per_io)
+        )
         self.counters.add("disk_pages_written", len(ids))
 
     # ------------------------------------------------------------------ admin

@@ -6,7 +6,7 @@ applies the same batching idea along the *time* axis:
 
 * **Read-ahead.**  The scheduler tracks the rebuild's *position* in leaf
   order and keeps a window of leaves beyond it requested: ``window``
-  leaves (``pipeline_depth × ntasize``), capped by the room the pool
+  leaves (``PIPELINE_WINDOW × ntasize``), capped by the room the pool
   reports for speculative frames (:meth:`BufferPool.readahead_room`) — a
   window the ring cannot hold is read only to be evicted unconsumed and
   read again.  The copy loop publishes its position *before* it reads a
@@ -571,8 +571,8 @@ class IOScheduler:
         span attribute the outcome counts under."""
         outcome = "skipped_resident"
         for pid in leaves:
-            # Read-ahead is scan-class: with the ring enabled it recycles
-            # ring frames and never displaces hot pages.
+            # Read-ahead is scan-class: it recycles ring frames and never
+            # displaces hot pages.
             read, next_page = self.buffer.prefetch(pid, scan=True)
             if read:
                 return "requested"

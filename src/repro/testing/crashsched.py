@@ -31,10 +31,14 @@ user writes with the rebuild the way §6.2 does.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
+from unittest import mock
 
 from repro.concurrency.syncpoints import CrashPoint
+from repro.core import rebuild as rebuild_module
 from repro.core.config import RebuildConfig
 from repro.core.rebuild import OnlineRebuild
 from repro.core.supervisor import RebuildSupervisor
@@ -118,6 +122,22 @@ class SweepReport:
         return not self.failures
 
 
+def _io_mode_pinned(method):  # noqa: ANN001, ANN202
+    """Run a harness method with every rebuild's I/O mode pinned to the
+    ``pipelined`` flag, not picked from device timings: a sweep replays
+    call ordinals, so all of its runs must pick alike."""
+
+    @functools.wraps(method)
+    def pinned(self, *args, **kwargs):  # noqa: ANN001, ANN002, ANN003, ANN202
+        with mock.patch.object(
+            rebuild_module, "PIPELINE_MIN_SERVICE",
+            0.0 if self.pipelined else math.inf,
+        ):
+            return method(self, *args, **kwargs)
+
+    return pinned
+
+
 class CrashScheduleHarness:
     """Build → fragment → rebuild-under-OLTP, crashed everywhere in turn.
 
@@ -138,8 +158,7 @@ class CrashScheduleHarness:
         io_size: int = 8192,
         finish_after_recovery: bool = False,
         resume_after_recovery: bool = False,
-        pipeline_depth: int = 0,
-        ring_frames: int = 0,
+        pipelined: bool = False,
         pool_shards: int = 1,
         fillfactor: float = 1.0,
         warm_passes: int = 0,
@@ -162,19 +181,19 @@ class CrashScheduleHarness:
         ``REBUILD_PROGRESS`` checkpoint, and a ``rebuild.nta_end`` hook
         asserts that no top action re-copies a unit at or below the
         durable progress key — the PR 7 no-repaid-work guarantee."""
-        self.pipeline_depth = pipeline_depth
-        self.ring_frames = ring_frames
+        self.pipelined = pipelined
         self.pool_shards = pool_shards
-        """The benchmark's ``tuned`` knobs (write-behind + read-ahead
-        threads, scan ring, striped pool).  With a ``buffer_capacity``
-        well under the leaf count they put eviction's run writes and
-        :meth:`BufferPool.retire_page` on every schedule's path; the
-        I/O threads make disk-call ordinals approximate: the nth call may
-        come from another thread than during enumeration, and a count
-        that comes up short simply yields a clean (uncrashed) run.  The
-        correctness check is unaffected either way — ``expected`` tracks
-        exactly the ops that completed before whatever crash actually
-        happened."""
+        """The benchmark's ``tuned`` shape: the rebuild as it runs on a
+        slow device (write-behind + read-ahead threads; off keeps the
+        sweep single-threaded and its call ordinals exact) on a striped
+        pool.  With a ``buffer_capacity`` well under the leaf count they
+        put eviction's run writes and :meth:`BufferPool.retire_page` on
+        every schedule's path; the I/O threads make disk-call ordinals
+        approximate: the nth call may come from another thread than
+        during enumeration, and a count that comes up short simply yields
+        a clean (uncrashed) run.  The correctness check is unaffected
+        either way — ``expected`` tracks exactly the ops that completed
+        before whatever crash actually happened."""
         self.fillfactor = fillfactor
         self.warm_passes = warm_passes
         """Complete passes run before the one that is swept, each (and the
@@ -195,9 +214,6 @@ class CrashScheduleHarness:
         return RebuildConfig(
             ntasize=self.ntasize,
             xactsize=self.xactsize,
-            # Default 0 for determinism: no background I/O threads.
-            pipeline_depth=self.pipeline_depth,
-            ring_frames=self.ring_frames,
             fillfactor=self.fillfactor,
         )
 
@@ -272,6 +288,7 @@ class CrashScheduleHarness:
 
     # ---------------------------------------------------------- enumeration
 
+    @_io_mode_pinned
     def enumerate_schedules(
         self, include_faults: bool = True
     ) -> list[Schedule]:
@@ -355,6 +372,7 @@ class CrashScheduleHarness:
 
     # ------------------------------------------------------------- one run
 
+    @_io_mode_pinned
     def run_schedule(self, schedule: Schedule) -> ScheduleOutcome:
         """Replay the scenario with one crash/fault armed; verify recovery."""
         outcome = ScheduleOutcome(schedule=schedule.label())

@@ -9,16 +9,18 @@ can print the breakdown the paper discusses in §4.3 (how batching amortizes
 the 60-byte record overhead).
 
 **Group commit.**  Every committing transaction ends with a ``flush_to`` of
-its commit record.  Serially that is one physical flush per commit; with a
-nonzero ``group_commit_window`` the commit path (``flush_commit``) runs a
-leader/follower protocol instead: the first committer becomes the *leader*,
-waits out the window while other committers register their target LSNs as
-*followers*, then performs one physical flush to the highest requested LSN —
-satisfying every waiter with a single flush.  This is the paper's batching
-idea applied along the time axis: the per-commit log force is amortized over
-however many transactions commit within the window.  Non-commit flushes (the
-buffer pool's WAL hook, checkpoints) always flush immediately — they may run
-under the pool lock and must never sleep.
+its commit record.  Serially that is one physical flush per commit; while
+somebody holds the window (:meth:`LogManager.hold_window` — a rebuild that
+has started its I/O threads, i.e. one on a device slow enough for a
+``GROUP_COMMIT_WINDOW`` wait to pay) the commit path (``flush_commit``)
+runs a leader/follower protocol instead: the first committer becomes the
+*leader*, waits out the window while other committers register their target
+LSNs as *followers*, then performs one physical flush to the highest
+requested LSN — satisfying every waiter with a single flush.  This is the
+paper's batching idea applied along the time axis: the per-commit log force
+is amortized over however many transactions commit within the window.
+Non-commit flushes (the buffer pool's WAL hook, checkpoints) always flush
+immediately — they may run under the pool lock and must never sleep.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from typing import Callable, Collection, Iterator
 from repro.errors import WALError
 from repro.stats.counters import Counters
 from repro.wal.records import LogRecord, RecordType
+
+GROUP_COMMIT_WINDOW = 0.002
+"""Seconds a group-commit leader gathers followers before it flushes."""
 
 
 class LogManager:
@@ -54,9 +59,9 @@ class LogManager:
         self.bytes_by_type: dict[RecordType, int] = defaultdict(int)
         self.count_by_type: dict[RecordType, int] = defaultdict(int)
         self._flush_listener: Callable[[int], None] | None = None
-        # Group commit: commit-path flushes coalesce within this window
-        # (seconds); 0.0 keeps the serial flush-per-commit behavior.
-        self.group_commit_window = 0.0
+        # Group commit: commit-path flushes coalesce while anyone holds
+        # the window; with no holder, one flush per commit.
+        self._window_holders = 0
         self._flush_cv = threading.Condition(self._lock)
         self._gc_leader = False           # a leader is gathering followers
         self._gc_target = 0               # highest LSN registered this round
@@ -106,17 +111,28 @@ class LogManager:
         with self._lock:
             self._advance_locked(lsn)
 
+    def hold_window(self) -> None:
+        """Turn group commit on until the matching :meth:`release_window`.
+        Holders count: overlapping rebuilds on different indexes share the
+        window, and it closes when the last one lets go."""
+        with self._lock:
+            self._window_holders += 1
+
+    def release_window(self) -> None:
+        with self._lock:
+            self._window_holders -= 1
+
     def flush_commit(self, lsn: int, gather: bool = True) -> None:
-        """Commit-path flush: with a nonzero :attr:`group_commit_window`
-        the call may wait up to the window so concurrent committers share
-        one physical flush.
+        """Commit-path flush: while the window is held the call may wait
+        up to ``GROUP_COMMIT_WINDOW`` so concurrent committers share one
+        physical flush.
 
         ``gather=False`` is for a committer with nobody to wait for — the
         rebuild's own transaction, which commits once per ``xactsize``
         pages on the pass's critical path: it still rides along as a
         follower when a leader is gathering, but with none it flushes at
         once instead of sleeping out a window as the leader."""
-        if self.group_commit_window > 0.0:
+        if self._window_holders:
             self._group_flush(lsn, gather)
         else:
             self.flush_to(lsn)
@@ -195,9 +211,8 @@ class LogManager:
         round_span = (
             tracer.begin("wal.group_commit") if tracer is not None else None
         )
-        window = self.group_commit_window
         try:
-            time.sleep(window)
+            time.sleep(GROUP_COMMIT_WINDOW)
         finally:
             with self._flush_cv:
                 target = self._gc_target

@@ -38,6 +38,8 @@ class OltpStats:
 
     duration_seconds: float = 0.0
     inserts: int = 0
+    """Effective ops (a duplicate insert or a delete of a missing key is
+    timed in ``histograms`` but not tallied), counted as each completes."""
     deletes: int = 0
     scans: int = 0
     scan_rows: int = 0
@@ -173,8 +175,8 @@ class MixedWorkload:
 
     def _worker(self, ordinal: int) -> None:
         rnd = random.Random(self.seed * 1000 + ordinal)
-        inserts = deletes = scans = scan_rows = 0
-        hists = self.stats.histograms
+        stats = self.stats
+        hists = stats.histograms
         # Per-op tracing rides on the engine context the tree runs
         # against; everything below stays a single bool check per op when
         # tracing is off (the default).
@@ -204,13 +206,15 @@ class MixedWorkload:
                     if op == "insert":
                         try:
                             self.tree.insert(key, i)
-                            inserts += 1
+                            with self._lock:
+                                stats.inserts += 1
                         except DuplicateKeyError:
                             pass
                     elif op == "delete":
                         try:
                             self.tree.delete(key, i)
-                            deletes += 1
+                            with self._lock:
+                                stats.deletes += 1
                         except KeyNotFoundError:
                             pass
                     else:
@@ -222,8 +226,9 @@ class MixedWorkload:
                             rows += 1
                             if rows >= self.scan_width:
                                 break
-                        scans += 1
-                        scan_rows += rows
+                        with self._lock:
+                            stats.scans += 1
+                            stats.scan_rows += rows
                     hists[op].record(time.perf_counter() - began)
                 except QuarantinedRangeError as exc:
                     # The op landed inside a fenced range: bounded,
@@ -264,9 +269,3 @@ class MixedWorkload:
 
             with self._lock:
                 self.stats.errors.append(traceback.format_exc())
-        finally:
-            with self._lock:
-                self.stats.inserts += inserts
-                self.stats.deletes += deletes
-                self.stats.scans += scans
-                self.stats.scan_rows += scan_rows

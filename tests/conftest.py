@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro import Engine
 from repro.btree.tree import BTree
+from repro.core import rebuild as rebuild_module
 from repro.storage import page as page_module
 
 # Cross-check the incremental page byte-accounting cache against a full
@@ -30,6 +32,21 @@ def engine() -> Engine:
 def index(engine: Engine) -> BTree:
     """An empty 4-byte-key index on a fresh engine."""
     return engine.create_index(key_len=4)
+
+
+@pytest.fixture
+def pipelined(monkeypatch) -> None:
+    """Every rebuild in the test starts its I/O threads before its first
+    top action, whatever the device's service time (what a rebuild picks
+    by itself on a slow device)."""
+    monkeypatch.setattr(rebuild_module, "PIPELINE_MIN_SERVICE", 0.0)
+
+
+@pytest.fixture
+def unpipelined(monkeypatch) -> None:
+    """No rebuild in the test starts I/O threads: every disk call is made
+    by the copy thread, in a repeatable order."""
+    monkeypatch.setattr(rebuild_module, "PIPELINE_MIN_SERVICE", math.inf)
 
 
 def fill_index(index: BTree, count: int, seed: int | None = 42) -> list[int]:

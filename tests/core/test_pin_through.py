@@ -8,6 +8,7 @@ whole ``ntasize`` run, a rebuild that spins on a page it cannot read, or
 one that runs on after the power failed under a fetch.
 """
 
+import math
 import threading
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import CrashPoint
+from repro.core import rebuild as rebuild_module
 from repro.core.copy_phase import copy_multipage, give_back
 from repro.errors import ChecksumError, RebuildAbortedError
 from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
@@ -146,21 +148,17 @@ def test_a_top_action_that_raises_in_propagation_leaves_no_pin():
 
 
 @pytest.mark.parametrize(
-    "frames, engine_kwargs, extra",
+    "frames, engine_kwargs, min_service",
     [
-        (24, {}, {}),
-        (40, {}, {}),
-        (64, {}, {}),
-        (
-            64,
-            {"pool_shards": 4},
-            dict(pipeline_depth=4, group_commit_window=0.002, ring_frames=16),
-        ),
+        (24, {}, math.inf),
+        (40, {}, math.inf),
+        (64, {}, math.inf),
+        (64, {"pool_shards": 4}, 0.0),
     ],
     ids=["24", "40", "64", "64-tuned"],
 )
 def test_a_small_pool_gets_shorter_top_actions_not_an_abort(
-    frames, engine_kwargs, extra
+    frames, engine_kwargs, min_service, monkeypatch
 ):
     """``ntasize=32`` on a pool that cannot spare 32 pins: the run ends
     where the pool's bound says (the rebuild does not wait for P_i,
@@ -176,7 +174,8 @@ def test_a_small_pool_gets_shorter_top_actions_not_an_abort(
     engine.syncpoints.on(
         "rebuild.copy_locked", lambda c: runs.append(len(c["sources"]))
     )
-    report = OnlineRebuild(index, RebuildConfig(ntasize=32, **extra)).run()
+    monkeypatch.setattr(rebuild_module, "PIPELINE_MIN_SERVICE", min_service)
+    report = OnlineRebuild(index, RebuildConfig(ntasize=32)).run()
     assert report.completed and not report.aborted
     assert max(runs) == bound
     assert pinned_ids(engine) == []

@@ -459,4 +459,4 @@ def test_policy_validation():
 
 def test_rebuild_config_validation():
     with pytest.raises(RebuildError):
-        RebuildConfig(pipeline_depth=-1)
+        RebuildConfig(xactsize=8, ntasize=32)

@@ -13,7 +13,7 @@ leaf once and gives it back once: 241 source leaves cost 2 x 241 of the
 (1 325 and 1 213 when each leaf was latched four times and fetched five).
 """
 
-import dataclasses
+import math
 import sys
 import zlib
 from collections import Counter
@@ -22,6 +22,7 @@ import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.core import copy_phase
+from repro.core import rebuild as rebuild_module
 from repro.storage.page import Page
 from repro.wal.records import LogRecord, RecordType
 from repro.workload.builder import bulk_load
@@ -194,13 +195,16 @@ def _packing_crc(log, first_record):
 
 
 @pytest.mark.parametrize("config", [p.values[0] for p in PINNED])
-def test_read_ahead_and_write_behind_move_no_output(config):
+def test_read_ahead_and_write_behind_move_no_output(config, monkeypatch):
     """Read-ahead is a hint and write-behind only moves the force: on a
     cold pool (so the readers really read) the rebuilt leaf images and
-    the KEYCOPY / ALLOCRUN / DEALLOC records of a ``pipeline_depth=4``
-    run equal those of the ``pipeline_depth=0`` run byte for byte."""
+    the KEYCOPY / ALLOCRUN / DEALLOC records of a pipelined run equal
+    those of the synchronous run byte for byte."""
     outputs, own_reads = [], []
-    for depth in (0, 4):
+    for min_service in (math.inf, 0.0):
+        monkeypatch.setattr(
+            rebuild_module, "PIPELINE_MIN_SERVICE", min_service
+        )
         engine, tree = _load()
         engine.checkpoint()
         engine.buffer.evict_all()
@@ -212,9 +216,7 @@ def test_read_ahead_and_write_behind_move_no_output(config):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-4)
         try:
-            OnlineRebuild(
-                tree, dataclasses.replace(config, pipeline_depth=depth)
-            ).run()
+            OnlineRebuild(tree, config).run()
         finally:
             sys.setswitchinterval(interval)
         delta = engine.counters.diff(before)

@@ -22,9 +22,10 @@ from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
 from repro.workload.runner import MixedWorkload
 from tests.conftest import contents_as_ints, intkey, make_half_empty
 
-# pipeline_depth=0 keeps write_many call ordering deterministic, so the
+# No I/O threads: write_many call ordering stays deterministic, so the
 # n-th-call fault sites below land where the comments say they land.
-CONFIG = RebuildConfig(ntasize=4, xactsize=8, pipeline_depth=0)
+pytestmark = pytest.mark.usefixtures("unpipelined")
+CONFIG = RebuildConfig(ntasize=4, xactsize=8)
 
 
 def build_fragmented(plan=None, count=4000, **engine_kwargs):

@@ -45,7 +45,7 @@ def test_pressured_rebuild_reads_once_and_writes_only_new_pages(monkeypatch):
     )
 
     before = engine.counters.snapshot()
-    report = OnlineRebuild(tree, RebuildConfig(ring_frames=64)).run()
+    report = OnlineRebuild(tree).run()
     delta = engine.counters.diff(before)
 
     assert report.leaf_pages_rebuilt == len(old_leaves)
@@ -74,8 +74,10 @@ set to one worker; its two workers spread over 17 calls in the suite)."""
 
 def cold_tuned_job() -> tuple[int, int]:
     """One pass as the suite's ``rebuild_io`` runs it: 200 k keys at fill
-    0.5, a cold 512-frame pool in 4 shards, 1 ms a device call, the
-    ``tuned`` profile.  Returns (device calls, pages rebuilt)."""
+    0.5, a cold 512-frame pool in 4 shards, 1 ms a device call, pinned
+    to the pipelined mode by the caller's fixture (what the run picks by
+    itself, give or take a call, is ``test_io_mode.py``'s).  Returns
+    (device calls, pages rebuilt)."""
     engine = Engine(
         page_size=2048, io_size=16384, buffer_capacity=512, pool_shards=4
     )
@@ -86,18 +88,13 @@ def cold_tuned_job() -> tuple[int, int]:
     engine.buffer.evict_all()
     engine.ctx.disk.latency = 0.001  # after set-up, which it must not slow
     before = engine.counters.snapshot()
-    report = OnlineRebuild(
-        tree,
-        RebuildConfig(
-            pipeline_depth=4, group_commit_window=0.002, ring_frames=128
-        ),
-    ).run()
+    report = OnlineRebuild(tree).run()
     calls = engine.counters.diff(before)["disk_io_calls"]
     assert report.completed
     return calls, report.leaf_pages_rebuilt
 
 
-def test_cold_tuned_pass_stays_in_budget_and_repeats():
+def test_cold_tuned_pass_stays_in_budget_and_repeats(pipelined):
     """One copy thread buys a job whose device calls repeat: a change
     that brings back a racing consumer of the read-ahead window, or a
     window written off unconsumed, moves this number on every job.
@@ -117,7 +114,7 @@ def test_cold_tuned_pass_stays_in_budget_and_repeats():
     assert max(in_budget) - min(in_budget) <= REPEAT_SLACK, jobs
 
 
-def test_run_starts_no_thread_but_the_schedulers():
+def test_run_starts_no_thread_but_the_schedulers(pipelined):
     """Every top action runs on the thread that called ``run()``, and the
     only threads alive beside it that were not before are the I/O
     scheduler's readers and writers — which do not outlive the run."""
@@ -132,13 +129,7 @@ def test_run_starts_no_thread_but_the_schedulers():
         started.update(t.name for t in set(threading.enumerate()) - before)
 
     engine.syncpoints.on("rebuild.nta_end", at_nta_end)
-    report = OnlineRebuild(
-        tree,
-        RebuildConfig(
-            ntasize=8, xactsize=32, pipeline_depth=4,
-            group_commit_window=0.002, ring_frames=128,
-        ),
-    ).run()
+    report = OnlineRebuild(tree, RebuildConfig(ntasize=8, xactsize=32)).run()
     assert report.top_actions > 4
     assert drivers == {threading.current_thread().name}
     assert started and all(

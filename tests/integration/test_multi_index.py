@@ -81,28 +81,20 @@ def test_concurrent_rebuilds_of_different_indexes(engine):
     assert b.verify().leaf_fill > 0.9
 
 
-def test_overlapping_rebuilds_restore_engine_settings(engine):
-    """A starts, B starts, A ends, B ends: the ring and the group-commit
-    window stay in force while either rebuild runs and go back to the
-    engine's own values when the last one leaves — B must not put back
-    A's override as "the original"."""
+def test_overlapping_rebuilds_restore_engine_settings(engine, pipelined):
+    """A starts, B starts, A ends, B ends, both pipelined: the log's
+    group-commit window stays held while either rebuild runs and is let
+    go when the last one ends — A's end must not close it under B."""
     a = engine.create_index(key_len=4)
     b = engine.create_index(key_len=4)
     make_half_empty(a, 1500)
     make_half_empty(b, 1500)
     a_before, b_before = a.contents(), b.contents()
-    pool, log = engine.ctx.buffer, engine.ctx.log
-
-    def settings():
-        return pool.ring_frames, log.group_commit_window, pool.retry_limit
-
-    built = settings()
-    tuned = (64, 0.002, built[2])
-    config = RebuildConfig(
-        ntasize=8, xactsize=16, ring_frames=64, group_commit_window=0.002
-    )
+    log = engine.ctx.log
+    assert log._window_holders == 0
+    config = RebuildConfig(ntasize=8, xactsize=16)
     a_running, b_running, a_ended = (threading.Event() for _ in range(3))
-    seen: dict[str, tuple] = {}
+    seen: dict[str, int] = {}
     errors = []
 
     def order(_ctx):
@@ -112,11 +104,11 @@ def test_overlapping_rebuilds_restore_engine_settings(engine):
         if me == "A" and not a_running.is_set():
             a_running.set()
             assert b_running.wait(30.0), "B never started"
-            seen["both"] = settings()
+            seen["both"] = log._window_holders
         elif me == "B" and not b_running.is_set():
             b_running.set()
             assert a_ended.wait(30.0), "A never ended"
-            seen["b_alone"] = settings()
+            seen["b_alone"] = log._window_holders
 
     engine.syncpoints.on("rebuild.txn_committed", order)
 
@@ -148,8 +140,9 @@ def test_overlapping_rebuilds_restore_engine_settings(engine):
         t.join(120)
         assert not t.is_alive()
     assert errors == [], errors[:1]
-    assert seen == {"both": tuned, "b_alone": tuned}
-    assert settings() == built == (0, 0.0, 12)
+    assert seen == {"both": 2, "b_alone": 1}
+    assert log._window_holders == 0
+    assert engine.counters.rebuild_pipeline_starts == 2
     assert a.contents() == a_before and b.contents() == b_before
     a.verify()
     b.verify()

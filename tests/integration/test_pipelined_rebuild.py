@@ -8,12 +8,14 @@ durable — even when the background writer dies mid-transaction.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import CrashPoint
+from repro.core import rebuild as rebuild_module
 from repro.errors import (
     ChecksumError,
     IOSchedulerError,
@@ -26,9 +28,10 @@ from repro.workload.builder import bulk_load
 from tests.conftest import intkey
 from tests.integration.test_write_budget import GatedDisk
 
-PIPELINED = RebuildConfig(
-    ntasize=16, xactsize=64, pipeline_depth=4, group_commit_window=0.002
-)
+# Every rebuild here runs as it would on a slow device: I/O threads on,
+# group-commit window held.
+pytestmark = pytest.mark.usefixtures("pipelined")
+PIPELINED = RebuildConfig(ntasize=16, xactsize=64)
 
 
 def build_fragmented(key_count: int = 20_000, buffer_capacity: int = 8192):
@@ -161,7 +164,7 @@ def held_index():
     disk.__class__ = GatedDisk
     disk.arm()
     disk.gate.clear()
-    config = RebuildConfig(ntasize=34, xactsize=136, pipeline_depth=4)
+    config = RebuildConfig(ntasize=34, xactsize=136)
     return engine, index, disk, OnlineRebuild(index, config)
 
 
@@ -239,18 +242,18 @@ def _tree_contents(index) -> list[bytes]:
     return [unit for unit in index.scan()]
 
 
-def test_pipelining_is_logically_invisible():
+def test_pipelining_is_logically_invisible(monkeypatch):
     """Same seeded scenario, pipelining on vs. off: identical final tree
     contents and identical logical log sequences.  Only physical I/O-call
     counts may differ."""
     results = {}
-    for label, config in (
-        ("serial", RebuildConfig(ntasize=16, xactsize=64)),
-        ("pipelined", PIPELINED),
-    ):
+    for label, min_service in (("serial", math.inf), ("pipelined", 0.0)):
+        monkeypatch.setattr(
+            rebuild_module, "PIPELINE_MIN_SERVICE", min_service
+        )
         engine, index = build_fragmented(key_count=6_000, buffer_capacity=256)
         engine.ctx.buffer.evict_all()
-        OnlineRebuild(index, config).run()
+        OnlineRebuild(index, PIPELINED).run()
         index.verify()
         results[label] = (
             _tree_contents(index),
@@ -285,7 +288,7 @@ def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
     victim = next(pid for pid in leaves[96:] if (pid - 1) % ppio == 0)
     assert engine.ctx.disk.plant_rot(victim, bit=777)
 
-    rb = OnlineRebuild(index, RebuildConfig(pipeline_depth=4))
+    rb = OnlineRebuild(index)
     # Let the readers fill the window between top actions, so the reader
     # (not the copy loop) is the first to touch the rotten image.
     engine.syncpoints.on(

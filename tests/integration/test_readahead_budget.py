@@ -27,7 +27,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Engine, OnlineRebuild, RebuildConfig
+from repro import Engine, OnlineRebuild
 from repro.btree import node
 from repro.btree.traversal import AccessMode, Traversal
 from repro.concurrency.locks import LockMode, LockSpace
@@ -143,12 +143,10 @@ def test_two_distinct_runs_in_the_device_and_never_the_same_run_twice():
 # ------------------------------------------------------------------- (b)
 
 
-def test_full_window_means_no_source_read_on_the_copy_thread():
+def test_full_window_means_no_source_read_on_the_copy_thread(pipelined):
     engine, tree, disk, chain = cold_index(40_000, buffer_capacity=4096)
     counters = engine.counters
-    rebuild = OnlineRebuild(
-        tree, RebuildConfig(pipeline_depth=4, group_commit_window=0.002)
-    )
+    rebuild = OnlineRebuild(tree)
     marks: list[tuple[int, int]] = []
 
     def mark() -> None:
@@ -181,18 +179,13 @@ def test_full_window_means_no_source_read_on_the_copy_thread():
 # ------------------------------------------------------------------- (c)
 
 
-def test_windows_stay_within_the_rings_room():
+def test_windows_stay_within_the_rings_room(pipelined):
     """The one window is requested up to the pool's whole room — not a
     share of it — and never past it."""
     engine, tree, disk, chain = cold_index(
         100_000, buffer_capacity=512, pool_shards=4
     )
-    rebuild = OnlineRebuild(
-        tree,
-        RebuildConfig(
-            pipeline_depth=4, ring_frames=128, group_commit_window=0.002
-        ),
-    )
+    rebuild = OnlineRebuild(tree)
     requested: list[tuple[int, int]] = []
 
     def sample(_ctx: dict) -> None:

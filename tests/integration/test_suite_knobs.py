@@ -43,25 +43,54 @@ def _extra_knobs() -> set[str]:
     }
 
 
+def _tuned_knobs() -> set[str]:
+    """Every keyword ``rebuild_config`` adds for the ``tuned`` profile."""
+    tree = ast.parse(_HARNESS.read_text(encoding="utf-8"))
+    return {
+        kw.arg
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "update"
+        for kw in call.keywords
+    }
+
+
 def test_tuned_profile_keeps_every_knob_it_asks_for():
-    """``rebuild_io`` asks for ``parallel_workers=2`` and gets one copy
-    thread: the tiled rebuild was measured and deleted (ROADMAP item 4).
-    On the parent commit, the suite's spec overridden to one worker, 15 s
-    runs in alternating pairs, no failed operation in 32 runs:
-    ``rebuild_pages_per_s`` 6 584 → 5 961 (−9.5 %, seed 1, 10 pairs;
-    bound 25 %) and 6 300 → 6 137 (−2.6 %, seed 7, 6 pairs);
+    """The suite asks for four keywords it does not get.  Each drop is
+    known and meant; any *other* keyword the suite asks for and does not
+    get fails here.
+
+    ``parallel_workers=2`` (``rebuild_io``): the tiled rebuild was
+    measured and deleted (ROADMAP item 4) — ``rebuild_pages_per_s``
+    6 584 → 5 961 (−9.5 %, seed 1, 10 pairs; bound 25 %),
     ``rebuild_io_calls_per_page`` 0.2067 → 0.19793 in every one of 16
-    runs (two workers spread 0.2023–0.2095); log bytes per page +0.19 %,
-    space +0.1 %.  That one is known and meant; any *other* keyword the
-    suite asks for and does not get fails here."""
-    config = H.rebuild_config("tuned", 512, parallel_workers=2)
-    assert config == RebuildConfig(
-        pipeline_depth=4,
-        group_commit_window=0.002,
-        ring_frames=128,
-    )
+    runs.
+
+    ``pipeline_depth=4``, ``group_commit_window=0.002``,
+    ``ring_frames=pool // 4`` (the ``tuned`` profile): the rebuild picks
+    its I/O mode itself (ROADMAP item 5).  On the parent commit, 5
+    alternating ``rebuild_cpu`` cycles each, the window alone and the ring
+    alone left 66.785615 log bytes and 0.063347 I/O calls per page to the
+    digit and pages/s inside the cycle spread (14 952 [12 141..16 090] →
+    13 746 [13 281..15 540] with both on), so the ring is always on and
+    the window is held only while a pipelined run lasts; the pipeline
+    alone cost −14 % pages/s there (calls per page 0.0664–0.0694, no two
+    cycles alike), and is now started by the run only when the pool's
+    last three device calls each took ≥ 0.2 ms (≈ 0.02 ms on
+    ``rebuild_cpu`` / ``crash_recover``, ≥ 1.02 ms on the three 1 ms
+    workloads): ``rebuild_io`` stays at 0.19793 calls per page and
+    ``oltp_alone`` at 0.22531, and a start one or two top actions late
+    would cost one device call (0.19834 / 0.22573).  ``tuned`` is
+    therefore the defaults on a four-shard pool
+    (docs/performance.md, "How a rebuild picks its I/O mode")."""
+    assert H.rebuild_config("tuned", 512, parallel_workers=2) == RebuildConfig()
     declared = {f.name for f in dataclasses.fields(RebuildConfig)}
-    assert _extra_knobs() - declared == {"parallel_workers"}
+    asked = _extra_knobs() | _tuned_knobs()
+    assert asked - declared == {
+        "parallel_workers", "pipeline_depth", "group_commit_window",
+        "ring_frames",
+    }
 
 
 def test_paper_profile_is_the_defaults():

@@ -41,10 +41,9 @@ from tests.conftest import intkey
 
 WAIT = 30.0  # bound on every wait below; none of them is expected to expire
 
-TUNED = RebuildConfig(
-    pipeline_depth=4, group_commit_window=0.002, ring_frames=2048,
-    fillfactor=0.7,
-)
+TUNED = RebuildConfig(fillfactor=0.7)
+"""Run under the ``pipelined`` fixture: the I/O mode a rebuild picks by
+itself on a slow device, here on a device the test gates instead."""
 KEYS = 60_000
 SLACK_CALLS = 4
 """Calls of a pass beyond its runs and two per transaction (its nonleaf
@@ -208,7 +207,7 @@ def warm_pass(monkeypatch):
     return report, delta, disk, unstored
 
 
-def test_warm_pass_writes_once_behind_the_copy_thread(monkeypatch):
+def test_warm_pass_writes_once_behind_the_copy_thread(monkeypatch, pipelined):
     report, delta, disk, unstored = warm_pass(monkeypatch)
     pages = report.leaf_pages_rebuilt
     assert pages > 400 and report.top_actions > 12
@@ -247,7 +246,7 @@ def test_warm_pass_writes_once_behind_the_copy_thread(monkeypatch):
     assert delta["writebehind_batches"] >= new_pages // ppio
 
 
-def test_scheduler_counters_repeat_exactly_at_one_worker(monkeypatch):
+def test_scheduler_counters_repeat_exactly_at_one_worker(monkeypatch, pipelined):
     names = ("writebehind_batches", "writebehind_pages", "writebehind_forces")
     seen = set()
     for _ in range(2):

@@ -174,7 +174,7 @@ def test_recovery_phases_are_spans_and_counters():
     assert 0 < delta["recovery_page_visits"] <= delta["page_reads"]
 
 
-def test_readahead_explains_itself_in_spans():
+def test_readahead_explains_itself_in_spans(pipelined):
     """A pipelined rebuild's reads can be accounted for from the engine's
     own trace: each stretch of reader work is a span saying how many runs
     it requested or found cached, and against which window and room."""
@@ -188,7 +188,7 @@ def test_readahead_explains_itself_in_spans():
     )
     engine.checkpoint()
     engine.buffer.evict_all()
-    rebuild = OnlineRebuild(index, RebuildConfig(pipeline_depth=4))
+    rebuild = OnlineRebuild(index)
     # Let the readers fill the window between top actions, so who read
     # what does not depend on thread timing.
     engine.syncpoints.on(

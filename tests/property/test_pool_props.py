@@ -1,10 +1,11 @@
 """Property-based tests: buffer-pool replacement invariants (issue 8).
 
 Random interleavings of demand fetches, scan fetches, prefetches, pins,
-dirtying, and new-page allocations against pools of varying shard/ring
-geometry must never (a) evict a pinned frame, (b) exceed total or
-per-shard capacity, or (c) let a scan through an enabled ring change a
-pure-OLTP workload's hit pattern.  With logged row appends, unlogged
+dirtying, and new-page allocations against pools of varying capacity
+and striping (hence ring quota: a quarter of each shard's slice) must
+never (a) evict a pinned frame, (b) exceed total or per-shard capacity,
+or (c) let a scan through the ring change a pure-OLTP workload's hit
+pattern.  With logged row appends, unlogged
 bit flips, flushes, large-I/O reads, ``retire_page``, pages freed and
 their ids handed out again (``new_page`` drops the dead image) and
 truncating checkpoints in the mix, (d) every fetch still sees every
@@ -34,31 +35,28 @@ op_strategy = st.lists(
 )
 
 geometry = st.tuples(
-    st.sampled_from([8, 16, 24, 32]),   # capacity
-    st.sampled_from([1, 2, 3]),          # shards
-    st.sampled_from([0, 2, 5]),          # ring frames
+    st.sampled_from([8, 16, 24, 32, 48]),  # capacity
+    st.sampled_from([1, 2, 3]),             # shards
 )
 
 
-def _make_pool(capacity: int, shards: int, ring: int) -> BufferPool:
+def _make_pool(capacity: int, shards: int) -> BufferPool:
     counters = Counters()
     disk = Disk(counters=counters)
     for pid in PAGE_IDS:
         disk.write(pid, Page(pid, disk.page_size).to_bytes())
-    pool = BufferPool(
-        disk, capacity=capacity, counters=counters,
-        shards=shards, ring_frames=ring,
+    return BufferPool(
+        disk, capacity=capacity, counters=counters, shards=shards
     )
-    return pool
 
 
 @given(ops=op_strategy, geom=geometry)
 @settings(max_examples=120, deadline=None)
 def test_pins_capacity_and_shard_quotas_hold(ops, geom):
-    capacity, shards, ring = geom
+    capacity, shards = geom
     if capacity // shards < 8:
         shards = 1
-    pool = _make_pool(capacity, shards, ring)
+    pool = _make_pool(capacity, shards)
     pinned: dict[int, int] = {}
     try:
         for op, pid, dirty in ops:
@@ -111,11 +109,11 @@ def test_pins_capacity_and_shard_quotas_hold(ops, geom):
 @settings(max_examples=80, deadline=None)
 def test_oltp_hit_pattern_unchanged_by_scan_with_ring(hot, scan_pages):
     # Run the OLTP sequence alone, then the same sequence with a synthetic
-    # scan interleaved after every op, through a ring-enabled pool big
-    # enough for the OLTP working set.  The demand hit/miss totals must
+    # scan interleaved after every op, through a pool big enough for the
+    # OLTP working set beside its ring.  The demand hit/miss totals must
     # be identical: the ring absorbed the scan completely.
     def run(with_scan: bool) -> tuple[int, int]:
-        pool = _make_pool(capacity=16, shards=1, ring=4)
+        pool = _make_pool(capacity=16, shards=1)
         scans = iter(scan_pages if with_scan else [])
         for pid in hot:
             pool.fetch(pid)
@@ -160,7 +158,7 @@ def run_wal_ops(ops, geom) -> None:
     # may be lost — neither to a later fetch (a stale image shadowing a
     # newer one) nor to recovery (stored image + redo of what is left of
     # the log above its page_lsn).
-    capacity, shards, ring = geom
+    capacity, shards = geom
     if capacity // shards < 8:
         shards = 1
     counters = Counters()
@@ -168,8 +166,7 @@ def run_wal_ops(ops, geom) -> None:
     for pid in WAL_IDS:
         disk.write(pid, Page(pid, disk.page_size).to_bytes())
     pool = BufferPool(
-        disk, capacity=capacity, counters=counters,
-        shards=shards, ring_frames=ring,
+        disk, capacity=capacity, counters=counters, shards=shards
     )
     log: list[tuple[int, int, bytes | None]] = []  # (lsn, page id, row)
     truncated = 0  # records up to this LSN are gone from the log
@@ -193,7 +190,7 @@ def run_wal_ops(ops, geom) -> None:
             continue  # only fresh or freed ids are allocated, live ones used
         if op == "new":
             model[pid] = []
-            page = pool.new_page(pid, scan=ring > 0)
+            page = pool.new_page(pid, scan=bool(pid % 2))
             append_logged(pid, page, formats=True)
             append_logged(pid, page)
             pool.unpin(pid, dirty=True)
@@ -252,7 +249,7 @@ def test_dropping_a_deallocated_pages_pending_change_is_told(monkeypatch):
         return True
 
     ops = [("logged", 1), ("retire", 1), ("scan", 1)]
-    run_wal_ops(ops, (8, 1, 2))
+    run_wal_ops(ops, (8, 1))
     monkeypatch.setattr(BufferPool, "retire_page", retire_dropping_anything)
     with pytest.raises(AssertionError, match="scan of 1 lost a change"):
-        run_wal_ops(ops, (8, 1, 2))
+        run_wal_ops(ops, (8, 1))

@@ -345,3 +345,31 @@ def test_prefetch_reads_whole_aligned_run(counters):
     assert counters.disk_io_calls == before
     assert page.rows == [b"p7"]
     pool.unpin(7)
+
+
+def test_failed_miss_read_leaves_a_finished_span_that_names_the_error(counters):
+    """A read that raises is the read a post-mortem wants: its
+    ``buffer.read`` span is finished with the error's name, stays nobody's
+    parent, and the read that then succeeds is the one timed sample."""
+    from repro.errors import PermanentIOError
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import Tracer
+    from repro.storage.faults import FaultKind, FaultPlan, FaultSpec, FaultyDisk
+
+    plan = FaultPlan().at(FaultSpec(op="read", nth=1, kind=FaultKind.PERMANENT))
+    disk = FaultyDisk(Disk(counters=counters), plan, counters=counters)
+    put_page(disk, 1, b"row")
+    pool = BufferPool(disk, capacity=8, counters=counters)
+    pool.tracer = Tracer(capacity=16)
+    pool.metrics = MetricsRegistry(counters)
+    with pytest.raises(PermanentIOError):
+        pool.fetch(1)
+    assert pool.tracer.current() is None  # not left open on this thread
+    assert pool.fetch(1).rows == [b"row"]
+    pool.unpin(1)
+    failed, read = [s for s in pool.tracer.spans() if s.name == "buffer.read"]
+    assert failed.attrs["error"] == "PermanentIOError" and failed.end is not None
+    assert "error" not in read.attrs and read.parent_id is None
+    histogram = pool.metrics.histogram("buffer_read_seconds")
+    assert histogram.snapshot()["count"] == 1
+    assert len(pool.service_samples()) == 1  # successful attempts only

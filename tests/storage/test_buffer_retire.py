@@ -99,7 +99,7 @@ def test_retire_keeps_a_pending_logged_change_and_eviction_writes_it(counters):
     disk = Disk(counters=counters)
     for pid in range(1, 14):
         put_page(disk, pid, lsn=3)
-    pool = BufferPool(disk, capacity=8, counters=counters, ring_frames=2)
+    pool = BufferPool(disk, capacity=8, counters=counters)  # a 2-frame ring
     for pid in range(4, 14):  # a scan well under way (ring tickets advance)
         pool.fetch(pid, scan=True)
         pool.unpin(pid)
@@ -184,9 +184,7 @@ def run_of_dirty_ring_frames(counters, disk=None):
     disk = disk or Disk(io_size=8 * 2048, counters=counters)
     for pid in range(1, 9):
         put_page(disk, pid)
-    pool = BufferPool(
-        disk, capacity=64, counters=counters, shards=4, ring_frames=8
-    )
+    pool = BufferPool(disk, capacity=32, counters=counters, shards=4)
     for pid in range(1, 9):
         pool.fetch(pid, scan=True).append_row(b"dirty-%d" % pid)
         pool.unpin(pid, dirty=True)

@@ -27,26 +27,11 @@ def put_page(disk: Disk, pid: int, marker: bytes = b"") -> None:
     disk.write(pid, page.to_bytes())
 
 
-def make_pool(disk, counters, capacity=16, shards=1, ring=0) -> BufferPool:
+def make_pool(disk, counters, capacity=16, shards=1) -> BufferPool:
+    """The ring is a quarter of each shard's slice: 4 frames of 16."""
     return BufferPool(
-        disk, capacity=capacity, counters=counters,
-        shards=shards, ring_frames=ring,
+        disk, capacity=capacity, counters=counters, shards=shards
     )
-
-
-# ----------------------------------------------------------------- ring off
-
-
-def test_ring_disabled_scan_fetch_is_plain_lru(disk, counters):
-    pool = make_pool(disk, counters, capacity=8)
-    put_page(disk, 1)
-    pool.fetch(1, scan=True)
-    pool.unpin(1)
-    snap = counters.snapshot()
-    assert snap["ring_admits"] == 0
-    assert snap["ring_promotions"] == 0
-    assert snap["hot_evictions_by_scan"] == 0
-    assert pool.is_resident(1)
 
 
 def test_demand_hit_and_miss_counters(disk, counters):
@@ -67,11 +52,11 @@ def test_demand_hit_and_miss_counters(disk, counters):
     assert after["pool_demand_hits"] == 1
 
 
-# ------------------------------------------------------------------ ring on
+# ----------------------------------------------------------------- the ring
 
 
 def test_ring_bounds_scan_displacement(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, ring=4)
+    pool = make_pool(disk, counters, capacity=16)
     hot = list(range(1, 13))  # 12 hot pages, 4 frames of headroom
     for pid in hot:
         put_page(disk, pid)
@@ -88,22 +73,8 @@ def test_ring_bounds_scan_displacement(disk, counters):
     assert snap["hot_evictions_by_scan"] == 0
 
 
-def test_without_ring_the_same_scan_sweeps_the_hot_set(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, ring=0)
-    hot = list(range(1, 13))
-    for pid in hot:
-        put_page(disk, pid)
-        pool.fetch(pid)
-        pool.unpin(pid)
-    for pid in range(100, 150):
-        put_page(disk, pid)
-        pool.fetch(pid, scan=True)
-        pool.unpin(pid)
-    assert not any(pool.is_resident(pid) for pid in hot)
-
-
 def test_demand_hit_promotes_ring_page_to_protected(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, ring=2)
+    pool = make_pool(disk, counters, capacity=16)
     put_page(disk, 1)
     pool.fetch(1, scan=True)  # admitted to the ring
     pool.unpin(1)
@@ -119,7 +90,7 @@ def test_demand_hit_promotes_ring_page_to_protected(disk, counters):
 
 
 def test_scan_rereference_stays_in_ring(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, ring=2)
+    pool = make_pool(disk, counters, capacity=16)
     put_page(disk, 1)
     pool.fetch(1, scan=True)
     pool.unpin(1)
@@ -131,7 +102,7 @@ def test_scan_rereference_stays_in_ring(disk, counters):
 
 
 def test_new_page_scan_goes_to_ring_and_recycles(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, ring=2)
+    pool = make_pool(disk, counters, capacity=16)
     hot = list(range(1, 11))
     for pid in hot:
         put_page(disk, pid)
@@ -145,32 +116,10 @@ def test_new_page_scan_goes_to_ring_and_recycles(disk, counters):
         pool.unpin(pid, dirty=True)
     for pid in hot:
         assert pool.is_resident(pid)
-    for pid in range(100, 118):  # all but the ring's current residents
+    for pid in range(100, 116):  # all but the ring's current residents
         if not pool.is_resident(pid):
             assert disk.exists(pid), f"recycled new page {pid} not written"
     assert counters.snapshot()["ring_admits"] == 20
-
-
-def test_set_ring_frames_zero_demotes_to_cold_end(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, ring=4)
-    for pid in (1, 2):
-        put_page(disk, pid)
-        pool.fetch(pid, scan=True)
-        pool.unpin(pid)
-    pool.set_ring_frames(0)
-    assert pool.is_resident(1) and pool.is_resident(2)
-    # Demoted frames sit at the cold end: the first admissions past
-    # capacity reclaim exactly them.
-    for pid in range(10, 24):
-        put_page(disk, pid)
-        pool.fetch(pid)
-        pool.unpin(pid)
-    assert pool.is_resident(10)
-    for pid in range(200, 202):
-        put_page(disk, pid)
-        pool.fetch(pid)
-        pool.unpin(pid)
-    assert not pool.is_resident(1) and not pool.is_resident(2)
 
 
 # --------------------------------------------------- prefetch x ring (sat 2)
@@ -182,7 +131,7 @@ def test_overprefetch_past_scan_end_counts_unused(disk, counters):
     # counted ``prefetch_unused``; once the ring is wall-to-wall with
     # the not-yet-consumed window, further read-ahead is refused before
     # the physical read (``prefetch_throttled``) instead of eating it.
-    pool = make_pool(disk, counters, capacity=16, ring=4)
+    pool = make_pool(disk, counters, capacity=16)
     for pid in range(1, 13):
         put_page(disk, pid)
     for pid in range(1, 5):
@@ -209,9 +158,7 @@ def test_overprefetch_past_scan_end_counts_unused(disk, counters):
 
 def test_used_ring_page_outlives_unused_prefetched_ones(counters):
     disk = Disk(io_size=2048 * 4, counters=counters)  # 4 pages per IO
-    pool = BufferPool(
-        disk, capacity=16, counters=counters, ring_frames=4,
-    )
+    pool = make_pool(disk, counters, capacity=16)
     ppio = disk.pages_per_io
     # One aligned run's worth of prefetched pages, then *use* one of them.
     for pid in range(1, ppio + 1):
@@ -300,7 +247,7 @@ def test_shard_conflict_counter_fires_on_contention(disk, counters):
 
 
 def test_crash_clears_every_shard(disk, counters):
-    pool = make_pool(disk, counters, capacity=32, shards=4, ring=4)
+    pool = make_pool(disk, counters, capacity=32, shards=4)
     for pid in range(1, 9):
         put_page(disk, pid)
         pool.fetch(pid, scan=(pid % 2 == 0))
@@ -315,5 +262,3 @@ def test_shard_validation():
         BufferPool(d, capacity=16, shards=0)
     with pytest.raises(Exception):
         BufferPool(d, capacity=16, shards=4)  # under 8 frames per shard
-    with pytest.raises(Exception):
-        BufferPool(d, capacity=16, ring_frames=-1)

@@ -335,8 +335,8 @@ def test_window_bounds_requested_leaves():
 
 
 def test_window_is_capped_by_the_pools_room():
-    pool, counters = make_pool(capacity=8, pages=16)
-    assert pool.readahead_room() == 4  # half of a ring-less pool's frames
+    pool, counters = make_pool(capacity=32, pages=16)
+    assert pool.readahead_room() == 4  # half the ring: an eighth of the pool
     order = list(range(1, 17))
     sched = IOScheduler(
         pool, counters=counters, window=16,

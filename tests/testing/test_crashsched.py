@@ -99,7 +99,7 @@ def test_exhaustive_resume_sweep_all_schedules():
 
 TUNED = dict(
     key_count=4000, seed=11, buffer_capacity=32, resume_after_recovery=True,
-    pipeline_depth=4, ring_frames=16, pool_shards=4,
+    pipelined=True, pool_shards=4,
 )
 """The benchmark's ``tuned`` profile on a 32-frame pool under ~50 source
 leaves: every schedule evicts (run-aligned writes) and retires source
@@ -154,7 +154,7 @@ def test_tuned_exhaustive_resume_sweep():
 
 RECYCLING = dict(
     key_count=4000, seed=11, buffer_capacity=2048, resume_after_recovery=True,
-    pipeline_depth=4, ring_frames=512, pool_shards=4, fillfactor=0.7,
+    pipelined=True, pool_shards=4, fillfactor=0.7,
     warm_passes=2,
 )
 """The benchmark's repeated ``tuned`` fill-0.7 pass on a pool that holds

@@ -1,11 +1,12 @@
 """Every option has a setter that is not a test.
 
 For each ``RebuildConfig``, ``SupervisorConfig`` and ``ScrubConfig``
-field and each ``Engine`` keyword parameter, some file under ``src/`` or
-``benchmarks/`` — not ``tests/``, not ``examples/`` — passes the name by
-keyword or as a dict key (the declaration itself is neither).  An option only tests set is one value in
-use and a second path nobody runs: it fails here the day it appears, and
-the fix is a constant (ROADMAP, "quality of design").
+field and each keyword parameter of ``Engine``, ``BufferPool`` and
+``IOScheduler``, some file under ``src/`` or ``benchmarks/`` — not
+``tests/``, not ``examples/`` — passes the name by keyword or as a dict
+key (the declaration itself is neither).  An option only tests set is one
+value in use and a second path nobody runs: it fails here the day it
+appears, and the fix is a constant (ROADMAP, "quality of design").
 """
 
 import ast
@@ -16,6 +17,8 @@ from pathlib import Path
 from repro import Engine, RebuildConfig
 from repro.core.scrubber import ScrubConfig
 from repro.core.supervisor import SupervisorConfig
+from repro.storage.buffer import BufferPool
+from repro.storage.io_scheduler import IOScheduler
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -57,7 +60,12 @@ def test_every_option_is_set_outside_tests():
         for config in (RebuildConfig, SupervisorConfig, ScrubConfig)
         for f in dataclasses.fields(config)
     }
-    options = fields | set(inspect.signature(Engine).parameters)
+    options = fields | {
+        name
+        for target in (Engine, BufferPool, IOScheduler)
+        for name, param in inspect.signature(target).parameters.items()
+        if param.default is not param.empty
+    }
     unset = sorted(options - names_passed() - WAIVED)
     assert not unset, f"options only tests or examples set: {unset}"
     assert WAIVED <= fields, "a waiver outlived its option"

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
+import repro.wal.log as log_module
 from repro.stats.counters import Counters
 from repro.wal.file_log import FileLogManager
 from repro.wal.log import LogManager
@@ -13,6 +16,13 @@ from repro.wal.records import LogRecord, RecordType
 
 def _append(log: LogManager) -> int:
     return log.append(LogRecord(type=RecordType.TXN_COMMIT))
+
+
+def _held(log: LogManager, monkeypatch, window: float) -> LogManager:
+    """``log`` with its group-commit window held, ``window`` seconds long."""
+    monkeypatch.setattr(log_module, "GROUP_COMMIT_WINDOW", window)
+    log.hold_window()
+    return log
 
 
 def _concurrent_commits(log: LogManager, n: int) -> None:
@@ -32,10 +42,9 @@ def _concurrent_commits(log: LogManager, n: int) -> None:
         t.join()
 
 
-def test_group_commit_coalesces_flushes():
+def test_group_commit_coalesces_flushes(monkeypatch):
     counters = Counters()
-    log = LogManager(counters=counters)
-    log.group_commit_window = 0.01
+    log = _held(LogManager(counters=counters), monkeypatch, 0.01)
     n = 8
     _concurrent_commits(log, n)
     # Every record is durable...
@@ -48,7 +57,7 @@ def test_group_commit_coalesces_flushes():
 
 def test_window_zero_flushes_per_commit():
     counters = Counters()
-    log = LogManager(counters=counters)  # window defaults to 0.0
+    log = LogManager(counters=counters)  # nobody holds the window
     n = 4
     for _ in range(n):
         log.flush_commit(_append(log))
@@ -65,23 +74,22 @@ def test_flush_counts_only_real_io():
     assert counters.log_flushes == 1
 
 
-def test_wal_hook_path_never_waits_on_window():
-    """Non-commit flushes (group=False) must be immediate even with a
-    window configured — they can run under the buffer-pool lock."""
+def test_wal_hook_path_never_waits_on_window(monkeypatch):
+    """Non-commit flushes (group=False) must be immediate even with the
+    window held — they can run under the buffer-pool lock."""
     counters = Counters()
-    log = LogManager(counters=counters)
-    log.group_commit_window = 10.0  # absurd window: a wait would hang
+    # An absurd window: a wait would hang.
+    log = _held(LogManager(counters=counters), monkeypatch, 10.0)
     lsn = _append(log)
     log.flush_to(lsn)  # returns immediately
     assert log.flushed_lsn > 0
     assert counters.log_flushes == 1
 
 
-def test_group_commit_file_log_durability(tmp_path):
+def test_group_commit_file_log_durability(tmp_path, monkeypatch):
     """Grouped flushes reach the file: records survive a reopen."""
     path = str(tmp_path / "wal.log")
-    log = FileLogManager(path, counters=Counters())
-    log.group_commit_window = 0.005
+    log = _held(FileLogManager(path, counters=Counters()), monkeypatch, 0.005)
     _concurrent_commits(log, 6)
     log.close()
     reopened = FileLogManager(path, counters=Counters())
@@ -89,12 +97,11 @@ def test_group_commit_file_log_durability(tmp_path):
     reopened.close()
 
 
-def test_follower_satisfied_by_unrelated_flush():
+def test_follower_satisfied_by_unrelated_flush(monkeypatch):
     """A plain flush covering a follower's LSN must wake it (the notify
     in _advance_locked), not leave it waiting for a leader."""
     counters = Counters()
-    log = LogManager(counters=counters)
-    log.group_commit_window = 0.05
+    log = _held(LogManager(counters=counters), monkeypatch, 0.05)
     first = _append(log)
     second = _append(log)
 
@@ -120,12 +127,14 @@ def test_follower_satisfied_by_unrelated_flush():
 # ------------------------------------------- a committer that does not gather
 
 
-def test_committer_that_does_not_gather_flushes_at_once_without_a_round():
+def test_committer_that_does_not_gather_flushes_at_once_without_a_round(
+    monkeypatch,
+):
     """The rebuild's own commit has nobody to wait for: with no round open
     it never sleeps a window out as the leader."""
     counters = Counters()
-    log = LogManager(counters=counters)
-    log.group_commit_window = 10.0  # absurd window: leading would hang
+    # An absurd window: leading would hang.
+    log = _held(LogManager(counters=counters), monkeypatch, 10.0)
     lsn = _append(log)
     log.flush_commit(lsn, gather=False)
     assert log.flushed_lsn > lsn
@@ -138,11 +147,9 @@ def test_committer_that_does_not_gather_still_rides_a_round_in_progress(
 ):
     """…but a leader that is gathering covers it: one physical flush,
     one request coalesced, exactly as for any follower."""
-    import repro.wal.log as log_module
-
     counters = Counters()
     log = LogManager(counters=counters)
-    log.group_commit_window = 0.002
+    log.hold_window()
     window_open, window_over = threading.Event(), threading.Event()
 
     def held_window(_seconds: float) -> None:
@@ -173,3 +180,61 @@ def test_committer_that_does_not_gather_still_rides_a_round_in_progress(
     assert log.flushed_lsn > second
     assert counters.log_flushes == 1
     assert counters.log_flushes_coalesced == 1
+
+
+# ------------------------------------------------------- who holds the window
+
+
+def test_window_is_held_until_the_last_holder_releases(monkeypatch):
+    """Two overlapping rebuilds share the window: the first to end must
+    not close it under the other."""
+    counters = Counters()
+    log = LogManager(counters=counters)
+    slept: list[float] = []
+    monkeypatch.setattr(log_module.time, "sleep", slept.append)
+
+    def gathered() -> bool:
+        """Whether a commit now sleeps a window out as a round's leader."""
+        del slept[:]
+        log.flush_commit(_append(log))
+        return slept == [log_module.GROUP_COMMIT_WINDOW]
+
+    assert not gathered()
+    log.hold_window()
+    log.hold_window()
+    assert gathered()
+    log.release_window()
+    assert gathered(), "closed while a run still held it"
+    log.release_window()
+    assert not gathered()
+
+
+def test_overlapping_holders_stress():
+    """More threads than cores hold and release for a bounded time: while
+    a thread holds, the window is open; once all have left it is closed
+    (a lost holder count would strand it open, or close it early)."""
+    log = LogManager(counters=Counters())
+    workers = 4 * (os.cpu_count() or 2)
+    deadline = time.monotonic() + 1.0
+    closed_under_a_holder: list[int] = []
+
+    def churn() -> None:
+        while time.monotonic() < deadline:
+            log.hold_window()
+            if not log._window_holders:
+                closed_under_a_holder.append(1)
+            log.release_window()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert closed_under_a_holder == []
+    assert log._window_holders == 0

@@ -219,6 +219,7 @@ def test_live_workload_feeds_percentiles_and_a_pacer(monkeypatch):
         assert recorded.wait(10.0)
         # Before stop(): the handful of ops so far, the stalled one on top.
         assert workload.stats.latency_percentiles()["all"]["p99"] >= 30.0
+        assert workload.stats.operations > 0
         assert pacer.step() and pacer.delay == PACER_STEP
     finally:
         release.set()

@@ -6,6 +6,7 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 guards:
+	$(PYTHON) tools/lint_no_io_under_lock.py
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/integration/test_io_budget.py \
 		tests/integration/test_cpu_budget.py \

@@ -97,12 +97,6 @@ def leaf_low_unit(page: Page) -> bytes:
     return page.rows[0]
 
 
-def leaf_high_unit(page: Page) -> bytes:
-    if page.is_empty:
-        raise TreeStructureError(f"leaf {page.page_id} is empty")
-    return page.rows[-1]
-
-
 # --------------------------------------------------------------- nonleaf ops
 
 
@@ -185,19 +179,3 @@ def child_ids(page: Page) -> list[int]:
 
 def entries(page: Page) -> list[IndexEntry]:
     return [decode_entry(row) for row in page.rows]
-
-
-def low_key(page: Page) -> bytes:
-    """A routing key for this page: its lowest resident key.
-
-    For a nonleaf page the first entry has no key, so the second entry's
-    separator is the lowest *known* key; traversal only needs a key that
-    routes to this page's range, for which any resident key works.
-    """
-    if page.page_type is PageType.LEAF:
-        return leaf_low_unit(page)
-    if page.nrows >= 2:
-        return entry_key(page.rows[1])
-    raise TreeStructureError(
-        f"nonleaf {page.page_id} has no keyed entries to route by"
-    )

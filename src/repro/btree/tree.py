@@ -206,10 +206,8 @@ class BTree:
         self, key: bytes, rowid: int, txn: Transaction | None = None
     ) -> bool:
         unit = K.leaf_unit(key, rowid, self.key_len)
-        if self.ctx.quarantine.active and not self.ctx.quarantine.check_read(
-            self.index_id, unit
-        ):
-            return False  # degrade-reads mode: quarantined unit reads absent
+        if self.ctx.quarantine.active:
+            self.ctx.quarantine.check_read(self.index_id, unit)
         with self._operation(txn) as op:
             traversal = Traversal(self.ctx, self)
             leaf = traversal.traverse(unit, AccessMode.READER, 0, op)
@@ -223,10 +221,8 @@ class BTree:
         """The row's payload (primary-index data record), or None if the
         (key, rowid) pair is absent.  Secondary rows return ``b""``."""
         unit = K.leaf_unit(key, rowid, self.key_len)
-        if self.ctx.quarantine.active and not self.ctx.quarantine.check_read(
-            self.index_id, unit
-        ):
-            return None  # degrade-reads mode: quarantined unit reads absent
+        if self.ctx.quarantine.active:
+            self.ctx.quarantine.check_read(self.index_id, unit)
         with self._operation(txn) as op:
             traversal = Traversal(self.ctx, self)
             leaf = traversal.traverse(unit, AccessMode.READER, 0, op)
@@ -257,26 +253,16 @@ class BTree:
             if hi is not None
             else b"\xff" * (self.key_len + K.ROWID_LEN)
         )
-        quarantine = self.ctx.quarantine
-        windows = [(lo_unit, hi_unit)]
-        if quarantine.active and quarantine.check_scan(
-            self.index_id, lo_unit, hi_unit
-        ):
-            # Fail mode raised inside check_scan; degrade-reads mode falls
-            # through here: reposition around the fenced segment so the
-            # scan never has to fetch the unreadable pages inside it.
-            windows = quarantine.clean_subranges(
-                self.index_id, lo_unit, hi_unit
-            )
+        if self.ctx.quarantine.active:
+            self.ctx.quarantine.check_scan(self.index_id, lo_unit, hi_unit)
         own = txn is None
         op = self.ctx.txns.begin() if own else txn
         assert op is not None
         try:
-            for win_lo, win_hi in windows:
-                yield from range_scan(
-                    self.ctx, self, op, win_lo, win_hi,
-                    lock_rows=self.lock_rows, with_payload=with_payload,
-                )
+            yield from range_scan(
+                self.ctx, self, op, lo_unit, hi_unit,
+                lock_rows=self.lock_rows, with_payload=with_payload,
+            )
         finally:
             if own and op.state is TxnState.ACTIVE:
                 self.ctx.txns.commit(op)

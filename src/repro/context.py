@@ -15,7 +15,8 @@ timestamp to the record's LSN, and mark the frame dirty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 
 from repro.concurrency.latch import LatchManager, LatchMode
 from repro.concurrency.locks import LockManager
@@ -44,9 +45,9 @@ class EngineContext:
     buffer: BufferPool
     page_manager: PageManager
     log: LogManager
-    latches: LatchManager
-    locks: LockManager
-    txns: TransactionManager
+    latches: LatchManager = field(init=False)
+    locks: LockManager = field(init=False)
+    txns: TransactionManager = field(init=False)
     counters: Counters
     syncpoints: SyncPoints
     index_roots: dict[int, int]
@@ -68,6 +69,9 @@ class EngineContext:
     progress: ProgressReporter
     """Live rebuild/scrub progress board; always active (posts are a few
     attribute writes per top action), read via ``Engine.progress()``."""
+    lock_timeout: float
+    """Latch and lock wait bound, kept so :meth:`reset_volatile` gives a
+    crashed engine's new managers the timeout its first ones had."""
 
     @classmethod
     def create(
@@ -108,36 +112,28 @@ class EngineContext:
         """
         counters = Counters()
         if trace is None:
-            import os
-
             trace = os.environ.get("REPRO_TRACE", "").lower() in (
                 "1", "true", "yes",
             )
         tracer = Tracer(counters=counters) if trace else NULL_TRACER
         metrics = MetricsRegistry(counters)
+        data_path = None
         if storage_dir is not None:
-            import os
-
-            from repro.storage.file_disk import FileDisk
             from repro.wal.file_log import FileLogManager
 
             os.makedirs(storage_dir, exist_ok=True)
-            disk = FileDisk(
-                os.path.join(storage_dir, "data.pages"),
-                page_size=page_size,
-                io_size=io_size,
-                counters=counters,
-            )
+            data_path = os.path.join(storage_dir, "data.pages")
             log: LogManager = FileLogManager(
                 os.path.join(storage_dir, "wal.log"), counters=counters
             )
         else:
-            disk = Disk(
-                page_size=page_size,
-                io_size=io_size,
-                counters=counters,
-            )
             log = LogManager(counters=counters)
+        disk = Disk(
+            page_size=page_size,
+            io_size=io_size,
+            counters=counters,
+            path=data_path,
+        )
         if fault_plan is not None:
             from repro.storage.faults import FaultyDisk
 
@@ -151,26 +147,20 @@ class EngineContext:
         )
         page_manager = PageManager(disk, counters=counters)
         buffer.set_wal_hook(log.flush_to)
-        latches = LatchManager(counters=counters, timeout=lock_timeout)
-        locks = LockManager(counters=counters, timeout=lock_timeout)
-        txns = TransactionManager(log, counters=counters)
-        index_roots: dict[int, int] = {}
         ctx = cls(
             page_size=page_size,
             disk=disk,
             buffer=buffer,
             page_manager=page_manager,
             log=log,
-            latches=latches,
-            locks=locks,
-            txns=txns,
             counters=counters,
             syncpoints=SyncPoints(),
-            index_roots=index_roots,
+            index_roots={},
             quarantine=QuarantineMap(counters=counters, log=log),
             tracer=tracer,
             metrics=metrics,
             progress=ProgressReporter(),
+            lock_timeout=lock_timeout,
         )
         if trace:
             # Subsystems record only when these optional hooks are set,
@@ -179,16 +169,30 @@ class EngineContext:
             log.metrics = metrics
             buffer.tracer = tracer
             buffer.metrics = metrics
-            latches.metrics = metrics
-        txns.set_undo_applier(
+        ctx.reset_volatile()
+        return ctx
+
+    def reset_volatile(self) -> None:
+        """(Re)create what no process death survives — latches, locks,
+        transactions and the undo applier — wired as :meth:`create` wires
+        them; ``Engine.crash`` calls this too, so the two cannot drift."""
+        self.latches = LatchManager(
+            counters=self.counters, timeout=self.lock_timeout
+        )
+        if self.tracer.enabled:
+            self.latches.metrics = self.metrics
+        self.locks = LockManager(
+            counters=self.counters, timeout=self.lock_timeout
+        )
+        self.txns = TransactionManager(self.log, counters=self.counters)
+        self.txns.set_undo_applier(
             lambda rec, clr_lsn: undo_record(
                 rec,
-                ApplyContext(buffer, page_manager, index_roots),
+                ApplyContext(self.buffer, self.page_manager, self.index_roots),
                 clr_lsn,
             )
         )
-        txns.lock_manager = locks
-        return ctx
+        self.txns.lock_manager = self.locks
 
     # ------------------------------------------------------------ page access
 

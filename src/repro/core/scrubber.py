@@ -8,9 +8,9 @@ walks the leaf level the way a §2.5 scan does — short S latches,
 repositioning by key whenever a concurrent split, shrink or rebuild seam
 moves the ground under it — and verifies, for every leaf it visits:
 
-* the stored physical image's CRC trailer (read through the disk's
-  ``read_physical`` hook, so rot hiding behind a clean resident frame is
-  found *before* eviction makes it user-visible);
+* the stored slot's CRC trailer (the disk's own ``verdict`` of what its
+  ``read_physical`` hook returns, so rot hiding behind a clean resident
+  frame is found *before* eviction makes it user-visible);
 * the page's local invariants (level, strictly increasing units) and its
   key-range containment against a latched parent snapshot — the same
   checks :func:`repro.btree.verify.leaf_local_problems` runs offline.
@@ -33,9 +33,9 @@ On a confirmed defect the scrubber escalates through a repair ladder:
    via the recovery machinery and re-flushed;
 3. **quarantine + targeted rebuild** — otherwise the damaged key range
    is fenced in the engine's :class:`~repro.quarantine.QuarantineMap`
-   (reads/writes fail fast with ``QuarantinedRangeError``, or degrade
-   per config) and a range-scoped online rebuild of just that segment is
-   dispatched through :class:`~repro.core.supervisor.RebuildSupervisor`;
+   (reads/writes fail fast with ``QuarantinedRangeError``) and a
+   range-scoped online rebuild of just that segment is dispatched
+   through :class:`~repro.core.supervisor.RebuildSupervisor`;
    the quarantine lifts when the repair commits, and *stands* (bounded
    degradation) if even the rebuild cannot read the data back.
 
@@ -48,10 +48,8 @@ is shed.  ``scrub.*`` syncpoints make every decision crash-schedulable.
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 
 from repro.btree import node
@@ -66,7 +64,6 @@ from repro.errors import (
     ScrubError,
     StorageError,
 )
-from repro.storage.disk import CRC_TRAILER_SIZE
 from repro.storage.page import NO_PAGE, PageFlag, PageType
 from repro.storage.page_manager import PageState
 from repro.wal.apply import (
@@ -76,8 +73,6 @@ from repro.wal.apply import (
     redo_record,
 )
 from repro.wal.records import RecordType
-
-_CRC = struct.Struct("<I")
 
 # Fresh parent snapshots a persistently-stale child survives before the
 # walk calls the reference dangling instead of retrying forever.
@@ -522,16 +517,14 @@ class Scrubber:
         to absorb a race against a concurrent flush of the same page."""
         disk = self.ctx.disk
         for attempt in range(CRC_RETRIES + 1):
-            blob = disk.read_physical(page_id)
-            if blob is None:
+            why = disk.verdict(disk.read_physical(page_id))
+            if why == "ok":
+                report.crc_checked += 1
+                return True
+            if why != "crc":
                 # Never flushed (or torn away entirely): the WAL, not the
                 # image, is the authority — rung 1 of the ladder.
                 report.crc_absent += 1
-                return True
-            data = blob[:-CRC_TRAILER_SIZE]
-            (stored,) = _CRC.unpack(blob[-CRC_TRAILER_SIZE:])
-            if stored == zlib.crc32(data):
-                report.crc_checked += 1
                 return True
             if attempt < CRC_RETRIES:
                 time.sleep(CRC_RETRY_SLEEP)
@@ -722,11 +715,7 @@ class Scrubber:
             ctx.log.flush_to(page.page_lsn)
             ctx.buffer.unpin(page_id, dirty=True)
             ctx.buffer.flush_page(page_id)
-            blob = ctx.disk.read_physical(page_id)
-            if blob is None or (
-                _CRC.unpack(blob[-CRC_TRAILER_SIZE:])[0]
-                != zlib.crc32(blob[:-CRC_TRAILER_SIZE])
-            ):
+            if not ctx.disk.exists(page_id):
                 return False
         except (StorageError, RebuildError):
             return False

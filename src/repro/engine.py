@@ -82,10 +82,8 @@ class Engine:
     def close(self) -> None:
         """Cleanly shut down a file-backed engine (checkpoint + close)."""
         self.checkpoint()
-        disk = self.ctx.disk
         log = self.ctx.log
-        if hasattr(disk, "close"):
-            disk.close()
+        self.ctx.disk.close()
         if hasattr(log, "close"):
             log.close()
 
@@ -214,24 +212,7 @@ class Engine:
         ctx.log.crash()
         ctx.quarantine.clear()  # volatile; recovery re-fences from the log
         self.indexes.clear()
-        from repro.concurrency.latch import LatchManager
-        from repro.concurrency.locks import LockManager
-        from repro.concurrency.txn import TransactionManager
-        from repro.wal.apply import ApplyContext, undo_record
-
-        ctx.latches = LatchManager(counters=ctx.counters)
-        if ctx.tracer.enabled:
-            ctx.latches.metrics = ctx.metrics
-        ctx.locks = LockManager(counters=ctx.counters)
-        ctx.txns = TransactionManager(ctx.log, counters=ctx.counters)
-        ctx.txns.set_undo_applier(
-            lambda rec, clr_lsn: undo_record(
-                rec,
-                ApplyContext(ctx.buffer, ctx.page_manager, ctx.index_roots),
-                clr_lsn,
-            )
-        )
-        ctx.txns.lock_manager = ctx.locks
+        ctx.reset_volatile()
 
     def recover(self) -> RecoveryReport:
         """Run crash recovery and rebuild the index catalog."""

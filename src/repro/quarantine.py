@@ -4,10 +4,10 @@ When the integrity scrubber (:mod:`repro.core.scrubber`) finds a page
 whose stored image is rotted beyond what retry or WAL replay can heal, it
 fences off the *key range* the page covers rather than failing the whole
 index: operations inside the range fail fast with
-:class:`~repro.errors.QuarantinedRangeError` (or degrade to misses, per
-config) while the rest of the index serves traffic normally.  A targeted
-online rebuild of just that segment then repairs the damage, and the
-quarantine lifts when the repair commits.
+:class:`~repro.errors.QuarantinedRangeError` (loud, bounded) while the
+rest of the index serves traffic normally.  A targeted online rebuild of
+just that segment then repairs the damage, and the quarantine lifts when
+the repair commits.
 
 Ranges are expressed in *unit* space (key ++ rowid, the tree's total
 order), half-open ``[start_unit, end_unit)`` with ``end_unit = b""``
@@ -41,15 +41,6 @@ from repro.wal.records import (
     RecordType,
 )
 
-MODE_FAIL = "fail"
-"""Reads and writes inside a quarantined range raise
-:class:`QuarantinedRangeError` (the default: loud, bounded)."""
-
-MODE_DEGRADE_READS = "degrade-reads"
-"""Point reads inside a quarantined range report *miss* and scans skip
-the range silently; writes still raise.  For deployments that prefer
-bounded staleness over bounded errors while a repair runs."""
-
 
 @dataclass(frozen=True)
 class QuarantineRange:
@@ -82,13 +73,9 @@ class QuarantineMap:
         self,
         counters: Counters | None = None,
         log=None,
-        mode: str = MODE_FAIL,
     ) -> None:
-        if mode not in (MODE_FAIL, MODE_DEGRADE_READS):
-            raise ValueError(f"unknown quarantine mode {mode!r}")
         self.counters = counters if counters is not None else Counters()
         self.log = log
-        self.mode = mode
         self.active = False
         self._lock = threading.Lock()
         self._ranges: list[QuarantineRange] = []
@@ -185,64 +172,25 @@ class QuarantineMap:
     # --------------------------------------------------------------- checks
 
     def check_write(self, index_id: int, unit: bytes) -> None:
-        """Raise if a write targets a fenced unit (writes never degrade —
-        a write into a range being copied by the repair would be lost)."""
+        """Raise if a write targets a fenced unit (a write into a range
+        being copied by the repair would be lost)."""
         r = self.covering(index_id, unit)
         if r is not None:
             self._reject(r, "write")
 
-    def check_read(self, index_id: int, unit: bytes) -> bool:
-        """True if the read may proceed; False = degrade to a miss.
-
-        Raises in ``fail`` mode.
-        """
+    def check_read(self, index_id: int, unit: bytes) -> None:
+        """Raise if a point read targets a fenced unit."""
         r = self.covering(index_id, unit)
-        if r is None:
-            return True
-        if self.mode == MODE_DEGRADE_READS:
-            self.counters.add("quarantine_blocked_ops")
-            return False
-        self._reject(r, "read")
-        return False  # unreachable
+        if r is not None:
+            self._reject(r, "read")
 
     def check_scan(
         self, index_id: int, lo_unit: bytes, hi_unit: bytes
-    ) -> QuarantineRange | None:
-        """Raise (fail mode) or return the overlapping range to skip
-        (degrade mode); None when the scan window is clean."""
+    ) -> None:
+        """Raise if the inclusive scan window touches a fenced range."""
         r = self.overlapping(index_id, lo_unit, hi_unit)
-        if r is None:
-            return None
-        if self.mode == MODE_DEGRADE_READS:
-            self.counters.add("quarantine_blocked_ops")
-            return r
-        self._reject(r, "scan")
-        return r  # unreachable
-
-    def clean_subranges(
-        self, index_id: int, lo_unit: bytes, hi_unit: bytes
-    ) -> list[tuple[bytes, bytes]]:
-        """Split the inclusive scan window ``[lo_unit, hi_unit]`` into the
-        maximal pieces that avoid every fenced range (degrade-reads mode).
-
-        A scan driven over these pieces repositions by key *around* the
-        damaged segment, so it never has to fetch an unreadable page.
-        """
-        pieces = [(lo_unit, hi_unit)]
-        for r in self.ranges(index_id):
-            out: list[tuple[bytes, bytes]] = []
-            for lo, hi in pieces:
-                if not r.overlaps(lo, hi):
-                    out.append((lo, hi))
-                    continue
-                if lo < r.start_unit:
-                    left_hi = _pred(r.start_unit)
-                    if left_hi is not None and left_hi >= lo:
-                        out.append((lo, min(hi, left_hi)))
-                if r.end_unit and hi >= r.end_unit:
-                    out.append((max(lo, r.end_unit), hi))
-            pieces = out
-        return pieces
+        if r is not None:
+            self._reject(r, "scan")
 
     def _reject(self, r: QuarantineRange, op: str) -> None:
         self.counters.add("quarantine_blocked_ops")
@@ -255,14 +203,6 @@ class QuarantineMap:
             start_unit=r.start_unit,
             end_unit=r.end_unit,
         )
-
-
-def _pred(unit: bytes) -> bytes | None:
-    """The fixed-length unit immediately below ``unit`` (None at zero)."""
-    as_int = int.from_bytes(unit, "big")
-    if as_int == 0:
-        return None
-    return (as_int - 1).to_bytes(len(unit), "big")
 
 
 def _record(

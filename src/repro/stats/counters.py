@@ -41,9 +41,11 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "disk_pages_read",
     "disk_pages_written",
     # Durability hardening (fault injection, checksums, retries).
-    "disk_read_short",   # page rejected: short read (never fully written)
-    "disk_read_bad_magic",  # page rejected: header magic missing
-    "disk_read_bad_crc",    # page rejected: CRC32 trailer mismatch
+    # Slots a read / read_run looked at and did not return, by verdict
+    # (probes — exists, verdict, page_ids — count nothing; see storage/disk).
+    "disk_read_short",   # nothing, or less than a slot, stored
+    "disk_read_bad_magic",  # file slot without the page magic (a hole)
+    "disk_read_bad_crc",    # CRC32 trailer mismatch (torn write, rot)
     "io_retries",        # TransientIOError retries taken by the buffer pool
     "writebehind_retries",  # TransientIOError retries by the write-behind forcer
     "faults_injected",   # faults the FaultyDisk wrapper actually fired

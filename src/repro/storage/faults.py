@@ -10,8 +10,8 @@ misbehavior, deterministically:
   / ``read_run`` / ``write_many``); rate-based transient faults fire from
   a seeded RNG so storm tests replay bit-identically.
 * :class:`FaultyDisk` — a wrapper implementing the full Disk protocol
-  around a real :class:`~repro.storage.disk.Disk` or
-  :class:`~repro.storage.file_disk.FileDisk`.  It injects:
+  around a real :class:`~repro.storage.disk.Disk` (either backing).  It
+  injects:
 
   - **transient** errors (:class:`~repro.errors.TransientIOError`) — the
     buffer pool / io_scheduler retry layer must absorb these;
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from repro.concurrency.syncpoints import CrashPoint
 from repro.errors import PermanentIOError, StorageError, TransientIOError
 from repro.stats.counters import Counters
+from repro.storage.disk import Disk
 
 _INTERCEPTED_OPS = ("read", "write", "read_run", "write_many")
 
@@ -161,7 +162,7 @@ class FaultyDisk:
 
     def __init__(
         self,
-        inner,  # Disk | FileDisk
+        inner: Disk,
         plan: FaultPlan,
         counters: Counters | None = None,
     ) -> None:
@@ -180,8 +181,8 @@ class FaultyDisk:
         self._crash_armed = False
 
     def __getattr__(self, name: str):
-        # exists / drop / page_ids / seal / physical hooks / close / attrs:
-        # pass through untouched.
+        # exists / drop / page_ids / seal / verdict / physical hooks /
+        # close / attrs: pass through untouched.
         return getattr(self.inner, name)
 
     @property
@@ -204,17 +205,23 @@ class FaultyDisk:
         nothing notices until the integrity scrubber's physical sweep or
         an unlucky refetch.  Returns False when nothing is stored yet.
         """
+        if not self._flip_bit(page_id, bit, f"rot:page{page_id}@bit{bit}"):
+            return False
+        with self._lock:
+            self.rot_sites.append(page_id)
+        return True
+
+    def _flip_bit(self, page_id: int, bit: int, label: str) -> bool:
+        """Flip one bit of the stored slot in place, so the normal read
+        path detects it via the CRC trailer; False when nothing is stored."""
         blob = self.inner.read_physical(page_id)
         if blob is None:
             return False
         flipped = bytearray(blob)
-        byte_index = (bit // 8) % len(flipped)
-        flipped[byte_index] ^= 1 << (bit % 8)
+        flipped[(bit // 8) % len(flipped)] ^= 1 << (bit % 8)
         self.inner.write_physical(page_id, bytes(flipped))
-        with self._lock:
-            self.rot_sites.append(page_id)
         self.counters.add("faults_injected")
-        self.plan.record(f"rot:page{page_id}@bit{bit}")
+        self.plan.record(label)
         return True
 
     # ------------------------------------------------------------- injection
@@ -253,7 +260,7 @@ class FaultyDisk:
         spec = self._enter("read")
         if spec is not None:
             if spec.kind is FaultKind.CORRUPT:
-                self._corrupt(page_id, spec)
+                self._flip_bit(page_id, spec.bit, spec.label())
             else:
                 self._fire(spec)
         self._maybe_rate_transient("read")
@@ -263,24 +270,11 @@ class FaultyDisk:
         spec = self._enter("read_run")
         if spec is not None:
             if spec.kind is FaultKind.CORRUPT:
-                self._corrupt(start_page, spec)
+                self._flip_bit(start_page, spec.bit, spec.label())
             else:
                 self._fire(spec)
         self._maybe_rate_transient("read_run")
         return self.inner.read_run(start_page, count)
-
-    def _corrupt(self, page_id: int, spec: FaultSpec) -> None:
-        """Flip a bit in the stored physical image, then let the normal
-        read path detect it via the CRC trailer."""
-        blob = self.inner.read_physical(page_id)
-        if blob is None:
-            return  # nothing stored to corrupt
-        flipped = bytearray(blob)
-        byte_index = (spec.bit // 8) % len(flipped)
-        flipped[byte_index] ^= 1 << (spec.bit % 8)
-        self.inner.write_physical(page_id, bytes(flipped))
-        self.counters.add("faults_injected")
-        self.plan.record(spec.label())
 
     # ----------------------------------------------------------------- writes
 

@@ -38,6 +38,9 @@ NO_PAGE = 0        # null page id; real ids start at 1
 _HEADER = struct.Struct("<HIHBBBBHIHIIQHH")
 _HEADER_MAGIC = 0xB7EE
 assert _HEADER.size == 40  # == HEADER_SIZE exactly
+PAGE_MAGIC = _HEADER_MAGIC.to_bytes(2, "little")
+"""The bytes every page image starts with; the file-backed disk tells a
+written slot from a hole by them."""
 
 _ROW_LEN = struct.Struct("<H")
 # Packed row-length prefixes for every length a default-size page can hold;

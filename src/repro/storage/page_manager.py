@@ -91,17 +91,6 @@ class PageManager:
             self._states[pid] = PageState.ALLOCATED
             return pid
 
-    def allocate_specific(self, page_id: int) -> None:
-        """Allocate a specific free page id (redo path and chunk cursor)."""
-        with self._lock:
-            if self.state(page_id) is not PageState.FREE:
-                raise PageStateError(
-                    f"page {page_id} is {self.state(page_id).value}, not free"
-                )
-            self._free.discard(page_id)
-            self._states[page_id] = PageState.ALLOCATED
-            self._next_new = max(self._next_new, page_id + 1)
-
     def deallocate(self, page_id: int) -> None:
         """allocated → deallocated.  The caller logs this transition."""
         with self._lock:
@@ -112,33 +101,12 @@ class PageManager:
                 )
             self._states[page_id] = PageState.DEALLOCATED
 
-    def undo_deallocate(self, page_id: int) -> None:
-        """deallocated → allocated (rollback of a logged deallocation)."""
-        with self._lock:
-            if self.state(page_id) is not PageState.DEALLOCATED:
-                raise PageStateError(
-                    f"cannot undo-deallocate page {page_id}: state is "
-                    f"{self.state(page_id).value}"
-                )
-            self._states[page_id] = PageState.ALLOCATED
-
     def free(self, page_id: int) -> None:
         """deallocated → free.  Unlogged and irreversible (§4.1.3)."""
         with self._lock:
             if self.state(page_id) is not PageState.DEALLOCATED:
                 raise PageStateError(
                     f"cannot free page {page_id}: state is "
-                    f"{self.state(page_id).value}"
-                )
-            self._states[page_id] = PageState.FREE
-            self._free.add(page_id)
-
-    def undo_allocate(self, page_id: int) -> None:
-        """allocated → free (rollback of a logged allocation)."""
-        with self._lock:
-            if self.state(page_id) is not PageState.ALLOCATED:
-                raise PageStateError(
-                    f"cannot undo-allocate page {page_id}: state is "
                     f"{self.state(page_id).value}"
                 )
             self._states[page_id] = PageState.FREE

@@ -394,17 +394,15 @@ class RecoveryManager:
         recreated in the buffer by ALLOC/ALLOCRUN redo) — anything left
         without one is a phantom reservation and is reclaimed.
         """
+        disk = self.buffer.disk
         for pid in self.page_manager.allocated_pages():
-            if self.buffer.is_resident(pid) or self.buffer.disk.exists(pid):
+            if self.buffer.is_resident(pid):
                 continue
-            # `exists()` reads a torn/corrupt image as absent, but a slot
-            # with stored bytes is rot, not a phantom reservation: freeing
-            # it would leave the tree pointing at a FREE page and erase the
-            # evidence the scrubber needs.  Only a slot that was never
-            # written (no bytes, or the all-zero never-formatted image) is
-            # a true phantom.
-            blob = self.buffer.disk.read_physical(pid)
-            if blob is not None and any(blob):
+            # A torn/corrupt slot is rot, not a phantom reservation:
+            # freeing it would leave the tree pointing at a FREE page and
+            # erase the evidence the scrubber needs.  Only a slot the disk
+            # calls never written is a true phantom.
+            if disk.verdict(disk.read_physical(pid)) in ("ok", "crc"):
                 continue
             self.page_manager.force_state(pid, PageState.FREE)
             report.pages_freed.append(pid)

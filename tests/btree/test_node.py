@@ -82,7 +82,6 @@ def test_leaf_search_counts_comparisons(counters):
 def test_leaf_low_high(counters):
     page = leaf_page([b"aa", b"zz"])
     assert node.leaf_low_unit(page) == b"aa"
-    assert node.leaf_high_unit(page) == b"zz"
     with pytest.raises(TreeStructureError):
         node.leaf_low_unit(leaf_page([]))
 
@@ -131,10 +130,3 @@ def test_child_ids_and_entries(counters):
     page = nonleaf_page([(b"", 10), (b"m", 20)])
     assert node.child_ids(page) == [10, 20]
     assert node.entries(page) == [(b"", 10), (b"m", 20)]
-
-
-def test_low_key_leaf_and_nonleaf(counters):
-    assert node.low_key(leaf_page([b"aa", b"bb"])) == b"aa"
-    assert node.low_key(nonleaf_page([(b"", 1), (b"k", 2)])) == b"k"
-    with pytest.raises(TreeStructureError):
-        node.low_key(nonleaf_page([(b"", 1)]))

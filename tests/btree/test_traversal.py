@@ -9,6 +9,7 @@ from repro.btree.traversal import AccessMode, Traversal
 from repro.concurrency.latch import LatchMode
 from repro.errors import TreeStructureError
 from repro.storage.page import PageFlag, PageType
+from repro.storage.page_manager import PageState
 from tests.conftest import fill_index, intkey
 
 
@@ -206,5 +207,5 @@ def test_safe_page_rejected_after_deallocation(engine, tall_index):
     try:
         assert trav._try_safe(deepest, level, unit(3000)) is None
     finally:
-        ctx.page_manager.undo_deallocate(deepest)
+        ctx.page_manager.force_state(deepest, PageState.ALLOCATED)
         ctx.txns.commit(txn)

@@ -12,7 +12,6 @@ from repro.errors import (
 from repro.stats.counters import Counters
 from repro.storage.disk import CRC_TRAILER_SIZE, Disk
 from repro.storage.faults import FaultKind, FaultPlan, FaultSpec, FaultyDisk
-from repro.storage.file_disk import FileDisk
 from repro.storage.page import PAGE_SIZE_DEFAULT, Page
 
 
@@ -30,8 +29,8 @@ def disk() -> Disk:
 
 
 @pytest.fixture
-def fdisk(tmp_path) -> FileDisk:
-    return FileDisk(str(tmp_path / "data.pages"), counters=Counters())
+def fdisk(tmp_path) -> Disk:
+    return Disk(path=str(tmp_path / "data.pages"), counters=Counters())
 
 
 # ----------------------------------------------------------- CRC trailers
@@ -77,13 +76,20 @@ def test_read_run_treats_corrupt_page_as_absent(fdisk):
 
 
 def test_file_disk_rejection_reason_counters(fdisk):
+    """A read counts why it rejected a slot; the ``exists`` probe counts
+    nothing (the one rule, see the ``repro.storage.disk`` docstring)."""
     fdisk.write(1, image(1))
     # Short: beyond the end of the file.
     assert not fdisk.exists(9)
+    assert fdisk.counters.disk_read_short == 0
+    with pytest.raises(StorageError):
+        fdisk.read(9)
     assert fdisk.counters.disk_read_short == 1
     # Bad magic: a dropped page.
     fdisk.drop(1)
     assert not fdisk.exists(1)
+    with pytest.raises(StorageError):
+        fdisk.read(1)
     assert fdisk.counters.disk_read_bad_magic == 1
     # Bad CRC: a torn image.
     fdisk.write(2, image(2))
@@ -91,6 +97,8 @@ def test_file_disk_rejection_reason_counters(fdisk):
     blob[30] ^= 0x02
     fdisk.write_physical(2, bytes(blob))
     assert not fdisk.exists(2)
+    with pytest.raises(ChecksumError):
+        fdisk.read(2)
     assert fdisk.counters.disk_read_bad_crc == 1
 
 

@@ -44,36 +44,6 @@ def test_free_requires_deallocated(pm):
         pm.free(pid)
 
 
-def test_undo_deallocate(pm):
-    pid = pm.allocate()
-    pm.deallocate(pid)
-    pm.undo_deallocate(pid)
-    assert pm.state(pid) is PageState.ALLOCATED
-
-
-def test_undo_allocate(pm):
-    pid = pm.allocate()
-    pm.undo_allocate(pid)
-    assert pm.state(pid) is PageState.FREE
-
-
-def test_undo_transitions_check_state(pm):
-    pid = pm.allocate()
-    with pytest.raises(PageStateError):
-        pm.undo_deallocate(pid)
-    pm.deallocate(pid)
-    with pytest.raises(PageStateError):
-        pm.undo_allocate(pid)
-
-
-def test_allocate_specific(pm):
-    pm.allocate_specific(50)
-    assert pm.state(50) is PageState.ALLOCATED
-    assert pm.high_water_mark == 51
-    with pytest.raises(PageStateError):
-        pm.allocate_specific(50)
-
-
 def test_deallocated_pages_listing(pm):
     pids = [pm.allocate() for _ in range(4)]
     pm.deallocate(pids[1])

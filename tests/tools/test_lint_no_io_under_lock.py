@@ -114,6 +114,39 @@ def test_pool_flush_after_the_condition_is_released_is_clean():
     assert violations(src) == []
 
 
+def test_raw_device_call_under_a_store_lock_is_flagged():
+    # What FileDisk did: the I/O threads of a pipelined rebuild took turns.
+    src = (
+        "class Slots:\n"
+        "    def put(self, slots):\n"
+        "        with self._lock:\n"
+        "            for pid in sorted(slots):\n"
+        "                os.pwrite(self._fd, slots[pid], self._offset(pid))\n"
+        "            os.fsync(self._fd)\n"
+        "    def get_run(self, start, count):\n"
+        "        with self._lock:\n"
+        "            return os.pread(self._fd, count, start)\n"
+        "    def _service(self, calls):\n"
+        "        with self._lock:\n"
+        "            time.sleep(self.latency * calls)\n"
+    )
+    assert len(violations(src)) == 4
+
+
+def test_raw_device_call_with_no_lock_held_is_clean():
+    src = (
+        "class Slots:\n"
+        "    def put(self, slots):\n"
+        "        with self._lock:\n"
+        "            ids = sorted(slots)\n"
+        "        for pid in ids:\n"
+        "            os.pwrite(self._fd, slots[pid], self._offset(pid))\n"
+        "        os.fsync(self._fd)\n"
+        "        time.sleep(self.latency)\n"
+    )
+    assert violations(src) == []
+
+
 def test_storage_tree_is_clean():
     storage = REPO_ROOT / "src" / "repro" / "storage"
     failures = []

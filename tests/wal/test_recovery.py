@@ -156,6 +156,26 @@ def test_multiple_crash_cycles(engine):
     index.verify()
 
 
+def test_crash_rewires_latches_locks_and_txns_as_create_did():
+    """``crash()`` used to re-create the volatile managers by hand and
+    drop ``lock_timeout``: every latch and lock waited the 30 s default
+    after the first crash."""
+    engine = Engine(lock_timeout=0.2, trace=True)
+    index = engine.create_index(key_len=4)
+    index.insert(intkey(1), 1)
+    before = (engine.ctx.latches, engine.ctx.locks, engine.ctx.txns)
+    engine.crash()
+    engine.recover()
+    ctx = engine.ctx
+    assert ctx.latches.timeout == ctx.locks.timeout == 0.2
+    assert ctx.latches.metrics is ctx.metrics  # the tracing hook
+    assert ctx.txns.lock_manager is ctx.locks
+    assert all(new is not old for new, old in zip(
+        (ctx.latches, ctx.locks, ctx.txns), before
+    ))
+    assert contents_as_ints(engine.index(1)) == [1]
+
+
 def test_bit_sweep_reads_by_run_and_skips_a_rotted_page():
     """The post-recovery bit sweep reads what redo left on disk a run at a
     time; a rotted page — met as the fetched page or as a run neighbour —

@@ -12,6 +12,12 @@ device through (``*.buffer.flush_pages(...)``, ``flush_page``,
 share one condition variable, and a flush issued under it would park
 every one of them behind a single device call.
 
+The disk module itself is held to the same rule one level down: the raw
+device calls a slot store makes — ``os.pread`` / ``os.pwrite`` /
+``os.fsync``, and the ``time.sleep`` that stands for service time — may
+not sit under a store's lock either, or the I/O threads a rebuild starts
+on a slow device would take turns on a file-backed engine.
+
 What counts as a lock-ish ``with`` context manager:
 
 * any expression whose source mentions a lock-flavored word
@@ -64,6 +70,16 @@ def _is_disk_call(call: ast.Call) -> bool:
     return isinstance(node, ast.Name) and node.id == "disk"
 
 
+RAW_DEVICE_CALLS = frozenset(
+    {"os.pread", "os.pwrite", "os.fsync", "time.sleep"}
+)
+"""What the disk's slot stores reach the device (or stand in for it) by."""
+
+
+def _is_raw_device_call(call: ast.Call) -> bool:
+    return ast.unparse(call.func) in RAW_DEVICE_CALLS
+
+
 POOL_IO = frozenset({"flush_page", "flush_pages", "flush_all", "prefetch"})
 """Buffer-pool methods the scheduler's threads reach the device through."""
 
@@ -104,7 +120,9 @@ def _walk_flagging(
         if id(child) in exempt:
             continue
         if isinstance(child, ast.Call) and (
-            _is_disk_call(child) or _is_pool_io_call(child)
+            _is_disk_call(child)
+            or _is_pool_io_call(child)
+            or _is_raw_device_call(child)
         ):
             violations.append(
                 (

@@ -234,7 +234,13 @@ class OnlineRebuild:
             # itself only reconstructs the highest epoch, so this can
             # only happen when a caller holds on to an old checkpoint
             # object — reject it loudly instead of corrupting progress.
-            for rec in ctx.log.scan(types=(RecordType.REBUILD_PROGRESS,)):
+            # An epoch is the log's next LSN when its run started, so a
+            # newer epoch's records all lie past this one:
+            # from_lsn=resume_checkpoint.epoch reads only the tail.
+            for rec in ctx.log.scan(
+                from_lsn=resume_checkpoint.epoch,
+                types=(RecordType.REBUILD_PROGRESS,),
+            ):
                 if (
                     rec.index_id == tree.index_id
                     and rec.epoch > resume_checkpoint.epoch

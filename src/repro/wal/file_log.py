@@ -29,7 +29,7 @@ import zlib
 from repro.errors import LogFormatError
 from repro.stats.counters import Counters
 from repro.wal.log import LogManager
-from repro.wal.records import RECORD_OVERHEAD, LogRecord, RecordType
+from repro.wal.records import RECORD_OVERHEAD, RECORD_TYPES, LogRecord
 
 _FRAME = struct.Struct("<II")  # (record length, crc32 of record bytes)
 FRAME_OVERHEAD = _FRAME.size
@@ -68,7 +68,7 @@ class FileLogManager(LogManager):
                 raw_type, _flags, _length, lsn, *_ = LogRecord.peek(data)
             except LogFormatError:
                 break
-            rtype = RecordType(raw_type)
+            rtype = RECORD_TYPES[raw_type]
             self._records.append(data)
             self._offsets.append(lsn)
             self.bytes_by_type[rtype] += len(data)

@@ -92,7 +92,7 @@ def _unpack_header(data: bytes) -> tuple:
         raise LogFormatError(
             f"record length field {fields[3]} != buffer {len(data)}"
         )
-    if fields[1] not in _KNOWN_TYPES:
+    if fields[1] not in RECORD_TYPES:
         raise LogFormatError(f"unknown record type {fields[1]}")
     return fields
 
@@ -120,7 +120,8 @@ class RecordType(enum.IntEnum):
     QUARANTINE = 20
 
 
-_KNOWN_TYPES = frozenset(int(t) for t in RecordType)
+RECORD_TYPES = {t.value: t for t in RecordType}
+"""The member for each stored type byte: a dict lookup, not an enum call."""
 
 PROGRESS_RUNNING = 0
 """``REBUILD_PROGRESS`` state: every unit up to ``last_unit`` is durably
@@ -448,7 +449,7 @@ class LogRecord:
             old_ts,
         ) = _unpack_header(data)
         rec = cls(
-            type=RecordType(rtype),
+            type=RECORD_TYPES[rtype],
             txn_id=txn_id,
             page_id=page_id,
             index_id=index_id,
@@ -470,11 +471,11 @@ class LogRecord:
 
     def _decode_payload(self, payload: bytes) -> None:
         t = self.type
-        if t in (RecordType.INSERT, RecordType.DELETE):
+        if t is RecordType.INSERT or t is RecordType.DELETE:
             pos, rlen = struct.unpack_from("<HH", payload)
             self.pos = pos
             self.rows = [_cut(payload, 4, rlen)]
-        elif t in (RecordType.BATCHINSERT, RecordType.BATCHDELETE):
+        elif t is RecordType.BATCHINSERT or t is RecordType.BATCHDELETE:
             pos, nrows = struct.unpack_from("<HH", payload)
             self.pos = pos
             off = 4
@@ -544,7 +545,7 @@ class LogRecord:
                 self.page_ids.append(pid)
             if self.page_ids and not self.page_id:
                 self.page_id = self.page_ids[0]
-        elif t in (RecordType.REBUILD_PROGRESS, RecordType.QUARANTINE):
+        elif t is RecordType.REBUILD_PROGRESS or t is RecordType.QUARANTINE:
             (
                 self.epoch,
                 reserved,

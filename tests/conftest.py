@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 
 from repro import Engine
 from repro.btree.tree import BTree
 from repro.core import rebuild as rebuild_module
+from repro.errors import PageFormatError
 from repro.storage import page as page_module
+from repro.storage.page import HEADER_SIZE, SLOT_OVERHEAD, Page
 
 # Cross-check the incremental page byte-accounting cache against a full
 # recompute on every used_bytes read, for the whole suite.
@@ -75,3 +78,102 @@ def pinned_ids(engine: Engine) -> list[int]:
     """Pages with a pin on them right now (none, between top actions)."""
     pool = engine.buffer
     return [pid for pid in pool._resident_ids() if pool.pin_count(pid)]
+
+
+class CodecMeter:
+    """Counts ``Page.from_bytes`` / ``Page.to_bytes`` calls and checks that
+    every decoded row is ``bytes``."""
+
+    def __init__(self, monkeypatch):
+        self.decodes = self.encodes = 0
+        decode, encode = Page.from_bytes.__func__, Page.to_bytes
+        meter = self
+
+        def counting_decode(cls, data, page_size):
+            meter.decodes += 1
+            page = decode(cls, data, page_size)
+            assert all(type(row) is bytes for row in page.rows)
+            return page
+
+        def counting_encode(page):
+            meter.encodes += 1
+            return encode(page)
+
+        monkeypatch.setattr(Page, "from_bytes", classmethod(counting_decode))
+        monkeypatch.setattr(Page, "to_bytes", counting_encode)
+
+    def measure(self, counters, run):
+        """``(decodes, pages read, encodes, pages written)`` of ``run()``."""
+        self.decodes = self.encodes = 0
+        before = counters.snapshot()
+        run()
+        delta = counters.diff(before)
+        return (
+            self.decodes, delta["disk_pages_read"],
+            self.encodes, delta["disk_pages_written"],
+        )
+
+
+# The page codec's oracles: the per-row encoder and decoder that
+# ``Page.to_bytes`` / ``Page.from_bytes`` replaced.
+
+
+def encode_per_row(page: Page) -> bytes:
+    """The encoder ``to_bytes`` replaced: one ``struct.pack`` per row."""
+    parts = [
+        struct.pack(
+            "<HIHBBBBHIHIIQHH",
+            0xB7EE,
+            page.page_id,
+            page.index_id,
+            int(page.page_type),
+            page.level,
+            int(page.flags),
+            0,
+            len(page.rows),
+            page.side_page,
+            len(page.side_key),
+            page.prev_page,
+            page.next_page,
+            page.page_lsn,
+            len(page.blocked_lo),
+            len(page.blocked_hi),
+        ),
+        page.side_key,
+        page.blocked_lo,
+        page.blocked_hi,
+    ]
+    for row in page.rows:
+        parts.append(struct.pack("<H", len(row)))
+        parts.append(row)
+    body = b"".join(parts)
+    return body + b"\x00" * (page.page_size - len(body))
+
+
+def decode_per_row(image: bytes) -> tuple:
+    """The decoder ``from_bytes`` replaced, one length prefix at a time:
+    ``(side_key, blocked_lo, blocked_hi, rows)`` of an image, or
+    :class:`PageFormatError` for one that ``to_bytes`` cannot have made."""
+    (
+        magic, _page_id, _index_id, page_type, _level, flags, _pad, nrows,
+        _side_page, side_len, _prev, _next, _lsn, lo_len, hi_len,
+    ) = struct.unpack_from("<HIHBBBBHIHIIQHH", image)
+    if magic != 0xB7EE or page_type not in (0, 1, 2) or flags & ~0xF:
+        raise PageFormatError("bad header")
+    off, extras = HEADER_SIZE, []
+    for length in (side_len, lo_len, hi_len):
+        extras.append(image[off:off + length])
+        off += length
+    rows = []
+    for _ in range(nrows):
+        if off + SLOT_OVERHEAD > len(image):
+            raise PageFormatError("length prefix past the image")
+        (length,) = struct.unpack_from("<H", image, off)
+        off += SLOT_OVERHEAD
+        rows.append(image[off:off + length])
+        off += length
+    if off > len(image):
+        raise PageFormatError("lengths overflow the image")
+    if any(image[off:]):
+        raise PageFormatError("not padding")
+    return (*extras, rows)

@@ -26,7 +26,7 @@ from repro.core import rebuild as rebuild_module
 from repro.storage.page import Page
 from repro.wal.records import LogRecord, RecordType
 from repro.workload.builder import bulk_load
-from tests.conftest import intkey
+from tests.conftest import CodecMeter, intkey
 
 PACKING_RECORDS = (RecordType.KEYCOPY, RecordType.ALLOCRUN, RecordType.DEALLOC)
 
@@ -37,7 +37,8 @@ PINNED = [
         RebuildConfig(),
         {"log_bytes": 15661, "log_records": 74, "bytes_copied": 200000,
          "new_pages_allocated": 120, "top_actions": 8,
-         "latch_acquires": 836, "page_reads": 461, "pages_visited": 705},
+         "latch_acquires": 836, "page_reads": 461, "pages_visited": 705,
+         "disk_pages_read": 0, "disk_pages_written": 120},
         1190492898,
         993844878,
         id="paper-defaults",
@@ -46,7 +47,8 @@ PINNED = [
         RebuildConfig(fillfactor=0.8, ntasize=8, xactsize=64),
         {"log_bytes": 30749, "log_records": 276, "bytes_copied": 200000,
          "new_pages_allocated": 151, "top_actions": 31,
-         "latch_acquires": 1221, "page_reads": 769, "pages_visited": 1024},
+         "latch_acquires": 1221, "page_reads": 769, "pages_visited": 1024,
+         "disk_pages_read": 0, "disk_pages_written": 154},
         708809116,
         3168632069,
         id="fill80-nta8-xact64",
@@ -126,11 +128,13 @@ def test_rebuild_moves_rows_by_run_and_frees_from_its_own_log_tail(
         return rec
 
     monkeypatch.setattr(LogRecord, "decode", staticmethod(counting_decode))
+    codec = CodecMeter(monkeypatch)
 
     before = engine.counters.snapshot()
     first_new_record = len(log._records)
     report = OnlineRebuild(tree, config).run()
     delta = engine.counters.diff(before)
+    codec_calls = (codec.decodes, codec.encodes)
     run_records = [decode(d) for d in log._records[first_new_record:]]
 
     # The copy phase: one bulk call per target page, no per-row call.
@@ -143,8 +147,12 @@ def test_rebuild_moves_rows_by_run_and_frees_from_its_own_log_tail(
     assert report.transactions >= 1
     assert sorted(r.lsn for r in decoded_in_free) == [r.lsn for r in deallocs]
 
-    # Byte-identical to the per-row engine.
+    # Byte-identical to the per-row engine; one page codec call per
+    # image read or written.
     assert {name: delta[name] for name in counts} == counts
+    assert codec_calls == (
+        delta["disk_pages_read"], delta["disk_pages_written"]
+    )
     assert _leaf_crc(engine, tree) == image_crc
     assert _packing_crc(log, first_new_record) == records_crc
     tree.verify()

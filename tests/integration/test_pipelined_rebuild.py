@@ -298,7 +298,10 @@ def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
         rb.run()
     engine.syncpoints.clear()
     assert isinstance(aborted.value.__cause__, ChecksumError)
-    assert engine.counters.prefetch_errors == 1
+    # Once per meeting, and it is met at most twice: a window growing along
+    # next_page pointers (its level-1 read met a bit) requests the rotten
+    # leaf and also reads it to learn its successor.
+    assert 1 <= engine.counters.prefetch_errors <= 2
     assert rb.last_report.leaf_pages_rebuilt >= 96  # up to the rot, kept
 
 

@@ -19,13 +19,14 @@ import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import CrashPoint
+from repro.storage import page as page_module
 from repro.storage.buffer import BufferPool
 from repro.wal import recovery
 from repro.wal.apply import SINGLE_PAGE_REDO
 from repro.wal.records import LogRecord, RecordType
 from repro.wal.recovery import RecoveryManager
 from repro.workload.builder import bulk_load
-from tests.conftest import intkey
+from tests.conftest import CodecMeter, intkey
 
 KEYS = 8000
 INSERTS = 2400
@@ -319,3 +320,44 @@ def test_crash_between_drains_after_a_partial_flush_recovers_the_same_index(
     assert tree.verify() == want
     assert tree.contents() == expected
     assert engine.page_manager.snapshot() == reference.page_manager.snapshot()
+
+
+def test_restart_decodes_each_page_it_admits_and_encodes_each_it_writes(
+    monkeypatch,
+):
+    """The page codec is called once per image the pool admits and once per
+    image it writes — the counts of the per-row codec, to the call — and
+    its cache of row cutters stays inside its bound through a restart, the
+    resumed pass and a cold rebuild of a four-level index."""
+    page_module._row_cutter.cache_clear()
+    engine, expected = crashed_engine()
+    meter = CodecMeter(monkeypatch)
+    # A disk run reads all of its slots; a run-mate the pool holds already,
+    # or one never written, is not decoded.
+    recover = meter.measure(engine.counters, engine.recover)
+    assert recover == (99, 101, 112, 112)
+    ckpt = engine.rebuild_checkpoint(1)
+    resume = OnlineRebuild(
+        engine.index(1), RebuildConfig(ntasize=8, xactsize=32)
+    )
+    assert meter.measure(
+        engine.counters, lambda: resume.run(resume_checkpoint=ckpt)
+    ) == (0, 0, 28, 28)
+    assert engine.index(1).contents() == expected
+
+    tall = Engine(page_size=512, io_size=4096, buffer_capacity=4096)
+    tree = bulk_load(
+        tall, [intkey(2 * i) for i in range(60_000)], 4, fill=0.5
+    )
+    assert tree.height() == 4
+    tall.checkpoint()
+    tall.buffer.evict_all()
+    assert meter.measure(
+        tall.counters, lambda: OnlineRebuild(tree, RebuildConfig()).run()
+    ) == (3229, 3232, 1551, 1551)
+    monkeypatch.undo()
+    tree.verify()
+
+    cuts = page_module._row_cutter.cache_info()
+    assert 0 < cuts.currsize <= cuts.maxsize == page_module.CUT_CACHE_SIZE
+    assert cuts.hits > 10 * cuts.misses  # few shapes, decoded again and again

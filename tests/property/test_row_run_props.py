@@ -1,10 +1,12 @@
 """Property tests: moving rows by run equals moving them one at a time.
 
 Each test keeps the per-row (or per-record) implementation the engine used
-to have as its oracle, in this file.
+to have as its oracle, in this file — except the page codec's encoder and
+decoder, which ``tests/storage/test_page.py`` shares from
+``tests/conftest.py``.
 """
 
-import struct
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.storage.page import (
 )
 from repro.wal.log import LogManager
 from repro.wal.records import KeyCopyEntry, LogRecord, RecordType
+from tests.conftest import decode_per_row, encode_per_row
 
 PAGE_SIZE = 512
 rows_strategy = st.lists(st.binary(max_size=120), max_size=12)
@@ -159,36 +162,41 @@ def test_plan_copy_equals_the_per_unit_greedy_packer(
 # ------------------------------------------------------- (c) the page codec
 
 
-def _encode_per_row(page: Page) -> bytes:
-    """The encoder ``to_bytes`` replaced: one ``struct.pack`` per row."""
-    parts = [
-        struct.pack(
-            "<HIHBBBBHIHIIQHH",
-            0xB7EE,
-            page.page_id,
-            page.index_id,
-            int(page.page_type),
-            page.level,
-            int(page.flags),
-            0,
-            len(page.rows),
-            page.side_page,
-            len(page.side_key),
-            page.prev_page,
-            page.next_page,
-            page.page_lsn,
-            len(page.blocked_lo),
-            len(page.blocked_hi),
-        ),
-        page.side_key,
-        page.blocked_lo,
-        page.blocked_hi,
-    ]
-    for row in page.rows:
-        parts.append(struct.pack("<H", len(row)))
-        parts.append(row)
-    body = b"".join(parts)
-    return body + b"\x00" * (page.page_size - len(body))
+_extras = st.one_of(
+    st.none(),
+    st.tuples(st.just("side"), st.binary(max_size=30), st.just(b"")),
+    st.tuples(
+        st.just("blocked"), st.binary(max_size=30), st.binary(max_size=30)
+    ),
+)
+
+
+def _with_extras(page: Page, extras, side_page: int) -> None:
+    if extras is not None and extras[0] == "side":
+        page.set_flag(PageFlag.SPLIT | PageFlag.OLDPGOFSPLIT)
+        page.set_side_entry(extras[1], side_page)
+    elif extras is not None:
+        page.set_flag(PageFlag.SHRINK | PageFlag.SHRINKRANGE)
+        page.set_blocked_range(extras[1], extras[2])
+
+
+def _check_codec(page: Page) -> None:
+    """``to_bytes`` equals the per-row encoder, ``from_bytes`` the per-row
+    decoder, and the decoded page equals the page."""
+    image = page.to_bytes()
+    assert image == encode_per_row(page)
+    assert decode_per_row(image) == (
+        page.side_key, page.blocked_lo, page.blocked_hi, page.rows
+    )
+    back = Page.from_bytes(image, page.page_size)
+    for name in (
+        "page_id", "index_id", "page_type", "level", "flags", "prev_page",
+        "next_page", "page_lsn", "side_page", "side_key", "blocked_lo",
+        "blocked_hi", "rows", "used_bytes",
+    ):
+        assert getattr(back, name) == getattr(page, name), name
+    assert all(type(row) is bytes for row in back.rows)
+    assert back.to_bytes() == image
 
 
 @given(
@@ -198,13 +206,7 @@ def _encode_per_row(page: Page) -> bytes:
     page_type=st.sampled_from(list(PageType)),
     ints=st.tuples(*[st.integers(0, 2**31)] * 5),
     lsn=st.integers(0, 2**63),
-    extras=st.one_of(
-        st.none(),
-        st.tuples(st.just("side"), st.binary(max_size=30), st.just(b"")),
-        st.tuples(
-            st.just("blocked"), st.binary(max_size=30), st.binary(max_size=30)
-        ),
-    ),
+    extras=_extras,
     page_size=st.sampled_from([256, 2048, 4096]),
     fill_to_the_byte=st.booleans(),
 )
@@ -218,12 +220,7 @@ def test_codec_roundtrips_and_matches_the_per_row_encoder(
     page.level = ints[1] % 256
     page.prev_page, page.next_page, page.side_page = ints[2:]
     page.page_lsn = lsn
-    if extras is not None and extras[0] == "side":
-        page.set_flag(PageFlag.SPLIT | PageFlag.OLDPGOFSPLIT)
-        page.set_side_entry(extras[1], ints[4])
-    elif extras is not None:
-        page.set_flag(PageFlag.SHRINK | PageFlag.SHRINKRANGE)
-        page.set_blocked_range(extras[1], extras[2])
+    _with_extras(page, extras, ints[4])
     for row in rows:
         if page.fits(row):
             page.append_row(row)
@@ -232,18 +229,50 @@ def test_codec_roundtrips_and_matches_the_per_row_encoder(
         # covers when the page is larger than the default.
         page.append_row(b"\xee" * (page.free_bytes - SLOT_OVERHEAD))
         assert page.free_bytes == 0
+    _check_codec(page)
 
-    image = page.to_bytes()
-    assert image == _encode_per_row(page)
-    back = Page.from_bytes(image, page_size)
-    for name in (
-        "page_id", "index_id", "page_type", "level", "flags", "prev_page",
-        "next_page", "page_lsn", "side_page", "side_key", "blocked_lo",
-        "blocked_hi", "rows", "used_bytes",
-    ):
-        assert getattr(back, name) == getattr(page, name), name
-    assert all(type(row) is bytes for row in back.rows)
-    assert back.to_bytes() == image
+
+@given(
+    length=st.one_of(
+        st.just(0), st.integers(1, 24), st.integers(256, 700)
+    ),
+    count=st.one_of(st.just(1), st.integers(0, 2100)),
+    first=st.one_of(st.none(), st.integers(0, 300)),
+    fill_to_the_byte=st.booleans(),
+    extras=_extras,
+    page_size=st.sampled_from([256, 2048, 4096]),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=300)
+def test_codec_of_equal_length_rows_matches_the_per_row_oracles(
+    length, count, first, fill_to_the_byte, extras, page_size, seed
+):
+    """Every row after the first has one length ``L`` (the first has it
+    too when ``first`` is None — a leaf — or some other length, as a
+    nonleaf's keyless first entry does): the shape the codec cuts and
+    joins as one unit."""
+    rnd = random.Random(seed)
+    page = Page(seed % 2**31, page_size)
+    page.page_type = PageType.LEAF if first is None else PageType.NONLEAF
+    page.page_lsn = seed
+    _with_extras(page, extras, seed % 1000)
+    free = page.free_bytes
+    stride = SLOT_OVERHEAD + length
+    if fill_to_the_byte and free >= SLOT_OVERHEAD:
+        # The first row takes whatever the others leave.
+        count = (free - SLOT_OVERHEAD) // stride
+        first = free - SLOT_OVERHEAD - count * stride
+        count += 1
+    first_len = length if first is None else first
+    if count and SLOT_OVERHEAD + first_len <= free:
+        page.append_row(rnd.randbytes(first_len))
+        fit = page.free_bytes // stride
+        page.extend_rows(
+            [rnd.randbytes(length) for _ in range(min(count - 1, fit))]
+        )
+    if fill_to_the_byte and free >= SLOT_OVERHEAD:
+        assert page.free_bytes == 0
+    _check_codec(page)
 
 
 # ---------------------------------------------------- (d) the filtered scan

@@ -14,6 +14,7 @@ from repro.storage.page import (
     PageFlag,
     PageType,
 )
+from tests.conftest import decode_per_row
 
 
 def test_new_page_is_empty_raw():
@@ -253,6 +254,66 @@ def test_from_bytes_fails_only_with_page_format_error():
                 Page.from_bytes(bytes(bad))
             except PageFormatError:
                 pass
+
+
+def _uniform_leaf() -> Page:
+    page = Page(8)
+    page.page_type = PageType.LEAF
+    page.extend_rows([i.to_bytes(4, "big") + bytes(6) for i in range(120)])
+    return page
+
+
+def _nonleaf_shaped() -> Page:
+    """A keyless first entry, then keyed ones; filled to the byte."""
+    page = Page(9)
+    page.page_type = PageType.NONLEAF
+    page.level = 1
+    count = (page.free_bytes - SLOT_OVERHEAD - 4) // (SLOT_OVERHEAD + 8)
+    page.append_row(bytes(4))
+    page.extend_rows([i.to_bytes(8, "big") for i in range(count)])
+    page.replace_row(0, bytes(page.free_bytes + 4))
+    assert page.free_bytes == 0
+    return page
+
+
+@pytest.mark.parametrize("make", [_uniform_leaf, _nonleaf_shaped])
+def test_a_flipped_length_decodes_as_the_per_row_loop_does(make):
+    """Every bit of ``nrows`` and of every length prefix, flipped on the
+    shapes the one-call cut takes: the same rows as the per-row decoder,
+    or ``PageFormatError`` where it raises."""
+    page = make()
+    image = page.to_bytes()
+    assert decode_per_row(image)[3] == Page.from_bytes(image).rows
+    fields = [_NROWS] + [(off, "<H") for off in _row_prefix_offsets(page)]
+    decoded = 0
+    for off, fmt in fields:
+        (value,) = struct.unpack_from(fmt, image, off)
+        for bit in range(16):
+            bad = bytearray(image)
+            struct.pack_into(fmt, bad, off, value ^ (1 << bit))
+            try:
+                want = decode_per_row(bytes(bad))[3]
+            except PageFormatError:
+                with pytest.raises(PageFormatError):
+                    Page.from_bytes(bytes(bad))
+                continue
+            assert Page.from_bytes(bytes(bad)).rows == want
+            decoded += 1
+    assert decoded  # some flips are legal images (a row more of padding)
+
+
+def test_equal_lengths_running_past_the_image_are_a_format_error():
+    """The last of equal length prefixes sits in the final two bytes: the
+    strided compare accepts it, the row it promises does not fit."""
+    page = Page(1)
+    page.append_row(b"\x80" * 12)
+    page.extend_rows([b"\x81" * 10] * ((page.free_bytes - 2) // 12))
+    assert page.free_bytes == 2
+    bad = bytearray(page.to_bytes())
+    struct.pack_into("<H", bad, _NROWS[0], page.nrows + 1)
+    struct.pack_into("<H", bad, len(bad) - 2, 10)
+    with pytest.raises(PageFormatError, match="overflow"):
+        Page.from_bytes(bytes(bad))
 
 
 def test_from_bytes_rejects_non_padding_after_the_last_row():

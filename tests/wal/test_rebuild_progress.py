@@ -190,3 +190,51 @@ def test_resume_from_stale_epoch_rejected():
         resume_checkpoint=current
     )
     index.verify()
+
+
+def test_stale_epoch_rejected_when_the_newer_one_follows_a_truncation():
+    """Truncation drops the log's prefix, never renumbers it: the newer
+    epoch's records still lie past the stale epoch, where the guard
+    looks."""
+    engine = Engine(buffer_capacity=2048)
+    index = engine.create_index(key_len=4)
+    make_half_empty(index, 4000)
+    _crash_rebuild(engine, index, "rebuild.txn_committed", 2)
+    engine.recover()
+    stale = engine.rebuild_checkpoint(1)
+    assert stale is not None
+    engine.checkpoint(truncate=True)
+    progress = (RecordType.REBUILD_PROGRESS,)
+    assert not list(engine.log.scan(types=progress))  # gone with the prefix
+    index = engine.index(1)
+    _crash_rebuild(engine, index, "rebuild.txn_committed", 1)
+    engine.recover()
+    assert engine.rebuild_checkpoint(1).epoch > stale.epoch
+    with pytest.raises(RebuildError, match="superseded"):
+        OnlineRebuild(
+            engine.index(1), RebuildConfig(ntasize=4, xactsize=8)
+        ).run(resume_checkpoint=stale)
+
+
+def test_the_stale_epoch_guard_reads_the_log_from_its_own_epoch(monkeypatch):
+    engine = Engine(buffer_capacity=2048)
+    index = engine.create_index(key_len=4)
+    make_half_empty(index, 4000)
+    _crash_rebuild(engine, index, "rebuild.txn_committed", 2)
+    engine.recover()
+    ckpt = engine.rebuild_checkpoint(1)
+    assert ckpt is not None and ckpt.epoch > 0
+    log = engine.ctx.log
+    raw_records = log.raw_records
+    from_lsns = []
+
+    def recording(from_lsn=0, durable_only=False):
+        from_lsns.append(from_lsn)
+        return raw_records(from_lsn, durable_only)
+
+    monkeypatch.setattr(log, "raw_records", recording)
+    OnlineRebuild(engine.index(1), RebuildConfig(ntasize=4, xactsize=8)).run(
+        resume_checkpoint=ckpt
+    )
+    assert from_lsns[0] == ckpt.epoch
+    engine.index(1).verify()

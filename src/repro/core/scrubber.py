@@ -67,12 +67,13 @@ from repro.errors import (
 from repro.storage.page import NO_PAGE, PageFlag, PageType
 from repro.storage.page_manager import PageState
 from repro.wal.apply import (
-    REDO_TYPES,
+    BARRIER_REDO,
     SINGLE_PAGE_REDO,
     ApplyContext,
+    redo_page_queue,
     redo_record,
 )
-from repro.wal.records import RecordType
+from repro.wal.records import LogRecord, RecordType
 
 # Fresh parent snapshots a persistently-stale child survives before the
 # walk calls the reference dangling instead of retrying forever.
@@ -672,36 +673,42 @@ class Scrubber:
         redo.  A ``KEYCOPY`` target (needs live source pages) or a CLR
         (logical leaf undo re-descends the live tree) would replay
         against *today's* structure, not history's — bail to rung 3.
+        The birth record is redone as recovery redoes it, and the page's
+        single-page records go, as encoded, through crash recovery's
+        page-queue kernel (:func:`~repro.wal.apply.redo_page_queue`).
         """
         ctx = self.ctx
-        records = []
-        armed = True
-        found_birth = False
-        for rec in ctx.log.scan(durable_only=True, types=REDO_TYPES):
-            t = rec.type
-            if t is RecordType.ALLOC and rec.page_id == page_id:
-                found_birth, armed, records = True, True, [rec]
-            elif t is RecordType.ALLOCRUN and page_id in rec.page_ids:
-                found_birth, armed, records = True, True, [rec]
-            elif t is RecordType.DEALLOC and (
+        birth = None
+        queue: list[tuple[int, int, bytes]] = []
+        for data in ctx.log.raw_records(durable_only=True):
+            t, _, _, lsn, _, _, _, _, rec_page, _ = LogRecord.peek(data)
+            if t in SINGLE_PAGE_REDO:
+                if birth is not None and rec_page == page_id:
+                    queue.append((lsn, t, data))
+                continue
+            if t not in BARRIER_REDO:
+                continue
+            rec = LogRecord.decode(data)
+            if (t == RecordType.ALLOC and rec.page_id == page_id) or (
+                t == RecordType.ALLOCRUN and page_id in rec.page_ids
+            ):
+                birth, queue = rec, []
+            elif t == RecordType.DEALLOC and (
                 rec.page_id == page_id or page_id in rec.page_ids
             ):
-                found_birth, records = False, []
-            elif not found_birth:
+                birth, queue = None, []
+            elif birth is None:
                 continue
-            elif t in SINGLE_PAGE_REDO and rec.page_id == page_id:
-                records.append(rec)
-            elif t is RecordType.KEYCOPY and (
-                rec.pp_page == page_id
-                or any(e.tgt_page == page_id for e in rec.entries)
-                or any(link.page_id == page_id for link in rec.links)
-            ):
-                armed = False
-                break
-            elif t is RecordType.CLR and rec.page_id == page_id:
-                armed = False
-                break
-        if not (found_birth and armed and records):
+            elif (
+                t == RecordType.KEYCOPY
+                and (
+                    rec.pp_page == page_id
+                    or any(e.tgt_page == page_id for e in rec.entries)
+                    or any(link.page_id == page_id for link in rec.links)
+                )
+            ) or (t == RecordType.CLR and rec.page_id == page_id):
+                return False
+        if birth is None:
             return False
         ctx.latches.acquire(page_id, LatchMode.X)
         try:
@@ -709,8 +716,8 @@ class Scrubber:
             apply_ctx = ApplyContext(
                 ctx.buffer, ctx.page_manager, ctx.index_roots
             )
-            for rec in records:
-                redo_record(rec, apply_ctx)
+            redo_record(birth, apply_ctx)
+            redo_page_queue(page_id, queue, apply_ctx)
             page = ctx.buffer.fetch(page_id)
             ctx.log.flush_to(page.page_lsn)
             ctx.buffer.unpin(page_id, dirty=True)

@@ -21,7 +21,8 @@ applies the same batching idea along the *time* axis:
   leaf at a time along ``next_page`` pointers instead.  Read-ahead is
   purely a hint: it never evicts a dirty frame, never pins, never waits
   on a latch or an address lock, and a failure is counted
-  (``prefetch_errors``) and dropped.
+  (``prefetch_errors``) and dropped — once: a page read-ahead failed is
+  never asked for again, and the ``next_page`` walk stops at it.
 
 * **Write-behind forcing.**  The §3 protocol forces each transaction's new
   pages to disk before the old pages are freed.  Serially that force sits on
@@ -239,6 +240,12 @@ class IOScheduler:
         self._tail: list[int] = []  # retained trailing partial physical run
         self._window: _Window | None = None  # set by the first advance
         self._reading: set[int] = set()  # aligned runs a reader has claimed
+        # Pages whose prefetch raised, or read their run and still did not
+        # bring them in (an image that is rotten or was never written, no
+        # frame to spare): read-ahead never asks for one again, and a walk
+        # along the chain stops at one it cannot answer from the pool.
+        # Recorded before the reader lets go of the run's claim.
+        self._failed: set[int] = set()
         # Bumped whenever a read or a walk ends or the position moves: an
         # extension that learned nothing parks its window (``stuck``) only
         # if none of that happened while it was looking.
@@ -565,15 +572,28 @@ class IOScheduler:
             )
         return None
 
+    def _prefetch(self, pid: int) -> tuple[bool, int | None]:
+        """:meth:`BufferPool.prefetch` for read-ahead, remembering a page
+        it failed in ``_failed``.  Read-ahead is scan-class: it recycles
+        ring frames and never displaces hot pages."""
+        try:
+            read, next_page = self.buffer.prefetch(pid, scan=True)
+        except Exception:
+            self._failed.add(pid)
+            raise
+        if read and next_page is None:
+            self._failed.add(pid)
+        return read, next_page
+
     def _request(self, leaves: list[int]) -> str:
         """Ask the pool for the leaves of one aligned run, stopping at the
         first physical read (it brings in the whole run).  Returns the
         span attribute the outcome counts under."""
         outcome = "skipped_resident"
         for pid in leaves:
-            # Read-ahead is scan-class: it recycles ring frames and never
-            # displaces hot pages.
-            read, next_page = self.buffer.prefetch(pid, scan=True)
+            if pid in self._failed:
+                continue
+            read, next_page = self._prefetch(pid)
             if read:
                 return "requested"
             if next_page is None:
@@ -603,8 +623,16 @@ class IOScheduler:
         # No level-1 order to be had (a SPLIT/SHRINK bit on the way, the
         # tail not among its children, no ``leaf_order`` at all): one step
         # along the chain.  The pool answers a resident tail's pointer
-        # from cache, and reads the tail's run when it is absent.
-        _read, next_page = self.buffer.prefetch(tail, scan=True)
+        # from cache, and reads the tail's run when it is absent — unless
+        # a reader is on that run, or read-ahead failed the tail already.
+        with self._cv:
+            known = (
+                tail in self._failed
+                or (tail - 1) // self.buffer.disk.pages_per_io in self._reading
+            )
+        if known and not self.buffer.is_resident(tail):
+            return [], None, False
+        _read, next_page = self._prefetch(tail)
         if next_page is None or next_page == NO_PAGE:
             return [], None, next_page == NO_PAGE
         return [next_page], None, False

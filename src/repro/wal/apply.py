@@ -7,8 +7,10 @@ and crash recovery (:mod:`repro.wal.recovery`).
 Redo follows the ARIES page-timestamp rule: a record is re-applied to a page
 iff the page's ``page_lsn`` is older than the record's LSN (a record's "new
 timestamp" is its own LSN).  Records that change one page and read nothing
-else (:data:`SINGLE_PAGE_REDO`) can be redone a page at a time
-(:func:`redo_page_queue`); :func:`redo_record` redoes any type, one
+else (:data:`SINGLE_PAGE_REDO`) are redone a page at a time, straight from
+their encoded bytes (:func:`redo_page_queue` — the one forward-apply path,
+for crash recovery and the scrubber's WAL replay alike);
+:func:`redo_record` redoes the :data:`BARRIER_REDO` types, one decoded
 record at a time.  KEYCOPY redo re-reads the *source* pages for
 the key bytes — the paper's §3 flush-new-before-free-old discipline is what
 makes that sound — and checks the timestamp of each *target* page
@@ -34,7 +36,15 @@ from repro.errors import RecoveryError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import NO_PAGE, Page, PageType
 from repro.storage.page_manager import PageManager, PageState
-from repro.wal.records import LEAF_ROW_FLAG, LogRecord, RecordType
+from repro.wal.records import (
+    LEAF_ROW_FLAG,
+    LogRecord,
+    RecordType,
+    batch_payload,
+    format_payload,
+    link_payload,
+    row_payload,
+)
 
 
 @dataclass
@@ -95,25 +105,22 @@ reorders single-page redo applies everything queued before one of these
 (``RecoveryManager._redo``)."""
 
 REDO_TYPES = SINGLE_PAGE_REDO | BARRIER_REDO
-"""Every type :func:`redo_record` has work for; the rest (``TXN_*``,
-``NTA_*``, ``CHECKPOINT``, ``REBUILD_PROGRESS``, ``QUARANTINE``) have no
-page effect."""
+"""Every type redo has work for; the rest (``TXN_*``, ``NTA_*``,
+``CHECKPOINT``, ``REBUILD_PROGRESS``, ``QUARANTINE``) have no page
+effect."""
 
 
 def redo_record(rec: LogRecord, ctx: ApplyContext) -> None:
-    """Re-apply ``rec`` if its effects did not reach the page image."""
+    """Re-apply a :data:`BARRIER_REDO` record where its effects did not
+    reach the page images.  A single-page record goes through
+    :func:`redo_page_queue` instead."""
     t = rec.type
     if t in SINGLE_PAGE_REDO:
-        page = ctx.buffer.fetch(rec.page_id)
-        applied = False
-        try:
-            if page.page_lsn < rec.lsn:
-                _apply_to_page(rec, page)
-                page.page_lsn = rec.lsn
-                applied = True
-        finally:
-            ctx.buffer.unpin(rec.page_id, dirty=applied)
-    elif t is RecordType.ALLOC:
+        raise RecoveryError(
+            f"{t.name} at lsn {rec.lsn} is single-page redo: it is applied "
+            "from its bytes by redo_page_queue"
+        )
+    if t is RecordType.ALLOC:
         _redo_alloc(rec, ctx)
     elif t is RecordType.ALLOCRUN:
         for i, pid in enumerate(rec.page_ids):
@@ -135,22 +142,30 @@ def redo_record(rec: LogRecord, ctx: ApplyContext) -> None:
 
 
 def redo_page_queue(
-    page_id: int, queue: list[tuple[int, bytes]], ctx: ApplyContext
+    page_id: int, queue: list[tuple[int, int, bytes]], ctx: ApplyContext
 ) -> int:
     """Redo one page's queued :data:`SINGLE_PAGE_REDO` records in one visit.
 
-    ``queue`` holds ``(lsn, encoded record)`` in ascending LSN order.  The
-    page is fetched once — by large I/O, so that a caller walking pages in
+    ``queue`` holds ``(lsn, type, encoded record)`` in ascending LSN order,
+    each header already checked (:meth:`LogRecord.peek`).  The page is
+    fetched once — by large I/O, so that a caller walking pages in
     ascending id reads each disk run once — and the timestamp rule is
-    tested on the header LSN: a record the image already carries is never
-    payload-decoded.  Returns how many records were decoded and applied.
+    tested on the queued LSN.  A record the image lacks is applied
+    straight from its bytes: the layout readers of
+    :mod:`repro.wal.records` cut its position, rows or links, and the
+    :class:`Page` mutators check them — no :class:`LogRecord` is built.
+    A payload that ends early raises
+    :class:`~repro.errors.LogFormatError`, a position off the page
+    :class:`~repro.errors.PageFormatError`, rows that do not fit
+    :class:`~repro.errors.PageFullError`.  Returns how many records were
+    applied (their payloads read).
     """
     page = ctx.buffer.fetch(page_id, large_io=True)
     applied = 0
     try:
-        for lsn, data in queue:
+        for lsn, rtype, data in queue:
             if page.page_lsn < lsn:
-                _apply_to_page(LogRecord.decode(data), page)
+                _forward(page, rtype, data)
                 page.page_lsn = lsn
                 applied += 1
     finally:
@@ -158,22 +173,35 @@ def redo_page_queue(
     return applied
 
 
-def _apply_to_page(rec: LogRecord, page: Page) -> None:
-    """The forward change of a :data:`SINGLE_PAGE_REDO` record."""
-    t = rec.type
-    if t in (RecordType.INSERT, RecordType.BATCHINSERT):
-        page.insert_rows(rec.pos, rec.rows)
-    elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
-        page.delete_rows(rec.pos, rec.pos + len(rec.rows))
-    elif t is RecordType.CHANGEPREVLINK:
-        page.prev_page = rec.new_prev
-    elif t is RecordType.CHANGENEXTLINK:
-        page.next_page = rec.new_next
+_INSERT = int(RecordType.INSERT)
+_DELETE = int(RecordType.DELETE)
+_BATCHINSERT = int(RecordType.BATCHINSERT)
+_BATCHDELETE = int(RecordType.BATCHDELETE)
+_CHANGEPREVLINK = int(RecordType.CHANGEPREVLINK)
+_CHANGENEXTLINK = int(RecordType.CHANGENEXTLINK)
+
+
+def _forward(page: Page, rtype: int, data: bytes) -> None:
+    """The forward change of one encoded :data:`SINGLE_PAGE_REDO` record."""
+    if rtype == _INSERT:
+        page.insert_row(*row_payload(data))
+    elif rtype == _DELETE:
+        page.delete_row(row_payload(data)[0])
+    elif rtype == _BATCHINSERT:
+        page.insert_rows(*batch_payload(data))
+    elif rtype == _BATCHDELETE:
+        pos, rows = batch_payload(data)
+        page.delete_rows(pos, pos + len(rows))
+    elif rtype == _CHANGEPREVLINK:
+        page.prev_page = link_payload(data)[1]
+    elif rtype == _CHANGENEXTLINK:
+        page.next_page = link_payload(data)[1]
     else:  # FORMAT
-        page.page_type = PageType(rec.page_type)
-        page.level = rec.level
-        page.prev_page = rec.prev_page
-        page.next_page = rec.next_page
+        page_type, level, prev, nxt = format_payload(data)[:4]
+        page.page_type = PageType(page_type)
+        page.level = level
+        page.prev_page = prev
+        page.next_page = nxt
 
 
 def _redo_alloc(rec: LogRecord, ctx: ApplyContext) -> None:

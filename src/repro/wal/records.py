@@ -37,7 +37,12 @@ QUARANTINE           scrub epoch + set/lift state + quarantined unit range
 ===================  ========================================================
 
 Records encode to bytes (what the log "disk" stores) and decode losslessly;
-``len(record.encode())`` is the log space the benchmarks report.
+``len(record.encode())`` is the log space the benchmarks report.  The
+payload of each single-page type (INSERT / DELETE / BATCH* / the two link
+changes / FORMAT) is read by one function here — :func:`row_payload`,
+:func:`batch_payload`, :func:`link_payload`, :func:`format_payload` —
+which :meth:`LogRecord.decode` and crash recovery's page-ordered redo
+(:func:`repro.wal.apply.redo_page_queue`) both call on the encoded record.
 """
 
 from __future__ import annotations
@@ -95,6 +100,74 @@ def _unpack_header(data: bytes) -> tuple:
     if fields[1] not in RECORD_TYPES:
         raise LogFormatError(f"unknown record type {fields[1]}")
     return fields
+
+
+# ------------------------------------------------ single-page payload layouts
+
+_POS_COUNT = struct.Struct("<HH")  # slot position + row length / row count
+_ROW_LEN = struct.Struct("<H")
+_LINK = struct.Struct("<II")  # old, new
+_FORMAT = struct.Struct("<BBIIBBII")  # new (type, level, prev, next), old
+_ROWS_AT = RECORD_OVERHEAD + _POS_COUNT.size
+
+
+def _malformed(data: bytes, why: str) -> LogFormatError:
+    """The error for a record whose payload ends before its layout does
+    (a record whose frame is bad gets the frame's own error)."""
+    fields = _unpack_header(data)
+    return LogFormatError(
+        f"malformed {RECORD_TYPES[fields[1]].name} payload at lsn "
+        f"{fields[4]}: {why}"
+    )
+
+
+def row_payload(data: bytes) -> tuple[int, bytes]:
+    """``(pos, row)`` of an encoded ``INSERT`` / ``DELETE`` record."""
+    try:
+        pos, length = _POS_COUNT.unpack_from(data, RECORD_OVERHEAD)
+    except struct.error:
+        raise _malformed(data, "no slot position") from None
+    end = _ROWS_AT + length
+    if end > len(data):
+        raise _malformed(data, f"a {length}-byte row overruns it")
+    return pos, data[_ROWS_AT:end]
+
+
+def batch_payload(data: bytes) -> tuple[int, list[bytes]]:
+    """``(pos, rows)`` of an encoded ``BATCHINSERT`` / ``BATCHDELETE``."""
+    try:
+        pos, count = _POS_COUNT.unpack_from(data, RECORD_OVERHEAD)
+        rows = []
+        off = _ROWS_AT
+        for _ in range(count):
+            (length,) = _ROW_LEN.unpack_from(data, off)
+            off += _ROW_LEN.size
+            end = off + length
+            if end > len(data):
+                raise _malformed(data, f"a {length}-byte row overruns it")
+            rows.append(data[off:end])
+            off = end
+    except struct.error:
+        raise _malformed(data, "it ends inside a length prefix") from None
+    return pos, rows
+
+
+def link_payload(data: bytes) -> tuple[int, int]:
+    """``(old, new)`` link of an encoded ``CHANGEPREVLINK`` /
+    ``CHANGENEXTLINK``."""
+    try:
+        return _LINK.unpack_from(data, RECORD_OVERHEAD)
+    except struct.error:
+        raise _malformed(data, "no link pair") from None
+
+
+def format_payload(data: bytes) -> tuple[int, ...]:
+    """``(page_type, level, prev, next, old_type, old_level, old_prev,
+    old_next)`` of an encoded ``FORMAT`` record."""
+    try:
+        return _FORMAT.unpack_from(data, RECORD_OVERHEAD)
+    except struct.error:
+        raise _malformed(data, "no format pair") from None
 
 
 class RecordType(enum.IntEnum):
@@ -459,32 +532,35 @@ class LogRecord:
             undo_next_lsn=undo_next_lsn,
             flags=flags,
         )
-        try:
-            rec._decode_payload(data[RECORD_OVERHEAD:])
-        except (struct.error, ValueError) as exc:
-            # A payload shorter than its type needs (struct.error), or a
-            # checkpoint that is not JSON (ValueError).
-            raise LogFormatError(
-                f"malformed {rec.type.name} payload at lsn {lsn}: {exc}"
-            ) from exc
+        t = rec.type
+        if t is RecordType.INSERT or t is RecordType.DELETE:
+            rec.pos, row = row_payload(data)
+            rec.rows = [row]
+        elif t is RecordType.BATCHINSERT or t is RecordType.BATCHDELETE:
+            rec.pos, rec.rows = batch_payload(data)
+        elif t is RecordType.CHANGEPREVLINK:
+            rec.old_prev, rec.new_prev = link_payload(data)
+        elif t is RecordType.CHANGENEXTLINK:
+            rec.old_next, rec.new_next = link_payload(data)
+        elif t is RecordType.FORMAT:
+            fields = format_payload(data)
+            rec.page_type, rec.level, rec.prev_page, rec.next_page = fields[:4]
+            rec.old_format = fields[4:]  # type: ignore[assignment]
+        else:
+            try:
+                rec._decode_payload(data[RECORD_OVERHEAD:])
+            except (struct.error, ValueError) as exc:
+                # A payload shorter than its type needs (struct.error), or
+                # a checkpoint that is not JSON (ValueError).
+                raise LogFormatError(
+                    f"malformed {t.name} payload at lsn {lsn}: {exc}"
+                ) from exc
         return rec
 
     def _decode_payload(self, payload: bytes) -> None:
+        """The payload of a type with no single-page layout reader."""
         t = self.type
-        if t is RecordType.INSERT or t is RecordType.DELETE:
-            pos, rlen = struct.unpack_from("<HH", payload)
-            self.pos = pos
-            self.rows = [_cut(payload, 4, rlen)]
-        elif t is RecordType.BATCHINSERT or t is RecordType.BATCHDELETE:
-            pos, nrows = struct.unpack_from("<HH", payload)
-            self.pos = pos
-            off = 4
-            for _ in range(nrows):
-                (rlen,) = struct.unpack_from("<H", payload, off)
-                off += 2
-                self.rows.append(_cut(payload, off, rlen))
-                off += rlen
-        elif t is RecordType.KEYCOPY:
+        if t is RecordType.KEYCOPY:
             (
                 self.pp_page,
                 self.pp_old_next,
@@ -528,14 +604,6 @@ class LogRecord:
                 self.page_ids.append(pid)
             if self.page_ids and not self.page_id:
                 self.page_id = self.page_ids[0]
-        elif t is RecordType.FORMAT:
-            fields = struct.unpack_from("<BBIIBBII", payload)
-            self.page_type, self.level, self.prev_page, self.next_page = fields[:4]
-            self.old_format = tuple(fields[4:])  # type: ignore[assignment]
-        elif t is RecordType.CHANGEPREVLINK:
-            self.old_prev, self.new_prev = struct.unpack_from("<II", payload)
-        elif t is RecordType.CHANGENEXTLINK:
-            self.old_next, self.new_next = struct.unpack_from("<II", payload)
         elif t is RecordType.CLR:
             (self.undone_lsn,) = struct.unpack_from("<Q", payload)
         elif t is RecordType.DEALLOC:

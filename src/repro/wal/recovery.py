@@ -12,11 +12,12 @@ The protocol is ARIES shaped, specialized to what the paper's engine needs:
 2. **Redo** replays those records *by page*, using page timestamps for
    idempotence (:mod:`repro.wal.apply`): single-page records wait in a
    per-page queue that is drained — ascending page id, one large-I/O
-   fetch per page — before every record that touches several pages or
-   page-manager state.  KEYCOPY redo re-reads source pages; the §3
-   flush-new-before-free-old rule guarantees the sources are still intact
-   whenever a target needs redo, and the drain before it guarantees they
-   carry every earlier logged change.
+   fetch per page, each record applied from its bytes — before every
+   record that touches several pages or page-manager state, which is
+   decoded and redone in log order.  KEYCOPY redo re-reads source pages;
+   the §3 flush-new-before-free-old rule guarantees the sources are still
+   intact whenever a target needs redo, and the drain before it
+   guarantees they carry every earlier logged change.
 3. **Undo** rolls back losers in descending LSN order, writing CLRs.
    Completed nested top actions are skipped via their dummy CLRs, so a
    rebuild that crashed mid-flight keeps all its finished multipage top
@@ -293,16 +294,18 @@ class RecoveryManager:
         may descend from the root) or replace a page that queued records
         must still find (ALLOC of a recycled id), so the queue is drained
         before it and it goes through :func:`redo_record` in log order.
+        Only a barrier, and the original a CLR names, is decoded into a
+        :class:`LogRecord`: a drain applies its records from their bytes.
         """
-        queued: dict[int, list[tuple[int, bytes]]] = {}
+        queued: dict[int, list[tuple[int, int, bytes]]] = {}
         decoded = 0  # by the barriers; a drain counts its own
         for lsn, rtype, page_id, data in work:
             if rtype not in BARRIER_REDO:
                 records = queued.get(page_id)
                 if records is None:
-                    queued[page_id] = [(lsn, data)]
+                    queued[page_id] = [(lsn, rtype, data)]
                 else:
-                    records.append((lsn, data))
+                    records.append((lsn, rtype, data))
                 continue
             self._drain(queued)
             rec = LogRecord.decode(data)
@@ -314,9 +317,10 @@ class RecoveryManager:
         self._drain(queued)
         self.counters.add("recovery_payloads_decoded", decoded)
 
-    def _drain(self, queued: dict[int, list[tuple[int, bytes]]]) -> None:
+    def _drain(self, queued: dict[int, list[tuple[int, int, bytes]]]) -> None:
         """Apply and empty the queue, pages in ascending id so that pool
-        misses arrive as aligned disk runs."""
+        misses arrive as aligned disk runs.  ``recovery_payloads_decoded``
+        counts the records whose payload a drain read."""
         if not queued:
             return
         decoded = 0

@@ -13,7 +13,9 @@ from repro.btree.tree import BTree
 from repro.core import rebuild as rebuild_module
 from repro.errors import PageFormatError
 from repro.storage import page as page_module
-from repro.storage.page import HEADER_SIZE, SLOT_OVERHEAD, Page
+from repro.storage.page import HEADER_SIZE, SLOT_OVERHEAD, Page, PageType
+from repro.wal.apply import ApplyContext
+from repro.wal.records import LogRecord, RecordType
 
 # Cross-check the incremental page byte-accounting cache against a full
 # recompute on every used_bytes read, for the whole suite.
@@ -177,3 +179,50 @@ def decode_per_row(image: bytes) -> tuple:
     if any(image[off:]):
         raise PageFormatError("not padding")
     return (*extras, rows)
+
+
+# The redo kernel's oracle: the decoded-record apply that
+# ``apply.redo_page_queue`` replaced.
+
+
+def apply_decoded(rec: LogRecord, page: Page) -> None:
+    """The forward change of a decoded single-page record."""
+    t = rec.type
+    if t in (RecordType.INSERT, RecordType.BATCHINSERT):
+        page.insert_rows(rec.pos, rec.rows)
+    elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
+        page.delete_rows(rec.pos, rec.pos + len(rec.rows))
+    elif t is RecordType.CHANGEPREVLINK:
+        page.prev_page = rec.new_prev
+    elif t is RecordType.CHANGENEXTLINK:
+        page.next_page = rec.new_next
+    else:  # FORMAT
+        page.page_type = PageType(rec.page_type)
+        page.level = rec.level
+        page.prev_page = rec.prev_page
+        page.next_page = rec.next_page
+
+
+def redo_queue_decoded(page: Page, queue: list[tuple[int, int, bytes]]) -> int:
+    """``redo_page_queue``'s loop on a page in hand, decoding each record
+    it applies into a :class:`LogRecord`; returns how many it applied."""
+    applied = 0
+    for lsn, _rtype, data in queue:
+        if page.page_lsn < lsn:
+            apply_decoded(LogRecord.decode(data), page)
+            page.page_lsn = lsn
+            applied += 1
+    return applied
+
+
+def redo_decoded(rec: LogRecord, ctx: ApplyContext) -> None:
+    """Log-order redo of one decoded single-page record."""
+    page = ctx.buffer.fetch(rec.page_id)
+    applied = False
+    try:
+        if page.page_lsn < rec.lsn:
+            apply_decoded(rec, page)
+            page.page_lsn = rec.lsn
+            applied = True
+    finally:
+        ctx.buffer.unpin(rec.page_id, dirty=applied)

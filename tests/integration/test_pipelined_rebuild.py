@@ -23,6 +23,7 @@ from repro.errors import (
     RebuildAbortedError,
 )
 from repro.storage.faults import FaultPlan
+from repro.storage.io_scheduler import IOScheduler
 from repro.workload import MixedWorkload
 from repro.workload.builder import bulk_load
 from tests.conftest import intkey
@@ -269,10 +270,11 @@ def test_pipelining_is_logically_invisible(monkeypatch):
 # ------------------------------------------------- read-ahead is only a hint
 
 
-def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
-    """Rot one upcoming source leaf.  The reader meets it first and must
-    do no more than count it; the error the user sees is the rebuild's
-    own demand fetch raising the ``ChecksumError``."""
+def rebuild_into_rot() -> tuple[Engine, OnlineRebuild]:
+    """Rot one upcoming source leaf and rebuild into it, the readers
+    filling the window between top actions so that a reader (not the copy
+    loop) is the first to touch the rotten image.  Returns the engine and
+    the aborted rebuild."""
     engine = Engine(
         page_size=2048, io_size=16384, buffer_capacity=4096,
         fault_plan=FaultPlan(),
@@ -289,8 +291,6 @@ def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
     assert engine.ctx.disk.plant_rot(victim, bit=777)
 
     rb = OnlineRebuild(index)
-    # Let the readers fill the window between top actions, so the reader
-    # (not the copy loop) is the first to touch the rotten image.
     engine.syncpoints.on(
         "rebuild.nta_end", lambda _ctx: rb._scheduler.wait_readahead(30.0)
     )
@@ -298,11 +298,33 @@ def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
         rb.run()
     engine.syncpoints.clear()
     assert isinstance(aborted.value.__cause__, ChecksumError)
-    # Once per meeting, and it is met at most twice: a window growing along
-    # next_page pointers (its level-1 read met a bit) requests the rotten
-    # leaf and also reads it to learn its successor.
-    assert 1 <= engine.counters.prefetch_errors <= 2
     assert rb.last_report.leaf_pages_rebuilt >= 96  # up to the rot, kept
+    return engine, rb
+
+
+def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
+    """The reader meets the rotten leaf first and must do no more than
+    count it, once; the error the user sees is the rebuild's own demand
+    fetch raising the ``ChecksumError``."""
+    engine, _rb = rebuild_into_rot()
+    assert engine.counters.prefetch_errors == 1
+
+
+def test_a_walk_along_the_chain_meets_a_rotten_leaf_once(monkeypatch):
+    """With no level-1 order, the window grows one ``next_page`` pointer
+    at a time: it requests the rotten leaf, and must not read it again to
+    learn its successor (it used to, once per wake-up: five times)."""
+    init = IOScheduler.__init__
+
+    def chain_only(scheduler, *args, **kwargs):
+        init(scheduler, *args, **dict(kwargs, leaf_order=None))
+
+    monkeypatch.setattr(IOScheduler, "__init__", chain_only)
+    engine, rb = rebuild_into_rot()
+    assert engine.counters.prefetch_errors == 1
+    # The walk did run ahead of the copy loop.
+    rebuilt = rb.last_report.leaf_pages_rebuilt
+    assert engine.counters.prefetch_admitted > rebuilt
 
 
 # ------------------------------------------------------------ thread hygiene

@@ -4,7 +4,9 @@ Recovery reads the durable log once by header and redoes by page: records
 at or below the checkpoint and records with no page effect are never
 payload-decoded, and between two records that touch several pages (the
 *barriers*: ALLOC, ALLOCRUN, DEALLOC, KEYCOPY, CLR) every page with queued
-single-page records is fetched once, in ascending id, by large I/O.  This
+single-page records is fetched once, in ascending id, by large I/O.  A
+drain applies its records from their bytes; only the barriers (and the
+originals their CLRs name) are decoded into a ``LogRecord``.  This
 guard holds ``RecoveryManager`` to that shape on a small copy of the
 suite's ``crash_recover`` workload — committed inserts after the load
 checkpoint, a crash half way through a pass — single-threaded, so every
@@ -92,7 +94,8 @@ def expected_drains(records, checkpoint_lsn):
 class RedoMeter:
     """Brackets the redo pass, each drain and each barrier with counter
     snapshots, counts the read calls each drain made on ``disk``, and
-    lists every record payload-decoded meanwhile."""
+    lists every record decoded into a ``LogRecord`` meanwhile: all of
+    them, those of the redo pass, and those inside a drain."""
 
     def __init__(self, monkeypatch, counters, disk):
         self.redo: dict[str, int] = {}
@@ -101,13 +104,20 @@ class RedoMeter:
         and how many of its pages the pool held when it started."""
         self.barriers = {"page_reads": 0, "disk_io_calls": 0}
         self.decoded: list[tuple[int, RecordType]] = []
+        self.redo_decoded: list[tuple[int, RecordType]] = []
+        self.drain_decoded: list[tuple[int, RecordType]] = []
+        where = [None]  # the list a decode is also entered in
         meter = self
 
         run_redo = RecoveryManager._redo
 
         def redo(manager, work):
             before = counters.snapshot()
-            run_redo(manager, work)
+            where[0] = meter.redo_decoded
+            try:
+                run_redo(manager, work)
+            finally:
+                where[0] = None
             meter.redo = counters.diff(before)
 
         run_drain = RecoveryManager._drain
@@ -128,7 +138,11 @@ class RedoMeter:
             held = sum(manager.buffer.is_resident(pid) for pid in pages)
             before = counters.snapshot()
             calls_before = read_calls[0]
-            run_drain(manager, queued)
+            outside, where[0] = where[0], meter.drain_decoded
+            try:
+                run_drain(manager, queued)
+            finally:
+                where[0] = outside
             if pages:
                 meter.drains.append((
                     pages, counters.diff(before),
@@ -149,6 +163,8 @@ class RedoMeter:
         def counting_decode(data):
             rec = decode(data)
             meter.decoded.append((rec.lsn, rec.type))
+            if where[0] is not None:
+                where[0].append((rec.lsn, rec.type))
             return rec
 
         monkeypatch.setattr(disk, "read", counting_read)
@@ -198,12 +214,29 @@ def test_restart_decodes_what_it_redoes_and_visits_each_page_once_per_drain(
     assert {t for _lsn, t in old} <= {
         RecordType.CHECKPOINT, RecordType.REBUILD_PROGRESS
     }
-    page_effect = [
-        r for r in past if r.type in SINGLE_PAGE_REDO or r.type in BARRIERS
+    # Redo decodes its barriers and the originals their CLRs name, and
+    # nothing else: a drain reads each record's payload from its bytes.
+    assert meter.drain_decoded == []
+    barriers = [r for r in past if r.type in BARRIERS]
+    by_lsn = {r.lsn: r for r in durable}
+    named = [
+        by_lsn[r.undone_lsn] for r in barriers if r.type is RecordType.CLR
     ]
-    progress = [r for r in durable if r.type is RecordType.REBUILD_PROGRESS]
-    assert len(meter.decoded) <= len(page_effect) + len(progress) + 1
-    assert delta["recovery_payloads_decoded"] == len(meter.decoded)
+    assert sorted(meter.redo_decoded) == sorted(
+        (r.lsn, r.type) for r in barriers + named
+    )
+    # ``recovery_payloads_decoded`` counts every record whose payload
+    # restart read, decoded or applied from its bytes: the count it had
+    # when every one of them was decoded, to the record.
+    drain_reads = sum(
+        d["recovery_payloads_decoded"] for _, d, *_ in meter.drains
+    )
+    assert drain_reads <= sum(r.type in SINGLE_PAGE_REDO for r in past)
+    assert (
+        delta["recovery_payloads_decoded"]
+        == len(meter.decoded) + drain_reads
+        == 2751
+    )
     assert delta["recovery_records_scanned"] == len(durable)
 
     # Pool fetches: one per distinct page per drain, plus the barriers' own.

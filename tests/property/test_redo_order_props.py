@@ -3,10 +3,12 @@
 Crash recovery redoes single-page records page by page between *barrier*
 records (``repro.wal.recovery``).  The oracle here is the textbook loop —
 decode the whole durable log, redo every record past the checkpoint one at
-a time in LSN order — written in this file, sharing with the engine only
-``apply.redo_record`` (how one record changes a page) and the phases after
-redo.  A drawn history builds a crash state twice (single thread, so the
-two are identical); one copy recovers through the engine's path, the other
+a time in LSN order — written in this file.  It shares with the engine
+only ``apply.redo_record`` for the barrier types and the phases after
+redo: a single-page record is applied as a decoded ``LogRecord`` by
+``tests.conftest.apply_decoded``, never by the engine's bytes kernel.  A
+drawn history builds a crash state twice (single thread, so the two are
+identical); one copy recovers through the engine's path, the other
 through the oracle, and everything recovery leaves behind must be equal.
 
 Three mutants of the page-ordered path must each be told from the oracle
@@ -43,7 +45,7 @@ from repro.wal import recovery
 from repro.wal.apply import SINGLE_PAGE_REDO, redo_record
 from repro.wal.records import LogRecord, RecordType
 from repro.wal.recovery import RecoveryManager
-from tests.conftest import intkey
+from tests.conftest import apply_decoded, intkey, redo_decoded
 
 KEYS = st.integers(min_value=0, max_value=399)
 PAYLOAD = 40
@@ -246,6 +248,9 @@ class LogOrderRecovery(RecoveryManager):
 
     def _redo(self, work) -> None:
         for rec in work:
+            if rec.type in SINGLE_PAGE_REDO:
+                redo_decoded(rec, self.ctx)
+                continue
             if rec.type is RecordType.CLR:
                 rec.resolved_undone = self.log.record_at(rec.undone_lsn)
             redo_record(rec, self.ctx)
@@ -261,7 +266,7 @@ class QueuesAcrossKeycopy(RecoveryManager):
         queued: dict[int, list] = {}
         for lsn, rtype, page_id, data in work:
             if rtype in SINGLE_PAGE_REDO:
-                queued.setdefault(page_id, []).append((lsn, data))
+                queued.setdefault(page_id, []).append((lsn, rtype, data))
                 continue
             if rtype != RecordType.KEYCOPY:
                 self._drain(queued)
@@ -273,15 +278,15 @@ class QueuesAcrossKeycopy(RecoveryManager):
 
 
 def _queue_mutant(skip_lsn_test: bool = False, backwards: bool = False):
-    """``apply.redo_page_queue`` with one rule broken."""
-    from repro.wal.apply import _apply_to_page
+    """``apply.redo_page_queue`` with one rule broken, applying each
+    record through the oracle's decoded apply."""
 
     def redo_page_queue(page_id, queue, ctx) -> int:
         page = ctx.buffer.fetch(page_id, large_io=True)
         try:
-            for lsn, data in reversed(queue) if backwards else queue:
+            for lsn, _rtype, data in reversed(queue) if backwards else queue:
                 if skip_lsn_test or page.page_lsn < lsn:
-                    _apply_to_page(LogRecord.decode(data), page)
+                    apply_decoded(LogRecord.decode(data), page)
                     page.page_lsn = lsn
         finally:
             ctx.buffer.unpin(page_id, dirty=True)

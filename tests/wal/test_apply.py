@@ -8,7 +8,12 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.page import Page, PageType
 from repro.storage.page_manager import PageManager, PageState
-from repro.wal.apply import ApplyContext, redo_record, undo_record
+from repro.wal.apply import (
+    ApplyContext,
+    redo_page_queue,
+    redo_record,
+    undo_record,
+)
 from repro.wal.records import KeyCopyEntry, LogRecord, RecordType
 
 
@@ -46,10 +51,16 @@ def get_ts(ctx: ApplyContext, pid: int) -> int:
     return ts
 
 
+def redo(rec: LogRecord, ctx: ApplyContext) -> None:
+    """Redo a single-page record as recovery does: encoded, through the
+    page-queue kernel."""
+    redo_page_queue(rec.page_id, [(rec.lsn, rec.type, rec.encode())], ctx)
+
+
 def test_redo_insert_applies_when_stale(ctx):
     put_page(ctx, 1, [b"a", b"c"], ts=10)
     rec = LogRecord(type=RecordType.INSERT, page_id=1, pos=1, rows=[b"b"], lsn=20)
-    redo_record(rec, ctx)
+    redo(rec, ctx)
     assert get_rows(ctx, 1) == [b"a", b"b", b"c"]
     assert get_ts(ctx, 1) == 20
 
@@ -57,15 +68,15 @@ def test_redo_insert_applies_when_stale(ctx):
 def test_redo_insert_skips_when_current(ctx):
     put_page(ctx, 1, [b"a"], ts=30)
     rec = LogRecord(type=RecordType.INSERT, page_id=1, pos=0, rows=[b"z"], lsn=20)
-    redo_record(rec, ctx)
+    redo(rec, ctx)
     assert get_rows(ctx, 1) == [b"a"]  # untouched: ts 30 >= lsn 20
 
 
 def test_redo_is_idempotent(ctx):
     put_page(ctx, 1, [b"a"], ts=10)
     rec = LogRecord(type=RecordType.INSERT, page_id=1, pos=0, rows=[b"0"], lsn=20)
-    redo_record(rec, ctx)
-    redo_record(rec, ctx)
+    redo(rec, ctx)
+    redo(rec, ctx)
     assert get_rows(ctx, 1) == [b"0", b"a"]
 
 
@@ -74,21 +85,21 @@ def test_redo_batchdelete(ctx):
     rec = LogRecord(
         type=RecordType.BATCHDELETE, page_id=1, pos=1, rows=[b"b", b"c"], lsn=9
     )
-    redo_record(rec, ctx)
+    redo(rec, ctx)
     assert get_rows(ctx, 1) == [b"a", b"d"]
 
 
 def test_redo_links_and_format(ctx):
     put_page(ctx, 1, ts=5)
-    redo_record(
+    redo(
         LogRecord(type=RecordType.CHANGEPREVLINK, page_id=1, new_prev=7, lsn=6),
         ctx,
     )
-    redo_record(
+    redo(
         LogRecord(type=RecordType.CHANGENEXTLINK, page_id=1, new_next=8, lsn=7),
         ctx,
     )
-    redo_record(
+    redo(
         LogRecord(
             type=RecordType.FORMAT, page_id=1, page_type=2, level=3,
             prev_page=0, next_page=0, lsn=8,
@@ -100,6 +111,16 @@ def test_redo_links_and_format(ctx):
     assert page.level == 3
     assert page.page_type is PageType.NONLEAF
     ctx.buffer.unpin(1)
+
+
+def test_redo_record_leaves_single_page_records_to_the_kernel(ctx):
+    put_page(ctx, 1, [b"a"], ts=10)
+    rec = LogRecord(
+        type=RecordType.INSERT, page_id=1, pos=0, rows=[b"0"], lsn=20
+    )
+    with pytest.raises(RecoveryError, match="redo_page_queue"):
+        redo_record(rec, ctx)
+    assert get_rows(ctx, 1) == [b"a"]
 
 
 def test_redo_alloc_creates_fresh_page(ctx):

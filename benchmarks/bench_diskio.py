@@ -70,12 +70,13 @@ def test_rebuild_io_calls_vs_buffer_size(benchmark, io_size):
 
 def test_pressured_tuned_rebuild_io_calls(benchmark):
     """The same budget on the benchmark suite's pressured configuration:
-    200k keys (~2400 half-full leaves), a cold 512-frame pool striped
-    over 4 shards (a 128-frame scan ring) and 1 ms per device call —
-    slow enough that the rebuild starts write-behind + read-ahead itself
-    (the read-ahead's waste depends on how the reader thread is paced).  Ideal = (old + new) / 8 calls."""
+    200k keys (~2400 half-full leaves), a cold 512-frame pool (a
+    128-frame scan ring) and 1 ms per device call — slow enough that the
+    rebuild starts write-behind + read-ahead itself (the read-ahead's
+    waste depends on how the reader thread is paced).  Ideal =
+    (old + new) / 8 calls."""
     keys, key_len = keys_for_config("int4", 200_000)
-    engine = Engine(buffer_capacity=512, io_size=16384, pool_shards=4)
+    engine = Engine(buffer_capacity=512, io_size=16384)
     index = bulk_load(engine, keys, key_len, fill=0.5)
     engine.checkpoint()
     engine.ctx.buffer.evict_all()
@@ -91,7 +92,7 @@ def test_pressured_tuned_rebuild_io_calls(benchmark):
     old, new = report["r"].leaf_pages_rebuilt, report["r"].new_leaf_pages
     record(
         "E63 disk I/O (§6.3)",
-        "io_size=16KB pressured (pool 512, 4 shards, tuned)",
+        "io_size=16KB pressured (pool 512, tuned)",
         f"calls={diff['disk_io_calls']}  "
         f"pages_read={diff['disk_pages_read']}  "
         f"pages_written={diff['disk_pages_written']}  "

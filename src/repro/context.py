@@ -83,7 +83,6 @@ class EngineContext:
         storage_dir: str | None = None,
         fault_plan=None,
         io_retry_limit: int = 12,
-        pool_shards: int = 1,
         trace: bool | None = None,
     ) -> "EngineContext":
         """Wire up a fresh engine: disk, pool, log, locks, transactions.
@@ -98,9 +97,6 @@ class EngineContext:
         that plan's faults into every physical I/O.  ``io_retry_limit`` is
         the one transient-error retry budget: the buffer pool's, which the
         rebuild's reads and writes go through like everyone else's.
-
-        ``pool_shards`` stripes the buffer pool's frame table and lock
-        (scale with the expected thread count).
 
         ``trace`` turns on the observability layer (:mod:`repro.obs`):
         a live :class:`~repro.obs.tracer.Tracer` plus histogram metrics
@@ -143,7 +139,6 @@ class EngineContext:
             capacity=buffer_capacity,
             counters=counters,
             retry_limit=io_retry_limit,
-            shards=pool_shards,
         )
         page_manager = PageManager(disk, counters=counters)
         buffer.set_wal_hook(log.flush_to)

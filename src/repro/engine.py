@@ -43,7 +43,6 @@ class Engine:
         storage_dir: str | None = None,
         fault_plan=None,
         io_retry_limit: int = 12,
-        pool_shards: int = 1,
         trace: bool | None = None,
     ) -> None:
         self.ctx = EngineContext.create(
@@ -54,7 +53,6 @@ class Engine:
             storage_dir=storage_dir,
             fault_plan=fault_plan,
             io_retry_limit=io_retry_limit,
-            pool_shards=pool_shards,
             trace=trace,
         )
         self.storage_dir = storage_dir

@@ -56,15 +56,12 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "prefetch_unused",     # prefetched pages evicted before anyone fetched them
     "prefetch_skipped_resident",  # read-ahead hints dropped: page already cached
     "prefetch_skipped_inflight",  # hints dropped: another thread is reading the page
-    "prefetch_throttled",  # read-ahead refused: ring full of unconsumed window
-    "prefetch_skipped_consumed",  # hint dropped: scan already consumed the page
     "prefetch_errors",     # read-ahead attempts dropped on an error (never fatal)
     "rebuild_demand_reads",  # source-run reads the scan had to issue itself
-    "ring_ghost_promotions",  # scan re-read after ring eviction -> protected
-    # Scan-resistant sharded buffer pool (PR 8).
+    # Scan-resistant buffer pool.
     "pool_demand_hits",    # OLTP (scan=False) fetches served from the pool
     "pool_demand_misses",  # OLTP (scan=False) fetches that had to read disk
-    "pool_shard_conflicts",  # shard-lock acquisitions that found the lock held
+    "pool_shard_conflicts",  # pool-lock acquisitions that found the lock held
     "ring_admits",         # scan-class admissions into the rebuild ring
     "ring_promotions",     # ring pages promoted to protected by a demand hit
     "hot_evictions_by_scan",  # protected frames evicted by scan-class admissions

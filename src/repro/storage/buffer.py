@@ -1,4 +1,4 @@
-"""Scan-resistant, lock-striped buffer pool with WAL enforcement (§3, §6.3).
+"""Scan-resistant buffer pool with WAL enforcement (§3, §6.3).
 
 The pool caches :class:`~repro.storage.page.Page` objects by page id.  Two
 protocol points from the paper are load-bearing:
@@ -16,66 +16,51 @@ protocol points from the paper are load-bearing:
 containing the page in one physical call, modelling the paper's 16 KB
 buffer-pool reads of the old index.
 
-**Lock striping.**  The frame table is sharded by ``page_id % shards``;
-each shard owns its lock, condition variable, in-flight-read table, and
-in-flight-write table, plus an equal slice of the frame budget.  Threads
-touching different shards never contend, and ``pool_shard_conflicts``
-counts the times a thread found its shard's lock held (the contention the
-striping exists to remove).  Flushes visit shards in ascending index order
-— the fixed order makes overlapping multi-shard flushes deadlock-free —
-and still issue a *single* ``write_many`` so contiguous ids keep
-coalescing into large physical I/Os.  ``shards=1`` (the default) is the
-historical single-lock pool.
-
 **Scan resistance (2Q-style scan ring).**  A rebuild's sequential
 leaf-chain scan would sweep the OLTP working set out of an LRU pool, so
 frames are tagged by admission class — the pool's one admission policy.
 Demand (OLTP) fetches go to the *protected* LRU.  Scan-class reads
 (``fetch(..., scan=True)``, scan prefetches, and the rebuild's new-page
-allocations) go to a bounded probationary *ring* of a quarter of each
-shard's slice that recycles its own frames first — a 50k-leaf scan can
-displace at most that quarter of the hot set.  A ring page re-referenced
-by a demand fetch is *promoted* to the protected region
-(``ring_promotions``).  Ring recycling keeps the scan fed: speculative
-frames the scan has already moved past go first (they are dead weight),
-then the oldest consumed
-frames (clean before dirty; a dirty victim is written together with the
-dirty frames of its io-size-aligned disk run, whichever shards hold
-them, in one coalesced call); the not-yet-consumed read-ahead window
+allocations) go to a bounded probationary *ring* of a quarter of the
+pool that recycles its own frames first — a 50k-leaf scan can displace
+at most that quarter of the hot set.  A ring page re-referenced by a
+demand fetch is *promoted* to the protected region (``ring_promotions``).
+Ring recycling keeps the scan fed: the oldest consumed frames go first
+(clean before dirty; a dirty victim is written together with the dirty
+frames of its io-size-aligned disk run in one coalesced call), then the
+current top action's young ones; the not-yet-consumed read-ahead window
 goes last, because evicting it re-buys its reads.  Pages the rebuild
 has deallocated never reach that write path at all: :meth:`retire_page`
 drops them unwritten, and what is still resident of a freed page when its
 id is handed out again is a dead image :meth:`new_page` drops, dirty or
-not.  A small ghost
-list (2Q's A1out) spots scan reuse the ring cannot hold and promotes
-those admissions to the protected cold end; prefetch hints for ghosted
-pages are refused, and read-ahead is throttled once its unconsumed
-window fills half the ring.  Under global pressure the ring is evicted
-before the protected LRU; a scan-class admission that does evict a
-protected frame is counted under ``hot_evictions_by_scan``.
+not.  Under global pressure the ring is evicted before the protected
+LRU; a scan-class admission that does evict a protected frame is counted
+under ``hot_evictions_by_scan``.
 
 A simulated **crash** (:meth:`crash`) discards every frame without writing —
 the disk keeps only what was explicitly flushed, which is what recovery
 tests exercise.
 
-**I/O concurrency.**  A shard's lock protects its frame table, but is
-*released* around every physical disk call — miss reads, aligned-run
+**I/O concurrency.**  The pool's one lock protects its frame tables, but
+is *released* around every physical disk call — miss reads, aligned-run
 reads, prefetch reads, batch flushes, and dirty-eviction writes — so
 threads overlap their disk time instead of serializing on the pool.
-Every write — force, single-page flush, eviction — is one code path
-(:meth:`BufferPool._write_batch`), and ``tools/lint_no_io_under_lock.py``
-enforces statically that no disk call is issued under a shard lock.
-Two pieces of bookkeeping make the unlocked I/O safe:
+Entering the lock probes it non-blockingly first, so contention is
+visible in ``pool_shard_conflicts``.  Every write — force, single-page
+flush, eviction — is one code path (:meth:`BufferPool._write_batch`),
+and ``tools/lint_no_io_under_lock.py`` enforces statically that no disk
+call is issued under the lock.  Two pieces of bookkeeping make the
+unlocked I/O safe:
 
-* a per-shard *in-flight read table* — a miss registers the page id before
+* an *in-flight read table* — a miss registers the page id before
   dropping the lock (a large-I/O read also claims the run neighbors it
-  will admit); a second fetch of the same page waits on the shard's
+  will admit); a second fetch of the same page waits on the pool's
   condition variable instead of issuing a duplicate read, and every
   admission point re-checks residency after reacquiring the lock;
 * a per-frame *version counter*, bumped whenever a frame becomes dirty —
   any unlocked write snapshots (frame, version), writes without the lock,
   and clears the dirty bit only for frames still resident at the same
-  version, so a change that lands mid-write is never lost.  The per-shard
+  version, so a change that lands mid-write is never lost.  The
   *in-flight write table* orders overlapping writes of the same page, so
   a slower writer holding an older image can never land after a newer one.
 
@@ -126,91 +111,48 @@ class _Frame:
         # (``_NEVER_STORED`` for a fresh allocation): while the page's LSN
         # equals it, the stored image carries every logged change.
         self.clean_lsn = page.page_lsn
-        # Ring admission order; compared against the shard's consumed
-        # watermark to tell bypassed speculative frames (dead, reclaim
-        # first) from the not-yet-consumed read-ahead window.
+        # Ring admission ticket: a frame within the last eighth of the
+        # ring's quota is the current top action's working set.
         self.seq = 0
         # Bumped on every dirtying; lets an unlocked flush detect that the
         # frame changed mid-write and must stay dirty.
         self.version = 0
-        # Lives in the shard's probationary ring (scan-class admission)
-        # rather than the protected LRU.
+        # Lives in the probationary ring (scan-class admission) rather
+        # than the protected LRU.
         self.ring = False
 
 
-class _Shard:
-    """One stripe of the pool: frames, ring, and the tables guarding them.
+class _CountedLock:
+    """The pool's lock as a ``with`` target: entering probes it
+    non-blockingly first and counts ``pool_shard_conflicts`` when it has
+    to wait.  ``acquire`` / ``release`` are the raw lock's — retaking it
+    after an unlocked disk call is not the contention the counter is
+    after."""
 
-    Entering the shard (``with shard:``) probes the lock non-blockingly
-    first so real contention is visible in ``pool_shard_conflicts``.
-    Recency in both ``frames`` and ``ring`` is insertion order — least
-    recent / first-out at the front.
-    """
+    __slots__ = ("acquire", "release", "_counters")
 
-    __slots__ = (
-        "lock", "cond", "frames", "ring", "inflight", "writing",
-        "capacity", "ring_quota", "counters", "admit_seq", "consumed_seq",
-        "ghost",
-    )
+    def __init__(self, lock: threading.Lock, counters: Counters) -> None:
+        self.acquire = lock.acquire
+        self.release = lock.release
+        self._counters = counters
 
-    def __init__(self, capacity: int, counters: Counters) -> None:
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
-        self.frames: OrderedDict[int, _Frame] = OrderedDict()  # protected LRU
-        self.ring: OrderedDict[int, _Frame] = OrderedDict()    # probationary
-        # Page ids with a disk read in progress (lock released); fetches of
-        # the same page wait here instead of duplicating the read.
-        self.inflight: set[int] = set()
-        # Page ids with an unlocked *write* in progress.  A second write of
-        # an overlapping page waits for it; pages in here are always
-        # resident (flushes keep the frame, evictions wait), so read paths
-        # never see a half-updated disk image either.
-        self.writing: set[int] = set()
-        self.capacity = capacity
-        self.ring_quota = capacity // 4  # the scan ring's share of the slice
-        self.counters = counters
-        # Ring admission ticket and the highest ticket any fetch has
-        # consumed: a prefetched ring frame with seq below the watermark
-        # was bypassed by the scan and is dead weight.
-        self.admit_seq = 0
-        self.consumed_seq = 0
-        # 2Q's A1out: page ids of *consumed* ring frames recently evicted
-        # (bounded to ``ring_quota`` entries, FIFO).  A scan fetch that
-        # misses on a ghost page has reuse the ring could not hold — the
-        # source tree's internal nodes, pages re-latched across copy-phase
-        # steps — and is admitted to the protected region instead of
-        # being re-read once per eviction cycle for the whole rebuild.
-        self.ghost: OrderedDict[int, None] = OrderedDict()
-
-    def __enter__(self) -> "_Shard":
-        if not self.lock.acquire(False):
-            self.counters.add("pool_shard_conflicts")
-            self.lock.acquire()
-        return self
+    def __enter__(self) -> None:
+        if not self.acquire(False):
+            self._counters.add("pool_shard_conflicts")
+            self.acquire()
 
     def __exit__(self, *exc: object) -> None:
-        self.lock.release()
-
-    def lookup(self, page_id: int) -> _Frame | None:
-        frame = self.frames.get(page_id)
-        return frame if frame is not None else self.ring.get(page_id)
-
-    def pop(self, page_id: int) -> None:
-        if self.frames.pop(page_id, None) is None:
-            self.ring.pop(page_id, None)
-
-    def resident(self) -> int:
-        return len(self.frames) + len(self.ring)
+        self.release()
 
 
 class BufferPool:
-    """Sharded page cache over a :class:`Disk`.
+    """Page cache over a :class:`Disk`.
 
-    Recency is the order of each shard's ``frames`` :class:`OrderedDict` —
-    least recent first — so a hit is an O(1) ``move_to_end`` and eviction
-    pops from the front (skipping pinned frames), instead of the
-    tick-counter full scan a naive LRU needs.  See the module docstring
-    for the striping and scan-resistance design.
+    Recency in ``_frames`` (the protected LRU) and ``_ring`` is insertion
+    order — least recent / first-out at the front — so a hit is an O(1)
+    ``move_to_end`` and eviction pops from the front (skipping pinned
+    frames), instead of the tick-counter full scan a naive LRU needs.
+    See the module docstring for the scan-resistance design.
     """
 
     # Optional observability hooks (set by EngineContext when tracing is
@@ -225,29 +167,28 @@ class BufferPool:
         capacity: int = 1024,
         counters: Counters | None = None,
         retry_limit: int = 12,
-        shards: int = 1,
     ) -> None:
         if capacity < 8:
             raise BufferError_("buffer pool needs at least 8 frames")
-        if shards < 1:
-            raise BufferError_(f"pool shards must be >= 1, got {shards}")
-        if capacity // shards < 8:
-            raise BufferError_(
-                f"capacity {capacity} leaves under 8 frames per shard "
-                f"across {shards} shards"
-            )
         self.disk = disk
         self.capacity = capacity
-        self.n_shards = shards
+        self.ring_quota = capacity // 4  # the scan ring's share of the pool
         self.retry_limit = retry_limit
         self.counters = counters if counters is not None else Counters()
-        self._shards = [
-            _Shard(
-                capacity // shards + (1 if i < capacity % shards else 0),
-                self.counters,
-            )
-            for i in range(shards)
-        ]
+        lock = threading.Lock()
+        self._lock = _CountedLock(lock, self.counters)
+        self._cond = threading.Condition(lock)
+        self._frames: OrderedDict[int, _Frame] = OrderedDict()  # protected
+        self._ring: OrderedDict[int, _Frame] = OrderedDict()    # probationary
+        # Page ids with a disk read in progress (lock released); fetches of
+        # the same page wait here instead of duplicating the read.
+        self._inflight: set[int] = set()
+        # Page ids with an unlocked *write* in progress.  A second write of
+        # an overlapping page waits for it; pages in here are always
+        # resident (flushes keep the frame, evictions wait), so read paths
+        # never see a half-updated disk image either.
+        self._writing: set[int] = set()
+        self._admit_seq = 0  # the last ring admission ticket handed out
         self._wal_hook: Callable[[int], None] | None = None
         self._service: deque[float] = deque(maxlen=_SERVICE_SAMPLES)
         self._service_lock = threading.Lock()
@@ -255,6 +196,14 @@ class BufferPool:
     def set_wal_hook(self, hook: Callable[[int], None]) -> None:
         """Install ``flush_log_to(lsn)``, called before any dirty write."""
         self._wal_hook = hook
+
+    def _lookup(self, page_id: int) -> _Frame | None:
+        frame = self._frames.get(page_id)
+        return frame if frame is not None else self._ring.get(page_id)
+
+    def _pop(self, page_id: int) -> None:
+        if self._frames.pop(page_id, None) is None:
+            self._ring.pop(page_id, None)
 
     # ------------------------------------------------------------------ retry
 
@@ -275,8 +224,8 @@ class BufferPool:
 
         The attempt that succeeds is timed: its duration goes to
         ``histogram`` when one is given, and, divided by the ``calls``
-        device calls ``fn`` makes, to :meth:`service_samples`.  No shard
-        lock is held here.
+        device calls ``fn`` makes, to :meth:`service_samples`.  The pool
+        lock is not held here.
         """
         attempt = 0
         while True:
@@ -312,30 +261,28 @@ class BufferPool:
 
     def _io_unlocked(  # noqa: ANN201
         self,
-        shard: _Shard,
         fn: Callable[[], object],
         histogram=None,  # noqa: ANN001
     ):
-        """Run a (retried, timed) one-call disk read with the shard's lock
+        """Run a (retried, timed) one-call disk read with the pool lock
         released.
 
-        Must be called with the shard lock held; the lock is reacquired
-        before returning or raising, so callers resume with their
-        invariants — except frame-table contents, which they must
-        re-check.
+        Must be called with the lock held; it is reacquired before
+        returning or raising, so callers resume with their invariants —
+        except frame-table contents, which they must re-check.
         """
-        shard.lock.release()
+        self._lock.release()
         try:
             return self.retrying(fn, histogram=histogram)
         finally:
-            shard.lock.acquire()
+            self._lock.acquire()
 
     def fetch(self, page_id: int, large_io: bool = False, scan: bool = False) -> Page:
         """Pin and return the page, reading it from disk on a miss.
 
         With ``large_io`` a miss reads the io-size-aligned run containing
         ``page_id`` in one physical call and caches (unpinned) every page of
-        the run that exists on disk.  Miss reads run with the shard lock
+        the run that exists on disk.  Miss reads run with the pool lock
         released; a concurrent fetch of the same page waits for the first
         read instead of duplicating it.
 
@@ -345,22 +292,21 @@ class BufferPool:
         protected LRU.  A demand (``scan=False``) hit on a ring-resident
         page promotes it to the protected region.
         """
-        shard = self._shards[page_id % self.n_shards]
         missed = False
-        with shard:
+        with self._lock:
             self.counters.add("page_reads")
             while True:
-                frame = shard.lookup(page_id)
+                frame = self._lookup(page_id)
                 if frame is not None:
                     break
-                if page_id in shard.inflight:
-                    shard.cond.wait()
+                if page_id in self._inflight:
+                    self._cond.wait()
                     continue
-                shard.inflight.add(page_id)
+                self._inflight.add(page_id)
                 try:
                     if large_io and self.disk.pages_per_io > 1:
-                        self._read_aligned_run(shard, page_id, scan)
-                        frame = shard.lookup(page_id)
+                        self._read_aligned_run(page_id, scan)
+                        frame = self._lookup(page_id)
                     if frame is None:
                         tracer = self.tracer
                         read_span = histogram = None
@@ -373,8 +319,7 @@ class BufferPool:
                             )
                         try:
                             image = self._io_unlocked(
-                                shard, lambda: self.disk.read(page_id),
-                                histogram,
+                                lambda: self.disk.read(page_id), histogram
                             )
                         except BaseException as exc:
                             if read_span is not None:
@@ -385,16 +330,15 @@ class BufferPool:
                                 tracer.finish(read_span)
                         # The lock was released: a prefetch or run read may
                         # have admitted the page meanwhile.
-                        frame = shard.lookup(page_id)
+                        frame = self._lookup(page_id)
                         if frame is None:
                             frame = self._admit(
-                                shard,
                                 Page.from_bytes(image, self.disk.page_size),
                                 scan=scan,
                             )
                 finally:
-                    shard.inflight.discard(page_id)
-                    shard.cond.notify_all()
+                    self._inflight.discard(page_id)
+                    self._cond.notify_all()
                 missed = True
                 if scan and large_io:
                     # A source-leaf read the scan had to issue itself:
@@ -403,14 +347,6 @@ class BufferPool:
                 break
             if frame.prefetched:
                 self.counters.add("prefetch_hits")
-                # The consumption watermark advances only when the scan
-                # actually consumes a speculative frame: re-references of
-                # other ring residents (the rebuild's target pages, most
-                # recently admitted and touched constantly) must not jump
-                # it ahead, or the whole unconsumed read-ahead window gets
-                # misclassified as bypassed and evicted first.
-                if frame.ring and frame.seq > shard.consumed_seq:
-                    shard.consumed_seq = frame.seq
             frame.prefetched = False
             if not scan:
                 self.counters.add(
@@ -424,17 +360,17 @@ class BufferPool:
                     # the eviction order's young class: the top action
                     # that just consumed it will re-latch it once more
                     # for the protocol-bit clear before retiring it.
-                    shard.ring.move_to_end(page_id)
-                    frame.seq = shard.admit_seq
+                    self._ring.move_to_end(page_id)
+                    frame.seq = self._admit_seq
                 else:
                     # 2Q promotion: a demand re-reference earns the page a
                     # place in the protected region.
-                    del shard.ring[page_id]
+                    del self._ring[page_id]
                     frame.ring = False
-                    shard.frames[page_id] = frame
+                    self._frames[page_id] = frame
                     self.counters.add("ring_promotions")
             else:
-                shard.frames.move_to_end(page_id)  # O(1) LRU touch
+                self._frames.move_to_end(page_id)  # O(1) LRU touch
             frame.pin_count += 1
             return frame.page
 
@@ -483,21 +419,18 @@ class BufferPool:
         new pages are written once, forced, and not re-referenced, so
         they should recycle ahead of the hot set.
         """
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            while (dead := shard.lookup(page_id)) is not None:
+        with self._lock:
+            while (dead := self._lookup(page_id)) is not None:
                 if dead.pin_count > 0:
                     raise BufferError_(
                         f"page {page_id} is pinned; cannot reallocate"
                     )
-                if page_id not in shard.writing:
-                    shard.pop(page_id)
+                if page_id not in self._writing:
+                    self._pop(page_id)
                     self.counters.add("pool_dead_images_dropped")
                     break
-                shard.cond.wait()
-            frame = self._admit(
-                shard, Page(page_id, self.disk.page_size), scan=scan
-            )
+                self._cond.wait()
+            frame = self._admit(Page(page_id, self.disk.page_size), scan=scan)
             frame.pin_count += 1
             frame.dirty = True
             frame.version += 1
@@ -505,9 +438,8 @@ class BufferPool:
             return frame.page
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
+        with self._lock:
+            frame = self._lookup(page_id)
             if frame is None or frame.pin_count <= 0:
                 raise BufferError_(f"page {page_id} is not pinned")
             frame.pin_count -= 1
@@ -516,30 +448,27 @@ class BufferPool:
                 frame.version += 1
 
     def mark_dirty(self, page_id: int) -> None:
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
+        with self._lock:
+            frame = self._lookup(page_id)
             if frame is None:
                 raise BufferError_(f"page {page_id} is not resident")
             frame.dirty = True
             frame.version += 1
 
     def is_resident(self, page_id: int) -> bool:
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            return shard.lookup(page_id) is not None
+        with self._lock:
+            return self._lookup(page_id) is not None
 
     def pin_count(self, page_id: int) -> int:
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
+        with self._lock:
+            frame = self._lookup(page_id)
             return frame.pin_count if frame else 0
 
     def image_version(self, page: Page) -> int | None:
         """Change counter of the frame holding exactly this ``Page``
         object, or ``None`` when the pool no longer holds it.
 
-        Read-only, shard lock only — no latch, no pin.  A reader notes the
+        Read-only, pool lock only — no latch, no pin.  A reader notes the
         value while it holds the page's latch; as long as later calls
         return the same value, what it read under the latch is still the
         page: every mutator dirties the frame (bumping the counter) before
@@ -548,9 +477,8 @@ class BufferPool:
         whose counter starts over, which is why the identity is compared
         and not the number alone.
         """
-        shard = self._shards[page.page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page.page_id)
+        with self._lock:
+            frame = self._lookup(page.page_id)
             if frame is None or frame.page is not page:
                 return None
             return frame.version
@@ -566,63 +494,52 @@ class BufferPool:
 
         This is the rebuild's transaction-boundary force of its new pages;
         the chunk allocator makes the ids contiguous, so the batch goes out
-        through large physical I/Os — the shards are visited one at a time
-        for bookkeeping, but the write itself is a single ``write_many``
-        so contiguity survives striping.
+        through large physical I/Os — a single ``write_many``.
         """
         self._write_batch(page_ids, force=True)
 
-    def _write_batch(self, page_ids: list[int], force: bool) -> tuple[int, int]:
+    def _write_batch(self, page_ids: list[int], force: bool) -> int:
         """Write the dirty frames among ``page_ids`` in one ``write_many``,
-        WAL-first, no shard lock held across the I/O.
+        WAL-first, with the pool lock released across the I/O.
 
         With ``force`` every dirty frame is written, after waiting out
         in-flight writes that overlap the batch.  Without it (an
         eviction cleaning its victim's disk run) the batch is
         opportunistic: pinned frames and frames another writer has
-        claimed are skipped, so the call never waits on a ``writing``
-        table.  Returns (pages written, shards they came from).
+        claimed are skipped, so the call never waits on the ``writing``
+        table.  Returns the number of pages written.
         """
-        by_shard: dict[int, set[int]] = {}
-        for pid in page_ids:
-            by_shard.setdefault(pid % self.n_shards, set()).add(pid)
-        # Pass 1 — per shard, in ascending index order (the fixed order is
-        # what makes overlapping multi-shard flushes deadlock-free): find
-        # the dirty frames, serialize them, and claim them in the shard's
-        # write table.  Clean frames are never serialized.
+        ids = set(page_ids)
+        # Pass 1 — under the lock: find the dirty frames, serialize them,
+        # and claim them in the write table.  Clean frames are never
+        # serialized.
         images: dict[int, bytes] = {}
         max_lsn = 0
-        claimed: list[tuple[_Shard, dict[int, tuple[_Frame, int, int]]]] = []
+        claimed: dict[int, tuple[_Frame, int, int]] = {}
         wrote = False
         try:
-            for index in sorted(by_shard):
-                shard = self._shards[index]
-                ids = by_shard[index]
-                with shard:
-                    while force and not shard.writing.isdisjoint(ids):
-                        shard.cond.wait()
-                    local: dict[int, tuple[_Frame, int, int]] = {}
-                    for pid in ids:
-                        frame = shard.lookup(pid)
-                        if frame is None or not frame.dirty:
-                            continue
-                        if not force and (
-                            frame.pin_count > 0 or pid in shard.writing
-                        ):
-                            continue
-                        lsn = frame.page.page_lsn
-                        local[pid] = (frame, frame.version, lsn)
-                        images[pid] = frame.page.to_bytes()
-                        if lsn > max_lsn:
-                            max_lsn = lsn
-                    if local:
-                        shard.writing.update(local)
-                        claimed.append((shard, local))
+            with self._lock:
+                while force and not self._writing.isdisjoint(ids):
+                    self._cond.wait()
+                for pid in ids:
+                    frame = self._lookup(pid)
+                    if frame is None or not frame.dirty:
+                        continue
+                    if not force and (
+                        frame.pin_count > 0 or pid in self._writing
+                    ):
+                        continue
+                    lsn = frame.page.page_lsn
+                    claimed[pid] = (frame, frame.version, lsn)
+                    images[pid] = frame.page.to_bytes()
+                    if lsn > max_lsn:
+                        max_lsn = lsn
+                self._writing.update(claimed)
             if not images:
-                return 0, 0
-            # Pass 2 — WAL-flush and write with no shard lock held (both
-            # can block on physical I/O).  Each dirty frame is written
-            # exactly once even if its id repeats in ``page_ids``.
+                return 0
+            # Pass 2 — WAL-flush and write with the lock released (both can
+            # block on physical I/O).  Each dirty frame is written exactly
+            # once even if its id repeats in ``page_ids``.
 
             def _wal_then_write() -> None:
                 if self._wal_hook is not None:
@@ -638,18 +555,18 @@ class BufferPool:
             )
             wrote = True
             self.counters.add("page_writes", len(images))
-            return len(images), len(claimed)
+            return len(images)
         finally:
             # Pass 3 — release the write claims; clear dirty only for
             # frames still resident at the version we serialized (anything
             # redirtied or evicted-and-re-read mid-write keeps its state).
-            for shard, local in claimed:
-                with shard:
-                    shard.writing.difference_update(local)
-                    shard.cond.notify_all()
+            if claimed:
+                with self._lock:
+                    self._writing.difference_update(claimed)
+                    self._cond.notify_all()
                     if wrote:
-                        for pid, (frame, version, lsn) in local.items():
-                            if shard.lookup(pid) is frame:
+                        for pid, (frame, version, lsn) in claimed.items():
+                            if self._lookup(pid) is frame:
                                 frame.clean_lsn = lsn
                                 if frame.version == version:
                                     frame.dirty = False
@@ -659,12 +576,8 @@ class BufferPool:
         self.flush_pages(self._resident_ids())
 
     def _resident_ids(self) -> list[int]:
-        ids: list[int] = []
-        for shard in self._shards:
-            with shard:
-                ids.extend(shard.frames)
-                ids.extend(shard.ring)
-        return ids
+        with self._lock:
+            return [*self._frames, *self._ring]
 
     def retire_page(self, page_id: int) -> bool:
         """Drop a page the caller has made unreachable, without writing
@@ -703,163 +616,120 @@ class BufferPool:
             handed out again, :meth:`new_page` drops the by then dead
             image under its own argument.
         """
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
+        with self._lock:
+            frame = self._lookup(page_id)
             if frame is None:
                 return False
             if (
                 frame.pin_count == 0
-                and page_id not in shard.writing
+                and page_id not in self._writing
                 and (
                     not frame.dirty
                     or frame.page.page_lsn == frame.clean_lsn
                 )
             ):
-                shard.pop(page_id)
+                self._pop(page_id)
                 if frame.dirty:
                     self.counters.add("pool_retired_unwritten")
                 return True
             if frame.ring:
                 frame.seq = 0  # out of the young band: evict (and write) early
-                shard.ring.move_to_end(page_id, last=False)
+                self._ring.move_to_end(page_id, last=False)
             return False
 
     def drop_page(self, page_id: int) -> None:
         """Evict a page without writing (its id was freed and recycled)."""
-        shard = self._shards[page_id % self.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
+        with self._lock:
+            frame = self._lookup(page_id)
             if frame is not None and frame.pin_count > 0:
                 raise BufferError_(f"page {page_id} is pinned; cannot drop")
-            shard.pop(page_id)
+            self._pop(page_id)
 
     def crash(self) -> None:
         """Simulate a crash: lose every frame, flush nothing."""
-        for shard in self._shards:
-            with shard:
-                shard.frames.clear()
-                shard.ring.clear()
-                shard.ghost.clear()
-                shard.inflight.clear()
-                shard.writing.clear()
-                shard.cond.notify_all()
+        with self._lock:
+            self._frames.clear()
+            self._ring.clear()
+            self._inflight.clear()
+            self._writing.clear()
+            self._cond.notify_all()
 
     # --------------------------------------------------------------- internals
 
     def _admit(
         self,
-        shard: _Shard,
         page: Page,
         scan: bool = False,
         required: bool = True,
         prefetched: bool = False,
         clean_only: bool = False,
-        spare_window: bool = False,
     ) -> _Frame | None:
-        """Insert a frame, evicting if the shard's slice is full.
+        """Insert a frame, evicting if the pool is full.
 
         Scan-class admissions go to the ring, recycling the ring's own
         frames first.  With ``required=False`` (opportunistic
-        admission) a shard full of pinned frames returns
-        ``None`` instead of raising; ``clean_only`` additionally forbids
-        writing a dirty victim (the prefetch paths must never write);
-        ``spare_window`` forbids evicting a not-yet-consumed speculative
-        ring frame (speculative admissions must not cannibalize the live
+        admission) a pool full of pinned frames returns ``None`` instead
+        of raising; ``clean_only`` additionally forbids writing a dirty
+        victim (the prefetch paths must never write).  A ``prefetched``
+        (speculative) admission never evicts a not-yet-consumed
+        speculative ring frame: it must not cannibalize the live
         read-ahead window — that is how a prefetcher running ahead of the
-        scan turns into re-reading the whole chain).  Evicting a dirty
-        victim drops the shard lock, so residency is re-checked afterwards
-        — if the page was admitted meanwhile, the existing frame is
-        returned.
+        scan turns into re-reading the whole chain.  Evicting a dirty
+        victim drops the lock, so residency is re-checked afterwards — if
+        the page was admitted meanwhile, the existing frame is returned.
         """
-        existing = shard.lookup(page.page_id)
+        existing = self._lookup(page.page_id)
         if existing is not None:
             return existing
-        to_ring = scan
-        ghost_promotion = (
-            to_ring and not prefetched and page.page_id in shard.ghost
-        )
-        if ghost_promotion:
-            # Ghost hit: the scan already consumed and recycled this page
-            # once, and here it is again — reuse the ring cannot hold.
-            # Promote the admission to the protected region so the page
-            # stops being re-read once per ring cycle.
-            del shard.ghost[page.page_id]
-            to_ring = False
-            self.counters.add("ring_ghost_promotions")
-        if to_ring:
-            while len(shard.ring) >= shard.ring_quota:
-                if not self._evict_ring(
-                    shard, clean_only=clean_only, spare_window=spare_window
-                ):
+        if scan:
+            while len(self._ring) >= self.ring_quota:
+                if not self._evict_ring(clean_only, prefetched):
                     if clean_only:
                         return None
                     break  # every ring frame pinned: admit over quota
-                existing = shard.lookup(page.page_id)
+                existing = self._lookup(page.page_id)
                 if existing is not None:
                     return existing
-        while shard.resident() >= shard.capacity:
+        while len(self._frames) + len(self._ring) >= self.capacity:
             # 2Q budget rule: until the ring has consumed its quota, a
             # scan admission takes a frame from the protected region
             # (coldest first) to grow the ring — so the scan's total toll
             # on the hot set is bounded by its quota, paid once, instead
             # of dripping out of a starved ring for the whole scan.  At
             # quota the ring recycles itself; everyone else recycles the
-            # ring before touching protected.  A ghost promotion also
-            # takes from protected: its cold end is the earlier
-            # promotions (see below), so a promotion flood recycles
-            # itself there — paying with a ring frame instead would
-            # shrink the ring and hand the *next* scan admission a
-            # budget-rule claim on the hot set, over and over.
-            prefer_protected = ghost_promotion or (
-                to_ring and len(shard.ring) < shard.ring_quota
-            )
+            # ring before touching protected.
             if not self._evict_one(
-                shard,
                 required=required and not clean_only,
                 scan=scan,
                 clean_only=clean_only,
-                prefer_protected=prefer_protected,
-                spare_window=spare_window,
+                prefer_protected=scan and len(self._ring) < self.ring_quota,
+                spare_window=prefetched,
             ):
                 return None
-            existing = shard.lookup(page.page_id)
+            existing = self._lookup(page.page_id)
             if existing is not None:
                 return existing
         frame = _Frame(page)
         frame.prefetched = prefetched
-        if to_ring:
+        if scan:
             frame.ring = True
-            shard.admit_seq += 1
-            frame.seq = shard.admit_seq
-            shard.ring[page.page_id] = frame
+            self._admit_seq += 1
+            frame.seq = self._admit_seq
+            self._ring[page.page_id] = frame
             self.counters.add("ring_admits")
         else:
-            shard.frames[page.page_id] = frame
-            if ghost_promotion:
-                # Promoted scan pages enter at the *cold* end: they beat
-                # the ring's churn, but a flood of them (a scan with lots
-                # of beyond-ring reuse) displaces its own earlier
-                # promotions, never the demand-touched hot set.
-                shard.frames.move_to_end(page.page_id, last=False)
+            self._frames[page.page_id] = frame
         return frame
 
-    def _evict_ring(
-        self,
-        shard: _Shard,
-        clean_only: bool = False,
-        spare_window: bool = False,
-    ) -> bool:
+    def _evict_ring(self, clean_only: bool, spare_window: bool) -> bool:
         """Recycle one ring frame.
 
-        Victim priority: a speculative frame the scan has already
-        moved past (``prefetched`` with ``seq`` at or below the consumed
-        watermark — dead weight, never coming back), then the oldest
-        consumed frame (the scan is done with it), and only as a last
-        resort the oldest not-yet-consumed frame —
-        evicting the read-ahead window re-buys its reads, so it goes
-        last (and is forbidden entirely with ``spare_window``, the
-        speculative admission paths' flag).
+        Victim priority: the oldest consumed frame (the scan is done with
+        it), and only as a last resort the oldest not-yet-consumed
+        speculative frame — evicting the read-ahead window re-buys its
+        reads, so it goes last (and is forbidden entirely with
+        ``spare_window``, a speculative admission's flag); such a frame
+        is counted ``prefetch_unused`` when it goes.
 
         Within the consumed frames, two refinements: *old before young*
         — a recently admitted frame is the current top action's working
@@ -872,96 +742,57 @@ class BufferPool:
         otherwise coalesce).
 
         A dirty victim is written with its disk run (:meth:`_write_run`);
-        the write drops the shard lock, so the victim is revalidated
+        the write drops the lock, so the victim is revalidated
         afterwards.  With ``clean_only`` dirty frames are skipped
         instead of written.
         """
         while True:
-            victim_id = None
-            victim = None
-            used = None
-            window = None
-            # A fragmented leaf chain alternates page-id regions, so the
-            # reader's run-aligned admissions land slightly out of chain
-            # order: a frame a few seqs below the watermark is usually
-            # *about* to be consumed, not bypassed.  Only frames the
-            # watermark has moved past by more than a run's worth are
-            # written off as dead.
-            dead_below = shard.consumed_seq - max(
-                1, min(shard.ring_quota // 8, self.disk.pages_per_io)
-            )
-            # Frames admitted within the last eighth of the quota are
-            # the current top action's working set; they yield to older
-            # frames (see the docstring's age classes).
-            young_floor = shard.admit_seq - max(8, shard.ring_quota // 8)
-            used_dirty = None
-            young = None
-            young_dirty = None
-            for pid, frame in shard.ring.items():
+            young_floor = self._admit_seq - max(8, self.ring_quota // 8)
+            old = old_dirty = young = young_dirty = window = None
+            for pid, frame in self._ring.items():
                 if frame.pin_count != 0 or (clean_only and frame.dirty):
                     continue
-                if frame.prefetched and frame.seq <= dead_below:
-                    victim_id, victim = pid, frame  # bypassed speculative
-                    break
-                if not frame.prefetched:
-                    if frame.seq > young_floor:
-                        if frame.dirty:
-                            if young_dirty is None:
-                                young_dirty = (pid, frame)
-                        elif young is None:
-                            young = (pid, frame)
-                    elif frame.dirty:
-                        if used_dirty is None:
-                            used_dirty = (pid, frame)
-                    elif used is None:
-                        used = (pid, frame)
-                elif window is None:
-                    window = (pid, frame)
-            for fallback in (used, used_dirty, young, young_dirty):
-                if victim is None and fallback is not None:
-                    victim_id, victim = fallback
-            if victim is None and window is not None and not spare_window:
-                victim_id, victim = window
-            if victim_id is None or victim is None:
+                if frame.prefetched:
+                    if window is None:
+                        window = (pid, frame)
+                elif frame.seq > young_floor:
+                    if frame.dirty:
+                        if young_dirty is None:
+                            young_dirty = (pid, frame)
+                    elif young is None:
+                        young = (pid, frame)
+                elif frame.dirty:
+                    if old_dirty is None:
+                        old_dirty = (pid, frame)
+                else:
+                    old = (pid, frame)
+                    break  # the first choice: nothing later can beat it
+            choice = old or old_dirty or young or young_dirty or (
+                None if spare_window else window
+            )
+            if choice is None:
                 return False
+            victim_id, victim = choice
             if victim.dirty:
-                self._write_run(shard, victim_id, victim)
+                self._write_run(victim_id, victim)
                 if (
-                    shard.ring.get(victim_id) is not victim
+                    self._ring.get(victim_id) is not victim
                     or victim.pin_count > 0
                     or victim.dirty
                 ):
                     continue  # changed during the wait; pick again
             if victim.prefetched:
                 self.counters.add("prefetch_unused")
-            else:
-                # Consumed and recycled: remember the id so a re-read
-                # proves reuse beyond the ring (2Q's A1out).
-                self._remember_ghost(shard, victim_id)
-            del shard.ring[victim_id]
+            del self._ring[victim_id]
             return True
-
-    def _remember_ghost(self, shard: _Shard, page_id: int) -> None:
-        """Record a consumed ring eviction in the shard's A1out.
-
-        2Q sizes A1out at ~half the pool: ids are 28 bytes, so
-        remembering more than the ring holds is nearly free, and a
-        too-short ghost forgets a page between reuses — it then cycles
-        read-evict-read forever unpromoted.
-        """
-        shard.ghost[page_id] = None
-        shard.ghost.move_to_end(page_id)
-        while len(shard.ghost) > max(1, shard.capacity // 2):
-            shard.ghost.popitem(last=False)
 
     def _evict_one(
         self,
-        shard: _Shard,
-        required: bool = True,
-        scan: bool = False,
-        clean_only: bool = False,
-        prefer_protected: bool = False,
-        spare_window: bool = False,
+        required: bool,
+        scan: bool,
+        clean_only: bool,
+        prefer_protected: bool,
+        spare_window: bool,
     ) -> bool:
         """Evict one frame: the ring first, then the protected LRU.
 
@@ -970,35 +801,24 @@ class BufferPool:
         Returns False (or raises, when ``required``) when nothing is
         evictable.
         """
-        if prefer_protected:
-            if self._evict_protected(shard, scan=scan, clean_only=clean_only):
-                return True
-            if self._evict_ring(
-                shard, clean_only=clean_only, spare_window=spare_window
-            ):
-                return True
-        else:
-            if self._evict_ring(
-                shard, clean_only=clean_only, spare_window=spare_window
-            ):
-                return True
-            if self._evict_protected(shard, scan=scan, clean_only=clean_only):
-                return True
+        if prefer_protected and self._evict_protected(scan, clean_only):
+            return True
+        if self._evict_ring(clean_only, spare_window):
+            return True
+        if not prefer_protected and self._evict_protected(scan, clean_only):
+            return True
         if required:
             raise BufferError_(
-                f"buffer pool exhausted: all {shard.capacity} "
-                f"frames of shard {self._shards.index(shard)} pinned"
+                f"buffer pool exhausted: all {self.capacity} frames pinned"
             )
         return False
 
-    def _evict_protected(
-        self, shard: _Shard, scan: bool = False, clean_only: bool = False
-    ) -> bool:
+    def _evict_protected(self, scan: bool, clean_only: bool) -> bool:
         """Evict one frame from the protected LRU, coldest first.
 
         The walk goes from the LRU end past any pinned frames — O(pinned
         prefix), O(1) in the common case.  A dirty victim's write drops
-        the shard lock, so the victim is revalidated afterwards; with
+        the lock, so the victim is revalidated afterwards; with
         ``clean_only`` dirty frames are skipped instead of written.  A
         scan-class admission that reaches the protected region is counted
         under ``hot_evictions_by_scan``.
@@ -1006,120 +826,88 @@ class BufferPool:
         while True:
             victim_id = None
             victim = None
-            for pid, frame in shard.frames.items():
+            for pid, frame in self._frames.items():
                 if frame.pin_count == 0 and not (clean_only and frame.dirty):
                     victim_id, victim = pid, frame
                     break
             if victim_id is None or victim is None:
                 return False
             if victim.dirty:
-                self._write_unlocked(shard, [victim_id], force=True)
+                self._write_unlocked([victim_id], force=True)
                 if (
-                    shard.frames.get(victim_id) is not victim
+                    self._frames.get(victim_id) is not victim
                     or victim.pin_count > 0
                     or victim.dirty
                 ):
                     continue  # changed during the wait; pick again
             if victim.prefetched:
                 self.counters.add("prefetch_unused")
-            del shard.frames[victim_id]
+            del self._frames[victim_id]
             if scan:
                 self.counters.add("hot_evictions_by_scan")
             return True
 
-    def _window_frames(self, shard: _Shard) -> int:
-        """Frames of ``shard`` the not-yet-consumed read-ahead window may
-        hold: half its ring.  The other half is the copy loop's working
-        room (current targets, just-consumed sources) — a window allowed
-        to fill the whole ring leaves the rebuild's own demand admissions
-        nothing to recycle but the window itself."""
-        return shard.ring_quota // 2
-
     def readahead_room(self) -> int:
-        """Pool-wide bound on speculative frames: what the I/O scheduler
-        sizes its read-ahead window from.  A window beyond it is read
-        only to be evicted unconsumed (``prefetch_unused``) and read
-        again."""
-        return sum(self._window_frames(shard) for shard in self._shards)
+        """Bound on speculative frames: what the I/O scheduler sizes its
+        read-ahead window from — half the ring.  The other half is the
+        copy loop's working room (current targets, just-consumed
+        sources); a window beyond it is read only to be evicted
+        unconsumed (``prefetch_unused``) and read again."""
+        return self.ring_quota // 2
 
     def pin_room(self) -> int:
-        """Pool-wide bound on frames the rebuild may keep pinned across a
-        top action (the locked source leaves): a quarter of every shard's
-        slice.  The rest is for what a top action
-        pins on top of them — targets, PP, the propagation path — and for
-        everyone else's fetches."""
-        return sum(shard.capacity // 4 for shard in self._shards)
+        """Bound on frames the rebuild may keep pinned across a top action
+        (the locked source leaves): a quarter of the pool.  The rest is
+        for what a top action pins on top of them — targets, PP, the
+        propagation path — and for everyone else's fetches."""
+        return self.capacity // 4
 
-    def _ring_headroom(self, shard: _Shard) -> bool:
-        """True when a speculative admission into ``shard`` could land.
-
-        With the ring at quota, that means some unpinned *clean* frame is
-        evictable without touching the live window: already consumed
-        (``prefetched`` cleared) or bypassed speculative (``seq`` at or
-        below the consumed watermark).  Below quota there is always room
-        — growth comes out of the 2Q budget or the protected LRU's clean
-        tail.
-        """
-        if len(shard.ring) < shard.ring_quota:
-            return True
-        live = 0
-        for frame in shard.ring.values():
-            if frame.prefetched and frame.seq > shard.consumed_seq:
-                live += 1
-        return live < self._window_frames(shard)
-
-    def _write_run(self, shard: _Shard, page_id: int, frame: _Frame) -> None:
+    def _write_run(self, page_id: int, frame: _Frame) -> None:
         """Write a dirty ring victim *and* the dirty frames of its
         io-size-aligned disk run in one physical call.
 
         The device moves ``pages_per_io`` consecutive pages per call, so
         the run-mates ride along for free and stay resident, clean —
-        their own evictions then cost nothing.  The batch is formed by
-        disk run, not by shard: striping puts consecutive ids in
-        different shards, so a batch gathered from one shard coalesces
-        nothing.  Called with the victim's shard lock held; it is
-        released while :meth:`_write_batch` visits the run's shards one
-        at a time, never waiting on their ``writing`` tables — no nested
-        lock, nothing to deadlock on.
+        their own evictions then cost nothing.  Called with the lock
+        held; it is released while :meth:`_write_batch` runs, which never
+        waits on the ``writing`` table here.
         """
-        while page_id in shard.writing:
-            shard.cond.wait()
-        if shard.ring.get(page_id) is not frame or not frame.dirty:
+        while page_id in self._writing:
+            self._cond.wait()
+        if self._ring.get(page_id) is not frame or not frame.dirty:
             return
         ppio = self.disk.pages_per_io
         start = ((page_id - 1) // ppio) * ppio + 1
         tracer = self.tracer
         span = tracer.begin("buffer.gang_flush") if tracer is not None else None
-        pages = shards = 0
+        pages = 0
         try:
-            pages, shards = self._write_unlocked(
-                shard, list(range(start, start + ppio)), force=False
+            pages = self._write_unlocked(
+                list(range(start, start + ppio)), force=False
             )
         finally:
             if span is not None:
-                span.attrs = {"pages": pages, "shards": shards}
+                span.attrs = {"pages": pages}
                 tracer.finish(span)
 
-    def _write_unlocked(
-        self, shard: _Shard, page_ids: list[int], force: bool
-    ) -> tuple[int, int]:
-        """:meth:`_write_batch` with the (held) shard lock released around
-        it.  The world may have moved on by the time the lock is back:
-        callers revalidate the frame they meant to clean."""
-        shard.lock.release()
+    def _write_unlocked(self, page_ids: list[int], force: bool) -> int:
+        """:meth:`_write_batch` with the (held) lock released around it.
+        The world may have moved on by the time the lock is back: callers
+        revalidate the frame they meant to clean."""
+        self._lock.release()
         try:
             return self._write_batch(page_ids, force)
         finally:
-            shard.lock.acquire()
+            self._lock.acquire()
 
     def _read_run(self, page_id: int) -> tuple[int, list, list[int]]:
         """Read the aligned run containing ``page_id`` in one physical
-        call, with no shard lock held and ``page_id`` claimed in-flight
-        by the caller.  Returns (run start, images, claimed neighbors).
+        call, with the lock not held and ``page_id`` claimed in-flight by
+        the caller.  Returns (run start, images, claimed neighbors).
 
         Before the read every run neighbor that is neither resident nor
-        being read is claimed in its shard's ``inflight`` table, and only
-        claimed neighbors may be admitted from the images afterwards
+        being read is claimed in the ``inflight`` table, and only claimed
+        neighbors may be admitted from the images afterwards
         (:meth:`_admit_run`, which also releases the claims).  A page
         resident at claim time may hold a newer image than the disk's; if
         an evict-write of it lands during the read, the image read
@@ -1130,13 +918,14 @@ class BufferPool:
         ppio = self.disk.pages_per_io
         start = ((page_id - 1) // ppio) * ppio + 1
         claimed: list[int] = []
-        for pid in range(start, start + ppio):
-            if pid == page_id:
-                continue
-            neighbor = self._shards[pid % self.n_shards]
-            with neighbor:
-                if pid not in neighbor.inflight and neighbor.lookup(pid) is None:
-                    neighbor.inflight.add(pid)
+        with self._lock:
+            for pid in range(start, start + ppio):
+                if (
+                    pid != page_id
+                    and pid not in self._inflight
+                    and self._lookup(pid) is None
+                ):
+                    self._inflight.add(pid)
                     claimed.append(pid)
         try:
             images = self.retrying(lambda: self.disk.read_run(start, ppio))
@@ -1153,63 +942,54 @@ class BufferPool:
         scan: bool,
         clean_only: bool = True,
     ) -> None:
-        """Release the neighbor claims of :meth:`_read_run` (no shard lock
+        """Release the neighbor claims of :meth:`_read_run` (lock not
         held), admitting each claimed page that has an image as an
         opportunistic prefetch — skipped when no frame is evictable."""
         claims = iter(claimed)
-        try:
-            for pid in claims:
-                neighbor = self._shards[pid % self.n_shards]
-                with neighbor:
-                    neighbor.inflight.discard(pid)
-                    neighbor.cond.notify_all()
+        with self._lock:
+            try:
+                for pid in claims:
+                    self._inflight.discard(pid)
+                    self._cond.notify_all()
                     image = images[pid - start]
-                    if image is None or neighbor.lookup(pid) is not None:
+                    if image is None or self._lookup(pid) is not None:
                         continue
                     admitted = self._admit(
-                        neighbor,
                         Page.from_bytes(image, self.disk.page_size),
                         scan=scan,
                         required=False,
                         prefetched=True,
                         clean_only=clean_only,
-                        spare_window=True,
                     )
                     if admitted is not None:
                         self.counters.add("prefetch_admitted")
-        finally:
-            # An admission raised (its eviction's write failed): nobody
-            # may be left waiting on the claims not reached.
-            for pid in claims:
-                neighbor = self._shards[pid % self.n_shards]
-                with neighbor:
-                    neighbor.inflight.discard(pid)
-                    neighbor.cond.notify_all()
+            finally:
+                # An admission raised (its eviction's write failed): nobody
+                # may be left waiting on the claims not reached.
+                self._inflight.difference_update(claims)
+                self._cond.notify_all()
 
-    def _read_aligned_run(self, shard: _Shard, page_id: int, scan: bool) -> None:
+    def _read_aligned_run(self, page_id: int, scan: bool) -> None:
         """Miss path for large_io: read the aligned run containing the page.
 
-        The physical read and the neighbors' admission (they live in
-        *other* shards) run with the shard lock released — the caller
-        holds the in-flight claim on ``page_id`` — so the target's
-        residency is re-checked before it is admitted.
+        The physical read and the neighbors' admission run with the lock
+        released — the caller holds the in-flight claim on ``page_id`` —
+        so the target's residency is re-checked before it is admitted.
         """
-        shard.lock.release()
+        self._lock.release()
         try:
             start, images, claimed = self._read_run(page_id)
             self._admit_run(claimed, start, images, scan, clean_only=False)
         finally:
-            shard.lock.acquire()
+            self._lock.acquire()
         image = images[page_id - start]
-        if image is None and shard.lookup(page_id) is None:
+        if image is None and self._lookup(page_id) is None:
             # read_run treats an invalid slot as absent; re-read the
             # required page directly so the disk raises the precise
             # error (never written vs ChecksumError).
-            image = self._io_unlocked(shard, lambda: self.disk.read(page_id))
-        if shard.lookup(page_id) is None:
-            self._admit(
-                shard, Page.from_bytes(image, self.disk.page_size), scan=scan
-            )
+            image = self._io_unlocked(lambda: self.disk.read(page_id))
+        if self._lookup(page_id) is None:
+            self._admit(Page.from_bytes(image, self.disk.page_size), scan=scan)
 
     # --------------------------------------------------------------- prefetch
 
@@ -1221,7 +1001,7 @@ class BufferPool:
         Used by the I/O scheduler's reader threads to pull upcoming source
         leaves into the pool while the copy loop is busy elsewhere.  Best
         effort on every axis: an already-resident page, one another thread
-        is reading, a missing page, or a shard with no *clean* evictable
+        is reading, a missing page, or a pool with no *clean* evictable
         frame all end the attempt quietly — a prefetch never writes a
         dirty page (that is the write path's job) and never pins.  What
         the device raises for the read (a :class:`PermanentIOError`, a
@@ -1247,65 +1027,48 @@ class BufferPool:
         same batching — and the same neighbor claims, see
         :meth:`_read_run` — the demand-fetch miss path uses.  The target
         stays claimed in-flight until it is admitted.  ``scan=True``
-        admissions go to the ring's first-out end and recycle only ring
-        frames — a prefetch storm cannot touch the protected region at
-        all.
+        admissions go to the ring and recycle only consumed ring frames
+        — a prefetch storm can neither touch the protected region nor
+        evict the read-ahead window it is filling.  The scheduler keeps
+        the window within :meth:`readahead_room`.
         """
-        shard = self._shards[page_id % self.n_shards]
         start, images, claimed = page_id, [], []
         next_page: int | None = None
         try:
-            with shard:
-                frame = shard.lookup(page_id)
+            with self._lock:
+                frame = self._lookup(page_id)
                 if frame is not None:
                     self.counters.add("prefetch_skipped_resident")
                     return False, frame.page.next_page
-                if page_id in shard.inflight:
+                if page_id in self._inflight:
                     self.counters.add("prefetch_skipped_inflight")
                     return False, None
-                if page_id in shard.ghost:
-                    # The scan already consumed this page and the ring
-                    # recycled it.  A read-ahead hint pointing here is the
-                    # reader lagging behind the copy loop — re-reading a
-                    # page in the scan's wake is pure waste (if the rebuild
-                    # does re-latch it, that demand fetch promotes it out
-                    # of the ring via the ghost entry).
-                    self.counters.add("prefetch_skipped_consumed")
-                    return False, None
-                if not self._ring_headroom(shard):
-                    # The ring is wall-to-wall with the not-yet-consumed
-                    # read-ahead window: admitting more would either fail
-                    # or eat the window itself.  Refuse *before* paying
-                    # the physical read.
-                    self.counters.add("prefetch_throttled")
-                    return False, None
-                shard.inflight.add(page_id)
+                self._inflight.add(page_id)
                 try:
-                    shard.lock.release()
+                    self._lock.release()
                     try:
                         start, images, claimed = self._read_run(page_id)
                     finally:
-                        shard.lock.acquire()
+                        self._lock.acquire()
                     image = images[page_id - start]
                     if image is None:
                         self.counters.add("prefetch_errors")
-                    elif shard.lookup(page_id) is None:
+                    elif self._lookup(page_id) is None:
                         page = Page.from_bytes(image, self.disk.page_size)
                         if self._admit(
-                            shard, page, scan=scan, required=False,
+                            page, scan=scan, required=False,
                             prefetched=True, clean_only=True,
-                            spare_window=True,
                         ) is not None:
                             self.counters.add("prefetch_admitted")
                             next_page = page.next_page
                 finally:
-                    shard.inflight.discard(page_id)
-                    shard.cond.notify_all()
+                    self._inflight.discard(page_id)
+                    self._cond.notify_all()
         finally:
-            # All locks are dropped now: the target went first (when a
-            # shard's slice fills, the neighbors are the ones to skip).
-            # Runs on the error path too — it is what releases the
-            # neighbor claims.
+            # The lock is dropped now: the target went first (when the
+            # pool fills, the neighbors are the ones to skip).  Runs on
+            # the error path too — it is what releases the neighbor
+            # claims.
             self._admit_run(claimed, start, images, scan)
         return True, next_page
 
@@ -1316,10 +1079,9 @@ class BufferPool:
         empty pool but a consistent disk image.
         """
         self.flush_all()
-        for shard in self._shards:
-            with shard:
-                for table in (shard.frames, shard.ring):
-                    for pid in [
-                        pid for pid, f in table.items() if f.pin_count == 0
-                    ]:
-                        del table[pid]
+        with self._lock:
+            for table in (self._frames, self._ring):
+                for pid in [
+                    pid for pid, f in table.items() if f.pin_count == 0
+                ]:
+                    del table[pid]

@@ -159,7 +159,6 @@ class CrashScheduleHarness:
         finish_after_recovery: bool = False,
         resume_after_recovery: bool = False,
         pipelined: bool = False,
-        pool_shards: int = 1,
         fillfactor: float = 1.0,
         warm_passes: int = 0,
     ) -> None:
@@ -182,12 +181,11 @@ class CrashScheduleHarness:
         asserts that no top action re-copies a unit at or below the
         durable progress key — the PR 7 no-repaid-work guarantee."""
         self.pipelined = pipelined
-        self.pool_shards = pool_shards
         """The benchmark's ``tuned`` shape: the rebuild as it runs on a
         slow device (write-behind + read-ahead threads; off keeps the
-        sweep single-threaded and its call ordinals exact) on a striped
-        pool.  With a ``buffer_capacity`` well under the leaf count they
-        put eviction's run writes and :meth:`BufferPool.retire_page` on
+        sweep single-threaded and its call ordinals exact).  With a
+        ``buffer_capacity`` well under the leaf count the threads put
+        eviction's run writes and :meth:`BufferPool.retire_page` on
         every schedule's path; the I/O threads make disk-call ordinals
         approximate: the nth call may come from another thread than
         during enumeration, and a count that comes up short simply yields
@@ -228,7 +226,6 @@ class CrashScheduleHarness:
             # The one retry budget (the pool's): an armed transient fault
             # must be ridden out, never turned into an abort.
             io_retry_limit=20,
-            pool_shards=self.pool_shards,
         )
         tree = engine.create_index(key_len=4)
         order = list(range(self.key_count))

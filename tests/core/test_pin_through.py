@@ -148,23 +148,18 @@ def test_a_top_action_that_raises_in_propagation_leaves_no_pin():
 
 
 @pytest.mark.parametrize(
-    "frames, engine_kwargs, min_service",
-    [
-        (24, {}, math.inf),
-        (40, {}, math.inf),
-        (64, {}, math.inf),
-        (64, {"pool_shards": 4}, 0.0),
-    ],
+    "frames, min_service",
+    [(24, math.inf), (40, math.inf), (64, math.inf), (64, 0.0)],
     ids=["24", "40", "64", "64-tuned"],
 )
 def test_a_small_pool_gets_shorter_top_actions_not_an_abort(
-    frames, engine_kwargs, min_service, monkeypatch
+    frames, min_service, monkeypatch
 ):
     """``ntasize=32`` on a pool that cannot spare 32 pins: the run ends
     where the pool's bound says (the rebuild does not wait for P_i,
     i > 1), and the rebuild completes — as it did when sources were not
     held."""
-    engine = Engine(buffer_capacity=frames, lock_timeout=15.0, **engine_kwargs)
+    engine = Engine(buffer_capacity=frames, lock_timeout=15.0)
     index = engine.create_index(key_len=4)
     make_half_empty(index, 6000)
     expected = contents_as_ints(index)

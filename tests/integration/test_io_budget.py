@@ -23,7 +23,7 @@ ring recycles."""
 
 def test_pressured_rebuild_reads_once_and_writes_only_new_pages(monkeypatch):
     engine = Engine(
-        page_size=2048, io_size=16384, buffer_capacity=256, pool_shards=4
+        page_size=2048, io_size=16384, buffer_capacity=256
     )
     tree = bulk_load(
         engine, [intkey(2 * i) for i in range(100_000)], 4, fill=0.5
@@ -67,19 +67,20 @@ per rebuilt page at fill 0.5 → 1.0; the job measures 477 calls for 2 410
 pages, 0.19793."""
 REPEAT_SLACK = 8
 """Calls two jobs may differ by.  Measured over 50 jobs each: all 50 at
-477 on an idle host at the default switch interval; 477–485 in 49 of 50
-under ``sys.setswitchinterval(1e-5)`` (the same at the parent commit
-set to one worker; its two workers spread over 17 calls in the suite)."""
+477 on an idle host at the default switch interval; under
+``sys.setswitchinterval(1e-5)`` 477–485 in 49 of 50 on the four-shard
+pool with the consumption watermark, and 477 in 50 of 50 on the one-lock
+pool without it."""
 
 
 def cold_tuned_job() -> tuple[int, int]:
     """One pass as the suite's ``rebuild_io`` runs it: 200 k keys at fill
-    0.5, a cold 512-frame pool in 4 shards, 1 ms a device call, pinned
+    0.5, a cold 512-frame pool, 1 ms a device call, pinned
     to the pipelined mode by the caller's fixture (what the run picks by
     itself, give or take a call, is ``test_io_mode.py``'s).  Returns
     (device calls, pages rebuilt)."""
     engine = Engine(
-        page_size=2048, io_size=16384, buffer_capacity=512, pool_shards=4
+        page_size=2048, io_size=16384, buffer_capacity=512
     )
     tree = bulk_load(
         engine, [intkey(2 * i) for i in range(200_000)], 4, fill=0.5
@@ -118,7 +119,7 @@ def test_run_starts_no_thread_but_the_schedulers(pipelined):
     """Every top action runs on the thread that called ``run()``, and the
     only threads alive beside it that were not before are the I/O
     scheduler's readers and writers — which do not outlive the run."""
-    engine = Engine(buffer_capacity=2048, pool_shards=4)
+    engine = Engine(buffer_capacity=2048)
     tree = bulk_load(engine, [intkey(2 * i) for i in range(8_000)], 4)
     before = set(threading.enumerate())
     drivers: set[str] = set()

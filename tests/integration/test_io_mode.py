@@ -87,7 +87,7 @@ def cold_engine():
     1 ms device — so the device calls of a pass do not depend on how the
     I/O threads were scheduled."""
     engine = Engine(
-        page_size=2048, io_size=16384, buffer_capacity=4096, pool_shards=4,
+        page_size=2048, io_size=16384, buffer_capacity=4096,
         trace=True,
     )
     tree = bulk_load(

@@ -11,8 +11,8 @@ scheduler's own condition (:meth:`IOScheduler.wait_readahead`).
 (b) with the window full, a top action's source reads cost the copy
     thread no physical call (``rebuild_demand_reads``);
 (c) the window never exceeds the pool's ``readahead_room()`` and is
-    requested past half of it, and ``prefetch_unused`` stays at or below
-    the parent commit's;
+    requested past half of it, and ``prefetch_unused`` stays under a bound
+    measured on the one-lock pool;
 (d) a SHRINK bit on the level-1 page sends the reader down the
     ``next_page`` chain, never into an address-lock wait;
 (e) the leaf order read off level 1 equals the ``next_page`` chain on a
@@ -40,10 +40,14 @@ from tests.conftest import intkey
 
 WAIT = 30.0  # bound on every wait below; none of them is expected to expire
 
-PARENT_PREFETCH_UNUSED = 585
-"""``prefetch_unused`` of the parent commit (one-shot hint per top action,
-one reader) on the configuration of (c): the median of six runs at zero
-device latency (473, 533, 579, 591, 612, 710)."""
+PREFETCH_UNUSED_BOUND = 400
+"""``prefetch_unused`` on the configuration of (c), at zero device
+latency.  140 runs of the one-lock pool: 0 in 91, at most 100 in 137,
+and 223, 296 and 298 once each; the four-shard pool with the consumption
+watermark before it read 35–160 (10 runs), and the one-shot hint per top
+action before that 473–710 (6 runs).  Writing the window off as it
+fills — what the watermark did at every run, and what an uncapped window
+does — reads far above the bound."""
 
 
 class GatedDisk(Disk):
@@ -183,7 +187,7 @@ def test_windows_stay_within_the_rings_room(pipelined):
     """The one window is requested up to the pool's whole room — not a
     share of it — and never past it."""
     engine, tree, disk, chain = cold_index(
-        100_000, buffer_capacity=512, pool_shards=4
+        100_000, buffer_capacity=512
     )
     rebuild = OnlineRebuild(tree)
     requested: list[tuple[int, int]] = []
@@ -203,7 +207,7 @@ def test_windows_stay_within_the_rings_room(pipelined):
     assert requested and all(room == 64 for _n, room in requested)
     assert 32 < max(n for n, _room in requested) <= 64
     assert (
-        report.counter_deltas["prefetch_unused"] <= PARENT_PREFETCH_UNUSED
+        report.counter_deltas["prefetch_unused"] <= PREFETCH_UNUSED_BOUND
     )
     tree.verify()
 

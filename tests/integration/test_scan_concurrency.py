@@ -29,7 +29,7 @@ PASSES = 5
 def test_scans_return_every_stable_key_once_under_writes_and_rebuilds(lock_rows):
     engine = Engine(
         page_size=512, buffer_capacity=4096, lock_timeout=30.0,
-        lock_rows=lock_rows, pool_shards=2,
+        lock_rows=lock_rows,
     )
     tree = bulk_load(engine, [intkey(2 * i) for i in range(KEYS)], 4, fill=0.5)
     stop = threading.Event()

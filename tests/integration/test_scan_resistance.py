@@ -1,27 +1,19 @@
 """Scan-resistant pool under a real rebuild (issue 8).
 
-The ring and the shards are physical: whatever the replacement policy
-did, the rebuilt index must hold exactly the same keys and verify clean.
+The ring is physical: whatever the replacement policy did, the rebuilt
+index must hold exactly the same keys and verify clean.
 The point of the ring is then proved end-to-end: a hot working set
 belonging to *another* index survives a pressured rebuild untouched.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro import Engine, OnlineRebuild, RebuildConfig
 from tests.conftest import contents_as_ints, intkey, make_half_empty
 
 
-def build_two_indexes(
-    buffer_capacity: int, pool_shards: int = 1, big_keys: int = 8_000
-):
-    engine = Engine(
-        buffer_capacity=buffer_capacity,
-        lock_timeout=30.0,
-        pool_shards=pool_shards,
-    )
+def build_two_indexes(buffer_capacity: int, big_keys: int = 8_000):
+    engine = Engine(buffer_capacity=buffer_capacity, lock_timeout=30.0)
     big = engine.create_index(key_len=4)
     make_half_empty(big, big_keys)
     hot = engine.create_index(key_len=4)
@@ -43,9 +35,8 @@ def hot_misses_during(engine, fn) -> int:
     return engine.counters.snapshot()["pool_demand_misses"] - before
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_rebuild_with_ring_and_shards_preserves_contents(shards, pipelined):
-    engine, big, _hot = build_two_indexes(4096, pool_shards=shards)
+def test_rebuild_with_ring_preserves_contents(pipelined):
+    engine, big, _hot = build_two_indexes(4096)
     expected = contents_as_ints(big)
     engine.ctx.buffer.evict_all()
     report = OnlineRebuild(big, RebuildConfig(ntasize=8, xactsize=32)).run()

@@ -131,7 +131,7 @@ def warm_index():
     pass freed had taken a committed insert first, and as many of the
     leaves it built have since.  Returns (engine, tree, disk)."""
     engine = Engine(
-        page_size=2048, io_size=16384, buffer_capacity=8192, pool_shards=4
+        page_size=2048, io_size=16384, buffer_capacity=8192
     )
     tree = bulk_load(engine, [intkey(2 * i) for i in range(KEYS)], 4, fill=0.5)
     engine.checkpoint()

@@ -2,10 +2,9 @@
 
 Random interleavings of demand fetches, scan fetches, prefetches, pins,
 dirtying, and new-page allocations against pools of varying capacity
-and striping (hence ring quota: a quarter of each shard's slice) must
-never (a) evict a pinned frame, (b) exceed total or per-shard capacity,
-or (c) let a scan through the ring change a pure-OLTP workload's hit
-pattern.  With logged row appends, unlogged
+(hence ring quota: a quarter of the pool) must never (a) evict a pinned
+frame, (b) exceed capacity, or (c) let a scan through the ring change a
+pure-OLTP workload's hit pattern.  With logged row appends, unlogged
 bit flips, flushes, large-I/O reads, ``retire_page``, pages freed and
 their ids handed out again (``new_page`` drops the dead image) and
 truncating checkpoints in the mix, (d) every fetch still sees every
@@ -34,29 +33,21 @@ op_strategy = st.lists(
     max_size=120,
 )
 
-geometry = st.tuples(
-    st.sampled_from([8, 16, 24, 32, 48]),  # capacity
-    st.sampled_from([1, 2, 3]),             # shards
-)
+capacities = st.sampled_from([8, 16, 24, 32, 48])
 
 
-def _make_pool(capacity: int, shards: int) -> BufferPool:
+def _make_pool(capacity: int) -> BufferPool:
     counters = Counters()
     disk = Disk(counters=counters)
     for pid in PAGE_IDS:
         disk.write(pid, Page(pid, disk.page_size).to_bytes())
-    return BufferPool(
-        disk, capacity=capacity, counters=counters, shards=shards
-    )
+    return BufferPool(disk, capacity=capacity, counters=counters)
 
 
-@given(ops=op_strategy, geom=geometry)
+@given(ops=op_strategy, capacity=capacities)
 @settings(max_examples=120, deadline=None)
-def test_pins_capacity_and_shard_quotas_hold(ops, geom):
-    capacity, shards = geom
-    if capacity // shards < 8:
-        shards = 1
-    pool = _make_pool(capacity, shards)
+def test_pins_capacity_and_shard_quotas_hold(ops, capacity):
+    pool = _make_pool(capacity)
     pinned: dict[int, int] = {}
     try:
         for op, pid, dirty in ops:
@@ -84,13 +75,8 @@ def test_pins_capacity_and_shard_quotas_hold(ops, geom):
             for held in pinned:
                 assert pool.is_resident(held), f"pinned {held} evicted"
                 assert pool.pin_count(held) >= 1
-            # Invariant: capacity bounds hold globally and per shard.
-            total = 0
-            for shard in pool._shards:
-                resident = shard.resident()
-                assert resident <= shard.capacity
-                total += resident
-            assert total <= capacity
+            # Invariant: the pool never holds more frames than it has.
+            assert len(pool._resident_ids()) <= capacity
     finally:
         for held in pinned:
             pool.unpin(held)
@@ -113,7 +99,7 @@ def test_oltp_hit_pattern_unchanged_by_scan_with_ring(hot, scan_pages):
     # OLTP working set beside its ring.  The demand hit/miss totals must
     # be identical: the ring absorbed the scan completely.
     def run(with_scan: bool) -> tuple[int, int]:
-        pool = _make_pool(capacity=16, shards=1)
+        pool = _make_pool(capacity=16)
         scans = iter(scan_pages if with_scan else [])
         for pid in hot:
             pool.fetch(pid)
@@ -147,7 +133,7 @@ wal_ops = st.lists(
 )
 
 
-def run_wal_ops(ops, geom) -> None:
+def run_wal_ops(ops, capacity: int) -> None:
     # The model is a durable log of row appends, each stamped into its
     # page's page_lsn the way log_page_change does.  Bit flips are the
     # rebuild's unlogged protocol state.  retire_page may drop a frame at
@@ -158,16 +144,11 @@ def run_wal_ops(ops, geom) -> None:
     # may be lost — neither to a later fetch (a stale image shadowing a
     # newer one) nor to recovery (stored image + redo of what is left of
     # the log above its page_lsn).
-    capacity, shards = geom
-    if capacity // shards < 8:
-        shards = 1
     counters = Counters()
     disk = Disk(io_size=4 * 2048, counters=counters)
     for pid in WAL_IDS:
         disk.write(pid, Page(pid, disk.page_size).to_bytes())
-    pool = BufferPool(
-        disk, capacity=capacity, counters=counters, shards=shards
-    )
+    pool = BufferPool(disk, capacity=capacity, counters=counters)
     log: list[tuple[int, int, bytes | None]] = []  # (lsn, page id, row)
     truncated = 0  # records up to this LSN are gone from the log
     model: dict[int, list[bytes]] = {pid: [] for pid in WAL_IDS}
@@ -232,10 +213,10 @@ def run_wal_ops(ops, geom) -> None:
         assert redone == rows, f"page {pid}: stored image + redo != model"
 
 
-@given(ops=wal_ops, geom=geometry)
+@given(ops=wal_ops, capacity=capacities)
 @settings(max_examples=100, deadline=None)
-def test_stored_image_plus_redo_equals_model_with_retire(ops, geom):
-    run_wal_ops(ops, geom)
+def test_stored_image_plus_redo_equals_model_with_retire(ops, capacity):
+    run_wal_ops(ops, capacity)
 
 
 def test_dropping_a_deallocated_pages_pending_change_is_told(monkeypatch):
@@ -249,7 +230,7 @@ def test_dropping_a_deallocated_pages_pending_change_is_told(monkeypatch):
         return True
 
     ops = [("logged", 1), ("retire", 1), ("scan", 1)]
-    run_wal_ops(ops, (8, 1))
+    run_wal_ops(ops, 8)
     monkeypatch.setattr(BufferPool, "retire_page", retire_dropping_anything)
     with pytest.raises(AssertionError, match="scan of 1 lost a change"):
-        run_wal_ops(ops, (8, 1))
+        run_wal_ops(ops, 8)

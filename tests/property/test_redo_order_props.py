@@ -449,9 +449,8 @@ def watching_drops(dropped: list):
     new_page = BufferPool.new_page
 
     def watching(pool, page_id, scan=False):
-        shard = pool._shards[page_id % pool.n_shards]
-        with shard:
-            frame = shard.lookup(page_id)
+        with pool._lock:
+            frame = pool._lookup(page_id)
             if frame is not None:
                 dropped.append(
                     (frame.page.page_lsn, frame.clean_lsn, frame.dirty)

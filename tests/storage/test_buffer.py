@@ -112,7 +112,7 @@ def test_new_page_waits_out_a_write_of_the_dead_image_in_flight(counters):
     flusher = threading.Thread(target=pool.flush_page, args=(3,))
     flusher.start()
     assert disk.write_entered.wait(10)
-    cond = pool._shards[0].cond
+    cond = pool._cond
     parked, real_wait = threading.Event(), cond.wait
 
     def wait_noting_it(timeout=None):

@@ -2,8 +2,8 @@
 
 Dirty evictions historically wrote to disk *under* the pool lock, so any
 concurrent hit — even of a different, resident page — stalled behind a
-device write.  They now run through the per-shard in-flight-write table
-with the lock released, like every other I/O path.  These tests gate the
+device write.  They now run through the in-flight-write table with
+the lock released, like every other I/O path.  These tests gate the
 pool on a disk whose writes (or reads) block on an event and prove other
 threads still get through.
 """
@@ -132,49 +132,3 @@ def test_redirty_during_eviction_write_is_not_lost(counters):
     assert fresh.fetch(4).rows == [b"late-update"]
     fresh.unpin(4)
 
-
-def test_two_shards_write_concurrently(counters):
-    # With two shards, two dirty evictions (one per shard) can both be
-    # parked in the device at once — the second eviction does not queue
-    # behind the first shard's lock.
-    disk = GatedDisk(Disk(counters=counters))
-    pool = BufferPool(disk, capacity=16, counters=counters, shards=2)
-    for pid in range(1, 17):
-        put_page(disk, pid)
-        pool.fetch(pid)
-        pool.unpin(pid, dirty=pid in (1, 2))
-    for pid in (17, 18):  # one new page per shard
-        put_page(disk, pid)
-    disk.write_gate.clear()
-    entered: list[int] = []
-    entered_lock = threading.Lock()
-    both_in = threading.Event()
-
-    real_write = disk.inner.write
-
-    def write(page_id: int, image: bytes) -> None:
-        with entered_lock:
-            entered.append(page_id)
-            if len(entered) >= 2:
-                both_in.set()
-        assert disk.write_gate.wait(timeout=10)
-        real_write(page_id, image)
-
-    disk.write = write
-
-    def evict(pid: int) -> None:
-        pool.fetch(pid)
-        pool.unpin(pid)
-
-    threads = [
-        threading.Thread(target=evict, args=(pid,)) for pid in (17, 18)
-    ]
-    for t in threads:
-        t.start()
-    overlapped = both_in.wait(timeout=5)
-    disk.write_gate.set()
-    for t in threads:
-        t.join(timeout=5)
-    assert overlapped, "shard evictions serialized instead of overlapping"
-    assert not any(t.is_alive() for t in threads), "evictions never finished"
-    assert sorted(entered)[:2] == [1, 2]

@@ -29,7 +29,7 @@ def pool() -> BufferPool:
     disk = Disk(page_size=512, counters=Counters())
     for pid in range(1, 9):
         put_page(disk, pid, b"row-%d" % pid)
-    return BufferPool(disk, capacity=16, counters=disk.counters, shards=2)
+    return BufferPool(disk, capacity=16, counters=disk.counters)
 
 
 def resident(pool: BufferPool, pid: int):

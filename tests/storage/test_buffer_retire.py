@@ -5,7 +5,7 @@ the claimed run read.
   writing it when the stored image already carries every logged change —
   and only then (each clause of its safety argument has a test here).
 * A dirty ring victim is written together with the dirty frames of its
-  io-size-aligned disk run, whichever shards hold them, in one call.
+  io-size-aligned disk run in one call.
 * A large-I/O read admits only the neighbors it claimed before the read,
   so an image read before a concurrent evict-write never shadows it.
 """
@@ -179,12 +179,12 @@ def test_retire_refuses_pinned_and_writing_frames(counters):
 
 
 def run_of_dirty_ring_frames(counters, disk=None):
-    """shards=4, 8 pages per I/O: pages 1..8 (one disk run, two per shard)
-    resident, dirty, in the ring; every shard's ring is at quota."""
+    """8 pages per I/O: pages 1..8 (one disk run) resident, dirty, in the
+    ring, which is at its quota (8 of 32 frames)."""
     disk = disk or Disk(io_size=8 * 2048, counters=counters)
     for pid in range(1, 9):
         put_page(disk, pid)
-    pool = BufferPool(disk, capacity=32, counters=counters, shards=4)
+    pool = BufferPool(disk, capacity=32, counters=counters)
     for pid in range(1, 9):
         pool.fetch(pid, scan=True).append_row(b"dirty-%d" % pid)
         pool.unpin(pid, dirty=True)
@@ -194,7 +194,7 @@ def run_of_dirty_ring_frames(counters, disk=None):
 def test_evicting_one_dirty_ring_frame_writes_its_whole_run_in_one_call(counters):
     disk, pool = run_of_dirty_ring_frames(counters)
     before = counters.snapshot()
-    pool.new_page(9, scan=True)  # shard 1's ring is full: evicts page 1
+    pool.new_page(9, scan=True)  # the ring is full: evicts page 1
     pool.unpin(9)
     delta = counters.diff(before)
     assert delta["disk_io_calls"] == 1
@@ -208,7 +208,7 @@ def test_evicting_one_dirty_ring_frame_writes_its_whole_run_in_one_call(counters
         assert stored_rows(disk, pid) == [b"dirty-%d" % pid]
 
 
-def test_run_write_span_reports_pages_and_shards(counters):
+def test_run_write_span_reports_pages(counters):
     from repro.obs.tracer import Tracer
 
     _disk, pool = run_of_dirty_ring_frames(counters)
@@ -216,7 +216,7 @@ def test_run_write_span_reports_pages_and_shards(counters):
     pool.new_page(9, scan=True)
     pool.unpin(9)
     (span,) = [s for s in pool.tracer.spans() if s.name == "buffer.gang_flush"]
-    assert span.attrs == {"pages": 8, "shards": 4}
+    assert span.attrs == {"pages": 8}
 
 
 def test_run_mate_redirtied_during_the_run_write_stays_dirty(counters):
@@ -262,10 +262,9 @@ def test_run_write_skips_pinned_mates_and_keeps_them_dirty(counters):
 # ------------------------------------------------------- claimed run reads
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("via", ["fetch", "prefetch"])
 def test_run_read_never_admits_a_neighbor_written_during_the_read(
-    counters, shards, via
+    counters, via
 ):
     """run-read → evict-write → admit: page 2 is resident and newer than
     its disk image when the run read of page 1 starts; the write and the
@@ -274,7 +273,7 @@ def test_run_read_never_admits_a_neighbor_written_during_the_read(
     disk = HookedDisk(Disk(io_size=8 * 2048, counters=counters))
     for pid in range(1, 9):
         put_page(disk, pid, b"old-%d" % pid)
-    pool = BufferPool(disk, capacity=64, counters=counters, shards=shards)
+    pool = BufferPool(disk, capacity=64, counters=counters)
     pool.fetch(2).append_row(b"committed-update")
     pool.unpin(2, dirty=True)
     disk.after_read_run = pool.evict_all  # flush page 2, drop its frame
@@ -297,7 +296,7 @@ def test_run_read_failure_releases_the_neighbor_claims(counters):
     def fail() -> None:
         raise RuntimeError("device error")
 
-    pool = BufferPool(disk, capacity=64, counters=counters, shards=4)
+    pool = BufferPool(disk, capacity=64, counters=counters)
     disk.after_read_run = fail
     with pytest.raises(RuntimeError):
         pool.fetch(1, large_io=True)
@@ -316,7 +315,7 @@ def test_admission_failure_releases_the_claims_not_reached(
     disk = HookedDisk(Disk(io_size=8 * 2048, counters=counters))
     for pid in range(1, 9):
         put_page(disk, pid)
-    pool = BufferPool(disk, capacity=64, counters=counters, shards=4)
+    pool = BufferPool(disk, capacity=64, counters=counters)
     admit = pool._admit
 
     def fail_once(*args, **kwargs):
@@ -326,7 +325,7 @@ def test_admission_failure_releases_the_claims_not_reached(
     monkeypatch.setattr(pool, "_admit", fail_once)
     with pytest.raises(RuntimeError):
         pool.fetch(1, large_io=True)
-    assert all(not shard.inflight for shard in pool._shards)
+    assert not pool._inflight
     for pid in range(1, 9):
         pool.fetch(pid)
         pool.unpin(pid)

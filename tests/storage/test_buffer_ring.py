@@ -1,4 +1,4 @@
-"""Scan-resistant replacement: rebuild ring, 2Q promotion, lock striping."""
+"""Scan-resistant replacement: rebuild ring, 2Q promotion, the one lock."""
 
 import threading
 
@@ -27,11 +27,9 @@ def put_page(disk: Disk, pid: int, marker: bytes = b"") -> None:
     disk.write(pid, page.to_bytes())
 
 
-def make_pool(disk, counters, capacity=16, shards=1) -> BufferPool:
-    """The ring is a quarter of each shard's slice: 4 frames of 16."""
-    return BufferPool(
-        disk, capacity=capacity, counters=counters, shards=shards
-    )
+def make_pool(disk, counters, capacity=16) -> BufferPool:
+    """The ring is a quarter of the pool: 4 frames of 16."""
+    return BufferPool(disk, capacity=capacity, counters=counters)
 
 
 def test_demand_hit_and_miss_counters(disk, counters):
@@ -122,77 +120,46 @@ def test_new_page_scan_goes_to_ring_and_recycles(disk, counters):
     assert counters.snapshot()["ring_admits"] == 20
 
 
-# --------------------------------------------------- prefetch x ring (sat 2)
+# --------------------------------------------------------- prefetch x ring
 
 
-def test_overprefetch_past_scan_end_counts_unused(disk, counters):
-    # Read-ahead runs past where the scan actually stops.  Frames the
-    # scan moved past without consuming are first-out of the ring and
-    # counted ``prefetch_unused``; once the ring is wall-to-wall with
-    # the not-yet-consumed window, further read-ahead is refused before
-    # the physical read (``prefetch_throttled``) instead of eating it.
-    pool = make_pool(disk, counters, capacity=16)
-    for pid in range(1, 13):
+def test_skipped_read_ahead_is_the_last_ring_victim(disk, counters):
+    """A read-ahead frame the scan skipped is not written off: every
+    consumed ring frame is recycled before it, a speculative admission
+    never evicts it, and it is counted ``prefetch_unused`` only when it
+    is the one ring frame left to take."""
+    pool = make_pool(disk, counters)  # a 4-frame ring
+    for pid in range(1, 18):
         put_page(disk, pid)
-    for pid in range(1, 5):
+    for pid in (1, 2, 3):
         pool.prefetch(pid, scan=True)
-    # The scan skips ahead to page 4: pages 1-3 are bypassed speculation.
-    pool.fetch(4, scan=True)
-    pool.unpin(4)
-    before = counters.snapshot()
-    for pid in range(5, 13):
-        pool.prefetch(pid, scan=True)
-    snap = counters.snapshot()
-    # Bypassed frames (1-3) recycle first-out; the throttle caps how
-    # many of the second wave even get admitted, so at least two of the
-    # bypassed frames are recycled to make room before it kicks in.
-    assert snap["prefetch_unused"] >= 2
-    assert snap["prefetch_throttled"] >= 1
-    assert snap["hot_evictions_by_scan"] == 0
-    # The throttled hints paid no physical I/O: the second wave's reads
-    # are bounded by what it actually admitted.
-    extra_reads = snap["disk_io_calls"] - before["disk_io_calls"]
-    admitted = snap["prefetch_admitted"] - before["prefetch_admitted"]
-    assert extra_reads <= admitted + 1
-
-
-def test_used_ring_page_outlives_unused_prefetched_ones(counters):
-    disk = Disk(io_size=2048 * 4, counters=counters)  # 4 pages per IO
-    pool = make_pool(disk, counters, capacity=16)
-    ppio = disk.pages_per_io
-    # One aligned run's worth of prefetched pages, then *use* one of them.
-    for pid in range(1, ppio + 1):
-        put_page(disk, pid)
-    pool.prefetch(1, scan=True)
-    used = min(2, ppio)
-    pool.fetch(used, scan=True)
-    pool.unpin(used)
-    # The scan consumed page 2, so page 1 (admitted before it, never
-    # fetched) is bypassed speculation while pages 3-4 are the live
-    # window ahead of the watermark.  The next scan admission recycles
-    # the bypassed frame first: the used page and the window survive.
-    put_page(disk, 100)
-    pool.fetch(100, scan=True)
-    pool.unpin(100)
+    for pid in (2, 3, *range(10, 16)):  # the scan skips page 1
+        pool.fetch(pid, scan=True)
+        pool.unpin(pid)
+    assert pool.is_resident(1)
+    assert not any(pool.is_resident(pid) for pid in (2, 3, 10, 11, 12))
+    assert counters.prefetch_unused == 0
+    # Every other ring frame pinned: read-ahead finds nothing it may take.
+    for pid in (13, 14, 15):
+        pool.fetch(pid, scan=True)
+    pool.prefetch(16, scan=True)
+    assert pool.is_resident(1) and not pool.is_resident(16)
+    assert counters.prefetch_unused == 0
+    # The scan's own admission may: the skipped frame is its last victim.
+    pool.fetch(17, scan=True)
+    pool.unpin(17)
     assert not pool.is_resident(1)
-    assert pool.is_resident(used)
-    assert pool.is_resident(3) and pool.is_resident(4)
-    assert counters.snapshot()["prefetch_unused"] >= 1
-    # With no bypassed frames left, the oldest *consumed* frame goes
-    # next — the scan is done with it — and the window still survives
-    # (evicting pages the scan is about to read would re-buy their I/O).
-    put_page(disk, 101)
-    pool.fetch(101, scan=True)
-    pool.unpin(101)
-    assert not pool.is_resident(used)
-    assert pool.is_resident(3) and pool.is_resident(4)
+    assert counters.prefetch_unused == 1
+    assert counters.hot_evictions_by_scan == 0
+    for pid in (13, 14, 15):
+        pool.unpin(pid)
 
 
-# ------------------------------------------------------------------ striping
+# ------------------------------------------------------------- the one lock
 
 
 def test_sharded_pool_spreads_and_flushes(disk, counters):
-    pool = make_pool(disk, counters, capacity=32, shards=4)
+    pool = make_pool(disk, counters, capacity=32)
     dirty_ids = []
     for pid in range(1, 25):
         page = pool.new_page(pid)
@@ -211,54 +178,50 @@ def test_sharded_pool_spreads_and_flushes(disk, counters):
 
 
 def test_shard_capacity_never_exceeded(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, shards=2)
+    pool = make_pool(disk, counters, capacity=16)
     for pid in range(1, 41):
         put_page(disk, pid)
-        pool.fetch(pid)
+        pool.fetch(pid, scan=pid % 3 == 0)
         pool.unpin(pid)
-    resident = sum(pool.is_resident(pid) for pid in range(1, 41))
-    assert resident <= 16
-    for shard in pool._shards:
-        assert shard.resident() <= shard.capacity
+    assert sum(pool.is_resident(pid) for pid in range(1, 41)) == 16
 
 
-def test_shard_conflict_counter_fires_on_contention(disk, counters):
-    pool = make_pool(disk, counters, capacity=16, shards=2)
+class NotingCounters(Counters):
+    """Counters that tell when a thread found the pool lock held."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.conflict = threading.Event()
+
+    def add(self, name: str, amount: int = 1) -> None:
+        super().add(name, amount)
+        if name == "pool_shard_conflicts":
+            self.conflict.set()
+
+
+def test_shard_conflict_counter_fires_on_contention():
+    counters = NotingCounters()
+    disk = Disk(counters=counters)
+    pool = make_pool(disk, counters)
     put_page(disk, 2)
     pool.fetch(2)
     pool.unpin(2)
-    shard = pool._shards[0]  # page 2 lives in shard 0
-    shard.lock.acquire()
-    try:
+    assert counters.pool_shard_conflicts == 0
+    with pool._lock:
         probe = threading.Thread(target=pool.is_resident, args=(2,))
         probe.start()
-        # The probe thread is now blocked on shard 0's lock; its failed
-        # non-blocking acquire has already been counted.
-        deadline = 100
-        while (
-            counters.snapshot()["pool_shard_conflicts"] == 0 and deadline > 0
-        ):
-            deadline -= 1
-            threading.Event().wait(0.01)
-    finally:
-        shard.lock.release()
-    probe.join(timeout=5)
-    assert counters.snapshot()["pool_shard_conflicts"] >= 1
+        # Rendezvous: the probe's non-blocking attempt failed and counted.
+        assert counters.conflict.wait(10)
+    probe.join(10)
+    assert not probe.is_alive()
+    assert counters.pool_shard_conflicts == 1
 
 
 def test_crash_clears_every_shard(disk, counters):
-    pool = make_pool(disk, counters, capacity=32, shards=4)
+    pool = make_pool(disk, counters, capacity=32)
     for pid in range(1, 9):
         put_page(disk, pid)
         pool.fetch(pid, scan=(pid % 2 == 0))
         pool.unpin(pid)
     pool.crash()
     assert not any(pool.is_resident(pid) for pid in range(1, 9))
-
-
-def test_shard_validation():
-    d = Disk()
-    with pytest.raises(Exception):
-        BufferPool(d, capacity=16, shards=0)
-    with pytest.raises(Exception):
-        BufferPool(d, capacity=16, shards=4)  # under 8 frames per shard

@@ -1,16 +1,18 @@
 """The no-I/O-under-lock AST lint (tools/lint_no_io_under_lock.py).
 
 The lint is the static-analysis form of the buffer pool's promise that
-every physical disk call runs with the shard lock released.  These tests
+every physical disk call runs with the pool lock released.  These tests
 pin its semantics: direct disk calls under a lock-ish ``with`` are
 violations, the ``_io_unlocked`` escape hatch is honored, ``retrying``
 is *not* an escape hatch, and the real storage tree is clean.
 """
 
+import ast
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+STORAGE = REPO_ROOT / "src" / "repro" / "storage"
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 from lint_no_io_under_lock import check_file, check_source  # noqa: E402
@@ -31,8 +33,8 @@ def test_disk_call_under_self_lock_is_flagged():
 
 
 def test_disk_call_under_bare_name_shard_is_flagged():
-    # Bare-name context managers in storage/ are shard lock scopes; the
-    # lint errs broad so a renamed shard variable cannot slip past it.
+    # A bare-name context manager in storage/ is taken for a lock scope;
+    # the lint errs broad so a lock held by a local name cannot slip past.
     src = (
         "def f(self, shard, pid):\n"
         "    with shard:\n"
@@ -147,9 +149,26 @@ def test_raw_device_call_with_no_lock_held_is_clean():
     assert violations(src) == []
 
 
+def test_disk_call_under_the_pool_lock_is_flagged():
+    """Whatever the pool's one lock is called, the lint sees it: the real
+    ``BufferPool.fetch`` with a device read added at the top of its
+    locked block is flagged, and is clean without it."""
+    source = (STORAGE / "buffer.py").read_text()
+    tree = ast.parse(source)
+    fetch = next(
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "fetch"
+    )
+    locked = next(w for w in ast.walk(fetch) if isinstance(w, ast.With))
+    locked.body.insert(0, ast.parse("self.disk.read(page_id)").body[0])
+    assert violations(source) == []
+    assert violations(ast.unparse(tree)) == [
+        "disk call `self.disk.read(...)` inside a lock-holding `with` block"
+    ]
+
+
 def test_storage_tree_is_clean():
-    storage = REPO_ROOT / "src" / "repro" / "storage"
     failures = []
-    for path in sorted(storage.rglob("*.py")):
+    for path in sorted(STORAGE.rglob("*.py")):
         failures.extend(check_file(path))
     assert failures == []

@@ -3,7 +3,7 @@
 
 The buffer pool's docstring promises that every disk call — miss reads,
 prefetch reads, batch flushes, dirty-eviction writes — runs with the
-shard lock *released*.  This tool turns that promise from convention into
+pool lock *released*.  This tool turns that promise from convention into
 a static guarantee: it fails if any ``*.disk.*(...)`` call is
 syntactically nested inside a ``with <lock-ish>:`` block in the storage
 layer.  The pool entry points the I/O scheduler's threads drive the
@@ -21,11 +21,11 @@ on a slow device would take turns on a file-backed engine.
 What counts as a lock-ish ``with`` context manager:
 
 * any expression whose source mentions a lock-flavored word
-  (``lock``, ``cond``, ``cv``, ``latch``, ``mutex``, ``gate``,
-  ``shard``), e.g. ``with self._lock:``, ``with shard.cond:``;
-* any bare-name context manager (``with shard:``, ``with neighbor:``) —
-  in ``storage/`` those are shard lock scopes, and erring broad keeps a
-  renamed shard variable from silently escaping the lint.
+  (``lock``, ``cond``, ``cv``, ``latch``, ``mutex``, ``gate``), e.g.
+  ``with self._lock:`` (the buffer pool's one lock), ``with self._cv:``;
+* any bare-name context manager (``with guard:``) — in ``storage/`` a
+  bare name is taken for a lock held by a local variable, and erring
+  broad keeps a renamed lock from silently escaping the lint.
 
 Exemption: a lambda or nested ``def`` passed as an argument to a
 ``*._io_unlocked(...)`` call is *not* flagged even when it contains disk
@@ -47,12 +47,12 @@ import ast
 import sys
 from pathlib import Path
 
-LOCKISH_WORDS = ("lock", "cond", "cv", "latch", "mutex", "gate", "shard")
+LOCKISH_WORDS = ("lock", "cond", "cv", "latch", "mutex", "gate")
 
 
 def _is_lockish(expr: ast.expr) -> bool:
     if isinstance(expr, ast.Name):
-        return True  # bare-name context managers in storage/ are shards
+        return True  # a bare name in storage/ is taken for a lock
     source = ast.unparse(expr).lower()
     return any(word in source for word in LOCKISH_WORDS)
 

@@ -1,9 +1,11 @@
-"""Syncpoints: failpoint-style hooks for deterministic concurrency tests.
+"""Syncpoints: the engine's one channel of named protocol points.
 
 The engine calls :meth:`SyncPoints.fire` at protocol-interesting moments
 ("leaf split set SPLIT bits", "rebuild copy phase locked pages", "about to
-flush new pages", ...).  In production use every fire is a dictionary miss.
-Tests attach callbacks to:
+flush new pages", ...).  When nothing listens every fire is a dictionary
+miss.  *Observers* see every fire — the tracer records each as an event,
+the crash-schedule harness enumerates its crash points from them.  Tests
+attach *hooks* to one name to:
 
 * force a precise interleaving — e.g. park the rebuild thread right after it
   sets SHRINK bits, run a traversal from another thread, assert it blocks,
@@ -11,6 +13,7 @@ Tests attach callbacks to:
 * inject crashes — raise :class:`CrashPoint` from a hook, which the crash
   tests catch after simulating loss of the buffer pool and unflushed log.
 
+Observers run before hooks, so a crash's point is the last one they saw.
 Hooks receive a context dict; whatever they raise propagates to the caller.
 """
 
@@ -20,6 +23,7 @@ import threading
 from typing import Callable
 
 Hook = Callable[[dict], None]
+Observer = Callable[[str, dict], None]
 
 
 class CrashPoint(Exception):
@@ -31,13 +35,18 @@ class CrashPoint(Exception):
 
 
 class SyncPoints:
-    """Registry of named test hooks."""
+    """Registry of named hooks plus observers of every point."""
 
     def __init__(self) -> None:
         self._hooks: dict[str, list[Hook]] = {}
+        self._observers: tuple[Observer, ...] = ()
         self._lock = threading.Lock()
-        self.fired: list[str] = []
-        self.record_fires = False
+
+    def observe(self, observer: Observer) -> None:
+        """Call ``observer(name, attrs)`` on every fire from now on; the
+        ``attrs`` dict is the fire's own and must not be mutated."""
+        with self._lock:
+            self._observers += (observer,)
 
     def on(self, name: str, hook: Hook) -> None:
         """Attach ``hook`` to syncpoint ``name``."""
@@ -62,19 +71,18 @@ class SyncPoints:
                 self._hooks.pop(name, None)
 
     def clear(self) -> None:
+        """Drop every hook; observers stay attached."""
         with self._lock:
             self._hooks.clear()
-            self.fired.clear()
 
-    def fire(self, name: str, **ctx: object) -> None:
-        """Invoke hooks for ``name``; a no-op when none are attached."""
-        if self.record_fires:
-            with self._lock:
-                self.fired.append(name)
+    def fire(self, name: str, **attrs: object) -> None:
+        """Tell every observer, then invoke the hooks for ``name``."""
+        for observer in self._observers:
+            observer(name, attrs)
         hooks = self._hooks.get(name)
         if not hooks:
             return
-        context = dict(ctx)
+        context = dict(attrs)
         context["syncpoint"] = name
         for hook in list(hooks):
             hook(context)

@@ -61,7 +61,7 @@ class EngineContext:
     """Trace-span sink (:data:`~repro.obs.tracer.NULL_TRACER` unless the
     context was created with ``trace=True``); instrumented sites either
     ``with ctx.tracer.span(...)`` uniformly or guard on ``tracer.enabled``
-    on the hottest paths."""
+    on the hottest paths.  Its point events are the ``syncpoints`` fires."""
     metrics: MetricsRegistry
     """Histogram registry.  The workload runner's ``oltp_<op>_seconds``
     are always recorded; the subsystem histograms (latch wait, WAL flush,
@@ -158,8 +158,10 @@ class EngineContext:
             lock_timeout=lock_timeout,
         )
         if trace:
-            # Subsystems record only when these optional hooks are set,
-            # so a disabled context pays a None-check at most.
+            # Every syncpoint fire becomes a trace event.  Subsystems
+            # record only when these optional hooks are set, so a disabled
+            # context pays a None-check at most.
+            ctx.syncpoints.observe(tracer.event)
             log.tracer = tracer
             log.metrics = metrics
             buffer.tracer = tracer

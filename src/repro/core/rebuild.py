@@ -276,13 +276,8 @@ class OnlineRebuild:
         # to resume, and logs none.
         self._progress_enabled = start_key is None and end_key is None
         ctx.progress.rebuild_started(tree.index_id, self._epoch)
-        tracer = ctx.tracer
-        run_span = (
-            tracer.begin(
-                "rebuild.run", index_id=tree.index_id, epoch=self._epoch
-            )
-            if tracer.enabled
-            else None
+        run_span = ctx.tracer.begin(
+            "rebuild.run", index_id=tree.index_id, epoch=self._epoch
         )
         tree._rebuild_active = True  # type: ignore[attr-defined]
         report = RebuildReport()
@@ -315,13 +310,9 @@ class OnlineRebuild:
                 ctx.log.release_window()
             tree._rebuild_active = False  # type: ignore[attr-defined]
             ctx.progress.rebuild_finished(aborted=report.aborted)
-            if run_span is not None:
-                run_span.attrs = dict(
-                    run_span.attrs or {},
-                    completed=report.completed,
-                    aborted=report.aborted,
-                )
-                tracer.finish(run_span)
+            ctx.tracer.finish(
+                run_span, completed=report.completed, aborted=report.aborted
+            )
         report.wall_seconds = timer.wall_seconds
         report.cpu_seconds = timer.cpu_seconds
         report.counter_deltas = ctx.counters.diff(counters_before)
@@ -497,7 +488,7 @@ class OnlineRebuild:
         ).start()
         ctx.log.hold_window()
         ctx.counters.add("rebuild_pipeline_starts")
-        ctx.tracer.event("rebuild.pipeline_started", samples=samples)
+        ctx.syncpoints.fire("rebuild.pipeline_started", samples=samples)
 
     def _run_to_end(self, probe: bytes | None, report: RebuildReport) -> None:
         """Drive the copy loop from ``probe`` and raise what the run's

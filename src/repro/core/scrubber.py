@@ -220,11 +220,7 @@ class Scrubber:
         report = ScrubReport(epoch=self._epoch)
         ctx.counters.add("scrub_passes")
         ctx.progress.scrub_pass_started()
-        pass_span = (
-            ctx.tracer.begin("scrub.pass", epoch=self._epoch)
-            if ctx.tracer.enabled
-            else None
-        )
+        pass_span = ctx.tracer.begin("scrub.pass", epoch=self._epoch)
         ctx.syncpoints.fire("scrub.pass_start", epoch=self._epoch)
         handled: set[int] = set()
         stale_counts: dict[int, int] = {}
@@ -269,14 +265,12 @@ class Scrubber:
         self.passes.append(report)
         ctx.progress.scrub_leaves(report.pages_checked)
         ctx.progress.scrub_pass_finished()
-        if pass_span is not None:
-            pass_span.attrs = dict(
-                pass_span.attrs or {},
-                checked=report.pages_checked,
-                defects=len(report.defects),
-                complete=report.complete,
-            )
-            ctx.tracer.finish(pass_span)
+        ctx.tracer.finish(
+            pass_span,
+            checked=report.pages_checked,
+            defects=len(report.defects),
+            complete=report.complete,
+        )
         ctx.syncpoints.fire(
             "scrub.pass_done",
             epoch=self._epoch,
@@ -643,12 +637,7 @@ class Scrubber:
             handled.add(page_id)
             return _PageResult("defect", next_page, has_next)
         handled.add(page_id)
-        tracer = ctx.tracer
-        repair_span = (
-            tracer.begin("scrub.repair", page=page_id, kind=kind)
-            if tracer.enabled
-            else None
-        )
+        repair_span = ctx.tracer.begin("scrub.repair", page=page_id, kind=kind)
         try:
             if self._try_replay(page_id, defect):
                 ctx.syncpoints.fire(
@@ -657,13 +646,9 @@ class Scrubber:
                 return _PageResult("repaired")
             return self._quarantine_and_rebuild(defect)
         finally:
-            if repair_span is not None:
-                # The rung the ladder ended on (flushed / replayed /
-                # repaired / quarantine-stands) is the span's verdict.
-                repair_span.attrs = dict(
-                    repair_span.attrs or {}, action=defect.action
-                )
-                tracer.finish(repair_span)
+            # The rung the ladder ended on (flushed / replayed / repaired
+            # / quarantine-stands) is the span's verdict.
+            ctx.tracer.finish(repair_span, action=defect.action)
 
     def _try_replay(self, page_id: int, defect: ScrubDefect) -> bool:
         """Ladder rung 2: rebuild the page image from WAL history alone.

@@ -30,8 +30,9 @@ records make that progress survive a crash — but someone still has to
   it back.  With no supervisor, none of this machinery runs.
 
 Syncpoints ``rebuild.supervisor.retry`` / ``resume`` / ``gave_up`` /
-``watchdog`` / ``throttle`` and the matching counters make every decision
-observable and crash-schedulable.
+``watchdog`` / ``throttle`` / ``monitor_error`` and the matching counters
+make every decision observable (a traced engine records each as an event)
+and crash-schedulable.
 """
 
 from __future__ import annotations
@@ -218,10 +219,8 @@ class RebuildSupervisor:
                 )
             monitor = _Monitor(self, rebuild, report)
             monitor.start()
-            attempt_span = (
-                ctx.tracer.begin("supervisor.attempt", attempt=attempt)
-                if ctx.tracer.enabled
-                else None
+            attempt_span = ctx.tracer.begin(
+                "supervisor.attempt", attempt=attempt
             )
             try:
                 final = rebuild.run(
@@ -244,8 +243,7 @@ class RebuildSupervisor:
             finally:
                 monitor.stop()
                 self.rebuild = None
-                if attempt_span is not None:
-                    ctx.tracer.finish(attempt_span)
+                ctx.tracer.finish(attempt_span)
             failed = rebuild.last_report
             if failed is not None:
                 report.attempt_reports.append(failed)
@@ -318,8 +316,8 @@ class _Monitor(threading.Thread):
             except Exception:  # noqa: BLE001 - monitoring must not kill runs
                 if not self.report.monitor_error:
                     self.report.monitor_error = traceback.format_exc()
-                    ctx.tracer.event(
-                        "supervisor.monitor_error",
+                    ctx.syncpoints.fire(
+                        "rebuild.supervisor.monitor_error",
                         error=self.report.monitor_error,
                     )
 
@@ -338,13 +336,6 @@ class _Monitor(threading.Thread):
                 index_id = supervisor.tree.index_id
                 last = rebuild.last_report
                 resume_unit = last.resume_unit if last else None
-                if ctx.tracer.enabled:
-                    ctx.tracer.event(
-                        "supervisor.watchdog_trip",
-                        index_id=index_id,
-                        resume_unit=resume_unit,
-                        stalled_seconds=stalled,
-                    )
                 ctx.syncpoints.fire(
                     "rebuild.supervisor.watchdog",
                     index_id=index_id,
@@ -366,10 +357,6 @@ class _Monitor(threading.Thread):
         if pacer.step(pressured=burst >= STORM_RETRIES):
             self.report.throttles += 1
             ctx.counters.add("supervisor_throttles")
-            if ctx.tracer.enabled:
-                ctx.tracer.event(
-                    "supervisor.throttle", sleep=pacer.delay, burst=burst
-                )
             ctx.syncpoints.fire(
                 "rebuild.supervisor.throttle", sleep=pacer.delay, burst=burst
             )

@@ -6,6 +6,9 @@ the span that was *current on its thread* when it started (or an explicit
 cross-thread parent).  Timestamps come from one ``time.monotonic`` clock,
 so spans from different threads can be correlated purely by overlap —
 which is exactly how OLTP interference with a concurrent rebuild is read.
+A point *event* is a zero-duration span; a traced engine's events are its
+syncpoint fires (:meth:`Tracer.event` observes the engine's
+:class:`~repro.concurrency.syncpoints.SyncPoints`).
 
 **Cheapness.**  The design budget is "a rebuild under OLTP traffic with
 tracing on costs the foreground <2%":
@@ -104,10 +107,6 @@ class _SpanHandle:
         self._tracer = tracer
         self._span = span
 
-    @property
-    def span(self) -> Span:
-        return self._span
-
     def __enter__(self) -> Span:
         return self._span
 
@@ -195,9 +194,12 @@ class Tracer:
         stack.append(span)
         return span
 
-    def finish(self, span: Span) -> None:
-        """Stamp the end time and move the span to the ring sink."""
+    def finish(self, span: Span, **attrs: object) -> None:
+        """Stamp the end time, add the closing ``attrs`` (a run's outcome,
+        a pass's totals) and move the span to the ring sink."""
         span.end = self.clock()
+        if attrs:
+            span.attrs = {**(span.attrs or {}), **attrs}
         stack = self._stack()
         # Normal case: LIFO.  An exception that unwound past inner spans
         # still finishes cleanly — everything above ``span`` is closed
@@ -217,8 +219,6 @@ class Tracer:
             shard["obs_spans"] += 1
             if len(self._ring) == self.capacity:
                 shard["obs_spans_dropped"] += 1
-        elif len(self._ring) == self.capacity:
-            pass  # bounded ring still drops oldest; nothing to count into
         self._ring.append(span)
 
     def span(
@@ -230,16 +230,14 @@ class Tracer:
         """``with tracer.span("rebuild.top_action"): ...``"""
         return _SpanHandle(self, self.begin(name, parent=parent, **attrs))
 
-    def event(
-        self,
-        name: str,
-        parent: "Span | int | None" = None,
-        **attrs: object,
-    ) -> Span:
-        """A zero-duration span (a point-in-time marker, e.g. a watchdog
-        trip)."""
-        span = self.begin(name, parent=parent, **attrs)
+    def event(self, name: str, attrs: dict | None = None) -> Span:
+        """A zero-duration span under the calling thread's current span;
+        shaped as a :class:`~repro.concurrency.syncpoints.SyncPoints`
+        observer, keeping the fire's own ``attrs`` dict."""
+        span = self.begin(name)
+        span.attrs = attrs or None
         self.finish(span)
+        span.end = span.start
         return span
 
     # ---------------------------------------------------------------- reading
@@ -270,23 +268,33 @@ class Tracer:
         return format_forest(self.forest())
 
     def export_jsonl(self, path: str) -> int:
-        """Write one JSON object per finished span; returns the count."""
+        """Write one JSON object per finished span, a bytes attribute as
+        ``{"$bytes": "<hex>"}``; returns the count."""
         spans = self.spans()
         with open(path, "w", encoding="utf-8") as fh:
             for span in spans:
-                fh.write(json.dumps(span.to_dict()) + "\n")
+                fh.write(json.dumps(span.to_dict(), default=_encode) + "\n")
         return len(spans)
 
     @staticmethod
     def import_jsonl(path: str) -> list[Span]:
         """Inverse of :meth:`export_jsonl`."""
-        out = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(Span.from_dict(json.loads(line)))
-        return out
+            return [
+                Span.from_dict(json.loads(line, object_hook=_decode))
+                for line in fh
+                if line.strip()
+            ]
+
+
+def _encode(value: object) -> object:
+    if isinstance(value, bytes):
+        return {"$bytes": value.hex()}
+    raise TypeError(f"{type(value).__name__} attribute is not JSON serializable")
+
+
+def _decode(obj: dict) -> object:
+    return bytes.fromhex(obj["$bytes"]) if obj.keys() == {"$bytes"} else obj
 
 
 def build_forest(spans: Iterable[Span]) -> list[dict]:
@@ -347,13 +355,13 @@ class NullTracer(Tracer):
     def begin(self, name, parent=None, **attrs):  # noqa: ANN001, ANN003
         return None  # type: ignore[return-value]
 
-    def finish(self, span) -> None:  # noqa: ANN001
+    def finish(self, span, **attrs) -> None:  # noqa: ANN001, ANN003
         return None
 
     def span(self, name, parent=None, **attrs):  # noqa: ANN001, ANN003
         return _NULL_HANDLE  # type: ignore[return-value]
 
-    def event(self, name, parent=None, **attrs):  # noqa: ANN001, ANN003
+    def event(self, name, attrs=None):  # noqa: ANN001
         return None  # type: ignore[return-value]
 
     def current(self) -> None:

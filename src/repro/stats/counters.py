@@ -47,7 +47,6 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "disk_read_bad_magic",  # file slot without the page magic (a hole)
     "disk_read_bad_crc",    # CRC32 trailer mismatch (torn write, rot)
     "io_retries",        # TransientIOError retries taken by the buffer pool
-    "writebehind_retries",  # TransientIOError retries by the write-behind forcer
     "faults_injected",   # faults the FaultyDisk wrapper actually fired
     "log_torn_tail",     # torn WAL tails truncated at open
     # Read-ahead prefetch (buffer pool + io_scheduler).

@@ -216,9 +216,11 @@ class BufferPool:
         """Run a disk call, absorbing :class:`TransientIOError` with capped
         exponential backoff (``_RETRY_BACKOFF * 2**attempt``, capped).
 
-        After ``retry_limit`` failed attempts the error propagates — at a
-        30% injected failure rate, 12 retries leave ~5e-7 per call, so a
-        transient storm slows the rebuild but does not abort it.  Anything
+        After ``retry_limit`` retries the error propagates — at a 30%
+        injected failure rate, the default 12 retries (13 attempts) leave
+        0.3**13 ≈ 1.6e-7 per call, so a transient storm slows the rebuild
+        but does not abort it.  This is the engine's one retry budget; the
+        write-behind writers add none of their own.  Anything
         that is not a :class:`TransientIOError` (PermanentIOError,
         ChecksumError, CrashPoint) passes straight through.
 

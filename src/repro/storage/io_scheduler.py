@@ -74,15 +74,13 @@ from collections import deque
 from typing import Callable
 
 from repro.concurrency.syncpoints import CrashPoint
-from repro.errors import IOSchedulerError, TransientIOError
+from repro.errors import IOSchedulerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.page import NO_PAGE
 
 _FORCE_TIMEOUT = 60.0  # seconds; a stuck writer surfaces as an error, not a hang
-_WRITER_RETRIES = 4  # extra transient retries on top of the pool's own layer
-_WRITER_BACKOFF = 0.002  # seconds, doubled per attempt
 _READS_IN_FLIGHT = 2
 """Reader threads, i.e. run reads kept in the device at once.  Sized by
 measurement (docs/performance.md, "Read budget of a pipelined rebuild"):
@@ -444,11 +442,17 @@ class IOScheduler:
                 number, ids = self._runs.popleft()
                 self._in_device += 1
             try:
-                self._flush(ids)
+                # The pool's retry budget is the only one: a run that still
+                # fails after it fails every barrier, and the rebuild's
+                # abort path flushes synchronously through the pool.
+                self.buffer.flush_pages(ids)
             except BaseException as exc:  # noqa: BLE001 - must fail tokens
                 with self._cv:
                     self._fail_pending_locked(exc)
                 return
+            shard = self.counters.local_shard()
+            shard["writebehind_batches"] += 1
+            shard["writebehind_pages"] += len(ids)
             with self._cv:
                 self._in_device -= 1
                 if self._killed or self._broken is not None:
@@ -495,39 +499,6 @@ class IOScheduler:
         if runs and len(runs[-1]) < ppio:
             return runs[:-1], runs[-1]
         return runs, []
-
-    def _flush(self, ids: list[int]) -> None:
-        # The pool's own retrying() already absorbs transient errors; this
-        # outer loop adds a second, slower layer so a storm that exhausts
-        # the pool's budget degrades to a stalled forcer, not a dead one —
-        # only a persistent failure (or a PermanentIOError) breaks the
-        # writer and fails the barrier tokens.
-        attempt = 0
-        while True:
-            try:
-                self.buffer.flush_pages(ids)
-                break
-            except TransientIOError:
-                attempt += 1
-                if attempt > _WRITER_RETRIES:
-                    raise
-                self.counters.add("writebehind_retries")
-                # Back off on the scheduler's condition variable, not a
-                # bare sleep: close()/kill() notify it, so shutdown cuts
-                # a storm's multi-attempt backoff short instead of being
-                # held hostage by it.
-                backoff = _WRITER_BACKOFF * (1 << (attempt - 1))
-                with self._cv:
-                    if not self._killed:
-                        self._cv.wait(timeout=backoff)
-                    if self._killed:
-                        raise IOSchedulerError(
-                            "io scheduler writer was killed during "
-                            "flush-retry backoff"
-                        ) from None
-        shard = self.counters.local_shard()
-        shard["writebehind_batches"] += 1
-        shard["writebehind_pages"] += len(ids)
 
     # ----------------------------------------------------------- reader loops
 

@@ -7,7 +7,7 @@ transactions are never lost.  This module turns "any point" into an
 enumerated list and checks every entry:
 
 1. **Enumeration run.**  One clean build → fragment → rebuild-under-OLTP
-   run with ``SyncPoints.record_fires`` on and a (no-fault)
+   run with an observer on the engine's syncpoints and a (no-fault)
    :class:`~repro.storage.faults.FaultyDisk` counting physical calls.
    Every ``rebuild.*`` syncpoint firing becomes a crash schedule; every
    ``write_many`` issued during the rebuild phase becomes a family of
@@ -32,9 +32,12 @@ user writes with the rebuild the way §6.2 does.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 from unittest import mock
 
 from repro.concurrency.syncpoints import CrashPoint
@@ -49,6 +52,33 @@ from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
 
 def _key(i: int) -> bytes:
     return i.to_bytes(4, "big")
+
+
+def _crash_points(
+    engine: Engine, prefix: str, run: Callable[[], object]
+) -> list["Schedule"]:
+    """Call ``run()`` with an observer on ``engine``'s syncpoints; each
+    firing of a point named ``prefix…`` becomes a crash schedule."""
+    fired: list[str] = []
+    engine.syncpoints.observe(lambda name, _attrs: fired.append(name))
+    run()
+    counts = Counter(name for name in fired if name.startswith(prefix))
+    return [
+        Schedule(kind="syncpoint", point=name, nth=nth)
+        for name in sorted(counts)
+        for nth in range(1, counts[name] + 1)
+    ]
+
+
+def _arm_crash(engine: Engine, schedule: "Schedule") -> None:
+    """Raise :class:`CrashPoint` at the schedule's firing of its point."""
+    seen = itertools.count(1)
+
+    def boom(_ctx: dict) -> None:
+        if next(seen) == schedule.nth:
+            raise CrashPoint(schedule.point)
+
+    engine.syncpoints.on(schedule.point, boom)
 
 
 @dataclass(frozen=True)
@@ -296,22 +326,9 @@ class CrashScheduleHarness:
         faulty = engine.ctx.disk  # the FaultyDisk wrapper
         calls_before = dict(faulty.calls)
         sizes_before = len(faulty.write_many_sizes)
-        engine.syncpoints.record_fires = True
-        OnlineRebuild(tree, self._config()).run()
-        engine.syncpoints.record_fires = False
-
-        schedules: list[Schedule] = []
-        fired: dict[str, int] = {}
-        for name in engine.syncpoints.fired:
-            if not name.startswith("rebuild."):
-                continue
-            fired[name] = fired.get(name, 0) + 1
-        for name in sorted(fired):
-            for nth in range(1, fired[name] + 1):
-                schedules.append(
-                    Schedule(kind="syncpoint", point=name, nth=nth)
-                )
-
+        schedules = _crash_points(
+            engine, "rebuild.", OnlineRebuild(tree, self._config()).run
+        )
         if include_faults:
             base = calls_before["write_many"]
             sizes = faulty.write_many_sizes[sizes_before:]
@@ -389,20 +406,10 @@ class CrashScheduleHarness:
         engine, tree, expected = self._build(plan)
         applied = self._attach_oltp(engine, tree, expected)
         if schedule.kind == "syncpoint":
-            seen = {"n": 0}
-
-            def boom(_ctx: dict) -> None:
-                seen["n"] += 1
-                if seen["n"] == schedule.nth:
-                    raise CrashPoint(schedule.point)
-
-            # Register the crash hook *before* the OLTP hook fires for the
-            # same syncpoint ordinal?  Hooks run in registration order and
-            # the OLTP hook registered first — ops recorded before the
-            # crash really did complete, which is all the key-set check
-            # needs.  (Registering after is equally sound: `expected` is
-            # updated per completed op, not per firing.)
-            engine.syncpoints.on(schedule.point, boom)
+            # Hooks run in registration order, so the OLTP hook's ops at
+            # the crash's own ordinal complete first; `expected` counts
+            # completed ops, so either order would be sound.
+            _arm_crash(engine, schedule)
 
         retries_before = engine.counters.io_retries
         dropped_before = engine.counters.pool_dead_images_dropped
@@ -515,11 +522,8 @@ class CrashScheduleHarness:
         """Run (a stride-sample of) the enumerated schedules."""
         if schedules is None:
             schedules = self.enumerate_schedules()
-        picked = schedules[::stride]
-        if limit is not None:
-            picked = picked[:limit]
         report = SweepReport()
-        for schedule in picked:
+        for schedule in schedules[::stride][:limit]:
             outcome = self.run_schedule(schedule)
             report.schedules_run += 1
             report.crashes_simulated += int(outcome.crashed)
@@ -657,32 +661,14 @@ class ScrubCrashHarness:
         """One instrumented scrub pass; every ``scrub.*`` firing becomes a
         crash schedule."""
         engine, tree, _expected, _lost = self._build()
-        engine.syncpoints.record_fires = True
-        self._scrubber(tree).run_pass()
-        engine.syncpoints.record_fires = False
-        fired: dict[str, int] = {}
-        for name in engine.syncpoints.fired:
-            if name.startswith("scrub."):
-                fired[name] = fired.get(name, 0) + 1
-        return [
-            Schedule(kind="syncpoint", point=name, nth=nth)
-            for name in sorted(fired)
-            for nth in range(1, fired[name] + 1)
-        ]
+        return _crash_points(engine, "scrub.", self._scrubber(tree).run_pass)
 
     def run_schedule(self, schedule: Schedule) -> ScrubScheduleOutcome:
         from repro.errors import QuarantinedRangeError
 
         outcome = ScrubScheduleOutcome(schedule=schedule.label())
         engine, tree, expected, lost = self._build()
-        seen = {"n": 0}
-
-        def boom(_ctx: dict) -> None:
-            seen["n"] += 1
-            if seen["n"] == schedule.nth:
-                raise CrashPoint(schedule.point)
-
-        engine.syncpoints.on(schedule.point, boom)
+        _arm_crash(engine, schedule)
         try:
             self._scrubber(tree).run_pass()
         except CrashPoint:
@@ -745,11 +731,8 @@ class ScrubCrashHarness:
     ) -> ScrubSweepReport:
         if schedules is None:
             schedules = self.enumerate_points()
-        picked = schedules[::stride]
-        if limit is not None:
-            picked = picked[:limit]
         report = ScrubSweepReport()
-        for schedule in picked:
+        for schedule in schedules[::stride][:limit]:
             outcome = self.run_schedule(schedule)
             report.schedules_run += 1
             report.crashes_simulated += int(outcome.crashed)

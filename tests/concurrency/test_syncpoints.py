@@ -55,11 +55,36 @@ def test_hooks_can_raise_crashpoint():
 
 
 def test_record_fires():
+    """An observer sees every name with its attributes, in firing order,
+    before the point's hooks run — and ``clear()`` leaves it attached."""
     sp = SyncPoints()
-    sp.record_fires = True
+    seen = []
+    sp.observe(lambda name, attrs: seen.append((name, attrs)))
+    sp.on("b", lambda ctx: seen.append(("hook", ctx)))
     sp.fire("a")
-    sp.fire("b")
-    assert sp.fired == ["a", "b"]
+    sp.fire("b", page=3)
+    sp.clear()
+    sp.fire("c")
+    assert seen == [
+        ("a", {}),
+        ("b", {"page": 3}),
+        ("hook", {"page": 3, "syncpoint": "b"}),
+        ("c", {}),
+    ]
+
+
+def test_observer_sees_the_crash_point_before_the_hook_raises():
+    sp = SyncPoints()
+    seen = []
+    sp.observe(lambda name, _attrs: seen.append(name))
+
+    def boom(ctx):
+        raise CrashPoint("evt")
+
+    sp.on("evt", boom)
+    with pytest.raises(CrashPoint):
+        sp.fire("evt")
+    assert seen == ["evt"]
 
 
 def test_rendezvous_handshake():

@@ -419,7 +419,7 @@ def test_raising_sweep_is_recorded_and_the_attempt_completes(monkeypatch):
     assert "RuntimeError: sweep bug" in report.monitor_error
     events = [
         s for s in engine.ctx.tracer.spans()
-        if s.name == "supervisor.monitor_error"
+        if s.name == "rebuild.supervisor.monitor_error"
     ]
     assert len(events) == 1, "one event for the first error, not one a sweep"
     assert contents_as_ints(index) == expected

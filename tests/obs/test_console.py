@@ -13,7 +13,7 @@ def _make_trace_file(tmp_path) -> str:
     with t.span("rebuild.run", epoch=3):
         with t.span("rebuild.plan"):
             pass
-        t.event("rebuild.seam_release", worker=0)
+        t.event("rebuild.seam_release", {"worker": 0})
     path = str(tmp_path / "spans.jsonl")
     t.export_jsonl(path)
     return path

@@ -97,14 +97,23 @@ def test_exception_unwind_closes_inner_spans():
 
 def test_event_is_zero_duration():
     t = make_tracer()
-    clock = t.clock
-    orig = clock.__call__
-    # Freeze the clock so begin and finish read the same instant.
-    t.clock = lambda: 1.0
-    span = t.event("rebuild.seam_release", worker=1)
-    t.clock = orig
-    assert span.duration == 0.0
-    assert t.spans()[-1] is span
+    with t.span("outer") as outer:
+        span = t.event("rebuild.seam_release", {"worker": 1})
+    assert span.duration == 0.0 and span.end > 0.0
+    assert span.parent_id == outer.span_id
+    assert span.attrs == {"worker": 1}
+    assert t.spans()[0] is span  # finished before its parent
+    assert t.current() is None
+
+
+def test_finish_adds_closing_attributes():
+    t = make_tracer()
+    span = t.begin("scrub.pass", epoch=2)
+    t.finish(span, checked=7, complete=True)
+    assert span.attrs == {"epoch": 2, "checked": 7, "complete": True}
+    bare = t.begin("bare")
+    t.finish(bare, done=True)
+    assert bare.attrs == {"done": True}
 
 
 def test_span_context_manager_finishes_on_exception():
@@ -204,6 +213,26 @@ def test_jsonl_round_trip(tmp_path):
     back = Tracer.import_jsonl(path)
     orig = t.spans()
     assert [s.to_dict() for s in back] == [s.to_dict() for s in orig]
+
+
+def test_jsonl_round_trip_of_bytes_attributes(tmp_path):
+    """Keys and resume units are bytes: they export as tagged hex and
+    import as the same bytes, nested in lists too."""
+    t = make_tracer()
+    with t.span("rebuild.run", resume_unit=b"\x00\x07key"):
+        t.event("rebuild.nta_end", {"low_unit": b"", "units": [b"\xff", 3]})
+    path = str(tmp_path / "spans.jsonl")
+    assert t.export_jsonl(path) == 2
+    back = Tracer.import_jsonl(path)
+    assert [s.attrs for s in back] == [s.attrs for s in t.spans()]
+    assert back[1].attrs["resume_unit"] == b"\x00\x07key"
+
+
+def test_jsonl_export_still_refuses_other_objects(tmp_path):
+    t = make_tracer()
+    t.event("x", {"obj": object()})
+    with pytest.raises(TypeError, match="object attribute"):
+        t.export_jsonl(str(tmp_path / "spans.jsonl"))
 
 
 def test_span_dict_round_trip():

@@ -420,36 +420,36 @@ def test_unused_prefetch_counted_on_eviction():
     assert counters.prefetch_unused >= 1
 
 
-def test_kill_cuts_flush_retry_backoff_short(monkeypatch):
-    """A transient-fault storm parks the writer in capped-exponential
-    backoff between flush retries; shutdown must interrupt that wait
-    (via the scheduler's condition variable), not sit out the full
-    backoff."""
-    import repro.storage.io_scheduler as mod
+def test_transient_error_past_the_pools_budget_fails_the_barrier(
+    monkeypatch,
+):
+    """The pool's retry budget is the only one: with ``retry_limit=0`` a
+    single transient write error fails the barrier's token at once, and
+    the caller (the rebuild's abort path) flushes synchronously."""
     from repro.errors import TransientIOError
 
     pool, counters = make_pool()
+    pool.retry_limit = 0
     dirty_pages(pool, [1, 2])
-    monkeypatch.setattr(mod, "_WRITER_BACKOFF", 30.0)
+    write_many = pool.disk.write_many
+    failures = [TransientIOError("one blip")]
 
-    def always_transient(ids):
-        raise TransientIOError("storm")
+    def blip_once(images):
+        if failures:
+            raise failures.pop()
+        return write_many(images)
 
-    monkeypatch.setattr(pool, "flush_pages", always_transient)
+    monkeypatch.setattr(pool.disk, "write_many", blip_once)
     sched = IOScheduler(pool, counters=counters).start()
-    token = sched.force([1, 2])
-    # Wait for the writer to enter its first retry backoff.
-    deadline = time.monotonic() + 5.0
-    while counters.writebehind_retries == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert counters.writebehind_retries >= 1
-    start = time.monotonic()
-    sched.kill()
-    with pytest.raises(IOSchedulerError):
-        token.wait(timeout=5.0)
-    assert time.monotonic() - start < 5.0, (
-        "kill() waited out the 30 s flush-retry backoff"
-    )
+    try:
+        with pytest.raises(IOSchedulerError, match="one blip"):
+            sched.force([1, 2]).wait(timeout=5.0)
+        assert counters.io_retries == 0
+        assert not pool.disk.exists(1)
+        pool.flush_pages([1, 2])  # the abort path's synchronous flush
+        assert pool.disk.exists(1) and pool.disk.exists(2)
+    finally:
+        sched.close()
 
 
 def test_reader_parked_in_the_device_does_not_hold_close(monkeypatch):

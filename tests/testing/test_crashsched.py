@@ -144,13 +144,15 @@ def test_tuned_exhaustive_resume_sweep():
     with the tuned knobs, each recovered and resumed under the floor
     check.
 
-    The syncpoint schedules are 48 in 130 of 130 enumerations.  The fault
-    schedules follow the ``write_many`` calls the writer threads happen
-    to make: 32 in 127, 37 or 38 in the other 3."""
+    The syncpoint schedules are 49 in 30 of 30 enumerations, traced or
+    not: the 48 of the copy loop plus the pass's one
+    ``rebuild.pipeline_started``.  The fault schedules follow the
+    ``write_many`` calls the writer threads happen to make: 32 in 157 of
+    160 enumerations, 37 or 38 in the other 3."""
     harness = CrashScheduleHarness(**TUNED)
     schedules = harness.enumerate_schedules()
     kinds = collections.Counter(s.kind for s in schedules)
-    assert kinds["syncpoint"] == 48, "schedule enumeration moved"
+    assert kinds["syncpoint"] == 49, "schedule enumeration moved"
     assert kinds["fault"] >= 30, "fault enumeration shrank"
     report = harness.run_sweep(schedules=schedules)
     assert report.ok, _fail_report(report)
@@ -185,11 +187,12 @@ def test_recycling_pass_sweep_strided():
 
 @pytest.mark.slow
 def test_recycling_pass_exhaustive_sweep():
-    """Every syncpoint of the recycling pass: 36 schedules in 130 of 130
-    enumerations."""
+    """Every syncpoint of the recycling pass: 37 schedules (36 of the
+    copy loop, one ``rebuild.pipeline_started``) in 30 of 30
+    enumerations, traced or not."""
     harness = CrashScheduleHarness(**RECYCLING)
     schedules = harness.enumerate_schedules(include_faults=False)
-    assert len(schedules) == 36, "schedule enumeration moved"
+    assert len(schedules) == 37, "schedule enumeration moved"
     report = harness.run_sweep(schedules=schedules)
     assert report.ok, _fail_report(report)
     assert report.crashes_simulated > 0

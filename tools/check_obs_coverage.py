@@ -34,6 +34,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 OBS = SRC / "repro" / "obs"
 UNIT_TESTS = [
+    # Also covers the syncpoint-observer side of the tracer: ``event`` as
+    # an observer, ``finish``'s closing attributes, bytes in JSONL.
     "tests/obs/test_tracer.py",
     "tests/obs/test_metrics.py",
     "tests/obs/test_progress.py",

@@ -6,9 +6,10 @@ transaction rolls back.  The classic ARIES dummy-CLR trick implements this —
 ``NTA_END``'s ``undo_next_lsn`` points at the record *before* ``NTA_BEGIN``,
 so rollback and crash-undo hop over the completed action.
 
-Rollback applies inverse operations through an injected *undo applier* (the
-shared physical undo code in :mod:`repro.wal.apply`), writing a CLR per
-undone record so that undo itself is idempotent across crashes.
+Rollback undoes each record through an injected *undo applier* (the shared
+undo code in :mod:`repro.wal.apply`), which logs a compensation
+(``CLR_FLAG``) into the transaction's chain per change it makes, so that
+undo itself is idempotent across crashes.
 
 Commit forces the log (WAL), runs registered commit hooks — the rebuild uses
 one to free the old pages it deallocated (§3) — and releases the
@@ -19,6 +20,7 @@ themselves at top-action end.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import threading
 from typing import Callable
@@ -26,13 +28,12 @@ from typing import Callable
 from repro.errors import TransactionError
 from repro.stats.counters import Counters
 from repro.wal.log import LogManager
-from repro.wal.records import LogRecord, RecordType
+from repro.wal.records import CLR_FLAG, LogRecord, RecordType
 
-UndoApplier = Callable[[LogRecord, int], None]
-"""Applies the inverse of a record; receives (record, clr_lsn) where
-``clr_lsn`` is the LSN of the compensation record written for this undo —
-the applier stamps modified pages with it so crash-redo of the CLR is
-correctly skipped."""
+UndoApplier = Callable[[LogRecord, Callable[[LogRecord], int]], None]
+"""Undoes a record; receives (record, append), where ``append`` logs a
+record in the rolling-back transaction's chain and returns its LSN — the
+applier logs the compensation through it before changing the page."""
 
 
 class TxnState(enum.Enum):
@@ -86,7 +87,7 @@ class TransactionManager:
         transaction still holds — logical locks live to transaction end."""
 
     def set_undo_applier(self, applier: UndoApplier) -> None:
-        """Install the physical undo function (from :mod:`repro.wal.apply`)."""
+        """Install the undo function (from :mod:`repro.wal.apply`)."""
         self._undo_applier = applier
 
     # -------------------------------------------------------------- lifecycle
@@ -186,17 +187,18 @@ class TransactionManager:
     def rollback_to(self, txn: Transaction, target_lsn: int) -> None:
         """Undo the transaction's records back to (excluding) ``target_lsn``.
 
-        Completed NTAs are hopped over via their dummy CLR; CLRs themselves
-        are never undone (their ``undo_next_lsn`` continues the walk); each
-        undone record gets a compensation record so a crash mid-rollback
-        resumes instead of double-undoing.
+        Completed NTAs are hopped over via their dummy CLR; compensations
+        themselves are never undone (their ``undo_next_lsn`` continues the
+        walk); the applier logs a compensation for each change it makes so
+        a crash mid-rollback resumes instead of double-undoing.
         """
         if self._undo_applier is None:
             raise TransactionError("no undo applier installed")
+        append = functools.partial(self.append, txn)
         lsn = txn.last_lsn
         while lsn > target_lsn:
             rec = self.log.record_at(lsn)
-            if rec.type in (RecordType.NTA_END, RecordType.CLR):
+            if rec.flags & CLR_FLAG or rec.type is RecordType.NTA_END:
                 lsn = rec.undo_next_lsn
                 continue
             if rec.type in (
@@ -208,14 +210,7 @@ class TransactionManager:
             ):
                 lsn = rec.prev_lsn
                 continue
-            clr = LogRecord(
-                type=RecordType.CLR,
-                page_id=rec.page_id,
-                undone_lsn=rec.lsn,
-                undo_next_lsn=rec.prev_lsn,
-            )
-            clr_lsn = self.append(txn, clr)
-            self._undo_applier(rec, clr_lsn)
+            self._undo_applier(rec, append)
             lsn = rec.prev_lsn
 
     # -------------------------------------------------------------- internals

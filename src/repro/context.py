@@ -182,12 +182,9 @@ class EngineContext:
             counters=self.counters, timeout=self.lock_timeout
         )
         self.txns = TransactionManager(self.log, counters=self.counters)
+        apply_ctx = ApplyContext(self.buffer, self.page_manager, self.index_roots)
         self.txns.set_undo_applier(
-            lambda rec, clr_lsn: undo_record(
-                rec,
-                ApplyContext(self.buffer, self.page_manager, self.index_roots),
-                clr_lsn,
-            )
+            lambda rec, append: undo_record(rec, apply_ctx, append)
         )
         self.txns.lock_manager = self.locks
 

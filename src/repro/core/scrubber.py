@@ -28,8 +28,8 @@ On a confirmed defect the scrubber escalates through a repair ladder:
 1. **transient / absent** — an image that re-reads clean, or was never
    written (WAL still covers it), is not a defect at all;
 2. **WAL replay** — if the durable log still holds the page's birth
-   (``ALLOC``/``ALLOCRUN``) and every later record touching it is simple
-   physical redo, the page is reconstructed in place under an X latch
+   (``ALLOC``/``ALLOCRUN``) and every later record touching it is
+   single-page redo, the page is reconstructed in place under an X latch
    via the recovery machinery and re-flushed;
 3. **quarantine + targeted rebuild** — otherwise the damaged key range
    is fenced in the engine's :class:`~repro.quarantine.QuarantineMap`
@@ -654,13 +654,14 @@ class Scrubber:
         """Ladder rung 2: rebuild the page image from WAL history alone.
 
         Eligible iff the durable log still holds the page's birth record
-        and everything after it touching the page is simple physical
-        redo.  A ``KEYCOPY`` target (needs live source pages) or a CLR
-        (logical leaf undo re-descends the live tree) would replay
-        against *today's* structure, not history's — bail to rung 3.
-        The birth record is redone as recovery redoes it, and the page's
-        single-page records go, as encoded, through crash recovery's
-        page-queue kernel (:func:`~repro.wal.apply.redo_page_queue`).
+        and everything after it touching the page is single-page redo —
+        a rollback's compensations included, since each is logged as the
+        change it made to its page.  A ``KEYCOPY`` target (needs live
+        source pages) would replay against *today's* sources, not
+        history's — bail to rung 3.  The birth record is redone as
+        recovery redoes it, and the page's single-page records go, as
+        encoded, through crash recovery's page-queue kernel
+        (:func:`~repro.wal.apply.redo_page_queue`).
         """
         ctx = self.ctx
         birth = None
@@ -684,14 +685,11 @@ class Scrubber:
                 birth, queue = None, []
             elif birth is None:
                 continue
-            elif (
-                t == RecordType.KEYCOPY
-                and (
-                    rec.pp_page == page_id
-                    or any(e.tgt_page == page_id for e in rec.entries)
-                    or any(link.page_id == page_id for link in rec.links)
-                )
-            ) or (t == RecordType.CLR and rec.page_id == page_id):
+            elif t == RecordType.KEYCOPY and (
+                rec.pp_page == page_id
+                or any(e.tgt_page == page_id for e in rec.entries)
+                or any(link.page_id == page_id for link in rec.links)
+            ):
                 return False
         if birth is None:
             return False

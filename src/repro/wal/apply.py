@@ -1,4 +1,4 @@
-"""Physical redo and undo of log records.
+"""Redo and undo of log records.
 
 This module is the single place that knows how each record type changes a
 page, shared by runtime rollback (:meth:`TransactionManager.rollback_to`)
@@ -17,26 +17,34 @@ makes that sound — and checks the timestamp of each *target* page
 independently, since a crash can land between the forced writes of two
 targets.
 
-Undo is strictly physical.  That is sufficient here because only records of
-*incomplete* top actions and single-operation user transactions are ever
-undone, and the pages they touched are still pinned down by the top action's
-address locks / SPLIT / SHRINK bits at the time of a runtime rollback, or
-frozen by the crash itself.  Undo verifies what it removes and raises
+Undo logs the change it makes, then makes it (:func:`undo_record`).  A
+row, link or format record is compensated by the single-page record of the
+inverse change, flagged ``CLR_FLAG`` and applied by the redo kernel from
+its bytes, so crash redo and the scrubber's replay take it page by page
+like any other record.  Where the change goes is found physically for
+nonleaf entries, links and formats: only records of *incomplete* top
+actions are undone, and the pages they touched are still pinned down by the
+top action's address locks / SPLIT / SHRINK bits at a runtime rollback, or
+frozen by the crash itself.  A leaf row is found *by key* from the index
+root, because a completed split or rebuild top action — never undone — may
+have moved it since (ARIES-IM); the descent runs at undo time only.  An
+``ALLOC`` / ``ALLOCRUN`` / ``DEALLOC`` / ``KEYCOPY`` (:data:`CLR_UNDONE`) is
+compensated by a ``CLR`` naming it, whose redo re-applies the inverse.
+Undo verifies what it removes and raises
 :class:`~repro.errors.RecoveryError` on any mismatch rather than guessing.
-Undo stamps the pages it modifies with the LSN of the compensation record
-written for the undo, so that a crash during (or after) rollback replays
-CLRs idempotently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import RecoveryError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import NO_PAGE, Page, PageType
 from repro.storage.page_manager import PageManager, PageState
 from repro.wal.records import (
+    CLR_FLAG,
     LEAF_ROW_FLAG,
     LogRecord,
     RecordType,
@@ -71,38 +79,37 @@ class ApplyContext:
 # --------------------------------------------------------------------- redo
 
 
-SINGLE_PAGE_REDO = frozenset(
-    {
-        RecordType.INSERT,
-        RecordType.DELETE,
-        RecordType.BATCHINSERT,
-        RecordType.BATCHDELETE,
-        RecordType.CHANGEPREVLINK,
-        RecordType.CHANGENEXTLINK,
-        RecordType.FORMAT,
-    }
-)
+_COMPENSATING_TYPE = {
+    RecordType.INSERT: RecordType.DELETE,
+    RecordType.DELETE: RecordType.INSERT,
+    RecordType.BATCHINSERT: RecordType.BATCHDELETE,
+    RecordType.BATCHDELETE: RecordType.BATCHINSERT,
+    RecordType.CHANGEPREVLINK: RecordType.CHANGEPREVLINK,
+    RecordType.CHANGENEXTLINK: RecordType.CHANGENEXTLINK,
+    RecordType.FORMAT: RecordType.FORMAT,
+}
+
+SINGLE_PAGE_REDO = frozenset(_COMPENSATING_TYPE)
 """Record types whose redo reads and writes ``rec.page_id`` and nothing
 else — no other page, no page-manager state.  Two of them on different
 pages commute, which is what lets crash recovery redo them page by page
-(:func:`redo_page_queue`) between the records that do not."""
+(:func:`redo_page_queue`) between the records that do not.  Each is
+undone by another of them (:func:`compensation`)."""
 
-BARRIER_REDO = frozenset(
-    {
-        RecordType.ALLOC,
-        RecordType.ALLOCRUN,
-        RecordType.DEALLOC,
-        RecordType.KEYCOPY,
-        RecordType.CLR,
-    }
+CLR_UNDONE = frozenset(
+    {RecordType.ALLOC, RecordType.ALLOCRUN, RecordType.DEALLOC, RecordType.KEYCOPY}
 )
+"""Record types whose undo is compensated by a ``CLR`` naming them: their
+inverse changes page-manager state or several pages, all named by page id
+in the original, so the CLR's redo re-applies it from there."""
+
+BARRIER_REDO = CLR_UNDONE | {RecordType.CLR}
 """Record types whose redo touches several pages or page-manager state:
 ``ALLOC`` / ``ALLOCRUN`` / ``DEALLOC`` (page-manager state, and a fresh
 incarnation that later records must find), ``KEYCOPY`` (reads its source
-pages) and ``CLR`` (the inverse of any record, possibly by key from the
-root).  Each must see exactly what log order would show it, so whoever
-reorders single-page redo applies everything queued before one of these
-(``RecoveryManager._redo``)."""
+pages) and ``CLR`` (the inverse of one of those).  Each must see exactly
+what log order would show it, so whoever reorders single-page redo applies
+everything queued before one of these (``RecoveryManager._redo``)."""
 
 REDO_TYPES = SINGLE_PAGE_REDO | BARRIER_REDO
 """Every type redo has work for; the rest (``TXN_*``, ``NTA_*``,
@@ -137,7 +144,14 @@ def redo_record(rec: LogRecord, ctx: ApplyContext) -> None:
     elif t is RecordType.KEYCOPY:
         _redo_keycopy(rec, ctx)
     elif t is RecordType.CLR:
-        _redo_clr(rec, ctx)
+        # Recovery resolves the record the CLR names from its undone_lsn.
+        original = rec.resolved_undone
+        if original is None or original.type not in CLR_UNDONE:
+            raise RecoveryError(
+                f"CLR at lsn {rec.lsn} lacks its resolved ALLOC / ALLOCRUN "
+                "/ DEALLOC / KEYCOPY record"
+            )
+        _clr_inverse(original, ctx, rec.lsn)
     # Anything outside REDO_TYPES has no page effect.
 
 
@@ -286,119 +300,103 @@ def _redo_keycopy(rec: LogRecord, ctx: ApplyContext) -> None:
         ctx.buffer.unpin(page_id, dirty=True)
 
 
-def _redo_clr(rec: LogRecord, ctx: ApplyContext) -> None:
-    """Redo a compensation record by re-applying the inverse it recorded.
-
-    The CLR stores the LSN of the record it undid; recovery resolves that
-    record from the (durable, earlier) log and stashes it in
-    ``rec.resolved_undone`` before calling redo.
-    """
-    original = rec.resolved_undone
-    if original is None:
-        raise RecoveryError(
-            f"CLR at lsn {rec.lsn} lacks its resolved original record"
-        )
-    apply_inverse(original, ctx, stamp_lsn=rec.lsn, ts_checked=True)
-
-
 # --------------------------------------------------------------------- undo
 
 
-def undo_record(rec: LogRecord, ctx: ApplyContext, clr_lsn: int) -> None:
-    """Apply the inverse of ``rec`` (runtime rollback / crash undo).
+def compensation(rec: LogRecord) -> LogRecord:
+    """The record that undoes the single-page ``rec`` where it was logged.
 
-    ``clr_lsn`` is the LSN of the compensation record already written for
-    this undo; modified pages are stamped with it.
+    The inverse change of the same page and slot — the rows deleted where
+    they were inserted and inserted where they were deleted, the old and
+    new link or format swapped — flagged ``CLR_FLAG``, with
+    ``undo_next_lsn`` at the record before ``rec``.
     """
-    apply_inverse(rec, ctx, stamp_lsn=clr_lsn, ts_checked=False)
+    old = rec.old_format or (0, 0, 0, 0)
+    return LogRecord(
+        type=_COMPENSATING_TYPE[rec.type],
+        page_id=rec.page_id,
+        index_id=rec.index_id,
+        undo_next_lsn=rec.prev_lsn,
+        flags=rec.flags | CLR_FLAG,
+        pos=rec.pos,
+        rows=rec.rows,
+        old_prev=rec.new_prev,
+        new_prev=rec.old_prev,
+        old_next=rec.new_next,
+        new_next=rec.old_next,
+        page_type=old[0],
+        level=old[1],
+        prev_page=old[2],
+        next_page=old[3],
+        old_format=(rec.page_type, rec.level, rec.prev_page, rec.next_page),
+    )
 
 
-def apply_inverse(
-    rec: LogRecord,
-    ctx: ApplyContext,
-    stamp_lsn: int,
-    ts_checked: bool,
+def undo_record(
+    rec: LogRecord, ctx: ApplyContext, log: Callable[[LogRecord], int]
 ) -> None:
-    """Shared body of undo and CLR-redo.
+    """Undo ``rec`` (runtime rollback and crash undo alike): log its
+    compensation through ``log``, which appends a record to the undoing
+    transaction's chain and returns its LSN, then apply it.
 
-    ``ts_checked`` makes the application conditional on the page timestamp
-    (needed when re-running CLRs during crash redo: a page already stamped
-    at or past the CLR's LSN was undone before the crash).
+    A row, link or format record's compensation is the single-page record
+    of the change found — a leaf row by key, anything else where it was
+    logged — applied by the redo kernel from its bytes.  A leaf row's undo
+    removes the row if present, puts it back if absent, and logs nothing
+    if neither is needed.  A :data:`CLR_UNDONE` record's is a ``CLR``.
     """
     t = rec.type
-    if t in (RecordType.ALLOC, RecordType.ALLOCRUN):
-        ids = rec.page_ids if t is RecordType.ALLOCRUN else [rec.page_id]
-        for pid in ids:
-            if ctx.page_manager.state(pid) is PageState.ALLOCATED:
-                ctx.page_manager.force_state(pid, PageState.FREE)
-            if ctx.buffer.is_resident(pid):
-                ctx.buffer.drop_page(pid)
+    if t in CLR_UNDONE:
+        clr = LogRecord(
+            type=RecordType.CLR,
+            page_id=rec.page_id,
+            undone_lsn=rec.lsn,
+            undo_next_lsn=rec.prev_lsn,
+            flags=CLR_FLAG,
+        )
+        _clr_inverse(rec, ctx, log(clr))
         return
-    if t is RecordType.DEALLOC:
-        for pid in rec.page_ids or [rec.page_id]:
-            ctx.page_manager.force_state(pid, PageState.ALLOCATED)
-        return
-    if t is RecordType.KEYCOPY:
-        _undo_keycopy(rec, ctx, stamp_lsn, ts_checked)
-        return
-    if t in (RecordType.REBUILD_PROGRESS, RecordType.QUARANTINE):
-        # Standalone (txn id 0) bookkeeping: rollback never reaches one,
-        # but tolerate it as a no-op rather than failing recovery.
-        return
-
-    if rec.flags & LEAF_ROW_FLAG:
-        # Leaf-level user rows may have moved since (completed splits and
-        # rebuild top actions are never undone): undo logically, by key.
-        _logical_leaf_inverse(rec, ctx, stamp_lsn, ts_checked)
-        return
-    page = ctx.buffer.fetch(rec.page_id)
-    dirtied = False
-    try:
-        if ts_checked and page.page_lsn >= stamp_lsn:
+    if t not in SINGLE_PAGE_REDO:
+        if t in (RecordType.REBUILD_PROGRESS, RecordType.QUARANTINE):
+            # Standalone (txn id 0) bookkeeping: rollback never reaches one,
+            # but tolerate it as a no-op rather than failing recovery.
             return
-        if t in (RecordType.INSERT, RecordType.BATCHINSERT):
-            removed = page.delete_rows(rec.pos, rec.pos + len(rec.rows))
-            if removed != rec.rows:
-                raise RecoveryError(
-                    f"undo of insert on page {rec.page_id}: rows at position "
-                    f"{rec.pos} do not match the log record"
-                )
-        elif t in (RecordType.DELETE, RecordType.BATCHDELETE):
-            page.insert_rows(rec.pos, rec.rows)
-        elif t is RecordType.CHANGEPREVLINK:
-            page.prev_page = rec.old_prev
-        elif t is RecordType.CHANGENEXTLINK:
-            page.next_page = rec.old_next
-        elif t is RecordType.FORMAT:
-            old = rec.old_format or (0, 0, 0, 0)
-            page.page_type = PageType(old[0])
-            page.level = old[1]
-            page.prev_page = old[2]
-            page.next_page = old[3]
-        else:
-            raise RecoveryError(f"cannot undo record type {t.name}")
-        page.page_lsn = stamp_lsn
-        dirtied = True
+        raise RecoveryError(f"cannot undo record type {t.name}")
+    comp = compensation(rec)
+    if rec.flags & LEAF_ROW_FLAG:
+        page, comp.pos, found = _find_leaf_row(rec, ctx)
+        if found != (t is RecordType.INSERT):
+            ctx.buffer.unpin(page.page_id)
+            return  # the row is gone already, or back already
+        if found:
+            comp.rows = [page.rows[comp.pos]]
+    else:
+        page = ctx.buffer.fetch(rec.page_id)
+        if (t is RecordType.INSERT or t is RecordType.BATCHINSERT) and (
+            page.rows[rec.pos : rec.pos + len(rec.rows)] != rec.rows
+        ):
+            ctx.buffer.unpin(rec.page_id)
+            raise RecoveryError(
+                f"undo of insert on page {rec.page_id}: rows at position "
+                f"{rec.pos} do not match the log record"
+            )
+    comp.page_id = page.page_id
+    comp.old_ts = page.page_lsn
+    try:
+        lsn = log(comp)
+        # A row put back on a full leaf raises PageFullError here: it
+        # would need an undo-time split (ARIES-IM system transaction),
+        # which is out of scope.
+        _forward(page, comp.type, comp.encode())
+        page.page_lsn = lsn
     finally:
-        ctx.buffer.unpin(rec.page_id, dirty=dirtied)
+        ctx.buffer.unpin(page.page_id, dirty=True)
 
 
-def _logical_leaf_inverse(
-    rec: LogRecord, ctx: ApplyContext, stamp_lsn: int, ts_checked: bool
-) -> None:
-    """Undo a leaf insert/delete by key rather than by slot position.
-
-    Content-based: an insert is undone by removing the unit *if present*,
-    a delete by re-inserting it *if absent*.  The row is located by
-    descending from the index root — the tree is structurally consistent
-    at undo time because completed top actions were redone, never undone.
-
-    Content alone does not make the *redo* of a CLR idempotent, hence
-    ``ts_checked``: the leaf the descent ends on may carry an image
-    written after the CLR — at worst a later incarnation of a recycled
-    page id, holding another key range, where "absent" means nothing.  An
-    image stamped at or past the CLR is left alone, like any other redo.
-    """
+def _find_leaf_row(rec: LogRecord, ctx: ApplyContext) -> tuple[Page, int, bool]:
+    """The leaf whose range holds ``rec``'s row now, pinned, with the row's
+    position and whether it is there.  The descent from the root meets a
+    consistent tree: completed top actions are redone, never undone."""
     from repro.btree import node as _node
 
     unit = rec.rows[0]
@@ -416,35 +414,33 @@ def _logical_leaf_inverse(
         _pos, child = _node.child_search(page, unit, ctx.buffer.counters)
         ctx.buffer.unpin(page_id)
         page_id = child
-    dirtied = False
-    try:
-        if ts_checked and page.page_lsn >= stamp_lsn:
-            return
-        pos, found = _node.leaf_search(page, unit, ctx.buffer.counters)
-        dirtied = True
-        if rec.type is RecordType.INSERT:
-            if found:
-                page.delete_row(pos)
-        else:
-            if not found:
-                # A full page here would need an undo-time split (ARIES-IM
-                # system transaction); out of scope — surfaced loudly.
-                page.insert_row(pos, unit)
-        page.page_lsn = max(page.page_lsn, stamp_lsn)
-    finally:
-        ctx.buffer.unpin(page_id, dirty=dirtied)
+    pos, found = _node.leaf_search(page, unit, ctx.buffer.counters)
+    return page, pos, found
 
 
-def _undo_keycopy(
-    rec: LogRecord,
-    ctx: ApplyContext,
-    stamp_lsn: int,
-    ts_checked: bool,
-) -> None:
+def _clr_inverse(rec: LogRecord, ctx: ApplyContext, clr_lsn: int) -> None:
+    """Undo a :data:`CLR_UNDONE` record whose ``CLR`` is at ``clr_lsn``:
+    at the undo, and again at the CLR's redo."""
+    t = rec.type
+    if t is RecordType.DEALLOC:
+        for pid in rec.page_ids or [rec.page_id]:
+            ctx.page_manager.force_state(pid, PageState.ALLOCATED)
+    elif t is RecordType.KEYCOPY:
+        _undo_keycopy(rec, ctx, clr_lsn)
+    else:  # ALLOC / ALLOCRUN
+        for pid in rec.page_ids if t is RecordType.ALLOCRUN else [rec.page_id]:
+            if ctx.page_manager.state(pid) is PageState.ALLOCATED:
+                ctx.page_manager.force_state(pid, PageState.FREE)
+            if ctx.buffer.is_resident(pid):
+                ctx.buffer.drop_page(pid)
+
+
+def _undo_keycopy(rec: LogRecord, ctx: ApplyContext, clr_lsn: int) -> None:
     """Remove appended rows from every target and restore PP's next link.
 
     New pages are torn down by the following ALLOC undos; NP's prev link is
-    restored by its own CHANGEPREVLINK undo.
+    restored by its own CHANGEPREVLINK undo.  A target stamped at or past
+    the CLR is one the CLR's redo finds undone already.
     """
     per_target: dict[int, int] = {}
     for entry in rec.entries:
@@ -455,10 +451,8 @@ def _undo_keycopy(
         page = ctx.buffer.fetch(page_id)
         dirtied = False
         try:
-            if ts_checked and page.page_lsn >= stamp_lsn:
-                continue
-            if page.page_lsn < rec.lsn:
-                continue  # this target never received the copy
+            if not rec.lsn <= page.page_lsn < clr_lsn:
+                continue  # never received the copy, or undone already
             count = per_target.get(page_id, 0)
             if count:
                 if page.nrows < count:
@@ -469,7 +463,7 @@ def _undo_keycopy(
                 page.delete_rows(page.nrows - count, page.nrows)
             if page_id == rec.pp_page:
                 page.next_page = rec.pp_old_next
-            page.page_lsn = stamp_lsn
+            page.page_lsn = clr_lsn
             dirtied = True
         finally:
             ctx.buffer.unpin(page_id, dirty=dirtied)

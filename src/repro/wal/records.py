@@ -23,7 +23,8 @@ DEALLOC              list of page ids — one record covers a whole run, the
 CHANGEPREVLINK       old and new prev pointers of NP (§4.1.2)
 NTA_BEGIN / NTA_END  nested-top-action brackets; NTA_END is the dummy CLR
                      whose undo_next jumps over the completed action
-CLR                  compensation record written during rollback
+CLR                  LSN of the ALLOC / ALLOCRUN / DEALLOC / KEYCOPY undone
+                     (other compensations are single-page: CLR_FLAG)
 CHECKPOINT           page-manager snapshot + tree root (JSON)
 REBUILD_PROGRESS     rebuild epoch + state + last durably copied unit (the
                      ordinal word and the start key of the payload are
@@ -66,6 +67,11 @@ they were logged (the ARIES-IM rationale).  Nonleaf entry operations are
 always undone physically: they only ever get undone while their enclosing
 top action still freezes the affected pages.
 """
+
+CLR_FLAG = 2
+"""Record flag: a rollback's *compensation*, never undone; undo resumes at
+its ``undo_next_lsn``.  It is a ``CLR`` or the single-page record of the
+change the undo made (:func:`repro.wal.apply.compensation`)."""
 
 _HEADER_FMT = "<HBBIQQQQHIQ"
 _HEADER_MAGIC = 0x10C5
@@ -248,7 +254,8 @@ class LogRecord:
     """A decoded log record.
 
     ``lsn``/``prev_lsn`` chain records of one transaction; ``undo_next_lsn``
-    is meaningful for NTA_END and CLR records (where undo resumes).
+    is meaningful for NTA_END and compensation (``CLR_FLAG``) records
+    (where undo resumes).
     ``page_id`` is the primary affected page and ``old_ts`` its timestamp
     before the change (the new timestamp is the record's own LSN).
     """

@@ -18,7 +18,8 @@ The protocol is ARIES shaped, specialized to what the paper's engine needs:
    the §3 flush-new-before-free-old rule guarantees the sources are still
    intact whenever a target needs redo, and the drain before it
    guarantees they carry every earlier logged change.
-3. **Undo** rolls back losers in descending LSN order, writing CLRs.
+3. **Undo** rolls back losers in descending LSN order, logging a
+   compensation per change (:func:`~repro.wal.apply.undo_record`).
    Completed nested top actions are skipped via their dummy CLRs, so a
    rebuild that crashed mid-flight keeps all its finished multipage top
    actions — the paper's incremental-progress property.
@@ -31,6 +32,7 @@ Recovery finishes by writing a fresh checkpoint.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import RecoveryError
@@ -49,6 +51,7 @@ from repro.wal.apply import (
 )
 from repro.wal.log import LogManager
 from repro.wal.records import (
+    CLR_FLAG,
     PROGRESS_COMPLETE,
     QUARANTINE_SET,
     LogRecord,
@@ -285,17 +288,17 @@ class RecoveryManager:
     def _redo(self, work: list[tuple]) -> None:
         """Redo by page between barriers.
 
-        A single-page record (:data:`~repro.wal.apply.SINGLE_PAGE_REDO`)
-        is queued under its page; two of them on different pages commute,
-        so the order across pages is free and each page is visited once
-        per drain with its records in LSN order.  A record that touches
-        several pages or page-manager state is a *barrier*: it may read
-        what a queued record writes (KEYCOPY re-reads its sources, a CLR
-        may descend from the root) or replace a page that queued records
-        must still find (ALLOC of a recycled id), so the queue is drained
-        before it and it goes through :func:`redo_record` in log order.
-        Only a barrier, and the original a CLR names, is decoded into a
-        :class:`LogRecord`: a drain applies its records from their bytes.
+        A single-page record (:data:`~repro.wal.apply.SINGLE_PAGE_REDO`),
+        a rollback's compensation of a row included, is queued under its
+        page; two of them on different pages commute, so the order across
+        pages is free and each page is visited once per drain with its
+        records in LSN order.  A record that touches several pages or
+        page-manager state is a *barrier*: it may read what a queued record
+        writes (KEYCOPY re-reads its sources) or replace a page that queued
+        records must still find (ALLOC of a recycled id), so the queue is
+        drained before it and it goes through :func:`redo_record` in log
+        order.  Only a barrier, and the ALLOC / DEALLOC / KEYCOPY a CLR
+        names, is decoded: a drain applies its records from their bytes.
         """
         queued: dict[int, list[tuple[int, int, bytes]]] = {}
         decoded = 0  # by the barriers; a drain counts its own
@@ -335,7 +338,8 @@ class RecoveryManager:
     # ------------------------------------------------------------------- undo
 
     def _undo(self, report: RecoveryReport) -> None:
-        """Roll back losers in globally descending LSN order with CLRs."""
+        """Roll back losers in globally descending LSN order, each undo
+        logging its compensation in the loser's chain."""
         next_undo = dict(self._loser_last_lsn)
         chain_tail = dict(self._loser_last_lsn)  # txn -> lsn of its last record
         while next_undo:
@@ -347,7 +351,7 @@ class RecoveryManager:
                 continue
             rec = self.log.record_at(lsn)
             self.counters.add("recovery_payloads_decoded")
-            if rec.type in (RecordType.NTA_END, RecordType.CLR):
+            if rec.flags & CLR_FLAG or rec.type is RecordType.NTA_END:
                 next_undo[txn_id] = rec.undo_next_lsn
                 continue
             if rec.type is RecordType.TXN_BEGIN:
@@ -362,27 +366,24 @@ class RecoveryManager:
             ):
                 next_undo[txn_id] = rec.prev_lsn
                 continue
-            clr = LogRecord(
-                type=RecordType.CLR,
-                txn_id=txn_id,
-                page_id=rec.page_id,
-                undone_lsn=rec.lsn,
-                undo_next_lsn=rec.prev_lsn,
-                prev_lsn=chain_tail[txn_id],
-            )
-            clr_lsn = self.log.append(clr)
-            chain_tail[txn_id] = clr_lsn
-            undo_record(rec, self.ctx, clr_lsn)
+            append = functools.partial(self._chain, txn_id, chain_tail)
+            undo_record(rec, self.ctx, append)
             report.records_undone += 1
             next_undo[txn_id] = rec.prev_lsn
 
+    def _chain(
+        self, txn_id: int, chain_tail: dict[int, int], rec: LogRecord
+    ) -> int:
+        """Append ``rec`` to loser ``txn_id``'s chain; returns its LSN."""
+        rec.txn_id = txn_id
+        rec.prev_lsn = chain_tail[txn_id]
+        chain_tail[txn_id] = lsn = self.log.append(rec)
+        return lsn
+
     def _finish_loser(self, txn_id: int, chain_tail: dict[int, int]) -> None:
-        abort = LogRecord(
-            type=RecordType.TXN_ABORT,
-            txn_id=txn_id,
-            prev_lsn=chain_tail[txn_id],
+        lsn = self._chain(
+            txn_id, chain_tail, LogRecord(type=RecordType.TXN_ABORT)
         )
-        lsn = self.log.append(abort)
         self.log.flush_to(lsn)
 
     # ------------------------------------------------------------ reclamation

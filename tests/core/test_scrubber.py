@@ -140,6 +140,83 @@ def test_ladder2_replay_of_bulk_loaded_leaf_keeps_chain_link():
     assert contents_as_ints(tree) == before
 
 
+def leaf_holding(engine: Engine, tree, key: int) -> int:
+    """The id of the leaf whose rows hold ``key``."""
+    for pid in tree.verify().leaf_page_ids:
+        page = engine.ctx.buffer.fetch(pid)
+        held = any(row[: tree.key_len] == intkey(key) for row in page.rows)
+        engine.ctx.buffer.unpin(pid)
+        if held:
+            return pid
+    raise AssertionError(f"no leaf holds {key}")
+
+
+def rot_and_scrub(engine: Engine, tree, victim: int):
+    """Store everything, rot ``victim``, empty the pool, scrub once."""
+    engine.ctx.buffer.flush_all()
+    assert engine.ctx.disk.plant_rot(victim, bit=333)
+    engine.ctx.buffer.evict_all()
+    return Scrubber(tree).run_pass()
+
+
+def test_ladder2_replays_a_leaf_whose_history_holds_a_rollback():
+    """A rolled-back delete logs the row it put back on the leaf, so the
+    leaf's history is single-page records from its birth on and rung 2
+    replays it; a compensation that named only the record it undid sent
+    the repair to a quarantine that could not read the rotten leaf."""
+    engine = faulty_engine()
+    tree = engine.create_index(key_len=4)
+    for k in range(0, 3000, 2):
+        tree.insert(intkey(k), k)
+    txn = engine.ctx.txns.begin()
+    tree.delete(intkey(1000), 1000, txn=txn)
+    engine.ctx.txns.abort(txn)
+    before = contents_as_ints(tree)
+    report = rot_and_scrub(engine, tree, leaf_holding(engine, tree, 1000))
+    assert [d.action for d in report.defects] == ["replayed"]
+    assert contents_as_ints(tree) == before
+    tree.verify()
+
+
+def test_ladder2_replay_keeps_a_row_put_back_on_the_leaf_a_split_made():
+    """An open delete, then a split that moves the deleted row's slot to
+    a new leaf, then the rollback: the row goes back on the new leaf, and
+    a replay of that leaf must put it back too."""
+    engine = faulty_engine()
+    tree = engine.create_index(key_len=4)
+    model = set(range(0, 3000, 10))
+    for k in sorted(model):
+        tree.insert(intkey(k), k)
+    leaves = tree.verify().leaf_page_ids
+    middle = leaves[len(leaves) // 2]
+    page = engine.ctx.buffer.fetch(middle)
+    keys = [int.from_bytes(row[: tree.key_len], "big") for row in page.rows]
+    engine.ctx.buffer.unpin(middle)
+    victim_key = keys[-2]
+    txn = engine.ctx.txns.begin()
+    tree.delete(intkey(victim_key), victim_key, txn=txn)
+    splits = []
+    engine.syncpoints.on(
+        "split.leaf_done",
+        lambda ctx: splits.append(ctx["new_page"])
+        if ctx["page"] == middle else None,
+    )
+    for base in keys:
+        for k in range(base + 1, base + 10):
+            tree.insert(intkey(k), k)
+            model.add(k)
+        if splits:
+            break
+    engine.ctx.txns.abort(txn)
+    holder = leaf_holding(engine, tree, victim_key)
+    assert holder == splits[0]  # the row went back where the split put it
+    report = rot_and_scrub(engine, tree, holder)
+    assert [d.action for d in report.defects] == ["replayed"]
+    assert tree.lookup(intkey(victim_key)) == [victim_key]
+    assert contents_as_ints(tree) == sorted(model)
+    tree.verify()
+
+
 def test_ladder3_flush_heals_resident_frame():
     """Rot under a clean resident frame: the buffer still holds the good
     image, so the repair is a re-flush, not a replay or rebuild."""

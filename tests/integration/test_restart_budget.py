@@ -5,8 +5,8 @@ at or below the checkpoint and records with no page effect are never
 payload-decoded, and between two records that touch several pages (the
 *barriers*: ALLOC, ALLOCRUN, DEALLOC, KEYCOPY, CLR) every page with queued
 single-page records is fetched once, in ascending id, by large I/O.  A
-drain applies its records from their bytes; only the barriers (and the
-originals their CLRs name) are decoded into a ``LogRecord``.  This
+drain applies its records from their bytes; only the barriers are decoded
+into a ``LogRecord``.  This
 guard holds ``RecoveryManager`` to that shape on a small copy of the
 suite's ``crash_recover`` workload — committed inserts after the load
 checkpoint, a crash half way through a pass — single-threaded, so every
@@ -25,7 +25,7 @@ from repro.storage import page as page_module
 from repro.storage.buffer import BufferPool
 from repro.wal import recovery
 from repro.wal.apply import SINGLE_PAGE_REDO
-from repro.wal.records import LogRecord, RecordType
+from repro.wal.records import CLR_FLAG, LogRecord, RecordType
 from repro.wal.recovery import RecoveryManager
 from repro.workload.builder import bulk_load
 from tests.conftest import CodecMeter, intkey
@@ -214,16 +214,14 @@ def test_restart_decodes_what_it_redoes_and_visits_each_page_once_per_drain(
     assert {t for _lsn, t in old} <= {
         RecordType.CHECKPOINT, RecordType.REBUILD_PROGRESS
     }
-    # Redo decodes its barriers and the originals their CLRs name, and
-    # nothing else: a drain reads each record's payload from its bytes.
+    # Redo decodes its barriers and nothing else: a drain reads each
+    # record's payload from its bytes.  The crashed pass rolled nothing
+    # back, so no CLR sends redo to the log for the record it names.
     assert meter.drain_decoded == []
     barriers = [r for r in past if r.type in BARRIERS]
-    by_lsn = {r.lsn: r for r in durable}
-    named = [
-        by_lsn[r.undone_lsn] for r in barriers if r.type is RecordType.CLR
-    ]
+    assert not [r for r in past if r.flags & CLR_FLAG]
     assert sorted(meter.redo_decoded) == sorted(
-        (r.lsn, r.type) for r in barriers + named
+        (r.lsn, r.type) for r in barriers
     )
     # ``recovery_payloads_decoded`` counts every record whose payload
     # restart read, decoded or applied from its bytes: the count it had

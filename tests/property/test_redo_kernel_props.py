@@ -9,6 +9,10 @@ truncated payloads, positions off the page and rows that do not fit among
 them — go through both; the page each leaves behind, the number of
 records it applied, or the class of the error it stopped on must be the
 same.
+
+A rollback's compensation of a row, link or format change is a record of
+the same types, applied by the same kernel: each drawn change followed by
+its ``apply.compensation`` must leave the page as it found it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogFormatError, PageFormatError, PageFullError
@@ -25,8 +29,13 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.page import HEADER_SIZE, SLOT_OVERHEAD, Page, PageType
 from repro.storage.page_manager import PageManager
-from repro.wal.apply import SINGLE_PAGE_REDO, ApplyContext, redo_page_queue
-from repro.wal.records import RECORD_OVERHEAD, LogRecord, RecordType
+from repro.wal.apply import (
+    SINGLE_PAGE_REDO,
+    ApplyContext,
+    compensation,
+    redo_page_queue,
+)
+from repro.wal.records import CLR_FLAG, RECORD_OVERHEAD, LogRecord, RecordType
 from tests.conftest import redo_queue_decoded
 
 PAGE_SIZE = 512
@@ -218,3 +227,71 @@ def test_a_record_the_image_carries_is_not_read():
 def test_the_kernel_leaves_what_the_decoded_apply_leaves(page, queue):
     image = page.to_bytes()
     assert by_the_kernel(image, queue) == by_the_oracle(image, queue)
+
+
+def change_to(draw, page: Page, rtype: RecordType) -> dict:
+    """The payload fields of a ``rtype`` record that applies to ``page``
+    as it stands: rows that fit or are there, the links and format the
+    page has as the old values."""
+    if rtype in (RecordType.INSERT, RecordType.BATCHINSERT):
+        most = 1 if rtype is RecordType.INSERT else 6
+        rows = draw(st.lists(ROW, min_size=1, max_size=most))
+        cost = sum(map(len, rows)) + SLOT_OVERHEAD * len(rows)
+        assume(cost <= page.free_bytes)
+        return {"pos": draw(st.integers(0, page.nrows)), "rows": rows}
+    if rtype in (RecordType.DELETE, RecordType.BATCHDELETE):
+        assume(page.nrows)
+        lo = draw(st.integers(0, page.nrows - 1))
+        hi = lo + 1 if rtype is RecordType.DELETE else draw(
+            st.integers(lo, page.nrows)
+        )
+        return {"pos": lo, "rows": page.rows[lo:hi]}
+    if rtype is RecordType.CHANGEPREVLINK:
+        return {"old_prev": page.prev_page, "new_prev": draw(LINKS)}
+    if rtype is RecordType.CHANGENEXTLINK:
+        return {"old_next": page.next_page, "new_next": draw(LINKS)}
+    return {  # FORMAT
+        "page_type": draw(st.sampled_from([0, 1, 2])),
+        "level": draw(st.integers(0, 255)),
+        "prev_page": draw(LINKS),
+        "next_page": draw(LINKS),
+        "old_format": (
+            int(page.page_type), page.level, page.prev_page, page.next_page
+        ),
+    }
+
+
+@given(page=pages(), data=st.data())
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_a_change_then_its_compensation_leaves_the_page_as_it_was(page, data):
+    rtype = data.draw(st.sampled_from(sorted(SINGLE_PAGE_REDO)))
+    lsn = page.page_lsn + 1
+    rec = LogRecord(
+        type=rtype, page_id=PAGE_ID, txn_id=7, lsn=lsn, prev_lsn=lsn - 1,
+        **change_to(data.draw, page, rtype),
+    )
+    comp = compensation(rec)
+    comp.txn_id, comp.lsn, comp.prev_lsn = 7, lsn + 1, lsn
+    encoded = comp.encode()
+    header = LogRecord.peek(encoded)
+    assert header[1] & CLR_FLAG and header[6] == rec.prev_lsn
+    decoded = LogRecord.decode(encoded)
+    assert (decoded.flags, decoded.undo_next_lsn) == (CLR_FLAG, lsn - 1)
+    assert decoded.encode() == encoded
+
+    image = page.to_bytes()
+    queue = [
+        (rec.lsn, int(rtype), rec.encode()),
+        (comp.lsn, int(comp.type), encoded),
+    ]
+    applied, after = by_the_kernel(image, queue)
+    assert applied == 2
+    back = Page.from_bytes(after, PAGE_SIZE)
+    assert back.page_lsn == comp.lsn
+    back.page_lsn = page.page_lsn
+    assert back.to_bytes() == image

@@ -5,7 +5,8 @@ records (``repro.wal.recovery``).  The oracle here is the textbook loop —
 decode the whole durable log, redo every record past the checkpoint one at
 a time in LSN order — written in this file.  It shares with the engine
 only ``apply.redo_record`` for the barrier types and the phases after
-redo: a single-page record is applied as a decoded ``LogRecord`` by
+redo: a single-page record — a rolled-back row's compensation among them
+— is applied as a decoded ``LogRecord`` by
 ``tests.conftest.apply_decoded``, never by the engine's bytes kernel.  A
 drawn history builds a crash state twice (single thread, so the two are
 identical); one copy recovers through the engine's path, the other
@@ -250,10 +251,17 @@ class LogOrderRecovery(RecoveryManager):
         for rec in work:
             if rec.type in SINGLE_PAGE_REDO:
                 redo_decoded(rec, self.ctx)
-                continue
-            if rec.type is RecordType.CLR:
-                rec.resolved_undone = self.log.record_at(rec.undone_lsn)
-            redo_record(rec, self.ctx)
+            else:
+                redo_barrier(self, rec)
+
+
+def redo_barrier(manager: RecoveryManager, rec: LogRecord) -> None:
+    """Redo a decoded barrier in log order.  A CLR names the ALLOC /
+    ALLOCRUN / DEALLOC / KEYCOPY it compensates, which its redo undoes
+    again; every other compensation is a single-page record."""
+    if rec.type is RecordType.CLR:
+        rec.resolved_undone = manager.log.record_at(rec.undone_lsn)
+    redo_record(rec, manager.ctx)
 
 
 # ------------------------------------------------------------------- mutants
@@ -270,10 +278,7 @@ class QueuesAcrossKeycopy(RecoveryManager):
                 continue
             if rtype != RecordType.KEYCOPY:
                 self._drain(queued)
-            rec = LogRecord.decode(data)
-            if rec.type is RecordType.CLR:
-                rec.resolved_undone = self.log.record_at(rec.undone_lsn)
-            redo_record(rec, self.ctx)
+            redo_barrier(self, LogRecord.decode(data))
         self._drain(queued)
 
 
@@ -308,9 +313,9 @@ MUTANTS = {
 
 
 UNDO_NEEDS_A_SPLIT = {"error": "PageFullError"}
-"""Undoing a delete found its leaf full.  ``apply._logical_leaf_inverse``
-documents the case as out of scope (it needs an undo-time split); such a
-history is set aside, at run time or in recovery."""
+"""Undoing a delete found its leaf full.  ``apply.undo_record`` leaves the
+case out of scope (it needs an undo-time split); such a history is set
+aside, at run time or in recovery."""
 
 
 def recovered(history, patch=None, building=None):
@@ -399,8 +404,9 @@ RECYCLED_LEAF = (
 """Found by this test, in the oracle as much as in the engine: the leaf
 that held key 38 when its delete was rolled back is freed by the first
 pass and comes back, forced, as a leaf of another key range in the
-second.  Redo of the CLR descends to it by key, and used to re-insert 38
-there because it was "absent"."""
+second.  Redo of the rollback once descended to it by key and re-inserted
+38 there because it was "absent"; the compensation now names the leaf it
+changed, and that leaf's later image is past it."""
 
 
 RECYCLES = {

@@ -1,4 +1,4 @@
-"""Unit tests for physical redo/undo of individual record types."""
+"""Unit tests for redo and undo of individual record types."""
 
 import pytest
 
@@ -14,7 +14,13 @@ from repro.wal.apply import (
     redo_record,
     undo_record,
 )
-from repro.wal.records import KeyCopyEntry, LogRecord, RecordType
+from repro.wal.records import (
+    CLR_FLAG,
+    LEAF_ROW_FLAG,
+    KeyCopyEntry,
+    LogRecord,
+    RecordType,
+)
 
 
 @pytest.fixture
@@ -49,6 +55,19 @@ def get_ts(ctx: ApplyContext, pid: int) -> int:
     ts = page.page_lsn
     ctx.buffer.unpin(pid)
     return ts
+
+
+def undo(rec: LogRecord, ctx: ApplyContext, lsn: int) -> list[LogRecord]:
+    """Undo ``rec``, logging from ``lsn`` on; returns what the undo logged."""
+    logged: list[LogRecord] = []
+
+    def log(comp: LogRecord) -> int:
+        comp.lsn = lsn + len(logged)
+        logged.append(comp)
+        return comp.lsn
+
+    undo_record(rec, ctx, log)
+    return logged
 
 
 def redo(rec: LogRecord, ctx: ApplyContext) -> None:
@@ -228,11 +247,16 @@ def test_redo_keycopy_rejects_extent_outside_the_source(ctx, first, last):
 def test_undo_insert_removes_and_verifies(ctx):
     put_page(ctx, 1, [b"a", b"b"], ts=20)
     rec = LogRecord(
-        type=RecordType.INSERT, page_id=1, pos=0, rows=[b"a"], lsn=20, old_ts=10
+        type=RecordType.INSERT, page_id=1, pos=0, rows=[b"a"], lsn=20,
+        prev_lsn=12, old_ts=10,
     )
-    undo_record(rec, ctx, clr_lsn=30)
+    (comp,) = undo(rec, ctx, lsn=30)
     assert get_rows(ctx, 1) == [b"b"]
     assert get_ts(ctx, 1) == 30
+    assert (comp.type, comp.page_id, comp.pos, comp.rows) == (
+        RecordType.DELETE, 1, 0, [b"a"]
+    )
+    assert (comp.flags, comp.undo_next_lsn, comp.old_ts) == (CLR_FLAG, 12, 20)
 
 
 def test_undo_insert_mismatch_raises(ctx):
@@ -240,8 +264,11 @@ def test_undo_insert_mismatch_raises(ctx):
     rec = LogRecord(
         type=RecordType.INSERT, page_id=1, pos=0, rows=[b"a"], lsn=20
     )
+    logged = []
     with pytest.raises(RecoveryError):
-        undo_record(rec, ctx, clr_lsn=30)
+        undo_record(rec, ctx, logged.append)
+    assert logged == []
+    assert get_rows(ctx, 1) == [b"X", b"b"]
 
 
 def test_undo_delete_reinserts(ctx):
@@ -249,18 +276,80 @@ def test_undo_delete_reinserts(ctx):
     rec = LogRecord(
         type=RecordType.BATCHDELETE, page_id=1, pos=1, rows=[b"b", b"c"], lsn=20
     )
-    undo_record(rec, ctx, clr_lsn=30)
+    (comp,) = undo(rec, ctx, lsn=30)
     assert get_rows(ctx, 1) == [b"a", b"b", b"c"]
+    assert comp.type is RecordType.BATCHINSERT
+
+
+def test_undo_of_a_link_or_format_swaps_old_and_new(ctx):
+    put_page(ctx, 1, ts=20)
+    page = ctx.buffer.fetch(1)
+    page.prev_page, page.next_page = 7, 8
+    ctx.buffer.unpin(1, dirty=True)
+    (link,) = undo(
+        LogRecord(
+            type=RecordType.CHANGEPREVLINK, page_id=1, old_prev=3, new_prev=7,
+            lsn=20,
+        ),
+        ctx, lsn=30,
+    )
+    assert (link.type, link.old_prev, link.new_prev) == (
+        RecordType.CHANGEPREVLINK, 7, 3
+    )
+    (fmt,) = undo(
+        LogRecord(
+            type=RecordType.FORMAT, page_id=1, page_type=1, level=0,
+            prev_page=3, next_page=8, old_format=(2, 1, 4, 5), lsn=21,
+        ),
+        ctx, lsn=31,
+    )
+    assert fmt.old_format == (1, 0, 3, 8)
+    page = ctx.buffer.fetch(1)
+    assert (page.page_type, page.level, page.prev_page, page.next_page) == (
+        PageType.NONLEAF, 1, 4, 5
+    )
+    assert page.page_lsn == 31
+    ctx.buffer.unpin(1)
+
+
+def test_leaf_row_undo_goes_by_key_and_changes_only_what_it_finds(ctx):
+    """The row is undone on the leaf that holds its key now (page 7 here,
+    not the page 3 it was logged on), and the compensation names that
+    page; a row already back is left alone and nothing is logged."""
+    put_page(ctx, 7, [b"a", b"b", b"c"], ts=40)
+    ctx.index_roots[1] = 7  # a one-leaf index
+    insert = LogRecord(
+        type=RecordType.INSERT, page_id=3, index_id=1, pos=0, rows=[b"b"],
+        flags=LEAF_ROW_FLAG, lsn=20,
+    )
+    (comp,) = undo(insert, ctx, lsn=50)
+    assert get_rows(ctx, 7) == [b"a", b"c"]
+    assert (comp.type, comp.page_id, comp.pos, comp.flags) == (
+        RecordType.DELETE, 7, 1, LEAF_ROW_FLAG | CLR_FLAG
+    )
+    assert undo(insert, ctx, lsn=60) == []  # already gone
+    delete = LogRecord(
+        type=RecordType.DELETE, page_id=3, index_id=1, pos=5, rows=[b"b"],
+        flags=LEAF_ROW_FLAG, lsn=30,
+    )
+    (comp,) = undo(delete, ctx, lsn=70)
+    assert get_rows(ctx, 7) == [b"a", b"b", b"c"]
+    assert (comp.type, comp.page_id, comp.pos) == (RecordType.INSERT, 7, 1)
+    assert undo(delete, ctx, lsn=80) == []  # already back
+    assert get_ts(ctx, 7) == 70
 
 
 def test_undo_alloc_frees_page(ctx):
     redo_record(
         LogRecord(type=RecordType.ALLOC, page_id=5, page_type=1, lsn=50), ctx
     )
-    undo_record(
+    (clr,) = undo(
         LogRecord(type=RecordType.ALLOC, page_id=5, page_type=1, lsn=50),
         ctx,
-        clr_lsn=60,
+        lsn=60,
+    )
+    assert (clr.type, clr.undone_lsn, clr.flags) == (
+        RecordType.CLR, 50, CLR_FLAG
     )
     assert ctx.page_manager.state(5) is PageState.FREE
     assert not ctx.buffer.is_resident(5)
@@ -269,21 +358,23 @@ def test_undo_alloc_frees_page(ctx):
 def test_undo_dealloc_restores_allocated(ctx):
     put_page(ctx, 1)
     ctx.page_manager.force_state(1, PageState.DEALLOCATED)
-    undo_record(
-        LogRecord(type=RecordType.DEALLOC, page_id=1, lsn=5), ctx, clr_lsn=9
-    )
+    undo(LogRecord(type=RecordType.DEALLOC, page_id=1, lsn=5), ctx, lsn=9)
     assert ctx.page_manager.state(1) is PageState.ALLOCATED
 
 
-def test_undo_keycopy_removes_appended_rows(ctx):
-    put_page(ctx, 2, [b"k0", b"k1", b"k2"], ts=40)  # after the copy
-    rec = LogRecord(
+def keycopy_at_40() -> LogRecord:
+    """A copy of two rows from page 1 onto target page 2 at LSN 40."""
+    return LogRecord(
         type=RecordType.KEYCOPY, page_id=2, pp_page=2, pp_old_next=1,
         pp_new_next=9, lsn=40,
         entries=[KeyCopyEntry(1, 2, 0, 1)],
         target_ts=[(2, 7)],
     )
-    undo_record(rec, ctx, clr_lsn=50)
+
+
+def test_undo_keycopy_removes_appended_rows(ctx):
+    put_page(ctx, 2, [b"k0", b"k1", b"k2"], ts=40)  # after the copy
+    undo(keycopy_at_40(), ctx, lsn=50)
     assert get_rows(ctx, 2) == [b"k0"]
     page = ctx.buffer.fetch(2)
     assert page.next_page == 1  # PP's old next restored
@@ -292,32 +383,35 @@ def test_undo_keycopy_removes_appended_rows(ctx):
 
 def test_undo_keycopy_skips_target_that_never_got_the_copy(ctx):
     put_page(ctx, 2, [b"k0"], ts=7)  # still at the old timestamp
-    rec = LogRecord(
-        type=RecordType.KEYCOPY, page_id=2, pp_page=2, lsn=40,
-        entries=[KeyCopyEntry(1, 2, 0, 0)],
-        target_ts=[(2, 7)],
-    )
-    undo_record(rec, ctx, clr_lsn=50)
+    undo(keycopy_at_40(), ctx, lsn=50)
     assert get_rows(ctx, 2) == [b"k0"]
 
 
 def test_clr_redo_applies_inverse_once(ctx):
-    put_page(ctx, 1, [b"a", b"b"], ts=20)
-    original = LogRecord(
-        type=RecordType.INSERT, page_id=1, pos=0, rows=[b"a"], lsn=20
-    )
-    clr = LogRecord(
-        type=RecordType.CLR, page_id=1, undone_lsn=20, lsn=45,
-    )
-    clr.resolved_undone = original
+    put_page(ctx, 2, [b"k0", b"k1", b"k2"], ts=40)
+    clr = LogRecord(type=RecordType.CLR, page_id=2, undone_lsn=40, lsn=50)
+    clr.resolved_undone = keycopy_at_40()
     redo_record(clr, ctx)
-    assert get_rows(ctx, 1) == [b"b"]
-    # Idempotent: the page is now stamped at the CLR's LSN.
+    assert get_rows(ctx, 2) == [b"k0"]
+    assert get_ts(ctx, 2) == 50
+    # Idempotent: the target is now stamped at the CLR's LSN.
     redo_record(clr, ctx)
-    assert get_rows(ctx, 1) == [b"b"]
+    assert get_rows(ctx, 2) == [b"k0"]
 
 
 def test_clr_redo_without_resolution_raises(ctx):
-    clr = LogRecord(type=RecordType.CLR, page_id=1, undone_lsn=20, lsn=45)
+    clr = LogRecord(type=RecordType.CLR, page_id=5, undone_lsn=20, lsn=45)
     with pytest.raises(RecoveryError):
         redo_record(clr, ctx)
+    # A row change is compensated by a record of its own type, never a CLR.
+    clr.resolved_undone = LogRecord(
+        type=RecordType.INSERT, page_id=5, pos=0, rows=[b"a"], lsn=20
+    )
+    with pytest.raises(RecoveryError):
+        redo_record(clr, ctx)
+    clr.resolved_undone = LogRecord(
+        type=RecordType.ALLOC, page_id=5, page_type=1, lsn=20
+    )
+    ctx.page_manager.force_state(5, PageState.ALLOCATED)
+    redo_record(clr, ctx)
+    assert ctx.page_manager.state(5) is PageState.FREE

@@ -56,7 +56,9 @@ class BTree:
         self.root_page_id = root_page_id
         self.lock_rows = lock_rows
         # Hooks for the side-tree ([ZS96]-style) comparison baseline: a
-        # journal capturing every committed mutation, and a gate that can
+        # journal capturing every mutation as it runs, with the
+        # transaction that made it (the baseline applies a change only
+        # once that transaction has committed), and a gate that can
         # suspend all operations for the baseline's switch phase.  Both are
         # None in normal operation (the paper's algorithm needs neither).
         self.update_journal = None
@@ -150,7 +152,7 @@ class BTree:
                     ctx.release_page(leaf.page_id, dirty=True)
                     journal = self.update_journal
                     if journal is not None:
-                        journal.append(("i", key, rowid, payload))
+                        journal.append((op, "i", key, rowid, payload))
                     break
                 # Full: run the split top action (which takes ownership of
                 # the latched leaf), then retry the insert from the top.
@@ -198,7 +200,9 @@ class BTree:
                 shrink_leaf(self.ctx, self, op, leaf, unit, traversal)
             else:
                 self.ctx.release_page(leaf.page_id, dirty=True)
-            self._journal_append(("d", key, rowid, b""))
+            journal = self.update_journal
+            if journal is not None:
+                journal.append((op, "d", key, rowid, row[self.unit_len:]))
 
     # ----------------------------------------------------------------- reads
 
@@ -297,11 +301,6 @@ class BTree:
 
     def _operation(self, txn: Transaction | None) -> "_OpScope":
         return _OpScope(self.ctx, txn, tree=self)
-
-    def _journal_append(self, entry: tuple) -> None:
-        journal = self.update_journal
-        if journal is not None:
-            journal.append(entry)
 
     # -- side-tree baseline support (no-ops unless a baseline installed them)
 

@@ -288,8 +288,8 @@ def level1_leaf_order(
     holds ``unit``, and the unit the order continues from (``None`` at
     the right edge of the index).
 
-    This is what lets read-ahead request upcoming runs without reading a
-    leaf for its ``next_page`` pointer.  Per nonleaf page: S-latch, copy
+    This is read-ahead's only source of leaf order: it requests upcoming
+    runs without reading a leaf.  Per nonleaf page: S-latch, copy
     the child ids, release — the level-1 pages are the ones the rebuild's
     propagation visits every top action, and the ones ahead are read
     here a little before its traversal would have read them.  It is a
@@ -297,7 +297,8 @@ def level1_leaf_order(
     cannot be read, or a SPLIT / SHRINK / OLDPGOFSPLIT bit on the way (a
     top action is rearranging exactly these entries; waiting it out would
     mean an address lock) returns ``None`` — or the part of the order
-    already copied — and the caller falls back to the ``next_page`` walk.
+    already copied — and read-ahead learns nothing more until a read
+    lands, the position moves or the rebuild's top action ends.
     """
     leaves: list[int] = []
     at: bytes | None = unit

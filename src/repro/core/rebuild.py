@@ -595,6 +595,9 @@ class OnlineRebuild:
         # top action re-dirties them; §3 forces new pages and the seam PP.
         for pid in deallocated:
             ctx.buffer.retire_page(pid)
+        if self._scheduler is not None:
+            # Level 1 is free of this top action's latches and bits.
+            self._scheduler.wake()
         if self._scheduler is not None and result.new_pages:
             # Eager write-behind of the leaves this thread is done with,
             # so the writers can clean them while the next top action

@@ -18,6 +18,15 @@ put numbers on those claims:
    operations (the unbounded-wait hazard), drain the remainder, move the
    side tree under the stable root page id, and free the old pages.
 
+The journal records each change as it runs, with its transaction.  The
+drain takes entries in journal order and settles each one only once its
+transaction has ended: a committed change is applied, an aborted one is
+undone in the side tree (the scan may have copied it before the abort).
+An entry whose transaction is still active is waited for, up to
+``SETTLE_TIMEOUT`` — at the switch that is §7's "unbounded wait" made
+explicit, since the old pages cannot be freed under a change that may
+still roll back.
+
 Compare with :class:`~repro.core.rebuild.OnlineRebuild`, which needs no
 journal, no second tree, and no tree-exclusive lock.
 """
@@ -29,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.btree.tree import BTree
-from repro.concurrency.txn import Transaction
+from repro.concurrency.txn import Transaction, TxnState
 from repro.core.config import RebuildConfig
 from repro.core.offline import (
     _all_pages,
@@ -43,6 +52,11 @@ from repro.storage.page import NO_PAGE
 from repro.storage.page_manager import ChunkAllocator
 from repro.wal.records import LogRecord, RecordType
 
+SETTLE_TIMEOUT = 10.0
+"""Seconds the rebuild waits for a transaction with an unsettled journal
+entry (or, before the scan, any transaction active when the journal was
+installed) to commit or abort before it gives up."""
+
 
 @dataclass
 class SideTreeReport:
@@ -53,7 +67,8 @@ class SideTreeReport:
     switch_seconds: float = 0.0
     """How long the tree-exclusive switch blocked all operations."""
     journal_entries: int = 0
-    """Sidefile size: every concurrent update captured during the rebuild."""
+    """Sidefile size: every concurrent update captured during the rebuild
+    (an aborted one included: the drain undoes it in the side tree)."""
     drain_rounds: int = 0
     peak_extra_pages: int = 0
     """The doubled-storage moment: pages held by the side tree while the
@@ -103,6 +118,11 @@ def _run(
 ) -> None:
     ctx = tree.ctx
     tree.update_journal = journal
+    # A transaction already running may have changed the tree before the
+    # journal was there to see it: the scan must not copy such a change
+    # while it can still roll back.
+    for txn in list(ctx.txns.active.values()):
+        _settle(txn)
 
     # ---- pass 1: copy the (live) old tree into a complete side tree.
     build_started = time.perf_counter()
@@ -189,18 +209,33 @@ def _bulk_side_tree(
     return side, side_pages
 
 
+def _settle(txn: Transaction) -> None:
+    """Wait for ``txn`` to commit or abort, up to ``SETTLE_TIMEOUT``."""
+    deadline = time.monotonic() + SETTLE_TIMEOUT
+    while txn.state is TxnState.ACTIVE:
+        if time.monotonic() > deadline:
+            raise RebuildError(
+                f"transaction {txn.txn_id} still active after "
+                f"{SETTLE_TIMEOUT:.0f}s — the §7 unbounded wait"
+            )
+        time.sleep(0.001)
+
+
 def _drain(side: BTree, journal: deque, upto: int) -> int:
-    """Apply up to ``upto`` sidefile entries to the side tree (idempotent)."""
+    """Settle up to ``upto`` sidefile entries in the side tree, in journal
+    order (idempotent): the row ends up present after a committed insert
+    or an aborted delete, absent otherwise."""
     applied = 0
     for _ in range(upto):
         if not journal:
             break
-        op, key, rowid, payload = journal.popleft()
+        txn, op, key, rowid, payload = journal.popleft()
+        _settle(txn)
         try:
             side.delete(key, rowid)
         except KeyNotFoundError:
             pass
-        if op == "i":
+        if (op == "i") == (txn.state is TxnState.COMMITTED):
             try:
                 side.insert(key, rowid, payload=payload)
             except DuplicateKeyError:  # pragma: no cover - defensive

@@ -46,11 +46,7 @@ from typing import Iterable
 from repro.btree.tree import BTree
 from repro.core.config import RebuildConfig
 from repro.core.rebuild import OnlineRebuild, RebuildReport
-from repro.errors import (
-    RebuildAbortedError,
-    RebuildError,
-    RebuildWatchdogError,
-)
+from repro.errors import RebuildError, RebuildWatchdogError
 from repro.obs.metrics import Histogram, merged, since
 from repro.wal.recovery import RebuildCheckpoint
 
@@ -161,17 +157,6 @@ class RebuildSupervisor:
         self.pacer = pacer if pacer is not None else Pacer()
         self.rebuild: OnlineRebuild | None = None
         """The attempt currently running."""
-        self._wake = threading.Event()  # cuts retry backoff short on stop
-        self._stopped = False
-
-    def stop(self) -> None:
-        """Cut a retry backoff short and fail the current attempt; the
-        in-flight top action still finishes or aborts cleanly."""
-        self._stopped = True
-        self._wake.set()
-        rebuild = self.rebuild
-        if rebuild is not None:
-            rebuild.fail(RebuildAbortedError("supervisor stopped"))
 
     # -------------------------------------------------------------- lifecycle
 
@@ -203,8 +188,6 @@ class RebuildSupervisor:
         resume_after: bytes | None = None
         last_error: BaseException | None = None
         for attempt in range(1, policy.max_attempts + 1):
-            if self._stopped:
-                break
             report.attempts = attempt
             rebuild = self.rebuild = OnlineRebuild(self.tree, self.config)
             if resume_after is not None or (
@@ -252,7 +235,7 @@ class RebuildSupervisor:
                 # attempt may resume strictly after them.
                 if failed.resume_unit is not None:
                     resume_after = failed.resume_unit
-            if attempt >= policy.max_attempts or self._stopped:
+            if attempt >= policy.max_attempts:
                 break
             report.retries += 1
             ctx.counters.add("supervisor_retries")
@@ -262,7 +245,7 @@ class RebuildSupervisor:
                 error=type(last_error).__name__,
             )
             with ctx.tracer.span("supervisor.retry_backoff", attempt=attempt):
-                self._wake.wait(
+                time.sleep(
                     min(
                         policy.retry_backoff * (1 << (attempt - 1)),
                         RETRY_BACKOFF_CAP,

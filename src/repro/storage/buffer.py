@@ -20,7 +20,7 @@ buffer-pool reads of the old index.
 leaf-chain scan would sweep the OLTP working set out of an LRU pool, so
 frames are tagged by admission class — the pool's one admission policy.
 Demand (OLTP) fetches go to the *protected* LRU.  Scan-class reads
-(``fetch(..., scan=True)``, scan prefetches, and the rebuild's new-page
+(``fetch(..., scan=True)``, read-ahead prefetches, and the rebuild's new-page
 allocations) go to a bounded probationary *ring* of a quarter of the
 pool that recycles its own frames first — a 50k-leaf scan can displace
 at most that quarter of the hot set.  A ring page re-referenced by a
@@ -995,9 +995,7 @@ class BufferPool:
 
     # --------------------------------------------------------------- prefetch
 
-    def prefetch(
-        self, page_id: int, scan: bool = False
-    ) -> tuple[bool, int | None]:
+    def prefetch(self, page_id: int) -> bool:
         """Opportunistically cache a page without pinning it (read-ahead).
 
         Used by the I/O scheduler's reader threads to pull upcoming source
@@ -1010,17 +1008,13 @@ class BufferPool:
         transient error past the retry budget) propagates with every
         claim released; the reader counts it and drops the hint.
 
-        Returns ``(read, next_page)``: whether a physical read was issued
-        — the aligned run is then as cached as it will get, so the caller
-        asks for none of its other pages — and the page's ``next_page``
-        sibling pointer when the page is resident on return (``None``
-        otherwise), so a caller without a better source of leaf order can
-        chain along the leaf level.
+        Returns whether a physical read was issued: the aligned run is
+        then as cached as it will get, so the caller asks for none of its
+        other pages.
 
-        An already-resident page costs no frame and no I/O: the chain
-        pointer is answered from the pool and the skip is counted under
-        ``prefetch_skipped_resident``; a page with a read in flight is
-        counted under ``prefetch_skipped_inflight``.  A target the run
+        An already-resident page costs no frame and no I/O and is counted
+        under ``prefetch_skipped_resident``; a page with a read in flight
+        is counted under ``prefetch_skipped_inflight``.  A target the run
         read brings back without a valid image (never written, or failing
         its CRC) is counted under ``prefetch_errors``; the demand fetch
         that follows raises the precise error.
@@ -1028,23 +1022,21 @@ class BufferPool:
         Misses read the whole aligned physical run (§6.3 large I/O), the
         same batching — and the same neighbor claims, see
         :meth:`_read_run` — the demand-fetch miss path uses.  The target
-        stays claimed in-flight until it is admitted.  ``scan=True``
-        admissions go to the ring and recycle only consumed ring frames
-        — a prefetch storm can neither touch the protected region nor
-        evict the read-ahead window it is filling.  The scheduler keeps
-        the window within :meth:`readahead_room`.
+        stays claimed in-flight until it is admitted.  Admissions are
+        scan-class: they go to the ring and recycle only consumed ring
+        frames — a prefetch storm can neither touch the protected region
+        nor evict the read-ahead window it is filling.  The scheduler
+        keeps the window within :meth:`readahead_room`.
         """
         start, images, claimed = page_id, [], []
-        next_page: int | None = None
         try:
             with self._lock:
-                frame = self._lookup(page_id)
-                if frame is not None:
+                if self._lookup(page_id) is not None:
                     self.counters.add("prefetch_skipped_resident")
-                    return False, frame.page.next_page
+                    return False
                 if page_id in self._inflight:
                     self.counters.add("prefetch_skipped_inflight")
-                    return False, None
+                    return False
                 self._inflight.add(page_id)
                 try:
                     self._lock.release()
@@ -1055,14 +1047,12 @@ class BufferPool:
                     image = images[page_id - start]
                     if image is None:
                         self.counters.add("prefetch_errors")
-                    elif self._lookup(page_id) is None:
-                        page = Page.from_bytes(image, self.disk.page_size)
-                        if self._admit(
-                            page, scan=scan, required=False,
-                            prefetched=True, clean_only=True,
-                        ) is not None:
-                            self.counters.add("prefetch_admitted")
-                            next_page = page.next_page
+                    elif self._lookup(page_id) is None and self._admit(
+                        Page.from_bytes(image, self.disk.page_size),
+                        scan=True, required=False,
+                        prefetched=True, clean_only=True,
+                    ) is not None:
+                        self.counters.add("prefetch_admitted")
                 finally:
                     self._inflight.discard(page_id)
                     self._cond.notify_all()
@@ -1071,8 +1061,8 @@ class BufferPool:
             # pool fills, the neighbors are the ones to skip).  Runs on
             # the error path too — it is what releases the neighbor
             # claims.
-            self._admit_run(claimed, start, images, scan)
-        return True, next_page
+            self._admit_run(claimed, start, images, scan=True)
+        return True
 
     def evict_all(self) -> None:
         """Flush every dirty page, then drop all unpinned frames.

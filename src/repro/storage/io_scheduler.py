@@ -16,13 +16,15 @@ applies the same batching idea along the *time* axis:
   (``leaf_order``, supplied by the rebuild: S-latch, copy the child ids,
   release), so upcoming aligned runs are known without reading a leaf and
   ``_READS_IN_FLIGHT`` reader threads keep that many run reads in the
-  device at once, each aligned run claimed by one reader.  When the
-  level-1 read meets a SPLIT/SHRINK bit or fails, the window grows one
-  leaf at a time along ``next_page`` pointers instead.  Read-ahead is
-  purely a hint: it never evicts a dirty frame, never pins, never waits
-  on a latch or an address lock, and a failure is counted
-  (``prefetch_errors``) and dropped — once: a page read-ahead failed is
-  never asked for again, and the ``next_page`` walk stops at it.
+  device at once, each aligned run claimed by one reader.  Level 1 is the
+  only source of order: no reader follows a ``next_page`` pointer.  A
+  level-1 read that meets a SPLIT/SHRINK bit or a busy latch learns
+  nothing, and the window parks until a read lands, the position moves
+  or the rebuild's top action ends (:meth:`IOScheduler.wake`).
+  Read-ahead is purely a hint: it never evicts a dirty frame,
+  never pins, never waits on a latch or an address lock, and a failure
+  is counted (``prefetch_errors``) and dropped; the window requests each
+  leaf it learns once.
 
 * **Write-behind forcing.**  The §3 protocol forces each transaction's new
   pages to disk before the old pages are freed.  Serially that force sits on
@@ -193,9 +195,9 @@ class _Window:
         self.issued = 0
         self.resume: bytes | None = None
         self.end = False  # ``order`` reaches the end of the leaf chain
-        # The last extension learned nothing (the tail's successor is
-        # behind a read in flight or a refusal): wait for a read to
-        # finish or the position to move instead of spinning.
+        # The last extension learned nothing (level 1 could not be read):
+        # wait for a read to finish, the position to move or a wake-up
+        # instead of spinning.
         self.stuck = False
         self.epoch += 1
 
@@ -206,7 +208,7 @@ class IOScheduler:
     ``window`` is how many leaves beyond the rebuild's position
     read-ahead keeps requested, before the cap by the pool's room (see
     the module docstring); ``leaf_order`` is where the order of upcoming
-    leaves comes from (``None``: only the ``next_page`` walk).  Write
+    leaves comes from (``None``: nothing beyond the position).  Write
     submissions are never dropped (they carry durability obligations);
     the writers take them off one queue a run at a time, so runs become
     durable in any order and only a barrier says "all of these".
@@ -238,15 +240,10 @@ class IOScheduler:
         self._tail: list[int] = []  # retained trailing partial physical run
         self._window: _Window | None = None  # set by the first advance
         self._reading: set[int] = set()  # aligned runs a reader has claimed
-        # Pages whose prefetch raised, or read their run and still did not
-        # bring them in (an image that is rotten or was never written, no
-        # frame to spare): read-ahead never asks for one again, and a walk
-        # along the chain stops at one it cannot answer from the pool.
-        # Recorded before the reader lets go of the run's claim.
-        self._failed: set[int] = set()
-        # Bumped whenever a read or a walk ends or the position moves: an
-        # extension that learned nothing parks its window (``stuck``) only
-        # if none of that happened while it was looking.
+        # Bumped whenever a read or an extension ends, the position moves
+        # or a wake-up comes: an extension that learned nothing parks its
+        # window (``stuck``) only if none of that happened while it was
+        # looking.
         self._news = 0
         self._stop = False
         self._killed = False
@@ -400,6 +397,15 @@ class IOScheduler:
             self._news += 1
             self._cv.notify_all()
 
+    def wake(self) -> None:
+        """The rebuild's top action is over, and with it the latches and
+        bits it held on level 1: a window parked on them reads it again."""
+        with self._cv:
+            if self._window is not None:
+                self._window.stuck = False
+            self._news += 1
+            self._cv.notify_all()
+
     def wait_readahead(self, timeout: float = _FORCE_TIMEOUT) -> bool:
         """Block until read-ahead has nothing left to do — the window
         requested up to its cap (or the end of the chain) and no read in
@@ -543,70 +549,36 @@ class IOScheduler:
             )
         return None
 
-    def _prefetch(self, pid: int) -> tuple[bool, int | None]:
-        """:meth:`BufferPool.prefetch` for read-ahead, remembering a page
-        it failed in ``_failed``.  Read-ahead is scan-class: it recycles
-        ring frames and never displaces hot pages."""
-        try:
-            read, next_page = self.buffer.prefetch(pid, scan=True)
-        except Exception:
-            self._failed.add(pid)
-            raise
-        if read and next_page is None:
-            self._failed.add(pid)
-        return read, next_page
-
     def _request(self, leaves: list[int]) -> str:
         """Ask the pool for the leaves of one aligned run, stopping at the
         first physical read (it brings in the whole run).  Returns the
         span attribute the outcome counts under."""
-        outcome = "skipped_resident"
         for pid in leaves:
-            if pid in self._failed:
-                continue
-            read, next_page = self._prefetch(pid)
-            if read:
+            if self.buffer.prefetch(pid):
                 return "requested"
-            if next_page is None:
-                outcome = "skipped_inflight"
-        return outcome
+        return "skipped"
 
     def _extend(
         self, resume: bytes | None, unit: bytes | None, tail: int, count: int
     ) -> tuple[list[int], bytes | None, bool]:
-        """Learn the leaves behind ``tail``, the last one known.  Returns
-        (leaves, the unit a level-1 read continues from, whether the
-        order now reaches the chain's end)."""
+        """Learn the leaves behind ``tail``, the last one known, from
+        level 1.  Returns (leaves, the unit the next level-1 read
+        continues from, whether the order now reaches the chain's end);
+        nothing learned when level 1 cannot be read now (a SPLIT/SHRINK
+        bit or a busy latch on the way)."""
         start = resume if resume is not None else unit
-        if start is not None and self._leaf_order is not None:
-            found = self._leaf_order(start, count)
-            if found is not None:
-                leaves, resume_at = found
-                if resume is None:
-                    # Read from the position: splice in behind the tail.
-                    leaves = (
-                        leaves[leaves.index(tail) + 1:]
-                        if tail in leaves
-                        else None
-                    )
-                if leaves is not None:
-                    return leaves, resume_at, resume_at is None
-        # No level-1 order to be had (a SPLIT/SHRINK bit on the way, the
-        # tail not among its children, no ``leaf_order`` at all): one step
-        # along the chain.  The pool answers a resident tail's pointer
-        # from cache, and reads the tail's run when it is absent — unless
-        # a reader is on that run, or read-ahead failed the tail already.
-        with self._cv:
-            known = (
-                tail in self._failed
-                or (tail - 1) // self.buffer.disk.pages_per_io in self._reading
-            )
-        if known and not self.buffer.is_resident(tail):
+        if start is None or self._leaf_order is None:
             return [], None, False
-        _read, next_page = self._prefetch(tail)
-        if next_page is None or next_page == NO_PAGE:
-            return [], None, next_page == NO_PAGE
-        return [next_page], None, False
+        found = self._leaf_order(start, count)
+        if found is None:
+            return [], None, False
+        leaves, resume_at = found
+        if resume is None and tail in leaves:
+            # Read from the position, which is the tail: splice in behind
+            # it.  A position the rebuild has replaced already is not
+            # among the children; they all lie ahead of it.
+            leaves = leaves[leaves.index(tail) + 1:]
+        return leaves, resume_at, resume_at is None
 
     def _reader_loop(self) -> None:
         tracer = self.tracer
@@ -631,8 +603,8 @@ class IOScheduler:
             if tracer.enabled and span is None:
                 # One span per stretch of work.
                 span = tracer.begin(
-                    "iosched.readahead", requested=0, skipped_resident=0,
-                    skipped_inflight=0, window=cap, room=room,
+                    "iosched.readahead", requested=0, skipped=0,
+                    window=cap, room=room,
                 )
             grown = None
             try:

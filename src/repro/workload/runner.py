@@ -30,6 +30,8 @@ from repro.errors import (
 from repro.obs.metrics import Histogram, merged, oltp_op
 
 OPS = ("insert", "delete", "scan")
+SCAN_WIDTH = 200
+"""Rows a workload scan reads at most (it spans that many ordinals)."""
 
 
 @dataclass
@@ -103,7 +105,6 @@ class MixedWorkload:
         key_count: int,
         threads: int = 4,
         write_fraction: float = 0.8,
-        scan_width: int = 200,
         seed: int = 0,
         before_op=None,
     ) -> None:
@@ -119,7 +120,6 @@ class MixedWorkload:
         self.key_count = key_count
         self.threads = threads
         self.write_fraction = write_fraction
-        self.scan_width = scan_width
         self.seed = seed
         self.before_op = before_op
         self.stats = OltpStats(
@@ -218,13 +218,13 @@ class MixedWorkload:
                         except KeyNotFoundError:
                             pass
                     else:
-                        hi_ord = min(i + self.scan_width, self.key_count - 1)
+                        hi_ord = min(i + SCAN_WIDTH, self.key_count - 1)
                         hi = self.keyfn(hi_ord)
                         lo, hi = (key, hi) if key <= hi else (hi, key)
                         rows = 0
                         for _ in self.tree.scan(lo=lo, hi=hi):
                             rows += 1
-                            if rows >= self.scan_width:
+                            if rows >= SCAN_WIDTH:
                                 break
                         with self._lock:
                             stats.scans += 1

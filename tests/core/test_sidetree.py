@@ -7,6 +7,8 @@ import time
 import pytest
 
 from repro import Engine, RebuildConfig
+from repro.concurrency.txn import TxnState
+from repro.core import sidetree as sidetree_mod
 from repro.core.sidetree import sidetree_rebuild
 from repro.errors import RebuildError
 from tests.conftest import contents_as_ints, intkey, make_half_empty
@@ -82,13 +84,6 @@ def test_switch_blocks_operations(engine, index):
     """§7 on [ZS96]: switching requires an exclusive lock on the tree."""
     make_half_empty(index, 1500)
     blocked_for = {}
-    release = threading.Event()
-
-    def park_in_switch(ctx):
-        # Called right after the switch completes; before that, the gate
-        # was closed.  To observe blocking we instead time an operation
-        # issued while quiesced — see below.
-        pass
 
     # Close the gate manually (what the switch does) and measure a writer.
     index.close_gate_and_quiesce()
@@ -107,6 +102,89 @@ def test_switch_blocks_operations(engine, index):
     assert done.wait(10)
     t.join(5)
     assert blocked_for["s"] > 0.25
+
+
+def test_an_aborted_insert_never_reaches_the_side_tree(engine, index):
+    """The journal sees the insert when it runs; the drain must wait for
+    its transaction and undo it in the side tree once it aborted."""
+    make_half_empty(index, 1000)
+    before = index.contents()
+
+    def insert_and_abort(_ctx):
+        txn = engine.ctx.txns.begin()
+        index.insert(intkey(1001), 1001, txn=txn)
+        engine.ctx.txns.abort(txn)
+        assert not index.contains(intkey(1001), 1001)
+
+    engine.syncpoints.on("sidetree.built", insert_and_abort)
+    report = sidetree_rebuild(index)
+    assert report.journal_entries == 1
+    assert not index.contains(intkey(1001), 1001)
+    assert index.contents() == before
+    index.verify()
+
+
+def test_an_aborted_delete_is_put_back_with_its_payload(engine, index):
+    for k in range(600):
+        index.insert(intkey(k), k, payload=b"p%d" % k)
+    before = index.contents_with_payloads()
+
+    def delete_and_abort(_ctx):
+        txn = engine.ctx.txns.begin()
+        index.delete(intkey(7), 7, txn=txn)
+        engine.ctx.txns.abort(txn)
+
+    engine.syncpoints.on("sidetree.built", delete_and_abort)
+    sidetree_rebuild(index)
+    assert index.contents_with_payloads() == before
+    index.verify()
+
+
+def test_the_scan_waits_out_a_transaction_older_than_the_journal(
+    engine, index, monkeypatch
+):
+    """An insert made before the journal existed is never journaled: the
+    scan must not copy it while its transaction can still roll back."""
+    make_half_empty(index, 1000)
+    txn = engine.ctx.txns.begin()
+    index.insert(intkey(1001), 1001, txn=txn)
+
+    class AbortWhileWaited:
+        """The module's clock; the rebuild's first wait aborts ``txn``."""
+
+        monotonic = staticmethod(time.monotonic)
+        perf_counter = staticmethod(time.perf_counter)
+
+        @staticmethod
+        def sleep(_seconds):
+            if txn.state is TxnState.ACTIVE:
+                engine.ctx.txns.abort(txn)
+
+    monkeypatch.setattr(sidetree_mod, "time", AbortWhileWaited)
+    sidetree_rebuild(index)
+    assert not index.contains(intkey(1001), 1001)
+    index.verify()
+
+
+def test_a_transaction_left_open_bounds_the_switch(
+    engine, index, monkeypatch
+):
+    """§7's unbounded wait, bounded: the old pages cannot go while a
+    journaled change may still roll back, so the rebuild gives up."""
+    monkeypatch.setattr(sidetree_mod, "SETTLE_TIMEOUT", 0.05)
+    make_half_empty(index, 1000)
+    opened = []
+
+    def insert_and_leave_open(_ctx):
+        opened.append(engine.ctx.txns.begin())
+        index.insert(intkey(1001), 1001, txn=opened[0])
+
+    engine.syncpoints.on("sidetree.built", insert_and_leave_open)
+    with pytest.raises(RebuildError, match="still active"):
+        sidetree_rebuild(index)
+    engine.ctx.txns.commit(opened[0])
+    assert index.contains(intkey(1001), 1001)
+    index.verify()
 
 
 def test_rebuild_flag_guard(index):

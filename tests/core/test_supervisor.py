@@ -109,43 +109,6 @@ def test_gives_up_after_max_attempts():
     index.verify()
 
 
-def test_stop_interrupts_retry_backoff(monkeypatch):
-    monkeypatch.setattr(supervisor_mod, "RETRY_BACKOFF_CAP", 30.0)
-    engine, index, _ = _engine(1000)
-    engine.syncpoints.on(
-        "rebuild.copy_locked",
-        lambda _ctx: (_ for _ in ()).throw(RuntimeError("always broken")),
-    )
-    backing_off = threading.Event()
-    engine.syncpoints.on(
-        "rebuild.supervisor.retry", lambda _ctx: backing_off.set()
-    )
-    supervisor = RebuildSupervisor(
-        index,
-        RebuildConfig(ntasize=4, xactsize=8),
-        SupervisorConfig(max_attempts=3, retry_backoff=30.0),
-    )
-    result: dict = {}
-
-    def drive():
-        try:
-            supervisor.run()
-        except RebuildError as exc:
-            result["error"] = exc
-
-    thread = threading.Thread(target=drive)
-    start = time.monotonic()
-    thread.start()
-    # Attempt 1 has failed and the 30 s backoff is about to begin (a
-    # stop() that lands before the wait cuts it just the same).
-    assert backing_off.wait(10.0)
-    supervisor.stop()
-    thread.join(timeout=10.0)
-    assert not thread.is_alive(), "stop() did not cut the backoff short"
-    assert time.monotonic() - start < 10.0
-    assert isinstance(result.get("error"), RebuildAbortedError)
-
-
 # --------------------------------------------------------- the one channel
 
 

@@ -23,7 +23,6 @@ from repro.errors import (
     RebuildAbortedError,
 )
 from repro.storage.faults import FaultPlan
-from repro.storage.io_scheduler import IOScheduler
 from repro.workload import MixedWorkload
 from repro.workload.builder import bulk_load
 from tests.conftest import intkey
@@ -308,23 +307,6 @@ def test_failed_prefetch_never_fails_the_rebuild_it_only_counts():
     fetch raising the ``ChecksumError``."""
     engine, _rb = rebuild_into_rot()
     assert engine.counters.prefetch_errors == 1
-
-
-def test_a_walk_along_the_chain_meets_a_rotten_leaf_once(monkeypatch):
-    """With no level-1 order, the window grows one ``next_page`` pointer
-    at a time: it requests the rotten leaf, and must not read it again to
-    learn its successor (it used to, once per wake-up: five times)."""
-    init = IOScheduler.__init__
-
-    def chain_only(scheduler, *args, **kwargs):
-        init(scheduler, *args, **dict(kwargs, leaf_order=None))
-
-    monkeypatch.setattr(IOScheduler, "__init__", chain_only)
-    engine, rb = rebuild_into_rot()
-    assert engine.counters.prefetch_errors == 1
-    # The walk did run ahead of the copy loop.
-    rebuilt = rb.last_report.leaf_pages_rebuilt
-    assert engine.counters.prefetch_admitted > rebuilt
 
 
 # ------------------------------------------------------------ thread hygiene

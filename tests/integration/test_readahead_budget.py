@@ -13,8 +13,9 @@ scheduler's own condition (:meth:`IOScheduler.wait_readahead`).
 (c) the window never exceeds the pool's ``readahead_room()`` and is
     requested past half of it, and ``prefetch_unused`` stays under a bound
     measured on the one-lock pool;
-(d) a SHRINK bit on the level-1 page sends the reader down the
-    ``next_page`` chain, never into an address-lock wait;
+(d) a SHRINK bit on the level-1 page parks read-ahead at the position's
+    own run, never in an address-lock wait, and the window fills from
+    level 1 once the bit is gone;
 (e) the leaf order read off level 1 equals the ``next_page`` chain on a
     tree fragmented by random inserts, deletes, splits and shrinks.
 """
@@ -228,9 +229,10 @@ def level1_page_of(ctx, tree, unit: bytes) -> int:
         page_id = child
 
 
-def test_shrink_bit_on_level1_falls_back_to_the_chain_walk():
+def test_shrink_bit_on_level1_parks_readahead():
     engine, tree, disk, chain = cold_index(20_000, buffer_capacity=2048)
     ctx = engine.ctx
+    ppio = disk.pages_per_io
     level1 = level1_page_of(ctx, tree, b"")
     # A top action owns the level-1 page: SHRINK bit and X address lock.
     # A reader that tried to wait it out would never come back.
@@ -239,23 +241,35 @@ def test_shrink_bit_on_level1_falls_back_to_the_chain_walk():
     ctx.buffer.fetch(level1).set_flag(PageFlag.SHRINK)
     ctx.buffer.unpin(level1, dirty=True)
     lock_waits = ctx.counters.lock_waits
+    resident_before = {p for p in chain if engine.buffer.is_resident(p)}
 
     assert level1_leaf_order(ctx, tree, b"", 64) is None
     sched = scheduler_for(engine, tree, window=16)
     try:
         sched.advance(chain[0], b"")
         assert sched.wait_readahead(WAIT)
+        assert ctx.counters.lock_waits == lock_waits
+        assert ctx.counters.prefetch_errors == 0
+        # Nothing was learned beyond the position: no leaf outside its
+        # own aligned run came in.
+        read = {p for p in chain if engine.buffer.is_resident(p)}
+        assert chain[0] in read
+        assert {
+            (p - 1) // ppio for p in read - resident_before
+        } == {(chain[0] - 1) // ppio}
+
+        ctx.buffer.fetch(level1).clear_flag(PageFlag.SHRINK)
+        ctx.buffer.unpin(level1, dirty=True)
+        ctx.locks.release(owner.txn_id, LockSpace.ADDRESS, level1)
+        ctx.txns.commit(owner)
+        unit = ctx.buffer.fetch(chain[1]).rows[0]
+        ctx.buffer.unpin(chain[1])
+        sched.advance(chain[1], unit)
+        assert sched.wait_readahead(WAIT)
     finally:
         sched.close()
-    assert all(engine.buffer.is_resident(pid) for pid in chain[:16])
-    assert ctx.counters.lock_waits == lock_waits
+    assert all(engine.buffer.is_resident(pid) for pid in chain[1:17])
     assert ctx.counters.prefetch_errors == 0
-
-    ctx.buffer.fetch(level1).clear_flag(PageFlag.SHRINK)
-    ctx.buffer.unpin(level1, dirty=True)
-    ctx.locks.release(owner.txn_id, LockSpace.ADDRESS, level1)
-    ctx.txns.commit(owner)
-    assert level1_leaf_order(ctx, tree, b"", 16)[0][:16] == chain[:16]
 
 
 # ------------------------------------------------------------------- (e)

@@ -205,7 +205,7 @@ def test_readahead_explains_itself_in_spans(pipelined):
         assert s.attrs["window"] == 4 * 32
         assert s.attrs["room"] == engine.buffer.readahead_room()
         assert s.end >= s.start
-        assert s.attrs["skipped_resident"] >= 0 <= s.attrs["skipped_inflight"]
+        assert s.attrs["skipped"] >= 0
     requested = sum(s.attrs["requested"] for s in spans)
     runs = report.leaf_pages_rebuilt // engine.ctx.disk.pages_per_io
     # The spans and the counter account for the whole read pass: a source

@@ -58,7 +58,7 @@ def test_pins_capacity_and_shard_quotas_hold(ops, capacity):
                 pool.fetch(pid, scan=True)
                 pool.unpin(pid, dirty=dirty)
             elif op == "prefetch":
-                pool.prefetch(pid, scan=dirty)
+                pool.prefetch(pid)
             elif op == "pin":
                 # Hold a pin across later operations (bounded so the pool
                 # cannot legitimately exhaust: < 8 frames pinned at once).
@@ -182,7 +182,7 @@ def run_wal_ops(ops, capacity: int) -> None:
         elif op == "flush":
             pool.flush_page(pid)
         elif op == "prefetch":
-            pool.prefetch(pid, scan=True)
+            pool.prefetch(pid)
         else:
             page = pool.fetch(
                 pid, large_io=op == "large", scan=op in ("scan", "bits")

@@ -132,7 +132,7 @@ def test_skipped_read_ahead_is_the_last_ring_victim(disk, counters):
     for pid in range(1, 18):
         put_page(disk, pid)
     for pid in (1, 2, 3):
-        pool.prefetch(pid, scan=True)
+        pool.prefetch(pid)
     for pid in (2, 3, *range(10, 16)):  # the scan skips page 1
         pool.fetch(pid, scan=True)
         pool.unpin(pid)
@@ -142,7 +142,7 @@ def test_skipped_read_ahead_is_the_last_ring_victim(disk, counters):
     # Every other ring frame pinned: read-ahead finds nothing it may take.
     for pid in (13, 14, 15):
         pool.fetch(pid, scan=True)
-    pool.prefetch(16, scan=True)
+    pool.prefetch(16)
     assert pool.is_resident(1) and not pool.is_resident(16)
     assert counters.prefetch_unused == 0
     # The scan's own admission may: the skipped frame is its last victim.

@@ -13,7 +13,7 @@ from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.io_scheduler import CompletionToken, IOScheduler
-from repro.storage.page import NO_PAGE, PAGE_SIZE_DEFAULT, Page
+from repro.storage.page import PAGE_SIZE_DEFAULT, Page
 from tests.integration.test_write_budget import GatedDisk
 
 
@@ -287,29 +287,6 @@ def test_tail_retention_saves_physical_calls():
 # ---------------------------------------------------------------- prefetch
 
 
-def link_chain(pool: BufferPool, ids: list[int]) -> None:
-    """Store ``ids`` as one leaf chain (next_page pointers on disk)."""
-    for pid, nxt in zip(ids, ids[1:] + [NO_PAGE]):
-        page = Page(pid, PAGE_SIZE_DEFAULT)
-        page.next_page = nxt
-        pool.disk.write(pid, page.to_bytes())
-
-
-def test_prefetch_chain_populates_pool():
-    """Without a level-1 order the window grows along next_page pointers."""
-    pool, counters = make_pool(pages=6)
-    link_chain(pool, [1, 2, 3])
-    sched = IOScheduler(pool, counters=counters, window=3).start()
-    try:
-        sched.advance(1)
-        assert sched.wait_readahead(timeout=5.0)
-        assert pool.is_resident(1)
-        assert pool.is_resident(2)
-        assert pool.is_resident(3)
-    finally:
-        sched.close()
-
-
 def test_window_bounds_requested_leaves():
     """No more than ``window`` leaves beyond the position are requested,
     and moving the position requests only what came into the window."""
@@ -386,7 +363,7 @@ def test_prefetch_never_evicts_dirty_frames():
     dirty_pages(pool, dirty)
     writes_before = counters.page_writes
     # No clean victim: the run is read, nothing is admitted or written.
-    assert pool.prefetch(1) == (True, None)
+    assert pool.prefetch(1) is True
     assert counters.page_writes == writes_before
     for pid in dirty:
         assert pool.is_resident(pid)
@@ -394,7 +371,7 @@ def test_prefetch_never_evicts_dirty_frames():
 
 def test_prefetch_missing_page_is_silent():
     pool, _ = make_pool(pages=2)
-    assert pool.prefetch(99) == (True, None)
+    assert pool.prefetch(99) is True
 
 
 def test_prefetched_page_counts_hit_on_fetch():
@@ -460,7 +437,6 @@ def test_reader_parked_in_the_device_does_not_hold_close(monkeypatch):
     import repro.storage.io_scheduler as mod
 
     pool, counters = make_pool(pages=8)
-    link_chain(pool, [1, 2])
     parked, gate = threading.Event(), threading.Event()
     service = pool.disk._service
 

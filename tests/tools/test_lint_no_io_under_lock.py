@@ -101,7 +101,7 @@ def test_pool_flush_under_the_schedulers_condition_is_flagged():
         "    with self._cv:\n"
         "        number, ids = self._runs.popleft()\n"
         "        self.buffer.flush_pages(ids)\n"
-        "        self.buffer.prefetch(ids[0], scan=True)\n"
+        "        self.buffer.prefetch(ids[0])\n"
     )
     assert len(violations(src)) == 2
 

@@ -33,6 +33,11 @@ neighbor — check under the latch that the page still is an allocated leaf
 of this index (and, for the neighbor, still this page's right sibling):
 a page rebuilt away keeps its rows and loses its SHRINK bit when the top
 action ends, so its image alone cannot tell.
+
+Three syncpoints mark the moments a concurrent change can race the scan,
+each fired with no latch held: ``scan.run`` (a leaf's run is handed
+out), ``scan.step_right`` (between a leaf and its right neighbor) and
+``scan.reposition`` (a re-traversal by key).
 """
 
 from __future__ import annotations
@@ -96,6 +101,7 @@ def range_scan(
         version = image_version(page)
         ctx.release_page(page_id)  # §2.5: unlatch before returning a key
         counters.local_shard()["scan_leaf_visits"] += 1
+        ctx.syncpoints.fire("scan.run", page=page_id, rows=len(run))
 
         changed = False
         handed_out = 0
@@ -229,6 +235,7 @@ def _reacquire(
         ):
             return page
         ctx.release_page(page_id)
+    ctx.syncpoints.fire("scan.reposition", page=page_id, resume=resume)
     return traversal.traverse(resume, AccessMode.READER, 0, txn)
 
 
@@ -253,6 +260,7 @@ def _advance_right(
     ctx.release_page(page_id)
     if next_id == NO_PAGE:
         return None, 0
+    ctx.syncpoints.fire("scan.step_right", page=page_id, next=next_id)
     neighbor = _latch_live_leaf(ctx, tree, next_id)
     if neighbor is not None:
         shrinking = neighbor.has_flag(PageFlag.SHRINK)
@@ -264,5 +272,6 @@ def _advance_right(
                 txn.txn_id, LockSpace.ADDRESS, next_id, LockMode.S
             )
     resume = lo_unit if last_returned is None else last_returned
+    ctx.syncpoints.fire("scan.reposition", page=next_id, resume=resume)
     neighbor = traversal.traverse(resume, AccessMode.READER, 0, txn)
     return neighbor, _resume_pos(neighbor, resume, last_returned, ctx.counters)

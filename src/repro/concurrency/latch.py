@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from collections import defaultdict
 
 from repro.errors import LatchError, LockTimeoutError
 from repro.stats.counters import Counters
@@ -27,23 +26,16 @@ class LatchMode(enum.Enum):
     X = "X"
 
 
-class _Latch:
-    """State of one page's latch."""
-
-    __slots__ = ("s_holders", "x_holder", "waiters")
-
-    def __init__(self) -> None:
-        self.s_holders: set[int] = set()   # thread idents
-        self.x_holder: int | None = None
-        self.waiters = 0
-
-
 class LatchManager:
-    """S/X latches keyed by page id."""
+    """S/X latches keyed by page id.  The table maps a latched page to
+    its S-holder count, or ``-1`` while it is held X; an unlatched page
+    has no entry.  Who holds what is each thread's ``held`` map."""
 
-    # Optional observability hook (set by EngineContext when tracing is
-    # on): contended waits record into the latch_wait_seconds histogram.
+    # Optional hooks, set by EngineContext: ``metrics`` (when tracing is
+    # on) records contended waits into the latch_wait_seconds histogram,
+    # ``syncpoints`` is told ``latch.wait`` once per request that waits.
     metrics = None
+    syncpoints = None
 
     def __init__(
         self,
@@ -52,7 +44,7 @@ class LatchManager:
     ) -> None:
         self.counters = counters if counters is not None else Counters()
         self.timeout = timeout
-        self._latches: dict[int, _Latch] = defaultdict(_Latch)
+        self._latches: dict[int, int] = {}
         # A plain Lock (not the default RLock) backs the condition: latch
         # methods never nest, and Lock's fast path is cheaper.  The mutex
         # is kept separately so the hot paths can acquire/release it
@@ -76,12 +68,12 @@ class LatchManager:
 
     def acquire(self, page_id: int, mode: LatchMode) -> None:
         """Block until the latch is granted (watchdog-bounded)."""
-        me = threading.get_ident()
         try:
             held = self._local.held
         except AttributeError:
             held = self._my_held()
         self.counters.local_shard()["latch_acquires"] += 1
+        latches = self._latches
         mutex = self._mutex
         mutex.acquire()
         try:
@@ -90,63 +82,60 @@ class LatchManager:
                     f"thread already holds latch on page {page_id}; "
                     "latches are not re-entrant"
                 )
-            latch = self._latches[page_id]
-            # Uncontended grant, inline (the overwhelmingly common case).
-            if latch.x_holder is None and (
-                mode is LatchMode.S or not latch.s_holders
-            ):
-                if mode is LatchMode.X:
-                    latch.x_holder = me
-                else:
-                    latch.s_holders.add(me)
-                held[page_id] = mode
-                return
-            self.counters.add("latch_waits")
-            metrics = self.metrics
-            wait_start = time.monotonic() if metrics is not None else 0.0
-            latch.waiters += 1
-            self._waiting += 1
-            try:
-                deadline = threading.TIMEOUT_MAX
-                waited = 0.0
-                while not self._grantable(latch, mode):
-                    if not self._cond.wait(timeout=self.timeout):
-                        raise LockTimeoutError(
-                            f"latch wait on page {page_id} ({mode.value}) "
-                            f"exceeded {self.timeout}s watchdog"
-                        )
-                    waited += self.timeout
-                    if waited > deadline:  # pragma: no cover
-                        break
-            finally:
-                latch.waiters -= 1
-                self._waiting -= 1
-                if metrics is not None:
-                    metrics.histogram("latch_wait_seconds").record(
-                        time.monotonic() - wait_start
+            state = latches.get(page_id, 0)
+            exclusive = mode is LatchMode.X
+            if state < 0 or (exclusive and state):
+                # Contended: the slow path.  ``latch.wait`` fires with the
+                # mutex released, so a hook parked there stalls no other
+                # latch; the state is read again after it.
+                self.counters.add("latch_waits")
+                if self.syncpoints is not None:
+                    self.syncpoints.fire_unlocked(
+                        mutex, "latch.wait", page=page_id, mode=mode.value
                     )
-            self._grant(latch, page_id, mode, me)
+                metrics = self.metrics
+                wait_start = time.monotonic() if metrics is not None else 0.0
+                self._waiting += 1
+                try:
+                    while True:
+                        state = latches.get(page_id, 0)
+                        if state >= 0 and not (exclusive and state):
+                            break
+                        if not self._cond.wait(timeout=self.timeout):
+                            raise LockTimeoutError(
+                                f"latch wait on page {page_id} "
+                                f"({mode.value}) exceeded {self.timeout}s "
+                                "watchdog"
+                            )
+                finally:
+                    self._waiting -= 1
+                    if metrics is not None:
+                        metrics.histogram("latch_wait_seconds").record(
+                            time.monotonic() - wait_start
+                        )
+            latches[page_id] = -1 if exclusive else state + 1
+            held[page_id] = mode
         finally:
             mutex.release()
 
     def try_acquire(self, page_id: int, mode: LatchMode) -> bool:
         """Conditional acquire; never blocks."""
-        me = threading.get_ident()
         held = self._my_held()
         self.counters.local_shard()["latch_acquires"] += 1
-        with self._cond:
+        with self._mutex:
             if page_id in held:
                 raise LatchError(
                     f"thread already holds latch on page {page_id}"
                 )
-            latch = self._latches[page_id]
-            if not self._grantable(latch, mode):
+            state = self._latches.get(page_id, 0)
+            exclusive = mode is LatchMode.X
+            if state < 0 or (exclusive and state):
                 return False
-            self._grant(latch, page_id, mode, me)
+            self._latches[page_id] = -1 if exclusive else state + 1
+            held[page_id] = mode
             return True
 
     def release(self, page_id: int) -> None:
-        me = threading.get_ident()
         try:
             held = self._local.held
         except AttributeError:
@@ -154,19 +143,15 @@ class LatchManager:
         mutex = self._mutex
         mutex.acquire()
         try:
-            mode = held.pop(page_id, None)
-            if mode is None:
+            if held.pop(page_id, None) is None:
                 raise LatchError(
                     f"thread does not hold a latch on page {page_id}"
                 )
-            latch = self._latches[page_id]
-            if mode is LatchMode.X:
-                latch.x_holder = None
+            state = self._latches[page_id]
+            if state > 1:
+                self._latches[page_id] = state - 1
             else:
-                latch.s_holders.discard(me)
-            if not latch.s_holders and latch.x_holder is None:
-                if latch.waiters == 0:
-                    del self._latches[page_id]
+                del self._latches[page_id]
             if self._waiting:
                 self._cond.notify_all()
         finally:
@@ -187,21 +172,3 @@ class LatchManager:
         if held is None:
             return False
         return mode is None or held is mode
-
-    # -------------------------------------------------------------- internals
-
-    def _grantable(self, latch: _Latch, mode: LatchMode) -> bool:
-        if latch.x_holder is not None:
-            return False
-        if mode is LatchMode.X:
-            return not latch.s_holders
-        return True
-
-    def _grant(
-        self, latch: _Latch, page_id: int, mode: LatchMode, me: int
-    ) -> None:
-        if mode is LatchMode.X:
-            latch.x_holder = me
-        else:
-            latch.s_holders.add(me)
-        self._my_held()[page_id] = mode

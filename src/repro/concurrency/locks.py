@@ -28,7 +28,7 @@ import enum
 import threading
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.errors import DeadlockError, LockError, LockTimeoutError
@@ -48,19 +48,15 @@ class LockSpace(enum.Enum):
 ResourceKey = tuple[LockSpace, Hashable]
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class _Request:
     txn_id: int
     mode: LockMode
     granted: bool = False
 
 
-@dataclass
-class _Resource:
-    queue: list[_Request] = field(default_factory=list)
-
-    def holders(self) -> set[int]:
-        return {r.txn_id for r in self.queue if r.granted}
+def _holders(queue: list[_Request]) -> set[int]:
+    return {r.txn_id for r in queue if r.granted}
 
 
 def _compatible(a: LockMode, b: LockMode) -> bool:
@@ -68,7 +64,13 @@ def _compatible(a: LockMode, b: LockMode) -> bool:
 
 
 class LockManager:
-    """FIFO S/X lock table with waits-for deadlock detection."""
+    """FIFO S/X lock table with waits-for deadlock detection.  The table
+    maps a resource to its queue of requests, granted and waiting; a
+    resource nobody holds or waits for has no entry."""
+
+    # Set by EngineContext: told ``lock.wait`` once per request that has
+    # to wait (a queued acquire or an upgrade).
+    syncpoints = None
 
     def __init__(
         self,
@@ -77,8 +79,12 @@ class LockManager:
     ) -> None:
         self.counters = counters if counters is not None else Counters()
         self.timeout = timeout
-        self._table: dict[ResourceKey, _Resource] = {}
-        self._cond = threading.Condition()
+        self._table: dict[ResourceKey, list[_Request]] = {}
+        # A plain Lock backs the condition, entered directly (C-level):
+        # the manager's methods never nest.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
+        self._waiting = 0  # requests parked on the condition
         self._upgrading: dict[int, ResourceKey] = {}
         self._held: dict[int, set[ResourceKey]] = defaultdict(set)
 
@@ -94,17 +100,20 @@ class LockManager:
         """Unconditionally acquire; blocks; may raise DeadlockError."""
         key: ResourceKey = (space, resource)
         self.counters.add("lock_mgr_calls")
-        with self._cond:
-            res = self._table.setdefault(key, _Resource())
-            existing = self._my_request(res, txn_id)
+        with self._mutex:
+            if (queue := self._table.get(key)) is None:
+                self._table[key] = [_Request(txn_id, mode, granted=True)]
+                self._held[txn_id].add(key)
+                return
+            existing = self._my_request(queue, txn_id)
             if existing is not None and existing.granted:
                 if existing.mode is mode or existing.mode is LockMode.X:
                     return  # already held in same or stronger mode
-                self._upgrade(key, res, existing, txn_id)
+                self._upgrade(key, queue, existing, txn_id)
                 return
             req = _Request(txn_id, mode)
-            res.queue.append(req)
-            self._wait_for_grant(key, res, req)
+            queue.append(req)
+            self._wait_for_grant(key, queue, req)
 
     def try_acquire(
         self,
@@ -116,25 +125,25 @@ class LockManager:
         """Conditional acquire; never blocks."""
         key: ResourceKey = (space, resource)
         self.counters.add("lock_mgr_calls")
-        with self._cond:
-            res = self._table.setdefault(key, _Resource())
-            existing = self._my_request(res, txn_id)
+        with self._mutex:
+            if (queue := self._table.get(key)) is None:
+                self._table[key] = [_Request(txn_id, mode, granted=True)]
+                self._held[txn_id].add(key)
+                return True
+            existing = self._my_request(queue, txn_id)
             if existing is not None and existing.granted:
                 if existing.mode is mode or existing.mode is LockMode.X:
                     return True
-                if len(res.holders()) == 1 and not any(
-                    not r.granted for r in res.queue
+                if len(_holders(queue)) == 1 and not any(
+                    not r.granted for r in queue
                 ):
                     existing.mode = LockMode.X
                     return True
                 return False
-            if self._grantable_now(res, txn_id, mode):
-                req = _Request(txn_id, mode, granted=True)
-                res.queue.append(req)
+            if self._grantable_now(queue, txn_id, mode):
+                queue.append(_Request(txn_id, mode, granted=True))
                 self._held[txn_id].add(key)
                 return True
-            if not res.queue:
-                del self._table[key]
             return False
 
     def wait_instant(
@@ -162,22 +171,20 @@ class LockManager:
         self, txn_id: int, space: LockSpace, resource: Hashable
     ) -> None:
         key: ResourceKey = (space, resource)
-        with self._cond:
-            res = self._table.get(key)
-            if res is None:
+        with self._mutex:
+            if (queue := self._table.get(key)) is None:
                 raise LockError(f"no lock table entry for {key}")
-            before = len(res.queue)
-            res.queue = [
-                r for r in res.queue if not (r.granted and r.txn_id == txn_id)
-            ]
-            if len(res.queue) == before:
+            req = self._my_request(queue, txn_id)  # a txn has one per key
+            if req is None or not req.granted:
                 raise LockError(
                     f"txn {txn_id} does not hold a lock on {key}"
                 )
-            self._held[txn_id].discard(key)
-            if not res.queue:
+            queue.remove(req)
+            if not queue:
                 del self._table[key]
-            self._cond.notify_all()
+            self._held[txn_id].discard(key)
+            if self._waiting:
+                self._cond.notify_all()
 
     def release_all(self, txn_id: int, space: LockSpace | None = None) -> None:
         """Release every lock a transaction holds (in ``space``, or all)."""
@@ -185,7 +192,7 @@ class LockManager:
             # Lock-free fast path: entries for this txn are only ever added
             # by its own thread, so absence here is stable.
             return
-        with self._cond:
+        with self._mutex:
             held = self._held.get(txn_id)
             if not held:
                 self._held.pop(txn_id, None)  # drop an empty leftover entry
@@ -204,36 +211,36 @@ class LockManager:
         mode: LockMode | None = None,
     ) -> bool:
         key: ResourceKey = (space, resource)
-        with self._cond:
-            res = self._table.get(key)
-            if res is None:
+        with self._mutex:
+            queue = self._table.get(key)
+            if queue is None:
                 return False
-            req = self._my_request(res, txn_id)
+            req = self._my_request(queue, txn_id)
             if req is None or not req.granted:
                 return False
             return mode is None or req.mode is mode
 
     def held_resources(self, txn_id: int) -> set[ResourceKey]:
-        with self._cond:
+        with self._mutex:
             return set(self._held[txn_id])
 
     # -------------------------------------------------------------- internals
 
-    def _my_request(self, res: _Resource, txn_id: int) -> _Request | None:
-        for r in res.queue:
+    def _my_request(self, queue: list, txn_id: int) -> _Request | None:
+        for r in queue:
             if r.txn_id == txn_id:
                 return r
         return None
 
     def _grantable_now(
-        self, res: _Resource, txn_id: int, mode: LockMode
+        self, queue: list[_Request], txn_id: int, mode: LockMode
     ) -> bool:
         """May a brand-new request be granted without queueing?
 
         Requires compatibility with every granted holder and an empty wait
         queue (FIFO fairness: never overtake an earlier waiter).
         """
-        for r in res.queue:
+        for r in queue:
             if r.txn_id == txn_id:
                 continue
             if r.granted and not _compatible(r.mode, mode):
@@ -242,66 +249,88 @@ class LockManager:
                 return False
         return True
 
-    def _grantable_queued(self, res: _Resource, req: _Request) -> bool:
+    def _grantable_queued(self, queue: list[_Request], req: _Request) -> bool:
         """May a queued request be granted?
 
         Grant in queue order: ``req`` is grantable when every entry ahead of
         it (granted or still waiting) is mode-compatible, so a group of
         adjacent S waiters wakes together but never overtakes a waiting X.
         """
-        for r in res.queue:
+        for r in queue:
             if r is req:
                 return True
             if not _compatible(r.mode, req.mode):
                 return False
         return True
 
+    def _fire_wait(self, key: ResourceKey, mode: LockMode) -> None:
+        # The mutex is released around the fire; callers re-check state.
+        if self.syncpoints is not None:
+            self.syncpoints.fire_unlocked(
+                self._mutex, "lock.wait", space=key[0].value,
+                resource=key[1], mode=mode.value,
+            )
+
+    def _park(self) -> bool:
+        # Counted, so that a release notifies only while someone waits.
+        self._waiting += 1
+        try:
+            return self._cond.wait(timeout=self.timeout)
+        finally:
+            self._waiting -= 1
+
+    def _dequeue(self, key: ResourceKey, queue: list, req: _Request) -> None:
+        queue.remove(req)  # the request gave up waiting
+        if not queue:
+            self._table.pop(key, None)
+        if self._waiting:
+            self._cond.notify_all()
+
     def _wait_for_grant(
-        self, key: ResourceKey, res: _Resource, req: _Request
+        self, key: ResourceKey, queue: list[_Request], req: _Request
     ) -> None:
         """Block ``req`` until grantable; detect deadlock; grant."""
-        while not self._grantable_queued(res, req):
+        if not self._grantable_queued(queue, req):
+            self._fire_wait(key, req.mode)
+        while not self._grantable_queued(queue, req):
             if self._in_cycle(req.txn_id):
-                res.queue.remove(req)
-                if not res.queue:
-                    self._table.pop(key, None)
-                self._cond.notify_all()
+                self._dequeue(key, queue, req)
                 raise DeadlockError(
                     f"txn {req.txn_id} chosen as deadlock victim on {key}"
                 )
             self.counters.add("lock_waits")
             waited_from = time.perf_counter()
-            signalled = self._cond.wait(timeout=self.timeout)
+            signalled = self._park()
             self.counters.add(
                 "lock_wait_us",
                 int((time.perf_counter() - waited_from) * 1_000_000),
             )
             if not signalled:
-                res.queue.remove(req)
-                if not res.queue:
-                    self._table.pop(key, None)
-                self._cond.notify_all()
+                self._dequeue(key, queue, req)
                 raise LockTimeoutError(
                     f"lock wait on {key} exceeded {self.timeout}s watchdog"
                 )
         req.granted = True
         self._held[req.txn_id].add(key)
         # A grant may unblock compatible waiters queued right behind us.
-        self._cond.notify_all()
+        if self._waiting:
+            self._cond.notify_all()
 
     def _upgrade(
-        self, key: ResourceKey, res: _Resource, req: _Request, txn_id: int
+        self, key: ResourceKey, queue: list, req: _Request, txn_id: int
     ) -> None:
         """S -> X upgrade; waits for other holders to drain."""
         self._upgrading[txn_id] = key
         try:
-            while len(res.holders()) > 1:
+            if len(_holders(queue)) > 1:
+                self._fire_wait(key, LockMode.X)
+            while len(_holders(queue)) > 1:
                 if self._in_cycle(txn_id):
                     raise DeadlockError(
                         f"txn {txn_id} deadlocked upgrading {key}"
                     )
                 self.counters.add("lock_waits")
-                if not self._cond.wait(timeout=self.timeout):
+                if not self._park():
                     raise LockTimeoutError(
                         f"upgrade wait on {key} exceeded "
                         f"{self.timeout}s watchdog"
@@ -319,11 +348,11 @@ class LockManager:
     def _blockers_live(self, txn_id: int) -> set[int]:
         """Transactions ``txn_id`` is genuinely blocked on right now."""
         out: set[int] = set()
-        for key, res in self._table.items():
-            for req in res.queue:
+        for key, queue in self._table.items():
+            for req in queue:
                 if req.txn_id != txn_id or req.granted:
                     continue
-                for r in res.queue:
+                for r in queue:
                     if r is req:
                         break
                     if r.txn_id != txn_id and not _compatible(
@@ -331,7 +360,7 @@ class LockManager:
                     ):
                         out.add(r.txn_id)
             if self._upgrading.get(txn_id) == key:
-                out |= res.holders() - {txn_id}
+                out |= _holders(queue) - {txn_id}
         return out
 
     def _in_cycle(self, start: int) -> bool:

@@ -87,6 +87,16 @@ class SyncPoints:
         for hook in list(hooks):
             hook(context)
 
+    def fire_unlocked(self, mutex, name: str, **attrs: object) -> None:
+        """:meth:`fire` with the caller's ``mutex`` released around it
+        (retaken before this returns or raises), for a point on a wait
+        path: a hook may park there without holding the caller's lock."""
+        mutex.release()
+        try:
+            self.fire(name, **attrs)
+        finally:
+            mutex.acquire()
+
 
 class Rendezvous:
     """Two-thread handshake used by interleaving tests.

@@ -176,11 +176,13 @@ class EngineContext:
         self.latches = LatchManager(
             counters=self.counters, timeout=self.lock_timeout
         )
+        self.latches.syncpoints = self.syncpoints
         if self.tracer.enabled:
             self.latches.metrics = self.metrics
         self.locks = LockManager(
             counters=self.counters, timeout=self.lock_timeout
         )
+        self.locks.syncpoints = self.syncpoints
         self.txns = TransactionManager(self.log, counters=self.counters)
         apply_ctx = ApplyContext(self.buffer, self.page_manager, self.index_roots)
         self.txns.set_undo_applier(

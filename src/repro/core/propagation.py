@@ -50,7 +50,7 @@ from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
-from repro.errors import RebuildError
+from repro.errors import PageFullError, RebuildError
 from repro.storage.page import HEADER_SIZE, NO_PAGE, Page, PageFlag, PageType
 from repro.wal.records import LogRecord, RecordType
 
@@ -299,7 +299,7 @@ def _apply_group(
         try:
             page.set_blocked_range(lo, hi)
             page.set_flag(PageFlag.SHRINKRANGE)
-        except Exception:
+        except PageFullError:
             pass  # no room for the side entry: keep full blocking
 
     survived_id = page.page_id

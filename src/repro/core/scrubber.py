@@ -477,10 +477,10 @@ class Scrubber:
             problems = leaf_local_problems(
                 page, lo_sep or None, hi_sep or None
             )
-            crc_ok = self._crc_ok(page_id, report)
         finally:
             ctx.release_page(page_id)
-        if not crc_ok:
+        # The stored image's re-reads and retry sleeps run unlatched.
+        if not self._crc_ok(page_id, report):
             return self._handle_defect(
                 report,
                 handled,
@@ -693,6 +693,8 @@ class Scrubber:
                 return False
         if birth is None:
             return False
+        # Redo under the X latch; force after releasing it (no thread
+        # forces a page while it holds a latch).  The force is WAL-first.
         ctx.latches.acquire(page_id, LatchMode.X)
         try:
             resident = ctx.buffer.is_resident(page_id)
@@ -701,16 +703,18 @@ class Scrubber:
             )
             redo_record(birth, apply_ctx)
             redo_page_queue(page_id, queue, apply_ctx)
-            page = ctx.buffer.fetch(page_id)
-            ctx.log.flush_to(page.page_lsn)
+            ctx.buffer.fetch(page_id)
             ctx.buffer.unpin(page_id, dirty=True)
-            ctx.buffer.flush_page(page_id)
-            if not ctx.disk.exists(page_id):
-                return False
         except (StorageError, RebuildError):
             return False
         finally:
             ctx.latches.release(page_id)
+        try:
+            ctx.buffer.flush_page(page_id)
+        except StorageError:
+            return False
+        if not ctx.disk.exists(page_id):
+            return False
         # A resident frame gated every redo to a no-op and the repair was
         # really a re-flush of newer truth; count the two distinctly.
         if resident:

@@ -294,6 +294,23 @@ class BufferPool:
         protected LRU.  A demand (``scan=False``) hit on a ring-resident
         page promotes it to the protected region.
         """
+        if not scan:
+            # A demand hit in the protected LRU, inline: one counter-shard
+            # lookup, one LRU touch.  Everything else is _fetch_slow's.
+            with self._lock:
+                frame = self._frames.get(page_id)
+                if frame is not None and not frame.prefetched:
+                    shard = self.counters.local_shard()
+                    shard["page_reads"] += 1
+                    shard["pool_demand_hits"] += 1
+                    self._frames.move_to_end(page_id)
+                    frame.pin_count += 1
+                    return frame.page
+        return self._fetch_slow(page_id, large_io, scan)
+
+    def _fetch_slow(self, page_id: int, large_io: bool, scan: bool) -> Page:
+        """:meth:`fetch` of a miss, a ring hit, a prefetched frame or a
+        scan-class access."""
         missed = False
         with self._lock:
             self.counters.add("page_reads")
@@ -441,7 +458,7 @@ class BufferPool:
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
         with self._lock:
-            frame = self._lookup(page_id)
+            frame = self._frames.get(page_id) or self._ring.get(page_id)
             if frame is None or frame.pin_count <= 0:
                 raise BufferError_(f"page {page_id} is not pinned")
             frame.pin_count -= 1
@@ -470,20 +487,21 @@ class BufferPool:
         """Change counter of the frame holding exactly this ``Page``
         object, or ``None`` when the pool no longer holds it.
 
-        Read-only, pool lock only — no latch, no pin.  A reader notes the
+        Read-only: no latch, no pin, no pool lock.  A reader notes the
         value while it holds the page's latch; as long as later calls
         return the same value, what it read under the latch is still the
         page: every mutator dirties the frame (bumping the counter) before
         it drops its X latch, and an evicted-and-re-read or dropped-and-
         reallocated page id comes back as a different ``Page`` object
         whose counter starts over, which is why the identity is compared
-        and not the number alone.
+        and not the number alone.  A frame caught between the two tables
+        (mid-promotion) reads as ``None``: a revalidation, never a match.
         """
-        with self._lock:
-            frame = self._lookup(page.page_id)
-            if frame is None or frame.page is not page:
-                return None
-            return frame.version
+        page_id = page.page_id
+        frame = self._frames.get(page_id) or self._ring.get(page_id)
+        if frame is None or frame.page is not page:
+            return None
+        return frame.version
 
     # ------------------------------------------------------------------ flush
 

@@ -63,3 +63,35 @@ def test_scan_survives_page_shrink_under_cursor(index):
 def test_backward_compat_full_scan_is_sorted(index):
     fill_index(index, 700, seed=9)
     assert ints(index.scan()) == sorted(contents_as_ints(index))
+
+
+def test_scan_fires_run_step_right_and_reposition_in_order(engine, index):
+    """``scan.run`` per leaf run handed out, ``scan.step_right`` per move
+    to a right neighbor, ``scan.reposition`` per re-traversal by key: a
+    row deleted under the first run, before anything is returned, fails
+    the revalidation and moves the leaf's first row past the resume
+    point, so the scan re-traverses once and then walks the chain."""
+    fill_index(index, 300, seed=None)
+    leaves = index.verify().leaf_page_ids
+    assert len(leaves) >= 3
+    fired: list[tuple[str, dict]] = []
+    engine.syncpoints.observe(
+        lambda name, attrs: fired.append((name, attrs))
+        if name.startswith("scan.") else None
+    )
+    engine.syncpoints.once("scan.run", lambda _ctx: index.delete(intkey(0), 0))
+    before = engine.counters.scan_revalidation_failures
+    assert ints(index.scan()) == list(range(1, 300))
+    assert engine.counters.scan_revalidation_failures - before == 1
+    names = [name for name, _ in fired]
+    assert names == ["scan.run", "scan.reposition"] + ["scan.run"] + [
+        step for _ in leaves[1:] for step in ("scan.step_right", "scan.run")
+    ]
+    assert fired[1][1]["page"] == leaves[0]
+    runs = [attrs["page"] for name, attrs in fired if name == "scan.run"]
+    assert runs == [leaves[0]] + leaves
+    steps = [
+        (attrs["page"], attrs["next"])
+        for name, attrs in fired if name == "scan.step_right"
+    ]
+    assert steps == list(zip(leaves, leaves[1:]))

@@ -5,8 +5,11 @@ import threading
 import pytest
 
 from repro.concurrency.latch import LatchManager, LatchMode
+from repro.concurrency.syncpoints import SyncPoints
 from repro.errors import LatchError, LockTimeoutError
 from repro.stats.counters import Counters
+
+from ..conftest import until
 
 
 @pytest.fixture
@@ -164,3 +167,90 @@ def test_many_threads_mutual_exclusion(latches):
         t.join()
     assert not errors
     assert counter["value"] == 300
+
+
+# ------------------------------------------------ fast path / slow path edge
+
+
+def observed(latches: LatchManager) -> list[tuple[str, dict]]:
+    latches.syncpoints = SyncPoints()
+    fired: list[tuple[str, dict]] = []
+    latches.syncpoints.observe(lambda name, attrs: fired.append((name, attrs)))
+    return fired
+
+
+def test_table_is_empty_after_every_release(latches):
+    latches.acquire(1, LatchMode.X)
+    assert latches._latches == {1: -1}
+    latches.release(1)
+    assert latches._latches == {}
+    latches.acquire(1, LatchMode.S)
+    other = threading.Thread(
+        target=lambda: (latches.acquire(1, LatchMode.S), latches.release(1))
+    )
+    other.start()
+    other.join(2)
+    assert not other.is_alive()
+    assert latches._latches == {1: 1}
+    latches.release(1)
+    assert latches._latches == {}
+    assert latches.try_acquire(2, LatchMode.X)
+    latches.release(2)
+    assert latches._latches == {}
+
+
+def test_a_blocked_grant_counts_one_wait_and_fires_once(latches):
+    """``latch.wait`` is seen once per request that has to wait, however
+    often it is woken before its grant, and never on an uncontended one."""
+    fired = observed(latches)
+    latches.acquire(1, LatchMode.S)
+    latches.release(1)
+    assert latches.try_acquire(1, LatchMode.X)
+    assert fired == [] and latches.counters.latch_waits == 0
+    waiter = threading.Thread(
+        target=lambda: (latches.acquire(1, LatchMode.S), latches.release(1))
+    )
+    waiter.start()
+    until(lambda: latches._waiting == 1)
+    for _ in range(3):  # each release of another page wakes the waiter
+        latches.acquire(2, LatchMode.X)
+        latches.release(2)
+    latches.release(1)
+    waiter.join(2)
+    assert not waiter.is_alive()
+    assert fired == [("latch.wait", {"page": 1, "mode": "S"})]
+    assert latches.counters.latch_waits == 1
+    assert latches._latches == {} and latches._waiting == 0
+
+
+def test_an_x_waiter_wakes_on_the_last_s_release(latches):
+    latches.acquire(1, LatchMode.S)
+    reader_may_go = threading.Event()
+
+    def reader():
+        latches.acquire(1, LatchMode.S)
+        reader_may_go.wait(2)
+        latches.release(1)
+
+    granted = threading.Event()
+
+    def writer():
+        latches.acquire(1, LatchMode.X)
+        granted.set()
+        latches.release(1)
+
+    threads = [threading.Thread(target=reader)]
+    threads[0].start()
+    until(lambda: latches._latches.get(1) == 2)
+    threads.append(threading.Thread(target=writer))
+    threads[1].start()
+    until(lambda: latches._waiting == 1)
+    latches.release(1)  # one S holder left: the writer stays parked
+    assert latches._latches == {1: 1}
+    assert not granted.is_set() and latches._waiting == 1
+    reader_may_go.set()  # the last S release
+    assert granted.wait(2)
+    for t in threads:
+        t.join(2)
+        assert not t.is_alive()
+    assert latches._latches == {}

@@ -7,8 +7,11 @@ import time
 import pytest
 
 from repro.concurrency.locks import LockManager, LockMode, LockSpace
+from repro.concurrency.syncpoints import SyncPoints
 from repro.errors import DeadlockError, LockError
 from repro.stats.counters import Counters
+
+from ..conftest import until
 
 ADDR = LockSpace.ADDRESS
 LOGI = LockSpace.LOGICAL
@@ -248,3 +251,88 @@ def test_counters_track_calls(locks):
     locks.acquire(1, ADDR, "r", LockMode.S)
     locks.try_acquire(2, ADDR, "r", LockMode.X)
     assert locks.counters.lock_mgr_calls - before == 2
+
+
+# ------------------------------------------------ fast path / slow path edge
+
+
+def observed(locks: LockManager) -> list[str]:
+    locks.syncpoints = SyncPoints()
+    fired: list[str] = []
+    locks.syncpoints.observe(lambda name, _attrs: fired.append(name))
+    return fired
+
+
+def counted_notifies(locks: LockManager, monkeypatch) -> list[int]:
+    calls: list[int] = []
+    notify_all = locks._cond.notify_all
+    monkeypatch.setattr(
+        locks._cond, "notify_all", lambda: (calls.append(1), notify_all())
+    )
+    return calls
+
+
+def test_uncontended_release_empties_the_table_and_notifies_nobody(
+    locks, monkeypatch
+):
+    fired = observed(locks)
+    notifies = counted_notifies(locks, monkeypatch)
+    locks.acquire(1, ADDR, "r", LockMode.X)
+    locks.release(1, ADDR, "r")
+    assert locks._table == {}
+    assert locks.try_acquire(2, ADDR, "r", LockMode.S)
+    assert locks.try_acquire(3, ADDR, "r", LockMode.S)
+    locks.release(2, ADDR, "r")
+    locks.release(3, ADDR, "r")
+    locks.wait_instant(4, ADDR, "r")
+    locks.acquire(5, LOGI, "k", LockMode.S)
+    locks.acquire(5, LOGI, "k", LockMode.X)  # sole holder: no wait
+    locks.release_all(5)
+    assert locks._table == {}
+    assert notifies == [] and fired == []
+    assert locks.counters.lock_waits == 0
+
+
+def test_release_wakes_a_parked_waiter(locks, monkeypatch):
+    fired = observed(locks)
+    notifies = counted_notifies(locks, monkeypatch)
+    locks.acquire(1, ADDR, "r", LockMode.X)
+    got = threading.Event()
+
+    def other():
+        locks.acquire(2, ADDR, "r", LockMode.X)
+        got.set()
+        locks.release(2, ADDR, "r")
+
+    t = threading.Thread(target=other)
+    t.start()
+    until(lambda: locks._waiting == 1)
+    assert notifies == [] and fired == ["lock.wait"]
+    locks.release(1, ADDR, "r")
+    assert got.wait(3)
+    t.join(3)
+    assert not t.is_alive()
+    assert notifies == [1]  # the waiter's own release found nobody parked
+    assert fired == ["lock.wait"]
+    assert locks._table == {} and locks._waiting == 0
+
+
+def test_an_upgrade_that_waits_fires_once(locks):
+    fired = observed(locks)
+    locks.acquire(1, LOGI, "r", LockMode.S)
+    locks.acquire(2, LOGI, "r", LockMode.S)
+    upgraded = threading.Event()
+
+    def upgrader():
+        locks.acquire(1, LOGI, "r", LockMode.X)
+        upgraded.set()
+
+    t = threading.Thread(target=upgrader)
+    t.start()
+    until(lambda: locks._waiting == 1)
+    locks.release(2, LOGI, "r")
+    assert upgraded.wait(3)
+    t.join(3)
+    assert not t.is_alive()
+    assert fired == ["lock.wait"]
+    assert locks.holds(1, LOGI, "r", LockMode.X)

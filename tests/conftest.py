@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+import time
 
 import pytest
 
@@ -74,6 +75,14 @@ def make_half_empty(index: BTree, count: int, seed: int = 42) -> list[int]:
 
 def contents_as_ints(index: BTree) -> list[int]:
     return [int.from_bytes(key, "big") for key, _rowid in index.contents()]
+
+
+def until(predicate, timeout: float = 3.0) -> None:
+    """Poll ``predicate`` until it holds (another thread has parked)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 def pinned_ids(engine: Engine) -> list[int]:

@@ -11,7 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
-from repro.core.scrubber import ScrubConfig, Scrubber, repair_key_bounds
+from repro.core.scrubber import (
+    CRC_RETRIES,
+    ScrubConfig,
+    Scrubber,
+    repair_key_bounds,
+)
 from repro.errors import QuarantinedRangeError, ScrubError
 from repro.storage.faults import FaultPlan
 
@@ -233,6 +238,42 @@ def test_ladder3_flush_heals_resident_frame():
     assert engine.counters.scrub_repairs_flush == 1
     # The stored image verifies again.
     assert Scrubber(tree).run_pass().clean
+
+
+def test_no_stored_image_read_or_forced_write_under_a_latch(monkeypatch):
+    """The CRC check re-reads the stored image and sleeps between its
+    retries, and a replay repair forces the page: both only with no latch
+    held, or a writer waiting on that latch waits out the device and the
+    sleeps (and a forced write under a latch can wait on itself)."""
+    engine = faulty_engine()
+    ctx = engine.ctx
+    tree = engine.create_index(key_len=4)
+    fill_index(tree, 1500)
+    ctx.buffer.flush_all()
+    victim = tree.verify().leaf_page_ids[1]
+    assert ctx.disk.plant_rot(victim)
+    calls: list[tuple[str, int, dict]] = []
+
+    def unlatched(name, fn):
+        def wrapper(page_id, *args, **kwargs):
+            calls.append((name, page_id, ctx.latches.held_by_me()))
+            return fn(page_id, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ctx.buffer, "flush_page", unlatched("flush_page", ctx.buffer.flush_page)
+    )
+    monkeypatch.setattr(
+        ctx.disk, "read_physical",
+        unlatched("read_physical", ctx.disk.read_physical),
+    )
+    report = Scrubber(tree).run_pass()
+    assert [d.action for d in report.defects] == ["flushed"]
+    retries = [c for c in calls if c[:2] == ("read_physical", victim)]
+    assert len(retries) > CRC_RETRIES  # the rot persists: every retry
+    assert ("flush_page", victim, {}) in calls
+    assert [c for c in calls if c[2]] == []
 
 
 def test_ladder3_quarantine_and_targeted_rebuild():

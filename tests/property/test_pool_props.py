@@ -12,6 +12,8 @@ logged change, and after a crash the stored images plus redo of what is
 left of the log reproduce the model.
 """
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +236,119 @@ def test_dropping_a_deallocated_pages_pending_change_is_told(monkeypatch):
     monkeypatch.setattr(BufferPool, "retire_page", retire_dropping_anything)
     with pytest.raises(AssertionError, match="scan of 1 lost a change"):
         run_wal_ops(ops, 8)
+
+
+# ------------------------------------------------ lock-free image_version
+
+
+class _Watched(OrderedDict):
+    """A frame table that calls ``probe`` after each change, so the
+    lock-free reader is asked in every state between two table writes
+    (a frame between the ring and the protected LRU, say)."""
+
+    def __init__(self, table: OrderedDict, probe) -> None:
+        super().__init__(table)
+        self.probe = probe
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.probe()
+
+    def __delitem__(self, key) -> None:
+        super().__delitem__(key)
+        self.probe()
+
+    def pop(self, key, *default):
+        out = super().pop(key, *default)
+        self.probe()
+        return out
+
+
+def locked_image_version(pool: BufferPool, page: Page) -> int | None:
+    """The answer under the pool lock: what ``image_version`` read before
+    it read without the lock."""
+    with pool._lock:
+        frame = pool._lookup(page.page_id)
+        if frame is None or frame.page is not page:
+            return None
+        return frame.version
+
+
+def watch_image_versions(pool: BufferPool):
+    """Wrap both frame tables; returns (pages to ask about, answers)."""
+    pages: list[Page] = []
+    answers: list[tuple[Page, int | None]] = []
+
+    def probe() -> None:
+        answers.extend((page, pool.image_version(page)) for page in pages)
+
+    pool._frames = _Watched(pool._frames, probe)
+    pool._ring = _Watched(pool._ring, probe)
+    return pages, answers
+
+
+image_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["fetch", "scan", "promote", "prefetch", "evict", "realloc"]
+        ),
+        st.sampled_from(PAGE_IDS[:16]),
+        st.booleans(),  # dirty on unpin
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@given(ops=image_ops, capacity=capacities)
+@settings(max_examples=80, deadline=None)
+def test_lock_free_image_version_is_the_locked_answer_or_none(ops, capacity):
+    """At rest the lock-free answer is the locked one; between two table
+    writes it is the answer before the operation, the one after, or
+    ``None`` — never the counter of a different ``Page`` (a re-read or
+    reallocated id comes back as a new object)."""
+    pool = _make_pool(capacity)
+    watched, answers = watch_image_versions(pool)
+    seen: dict[int, Page] = {}
+    for op, pid, dirty in ops:
+        watched[:] = seen.values()
+        before = {id(p): locked_image_version(pool, p) for p in watched}
+        answers.clear()
+        page = None
+        if op in ("fetch", "scan", "promote"):
+            page = pool.fetch(pid, scan=op != "fetch")
+            pool.unpin(pid, dirty=dirty)
+            if op == "promote":
+                page = pool.fetch(pid)  # a demand hit on a ring frame
+                pool.unpin(pid)
+        elif op == "prefetch":
+            pool.prefetch(pid)
+        elif op == "evict":
+            pool.drop_page(pid)
+        else:
+            page = pool.new_page(pid, scan=dirty)  # drops the old image
+            pool.unpin(pid, dirty=True)
+        for p, answer in answers:
+            assert answer in (
+                None, before[id(p)], locked_image_version(pool, p)
+            ), f"{op} {pid}: mid-operation answer matches no state"
+        if page is not None:
+            seen[id(page)] = page
+        for p in seen.values():
+            assert pool.image_version(p) == locked_image_version(pool, p)
+            if pool.image_version(p) is not None:
+                assert pool._lookup(p.page_id).page is p
+
+
+def test_a_frame_caught_mid_promotion_reads_as_none():
+    pool = _make_pool(16)
+    watched, answers = watch_image_versions(pool)
+    page = pool.fetch(5, scan=True)
+    pool.unpin(5, dirty=True)
+    noted = pool.image_version(page)
+    watched.append(page)
+    assert pool.fetch(5) is page  # the demand hit promotes the ring frame
+    pool.unpin(5)
+    assert (page, None) in answers  # between the ring and the LRU
+    assert {answer for _p, answer in answers} <= {None, noted}
+    assert pool.image_version(page) == noted

@@ -11,6 +11,11 @@ This is a direct implementation of the paper's pseudocode:
   search key moved to the new page of an in-flight split;
 * a writer reaching a target page with the SPLIT bit waits the same way.
 
+The same child checks serve the one walk along level 1
+(:meth:`Traversal.level1`): the rebuild's read-ahead and the scrubber
+read the level-1 page covering a unit through it, the first never
+waiting, the second waiting as a traversal does.
+
 Retraversal does not restart from the root (§2.6.1): the pages seen on the
 way down are remembered, and the walk resumes from the lowest remembered
 page that is still *safe* — same level as expected and the search key
@@ -22,6 +27,7 @@ root-to-leaf walks for every batch (§5.4.1).
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 from repro.btree import node
 from repro.concurrency.latch import LatchMode
@@ -35,6 +41,29 @@ from repro.storage.page import Page, PageFlag, PageType
 class AccessMode(enum.Enum):
     READER = "reader"
     WRITER = "writer"
+
+
+class Level1(NamedTuple):
+    """What :meth:`Traversal.level1` reads off a level-1 page."""
+
+    page_id: int
+    entries: list[bytes]
+    """The entry of the child covering the unit and of every child right
+    of it: leaves in chain order (§5)."""
+    bound: bytes | None
+    """Where the next level-1 page begins: the tightest separator above
+    the page, or the side key of a page still marked OLDPGOFSPLIT;
+    ``None`` at the right edge of the index."""
+
+    @property
+    def children(self) -> list[int]:
+        return [node.entry_child(row) for row in self.entries]
+
+    @property
+    def keys(self) -> list[bytes]:
+        """Low separator of each child; ``b""`` for the page's first
+        child, whose low bound is the page's own."""
+        return [node.entry_key(row) for row in self.entries]
 
 
 class Traversal:
@@ -135,10 +164,73 @@ class Traversal:
             self._path = new_path
             return p
 
+    # ---------------------------------------------------------- level 1
+
+    def level1(self, unit: bytes, txn: Transaction | None) -> Level1 | None:
+        """Read the level-1 page covering ``unit``, descending from the
+        root with S latch coupling; ``None`` when the root is a leaf.
+
+        Every page on the way, the root included, is resolved by
+        :meth:`_resolve_child`.  With a ``txn`` a blocking bit is waited
+        out with the instant S address lock and the descent starts again
+        from the root, as :meth:`traverse` does.  Without one nothing
+        waits: a latch that is not free, a page that cannot be read or a
+        bit that blocks ``unit`` returns ``None``.
+        """
+        ctx = self.ctx
+        wait = txn is not None
+        while True:
+            p = self._latch(self.tree.root_page_id, LatchMode.S, wait)
+            if p is None:
+                return None
+            if p.page_type is not PageType.NONLEAF:
+                ctx.release_page(p.page_id)
+                return None
+            p, blocked = self._resolve_child(p, unit, LatchMode.S, txn)
+            bound = None
+            while p is not None:
+                if p.has_flag(PageFlag.OLDPGOFSPLIT):
+                    bound = p.side_key  # the rest moved right (§2.3)
+                pos, child_id = node.child_search(p, unit, ctx.counters)
+                if p.level == 1:
+                    ctx.release_page(p.page_id)
+                    return Level1(p.page_id, p.rows[pos:], bound)
+                if pos + 1 < p.nrows:
+                    bound = node.entry_key(p.rows[pos + 1])
+                c = self._latch(child_id, LatchMode.S, wait)
+                if c is not None:
+                    c, blocked = self._resolve_child(c, unit, LatchMode.S, txn)
+                ctx.release_page(p.page_id)
+                p = c
+            if not wait:
+                return None
+            assert blocked is not None
+            ctx.locks.wait_instant(
+                txn.txn_id, LockSpace.ADDRESS, blocked, LockMode.S
+            )
+
+    def _latch(self, page_id: int, mode: LatchMode, wait: bool) -> Page | None:
+        """Latch and pin ``page_id``.  Without ``wait``: ``None`` when the
+        latch is not free or the read fails."""
+        ctx = self.ctx
+        if wait:
+            return ctx.get_latched(page_id, mode, scan=self.scan)
+        if not ctx.latches.try_acquire(page_id, mode):
+            return None
+        try:
+            return ctx.buffer.fetch(page_id, scan=self.scan)
+        except StorageError:
+            ctx.latches.release(page_id)
+            return None
+
     # ---------------------------------------------------- child resolution
 
     def _resolve_child(
-        self, c: Page, unit: bytes, child_mode: LatchMode, txn: Transaction
+        self,
+        c: Page,
+        unit: bytes,
+        child_mode: LatchMode,
+        txn: Transaction | None,
     ) -> tuple[Page | None, int | None]:
         """Apply the SHRINK / OLDPGOFSPLIT checks to a just-latched child.
 
@@ -146,21 +238,26 @@ class Traversal:
         reached through a side entry — or ``(None, blocked_page_id)`` when a
         SHRINK bit requires the caller to release its latches and block.
         A SHRINK bit owned by our own transaction's top action is ignored.
+        Without a ``txn`` (:meth:`level1`'s read that never waits) a side
+        entry whose page is latched returns ``(None, c.page_id)`` too.
         """
         ctx = self.ctx
         while True:
-            if c.blocks_unit(unit) and not ctx.locks.holds(
-                txn.txn_id, LockSpace.ADDRESS, c.page_id, LockMode.X
+            if c.blocks_unit(unit) and (
+                txn is None
+                or not ctx.locks.holds(
+                    txn.txn_id, LockSpace.ADDRESS, c.page_id, LockMode.X
+                )
             ):
                 blocked = c.page_id
                 ctx.release_page(c.page_id)
                 return None, blocked
             if c.has_flag(PageFlag.OLDPGOFSPLIT) and unit >= c.side_key:
                 sibling_id = c.side_page
-                sibling = ctx.get_latched(
-                    sibling_id, child_mode, scan=self.scan
-                )
+                sibling = self._latch(sibling_id, child_mode, txn is not None)
                 ctx.release_page(c.page_id)
+                if sibling is None:
+                    return None, c.page_id
                 c = sibling
                 continue
             return c, None

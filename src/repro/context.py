@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable
 
 from repro.concurrency.latch import LatchManager, LatchMode
 from repro.concurrency.locks import LockManager
@@ -33,7 +35,7 @@ from repro.storage.page import PAGE_SIZE_DEFAULT, Page
 from repro.storage.page_manager import PageManager
 from repro.wal.apply import ApplyContext, undo_record
 from repro.wal.log import LogManager
-from repro.wal.records import LogRecord
+from repro.wal.records import LEAF_ROW_FLAG, LogRecord
 
 
 @dataclass
@@ -184,11 +186,34 @@ class EngineContext:
         )
         self.locks.syncpoints = self.syncpoints
         self.txns = TransactionManager(self.log, counters=self.counters)
-        apply_ctx = ApplyContext(self.buffer, self.page_manager, self.index_roots)
-        self.txns.set_undo_applier(
-            lambda rec, append: undo_record(rec, apply_ctx, append)
-        )
+        self.txns.set_undo_applier(self.undo)
         self.txns.lock_manager = self.locks
+
+    def undo(self, rec: LogRecord, append: Callable[[LogRecord], int]) -> None:
+        """Runtime rollback's undo applier (:func:`undo_record`).
+
+        A leaf row's leaf is found as a writer finds it: through
+        :class:`~repro.btree.traversal.Traversal`, X latched, another
+        transaction's SPLIT / SHRINK bit waited out by the instant S
+        address lock (§2.6).  The compensation is logged and applied
+        under that latch, so a row never goes back into a leaf that a
+        top action has frozen and copied.
+        """
+        apply_ctx = ApplyContext(self.buffer, self.page_manager, self.index_roots)
+        root = self.index_roots.get(rec.index_id)
+        if not rec.flags & LEAF_ROW_FLAG or root is None:
+            undo_record(rec, apply_ctx, append)
+            return
+        from repro.btree.traversal import AccessMode, Traversal  # import cycle
+
+        index = SimpleNamespace(index_id=rec.index_id, root_page_id=root)
+        leaf = Traversal(self, index).traverse(
+            rec.rows[0], AccessMode.WRITER, 0, self.txns.active[rec.txn_id]
+        )
+        try:
+            undo_record(rec, apply_ctx, append, leaf)
+        finally:
+            self.latches.release(leaf.page_id)
 
     # ------------------------------------------------------------ page access
 

@@ -9,15 +9,19 @@ write of new pages without delaying old-page reuse too long).
 ``fillfactor`` leaves headroom in new leaf pages for future inserts
 (§4.1: ``k`` may exceed ``n`` when a fillfactor below 100% is requested).
 
-The two §6.2 concurrency enhancements are selectable for the ablation
-benches:
+Two choices are left to select for the ablation benches:
 
 * ``reorganize_level1`` — §5.5's insert-into-left-sibling packing of
   level-1 pages during propagation (on in the paper's algorithm; off gives
   the naive propagation a separate level-1 pass would have to fix);
-* ``split_then_shrink`` — stage SPLIT bits on the old leaves during the
-  copy (readers still allowed) and flip them to SHRINK only for the final
-  unlink, instead of SHRINK for the whole top action.
+* ``split_then_shrink`` — the one §6.2 enhancement left to select: stage
+  SPLIT bits on the old leaves during the copy (readers still allowed) and
+  flip them to SHRINK only for the final unlink, instead of SHRINK for the
+  whole top action.
+
+§6.2's other enhancement, the key range a SHRINK-bitted propagation page
+publishes so that traversals outside it pass, is not a choice: a page
+publishes it whenever it fits (``core/propagation.py``).
 
 How the I/O is done is not configured: a run decides for itself, from the
 device service time the pool observes, whether to hide the device behind
@@ -40,11 +44,6 @@ class RebuildConfig:
     fillfactor: float = 1.0
     reorganize_level1: bool = True
     split_then_shrink: bool = False
-    nonleaf_range_side_entries: bool = False
-    """§6.2 first enhancement: SHRINK-bitted propagation pages publish the
-    key range of the entries being deleted, so traversals looking for
-    keys outside it pass through (helps when propagation continues above
-    level 1)."""
 
     def __post_init__(self) -> None:
         if self.ntasize < 1:

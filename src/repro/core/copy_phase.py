@@ -48,6 +48,7 @@ from typing import NamedTuple
 from repro.btree import keys as K
 from repro.btree import node
 from repro.btree.split import _update_prev_link
+from repro.btree.traversal import Traversal
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.txn import Transaction
@@ -277,9 +278,6 @@ def copy_multipage(
 
 # --------------------------------------------------------------- read-ahead
 
-_BUSY = PageFlag.SPLIT | PageFlag.SHRINK | PageFlag.OLDPGOFSPLIT
-
-
 def level1_leaf_order(
     ctx: EngineContext, tree: "object", unit: bytes, count: int
 ) -> tuple[list[int], bytes | None] | None:
@@ -289,70 +287,29 @@ def level1_leaf_order(
     the right edge of the index).
 
     This is read-ahead's only source of leaf order: it requests upcoming
-    runs without reading a leaf.  Per nonleaf page: S-latch, copy
-    the child ids, release — the level-1 pages are the ones the rebuild's
-    propagation visits every top action, and the ones ahead are read
-    here a little before its traversal would have read them.  It is a
-    hint's read, so it never waits: a latch that is not free, a page that
-    cannot be read, or a SPLIT / SHRINK / OLDPGOFSPLIT bit on the way (a
-    top action is rearranging exactly these entries; waiting it out would
-    mean an address lock) returns ``None`` — or the part of the order
-    already copied — and read-ahead learns nothing more until a read
-    lands, the position moves or the rebuild's top action ends.
+    runs without reading a leaf.  Each level-1 page is read by
+    :meth:`Traversal.level1` in its mode that never waits — the level-1
+    pages are the ones the rebuild's propagation visits every top action,
+    and the ones ahead are read here a little before its traversal would
+    have read them.  A latch that is not free, a page that cannot be
+    read, or a bit that blocks the unit (a top action is rearranging
+    exactly these entries; waiting it out would mean an address lock)
+    returns ``None`` — or the part of the order already copied — and
+    read-ahead learns nothing more until a read lands, the position moves
+    or the rebuild's top action ends.
     """
+    walk = Traversal(ctx, tree, scan=True)
     leaves: list[int] = []
     at: bytes | None = unit
     while at is not None and len(leaves) < count:
-        found = _level1_children(ctx, tree, at)
+        found = walk.level1(at, None)
         if found is None:
             # What was copied so far is still good, and ``at`` is where
             # the page that could not be read begins.
             return (leaves, at) if leaves else None
-        children, at = found
-        leaves += children
+        leaves += found.children
+        at = found.bound
     return leaves, at
-
-
-def _level1_children(
-    ctx: EngineContext, tree: "object", unit: bytes
-) -> tuple[list[int], bytes | None] | None:
-    """Children of the level-1 page covering ``unit``, from the child
-    covering it on, and the unit at which the next level-1 page starts."""
-    page_id, level, bound = tree.root_page_id, None, None
-    while True:
-        if not (
-            ctx.page_manager.is_allocated(page_id)
-            and ctx.latches.try_acquire(page_id, LatchMode.S)
-        ):
-            return None
-        try:
-            page = ctx.buffer.fetch(page_id, scan=True)
-            try:
-                if (
-                    page.page_type is not PageType.NONLEAF
-                    or page.index_id != tree.index_id
-                    or (level is not None and page.level != level)
-                    or page.has_flag(_BUSY)
-                ):
-                    return None
-                pos, child = node.child_search(page, unit, ctx.counters)
-                level = page.level - 1
-                if level == 0:
-                    return [
-                        node.entry_child(row) for row in page.rows[pos:]
-                    ], bound
-                if pos + 1 < page.nrows:
-                    # The tightest separator above the path bounds the
-                    # level-1 page from the right: its right-hand
-                    # neighbor starts exactly there.
-                    bound = node.entry_key(page.rows[pos + 1])
-            finally:
-                ctx.buffer.unpin(page_id)
-        except StorageError:
-            return None  # unreadable nonleaf page: the rebuild will say so
-        finally:
-            ctx.latches.release(page_id)
-        page_id = child
 
 
 # ------------------------------------------------------------------ locking

@@ -31,7 +31,9 @@ level-1 page written just before it (space permitting), so level-1 pages
 are packed left-to-right with no separate reorganization pass.
 
 Lock/bit rules follow §5.4.2: a page that sees any delete gets the SHRINK
-bit (traversals blocked); an insert-only page gets the SPLIT bit (readers
+bit (traversals blocked) and, where it fits, publishes the key range of
+the entries it deleted, so that only traversals inside that range block
+(§6.2's range side entry); an insert-only page gets the SPLIT bit (readers
 pass); a page being split gets SHRINK plus a SHRINK-bitted, X-locked new
 sibling.  All bits and X address locks persist to the end of the top
 action.
@@ -282,12 +284,7 @@ def _apply_group(
             ctx, tree, txn, page, insert_pos, new_rows, cleanup, new_pages
         )
 
-    if (
-        config.nonleaf_range_side_entries
-        and del_positions
-        and not siblings
-        and page.has_flag(PageFlag.SHRINK)
-    ):
+    if del_positions and not siblings and page.has_flag(PageFlag.SHRINK):
         # §6.2: publish the deleted key range so traversals outside it
         # pass through despite the SHRINK bit.  Empty bound = infinity.
         lo = node.entry_key(rows_before[del_lo]) if del_lo > 0 else b""
@@ -422,47 +419,16 @@ def _find_parent_of_pp(
 ) -> int | None:
     """Locate the level-1 page holding PP's entry (first-group §5.5 case).
 
-    A conditional descent: every latch is a try_acquire and any in-flight
-    split/shrink marker on the path aborts the lookup, because the caller
-    holds the latch on the page to the right and must never block here.
-    Verifies the landing page actually carries PP's entry.
+    The level-1 read that never waits (:meth:`Traversal.level1`), because
+    the caller holds the latch on the page to the right and must never
+    block here.  Verifies the landing page actually carries PP's entry.
     """
     if state.pp_low_unit is None or state.pp_page == NO_PAGE:
         return None
-    page_id = tree.root_page_id
-    acquired: list[int] = []
-    found: int | None = None
-    try:
-        while True:
-            if not ctx.latches.try_acquire(page_id, LatchMode.S):
-                return None
-            acquired.append(page_id)
-            page = ctx.buffer.fetch(page_id)
-            try:
-                if (
-                    page.page_type is not PageType.NONLEAF
-                    or page.has_flag(PageFlag.SHRINK)
-                    or (
-                        page.has_flag(PageFlag.OLDPGOFSPLIT)
-                        and state.pp_low_unit >= page.side_key
-                    )
-                ):
-                    return None
-                if page.level == 1:
-                    if state.pp_page in {
-                        node.entry_child(r) for r in page.rows
-                    }:
-                        found = page_id
-                    return found
-                _pos, child = node.child_search(
-                    page, state.pp_low_unit, ctx.counters
-                )
-            finally:
-                ctx.buffer.unpin(page_id)
-            page_id = child
-    finally:
-        for pid in acquired:
-            ctx.latches.release(pid)
+    found = Traversal(ctx, tree).level1(state.pp_low_unit, None)
+    if found is None or state.pp_page not in found.children:
+        return None
+    return found.page_id
 
 
 def _insert_with_splits(

@@ -6,7 +6,10 @@ rots a committed page underneath a correct structure is outside their
 scope.  This module closes that gap with a background **scrubber** that
 walks the leaf level the way a §2.5 scan does — short S latches,
 repositioning by key whenever a concurrent split, shrink or rebuild seam
-moves the ground under it — and verifies, for every leaf it visits:
+moves the ground under it.  It takes the leaves a level-1 page at a time
+from :meth:`~repro.btree.traversal.Traversal.level1`, the read the
+rebuild's read-ahead uses too, and goes on to the next page at the bound
+each read returns.  For every leaf it visits it verifies:
 
 * the stored slot's CRC trailer (the disk's own ``verdict`` of what its
   ``read_physical`` hook returns, so rot hiding behind a clean resident
@@ -53,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.btree import node
-from repro.btree.traversal import AccessMode, Traversal
+from repro.btree.traversal import AccessMode, Level1, Traversal
 from repro.btree.verify import leaf_local_problems
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.syncpoints import CrashPoint
@@ -143,13 +146,6 @@ class ScrubReport:
         return not self.defects
 
 
-@dataclass
-class _PageResult:
-    status: str  # ok | stale | skipped | defect | repaired
-    next_page: int = NO_PAGE
-    has_next: bool = False
-
-
 class Scrubber:
     """Pacing-aware online integrity scrubber for one index.
 
@@ -228,27 +224,30 @@ class Scrubber:
         cap = MAX_LOOP_FACTOR * (
             len(ctx.page_manager.allocated_pages()) + 8
         )
+        walk = Traversal(ctx, self.tree, scan=True)
         batches = 0
         while batches < cap:
             batches += 1
             report.batches = batches
-            batch = self._snapshot_parent(position)
-            if batch is None:
+            txn = ctx.txns.begin()  # owns the instant waits, logs nothing
+            try:
+                snap = walk.level1(position, txn)
+            finally:
+                ctx.txns.commit(txn)
+            if snap is None:
                 self._scrub_root_leaf(report, handled)
                 report.complete = True
                 break
-            parent_id, seps, children, start = batch
             ctx.syncpoints.fire(
-                "scrub.batch", parent=parent_id, children=len(children)
+                "scrub.batch", parent=snap.page_id, children=len(snap.entries)
             )
-            self.segment_epochs[seps[start] if start else b""] = self._epoch
-            position, outcome = self._scrub_children(
-                report, handled, stale_counts, seps, children, start, position
+            segment = node.entry_key(snap.entries[0])
+            self.segment_epochs[segment] = self._epoch
+            position = self._scrub_children(
+                report, handled, stale_counts, snap, position
             )
-            if outcome == "end":
+            if position is None:
                 report.complete = True
-                break
-            if outcome == "stop":
                 break
             self._pace(report)
         if report.complete and report.clean:
@@ -282,77 +281,45 @@ class Scrubber:
 
     # ------------------------------------------------------------- the walk
 
-    def _snapshot_parent(
-        self, position: bytes
-    ) -> tuple[int, list[bytes], list[int], int] | None:
-        """S-latch the level-1 parent covering ``position`` and snapshot
-        its separators and children; None when the root is a leaf.
-
-        The snapshot bounds are *supersets* of each child's true range
-        under later concurrent splits (splits only narrow), which is what
-        makes checking children against a released snapshot sound.
-        """
-        ctx, tree = self.ctx, self.tree
-        root = ctx.get_latched(tree.root_page_id, LatchMode.S, scan=True)
-        is_leaf = root.page_type is PageType.LEAF
-        ctx.release_page(root.page_id)
-        if is_leaf:
-            return None
-        txn = ctx.txns.begin()
-        try:
-            parent = Traversal(ctx, tree, scan=True).traverse(
-                position, AccessMode.READER, 1, txn
-            )
-            try:
-                entries = node.entries(parent)
-                seps = [e.key for e in entries]
-                children = [e.child for e in entries]
-                start, _child = node.child_search(
-                    parent, position, ctx.counters
-                )
-            finally:
-                ctx.release_page(parent.page_id)
-        finally:
-            ctx.txns.commit(txn)
-        return parent.page_id, seps, children, start
-
     def _scrub_children(
         self,
         report: ScrubReport,
         handled: set[int],
         stale_counts: dict[int, int],
-        seps: list[bytes],
-        children: list[int],
-        start: int,
+        snap: Level1,
         position: bytes,
-    ) -> tuple[bytes, str]:
-        """Scrub ``children[start:]`` against the snapshot bounds.
+    ) -> bytes | None:
+        """Scrub the children of one level-1 read against its bounds.
 
-        Returns ``(next position, outcome)`` where outcome is
-        ``"continue"`` (take another parent snapshot at the position),
-        ``"end"`` (the rightmost leaf was reached — the pass is
-        complete), or ``"stop"`` (the tail of the index is unreachable
-        this pass, e.g. behind a standing quarantine).  Staleness and
-        in-place repairs return the *unchanged* position, so the next
-        snapshot re-verifies the same range against fresh structure.
+        The bounds are *supersets* of each child's true range under later
+        concurrent splits (splits only narrow), which is what makes
+        checking children against a released read sound.  Returns the
+        position of the next read — the level-1 read's ``bound`` once the
+        last child is done — or ``None`` past the right edge of the
+        index.  Staleness and in-place repairs return the *unchanged*
+        position, so the next read re-verifies the same range against
+        fresh structure.
         """
+        keys, children = snap.keys, snap.children
         n = len(children)
-        for i in range(start, n):
-            lo_sep = seps[i]
-            hi_sep = seps[i + 1] if i + 1 < n else b""
-            result = self._scrub_one(report, handled, children[i], lo_sep, hi_sep)
-            if result.status == "stale":
+        for i in range(n):
+            lo_sep = keys[i]
+            # A separator is, in unit space, the exact resume point:
+            # every unit of the next child compares >= its raw bytes.
+            hi_sep = keys[i + 1] if i + 1 < n else snap.bound or b""
+            status = self._scrub_one(report, handled, children[i], lo_sep, hi_sep)
+            if status == "stale":
                 count = stale_counts.get(children[i], 0) + 1
                 stale_counts[children[i]] = count
                 if count <= _STALE_RETRIES:
                     report.repositions += 1
-                    return position, "continue"
-                # Several *fresh* parent snapshots in a row still list
-                # this child while it stays something other than an
-                # allocated leaf of this index.  A concurrently shrunk
-                # or rebuilt child vanishes from the next snapshot, so
-                # persistence means the reference dangles — report it
-                # and step past instead of livelocking the pass.
+                    return position
+                # Several *fresh* level-1 reads in a row still list this
+                # child while it stays something other than an allocated
+                # leaf of this index.  A concurrently shrunk or rebuilt
+                # child vanishes from the next read, so persistence means
+                # the reference dangles — report it and step past instead
+                # of livelocking the pass.
                 self._handle_defect(
                     report,
                     handled,
@@ -366,64 +333,10 @@ class Scrubber:
                         f"{self.tree.index_id} (dangling reference)"
                     ],
                 )
-                if i + 1 < n:
-                    position = hi_sep
-                    continue
-                return position, "stop"
-            if result.status == "repaired":
-                return position, "continue"
-            if i + 1 < n:
-                # The next child's low separator is, in unit space, the
-                # exact resume point: every unit of the next child
-                # compares >= its raw separator bytes.
-                position = hi_sep
-                continue
-            # Last child of the snapshot: the parent's high bound is not
-            # knowable from here, so cross into the next subtree along
-            # the leaf chain (the §2.5 move) and let the next parent
-            # snapshot supply bounds.
-            if result.has_next and result.next_page == NO_PAGE:
-                return position, "end"
-            if result.has_next:
-                hop = self._chain_hop(result.next_page)
-                if hop is None:
-                    report.repositions += 1
-                    return position, "continue"
-                if hop == b"":
-                    return position, "end"  # chain ended on empty leaves
-                return hop, "continue"
-            # Damaged or fenced last child with no known upper bound:
-            # nothing to the right can be reached safely this pass.
-            return position, "stop"
-        return position, "continue"
-
-    def _chain_hop(self, page_id: int) -> bytes | None:
-        """The low unit of the first non-empty leaf at/after ``page_id``
-        along the next chain; ``b""`` if the chain ends empty, None when
-        the chain went stale under us (reposition by key instead)."""
-        ctx = self.ctx
-        for _ in range(16):
-            if ctx.page_manager.state(page_id) is not PageState.ALLOCATED:
-                return None
-            try:
-                page = ctx.get_latched(page_id, LatchMode.S, scan=True)
-            except StorageError:
-                return None  # unreadable: the by-key walk will find it
-            try:
-                if (
-                    page.page_type is not PageType.LEAF
-                    or page.index_id != self.tree.index_id
-                ):
-                    return None
-                if page.nrows:
-                    return page.rows[0]
-                next_id = page.next_page
-            finally:
-                ctx.release_page(page_id)
-            if next_id == NO_PAGE:
-                return b""
-            page_id = next_id
-        return None
+            elif status == "repaired":
+                return position
+            position = hi_sep
+        return snap.bound
 
     # ------------------------------------------------------------ one page
 
@@ -434,12 +347,12 @@ class Scrubber:
         page_id: int,
         lo_sep: bytes,
         hi_sep: bytes,
-    ) -> _PageResult:
+    ) -> str:
         """Check one leaf under a brief S latch; dispatch the ladder on a
         confirmed defect."""
         ctx = self.ctx
         if ctx.page_manager.state(page_id) is not PageState.ALLOCATED:
-            return _PageResult("stale")
+            return "stale"
         try:
             page = ctx.get_latched(page_id, LatchMode.S, scan=True)
         except ChecksumError:
@@ -459,19 +372,18 @@ class Scrubber:
             # problem (ladder rung 1), not evidence of rot.
             report.pages_skipped += 1
             ctx.counters.add("scrub_pages_skipped")
-            return _PageResult("skipped")
+            return "skipped"
         try:
             if (
                 page.index_id != self.tree.index_id
                 or page.page_type is not PageType.LEAF
             ):
-                return _PageResult("stale")
-            next_page = page.next_page
+                return "stale"
             if page.flags != PageFlag.NONE:
                 # Protocol bits: an in-flight top action owns this page.
                 report.pages_skipped += 1
                 ctx.counters.add("scrub_pages_skipped")
-                return _PageResult("skipped", next_page, True)
+                return "skipped"
             report.pages_checked += 1
             ctx.counters.add("scrub_pages_checked")
             problems = leaf_local_problems(
@@ -490,8 +402,6 @@ class Scrubber:
                 kind="checksum",
                 problems=problems
                 + [f"page {page_id}: stored image fails its CRC trailer"],
-                next_page=next_page,
-                has_next=True,
             )
         if problems and self._confirm_structure(page_id):
             return self._handle_defect(
@@ -502,10 +412,8 @@ class Scrubber:
                 hi_sep,
                 kind="structure",
                 problems=problems,
-                next_page=next_page,
-                has_next=True,
             )
-        return _PageResult("ok", next_page, True)
+        return "ok"
 
     def _crc_ok(self, page_id: int, report: ScrubReport) -> bool:
         """Verify the stored physical image's CRC trailer, with retries
@@ -611,9 +519,7 @@ class Scrubber:
         hi_sep: bytes,
         kind: str,
         problems: list[str],
-        next_page: int = NO_PAGE,
-        has_next: bool = False,
-    ) -> _PageResult:
+    ) -> str:
         ctx = self.ctx
         ctx.counters.add("scrub_defects_found")
         defect = ScrubDefect(
@@ -631,11 +537,11 @@ class Scrubber:
         if kind == "structure":
             # Structure is the protocols' jurisdiction: report loudly,
             # never rewrite a page whose bytes are intact.
-            return _PageResult("defect", next_page, has_next)
+            return "defect"
         if not self.config.repair or page_id in handled:
             defect.action = "unrepaired" if page_id in handled else "reported"
             handled.add(page_id)
-            return _PageResult("defect", next_page, has_next)
+            return "defect"
         handled.add(page_id)
         repair_span = ctx.tracer.begin("scrub.repair", page=page_id, kind=kind)
         try:
@@ -643,7 +549,7 @@ class Scrubber:
                 ctx.syncpoints.fire(
                     "scrub.repair", page=page_id, action=defect.action
                 )
-                return _PageResult("repaired")
+                return "repaired"
             return self._quarantine_and_rebuild(defect)
         finally:
             # The rung the ladder ended on (flushed / replayed / repaired
@@ -725,7 +631,7 @@ class Scrubber:
             ctx.counters.add("scrub_repairs_replay")
         return True
 
-    def _quarantine_and_rebuild(self, defect: ScrubDefect) -> _PageResult:
+    def _quarantine_and_rebuild(self, defect: ScrubDefect) -> str:
         """Ladder rung 3: fence the damaged range, rebuild just it."""
         ctx, tree = self.ctx, self.tree
         qrange = ctx.quarantine.covering(tree.index_id, defect.start_sep)
@@ -759,14 +665,14 @@ class Scrubber:
             # the rest of the index keeps serving (bounded degradation).
             defect.action = "quarantine-stands"
             defect.error = f"{type(exc).__name__}: {exc}"
-            return _PageResult("defect")
+            return "defect"
         ctx.quarantine.lift(qrange)
         defect.action = "repaired"
         ctx.counters.add("scrub_quarantine_lifts")
         ctx.syncpoints.fire(
             "scrub.lift", page=defect.page_id, start=defect.start_sep
         )
-        return _PageResult("repaired")
+        return "repaired"
 
     # -------------------------------------------------------------- pacing
 

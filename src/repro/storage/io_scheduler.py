@@ -18,7 +18,7 @@ applies the same batching idea along the *time* axis:
   ``_READS_IN_FLIGHT`` reader threads keep that many run reads in the
   device at once, each aligned run claimed by one reader.  Level 1 is the
   only source of order: no reader follows a ``next_page`` pointer.  A
-  level-1 read that meets a SPLIT/SHRINK bit or a busy latch learns
+  level-1 read that meets a SHRINK bit blocking it or a busy latch learns
   nothing, and the window parks until a read lands, the position moves
   or the rebuild's top action ends (:meth:`IOScheduler.wake`).
   Read-ahead is purely a hint: it never evicts a dirty frame,
@@ -564,8 +564,8 @@ class IOScheduler:
         """Learn the leaves behind ``tail``, the last one known, from
         level 1.  Returns (leaves, the unit the next level-1 read
         continues from, whether the order now reaches the chain's end);
-        nothing learned when level 1 cannot be read now (a SPLIT/SHRINK
-        bit or a busy latch on the way)."""
+        nothing learned when level 1 cannot be read now (a SHRINK bit
+        that blocks it or a busy latch on the way)."""
         start = resume if resume is not None else unit
         if start is None or self._leaf_order is None:
             return [], None, False

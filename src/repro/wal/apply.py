@@ -27,7 +27,10 @@ actions are undone, and the pages they touched are still pinned down by the
 top action's address locks / SPLIT / SHRINK bits at a runtime rollback, or
 frozen by the crash itself.  A leaf row is found *by key* from the index
 root, because a completed split or rebuild top action — never undone — may
-have moved it since (ARIES-IM); the descent runs at undo time only.  An
+have moved it since (ARIES-IM); the descent runs at undo time only.  At
+run time it is the index's own writer descent, X latch and all, so a top
+action that has frozen the leaf ends before the row changes (§2.6); at
+restart, before any bit is cleared, it is a bare one.  An
 ``ALLOC`` / ``ALLOCRUN`` / ``DEALLOC`` / ``KEYCOPY`` (:data:`CLR_UNDONE`) is
 compensated by a ``CLR`` naming it, whose redo re-applies the inverse.
 Undo verifies what it removes and raises
@@ -333,7 +336,10 @@ def compensation(rec: LogRecord) -> LogRecord:
 
 
 def undo_record(
-    rec: LogRecord, ctx: ApplyContext, log: Callable[[LogRecord], int]
+    rec: LogRecord,
+    ctx: ApplyContext,
+    log: Callable[[LogRecord], int],
+    leaf: Page | None = None,
 ) -> None:
     """Undo ``rec`` (runtime rollback and crash undo alike): log its
     compensation through ``log``, which appends a record to the undoing
@@ -344,6 +350,13 @@ def undo_record(
     logged — applied by the redo kernel from its bytes.  A leaf row's undo
     removes the row if present, puts it back if absent, and logs nothing
     if neither is needed.  A :data:`CLR_UNDONE` record's is a ``CLR``.
+
+    ``leaf`` is the leaf whose range holds a leaf row now, pinned; this
+    function unpins it.  A runtime rollback finds it through the index's
+    own access path and holds its X latch across the call
+    (``EngineContext.undo``).  Recovery passes none: its undo runs on one
+    thread, before the bit sweep clears the bits the crash left, so it
+    descends bare (:func:`_find_leaf_row`).
     """
     t = rec.type
     if t in CLR_UNDONE:
@@ -364,7 +377,7 @@ def undo_record(
         raise RecoveryError(f"cannot undo record type {t.name}")
     comp = compensation(rec)
     if rec.flags & LEAF_ROW_FLAG:
-        page, comp.pos, found = _find_leaf_row(rec, ctx)
+        page, comp.pos, found = _find_leaf_row(rec, ctx, leaf)
         if found != (t is RecordType.INSERT):
             ctx.buffer.unpin(page.page_id)
             return  # the row is gone already, or back already
@@ -393,27 +406,29 @@ def undo_record(
         ctx.buffer.unpin(page.page_id, dirty=True)
 
 
-def _find_leaf_row(rec: LogRecord, ctx: ApplyContext) -> tuple[Page, int, bool]:
+def _find_leaf_row(
+    rec: LogRecord, ctx: ApplyContext, leaf: Page | None
+) -> tuple[Page, int, bool]:
     """The leaf whose range holds ``rec``'s row now, pinned, with the row's
-    position and whether it is there.  The descent from the root meets a
+    position and whether it is there: ``leaf`` when given, else found by
+    a bare descent from the root.  At restart that descent meets a
     consistent tree: completed top actions are redone, never undone."""
     from repro.btree import node as _node
 
     unit = rec.rows[0]
-    root = ctx.index_roots.get(rec.index_id)
-    if root is None:
-        raise RecoveryError(
-            f"logical undo needs the root of index {rec.index_id}, "
-            "which is not in the apply context"
-        )
-    page_id = root
-    while True:
-        page = ctx.buffer.fetch(page_id)
-        if page.page_type is PageType.LEAF:
-            break
-        _pos, child = _node.child_search(page, unit, ctx.buffer.counters)
-        ctx.buffer.unpin(page_id)
-        page_id = child
+    page = leaf
+    if page is None:
+        root = ctx.index_roots.get(rec.index_id)
+        if root is None:
+            raise RecoveryError(
+                f"logical undo needs the root of index {rec.index_id}, "
+                "which is not in the apply context"
+            )
+        page = ctx.buffer.fetch(root)
+        while page.page_type is not PageType.LEAF:
+            _pos, child = _node.child_search(page, unit, ctx.buffer.counters)
+            ctx.buffer.unpin(page.page_id)
+            page = ctx.buffer.fetch(child)
     pos, found = _node.leaf_search(page, unit, ctx.buffer.counters)
     return page, pos, found
 

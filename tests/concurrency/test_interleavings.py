@@ -165,6 +165,49 @@ def test_rebuild_shrink_bits_block_readers_then_release(engine):
     index.verify()
 
 
+def test_rollback_waits_out_the_rebuild_top_action(engine):
+    """A runtime rollback puts a row back through the index's writer
+    descent.  T's delete is undone while a rebuild top action has frozen
+    and copied T's leaf: the undo waits for the top action's end (§2.6)
+    and puts the row into the leaf that holds its range then.  A bare
+    descent put it into the frozen source leaf, which the top action
+    deallocated — the row was gone and ``verify()`` still passed.  The
+    fillfactor leaves the new leaves room for the row: undo into a full
+    leaf is a separate hole (ROADMAP item 1(c))."""
+    index = engine.create_index(key_len=4)
+    fill_index(index, 800, seed=None)
+    for k in range(0, 800, 2):
+        if k != 2:
+            index.delete(intkey(k), k)
+    txn = engine.ctx.txns.begin()
+    index.delete(intkey(2), 2, txn=txn)
+    rv = Rendezvous(timeout=10.0)
+    engine.syncpoints.once("rebuild.copy_locked", rv.engine_arrived)
+
+    def rebuilder():
+        OnlineRebuild(
+            index, RebuildConfig(ntasize=8, xactsize=32, fillfactor=0.9)
+        ).run()
+
+    t = run_thread(rebuilder)
+    rv.wait_engine()
+    aborted = threading.Event()
+
+    def abort():
+        engine.ctx.txns.abort(txn)
+        aborted.set()
+
+    a = run_thread(abort)
+    assert not aborted.wait(0.3), "the undo ran through a SHRINK bit"
+    rv.release()
+    assert aborted.wait(15), "the undo never unblocked"
+    t.join(30)
+    a.join(10)
+    assert not t.is_alive() and not a.is_alive()
+    assert index.contains(intkey(2), 2)
+    index.verify()
+
+
 def test_split_then_shrink_mode_allows_readers_during_copy(engine):
     index = engine.create_index(key_len=4)
     fill_index(index, 800, seed=None)

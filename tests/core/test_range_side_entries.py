@@ -56,12 +56,7 @@ def test_rebuild_with_range_side_entries_correct():
     index = engine.create_index(key_len=4)
     make_half_empty(index, 4000)
     before = index.contents()
-    OnlineRebuild(
-        index,
-        RebuildConfig(
-            ntasize=8, xactsize=32, nonleaf_range_side_entries=True
-        ),
-    ).run()
+    OnlineRebuild(index, RebuildConfig(ntasize=8, xactsize=32)).run()
     assert index.contents() == before
     index.verify()  # also asserts every bit and range was cleared
 
@@ -78,7 +73,7 @@ def _build_tall(engine):
     return index
 
 
-def _park_rebuild(engine, index, enhancement: bool):
+def _park_rebuild(engine, index):
     """Start a rebuild and park it right after its first leaf->level-1
     propagation pass (level-1 bits live, propagation still above)."""
     rv = Rendezvous(timeout=20.0)
@@ -92,13 +87,7 @@ def _park_rebuild(engine, index, enhancement: bool):
     engine.syncpoints.on("rebuild.level_propagated", park)
 
     def rebuilder():
-        OnlineRebuild(
-            index,
-            RebuildConfig(
-                ntasize=16, xactsize=64,
-                nonleaf_range_side_entries=enhancement,
-            ),
-        ).run()
+        OnlineRebuild(index, RebuildConfig(ntasize=16, xactsize=64)).run()
 
     t = threading.Thread(target=rebuilder, daemon=True)
     t.start()
@@ -136,7 +125,7 @@ def test_out_of_range_reader_passes_in_range_blocks():
 
     engine = Engine(buffer_capacity=16384, lock_timeout=10.0)
     index = _build_tall(engine)
-    rv, t = _park_rebuild(engine, index, enhancement=True)
+    rv, t = _park_rebuild(engine, index)
     try:
         pid, page = _find_bitted_level1(engine, index)
         assert page.has_flag(PageFlag.SHRINKRANGE)
@@ -173,37 +162,4 @@ def test_out_of_range_reader_passes_in_range_blocks():
     t.join(120)
     assert blocked.wait(20)
     assert in_range_was_blocked, "in-range reader was not blocked"
-    index.verify()
-
-
-def test_without_enhancement_same_page_reader_blocks():
-    """Control: with the enhancement off, the same out-of-range probe
-    blocks on the level-1 SHRINK bit."""
-    from repro.btree import node
-
-    engine = Engine(buffer_capacity=16384, lock_timeout=10.0)
-    index = _build_tall(engine)
-    rv, t = _park_rebuild(engine, index, enhancement=False)
-    try:
-        pid, page = _find_bitted_level1(engine, index)
-        assert not page.has_flag(PageFlag.SHRINKRANGE)
-        # Probe a key under this page but far beyond the rebuilt leaves.
-        last_sep = node.entry_key(page.rows[-1])
-        probe = _present_key_at_or_above(last_sep) - 4000
-        probe = probe - (probe % 4) + 2
-
-        blocked = threading.Event()
-
-        def reader():
-            index.contains(intkey(probe), probe // 4)
-            blocked.set()
-
-        r = threading.Thread(target=reader, daemon=True)
-        r.start()
-        was_blocked = not blocked.wait(0.3)
-    finally:
-        rv.release()
-    t.join(120)
-    assert blocked.wait(20)
-    assert was_blocked, "plain SHRINK bit failed to block the reader"
     index.verify()

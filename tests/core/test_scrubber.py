@@ -60,6 +60,44 @@ def test_single_leaf_root_pass():
     assert report.pages_checked == 1
 
 
+def test_boundary_children_are_checked_against_the_level1_bound(monkeypatch):
+    """A pass crosses from one level-1 page to the next by the bound the
+    level-1 read returned, and checks each page's last child against it:
+    the root separator where the next level-1 page begins, open only at
+    the right edge."""
+    import repro.core.scrubber as scrubber_mod
+    from repro.btree import node
+    from repro.workload.builder import bulk_load
+
+    engine = Engine(page_size=512, buffer_capacity=4096)
+    tree = bulk_load(engine, [intkey(2 * i) for i in range(20_000)], 4)
+    assert tree.height() == 3
+    ctx = engine.ctx
+    root = ctx.buffer.fetch(tree.root_page_id)
+    level1 = [node.entry_child(row) for row in root.rows]
+    seps = [node.entry_key(row) for row in root.rows[1:]] + [None]
+    ctx.buffer.unpin(tree.root_page_id)
+    expected = {}
+    for page_id, sep in zip(level1, seps):
+        page = ctx.buffer.fetch(page_id)
+        expected[node.entry_child(page.rows[-1])] = sep
+        ctx.buffer.unpin(page_id)
+    assert len(expected) > 1
+
+    checked = {}
+    problems_of = scrubber_mod.leaf_local_problems
+
+    def spy(page, lo, hi):
+        checked[page.page_id] = hi
+        return problems_of(page, lo, hi)
+
+    monkeypatch.setattr(scrubber_mod, "leaf_local_problems", spy)
+    report = Scrubber(tree).run_pass()
+    assert report.complete and report.clean
+    assert report.pages_checked == tree.verify().leaf_pages
+    assert {leaf: checked[leaf] for leaf in expected} == expected
+
+
 # --------------------------------------------------------- seeded detection
 
 

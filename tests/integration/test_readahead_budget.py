@@ -17,7 +17,12 @@ scheduler's own condition (:meth:`IOScheduler.wait_readahead`).
     own run, never in an address-lock wait, and the window fills from
     level 1 once the bit is gone;
 (e) the leaf order read off level 1 equals the ``next_page`` chain on a
-    tree fragmented by random inserts, deletes, splits and shrinks.
+    tree fragmented by random inserts, deletes, splits and shrinks;
+(f) a root whose §6.2 range side entry lies left of the position lets
+    level 1 be read, one whose range covers it does not;
+(g) level-1 reads chained by the bound each returns — in both of
+    :meth:`Traversal.level1`'s modes — visit every leaf once, in chain
+    order, each within its bounds, also across a parked nonleaf split.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from repro.concurrency.locks import LockMode, LockSpace
 from repro.core.copy_phase import level1_leaf_order
 from repro.storage.disk import Disk
 from repro.storage.io_scheduler import _READS_IN_FLIGHT, IOScheduler
+from repro.concurrency.syncpoints import Rendezvous
 from repro.storage.page import NO_PAGE, PageFlag
 from repro.workload.builder import bulk_load
 from tests.conftest import intkey
@@ -332,3 +338,144 @@ def test_level1_order_equals_the_leaf_chain(ops, probes):
         # Following the resume unit stitches the rest together exactly.
         rest, resume = level1_leaf_order(ctx, tree, unit, len(chain))
         assert (rest, resume) == (chain[start:], None)
+
+
+# ------------------------------------------------------------------- (f)
+
+
+def tall_index():
+    """A three-level bulk-loaded index: the root is above level 1.
+    Returns (engine, tree, leaf ids in chain order)."""
+    engine = Engine(page_size=512, buffer_capacity=4096)
+    tree = bulk_load(engine, [intkey(2 * i) for i in range(20_000)], 4)
+    assert tree.height() == 3
+    ctx = engine.ctx
+    return engine, tree, chain_walk(ctx, leaf_covering(ctx, tree, b""))
+
+
+def test_a_root_shrink_range_left_of_the_position_lets_level1_through():
+    """The rebuild's own propagation deletes root entries *behind* its
+    position, and publishes their range (§6.2): read-ahead reads on."""
+    engine, tree, chain = tall_index()
+    ctx = engine.ctx
+    root = ctx.buffer.fetch(tree.root_page_id)
+    hi = node.entry_key(root.rows[2])
+    root.set_flag(PageFlag.SHRINK)
+    root.set_blocked_range(b"", hi)
+    root.set_flag(PageFlag.SHRINKRANGE)
+    ctx.buffer.unpin(tree.root_page_id, dirty=True)
+
+    start = chain.index(leaf_covering(ctx, tree, hi))
+    assert start > 0
+    assert level1_leaf_order(ctx, tree, hi, len(chain)) == (chain[start:], None)
+    # Inside the range the root still blocks.
+    assert level1_leaf_order(ctx, tree, b"", 8) is None
+    assert level1_leaf_order(ctx, tree, node.entry_key(root.rows[1]), 8) is None
+
+
+# ------------------------------------------------------------------- (g)
+
+
+def walk_level1(ctx, tree, wait: bool) -> list[int]:
+    """Every level-1 read from the left edge on, each starting at the
+    bound the one before returned; checks each leaf against its bounds."""
+    txn = ctx.txns.begin() if wait else None
+    walk = Traversal(ctx, tree)
+    unit_len = tree.key_len + 6
+    leaves: list[int] = []
+    at = b""
+    while True:
+        snap = walk.level1(at, txn)
+        assert snap is not None
+        his = snap.keys[1:] + [snap.bound]
+        for child, lo, hi in zip(snap.children, snap.keys, his):
+            page = ctx.buffer.fetch(child)
+            units = [row[:unit_len] for row in page.rows]
+            ctx.buffer.unpin(child)
+            assert all(lo <= u and (hi is None or u < hi) for u in units)
+        leaves += snap.children
+        if snap.bound is None:
+            break
+        assert snap.bound > at
+        at = snap.bound
+    if txn is not None:
+        ctx.txns.commit(txn)
+    return leaves
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=2999)),
+        min_size=300, max_size=1500,
+    ),
+)
+def test_level1_reads_chained_by_their_bound_visit_each_leaf_once(ops):
+    engine = Engine(page_size=256, buffer_capacity=2048)
+    tree = engine.create_index(key_len=4)
+    present: set[int] = set()
+    for insert, key in ops:
+        if insert and key not in present:
+            tree.insert(intkey(key), key)
+            present.add(key)
+        elif not insert and key in present:
+            tree.delete(intkey(key), key)
+            present.remove(key)
+    ctx = engine.ctx
+    chain = chain_walk(ctx, leaf_covering(ctx, tree, b""))
+    if len(chain) == 1:
+        return
+    assert walk_level1(ctx, tree, wait=False) == chain
+    assert walk_level1(ctx, tree, wait=True) == chain
+
+
+def test_a_level1_page_still_marked_oldpgofsplit_ends_at_its_side_key():
+    """Park a split between the level-1 page's own split and the root's
+    new entry: the old page ends at its side key, and the read from that
+    key reaches the new page through the side entry (§2.3)."""
+    engine = Engine(page_size=256, buffer_capacity=4096, lock_timeout=10.0)
+    tree = engine.create_index(key_len=4)
+    key = 0
+    while tree.height() < 3:
+        tree.insert(intkey(key), key)
+        key += 1
+    ctx = engine.ctx
+    rv = Rendezvous(timeout=10.0)
+    parked: dict = {}
+
+    def park(attrs: dict) -> None:
+        if attrs["level"] == 1 and not parked:
+            parked.update(attrs)
+            rv.engine_arrived()
+
+    engine.syncpoints.on("split.nonleaf_done", park)
+
+    def inserter() -> None:
+        for k in range(key, key + 5000):
+            tree.insert(intkey(k), k)
+            if parked:
+                return
+
+    t = threading.Thread(target=inserter, daemon=True)
+    t.start()
+    try:
+        rv.wait_engine()
+        old = ctx.buffer.fetch(parked["page"])
+        assert old.has_flag(PageFlag.OLDPGOFSPLIT)
+        side_key = old.side_key
+        ctx.buffer.unpin(parked["page"])
+        chain = chain_walk(ctx, leaf_covering(ctx, tree, b""))
+        assert walk_level1(ctx, tree, wait=False) == chain
+        assert walk_level1(ctx, tree, wait=True) == chain
+        snap = Traversal(ctx, tree).level1(b"", None)
+        while snap.page_id != parked["page"]:
+            snap = Traversal(ctx, tree).level1(snap.bound, None)
+        assert snap.bound == side_key
+        after = Traversal(ctx, tree).level1(side_key, None)
+        assert after.page_id == parked["new_page"]
+    finally:
+        rv.release()
+        t.join(30)
+    assert not t.is_alive()
+    engine.syncpoints.remove("split.nonleaf_done", park)
+    tree.verify()

@@ -24,10 +24,6 @@ from repro.storage.io_scheduler import IOScheduler
 ROOT = Path(__file__).resolve().parents[2]
 
 WAIVED = {
-    # §6.2's first enhancement acts only when propagation continues above
-    # level 1, which no benchmark workload reaches yet; it stays until a
-    # benchmark-only PR adds one (ROADMAP item 2).
-    "nonleaf_range_side_entries",
     # Detect-and-report-only scrubbing is the mode an operator runs before
     # trusting the repair ladder with a damaged index, and the reference
     # the false-positive property tests compare against; nothing in

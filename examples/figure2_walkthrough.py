@@ -16,10 +16,11 @@ Run:  python examples/figure2_walkthrough.py
 from repro import Engine, RebuildConfig
 from repro.btree import keys as K
 from repro.btree import node
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import Traversal
 from repro.btree.tree import BTree
 from repro.btree.verify import collect_contents
-from repro.core.copy_phase import copy_multipage, give_back
+from repro.core.copy_phase import copy_multipage
 from repro.core.propagation import PropagationState, run_propagation
 from repro.core.rebuild import OnlineRebuild
 from repro.storage.page import NO_PAGE, PageType
@@ -110,13 +111,10 @@ def main() -> None:
     config = RebuildConfig(ntasize=3, xactsize=3)
     chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
-    cleanup, held, deallocated, new_pages = [], {}, [], []
-    ctx.txns.begin_nta(txn)
+    action = TopAction(ctx, txn, scan=True)
 
     print("COPY PHASE (§4.1): rebuild P1, P2, P3 in one top action.")
-    result = copy_multipage(
-        ctx, tree, txn, config, chunk, ids["P1"], cleanup, held, deallocated
-    )
+    result = copy_multipage(action, tree, config, chunk, ids["P1"])
     n1 = result.new_pages[0]
     name_of[n1] = "N1"
     print(f"  PP now: {keys_of(engine, ids['PP'])}   "
@@ -139,8 +137,7 @@ def main() -> None:
         pp_page=result.pp_page, pp_low_unit=result.pp_low_unit
     )
     run_propagation(
-        ctx, tree, txn, result.prop_entries, Traversal(ctx, tree),
-        cleanup, deallocated, new_pages, config, state,
+        action, tree, result.prop_entries, Traversal(ctx, tree), config, state
     )
     left = ctx.buffer.fetch(ids["L"])
     children = [name_of.get(c, c) for c in node.child_ids(left)]
@@ -154,9 +151,8 @@ def main() -> None:
     ctx.buffer.unpin(ids["root"])
     print(f"  root's children now: {top}  (entry for P deleted at level 2)\n")
 
-    ctx.txns.end_nta(txn)
-    give_back(ctx, txn, cleanup, held)
-    ctx.buffer.flush_pages(result.new_pages + new_pages)
+    action.end()
+    ctx.buffer.flush_pages(action.new_pages)
     ctx.txns.commit(txn)
     OnlineRebuild(tree, config)._free_deallocated_of(txn)
     chunk.close()

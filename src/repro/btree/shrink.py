@@ -22,11 +22,10 @@ action completes.
 from __future__ import annotations
 
 from repro.btree import node
-from repro.btree.split import _update_prev_link, clear_protocol_bits
+from repro.btree.split import _update_prev_link
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import AccessMode, Traversal
 from repro.concurrency.latch import LatchMode
-from repro.concurrency.locks import LockMode, LockSpace
-from repro.concurrency.syncpoints import CrashPoint
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.storage.page import NO_PAGE, Page, PageFlag, PageType
@@ -46,15 +45,10 @@ def shrink_leaf(
     ``routing_unit`` is the unit whose deletion emptied the page; it still
     routes to the leaf's position at every ancestor level.
     """
-    ctx.txns.begin_nta(txn)
-    cleanup: list[int] = []
-    deallocated: list[int] = []
     leaf_id = leaf.page_id
-    try:
+    with TopAction(ctx, txn) as top:
         # Right-to-left address locking: the page itself first (§6.5).
-        ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, leaf_id, LockMode.X)
-        cleanup.append(leaf_id)
-        leaf.set_flag(PageFlag.SHRINK)
+        top.lock(leaf, PageFlag.SHRINK)
         old_next = leaf.next_page
         pp_id = leaf.prev_page
         ctx.release_page(leaf_id, dirty=True)
@@ -62,10 +56,10 @@ def shrink_leaf(
 
         # Lock and unlink the previous page; it can move under us until the
         # lock is held, so revalidate and chase.
-        pp_id = _lock_prev_page(ctx, txn, leaf_id, pp_id, cleanup)
+        pp_id = _lock_prev_page(top, leaf_id, pp_id)
         if pp_id != NO_PAGE:
             pp = ctx.get_latched(pp_id, LatchMode.X)
-            pp.set_flag(PageFlag.SHRINK)
+            top.lock(pp, PageFlag.SHRINK)
             ctx.log_page_change(
                 txn,
                 LogRecord(
@@ -80,40 +74,25 @@ def shrink_leaf(
         if old_next != NO_PAGE:
             _update_prev_link(ctx, txn, old_next, new_prev=pp_id)
 
-        _deallocate(ctx, txn, leaf_id, deallocated)
-        _propagate_delete(
-            ctx, tree, txn, traversal, leaf_id, routing_unit,
-            cleanup, deallocated,
-        )
-    except CrashPoint:
-        raise  # simulated power failure: skip runtime cleanup
-    except BaseException:
-        _abort_shrink(ctx, txn, cleanup)
-        raise
-    ctx.txns.end_nta(txn)
-    clear_protocol_bits(ctx, txn, cleanup)
+        top.deallocate([leaf_id])
+        _propagate_delete(top, tree, traversal, leaf_id, routing_unit)
     # §4.1.3: shrink's deallocated pages are freed at top action completion.
-    for pid in deallocated:
+    for pid in top.deallocated:
         ctx.buffer.flush_page(pid)
         ctx.page_manager.free(pid)
-    ctx.syncpoints.fire("shrink.nta_end", pages=list(cleanup))
+    ctx.syncpoints.fire("shrink.nta_end", pages=list(top.pages))
 
 
-def _lock_prev_page(
-    ctx: EngineContext,
-    txn: Transaction,
-    leaf_id: int,
-    pp_id: int,
-    cleanup: list[int],
-) -> int:
+def _lock_prev_page(top: TopAction, leaf_id: int, pp_id: int) -> int:
     """Acquire the X address lock on the true previous page of ``leaf_id``.
 
     Chases ``prev`` retargeting by concurrent splits of the left neighbor:
     after each (possibly blocking) lock acquisition, verify the locked page
     still points at our leaf; otherwise release and follow the new pointer.
     """
+    ctx = top.ctx
     while pp_id != NO_PAGE:
-        ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, pp_id, LockMode.X)
+        top.lock_address(pp_id)
         page = ctx.get_latched(pp_id, LatchMode.S)
         valid = (
             ctx.page_manager.is_allocated(pp_id)
@@ -122,9 +101,8 @@ def _lock_prev_page(
         )
         ctx.release_page(pp_id)
         if valid:
-            cleanup.append(pp_id)
             return pp_id
-        ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, pp_id)
+        top.unlock_address(pp_id)
         leaf = ctx.get_latched(leaf_id, LatchMode.S)
         pp_id = leaf.prev_page
         ctx.release_page(leaf_id)
@@ -132,16 +110,14 @@ def _lock_prev_page(
 
 
 def _propagate_delete(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     traversal: Traversal,
     child_id: int,
     routing_unit: bytes,
-    cleanup: list[int],
-    deallocated: list[int],
 ) -> None:
     """Delete ``child_id``'s entry at each level, shrinking emptied parents."""
+    ctx, txn = top.ctx, top.txn
     level = 1
     while True:
         page = traversal.traverse(routing_unit, AccessMode.WRITER, level, txn)
@@ -152,14 +128,10 @@ def _propagate_delete(
                 _collapse_root_to_empty_leaf(ctx, txn, page)
                 ctx.release_page(page.page_id, dirty=True)
                 return
-            ctx.locks.acquire(
-                txn.txn_id, LockSpace.ADDRESS, page.page_id, LockMode.X
-            )
-            cleanup.append(page.page_id)
-            page.set_flag(PageFlag.SHRINK)
+            top.lock(page, PageFlag.SHRINK)
             page_id = page.page_id
             ctx.release_page(page_id, dirty=True)
-            _deallocate(ctx, txn, page_id, deallocated)
+            top.deallocate([page_id])
             child_id = page_id
             level += 1
             continue
@@ -222,27 +194,3 @@ def _collapse_root_to_empty_leaf(
     root.page_type = PageType.LEAF
     root.level = 0
     ctx.syncpoints.fire("shrink.root_collapsed", root=root.page_id)
-
-
-def _deallocate(
-    ctx: EngineContext, txn: Transaction, page_id: int, deallocated: list[int]
-) -> None:
-    rec = LogRecord(type=RecordType.DEALLOC, page_id=page_id)
-    ctx.txns.append(txn, rec)
-    ctx.page_manager.deallocate(page_id)
-    deallocated.append(page_id)
-
-
-def _abort_shrink(ctx: EngineContext, txn: Transaction, cleanup: list[int]) -> None:
-    """Undo an incomplete shrink NTA and release its protocol state."""
-    ctx.latches.release_all()
-    ctx.txns.abort_nta(txn)
-    for page_id in list(cleanup):
-        if ctx.page_manager.is_allocated(page_id):
-            page = ctx.get_latched(page_id, LatchMode.X)
-            page.clear_flag(PageFlag.SPLIT)
-            page.clear_flag(PageFlag.SHRINK)
-            page.clear_side_entry()
-            page.clear_blocked_range()
-            ctx.release_page(page_id, dirty=True)
-        ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)

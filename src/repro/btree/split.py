@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from repro.btree import keys as K
 from repro.btree import node
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import AccessMode, Traversal
 from repro.concurrency.latch import LatchMode
-from repro.concurrency.locks import LockMode, LockSpace
-from repro.concurrency.syncpoints import CrashPoint
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.errors import TreeStructureError
@@ -50,30 +49,18 @@ def split_leaf(
     Pure reorganization: the caller's pending row is NOT inserted here —
     a top action is never undone, while the user's row must roll back with
     the user's transaction, so the insert is logged outside the NTA (the
-    caller re-traverses and retries once the split completes).  On return
-    all latches, address locks and protocol bits are released/cleared.
+    caller re-traverses and retries once the split completes).  On return,
+    or on the way out of an exception, all latches, pins, address locks
+    and protocol bits are released/cleared.
     """
-    ctx.txns.begin_nta(txn)
-    cleanup: list[int] = []  # pages whose bits/locks the NTA end clears
-    try:
+    with TopAction(ctx, txn) as top:
         if leaf.page_id == tree.root_page_id:
             # A full root leaf: grow the tree first; the old root's rows
             # move to a fresh child leaf, which we then split normally.
-            leaf = _grow_root(ctx, tree, txn, leaf, cleanup)
-        if leaf.page_id not in cleanup:
-            ctx.locks.acquire(
-                txn.txn_id, LockSpace.ADDRESS, leaf.page_id, LockMode.X
-            )
-            cleanup.append(leaf.page_id)
-
-        new_id = ctx.page_manager.allocate()
-        ctx.latches.acquire(new_id, LatchMode.X)
-        new_page = ctx.buffer.new_page(new_id)
-        ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, new_id, LockMode.X)
-        cleanup.append(new_id)
-
-        leaf.set_flag(PageFlag.SPLIT)
-        new_page.set_flag(PageFlag.SPLIT)
+            leaf = grow_root(top, tree, leaf)
+        top.lock(leaf, PageFlag.SPLIT)
+        new_page = top.new_page(PageFlag.SPLIT)
+        new_id = new_page.page_id
         ctx.syncpoints.fire(
             "split.bits_set", page=leaf.page_id, new_page=new_id
         )
@@ -132,29 +119,22 @@ def split_leaf(
         )
 
         _propagate_insert(
-            ctx, tree, txn, traversal,
-            sep_key=side_key, new_child=new_id, level=1, cleanup=cleanup,
+            top, tree, traversal, sep_key=side_key, new_child=new_id, level=1
         )
-    except CrashPoint:
-        raise  # simulated power failure: skip runtime cleanup
-    except BaseException:
-        _abort_split(ctx, txn, cleanup)
-        raise
-    _finish_nta(ctx, txn, cleanup)
+    ctx.syncpoints.fire("split.nta_end", pages=list(top.pages))
 
 
 def _propagate_insert(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     traversal: Traversal,
     sep_key: bytes,
     new_child: int,
     level: int,
-    cleanup: list[int],
 ) -> None:
     """Insert ``[sep_key, new_child]`` at ``level``, splitting upward as
     needed (§2.3)."""
+    ctx, txn = top.ctx, top.txn
     while True:
         page = traversal.traverse(sep_key, AccessMode.WRITER, level, txn)
         entry = node.encode_entry(sep_key, new_child)
@@ -172,37 +152,29 @@ def _propagate_insert(
             )
             return
         if page.page_id == tree.root_page_id:
-            page = _grow_root(ctx, tree, txn, page, cleanup)
+            page = grow_root(top, tree, page)
             # ``page`` is now the freshly created child holding the old
             # root's rows, X latched and locked; split it below.
         sep_key, new_child, level = _split_nonleaf(
-            ctx, txn, page, sep_key, new_child, level, cleanup
+            top, page, sep_key, new_child, level
         )
 
 
 def _split_nonleaf(
-    ctx: EngineContext,
-    txn: Transaction,
+    top: TopAction,
     page: Page,
     sep_key: bytes,
     new_child: int,
     level: int,
-    cleanup: list[int],
 ) -> tuple[bytes, int, int]:
     """Split a full nonleaf ``page`` (X latched) and place the pending entry.
 
     Returns ``(pushed_key, new_page_id, level + 1)`` for the next round.
     """
-    if page.page_id not in cleanup:
-        ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, page.page_id, LockMode.X)
-        cleanup.append(page.page_id)
-    new_id = ctx.page_manager.allocate()
-    ctx.latches.acquire(new_id, LatchMode.X)
-    sibling = ctx.buffer.new_page(new_id)
-    ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, new_id, LockMode.X)
-    cleanup.append(new_id)
-    page.set_flag(PageFlag.SPLIT)
-    sibling.set_flag(PageFlag.SPLIT)
+    ctx, txn = top.ctx, top.txn
+    top.lock(page, PageFlag.SPLIT)
+    sibling = top.new_page(PageFlag.SPLIT)
+    new_id = sibling.page_id
 
     _init_page(
         ctx, txn, sibling, PageType.NONLEAF, level=page.level,
@@ -251,30 +223,18 @@ def _split_nonleaf(
     return pushed_key, new_id, level + 1
 
 
-def _grow_root(
-    ctx: EngineContext,
-    tree: "object",
-    txn: Transaction,
-    root: Page,
-    cleanup: list[int],
-) -> Page:
-    """Grow the tree: move the root's rows to a fresh child in place (§2.3).
+def grow_root(top: TopAction, tree: "object", root: Page) -> Page:
+    """Grow the tree: move the root's rows to a fresh child in place (§2.3);
+    the rebuild's propagation phase grows the root the same way.
 
     The root page id is stable, so no parent ever needs updating.  Returns
     the new child X latched, locked, and SPLIT-bitted — the caller splits it
     to finish placing the pending entry.
     """
-    if root.page_id not in cleanup:
-        ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, root.page_id, LockMode.X)
-        cleanup.append(root.page_id)
-    root.set_flag(PageFlag.SPLIT)
-
-    child_id = ctx.page_manager.allocate()
-    ctx.latches.acquire(child_id, LatchMode.X)
-    child = ctx.buffer.new_page(child_id)
-    ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, child_id, LockMode.X)
-    cleanup.append(child_id)
-    child.set_flag(PageFlag.SPLIT)
+    ctx, txn = top.ctx, top.txn
+    top.lock(root, PageFlag.SPLIT)
+    child = top.new_page(PageFlag.SPLIT)
+    child_id = child.page_id
 
     _init_page(
         ctx, txn, child, root.page_type, level=root.level,
@@ -323,10 +283,6 @@ def _grow_root(
         new_level=root.level,
     )
     return child
-
-
-# Public alias: the rebuild's propagation phase grows the root the same way.
-grow_root = _grow_root
 
 
 # ----------------------------------------------------------------- shared
@@ -389,48 +345,3 @@ def _split_point(page: Page) -> int:
         if acc > half:
             return max(1, min(i, page.nrows - 1))
     return max(1, page.nrows - 1)
-
-
-def _finish_nta(ctx: EngineContext, txn: Transaction, cleanup: list[int]) -> None:
-    """End the top action, clear bits/side entries, release address locks."""
-    ctx.txns.end_nta(txn)
-    clear_protocol_bits(ctx, txn, cleanup)
-    ctx.syncpoints.fire("split.nta_end", pages=list(cleanup))
-
-
-def clear_protocol_bits(
-    ctx: EngineContext, txn: Transaction, pages: list[int]
-) -> None:
-    """Clear SPLIT/SHRINK/OLDPGOFSPLIT bits and drop the X address locks.
-
-    Each page's lock goes with its bit, before the next page is latched:
-    a writer that finds a page bit-free takes its address lock while it
-    holds the page's latch (locked-iff-bitted, §6.5), so a lock kept past
-    its bit while this loop waits for a later page's latch closes a
-    latch / lock cycle through any reader crabbing between the two pages.
-    (The rebuild's top actions end with the same loop over pages they
-    kept pinned: :func:`repro.core.copy_phase.give_back`.)
-    """
-    for page_id in pages:
-        page = ctx.get_latched(page_id, LatchMode.X)
-        page.clear_flag(PageFlag.SPLIT)
-        page.clear_flag(PageFlag.SHRINK)
-        page.clear_side_entry()
-        page.clear_blocked_range()
-        ctx.release_page(page_id, dirty=True)
-        ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)
-
-
-def _abort_split(ctx: EngineContext, txn: Transaction, cleanup: list[int]) -> None:
-    """Undo an incomplete split NTA and release its protocol state."""
-    ctx.latches.release_all()
-    ctx.txns.abort_nta(txn)
-    for page_id in list(cleanup):
-        if ctx.page_manager.is_allocated(page_id):
-            page = ctx.get_latched(page_id, LatchMode.X)
-            page.clear_flag(PageFlag.SPLIT)
-            page.clear_flag(PageFlag.SHRINK)
-            page.clear_side_entry()
-            page.clear_blocked_range()
-            ctx.release_page(page_id, dirty=True)
-        ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)

@@ -123,22 +123,24 @@ class Traversal:
                     else LatchMode.S
                 )
                 _pos, child_id = child_search(p, unit, counters)
-                c = get_latched(child_id, child_mode, scan=self.scan)
-
-                resolved, blocked_id = self._resolve_child(
-                    c, unit, child_mode, txn
-                )
-                if resolved is None:
-                    # SHRINK in the way: release everything and block for
-                    # the top action via an instant S address lock (§2.6).
+                try:
+                    c = get_latched(child_id, child_mode, scan=self.scan)
+                    resolved, blocked_id = self._resolve_child(
+                        c, unit, child_mode, txn
+                    )
+                finally:
+                    # Also when the child (or its side-entry sibling) is
+                    # unreadable: the error leaves no latch behind.
                     release_page(p.page_id)
+                if resolved is None:
+                    # SHRINK in the way: with everything released, block for
+                    # the top action via an instant S address lock (§2.6).
                     assert blocked_id is not None
                     ctx.locks.wait_instant(
                         txn.txn_id, LockSpace.ADDRESS, blocked_id, LockMode.S
                     )
                     restart = True
                     break
-                release_page(p.page_id)
                 p = resolved
 
             if restart:
@@ -197,10 +199,14 @@ class Traversal:
                     return Level1(p.page_id, p.rows[pos:], bound)
                 if pos + 1 < p.nrows:
                     bound = node.entry_key(p.rows[pos + 1])
-                c = self._latch(child_id, LatchMode.S, wait)
-                if c is not None:
-                    c, blocked = self._resolve_child(c, unit, LatchMode.S, txn)
-                ctx.release_page(p.page_id)
+                try:
+                    c = self._latch(child_id, LatchMode.S, wait)
+                    if c is not None:
+                        c, blocked = self._resolve_child(
+                            c, unit, LatchMode.S, txn
+                        )
+                finally:
+                    ctx.release_page(p.page_id)
                 p = c
             if not wait:
                 return None
@@ -253,9 +259,12 @@ class Traversal:
                 ctx.release_page(c.page_id)
                 return None, blocked
             if c.has_flag(PageFlag.OLDPGOFSPLIT) and unit >= c.side_key:
-                sibling_id = c.side_page
-                sibling = self._latch(sibling_id, child_mode, txn is not None)
-                ctx.release_page(c.page_id)
+                try:
+                    sibling = self._latch(
+                        c.side_page, child_mode, txn is not None
+                    )
+                finally:
+                    ctx.release_page(c.page_id)
                 if sibling is None:
                     return None, c.page_id
                 c = sibling

@@ -13,11 +13,11 @@ One top action rebuilds up to ``ntasize`` contiguous leaves P1..Pn:
    lock-holders from deadlocking.  That latched visit is also the read:
    from then on the address lock, not a latch, protects the leaf's rows
    and ``next_page``, so they are copied out there (:class:`Frozen`) and
-   the leaf *stays pinned* until :func:`give_back` ends the top action —
-   two latched visits per source leaf, the pins bounded by what the pool
-   can spare.  With ``split_then_shrink`` (§6.2) the old leaves carry
-   SPLIT bits during the copy — readers still allowed — and are flipped
-   to SHRINK just before the chain is relinked.
+   the leaf *stays pinned* (:meth:`TopAction.keep`) until the top action
+   gives it back — two latched visits per source leaf, the pins bounded
+   by what the pool can spare.  With ``split_then_shrink`` (§6.2) the old
+   leaves carry SPLIT bits during the copy — readers still allowed — and
+   are flipped to SHRINK just before the chain is relinked.
 
 2. **Copying**: the keys move to PP (up to the fillfactor) and to freshly
    allocated pages from the contiguous chunk cursor, each filled to the
@@ -46,12 +46,11 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from repro.btree import keys as K
-from repro.btree import node
 from repro.btree.split import _update_prev_link
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import Traversal
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
-from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
 from repro.core.propagation import PropagationEntry, PropOp
@@ -169,41 +168,35 @@ def plan_copy(
 
 
 def copy_multipage(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     config: RebuildConfig,
     chunk_alloc: ChunkAllocator,
     p1_id: int,
-    cleanup: list[int],
-    held: dict[int, Page],
-    deallocated: list[int],
     stop_unit: bytes | None = None,
 ) -> CopyResult:
     """Run the copy phase for the run of leaves starting at ``p1_id``.
 
-    Every page locked here goes into ``cleanup``, PP and the sources also
-    pinned into ``held``, until the caller's :func:`give_back`.
-    ``stop_unit`` bounds a range-restricted rebuild: the run does not
-    extend past the leaf containing it.  Raises :class:`PositionLost` if
-    ``p1_id`` stopped being a usable leaf before it could be locked (the
-    driver re-discovers and retries).
+    Every page locked here is ``top``'s until it ends, PP and the sources
+    kept pinned.  ``stop_unit`` bounds a range-restricted rebuild: the run
+    does not extend past the leaf containing it.  Raises
+    :class:`PositionLost` if ``p1_id`` stopped being a usable leaf before
+    it could be locked (the driver re-discovers and retries).
 
     The source leaves are usually resident by the time the locking pass
     fetches them: the driver publishes ``p1_id`` to the I/O scheduler's
     read-ahead before it calls in here (:func:`level1_leaf_order` is
     where the scheduler learns which leaves come next).
     """
+    ctx = top.ctx
     source_bit = (
         PageFlag.SPLIT if config.split_then_shrink else PageFlag.SHRINK
     )
-    pp, p1 = _lock_pp_and_p1(ctx, txn, p1_id, cleanup, held, source_bit)
+    pp, p1 = _lock_pp_and_p1(top, p1_id, source_bit)
     # The run stays pinned until given back: a small pool gets shorter
     # top actions, not an exhausted pool.
     max_run = min(config.ntasize, max(1, ctx.buffer.pin_room()))
-    run = _extend_run(
-        ctx, txn, p1, max_run, cleanup, held, source_bit, stop_unit
-    )
+    run = _extend_run(top, p1, max_run, source_bit, stop_unit)
     pp_id = pp.page_id if pp is not None else NO_PAGE
     old_ids = [leaf.page_id for leaf in run]
     ctx.syncpoints.fire(
@@ -238,23 +231,13 @@ def copy_multipage(
             new_ids.append(ordinal_to_id[t.ordinal])
 
     _apply_copy(
-        ctx, tree, txn, config, old_ids, targets, ordinal_to_id,
-        pp_id, new_ids, next_after_run, cleanup, held,
+        top, tree, config, old_ids, targets, ordinal_to_id,
+        pp_id, new_ids, next_after_run,
     )
 
     # Deallocate the old pages in one batched record (allocation-state
     # logging covers the whole run); they are freed at txn commit (§3).
-    ctx.txns.append(
-        txn,
-        LogRecord(
-            type=RecordType.DEALLOC,
-            page_id=old_ids[0],
-            page_ids=list(old_ids),
-        ),
-    )
-    for pid in old_ids:
-        ctx.page_manager.deallocate(pid)
-        deallocated.append(pid)
+    top.deallocate(old_ids)
     ctx.counters.add("leaf_pages_rebuilt", len(old_ids))
 
     prop_entries = _propagation_entries(
@@ -319,7 +302,7 @@ class Frozen(NamedTuple):
     """What a top action reads of a leaf in the latched visit that locks
     and bits it.  The address lock freezes exactly this much — the rows
     and ``next_page``; ``prev_page`` still moves under the left neighbor's
-    latch — so it is good until :func:`give_back`."""
+    latch — so it is good until the top action gives the leaf back."""
 
     page_id: int
     rows: list[bytes]
@@ -328,16 +311,10 @@ class Frozen(NamedTuple):
 
 
 def _acquire_page(
-    ctx: EngineContext,
-    txn: Transaction,
-    page_id: int,
-    bit: PageFlag,
-    cleanup: list[int],
-    held: dict[int, Page],
+    top: TopAction, page_id: int, bit: PageFlag
 ) -> Frozen | None:
     """Conditionally lock + bit one leaf under its X latch, read it there,
-    and keep it pinned: on success the page is in ``cleanup`` and its
-    pinned image in ``held``, for :func:`give_back`.
+    and keep it pinned for ``top``'s give-back.
 
     Returns None, nothing taken, when the page is held by another top
     action (foreign bit or lock) or is no longer an allocated leaf.  The
@@ -345,22 +322,14 @@ def _acquire_page(
     cold) read goes through the big buffers, per §6.3; a page that cannot
     be read raises — "busy" is an answer callers wait on.
     """
+    ctx = top.ctx
     if not ctx.page_manager.is_allocated(page_id):
         return None
     page = ctx.get_latched(page_id, LatchMode.X, large_io=True, scan=True)
-    if (
-        page.page_type is not PageType.LEAF
-        or page.has_flag(PageFlag.SPLIT)
-        or page.has_flag(PageFlag.SHRINK)
-        or not ctx.locks.try_acquire(
-            txn.txn_id, LockSpace.ADDRESS, page_id, LockMode.X
-        )
-    ):
+    if page.page_type is not PageType.LEAF or not top.try_lock(page, bit):
         ctx.release_page(page_id)
         return None
-    page.set_flag(bit)
-    cleanup.append(page_id)
-    held[page_id] = page
+    top.keep(page)
     # No side entry or blocked range on a leaf nobody else holds: all
     # past the header is rows (``used_bytes`` is O(1)).
     frozen = Frozen(
@@ -371,57 +340,14 @@ def _acquire_page(
     return frozen
 
 
-def give_back(
-    ctx: EngineContext,
-    txn: Transaction,
-    pages: list[int],
-    held: dict[int, Page],
-    aborted: bool = False,
-) -> None:
-    """The clearing visit: hand each of ``pages`` back — protocol bits and
-    side state cleared under the X latch, the pin (the one kept in
-    ``held``, or this visit's own) dropped with the dirty mark, then the
-    address lock; lock with bit, page by page, for the reason
-    :func:`~repro.btree.split.clear_protocol_bits` gives.  ``aborted``:
-    the top action was rolled back first, so a page it had allocated is
-    gone (skipped) and a lock may never have been taken.
-    """
-    for page_id in pages:
-        page = held.pop(page_id, None)
-        if page is not None:
-            ctx.latches.acquire(page_id, LatchMode.X)
-            ctx.counters.add("pages_visited")
-        elif not aborted or ctx.page_manager.is_allocated(page_id):
-            page = ctx.get_latched(page_id, LatchMode.X, scan=True)
-        if page is not None:
-            page.clear_flag(PageFlag.SPLIT)
-            page.clear_flag(PageFlag.SHRINK)
-            page.clear_side_entry()
-            page.clear_blocked_range()
-            ctx.release_page(page_id, dirty=True)
-        if not aborted or ctx.locks.holds(
-            txn.txn_id, LockSpace.ADDRESS, page_id
-        ):
-            ctx.locks.release(txn.txn_id, LockSpace.ADDRESS, page_id)
-
-
 def _lock_pp_and_p1(
-    ctx: EngineContext,
-    txn: Transaction,
-    p1_id: int,
-    cleanup: list[int],
-    held: dict[int, Page],
-    source_bit: PageFlag,
+    top: TopAction, p1_id: int, source_bit: PageFlag
 ) -> tuple[Frozen | None, Frozen]:
-    """Lock PP then P1 — the first pages of the top action, so ``cleanup``
-    arrives empty — waiting (the §6.5 instant-lock wait), after giving
+    """Lock PP then P1 — the first pages of the top action, so it holds
+    nothing yet — waiting (the §6.5 instant-lock wait), after giving
     everything back, when busy.  A PP or P1 that cannot be read raises.
     """
-
-    def release_everything() -> None:
-        give_back(ctx, txn, cleanup, held)
-        cleanup.clear()
-
+    ctx, txn = top.ctx, top.txn
     while True:
         if not ctx.page_manager.is_allocated(p1_id):
             raise PositionLost(f"leaf {p1_id} is gone")
@@ -434,7 +360,7 @@ def _lock_pp_and_p1(
 
         pp: Frozen | None = None
         if pp_id != NO_PAGE:
-            pp = _acquire_page(ctx, txn, pp_id, PageFlag.SHRINK, cleanup, held)
+            pp = _acquire_page(top, pp_id, PageFlag.SHRINK)
             if pp is None:
                 ctx.locks.wait_instant(
                     txn.txn_id, LockSpace.ADDRESS, pp_id, LockMode.S
@@ -445,30 +371,27 @@ def _lock_pp_and_p1(
                 ctx.page_manager.is_allocated(pp_id)
                 and pp.next_page == p1_id
             ):
-                release_everything()
+                top.give_back()
                 continue
 
-        p1 = _acquire_page(ctx, txn, p1_id, source_bit, cleanup, held)
+        p1 = _acquire_page(top, p1_id, source_bit)
         if p1 is None:
             # §6.5: release everything before waiting, then retry all.
-            release_everything()
+            top.give_back()
             ctx.locks.wait_instant(
                 txn.txn_id, LockSpace.ADDRESS, p1_id, LockMode.S
             )
             continue
         if not ctx.page_manager.is_allocated(p1_id):
-            release_everything()
+            top.give_back()
             raise PositionLost(f"leaf {p1_id} vanished while locking")
         return pp, p1
 
 
 def _extend_run(
-    ctx: EngineContext,
-    txn: Transaction,
+    top: TopAction,
     p1: Frozen,
     max_run: int,
-    cleanup: list[int],
-    held: dict[int, Page],
     source_bit: PageFlag,
     stop_unit: bytes | None = None,
 ) -> list[Frozen]:
@@ -484,9 +407,7 @@ def _extend_run(
         ):
             break
         try:
-            nxt = _acquire_page(
-                ctx, txn, last.next_page, source_bit, cleanup, held
-            )
+            nxt = _acquire_page(top, last.next_page, source_bit)
         except StorageError:
             break  # the next top action starts there and reports it
         if nxt is None:
@@ -499,9 +420,8 @@ def _extend_run(
 
 
 def _apply_copy(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     config: RebuildConfig,
     old_ids: list[int],
     targets: list[_TargetPlan],
@@ -509,11 +429,11 @@ def _apply_copy(
     pp_id: int,
     new_ids: list[int],
     next_after_run: int,
-    cleanup: list[int],
-    held: dict[int, Page],
 ) -> None:
     """Materialize the plan: ALLOC records, one keycopy record, links.
-    PP and the sources are latched here, not fetched: ``held`` has them."""
+    PP and the sources are latched here, not fetched: ``top`` holds their
+    pins."""
+    ctx, txn, held = top.ctx, top.txn, top.held
     index_id = tree.index_id
 
     # Chain layout: pp -> new pages -> next_after_run.  Only the *next*
@@ -543,13 +463,9 @@ def _apply_copy(
         run_lsn = ctx.txns.append(txn, run_rec)
         for pid in new_ids:
             prev, nxt = links[pid]
-            ctx.latches.acquire(pid, LatchMode.X)
             # The rebuild's fresh targets are written once and forced, so
             # they recycle through the ring instead of displacing hot pages.
-            page = ctx.buffer.new_page(pid, scan=True)
-            ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, pid, LockMode.X)
-            cleanup.append(pid)
-            page.set_flag(PageFlag.SHRINK)
+            page = top.new_page(PageFlag.SHRINK, page_id=pid, scan=True)
             page.page_type = PageType.LEAF
             page.level = 0
             page.index_id = index_id
@@ -605,8 +521,7 @@ def _apply_copy(
         # §6.2: flip the old pages' SPLIT bits to SHRINK before unlinking.
         for src_id in old_ids:
             ctx.latches.acquire(src_id, LatchMode.X)
-            held[src_id].clear_flag(PageFlag.SPLIT)
-            held[src_id].set_flag(PageFlag.SHRINK)
+            top.lock(held[src_id], PageFlag.SHRINK)
             ctx.latches.release(src_id)
 
     # Relink the chain around the old run.

@@ -46,10 +46,9 @@ from dataclasses import dataclass
 
 from repro.btree import node
 from repro.btree.split import grow_root
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import AccessMode, Traversal
 from repro.concurrency.latch import LatchMode
-from repro.concurrency.locks import LockMode, LockSpace
-from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
 from repro.errors import PageFullError, RebuildError
@@ -92,43 +91,34 @@ class PropagationState:
 
 
 def run_propagation(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     entries: list[PropagationEntry],
     traversal: Traversal,
-    cleanup: list[int],
-    deallocated: list[int],
-    new_pages: list[int],
     config: RebuildConfig,
     state: PropagationState,
 ) -> None:
     """Drive propagation level by level until no entries remain.
 
-    ``new_pages`` accumulates pages allocated during propagation (nonleaf
-    split siblings, a root-grow child) so the driver can force them to disk
+    The pages allocated on the way (nonleaf split siblings, a root-grow
+    child) join ``top.new_pages``, so the driver can force them to disk
     before the transaction's old pages are freed (§3).
     """
     level = 1
     while entries:
         entries = propagate_to_level(
-            ctx, tree, txn, entries, level, traversal,
-            cleanup, deallocated, new_pages, config, state,
+            top, tree, entries, level, traversal, config, state
         )
         level += 1
-        ctx.syncpoints.fire("rebuild.level_propagated", level=level)
+        top.ctx.syncpoints.fire("rebuild.level_propagated", level=level)
 
 
 def propagate_to_level(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     entries: list[PropagationEntry],
     level: int,
     traversal: Traversal,
-    cleanup: list[int],
-    deallocated: list[int],
-    new_pages: list[int],
     config: RebuildConfig,
     state: PropagationState,
 ) -> list[PropagationEntry]:
@@ -139,12 +129,13 @@ def propagate_to_level(
     remembered-path traversal (§2.6.1), modified left to right, and the
     entries it passes are accumulated.
     """
+    ctx = top.ctx
     out: list[PropagationEntry] = []
     i = 0
     while i < len(entries):
         first = entries[i]
         page = traversal.traverse(
-            first.route_key, AccessMode.WRITER, level, txn
+            first.route_key, AccessMode.WRITER, level, top.txn
         )
         children = {node.entry_child(r) for r in page.rows}
         group: list[PropagationEntry] = []
@@ -157,10 +148,7 @@ def propagate_to_level(
                 f"propagation entry for page {first.origin} does not match "
                 f"any child of level-{level} page {page.page_id}"
             )
-        passed = _apply_group(
-            ctx, tree, txn, page, group, level,
-            cleanup, deallocated, new_pages, config, state,
-        )
+        passed = _apply_group(top, tree, page, group, level, config, state)
         out.extend(passed)
     return out
 
@@ -169,15 +157,11 @@ def propagate_to_level(
 
 
 def _apply_group(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     page: Page,
     group: list[PropagationEntry],
     level: int,
-    cleanup: list[int],
-    deallocated: list[int],
-    new_pages: list[int],
     config: RebuildConfig,
     state: PropagationState,
 ) -> list[PropagationEntry]:
@@ -185,6 +169,7 @@ def _apply_group(
 
     ``page`` arrives X latched and is released (or deallocated) here.
     """
+    ctx, txn = top.ctx, top.txn
     rows_before = list(page.rows)
     position_of = {node.entry_child(r): p for p, r in enumerate(rows_before)}
     route = group[0].route_key
@@ -217,8 +202,7 @@ def _apply_group(
         and inserts
     ):
         inserts = _redirect_to_left_sibling(
-            ctx, tree, txn, page, inserts,
-            cleanup=cleanup, state=state, position_of=position_of,
+            top, tree, page, inserts, state=state, position_of=position_of
         )
 
     remaining = len(rows_before) - len(del_positions) + len(inserts)
@@ -227,12 +211,10 @@ def _apply_group(
         if page.page_id == tree.root_page_id:
             ctx.release_page(page.page_id)
             raise RebuildError("rebuild would empty the root page")
-        _lock_and_bit(ctx, txn, page, PageFlag.SHRINK, cleanup)
+        top.lock(page, PageFlag.SHRINK)
         page_id = page.page_id
         ctx.release_page(page_id, dirty=True)
-        ctx.txns.append(txn, LogRecord(type=RecordType.DEALLOC, page_id=page_id))
-        ctx.page_manager.deallocate(page_id)
-        deallocated.append(page_id)
+        top.deallocate([page_id])
         ctx.syncpoints.fire("rebuild.nonleaf_shrunk", page=page_id, level=level)
         if state.prev_survivor == page_id:
             state.prev_survivor = None
@@ -240,7 +222,7 @@ def _apply_group(
 
     # ------------------------------------------------- delete phase (§5.4.2)
     bit = PageFlag.SHRINK if del_positions else PageFlag.SPLIT
-    _lock_and_bit(ctx, txn, page, bit, cleanup)
+    top.lock(page, bit)
 
     new_rows = [node.encode_entry(k, c) for k, c in inserts]  # type: ignore[arg-type]
     update_key: bytes | None = None
@@ -281,7 +263,7 @@ def _apply_group(
     siblings: list[tuple[bytes, int]] = []
     if new_rows:
         page, siblings = _insert_with_splits(
-            ctx, tree, txn, page, insert_pos, new_rows, cleanup, new_pages
+            top, tree, page, insert_pos, new_rows
         )
 
     if del_positions and not siblings and page.has_flag(PageFlag.SHRINK):
@@ -337,12 +319,10 @@ def _apply_group(
 
 
 def _redirect_to_left_sibling(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     page: Page,
     inserts: list[tuple[bytes | None, int | None]],
-    cleanup: list[int],
     state: PropagationState,
     position_of: dict[int, int],
 ) -> list[tuple[bytes | None, int | None]]:
@@ -361,6 +341,7 @@ def _redirect_to_left_sibling(
     here could deadlock with an operation that holds the sibling and wants
     ``page``.
     """
+    ctx, txn = top.ctx, top.txn
     left_id = state.prev_survivor
     if left_id is None:
         if state.pp_page == NO_PAGE or state.pp_page in position_of:
@@ -372,7 +353,11 @@ def _redirect_to_left_sibling(
         return inserts
     if not ctx.latches.try_acquire(left_id, LatchMode.X):
         return inserts  # never wait for an optimization
-    left = ctx.buffer.fetch(left_id)
+    try:
+        left = ctx.buffer.fetch(left_id)
+    except BaseException:
+        ctx.latches.release(left_id)  # no latch outlives its pin
+        raise
     try:
         batch: list[bytes] = []
         from repro.storage.page import SLOT_OVERHEAD
@@ -386,18 +371,11 @@ def _redirect_to_left_sibling(
                 break
             batch.append(entry)
             free -= cost
-        if not batch:
+        # ``left`` may be mid-split by a writer whose bit-clear needs this
+        # latch: an unconditional lock request here would never be
+        # granted.  Never wait for an optimization.
+        if not batch or not top.try_lock(left, PageFlag.SPLIT):
             return inserts
-        if left_id not in cleanup:
-            # ``left`` may be mid-split by a writer whose bit-clear needs
-            # this latch: an unconditional lock request here would never
-            # be granted.  Never wait for an optimization.
-            if not ctx.locks.try_acquire(
-                txn.txn_id, LockSpace.ADDRESS, left_id, LockMode.X
-            ):
-                return inserts
-            cleanup.append(left_id)
-        _lock_and_bit(ctx, txn, left, PageFlag.SPLIT, cleanup)
         pos = left.nrows
         ctx.log_page_change(
             txn,
@@ -432,14 +410,11 @@ def _find_parent_of_pp(
 
 
 def _insert_with_splits(
-    ctx: EngineContext,
+    top: TopAction,
     tree: "object",
-    txn: Transaction,
     page: Page,
     insert_pos: int,
     new_rows: list[bytes],
-    cleanup: list[int],
-    new_pages: list[int],
 ) -> tuple[Page, list[tuple[bytes, int]]]:
     """Insert ``new_rows`` at ``insert_pos``; split ``page`` as needed.
 
@@ -449,6 +424,7 @@ def _insert_with_splits(
     the (possibly root-grown replacement) page still latched, plus the
     ``(separator, sibling_id)`` list.
     """
+    ctx, txn = top.ctx, top.txn
     capacity = page.page_size - HEADER_SIZE
     final = page.rows[:insert_pos] + new_rows + page.rows[insert_pos:]
     if _rows_bytes(final) <= capacity:
@@ -463,10 +439,8 @@ def _insert_with_splits(
     if page.page_id == tree.root_page_id:
         # Grow the tree in place, then split the child that now holds the
         # root's old rows (it is returned latched, locked, and bitted).
-        page = grow_root(ctx, tree, txn, page, cleanup)
-        page.clear_flag(PageFlag.SPLIT)
-        page.set_flag(PageFlag.SHRINK)
-        new_pages.append(page.page_id)
+        page = grow_root(top, tree, page)
+        top.lock(page, PageFlag.SHRINK)
 
     chunks = _partition(final, capacity)
     keep = chunks[0]
@@ -498,12 +472,8 @@ def _insert_with_splits(
     for chunk in chunks[1:]:
         sep = node.entry_key(chunk[0])
         rows = [node.strip_entry_key(chunk[0])] + chunk[1:]
-        sib_id = ctx.page_manager.allocate()
-        ctx.latches.acquire(sib_id, LatchMode.X)
-        sibling = ctx.buffer.new_page(sib_id)
-        ctx.locks.acquire(txn.txn_id, LockSpace.ADDRESS, sib_id, LockMode.X)
-        cleanup.append(sib_id)
-        sibling.set_flag(PageFlag.SHRINK)
+        sibling = top.new_page(PageFlag.SHRINK)
+        sib_id = sibling.page_id
         sibling.page_type = PageType.NONLEAF
         sibling.level = page.level
         sibling.index_id = page.index_id
@@ -525,31 +495,7 @@ def _insert_with_splits(
         sibling.insert_rows(0, rows)
         ctx.release_page(sib_id, dirty=True)
         siblings.append((sep, sib_id))
-        new_pages.append(sib_id)
     return page, siblings
-
-
-def _lock_and_bit(
-    ctx: EngineContext,
-    txn: Transaction,
-    page: Page,
-    bit: PageFlag,
-    cleanup: list[int],
-) -> None:
-    """X address lock + protocol bit, once per page per top action.
-
-    SHRINK dominates SPLIT if a page is touched twice with different needs.
-    """
-    if page.page_id not in cleanup:
-        ctx.locks.acquire(
-            txn.txn_id, LockSpace.ADDRESS, page.page_id, LockMode.X
-        )
-        cleanup.append(page.page_id)
-    if bit is PageFlag.SHRINK:
-        page.clear_flag(PageFlag.SPLIT)
-        page.set_flag(PageFlag.SHRINK)
-    elif not page.has_flag(PageFlag.SHRINK):
-        page.set_flag(PageFlag.SPLIT)
 
 
 def _partition(rows: list[bytes], capacity: int) -> list[list[bytes]]:

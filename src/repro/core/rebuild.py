@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 from repro.btree import keys as K
 from repro.btree import node
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import AccessMode, Traversal
 from repro.btree.tree import BTree
 from repro.concurrency.latch import LatchMode
@@ -63,14 +64,13 @@ from repro.core.config import RebuildConfig
 from repro.core.copy_phase import (
     PositionLost,
     copy_multipage,
-    give_back,
     level1_leaf_order,
 )
 from repro.core.propagation import PropagationState, run_propagation
 from repro.errors import RebuildAbortedError, RebuildError
 from repro.stats.counters import Timer
 from repro.storage.io_scheduler import IOScheduler
-from repro.storage.page import NO_PAGE, Page
+from repro.storage.page import NO_PAGE
 from repro.storage.page_manager import ChunkAllocator, PageState
 from repro.wal.records import (
     PROGRESS_COMPLETE,
@@ -556,44 +556,28 @@ class OnlineRebuild:
         position was lost before any work was logged (caller rediscovers).
         """
         ctx, config, tree = self.ctx, self.config, self.tree
-        cleanup: list[int] = []
-        held: dict[int, Page] = {}  # of ``cleanup``: PP and sources, pinned
-        deallocated: list[int] = []
-        nta_new_pages: list[int] = []
-        ctx.txns.begin_nta(txn)
         try:
-            result = copy_multipage(
-                ctx, tree, txn, config, chunk_alloc, p1, cleanup, held,
-                deallocated, stop_unit=self._end_unit,
-            )
-            nta_new_pages.extend(result.new_pages)
-            state = PropagationState(
-                pp_page=result.pp_page,
-                pp_low_unit=result.pp_low_unit,
-            )
-            run_propagation(
-                ctx, tree, txn, result.prop_entries, traversal,
-                cleanup, deallocated, nta_new_pages, config, state,
-            )
+            with TopAction(ctx, txn, scan=True) as top:
+                result = copy_multipage(
+                    top, tree, config, chunk_alloc, p1,
+                    stop_unit=self._end_unit,
+                )
+                state = PropagationState(
+                    pp_page=result.pp_page,
+                    pp_low_unit=result.pp_low_unit,
+                )
+                run_propagation(
+                    top, tree, result.prop_entries, traversal, config, state
+                )
         except PositionLost:
-            ctx.txns.abort_nta(txn)
-            return None
-        except CrashPoint:
-            raise  # simulated power failure: no runtime cleanup at all
-        except BaseException:
-            ctx.latches.release_all()
-            ctx.txns.abort_nta(txn)
-            give_back(ctx, txn, cleanup, held, aborted=True)
-            raise
-        ctx.txns.end_nta(txn)
-        give_back(ctx, txn, cleanup, held)
+            return None  # rolled back with nothing taken; rediscover
         # The deallocated source pages are never latched again and carry
         # no unflushed change but the unlogged bit set + clear: retire them
         # rather than let eviction rewrite pages about to be freed (see
         # BufferPool.retire_page on why no recovery path needs the write).
         # The still-allocated ones (parent, PP, root) stay dirty: the next
         # top action re-dirties them; §3 forces new pages and the seam PP.
-        for pid in deallocated:
+        for pid in top.deallocated:
             ctx.buffer.retire_page(pid)
         if self._scheduler is not None:
             # Level 1 is free of this top action's latches and bits.
@@ -613,7 +597,7 @@ class OnlineRebuild:
                 behind.insert(0, result.pp_page)
             self._scheduler.submit_write(behind)
             txn_behind.update(behind)
-        txn_new_pages.extend(nta_new_pages)
+        txn_new_pages.extend(top.new_pages)
         if result.pp_page != NO_PAGE:
             # PP received this top action's seam rows (and its next-link
             # flip) through the keycopy record; §3 forces it with the new

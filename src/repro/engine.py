@@ -263,10 +263,7 @@ class Engine:
                     continue
                 dirty = False
                 if page.flags != PageFlag.NONE or page.side_page:
-                    page.clear_flag(PageFlag.SPLIT)
-                    page.clear_flag(PageFlag.SHRINK)
-                    page.clear_side_entry()
-                    page.clear_blocked_range()
+                    page.clear_protocol_state()
                     dirty = True
                 buffer.unpin(page_id, dirty=dirty)
             buffer.flush_all()

@@ -323,6 +323,14 @@ class Page:
         self.blocked_hi = b""
         self.clear_flag(PageFlag.SHRINKRANGE)
 
+    def clear_protocol_state(self) -> None:
+        """Drop what an in-flight top action left on the page: the SPLIT
+        and SHRINK bits, the side entry and the blocked range."""
+        self.clear_flag(PageFlag.SPLIT)
+        self.clear_flag(PageFlag.SHRINK)
+        self.clear_side_entry()
+        self.clear_blocked_range()
+
     def blocks_unit(self, unit: bytes) -> bool:
         """Does this page's SHRINK state block a traversal for ``unit``?
 

@@ -13,16 +13,15 @@ allowed through:
 
 import threading
 import time
-from functools import partial
 
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
-from repro.btree.split import clear_protocol_bits
+from repro.btree.top_action import TopAction
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import Rendezvous
-from repro.core.copy_phase import _acquire_page, give_back
+from repro.core.copy_phase import _acquire_page
 from repro.storage.page import PageFlag
 from tests.conftest import fill_index, intkey
 
@@ -281,8 +280,8 @@ def test_address_lock_goes_with_its_bit_when_a_top_action_ends(engine):
     page's latch held, so a lock kept after its bit — while the clearing
     thread waits for the *next* page's latch — could never be granted.
     No sleeps: the clearing thread says when it asks for the second latch,
-    which this thread holds.  Both clearing loops: the rebuild's, which
-    gives back pages it kept pinned, and split / shrink's."""
+    which this thread holds.  Both kinds of page the one give-back hands
+    back: the rebuild's, kept pinned, and split / shrink's, not pinned."""
     index = make_full_tree(engine)
     leaves = index.verify().leaf_page_ids
     _lock_goes_with_bit(engine, leaves[:2], pinned=True)
@@ -293,17 +292,15 @@ def _lock_goes_with_bit(engine, pages, pinned):
     ctx = engine.ctx
     first, second = pages
     owner = ctx.txns.begin()
-    cleanup, held = [], {}
+    top = TopAction(ctx, owner, scan=pinned)
     for pid in pages:
-        assert _acquire_page(
-            ctx, owner, pid, PageFlag.SHRINK, cleanup, held
-        )
-    if pinned:
-        clear = partial(give_back, ctx, owner, cleanup, held)
-    else:  # split / shrink hold no pin between their visits
-        for pid in pages:
-            ctx.buffer.unpin(pid)
-        clear = partial(clear_protocol_bits, ctx, owner, cleanup)
+        if pinned:
+            assert _acquire_page(top, pid, PageFlag.SHRINK)
+        else:  # split / shrink hold no pin between their visits
+            page = ctx.get_latched(pid, LatchMode.X)
+            top.lock(page, PageFlag.SHRINK)
+            ctx.release_page(pid)
+    clear = top.end
 
     ctx.latches.acquire(second, LatchMode.S)  # a reader standing on it
     asked_for_second = threading.Event()

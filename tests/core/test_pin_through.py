@@ -2,10 +2,10 @@
 
 The locking visit of a source leaf (``_acquire_page``: X latch, address
 lock, bit) is also the read, and the leaf stays pinned until the clearing
-visit (``give_back``).  What that must not cost: a pin left behind on any
-way out of a top action, an aborted rebuild on a pool too small to hold a
-whole ``ntasize`` run, a rebuild that spins on a page it cannot read, or
-one that runs on after the power failed under a fetch.
+visit (the top action's give-back).  What that must not cost: a pin left
+behind on any way out of a top action, an aborted rebuild on a pool too
+small to hold a whole ``ntasize`` run, a rebuild that spins on a page it
+cannot read, or one that runs on after the power failed under a fetch.
 """
 
 import math
@@ -14,10 +14,11 @@ import threading
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
+from repro.btree.top_action import TopAction
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import CrashPoint
 from repro.core import rebuild as rebuild_module
-from repro.core.copy_phase import copy_multipage, give_back
+from repro.core.copy_phase import copy_multipage
 from repro.errors import ChecksumError, RebuildAbortedError
 from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
 from repro.storage.page_manager import ChunkAllocator
@@ -54,19 +55,16 @@ def _crash_on_next_read(engine):
 
 def _copy_phase(engine, index, p1, config=SMALL):
     """The copy phase of one top action, as the driver calls it; returns
-    what it took (``cleanup``, ``held``) next to the result or the error."""
+    the top action (what it took) next to the result or the error."""
     ctx = engine.ctx
-    txn = ctx.txns.begin()
-    cleanup, held, taken = [], {}, {}
-    ctx.txns.begin_nta(txn)
+    top = TopAction(ctx, ctx.txns.begin(), scan=True)
+    taken = {}
     chunk = ChunkAllocator(ctx.page_manager)
     try:
-        taken["result"] = copy_multipage(
-            ctx, index, txn, config, chunk, p1, cleanup, held, []
-        )
+        taken["result"] = copy_multipage(top, index, config, chunk, p1)
     except BaseException as exc:  # noqa: BLE001 - handed to the test
         taken["error"] = exc
-    return txn, cleanup, held, taken
+    return top, taken
 
 
 # ----------------------------------------------------- pins on every way out
@@ -190,8 +188,7 @@ def test_an_unreadable_pp_ends_the_run_instead_of_spinning():
     out = {}
     worker = threading.Thread(
         target=lambda: out.update(
-            zip(("txn", "cleanup", "held", "taken"),
-                _copy_phase(engine, index, leaves[5]))
+            zip(("top", "taken"), _copy_phase(engine, index, leaves[5]))
         ),
         daemon=True,
     )
@@ -199,7 +196,7 @@ def test_an_unreadable_pp_ends_the_run_instead_of_spinning():
     worker.join(20.0)
     assert not worker.is_alive(), "still retrying an unreadable PP"
     assert isinstance(out["taken"]["error"], ChecksumError)
-    assert out["cleanup"] == [] and pinned_ids(engine) == []
+    assert out["top"].pages == [] and pinned_ids(engine) == []
 
 
 @pytest.mark.parametrize("which", ["p1", "p2"])
@@ -258,9 +255,9 @@ def test_a_power_failure_on_the_next_leaf_is_not_the_end_of_the_run():
     ctx.buffer.fetch(leaves[0])
     ctx.buffer.unpin(leaves[0])
     _crash_on_next_read(engine)
-    _txn, cleanup, _held, taken = _copy_phase(engine, index, leaves[0])
+    top, taken = _copy_phase(engine, index, leaves[0])
     assert isinstance(taken.get("error"), CrashPoint), taken
-    assert cleanup == [leaves[0]]  # no cleanup after a power failure
+    assert top.pages == [leaves[0]]  # no cleanup after a power failure
 
 
 def test_give_back_after_an_abort_skips_what_the_rollback_freed():
@@ -268,16 +265,16 @@ def test_give_back_after_an_abort_skips_what_the_rollback_freed():
     a page the rolled-back top action had allocated is not fetched."""
     engine, index, leaves, expected = _cold()
     ctx = engine.ctx
-    txn, cleanup, held, taken = _copy_phase(engine, index, leaves[2])
+    top, taken = _copy_phase(engine, index, leaves[2])
     new_pages = taken["result"].new_pages
-    assert set(held) == {leaves[1], *taken["result"].old_pages}
-    assert set(cleanup) == set(held) | set(new_pages)
-    ctx.txns.abort_nta(txn)
-    give_back(ctx, txn, cleanup, held, aborted=True)
-    ctx.txns.abort(txn)
-    assert held == {} and pinned_ids(engine) == []
+    assert set(top.held) == {leaves[1], *taken["result"].old_pages}
+    assert set(top.pages) == set(top.held) | set(new_pages)
+    top.abort()
+    ctx.txns.abort(top.txn)
+    assert top.held == {} and pinned_ids(engine) == []
     assert not any(
-        ctx.locks.holds(txn.txn_id, LockSpace.ADDRESS, pid) for pid in cleanup
+        ctx.locks.holds(top.txn.txn_id, LockSpace.ADDRESS, pid)
+        for pid in top.pages
     )
     assert contents_as_ints(index) == expected
     index.verify()

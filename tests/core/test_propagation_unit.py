@@ -7,6 +7,7 @@ import pytest
 from repro import Engine, RebuildConfig
 from repro.btree import keys as K
 from repro.btree import node
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import Traversal
 from repro.btree.tree import BTree
 from repro.concurrency.locks import LockMode, LockSpace
@@ -64,10 +65,7 @@ class Harness:
         self.engine.indexes[1] = self.tree
         self.ctx.index_roots[1] = self.root
         self.txn = self.ctx.txns.begin()
-        self.ctx.txns.begin_nta(self.txn)
-        self.cleanup: list[int] = []
-        self.deallocated: list[int] = []
-        self.new_pages: list[int] = []
+        self.top = TopAction(self.ctx, self.txn)
 
     def _page(self, page_type, level, rows):
         pid = self.ctx.page_manager.allocate()
@@ -88,9 +86,8 @@ class Harness:
         config = config or RebuildConfig(ntasize=1, xactsize=1)
         state = state or PropagationState()
         return propagate_to_level(
-            self.ctx, self.tree, self.txn, entries, 1,
-            Traversal(self.ctx, self.tree),
-            self.cleanup, self.deallocated, self.new_pages, config, state,
+            self.top, self.tree, entries, 1, Traversal(self.ctx, self.tree),
+            config, state,
         )
 
     def parent_children(self):
@@ -300,16 +297,16 @@ def test_redirect_never_waits_for_a_left_sibling_another_top_action_holds():
 
     def redirect():
         return _redirect_to_left_sibling(
-            h.ctx, h.tree, h.txn, page, inserts, h.cleanup, state, {}
+            h.top, h.tree, page, inserts, state, {}
         )
 
     assert redirect() == inserts
-    assert h.cleanup == [] and len(h.parent_children()) == 2
+    assert h.top.pages == [] and len(h.parent_children()) == 2
     assert not h.ctx.latches.held_by_me()
 
     h.ctx.locks.release(writer.txn_id, LockSpace.ADDRESS, left)
     assert redirect() == []
-    assert h.cleanup == [left] and len(h.parent_children()) == 3
+    assert h.top.pages == [left] and len(h.parent_children()) == 3
     assert h.ctx.locks.holds(h.txn.txn_id, LockSpace.ADDRESS, left, LockMode.X)
 
 

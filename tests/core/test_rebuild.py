@@ -232,6 +232,7 @@ def test_a_power_failure_is_not_a_busy_page(engine, index, monkeypatch):
     read, and a simulated power failure on the read, come out as
     themselves with nothing taken, or a worker spins where the image
     rotted or the machine died."""
+    from repro.btree.top_action import TopAction
     from repro.concurrency.syncpoints import CrashPoint
     from repro.core.copy_phase import _acquire_page
     from repro.errors import ChecksumError
@@ -247,17 +248,15 @@ def test_a_power_failure_is_not_a_busy_page(engine, index, monkeypatch):
 
         monkeypatch.setattr(engine.ctx.buffer, "fetch", fetch)
 
-    cleanup, held = [], {}
+    top = TopAction(engine.ctx, txn, scan=True)
     for exc in (
         ChecksumError("rotten image"),
         CrashPoint("disk.crash_after_lost_write"),
     ):
         read_fails_with(exc)
         with pytest.raises(type(exc)):
-            _acquire_page(
-                engine.ctx, txn, leaf, PageFlag.SHRINK, cleanup, held
-            )
-    assert not cleanup and not held
+            _acquire_page(top, leaf, PageFlag.SHRINK)
+    assert not top.pages and not top.held
     assert not engine.ctx.latches.held_by_me()
 
 

@@ -100,7 +100,7 @@ def test_rebuild_moves_rows_by_run_and_frees_from_its_own_log_tail(
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    def count_targets(ctx, tree, txn, config, sources, targets, *rest):
+    def count_targets(top, tree, config, sources, targets, *rest):
         seen["targets"] += len(targets)
 
     bracket(copy_phase, "_apply_copy", "copy", count_targets)

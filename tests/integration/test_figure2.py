@@ -29,9 +29,10 @@ import pytest
 from repro import Engine, RebuildConfig
 from repro.btree import keys as KEYS
 from repro.btree import node
+from repro.btree.top_action import TopAction
 from repro.btree.traversal import Traversal
 from repro.btree.tree import BTree
-from repro.core.copy_phase import copy_multipage, give_back
+from repro.core.copy_phase import copy_multipage
 from repro.core.propagation import PropOp, PropagationState, run_propagation
 from repro.core.rebuild import OnlineRebuild, RebuildReport
 from repro.storage.page import NO_PAGE, PageType
@@ -125,24 +126,16 @@ def run_top_action(engine, tree, ids):
     config = RebuildConfig(ntasize=3, xactsize=3)
     chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
-    cleanup: list[int] = []
-    held: dict = {}
-    deallocated: list[int] = []
-    new_pages: list[int] = []
-    ctx.txns.begin_nta(txn)
-    result = copy_multipage(
-        ctx, tree, txn, config, chunk, ids["P1"], cleanup, held, deallocated
-    )
-    state = PropagationState(
-        pp_page=result.pp_page, pp_low_unit=result.pp_low_unit
-    )
-    run_propagation(
-        ctx, tree, txn, result.prop_entries, Traversal(ctx, tree),
-        cleanup, deallocated, new_pages, config, state,
-    )
-    ctx.txns.end_nta(txn)
-    give_back(ctx, txn, cleanup, held)
-    ctx.buffer.flush_pages(result.new_pages + new_pages)
+    with TopAction(ctx, txn, scan=True) as top:
+        result = copy_multipage(top, tree, config, chunk, ids["P1"])
+        state = PropagationState(
+            pp_page=result.pp_page, pp_low_unit=result.pp_low_unit
+        )
+        run_propagation(
+            top, tree, result.prop_entries, Traversal(ctx, tree), config,
+            state,
+        )
+    ctx.buffer.flush_pages(top.new_pages)
     ctx.txns.commit(txn)
     rb = OnlineRebuild(tree, config)
     rb._free_deallocated_of(txn)
@@ -170,13 +163,8 @@ def test_propagation_entries_match_figure(figure2):
     config = RebuildConfig(ntasize=3, xactsize=3)
     chunk = ChunkAllocator(ctx.page_manager, 4)
     txn = ctx.txns.begin()
-    cleanup: list[int] = []
-    held: dict = {}
-    deallocated: list[int] = []
-    ctx.txns.begin_nta(txn)
-    result = copy_multipage(
-        ctx, tree, txn, config, chunk, ids["P1"], cleanup, held, deallocated
-    )
+    top = TopAction(ctx, txn, scan=True)
+    result = copy_multipage(top, tree, config, chunk, ids["P1"])
     ops = [(e.op, e.origin) for e in result.prop_entries]
     n1 = result.new_pages[0]
     # Figure 2: P1 -> DELETE, P2 -> UPDATE [K, N1], P3 -> DELETE.
@@ -192,8 +180,7 @@ def test_propagation_entries_match_figure(figure2):
     assert unit(15) < update.new_key <= unit(20)
     # Roll the half-open top action back; this test only inspected the
     # copy phase's outputs.
-    ctx.txns.abort_nta(txn)
-    give_back(ctx, txn, cleanup, held, aborted=True)
+    top.abort()
     ctx.txns.abort(txn)
     chunk.close()
 

@@ -14,7 +14,8 @@ import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.concurrency.syncpoints import Rendezvous
-from repro.core.copy_phase import _acquire_page, give_back
+from repro.btree.top_action import TopAction
+from repro.core.copy_phase import _acquire_page
 from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
@@ -76,10 +77,9 @@ def test_unlogged_protocol_bit_set_and_clear_changes_the_answer():
     noted = engine.buffer.image_version(page)
 
     txn = ctx.txns.begin()
-    cleanup, held = [], {}
-    assert _acquire_page(ctx, txn, leaf, PageFlag.SHRINK, cleanup, held)
-    assert page.has_flag(PageFlag.SHRINK) and held == {leaf: page}
-    give_back(ctx, txn, cleanup, held)
+    with TopAction(ctx, txn, scan=True) as top:
+        assert _acquire_page(top, leaf, PageFlag.SHRINK)
+        assert page.has_flag(PageFlag.SHRINK) and top.held == {leaf: page}
     ctx.txns.commit(txn)
 
     assert not page.has_flag(PageFlag.SHRINK)

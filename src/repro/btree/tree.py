@@ -55,19 +55,9 @@ class BTree:
         self.key_len = key_len
         self.root_page_id = root_page_id
         self.lock_rows = lock_rows
-        # Hooks for the side-tree ([ZS96]-style) comparison baseline: a
-        # journal capturing every mutation as it runs, with the
-        # transaction that made it (the baseline applies a change only
-        # once that transaction has committed), and a gate that can
-        # suspend all operations for the baseline's switch phase.  Both are
-        # None in normal operation (the paper's algorithm needs neither).
-        self.update_journal = None
-        self._op_gate: "threading.Event | None" = None
-        self._active_ops = 0
-        # Raw mutex kept alongside the condition so the per-operation
-        # enter/exit bumps take the C-level lock fast path.
-        self._op_mutex = threading.Lock()
-        self._op_cond = threading.Condition(self._op_mutex)
+        # Held by the one OnlineRebuild.run on this index: a second run
+        # fails to take it and raises instead of rebuilding alongside.
+        self.rebuild_claim = threading.Lock()
 
     # ----------------------------------------------------------------- create
 
@@ -123,7 +113,7 @@ class BTree:
         ctx = self.ctx
         if ctx.quarantine.active:
             ctx.quarantine.check_write(self.index_id, unit)
-        with self._operation(txn) as op:
+        with _OpScope(ctx, txn) as op:
             if self.lock_rows:
                 ctx.locks.acquire(
                     op.txn_id, LockSpace.LOGICAL, unit, LockMode.X
@@ -150,9 +140,6 @@ class BTree:
                     )
                     leaf.insert_row(pos, row)
                     ctx.release_page(leaf.page_id, dirty=True)
-                    journal = self.update_journal
-                    if journal is not None:
-                        journal.append((op, "i", key, rowid, payload))
                     break
                 # Full: run the split top action (which takes ownership of
                 # the latched leaf), then retry the insert from the top.
@@ -170,7 +157,7 @@ class BTree:
         ctx = self.ctx
         if ctx.quarantine.active:
             ctx.quarantine.check_write(self.index_id, unit)
-        with self._operation(txn) as op:
+        with _OpScope(ctx, txn) as op:
             if self.lock_rows:
                 ctx.locks.acquire(
                     op.txn_id, LockSpace.LOGICAL, unit, LockMode.X
@@ -200,9 +187,6 @@ class BTree:
                 shrink_leaf(self.ctx, self, op, leaf, unit, traversal)
             else:
                 self.ctx.release_page(leaf.page_id, dirty=True)
-            journal = self.update_journal
-            if journal is not None:
-                journal.append((op, "d", key, rowid, row[self.unit_len:]))
 
     # ----------------------------------------------------------------- reads
 
@@ -212,7 +196,7 @@ class BTree:
         unit = K.leaf_unit(key, rowid, self.key_len)
         if self.ctx.quarantine.active:
             self.ctx.quarantine.check_read(self.index_id, unit)
-        with self._operation(txn) as op:
+        with _OpScope(self.ctx, txn) as op:
             traversal = Traversal(self.ctx, self)
             leaf = traversal.traverse(unit, AccessMode.READER, 0, op)
             _pos, found = node.leaf_search(leaf, unit, self.ctx.counters)
@@ -227,7 +211,7 @@ class BTree:
         unit = K.leaf_unit(key, rowid, self.key_len)
         if self.ctx.quarantine.active:
             self.ctx.quarantine.check_read(self.index_id, unit)
-        with self._operation(txn) as op:
+        with _OpScope(self.ctx, txn) as op:
             traversal = Traversal(self.ctx, self)
             leaf = traversal.traverse(unit, AccessMode.READER, 0, op)
             pos, found = node.leaf_search(leaf, unit, self.ctx.counters)
@@ -297,72 +281,16 @@ class BTree:
         self.ctx.buffer.unpin(self.root_page_id)
         return level + 1
 
-    # -------------------------------------------------------------- plumbing
-
-    def _operation(self, txn: Transaction | None) -> "_OpScope":
-        return _OpScope(self.ctx, txn, tree=self)
-
-    # -- side-tree baseline support (no-ops unless a baseline installed them)
-
-    def _enter_gate(self) -> None:
-        gate = self._op_gate
-        if gate is not None:
-            gate.wait()
-        mutex = self._op_mutex
-        mutex.acquire()
-        self._active_ops += 1
-        mutex.release()
-
-    def _exit_gate(self) -> None:
-        mutex = self._op_mutex
-        mutex.acquire()
-        try:
-            self._active_ops -= 1
-            if self._op_gate is not None:  # someone may be quiescing
-                self._op_cond.notify_all()
-        finally:
-            mutex.release()
-
-    def close_gate_and_quiesce(self, timeout: float = 60.0) -> None:
-        """Suspend new operations and wait out the in-flight ones.
-
-        This is the [ZS96]-style tree-exclusive switch the paper's §7
-        criticizes ("may cause unbounded wait"); only the comparison
-        baseline uses it.
-        """
-        if self._op_gate is None:
-            self._op_gate = threading.Event()
-            self._op_gate.set()
-        self._op_gate.clear()
-        with self._op_cond:
-            if not self._op_cond.wait_for(
-                lambda: self._active_ops == 0, timeout=timeout
-            ):
-                raise TimeoutError("tree never quiesced for the switch")
-
-    def open_gate(self) -> None:
-        if self._op_gate is not None:
-            self._op_gate.set()
-
 
 class _OpScope:
     """Auto-commit scope: commit on success, roll back on error.
 
     When an explicit transaction is supplied it is passed through untouched
-    (the caller owns commit/abort).  Also brackets the operation for the
-    side-tree baseline's gate/quiescence tracking (a no-op otherwise).
+    (the caller owns commit/abort).
     """
 
-    def __init__(
-        self,
-        ctx: EngineContext,
-        txn: Transaction | None,
-        tree: "BTree | None" = None,
-    ) -> None:
+    def __init__(self, ctx: EngineContext, txn: Transaction | None) -> None:
         self.ctx = ctx
-        self.tree = tree
-        if tree is not None:
-            tree._enter_gate()
         self.own = txn is None
         self.txn = txn if txn is not None else ctx.txns.begin()
 
@@ -370,16 +298,12 @@ class _OpScope:
         return self.txn
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        try:
-            if not self.own:
-                return
-            if exc_type is None:
-                self.ctx.txns.commit(self.txn)
-            elif exc_type is CrashPoint:
-                pass  # simulated power failure: no runtime rollback
-            else:
-                self.ctx.latches.release_all()
-                self.ctx.txns.abort(self.txn)
-        finally:
-            if self.tree is not None:
-                self.tree._exit_gate()
+        if not self.own:
+            return
+        if exc_type is None:
+            self.ctx.txns.commit(self.txn)
+        elif exc_type is CrashPoint:
+            pass  # simulated power failure: no runtime rollback
+        else:
+            self.ctx.latches.release_all()
+            self.ctx.txns.abort(self.txn)

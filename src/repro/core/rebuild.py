@@ -211,11 +211,29 @@ class OnlineRebuild:
         the run has wound down; ``last_report.resume_unit`` then seeds a
         retry.
         """
-        tree, ctx = self.tree, self.ctx
-        if getattr(tree, "_rebuild_active", False):
+        # The claim comes first and is released on every exit, so no
+        # second run on this index gets past it while this one is live.
+        claim = self.tree.rebuild_claim
+        if not claim.acquire(blocking=False):
             raise RebuildError(
-                f"index {tree.index_id} already has a rebuild in progress"
+                f"index {self.tree.index_id} already has a rebuild in progress"
             )
+        try:
+            return self._run_claimed(
+                start_key, end_key, max_pages, resume_after, resume_checkpoint
+            )
+        finally:
+            claim.release()
+
+    def _run_claimed(
+        self,
+        start_key: bytes | None,
+        end_key: bytes | None,
+        max_pages: int | None,
+        resume_after: bytes | None,
+        resume_checkpoint: RebuildCheckpoint | None,
+    ) -> RebuildReport:
+        tree, ctx = self.tree, self.ctx
         if start_key is not None and len(start_key) != tree.key_len:
             raise RebuildError(
                 f"start_key must be {tree.key_len} bytes"
@@ -279,7 +297,6 @@ class OnlineRebuild:
         run_span = ctx.tracer.begin(
             "rebuild.run", index_id=tree.index_id, epoch=self._epoch
         )
-        tree._rebuild_active = True  # type: ignore[attr-defined]
         report = RebuildReport()
         self.last_report = report  # kept current even when the run raises
         counters_before = ctx.counters.snapshot()
@@ -308,7 +325,6 @@ class OnlineRebuild:
                 self._scheduler.close()
                 self._scheduler = None
                 ctx.log.release_window()
-            tree._rebuild_active = False  # type: ignore[attr-defined]
             ctx.progress.rebuild_finished(aborted=report.aborted)
             ctx.tracer.finish(
                 run_span, completed=report.completed, aborted=report.aborted

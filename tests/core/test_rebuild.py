@@ -1,5 +1,7 @@
 """End-to-end online rebuild tests (§3–§6)."""
 
+import threading
+
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
@@ -163,13 +165,48 @@ def test_rebuild_of_freshly_packed_index_is_stable(index):
     index.verify()
 
 
-def test_concurrent_rebuild_rejected(engine, index):
+def test_concurrent_rebuild_rejected(engine, index, monkeypatch):
+    """A run parked before its first top action already owns the index: a
+    second run on another thread raises instead of rebuilding alongside,
+    and once the first run ends a third one goes through."""
     make_half_empty(index, 500)
-    rb = OnlineRebuild(index)
-    index._rebuild_active = True
-    with pytest.raises(RebuildError):
-        rb.run()
-    index._rebuild_active = False
+    before = index.contents()
+    progress = engine.ctx.progress
+    rebuild_started = progress.rebuild_started
+    parked, release = threading.Event(), threading.Event()
+
+    def park_the_first_run(*args, **kwargs):
+        if not parked.is_set():
+            parked.set()
+            release.wait(timeout=30)
+        rebuild_started(*args, **kwargs)
+
+    monkeypatch.setattr(progress, "rebuild_started", park_the_first_run)
+    first = {}
+
+    def run_first():
+        try:
+            first["report"] = OnlineRebuild(index).run()
+        except BaseException as exc:  # reported by the asserts below
+            first["error"] = exc
+
+    thread = threading.Thread(target=run_first)
+    thread.start()
+    try:
+        assert parked.wait(timeout=30)
+        with pytest.raises(RebuildError):
+            OnlineRebuild(index).run()
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert "error" not in first
+    assert first["report"].completed
+    with pytest.raises(RebuildError):  # a rejected argument releases too
+        OnlineRebuild(index).run(start_key=b"too long")
+    assert OnlineRebuild(index).run().completed
+    assert index.contents() == before
+    index.verify()
 
 
 def test_abort_keeps_completed_top_actions(engine, index):

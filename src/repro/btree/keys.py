@@ -44,13 +44,18 @@ def decode_rowid(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def leaf_unit(key: bytes, rowid: int, key_len: int) -> bytes:
-    """The comparable leaf row ``key || rowid``; validates the key length."""
+def check_key(key: bytes, key_len: int) -> None:
+    """Raise unless ``key`` is exactly the index's ``key_len`` bytes."""
     if len(key) != key_len:
         raise BTreeError(
             f"key must be exactly {key_len} bytes for this index, "
             f"got {len(key)}"
         )
+
+
+def leaf_unit(key: bytes, rowid: int, key_len: int) -> bytes:
+    """The comparable leaf row ``key || rowid``; validates the key length."""
+    check_key(key, key_len)
     return key + encode_rowid(rowid)
 
 

@@ -11,13 +11,18 @@ id in the last 4 bytes.  A page with ``n`` children holds ``n`` entries
 sorts before everything).  Child ``Ci`` (i >= 1) covers units ``>= Ki``;
 ``C0`` covers units below ``K1``.
 
-Binary searches here count key comparisons into the engine's cost-model
-counters, which feed the Cratio benchmark.
+The binary searches run in C (:mod:`bisect`), which does not report its
+probes, so each search adds its *depth* to the ``key_comparisons``
+cost-model counter: ``n.bit_length()`` for a search over ``n`` entries,
+the most probes a binary search over them can take.  The counter feeds
+the Cratio benchmark.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.errors import BTreeError, TreeStructureError
@@ -25,7 +30,7 @@ from repro.stats.counters import Counters
 from repro.storage.page import Page, PageType
 
 CHILD_LEN = 4
-_CHILD_MAX = b"\xff" * CHILD_LEN  # compares above any real child page id
+entry_key = itemgetter(slice(None, -CHILD_LEN))  # entry -> its separator
 
 
 class IndexEntry(NamedTuple):
@@ -44,10 +49,6 @@ def decode_entry(row: bytes) -> IndexEntry:
         raise BTreeError(f"nonleaf entry of {len(row)} bytes is too short")
     (child,) = struct.unpack_from("<I", row, len(row) - CHILD_LEN)
     return IndexEntry(row[:-CHILD_LEN], child)
-
-
-def entry_key(row: bytes) -> bytes:
-    return row[:-CHILD_LEN]
 
 
 def entry_child(row: bytes) -> int:
@@ -72,23 +73,13 @@ def leaf_search(page: Page, unit: bytes, counters: Counters) -> tuple[int, bool]
     ``position`` is where the unit is, or where it would be inserted.
     """
     rows = page.rows
-    lo, hi = 0, len(rows)
-    probes = 0
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        probes += 1
-        # Comparing the whole row equals comparing its ``len(unit)``-byte
-        # prefix: rows at least as long as the unit agree with their
-        # prefix on ``< unit`` (a longer row with an equal prefix sorts
-        # >= unit either way), so no per-probe slice is allocated.
-        if rows[mid] < unit:
-            lo = mid + 1
-        else:
-            hi = mid
-    if probes:
-        counters.add("key_comparisons", probes)
-    found = lo < len(rows) and rows[lo].startswith(unit)
-    return lo, found
+    # Comparing the whole row equals comparing its ``len(unit)``-byte
+    # prefix: rows at least as long as the unit agree with their prefix on
+    # ``< unit`` (a longer row with an equal prefix sorts >= unit either
+    # way), so the search needs no per-row slice.
+    pos = bisect_left(rows, unit)
+    counters.add("key_comparisons", len(rows).bit_length())
+    return pos, pos < len(rows) and rows[pos].startswith(unit)
 
 
 def leaf_low_unit(page: Page) -> bytes:
@@ -113,55 +104,21 @@ def child_search(page: Page, unit: bytes, counters: Counters) -> tuple[int, int]
     rows = page.rows
     if not rows:
         raise TreeStructureError(f"nonleaf {page.page_id} has no entries")
-    lo, hi = 1, len(rows)  # entry 0 always qualifies (no key)
-    probes = 0
-    # ``sep <= unit`` equals ``row <= unit + 0xff*CHILD_LEN`` whenever the
-    # separator has exactly ``len(unit)`` bytes (the child-id suffix is
-    # always < 0xffffffff), so equal-length rows compare without slicing.
-    unit_hi = unit + _CHILD_MAX
-    full_len = len(unit) + CHILD_LEN
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        probes += 1
-        row = rows[mid]
-        if (
-            row <= unit_hi
-            if len(row) == full_len
-            else row[: len(row) - CHILD_LEN] <= unit
-        ):
-            lo = mid + 1
-        else:
-            hi = mid
-    if probes:
-        counters.add("key_comparisons", probes)
-    pos = lo - 1
+    counters.add("key_comparisons", (len(rows) - 1).bit_length())
+    pos = bisect_right(rows, unit, 1, key=entry_key) - 1  # entry 0 has no key
     return pos, entry_child(rows[pos])
 
 
 def entry_insert_pos(page: Page, key: bytes, counters: Counters) -> int:
-    """Position at which an entry with separator ``key`` belongs."""
+    """Position at which an entry with separator ``key`` belongs: after
+    every entry whose separator is ``<= key``, never before the keyless
+    first entry."""
     rows = page.rows
-    lo, hi = 1, len(rows)  # never before the keyless first entry
     if not rows:
         return 0
-    probes = 0
-    key_hi = key + _CHILD_MAX  # same no-slice trick as child_search
-    full_len = len(key) + CHILD_LEN
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        probes += 1
-        row = rows[mid]
-        if (
-            row <= key_hi
-            if len(row) == full_len
-            else row[: len(row) - CHILD_LEN] <= key
-        ):
-            lo = mid + 1
-        else:
-            hi = mid
-    if probes:
-        counters.add("key_comparisons", probes)
-    return lo
+    counters.add("key_comparisons", (len(rows) - 1).bit_length())
+    return bisect_right(rows, key, 1, key=entry_key)
+
 
 def find_child_entry(page: Page, child: int) -> int:
     """Position of the entry pointing at ``child``; raises if absent."""

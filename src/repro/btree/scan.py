@@ -42,7 +42,9 @@ out), ``scan.step_right`` (between a leaf and its right neighbor) and
 
 from __future__ import annotations
 
-from typing import Iterator
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from repro.btree import keys as K
 from repro.btree import node
@@ -71,7 +73,9 @@ def range_scan(
     ``lock_rows`` requests an instant-duration S logical lock per qualifying
     row (cursor-stability-style reading).
     """
-    unit_len = tree.key_len + K.ROWID_LEN
+    key_len = tree.key_len
+    unit_len = key_len + K.ROWID_LEN
+    unit_of = itemgetter(slice(None, unit_len))  # row -> its unit
     counters = ctx.counters
     image_version = ctx.buffer.image_version
     traversal = Traversal(ctx, tree)
@@ -89,7 +93,7 @@ def range_scan(
                 return
             continue
         # Qualify the rest of the leaf under this one latch hold.
-        end = _qualifying_end(rows, pos, hi_unit, unit_len, counters)
+        end = _qualifying_end(rows, pos, hi_unit, unit_of, counters)
         page_id = page.page_id
         if end == pos:
             ctx.release_page(page_id)
@@ -116,7 +120,9 @@ def range_scan(
                     changed = True
                     break
                 handed_out += 1
-                key, rowid = K.split_unit(unit)
+                # Rows were validated at insert: decode inline.
+                key = unit[:key_len]
+                rowid = int.from_bytes(unit[key_len:], "big")
                 if with_payload:
                     yield key, rowid, row[unit_len:]
                 else:
@@ -156,28 +162,21 @@ def _qualifying_end(
     rows: list[bytes],
     pos: int,
     hi_unit: bytes,
-    unit_len: int,
+    unit_of: Callable[[bytes], bytes],
     counters: Counters,
 ) -> int:
     """End of the run of ``rows`` from ``pos`` whose units are <= ``hi_unit``.
 
     The common case — the whole rest of the leaf qualifies — is one
     comparison against the last row; otherwise a binary search bounded to
-    ``[pos, len(rows) - 1)``.
+    ``[pos, len(rows) - 1)``.  ``unit_of`` cuts a row to its unit.
     """
-    lo, hi = pos, len(rows) - 1
-    probes = 1
-    if rows[hi][:unit_len] <= hi_unit:
-        lo = hi + 1
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        probes += 1
-        if rows[mid][:unit_len] <= hi_unit:
-            lo = mid + 1
-        else:
-            hi = mid
-    counters.add("key_comparisons", probes)
-    return lo
+    last = len(rows) - 1
+    if unit_of(rows[last]) <= hi_unit:
+        counters.add("key_comparisons", 1)
+        return last + 1
+    counters.add("key_comparisons", 1 + (last - pos).bit_length())
+    return bisect_right(rows, hi_unit, pos, last, key=unit_of)
 
 
 def _latch_live_leaf(
@@ -228,10 +227,12 @@ def _reacquire(
     """
     page = _latch_live_leaf(ctx, tree, page_id)
     if page is not None:
+        # A primary index's rows carry a payload after the unit: the first
+        # row is compared by its unit (a payload only raises the last row).
         if (
             not page.has_flag(PageFlag.SHRINK)
             and not page.is_empty
-            and page.rows[0] <= resume <= page.rows[-1]
+            and page.rows[0][: len(resume)] <= resume <= page.rows[-1]
         ):
             return page
         ctx.release_page(page_id)

@@ -231,16 +231,16 @@ class BTree:
         with_payload: bool = False,
     ) -> Iterator[tuple]:
         """Yield (key, rowid) — or (key, rowid, payload) — pairs with
-        lo <= key <= hi (inclusive bounds)."""
-        lo_unit = (
-            K.search_floor(lo) if lo is not None else b"\x00" * self.key_len
-            + b"\x00" * K.ROWID_LEN
-        )
-        hi_unit = (
-            K.search_ceiling(hi)
-            if hi is not None
-            else b"\xff" * (self.key_len + K.ROWID_LEN)
-        )
+        lo <= key <= hi (inclusive bounds).  A bound that is not
+        ``key_len`` bytes raises :class:`BTreeError`."""
+        if lo is None:
+            lo = b"\x00" * self.key_len
+        if hi is None:
+            hi = b"\xff" * self.key_len
+        K.check_key(lo, self.key_len)
+        K.check_key(hi, self.key_len)
+        lo_unit = K.search_floor(lo)
+        hi_unit = K.search_ceiling(hi)
         if self.ctx.quarantine.active:
             self.ctx.quarantine.check_scan(self.index_id, lo_unit, hi_unit)
         own = txn is None

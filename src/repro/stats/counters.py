@@ -75,7 +75,7 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "retraversals",
     "level1_visits",     # visits to level-1 pages (paper §4.3)
     "pages_visited",
-    "key_comparisons",
+    "key_comparisons",   # depth of each binary search: n.bit_length() over n
     "bytes_copied",
     # Range scans (btree/scan.py).
     "scan_leaf_visits",      # latch holds that qualified a run of rows

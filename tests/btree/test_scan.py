@@ -1,6 +1,9 @@
 """Scan behavior under §2.5 semantics: latch drops between rows,
 repositioning after concurrent structural changes."""
 
+import pytest
+
+from repro.errors import BTreeError
 from tests.conftest import contents_as_ints, fill_index, intkey
 
 
@@ -95,3 +98,49 @@ def test_scan_fires_run_step_right_and_reposition_in_order(engine, index):
         for name, attrs in fired if name == "scan.step_right"
     ]
     assert steps == list(zip(leaves, leaves[1:]))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"lo": b"\x00\x00\x01", "hi": b"\x00\x00\x02"},
+        {"lo": b"\x00\x00\x00\x01\x00"},
+        {"hi": b"\x00\x00"},
+        {"lo": b"", "hi": intkey(5)},
+    ],
+)
+def test_scan_rejects_bounds_of_the_wrong_length(index, bounds):
+    """Like the point operations, a scan takes only ``key_len``-byte
+    bounds: a shorter or longer one raises instead of being padded into
+    a prefix range (which would return keys above ``hi``)."""
+    fill_index(index, 300)
+    with pytest.raises(BTreeError, match="exactly 4 bytes"):
+        next(index.scan(**bounds))
+
+
+def test_lookup_rejects_a_short_key(index):
+    fill_index(index, 300)
+    with pytest.raises(BTreeError, match="exactly 4 bytes"):
+        index.lookup(b"\x00\x00")
+    assert index.lookup(intkey(7)) == [7]
+
+
+@pytest.mark.parametrize("payload", [b"", b"p" * 20])
+def test_scan_keeps_its_leaf_when_it_changes_after_one_row(
+    engine, index, payload
+):
+    """The scan hands out one row, the leaf takes an insert, and the scan
+    re-latches the same leaf: its resume row is still on it, so it must
+    not re-traverse — with or without a payload after each unit."""
+    for k in range(0, 100, 2):
+        index.insert(intkey(k), k, payload=payload)
+    repositions = []
+    engine.syncpoints.observe(
+        lambda name, attrs: repositions.append(attrs)
+        if name == "scan.reposition" else None
+    )
+    it = index.scan()
+    assert ints([next(it)]) == [0]
+    index.insert(intkey(1), 1, payload=payload)
+    assert ints(it) == [1] + list(range(2, 100, 2))
+    assert repositions == []

@@ -116,6 +116,8 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "recovery_records_scanned",   # durable records whose header analysis read
     "recovery_payloads_decoded",  # records recovery payload-decoded (all phases)
     "recovery_page_visits",       # pages visited by redo's page-ordered drains
+    "recovery_records_parked",    # single-page records redo parked on dead pages
+    "recovery_pages_caught_up",   # parked pages a barrier had redo bring up to date
     # Observability (repro/obs, PR 10).
     "obs_spans",                 # trace spans recorded into the ring sink
     "obs_spans_dropped",         # spans evicted from a full ring (oldest first)

@@ -15,6 +15,7 @@ use :meth:`PageManager.allocate`, which takes any free page.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import threading
 from typing import Iterator
@@ -41,7 +42,9 @@ class PageManager:
         self.disk = disk
         self.counters = counters if counters is not None else Counters()
         self._states: dict[int, PageState] = {}
-        self._free: set[int] = set()
+        self._free: list[int] = []
+        """The explicitly free ids, ascending: ``allocate`` takes the
+        first and ``_find_free_run`` walks it in order."""
         self._next_new = 1  # high-water mark: smallest never-used id
         self._lock = threading.RLock()
 
@@ -83,8 +86,7 @@ class PageManager:
         """Allocate any free page (lowest id first); used by splits."""
         with self._lock:
             if self._free:
-                pid = min(self._free)
-                self._free.discard(pid)
+                pid = self._free.pop(0)
             else:
                 pid = self._next_new
                 self._next_new += 1
@@ -110,7 +112,25 @@ class PageManager:
                     f"{self.state(page_id).value}"
                 )
             self._states[page_id] = PageState.FREE
-            self._free.add(page_id)
+            self._add_free(page_id)
+
+    def _add_free(self, page_id: int) -> None:
+        free = self._free
+        at = bisect.bisect_left(free, page_id)
+        if at == len(free) or free[at] != page_id:
+            free.insert(at, page_id)
+
+    def _is_free(self, page_id: int) -> bool:
+        free = self._free
+        at = bisect.bisect_left(free, page_id)
+        return at < len(free) and free[at] == page_id
+
+    def _discard_free(self, start: int, stop: int) -> None:
+        """Drop the free ids in ``start .. stop-1``."""
+        free = self._free
+        del free[
+            bisect.bisect_left(free, start) : bisect.bisect_left(free, stop)
+        ]
 
     # ------------------------------------------------------------------ chunks
 
@@ -137,8 +157,8 @@ class PageManager:
             if start is None:
                 start = self._next_new
             self._next_new = max(self._next_new, start + size)
+            self._discard_free(start, start + size)
             for pid in range(start, start + size):
-                self._free.discard(pid)
                 self._states[pid] = PageState.ALLOCATED
             return start
 
@@ -150,7 +170,7 @@ class PageManager:
         for pid in range(start, start + size):
             if pid >= self._next_new:
                 return True  # everything from here up is untouched space
-            if pid not in self._free:
+            if not self._is_free(pid):
                 return False
         return True
 
@@ -161,7 +181,7 @@ class PageManager:
         run_start = None
         run_len = 0
         prev = None
-        for pid in sorted(self._free):
+        for pid in self._free:
             if prev is not None and pid == prev + 1:
                 run_len += 1
             else:
@@ -178,7 +198,7 @@ class PageManager:
             for pid in page_ids:
                 if self._states.get(pid) is PageState.ALLOCATED:
                     self._states[pid] = PageState.FREE
-                    self._free.add(pid)
+                    self._add_free(pid)
 
     def force_state(self, page_id: int, state: PageState) -> None:
         """Set a page's state unconditionally (recovery redo/undo only).
@@ -189,9 +209,9 @@ class PageManager:
         with self._lock:
             self._states[page_id] = state
             if state is PageState.FREE:
-                self._free.add(page_id)
+                self._add_free(page_id)
             else:
-                self._free.discard(page_id)
+                self._discard_free(page_id, page_id + 1)
             self._next_new = max(self._next_new, page_id + 1)
 
     # ----------------------------------------------------------- checkpointing
@@ -212,11 +232,11 @@ class PageManager:
             self._states = {
                 int(pid): PageState(value) for pid, value in states.items()
             }
-            self._free = {
+            self._free = sorted(
                 pid
                 for pid, st in self._states.items()
                 if st is PageState.FREE
-            }
+            )
             self._next_new = int(snap["next_new"])  # type: ignore[arg-type]
 
 

@@ -15,7 +15,9 @@ record at a time.  KEYCOPY redo re-reads the *source* pages for
 the key bytes — the paper's §3 flush-new-before-free-old discipline is what
 makes that sound — and checks the timestamp of each *target* page
 independently, since a crash can land between the forced writes of two
-targets.
+targets.  It has the pages it reads brought up to date first
+(:attr:`ApplyContext.catch_up`): crash recovery parks the records of pages
+a committed transaction freed until something reads them.
 
 Undo logs the change it makes, then makes it (:func:`undo_record`).  A
 row, link or format record is compensated by the single-page record of the
@@ -40,7 +42,7 @@ Undo verifies what it removes and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import RecoveryError
 from repro.storage.buffer import BufferPool
@@ -58,6 +60,10 @@ from repro.wal.records import (
 )
 
 
+def _nothing_parked(page_ids: Iterable[int]) -> None:
+    """:attr:`ApplyContext.catch_up` where no record waits for its page."""
+
+
 @dataclass
 class ApplyContext:
     """Everything record application needs to touch pages and state.
@@ -73,6 +79,13 @@ class ApplyContext:
     buffer: BufferPool
     page_manager: PageManager
     index_roots: dict[int, int] = None  # type: ignore[assignment]
+    catch_up: Callable[[Iterable[int]], None] = _nothing_parked
+    """Brings pages up to the image log order shows a barrier.  KEYCOPY
+    redo calls it with the targets it is about to check, and with the
+    sources of every target it finds stale; crash recovery sets it to
+    apply the records it parked for those pages
+    (``RecoveryManager._catch_up``).  Everywhere else each page is
+    current already."""
 
     def __post_init__(self) -> None:
         if self.index_roots is None:
@@ -232,7 +245,8 @@ def _redo_fresh_page(
     ctx.page_manager.force_state(page_id, PageState.ALLOCATED)
     existing_ts: int | None = None
     if ctx.buffer.is_resident(page_id) or ctx.buffer.disk.exists(page_id):
-        page = ctx.buffer.fetch(page_id)
+        # By large I/O, as a drain fetches: an ALLOCRUN's ids are one run.
+        page = ctx.buffer.fetch(page_id, large_io=True)
         existing_ts = page.page_lsn
         ctx.buffer.unpin(page_id)
     if existing_ts is not None and existing_ts >= rec.lsn:
@@ -254,7 +268,10 @@ def _redo_keycopy(rec: LogRecord, ctx: ApplyContext) -> None:
 
     For each target whose timestamp shows the copy is missing, re-read the
     key bytes from the source pages and append them in the original order.
+    The targets, and the sources of a stale target, are brought up to date
+    through ``ctx.catch_up`` before they are read.
     """
+    ctx.catch_up([page_id for page_id, _ts in rec.target_ts])
     stale_targets = set()
     for page_id, old_ts in rec.target_ts:
         page = ctx.buffer.fetch(page_id)
@@ -270,6 +287,9 @@ def _redo_keycopy(rec: LogRecord, ctx: ApplyContext) -> None:
             ctx.buffer.unpin(page_id)
     if not stale_targets:
         return
+    ctx.catch_up(
+        [e.src_page for e in rec.entries if e.tgt_page in stale_targets]
+    )
     for entry in rec.entries:
         if entry.tgt_page not in stale_targets:
             continue

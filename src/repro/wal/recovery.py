@@ -7,8 +7,9 @@ The protocol is ARIES shaped, specialized to what the paper's engine needs:
    classifies transactions — any txn with a BEGIN but no durable
    COMMIT/ABORT is a *loser* — folds rebuild progress and quarantines, and
    hands redo the records past the checkpoint that change a page.  Only
-   the checkpoint, ``REBUILD_PROGRESS`` and ``QUARANTINE`` payloads are
-   decoded; a ``TXN_COMMIT`` is a header and nothing more.
+   the checkpoint, ``REBUILD_PROGRESS`` and ``QUARANTINE`` payloads and
+   the ``DEALLOC`` records of committed transactions are decoded; a
+   ``TXN_COMMIT`` is a header and nothing more.
 2. **Redo** replays those records *by page*, using page timestamps for
    idempotence (:mod:`repro.wal.apply`): single-page records wait in a
    per-page queue that is drained — ascending page id, one large-I/O
@@ -17,7 +18,10 @@ The protocol is ARIES shaped, specialized to what the paper's engine needs:
    decoded and redone in log order.  KEYCOPY redo re-reads source pages;
    the §3 flush-new-before-free-old rule guarantees the sources are still
    intact whenever a target needs redo, and the drain before it
-   guarantees they carry every earlier logged change.
+   guarantees they carry every earlier logged change.  A single-page
+   record on a page that a committed transaction deallocates later in
+   the log is *parked* instead: nothing but a barrier that reads the
+   page ever needs it, and only such a barrier applies it.
 3. **Undo** rolls back losers in descending LSN order, logging a
    compensation per change (:func:`~repro.wal.apply.undo_record`).
    Completed nested top actions are skipped via their dummy CLRs, so a
@@ -33,6 +37,7 @@ Recovery finishes by writing a fresh checkpoint.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import RecoveryError
@@ -143,9 +148,19 @@ def _standing_quarantines(
 
 _COMMIT = int(RecordType.TXN_COMMIT)
 _ABORT = int(RecordType.TXN_ABORT)
+_DEALLOC = int(RecordType.DEALLOC)
 _CHECKPOINT = int(RecordType.CHECKPOINT)
 _PROGRESS = int(RecordType.REBUILD_PROGRESS)
 _QUARANTINE = int(RecordType.QUARANTINE)
+
+
+def _named_pages(rec: LogRecord) -> list[int]:
+    """Every page a :data:`~repro.wal.apply.CLR_UNDONE` record names."""
+    if rec.type is RecordType.KEYCOPY:
+        return [pid for pid, _ts in rec.target_ts] + [
+            e.src_page for e in rec.entries
+        ]
+    return rec.page_ids or [rec.page_id]
 
 
 class RecoveryManager:
@@ -168,7 +183,15 @@ class RecoveryManager:
         self.buffer = buffer
         self.page_manager = page_manager
         self.counters = counters if counters is not None else Counters()
-        self.ctx = ApplyContext(buffer, page_manager)
+        self.ctx = ApplyContext(buffer, page_manager, catch_up=self._catch_up)
+        self._dead: dict[int, int] = {}
+        """Page id → LSN of the last DEALLOC of it by a committed
+        transaction past the checkpoint (set by the analysis pass)."""
+        self._deallocs: dict[int, LogRecord] = {}
+        """Those DEALLOCs by LSN, decoded once by analysis for redo."""
+        self._parked: dict[int, list[tuple[int, int, bytes]]] = {}
+        self.records_parked = 0
+        self.pages_caught_up = 0
 
     # ------------------------------------------------------------------ drive
 
@@ -177,8 +200,15 @@ class RecoveryManager:
         tracer = self.tracer
         with tracer.span("recovery.analysis"):
             redo = self._analysis(report)
-        with tracer.span("recovery.redo", records=len(redo)):
+        span = tracer.begin("recovery.redo", records=len(redo))
+        try:
             self._redo(redo)
+        finally:
+            tracer.finish(
+                span,
+                parked=self.records_parked,
+                caught_up=self.pages_caught_up,
+            )
         with tracer.span("recovery.undo", losers=len(report.loser_txns)):
             self._undo(report)
         with tracer.span("recovery.free"):
@@ -194,17 +224,28 @@ class RecoveryManager:
 
         Classifies transactions (a txn id with no durable COMMIT/ABORT is
         a *loser*; ARIES-style implicit BEGIN), finds the last checkpoint,
-        folds ``REBUILD_PROGRESS`` and ``QUARANTINE`` records — the only
-        payloads decoded here, with the checkpoint's — and returns the
-        redo work list: ``(lsn, type, page_id, encoded record)`` of every
-        record past the checkpoint that changes a page or page-manager
-        state.  Records with no page effect are counted, never built.
+        folds ``REBUILD_PROGRESS`` and ``QUARANTINE`` records and returns
+        the redo work list: ``(lsn, type, page_id, encoded record)`` of
+        every record past the checkpoint that changes a page or
+        page-manager state.  Records with no page effect are counted,
+        never built.  The payloads decoded here are the checkpoint's, the
+        progress records' and quarantines', and those of the DEALLOCs past
+        the checkpoint followed by a durable commit of their transaction
+        (with no abort of it between): they name
+        the pages redo parks records of (:meth:`_redo`), and are handed on
+        to redo decoded.
         """
         raws = self.log.raw_records(durable_only=True)
         peek = LogRecord.peek
         checkpoint_at = -1
         active: dict[int, int] = {}  # txn -> last durable lsn
         redo: list[tuple] = []
+        # DEALLOCs in the redo list, by whether their transaction's
+        # outcome is durable yet.  Commitment is decided in log order: txn
+        # ids start again at 1 after a crash, so an id can commit in one
+        # run and be a loser in the next.
+        pending: dict[int, list[bytes]] = {}  # txn -> its DEALLOCs so far
+        committed: list[bytes] = []
         quarantine_tail: list[LogRecord] = []
         decoded = 0
         for at, data in enumerate(raws):
@@ -213,17 +254,24 @@ class RecoveryManager:
             )
             if rtype == _COMMIT or rtype == _ABORT:
                 active.pop(txn_id, None)
+                done = pending.pop(txn_id, None)
+                if done is not None and rtype == _COMMIT:
+                    committed.extend(done)
             elif rtype == _CHECKPOINT:
                 # Everything at or below the latest checkpoint is in the
                 # page images and in its snapshots already.
                 checkpoint_at = at
                 redo.clear()
+                pending.clear()
+                committed.clear()
                 quarantine_tail.clear()
             else:
                 if txn_id:
                     active[txn_id] = lsn
                 if rtype in REDO_TYPES:
                     redo.append((lsn, rtype, page_id, data))
+                    if rtype == _DEALLOC:
+                        pending.setdefault(txn_id, []).append(data)
                 elif rtype == _PROGRESS:
                     self._fold_progress(LogRecord.decode(data), report)
                     decoded += 1
@@ -232,6 +280,13 @@ class RecoveryManager:
                     decoded += 1
         report.loser_txns = sorted(active)
         self._loser_last_lsn = active
+        self._dead, self._deallocs = {}, {}
+        for data in committed:
+            rec = LogRecord.decode(data)
+            decoded += 1
+            self._deallocs[rec.lsn] = rec
+            for pid in rec.page_ids:
+                self._dead[pid] = max(self._dead.get(pid, 0), rec.lsn)
         report.records_redone = len(raws) - 1 - checkpoint_at
         payload: dict = {}
         if checkpoint_at >= 0:
@@ -299,11 +354,34 @@ class RecoveryManager:
         drained before it and it goes through :func:`redo_record` in log
         order.  Only a barrier, and the ALLOC / DEALLOC / KEYCOPY a CLR
         names, is decoded: a drain applies its records from their bytes.
+
+        A single-page record on a page a committed transaction deallocates
+        later in the log is *parked* instead of queued.  The page is dead
+        from that DEALLOC on (§4.1.3), so the record is applied only if a
+        barrier reads the page before then: a KEYCOPY its targets, and the
+        sources of a target it finds stale (through
+        :attr:`ApplyContext.catch_up`), a CLR every page it names.  An
+        ALLOC or ALLOCRUN of the id throws the old incarnation's parked
+        records away.  Whatever reads a page thus sees the image log order
+        would show it.
         """
         queued: dict[int, list[tuple[int, int, bytes]]] = {}
+        parked = self._parked = {}
+        self.pages_caught_up = 0
+        dead = self._dead
+        deallocs = self._deallocs
         decoded = 0  # by the barriers; a drain counts its own
+        nparked = 0
         for lsn, rtype, page_id, data in work:
             if rtype not in BARRIER_REDO:
+                if lsn < dead.get(page_id, 0):
+                    nparked += 1
+                    records = parked.get(page_id)
+                    if records is None:
+                        parked[page_id] = [(lsn, rtype, data)]
+                    else:
+                        records.append((lsn, rtype, data))
+                    continue
                 records = queued.get(page_id)
                 if records is None:
                     queued[page_id] = [(lsn, rtype, data)]
@@ -311,13 +389,35 @@ class RecoveryManager:
                     records.append((lsn, rtype, data))
                 continue
             self._drain(queued)
-            rec = LogRecord.decode(data)
-            decoded += 1
-            if rec.type is RecordType.CLR:
-                rec.resolved_undone = self.log.record_at(rec.undone_lsn)
+            rec = deallocs.pop(lsn, None)
+            if rec is None:
+                rec = LogRecord.decode(data)
                 decoded += 1
+            if rec.type is RecordType.CLR:
+                rec.resolved_undone = original = self.log.record_at(
+                    rec.undone_lsn
+                )
+                decoded += 1
+                self._catch_up(_named_pages(original))
+            elif rec.type is RecordType.ALLOC or rec.type is RecordType.ALLOCRUN:
+                for pid in rec.page_ids or [rec.page_id]:
+                    parked.pop(pid, None)
             redo_record(rec, self.ctx)
         self._drain(queued)
+        self.records_parked = nparked
+        self.counters.add("recovery_payloads_decoded", decoded)
+        self.counters.add("recovery_records_parked", nparked)
+        self.counters.add("recovery_pages_caught_up", self.pages_caught_up)
+
+    def _catch_up(self, page_ids: Iterable[int]) -> None:
+        """Apply the parked records of ``page_ids``: a barrier is about to
+        read them.  Every record parked so far precedes that barrier."""
+        decoded = 0
+        for page_id in page_ids:
+            records = self._parked.pop(page_id, None)
+            if records is not None:
+                decoded += redo_page_queue(page_id, records, self.ctx)
+                self.pages_caught_up += 1
         self.counters.add("recovery_payloads_decoded", decoded)
 
     def _drain(self, queued: dict[int, list[tuple[int, int, bytes]]]) -> None:

@@ -279,3 +279,23 @@ def redo_decoded(rec: LogRecord, ctx: ApplyContext) -> None:
             applied = True
     finally:
         ctx.buffer.unpin(rec.page_id, dirty=applied)
+
+
+def committed_deallocs(records: list[LogRecord]) -> list[LogRecord]:
+    """The DEALLOCs past the last checkpoint in ``records`` (a durable
+    log, decoded) that a durable commit of their transaction follows.
+    Decided in log order: txn ids start again at 1 after a crash, so an
+    id that committed before a restart can be a loser after it."""
+    pending: dict[int, list[LogRecord]] = {}
+    done: list[LogRecord] = []
+    for rec in records:
+        if rec.type is RecordType.CHECKPOINT:
+            pending.clear()
+            done.clear()
+        elif rec.type in (RecordType.TXN_COMMIT, RecordType.TXN_ABORT):
+            ended = pending.pop(rec.txn_id, [])
+            if rec.type is RecordType.TXN_COMMIT:
+                done.extend(ended)
+        elif rec.type is RecordType.DEALLOC:
+            pending.setdefault(rec.txn_id, []).append(rec)
+    return done

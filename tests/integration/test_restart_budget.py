@@ -6,12 +6,15 @@ payload-decoded, and between two records that touch several pages (the
 *barriers*: ALLOC, ALLOCRUN, DEALLOC, KEYCOPY, CLR) every page with queued
 single-page records is fetched once, in ascending id, by large I/O.  A
 drain applies its records from their bytes; only the barriers are decoded
-into a ``LogRecord``.  This
-guard holds ``RecoveryManager`` to that shape on a small copy of the
-suite's ``crash_recover`` workload — committed inserts after the load
-checkpoint, a crash half way through a pass — single-threaded, so every
-count repeats exactly.  The drain schedule it expects is derived here, from
-the log, not taken from the code under test.
+into a ``LogRecord``.  A single-page record on a page that a committed
+transaction deallocates later in the log is parked, not queued: no drain
+visits it for that record, and nothing applies it unless a barrier reads
+the page.  This guard holds ``RecoveryManager`` to that shape on a small
+copy of the suite's ``crash_recover`` workload — committed inserts after
+the load checkpoint, a crash half way through a pass — single-threaded,
+so every count repeats exactly.  The drain schedule and the parked
+records it expects are derived here, from the log, not taken from the
+code under test.
 """
 
 import random
@@ -28,7 +31,7 @@ from repro.wal.apply import SINGLE_PAGE_REDO
 from repro.wal.records import CLR_FLAG, LogRecord, RecordType
 from repro.wal.recovery import RecoveryManager
 from repro.workload.builder import bulk_load
-from tests.conftest import CodecMeter, intkey
+from tests.conftest import CodecMeter, committed_deallocs, intkey
 
 KEYS = 8000
 INSERTS = 2400
@@ -45,11 +48,12 @@ BARRIERS = {
 }
 
 
-def crashed_engine():
+def crashed_engine(crash_at=None):
     """A loaded, checkpointed index, ``INSERTS`` committed inserts after
-    the checkpoint, and a crash at the middle commit of a rebuild pass
-    with every frame and the unflushed log tail dropped.  Returns the
-    engine and the contents recovery must bring back."""
+    the checkpoint, and a crash at the middle commit of a rebuild pass —
+    or at its ``crash_at``-th — with every frame and the unflushed log
+    tail dropped.  Returns the engine and the contents recovery must
+    bring back."""
     engine = Engine(page_size=2048, io_size=16384, buffer_capacity=4096)
     tree = bulk_load(
         engine, [intkey(2 * i) for i in range(KEYS)], 4, fill=FILL
@@ -58,7 +62,8 @@ def crashed_engine():
         tree.insert(intkey(2 * slot + 1), slot)
     expected = tree.contents()
     config = RebuildConfig(ntasize=8, xactsize=32)
-    crash_at = round(tree.verify().leaf_pages / config.xactsize / 2)
+    if crash_at is None:
+        crash_at = round(tree.verify().leaf_pages / config.xactsize / 2)
     commits = [0]
 
     def crash_hook(_ctx):
@@ -74,12 +79,29 @@ def crashed_engine():
     return engine, expected
 
 
+def dead_pages(records):
+    """Page id → LSN of the last DEALLOC of it past the checkpoint that
+    its transaction's commit follows: the records on it before then are
+    parked."""
+    dead: dict[int, int] = {}
+    for rec in committed_deallocs(records):
+        for pid in rec.page_ids:
+            dead[pid] = max(dead.get(pid, 0), rec.lsn)
+    return dead
+
+
+def parked(rec, dead):
+    return rec.type in SINGLE_PAGE_REDO and rec.lsn < dead.get(rec.page_id, 0)
+
+
 def expected_drains(records, checkpoint_lsn):
     """The page sets a page-ordered redo must visit, in order: single-page
-    records past the checkpoint pile up per page until a barrier."""
+    records past the checkpoint pile up per page until a barrier, but for
+    the parked ones."""
+    dead = dead_pages(records)
     drains, queued = [], set()
     for rec in records:
-        if rec.lsn <= checkpoint_lsn:
+        if rec.lsn <= checkpoint_lsn or parked(rec, dead):
             continue
         if rec.type in SINGLE_PAGE_REDO:
             queued.add(rec.page_id)
@@ -193,7 +215,10 @@ def test_restart_decodes_what_it_redoes_and_visits_each_page_once_per_drain(
     )
     past = [r for r in durable if r.lsn > checkpoint_lsn]
     drains = expected_drains(durable, checkpoint_lsn)
+    dead = dead_pages(durable)
+    to_park = [r for r in past if parked(r, dead)]
     assert len(drains) > 20
+    assert len(dead) > 50 and len(to_park) > 1000
     assert sum(r.lsn <= checkpoint_lsn for r in durable) > 100
 
     meter = RedoMeter(monkeypatch, engine.counters, engine.ctx.disk)
@@ -208,32 +233,45 @@ def test_restart_decodes_what_it_redoes_and_visits_each_page_once_per_drain(
 
     # Payload decodes: nothing header-only, and at or below the checkpoint
     # only the checkpoint itself and the standalone progress records.
+    # Analysis decodes each committed DEALLOC past the checkpoint once,
+    # and redo takes it from there.
     assert not [t for _lsn, t in meter.decoded if t in HEADER_ONLY]
     old = [(lsn, t) for lsn, t in meter.decoded if lsn <= checkpoint_lsn]
     assert old.count((checkpoint_lsn, RecordType.CHECKPOINT)) == 1
     assert {t for _lsn, t in old} <= {
         RecordType.CHECKPOINT, RecordType.REBUILD_PROGRESS
     }
-    # Redo decodes its barriers and nothing else: a drain reads each
-    # record's payload from its bytes.  The crashed pass rolled nothing
-    # back, so no CLR sends redo to the log for the record it names.
+    # Redo decodes the other barriers and nothing else: a drain reads
+    # each record's payload from its bytes.  The crashed pass rolled
+    # nothing back, so no CLR sends redo to the log for the record it
+    # names.
     assert meter.drain_decoded == []
+    ended = {(r.lsn, r.type) for r in committed_deallocs(durable)}
+    assert len(ended) > 5
+    assert not ended & set(meter.redo_decoded)
+    assert [d for d in meter.decoded if d in ended] == sorted(ended)
     barriers = [r for r in past if r.type in BARRIERS]
     assert not [r for r in past if r.flags & CLR_FLAG]
     assert sorted(meter.redo_decoded) == sorted(
-        (r.lsn, r.type) for r in barriers
+        {(r.lsn, r.type) for r in barriers} - ended
     )
+    # Nothing reads a page a committed DEALLOC ends (the pass forced every
+    # target before its commit): its records stay parked, unread.
+    assert delta["recovery_records_parked"] == len(to_park) == 1519
+    assert delta["recovery_pages_caught_up"] == 0
     # ``recovery_payloads_decoded`` counts every record whose payload
-    # restart read, decoded or applied from its bytes: the count it had
-    # when every one of them was decoded, to the record.
+    # restart read, decoded or applied from its bytes: 2 751 before redo
+    # parked records, less the 1 519 parked ones.
     drain_reads = sum(
         d["recovery_payloads_decoded"] for _, d, *_ in meter.drains
     )
-    assert drain_reads <= sum(r.type in SINGLE_PAGE_REDO for r in past)
+    assert drain_reads <= sum(r.type in SINGLE_PAGE_REDO for r in past) - len(
+        to_park
+    )
     assert (
         delta["recovery_payloads_decoded"]
         == len(meter.decoded) + drain_reads
-        == 2751
+        == 1232
     )
     assert delta["recovery_records_scanned"] == len(durable)
 
@@ -282,13 +320,16 @@ def lru_misses(page_ids, frames):
 def test_a_32_frame_pool_reads_each_run_once_per_drain(monkeypatch):
     """Log-order redo re-reads a page every time the log comes back to it
     after 32 other pages; page-ordered redo reads it once per drain, and
-    the result is the image the big pool produces."""
-    big, _ = crashed_engine()
+    the result is the image the big pool produces.  The crash is at the
+    pass's first commit: the records of the leaves a committed
+    transaction freed are parked, and with few of them freed the first
+    drain holds more pages than the pool."""
+    big, _ = crashed_engine(crash_at=1)
     RecoveryManager(
         big.log, big.buffer, big.page_manager, counters=big.counters
     ).recover()
 
-    engine, _ = crashed_engine()
+    engine, _ = crashed_engine(crash_at=1)
     durable = list(engine.log.scan(durable_only=True))
     pool = BufferPool(engine.ctx.disk, capacity=32, counters=engine.counters)
     pool.set_wal_hook(engine.log.flush_to)
@@ -308,11 +349,14 @@ def test_a_32_frame_pool_reads_each_run_once_per_drain(monkeypatch):
         runs = {(pid - 1) // ppio for pid in pages}
         assert read_calls <= len(runs) + held
     drain_reads = sum(calls for *_, calls, _held in meter.drains)
+    assert drain_reads == 310
+    # The textbook loop applies every record past the checkpoint in log
+    # order, the parked ones included.
     in_log_order = [
         r.page_id for r in durable
         if r.lsn > report.checkpoint_lsn and r.type in SINGLE_PAGE_REDO
     ]
-    assert 3 * drain_reads < lru_misses(in_log_order, 32)
+    assert 3 * drain_reads < lru_misses(in_log_order, 32) == 1385
     assert engine.page_manager.snapshot() == big.page_manager.snapshot()
     assert image_crc(engine) == image_crc(big)
 
@@ -364,9 +408,10 @@ def test_restart_decodes_each_page_it_admits_and_encodes_each_it_writes(
     engine, expected = crashed_engine()
     meter = CodecMeter(monkeypatch)
     # A disk run reads all of its slots; a run-mate the pool holds already,
-    # or one never written, is not decoded.
+    # or one never written, is not decoded.  Redo leaves the leaves the
+    # pass freed unread and unwritten: it parks their records.
     recover = meter.measure(engine.counters, engine.recover)
-    assert recover == (99, 101, 112, 112)
+    assert recover == (75, 80, 77, 77)
     ckpt = engine.rebuild_checkpoint(1)
     resume = OnlineRebuild(
         engine.index(1), RebuildConfig(ntasize=8, xactsize=32)

@@ -12,18 +12,22 @@ drawn history builds a crash state twice (single thread, so the two are
 identical); one copy recovers through the engine's path, the other
 through the oracle, and everything recovery leaves behind must be equal.
 
-Three mutants of the page-ordered path must each be told from the oracle
-by some history, or the comparison proves nothing: queueing across a
-KEYCOPY (it reads the pages queued records write), skipping the
-``page_lsn`` test, and draining a page's queue out of LSN order.
+The engine's redo also *parks* the records of a page a committed
+transaction deallocates later in the log, and applies them only when a
+barrier reads the page; the oracle parks nothing.  Five mutants of the
+page-ordered path must each be told from the oracle by some history, or
+the comparison proves nothing: queueing across a KEYCOPY (it reads the
+pages queued records write), skipping the ``page_lsn`` test, draining a
+page's queue out of LSN order, parking under a loser's DEALLOC too, and
+never catching up the sources of a stale KEYCOPY target.
 
 Histories free pages, hand their ids out again and have
 ``BufferPool.new_page`` drop the resident dead image unwritten.  Two
 more comparisons hold that rule to its argument: a crash state built by
 a pool that *writes* the dead image first (the reference, in this file)
 recovers to the same state, and a checkpoint that does not flush every
-frame before it logs its record — the one thing the argument leans on —
-is told apart by a history that then drops across it.
+frame before it logs its record is told apart by a history that changes
+a page behind it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from repro import engine as engine_module
 from repro.concurrency.syncpoints import CrashPoint
 from repro.errors import PageFullError
 from repro.storage.buffer import _NEVER_STORED, BufferPool
-from repro.wal import recovery
+from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
+from repro.wal import apply, recovery
 from repro.wal.apply import SINGLE_PAGE_REDO, redo_record
 from repro.wal.records import LogRecord, RecordType
 from repro.wal.recovery import RecoveryManager
@@ -75,6 +80,9 @@ STEP = st.one_of(
     st.tuples(st.just("flush"), st.integers(0, 2**16), st.floats(0.0, 1.0)),
     st.tuples(st.just("rebuild"), st.sampled_from([1, 2, 4]), BETWEEN),
     st.tuples(st.just("checkpoint")),
+    # Crash with the whole log durable and recover: the next run's txn
+    # ids start again at 1, under ids this run committed.
+    st.tuples(st.just("restart")),
 )
 LAST = st.one_of(
     st.tuples(st.just("nothing")),
@@ -88,6 +96,10 @@ LAST = st.one_of(
         BETWEEN,
     ),
     st.tuples(st.just("crashing_split"), KEYS),
+    # A pass whose first force of new pages the device acknowledges and
+    # loses, the machine stopping once that transaction has committed:
+    # its targets come back stale.
+    st.tuples(st.just("losing_rebuild"), st.sampled_from([1, 2, 4]), BETWEEN),
 )
 
 
@@ -101,12 +113,17 @@ def histories(draw):
 
 
 class Replay:
-    """Drives one engine through a history, up to and including the crash."""
+    """Drives one engine through a history, up to and including the crash.
+    A history may name a page size after its four fields (default 2 KB):
+    512-byte pages make the three-level index that 400 keys on 2 KB pages
+    never do."""
 
     def __init__(self, history) -> None:
-        loaded, steps, last, tail_share = history
+        loaded, steps, last, tail_share = history[:4]
+        page_size = history[4] if len(history) > 4 else 2048
         self.engine = Engine(
-            page_size=2048, io_size=16384, buffer_capacity=512
+            page_size=page_size, io_size=16384, buffer_capacity=512,
+            fault_plan=FaultPlan() if last[0] == "losing_rebuild" else None,
         )
         self.tree = self.engine.create_index(key_len=4)
         self.present: set[int] = set()
@@ -121,6 +138,9 @@ class Replay:
             pass
         self.flush_log_tail(tail_share)
         self.engine.crash()
+        disarm = getattr(self.engine.ctx.disk, "disarm", None)
+        if disarm is not None:
+            disarm()  # the machine restarts on a disk that behaves
 
     def row_op(self, op, txn=None) -> None:
         kind, k = op[0], op[1]
@@ -161,14 +181,26 @@ class Replay:
             self.rebuild(step[1], step[2])
         elif kind == "checkpoint":
             self.engine.checkpoint()
+        elif kind == "restart":
+            self.engine.log.flush_all()
+            self.engine.crash()
+            self.engine.recover()
+            self.tree = self.engine.index(1)
         else:
             self.row_op(step)
 
-    def rebuild(self, ntasize: int, between, crash_at_nta: int = 0) -> None:
+    def rebuild(
+        self, ntasize: int, between, crash_at_nta: int = 0,
+        crash_at_commit: int = 0,
+    ) -> None:
         pending = list(between)
         fired = [0]
+        commits = [0]
 
         def traffic(_ctx) -> None:
+            commits[0] += 1
+            if commits[0] == crash_at_commit:
+                raise CrashPoint("rebuild.txn_committed")
             if pending:
                 self.row_op(pending.pop(0))
 
@@ -197,6 +229,28 @@ class Replay:
                 self.row_op(op, txn)
         elif kind == "crashing_rebuild":
             self.rebuild(last[1], last[3], crash_at_nta=last[2])
+        elif kind == "losing_rebuild":
+            # Armed by the pass's first force, so that the write lost is
+            # that force whatever the pool wrote before it; the machine
+            # stops once that transaction has committed.
+            buffer, disk = self.engine.ctx.buffer, self.engine.ctx.disk
+            flush_pages = buffer.flush_pages
+
+            def losing(page_ids) -> None:
+                buffer.flush_pages = flush_pages
+                disk.plan.at(
+                    FaultSpec(
+                        op="write_many", nth=disk.calls["write_many"] + 1,
+                        kind=FaultKind.LOST,
+                    )
+                )
+                flush_pages(page_ids)
+
+            buffer.flush_pages = losing
+            try:
+                self.rebuild(last[1], last[2], crash_at_commit=1)
+            finally:
+                del buffer.flush_pages
         elif kind == "crashing_split":
 
             def crash(_ctx) -> None:
@@ -300,10 +354,50 @@ def _queue_mutant(skip_lsn_test: bool = False, backwards: bool = False):
     return mock.patch.object(recovery, "redo_page_queue", redo_page_queue)
 
 
+class ParksForLosers(RecoveryManager):
+    """Mutant: every DEALLOC past the checkpoint parks the records of its
+    pages, its transaction committed or not."""
+
+    def _analysis(self, report):
+        work = super()._analysis(report)
+        for lsn, rtype, _page_id, data in work:
+            if rtype == RecordType.DEALLOC:
+                rec = self._deallocs.setdefault(lsn, LogRecord.decode(data))
+                self._dead.update(dict.fromkeys(rec.page_ids, lsn))
+        return work
+
+
+def _sources_never_caught_up():
+    """Mutant: KEYCOPY redo catches its targets up (its first call of the
+    hook) and never the sources of a stale one (its second)."""
+    redo_keycopy = apply._redo_keycopy
+
+    def mutant(rec, ctx):
+        catch_up = ctx.catch_up
+        calls = []
+
+        def targets_only(page_ids):
+            calls.append(page_ids)
+            if len(calls) == 1:
+                catch_up(page_ids)
+
+        ctx.catch_up = targets_only
+        try:
+            redo_keycopy(rec, ctx)
+        finally:
+            ctx.catch_up = catch_up
+
+    return mock.patch.object(apply, "_redo_keycopy", mutant)
+
+
 MUTANTS = {
     "queues-across-keycopy": lambda: mock.patch.object(
         engine_module, "RecoveryManager", QueuesAcrossKeycopy
     ),
+    "parks-for-a-loser": lambda: mock.patch.object(
+        engine_module, "RecoveryManager", ParksForLosers
+    ),
+    "never-catches-sources-up": _sources_never_caught_up,
     "skips-the-page-lsn-test": lambda: _queue_mutant(skip_lsn_test=True),
     "drains-a-page-out-of-lsn-order": lambda: _queue_mutant(backwards=True),
 }
@@ -360,6 +454,18 @@ def by_the_oracle(history):
 
 
 KILLERS = {
+    # Three levels (512-byte pages): the pass's 13th top action empties a
+    # level-1 page and deallocates it directly (§5.3.1).  The log reaches
+    # disk up to that DEALLOC and not the NTA_END, so restart undo brings
+    # the page back; the changes committed top actions made to it are in
+    # the log only, and parked under the loser's DEALLOC they are lost.
+    "parks-for-a-loser": (200, [], ("crashing_rebuild", 4, 13, []), 0.75, 512),
+    # The pass's first force is lost, its transaction commits: KEYCOPY
+    # redo finds the targets stale and copies from sources that lack the
+    # insert logged after the checkpoint.
+    "never-catches-sources-up": (
+        100, [("insert", 1)], ("losing_rebuild", 1, []), 1.0,
+    ),
     # Sparse leaves, so top actions copy into the previous page and log
     # no ALLOCRUN: the last barrier before a KEYCOPY is then the previous
     # top action's DEALLOC, and a delete that ran between two rebuild
@@ -386,8 +492,17 @@ KILLERS = {
     ),
 }
 """One history per mutant that tells it from the oracle.  Each is a value
-``histories()`` can draw, and each is an explicit example of the
-comparison below."""
+``histories()`` can draw — but for its page size, in the one that needs
+three levels — and each is an explicit example of the comparison
+below."""
+
+
+AFTER_A_RESTART = (200, [("restart",)], ("crashing_rebuild", 4, 13, []), 0.75, 512)
+"""The ``parks-for-a-loser`` killer one crash and recovery on.  Txn ids
+start again at 1 after the restart, so the pass's loser transaction
+reuses the id of an insert the first run committed before the
+recovery's checkpoint: whether a DEALLOC committed is decided by what
+follows it in the log, not by its id."""
 
 
 RECYCLED_LEAF = (
@@ -495,6 +610,9 @@ def test_the_recycling_histories_drop_what_they_say():
 @example(history=KILLERS["queues-across-keycopy"])
 @example(history=KILLERS["skips-the-page-lsn-test"])
 @example(history=KILLERS["drains-a-page-out-of-lsn-order"])
+@example(history=KILLERS["parks-for-a-loser"])
+@example(history=KILLERS["never-catches-sources-up"])
+@example(history=AFTER_A_RESTART)
 @settings(
     max_examples=60,
     deadline=None,
@@ -514,6 +632,27 @@ def test_the_comparison_kills_the_mutant(mutant):
     want = by_the_oracle(history)
     assert "error" not in want
     assert recovered(history, MUTANTS[mutant]()) != want
+
+
+def test_a_txn_id_committed_before_a_restart_parks_nothing_after_it():
+    replay = Replay(AFTER_A_RESTART)
+    durable = list(replay.engine.log.scan(durable_only=True))
+    restart = max(
+        r.lsn for r in durable if r.type is RecordType.CHECKPOINT
+    )
+    after = [r for r in durable if r.lsn > restart]
+    (loser,) = {r.txn_id for r in after if r.type is RecordType.DEALLOC} - {
+        r.txn_id for r in after if r.type is RecordType.TXN_COMMIT
+    }
+    assert any(
+        r.type is RecordType.TXN_COMMIT and r.txn_id == loser
+        and r.lsn < restart
+        for r in durable
+    )
+    want = by_the_oracle(AFTER_A_RESTART)
+    assert "error" not in want
+    assert recovered(AFTER_A_RESTART) == want
+    assert recovered(AFTER_A_RESTART, MUTANTS["parks-for-a-loser"]()) != want
 
 
 # ---------------------------------------------------------- dead images
@@ -576,17 +715,28 @@ DROPS_ACROSS_A_CHECKPOINT = (
     100,
     # Rows appended to the last leaf, a checkpoint, and one of them
     # deleted again behind it: replayed onto an image without the rows
-    # the delete's position is past the end of the page.
+    # the delete's position is past the end of the page.  The leaf stays
+    # live.
     [("insert", k) for k in (301, 303, 305)]
-    + [("checkpoint",), ("delete", 305)]
+    + [("checkpoint",), ("delete", 305)],
+    ("nothing",),
+    1.0,
+)
+"""Redo starts at the checkpoint: it is sound only because the checkpoint
+had stored everything logged before it."""
+
+FREED_ACROSS_A_CHECKPOINT = (
+    100,
+    DROPS_ACROSS_A_CHECKPOINT[1]
     + [("rebuild", 4, [])]
     + [("insert", k) for k in range(1, 300, 2)],
     ("nothing",),
     1.0,
 )
-"""The leaf with the pending changes is freed by the pass and its id
-handed out again: the drop is sound only because the checkpoint had
-stored everything logged before it."""
+"""The same, and then a pass frees the leaf and its id is handed out
+again, its dead image dropped.  The pass committed, so redo parks the
+delete and nothing reads the leaf: the rows the checkpoint left unwritten
+are never missed."""
 
 
 def test_dropping_across_a_checkpoint_that_did_not_flush_is_told():
@@ -595,7 +745,15 @@ def test_dropping_across_a_checkpoint_that_did_not_flush_is_told():
     assert "error" not in want and recovered(history) == want
     mutant = checkpoint_that_does_not_flush
     assert recovered(history, building=mutant()) != want
-    # With the dead image written instead of dropped, the page the delete
-    # is replayed onto is whole again: the mutant passes for sound.
+    # Writing dead images instead of dropping them does not help a live
+    # page the checkpoint left unwritten.
+    with writing_dead_images():
+        assert recovered(history, building=mutant()) != want
+    # Where the delete lands on a leaf a committed pass freed, the mutant
+    # goes unseen, dropped image or written: redo never reads the leaf.
+    history = FREED_ACROSS_A_CHECKPOINT
+    want = by_the_oracle(history)
+    assert "error" not in want and recovered(history) == want
+    assert recovered(history, building=mutant()) == want
     with writing_dead_images():
         assert recovered(history, building=mutant()) == want

@@ -22,7 +22,6 @@ from repro.core.offline import OfflineReport, offline_rebuild
 from repro.core.rebuild import OnlineRebuild, RebuildReport
 from repro.core.supervisor import (
     RebuildSupervisor,
-    SupervisorConfig,
     SupervisorReport,
 )
 from repro.engine import Engine
@@ -43,7 +42,6 @@ __all__ = [
     "RebuildReport",
     "RebuildSupervisor",
     "ReproError",
-    "SupervisorConfig",
     "SupervisorReport",
     "Timer",
     "analyze_index",

@@ -13,7 +13,6 @@ from repro.core.scrubber import (
 from repro.core.supervisor import (
     Pacer,
     RebuildSupervisor,
-    SupervisorConfig,
     SupervisorReport,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "ScrubDefect",
     "ScrubReport",
     "Scrubber",
-    "SupervisorConfig",
     "SupervisorReport",
     "offline_rebuild",
     "table_lock_resource",

@@ -290,8 +290,8 @@ class OnlineRebuild:
         self._epoch = ctx.log.next_lsn
         # One durable REBUILD_PROGRESS record per committed batch (it rides
         # the commit's flush) lets recovery resume this run instead of
-        # restarting it; a range-restricted run is a repair, not a rebuild
-        # to resume, and logs none.
+        # restarting it; a range-restricted run (§7) is not one to resume,
+        # and logs none.
         self._progress_enabled = start_key is None and end_key is None
         ctx.progress.rebuild_started(tree.index_id, self._epoch)
         run_span = ctx.tracer.begin(
@@ -360,9 +360,8 @@ class OnlineRebuild:
             txn_new_pages: list[int] = []
             # Old PP pages that absorbed seam rows this transaction: they
             # are keycopy *targets*, so the §3 force must cover them too —
-            # a stale target makes redo re-read the source pages, which a
-            # repair rebuild may have been launched precisely because they
-            # are unreadable on disk.
+            # a stale target makes redo re-read the source pages, which
+            # the commit frees.
             txn_force_pages: set[int] = set()
             # What write-behind was handed in its final state; the barrier
             # carries the rest.

@@ -34,13 +34,18 @@ On a confirmed defect the scrubber escalates through a repair ladder:
    (``ALLOC``/``ALLOCRUN``) and every later record touching it is
    single-page redo, the page is reconstructed in place under an X latch
    via the recovery machinery and re-flushed;
-3. **quarantine + targeted rebuild** — otherwise the damaged key range
-   is fenced in the engine's :class:`~repro.quarantine.QuarantineMap`
-   (reads/writes fail fast with ``QuarantinedRangeError``) and a
-   range-scoped online rebuild of just that segment is dispatched
-   through :class:`~repro.core.supervisor.RebuildSupervisor`;
-   the quarantine lifts when the repair commits, and *stands* (bounded
-   degradation) if even the rebuild cannot read the data back.
+3. **quarantine + write-back** — otherwise the damaged key range is
+   fenced in the engine's :class:`~repro.quarantine.QuarantineMap`
+   (reads/writes fail fast with ``QuarantinedRangeError``), durably,
+   before anything else is tried.  If the page still has a resident
+   frame — the good copy the rot was hiding behind — the frame is
+   marked dirty under an X latch, forced after the latch is released,
+   and the stored image re-read and verified; the fence lifts only once
+   that verdict is clean.  With no resident frame, or a write-back that
+   does not reach the device, the fence *stands* (bounded degradation).
+   The write-back logs nothing and copies nothing out of the rotted
+   slot, so recovery never needs that slot to be readable, and nothing
+   in it is specific to leaves.
 
 The walk is paced by the :class:`~repro.core.supervisor.Pacer` it is
 given: between parent batches it steps the pacer and sleeps its delay,
@@ -60,7 +65,7 @@ from repro.btree.traversal import AccessMode, Level1, Traversal
 from repro.btree.verify import leaf_local_problems
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.syncpoints import CrashPoint
-from repro.core.supervisor import Pacer, RebuildSupervisor, SupervisorConfig
+from repro.core.supervisor import Pacer
 from repro.errors import (
     ChecksumError,
     RebuildError,
@@ -118,9 +123,9 @@ class ScrubDefect:
     """High separator (``b""`` = unbounded above)."""
     action: str = "reported"
     """``replayed`` / ``flushed`` (ladder 2), ``repaired`` (ladder 3
-    rebuild committed, quarantine lifted), ``quarantine-stands`` (ladder
-    3 repair failed; the fence remains), ``unrepaired`` (already
-    dispatched this pass), or ``reported`` (repair disabled, or
+    write-back verified, quarantine lifted), ``quarantine-stands`` (ladder
+    3 had no good copy to write back; the fence remains), ``unrepaired``
+    (already handled this pass), or ``reported`` (repair disabled, or
     structural defect — never auto-repaired)."""
     error: str = ""
 
@@ -151,24 +156,20 @@ class Scrubber:
 
     One scrubber serves one tree; ``run_pass`` drives a single full walk
     synchronously, :meth:`start` / :meth:`stop` run passes on a
-    background thread.  Repairs are dispatched inline from the scrub
-    thread (the targeted rebuild brings its own supervision).
+    background thread.  Repairs run inline on the scrub thread.
     """
 
     def __init__(
         self,
         tree,
         config: ScrubConfig | None = None,
-        supervisor_policy: SupervisorConfig | None = None,
         pacer: Pacer | None = None,
     ) -> None:
         self.tree = tree
         self.ctx = tree.ctx
         self.config = config if config is not None else ScrubConfig()
-        self.supervisor_policy = supervisor_policy
         self.pacer = pacer if pacer is not None else Pacer()
-        """Steps between parent batches, and paces the repair rebuilds
-        the scrubber dispatches."""
+        """Steps between parent batches."""
         self.passes: list[ScrubReport] = []
         self.segment_epochs: dict[bytes, int] = {}
         """Low separator of each parent segment -> epoch of the last pass
@@ -550,7 +551,7 @@ class Scrubber:
                     "scrub.repair", page=page_id, action=defect.action
                 )
                 return "repaired"
-            return self._quarantine_and_rebuild(defect)
+            return self._quarantine_and_write_back(defect)
         finally:
             # The rung the ladder ended on (flushed / replayed / repaired
             # / quarantine-stands) is the span's verdict.
@@ -564,7 +565,7 @@ class Scrubber:
         a rollback's compensations included, since each is logged as the
         change it made to its page.  A ``KEYCOPY`` target (needs live
         source pages) would replay against *today's* sources, not
-        history's — bail to rung 3.  The birth record is redone as
+        history's — go on to rung 3.  The birth record is redone as
         recovery redoes it, and the page's single-page records go, as
         encoded, through crash recovery's page-queue kernel
         (:func:`~repro.wal.apply.redo_page_queue`).
@@ -599,8 +600,7 @@ class Scrubber:
                 return False
         if birth is None:
             return False
-        # Redo under the X latch; force after releasing it (no thread
-        # forces a page while it holds a latch).  The force is WAL-first.
+        # Redo under the X latch; force after releasing it.
         ctx.latches.acquire(page_id, LatchMode.X)
         try:
             resident = ctx.buffer.is_resident(page_id)
@@ -615,11 +615,7 @@ class Scrubber:
             return False
         finally:
             ctx.latches.release(page_id)
-        try:
-            ctx.buffer.flush_page(page_id)
-        except StorageError:
-            return False
-        if not ctx.disk.exists(page_id):
+        if self._force(page_id):
             return False
         # A resident frame gated every redo to a no-op and the repair was
         # really a re-flush of newer truth; count the two distinctly.
@@ -631,8 +627,10 @@ class Scrubber:
             ctx.counters.add("scrub_repairs_replay")
         return True
 
-    def _quarantine_and_rebuild(self, defect: ScrubDefect) -> str:
-        """Ladder rung 3: fence the damaged range, rebuild just it."""
+    def _quarantine_and_write_back(self, defect: ScrubDefect) -> str:
+        """Ladder rung 3: fence the damaged range, then store the
+        resident frame again and lift the fence once the device holds
+        it.  Without a good copy to write, the fence stands."""
         ctx, tree = self.ctx, self.tree
         qrange = ctx.quarantine.covering(tree.index_id, defect.start_sep)
         if qrange is None:
@@ -649,22 +647,12 @@ class Scrubber:
         # else: already fenced (an earlier pass, or recovery re-fenced
         # it) — reuse the standing range rather than stacking a
         # duplicate, but still attempt the repair again.
-        defect.action = "quarantined"
-        start_key, end_key = repair_key_bounds(
-            tree.key_len, defect.start_sep, defect.end_sep
-        )
-        supervisor = RebuildSupervisor(
-            tree, policy=self.supervisor_policy, pacer=self.pacer
-        )
-        try:
-            supervisor.run(start_key=start_key, end_key=end_key)
-        except CrashPoint:
-            raise
-        except (RebuildError, StorageError) as exc:
-            # The data truly cannot be read back: the fence stands and
-            # the rest of the index keeps serving (bounded degradation).
+        error = self._write_back(defect.page_id)
+        if error:
+            # No good copy reached the device: the fence stands and the
+            # rest of the index keeps serving (bounded degradation).
             defect.action = "quarantine-stands"
-            defect.error = f"{type(exc).__name__}: {exc}"
+            defect.error = error
             return "defect"
         ctx.quarantine.lift(qrange)
         defect.action = "repaired"
@@ -673,6 +661,41 @@ class Scrubber:
             "scrub.lift", page=defect.page_id, start=defect.start_sep
         )
         return "repaired"
+
+    def _write_back(self, page_id: int) -> str:
+        """Store the resident frame of ``page_id`` over its rotted slot;
+        returns why the stored image is still not good, or ``""``.  The
+        frame is marked dirty under an X latch, once the page is known to
+        be still an allocated page of this index, and forced after."""
+        ctx = self.ctx
+        if not ctx.buffer.is_resident(page_id):
+            return f"page {page_id}: no resident frame to write back"
+        try:
+            # Evicted since the check, the fetch reads the rot and raises.
+            page = ctx.get_latched(page_id, LatchMode.X, scan=True)
+        except StorageError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        ours = (
+            ctx.page_manager.state(page_id) is PageState.ALLOCATED
+            and page.index_id == self.tree.index_id
+        )
+        ctx.release_page(page_id, dirty=ours)
+        if not ours:
+            return f"page {page_id} left index {self.tree.index_id}"
+        return self._force(page_id)
+
+    def _force(self, page_id: int) -> str:
+        """Force ``page_id`` (WAL-first, with no latch held: no thread
+        forces a page while it holds one) and re-read its stored image;
+        returns why it does not verify, or ``""``.  The re-read decides,
+        not the write's return: a device can drop a write."""
+        try:
+            self.ctx.buffer.flush_page(page_id)
+        except StorageError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        if not self.ctx.disk.exists(page_id):  # the CRC verdict, as a probe
+            return f"page {page_id}: the write did not reach the device"
+        return ""
 
     # -------------------------------------------------------------- pacing
 
@@ -695,39 +718,3 @@ class Scrubber:
     def _scrub_root_leaf(self, report: ScrubReport, handled: set[int]) -> None:
         """Scrub a single-leaf tree (the root is the only page)."""
         self._scrub_one(report, handled, self.tree.root_page_id, b"", b"")
-
-
-def repair_key_bounds(
-    key_len: int, start_sep: bytes, end_sep: bytes
-) -> tuple[bytes | None, bytes | None]:
-    """Convert a separator interval ``[start_sep, end_sep)`` into the
-    ``(start_key, end_key)`` arguments of a range-scoped rebuild.
-
-    The scrubber quarantines a damaged child by the separator bounds its
-    latched parent snapshot assigns to it; this translates those
-    *unit-space prefixes* (separators are suffix-compressed) into the
-    inclusive full-length key bounds ``OnlineRebuild.run`` /
-    ``RebuildSupervisor.run`` accept, such that the rebuilt leaves cover
-    every unit in the quarantined interval:
-
-    * ``start_key`` — ``start_sep`` zero-padded: its search floor is the
-      smallest unit at/above the separator, so the start probe lands on
-      the damaged leaf itself.  An empty separator (first child) means
-      "from the beginning" → None.
-    * ``end_key`` — ``end_sep`` zero-padded minus one: its search ceiling
-      is the largest unit strictly below the separator.  An empty
-      separator (last child, parent bound unknown) means "to the end" →
-      None.
-    """
-    start_key: bytes | None = None
-    if start_sep:
-        start_key = start_sep[:key_len].ljust(key_len, b"\x00")
-    end_key: bytes | None = None
-    if end_sep:
-        padded = end_sep[:key_len].ljust(key_len, b"\x00")
-        as_int = int.from_bytes(padded, "big")
-        if as_int > 0:
-            end_key = (as_int - 1).to_bytes(key_len, "big")
-        # An all-zero end separator bounds an empty interval; leave the
-        # rebuild unbounded rather than underflow (harmlessly wider).
-    return start_key, end_key

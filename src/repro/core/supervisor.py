@@ -7,8 +7,8 @@ records make that progress survive a crash — but someone still has to
 
 * **Retry with capped exponential backoff.**  A
   :class:`~repro.errors.RebuildAbortedError` (injected fault, lock storm,
-  writer failure) is retried up to ``max_attempts`` times, sleeping
-  ``retry_backoff * 2**attempt`` capped at ``RETRY_BACKOFF_CAP`` — the
+  writer failure) is retried up to ``MAX_ATTEMPTS`` times, sleeping
+  ``RETRY_BACKOFF * 2**attempt`` capped at ``RETRY_BACKOFF_CAP`` — the
   same policy shape as :meth:`BufferPool.retrying`, one layer up.  Each
   retry *resumes* from the failed run's ``resume_unit`` (the §4.1.3
   guarantee makes that sound: completed top actions were flushed and
@@ -28,6 +28,10 @@ records make that progress survive a crash — but someone still has to
   since the previous step.  Pressure widens the rebuild's top-action
   sleep (shedding I/O and lock traffic) instead of aborting; calm decays
   it back.  With no supervisor, none of this machinery runs.
+
+A supervised run is always a whole-index pass (a resumed one continues
+one).  The integrity scrubber shares only the :class:`Pacer`: it repairs
+a rotted page by writing back its resident frame, not by a rebuild.
 
 Syncpoints ``rebuild.supervisor.retry`` / ``resume`` / ``gave_up`` /
 ``watchdog`` / ``throttle`` / ``monitor_error`` and the matching counters
@@ -54,6 +58,8 @@ WATCHDOG_TIMEOUT = 60.0
 """Seconds without a completed top action before the watchdog fails a
 running rebuild."""
 WATCHDOG_POLL = 0.25  # seconds between monitor sweeps
+MAX_ATTEMPTS = 5  # total attempts (first run + retries) before giving up
+RETRY_BACKOFF = 0.05  # first retry sleep, seconds, doubled per failure
 RETRY_BACKOFF_CAP = 2.0  # upper bound on one retry sleep, seconds
 STORM_RETRIES = 8  # io_retries growth per sweep that counts as a storm
 PACER_STEP = 0.002  # seconds a pacer widens by under pressure, decays by calm
@@ -94,26 +100,6 @@ class Pacer:
         return self.delay > before
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Policy knobs of one :class:`RebuildSupervisor`."""
-
-    max_attempts: int = 5
-    """Total rebuild attempts (first run + retries) before giving up."""
-    retry_backoff: float = 0.05
-    """Base retry sleep in seconds, doubled per failed attempt."""
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise RebuildError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.retry_backoff < 0:
-            raise RebuildError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
-
-
 @dataclass
 class SupervisorReport:
     """What one supervised rebuild lifecycle did."""
@@ -147,13 +133,11 @@ class RebuildSupervisor:
         self,
         tree: BTree,
         config: RebuildConfig | None = None,
-        policy: SupervisorConfig | None = None,
         pacer: Pacer | None = None,
     ) -> None:
         self.tree = tree
         self.ctx = tree.ctx
         self.config = config if config is not None else RebuildConfig()
-        self.policy = policy if policy is not None else SupervisorConfig()
         self.pacer = pacer if pacer is not None else Pacer()
         self.rebuild: OnlineRebuild | None = None
         """The attempt currently running."""
@@ -161,33 +145,23 @@ class RebuildSupervisor:
     # -------------------------------------------------------------- lifecycle
 
     def run(
-        self,
-        resume_checkpoint: RebuildCheckpoint | None = None,
-        start_key: bytes | None = None,
-        end_key: bytes | None = None,
+        self, resume_checkpoint: RebuildCheckpoint | None = None
     ) -> SupervisorReport:
         """Drive the rebuild to completion, retrying as needed.
         ``resume_checkpoint`` (from :meth:`Engine.recover`) resumes an
         interrupted rebuild's durable progress; later attempts resume
         from whatever the failed attempt itself reported.
 
-        ``start_key`` / ``end_key`` scope every attempt to one key range —
-        the integrity scrubber's *targeted repair* dispatch (a quarantined
-        segment is rebuilt through here, with the same retry/watchdog/
-        throttle machinery as a full rebuild).  Retries keep the end bound
-        and resume strictly after the failed attempt's progress, so a
-        range repair never repays completed top actions either.
-
-        Raises the last attempt's error after ``max_attempts`` failures
+        Raises the last attempt's error after ``MAX_ATTEMPTS`` failures
         (counter ``supervisor_gave_up``); re-raises a
         :class:`CrashPoint` immediately — a simulated power failure is
         not retryable by definition.
         """
-        ctx, policy = self.ctx, self.policy
+        ctx = self.ctx
         report = SupervisorReport()
         resume_after: bytes | None = None
         last_error: BaseException | None = None
-        for attempt in range(1, policy.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             report.attempts = attempt
             rebuild = self.rebuild = OnlineRebuild(self.tree, self.config)
             if resume_after is not None or (
@@ -207,11 +181,6 @@ class RebuildSupervisor:
             )
             try:
                 final = rebuild.run(
-                    # A resume supersedes the start bound (the driver
-                    # restarts strictly after the durable progress); the
-                    # end bound caps every attempt of a range repair.
-                    start_key=start_key if resume_after is None else None,
-                    end_key=end_key,
                     resume_after=resume_after,
                     resume_checkpoint=(
                         resume_checkpoint if attempt == 1 else None
@@ -235,7 +204,7 @@ class RebuildSupervisor:
                 # attempt may resume strictly after them.
                 if failed.resume_unit is not None:
                     resume_after = failed.resume_unit
-            if attempt >= policy.max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 break
             report.retries += 1
             ctx.counters.add("supervisor_retries")
@@ -247,7 +216,7 @@ class RebuildSupervisor:
             with ctx.tracer.span("supervisor.retry_backoff", attempt=attempt):
                 time.sleep(
                     min(
-                        policy.retry_backoff * (1 << (attempt - 1)),
+                        RETRY_BACKOFF * (1 << (attempt - 1)),
                         RETRY_BACKOFF_CAP,
                     )
                 )

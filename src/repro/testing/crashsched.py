@@ -12,7 +12,7 @@ enumerated list and checks every entry:
    Every ``rebuild.*`` syncpoint firing becomes a crash schedule; every
    ``write_many`` issued during the rebuild phase becomes a family of
    injected-fault schedules (torn prefix, byte-torn page, lost write,
-   transient error).
+   transient error — :func:`_write_faults`).
 
 2. **Schedule runs.**  The same scenario — same seeds, same single
    thread, so the same call ordinals — replayed once per schedule with
@@ -22,6 +22,9 @@ enumerated list and checks every entry:
    survivors plus every OLTP op that completed before the crash (ops are
    applied at rebuild transaction boundaries and recorded only after they
    return, and commits flush the log, so each completed op is durable).
+   Last, once recovery and any follow-up rebuild are done, no page may be
+   left pinned, latched, address-locked or carrying a protocol bit
+   (:func:`~repro.testing.cleanup.left_behind`).
 
 The OLTP ops run from a ``rebuild.txn_committed`` hook on the rebuild
 thread itself — between rebuild transactions, when no rebuild locks are
@@ -44,14 +47,29 @@ from repro.concurrency.syncpoints import CrashPoint
 from repro.core import rebuild as rebuild_module
 from repro.core.config import RebuildConfig
 from repro.core.rebuild import OnlineRebuild
+from repro.core.scrubber import Scrubber
 from repro.core.supervisor import RebuildSupervisor
 from repro.engine import Engine
-from repro.errors import RebuildAbortedError
+from repro.errors import QuarantinedRangeError, RebuildAbortedError
 from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
+from repro.testing.cleanup import NOTHING_LEFT, left_behind
 
 
 def _key(i: int) -> bytes:
     return i.to_bytes(4, "big")
+
+
+def _fragmented_index(engine: Engine, key_count: int, seed: int):
+    """Insert ``key_count`` keys in ``seed``'s order, then delete every
+    even one; returns the index and its surviving keys."""
+    tree = engine.create_index(key_len=4)
+    order = list(range(key_count))
+    random.Random(seed).shuffle(order)
+    for k in order:
+        tree.insert(_key(k), k)
+    for k in range(0, key_count, 2):
+        tree.delete(_key(k), k)
+    return tree, set(range(1, key_count, 2))
 
 
 def _crash_points(
@@ -79,6 +97,57 @@ def _arm_crash(engine: Engine, schedule: "Schedule") -> None:
             raise CrashPoint(schedule.point)
 
     engine.syncpoints.on(schedule.point, boom)
+
+
+def _write_faults(
+    disk, calls_before: dict[str, int], ops=("write_many", "write")
+) -> list["Schedule"]:
+    """The injected-fault families of every call of ``ops`` that ``disk``
+    (a :class:`~repro.storage.faults.FaultyDisk`) made since its call
+    counts were ``calls_before``: a torn prefix at each cut and one
+    byte-torn page mid-image, each a crash; a lost (lying) write, crashed
+    after; and a transient error the retry layer must absorb."""
+    sizes = {
+        "write_many": disk.write_many_sizes[calls_before["write_many"]:],
+        "write": [1] * (disk.calls["write"] - calls_before["write"]),
+    }
+    schedules: list[Schedule] = []
+    for op in ops:
+        for i, size in enumerate(sizes[op]):
+            fault = functools.partial(
+                Schedule, kind="fault", op=op, nth=calls_before[op] + i + 1
+            )
+            cuts = sorted({0, size // 2, size - 1}) if size > 1 else [0]
+            schedules.extend(
+                fault(fault=FaultKind.TORN, pages_persisted=keep)
+                for keep in cuts
+            )
+            schedules.append(
+                fault(
+                    fault=FaultKind.TORN, pages_persisted=size // 2,
+                    torn_byte=disk.page_size // 3,
+                )
+            )
+            schedules.append(fault(fault=FaultKind.LOST))
+            schedules.append(fault(fault=FaultKind.TRANSIENT, crash=False))
+    return schedules
+
+
+def _armed_plan(seed: int, schedule: "Schedule") -> FaultPlan:
+    """A fault plan with ``schedule``'s fault armed, if it has one."""
+    plan = FaultPlan(seed=seed)
+    if schedule.kind == "fault":
+        plan.at(
+            FaultSpec(
+                op=schedule.op,
+                nth=schedule.nth,
+                kind=schedule.fault,
+                pages_persisted=schedule.pages_persisted,
+                torn_byte=schedule.torn_byte,
+                crash=schedule.crash,
+            )
+        )
+    return plan
 
 
 @dataclass(frozen=True)
@@ -133,23 +202,67 @@ class ScheduleOutcome:
         return self.error is None and self.verified and self.keyset_ok
 
 
-@dataclass
-class SweepReport:
-    """Aggregate of a sweep — the EXPERIMENTS.md E9 numbers."""
+def _tally(attr: str) -> property:
+    """A report property: ``attr`` summed over the report's outcomes."""
+    return property(
+        lambda self: sum(int(getattr(o, attr)) for o in self.outcomes)
+    )
 
-    schedules_run: int = 0
-    crashes_simulated: int = 0
-    recoveries_clean: int = 0
-    retries_taken: int = 0
-    resumes_taken: int = 0
-    """Schedules whose follow-up rebuild restarted from a durable
-    ``REBUILD_PROGRESS`` checkpoint (resume mode only)."""
-    failures: list[str] = field(default_factory=list)
-    outcomes: list[ScheduleOutcome] = field(default_factory=list)
+
+@dataclass
+class _Report:
+    """The outcomes of a sweep's schedules, in run order, and their
+    tallies."""
+
+    outcomes: list = field(default_factory=list)
+    crashes_simulated = _tally("crashed")
+
+    @property
+    def schedules_run(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def failures(self) -> list[str]:
+        return [
+            f"{o.schedule}: {o.error or 'not verified'}"
+            for o in self.outcomes
+            if not o.ok
+        ]
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+class SweepReport(_Report):
+    """Aggregate of a rebuild sweep — the EXPERIMENTS.md E9 numbers."""
+
+    recoveries_clean = _tally("ok")
+    retries_taken = _tally("retries")
+    resumes_taken = _tally("resumed")
+    """Schedules whose follow-up rebuild restarted from a durable
+    ``REBUILD_PROGRESS`` checkpoint (resume mode only)."""
+
+
+class _Sweeper:
+    """``run_sweep`` over a harness's ``enumerate_schedules`` and
+    ``run_schedule``; ``Report`` is the harness's report type."""
+
+    Report = SweepReport
+
+    def run_sweep(
+        self,
+        schedules: list[Schedule] | None = None,
+        stride: int = 1,
+        limit: int | None = None,
+    ) -> _Report:
+        """Run (a stride-sample of) the enumerated schedules."""
+        if schedules is None:
+            schedules = self.enumerate_schedules()
+        report = self.Report()
+        for schedule in schedules[::stride][:limit]:
+            report.outcomes.append(self.run_schedule(schedule))
+        return report
 
 
 def _io_mode_pinned(method):  # noqa: ANN001, ANN202
@@ -168,24 +281,23 @@ def _io_mode_pinned(method):  # noqa: ANN001, ANN202
     return pinned
 
 
-class CrashScheduleHarness:
+class CrashScheduleHarness(_Sweeper):
     """Build → fragment → rebuild-under-OLTP, crashed everywhere in turn.
 
     ``key_count`` sizes the index (2000 keys ≈ 14 half-empty leaves with
-    2 KB pages, enough for several rebuild transactions at the default
-    ``ntasize=4`` / ``xactsize=8``).  All randomness derives from
-    ``seed``, so schedule runs replay the enumeration run exactly.
+    2 KB pages, enough for several rebuild transactions at ``ntasize=4`` /
+    ``xactsize=8``).  All randomness derives from ``seed``, so schedule
+    runs replay the enumeration run exactly.  Between rebuild
+    transactions two OLTP ops run; the physical I/O size is 8 KB, over
+    the page size, so the large-I/O ``read_run`` path (§6.3) is swept
+    alongside single-page reads.
     """
 
     def __init__(
         self,
         key_count: int = 2000,
         seed: int = 11,
-        ntasize: int = 4,
-        xactsize: int = 8,
-        oltp_ops_per_boundary: int = 2,
         buffer_capacity: int = 2048,
-        io_size: int = 8192,
         finish_after_recovery: bool = False,
         resume_after_recovery: bool = False,
         pipelined: bool = False,
@@ -194,13 +306,7 @@ class CrashScheduleHarness:
     ) -> None:
         self.key_count = key_count
         self.seed = seed
-        self.ntasize = ntasize
-        self.xactsize = xactsize
-        self.oltp_ops_per_boundary = oltp_ops_per_boundary
         self.buffer_capacity = buffer_capacity
-        self.io_size = io_size
-        """Physical I/O size: > page_size exercises the large-I/O read_run
-        path (§6.3) alongside single-page reads."""
         self.finish_after_recovery = finish_after_recovery
         """Also re-run the rebuild to completion after each recovery and
         re-verify — proves restartability on every schedule (slower)."""
@@ -239,11 +345,7 @@ class CrashScheduleHarness:
     # ------------------------------------------------------------- scenario
 
     def _config(self) -> RebuildConfig:
-        return RebuildConfig(
-            ntasize=self.ntasize,
-            xactsize=self.xactsize,
-            fillfactor=self.fillfactor,
-        )
+        return RebuildConfig(ntasize=4, xactsize=8, fillfactor=self.fillfactor)
 
     def _build(self, plan: FaultPlan):
         """Fresh engine + index, filled and fragmented; returns
@@ -251,23 +353,16 @@ class CrashScheduleHarness:
         engine = Engine(
             buffer_capacity=self.buffer_capacity,
             lock_timeout=15.0,
-            io_size=self.io_size,
+            io_size=8192,
             fault_plan=plan,
             # The one retry budget (the pool's): an armed transient fault
             # must be ridden out, never turned into an abort.
             io_retry_limit=20,
         )
-        tree = engine.create_index(key_len=4)
-        order = list(range(self.key_count))
-        random.Random(self.seed).shuffle(order)
-        for k in order:
-            tree.insert(_key(k), k)
-        for k in range(0, self.key_count, 2):
-            tree.delete(_key(k), k)
+        tree, expected = _fragmented_index(engine, self.key_count, self.seed)
         # Cold-start the rebuild: with everything evicted, the copy phase
         # reads source leaves from disk, so read/read_run fault sites exist.
         engine.ctx.buffer.evict_all()
-        expected = set(range(1, self.key_count, 2))
         for warm in range(self.warm_passes):
             self._touch_leaves(tree, expected, warm)
             OnlineRebuild(tree, self._config()).run()
@@ -297,7 +392,7 @@ class CrashScheduleHarness:
         applied: list[tuple[str, int]] = []
 
         def ops(_ctx: dict) -> None:
-            for _ in range(self.oltp_ops_per_boundary):
+            for _ in range(2):
                 if rng.random() < 0.5 or not deletable:
                     k = fresh["next"]
                     fresh["next"] += 1
@@ -325,63 +420,28 @@ class CrashScheduleHarness:
         self._attach_oltp(engine, tree, expected)
         faulty = engine.ctx.disk  # the FaultyDisk wrapper
         calls_before = dict(faulty.calls)
-        sizes_before = len(faulty.write_many_sizes)
         schedules = _crash_points(
             engine, "rebuild.", OnlineRebuild(tree, self._config()).run
         )
         if include_faults:
-            base = calls_before["write_many"]
-            sizes = faulty.write_many_sizes[sizes_before:]
-            page_size = engine.ctx.page_size
-            for i, size in enumerate(sizes):
-                nth = base + i + 1
-                cuts = sorted({0, size // 2, size - 1}) if size > 1 else [0]
-                for keep in cuts:
-                    schedules.append(
-                        Schedule(
-                            kind="fault", op="write_many", nth=nth,
-                            fault=FaultKind.TORN, pages_persisted=keep,
-                        )
-                    )
-                # One byte-torn page mid-image, one lying (lost) write.
-                schedules.append(
-                    Schedule(
-                        kind="fault", op="write_many", nth=nth,
-                        fault=FaultKind.TORN, pages_persisted=size // 2,
-                        torn_byte=page_size // 3,
-                    )
-                )
-                schedules.append(
-                    Schedule(
-                        kind="fault", op="write_many", nth=nth,
-                        fault=FaultKind.LOST,
-                    )
-                )
-                # Non-crash variant: a transient error the retry layer
-                # must absorb — the rebuild completes anyway.
-                schedules.append(
-                    Schedule(
-                        kind="fault", op="write_many", nth=nth,
-                        fault=FaultKind.TRANSIENT, crash=False,
-                    )
-                )
+            # Not the single-page writes of a small pool's evictions and
+            # write-behind: each overwrites a page in place, and a tear of
+            # one born before the last checkpoint (the root) loses the
+            # only image redo could start from — recover() raises.
+            schedules += _write_faults(
+                faulty, calls_before, ops=("write_many",)
+            )
             for op in ("read", "read_run"):
                 count = faulty.calls[op] - calls_before[op]
-                if count <= 0:
-                    continue
-                for nth in sorted(
-                    {
-                        calls_before[op] + 1,
-                        calls_before[op] + (count + 1) // 2,
-                        calls_before[op] + count,
-                    }
-                ):
-                    schedules.append(
-                        Schedule(
-                            kind="fault", op=op, nth=nth,
-                            fault=FaultKind.TRANSIENT, crash=False,
-                        )
+                schedules.extend(
+                    Schedule(
+                        kind="fault", op=op, nth=calls_before[op] + nth,
+                        fault=FaultKind.TRANSIENT, crash=False,
                     )
+                    for nth in (
+                        sorted({1, (count + 1) // 2, count}) if count else ()
+                    )
+                )
         return schedules
 
     # ------------------------------------------------------------- one run
@@ -390,20 +450,9 @@ class CrashScheduleHarness:
     def run_schedule(self, schedule: Schedule) -> ScheduleOutcome:
         """Replay the scenario with one crash/fault armed; verify recovery."""
         outcome = ScheduleOutcome(schedule=schedule.label())
-        plan = FaultPlan(seed=self.seed)
-        if schedule.kind == "fault":
-            plan.at(
-                FaultSpec(
-                    op=schedule.op,
-                    nth=schedule.nth,
-                    kind=schedule.fault,
-                    pages_persisted=schedule.pages_persisted,
-                    torn_byte=schedule.torn_byte,
-                    crash=schedule.crash
-                    and schedule.fault is not FaultKind.TRANSIENT,
-                )
-            )
-        engine, tree, expected = self._build(plan)
+        engine, tree, expected = self._build(
+            _armed_plan(self.seed, schedule)
+        )
         applied = self._attach_oltp(engine, tree, expected)
         if schedule.kind == "syncpoint":
             # Hooks run in registration order, so the OLTP hook's ops at
@@ -429,20 +478,15 @@ class CrashScheduleHarness:
         outcome.dead_images_dropped = (
             engine.counters.pool_dead_images_dropped - dropped_before
         )
-        if not outcome.crashed and getattr(
-            engine.ctx.disk, "crash_armed", False
-        ):
-            # A lost write's crash never fired (no disk call followed the
-            # lie).  Crash now: the lost pages must come back via redo.
-            outcome.crashed = True
+        # A lost write's crash never fired (no disk call followed the lie).
+        # Crash now: the lost pages must come back via redo.
+        outcome.crashed = outcome.crashed or engine.ctx.disk.crash_armed
 
         try:
             checkpoint = None
             if outcome.crashed:
                 engine.crash()
-                disarm = getattr(engine.ctx.disk, "disarm", None)
-                if disarm is not None:
-                    disarm()
+                engine.ctx.disk.disarm()
                 engine.recover()
                 checkpoint = engine.rebuild_checkpoint(1)
                 tree = engine.index(1)
@@ -458,23 +502,22 @@ class CrashScheduleHarness:
                     f"key set diverged: missing={missing} extra={extra} "
                     f"(|expected|={len(expected)}, |got|={len(got)})"
                 )
-            elif outcome.crashed and self.resume_after_recovery:
-                self._finish_resumed(outcome, engine, tree, checkpoint)
-                got = {
-                    int.from_bytes(k, "big") for k, _rid in tree.contents()
-                }
+            elif outcome.crashed and (
+                self.resume_after_recovery or self.finish_after_recovery
+            ):
+                if self.resume_after_recovery:
+                    self._finish_resumed(outcome, engine, tree, checkpoint)
+                else:
+                    OnlineRebuild(tree, self._config()).run()
+                    tree.verify()
+                got = {int.from_bytes(k, "big") for k, _ in tree.contents()}
                 if got != expected:
                     outcome.keyset_ok = False
-                    outcome.error = "key set diverged after resumed rebuild"
-            elif outcome.crashed and self.finish_after_recovery:
-                OnlineRebuild(tree, self._config()).run()
-                tree.verify()
-                got = {
-                    int.from_bytes(k, "big") for k, _rid in tree.contents()
-                }
-                if got != expected:
-                    outcome.keyset_ok = False
-                    outcome.error = "key set diverged after restarted rebuild"
+                    outcome.error = "key set diverged after the follow-up rebuild"
+            if outcome.error is None:
+                leftover = left_behind(engine)
+                if leftover != NOTHING_LEFT:
+                    outcome.error = f"left behind: {leftover}"
         except Exception as exc:  # noqa: BLE001 - report, don't propagate
             outcome.error = f"{type(exc).__name__}: {exc}"
         return outcome
@@ -511,34 +554,11 @@ class CrashScheduleHarness:
                 f"or below the durable progress floor {floor!r}"
             )
 
-    # ---------------------------------------------------------------- sweep
-
-    def run_sweep(
-        self,
-        schedules: list[Schedule] | None = None,
-        stride: int = 1,
-        limit: int | None = None,
-    ) -> SweepReport:
-        """Run (a stride-sample of) the enumerated schedules."""
-        if schedules is None:
-            schedules = self.enumerate_schedules()
-        report = SweepReport()
-        for schedule in schedules[::stride][:limit]:
-            outcome = self.run_schedule(schedule)
-            report.schedules_run += 1
-            report.crashes_simulated += int(outcome.crashed)
-            report.recoveries_clean += int(outcome.ok)
-            report.retries_taken += outcome.retries
-            report.resumes_taken += int(outcome.resumed)
-            report.outcomes.append(outcome)
-            if not outcome.ok:
-                report.failures.append(
-                    f"{outcome.schedule}: {outcome.error or 'not verified'}"
-                )
-        return report
-
 
 # ------------------------------------------------------------- scrub sweeps
+
+VICTIM_ORDINAL = 2  # which leaf, left to right, the scrub sweep rots
+ROT_BIT = 700  # the bit of its stored image it flips
 
 
 @dataclass
@@ -561,121 +581,97 @@ class ScrubScheduleOutcome:
         return self.error is None
 
 
-@dataclass
-class ScrubSweepReport:
-    """Aggregate of a scrub crash sweep — the EXPERIMENTS.md E10 numbers."""
+class ScrubSweepReport(_Report):
+    """Aggregate of a scrub crash sweep — the EXPERIMENTS.md E13 numbers."""
 
-    schedules_run: int = 0
-    crashes_simulated: int = 0
-    refences_seen: int = 0
-    heals: int = 0
-    quarantines_standing: int = 0
-    failures: list[str] = field(default_factory=list)
-    outcomes: list[ScrubScheduleOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    refences_seen = _tally("refenced")
+    heals = _tally("healed")
+    quarantines_standing = _tally("final_quarantined")
 
 
-class ScrubCrashHarness:
-    """Crash the scrubber's detect→quarantine→rebuild→lift ladder at every
-    ``scrub.*`` syncpoint and check recovery's quarantine story.
+class ScrubCrashHarness(_Sweeper):
+    """Crash the scrubber's detect → quarantine → write-back → lift ladder
+    at every ``scrub.*`` syncpoint and fault every write the pass makes,
+    then check recovery's quarantine story.
 
     Scenario: build and fragment an index, ``checkpoint(truncate=True)``
     (so WAL replay of the damage is off the table), plant silent rot in a
     committed leaf via :meth:`FaultyDisk.plant_rot` while its frame is
     still resident-clean, then run one scrub pass — which must detect the
-    rot, quarantine the range, repair it through a targeted rebuild (the
-    resident frame is the authoritative copy) and lift the fence.  Each
-    schedule replays this with a crash armed at the *n*-th firing of one
-    ``scrub.*`` syncpoint, then recovers and asserts:
+    rot, quarantine the range, write the resident frame (the
+    authoritative copy) back over the rotted slot and lift the fence.
+    Each schedule replays this with a crash armed at the *n*-th firing of
+    one ``scrub.*`` syncpoint, or with one of :func:`_write_faults`'s
+    faults armed on the pass's writes, then recovers and asserts:
 
-    * recovery is clean, and any quarantine it reconstructs came from a
+    * recovery returns, and any quarantine it reconstructs came from a
       durably-flushed ``QUARANTINE`` set (never invented, never kept
       after a durable lift — "correctly reconstructed or safely dropped");
     * no reader ever sees a raw :class:`ChecksumError`: every expected
       key either reads back or fails fast with
       :class:`QuarantinedRangeError` inside a standing fence;
-    * a follow-up scrub pass converges: either the range healed (crash
-      landed after the rebuild's forced copies) and every key is back
-      with the fence lifted, or the crash lost the only good copy (the
-      resident frame died with the power) and the range stays fenced —
-      bounded degradation, with every key *outside* it intact.
+    * a follow-up scrub pass converges: either the range healed (the
+      write-back reached the device before the crash) and every key is
+      back with the fence lifted, or the crash lost the only good copy
+      (the resident frame died with the power) and the range stays
+      fenced — bounded degradation, with every key *outside* it intact;
+    * nothing is left behind: no pin, latch, address lock or protocol
+      bit on any page (the rotted page behind a standing fence is
+      checked for latches and locks only).
     """
 
-    def __init__(
-        self,
-        key_count: int = 1200,
-        seed: int = 13,
-        buffer_capacity: int = 2048,
-        victim_ordinal: int = 2,
-        rot_bit: int = 700,
-    ) -> None:
+    Report = ScrubSweepReport
+
+    def __init__(self, key_count: int = 1200, seed: int = 13) -> None:
         self.key_count = key_count
         self.seed = seed
-        self.buffer_capacity = buffer_capacity
-        self.victim_ordinal = victim_ordinal
-        self.rot_bit = rot_bit
 
-    def _repair_policy(self):
-        from repro.core.supervisor import SupervisorConfig
-
-        # Unrecoverable ranges fail their rebuild on every schedule; keep
-        # the retry ladder short so sweeps stay fast.
-        return SupervisorConfig(max_attempts=2, retry_backoff=0.001)
-
-    def _build(self):
+    def _build(self, plan: FaultPlan):
         """Fresh rotted scenario; returns (engine, tree, expected, lost)."""
         engine = Engine(
-            buffer_capacity=self.buffer_capacity,
-            lock_timeout=15.0,
-            fault_plan=FaultPlan(seed=self.seed),
+            buffer_capacity=2048, lock_timeout=15.0, fault_plan=plan
         )
-        tree = engine.create_index(key_len=4)
-        order = list(range(self.key_count))
-        random.Random(self.seed).shuffle(order)
-        for k in order:
-            tree.insert(_key(k), k)
-        for k in range(0, self.key_count, 2):
-            tree.delete(_key(k), k)
-        expected = set(range(1, self.key_count, 2))
+        tree, expected = _fragmented_index(engine, self.key_count, self.seed)
         engine.checkpoint(truncate=True)
-        stats = tree.verify()
-        victim = stats.leaf_page_ids[
-            self.victim_ordinal % len(stats.leaf_page_ids)
-        ]
+        leaves = tree.verify().leaf_page_ids
+        victim = leaves[VICTIM_ORDINAL % len(leaves)]
         page = engine.ctx.buffer.fetch(victim)
         lost = {int.from_bytes(u[: tree.key_len], "big") for u in page.rows}
         engine.ctx.buffer.unpin(victim)
-        if not engine.ctx.disk.plant_rot(victim, bit=self.rot_bit):
+        if not engine.ctx.disk.plant_rot(victim, bit=ROT_BIT):
             raise RuntimeError(f"no stored image for victim page {victim}")
         return engine, tree, expected, lost
 
-    def _scrubber(self, tree):
-        from repro.core.scrubber import Scrubber
-
-        return Scrubber(tree, supervisor_policy=self._repair_policy())
-
-    def enumerate_points(self) -> list[Schedule]:
+    def enumerate_schedules(
+        self, include_faults: bool = True
+    ) -> list[Schedule]:
         """One instrumented scrub pass; every ``scrub.*`` firing becomes a
-        crash schedule."""
-        engine, tree, _expected, _lost = self._build()
-        return _crash_points(engine, "scrub.", self._scrubber(tree).run_pass)
+        crash schedule, and every write the pass makes a fault family."""
+        engine, tree, _expected, _lost = self._build(FaultPlan(seed=self.seed))
+        faulty = engine.ctx.disk
+        calls_before = dict(faulty.calls)
+        schedules = _crash_points(engine, "scrub.", Scrubber(tree).run_pass)
+        if include_faults:
+            schedules += _write_faults(faulty, calls_before)
+        return schedules
 
     def run_schedule(self, schedule: Schedule) -> ScrubScheduleOutcome:
-        from repro.errors import QuarantinedRangeError
-
         outcome = ScrubScheduleOutcome(schedule=schedule.label())
-        engine, tree, expected, lost = self._build()
-        _arm_crash(engine, schedule)
+        engine, tree, expected, lost = self._build(
+            _armed_plan(self.seed, schedule)
+        )
+        if schedule.kind == "syncpoint":
+            _arm_crash(engine, schedule)
         try:
-            self._scrubber(tree).run_pass()
+            Scrubber(tree).run_pass()
         except CrashPoint:
             outcome.crashed = True
         except Exception as exc:  # noqa: BLE001 - report, don't propagate
             outcome.error = f"scrub pass: {type(exc).__name__}: {exc}"
             return outcome
+        # A lost write's crash fires at the next disk call; if the pass
+        # made none, the power fails now.
+        outcome.crashed = outcome.crashed or engine.ctx.disk.crash_armed
         try:
             if outcome.crashed:
                 engine.crash()
@@ -685,7 +681,7 @@ class ScrubCrashHarness:
                 tree = engine.index(1)
             outcome.recovered = True
             # Converge: up to two follow-up passes (detect + confirm-lift).
-            scrubber = self._scrubber(tree)
+            scrubber = Scrubber(tree)
             scrubber.run_pass()
             scrubber.run_pass()
             standing = engine.quarantine.ranges(tree.index_id)
@@ -719,30 +715,15 @@ class ScrubCrashHarness:
                         f"{sorted(lost - fenced)[:5]}"
                     )
                     return outcome
+            leftover = left_behind(
+                engine,
+                unreadable=set(engine.ctx.disk.rot_sites) if standing else (),
+            )
+            if leftover != NOTHING_LEFT:
+                outcome.error = f"left behind: {leftover}"
         except Exception as exc:  # noqa: BLE001 - report, don't propagate
             outcome.error = f"{type(exc).__name__}: {exc}"
         return outcome
-
-    def run_sweep(
-        self,
-        schedules: list[Schedule] | None = None,
-        stride: int = 1,
-        limit: int | None = None,
-    ) -> ScrubSweepReport:
-        if schedules is None:
-            schedules = self.enumerate_points()
-        report = ScrubSweepReport()
-        for schedule in schedules[::stride][:limit]:
-            outcome = self.run_schedule(schedule)
-            report.schedules_run += 1
-            report.crashes_simulated += int(outcome.crashed)
-            report.refences_seen += int(outcome.refenced)
-            report.heals += int(outcome.healed)
-            report.quarantines_standing += outcome.final_quarantined
-            report.outcomes.append(outcome)
-            if not outcome.ok:
-                report.failures.append(f"{outcome.schedule}: {outcome.error}")
-        return report
 
 
 def run_random_schedule(seed: int, **harness_kwargs) -> ScheduleOutcome:

@@ -11,8 +11,6 @@ import pytest
 
 from repro import Engine
 from repro.btree.tree import BTree
-from repro.concurrency.latch import LatchMode
-from repro.concurrency.locks import LockMode, LockSpace
 from repro.core import rebuild as rebuild_module
 from repro.errors import PageFormatError
 from repro.storage import page as page_module
@@ -20,8 +18,12 @@ from repro.storage.page import (
     HEADER_SIZE,
     SLOT_OVERHEAD,
     Page,
-    PageFlag,
     PageType,
+)
+from repro.testing.cleanup import (  # noqa: F401 - re-exported
+    NOTHING_LEFT,
+    left_behind,
+    pinned_ids,
 )
 from repro.wal.apply import ApplyContext
 from repro.wal.records import LogRecord, RecordType
@@ -91,48 +93,6 @@ def until(predicate, timeout: float = 3.0) -> None:
     while not predicate():
         assert time.monotonic() < deadline, "condition never held"
         time.sleep(0.001)
-
-
-def pinned_ids(engine: Engine) -> list[int]:
-    """Pages with a pin on them right now (none, between top actions)."""
-    pool = engine.buffer
-    return [pid for pid in pool._resident_ids() if pool.pin_count(pid)]
-
-
-def left_behind(engine: Engine, unreadable=()) -> dict[str, list[int]]:
-    """What an operation that has returned or raised must not leave on
-    any allocated page: a pin, a latch (any thread's), an address lock or
-    a protocol bit.  Pages in ``unreadable`` are looked at for latches and
-    locks only; their images cannot be read."""
-    ctx = engine.ctx
-    out = {
-        "pinned": pinned_ids(engine), "latched": [], "locked": [], "bitted": []
-    }
-    probe = ctx.txns.begin()
-    for pid in sorted(ctx.page_manager.allocated_pages()):
-        if ctx.latches.holds(pid) or not ctx.latches.try_acquire(
-            pid, LatchMode.X
-        ):
-            out["latched"].append(pid)
-            continue
-        ctx.latches.release(pid)
-        if ctx.locks.try_acquire(
-            probe.txn_id, LockSpace.ADDRESS, pid, LockMode.X
-        ):
-            ctx.locks.release(probe.txn_id, LockSpace.ADDRESS, pid)
-        else:
-            out["locked"].append(pid)
-        if pid in unreadable:
-            continue
-        page = ctx.buffer.fetch(pid)
-        if page.flags & (PageFlag.SPLIT | PageFlag.SHRINK) or page.side_page:
-            out["bitted"].append(pid)
-        ctx.buffer.unpin(pid)
-    ctx.txns.commit(probe)
-    return out
-
-
-NOTHING_LEFT = {"pinned": [], "latched": [], "locked": [], "bitted": []}
 
 
 class CodecMeter:

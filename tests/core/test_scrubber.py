@@ -2,8 +2,8 @@
 
 Covers the three defect kinds (checksum rot, unreadable reads, structural
 violations), the ladder's two repair rungs (WAL replay vs quarantine +
-targeted rebuild), false-positive freedom on a healthy index, and the
-scrub counters / syncpoints the monitoring layer consumes.
+write-back of the resident frame), false-positive freedom on a healthy
+index, and the scrub counters / syncpoints the monitoring layer consumes.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine
-from repro.core.scrubber import (
-    CRC_RETRIES,
-    ScrubConfig,
-    Scrubber,
-    repair_key_bounds,
-)
+from repro.core.scrubber import CRC_RETRIES, ScrubConfig, Scrubber
 from repro.errors import QuarantinedRangeError, ScrubError
 from repro.storage.faults import FaultPlan
 
@@ -314,67 +309,64 @@ def test_no_stored_image_read_or_forced_write_under_a_latch(monkeypatch):
     assert [c for c in calls if c[2]] == []
 
 
-def test_ladder3_quarantine_and_targeted_rebuild():
+def test_ladder3_quarantine_and_targeted_rebuild(monkeypatch):
     """Rot the WAL can no longer explain (history truncated) under a
     still-resident frame: replay is ineligible, so the range is fenced,
-    the segment rebuilt online from the live frame, and the fence lifted
-    — the rest of the index never stops serving."""
+    the resident frame written back over the rotted slot, and the fence
+    lifted once the stored image verifies — no rebuild runs, and the rest
+    of the index never stops serving."""
     engine = faulty_engine()
+    ctx = engine.ctx
     tree = engine.create_index(key_len=4)
     expected = make_half_empty(tree, 3000)
     before = contents_as_ints(tree)
     engine.checkpoint(truncate=True)  # birth records gone: replay ineligible
     leaves_before = tree.verify().leaf_page_ids
     victim = leaves_before[3]
-    assert engine.ctx.disk.plant_rot(victim, bit=700)
-    rebuilt: list[int] = []
-    engine.syncpoints.on(
-        "rebuild.nta_end", lambda ctx: rebuilt.extend(ctx["old_pages"])
-    )
+    assert ctx.buffer.is_resident(victim)
+    assert ctx.disk.plant_rot(victim, bit=700)
+    seen: list[tuple[str, bool]] = []  # (event, fence standing)
+
+    def note(name: str, *_args) -> None:
+        seen.append((name, bool(ctx.quarantine.ranges(tree.index_id))))
+
+    def noted(op: str):
+        real = getattr(ctx.disk, op)
+
+        def call(*args):
+            note(op)
+            return real(*args)
+
+        return call
+
+    engine.syncpoints.observe(note)
+    for op in ("write", "write_many"):
+        monkeypatch.setattr(ctx.disk, op, noted(op))
     report = Scrubber(tree).run_pass()
     assert [d.kind for d in report.defects] == ["checksum"]
     assert report.defects[0].action == "repaired"
-    # The quarantined interval, from its own leaf, in one top action: at
-    # most the right-hand neighbour rides along (whole leaves; the run
-    # ends at the first leaf whose last unit reaches the end bound).
-    assert 1 <= len(rebuilt) <= 2
-    assert rebuilt == leaves_before[3:3 + len(rebuilt)]
+    # Fence, then the one write of the pass — the victim's frame, with
+    # the fence up — then the lift; no rebuild ran.
+    ladder = [
+        e for e in seen
+        if e[0] in ("scrub.quarantine", "write", "write_many", "scrub.lift")
+    ]
+    assert ladder == [
+        ("scrub.quarantine", True), ("write", True), ("scrub.lift", False)
+    ]
+    assert not [n for n, _up in seen if n.startswith("rebuild.")]
+    assert ctx.disk.verdict(ctx.disk.read_physical(victim)) == "ok"
+    assert tree.verify().leaf_page_ids == leaves_before
     assert engine.counters.scrub_quarantines == 1
     assert engine.counters.scrub_quarantine_lifts == 1
     assert engine.quarantine.ranges(tree.index_id) == []
     assert contents_as_ints(tree) == before == sorted(expected)
-    tree.verify()
 
 
-@pytest.mark.parametrize(
-    "start_sep, end_sep, bounds",
-    [
-        # First and last child: unbounded on that side.
-        (b"", b"", (None, None)),
-        (b"", b"\x00\x02", (None, b"\x00\x01\xff\xff")),
-        # Suffix-compressed separators are zero-padded to a key; the end
-        # key is the largest one strictly below the end separator.
-        (b"\x00\x01", b"\x00\x02", (b"\x00\x01\x00\x00", b"\x00\x01\xff\xff")),
-        # A separator that runs into the ROWID is cut at the key.
-        (
-            b"\x00\x00\x00\x05\x00\x09",
-            b"\x00\x00\x00\x09\x00\x01",
-            (b"\x00\x00\x00\x05", b"\x00\x00\x00\x08"),
-        ),
-        # An all-zero end separator bounds nothing: left unbounded.
-        (b"", b"\x00", (None, None)),
-    ],
-    ids=["whole-index", "first-child", "padded", "cut-at-key", "zero-end"],
-)
-def test_repair_key_bounds(start_sep, end_sep, bounds):
-    assert repair_key_bounds(4, start_sep, end_sep) == bounds
-
-
-def test_quarantine_stands_when_rebuild_fails(monkeypatch):
-    """A failed targeted rebuild leaves the fence up: readers in the
+def test_quarantine_stands_when_rebuild_fails():
+    """Rot under no resident frame, with its history truncated: there is
+    no good copy to write back, so the fence stands — readers in the
     range fail fast with QuarantinedRangeError, the rest still serves."""
-    import repro.core.scrubber as scrubber_mod
-
     engine = faulty_engine()
     tree = engine.create_index(key_len=4)
     fill_index(tree, 3000)
@@ -387,22 +379,13 @@ def test_quarantine_stands_when_rebuild_fails(monkeypatch):
     engine.ctx.buffer.unpin(victim)
     assert engine.ctx.disk.plant_rot(victim, bit=42)
     engine.ctx.buffer.evict_all()
-
-    from repro.errors import RebuildError
-
-    class FailingSupervisor:
-        def __init__(self, *a, **k):
-            pass
-
-        def run(self, *a, **k):
-            raise RebuildError("injected: repair rebuild denied")
-
-    monkeypatch.setattr(scrubber_mod, "RebuildSupervisor", FailingSupervisor)
     report = Scrubber(tree).run_pass()
-    assert report.defects[0].action == "quarantine-stands"
-    assert "denied" in report.defects[0].error
+    (defect,) = report.defects
+    assert (defect.kind, defect.action) == ("unreadable", "quarantine-stands")
+    assert "no resident frame" in defect.error
     standing = engine.quarantine.ranges(tree.index_id)
     assert len(standing) == 1
+    assert engine.counters.scrub_quarantine_lifts == 0
     sample = sorted(victim_keys)[len(victim_keys) // 2]
     with pytest.raises(QuarantinedRangeError):
         tree.contains(intkey(sample), sample)
@@ -499,8 +482,7 @@ def test_throttle_widens_pause_under_latency_pressure():
     assert engine.counters.scrub_throttles == 2
     assert pacer.delay == pytest.approx(2 * PACER_STEP)
     # Calm OLTP — the old outliers are in no later window — decays the
-    # pause back to nothing, and the repair rebuilds are paced by the same
-    # pacer.
+    # pause back to nothing.
     oltp.record(0.0001)
     scrubber._pace(report)
     scrubber._pace(report)

@@ -14,7 +14,6 @@ from repro.core.supervisor import (
     STORM_RETRIES,
     Pacer,
     RebuildSupervisor,
-    SupervisorConfig,
     SupervisorReport,
     _Monitor,
 )
@@ -23,7 +22,11 @@ from repro.obs.metrics import Histogram
 from repro.storage.faults import FaultPlan
 from tests.conftest import contents_as_ints, make_half_empty, pinned_ids
 
-FAST = SupervisorConfig(retry_backoff=0.001)
+
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Retry after a millisecond, not the production backoff."""
+    monkeypatch.setattr(supervisor_mod, "RETRY_BACKOFF", 0.001)
 
 
 def _engine(count: int = 2000, **kw):
@@ -39,7 +42,7 @@ def _engine(count: int = 2000, **kw):
 def test_clean_run_is_one_unsupervised_looking_attempt():
     engine, index, expected = _engine()
     report = RebuildSupervisor(
-        index, RebuildConfig(ntasize=4, xactsize=8), FAST
+        index, RebuildConfig(ntasize=4, xactsize=8)
     ).run()
     assert report.attempts == 1
     assert report.retries == 0 and report.resumes == 0
@@ -76,7 +79,7 @@ def test_aborted_rebuild_is_retried_and_resumed():
 
     engine.syncpoints.on("rebuild.nta_end", arm)
     supervisor = RebuildSupervisor(
-        index, RebuildConfig(ntasize=4, xactsize=8), FAST
+        index, RebuildConfig(ntasize=4, xactsize=8)
     )
     report = supervisor.run()
     assert report.attempts == 2
@@ -89,17 +92,14 @@ def test_aborted_rebuild_is_retried_and_resumed():
     assert engine.counters.supervisor_resumes == 1
 
 
-def test_gives_up_after_max_attempts():
+def test_gives_up_after_max_attempts(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "MAX_ATTEMPTS", 2)
     engine, index, expected = _engine()
     engine.syncpoints.on(
         "rebuild.copy_locked",
         lambda _ctx: (_ for _ in ()).throw(RuntimeError("always broken")),
     )
-    supervisor = RebuildSupervisor(
-        index,
-        RebuildConfig(ntasize=4, xactsize=8),
-        SupervisorConfig(max_attempts=2, retry_backoff=0.001),
-    )
+    supervisor = RebuildSupervisor(index, RebuildConfig(ntasize=4, xactsize=8))
     with pytest.raises(RebuildAbortedError):
         supervisor.run()
     assert engine.counters.supervisor_retries == 1
@@ -137,7 +137,7 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how):
             left_pinned.append(pinned_ids(engine))
 
     monkeypatch.setattr(OnlineRebuild, "run", recording_run)
-    supervisor = RebuildSupervisor(index, config, FAST)
+    supervisor = RebuildSupervisor(index, config)
     done = {"top_actions": 0, "tripped": False}
     copied_low: list[bytes] = []  # low units copied after the failure
 
@@ -184,7 +184,7 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how):
         index = engine.index(1)
         checkpoint = engine.rebuild_checkpoint(1)
         floor = checkpoint.resume_key()
-        report = RebuildSupervisor(index, config, FAST).run(
+        report = RebuildSupervisor(index, config).run(
             resume_checkpoint=checkpoint
         )
     else:
@@ -210,7 +210,7 @@ def test_every_failure_takes_the_one_channel(monkeypatch, how):
 def _monitor_fixture(count=1000):
     engine, index, _ = _engine(count)
     config = RebuildConfig()
-    supervisor = RebuildSupervisor(index, config, SupervisorConfig())
+    supervisor = RebuildSupervisor(index, config)
     rebuild = OnlineRebuild(index, config)
     monitor = _Monitor(supervisor, rebuild, SupervisorReport())
     return engine, rebuild, monitor
@@ -252,7 +252,7 @@ def test_watchdog_ignores_a_finished_run(monkeypatch):
     done longer ago than the deadline, the sweep must not trip on it."""
     engine, index, expected = _engine(4000)
     config = RebuildConfig(ntasize=4, xactsize=8)
-    supervisor = RebuildSupervisor(index, config, SupervisorConfig())
+    supervisor = RebuildSupervisor(index, config)
     rebuild = OnlineRebuild(index, config)
     monitor = _Monitor(supervisor, rebuild, SupervisorReport())
     beats: list[float | None] = []
@@ -288,7 +288,7 @@ def test_watchdog_trip_retries_and_completes(monkeypatch):
 
     engine.syncpoints.on("rebuild.txn_committed", stall_once)
     supervisor = RebuildSupervisor(
-        index, RebuildConfig(ntasize=4, xactsize=8), FAST
+        index, RebuildConfig(ntasize=4, xactsize=8)
     )
     report = supervisor.run()
     assert report.watchdog_trips >= 1
@@ -375,7 +375,7 @@ def test_raising_sweep_is_recorded_and_the_attempt_completes(monkeypatch):
         "rebuild.txn_committed", lambda _ctx: swept.wait(10.0)
     )
     report = RebuildSupervisor(
-        index, RebuildConfig(ntasize=4, xactsize=8), FAST
+        index, RebuildConfig(ntasize=4, xactsize=8)
     ).run()
     assert swept.is_set()
     assert report.attempts == 1 and report.final.completed
@@ -402,7 +402,7 @@ def test_supervised_rebuild_completes_under_transient_storm(monkeypatch):
     make_half_empty(index, 3000)
     expected = contents_as_ints(index)
     supervisor = RebuildSupervisor(
-        index, RebuildConfig(ntasize=4, xactsize=8), FAST
+        index, RebuildConfig(ntasize=4, xactsize=8)
     )
     report = supervisor.run()
     assert report.final.completed and not report.gave_up
@@ -411,13 +411,6 @@ def test_supervised_rebuild_completes_under_transient_storm(monkeypatch):
 
 
 # --------------------------------------------------------------------- knobs
-
-
-def test_policy_validation():
-    with pytest.raises(RebuildError):
-        SupervisorConfig(max_attempts=0)
-    with pytest.raises(RebuildError):
-        SupervisorConfig(retry_backoff=-1.0)
 
 
 def test_rebuild_config_validation():

@@ -98,7 +98,6 @@ def test_crash_then_supervised_resume_skips_copied_units():
     resume — completing the rebuild without re-copying any unit at or
     below the durable floor."""
     from repro import RebuildSupervisor
-    from repro.core.supervisor import SupervisorConfig
 
     engine = Engine(buffer_capacity=2048)
     index = engine.create_index(key_len=4)
@@ -131,9 +130,7 @@ def test_crash_then_supervised_resume_skips_copied_units():
     engine.syncpoints.on("rebuild.nta_end", check)
     index = engine.index(1)
     report = RebuildSupervisor(
-        index,
-        RebuildConfig(ntasize=4, xactsize=8),
-        SupervisorConfig(retry_backoff=0.001),
+        index, RebuildConfig(ntasize=4, xactsize=8)
     ).run(resume_checkpoint=checkpoint)
     assert report.final.completed
     assert report.resumes == 1

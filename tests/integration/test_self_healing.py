@@ -1,11 +1,12 @@
-"""End-to-end self-healing demo (issue 9 acceptance scenario).
+"""End-to-end self-healing demo.
 
-Unrecoverable rot is planted in a committed leaf while a 2-thread mixed
-workload runs.  The background scrubber must find it, fence the damaged
-key range (readers inside get :class:`QuarantinedRangeError`, *never* a
-raw :class:`ChecksumError`), dispatch a targeted online rebuild of just
-that segment, and lift the fence when it commits — with the rest of the
-key space serving uninterrupted throughout.
+Rot the log cannot explain is planted in a committed leaf while a
+2-thread mixed workload runs.  The background scrubber must find it,
+fence the damaged key range (readers inside get
+:class:`QuarantinedRangeError`, *never* a raw :class:`ChecksumError`),
+write the leaf's resident frame back over the rotted slot, and lift the
+fence once the stored image verifies — with the rest of the key space
+serving uninterrupted throughout.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def test_self_healing_under_oltp(monkeypatch):
     key_count = 6000
     expected = make_half_empty(tree, key_count)
     # Truncate history so WAL replay cannot explain the rot: the repair
-    # must go through quarantine + targeted rebuild, not rung 2.
+    # must go through quarantine + write-back, not rung 2.
     engine.checkpoint(truncate=True)
 
     stats = tree.verify()
@@ -49,8 +50,7 @@ def test_self_healing_under_oltp(monkeypatch):
     workload = MixedWorkload(
         tree, intkey, key_count, threads=2, seed=7, write_fraction=0.5
     )
-    # The scrub walk and the repair rebuild both yield to the workload's
-    # live p99 through the one pacer.
+    # The scrub walk yields to the workload's live p99 through the pacer.
     scrubber = Scrubber(
         tree,
         pacer=Pacer(workload.stats.histograms.values(), budget_ms=50.0),

@@ -77,9 +77,9 @@ def test_single_threaded_rebuild_traces_every_fire(unpipelined):
 
 
 def test_scrub_repair_traces_every_fire():
-    """A scrub pass that fences a rotted leaf and repairs it through a
-    supervised range rebuild: the scrub's, the supervisor's and the
-    rebuild's points all land in the trace, nested where they fired."""
+    """A scrub pass that fences a rotted leaf and repairs it by writing
+    its resident frame back: the scrub's points all land in the trace,
+    the fence and its lift nested under the repair span."""
     engine = Engine(
         buffer_capacity=2048, lock_timeout=15.0, fault_plan=FaultPlan(),
         trace=True,
@@ -97,12 +97,7 @@ def test_scrub_repair_traces_every_fire():
     by_id = assert_trace_holds(engine, seen)
     assert parent_names(by_id, seen, "scrub.batch") == {"scrub.pass"}
     assert parent_names(by_id, seen, "scrub.quarantine") == {"scrub.repair"}
-    assert parent_names(by_id, seen, "rebuild.nta_end") == {
-        "rebuild.top_action"
-    }
-    assert parent_names(by_id, seen, "rebuild.txn_committed") == {
-        "rebuild.run"
-    }
+    assert parent_names(by_id, seen, "scrub.lift") == {"scrub.repair"}
     (lift,) = [a for _t, n, a, _p in seen if n == "scrub.lift"]
     assert isinstance(lift["start"], bytes)
     # The repair span closes with the rung it ended on.

@@ -211,15 +211,16 @@ def _fail_scrub_report(report) -> str:
 
 
 def test_scrub_crash_sweep_all_points():
-    """Crash the detect → quarantine → targeted-rebuild → lift ladder at
-    every ``scrub.*`` syncpoint.  After each crash, recovery must either
+    """Crash the detect → quarantine → write-back → lift ladder at every
+    ``scrub.*`` syncpoint.  After each crash, recovery must either
     reconstruct the fence from a durable QUARANTINE record or drop it
-    safely, no reader may ever see a raw ChecksumError, and a follow-up
-    pass must converge (range healed, or fenced with everything outside
-    it intact)."""
+    safely, no reader may ever see a raw ChecksumError, a follow-up pass
+    must converge (range healed, or fenced with everything outside it
+    intact), and nothing may be left pinned, latched, locked or bitted."""
     harness = ScrubCrashHarness(key_count=1200, seed=13)
-    report = harness.run_sweep()
-    assert report.schedules_run >= 6, "scrub syncpoint enumeration shrank"
+    schedules = harness.enumerate_schedules(include_faults=False)
+    assert len(schedules) == 7, "scrub syncpoint enumeration moved"
+    report = harness.run_sweep(schedules=schedules)
     assert report.crashes_simulated == report.schedules_run
     assert report.ok, _fail_scrub_report(report)
     # Both recovery behaviors must actually be exercised by the sweep:
@@ -227,6 +228,29 @@ def test_scrub_crash_sweep_all_points():
     # that heal on the follow-up pass.
     assert report.refences_seen > 0, "no schedule re-fenced after recovery"
     assert report.heals > 0, "no schedule healed after recovery"
+
+
+def test_scrub_write_back_fault_sweep():
+    """Fault the one write the scrub pass makes — the write-back of the
+    rotted leaf's resident frame — torn, byte-torn and lost, each with a
+    crash, and once transient.  ``recover()`` must return after every
+    crash: the repair logs nothing that needs the rotted slot readable.
+    Then the same convergence and left-behind checks as the syncpoint
+    sweep."""
+    harness = ScrubCrashHarness(key_count=1200, seed=13)
+    faults = [
+        s for s in harness.enumerate_schedules() if s.kind == "fault"
+    ]
+    report = harness.run_sweep(schedules=faults)
+    assert report.ok, _fail_scrub_report(report)
+    assert all(o.recovered for o in report.outcomes)
+    assert len(faults) == 4 and {(s.op, s.nth) for s in faults} == {
+        ("write", faults[0].nth)
+    }, "the write-back is no longer the pass's one write"
+    assert report.crashes_simulated == 3
+    # The transient error is retried and the range heals; a lost write
+    # or a tear that kept the rot leaves the fence standing.
+    assert report.heals >= 1 and report.quarantines_standing >= 1
 
 
 @pytest.mark.skipif(

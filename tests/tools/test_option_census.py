@@ -1,10 +1,10 @@
 """Every option has a setter that is not a test.
 
-For each ``RebuildConfig``, ``SupervisorConfig`` and ``ScrubConfig``
-field and each keyword parameter of ``Engine``, ``BufferPool``,
-``IOScheduler`` and ``QuarantineMap``, some file under ``src/`` or
-``benchmarks/`` — not ``tests/``, not ``examples/`` — passes the name by
-keyword or as a dict key (the declaration itself is neither).  An option only tests set is one
+For each ``RebuildConfig`` and ``ScrubConfig`` field and each keyword
+parameter of ``Engine``, ``BufferPool``, ``IOScheduler`` and
+``QuarantineMap``, some file under ``src/`` or ``benchmarks/`` — not
+``tests/``, not ``examples/`` — passes the name by keyword or as a dict
+key (the declaration itself is neither).  An option only tests set is one
 value in use and a second path nobody runs: it fails here the day it
 appears, and the fix is a constant (ROADMAP, "quality of design").
 """
@@ -16,7 +16,6 @@ from pathlib import Path
 
 from repro import Engine, RebuildConfig
 from repro.core.scrubber import ScrubConfig
-from repro.core.supervisor import SupervisorConfig
 from repro.quarantine import QuarantineMap
 from repro.storage.buffer import BufferPool
 from repro.storage.io_scheduler import IOScheduler
@@ -54,7 +53,7 @@ def names_passed() -> set[str]:
 def test_every_option_is_set_outside_tests():
     fields = {
         f.name
-        for config in (RebuildConfig, SupervisorConfig, ScrubConfig)
+        for config in (RebuildConfig, ScrubConfig)
         for f in dataclasses.fields(config)
     }
     options = fields | {

@@ -11,6 +11,7 @@ guards:
 		tests/integration/test_io_budget.py \
 		tests/integration/test_cpu_budget.py \
 		tests/integration/test_scan_budget.py \
+		tests/integration/test_request_budget.py \
 		tests/integration/test_restart_budget.py \
 		tests/integration/test_readahead_budget.py \
 		tests/integration/test_write_budget.py \

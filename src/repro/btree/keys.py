@@ -54,9 +54,15 @@ def check_key(key: bytes, key_len: int) -> None:
 
 
 def leaf_unit(key: bytes, rowid: int, key_len: int) -> bytes:
-    """The comparable leaf row ``key || rowid``; validates the key length."""
-    check_key(key, key_len)
-    return key + encode_rowid(rowid)
+    """The comparable leaf row ``key || rowid``; validates the key length.
+
+    Every request builds one, so the two checks run inline and call
+    :func:`check_key` / :func:`encode_rowid` only to raise."""
+    if len(key) != key_len:
+        check_key(key, key_len)
+    if not 0 <= rowid <= ROWID_MAX:
+        encode_rowid(rowid)
+    return key + rowid.to_bytes(ROWID_LEN, "big")
 
 
 def split_unit(unit: bytes) -> tuple[bytes, int]:

@@ -31,6 +31,8 @@ from repro.storage.page import Page, PageType
 
 CHILD_LEN = 4
 entry_key = itemgetter(slice(None, -CHILD_LEN))  # entry -> its separator
+_CHILD = struct.Struct("<I")
+_NONLEAF = PageType.NONLEAF  # bound once, as latch.LATCH_X is
 
 
 class IndexEntry(NamedTuple):
@@ -52,7 +54,7 @@ def decode_entry(row: bytes) -> IndexEntry:
 
 
 def entry_child(row: bytes) -> int:
-    (child,) = struct.unpack_from("<I", row, len(row) - CHILD_LEN)
+    (child,) = _CHILD.unpack_from(row, len(row) - CHILD_LEN)
     return child
 
 
@@ -97,7 +99,7 @@ def child_search(page: Page, unit: bytes, counters: Counters) -> tuple[int, int]
     Picks the largest ``i`` with ``Ki <= unit`` (``K0`` is implicitly
     minus-infinity), i.e. the child whose subtree covers ``unit``.
     """
-    if page.page_type is not PageType.NONLEAF:
+    if page.page_type is not _NONLEAF:
         raise TreeStructureError(
             f"page {page.page_id} is not a nonleaf page"
         )

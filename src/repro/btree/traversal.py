@@ -30,7 +30,7 @@ import enum
 from typing import NamedTuple
 
 from repro.btree import node
-from repro.concurrency.latch import LatchMode
+from repro.concurrency.latch import LATCH_S, LATCH_X, LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
@@ -38,9 +38,20 @@ from repro.errors import StorageError, TreeStructureError
 from repro.storage.page import Page, PageFlag, PageType
 
 
+# A just-latched child needs :meth:`Traversal._resolve_child` only when it
+# carries one of these bits; a writer's target waits only on the second
+# pair.  Plain ints: ``int & IntFlag`` would run the enum's Python-level
+# ``__rand__``.
+_RESOLVE_BITS = int(PageFlag.SHRINK | PageFlag.OLDPGOFSPLIT)
+_WRITER_BLOCK_BITS = int(PageFlag.SPLIT | PageFlag.SHRINK)
+
+
 class AccessMode(enum.Enum):
     READER = "reader"
     WRITER = "writer"
+
+
+_WRITER = AccessMode.WRITER  # bound once, as latch.LATCH_X is
 
 
 class Level1(NamedTuple):
@@ -103,6 +114,8 @@ class Traversal:
         get_latched = ctx.get_latched
         release_page = ctx.release_page
         child_search = node.child_search
+        scan = self.scan
+        writer = mode is _WRITER
         counters.add("traversals")
         first_attempt = True
         while True:
@@ -114,25 +127,23 @@ class Traversal:
             new_path: list[tuple[int, int]] = []
             restart = False
 
-            while p.level > target_level:
-                new_path.append((p.page_id, p.level))
-                child_level = p.level - 1
+            while (level := p.level) > target_level:
+                new_path.append((p.page_id, level))
                 child_mode = (
-                    LatchMode.X
-                    if child_level == target_level and mode is AccessMode.WRITER
-                    else LatchMode.S
+                    LATCH_X if writer and level - 1 == target_level else LATCH_S
                 )
                 _pos, child_id = child_search(p, unit, counters)
                 try:
-                    c = get_latched(child_id, child_mode, scan=self.scan)
-                    resolved, blocked_id = self._resolve_child(
-                        c, unit, child_mode, txn
-                    )
+                    c = get_latched(child_id, child_mode, scan=scan)
+                    if c._flags & _RESOLVE_BITS:
+                        c, blocked_id = self._resolve_child(
+                            c, unit, child_mode, txn
+                        )
                 finally:
                     # Also when the child (or its side-entry sibling) is
                     # unreadable: the error leaves no latch behind.
                     release_page(p.page_id)
-                if resolved is None:
+                if c is None:
                     # SHRINK in the way: with everything released, block for
                     # the top action via an instant S address lock (§2.6).
                     assert blocked_id is not None
@@ -141,7 +152,7 @@ class Traversal:
                     )
                     restart = True
                     break
-                p = resolved
+                p = c
 
             if restart:
                 continue
@@ -150,8 +161,8 @@ class Traversal:
             # in-flight top action (e.g. the root during a root grow) never
             # blocks us — we hold its X address lock.
             if (
-                mode is AccessMode.WRITER
-                and (p.has_flag(PageFlag.SPLIT) or p.has_flag(PageFlag.SHRINK))
+                writer
+                and p._flags & _WRITER_BLOCK_BITS
                 and not ctx.locks.holds(
                     txn.txn_id, LockSpace.ADDRESS, p.page_id, LockMode.X
                 )
@@ -314,10 +325,10 @@ class Traversal:
         ctx = self.ctx
         root_id = self.tree.root_page_id
         while True:
-            page = ctx.get_latched(root_id, LatchMode.S, scan=self.scan)
-            if page.level == target_level and mode is AccessMode.WRITER:
+            page = ctx.get_latched(root_id, LATCH_S, scan=self.scan)
+            if page.level == target_level and mode is _WRITER:
                 ctx.release_page(root_id)
-                page = ctx.get_latched(root_id, LatchMode.X, scan=self.scan)
+                page = ctx.get_latched(root_id, LATCH_X, scan=self.scan)
                 if page.level != target_level:
                     # Root grew between the relatch; S is enough again.
                     ctx.release_page(root_id)

@@ -130,11 +130,8 @@ class BTree:
                 if leaf.fits(row):
                     ctx.log_page_change(
                         op,
-                        LogRecord(
-                            type=RecordType.INSERT,
-                            pos=pos,
-                            rows=[row],
-                            flags=LEAF_ROW_FLAG,
+                        LogRecord.row_record(
+                            RecordType.INSERT, pos, row, LEAF_ROW_FLAG
                         ),
                         leaf,
                     )
@@ -173,12 +170,7 @@ class BTree:
             row = leaf.rows[pos]  # full row: the payload must undo too
             ctx.log_page_change(
                 op,
-                LogRecord(
-                    type=RecordType.DELETE,
-                    pos=pos,
-                    rows=[row],
-                    flags=LEAF_ROW_FLAG,
-                ),
+                LogRecord.row_record(RecordType.DELETE, pos, row, LEAF_ROW_FLAG),
                 leaf,
             )
             leaf.delete_row(pos)
@@ -244,8 +236,12 @@ class BTree:
         if self.ctx.quarantine.active:
             self.ctx.quarantine.check_scan(self.index_id, lo_unit, hi_unit)
         own = txn is None
-        op = self.ctx.txns.begin() if own else txn
-        assert op is not None
+        if own:
+            op = self.ctx.txns.begin()
+        else:
+            # Before the descent, as _OpScope does: nothing is latched yet.
+            self.ctx.txns.check_active(txn)
+            op = txn
         try:
             yield from range_scan(
                 self.ctx, self, op, lo_unit, hi_unit,
@@ -286,13 +282,19 @@ class _OpScope:
     """Auto-commit scope: commit on success, roll back on error.
 
     When an explicit transaction is supplied it is passed through untouched
-    (the caller owns commit/abort).
+    (the caller owns commit/abort), once it is checked to be active: an
+    operation that raised only after its descent would leave its page
+    latched and pinned, as nothing here releases a caller's pages.
     """
 
     def __init__(self, ctx: EngineContext, txn: Transaction | None) -> None:
         self.ctx = ctx
         self.own = txn is None
-        self.txn = txn if txn is not None else ctx.txns.begin()
+        if txn is None:
+            txn = ctx.txns.begin()
+        else:
+            ctx.txns.check_active(txn)
+        self.txn = txn
 
     def __enter__(self) -> Transaction:
         return self.txn

@@ -26,6 +26,14 @@ class LatchMode(enum.Enum):
     X = "X"
 
 
+# Bound once.  On CPython 3.11 ``EnumType`` defines ``__getattr__``, which
+# puts every attribute read on an enum class (``LatchMode.X``) through a
+# Python-level lookup hook, about 0.1 µs a read.  The per-request paths
+# that test an enum member (latching, the descent, the node search,
+# record encoding, commit) read a module constant bound like these.
+LATCH_S, LATCH_X = LatchMode.S, LatchMode.X
+
+
 class LatchManager:
     """S/X latches keyed by page id.  The table maps a latched page to
     its S-holder count, or ``-1`` while it is held X; an unlatched page
@@ -66,13 +74,24 @@ class LatchManager:
 
     # ---------------------------------------------------------------- acquire
 
-    def acquire(self, page_id: int, mode: LatchMode) -> None:
-        """Block until the latch is granted (watchdog-bounded)."""
+    def acquire(
+        self,
+        page_id: int,
+        mode: LatchMode,
+        shard: dict[str, int] | None = None,
+    ) -> None:
+        """Block until the latch is granted (watchdog-bounded).
+
+        ``shard`` is the calling thread's shard of the manager's counters
+        when the caller already holds it (one page visit takes it once).
+        """
         try:
             held = self._local.held
         except AttributeError:
             held = self._my_held()
-        self.counters.local_shard()["latch_acquires"] += 1
+        if shard is None:
+            shard = self.counters.local_shard()
+        shard["latch_acquires"] += 1
         latches = self._latches
         mutex = self._mutex
         mutex.acquire()
@@ -83,7 +102,7 @@ class LatchManager:
                     "latches are not re-entrant"
                 )
             state = latches.get(page_id, 0)
-            exclusive = mode is LatchMode.X
+            exclusive = mode is LATCH_X
             if state < 0 or (exclusive and state):
                 # Contended: the slow path.  ``latch.wait`` fires with the
                 # mutex released, so a hook parked there stalls no other
@@ -128,7 +147,7 @@ class LatchManager:
                     f"thread already holds latch on page {page_id}"
                 )
             state = self._latches.get(page_id, 0)
-            exclusive = mode is LatchMode.X
+            exclusive = mode is LATCH_X
             if state < 0 or (exclusive and state):
                 return False
             self._latches[page_id] = -1 if exclusive else state + 1

@@ -35,14 +35,23 @@ from repro.errors import DeadlockError, LockError, LockTimeoutError
 from repro.stats.counters import Counters
 
 
+# Both enums hash by identity: their members are singletons that compare
+# by identity, and ``Enum.__hash__`` is a Python-level call made for every
+# lock-table and held-set operation on a ``(space, resource)`` key.
+
+
 class LockMode(enum.Enum):
     S = "S"
     X = "X"
+
+    __hash__ = object.__hash__
 
 
 class LockSpace(enum.Enum):
     ADDRESS = "address"   # page-address locks (split/shrink/rebuild)
     LOGICAL = "logical"   # row locks (isolation)
+
+    __hash__ = object.__hash__
 
 
 ResourceKey = tuple[LockSpace, Hashable]

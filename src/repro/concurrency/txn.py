@@ -42,6 +42,12 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
+# What every request's begin / append / commit reads, bound once as
+# latch.LATCH_X is.
+_ACTIVE, _COMMITTED = TxnState.ACTIVE, TxnState.COMMITTED
+_TXN_COMMIT = RecordType.TXN_COMMIT
+
+
 class Transaction:
     """One transaction's log chain, NTA stack, and lifecycle hooks."""
 
@@ -57,7 +63,7 @@ class Transaction:
 
     def __init__(self, txn_id: int) -> None:
         self.txn_id = txn_id
-        self.state = TxnState.ACTIVE
+        self.state = _ACTIVE
         self.last_lsn = 0
         self.begin_lsn = 0
         self._nta_stack: list[int] = []
@@ -107,8 +113,8 @@ class TransactionManager:
 
     def append(self, txn: Transaction, record: LogRecord) -> int:
         """Log a record on behalf of ``txn``, maintaining the prev chain."""
-        if txn.state is not TxnState.ACTIVE:
-            self._check_active(txn)
+        if txn.state is not _ACTIVE:
+            self.check_active(txn)
         record.txn_id = txn.txn_id
         record.prev_lsn = txn.last_lsn
         lsn = self.log.append(record)
@@ -122,22 +128,21 @@ class TransactionManager:
         ``gather`` is :meth:`LogManager.flush_commit`'s: whether this
         commit, finding no group-commit round open, opens one."""
         if txn.last_lsn:
-            lsn = self.append(
-                txn, LogRecord.header_record(RecordType.TXN_COMMIT)
-            )
+            lsn = self.append(txn, LogRecord.header_record(_TXN_COMMIT))
             self.log.flush_commit(lsn, gather)
-        elif txn.state is not TxnState.ACTIVE:
-            self._check_active(txn)
-        txn.state = TxnState.COMMITTED
+        elif txn.state is not _ACTIVE:
+            self.check_active(txn)
+        txn.state = _COMMITTED
         with self._lock:
             self.active.pop(txn.txn_id, None)
-        self._release_locks(txn)
+        if self.lock_manager is not None:
+            self.lock_manager.release_all(txn.txn_id)  # type: ignore[attr-defined]
         for hook in txn.commit_hooks:
             hook()
 
     def abort(self, txn: Transaction) -> None:
         """Roll the transaction back completely and release it."""
-        self._check_active(txn)
+        self.check_active(txn)
         self.rollback_to(txn, 0)
         if txn.last_lsn:
             lsn = self.append(
@@ -147,7 +152,8 @@ class TransactionManager:
         txn.state = TxnState.ABORTED
         with self._lock:
             self.active.pop(txn.txn_id, None)
-        self._release_locks(txn)
+        if self.lock_manager is not None:
+            self.lock_manager.release_all(txn.txn_id)  # type: ignore[attr-defined]
         for hook in txn.abort_hooks:
             hook()
 
@@ -155,13 +161,13 @@ class TransactionManager:
 
     def begin_nta(self, txn: Transaction) -> None:
         """Open a nested top action; the undo point is the current last LSN."""
-        self._check_active(txn)
+        self.check_active(txn)
         txn._nta_stack.append(txn.last_lsn)
         self.append(txn, LogRecord.header_record(RecordType.NTA_BEGIN))
 
     def end_nta(self, txn: Transaction) -> int:
         """Close the innermost NTA with a dummy CLR over its records."""
-        self._check_active(txn)
+        self.check_active(txn)
         if not txn._nta_stack:
             raise TransactionError(
                 f"txn {txn.txn_id} has no open nested top action"
@@ -174,7 +180,7 @@ class TransactionManager:
 
     def abort_nta(self, txn: Transaction) -> None:
         """Undo the innermost (incomplete) NTA's records."""
-        self._check_active(txn)
+        self.check_active(txn)
         if not txn._nta_stack:
             raise TransactionError(
                 f"txn {txn.txn_id} has no open nested top action"
@@ -213,13 +219,10 @@ class TransactionManager:
             self._undo_applier(rec, append)
             lsn = rec.prev_lsn
 
-    # -------------------------------------------------------------- internals
+    # ------------------------------------------------------------------ checks
 
-    def _release_locks(self, txn: Transaction) -> None:
-        if self.lock_manager is not None:
-            self.lock_manager.release_all(txn.txn_id)  # type: ignore[attr-defined]
-
-    def _check_active(self, txn: Transaction) -> None:
+    def check_active(self, txn: Transaction) -> None:
+        """Raise :class:`TransactionError` unless ``txn`` is active."""
         if txn.state is not TxnState.ACTIVE:
             raise TransactionError(
                 f"txn {txn.txn_id} is {txn.state.value}, not active"

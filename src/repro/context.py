@@ -230,13 +230,15 @@ class EngineContext:
         replacement policy (rebuild reads of the old index — see
         :mod:`repro.storage.buffer`); OLTP traversals use the default.
         """
-        self.latches.acquire(page_id, mode)
+        # One shard for the visit's three counts: the latch manager, the
+        # pool and this context share one Counters.
+        shard = self.counters.local_shard()
+        self.latches.acquire(page_id, mode, shard)
         try:
-            page = self.buffer.fetch(page_id, large_io=large_io, scan=scan)
+            page = self.buffer.fetch(page_id, large_io, scan, shard)
         except Exception:
             self.latches.release(page_id)
             raise
-        shard = self.counters.local_shard()
         shard["pages_visited"] += 1
         if page.level == 1:
             shard["level1_visits"] += 1
@@ -244,7 +246,7 @@ class EngineContext:
 
     def release_page(self, page_id: int, dirty: bool = False) -> None:
         """Unpin and unlatch (inverse of :meth:`get_latched`)."""
-        self.buffer.unpin(page_id, dirty=dirty)
+        self.buffer.unpin(page_id, dirty)
         self.latches.release(page_id)
 
     def relatch(self, page_id: int, mode: LatchMode) -> Page:

@@ -177,6 +177,9 @@ class BufferPool:
         self.counters = counters if counters is not None else Counters()
         lock = threading.Lock()
         self._lock = _CountedLock(lock, self.counters)
+        # The raw lock, for the hit paths that probe it inline (what
+        # ``_CountedLock.__enter__`` does, without its two frames).
+        self._mutex = lock
         self._cond = threading.Condition(lock)
         self._frames: OrderedDict[int, _Frame] = OrderedDict()  # protected
         self._ring: OrderedDict[int, _Frame] = OrderedDict()    # probationary
@@ -279,7 +282,13 @@ class BufferPool:
         finally:
             self._lock.acquire()
 
-    def fetch(self, page_id: int, large_io: bool = False, scan: bool = False) -> Page:
+    def fetch(
+        self,
+        page_id: int,
+        large_io: bool = False,
+        scan: bool = False,
+        shard: dict[str, int] | None = None,
+    ) -> Page:
         """Pin and return the page, reading it from disk on a miss.
 
         With ``large_io`` a miss reads the io-size-aligned run containing
@@ -293,19 +302,30 @@ class BufferPool:
         re-referenced within — the probationary ring instead of the
         protected LRU.  A demand (``scan=False``) hit on a ring-resident
         page promotes it to the protected region.
+
+        ``shard`` is the calling thread's shard of the pool's counters
+        when the caller already holds it (one page visit takes it once).
         """
         if not scan:
-            # A demand hit in the protected LRU, inline: one counter-shard
-            # lookup, one LRU touch.  Everything else is _fetch_slow's.
-            with self._lock:
+            # A demand hit in the protected LRU, inline: one LRU touch,
+            # and the pool lock probed as ``_CountedLock`` probes it.
+            # Everything else is _fetch_slow's.
+            mutex = self._mutex
+            if not mutex.acquire(False):
+                self.counters.add("pool_shard_conflicts")
+                mutex.acquire()
+            try:
                 frame = self._frames.get(page_id)
                 if frame is not None and not frame.prefetched:
-                    shard = self.counters.local_shard()
+                    if shard is None:
+                        shard = self.counters.local_shard()
                     shard["page_reads"] += 1
                     shard["pool_demand_hits"] += 1
                     self._frames.move_to_end(page_id)
                     frame.pin_count += 1
                     return frame.page
+            finally:
+                mutex.release()
         return self._fetch_slow(page_id, large_io, scan)
 
     def _fetch_slow(self, page_id: int, large_io: bool, scan: bool) -> Page:
@@ -457,7 +477,11 @@ class BufferPool:
             return frame.page
 
     def unpin(self, page_id: int, dirty: bool = False) -> None:
-        with self._lock:
+        mutex = self._mutex  # probed inline, as in fetch
+        if not mutex.acquire(False):
+            self.counters.add("pool_shard_conflicts")
+            mutex.acquire()
+        try:
             frame = self._frames.get(page_id) or self._ring.get(page_id)
             if frame is None or frame.pin_count <= 0:
                 raise BufferError_(f"page {page_id} is not pinned")
@@ -465,6 +489,8 @@ class BufferPool:
             if dirty:
                 frame.dirty = True
                 frame.version += 1
+        finally:
+            mutex.release()
 
     def mark_dirty(self, page_id: int) -> None:
         with self._lock:

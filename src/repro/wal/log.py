@@ -65,6 +65,7 @@ class LogManager:
         self._flush_cv = threading.Condition(self._lock)
         self._gc_leader = False           # a leader is gathering followers
         self._gc_target = 0               # highest LSN registered this round
+        self._gc_waiting = 0              # followers parked on _flush_cv
 
     # ----------------------------------------------------------------- append
 
@@ -166,7 +167,8 @@ class LogManager:
             self._write_flushed(self._flushed_upto, upto)
         self._flushed_upto = upto
         self.counters.add("log_flushes")
-        self._flush_cv.notify_all()  # wake group-commit followers we covered
+        if self._gc_waiting:
+            self._flush_cv.notify_all()  # wake the followers we covered
 
     def _write_flushed(self, start: int, upto: int) -> None:
         """Persist ``_records[start:upto]``; the in-memory log's durability
@@ -195,11 +197,15 @@ class LogManager:
                 # Follower: wait for a flush that covers us.
                 metrics = self.metrics
                 wait_start = time.monotonic() if metrics is not None else 0.0
-                while not (
-                    self._flushed_upto
-                    and self._offsets[self._flushed_upto - 1] >= lsn
-                ):
-                    self._flush_cv.wait(timeout=1.0)
+                self._gc_waiting += 1
+                try:
+                    while not (
+                        self._flushed_upto
+                        and self._offsets[self._flushed_upto - 1] >= lsn
+                    ):
+                        self._flush_cv.wait(timeout=1.0)
+                finally:
+                    self._gc_waiting -= 1
                 self.counters.add("log_flushes_coalesced")
                 if metrics is not None:
                     metrics.histogram("group_commit_wait_seconds").record(
@@ -219,7 +225,8 @@ class LogManager:
                 self._gc_target = 0
                 self._gc_leader = False
                 self._advance_locked(target)
-                self._flush_cv.notify_all()
+                if self._gc_waiting:
+                    self._flush_cv.notify_all()
         if round_span is not None:
             tracer.finish(round_span)
 

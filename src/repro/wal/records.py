@@ -76,8 +76,10 @@ change the undo made (:func:`repro.wal.apply.compensation`)."""
 _HEADER_FMT = "<HBBIQQQQHIQ"
 _HEADER_MAGIC = 0x10C5
 _HEADER_STRUCT = struct.Struct(_HEADER_FMT)
-_HEADER_PAD = b"\x00" * (RECORD_OVERHEAD - _HEADER_STRUCT.size)
 assert _HEADER_STRUCT.size == 54  # padded to RECORD_OVERHEAD
+_FRAME = struct.Struct(_HEADER_FMT + "6x")
+"""The header and its zero padding, packed in one call."""
+assert _FRAME.size == RECORD_OVERHEAD
 
 
 def _cut(payload: bytes, off: int, length: int) -> bytes:
@@ -201,6 +203,11 @@ class RecordType(enum.IntEnum):
 
 RECORD_TYPES = {t.value: t for t in RecordType}
 """The member for each stored type byte: a dict lookup, not an enum call."""
+
+# The members every append tests, bound once as latch.LATCH_X is.
+_NTA_END, _INSERT, _DELETE = (
+    RecordType.NTA_END, RecordType.INSERT, RecordType.DELETE
+)
 
 PROGRESS_RUNNING = 0
 """``REBUILD_PROGRESS`` state: every unit up to ``last_unit`` is durably
@@ -357,6 +364,19 @@ class LogRecord:
         rec.resolved_undone = None
         return rec
 
+    @classmethod
+    def row_record(
+        cls, type: RecordType, pos: int, row: bytes, flags: int = 0
+    ) -> "LogRecord":
+        """Fast constructor for an ``INSERT`` / ``DELETE`` of one ``row``
+        at slot ``pos``: :meth:`header_record` plus the payload fields.
+        It encodes to the bytes the dataclass constructor's record does."""
+        rec = cls.header_record(type)
+        rec.pos = pos
+        rec.rows = [row]
+        rec.flags = flags
+        return rec
+
     # ----------------------------------------------------------------- encode
 
     def encode(self) -> bytes:
@@ -369,9 +389,9 @@ class LogRecord:
         this under the lock once the LSN is assigned.
         """
         return (
-            _HEADER_STRUCT.pack(
+            _FRAME.pack(
                 _HEADER_MAGIC,
-                int(self.type),
+                self.type,
                 self.flags,
                 RECORD_OVERHEAD + len(payload),
                 self.lsn,
@@ -382,7 +402,6 @@ class LogRecord:
                 self.page_id,
                 self.old_ts,
             )
-            + _HEADER_PAD
             + payload
         )
 
@@ -392,15 +411,15 @@ class LogRecord:
 
     def _encode_payload(self) -> bytes:
         t = self.type
-        if t <= RecordType.NTA_END:  # TXN_* and NTA_*: header only
+        if t <= _NTA_END:  # TXN_* and NTA_*: header only
             return b""
-        if t in (RecordType.INSERT, RecordType.DELETE):
+        if t is _INSERT or t is _DELETE:
             (row,) = self.rows
-            return struct.pack("<HH", self.pos, len(row)) + row
-        if t in (RecordType.BATCHINSERT, RecordType.BATCHDELETE):
-            parts = [struct.pack("<HH", self.pos, len(self.rows))]
+            return _POS_COUNT.pack(self.pos, len(row)) + row
+        if t is RecordType.BATCHINSERT or t is RecordType.BATCHDELETE:
+            parts = [_POS_COUNT.pack(self.pos, len(self.rows))]
             for row in self.rows:
-                parts.append(struct.pack("<H", len(row)))
+                parts.append(_ROW_LEN.pack(len(row)))
                 parts.append(row)
             return b"".join(parts)
         if t is RecordType.KEYCOPY:

@@ -12,7 +12,7 @@ import pytest
 from repro import Engine
 from repro.btree import node
 from repro.core.scrubber import Scrubber
-from repro.errors import ChecksumError
+from repro.errors import ChecksumError, TransactionError
 from repro.storage.faults import FaultPlan
 from tests.conftest import NOTHING_LEFT, intkey, left_behind
 
@@ -56,3 +56,28 @@ def test_a_scrub_pass_that_cannot_read_level_1_leaves_the_root_free():
     with pytest.raises(ChecksumError):
         Scrubber(index).run_pass()
     assert left_behind(engine, unreadable={rotted}) == NOTHING_LEFT
+
+
+@pytest.mark.parametrize("end", ["commit", "abort"])
+@pytest.mark.parametrize("op", ["contains", "insert", "delete", "scan"])
+def test_a_finished_transaction_is_refused_before_the_descent(op, end):
+    """A caller's transaction that has ended is refused before anything is
+    latched: an insert once reached the leaf, raised from the log and
+    left the leaf X latched and pinned for the next writer to wait on."""
+    engine = Engine()
+    index = engine.create_index(key_len=4)
+    for i in range(100):
+        index.insert(intkey(2 * i), 2 * i)
+    txn = engine.ctx.txns.begin()
+    getattr(engine.ctx.txns, end)(txn)
+    calls = {
+        "contains": lambda: index.contains(intkey(0), 0, txn=txn),
+        "insert": lambda: index.insert(intkey(1), 1, txn=txn),
+        "delete": lambda: index.delete(intkey(0), 0, txn=txn),
+        "scan": lambda: list(index.scan(intkey(0), intkey(10), txn=txn)),
+    }
+    with pytest.raises(TransactionError):
+        calls[op]()
+    assert left_behind(engine) == NOTHING_LEFT
+    index.insert(intkey(1), 1)
+    assert index.contains(intkey(1), 1)

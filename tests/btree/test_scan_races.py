@@ -44,11 +44,11 @@ def before_s_latch_on(tree, page_id: int, work) -> list[int]:
     acquire = latches.acquire
     fired: list[int] = []
 
-    def racing(pid, mode):
+    def racing(pid, mode, *shard):
         if pid == page_id and mode is LatchMode.S and not fired:
             fired.append(pid)
             work()
-        acquire(pid, mode)
+        acquire(pid, mode, *shard)
 
     latches.acquire = racing
     return fired

@@ -306,10 +306,10 @@ def _lock_goes_with_bit(engine, pages, pinned):
     asked_for_second = threading.Event()
     acquire = ctx.latches.acquire
 
-    def noting(page_id, mode):
+    def noting(page_id, mode, *shard):
         if page_id == second:
             asked_for_second.set()
-        acquire(page_id, mode)
+        acquire(page_id, mode, *shard)
 
     ctx.latches.acquire = noting
     t = run_thread(clear)

@@ -149,20 +149,85 @@ def test_raw_device_call_with_no_lock_held_is_clean():
     assert violations(src) == []
 
 
+def test_a_hand_taken_lock_holds_until_its_finally_releases_it():
+    # The pool's inline probe: no ``with``, the lock is taken by hand.
+    src = (
+        "def fetch(self, pid):\n"
+        "    mutex = self._mutex\n"
+        "    if not mutex.acquire(False):\n"
+        "        mutex.acquire()\n"
+        "    try:\n"
+        "        image = self.disk.read(pid)\n"
+        "    finally:\n"
+        "        mutex.release()\n"
+        "    return self.disk.read(pid)\n"
+    )
+    assert violations(src) == [
+        "disk call `self.disk.read(...)` with `mutex` held "
+        "(taken by `mutex.acquire`)"
+    ]
+
+
+def test_a_hand_taken_lock_with_no_release_holds_to_the_end():
+    src = (
+        "def f(self, pid):\n"
+        "    self._lock.acquire()\n"
+        "    for p in pid:\n"
+        "        os.pread(self._fd, 1, p)\n"
+    )
+    assert len(violations(src)) == 1
+
+
+def test_io_unlocked_shape_opens_no_region():
+    # Release, call, retake in ``finally``: the call runs unlocked.
+    src = (
+        "def _io_unlocked(self, fn):\n"
+        "    self._lock.release()\n"
+        "    try:\n"
+        "        return self.disk.read(fn)\n"
+        "    finally:\n"
+        "        self._lock.acquire()\n"
+    )
+    assert violations(src) == []
+
+
+def _planted_in_pool(method: str, block: type[ast.stmt]) -> list[str]:
+    """The lint's messages for ``buffer.py`` with a device read planted at
+    the top of ``BufferPool.<method>``'s first ``block`` (a ``with``, or
+    the ``try`` a hand-taken lock is held through); the real file is
+    clean."""
+    source = (STORAGE / "buffer.py").read_text()
+    tree = ast.parse(source)
+    fn = next(
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == method
+    )
+    locked = next(n for n in ast.walk(fn) if isinstance(n, block))
+    locked.body.insert(0, ast.parse("self.disk.read(page_id)").body[0])
+    assert violations(source) == []
+    return violations(ast.unparse(tree))
+
+
+HELD_BY_HAND = [
+    "disk call `self.disk.read(...)` with `mutex` held "
+    "(taken by `mutex.acquire`)"
+]
+
+
 def test_disk_call_under_the_pool_lock_is_flagged():
     """Whatever the pool's one lock is called, the lint sees it: the real
     ``BufferPool.fetch`` with a device read added at the top of its
-    locked block is flagged, and is clean without it."""
-    source = (STORAGE / "buffer.py").read_text()
-    tree = ast.parse(source)
-    fetch = next(
-        fn for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == "fetch"
-    )
-    locked = next(w for w in ast.walk(fetch) if isinstance(w, ast.With))
-    locked.body.insert(0, ast.parse("self.disk.read(page_id)").body[0])
-    assert violations(source) == []
-    assert violations(ast.unparse(tree)) == [
+    inline hit path, which holds the lock by hand, is flagged, and is
+    clean without it."""
+    assert _planted_in_pool("fetch", ast.Try) == HELD_BY_HAND
+
+
+def test_disk_call_in_unpin_under_the_pool_lock_is_flagged():
+    assert _planted_in_pool("unpin", ast.Try) == HELD_BY_HAND
+
+
+def test_disk_call_in_a_fetch_miss_under_the_pool_lock_is_flagged():
+    assert _planted_in_pool("_fetch_slow", ast.With) == [
         "disk call `self.disk.read(...)` inside a lock-holding `with` block"
     ]
 

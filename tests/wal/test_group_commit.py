@@ -238,3 +238,39 @@ def test_overlapping_holders_stress():
         sys.setswitchinterval(interval)
     assert closed_under_a_holder == []
     assert log._window_holders == 0
+
+
+def test_followers_are_woken_not_timed_out_stress(monkeypatch):
+    """More committers than cores commit through held windows for a
+    bounded time.  A flush notifies only while a follower is parked, so
+    a follower the count missed would sleep out its 1 s wait timeout
+    instead of waking when the leader's flush covers it."""
+    log = _held(LogManager(counters=Counters()), monkeypatch, 0.002)
+    workers = 4 * (os.cpu_count() or 2)
+    deadline = time.monotonic() + 1.0
+    slowest: list[float] = []
+
+    def committer() -> None:
+        worst = 0.0
+        while time.monotonic() < deadline:
+            lsn = _append(log)
+            start = time.monotonic()
+            log.flush_commit(lsn)
+            worst = max(worst, time.monotonic() - start)
+        slowest.append(worst)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=committer) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(slowest) == workers
+    assert max(slowest) < 0.9
+    assert log._gc_waiting == 0
+    assert len(list(log.scan(durable_only=True))) == len(log.raw_records())

@@ -1,9 +1,13 @@
 """Round-trip and size tests for every log record type."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LogFormatError
 from repro.wal.records import (
+    CLR_FLAG,
+    LEAF_ROW_FLAG,
     RECORD_OVERHEAD,
     ChainLink,
     KeyCopyEntry,
@@ -45,21 +49,71 @@ def test_nta_end_preserves_undo_next():
     assert back.undo_next_lsn == 333
 
 
-def test_insert_record():
-    rec = LogRecord(
-        type=RecordType.INSERT, page_id=12, pos=3, rows=[b"therow"], old_ts=9
-    )
-    back = roundtrip(rec)
-    assert back.page_id == 12
-    assert back.pos == 3
-    assert back.rows == [b"therow"]
-    assert back.old_ts == 9
-    assert back.size == RECORD_OVERHEAD + 4 + 6
+# An INSERT / DELETE is built by either constructor; both must encode to
+# the same bytes, and decoding must give back every field.
+ROW_CONSTRUCTORS = (
+    lambda rtype, pos, row, flags: LogRecord(
+        type=rtype, pos=pos, rows=[row], flags=flags
+    ),
+    LogRecord.row_record,
+)
+row_record_fields = dict(
+    pos=st.integers(0, 0xFFFF),
+    unit=st.binary(min_size=1, max_size=16),
+    payload=st.one_of(st.just(b""), st.binary(min_size=1, max_size=64)),
+    flags=st.sampled_from(
+        [0, LEAF_ROW_FLAG, CLR_FLAG, LEAF_ROW_FLAG | CLR_FLAG]
+    ),
+    chain=st.tuples(
+        st.integers(0, 2**64 - 1),  # lsn
+        st.integers(0, 2**64 - 1),  # prev_lsn
+        st.integers(0, 2**64 - 1),  # txn_id
+        st.integers(0, 2**64 - 1),  # undo_next_lsn
+        st.integers(0, 2**16 - 1),  # index_id
+        st.integers(0, 2**32 - 1),  # page_id
+        st.integers(0, 2**64 - 1),  # old_ts
+    ),
+)
+CHAIN_FIELDS = (
+    "lsn", "prev_lsn", "txn_id", "undo_next_lsn", "index_id", "page_id",
+    "old_ts",
+)
 
 
-def test_delete_record():
-    back = roundtrip(LogRecord(type=RecordType.DELETE, pos=0, rows=[b"x"]))
-    assert back.rows == [b"x"]
+def check_row_record(rtype, pos, unit, payload, flags, chain):
+    row = unit + payload
+    encoded = []
+    for make in ROW_CONSTRUCTORS:
+        rec = make(rtype, pos, row, flags)
+        for name, value in zip(CHAIN_FIELDS, chain):
+            setattr(rec, name, value)
+        data = rec.encode()
+        assert len(data) == rec.size == RECORD_OVERHEAD + 4 + len(row)
+        encoded.append(data)
+    assert encoded[0] == encoded[1]
+    back = LogRecord.decode(encoded[0])
+    assert back.type is rtype
+    assert (back.pos, back.rows, back.flags) == (pos, [row], flags)
+    assert tuple(getattr(back, name) for name in CHAIN_FIELDS) == chain
+
+
+@settings(max_examples=150)
+@example(
+    pos=3, unit=b"therow", payload=b"", flags=0,
+    chain=(1000, 500, 7, 0, 0, 12, 9),
+)
+@given(**row_record_fields)
+def test_insert_record(pos, unit, payload, flags, chain):
+    check_row_record(RecordType.INSERT, pos, unit, payload, flags, chain)
+
+
+@settings(max_examples=150)
+@example(
+    pos=0, unit=b"x", payload=b"", flags=0, chain=(1000, 500, 7, 0, 0, 0, 0)
+)
+@given(**row_record_fields)
+def test_delete_record(pos, unit, payload, flags, chain):
+    check_row_record(RecordType.DELETE, pos, unit, payload, flags, chain)
 
 
 def test_batch_records_carry_full_rows():

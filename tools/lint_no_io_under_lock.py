@@ -6,7 +6,8 @@ prefetch reads, batch flushes, dirty-eviction writes — runs with the
 pool lock *released*.  This tool turns that promise from convention into
 a static guarantee: it fails if any ``*.disk.*(...)`` call is
 syntactically nested inside a ``with <lock-ish>:`` block in the storage
-layer.  The pool entry points the I/O scheduler's threads drive the
+layer, or inside a region a lock-ish ``X.acquire(...)`` statement opens
+(below).  The pool entry points the I/O scheduler's threads drive the
 device through (``*.buffer.flush_pages(...)``, ``flush_page``,
 ``flush_all``, ``prefetch``) count as disk calls: its writers and readers
 share one condition variable, and a flush issued under it would park
@@ -26,6 +27,18 @@ What counts as a lock-ish ``with`` context manager:
 * any bare-name context manager (``with guard:``) — in ``storage/`` a
   bare name is taken for a lock held by a local variable, and erring
   broad keeps a renamed lock from silently escaping the lint.
+
+A lock taken by hand is held too.  In any statement list, the statements
+after one that calls a lock-ish ``X.acquire(...)`` (an expression
+statement, an assignment, or an ``if`` / ``while`` test, e.g. the
+pool's inline probe ``if not mutex.acquire(False): ...``) are lock-held
+up to the ``try`` whose ``finally`` calls ``X.release()`` — its body,
+handlers and ``else`` included — or up to a bare ``X.release()``
+statement, or else to the end of the list.  A receiver is lock-ish as a
+``with`` target is.  The inverse shape, ``X.release()`` then
+``try: ... finally: X.acquire()`` (``_io_unlocked``), opens no region:
+an ``acquire`` inside a ``finally`` is not a statement of the list that
+holds the ``try``.
 
 Exemption: a lambda or nested ``def`` passed as an argument to a
 ``*._io_unlocked(...)`` call is *not* flagged even when it contains disk
@@ -113,7 +126,10 @@ def _exempt_subtrees(tree: ast.AST) -> set[int]:
 
 
 def _walk_flagging(
-    node: ast.AST, exempt: set[int], violations: list[tuple[int, str]]
+    node: ast.AST,
+    exempt: set[int],
+    violations: list[tuple[int, str]],
+    where: str = "inside a lock-holding `with` block",
 ) -> None:
     """Flag disk calls under this (lock-held) subtree, honoring exemptions."""
     for child in ast.iter_child_nodes(node):
@@ -127,11 +143,62 @@ def _walk_flagging(
             violations.append(
                 (
                     child.lineno,
-                    f"disk call `{ast.unparse(child.func)}(...)` "
-                    "inside a lock-holding `with` block",
+                    f"disk call `{ast.unparse(child.func)}(...)` {where}",
                 )
             )
-        _walk_flagging(child, exempt, violations)
+        _walk_flagging(child, exempt, violations, where)
+
+
+def _lock_calls(stmt: ast.stmt, method: str) -> set[str]:
+    """The lock-ish receivers ``X`` of ``X.<method>(...)`` calls in the
+    statement's own expression (not in the blocks it holds)."""
+    if isinstance(stmt, (ast.Expr, ast.Assign, ast.AnnAssign)):
+        expr = stmt.value
+    elif isinstance(stmt, (ast.If, ast.While)):
+        expr = stmt.test
+    else:
+        return set()
+    if expr is None:
+        return set()
+    return {
+        ast.unparse(node.func.value)
+        for node in ast.walk(expr)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        and _is_lockish(node.func.value)
+    }
+
+
+def _held_after_acquire(body: list[ast.stmt]) -> list[tuple[ast.stmt, str]]:
+    """The statements of ``body`` that run with a hand-taken lock held,
+    each with the lock's source."""
+    held_stmts: list[tuple[ast.stmt, str]] = []
+    held: set[str] = set()
+    for stmt in body:
+        if held:
+            name = min(held)
+            if isinstance(stmt, ast.Try):
+                released = held & {
+                    lock
+                    for final in stmt.finalbody
+                    for lock in _lock_calls(final, "release")
+                }
+                if released:
+                    region = list(stmt.body)
+                    for handler in stmt.handlers:
+                        region.extend(handler.body)
+                    region.extend(stmt.orelse)
+                    held_stmts.extend((s, name) for s in region)
+                    held -= released
+                    continue
+            released = held & _lock_calls(stmt, "release")
+            if isinstance(stmt, ast.Expr) and released:
+                held -= released
+                continue
+            held_stmts.append((stmt, name))
+        held |= _lock_calls(stmt, "acquire")
+    return held_stmts
 
 
 def check_source(source: str) -> list[tuple[int, str]]:
@@ -147,6 +214,18 @@ def check_source(source: str) -> list[tuple[int, str]]:
         ):
             for stmt in node.body:
                 _walk_flagging(stmt, exempt, violations)
+        for _field, value in ast.iter_fields(node):
+            if not (
+                isinstance(value, list)
+                and value
+                and isinstance(value[0], ast.stmt)
+            ):
+                continue
+            for stmt, lock in _held_after_acquire(value):
+                _walk_flagging(
+                    stmt, exempt, violations,
+                    f"with `{lock}` held (taken by `{lock}.acquire`)",
+                )
     return sorted(set(violations))
 
 

@@ -9,15 +9,12 @@ window:
   copied);
 * **online-split-staged** — the §6.2 enhancement (SPLIT bits during the
   copy, flipped to SHRINK for the unlink; readers pass during the copy);
-* **offline** — drop + recreate under the §1 table lock.  Every OLTP
-  operation first takes an instant S on the table resource (what a query
-  layer does before touching a table), so the offline rebuild stalls all
-  of them for its full duration;
 * **baseline** — no reorganization, same window length as the online run.
 
 The paper's qualitative claim checked: the online rebuild restricts access
-only to the affected pages, so OLTP keeps most of its throughput, while
-the offline table lock collapses it.
+only to the affected pages, so OLTP keeps most of its throughput.  (The
+offline drop-and-recreate row of EXPERIMENTS.md E62 was measured by an
+earlier version of this bench; that baseline has since been removed.)
 """
 
 from __future__ import annotations
@@ -26,9 +23,7 @@ import time
 
 import pytest
 
-from repro import Engine, OnlineRebuild, RebuildConfig, offline_rebuild
-from repro.concurrency.locks import LockMode, LockSpace
-from repro.core.offline import table_lock_resource
+from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.workload import MixedWorkload, int4_key
 from conftest import record
 
@@ -47,27 +42,12 @@ def build(lock_timeout: float = 120.0):
     return engine, index
 
 
-def table_guard(engine, index):
-    """The instant table-lock acquisition a QP layer performs per op."""
-    locks = engine.ctx.locks
-    resource = table_lock_resource(index.index_id)
-    counter = iter(range(10**9))
-
-    def guard():
-        # A fresh pseudo-txn id per op, as each OLTP op is auto-commit.
-        txn_id = 10_000_000 + next(counter)
-        locks.wait_instant(txn_id, LockSpace.LOGICAL, resource, LockMode.S)
-
-    return guard
-
-
 def run_mode(mode: str):
     engine, index = build()
     wait_us_before = engine.counters.lock_wait_us
-    guard = table_guard(engine, index) if mode == "offline" else None
     workload = MixedWorkload(
         index, lambda i: int4_key(2 * i + 1), key_count=KEY_COUNT // 2,
-        threads=4, write_fraction=0.7, before_op=guard,
+        threads=4, write_fraction=0.7,
     )
     workload.start()
     t0 = time.perf_counter()
@@ -78,8 +58,6 @@ def run_mode(mode: str):
             index,
             RebuildConfig(ntasize=16, xactsize=64, split_then_shrink=True),
         ).run()
-    elif mode == "offline":
-        offline_rebuild(index)
     else:  # baseline: idle for as long as the online rebuild took
         time.sleep(WINDOW.get("online", 2.0))
     elapsed = time.perf_counter() - t0
@@ -91,9 +69,7 @@ def run_mode(mode: str):
     return stats, elapsed, blocked_s
 
 
-@pytest.mark.parametrize(
-    "mode", ["online", "baseline", "online-split-staged", "offline"]
-)
+@pytest.mark.parametrize("mode", ["online", "baseline", "online-split-staged"])
 def test_oltp_throughput_during_reorg(benchmark, mode):
     holder = {}
 
@@ -113,18 +89,15 @@ def test_oltp_throughput_during_reorg(benchmark, mode):
     )
     benchmark.extra_info["oltp_ops_per_second"] = ops_per_s
 
-    if mode == "offline":
+    if mode == "online-split-staged":
         record(
             "E62 concurrency (§6.2)",
             "zz-summary",
             f"baseline={THROUGHPUT.get('baseline', 0):,.0f}  "
             f"online={THROUGHPUT.get('online', 0):,.0f}  "
-            f"split-staged={THROUGHPUT.get('online-split-staged', 0):,.0f}  "
-            f"offline={THROUGHPUT.get('offline', 0):,.0f} ops/s",
+            f"split-staged={THROUGHPUT.get('online-split-staged', 0):,.0f} "
+            "ops/s",
         )
-        # The paper's motivation (§1, §7): the online rebuild must keep
-        # OLTP running far better than the table-locked alternative.
-        assert THROUGHPUT["online"] > THROUGHPUT["offline"] * 2
-        # And OLTP retains a substantial share of its baseline throughput
+        # OLTP retains a substantial share of its baseline throughput
         # while the online rebuild runs.
         assert THROUGHPUT["online"] > THROUGHPUT["baseline"] * 0.25

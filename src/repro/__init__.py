@@ -7,7 +7,6 @@ Public API:
 * :class:`BTree` — the secondary-index manager (insert/delete/scan);
 * :class:`OnlineRebuild` / :class:`RebuildConfig` — the paper's online
   index rebuild (multipage rebuild top actions);
-* :func:`offline_rebuild` — the drop-and-recreate baseline;
 * :class:`RebuildSupervisor` — crash/fault-resilient rebuild lifecycle
   (WAL-checkpointed resume, watchdog, retry with backoff, graceful
   degradation under fault storms).
@@ -18,7 +17,6 @@ paper-vs-measured record.
 
 from repro.btree.tree import BTree
 from repro.core.config import RebuildConfig
-from repro.core.offline import OfflineReport, offline_rebuild
 from repro.core.rebuild import OnlineRebuild, RebuildReport
 from repro.core.supervisor import (
     RebuildSupervisor,
@@ -35,7 +33,6 @@ __all__ = [
     "Counters",
     "Engine",
     "FragmentationReport",
-    "OfflineReport",
     "OnlineRebuild",
     "RebuildCheckpoint",
     "RebuildConfig",
@@ -45,7 +42,6 @@ __all__ = [
     "SupervisorReport",
     "Timer",
     "analyze_index",
-    "offline_rebuild",
 ]
 
 __version__ = "1.0.0"

@@ -84,12 +84,6 @@ def leaf_search(page: Page, unit: bytes, counters: Counters) -> tuple[int, bool]
     return pos, pos < len(rows) and rows[pos].startswith(unit)
 
 
-def leaf_low_unit(page: Page) -> bytes:
-    if page.is_empty:
-        raise TreeStructureError(f"leaf {page.page_id} is empty")
-    return page.rows[0]
-
-
 # --------------------------------------------------------------- nonleaf ops
 
 

@@ -11,10 +11,8 @@ undo code in :mod:`repro.wal.apply`), which logs a compensation
 (``CLR_FLAG``) into the transaction's chain per change it makes, so that
 undo itself is idempotent across crashes.
 
-Commit forces the log (WAL), runs registered commit hooks — the rebuild uses
-one to free the old pages it deallocated (§3) — and releases the
-transaction's logical locks.  Address locks are released by the operations
-themselves at top-action end.
+Commit forces the log (WAL) and releases the transaction's logical locks.
+Address locks are released by the operations themselves at top-action end.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ _TXN_COMMIT = RecordType.TXN_COMMIT
 
 
 class Transaction:
-    """One transaction's log chain, NTA stack, and lifecycle hooks."""
+    """One transaction's log chain and NTA stack."""
 
     __slots__ = (
         "txn_id",
@@ -57,8 +55,6 @@ class Transaction:
         "last_lsn",
         "begin_lsn",
         "_nta_stack",
-        "commit_hooks",
-        "abort_hooks",
     )
 
     def __init__(self, txn_id: int) -> None:
@@ -67,8 +63,6 @@ class Transaction:
         self.last_lsn = 0
         self.begin_lsn = 0
         self._nta_stack: list[int] = []
-        self.commit_hooks: list[Callable[[], None]] = []
-        self.abort_hooks: list[Callable[[], None]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Txn {self.txn_id} {self.state.value} last_lsn={self.last_lsn}>"
@@ -137,8 +131,6 @@ class TransactionManager:
             self.active.pop(txn.txn_id, None)
         if self.lock_manager is not None:
             self.lock_manager.release_all(txn.txn_id)  # type: ignore[attr-defined]
-        for hook in txn.commit_hooks:
-            hook()
 
     def abort(self, txn: Transaction) -> None:
         """Roll the transaction back completely and release it."""
@@ -154,8 +146,6 @@ class TransactionManager:
             self.active.pop(txn.txn_id, None)
         if self.lock_manager is not None:
             self.lock_manager.release_all(txn.txn_id)  # type: ignore[attr-defined]
-        for hook in txn.abort_hooks:
-            hook()
 
     # --------------------------------------------------------------- top actions
 

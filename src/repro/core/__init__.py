@@ -1,7 +1,6 @@
-"""The paper's contribution: online index rebuild and its baselines."""
+"""The paper's contribution: online index rebuild, its supervisor and the scrubber."""
 
 from repro.core.config import RebuildConfig
-from repro.core.offline import OfflineReport, offline_rebuild, table_lock_resource
 from repro.core.propagation import PropagationEntry, PropOp
 from repro.core.rebuild import OnlineRebuild, RebuildReport
 from repro.core.scrubber import (
@@ -17,7 +16,6 @@ from repro.core.supervisor import (
 )
 
 __all__ = [
-    "OfflineReport",
     "OnlineRebuild",
     "Pacer",
     "PropOp",
@@ -30,6 +28,4 @@ __all__ = [
     "ScrubReport",
     "Scrubber",
     "SupervisorReport",
-    "offline_rebuild",
-    "table_lock_resource",
 ]

@@ -52,7 +52,14 @@ from repro.concurrency.latch import LatchMode
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
 from repro.errors import PageFullError, RebuildError
-from repro.storage.page import HEADER_SIZE, NO_PAGE, Page, PageFlag, PageType
+from repro.storage.page import (
+    HEADER_SIZE,
+    NO_PAGE,
+    Page,
+    PageFlag,
+    PageType,
+    partition_rows,
+)
 from repro.wal.records import LogRecord, RecordType
 
 
@@ -442,7 +449,7 @@ def _insert_with_splits(
         page = grow_root(top, tree, page)
         top.lock(page, PageFlag.SHRINK)
 
-    chunks = _partition(final, capacity)
+    chunks = partition_rows(final, capacity)
     keep = chunks[0]
     # Rows of the current page that must leave (the tail moving right).
     boundary = len(keep)
@@ -496,22 +503,6 @@ def _insert_with_splits(
         ctx.release_page(sib_id, dirty=True)
         siblings.append((sep, sib_id))
     return page, siblings
-
-
-def _partition(rows: list[bytes], capacity: int) -> list[list[bytes]]:
-    """Greedy byte-partition of an entry sequence into page-sized chunks."""
-    from repro.storage.page import SLOT_OVERHEAD
-
-    chunks: list[list[bytes]] = [[]]
-    used = 0
-    for row in rows:
-        cost = SLOT_OVERHEAD + len(row)
-        if chunks[-1] and used + cost > capacity:
-            chunks.append([])
-            used = 0
-        chunks[-1].append(row)
-        used += cost
-    return chunks
 
 
 def _rows_bytes(rows: list[bytes]) -> int:

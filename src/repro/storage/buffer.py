@@ -430,7 +430,7 @@ class BufferPool:
 
         (a) ``new_page`` is reached only for an id the page manager just
             took from FREE (the copy phase, split, propagation, tree
-            creation, the offline builder) or that redo is
+            creation, the bulk loader) or that redo is
             re-creating (``apply._redo_fresh_page``, which drops a
             resident older incarnation itself first).  A page reaches
             FREE at the end of the shrink that emptied it (which

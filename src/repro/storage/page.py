@@ -227,11 +227,6 @@ class Page:
     def free_bytes(self) -> int:
         return self.page_size - self.used_bytes
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Row space available on an empty page (header excluded)."""
-        return self.page_size - HEADER_SIZE
-
     def fits(self, row: bytes, extra_rows: int = 1) -> bool:
         """Would ``extra_rows`` copies of ``row`` fit right now?  O(1)."""
         return (
@@ -593,3 +588,22 @@ class Page:
             f"rows={self.nrows} flags={self.flags!r} "
             f"prev={self.prev_page} next={self.next_page}>"
         )
+
+
+def partition_rows(rows: list[bytes], budget: int) -> list[list[bytes]]:
+    """Greedy byte partition of ``rows`` into batches of at most ``budget``
+    row bytes (slots included); a row larger than ``budget`` gets a batch
+    of its own."""
+    batches: list[list[bytes]] = []
+    batch: list[bytes] = []
+    used = 0
+    for row in rows:
+        cost = SLOT_OVERHEAD + len(row)
+        if batch and used + cost > budget:
+            batches.append(batch)
+            batch, used = [], 0
+        batch.append(row)
+        used += cost
+    if batch:
+        batches.append(batch)
+    return batches

@@ -326,10 +326,6 @@ class LogManager:
 
     # ------------------------------------------------------------- accounting
 
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(self.bytes_by_type.values())
-
     def usage_snapshot(self) -> dict[str, dict[str, int]]:
         """Per-type bytes/counts for benchmark diffs."""
         with self._lock:

@@ -22,13 +22,16 @@ from __future__ import annotations
 import random
 
 from repro.btree import keys as K
+from repro.btree import node
 from repro.btree.tree import BTree
-from repro.core.config import RebuildConfig
-from repro.core.offline import _build_leaves, _build_nonleaf_level, _install_root
+from repro.concurrency.latch import LatchMode
+from repro.concurrency.txn import Transaction
+from repro.context import EngineContext
 from repro.engine import Engine
 from repro.errors import ReproError
-from repro.storage.page import NO_PAGE
+from repro.storage.page import HEADER_SIZE, NO_PAGE, PageType, partition_rows
 from repro.storage.page_manager import ChunkAllocator
+from repro.wal.records import LogRecord, RecordType
 
 
 def bulk_load(
@@ -43,7 +46,9 @@ def bulk_load(
     Keys must be unique; rowid ``i`` is assigned to the i-th key in sorted
     order.  Pages come from contiguous chunks, so the loaded index is
     clustered; combine with :func:`build_by_inserts` when the declustered
-    §6.1 precondition is wanted.
+    §6.1 precondition is wanted.  Each level is partitioned into pages
+    until one page's worth is left, which is written straight into the
+    stable root, so a load allocates only pages it keeps.
     """
     tree = engine.create_index(key_len=key_len, index_id=index_id)
     ordered = sorted(keys)
@@ -55,19 +60,24 @@ def bulk_load(
     if not units:
         return tree
     ctx = tree.ctx
+    capacity = ctx.page_size - HEADER_SIZE
+    budget = max(1, int(max(0.05, min(fill, 1.0)) * capacity))
+    batches = partition_rows(units, budget)
     txn = ctx.txns.begin()
-    config = RebuildConfig(fillfactor=max(0.05, min(fill, 1.0)))
     chunk = ChunkAllocator(ctx.page_manager)
     try:
-        level_pages = _build_leaves(ctx, tree, txn, config, chunk, units)
-        level = 1
-        while len(level_pages) > 1:
-            level_pages = _build_nonleaf_level(
-                ctx, tree, txn, chunk, level_pages, level
-            )
+        level = 0
+        while len(batches) > 1:
+            if level == 0:
+                children = _build_leaves(ctx, tree, txn, chunk, batches)
+            else:
+                children = _build_nonleaf_level(
+                    ctx, tree, txn, chunk, batches, level
+                )
+            entries = [node.encode_entry(sep, pid) for pid, sep in children]
+            batches = partition_rows(entries, capacity)
             level += 1
-        top_id = level_pages[0][0] if level_pages else NO_PAGE
-        _install_root(ctx, tree, txn, top_id)
+        _install_root(ctx, tree, txn, level, batches[0])
         ctx.txns.commit(txn)
     except BaseException:
         ctx.latches.release_all()
@@ -77,6 +87,158 @@ def bulk_load(
         chunk.close()
     engine.checkpoint()
     return tree
+
+
+def _write_fresh_page(
+    ctx: EngineContext,
+    tree: BTree,
+    txn: Transaction,
+    pid: int,
+    page_type: PageType,
+    level: int,
+    rows: list[bytes],
+    prev: int = NO_PAGE,
+) -> None:
+    ctx.latches.acquire(pid, LatchMode.X)
+    page = ctx.buffer.new_page(pid)
+    page.page_type = page_type
+    page.level = level
+    page.index_id = tree.index_id
+    page.prev_page = prev
+    ctx.log_page_change(
+        txn,
+        LogRecord(
+            type=RecordType.ALLOC,
+            page_type=int(page_type),
+            level=level,
+            prev_page=prev,
+        ),
+        page,
+    )
+    ctx.log_page_change(
+        txn,
+        LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=rows),
+        page,
+    )
+    page.insert_rows(0, rows)
+    ctx.release_page(pid, dirty=True)
+
+
+def _build_leaves(
+    ctx: EngineContext,
+    tree: BTree,
+    txn: Transaction,
+    chunk: ChunkAllocator,
+    batches: list[list[bytes]],
+) -> list[tuple[int, bytes]]:
+    """Write one fresh, chained leaf per batch of leaf units.
+
+    Returns ``(page_id, separator)`` per leaf in key order; the separator
+    is the suffix-compressed low bound against the previous leaf (empty
+    for the first), ready to become the parent's entry key.
+    """
+    out: list[tuple[int, bytes]] = []
+    prev = NO_PAGE
+    for i, rows in enumerate(batches):
+        pid = chunk.next_page()
+        sep = K.separator(batches[i - 1][-1], rows[0]) if i else b""
+        _write_fresh_page(
+            ctx, tree, txn, pid, PageType.LEAF, 0, rows, prev=prev
+        )
+        if prev != NO_PAGE:
+            prev_page = ctx.buffer.fetch(prev)
+            # Logged, not just patched: the durable log must hold the
+            # page's complete history or the scrubber's replay repair
+            # would reconstruct the leaf without its chain link.
+            ctx.log_page_change(
+                txn,
+                LogRecord(
+                    type=RecordType.CHANGENEXTLINK,
+                    old_next=NO_PAGE,
+                    new_next=pid,
+                ),
+                prev_page,
+            )
+            prev_page.next_page = pid
+            ctx.buffer.unpin(prev, dirty=True)
+        out.append((pid, sep))
+        prev = pid
+    return out
+
+
+def _build_nonleaf_level(
+    ctx: EngineContext,
+    tree: BTree,
+    txn: Transaction,
+    chunk: ChunkAllocator,
+    batches: list[list[bytes]],
+    level: int,
+) -> list[tuple[int, bytes]]:
+    """Write one fresh nonleaf page per batch of entries; returns the level.
+
+    The first entry of every page is stored keyless (§5's representation)
+    and its separator becomes the page's own low bound for the next level
+    up.
+    """
+    out: list[tuple[int, bytes]] = []
+    for rows in batches:
+        pid = chunk.next_page()
+        _write_fresh_page(
+            ctx, tree, txn, pid, PageType.NONLEAF, level, _keyless_first(rows)
+        )
+        out.append((pid, node.entry_key(rows[0])))
+    return out
+
+
+def _keyless_first(entries: list[bytes]) -> list[bytes]:
+    return [node.strip_entry_key(entries[0])] + entries[1:]
+
+
+def _install_root(
+    ctx: EngineContext,
+    tree: BTree,
+    txn: Transaction,
+    level: int,
+    rows: list[bytes],
+) -> None:
+    """Format the stable root as the load's top page and write ``rows``.
+
+    ``rows`` are the leaf units (level 0) or the entries (level > 0) of the
+    one batch the top level partitioned into.  A fresh index's root is an
+    empty leaf, so there is nothing to delete first.
+    """
+    page_type = PageType.NONLEAF if level else PageType.LEAF
+    if level:
+        rows = _keyless_first(rows)
+    root = ctx.get_latched(tree.root_page_id, LatchMode.X)
+    try:
+        old_format = (
+            int(root.page_type), root.level, root.prev_page, root.next_page
+        )
+        ctx.log_page_change(
+            txn,
+            LogRecord(
+                type=RecordType.FORMAT,
+                page_type=int(page_type),
+                level=level,
+                prev_page=NO_PAGE,
+                next_page=NO_PAGE,
+                old_format=old_format,
+            ),
+            root,
+        )
+        root.page_type = page_type
+        root.level = level
+        root.prev_page = NO_PAGE
+        root.next_page = NO_PAGE
+        ctx.log_page_change(
+            txn,
+            LogRecord(type=RecordType.BATCHINSERT, pos=0, rows=rows),
+            root,
+        )
+        root.insert_rows(0, rows)
+    finally:
+        ctx.release_page(tree.root_page_id, dirty=True)
 
 
 def build_by_inserts(

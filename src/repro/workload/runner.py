@@ -2,9 +2,8 @@
 
 Runs a mixed insert/delete/scan workload from several threads against an
 index, counting completed operations and per-class failures.  The §6.2
-bench runs it three ways — alone, against the online rebuild, and against
-the offline (table-locked) rebuild — and compares throughput and the
-blocked-time counters.
+bench runs it alone and against the online rebuild and compares
+throughput and the blocked-time counters.
 
 Writers operate on a key subspace disjoint from the measurement keys (odd
 ordinals), so correctness checks on the untouched keys remain valid after
@@ -111,9 +110,8 @@ class MixedWorkload:
         """``keyfn(i) -> bytes`` maps ordinals to keys; writers touch only
         odd ordinals in ``[1, key_count)``.
 
-        ``before_op()`` (optional) runs before every operation — the §6.2
-        offline-baseline bench uses it to take the instant table lock a
-        query-processing layer would acquire before touching the table.
+        ``before_op()`` (optional) runs before every operation, e.g. to
+        stall or fail the workers at a chosen point in a test.
         """
         self.tree = tree
         self.keyfn = keyfn

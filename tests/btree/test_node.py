@@ -80,13 +80,6 @@ def test_leaf_search_counts_comparisons(counters):
     assert counters.key_comparisons == 7
 
 
-def test_leaf_low_high(counters):
-    page = leaf_page([b"aa", b"zz"])
-    assert node.leaf_low_unit(page) == b"aa"
-    with pytest.raises(TreeStructureError):
-        node.leaf_low_unit(leaf_page([]))
-
-
 def test_child_search_routes_by_separator(counters):
     page = nonleaf_page([(b"", 10), (b"m", 20), (b"t", 30)])
     assert node.child_search(page, b"a", counters) == (0, 10)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import Engine, OnlineRebuild, RebuildConfig, offline_rebuild
+from repro import Engine, OnlineRebuild, RebuildConfig
 from repro.errors import DuplicateKeyError
 from tests.conftest import intkey
 
@@ -88,16 +88,6 @@ def test_online_rebuild_moves_payloads(primary):
     stats = primary.verify()
     assert stats.leaf_fill > 0.9
     assert primary.get(intkey(1001), 1001) == payload_for(1001)
-
-
-def test_offline_rebuild_moves_payloads(primary):
-    fill_primary(primary, 1000)
-    for k in range(0, 1000, 2):
-        primary.delete(intkey(k), k)
-    before = primary.contents_with_payloads()
-    offline_rebuild(primary)
-    assert primary.contents_with_payloads() == before
-    primary.verify()
 
 
 def test_payloads_survive_crash_recovery(engine, primary):

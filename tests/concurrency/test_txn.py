@@ -181,22 +181,6 @@ def test_row_compensation_is_hopped_like_a_clr(txns, undone, apply_ctx, log):
     apply_ctx.buffer.unpin(1)
 
 
-def test_commit_hooks_run(txns):
-    fired = []
-    txn = txns.begin()
-    txn.commit_hooks.append(lambda: fired.append("commit"))
-    txns.commit(txn)
-    assert fired == ["commit"]
-
-
-def test_abort_hooks_run(txns):
-    fired = []
-    txn = txns.begin()
-    txn.abort_hooks.append(lambda: fired.append("abort"))
-    txns.abort(txn)
-    assert fired == ["abort"]
-
-
 def test_lock_manager_release_on_commit(log):
     from repro.concurrency.locks import LockManager, LockMode, LockSpace
 

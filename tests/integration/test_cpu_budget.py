@@ -32,6 +32,8 @@ PACKING_RECORDS = (RecordType.KEYCOPY, RecordType.ALLOCRUN, RecordType.DEALLOC)
 
 # config, counter deltas of the run, CRC of the rebuilt leaf images in
 # chain order, CRC of the run's KEYCOPY / ALLOCRUN / DEALLOC records.
+# Both CRCs cover LSNs (page timestamps, record LSNs), so they move when
+# the bulk load logs more or fewer bytes before the run; the counts do not.
 PINNED = [
     pytest.param(
         RebuildConfig(),
@@ -39,8 +41,8 @@ PINNED = [
          "new_pages_allocated": 120, "top_actions": 8,
          "latch_acquires": 836, "page_reads": 461, "pages_visited": 705,
          "disk_pages_read": 0, "disk_pages_written": 120},
-        1190492898,
-        993844878,
+        869917751,
+        1681108967,
         id="paper-defaults",
     ),
     pytest.param(
@@ -49,8 +51,8 @@ PINNED = [
          "new_pages_allocated": 151, "top_actions": 31,
          "latch_acquires": 1221, "page_reads": 769, "pages_visited": 1024,
          "disk_pages_read": 0, "disk_pages_written": 154},
-        708809116,
-        3168632069,
+        2377549755,
+        2849243318,
         id="fill80-nta8-xact64",
     ),
 ]

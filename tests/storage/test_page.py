@@ -353,13 +353,13 @@ def test_copy_is_deep():
 def test_fill_fraction():
     page = Page(1)
     assert page.fill_fraction() == 0.0
-    page.append_row(b"x" * ((page.capacity_bytes // 2) - SLOT_OVERHEAD))
+    page.append_row(b"x" * ((page.free_bytes // 2) - SLOT_OVERHEAD))
     assert 0.45 < page.fill_fraction() < 0.55
 
 
 def test_custom_page_size():
     page = Page(1, page_size=512)
-    assert page.capacity_bytes == 512 - HEADER_SIZE
+    assert page.free_bytes == 512 - HEADER_SIZE
     page.append_row(b"q" * 100)
     data = page.to_bytes()
     assert len(data) == 512

@@ -108,9 +108,3 @@ def test_usage_snapshot_diff(log):
     diff = LogManager.usage_diff(before, log.usage_snapshot())
     assert diff["counts"] == {"INSERT": 1}
     assert diff["bytes"]["INSERT"] == RECORD_OVERHEAD + 7
-
-
-def test_total_bytes(log):
-    append(log)
-    append(log)
-    assert log.total_bytes() == 2 * RECORD_OVERHEAD

@@ -64,6 +64,45 @@ def test_bulk_load_survives_crash(engine):
     assert index.verify().rows == 5000
 
 
+def _dealloc_count(engine):
+    return engine.ctx.log.usage_snapshot()["counts"].get("DEALLOC", 0)
+
+
+def test_bulk_load_single_leaf_writes_the_root_only(engine):
+    keys, klen = keys_for_config("int4", 40)
+    index = bulk_load(engine, keys, klen)
+    stats = index.verify()
+    assert stats.height == 1  # the root is the one leaf
+    assert stats.leaf_page_ids == [index.root_page_id]
+    assert stats.rows == 40
+    # No top page is written and then retired: the load frees nothing.
+    assert _dealloc_count(engine) == 0
+    before = index.contents()
+    assert [k for k, _ in before] == sorted(keys)
+    engine.crash()
+    engine.recover()
+    index = engine.index(1)
+    assert index.contents() == before
+    assert index.verify().leaf_page_ids == [index.root_page_id]
+
+
+def test_bulk_load_three_levels():
+    engine = Engine(page_size=512)
+    keys, klen = keys_for_config("int4", 6000)
+    index = bulk_load(engine, keys, klen, fill=0.5)
+    stats = index.verify()
+    assert stats.height >= 3
+    assert stats.rows == 6000
+    assert _dealloc_count(engine) == 0
+    before = index.contents()
+    assert [k for k, _ in before] == sorted(keys)
+    engine.crash()
+    engine.recover()
+    index = engine.index(1)
+    assert index.contents() == before
+    assert index.verify().height == stats.height
+
+
 def test_build_by_inserts_declusters(engine):
     keys, klen = keys_for_config("int4", 8000)
     index = build_by_inserts(engine, keys, klen, shuffled=True, seed=1)

@@ -102,12 +102,9 @@ def split_leaf(
             _update_prev_link(ctx, txn, old_next, new_prev=new_id)
 
         # Side entry so concurrent traversals find the moved keys (§2.3).
-        # Separators compare against search *units*, so they are computed
-        # from the rows' unit prefixes (payload bytes never route).
-        unit_len = tree.key_len + K.ROWID_LEN
-        side_key = K.separator(
-            leaf.rows[-1][:unit_len], new_page.rows[0][:unit_len]
-        )
+        # Two rows differ within their unit prefixes, so the separator of
+        # the rows is that of their units: payload bytes never route.
+        side_key = K.separator(leaf.rows[-1], new_page.rows[0])
         leaf.set_side_entry(side_key, new_id)
         leaf.set_flag(PageFlag.OLDPGOFSPLIT)
 

@@ -29,6 +29,7 @@ from repro.concurrency.syncpoints import CrashPoint
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.storage.page import Page, PageFlag
+from repro.testing import invariants
 from repro.wal.records import LogRecord, RecordType
 
 
@@ -142,6 +143,8 @@ class TopAction:
         """Log the NTA's end, then give every page back."""
         self.ctx.txns.end_nta(self.txn)
         self._give_back(aborted=False)
+        if invariants.hook is not None:
+            invariants.hook.top_action_done(self)
 
     def abort(self) -> None:
         """Roll the top action back and give back what it holds.
@@ -158,6 +161,8 @@ class TopAction:
                 ctx.release_page(page_id)
         ctx.txns.abort_nta(self.txn)
         self._give_back(aborted=True)
+        if invariants.hook is not None:
+            invariants.hook.top_action_done(self)
 
     def give_back(self) -> None:
         """Hand back every page taken so far, the top action still open:

@@ -44,6 +44,16 @@ class TxnState(enum.Enum):
 # latch.LATCH_X is.
 _ACTIVE, _COMMITTED = TxnState.ACTIVE, TxnState.COMMITTED
 _TXN_COMMIT = RecordType.TXN_COMMIT
+_NO_UNDO = frozenset(
+    {
+        RecordType.TXN_BEGIN,
+        RecordType.TXN_COMMIT,
+        RecordType.TXN_ABORT,
+        RecordType.NTA_BEGIN,
+        RecordType.CHECKPOINT,
+    }
+)
+"""Records of a chain that change nothing: a rollback steps past them."""
 
 
 class Transaction:
@@ -105,6 +115,15 @@ class TransactionManager:
             self.active[txn.txn_id] = txn
         return txn
 
+    def resume(self, txn_id: int, last_lsn: int) -> Transaction:
+        """Register a crash's loser, active again, for recovery to roll
+        back: what it logs goes on the chain it left in the log."""
+        txn = Transaction(txn_id)
+        txn.last_lsn = last_lsn
+        with self._lock:
+            self.active[txn_id] = txn
+        return txn
+
     def append(self, txn: Transaction, record: LogRecord) -> int:
         """Log a record on behalf of ``txn``, maintaining the prev chain."""
         if txn.state is not _ACTIVE:
@@ -136,6 +155,12 @@ class TransactionManager:
         """Roll the transaction back completely and release it."""
         self.check_active(txn)
         self.rollback_to(txn, 0)
+        self.end_rolled_back(txn)
+
+    def end_rolled_back(self, txn: Transaction) -> None:
+        """Log the abort of ``txn``, whose changes are all undone, force
+        the log and release the transaction; crash recovery ends each
+        loser here once it has undone it."""
         if txn.last_lsn:
             lsn = self.append(
                 txn, LogRecord.header_record(RecordType.TXN_ABORT)
@@ -181,33 +206,32 @@ class TransactionManager:
     # ---------------------------------------------------------------- rollback
 
     def rollback_to(self, txn: Transaction, target_lsn: int) -> None:
-        """Undo the transaction's records back to (excluding) ``target_lsn``.
+        """Undo the transaction's records back to (excluding) ``target_lsn``,
+        one :meth:`undo_step` at a time."""
+        lsn = txn.last_lsn
+        while lsn > target_lsn:
+            lsn, _undone = self.undo_step(txn, self.log.record_at(lsn))
+
+    def undo_step(self, txn: Transaction, rec: LogRecord) -> tuple[int, bool]:
+        """Take one step of ``txn``'s rollback at ``rec``, a record of its
+        chain: ``(LSN of the next record to look at, whether rec was
+        undone)``.
 
         Completed NTAs are hopped over via their dummy CLR; compensations
         themselves are never undone (their ``undo_next_lsn`` continues the
-        walk); the applier logs a compensation for each change it makes so
-        a crash mid-rollback resumes instead of double-undoing.
+        walk); a change is undone by the applier, which logs a
+        compensation for it so a crash mid-rollback resumes instead of
+        double-undoing.  Runtime rollback and crash recovery's undo both
+        walk a chain by this step.
         """
+        if rec.flags & CLR_FLAG or rec.type is RecordType.NTA_END:
+            return rec.undo_next_lsn, False
+        if rec.type in _NO_UNDO:
+            return rec.prev_lsn, False
         if self._undo_applier is None:
             raise TransactionError("no undo applier installed")
-        append = functools.partial(self.append, txn)
-        lsn = txn.last_lsn
-        while lsn > target_lsn:
-            rec = self.log.record_at(lsn)
-            if rec.flags & CLR_FLAG or rec.type is RecordType.NTA_END:
-                lsn = rec.undo_next_lsn
-                continue
-            if rec.type in (
-                RecordType.TXN_BEGIN,
-                RecordType.TXN_COMMIT,
-                RecordType.TXN_ABORT,
-                RecordType.NTA_BEGIN,
-                RecordType.CHECKPOINT,
-            ):
-                lsn = rec.prev_lsn
-                continue
-            self._undo_applier(rec, append)
-            lsn = rec.prev_lsn
+        self._undo_applier(rec, functools.partial(self.append, txn))
+        return rec.prev_lsn, True
 
     # ------------------------------------------------------------------ checks
 

@@ -24,6 +24,7 @@ from repro.concurrency.latch import LatchManager, LatchMode
 from repro.concurrency.locks import LockManager
 from repro.concurrency.syncpoints import SyncPoints
 from repro.concurrency.txn import Transaction, TransactionManager
+from repro.errors import RecoveryError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -33,7 +34,12 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
 from repro.storage.page import PAGE_SIZE_DEFAULT, Page
 from repro.storage.page_manager import PageManager
-from repro.wal.apply import ApplyContext, undo_record
+from repro.wal.apply import (
+    ApplyContext,
+    compensate,
+    row_compensation,
+    undo_record,
+)
 from repro.wal.log import LogManager
 from repro.wal.records import LEAF_ROW_FLAG, LogRecord
 
@@ -190,30 +196,49 @@ class EngineContext:
         self.txns.lock_manager = self.locks
 
     def undo(self, rec: LogRecord, append: Callable[[LogRecord], int]) -> None:
-        """Runtime rollback's undo applier (:func:`undo_record`).
+        """The undo applier, at run time and at restart alike.
 
-        A leaf row's leaf is found as a writer finds it: through
-        :class:`~repro.btree.traversal.Traversal`, X latched, another
-        transaction's SPLIT / SHRINK bit waited out by the instant S
-        address lock (§2.6).  The compensation is logged and applied
-        under that latch, so a row never goes back into a leaf that a
-        top action has frozen and copied.
+        A record other than a leaf row is undone where it was logged
+        (:func:`undo_record`).  A leaf row is undone by key, the way
+        :meth:`BTree.insert <repro.btree.tree.BTree.insert>` puts a row
+        in: its leaf is found through
+        :class:`~repro.btree.traversal.Traversal` in writer mode, X
+        latched, another transaction's SPLIT / SHRINK bit waited out by
+        the instant S address lock (§2.6); a row that does not fit back
+        is made room for by a split top action of the undoing
+        transaction, never undone itself, and the leaf found again.  The
+        compensation is logged only once it fits, and applied under the
+        latch, so a row never goes back into a leaf that a top action has
+        frozen and copied.
         """
-        apply_ctx = ApplyContext(self.buffer, self.page_manager, self.index_roots)
-        root = self.index_roots.get(rec.index_id)
-        if not rec.flags & LEAF_ROW_FLAG or root is None:
+        apply_ctx = ApplyContext(self.buffer, self.page_manager)
+        if not rec.flags & LEAF_ROW_FLAG:
             undo_record(rec, apply_ctx, append)
             return
-        from repro.btree.traversal import AccessMode, Traversal  # import cycle
+        from repro.btree.split import split_leaf  # import cycle
+        from repro.btree.traversal import AccessMode, Traversal
 
+        root = self.index_roots.get(rec.index_id)
+        if root is None:
+            raise RecoveryError(
+                f"undo of a leaf row needs the root of index {rec.index_id}"
+            )
         index = SimpleNamespace(index_id=rec.index_id, root_page_id=root)
-        leaf = Traversal(self, index).traverse(
-            rec.rows[0], AccessMode.WRITER, 0, self.txns.active[rec.txn_id]
-        )
-        try:
-            undo_record(rec, apply_ctx, append, leaf)
-        finally:
-            self.latches.release(leaf.page_id)
+        txn = self.txns.active[rec.txn_id]
+        traversal = Traversal(self, index)
+        while True:
+            leaf = traversal.traverse(rec.rows[0], AccessMode.WRITER, 0, txn)
+            try:
+                comp = row_compensation(rec, leaf, self.counters)
+                done = comp is None or compensate(leaf, comp, append)
+            except BaseException:
+                self.release_page(leaf.page_id, dirty=True)
+                raise
+            if done:
+                self.release_page(leaf.page_id, dirty=comp is not None)
+                return
+            # Full: split (the top action takes the latched leaf), retry.
+            split_leaf(self, index, txn, leaf, traversal)
 
     # ------------------------------------------------------------ page access
 

@@ -55,10 +55,12 @@ from repro.errors import PageFullError, RebuildError
 from repro.storage.page import (
     HEADER_SIZE,
     NO_PAGE,
+    SLOT_OVERHEAD,
     Page,
     PageFlag,
     PageType,
     partition_rows,
+    run_bytes,
 )
 from repro.wal.records import LogRecord, RecordType
 
@@ -367,8 +369,6 @@ def _redirect_to_left_sibling(
         raise
     try:
         batch: list[bytes] = []
-        from repro.storage.page import SLOT_OVERHEAD
-
         free = left.free_bytes
         for key, child in inserts:
             assert key is not None and child is not None
@@ -434,7 +434,7 @@ def _insert_with_splits(
     ctx, txn = top.ctx, top.txn
     capacity = page.page_size - HEADER_SIZE
     final = page.rows[:insert_pos] + new_rows + page.rows[insert_pos:]
-    if _rows_bytes(final) <= capacity:
+    if run_bytes(final) <= capacity:
         ctx.log_page_change(
             txn,
             LogRecord(type=RecordType.BATCHINSERT, pos=insert_pos, rows=new_rows),
@@ -503,9 +503,3 @@ def _insert_with_splits(
         ctx.release_page(sib_id, dirty=True)
         siblings.append((sep, sib_id))
     return page, siblings
-
-
-def _rows_bytes(rows: list[bytes]) -> int:
-    from repro.storage.page import SLOT_OVERHEAD
-
-    return sum(SLOT_OVERHEAD + len(r) for r in rows)

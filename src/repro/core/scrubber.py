@@ -604,9 +604,7 @@ class Scrubber:
         ctx.latches.acquire(page_id, LatchMode.X)
         try:
             resident = ctx.buffer.is_resident(page_id)
-            apply_ctx = ApplyContext(
-                ctx.buffer, ctx.page_manager, ctx.index_roots
-            )
+            apply_ctx = ApplyContext(ctx.buffer, ctx.page_manager)
             redo_record(birth, apply_ctx)
             redo_page_queue(page_id, queue, apply_ctx)
             ctx.buffer.fetch(page_id)

@@ -8,20 +8,20 @@ with an index catalog and the checkpoint/recovery cycle:
 * :meth:`crash` simulates losing volatile state — every buffer frame and
   the unflushed log tail — while the disk keeps what was written;
 * :meth:`recover` runs the ARIES-style pass of
-  :class:`~repro.wal.recovery.RecoveryManager`, then sweeps leftover
-  SPLIT/SHRINK/OLDPGOFSPLIT bits (they describe in-flight top actions, and
-  after a crash no top action is in flight) and rebuilds the index handles
-  from the recovered catalog.
+  :class:`~repro.wal.recovery.RecoveryManager` — which also sweeps the
+  SPLIT/SHRINK/OLDPGOFSPLIT bits the crash left, before its undo — and
+  rebuilds the index handles from the recovered catalog.
 """
 
 from __future__ import annotations
 
 from repro.btree.tree import BTree
 from repro.context import EngineContext
-from repro.errors import ChecksumError, ReproError
+from repro.errors import ReproError
 from repro.quarantine import QuarantineMap, quarantine_payload
 from repro.stats.counters import Counters
-from repro.storage.page import PAGE_SIZE_DEFAULT, PageFlag
+from repro.storage.page import PAGE_SIZE_DEFAULT
+from repro.testing import invariants
 from repro.wal.records import LogRecord, RecordType
 from repro.wal.recovery import (
     RebuildCheckpoint,
@@ -214,20 +214,11 @@ class Engine:
 
     def recover(self) -> RecoveryReport:
         """Run crash recovery and rebuild the index catalog."""
-        manager = RecoveryManager(
-            self.ctx.log,
-            self.ctx.buffer,
-            self.ctx.page_manager,
-            counters=self.ctx.counters,
-        )
-        manager.tracer = self.ctx.tracer
-        manager.syncpoints = self.ctx.syncpoints
-        report = manager.recover()
+        report = RecoveryManager(self.ctx).recover()
         self.rebuild_checkpoints = dict(report.rebuild_checkpoints)
         # Re-fence damaged ranges that were standing at the crash: sets are
         # flushed at fence time, so a known-rotted range is never forgotten.
         self.ctx.quarantine.restore(report.quarantine_ranges)
-        self._clear_protocol_bits()
         self.indexes = {
             int(index_id): BTree(
                 self.ctx,
@@ -242,28 +233,6 @@ class Engine:
         self.ctx.index_roots.update(
             {iid: tree.root_page_id for iid, tree in self.indexes.items()}
         )
+        if invariants.hook is not None:
+            invariants.hook.recovered(self)
         return report
-
-    def _clear_protocol_bits(self) -> None:
-        """Bits describe in-flight top actions; after a crash there are none.
-
-        Allocated pages are visited in ascending id by large I/O, so what
-        redo did not leave resident is read a disk run at a time."""
-        buffer = self.ctx.buffer
-        with self.ctx.tracer.span("recovery.bit_sweep"):
-            for page_id in self.ctx.page_manager.allocated_pages():
-                try:
-                    page = buffer.fetch(page_id, large_io=True)
-                except ChecksumError:
-                    # Rotted image with no redo history to rebuild it:
-                    # leave it allocated and unreadable for the scrubber's
-                    # repair ladder rather than failing the whole
-                    # recovery.  (As a run neighbour of another page it is
-                    # simply not admitted.)
-                    continue
-                dirty = False
-                if page.flags != PageFlag.NONE or page.side_page:
-                    page.clear_protocol_state()
-                    dirty = True
-                buffer.unpin(page_id, dirty=dirty)
-            buffer.flush_all()

@@ -35,6 +35,12 @@ HEADER_SIZE = 40
 SLOT_OVERHEAD = 2  # per-row slot-table cost, as in a real slotted page
 NO_PAGE = 0        # null page id; real ids start at 1
 
+
+def run_bytes(rows: list[bytes]) -> int:
+    """What the run ``rows`` takes on a page: its bytes and its slots."""
+    return sum(map(len, rows)) + SLOT_OVERHEAD * len(rows)
+
+
 _HEADER = struct.Struct("<HIHBBBBHIHIIQHH")
 _HEADER_MAGIC = 0xB7EE
 assert _HEADER.size == 40  # == HEADER_SIZE exactly
@@ -201,7 +207,7 @@ class Page:
 
     def _recompute_used(self) -> int:
         """Full O(n) recount; ground truth for the incremental cache."""
-        rows = sum(SLOT_OVERHEAD + len(r) for r in self.rows)
+        rows = run_bytes(self.rows)
         side = len(self.side_key) + len(self.blocked_lo) + len(self.blocked_hi)
         return HEADER_SIZE + side + rows
 
@@ -371,12 +377,11 @@ class Page:
         batch and one slice assignment.  All-or-nothing — a batch that does
         not fit raises :class:`PageFullError` and leaves the page untouched.
         """
-        nbytes = sum(map(len, rows))
-        cost = nbytes + SLOT_OVERHEAD * len(rows)
+        cost = run_bytes(rows)
         if cost > self.page_size - self._used:
             raise PageFullError(
-                f"{len(rows)} rows of {nbytes} bytes do not fit on page "
-                f"{self.page_id} (free={self.free_bytes})"
+                f"{len(rows)} rows of {cost} bytes with their slots do not "
+                f"fit on page {self.page_id} (free={self.free_bytes})"
             )
         if not 0 <= pos <= len(self.rows):
             raise PageFormatError(
@@ -384,7 +389,7 @@ class Page:
             )
         self.rows[pos:pos] = rows
         self._used += cost
-        return nbytes
+        return cost - SLOT_OVERHEAD * len(rows)
 
     def extend_rows(self, rows: list[bytes]) -> int:
         return self.insert_rows(len(self.rows), rows)

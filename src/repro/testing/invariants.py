@@ -1,0 +1,64 @@
+"""Protocol rules checked on every run while they are switched on.
+
+The paper's deadlock-freedom argument (§2.2, §6.5) and its durability
+argument (§3) rest on rules each thread can check about itself.  The
+engine reads one module-level hook, :data:`hook`, at a few slow-path
+sites; it is ``None`` unless :func:`switch` turned the checks on, as the
+test suite does for every test, the way ``storage.page``'s
+``set_debug_accounting`` cross-checks the byte accounting.  A broken rule
+raises :class:`AssertionError` at the site that broke it.
+
+The rules:
+
+* after :meth:`TopAction.end <repro.btree.top_action.TopAction.end>` or
+  ``abort`` the thread holds no latch and no address lock on a page the
+  top action took: its pages are given back with their bits (§2.2);
+* at the end of :meth:`Engine.recover <repro.engine.Engine.recover>` no
+  page is pinned, latched, address-locked or bitted
+  (:func:`~repro.testing.cleanup.left_behind`).
+"""
+
+from __future__ import annotations
+
+from repro.concurrency.locks import LockSpace
+
+
+class Checks:
+    """The rules, each called by the site it guards."""
+
+    def top_action_done(self, top) -> None:  # noqa: ANN001 - a TopAction
+        ctx, txn_id = top.ctx, top.txn.txn_id
+        latched = ctx.latches.held_by_me()
+        for page_id in {*top.pages, *top.new_pages}:
+            assert page_id not in latched, (
+                f"top action of txn {txn_id} left page {page_id} latched"
+            )
+            assert not ctx.locks.holds(txn_id, LockSpace.ADDRESS, page_id), (
+                f"top action of txn {txn_id} left page {page_id} "
+                "address-locked"
+            )
+
+    def recovered(self, engine) -> None:  # noqa: ANN001 - an Engine
+        from repro.errors import ChecksumError
+        from repro.testing.cleanup import NOTHING_LEFT, left_behind
+
+        unreadable = []
+        for page_id in engine.page_manager.allocated_pages():
+            try:
+                engine.buffer.fetch(page_id)
+            except ChecksumError:
+                unreadable.append(page_id)  # left for the scrubber
+                continue
+            engine.buffer.unpin(page_id)
+        left = left_behind(engine, unreadable=unreadable)
+        assert left == NOTHING_LEFT, f"recovery left behind {left}"
+
+
+hook: Checks | None = None
+"""The checks when on, ``None`` when off."""
+
+
+def switch(on: bool) -> None:
+    """Turn the checks on or off for the whole process."""
+    global hook
+    hook = Checks() if on else None

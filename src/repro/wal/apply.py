@@ -1,8 +1,8 @@
 """Redo and undo of log records.
 
 This module is the single place that knows how each record type changes a
-page, shared by runtime rollback (:meth:`TransactionManager.rollback_to`)
-and crash recovery (:mod:`repro.wal.recovery`).
+page, shared by runtime rollback and crash recovery, whose undo both go
+through ``EngineContext.undo`` (:mod:`repro.context`).
 
 Redo follows the ARIES page-timestamp rule: a record is re-applied to a page
 iff the page's ``page_lsn`` is older than the record's LSN (a record's "new
@@ -19,20 +19,23 @@ targets.  It has the pages it reads brought up to date first
 (:attr:`ApplyContext.catch_up`): crash recovery parks the records of pages
 a committed transaction freed until something reads them.
 
-Undo logs the change it makes, then makes it (:func:`undo_record`).  A
-row, link or format record is compensated by the single-page record of the
-inverse change, flagged ``CLR_FLAG`` and applied by the redo kernel from
-its bytes, so crash redo and the scrubber's replay take it page by page
-like any other record.  Where the change goes is found physically for
-nonleaf entries, links and formats: only records of *incomplete* top
-actions are undone, and the pages they touched are still pinned down by the
-top action's address locks / SPLIT / SHRINK bits at a runtime rollback, or
+Undo logs the change it makes, then makes it — and logs it only once it
+fits (:func:`compensate`).  A row, link or format record is compensated
+by the single-page record of the inverse change, flagged ``CLR_FLAG``
+and applied by the redo kernel from its bytes, so crash redo and the
+scrubber's replay take it page by page like any other record.  Where the
+change goes is found physically for nonleaf entries, links and formats
+(:func:`undo_record`): only records of *incomplete* top actions are
+undone, and the pages they touched are still pinned down by the top
+action's address locks / SPLIT / SHRINK bits at a runtime rollback, or
 frozen by the crash itself.  A leaf row is found *by key* from the index
-root, because a completed split or rebuild top action — never undone — may
-have moved it since (ARIES-IM); the descent runs at undo time only.  At
-run time it is the index's own writer descent, X latch and all, so a top
-action that has frozen the leaf ends before the row changes (§2.6); at
-restart, before any bit is cleared, it is a bare one.  An
+root, because a completed split or rebuild top action — never undone —
+may have moved it since (ARIES-IM); the descent runs at undo time only,
+at run time and at restart alike, and it is the index's own writer
+descent, X latch and all (``EngineContext.undo``), so a top action that
+has frozen the leaf ends before the row changes (§2.6), and a leaf the
+row no longer fits is split first.  :func:`row_compensation` is what
+the row's undo changes on the leaf found.  An
 ``ALLOC`` / ``ALLOCRUN`` / ``DEALLOC`` / ``KEYCOPY`` (:data:`CLR_UNDONE`) is
 compensated by a ``CLR`` naming it, whose redo re-applies the inverse.
 Undo verifies what it removes and raises
@@ -42,11 +45,11 @@ Undo verifies what it removes and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.errors import RecoveryError
+from repro.errors import PageFullError, RecoveryError
 from repro.storage.buffer import BufferPool
-from repro.storage.page import NO_PAGE, Page, PageType
+from repro.storage.page import NO_PAGE, Page, PageType, run_bytes
 from repro.storage.page_manager import PageManager, PageState
 from repro.wal.records import (
     CLR_FLAG,
@@ -59,6 +62,9 @@ from repro.wal.records import (
     row_payload,
 )
 
+if TYPE_CHECKING:
+    from repro.stats.counters import Counters
+
 
 def _nothing_parked(page_ids: Iterable[int]) -> None:
     """:attr:`ApplyContext.catch_up` where no record waits for its page."""
@@ -66,19 +72,10 @@ def _nothing_parked(page_ids: Iterable[int]) -> None:
 
 @dataclass
 class ApplyContext:
-    """Everything record application needs to touch pages and state.
-
-    ``index_roots`` (index id → root page id) enables *logical* undo of
-    leaf-level inserts/deletes: a completed split or rebuild top action may
-    have relocated the row since it was logged, making its recorded slot
-    position meaningless — the ARIES-IM situation.  Undo then re-locates
-    the row by key from the index root.  The dict is shared with (and kept
-    current by) the engine's catalog.
-    """
+    """Everything record application needs to touch pages and state."""
 
     buffer: BufferPool
     page_manager: PageManager
-    index_roots: dict[int, int] = None  # type: ignore[assignment]
     catch_up: Callable[[Iterable[int]], None] = _nothing_parked
     """Brings pages up to the image log order shows a barrier.  KEYCOPY
     redo calls it with the targets it is about to check, and with the
@@ -86,10 +83,6 @@ class ApplyContext:
     apply the records it parked for those pages
     (``RecoveryManager._catch_up``).  Everywhere else each page is
     current already."""
-
-    def __post_init__(self) -> None:
-        if self.index_roots is None:
-            self.index_roots = {}
 
 
 # --------------------------------------------------------------------- redo
@@ -356,27 +349,17 @@ def compensation(rec: LogRecord) -> LogRecord:
 
 
 def undo_record(
-    rec: LogRecord,
-    ctx: ApplyContext,
-    log: Callable[[LogRecord], int],
-    leaf: Page | None = None,
+    rec: LogRecord, ctx: ApplyContext, log: Callable[[LogRecord], int]
 ) -> None:
-    """Undo ``rec`` (runtime rollback and crash undo alike): log its
-    compensation through ``log``, which appends a record to the undoing
-    transaction's chain and returns its LSN, then apply it.
+    """Undo ``rec`` where it was logged (runtime rollback and crash undo
+    alike): log its compensation through ``log``, which appends a record
+    to the undoing transaction's chain and returns its LSN, then apply it.
 
     A row, link or format record's compensation is the single-page record
-    of the change found — a leaf row by key, anything else where it was
-    logged — applied by the redo kernel from its bytes.  A leaf row's undo
-    removes the row if present, puts it back if absent, and logs nothing
-    if neither is needed.  A :data:`CLR_UNDONE` record's is a ``CLR``.
-
-    ``leaf`` is the leaf whose range holds a leaf row now, pinned; this
-    function unpins it.  A runtime rollback finds it through the index's
-    own access path and holds its X latch across the call
-    (``EngineContext.undo``).  Recovery passes none: its undo runs on one
-    thread, before the bit sweep clears the bits the crash left, so it
-    descends bare (:func:`_find_leaf_row`).
+    of the inverse change on the page and at the position logged, applied
+    by the redo kernel from its bytes; a :data:`CLR_UNDONE` record's is a
+    ``CLR``.  A leaf row is undone by key instead, on the leaf that holds
+    its key now (``EngineContext.undo``, :func:`row_compensation`).
     """
     t = rec.type
     if t in CLR_UNDONE:
@@ -395,62 +378,65 @@ def undo_record(
             # but tolerate it as a no-op rather than failing recovery.
             return
         raise RecoveryError(f"cannot undo record type {t.name}")
-    comp = compensation(rec)
     if rec.flags & LEAF_ROW_FLAG:
-        page, comp.pos, found = _find_leaf_row(rec, ctx, leaf)
-        if found != (t is RecordType.INSERT):
-            ctx.buffer.unpin(page.page_id)
-            return  # the row is gone already, or back already
-        if found:
-            comp.rows = [page.rows[comp.pos]]
-    else:
-        page = ctx.buffer.fetch(rec.page_id)
+        raise RecoveryError(
+            f"{t.name} at lsn {rec.lsn} is a leaf row: it is undone by key"
+        )
+    page = ctx.buffer.fetch(rec.page_id)
+    applied = False
+    try:
         if (t is RecordType.INSERT or t is RecordType.BATCHINSERT) and (
             page.rows[rec.pos : rec.pos + len(rec.rows)] != rec.rows
         ):
-            ctx.buffer.unpin(rec.page_id)
             raise RecoveryError(
                 f"undo of insert on page {rec.page_id}: rows at position "
                 f"{rec.pos} do not match the log record"
             )
+        applied = compensate(page, compensation(rec), log)
+        if not applied:
+            raise PageFullError(
+                f"undo of {t.name} at lsn {rec.lsn}: the rows do not fit "
+                f"back on page {rec.page_id}"
+            )
+    finally:
+        ctx.buffer.unpin(rec.page_id, dirty=applied)
+
+
+def row_compensation(
+    rec: LogRecord, leaf: Page, counters: Counters
+) -> LogRecord | None:
+    """The compensation of the leaf row ``rec`` on ``leaf``, the leaf whose
+    range holds the row's key now: the row removed if present, put back
+    if absent, at its position there.  None when neither is needed — the
+    row is gone already, or back already."""
+    from repro.btree.node import leaf_search  # import cycle
+
+    pos, found = leaf_search(leaf, rec.rows[0], counters)
+    if found != (rec.type is RecordType.INSERT):
+        return None
+    comp = compensation(rec)
+    comp.pos = pos
+    if found:
+        comp.rows = [leaf.rows[pos]]
+    return comp
+
+
+def compensate(
+    page: Page, comp: LogRecord, log: Callable[[LogRecord], int]
+) -> bool:
+    """Log ``comp``, a compensation of a change to ``page``, and apply it
+    — only if the rows it puts back fit: False, with nothing logged, when
+    they do not.  The caller holds ``page`` and marks it dirty."""
+    if (
+        comp.type is RecordType.INSERT or comp.type is RecordType.BATCHINSERT
+    ) and run_bytes(comp.rows) > page.free_bytes:
+        return False
     comp.page_id = page.page_id
     comp.old_ts = page.page_lsn
-    try:
-        lsn = log(comp)
-        # A row put back on a full leaf raises PageFullError here: it
-        # would need an undo-time split (ARIES-IM system transaction),
-        # which is out of scope.
-        _forward(page, comp.type, comp.encode())
-        page.page_lsn = lsn
-    finally:
-        ctx.buffer.unpin(page.page_id, dirty=True)
-
-
-def _find_leaf_row(
-    rec: LogRecord, ctx: ApplyContext, leaf: Page | None
-) -> tuple[Page, int, bool]:
-    """The leaf whose range holds ``rec``'s row now, pinned, with the row's
-    position and whether it is there: ``leaf`` when given, else found by
-    a bare descent from the root.  At restart that descent meets a
-    consistent tree: completed top actions are redone, never undone."""
-    from repro.btree import node as _node
-
-    unit = rec.rows[0]
-    page = leaf
-    if page is None:
-        root = ctx.index_roots.get(rec.index_id)
-        if root is None:
-            raise RecoveryError(
-                f"logical undo needs the root of index {rec.index_id}, "
-                "which is not in the apply context"
-            )
-        page = ctx.buffer.fetch(root)
-        while page.page_type is not PageType.LEAF:
-            _pos, child = _node.child_search(page, unit, ctx.buffer.counters)
-            ctx.buffer.unpin(page.page_id)
-            page = ctx.buffer.fetch(child)
-    pos, found = _node.leaf_search(page, unit, ctx.buffer.counters)
-    return page, pos, found
+    lsn = log(comp)
+    _forward(page, comp.type, comp.encode())
+    page.page_lsn = lsn
+    return True
 
 
 def _clr_inverse(rec: LogRecord, ctx: ApplyContext, clr_lsn: int) -> None:

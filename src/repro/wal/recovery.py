@@ -22,12 +22,22 @@ The protocol is ARIES shaped, specialized to what the paper's engine needs:
    record on a page that a committed transaction deallocates later in
    the log is *parked* instead: nothing but a barrier that reads the
    page ever needs it, and only such a barrier applies it.
-3. **Undo** rolls back losers in descending LSN order, logging a
-   compensation per change (:func:`~repro.wal.apply.undo_record`).
-   Completed nested top actions are skipped via their dummy CLRs, so a
-   rebuild that crashed mid-flight keeps all its finished multipage top
-   actions — the paper's incremental-progress property.
-4. **Freeing** (§4.1.3): the unlogged deallocated → free transition is
+3. **Sweep.** Pages allocated with no image anywhere are reclaimed,
+   then every SPLIT / SHRINK / OLDPGOFSPLIT bit and side entry the crash
+   left is cleared: bits describe in-flight top actions, and after a crash
+   there are none, so undo's descents never wait on a bit nobody holds.
+4. **Undo** rolls back losers as runtime rollback does: each loser is an
+   active transaction again, and each step of its chain is
+   :meth:`~repro.concurrency.txn.TransactionManager.undo_step`, which
+   hops completed nested top actions via their dummy CLRs — a rebuild
+   that crashed mid-flight keeps all its finished multipage top actions,
+   the paper's incremental-progress property — and undoes a change
+   through the engine's one undo applier.  Every loser's incomplete top
+   action is undone first, then the rows, each pass in descending LSN
+   order across losers (:meth:`RecoveryManager._undo`), with the pages
+   the first pass allocates again swept between them; a row is undone
+   by key, and a leaf it no longer fits is split.
+5. **Freeing** (§4.1.3): the unlogged deallocated → free transition is
    re-derived — after redo and undo, every page still in deallocated state
    is freed.  New pages are flushed first, preserving the §3 ordering.
 
@@ -36,32 +46,33 @@ Recovery finishes by writing a fresh checkpoint.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.errors import RecoveryError
-from repro.obs.tracer import NULL_TRACER
+from repro.errors import ChecksumError, RecoveryError
 from repro.quarantine import QuarantineRange, quarantine_payload
-from repro.stats.counters import Counters
-from repro.storage.buffer import BufferPool
-from repro.storage.page_manager import PageManager, PageState
+from repro.storage.page import PageFlag
+from repro.storage.page_manager import PageState
 from repro.wal.apply import (
     BARRIER_REDO,
     REDO_TYPES,
     ApplyContext,
     redo_page_queue,
     redo_record,
-    undo_record,
 )
-from repro.wal.log import LogManager
 from repro.wal.records import (
     CLR_FLAG,
+    LEAF_ROW_FLAG,
     PROGRESS_COMPLETE,
     QUARANTINE_SET,
     LogRecord,
     RecordType,
 )
+
+if TYPE_CHECKING:
+    from repro.concurrency.txn import Transaction
+    from repro.context import EngineContext
 
 
 @dataclass
@@ -164,26 +175,24 @@ def _named_pages(rec: LogRecord) -> list[int]:
 
 
 class RecoveryManager:
-    """Runs crash recovery over a log / buffer pool / page manager triple."""
+    """Runs crash recovery on an engine context: its log, buffer pool and
+    page manager, and its transactions and undo applier for the undo.
+    Phase spans go to the context's tracer, and ``recovery.drained``
+    fires on its syncpoints after every page-ordered drain of the redo
+    queue."""
 
-    # Optional hooks the engine sets on the instance: phase spans go to
-    # ``tracer``, and ``recovery.drained`` fires on ``syncpoints`` after
-    # every page-ordered drain of the redo queue.
-    tracer = NULL_TRACER
-    syncpoints = None
-
-    def __init__(
-        self,
-        log: LogManager,
-        buffer: BufferPool,
-        page_manager: PageManager,
-        counters: Counters | None = None,
-    ) -> None:
-        self.log = log
-        self.buffer = buffer
-        self.page_manager = page_manager
-        self.counters = counters if counters is not None else Counters()
-        self.ctx = ApplyContext(buffer, page_manager, catch_up=self._catch_up)
+    def __init__(self, engine_ctx: EngineContext) -> None:
+        self.engine_ctx = engine_ctx
+        self.log = engine_ctx.log
+        self.buffer = engine_ctx.buffer
+        self.page_manager = engine_ctx.page_manager
+        self.counters = engine_ctx.counters
+        self.ctx = ApplyContext(
+            self.buffer, self.page_manager, catch_up=self._catch_up
+        )
+        self._loser_last_lsn: dict[int, int] = {}
+        """Loser txn id → LSN of its last durable record (set by the
+        analysis pass)."""
         self._dead: dict[int, int] = {}
         """Page id → LSN of the last DEALLOC of it by a committed
         transaction past the checkpoint (set by the analysis pass)."""
@@ -197,7 +206,7 @@ class RecoveryManager:
 
     def recover(self) -> RecoveryReport:
         report = RecoveryReport()
-        tracer = self.tracer
+        tracer = self.engine_ctx.tracer
         with tracer.span("recovery.analysis"):
             redo = self._analysis(report)
         span = tracer.begin("recovery.redo", records=len(redo))
@@ -209,10 +218,12 @@ class RecoveryManager:
                 parked=self.records_parked,
                 caught_up=self.pages_caught_up,
             )
+        with tracer.span("recovery.bit_sweep"):
+            self._reclaim_phantom_allocations(report)
+            self._clear_protocol_bits()
         with tracer.span("recovery.undo", losers=len(report.loser_txns)):
             self._undo(report)
         with tracer.span("recovery.free"):
-            self._reclaim_phantom_allocations(report)
             self._free_deallocated(report)
             self._checkpoint_after_recovery(report)
         return report
@@ -301,7 +312,7 @@ class RecoveryManager:
             report.index_meta = dict(payload.get("index_meta", {}))
             # Roots feed logical undo of leaf-level records during the
             # undo pass (root page ids are stable, so this stays valid).
-            self.ctx.index_roots.update(
+            self.engine_ctx.index_roots.update(
                 {
                     int(index_id): int(meta["root"])
                     for index_id, meta in report.index_meta.items()
@@ -431,60 +442,93 @@ class RecoveryManager:
             decoded += redo_page_queue(page_id, queued[page_id], self.ctx)
         self.counters.add("recovery_payloads_decoded", decoded)
         self.counters.add("recovery_page_visits", len(queued))
-        if self.syncpoints is not None:
-            self.syncpoints.fire("recovery.drained", pages=len(queued))
+        self.engine_ctx.syncpoints.fire("recovery.drained", pages=len(queued))
         queued.clear()
+
+    # ------------------------------------------------------------------ sweep
+
+    def _clear_protocol_bits(self) -> None:
+        """Bits describe in-flight top actions; after a crash there are none.
+
+        Allocated pages are visited in ascending id by large I/O, so what
+        redo did not leave resident is read a disk run at a time.  The
+        pages it clears are written by the checkpoint that ends recovery."""
+        self._clear_bits(self.page_manager.allocated_pages())
+
+    def _clear_bits(self, page_ids: Iterable[int]) -> None:
+        """Clear the protocol state of each of ``page_ids`` that has any."""
+        buffer = self.buffer
+        for page_id in page_ids:
+            try:
+                page = buffer.fetch(page_id, large_io=True)
+            except ChecksumError:
+                # Rotted image with no redo history to rebuild it: leave
+                # it allocated and unreadable for the scrubber's repair
+                # ladder rather than failing the whole recovery.  (As a
+                # run neighbour of another page it is simply not admitted.)
+                continue
+            dirty = False
+            if page.flags != PageFlag.NONE or page.side_page:
+                page.clear_protocol_state()
+                dirty = True
+            buffer.unpin(page_id, dirty=dirty)
 
     # ------------------------------------------------------------------- undo
 
     def _undo(self, report: RecoveryReport) -> None:
-        """Roll back losers in globally descending LSN order, each undo
-        logging its compensation in the loser's chain."""
-        next_undo = dict(self._loser_last_lsn)
-        chain_tail = dict(self._loser_last_lsn)  # txn -> lsn of its last record
-        while next_undo:
-            txn_id = max(next_undo, key=lambda t: next_undo[t])
-            lsn = next_undo[txn_id]
-            if lsn == 0:
-                self._finish_loser(txn_id, chain_tail)
-                del next_undo[txn_id]
-                continue
-            rec = self.log.record_at(lsn)
-            self.counters.add("recovery_payloads_decoded")
-            if rec.flags & CLR_FLAG or rec.type is RecordType.NTA_END:
-                next_undo[txn_id] = rec.undo_next_lsn
-                continue
-            if rec.type is RecordType.TXN_BEGIN:
-                self._finish_loser(txn_id, chain_tail)
-                del next_undo[txn_id]
-                continue
-            if rec.type in (
-                RecordType.NTA_BEGIN,
-                RecordType.CHECKPOINT,
-                RecordType.TXN_COMMIT,
-                RecordType.TXN_ABORT,
-            ):
-                next_undo[txn_id] = rec.prev_lsn
-                continue
-            append = functools.partial(self._chain, txn_id, chain_tail)
-            undo_record(rec, self.ctx, append)
-            report.records_undone += 1
-            next_undo[txn_id] = rec.prev_lsn
+        """Roll back the losers, each an active transaction again, by the
+        runtime's chain step.
 
-    def _chain(
-        self, txn_id: int, chain_tail: dict[int, int], rec: LogRecord
-    ) -> int:
-        """Append ``rec`` to loser ``txn_id``'s chain; returns its LSN."""
-        rec.txn_id = txn_id
-        rec.prev_lsn = chain_tail[txn_id]
-        chain_tail[txn_id] = lsn = self.log.append(rec)
-        return lsn
+        Two passes, each in globally descending LSN order across losers:
+        the first undoes every loser's incomplete top action and stops
+        each loser at its first leaf row, the second undoes the rest.  A
+        row changed under a nonleaf page whose split was in flight was
+        reached through a side entry the sweep has cleared; undone first,
+        the split no longer stands in the way of the row's descent by
+        key.  The reordering commutes: a top action changes only the
+        pages it holds locked and bitted, and a row is found by key
+        (docs/recovery.md, step 4).
 
-    def _finish_loser(self, txn_id: int, chain_tail: dict[int, int]) -> None:
-        lsn = self._chain(
-            txn_id, chain_tail, LogRecord(type=RecordType.TXN_ABORT)
-        )
-        self.log.flush_to(lsn)
+        A page the sweep passed by, deallocated then, may be allocated
+        again by the first pass — a loser's shrink undone — with the bit
+        the crash left on it: its bits are cleared before the second
+        pass descends.
+        """
+        txns = self.engine_ctx.txns
+        todo: dict[Transaction, int] = {}  # loser -> next lsn to look at
+        for txn_id, last_lsn in self._loser_last_lsn.items():
+            todo[txns.resume(txn_id, last_lsn)] = last_lsn
+        deallocated = self.page_manager.deallocated_pages()
+        rows: dict[Transaction, LogRecord] = {}  # loser -> its first row
+        for first_pass in (True, False):
+            while todo:
+                txn = max(todo, key=todo.__getitem__)
+                lsn = todo[txn]
+                if lsn == 0:
+                    del todo[txn]
+                    txns.end_rolled_back(txn)
+                    continue
+                rec = rows.pop(txn, None)
+                if rec is None:
+                    rec = self.log.record_at(lsn)
+                    self.counters.add("recovery_payloads_decoded")
+                if first_pass and rec.flags & LEAF_ROW_FLAG and not (
+                    rec.flags & CLR_FLAG
+                ):
+                    rows[txn] = rec
+                    del todo[txn]
+                    continue
+                todo[txn], undone = txns.undo_step(txn, rec)
+                report.records_undone += undone
+            todo = {txn: rec.lsn for txn, rec in rows.items()}
+            if first_pass:
+                self._clear_bits(
+                    sorted(
+                        set(deallocated).difference(
+                            self.page_manager.deallocated_pages()
+                        )
+                    )
+                )
 
     # ------------------------------------------------------------ reclamation
 

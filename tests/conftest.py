@@ -20,6 +20,7 @@ from repro.storage.page import (
     Page,
     PageType,
 )
+from repro.testing import invariants
 from repro.testing.cleanup import (  # noqa: F401 - re-exported
     NOTHING_LEFT,
     left_behind,
@@ -31,6 +32,8 @@ from repro.wal.records import LogRecord, RecordType
 # Cross-check the incremental page byte-accounting cache against a full
 # recompute on every used_bytes read, for the whole suite.
 page_module.set_debug_accounting(True)
+# Check the protocol rules of repro.testing.invariants on every run.
+invariants.switch(True)
 
 
 def intkey(i: int) -> bytes:

@@ -17,6 +17,7 @@ records it expects are derived here, from the log, not taken from the
 code under test.
 """
 
+import copy
 import random
 import zlib
 
@@ -325,18 +326,17 @@ def test_a_32_frame_pool_reads_each_run_once_per_drain(monkeypatch):
     transaction freed are parked, and with few of them freed the first
     drain holds more pages than the pool."""
     big, _ = crashed_engine(crash_at=1)
-    RecoveryManager(
-        big.log, big.buffer, big.page_manager, counters=big.counters
-    ).recover()
+    RecoveryManager(big.ctx).recover()
 
     engine, _ = crashed_engine(crash_at=1)
     durable = list(engine.log.scan(durable_only=True))
     pool = BufferPool(engine.ctx.disk, capacity=32, counters=engine.counters)
     pool.set_wal_hook(engine.log.flush_to)
     meter = RedoMeter(monkeypatch, engine.counters, engine.ctx.disk)
-    report = RecoveryManager(
-        engine.log, pool, engine.page_manager, counters=engine.counters
-    ).recover()
+    ctx = copy.copy(engine.ctx)  # the engine's, on the 32-frame pool
+    ctx.buffer = pool
+    ctx.reset_volatile()
+    report = RecoveryManager(ctx).recover()
     monkeypatch.undo()
 
     ppio = engine.ctx.disk.pages_per_io

@@ -158,8 +158,8 @@ def test_recovery_phases_are_spans_and_counters():
 
     spans = {span.name: span for span in engine.tracer.spans()}
     phases = [
-        "recovery.analysis", "recovery.redo", "recovery.undo",
-        "recovery.free", "recovery.bit_sweep",
+        "recovery.analysis", "recovery.redo", "recovery.bit_sweep",
+        "recovery.undo", "recovery.free",
     ]
     assert set(phases) <= set(spans)
     starts = [spans[name].start for name in phases]

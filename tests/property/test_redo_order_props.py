@@ -15,11 +15,13 @@ through the oracle, and everything recovery leaves behind must be equal.
 The engine's redo also *parks* the records of a page a committed
 transaction deallocates later in the log, and applies them only when a
 barrier reads the page; the oracle parks nothing.  Five mutants of the
-page-ordered path must each be told from the oracle by some history, or
-the comparison proves nothing: queueing across a KEYCOPY (it reads the
-pages queued records write), skipping the ``page_lsn`` test, draining a
-page's queue out of LSN order, parking under a loser's DEALLOC too, and
-never catching up the sources of a stale KEYCOPY target.
+page-ordered path (``repro.testing.mutants``) must each be told from the
+oracle by some history, or the comparison proves nothing: queueing
+across a KEYCOPY (it reads the pages queued records write), skipping the
+``page_lsn`` test, draining a page's queue out of LSN order, parking
+under a loser's DEALLOC too, and never catching up the sources of a
+stale KEYCOPY target.  Undo needs no history set aside: a row that no
+longer fits its leaf splits it, at run time and at restart alike.
 
 Histories free pages, hand their ids out again and have
 ``BufferPool.new_page`` drop the resident dead image unwritten.  Two
@@ -38,20 +40,19 @@ import zlib
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Engine, OnlineRebuild, RebuildConfig
 from repro import engine as engine_module
 from repro.concurrency.syncpoints import CrashPoint
-from repro.errors import PageFullError
 from repro.storage.buffer import _NEVER_STORED, BufferPool
 from repro.storage.faults import FaultKind, FaultPlan, FaultSpec
-from repro.wal import apply, recovery
+from repro.testing.mutants import MUTANTS
 from repro.wal.apply import SINGLE_PAGE_REDO, redo_record
 from repro.wal.records import LogRecord, RecordType
 from repro.wal.recovery import RecoveryManager
-from tests.conftest import apply_decoded, intkey, redo_decoded
+from tests.conftest import intkey, redo_decoded
 
 KEYS = st.integers(min_value=0, max_value=399)
 PAYLOAD = 40
@@ -294,7 +295,7 @@ class LogOrderRecovery(RecoveryManager):
             report.checkpoint_lsn = checkpoint.lsn
             self.page_manager.restore(checkpoint.payload_json["page_manager"])
             report.index_meta = dict(checkpoint.payload_json["index_meta"])
-            self.ctx.index_roots.update(
+            self.engine_ctx.index_roots.update(
                 {int(i): int(m["root"]) for i, m in report.index_meta.items()}
             )
         work = [r for r in records if r.lsn > report.checkpoint_lsn]
@@ -318,98 +319,7 @@ def redo_barrier(manager: RecoveryManager, rec: LogRecord) -> None:
     redo_record(rec, manager.ctx)
 
 
-# ------------------------------------------------------------------- mutants
-
-
-class QueuesAcrossKeycopy(RecoveryManager):
-    """Mutant: a KEYCOPY no longer drains the queue first."""
-
-    def _redo(self, work) -> None:
-        queued: dict[int, list] = {}
-        for lsn, rtype, page_id, data in work:
-            if rtype in SINGLE_PAGE_REDO:
-                queued.setdefault(page_id, []).append((lsn, rtype, data))
-                continue
-            if rtype != RecordType.KEYCOPY:
-                self._drain(queued)
-            redo_barrier(self, LogRecord.decode(data))
-        self._drain(queued)
-
-
-def _queue_mutant(skip_lsn_test: bool = False, backwards: bool = False):
-    """``apply.redo_page_queue`` with one rule broken, applying each
-    record through the oracle's decoded apply."""
-
-    def redo_page_queue(page_id, queue, ctx) -> int:
-        page = ctx.buffer.fetch(page_id, large_io=True)
-        try:
-            for lsn, _rtype, data in reversed(queue) if backwards else queue:
-                if skip_lsn_test or page.page_lsn < lsn:
-                    apply_decoded(LogRecord.decode(data), page)
-                    page.page_lsn = lsn
-        finally:
-            ctx.buffer.unpin(page_id, dirty=True)
-        return len(queue)
-
-    return mock.patch.object(recovery, "redo_page_queue", redo_page_queue)
-
-
-class ParksForLosers(RecoveryManager):
-    """Mutant: every DEALLOC past the checkpoint parks the records of its
-    pages, its transaction committed or not."""
-
-    def _analysis(self, report):
-        work = super()._analysis(report)
-        for lsn, rtype, _page_id, data in work:
-            if rtype == RecordType.DEALLOC:
-                rec = self._deallocs.setdefault(lsn, LogRecord.decode(data))
-                self._dead.update(dict.fromkeys(rec.page_ids, lsn))
-        return work
-
-
-def _sources_never_caught_up():
-    """Mutant: KEYCOPY redo catches its targets up (its first call of the
-    hook) and never the sources of a stale one (its second)."""
-    redo_keycopy = apply._redo_keycopy
-
-    def mutant(rec, ctx):
-        catch_up = ctx.catch_up
-        calls = []
-
-        def targets_only(page_ids):
-            calls.append(page_ids)
-            if len(calls) == 1:
-                catch_up(page_ids)
-
-        ctx.catch_up = targets_only
-        try:
-            redo_keycopy(rec, ctx)
-        finally:
-            ctx.catch_up = catch_up
-
-    return mock.patch.object(apply, "_redo_keycopy", mutant)
-
-
-MUTANTS = {
-    "queues-across-keycopy": lambda: mock.patch.object(
-        engine_module, "RecoveryManager", QueuesAcrossKeycopy
-    ),
-    "parks-for-a-loser": lambda: mock.patch.object(
-        engine_module, "RecoveryManager", ParksForLosers
-    ),
-    "never-catches-sources-up": _sources_never_caught_up,
-    "skips-the-page-lsn-test": lambda: _queue_mutant(skip_lsn_test=True),
-    "drains-a-page-out-of-lsn-order": lambda: _queue_mutant(backwards=True),
-}
-
-
 # ---------------------------------------------------------------- comparison
-
-
-UNDO_NEEDS_A_SPLIT = {"error": "PageFullError"}
-"""Undoing a delete found its leaf full.  ``apply.undo_record`` leaves the
-case out of scope (it needs an undo-time split); such a history is set
-aside, at run time or in recovery."""
 
 
 def recovered(history, patch=None, building=None):
@@ -417,17 +327,12 @@ def recovered(history, patch=None, building=None):
     (a tree that verifies, to begin with), or the error it ended in.
     ``building`` is in force while the crash state is built, ``patch``
     while it is recovered."""
-    try:
-        with building or contextlib.nullcontext():
-            engine = Replay(history).engine
-    except PageFullError:
-        return UNDO_NEEDS_A_SPLIT
+    with building or contextlib.nullcontext():
+        engine = Replay(history).engine
     try:
         with patch or contextlib.nullcontext():
             report = engine.recover()
         engine.index(1).verify()
-    except PageFullError:
-        return UNDO_NEEDS_A_SPLIT
     except Exception as exc:  # noqa: BLE001 - a mutant may fail anyhow
         return {"error": type(exc).__name__}
     disk = engine.ctx.disk
@@ -621,17 +526,16 @@ def test_the_recycling_histories_drop_what_they_say():
 )
 def test_page_ordered_redo_equals_log_order_redo(history):
     want = by_the_oracle(history)
-    assume(want != UNDO_NEEDS_A_SPLIT)
     assert "error" not in want
     assert recovered(history) == want
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize("mutant", sorted(KILLERS))
 def test_the_comparison_kills_the_mutant(mutant):
     history = KILLERS[mutant]
     want = by_the_oracle(history)
     assert "error" not in want
-    assert recovered(history, MUTANTS[mutant]()) != want
+    assert recovered(history, MUTANTS[mutant].plant()) != want
 
 
 def test_a_txn_id_committed_before_a_restart_parks_nothing_after_it():
@@ -652,7 +556,7 @@ def test_a_txn_id_committed_before_a_restart_parks_nothing_after_it():
     want = by_the_oracle(AFTER_A_RESTART)
     assert "error" not in want
     assert recovered(AFTER_A_RESTART) == want
-    assert recovered(AFTER_A_RESTART, MUTANTS["parks-for-a-loser"]()) != want
+    assert recovered(AFTER_A_RESTART, MUTANTS["parks-for-a-loser"].plant()) != want
 
 
 # ---------------------------------------------------------- dead images
@@ -692,7 +596,6 @@ def whole_log_durable(history):
 def test_a_dropped_dead_image_is_invisible_to_recovery(history):
     history = whole_log_durable(history)
     want = recovered(history, building=writing_dead_images())
-    assume(want != UNDO_NEEDS_A_SPLIT)
     assert "error" not in want
     assert recovered(history) == want
 
@@ -705,7 +608,7 @@ def checkpoint_that_does_not_flush():
     def mutant_step(replay, what) -> None:
         if what[0] != "checkpoint":
             return step(replay, what)
-        with mock.patch.object(BufferPool, "flush_all", lambda pool: None):
+        with MUTANTS["checkpoint-does-not-flush"].plant():
             step(replay, what)
 
     return mock.patch.object(Replay, "step", mutant_step)

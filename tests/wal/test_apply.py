@@ -10,8 +10,11 @@ from repro.storage.page import Page, PageType
 from repro.storage.page_manager import PageManager, PageState
 from repro.wal.apply import (
     ApplyContext,
+    compensate,
+    compensation,
     redo_page_queue,
     redo_record,
+    row_compensation,
     undo_record,
 )
 from repro.wal.records import (
@@ -315,28 +318,65 @@ def test_undo_of_a_link_or_format_swaps_old_and_new(ctx):
 def test_leaf_row_undo_goes_by_key_and_changes_only_what_it_finds(ctx):
     """The row is undone on the leaf that holds its key now (page 7 here,
     not the page 3 it was logged on), and the compensation names that
-    page; a row already back is left alone and nothing is logged."""
+    page; a row already back is left alone and nothing is logged.  A
+    logged leaf row is never undone where it was logged."""
     put_page(ctx, 7, [b"a", b"b", b"c"], ts=40)
-    ctx.index_roots[1] = 7  # a one-leaf index
+
+    def undo_on_leaf(rec, lsn):
+        logged = []
+
+        def log(comp):
+            comp.lsn = lsn
+            logged.append(comp)
+            return lsn
+
+        leaf = ctx.buffer.fetch(7)
+        try:
+            comp = row_compensation(rec, leaf, ctx.buffer.counters)
+            assert comp is None or compensate(leaf, comp, log)
+        finally:
+            ctx.buffer.unpin(7, dirty=True)
+        return logged
+
     insert = LogRecord(
         type=RecordType.INSERT, page_id=3, index_id=1, pos=0, rows=[b"b"],
         flags=LEAF_ROW_FLAG, lsn=20,
     )
-    (comp,) = undo(insert, ctx, lsn=50)
+    with pytest.raises(RecoveryError, match="undone by key"):
+        undo(insert, ctx, lsn=50)
+    (comp,) = undo_on_leaf(insert, lsn=50)
     assert get_rows(ctx, 7) == [b"a", b"c"]
     assert (comp.type, comp.page_id, comp.pos, comp.flags) == (
         RecordType.DELETE, 7, 1, LEAF_ROW_FLAG | CLR_FLAG
     )
-    assert undo(insert, ctx, lsn=60) == []  # already gone
+    assert undo_on_leaf(insert, lsn=60) == []  # already gone
     delete = LogRecord(
         type=RecordType.DELETE, page_id=3, index_id=1, pos=5, rows=[b"b"],
         flags=LEAF_ROW_FLAG, lsn=30,
     )
-    (comp,) = undo(delete, ctx, lsn=70)
+    (comp,) = undo_on_leaf(delete, lsn=70)
     assert get_rows(ctx, 7) == [b"a", b"b", b"c"]
     assert (comp.type, comp.page_id, comp.pos) == (RecordType.INSERT, 7, 1)
-    assert undo(delete, ctx, lsn=80) == []  # already back
+    assert undo_on_leaf(delete, lsn=80) == []  # already back
     assert get_ts(ctx, 7) == 70
+
+
+def test_a_compensation_that_does_not_fit_is_not_logged(ctx):
+    """Fit before log: rows that do not fit back leave no compensation in
+    the log and the page as it was."""
+    put_page(ctx, 1, [b"a" * 1900], ts=20)
+    page = ctx.buffer.fetch(1)
+    logged = []
+    try:
+        delete = LogRecord(
+            type=RecordType.DELETE, page_id=1, pos=1, rows=[b"b" * 200],
+            lsn=20,
+        )
+        assert not compensate(page, compensation(delete), logged.append)
+        assert page.rows == [b"a" * 1900] and page.page_lsn == 20
+    finally:
+        ctx.buffer.unpin(1)
+    assert logged == []
 
 
 def test_undo_alloc_frees_page(ctx):

@@ -5,7 +5,9 @@ import pytest
 
 from repro import Engine
 from repro.concurrency.syncpoints import CrashPoint
+from repro.storage.page import Page, PageFlag
 from repro.storage.page_manager import PageState
+from repro.wal.recovery import RecoveryManager
 from tests.conftest import contents_as_ints, fill_index, intkey
 
 
@@ -142,6 +144,67 @@ def test_clear_protocol_bits_after_crash(engine):
     engine.index(1).verify()
 
 
+def test_restart_clears_the_bit_of_a_leaf_its_undo_puts_back(
+    engine, monkeypatch
+):
+    """A loser's shrink froze leaf L with its SHRINK bit, L's image with
+    the bit reached disk, L's DEALLOC is durable, and the machine stopped
+    before the shrink's NTA_END.  The sweep before undo passes L by: it
+    is deallocated then.  Undo allocates L again and puts it back under
+    its parent; its bit must not come back with it, or every descent
+    that reaches L waits, again and again, for a top action that no
+    longer exists — restart's own descent for the loser's row first."""
+    from repro.concurrency.locks import LockManager
+    from repro.testing import NOTHING_LEFT, left_behind
+
+    index = engine.create_index(key_len=4)
+    fill_index(index, 2000, seed=None)
+    leaves = index.verify().leaf_page_ids
+    victim = leaves[len(leaves) // 2]
+    page = engine.buffer.fetch(victim)
+    keys = [int.from_bytes(row[:4], "big") for row in page.rows]
+    engine.buffer.unpin(victim)
+    engine.checkpoint()
+
+    def stop(_ctx):
+        engine.log.flush_all()
+        raise CrashPoint("shrink.propagated")
+
+    engine.syncpoints.once(
+        "shrink.leaf_frozen", lambda ctx: engine.buffer.flush_page(ctx["page"])
+    )
+    engine.syncpoints.once("shrink.propagated", stop)
+    txn = engine.ctx.txns.begin()
+    with pytest.raises(CrashPoint):
+        for k in keys:
+            index.delete(intkey(k), k, txn=txn)
+    engine.crash()
+    disk = engine.ctx.disk
+    image = Page.from_bytes(disk.read(victim), disk.page_size)
+    assert image.flags & PageFlag.SHRINK
+
+    # One thread runs: a bit it waits for is one that nobody holds.
+    waits = []
+    wait_instant = LockManager.wait_instant
+
+    def bounded(self, *args, **kwargs):
+        waits.append(args)
+        assert len(waits) < 50, f"descents spin on a stale bit: {args}"
+        return wait_instant(self, *args, **kwargs)
+
+    monkeypatch.setattr(LockManager, "wait_instant", bounded)
+    report = engine.recover()
+    assert report.loser_txns == [txn.txn_id]
+    assert left_behind(engine) == NOTHING_LEFT
+    index = engine.index(1)
+    index.verify()
+    assert contents_as_ints(index) == list(range(2000))
+    assert all(index.contains(intkey(k), k) for k in keys)
+    index.delete(intkey(keys[0]), keys[0])
+    index.insert(intkey(keys[0]), keys[0])
+    assert index.contains(intkey(keys[0]), keys[0])
+
+
 def test_multiple_crash_cycles(engine):
     index = engine.create_index(key_len=4)
     keys = list(range(0, 900, 3))
@@ -209,18 +272,19 @@ def test_bit_sweep_reads_by_run_and_skips_a_rotted_page():
     engine.crash()
 
     sweep = {}
-    original = Engine._clear_protocol_bits
+    original = RecoveryManager._clear_protocol_bits
 
     def measured(self):
         before = self.counters.snapshot()
         original(self)
+        self.buffer.flush_all()  # what the checkpoint after undo writes
         sweep.update(self.counters.diff(before))
 
-    Engine._clear_protocol_bits = measured
+    RecoveryManager._clear_protocol_bits = measured
     try:
         engine.recover()
     finally:
-        Engine._clear_protocol_bits = original
+        RecoveryManager._clear_protocol_bits = original
 
     runs = len({(pid - 1) // ppio for pid in allocated})
     # One read per aligned run; the victim, absent from its run's

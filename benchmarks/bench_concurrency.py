@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
-from repro.workload import MixedWorkload, int4_key
+from repro.workload import MixedWorkload, bulk_load, int4_key
 from conftest import record
 
 KEY_COUNT = 100_000
@@ -34,11 +34,8 @@ THROUGHPUT: dict[str, float] = {}
 
 def build(lock_timeout: float = 120.0):
     engine = Engine(buffer_capacity=65536, lock_timeout=lock_timeout)
-    index = engine.create_index(key_len=4)
-    from repro.workload import bulk_load
-
     keys = [int4_key(k) for k in range(0, KEY_COUNT, 2)]
-    index = bulk_load(engine, keys, 4, fill=0.5, index_id=2)
+    index = bulk_load(engine, keys, 4, fill=0.5)
     return engine, index
 
 

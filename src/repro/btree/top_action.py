@@ -123,18 +123,22 @@ class TopAction:
         self.held[page.page_id] = page
 
     def deallocate(self, page_ids: list[int]) -> None:
-        """Log one DEALLOC record for ``page_ids`` and deallocate them;
-        the caller frees them when that is safe (§3, §4.1.3)."""
-        self.ctx.txns.append(
-            self.txn,
-            LogRecord(
-                type=RecordType.DEALLOC,
-                page_id=page_ids[0],
-                page_ids=list(page_ids),
-            ),
-        )
-        for page_id in page_ids:
-            self.ctx.page_manager.deallocate(page_id)
+        """Log one DEALLOC record for ``page_ids`` and deallocate them,
+        the two under the page manager's lock (a checkpoint's snapshot
+        sees both or neither); the caller frees them when that is safe
+        (§3, §4.1.3)."""
+        page_manager = self.ctx.page_manager
+        with page_manager.lock:
+            self.ctx.txns.append(
+                self.txn,
+                LogRecord(
+                    type=RecordType.DEALLOC,
+                    page_id=page_ids[0],
+                    page_ids=list(page_ids),
+                ),
+            )
+            for page_id in page_ids:
+                page_manager.deallocate(page_id)
         self.deallocated += page_ids
 
     # ------------------------------------------------------- giving back

@@ -16,6 +16,7 @@ timestamp to the record's LSN, and mark the frame dirty.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -80,6 +81,9 @@ class EngineContext:
     lock_timeout: float
     """Latch and lock wait bound, kept so :meth:`reset_volatile` gives a
     crashed engine's new managers the timeout its first ones had."""
+    checkpointing: threading.Lock = field(default_factory=threading.Lock)
+    """Held by :func:`repro.wal.recovery.checkpoint`: one checkpoint at a
+    time, so each one's redo LSN lies past the record before it."""
 
     @classmethod
     def create(
@@ -178,15 +182,17 @@ class EngineContext:
         return ctx
 
     def reset_volatile(self) -> None:
-        """(Re)create what no process death survives — latches, locks,
-        transactions and the undo applier — wired as :meth:`create` wires
-        them; ``Engine.crash`` calls this too, so the two cannot drift."""
+        """(Re)create what no process death survives — latches (which the
+        buffer pool takes its write images under), locks, transactions
+        and the undo applier — wired as :meth:`create` wires them;
+        ``Engine.crash`` calls this too, so the two cannot drift."""
         self.latches = LatchManager(
             counters=self.counters, timeout=self.lock_timeout
         )
         self.latches.syncpoints = self.syncpoints
         if self.tracer.enabled:
             self.latches.metrics = self.metrics
+        self.buffer.set_latches(self.latches)
         self.locks = LockManager(
             counters=self.counters, timeout=self.lock_timeout
         )

@@ -18,15 +18,15 @@ from __future__ import annotations
 from repro.btree.tree import BTree
 from repro.context import EngineContext
 from repro.errors import ReproError
-from repro.quarantine import QuarantineMap, quarantine_payload
+from repro.quarantine import QuarantineMap
 from repro.stats.counters import Counters
 from repro.storage.page import PAGE_SIZE_DEFAULT
 from repro.testing import invariants
-from repro.wal.records import LogRecord, RecordType
 from repro.wal.recovery import (
     RebuildCheckpoint,
     RecoveryManager,
     RecoveryReport,
+    checkpoint,
 )
 
 
@@ -165,41 +165,24 @@ class Engine:
     # ------------------------------------------------------------- durability
 
     def checkpoint(self, truncate: bool = False) -> int:
-        """Flush everything and log a checkpoint with catalog + page states.
+        """Flush everything and log a checkpoint with catalog + page states
+        (:func:`repro.wal.recovery.checkpoint`); returns its LSN.
 
-        With ``truncate`` the log prefix that recovery can no longer need
-        is dropped: everything before this checkpoint, bounded by the
-        begin LSN of the oldest still-active transaction.  Because rebuild
-        transactions are short (a few hundred pages each, §3), checkpoints
-        taken *during* an online rebuild still truncate almost everything
-        — unlike sidefile schemes, which pin the log for the whole
-        reorganization (§7 on [SBC97]).
+        Redo after a crash starts at the log's next LSN as of the start
+        of the flush, so a checkpoint may run while other threads work:
+        what they log during the flush is redone.  With ``truncate`` the
+        log prefix below that point is dropped, bounded by the begin LSN
+        of the oldest still-active transaction.  Because rebuild
+        transactions are short (a few hundred pages each, §3), a
+        checkpoint taken *during* an online rebuild still truncates
+        almost everything — unlike sidefile schemes, which pin the log
+        for the whole reorganization (§7 on [SBC97]).
         """
-        self.ctx.buffer.flush_all()
-        payload = {
-            "page_manager": self.ctx.page_manager.snapshot(),
-            "index_meta": {
-                str(index_id): {
-                    "root": tree.root_page_id,
-                    "key_len": tree.key_len,
-                }
-                for index_id, tree in self.indexes.items()
-            },
-            "quarantine": quarantine_payload(self.ctx.quarantine.ranges()),
+        index_meta = {
+            str(index_id): {"root": tree.root_page_id, "key_len": tree.key_len}
+            for index_id, tree in list(self.indexes.items())
         }
-        rec = LogRecord(type=RecordType.CHECKPOINT, payload_json=payload)
-        lsn = self.ctx.log.append(rec)
-        self.ctx.log.flush_to(lsn)
-        if truncate:
-            safe = lsn
-            for txn in self.ctx.txns.active.values():
-                # begin_lsn == 0 means the txn has logged nothing yet; its
-                # future records all land past this checkpoint, so it does
-                # not pin the log.
-                if txn.begin_lsn:
-                    safe = min(safe, txn.begin_lsn)
-            self.ctx.log.truncate_before(safe)
-        return lsn
+        return checkpoint(self.ctx, index_meta, truncate)
 
     def crash(self) -> None:
         """Lose all volatile state: buffer frames, the unflushed log tail,
@@ -216,9 +199,6 @@ class Engine:
         """Run crash recovery and rebuild the index catalog."""
         report = RecoveryManager(self.ctx).recover()
         self.rebuild_checkpoints = dict(report.rebuild_checkpoints)
-        # Re-fence damaged ranges that were standing at the crash: sets are
-        # flushed at fence time, so a known-rotted range is never forgotten.
-        self.ctx.quarantine.restore(report.quarantine_ranges)
         self.indexes = {
             int(index_id): BTree(
                 self.ctx,

@@ -47,10 +47,21 @@ reads, prefetch reads, batch flushes, and dirty-eviction writes — so
 threads overlap their disk time instead of serializing on the pool.
 Entering the lock probes it non-blockingly first, so contention is
 visible in ``pool_shard_conflicts``.  Every write — force, single-page
-flush, eviction — is one code path (:meth:`BufferPool._write_batch`),
-and ``tools/lint_no_io_under_lock.py`` enforces statically that no disk
-call is issued under the lock.  Two pieces of bookkeeping make the
-unlocked I/O safe:
+flush, eviction, run write, write-behind — is one code path
+(:meth:`BufferPool._write_batch`), and ``tools/lint_no_io_under_lock.py``
+enforces statically that no disk call is issued under the lock.
+
+**Write images under latches.**  A write takes each page's image under
+that page's S latch (the engine installs its latch manager with
+:meth:`BufferPool.set_latches`), never under the pool lock: a stored
+image is a state the page had between two X-latched mutations, and a
+checkpoint serializing thousands of pages stalls no fetch.  A forced
+write waits for each latch, one at a time and with no page claimed;
+the thread that forces holds no latch itself
+(:mod:`repro.testing.invariants`).  An opportunistic write — ring
+eviction, the run-mates of a victim, a protected-LRU victim — skips a
+page whose latch is busy.  Two pieces of bookkeeping make the unlocked
+I/O safe:
 
 * an *in-flight read table* — a miss registers the page id before
   dropping the lock (a large-I/O read also claims the run neighbors it
@@ -58,11 +69,13 @@ unlocked I/O safe:
   condition variable instead of issuing a duplicate read, and every
   admission point re-checks residency after reacquiring the lock;
 * a per-frame *version counter*, bumped whenever a frame becomes dirty —
-  any unlocked write snapshots (frame, version), writes without the lock,
-  and clears the dirty bit only for frames still resident at the same
-  version, so a change that lands mid-write is never lost.  The
-  *in-flight write table* orders overlapping writes of the same page, so
-  a slower writer holding an older image can never land after a newer one.
+  a write notes the version with its image, claims the page only if the
+  frame is still at that version (else it images the page again, or,
+  when opportunistic, drops it), and clears the dirty bit only for
+  frames still resident at the same version, so a change that lands
+  mid-write is never lost.  The *in-flight write table* orders
+  overlapping writes of the same page, so a slower writer holding an
+  older image can never land after a newer one.
 
 **Device service time.**  :meth:`BufferPool.retrying`, which every
 physical call goes through, times each successful attempt and keeps the
@@ -76,12 +89,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import BufferError_, TransientIOError
 from repro.stats.counters import Counters
 from repro.storage.disk import Disk, write_calls
 from repro.storage.page import Page
+from repro.testing import invariants
+
+if TYPE_CHECKING:
+    from repro.concurrency.latch import LatchManager
 
 
 _NEVER_STORED = -1
@@ -193,12 +210,17 @@ class BufferPool:
         self._writing: set[int] = set()
         self._admit_seq = 0  # the last ring admission ticket handed out
         self._wal_hook: Callable[[int], None] | None = None
+        self._latches: LatchManager | None = None
         self._service: deque[float] = deque(maxlen=_SERVICE_SAMPLES)
         self._service_lock = threading.Lock()
 
     def set_wal_hook(self, hook: Callable[[int], None]) -> None:
         """Install ``flush_log_to(lsn)``, called before any dirty write."""
         self._wal_hook = hook
+
+    def set_latches(self, latches: LatchManager) -> None:
+        """Install the page latches every write takes its image under."""
+        self._latches = latches
 
     def _lookup(self, page_id: int) -> _Frame | None:
         frame = self._frames.get(page_id)
@@ -439,12 +461,13 @@ class BufferPool:
             force of the pages that replaced it — so no KEYCOPY redo
             reads the dead page as a source and no undo touches it;
         (b) every logged change the dead frame carries beyond its stored
-            image lies after the last checkpoint (``Engine.checkpoint``
-            flushes every frame before it logs the record and truncates
-            only before that record), so after a crash redo re-derives
-            it from the stored image and the log — exactly the state of
-            a crash that lost the frame a moment earlier — and this
-            allocation's ALLOC / FORMAT then overwrites it;
+            image lies at or past the last checkpoint's ``redo_lsn``
+            (the checkpoint reads it, then flushes every frame, each
+            image under its latch, and truncates only below it), so
+            after a crash redo re-derives it from the stored image and
+            the log — exactly the state of a crash that lost the frame a
+            moment earlier — and this allocation's ALLOC / FORMAT then
+            overwrites it;
         (c) a stale reader that still holds the id re-checks allocation
             and the frame's identity under the latch
             (:meth:`image_version`) and meets the new incarnation or a
@@ -548,44 +571,115 @@ class BufferPool:
         """Write the dirty frames among ``page_ids`` in one ``write_many``,
         WAL-first, with the pool lock released across the I/O.
 
-        With ``force`` every dirty frame is written, after waiting out
-        in-flight writes that overlap the batch.  Without it (an
-        eviction cleaning its victim's disk run) the batch is
-        opportunistic: pinned frames and frames another writer has
-        claimed are skipped, so the call never waits on the ``writing``
-        table.  Returns the number of pages written.
+        Every image is taken under its page's S latch
+        (:meth:`_take_images`), so a write never stores half a mutation.
+        With ``force`` every dirty frame is written: its latch is waited
+        for, and so are in-flight writes that overlap the batch — legal
+        only because a forcing thread holds no latch
+        (:mod:`repro.testing.invariants`).  Without it (an eviction
+        cleaning its victim or its victim's disk run) the batch is
+        opportunistic: pinned frames, busy latches and frames another
+        writer has claimed are skipped, so the call never waits.
+        Returns the number of pages written.
         """
-        ids = set(page_ids)
-        # Pass 1 — under the lock: find the dirty frames, serialize them,
-        # and claim them in the write table.  Clean frames are never
-        # serialized.
-        images: dict[int, bytes] = {}
-        max_lsn = 0
-        claimed: dict[int, tuple[_Frame, int, int]] = {}
-        wrote = False
-        try:
+        if force and invariants.hook is not None:
+            invariants.hook.forced_write(self._latches)
+        todo = sorted(set(page_ids))
+        written = 0
+        while todo:
+            taken = self._take_images(todo, force)
+            # Claim under the lock what is still dirty at the version
+            # imaged.  An image taken before another writer's claim can
+            # be older than the image that writer stores: a forced write
+            # images such a page again (no claim is held while it waits
+            # for a latch), an opportunistic one drops it.
+            claimed: dict[int, tuple[_Frame, int, int]] = {}
+            images: dict[int, bytes] = {}
+            max_lsn = 0
+            todo = []
             with self._lock:
-                while force and not self._writing.isdisjoint(ids):
+                while force and not self._writing.isdisjoint(taken):
                     self._cond.wait()
-                for pid in ids:
-                    frame = self._lookup(pid)
-                    if frame is None or not frame.dirty:
+                for pid, (frame, version, lsn, image) in taken.items():
+                    if self._lookup(pid) is not frame or not frame.dirty:
+                        continue  # stored since (an eviction writes first)
+                    if frame.version != version or pid in self._writing:
+                        if force:
+                            todo.append(pid)
                         continue
-                    if not force and (
-                        frame.pin_count > 0 or pid in self._writing
-                    ):
-                        continue
-                    lsn = frame.page.page_lsn
-                    claimed[pid] = (frame, frame.version, lsn)
-                    images[pid] = frame.page.to_bytes()
+                    claimed[pid] = (frame, version, lsn)
+                    images[pid] = image
                     if lsn > max_lsn:
                         max_lsn = lsn
                 self._writing.update(claimed)
-            if not images:
-                return 0
-            # Pass 2 — WAL-flush and write with the lock released (both can
-            # block on physical I/O).  Each dirty frame is written exactly
-            # once even if its id repeats in ``page_ids``.
+            if claimed:
+                self._write_claimed(claimed, images, max_lsn)
+                written += len(images)
+        return written
+
+    def _take_images(
+        self, page_ids: list[int], force: bool
+    ) -> dict[int, tuple[_Frame, int, int, bytes]]:
+        """``(frame, version, page_lsn, image)`` of each dirty frame among
+        ``page_ids``, each image taken under its page's S latch with the
+        pool lock not held, one latch at a time and no page claimed.
+
+        A forced write also latches a *pinned clean* frame: its holder
+        may have logged a change (``log_page_change`` appends, then marks
+        the frame dirty) that a checkpoint's redo start already lies
+        past.  By the time the S latch is granted the X holder has
+        marked the frame dirty, so the dirty bit is read under the latch.
+        An opportunistic write skips a pinned frame, a page in the write
+        table, and a latch it cannot take at once.  Without a latch
+        manager (a pool used on its own) images are taken unlatched.
+        """
+        from repro.concurrency.latch import LATCH_S  # import cycle
+
+        latches = self._latches
+        with self._lock:
+            candidates = []
+            for pid in page_ids:
+                frame = self._lookup(pid)
+                if frame is None:
+                    continue
+                if force:
+                    if frame.dirty or frame.pin_count:
+                        candidates.append(pid)
+                elif frame.dirty and not (
+                    frame.pin_count or pid in self._writing
+                ):
+                    candidates.append(pid)
+        taken: dict[int, tuple[_Frame, int, int, bytes]] = {}
+        for pid in candidates:
+            if latches is not None:
+                if force:
+                    latches.acquire(pid, LATCH_S)
+                elif latches.holds(pid) or not latches.try_acquire(
+                    pid, LATCH_S
+                ):
+                    continue
+            try:
+                with self._lock:
+                    frame = self._lookup(pid)
+                    if frame is None or not frame.dirty:
+                        continue
+                    version, lsn = frame.version, frame.page.page_lsn
+                taken[pid] = (frame, version, lsn, frame.page.to_bytes())
+            finally:
+                if latches is not None:
+                    latches.release(pid)
+        return taken
+
+    def _write_claimed(
+        self,
+        claimed: dict[int, tuple[_Frame, int, int]],
+        images: dict[int, bytes],
+        max_lsn: int,
+    ) -> None:
+        """WAL-flush and write the claimed images with the lock released
+        (both can block on physical I/O), then release the claims."""
+        wrote = False
+        try:
 
             def _wal_then_write() -> None:
                 if self._wal_hook is not None:
@@ -601,21 +695,19 @@ class BufferPool:
             )
             wrote = True
             self.counters.add("page_writes", len(images))
-            return len(images)
         finally:
-            # Pass 3 — release the write claims; clear dirty only for
-            # frames still resident at the version we serialized (anything
-            # redirtied or evicted-and-re-read mid-write keeps its state).
-            if claimed:
-                with self._lock:
-                    self._writing.difference_update(claimed)
-                    self._cond.notify_all()
-                    if wrote:
-                        for pid, (frame, version, lsn) in claimed.items():
-                            if self._lookup(pid) is frame:
-                                frame.clean_lsn = lsn
-                                if frame.version == version:
-                                    frame.dirty = False
+            # Clear dirty only for frames still resident at the version
+            # imaged (anything redirtied or evicted-and-re-read mid-write
+            # keeps its state).
+            with self._lock:
+                self._writing.difference_update(claimed)
+                self._cond.notify_all()
+                if wrote:
+                    for pid, (frame, version, lsn) in claimed.items():
+                        if self._lookup(pid) is frame:
+                            frame.clean_lsn = lsn
+                            if frame.version == version:
+                                frame.dirty = False
 
     def flush_all(self) -> None:
         """Force every dirty resident page (checkpoint / clean shutdown)."""
@@ -789,14 +881,20 @@ class BufferPool:
 
         A dirty victim is written with its disk run (:meth:`_write_run`);
         the write drops the lock, so the victim is revalidated
-        afterwards.  With ``clean_only`` dirty frames are skipped
-        instead of written.
+        afterwards, and one the write skipped (its latch busy) is passed
+        over.  With ``clean_only`` dirty frames are skipped instead of
+        written.
         """
+        busy: set[int] = set()
         while True:
             young_floor = self._admit_seq - max(8, self.ring_quota // 8)
             old = old_dirty = young = young_dirty = window = None
             for pid, frame in self._ring.items():
-                if frame.pin_count != 0 or (clean_only and frame.dirty):
+                if (
+                    frame.pin_count != 0
+                    or (clean_only and frame.dirty)
+                    or pid in busy
+                ):
                     continue
                 if frame.prefetched:
                     if window is None:
@@ -820,13 +918,12 @@ class BufferPool:
                 return False
             victim_id, victim = choice
             if victim.dirty:
+                version = victim.version
                 self._write_run(victim_id, victim)
-                if (
-                    self._ring.get(victim_id) is not victim
-                    or victim.pin_count > 0
-                    or victim.dirty
+                if not self._cleaned(
+                    self._ring, victim_id, victim, version, busy
                 ):
-                    continue  # changed during the wait; pick again
+                    continue  # changed during the wait, or busy; pick again
             if victim.prefetched:
                 self.counters.add("prefetch_unused")
             del self._ring[victim_id]
@@ -845,14 +942,26 @@ class BufferPool:
         ``prefer_protected`` inverts the order (a scan admission growing
         the ring toward its quota takes from the protected region first).
         Returns False (or raises, when ``required``) when nothing is
-        evictable.
+        evictable.  A required eviction that found unpinned frames but
+        could write none of them (each latch busy for the moment between
+        a latch and its pin) waits for the pool to change and tries again.
         """
-        if prefer_protected and self._evict_protected(scan, clean_only):
-            return True
-        if self._evict_ring(clean_only, spare_window):
-            return True
-        if not prefer_protected and self._evict_protected(scan, clean_only):
-            return True
+        while True:
+            if prefer_protected and self._evict_protected(scan, clean_only):
+                return True
+            if self._evict_ring(clean_only, spare_window):
+                return True
+            if not prefer_protected and self._evict_protected(
+                scan, clean_only
+            ):
+                return True
+            if not required or all(
+                frame.pin_count
+                for table in (self._frames, self._ring)
+                for frame in table.values()
+            ):
+                break
+            self._cond.wait(0.001)
         if required:
             raise BufferError_(
                 f"buffer pool exhausted: all {self.capacity} frames pinned"
@@ -863,35 +972,59 @@ class BufferPool:
         """Evict one frame from the protected LRU, coldest first.
 
         The walk goes from the LRU end past any pinned frames — O(pinned
-        prefix), O(1) in the common case.  A dirty victim's write drops
-        the lock, so the victim is revalidated afterwards; with
-        ``clean_only`` dirty frames are skipped instead of written.  A
-        scan-class admission that reaches the protected region is counted
-        under ``hot_evictions_by_scan``.
+        prefix), O(1) in the common case.  A dirty victim is written
+        opportunistically (the fetch that evicts may hold latches, so it
+        must not wait for one); the write drops the lock, so the victim
+        is revalidated afterwards, and one the write skipped is passed
+        over.  With ``clean_only`` dirty frames are skipped instead of
+        written.  A scan-class admission that reaches the protected
+        region is counted under ``hot_evictions_by_scan``.
         """
+        busy: set[int] = set()
         while True:
             victim_id = None
             victim = None
             for pid, frame in self._frames.items():
-                if frame.pin_count == 0 and not (clean_only and frame.dirty):
+                if (
+                    frame.pin_count == 0
+                    and not (clean_only and frame.dirty)
+                    and pid not in busy
+                ):
                     victim_id, victim = pid, frame
                     break
             if victim_id is None or victim is None:
                 return False
             if victim.dirty:
-                self._write_unlocked([victim_id], force=True)
-                if (
-                    self._frames.get(victim_id) is not victim
-                    or victim.pin_count > 0
-                    or victim.dirty
+                version = victim.version
+                self._write_unlocked([victim_id], force=False)
+                if not self._cleaned(
+                    self._frames, victim_id, victim, version, busy
                 ):
-                    continue  # changed during the wait; pick again
+                    continue  # changed during the wait, or busy; pick again
             if victim.prefetched:
                 self.counters.add("prefetch_unused")
             del self._frames[victim_id]
             if scan:
                 self.counters.add("hot_evictions_by_scan")
             return True
+
+    @staticmethod
+    def _cleaned(
+        table: OrderedDict[int, _Frame],
+        page_id: int,
+        frame: _Frame,
+        version: int,
+        busy: set[int],
+    ) -> bool:
+        """Whether an evicting write left ``frame`` an evictable clean
+        victim.  A frame still dirty at the version it had before the
+        write was skipped (its latch busy, or claimed by another writer):
+        it goes into ``busy`` so the caller picks another victim."""
+        if table.get(page_id) is not frame or frame.pin_count > 0:
+            return False
+        if frame.dirty and frame.version == version:
+            busy.add(page_id)
+        return not frame.dirty
 
     def readahead_room(self) -> int:
         """Bound on speculative frames: what the I/O scheduler sizes its

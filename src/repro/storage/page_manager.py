@@ -46,12 +46,17 @@ class PageManager:
         """The explicitly free ids, ascending: ``allocate`` takes the
         first and ``_find_free_run`` walks it in order."""
         self._next_new = 1  # high-water mark: smallest never-used id
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
+        """Guards the states.  A logged change whose record precedes it
+        (a ``DEALLOC``, an undone ``ALLOC`` / ``DEALLOC``) holds it across
+        the append and the change, and a checkpoint reads its redo LSN
+        and :meth:`snapshot` under it: the snapshot holds a logged change
+        exactly when its record lies below that LSN."""
 
     # -------------------------------------------------------------- inspection
 
     def state(self, page_id: int) -> PageState:
-        with self._lock:
+        with self.lock:
             return self._states.get(page_id, PageState.FREE)
 
     def is_allocated(self, page_id: int) -> bool:
@@ -59,7 +64,7 @@ class PageManager:
 
     def deallocated_pages(self) -> list[int]:
         """Pages in deallocated state (recovery frees these, §4.1.3)."""
-        with self._lock:
+        with self.lock:
             return sorted(
                 pid
                 for pid, st in self._states.items()
@@ -67,7 +72,7 @@ class PageManager:
             )
 
     def allocated_pages(self) -> list[int]:
-        with self._lock:
+        with self.lock:
             return sorted(
                 pid
                 for pid, st in self._states.items()
@@ -77,14 +82,14 @@ class PageManager:
     @property
     def high_water_mark(self) -> int:
         """One past the largest page id ever used."""
-        with self._lock:
+        with self.lock:
             return self._next_new
 
     # -------------------------------------------------------------- transitions
 
     def allocate(self) -> int:
         """Allocate any free page (lowest id first); used by splits."""
-        with self._lock:
+        with self.lock:
             if self._free:
                 pid = self._free.pop(0)
             else:
@@ -95,7 +100,7 @@ class PageManager:
 
     def deallocate(self, page_id: int) -> None:
         """allocated → deallocated.  The caller logs this transition."""
-        with self._lock:
+        with self.lock:
             if self.state(page_id) is not PageState.ALLOCATED:
                 raise PageStateError(
                     f"cannot deallocate page {page_id}: state is "
@@ -105,7 +110,7 @@ class PageManager:
 
     def free(self, page_id: int) -> None:
         """deallocated → free.  Unlogged and irreversible (§4.1.3)."""
-        with self._lock:
+        with self.lock:
             if self.state(page_id) is not PageState.DEALLOCATED:
                 raise PageStateError(
                     f"cannot free page {page_id}: state is "
@@ -148,7 +153,7 @@ class PageManager:
         """
         if size <= 0:
             raise AllocationError(f"chunk size must be positive, got {size}")
-        with self._lock:
+        with self.lock:
             start = None
             if after is not None and self._run_is_free(after + 1, size):
                 start = after + 1
@@ -194,7 +199,7 @@ class PageManager:
 
     def release_unused(self, page_ids: list[int]) -> None:
         """Return never-written reserved pages to the free pool."""
-        with self._lock:
+        with self.lock:
             for pid in page_ids:
                 if self._states.get(pid) is PageState.ALLOCATED:
                     self._states[pid] = PageState.FREE
@@ -206,7 +211,7 @@ class PageManager:
         Normal code paths use the checked transitions above; recovery replays
         state changes idempotently and so bypasses the checks.
         """
-        with self._lock:
+        with self.lock:
             self._states[page_id] = state
             if state is PageState.FREE:
                 self._add_free(page_id)
@@ -218,7 +223,7 @@ class PageManager:
 
     def snapshot(self) -> dict[str, object]:
         """State image embedded in checkpoint log records."""
-        with self._lock:
+        with self.lock:
             return {
                 "states": {pid: st.value for pid, st in self._states.items()},
                 "next_new": self._next_new,
@@ -226,7 +231,7 @@ class PageManager:
 
     def restore(self, snap: dict[str, object]) -> None:
         """Reset to a checkpoint image (start of crash recovery)."""
-        with self._lock:
+        with self.lock:
             states = snap["states"]
             assert isinstance(states, dict)
             self._states = {

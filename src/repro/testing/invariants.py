@@ -15,18 +15,23 @@ The rules:
   top action took: its pages are given back with their bits (§2.2);
 * at the end of :meth:`Engine.recover <repro.engine.Engine.recover>` no
   page is pinned, latched, address-locked or bitted
-  (:func:`~repro.testing.cleanup.left_behind`).
+  (:func:`~repro.testing.cleanup.left_behind`);
+* no forced page write (``BufferPool.flush_page`` / ``flush_pages`` /
+  ``flush_all``, the pool's ``_write_batch(force=True)``) while the
+  thread holds a latch: a forced write waits for the S latch of every
+  page it images, so a forcer holding a latch could wait on a thread
+  that waits on it (§3's forced write, §2.2's latch discipline).
 """
 
 from __future__ import annotations
-
-from repro.concurrency.locks import LockSpace
 
 
 class Checks:
     """The rules, each called by the site it guards."""
 
     def top_action_done(self, top) -> None:  # noqa: ANN001 - a TopAction
+        from repro.concurrency.locks import LockSpace  # the pool imports us
+
         ctx, txn_id = top.ctx, top.txn.txn_id
         latched = ctx.latches.held_by_me()
         for page_id in {*top.pages, *top.new_pages}:
@@ -37,6 +42,11 @@ class Checks:
                 f"top action of txn {txn_id} left page {page_id} "
                 "address-locked"
             )
+
+    def forced_write(self, latches) -> None:  # noqa: ANN001 - LatchManager
+        if latches is not None:
+            held = latches.held_by_me()
+            assert not held, f"forced page write while holding latches {held}"
 
     def recovered(self, engine) -> None:  # noqa: ANN001 - an Engine
         from repro.errors import ChecksumError

@@ -22,6 +22,7 @@ from unittest import mock
 from repro import engine as engine_module
 from repro.btree.top_action import TopAction
 from repro.context import EngineContext
+from repro.core.scrubber import Scrubber
 from repro.errors import PageFullError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageType
@@ -122,6 +123,52 @@ def _bits_kept_on_pages_undo_allocates():
     return substituted(RecoveryManager, "_undo", "if first_pass:", "if False:")
 
 
+# ------------------------------------------------- checkpoints and writes
+
+
+def _scrubber_forces_under_its_latch():
+    """The scrubber's replay repair forces the page while it still holds
+    the page's X latch, as its first version did: a forced write waits
+    for the latch of every page it images, here its own."""
+    return substituted(
+        Scrubber,
+        "_try_replay",
+        "ctx.buffer.unpin(page_id, dirty=True)\n",
+        "ctx.buffer.unpin(page_id, dirty=True)\n        self._force(page_id)\n",
+    )
+
+
+def _images_taken_unlatched():
+    """A write serializes its pages without their latches: an image can
+    hold half of a mutation under a valid CRC."""
+    return substituted(
+        BufferPool, "_take_images", "latches = self._latches", "latches = None"
+    )
+
+
+def _redo_from_the_checkpoint_record():
+    """Analysis starts redo at the checkpoint record instead of the
+    record's redo_lsn: what was logged while the flush ran is lost."""
+    return substituted(
+        RecoveryManager,
+        "_analysis",
+        "checkpoint_at = at\n",
+        "checkpoint_at = at\n            redo_lsn = lsn\n",
+    )
+
+
+def _checkpoint_skips_clean_pinned_frames():
+    """A forced write passes over a pinned frame that is not dirty yet,
+    though its X holder has logged a change below the checkpoint's
+    redo_lsn and will mark it dirty only after the append."""
+    return substituted(
+        BufferPool,
+        "_take_images",
+        "if frame.dirty or frame.pin_count:",
+        "if frame.dirty:",
+    )
+
+
 # ------------------------------------------------------------ restart redo
 
 
@@ -161,8 +208,8 @@ def _queue_mutant(skip_lsn_test: bool = False, backwards: bool = False):
 
 
 class _ParksForLosers(RecoveryManager):
-    """Every DEALLOC past the checkpoint parks the records of its pages,
-    its transaction committed or not."""
+    """Every DEALLOC from the checkpoint's redo_lsn on parks the records
+    of its pages, its transaction committed or not."""
 
     def _analysis(self, report):  # noqa: ANN001, ANN202
         work = super()._analysis(report)
@@ -213,7 +260,29 @@ def _told_apart(name: str, plant: Callable[[], ContextManager[object]]):
     )
 
 
+_TRAFFIC = "tests/wal/test_checkpoint_traffic.py::"
+
+
 MUTANTS: dict[str, Mutant] = {
+    "scrubber-forces-under-its-x-latch": Mutant(
+        _scrubber_forces_under_its_latch,
+        ("tests/core/test_scrubber.py::test_ladder3_flush_heals_resident_frame",),
+    ),
+    "write-images-taken-unlatched": Mutant(
+        _images_taken_unlatched,
+        (
+            "tests/property/test_pool_props.py::"
+            "test_every_stored_image_is_a_latched_state",
+        ),
+    ),
+    "redo-from-the-checkpoint-record": Mutant(
+        _redo_from_the_checkpoint_record,
+        (f"{_TRAFFIC}test_a_commit_between_the_flush_and_the_record_survives",),
+    ),
+    "checkpoint-skips-clean-pinned-frames": Mutant(
+        _checkpoint_skips_clean_pinned_frames,
+        (f"{_TRAFFIC}test_a_change_logged_before_its_frame_is_dirty_is_stored",),
+    ),
     "top-action-keeps-its-address-locks": Mutant(
         _top_action_keeps_its_locks,
         ("tests/btree/test_split.py::test_split_preserves_all_rows",),

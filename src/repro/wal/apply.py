@@ -370,7 +370,13 @@ def undo_record(
             undo_next_lsn=rec.prev_lsn,
             flags=CLR_FLAG,
         )
-        _clr_inverse(rec, ctx, log(clr))
+        if t is RecordType.KEYCOPY:
+            _clr_inverse(rec, ctx, log(clr))
+        else:
+            # A page-state change: logged and made under the page
+            # manager's lock, as a checkpoint's snapshot reads them.
+            with ctx.page_manager.lock:
+                _clr_inverse(rec, ctx, log(clr))
         return
     if t not in SINGLE_PAGE_REDO:
         if t in (RecordType.REBUILD_PROGRESS, RecordType.QUARANTINE):

@@ -25,7 +25,9 @@ NTA_BEGIN / NTA_END  nested-top-action brackets; NTA_END is the dummy CLR
                      whose undo_next jumps over the completed action
 CLR                  LSN of the ALLOC / ALLOCRUN / DEALLOC / KEYCOPY undone
                      (other compensations are single-page: CLR_FLAG)
-CHECKPOINT           page-manager snapshot + tree root (JSON)
+CHECKPOINT           page-manager snapshot + tree root (JSON); the header's
+                     ``undo_next_lsn`` slot carries ``redo_lsn``, where
+                     redo starts
 REBUILD_PROGRESS     rebuild epoch + state + last durably copied unit (the
                      ordinal word and the start key of the payload are
                      written 0 / empty); appended standalone (txn id 0)
@@ -262,7 +264,8 @@ class LogRecord:
 
     ``lsn``/``prev_lsn`` chain records of one transaction; ``undo_next_lsn``
     is meaningful for NTA_END and compensation (``CLR_FLAG``) records
-    (where undo resumes).
+    (where undo resumes) and for CHECKPOINT, where it is the checkpoint's
+    ``redo_lsn`` (where redo starts), read by header like the rest.
     ``page_id`` is the primary affected page and ``old_ts`` its timestamp
     before the change (the new timestamp is the record's own LSN).
     """

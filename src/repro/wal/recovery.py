@@ -3,13 +3,14 @@
 The protocol is ARIES shaped, specialized to what the paper's engine needs:
 
 1. **Analysis** reads the durable log once, *by header*: it finds the last
-   checkpoint (which embeds the page-manager state and index metadata),
-   classifies transactions — any txn with a BEGIN but no durable
-   COMMIT/ABORT is a *loser* — folds rebuild progress and quarantines, and
-   hands redo the records past the checkpoint that change a page.  Only
-   the checkpoint, ``REBUILD_PROGRESS`` and ``QUARANTINE`` payloads and
-   the ``DEALLOC`` records of committed transactions are decoded; a
-   ``TXN_COMMIT`` is a header and nothing more.
+   checkpoint (which embeds the page-manager state and index metadata)
+   and its ``redo_lsn``, the log's next LSN when the checkpoint's flush
+   began; classifies transactions — any txn with a BEGIN but no durable
+   COMMIT/ABORT is a *loser* — folds rebuild progress and quarantines,
+   and hands redo the records at or past ``redo_lsn`` that change a
+   page.  Only the checkpoint, ``REBUILD_PROGRESS`` and ``QUARANTINE``
+   payloads and the ``DEALLOC`` records of committed transactions are
+   decoded; a ``TXN_COMMIT`` is a header and nothing more.
 2. **Redo** replays those records *by page*, using page timestamps for
    idempotence (:mod:`repro.wal.apply`): single-page records wait in a
    per-page queue that is drained — ascending page id, one large-I/O
@@ -41,11 +42,15 @@ The protocol is ARIES shaped, specialized to what the paper's engine needs:
    re-derived — after redo and undo, every page still in deallocated state
    is freed.  New pages are flushed first, preserving the §3 ordering.
 
-Recovery finishes by writing a fresh checkpoint.
+Recovery finishes by writing a fresh checkpoint through :func:`checkpoint`,
+the one routine that writes a ``CHECKPOINT`` record; ``Engine.checkpoint``
+calls it too.  A checkpoint may run under traffic: what is logged while
+its flush runs lies past its ``redo_lsn`` and is redone.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -157,6 +162,11 @@ def _standing_quarantines(
     return list(live.values())
 
 
+def _from(entries: list[tuple[int, bytes]], lsn: int) -> list:
+    """The ``(lsn, record)`` entries at or past ``lsn``."""
+    return [entry for entry in entries if entry[0] >= lsn]
+
+
 _COMMIT = int(RecordType.TXN_COMMIT)
 _ABORT = int(RecordType.TXN_ABORT)
 _DEALLOC = int(RecordType.DEALLOC)
@@ -195,7 +205,8 @@ class RecoveryManager:
         analysis pass)."""
         self._dead: dict[int, int] = {}
         """Page id → LSN of the last DEALLOC of it by a committed
-        transaction past the checkpoint (set by the analysis pass)."""
+        transaction at or past the checkpoint's redo_lsn (set by the
+        analysis pass)."""
         self._deallocs: dict[int, LogRecord] = {}
         """Those DEALLOCs by LSN, decoded once by analysis for redo."""
         self._parked: dict[int, list[tuple[int, int, bytes]]] = {}
@@ -225,7 +236,10 @@ class RecoveryManager:
             self._undo(report)
         with tracer.span("recovery.free"):
             self._free_deallocated(report)
-            self._checkpoint_after_recovery(report)
+            # Standing quarantines go back before the checkpoint that
+            # ends recovery, so its snapshot carries them.
+            self.engine_ctx.quarantine.restore(report.quarantine_ranges)
+            checkpoint(self.engine_ctx, report.index_meta)
         return report
 
     # --------------------------------------------------------------- analysis
@@ -237,11 +251,12 @@ class RecoveryManager:
         a *loser*; ARIES-style implicit BEGIN), finds the last checkpoint,
         folds ``REBUILD_PROGRESS`` and ``QUARANTINE`` records and returns
         the redo work list: ``(lsn, type, page_id, encoded record)`` of
-        every record past the checkpoint that changes a page or
-        page-manager state.  Records with no page effect are counted,
-        never built.  The payloads decoded here are the checkpoint's, the
-        progress records' and quarantines', and those of the DEALLOCs past
-        the checkpoint followed by a durable commit of their transaction
+        every record at or past the checkpoint's ``redo_lsn`` that changes
+        a page or page-manager state.  Records with no page effect are
+        counted, never built.  The payloads decoded here are the
+        checkpoint's, the progress records' and quarantines', and those of
+        the DEALLOCs at or past ``redo_lsn`` followed by a durable commit
+        of their transaction
         (with no abort of it between): they name
         the pages redo parks records of (:meth:`_redo`), and are handed on
         to redo decoded.
@@ -249,40 +264,52 @@ class RecoveryManager:
         raws = self.log.raw_records(durable_only=True)
         peek = LogRecord.peek
         checkpoint_at = -1
+        redo_at = 0  # index of the first record at or past redo_lsn
         active: dict[int, int] = {}  # txn -> last durable lsn
         redo: list[tuple] = []
-        # DEALLOCs in the redo list, by whether their transaction's
-        # outcome is durable yet.  Commitment is decided in log order: txn
-        # ids start again at 1 after a crash, so an id can commit in one
-        # run and be a loser in the next.
-        pending: dict[int, list[bytes]] = {}  # txn -> its DEALLOCs so far
-        committed: list[bytes] = []
+        # DEALLOCs in the redo list, as (lsn, record), by whether their
+        # transaction's outcome is durable yet.  Commitment is decided in
+        # log order: txn ids start again at 1 after a crash, so an id can
+        # commit in one run and be a loser in the next.
+        pending: dict[int, list[tuple[int, bytes]]] = {}  # txn -> DEALLOCs
+        committed: list[tuple[int, bytes]] = []
         quarantine_tail: list[LogRecord] = []
         decoded = 0
         for at, data in enumerate(raws):
-            rtype, _flags, _length, lsn, _prev, txn_id, _, _, page_id, _ = (
-                peek(data)
-            )
+            # A checkpoint's redo_lsn is in its undo_next_lsn slot.
+            rtype, _, _, lsn, _, txn_id, redo_lsn, _, page_id, _ = peek(data)
             if rtype == _COMMIT or rtype == _ABORT:
                 active.pop(txn_id, None)
                 done = pending.pop(txn_id, None)
                 if done is not None and rtype == _COMMIT:
                     committed.extend(done)
             elif rtype == _CHECKPOINT:
-                # Everything at or below the latest checkpoint is in the
-                # page images and in its snapshots already.
+                # Everything below the checkpoint's redo_lsn — the log's
+                # next LSN when its flush began — is in the page images
+                # and in its snapshots already.  What was logged between
+                # then and the record (traffic during the flush) is not,
+                # and stays.
                 checkpoint_at = at
-                redo.clear()
-                pending.clear()
-                committed.clear()
-                quarantine_tail.clear()
+                redo_at = at
+                while redo_at and peek(raws[redo_at - 1])[3] >= redo_lsn:
+                    redo_at -= 1
+                del redo[: bisect.bisect_left(redo, (redo_lsn,))]
+                pending = {
+                    txn: kept
+                    for txn, deallocs in pending.items()
+                    if (kept := _from(deallocs, redo_lsn))
+                }
+                committed = _from(committed, redo_lsn)
+                quarantine_tail = [
+                    rec for rec in quarantine_tail if rec.lsn >= redo_lsn
+                ]
             else:
                 if txn_id:
                     active[txn_id] = lsn
                 if rtype in REDO_TYPES:
                     redo.append((lsn, rtype, page_id, data))
                     if rtype == _DEALLOC:
-                        pending.setdefault(txn_id, []).append(data)
+                        pending.setdefault(txn_id, []).append((lsn, data))
                 elif rtype == _PROGRESS:
                     self._fold_progress(LogRecord.decode(data), report)
                     decoded += 1
@@ -292,13 +319,15 @@ class RecoveryManager:
         report.loser_txns = sorted(active)
         self._loser_last_lsn = active
         self._dead, self._deallocs = {}, {}
-        for data in committed:
+        for _lsn, data in committed:
             rec = LogRecord.decode(data)
             decoded += 1
             self._deallocs[rec.lsn] = rec
             for pid in rec.page_ids:
                 self._dead[pid] = max(self._dead.get(pid, 0), rec.lsn)
-        report.records_redone = len(raws) - 1 - checkpoint_at
+        # The records redo looks at: those at or past redo_lsn but the
+        # checkpoint itself.
+        report.records_redone = len(raws) - redo_at - (checkpoint_at >= 0)
         payload: dict = {}
         if checkpoint_at >= 0:
             checkpoint = LogRecord.decode(raws[checkpoint_at])
@@ -568,15 +597,60 @@ class RecoveryManager:
             self.page_manager.free(pid)
         report.pages_freed.extend(stale)
 
-    # ------------------------------------------------------------- checkpoint
 
-    def _checkpoint_after_recovery(self, report: RecoveryReport) -> None:
-        self.buffer.flush_all()
-        payload = {
-            "page_manager": self.page_manager.snapshot(),
-            "index_meta": report.index_meta,
-            "quarantine": quarantine_payload(report.quarantine_ranges),
-        }
-        rec = LogRecord(type=RecordType.CHECKPOINT, payload_json=payload)
-        lsn = self.log.append(rec)
-        self.log.flush_to(lsn)
+def checkpoint(
+    ctx: EngineContext, index_meta: dict, truncate: bool = False
+) -> int:
+    """Take a checkpoint; returns its LSN.  The one routine that builds
+    and logs a ``CHECKPOINT`` record: ``Engine.checkpoint`` and the end of
+    recovery both call it, one at a time.
+
+    The record's ``redo_lsn`` is the log's next LSN when the flush
+    begins.  Every change logged below it was made to a page before the
+    flush looked at the page, and the flush writes it: an image is taken
+    under the page's S latch, after the change's X holder has marked the
+    frame dirty (a pinned clean frame is latched too,
+    :meth:`BufferPool._take_images`).  What is logged from ``redo_lsn`` on
+    — traffic during the flush — is redone, so the record promises
+    nothing about it.
+
+    The page-manager snapshot is read with ``redo_lsn`` under the page
+    manager's lock, and a logged state change that follows its record
+    (a ``DEALLOC``, an undone ``ALLOC`` / ``DEALLOC``) is made under the
+    same lock with its append: the snapshot holds it exactly when its
+    record lies below ``redo_lsn``.  An allocation is made before its
+    ``ALLOC`` is logged, so the snapshot may hold a page whose birth is
+    logged past ``redo_lsn`` (redone) or never (a phantom, which restart
+    reclaims).  The quarantine map is read after the flush, so a set
+    logged before ``redo_lsn`` is installed by then.
+
+    With ``truncate`` the log is cut below ``redo_lsn``, or below the
+    begin LSN of the oldest still-active transaction when that is older.
+    """
+    with ctx.checkpointing:
+        page_manager = ctx.page_manager
+        with page_manager.lock:
+            redo_lsn = ctx.log.next_lsn
+            pages = page_manager.snapshot()
+        ctx.buffer.flush_all()
+        rec = LogRecord(
+            type=RecordType.CHECKPOINT,
+            undo_next_lsn=redo_lsn,
+            payload_json={
+                "page_manager": pages,
+                "index_meta": index_meta,
+                "quarantine": quarantine_payload(ctx.quarantine.ranges()),
+            },
+        )
+        lsn = ctx.log.append(rec)
+        ctx.log.flush_to(lsn)
+        if truncate:
+            safe = redo_lsn
+            for txn in list(ctx.txns.active.values()):
+                # begin_lsn == 0 means the txn has logged nothing yet; its
+                # future records all land past redo_lsn, so it does not
+                # pin the log.
+                if txn.begin_lsn:
+                    safe = min(safe, txn.begin_lsn)
+            ctx.log.truncate_before(safe)
+        return lsn

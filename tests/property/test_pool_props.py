@@ -9,15 +9,21 @@ bit flips, flushes, large-I/O reads, ``retire_page``, pages freed and
 their ids handed out again (``new_page`` drops the dead image) and
 truncating checkpoints in the mix, (d) every fetch still sees every
 logged change, and after a crash the stored images plus redo of what is
-left of the log reproduce the model.
+left of the log reproduce the model.  And (e) a write takes every
+image under its page's S latch: what it stores is a state the page had
+between two X-latched mutations, never one half done.
 """
 
+import threading
+import time
 from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.concurrency.latch import LatchManager, LatchMode
+from repro.concurrency.syncpoints import SyncPoints
 from repro.stats.counters import Counters
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import Disk
@@ -352,3 +358,110 @@ def test_a_frame_caught_mid_promotion_reads_as_none():
     assert (page, None) in answers  # between the ring and the LRU
     assert {answer for _p, answer in answers} <= {None, noted}
     assert pool.image_version(page) == noted
+
+
+# ------------------------------------------------ images taken under latches
+
+latched_ops = st.lists(
+    st.tuples(
+        st.sampled_from(PAGE_IDS[:8]),
+        st.integers(min_value=2, max_value=4),  # rows one mutation appends
+        # What writes while the mutation is half done: a forced write of
+        # the page, a checkpoint's flush of every page, an eviction storm
+        # over the pool (opportunistic writes), or nothing.
+        st.sampled_from(["flush", "flush_all", "evict", "none"]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def run_latched_writes(ops, capacity: int) -> None:
+    """Each op mutates a page in several steps under its X latch, and a
+    write starts while the mutation is half done.  Every image any write
+    stores must be a state the page had when no X latch was held on it:
+    the write waits for the latch, or skips the page."""
+    pool = _make_pool(capacity)
+    latches = LatchManager(counters=pool.counters, timeout=10.0)
+    latches.syncpoints = SyncPoints()
+    pool.set_latches(latches)
+    states = {
+        pid: {Page(pid, pool.disk.page_size).to_bytes()} for pid in PAGE_IDS
+    }
+    stored: list[tuple[int, bytes]] = []
+    write, write_many = pool.disk.write, pool.disk.write_many
+
+    def recording_write(pid, image):
+        stored.append((pid, image))
+        write(pid, image)
+
+    def recording_write_many(images):
+        stored.extend(images.items())
+        write_many(images)
+
+    pool.disk.write, pool.disk.write_many = recording_write, recording_write_many
+    waited = threading.Event()
+    latches.syncpoints.on("latch.wait", lambda ctx: waited.set())
+    for step, (pid, rows, writer) in enumerate(ops):
+        half, go = threading.Event(), threading.Event()
+        errors: list[BaseException] = []
+
+        def mutate() -> None:
+            try:
+                latches.acquire(pid, LatchMode.X)
+                page = pool.fetch(pid)
+                for row in range(rows):
+                    page.append_row(b"s%d.%d" % (step, row))
+                    page.page_lsn += 1
+                    if row == 0:
+                        pool.mark_dirty(pid)
+                        half.set()
+                        assert go.wait(10)
+                states[pid].add(page.to_bytes())
+                pool.unpin(pid, dirty=True)
+                latches.release(pid)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                half.set()
+
+        def write_now() -> None:
+            try:
+                if writer == "flush":
+                    pool.flush_page(pid)
+                elif writer == "flush_all":
+                    pool.flush_all()
+                else:
+                    for other in PAGE_IDS:
+                        if other != pid:
+                            pool.fetch(other, scan=other % 2 == 0)
+                            pool.unpin(other, dirty=other % 3 == 0)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        waited.clear()
+        mutator = threading.Thread(target=mutate)
+        mutator.start()
+        assert half.wait(10)
+        if writer != "none":
+            writing = threading.Thread(target=write_now)
+            writing.start()
+            # A write that waits for the latch has shown it; one that does
+            # not wait is done once the thread ends.
+            deadline = time.monotonic() + 10
+            while not waited.is_set() and writing.is_alive():
+                assert time.monotonic() < deadline
+                time.sleep(0.0005)
+        go.set()
+        mutator.join(10)
+        if writer != "none":
+            writing.join(10)
+        assert not errors, errors
+    pool.flush_all()
+    for pid, image in stored:
+        assert image in states[pid], f"page {pid}: a half-done state stored"
+
+
+@given(ops=latched_ops, capacity=st.sampled_from([8, 16]))
+@settings(max_examples=40, deadline=None)
+def test_every_stored_image_is_a_latched_state(ops, capacity):
+    run_latched_writes(ops, capacity)

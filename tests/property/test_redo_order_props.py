@@ -568,8 +568,13 @@ def writing_dead_images():
     new_page = BufferPool.new_page
 
     def write_then_replace(pool, page_id, scan=False):
-        if pool.is_resident(page_id) and not pool.pin_count(page_id):
-            pool.flush_page(page_id)
+        frame = pool._lookup(page_id)
+        if frame is not None and frame.dirty and not frame.pin_count:
+            # Written WAL-first, as a write before the id came back would
+            # have stored it.  Not by a forced write: the allocating
+            # thread holds latches here, its new page's among them.
+            pool._wal_hook(frame.page.page_lsn)
+            pool.disk.write(page_id, frame.page.to_bytes())
         return new_page(pool, page_id, scan)
 
     return mock.patch.object(BufferPool, "new_page", write_then_replace)

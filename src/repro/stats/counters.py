@@ -137,8 +137,8 @@ class Counters:
 
     Reading ``counters.page_reads`` (or any name in
     :data:`COUNTER_FIELDS`) merges the per-thread shards and returns the
-    total; use :meth:`add` (or the convenience ``bump``) from hot paths,
-    and :meth:`snapshot` / :meth:`diff` from benchmarks.
+    total; use :meth:`add` (or :meth:`local_shard`, for several at once)
+    from hot paths, and :meth:`snapshot` / :meth:`diff` from benchmarks.
     """
 
     __slots__ = ("_lock", "_base", "_local", "_shards", "_dynamic")
@@ -202,9 +202,6 @@ class Counters:
             f"unknown counter {name!r}{_suggest(name)}; declare it in "
             f"COUNTER_FIELDS or call register({name!r}) for dynamic names"
         )
-
-    # Alias used by hot paths for brevity.
-    bump = add
 
     def local_shard(self) -> dict[str, int]:
         """The calling thread's shard, for hot paths that bump several

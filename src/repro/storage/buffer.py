@@ -46,9 +46,12 @@ is *released* around every physical disk call — miss reads, aligned-run
 reads, prefetch reads, batch flushes, and dirty-eviction writes — so
 threads overlap their disk time instead of serializing on the pool.
 Entering the lock probes it non-blockingly first, so contention is
-visible in ``pool_shard_conflicts``.  Every write — force, single-page
-flush, eviction, run write, write-behind — is one code path
-(:meth:`BufferPool._write_batch`), and ``tools/lint_no_io_under_lock.py``
+visible in ``pool_shard_conflicts``.  Every read — a demand page, a
+demand run, read-ahead — is one code path (:meth:`BufferPool._miss`),
+every write — force, single-page flush, eviction, run write,
+write-behind — is another (:meth:`BufferPool._write_batch`), a caller
+holding the lock reaches either through
+:meth:`BufferPool._io_unlocked`, and ``tools/lint_no_io_under_lock.py``
 enforces statically that no disk call is issued under the lock.
 
 **Write images under latches.**  A write takes each page's image under
@@ -64,10 +67,10 @@ page whose latch is busy.  Two pieces of bookkeeping make the unlocked
 I/O safe:
 
 * an *in-flight read table* — a miss registers the page id before
-  dropping the lock (a large-I/O read also claims the run neighbors it
-  will admit); a second fetch of the same page waits on the pool's
+  dropping the lock (a run read also claims the run-mates it will
+  admit); a second fetch of the same page waits on the pool's
   condition variable instead of issuing a duplicate read, and every
-  admission point re-checks residency after reacquiring the lock;
+  admission re-checks residency after reacquiring the lock;
 * a per-frame *version counter*, bumped whenever a frame becomes dirty —
   a write notes the version with its image, claims the page only if the
   frame is still at that version (else it images the page again, or,
@@ -173,8 +176,8 @@ class BufferPool:
     """
 
     # Optional observability hooks (set by EngineContext when tracing is
-    # on): miss reads emit buffer.read spans + buffer_read_seconds
-    # samples, ring run writes emit buffer.gang_flush spans.
+    # on): single-page demand reads emit buffer.read spans +
+    # buffer_read_seconds samples, eviction writes buffer.gang_flush spans.
     tracer = None
     metrics = None
 
@@ -287,12 +290,11 @@ class BufferPool:
     # ------------------------------------------------------------------ fetch
 
     def _io_unlocked(  # noqa: ANN201
-        self,
-        fn: Callable[[], object],
-        histogram=None,  # noqa: ANN001
+        self, fn: Callable[..., object], *args: object
     ):
-        """Run a (retried, timed) one-call disk read with the pool lock
-        released.
+        """``fn(*args)`` with the pool lock released: the one way a caller
+        holding the lock reaches the device (:meth:`_miss`,
+        :meth:`_write_batch`).
 
         Must be called with the lock held; it is reacquired before
         returning or raising, so callers resume with their invariants —
@@ -300,7 +302,7 @@ class BufferPool:
         """
         self._lock.release()
         try:
-            return self.retrying(fn, histogram=histogram)
+            return fn(*args)
         finally:
             self._lock.acquire()
 
@@ -356,50 +358,14 @@ class BufferPool:
         missed = False
         with self._lock:
             self.counters.add("page_reads")
-            while True:
-                frame = self._lookup(page_id)
-                if frame is not None:
-                    break
+            while (frame := self._lookup(page_id)) is None:
                 if page_id in self._inflight:
                     self._cond.wait()
                     continue
                 self._inflight.add(page_id)
-                try:
-                    if large_io and self.disk.pages_per_io > 1:
-                        self._read_aligned_run(page_id, scan)
-                        frame = self._lookup(page_id)
-                    if frame is None:
-                        tracer = self.tracer
-                        read_span = histogram = None
-                        if tracer is not None:
-                            read_span = tracer.begin(
-                                "buffer.read", page_id=page_id, scan=scan
-                            )
-                            histogram = self.metrics.histogram(
-                                "buffer_read_seconds"
-                            )
-                        try:
-                            image = self._io_unlocked(
-                                lambda: self.disk.read(page_id), histogram
-                            )
-                        except BaseException as exc:
-                            if read_span is not None:
-                                read_span.attrs["error"] = type(exc).__name__
-                            raise
-                        finally:
-                            if read_span is not None:
-                                tracer.finish(read_span)
-                        # The lock was released: a prefetch or run read may
-                        # have admitted the page meanwhile.
-                        frame = self._lookup(page_id)
-                        if frame is None:
-                            frame = self._admit(
-                                Page.from_bytes(image, self.disk.page_size),
-                                scan=scan,
-                            )
-                finally:
-                    self._inflight.discard(page_id)
-                    self._cond.notify_all()
+                frame = self._io_unlocked(
+                    self._miss, page_id, large_io, scan, False
+                )
                 missed = True
                 if scan and large_io:
                     # A source-leaf read the scan had to issue itself:
@@ -432,8 +398,127 @@ class BufferPool:
                     self.counters.add("ring_promotions")
             else:
                 self._frames.move_to_end(page_id)  # O(1) LRU touch
-            frame.pin_count += 1
+            if not missed:  # a miss comes back pinned
+                frame.pin_count += 1
             return frame.page
+
+    def _miss(
+        self, page_id: int, large_io: bool, scan: bool, speculative: bool
+    ) -> _Frame | None:
+        """Read a page the caller has claimed in-flight, and admit it:
+        the one miss path of a demand fetch and of read-ahead.  Called
+        with the pool lock not held.
+
+        With ``large_io`` the io-size-aligned run containing the page is
+        read in one physical call.  Before the read every run-mate that is
+        neither resident nor being read is claimed in the ``inflight``
+        table, and only claimed pages are admitted from the images.  A
+        page resident at claim time may hold a newer image than the
+        disk's; if an evict-write of it lands during the read, the image
+        read before is stale and must not shadow it.  A claimed page
+        cannot become resident (fetches wait on the claim), so it cannot
+        be written either — its image is current.
+
+        The target is admitted first, then the run-mates, each as an
+        opportunistic prefetch (``prefetch_admitted``), skipped when no
+        frame is evictable.  A demand miss admits its target as required
+        and returns it pinned, so no run-mate's admission evicts it.  A
+        ``speculative`` miss admits the target as a prefetch too,
+        scan-class, writes no dirty victim (``clean_only``) and returns
+        ``None``.  Every claim is released on the way out, and an error
+        leaves no pin behind.
+        """
+        ppio = self.disk.pages_per_io if large_io else 1
+        start = ((page_id - 1) // ppio) * ppio + 1
+        claimed = [page_id]
+        # The raw lock, as _io_unlocked retakes it: a miss's own lock
+        # round trips are not the contention pool_shard_conflicts counts.
+        if ppio > 1:
+            with self._mutex:
+                for pid in range(start, start + ppio):
+                    if pid not in self._inflight and self._lookup(pid) is None:
+                        self._inflight.add(pid)
+                        claimed.append(pid)
+        images: list = [None] * ppio
+        frame = None
+        try:
+            images = self._read(page_id, start, ppio, scan, speculative)
+        finally:
+            with self._mutex:
+                try:
+                    for pid in claimed:
+                        image = images[pid - start]
+                        if image is None:
+                            continue  # the read raised, or no valid image
+                        page = Page.from_bytes(image, self.disk.page_size)
+                        if pid == page_id and not speculative:
+                            frame = self._admit(page, scan=scan)
+                            frame.pin_count += 1
+                        elif self._lookup(pid) is None and self._admit(
+                            page,
+                            scan=scan,
+                            required=False,
+                            prefetched=True,
+                            clean_only=speculative,
+                        ) is not None:
+                            self.counters.add("prefetch_admitted")
+                except BaseException:
+                    # A run-mate's admission raised (its eviction's write
+                    # failed): the target's pin is nobody's.
+                    if frame is not None:
+                        frame.pin_count -= 1
+                    raise
+                finally:
+                    # Nobody may be left waiting on a claim.
+                    self._inflight.difference_update(claimed)
+                    self._cond.notify_all()
+        return frame
+
+    def _read(
+        self,
+        page_id: int,
+        start: int,
+        count: int,
+        scan: bool,
+        speculative: bool,
+    ) -> list:
+        """The images :meth:`_miss` admits, indexed from ``start``; the
+        pool lock is not held.
+
+        A run read treats an invalid slot as absent.  A demand target
+        without an image is read again on its own, so the disk raises
+        the precise error (never written vs ChecksumError); a
+        speculative one is counted under ``prefetch_errors`` and left
+        out — the demand fetch that follows raises it.  A single-page
+        demand read is a ``buffer.read`` span when tracing is on.
+        """
+        images: list = [None] * count
+        if count > 1 or speculative:
+            images = list(
+                self.retrying(lambda: self.disk.read_run(start, count))
+            )
+        if images[page_id - start] is not None:
+            return images
+        if speculative:
+            self.counters.add("prefetch_errors")
+            return images
+        tracer = self.tracer
+        span = histogram = None
+        if tracer is not None:
+            span = tracer.begin("buffer.read", page_id=page_id, scan=scan)
+            histogram = self.metrics.histogram("buffer_read_seconds")
+        try:
+            images[page_id - start] = self.retrying(
+                lambda: self.disk.read(page_id), histogram=histogram
+            )
+        except BaseException as exc:
+            if span is not None:
+                span.attrs["error"] = type(exc).__name__
+            raise
+        finally:
+            if span is not None:
+                tracer.finish(span)
+        return images
 
     def new_page(self, page_id: int, scan: bool = False) -> Page:
         """Create a pinned, dirty, empty page image for a fresh allocation.
@@ -452,9 +537,10 @@ class BufferPool:
 
         (a) ``new_page`` is reached only for an id the page manager just
             took from FREE (the copy phase, split, propagation, tree
-            creation, the bulk loader) or that redo is
-            re-creating (``apply._redo_fresh_page``, which drops a
-            resident older incarnation itself first).  A page reaches
+            creation, the bulk loader) or that redo is re-creating
+            (``apply._redo_fresh_page``: an older incarnation it read
+            is dropped here, the pool's one dead-image decision, and
+            counted like any other).  A page reaches
             FREE at the end of the shrink that emptied it (which
             flushes it first) or after the rebuild transaction that
             deallocated it committed, and §3 puts that commit after the
@@ -821,7 +907,7 @@ class BufferPool:
             return existing
         if scan:
             while len(self._ring) >= self.ring_quota:
-                if not self._evict_ring(clean_only, prefetched):
+                if not self._evict(True, scan, clean_only, prefetched):
                     if clean_only:
                         return None
                     break  # every ring frame pinned: admit over quota
@@ -859,76 +945,6 @@ class BufferPool:
             self._frames[page.page_id] = frame
         return frame
 
-    def _evict_ring(self, clean_only: bool, spare_window: bool) -> bool:
-        """Recycle one ring frame.
-
-        Victim priority: the oldest consumed frame (the scan is done with
-        it), and only as a last resort the oldest not-yet-consumed
-        speculative frame — evicting the read-ahead window re-buys its
-        reads, so it goes last (and is forbidden entirely with
-        ``spare_window``, a speculative admission's flag); such a frame
-        is counted ``prefetch_unused`` when it goes.
-
-        Within the consumed frames, two refinements: *old before young*
-        — a recently admitted frame is the current top action's working
-        set (a target still being appended to, a source its bit-clear
-        will re-latch), and evicting it re-buys a read or pays a
-        premature write, so frames admitted within the last eighth of
-        the ring's quota yield to anything older — and *clean before
-        dirty* within each age class (a clean frame evicts for free; a
-        dirty one costs a write the write-behind batcher would
-        otherwise coalesce).
-
-        A dirty victim is written with its disk run (:meth:`_write_run`);
-        the write drops the lock, so the victim is revalidated
-        afterwards, and one the write skipped (its latch busy) is passed
-        over.  With ``clean_only`` dirty frames are skipped instead of
-        written.
-        """
-        busy: set[int] = set()
-        while True:
-            young_floor = self._admit_seq - max(8, self.ring_quota // 8)
-            old = old_dirty = young = young_dirty = window = None
-            for pid, frame in self._ring.items():
-                if (
-                    frame.pin_count != 0
-                    or (clean_only and frame.dirty)
-                    or pid in busy
-                ):
-                    continue
-                if frame.prefetched:
-                    if window is None:
-                        window = (pid, frame)
-                elif frame.seq > young_floor:
-                    if frame.dirty:
-                        if young_dirty is None:
-                            young_dirty = (pid, frame)
-                    elif young is None:
-                        young = (pid, frame)
-                elif frame.dirty:
-                    if old_dirty is None:
-                        old_dirty = (pid, frame)
-                else:
-                    old = (pid, frame)
-                    break  # the first choice: nothing later can beat it
-            choice = old or old_dirty or young or young_dirty or (
-                None if spare_window else window
-            )
-            if choice is None:
-                return False
-            victim_id, victim = choice
-            if victim.dirty:
-                version = victim.version
-                self._write_run(victim_id, victim)
-                if not self._cleaned(
-                    self._ring, victim_id, victim, version, busy
-                ):
-                    continue  # changed during the wait, or busy; pick again
-            if victim.prefetched:
-                self.counters.add("prefetch_unused")
-            del self._ring[victim_id]
-            return True
-
     def _evict_one(
         self,
         required: bool,
@@ -946,15 +962,11 @@ class BufferPool:
         could write none of them (each latch busy for the moment between
         a latch and its pin) waits for the pool to change and tries again.
         """
+        order = (False, True) if prefer_protected else (True, False)
         while True:
-            if prefer_protected and self._evict_protected(scan, clean_only):
-                return True
-            if self._evict_ring(clean_only, spare_window):
-                return True
-            if not prefer_protected and self._evict_protected(
-                scan, clean_only
-            ):
-                return True
+            for ring in order:
+                if self._evict(ring, scan, clean_only, spare_window):
+                    return True
             if not required or all(
                 frame.pin_count
                 for table in (self._frames, self._ring)
@@ -968,43 +980,80 @@ class BufferPool:
             )
         return False
 
-    def _evict_protected(self, scan: bool, clean_only: bool) -> bool:
-        """Evict one frame from the protected LRU, coldest first.
+    def _evict(
+        self, ring: bool, scan: bool, clean_only: bool, spare_window: bool
+    ) -> bool:
+        """Evict one frame from the ring or from the protected LRU.
 
-        The walk goes from the LRU end past any pinned frames — O(pinned
-        prefix), O(1) in the common case.  A dirty victim is written
-        opportunistically (the fetch that evicts may hold latches, so it
-        must not wait for one); the write drops the lock, so the victim
-        is revalidated afterwards, and one the write skipped is passed
-        over.  With ``clean_only`` dirty frames are skipped instead of
-        written.  A scan-class admission that reaches the protected
-        region is counted under ``hot_evictions_by_scan``.
+        Neither table gives up a pinned frame, one in ``busy`` (below)
+        or, with ``clean_only``, a dirty one.  Each has its own rule for
+        choosing among the rest.  The protected LRU gives its coldest: a
+        walk from the LRU end past any pinned frames, O(1) in the common
+        case.  The ring gives the first, in first-out order, of the best
+        class: *old* consumed frames before *young* ones — a frame
+        admitted within the last eighth of the ring's quota is the
+        current top action's working set (a target still being appended
+        to, a source its bit-clear will re-latch), and evicting it
+        re-buys a read or pays a premature write — each *clean before
+        dirty* (a clean frame evicts for free; a dirty one costs a write
+        the write-behind batcher would otherwise coalesce); the
+        not-yet-consumed read-ahead window last, because evicting it
+        re-buys its reads, and never with ``spare_window`` (a
+        speculative admission's flag).
+
+        The rest is shared.  A dirty victim is written opportunistically
+        (:meth:`_write_run`) — a ring victim with its disk run, a
+        protected one alone; the write drops the lock, so the victim is
+        revalidated afterwards (:meth:`_cleaned`), and one the write
+        skipped goes into ``busy`` and is passed over.  A victim not
+        fetched since its speculative admission is counted
+        ``prefetch_unused``; a scan-class admission that reaches the
+        protected region is counted under ``hot_evictions_by_scan``.
         """
+        table = self._ring if ring else self._frames
         busy: set[int] = set()
         while True:
-            victim_id = None
-            victim = None
-            for pid, frame in self._frames.items():
+            young_floor = self._admit_seq - max(8, self.ring_quota // 8)
+            choice = best = None
+            for pid, frame in table.items():
                 if (
-                    frame.pin_count == 0
-                    and not (clean_only and frame.dirty)
-                    and pid not in busy
+                    frame.pin_count
+                    or (clean_only and frame.dirty)
+                    or pid in busy
                 ):
-                    victim_id, victim = pid, frame
+                    continue
+                if not ring:
+                    choice = pid, frame
                     break
-            if victim_id is None or victim is None:
+                if not frame.prefetched:
+                    rank = 2 * (frame.seq > young_floor) + frame.dirty
+                elif spare_window:
+                    continue
+                else:
+                    rank = 4
+                if choice is None or rank < best:
+                    choice, best = (pid, frame), rank
+                    if rank == 0:
+                        break  # old and clean: nothing can beat it
+            if choice is None:
                 return False
+            victim_id, victim = choice
             if victim.dirty:
                 version = victim.version
-                self._write_unlocked([victim_id], force=False)
-                if not self._cleaned(
-                    self._frames, victim_id, victim, version, busy
-                ):
+                # A ring victim waits out a write of it in flight; the
+                # write passes over a protected one in that state.
+                while ring and victim_id in self._writing:
+                    self._cond.wait()
+                if table.get(victim_id) is victim and victim.dirty:
+                    self._write_run(
+                        victim_id, self.disk.pages_per_io if ring else 1
+                    )
+                if not self._cleaned(table, victim_id, victim, version, busy):
                     continue  # changed during the wait, or busy; pick again
             if victim.prefetched:
                 self.counters.add("prefetch_unused")
-            del self._frames[victim_id]
-            if scan:
+            del table[victim_id]
+            if scan and not ring:
                 self.counters.add("hot_evictions_by_scan")
             return True
 
@@ -1041,134 +1090,23 @@ class BufferPool:
         propagation path — and for everyone else's fetches."""
         return self.capacity // 4
 
-    def _write_run(self, page_id: int, frame: _Frame) -> None:
-        """Write a dirty ring victim *and* the dirty frames of its
-        io-size-aligned disk run in one physical call.
-
-        The device moves ``pages_per_io`` consecutive pages per call, so
-        the run-mates ride along for free and stay resident, clean —
-        their own evictions then cost nothing.  Called with the lock
-        held; it is released while :meth:`_write_batch` runs, which never
-        waits on the ``writing`` table here.
-        """
-        while page_id in self._writing:
-            self._cond.wait()
-        if self._ring.get(page_id) is not frame or not frame.dirty:
-            return
-        ppio = self.disk.pages_per_io
+    def _write_run(self, page_id: int, ppio: int) -> None:
+        """Write the dirty frames of the ``ppio``-page aligned disk run
+        holding ``page_id`` in one physical call, opportunistically
+        (:meth:`_write_batch` never waits on the ``writing`` table
+        here), with the held lock released: the write of an eviction."""
         start = ((page_id - 1) // ppio) * ppio + 1
         tracer = self.tracer
         span = tracer.begin("buffer.gang_flush") if tracer is not None else None
         pages = 0
         try:
-            pages = self._write_unlocked(
-                list(range(start, start + ppio)), force=False
+            pages = self._io_unlocked(
+                self._write_batch, list(range(start, start + ppio)), False
             )
         finally:
             if span is not None:
                 span.attrs = {"pages": pages}
                 tracer.finish(span)
-
-    def _write_unlocked(self, page_ids: list[int], force: bool) -> int:
-        """:meth:`_write_batch` with the (held) lock released around it.
-        The world may have moved on by the time the lock is back: callers
-        revalidate the frame they meant to clean."""
-        self._lock.release()
-        try:
-            return self._write_batch(page_ids, force)
-        finally:
-            self._lock.acquire()
-
-    def _read_run(self, page_id: int) -> tuple[int, list, list[int]]:
-        """Read the aligned run containing ``page_id`` in one physical
-        call, with the lock not held and ``page_id`` claimed in-flight by
-        the caller.  Returns (run start, images, claimed neighbors).
-
-        Before the read every run neighbor that is neither resident nor
-        being read is claimed in the ``inflight`` table, and only claimed
-        neighbors may be admitted from the images afterwards
-        (:meth:`_admit_run`, which also releases the claims).  A page
-        resident at claim time may hold a newer image than the disk's; if
-        an evict-write of it lands during the read, the image read
-        before is stale and must not shadow it.  A claimed page cannot
-        become resident (fetches wait on the claim), so it cannot be
-        written either — its image is current.
-        """
-        ppio = self.disk.pages_per_io
-        start = ((page_id - 1) // ppio) * ppio + 1
-        claimed: list[int] = []
-        with self._lock:
-            for pid in range(start, start + ppio):
-                if (
-                    pid != page_id
-                    and pid not in self._inflight
-                    and self._lookup(pid) is None
-                ):
-                    self._inflight.add(pid)
-                    claimed.append(pid)
-        try:
-            images = self.retrying(lambda: self.disk.read_run(start, ppio))
-        except BaseException:
-            self._admit_run(claimed, start, [None] * ppio, scan=False)
-            raise
-        return start, images, claimed
-
-    def _admit_run(
-        self,
-        claimed: list[int],
-        start: int,
-        images: list,
-        scan: bool,
-        clean_only: bool = True,
-    ) -> None:
-        """Release the neighbor claims of :meth:`_read_run` (lock not
-        held), admitting each claimed page that has an image as an
-        opportunistic prefetch — skipped when no frame is evictable."""
-        claims = iter(claimed)
-        with self._lock:
-            try:
-                for pid in claims:
-                    self._inflight.discard(pid)
-                    self._cond.notify_all()
-                    image = images[pid - start]
-                    if image is None or self._lookup(pid) is not None:
-                        continue
-                    admitted = self._admit(
-                        Page.from_bytes(image, self.disk.page_size),
-                        scan=scan,
-                        required=False,
-                        prefetched=True,
-                        clean_only=clean_only,
-                    )
-                    if admitted is not None:
-                        self.counters.add("prefetch_admitted")
-            finally:
-                # An admission raised (its eviction's write failed): nobody
-                # may be left waiting on the claims not reached.
-                self._inflight.difference_update(claims)
-                self._cond.notify_all()
-
-    def _read_aligned_run(self, page_id: int, scan: bool) -> None:
-        """Miss path for large_io: read the aligned run containing the page.
-
-        The physical read and the neighbors' admission run with the lock
-        released — the caller holds the in-flight claim on ``page_id`` —
-        so the target's residency is re-checked before it is admitted.
-        """
-        self._lock.release()
-        try:
-            start, images, claimed = self._read_run(page_id)
-            self._admit_run(claimed, start, images, scan, clean_only=False)
-        finally:
-            self._lock.acquire()
-        image = images[page_id - start]
-        if image is None and self._lookup(page_id) is None:
-            # read_run treats an invalid slot as absent; re-read the
-            # required page directly so the disk raises the precise
-            # error (never written vs ChecksumError).
-            image = self._io_unlocked(lambda: self.disk.read(page_id))
-        if self._lookup(page_id) is None:
-            self._admit(Page.from_bytes(image, self.disk.page_size), scan=scan)
 
     # --------------------------------------------------------------- prefetch
 
@@ -1196,49 +1134,23 @@ class BufferPool:
         its CRC) is counted under ``prefetch_errors``; the demand fetch
         that follows raises the precise error.
 
-        Misses read the whole aligned physical run (§6.3 large I/O), the
-        same batching — and the same neighbor claims, see
-        :meth:`_read_run` — the demand-fetch miss path uses.  The target
-        stays claimed in-flight until it is admitted.  Admissions are
-        scan-class: they go to the ring and recycle only consumed ring
-        frames — a prefetch storm can neither touch the protected region
-        nor evict the read-ahead window it is filling.  The scheduler
-        keeps the window within :meth:`readahead_room`.
+        Misses read the whole aligned physical run (§6.3 large I/O)
+        through the demand fetch's miss path, :meth:`_miss`, with the
+        same run-mate claims.  Admissions are scan-class: they go to the
+        ring and recycle only consumed ring frames — a prefetch storm
+        can neither touch the protected region nor evict the read-ahead
+        window it is filling.  The scheduler keeps the window within
+        :meth:`readahead_room`.
         """
-        start, images, claimed = page_id, [], []
-        try:
-            with self._lock:
-                if self._lookup(page_id) is not None:
-                    self.counters.add("prefetch_skipped_resident")
-                    return False
-                if page_id in self._inflight:
-                    self.counters.add("prefetch_skipped_inflight")
-                    return False
-                self._inflight.add(page_id)
-                try:
-                    self._lock.release()
-                    try:
-                        start, images, claimed = self._read_run(page_id)
-                    finally:
-                        self._lock.acquire()
-                    image = images[page_id - start]
-                    if image is None:
-                        self.counters.add("prefetch_errors")
-                    elif self._lookup(page_id) is None and self._admit(
-                        Page.from_bytes(image, self.disk.page_size),
-                        scan=True, required=False,
-                        prefetched=True, clean_only=True,
-                    ) is not None:
-                        self.counters.add("prefetch_admitted")
-                finally:
-                    self._inflight.discard(page_id)
-                    self._cond.notify_all()
-        finally:
-            # The lock is dropped now: the target went first (when the
-            # pool fills, the neighbors are the ones to skip).  Runs on
-            # the error path too — it is what releases the neighbor
-            # claims.
-            self._admit_run(claimed, start, images, scan=True)
+        with self._lock:
+            if self._lookup(page_id) is not None:
+                self.counters.add("prefetch_skipped_resident")
+                return False
+            if page_id in self._inflight:
+                self.counters.add("prefetch_skipped_inflight")
+                return False
+            self._inflight.add(page_id)
+        self._miss(page_id, large_io=True, scan=True, speculative=True)
         return True
 
     def evict_all(self) -> None:

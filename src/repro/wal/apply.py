@@ -244,9 +244,7 @@ def _redo_fresh_page(
         ctx.buffer.unpin(page_id)
     if existing_ts is not None and existing_ts >= rec.lsn:
         return  # this incarnation already on disk / in buffer
-    if ctx.buffer.is_resident(page_id):
-        ctx.buffer.drop_page(page_id)
-    fresh = ctx.buffer.new_page(page_id)
+    fresh = ctx.buffer.new_page(page_id)  # drops an older one still resident
     fresh.page_type = PageType(rec.page_type)
     fresh.level = rec.level
     fresh.prev_page = prev

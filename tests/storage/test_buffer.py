@@ -289,10 +289,11 @@ def test_flush_pages_writes_duplicates_once(pool, counters):
     assert counters.page_writes - before == 1
 
 
-def test_read_aligned_run_survives_prefetch_eviction(counters):
-    """Regression: when the run's prefetch fills the pool, the admissions
-    must not evict the not-yet-pinned target page itself (which used to
-    force a second, redundant physical read of the target)."""
+def test_run_miss_survives_prefetch_eviction(counters):
+    """Regression: when a demand run miss's run-mates fill the pool, their
+    admissions must not evict the target page itself (which used to force
+    a second, redundant physical read of the target): ``_miss`` admits
+    the target first and pins it before any run-mate."""
     disk = Disk(io_size=2048 * 8, counters=counters)  # 8 pages per IO
     pool = BufferPool(disk, capacity=8, counters=counters)
     for pid in range(1, 17):

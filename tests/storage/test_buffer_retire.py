@@ -309,16 +309,19 @@ def test_run_read_failure_releases_the_neighbor_claims(counters):
 def test_admission_failure_releases_the_claims_not_reached(
     counters, monkeypatch
 ):
-    """The run read came back, and admitting one neighbor raised (its
-    eviction's write failed): the neighbors behind it must not stay
-    claimed, or the next fetch of one waits forever."""
+    """The run read came back, the target was admitted, and admitting the
+    first neighbor raised (its eviction's write failed): the target and
+    the neighbors behind it must not stay claimed, or the next fetch of
+    one waits forever."""
     disk = HookedDisk(Disk(io_size=8 * 2048, counters=counters))
     for pid in range(1, 9):
         put_page(disk, pid)
     pool = BufferPool(disk, capacity=64, counters=counters)
     admit = pool._admit
 
-    def fail_once(*args, **kwargs):
+    def fail_once(page, *args, **kwargs):
+        if page.page_id == 1:  # ``_miss`` admits the target first
+            return admit(page, *args, **kwargs)
         monkeypatch.setattr(pool, "_admit", admit)
         raise RuntimeError("eviction write failed")
 
@@ -326,6 +329,7 @@ def test_admission_failure_releases_the_claims_not_reached(
     with pytest.raises(RuntimeError):
         pool.fetch(1, large_io=True)
     assert not pool._inflight
+    assert pool.pin_count(1) == 0  # the admitted target is not left pinned
     for pid in range(1, 9):
         pool.fetch(pid)
         pool.unpin(pid)

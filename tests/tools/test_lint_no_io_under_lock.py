@@ -227,7 +227,9 @@ def test_disk_call_in_unpin_under_the_pool_lock_is_flagged():
 
 
 def test_disk_call_in_a_fetch_miss_under_the_pool_lock_is_flagged():
-    assert _planted_in_pool("_fetch_slow", ast.With) == [
+    """The one miss path (demand page, demand run, read-ahead) with a
+    device read added where it claims the run-mates under the lock."""
+    assert _planted_in_pool("_miss", ast.With) == [
         "disk call `self.disk.read(...)` inside a lock-holding `with` block"
     ]
 

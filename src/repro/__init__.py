@@ -8,8 +8,8 @@ Public API:
 * :class:`OnlineRebuild` / :class:`RebuildConfig` — the paper's online
   index rebuild (multipage rebuild top actions);
 * :class:`RebuildSupervisor` — crash/fault-resilient rebuild lifecycle
-  (WAL-checkpointed resume, watchdog, retry with backoff, graceful
-  degradation under fault storms).
+  (WAL-checkpointed resume, retry with backoff, graceful degradation
+  under fault storms).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.

@@ -193,6 +193,7 @@ class EngineContext:
         if self.tracer.enabled:
             self.latches.metrics = self.metrics
         self.buffer.set_latches(self.latches)
+        self.log.latches = self.latches
         self.locks = LockManager(
             counters=self.counters, timeout=self.lock_timeout
         )

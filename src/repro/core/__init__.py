@@ -1,6 +1,7 @@
 """The paper's contribution: online index rebuild, its supervisor and the scrubber."""
 
 from repro.core.config import RebuildConfig
+from repro.core.pacer import Pacer
 from repro.core.propagation import PropagationEntry, PropOp
 from repro.core.rebuild import OnlineRebuild, RebuildReport
 from repro.core.scrubber import (
@@ -9,11 +10,7 @@ from repro.core.scrubber import (
     Scrubber,
     ScrubReport,
 )
-from repro.core.supervisor import (
-    Pacer,
-    RebuildSupervisor,
-    SupervisorReport,
-)
+from repro.core.supervisor import RebuildSupervisor, SupervisorReport
 
 __all__ = [
     "OnlineRebuild",

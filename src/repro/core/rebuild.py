@@ -32,21 +32,22 @@ hide the device from the copy thread.  The run starts them itself, as soon
 as the device proves slow enough to be worth hiding
 (:data:`PIPELINE_MIN_SERVICE`); on a fast one it stays synchronous.
 
-**One failure channel.**  Every run has one :class:`_RunState`; the first
-crash or error recorded in it wins.  A :class:`CrashPoint` (simulated
+**Supervision on the copy thread.**  A :class:`CrashPoint` (simulated
 power failure) stops the run with no cleanup at all.  An ordinary failure
-inside a top action aborts the transaction under §4.1.3;
-:meth:`OnlineRebuild.fail` from another thread records the error without
-touching a transaction, and the run winds down at its next top-action
-boundary — completed top actions forced, committed, their old pages
-freed.  Either way ``run`` raises
-:class:`~repro.errors.RebuildAbortedError` chained from the cause.
+inside a top action aborts the transaction under §4.1.3.  At every
+top-action boundary the loop reads the clock once: a top action and the
+boundary before it that took longer than :data:`WATCHDOG_TIMEOUT` end the
+run there — the open transaction forced and committed, its progress
+logged.  Either way ``run`` raises
+:class:`~repro.errors.RebuildAbortedError` chained from the cause.  A run
+given a :class:`~repro.core.pacer.Pacer` (a supervisor's) also steps it
+there every :data:`PACE_INTERVAL` and sleeps its delay; a run without one
+never sleeps.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 import time
 
 from dataclasses import dataclass, field
@@ -61,13 +62,18 @@ from repro.concurrency.syncpoints import CrashPoint
 from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.core.config import RebuildConfig
+from repro.core.pacer import Pacer
 from repro.core.copy_phase import (
     PositionLost,
     copy_multipage,
     level1_leaf_order,
 )
 from repro.core.propagation import PropagationState, run_propagation
-from repro.errors import RebuildAbortedError, RebuildError
+from repro.errors import (
+    RebuildAbortedError,
+    RebuildError,
+    RebuildWatchdogError,
+)
 from repro.stats.counters import Timer
 from repro.storage.io_scheduler import IOScheduler
 from repro.storage.page import NO_PAGE
@@ -90,6 +96,11 @@ samples, so one stalled call cannot flip a job on a fast device
 PIPELINE_WINDOW = 4
 """Top actions of read-ahead a pipelined run keeps requested beyond its
 position (the scheduler caps it by what the pool's ring holds)."""
+WATCHDOG_TIMEOUT = 60.0
+"""Seconds a top action and the boundary before it may take before the
+copy loop ends the run at the next boundary."""
+PACE_INTERVAL = 0.25  # seconds between a run's pacer steps
+STORM_RETRIES = 8  # io_retries growth per pacer step that counts as a storm
 
 
 @dataclass
@@ -118,62 +129,27 @@ class RebuildReport:
     schemes cannot do."""
 
 
-class _RunState:
-    """Stop/failure state of one run.
-
-    ``stop`` tells the copy thread to wind down at its next top-action
-    boundary.  The first crash (simulated power failure) or error to be
-    recorded wins; later ones are dropped.
-    """
-
-    def __init__(self) -> None:
-        self.stop = threading.Event()
-        self.crash: CrashPoint | None = None
-        self.error: BaseException | None = None
-        self._lock = threading.Lock()
-
-    def record(self, exc: BaseException) -> None:
-        with self._lock:
-            if isinstance(exc, CrashPoint):
-                self.crash = self.crash or exc
-            else:
-                self.error = self.error or exc
-        self.stop.set()
-
-
 class OnlineRebuild:
     """One online rebuild of one index.  Not reentrant per index."""
 
-    def __init__(self, tree: BTree, config: RebuildConfig | None = None) -> None:
+    def __init__(
+        self,
+        tree: BTree,
+        config: RebuildConfig | None = None,
+        pacer: Pacer | None = None,
+    ) -> None:
         self.tree = tree
         self.ctx: EngineContext = tree.ctx
         self.config = config if config is not None else RebuildConfig()
+        self.pacer = pacer
+        """Stepped and slept at top-action boundaries; None: never."""
         self._scheduler: IOScheduler | None = None
-        # Supervision hooks (all idle unless a RebuildSupervisor drives
-        # this instance — unsupervised they cost two attribute checks
-        # per top action and nothing else).
-        self.throttle_sleep: float = 0.0
-        """Seconds slept at each top-action boundary; the supervisor's
-        monitor widens and decays it at runtime to degrade gracefully."""
         self.last_report: RebuildReport | None = None
         """The report of the most recent ``run`` (kept current even when
         the run raised — its ``resume_unit`` seeds a supervised retry)."""
-        self.heartbeat: float | None = None
-        """``time.monotonic()`` of the last completed top action while the
-        copy loop runs, None when none runs (what the supervisor's
-        watchdog reads)."""
-        self._state = _RunState()  # of the next run; replaced when it ends
         self._epoch = 0
         self._resume_seam = False
         self._progress_enabled = False
-
-    # ------------------------------------------------------------ supervision
-
-    def fail(self, exc: BaseException) -> None:
-        """Fail the run cleanly from another thread (supervisor watchdog):
-        it winds down at its next top-action boundary and ``run`` raises
-        :class:`RebuildAbortedError` chained from ``exc``."""
-        self._state.record(exc)
 
     def run(
         self,
@@ -206,10 +182,9 @@ class OnlineRebuild:
         epoch check already happened at recovery: only the highest
         epoch's records survive reconstruction).
 
-        A failure — in a top action, or posted through :meth:`fail` —
-        raises :class:`RebuildAbortedError` chained from its cause after
-        the run has wound down; ``last_report.resume_unit`` then seeds a
-        retry.
+        A failure — in a top action, or a watchdog trip — raises
+        :class:`RebuildAbortedError` chained from its cause after the run
+        has wound down; ``last_report.resume_unit`` then seeds a retry.
         """
         # The claim comes first and is released on every exit, so no
         # second run on this index gets past it while this one is live.
@@ -320,7 +295,6 @@ class OnlineRebuild:
                         flush=True,
                     )
         finally:
-            self._state = _RunState()
             if self._scheduler is not None:
                 self._scheduler.close()
                 self._scheduler = None
@@ -349,11 +323,13 @@ class OnlineRebuild:
     ) -> None:
         """The transaction loop: from ``probe`` (None = the leftmost
         leaf) to the end of the chain or of the requested range."""
-        ctx, config, state = self.ctx, self.config, self._state
+        ctx, config, pacer = self.ctx, self.config, self.pacer
         tracer = ctx.tracer
         seam = self._resume_seam
         progress_logged: bytes | None = None
-        self.heartbeat = time.monotonic()
+        beat = paced_at = time.monotonic()  # the last top action's end
+        retries = ctx.counters.io_retries  # at the last pacer step
+        stalled: RebuildWatchdogError | None = None
         done = False
         while not done:
             txn = ctx.txns.begin()
@@ -369,19 +345,6 @@ class OnlineRebuild:
             pages_this_txn = 0
             try:
                 while pages_this_txn < config.xactsize and not done:
-                    # Supervision hooks, at a boundary where no locks or
-                    # latches are held: a throttled run sleeps, a failed
-                    # one winds down.
-                    if self.throttle_sleep:
-                        time.sleep(self.throttle_sleep)
-                    if state.stop.is_set():
-                        if state.crash is not None:
-                            # A simulated power failure posted through
-                            # fail(): no cleanup.
-                            raise CrashPoint(state.crash.name)
-                        report.completed = False
-                        done = True
-                        break
                     if (
                         self._max_pages is not None
                         and report.leaf_pages_rebuilt >= self._max_pages
@@ -412,13 +375,24 @@ class OnlineRebuild:
                     seam = True  # in-run probes are resume probes
                     pages_this_txn += rebuilt
                     ctx.progress.add_units(rebuilt)
-                    self.heartbeat = time.monotonic()
                     done = reached_end
                     if (
                         self._end_unit is not None
                         and resume_unit >= self._end_unit
                     ):
                         done = True  # the requested range is finished
+                    # Top-action boundary, nothing latched or locked: the
+                    # watchdog, then the pacer.
+                    now = time.monotonic()
+                    if now - beat > WATCHDOG_TIMEOUT:
+                        stalled = self._watchdog(now - beat, resume_unit)
+                        break  # commit what is done, then raise
+                    beat = now
+                    if pacer is not None:
+                        if now - paced_at >= PACE_INTERVAL:
+                            paced_at = now
+                            retries = self._step(pacer, retries)
+                        pacer.pause(ctx.latches)
                 # §3 transaction boundary: force new pages, commit, free
                 # old.  Pipelined, the force is a barrier on the
                 # write-behind queue — the wait below IS the durability
@@ -480,6 +454,34 @@ class OnlineRebuild:
             ctx.syncpoints.fire(
                 "rebuild.txn_committed", pages=pages_this_txn
             )
+            if stalled is not None:
+                raise stalled
+
+    def _watchdog(self, stalled: float, unit: bytes) -> RebuildWatchdogError:
+        """Count and announce a trip; the error the run ends with."""
+        ctx, index_id = self.ctx, self.tree.index_id
+        ctx.counters.add("watchdog_trips")
+        ctx.syncpoints.fire(
+            "rebuild.supervisor.watchdog", index_id=index_id,
+            resume_unit=unit, stalled_seconds=stalled,
+        )
+        return RebuildWatchdogError(
+            f"a top action of the rebuild of index {index_id} took "
+            f"{stalled:.1f}s with its boundary (resume_unit {unit!r})"
+        )
+
+    def _step(self, pacer: Pacer, retries_before: int) -> int:
+        """Step ``pacer``, pressured by ``STORM_RETRIES`` or more
+        ``io_retries`` since ``retries_before``; returns the count read."""
+        ctx = self.ctx
+        retries = ctx.counters.io_retries
+        burst = retries - retries_before
+        if pacer.step(pressured=burst >= STORM_RETRIES):
+            ctx.counters.add("supervisor_throttles")
+            ctx.syncpoints.fire(
+                "rebuild.supervisor.throttle", sleep=pacer.delay, burst=burst
+            )
+        return retries
 
     def _maybe_pipeline(self) -> None:
         """Start the I/O threads — and hold the log's group-commit window
@@ -506,32 +508,28 @@ class OnlineRebuild:
         ctx.syncpoints.fire("rebuild.pipeline_started", samples=samples)
 
     def _run_to_end(self, probe: bytes | None, report: RebuildReport) -> None:
-        """Drive the copy loop from ``probe`` and raise what the run's
-        state recorded: whatever escapes the loop goes through the same
-        channel as a failure posted by :meth:`fail`."""
-        ctx, state = self.ctx, self._state
+        """Drive the copy loop from ``probe``.  A :class:`CrashPoint`
+        (simulated power failure: no runtime cleanup at all) comes out as
+        itself, any other failure as one :class:`RebuildAbortedError`
+        chained from its cause."""
+        ctx = self.ctx
         chunk_alloc = ChunkAllocator(ctx.page_manager)
         try:
             self._drive(
                 probe, chunk_alloc, Traversal(ctx, self.tree, scan=True),
                 report,
             )
-        except BaseException as exc:  # noqa: BLE001 - the one channel
-            state.record(exc)
-        finally:
-            # A finished run has no heartbeat to go stale.
-            self.heartbeat = None
-            chunk_alloc.close()
-        if state.crash is not None:
-            # After a simulated power failure no runtime cleanup at all.
-            raise state.crash
-        if state.error is not None:
+        except CrashPoint:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - the one way out
             report.aborted, report.completed = True, False
-            if isinstance(state.error, RebuildAbortedError):
-                raise state.error
+            if isinstance(exc, RebuildAbortedError):
+                raise
             raise RebuildAbortedError(
-                f"online rebuild aborted: {state.error}"
-            ) from state.error
+                f"online rebuild aborted: {exc}"
+            ) from exc
+        finally:
+            chunk_alloc.close()
 
     # ------------------------------------------------------- progress logging
 

@@ -47,7 +47,7 @@ On a confirmed defect the scrubber escalates through a repair ladder:
    slot, so recovery never needs that slot to be readable, and nothing
    in it is specific to leaves.
 
-The walk is paced by the :class:`~repro.core.supervisor.Pacer` it is
+The walk is paced by the :class:`~repro.core.pacer.Pacer` it is
 given: between parent batches it steps the pacer and sleeps its delay,
 which widens while the concurrent OLTP workload's p99 breaches the
 pacer's budget and decays back when calm — the scrubber sheds before it
@@ -65,7 +65,7 @@ from repro.btree.traversal import AccessMode, Level1, Traversal
 from repro.btree.verify import leaf_local_problems
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.syncpoints import CrashPoint
-from repro.core.supervisor import Pacer
+from repro.core.pacer import Pacer
 from repro.errors import (
     ChecksumError,
     RebuildError,
@@ -74,6 +74,7 @@ from repro.errors import (
 )
 from repro.storage.page import NO_PAGE, PageFlag, PageType
 from repro.storage.page_manager import PageState
+from repro.testing import invariants
 from repro.wal.apply import (
     BARRIER_REDO,
     SINGLE_PAGE_REDO,
@@ -431,6 +432,8 @@ class Scrubber:
                 report.crc_absent += 1
                 return True
             if attempt < CRC_RETRIES:
+                if invariants.hook is not None:
+                    invariants.hook.unlatched(self.ctx.latches, "CRC retry")
                 time.sleep(CRC_RETRY_SLEEP)
         return False
 
@@ -704,12 +707,9 @@ class Scrubber:
             report.throttles += 1
             ctx.counters.add("scrub_throttles")
             ctx.syncpoints.fire("scrub.throttle", pause=pacer.delay)
-        if pacer.delay > 0.0:
-            if ctx.tracer.enabled:
-                ctx.metrics.histogram("scrub_pause_seconds").record(
-                    pacer.delay
-                )
-            time.sleep(pacer.delay)
+        if pacer.delay > 0.0 and ctx.tracer.enabled:
+            ctx.metrics.histogram("scrub_pause_seconds").record(pacer.delay)
+        pacer.pause(ctx.latches)
 
     # ------------------------------------------------------- height-1 trees
 

@@ -149,8 +149,8 @@ class QuarantinedRangeError(BTreeError):
 
     The integrity scrubber (:mod:`repro.core.scrubber`) quarantines the key
     range covering a page whose stored image is rotted beyond WAL replay,
-    then dispatches a targeted online rebuild of just that segment.  Until
-    the repair commits, reads and writes inside the range fail fast with
+    then writes the page's resident frame back over it.  Until that
+    write-back verifies, reads and writes inside the range fail fast with
     this error — *not* :class:`ChecksumError`, because the damage is known,
     bounded, and being repaired — while the rest of the index serves
     traffic normally.  Deliberately not a :class:`StorageError`: workload
@@ -185,6 +185,6 @@ class RebuildAbortedError(RebuildError):
 
 
 class RebuildWatchdogError(RebuildError):
-    """A rebuild made no top-action progress past the watchdog deadline
-    (``repro.core.supervisor.WATCHDOG_TIMEOUT``) and was failed cleanly by
-    the supervisor instead of being left to hang."""
+    """A top action and its boundary took longer than the watchdog
+    deadline (``repro.core.rebuild.WATCHDOG_TIMEOUT``); the copy loop
+    ended the run cleanly at that boundary."""

@@ -5,14 +5,14 @@ whose stored image is rotted beyond what retry or WAL replay can heal, it
 fences off the *key range* the page covers rather than failing the whole
 index: operations inside the range fail fast with
 :class:`~repro.errors.QuarantinedRangeError` (loud, bounded) while the
-rest of the index serves traffic normally.  A targeted online rebuild of
-just that segment then repairs the damage, and the quarantine lifts when
-the repair commits.
+rest of the index serves traffic normally.  The scrubber then writes the
+page's resident frame back over the rotted slot, and the quarantine lifts
+once the stored image verifies clean; with no resident frame the fence
+stands.
 
 Ranges are expressed in *unit* space (key ++ rowid, the tree's total
 order), half-open ``[start_unit, end_unit)`` with ``end_unit = b""``
-meaning "to the end of the index" — the same convention as the rebuild's
-segment bounds, so a quarantined range is directly a repair work order.
+meaning "to the end of the index".
 
 **Durability.**  Every set and lift appends a standalone ``QUARANTINE``
 log record (txn id 0, like ``REBUILD_PROGRESS``); sets are flushed

@@ -98,17 +98,17 @@ COUNTER_FIELDS: tuple[str, ...] = (
     "supervisor_resumes",        # retries that resumed from durable/reported progress
     "supervisor_gave_up",        # supervisors that exhausted their attempt budget
     "supervisor_throttles",      # degradation actions (top-action sleep widened)
-    "watchdog_trips",            # rebuilds failed for a stale heartbeat
+    "watchdog_trips",            # rebuilds ended by a top action over WATCHDOG_TIMEOUT
     # Online integrity scrubber + quarantine (core/scrubber.py, PR 9).
     "scrub_passes",              # full leaf-chain scrub passes completed
     "scrub_pages_checked",       # leaf pages verified (CRC + local invariants)
     "scrub_pages_skipped",       # pages skipped: protocol bits / chain moved
     "scrub_defects_found",       # confirmed defects (after the re-check pass)
-    "scrub_repairs_flush",       # ladder 1: disk rot healed by flushing the
-                                 # clean resident frame back over it
+    "scrub_repairs_flush",       # ladder 2, page resident: the replay was a
+                                 # no-op and the frame was flushed back
     "scrub_repairs_replay",      # ladder 2: page reconstructed by WAL replay
     "scrub_quarantines",         # ladder 3: key ranges quarantined
-    "scrub_quarantine_lifts",    # quarantines lifted after a committed repair
+    "scrub_quarantine_lifts",    # quarantines lifted after a verified write-back
     "scrub_throttles",           # pacing sleeps widened by OLTP p99 pressure
     "quarantine_blocked_ops",    # reads/writes rejected inside a quarantined range
     "quarantine_records",        # durable QUARANTINE log records appended

@@ -176,8 +176,8 @@ class BufferPool:
     """
 
     # Optional observability hooks (set by EngineContext when tracing is
-    # on): single-page demand reads emit buffer.read spans +
-    # buffer_read_seconds samples, eviction writes buffer.gang_flush spans.
+    # on): every device read emits a buffer.read span + a
+    # buffer_read_seconds sample, eviction writes buffer.gang_flush spans.
     tracer = None
     metrics = None
 
@@ -489,36 +489,53 @@ class BufferPool:
         without an image is read again on its own, so the disk raises
         the precise error (never written vs ChecksumError); a
         speculative one is counted under ``prefetch_errors`` and left
-        out — the demand fetch that follows raises it.  A single-page
-        demand read is a ``buffer.read`` span when tracing is on.
+        out — the demand fetch that follows raises it.
         """
         images: list = [None] * count
         if count > 1 or speculative:
             images = list(
-                self.retrying(lambda: self.disk.read_run(start, count))
+                self._device_read(
+                    lambda: self.disk.read_run(start, count),
+                    start, count, scan, speculative,
+                )
             )
         if images[page_id - start] is not None:
             return images
         if speculative:
             self.counters.add("prefetch_errors")
             return images
+        images[page_id - start] = self._device_read(
+            lambda: self.disk.read(page_id), page_id, 1, scan, False
+        )
+        return images
+
+    def _device_read(  # noqa: ANN201
+        self,
+        fn: Callable[[], object],
+        start: int,
+        pages: int,
+        scan: bool,
+        speculative: bool,
+    ):
+        """``fn``, one device read of ``pages`` from ``start``, through
+        :meth:`retrying`; with tracing on, a ``buffer.read`` span and a
+        ``buffer_read_seconds`` sample."""
         tracer = self.tracer
-        span = histogram = None
-        if tracer is not None:
-            span = tracer.begin("buffer.read", page_id=page_id, scan=scan)
-            histogram = self.metrics.histogram("buffer_read_seconds")
+        if tracer is None:
+            return self.retrying(fn)
+        span = tracer.begin(
+            "buffer.read", page_id=start, pages=pages, scan=scan,
+            speculative=speculative,
+        )
         try:
-            images[page_id - start] = self.retrying(
-                lambda: self.disk.read(page_id), histogram=histogram
+            return self.retrying(
+                fn, histogram=self.metrics.histogram("buffer_read_seconds")
             )
         except BaseException as exc:
-            if span is not None:
-                span.attrs["error"] = type(exc).__name__
+            span.attrs["error"] = type(exc).__name__
             raise
         finally:
-            if span is not None:
-                tracer.finish(span)
-        return images
+            tracer.finish(span)
 
     def new_page(self, page_id: int, scan: bool = False) -> Page:
         """Create a pinned, dirty, empty page image for a fresh allocation.
@@ -669,7 +686,7 @@ class BufferPool:
         Returns the number of pages written.
         """
         if force and invariants.hook is not None:
-            invariants.hook.forced_write(self._latches)
+            invariants.hook.unlatched(self._latches, "forced page write")
         todo = sorted(set(page_ids))
         written = 0
         while todo:

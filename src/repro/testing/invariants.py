@@ -20,7 +20,15 @@ The rules:
   ``flush_all``, the pool's ``_write_batch(force=True)``) while the
   thread holds a latch: a forced write waits for the S latch of every
   page it images, so a forcer holding a latch could wait on a thread
-  that waits on it (§3's forced write, §2.2's latch discipline).
+  that waits on it (§3's forced write, §2.2's latch discipline);
+* no ``time.sleep`` while the thread holds a latch: the pacing sleep of
+  the rebuild and the scrubber (:meth:`Pacer.pause
+  <repro.core.pacer.Pacer.pause>`), the scrubber's CRC re-read wait, the
+  supervisor's retry backoff and the log's group-commit window.  Device
+  time is exempt — ``Disk._service`` and ``BufferPool.retrying``'s
+  backoff inside one fetch: §2.6's crabbing descent reads a child while
+  it holds the parent's latch, so a latched fetch waits on the device by
+  design.
 """
 
 from __future__ import annotations
@@ -43,10 +51,12 @@ class Checks:
                 "address-locked"
             )
 
-    def forced_write(self, latches) -> None:  # noqa: ANN001 - LatchManager
+    def unlatched(self, latches, doing: str) -> None:  # noqa: ANN001
+        """``doing`` — a forced write or a sleep — with no latch of
+        ``latches`` (a LatchManager, or None before one is installed)."""
         if latches is not None:
             held = latches.held_by_me()
-            assert not held, f"forced page write while holding latches {held}"
+            assert not held, f"{doing} while holding latches {held}"
 
     def recovered(self, engine) -> None:  # noqa: ANN001 - an Engine
         from repro.errors import ChecksumError

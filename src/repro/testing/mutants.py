@@ -22,6 +22,7 @@ from unittest import mock
 from repro import engine as engine_module
 from repro.btree.top_action import TopAction
 from repro.context import EngineContext
+from repro.core.rebuild import OnlineRebuild
 from repro.core.scrubber import Scrubber
 from repro.errors import PageFullError
 from repro.storage.buffer import BufferPool
@@ -121,6 +122,16 @@ def _bits_kept_on_pages_undo_allocates():
     """Restart clears bits before undo only: a leaf a loser's shrink had
     deallocated goes back into the tree with its SHRINK bit."""
     return substituted(RecoveryManager, "_undo", "if first_pass:", "if False:")
+
+
+def _paced_inside_the_top_action():
+    """The copy loop takes its pacing sleep inside the top action, holding
+    P1's S latch: every writer of P1 waits out the sleep."""
+    return substituted(
+        OnlineRebuild, "_one_top_action", "result = copy_multipage(",
+        "ctx.get_latched(p1, LatchMode.S); self.pacer.pause(ctx.latches); "
+        "ctx.release_page(p1); result = copy_multipage(",
+    )
 
 
 # ------------------------------------------------- checkpoints and writes
@@ -286,6 +297,13 @@ MUTANTS: dict[str, Mutant] = {
     "top-action-keeps-its-address-locks": Mutant(
         _top_action_keeps_its_locks,
         ("tests/btree/test_split.py::test_split_preserves_all_rows",),
+    ),
+    "rebuild-paces-inside-its-top-action": Mutant(
+        _paced_inside_the_top_action,
+        (
+            "tests/core/test_supervisor.py::"
+            "test_supervised_rebuild_completes_under_transient_storm",
+        ),
     ),
     "runtime-undo-by-bare-fetch": Mutant(
         _runtime_undo_by_bare_fetch,

@@ -33,6 +33,7 @@ from typing import Callable, Collection, Iterator
 
 from repro.errors import WALError
 from repro.stats.counters import Counters
+from repro.testing import invariants
 from repro.wal.records import LogRecord, RecordType
 
 GROUP_COMMIT_WINDOW = 0.002
@@ -45,9 +46,11 @@ class LogManager:
     # Optional observability hooks (set by EngineContext when tracing is
     # on): physical flushes emit wal.flush spans and record into the
     # wal_flush_seconds histogram; group-commit rounds emit
-    # wal.group_commit spans with follower counts.
+    # wal.group_commit spans with follower counts.  ``latches`` (set by
+    # EngineContext) is what the leader's window checks it holds none of.
     tracer = None
     metrics = None
+    latches = None
 
     def __init__(self, counters: Counters | None = None) -> None:
         self.counters = counters if counters is not None else Counters()
@@ -218,6 +221,8 @@ class LogManager:
             tracer.begin("wal.group_commit") if tracer is not None else None
         )
         try:
+            if invariants.hook is not None:
+                invariants.hook.unlatched(self.latches, "group-commit window")
             time.sleep(GROUP_COMMIT_WINDOW)
         finally:
             with self._flush_cv:

@@ -62,7 +62,7 @@ class OltpStats:
     recorded into as each op completes — a reader sees a running workload,
     and nothing is kept per sample.  A :class:`MixedWorkload` puts its
     engine's ``oltp_<op>_seconds`` histograms here, so the exported
-    registry and a :class:`~repro.core.supervisor.Pacer` built over
+    registry and a :class:`~repro.core.pacer.Pacer` built over
     ``histograms.values()`` read the same objects (and a second workload
     on the same engine continues them)."""
 

@@ -465,7 +465,7 @@ def test_background_thread_runs_passes_and_stops(monkeypatch):
 
 def test_throttle_widens_pause_under_latency_pressure():
     from repro.core.scrubber import ScrubReport
-    from repro.core.supervisor import PACER_STEP, Pacer
+    from repro.core.pacer import PACER_STEP, Pacer
     from repro.obs.metrics import Histogram
 
     engine = faulty_engine()

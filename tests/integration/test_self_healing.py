@@ -15,8 +15,8 @@ import threading
 
 from repro import Engine
 from repro.core import scrubber as scrubber_mod
+from repro.core.pacer import Pacer
 from repro.core.scrubber import Scrubber
-from repro.core.supervisor import Pacer
 from repro.storage.faults import FaultPlan
 from repro.workload.runner import MixedWorkload
 

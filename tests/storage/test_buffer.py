@@ -348,26 +348,41 @@ def test_prefetch_reads_whole_aligned_run(counters):
 def test_failed_miss_read_leaves_a_finished_span_that_names_the_error(counters):
     """A read that raises is the read a post-mortem wants: its
     ``buffer.read`` span is finished with the error's name, stays nobody's
-    parent, and the read that then succeeds is the one timed sample."""
+    parent, and the read that then succeeds is the one timed sample.  A
+    run read — a demand run or read-ahead — is one span and one sample
+    too, whatever the number of pages it brings in."""
     from repro.errors import PermanentIOError
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
     from repro.storage.faults import FaultKind, FaultPlan, FaultSpec, FaultyDisk
 
     plan = FaultPlan().at(FaultSpec(op="read", nth=1, kind=FaultKind.PERMANENT))
-    disk = FaultyDisk(Disk(counters=counters), plan, counters=counters)
-    put_page(disk, 1, b"row")
-    pool = BufferPool(disk, capacity=8, counters=counters)
+    disk = FaultyDisk(
+        Disk(io_size=2048 * 4, counters=counters), plan, counters=counters
+    )
+    for pid in range(1, 13):
+        put_page(disk, pid, b"p%d" % pid)
+    pool = BufferPool(disk, capacity=32, counters=counters)
     pool.tracer = Tracer(capacity=16)
     pool.metrics = MetricsRegistry(counters)
     with pytest.raises(PermanentIOError):
         pool.fetch(1)
     assert pool.tracer.current() is None  # not left open on this thread
-    assert pool.fetch(1).rows == [b"row"]
+    assert pool.fetch(1).rows == [b"p1"]
     pool.unpin(1)
-    failed, read = [s for s in pool.tracer.spans() if s.name == "buffer.read"]
-    assert failed.attrs["error"] == "PermanentIOError" and failed.end is not None
-    assert "error" not in read.attrs and read.parent_id is None
     histogram = pool.metrics.histogram("buffer_read_seconds")
     assert histogram.snapshot()["count"] == 1
     assert len(pool.service_samples()) == 1  # successful attempts only
+    assert pool.fetch(6, large_io=True).rows == [b"p6"]  # run 5..8
+    pool.unpin(6)
+    pool.prefetch(10)  # run 9..12
+    failed, read, run, ahead = [
+        s for s in pool.tracer.spans() if s.name == "buffer.read"
+    ]
+    assert failed.attrs["error"] == "PermanentIOError" and failed.end is not None
+    assert "error" not in read.attrs and read.parent_id is None
+    assert (read.attrs["page_id"], read.attrs["pages"]) == (1, 1)
+    assert (run.attrs["page_id"], run.attrs["pages"]) == (5, 4)
+    assert not run.attrs["speculative"] and ahead.attrs["speculative"]
+    assert (ahead.attrs["page_id"], ahead.attrs["pages"]) == (9, 4)
+    assert histogram.snapshot()["count"] == 3

@@ -182,7 +182,7 @@ def test_live_workload_feeds_percentiles_and_a_pacer(monkeypatch):
     import threading
     import time
 
-    from repro.core.supervisor import PACER_STEP, Pacer
+    from repro.core.pacer import PACER_STEP, Pacer
 
     engine = Engine(buffer_capacity=2048)
     index = engine.create_index(key_len=4)

@@ -92,14 +92,15 @@ def test_incremental_slices_stay_clustered(benchmark):
     engine, index = build_declustered()
 
     def rebuild_in_slices():
-        resume = None
         while True:
             report = OnlineRebuild(
                 index, RebuildConfig(ntasize=16, xactsize=64)
-            ).run(max_pages=64, resume_after=resume)
+            ).run(
+                max_pages=64,
+                resume_checkpoint=engine.rebuild_checkpoint(index.index_id),
+            )
             if report.completed:
                 return
-            resume = report.resume_unit
 
     benchmark.pedantic(rebuild_in_slices, rounds=1, iterations=1)
     metric = declustering_metric(index)

@@ -6,7 +6,7 @@ This combines three library features around the paper's algorithm:
 
 * the **fragmentation advisor** measures the §1 aging symptoms
   (utilization loss and declustering) and predicts what a rebuild buys;
-* the **incremental rebuild** (`max_pages` + `resume_after`) spreads the
+* the **incremental rebuild** (`max_pages` + `resume_checkpoint`) spreads the
   work over many short slices — the §7 "incremental reorganization"
   property that copy/sidefile schemes lack;
 * **log truncation at checkpoints** between slices keeps the WAL small,
@@ -59,11 +59,11 @@ def main() -> None:
 
     print("\nRebuilding online, 32 leaves per quiet-window slice ...")
     config = RebuildConfig(ntasize=8, xactsize=32)
-    resume = None
     slices = 0
     while True:
+        # Each slice continues the progress the engine keeps for the index.
         slice_report = OnlineRebuild(index, config).run(
-            max_pages=32, resume_after=resume
+            max_pages=32, resume_checkpoint=engine.rebuild_checkpoint(1)
         )
         slices += 1
         # Between slices: a normal checkpoint keeps the WAL tiny — rebuild
@@ -76,7 +76,6 @@ def main() -> None:
         )
         if slice_report.completed:
             break
-        resume = slice_report.resume_unit
 
     report = analyze_index(index)
     print(f"\nAfter {slices} slices:  {describe(report)}")

@@ -23,7 +23,6 @@ from repro.core.supervisor import (
     SupervisorReport,
 )
 from repro.engine import Engine
-from repro.wal.recovery import RebuildCheckpoint
 from repro.errors import ReproError
 from repro.stats.counters import Counters, Timer
 from repro.stats.fragmentation import FragmentationReport, analyze_index
@@ -34,7 +33,6 @@ __all__ = [
     "Engine",
     "FragmentationReport",
     "OnlineRebuild",
-    "RebuildCheckpoint",
     "RebuildConfig",
     "RebuildReport",
     "RebuildSupervisor",

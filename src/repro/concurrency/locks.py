@@ -231,7 +231,7 @@ class LockManager:
 
     def held_resources(self, txn_id: int) -> set[ResourceKey]:
         with self._mutex:
-            return set(self._held[txn_id])
+            return set(self._held.get(txn_id, ()))
 
     # -------------------------------------------------------------- internals
 

@@ -43,6 +43,7 @@ from repro.wal.apply import (
 )
 from repro.wal.log import LogManager
 from repro.wal.records import LEAF_ROW_FLAG, LogRecord
+from repro.wal.recovery import RebuildCheckpoint
 
 
 @dataclass
@@ -57,6 +58,10 @@ class EngineContext:
     latches: LatchManager = field(init=False)
     locks: LockManager = field(init=False)
     txns: TransactionManager = field(init=False)
+    rebuild_progress: dict[int, RebuildCheckpoint] = field(init=False)
+    """Index id -> its rebuild's progress, the one source a resumed run
+    continues from: recovery fills it from the log and a running rebuild
+    keeps it current (:class:`~repro.wal.recovery.RebuildCheckpoint`)."""
     counters: Counters
     syncpoints: SyncPoints
     index_roots: dict[int, int]
@@ -183,9 +188,10 @@ class EngineContext:
 
     def reset_volatile(self) -> None:
         """(Re)create what no process death survives — latches (which the
-        buffer pool takes its write images under), locks, transactions
-        and the undo applier — wired as :meth:`create` wires them;
-        ``Engine.crash`` calls this too, so the two cannot drift."""
+        buffer pool takes its write images under), locks, transactions,
+        the undo applier and rebuild progress — wired as :meth:`create`
+        wires them; ``Engine.crash`` calls this too, so the two cannot
+        drift."""
         self.latches = LatchManager(
             counters=self.counters, timeout=self.lock_timeout
         )
@@ -201,6 +207,7 @@ class EngineContext:
         self.txns = TransactionManager(self.log, counters=self.counters)
         self.txns.set_undo_applier(self.undo)
         self.txns.lock_manager = self.locks
+        self.rebuild_progress = {}
 
     def undo(self, rec: LogRecord, append: Callable[[LogRecord], int]) -> None:
         """The undo applier, at run time and at restart alike.

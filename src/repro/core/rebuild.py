@@ -78,6 +78,7 @@ from repro.stats.counters import Timer
 from repro.storage.io_scheduler import IOScheduler
 from repro.storage.page import NO_PAGE
 from repro.storage.page_manager import ChunkAllocator, PageState
+from repro.testing import invariants
 from repro.wal.records import (
     PROGRESS_COMPLETE,
     PROGRESS_RUNNING,
@@ -122,11 +123,10 @@ class RebuildReport:
     completed: bool = True
     resume_unit: bytes | None = None
     """Highest leaf unit copied: everything at or below it sits in a
-    rebuilt page.  When ``completed`` is False (a
-    ``max_pages`` slice ended early, a run failed), pass this as
-    ``resume_after`` to the next ``run`` call to continue where this one
-    stopped — the §7 "incremental reorganization" mode that sidefile
-    schemes cannot do."""
+    rebuilt page.  A whole-index run that did not complete logged its
+    progress up to here (unless the §3 flush of its last pages failed),
+    so ``Engine.rebuild_checkpoint`` continues it — the §7 "incremental
+    reorganization" mode that sidefile schemes cannot do."""
 
 
 class OnlineRebuild:
@@ -146,17 +146,18 @@ class OnlineRebuild:
         self._scheduler: IOScheduler | None = None
         self.last_report: RebuildReport | None = None
         """The report of the most recent ``run`` (kept current even when
-        the run raised — its ``resume_unit`` seeds a supervised retry)."""
+        the run raised)."""
+        self.began: list[Transaction] = []
+        """The transactions the most recent ``run`` began, in order."""
         self._epoch = 0
         self._resume_seam = False
-        self._progress_enabled = False
+        self._progress: RebuildCheckpoint | None = None
 
     def run(
         self,
         start_key: bytes | None = None,
         end_key: bytes | None = None,
         max_pages: int | None = None,
-        resume_after: bytes | None = None,
         resume_checkpoint: RebuildCheckpoint | None = None,
     ) -> RebuildReport:
         """Rebuild the index online; returns a measurement report.
@@ -170,21 +171,19 @@ class OnlineRebuild:
           in ``[start_key, end_key]`` (whole leaves: the boundary leaves
           are included);
         * ``max_pages`` — stop after roughly this many old leaves (at top
-          action granularity) and report ``completed=False`` plus a
-          ``resume_unit``;
-        * ``resume_after`` — a previous report's ``resume_unit``;
-          continues from its successor.
+          action granularity) and report ``completed=False``.
 
-        ``resume_checkpoint`` — a :class:`RebuildCheckpoint` recovered
-        from durable ``REBUILD_PROGRESS`` records — continues an
-        interrupted rebuild after its last durable unit.  A checkpoint for
-        another index, or one whose rebuild completed, is ignored (the
-        epoch check already happened at recovery: only the highest
-        epoch's records survive reconstruction).
+        ``resume_checkpoint`` — ``Engine.rebuild_checkpoint(index_id)``,
+        the index's progress as the engine keeps it — continues an
+        unfinished whole-index rebuild (a sliced, failed or crashed one)
+        after its last logged unit.  Any other object that is not
+        completed is stale and raises :class:`RebuildError`; a completed
+        one, like None, starts a new rebuild.  A range-restricted run
+        neither resumes nor logs progress.
 
         A failure — in a top action, or a watchdog trip — raises
         :class:`RebuildAbortedError` chained from its cause after the run
-        has wound down; ``last_report.resume_unit`` then seeds a retry.
+        has wound down, its progress logged.
         """
         # The claim comes first and is released on every exit, so no
         # second run on this index gets past it while this one is live.
@@ -193,19 +192,24 @@ class OnlineRebuild:
             raise RebuildError(
                 f"index {self.tree.index_id} already has a rebuild in progress"
             )
+        crashed = False
         try:
             return self._run_claimed(
-                start_key, end_key, max_pages, resume_after, resume_checkpoint
+                start_key, end_key, max_pages, resume_checkpoint
             )
+        except CrashPoint:
+            crashed = True  # a power failure gives nothing back
+            raise
         finally:
             claim.release()
+            if invariants.hook is not None and not crashed:
+                invariants.hook.rebuild_done(self)
 
     def _run_claimed(
         self,
         start_key: bytes | None,
         end_key: bytes | None,
         max_pages: int | None,
-        resume_after: bytes | None,
         resume_checkpoint: RebuildCheckpoint | None,
     ) -> RebuildReport:
         tree, ctx = self.tree, self.ctx
@@ -215,50 +219,25 @@ class OnlineRebuild:
             )
         if end_key is not None and len(end_key) != tree.key_len:
             raise RebuildError(f"end_key must be {tree.key_len} bytes")
+        if resume_checkpoint is not None and resume_checkpoint.completed:
+            resume_checkpoint = None  # its rebuild finished: start anew
         if resume_checkpoint is not None and (
-            resume_checkpoint.completed
-            or resume_checkpoint.index_id != tree.index_id
+            resume_checkpoint is not ctx.rebuild_progress.get(tree.index_id)
         ):
-            resume_checkpoint = None
-        if resume_checkpoint is not None:
-            # Superseded-epoch guard: resuming from a stale checkpoint
-            # would re-copy units a newer rebuild already moved (and log
-            # progress records recovery would then prefer).  Recovery
-            # itself only reconstructs the highest epoch, so this can
-            # only happen when a caller holds on to an old checkpoint
-            # object — reject it loudly instead of corrupting progress.
-            # An epoch is the log's next LSN when its run started, so a
-            # newer epoch's records all lie past this one:
-            # from_lsn=resume_checkpoint.epoch reads only the tail.
-            for rec in ctx.log.scan(
-                from_lsn=resume_checkpoint.epoch,
-                types=(RecordType.REBUILD_PROGRESS,),
-            ):
-                if (
-                    rec.index_id == tree.index_id
-                    and rec.epoch > resume_checkpoint.epoch
-                ):
-                    raise RebuildError(
-                        f"stale rebuild checkpoint for index "
-                        f"{tree.index_id}: epoch {resume_checkpoint.epoch} "
-                        f"superseded by epoch {rec.epoch} in the log"
-                    )
-        if (
-            resume_checkpoint is not None
-            and resume_after is None
-            and start_key is None
-            and end_key is None
-        ):
-            # Restart after the last durable unit.
-            resume_after = resume_checkpoint.resume_key()
+            raise RebuildError(
+                f"stale rebuild checkpoint for index {tree.index_id} "
+                f"(epoch {resume_checkpoint.epoch}): not the engine's "
+                "current progress for it (Engine.rebuild_checkpoint)"
+            )
         # A start_key probe includes its boundary leaf whole; a resume
         # probe never re-copies the leaf it lands in (see
         # _discover_position).
-        self._resume_seam = resume_after is not None or start_key is None
+        self._resume_seam = start_key is None
         self._end_unit = (
             K.search_ceiling(end_key) if end_key is not None else None
         )
         self._max_pages = max_pages
+        self.began = []
         # The epoch (the log's next LSN — unique and monotone even across
         # crashes) stamps this run's progress records; recovery keeps only
         # the highest epoch, which is the §7 "superseded rebuild" check.
@@ -266,8 +245,14 @@ class OnlineRebuild:
         # One durable REBUILD_PROGRESS record per committed batch (it rides
         # the commit's flush) lets recovery resume this run instead of
         # restarting it; a range-restricted run (§7) is not one to resume,
-        # and logs none.
-        self._progress_enabled = start_key is None and end_key is None
+        # and logs none.  A resumed run's progress starts at its floor.
+        self._progress = floor = None
+        if start_key is None and end_key is None:
+            if resume_checkpoint is not None:
+                floor = resume_checkpoint.resume_key()
+            self._progress = RebuildCheckpoint(
+                self._epoch, tree.index_id, last_unit=floor or b""
+            )
         ctx.progress.rebuild_started(tree.index_id, self._epoch)
         run_span = ctx.tracer.begin(
             "rebuild.run", index_id=tree.index_id, epoch=self._epoch
@@ -281,14 +266,14 @@ class OnlineRebuild:
             with timer:
                 probe = (
                     # Strictly after the last copied unit.
-                    resume_after + b"\x00"
-                    if resume_after is not None
+                    floor + b"\x00"
+                    if floor is not None
                     else K.search_floor(start_key)
                     if start_key is not None
                     else None
                 )
                 self._run_to_end(probe, report)
-                if self._progress_enabled and report.completed:
+                if self._progress is not None and report.completed:
                     # Terminal marker: recovery must not resume this epoch.
                     self._log_progress(
                         report.resume_unit or b"", PROGRESS_COMPLETE,
@@ -326,13 +311,13 @@ class OnlineRebuild:
         ctx, config, pacer = self.ctx, self.config, self.pacer
         tracer = ctx.tracer
         seam = self._resume_seam
-        progress_logged: bytes | None = None
         beat = paced_at = time.monotonic()  # the last top action's end
         retries = ctx.counters.io_retries  # at the last pacer step
         stalled: RebuildWatchdogError | None = None
         done = False
         while not done:
             txn = ctx.txns.begin()
+            self.began.append(txn)
             txn_new_pages: list[int] = []
             # Old PP pages that absorbed seam rows this transaction: they
             # are keycopy *targets*, so the §3 force must cover them too —
@@ -429,19 +414,13 @@ class OnlineRebuild:
             ctx.syncpoints.fire(
                 "rebuild.txn_flushed", new_pages=list(force_pages)
             )
-            if (
-                self._progress_enabled
-                and report.resume_unit is not None
-                and report.resume_unit != progress_logged
-            ):
-                # Durable progress: appended standalone (txn id 0) *after*
-                # the §3 force and *before* the commit record, so the
-                # commit's flush makes it durable for free and rollback /
-                # undo never see it.  Every NTA_END it summarizes precedes
-                # it in LSN order — prefix durability keeps it honest even
-                # if this commit record itself never reaches disk.
-                self._log_progress(report.resume_unit, PROGRESS_RUNNING)
-                progress_logged = report.resume_unit
+            # Durable progress: appended standalone (txn id 0) *after* the
+            # §3 force and *before* the commit record, so the commit's
+            # flush makes it durable for free and rollback / undo never
+            # see it.  Every NTA_END it summarizes precedes it in LSN
+            # order — prefix durability keeps it honest even if this
+            # commit record itself never reaches disk.
+            self._log_running(report.resume_unit)
             with tracer.span("rebuild.commit"):
                 # The window is held for the foreground's committers; this
                 # commit rides along with a round in progress but does not
@@ -533,12 +512,25 @@ class OnlineRebuild:
 
     # ------------------------------------------------------- progress logging
 
+    def _log_running(self, unit: bytes | None) -> None:
+        """Log progress up to ``unit`` unless a whole-index run's last
+        record already says as much."""
+        if (
+            self._progress is not None
+            and unit is not None
+            and unit != self._progress.last_unit
+        ):
+            self._log_progress(unit, PROGRESS_RUNNING)
+
     def _log_progress(
         self, last_unit: bytes, state: int, flush: bool = False
     ) -> None:
         """Append one standalone ``REBUILD_PROGRESS`` record (txn id 0 —
-        invisible to rollback, analysis, and undo).  Only terminal records
-        flush explicitly; running records ride the next commit's flush."""
+        invisible to rollback, analysis, and undo) and fold it into the
+        run's progress, which replaces the index's progress with the
+        epoch's first record, as it does for recovery.  Only terminal
+        records flush explicitly; running records ride the next commit's
+        (or abort's) flush."""
         ctx = self.ctx
         rec = LogRecord(
             type=RecordType.REBUILD_PROGRESS,
@@ -548,6 +540,8 @@ class OnlineRebuild:
             last_unit=last_unit,
         )
         lsn = ctx.log.append(rec)
+        self._progress.fold(state, last_unit)
+        ctx.rebuild_progress[self.tree.index_id] = self._progress
         ctx.counters.add("rebuild_progress_records")
         if flush:
             ctx.log.flush_to(lsn)
@@ -714,16 +708,19 @@ class OnlineRebuild:
         """§4.1.3 abort path: keep completed top actions, free their pages.
 
         The in-flight top action was already rolled back by the caller;
-        here the transaction itself aborts (a no-op for completed NTAs,
-        which rollback skips via their dummy CLRs), new pages are flushed,
-        and pages deallocated by completed top actions are freed.
+        here new pages are flushed, the completed top actions' progress
+        logged, the transaction itself aborted (a no-op for completed
+        NTAs, which rollback skips via their dummy CLRs; its log force
+        makes the progress durable), and pages deallocated by completed
+        top actions are freed.
 
         If the flush itself fails (the disk is the reason we are aborting —
         e.g. a PermanentIOError), the §3 ordering still holds: the old
         pages stay DEALLOCATED, *not* freed, because freeing them before
         the new pages are durable is exactly what the paper forbids.
         Recovery (or the next checkpoint's flush) makes the new pages
-        durable and then releases them.
+        durable and then releases them; the progress stays where the last
+        commit left it.
         """
         ctx = self.ctx
         ctx.latches.release_all()
@@ -735,6 +732,8 @@ class OnlineRebuild:
             raise
         except BaseException:
             pass  # keep aborting; see docstring — old pages are not freed
+        if flushed:
+            self._log_running(report.resume_unit)
         ctx.txns.abort(txn)
         if flushed:
             report.pages_freed += self._free_deallocated_of(txn)

@@ -10,12 +10,14 @@ records make that progress survive a crash — but someone still has to
   writer failure, watchdog trip) is retried up to ``MAX_ATTEMPTS`` times,
   sleeping ``RETRY_BACKOFF * 2**attempt`` capped at ``RETRY_BACKOFF_CAP``
   — the same policy shape as :meth:`BufferPool.retrying`, one layer up.
-  Each retry *resumes* from the failed run's ``resume_unit`` (the §4.1.3
-  guarantee makes that sound: completed top actions were flushed and
-  committed before the abort path raised), so work is never repaid.  Any
-  other :class:`~repro.errors.RebuildError` — a stale checkpoint, a
-  rebuild already running on the index — is the caller's, and propagates
-  from the first attempt.
+  Each retry *resumes* from the index's progress as the engine keeps it
+  (``Engine.rebuild_checkpoint``), which the failed run left at its last
+  logged unit (the §4.1.3 guarantee makes that sound: the abort path
+  flushed the completed top actions and logged their progress before it
+  raised), so work is never repaid.  Any other
+  :class:`~repro.errors.RebuildError` — a stale checkpoint, a rebuild
+  already running on the index — is the caller's, and propagates from the
+  first attempt.
 
 * **Graceful degradation.**  Every attempt's copy loop steps the
   supervisor's :class:`~repro.core.pacer.Pacer` at its top-action
@@ -55,8 +57,9 @@ class SupervisorReport:
     attempts: int = 0
     retries: int = 0
     resumes: int = 0
-    """Retries that restarted from a durable checkpoint or a failed
-    attempt's reported progress instead of from the first leaf."""
+    """Attempts that continued logged progress — the caller's
+    checkpoint, or a failed attempt's — instead of starting at the first
+    leaf."""
     final: RebuildReport | None = None
     attempt_reports: list[RebuildReport] = field(default_factory=list)
 
@@ -88,9 +91,9 @@ class RebuildSupervisor:
         self, resume_checkpoint: RebuildCheckpoint | None = None
     ) -> SupervisorReport:
         """Drive the rebuild to completion, retrying as needed.
-        ``resume_checkpoint`` (from :meth:`Engine.recover`) resumes an
-        interrupted rebuild's durable progress; later attempts resume
-        from whatever the failed attempt itself reported.
+        ``resume_checkpoint`` (``Engine.rebuild_checkpoint``) continues an
+        unfinished rebuild; each retry continues the progress the failed
+        attempt logged.
 
         Raises the last attempt's error after ``MAX_ATTEMPTS`` failures
         (counter ``supervisor_gave_up``).  Only a
@@ -101,31 +104,23 @@ class RebuildSupervisor:
         """
         ctx = self.ctx
         report = SupervisorReport()
-        resume_after: bytes | None = None
+        checkpoint = resume_checkpoint
         last_error: BaseException | None = None
         for attempt in range(1, MAX_ATTEMPTS + 1):
             report.attempts = attempt
             rebuild = OnlineRebuild(self.tree, self.config, self.pacer)
-            if resume_after is not None or (
-                attempt == 1 and resume_checkpoint is not None
-            ):
+            floor = checkpoint.resume_key() if checkpoint is not None else None
+            if floor is not None:
                 report.resumes += 1
                 ctx.counters.add("supervisor_resumes")
                 ctx.syncpoints.fire(
-                    "rebuild.supervisor.resume",
-                    attempt=attempt,
-                    resume_after=resume_after,
+                    "rebuild.supervisor.resume", attempt=attempt, floor=floor
                 )
             attempt_span = ctx.tracer.begin(
                 "supervisor.attempt", attempt=attempt
             )
             try:
-                final = rebuild.run(
-                    resume_after=resume_after,
-                    resume_checkpoint=(
-                        resume_checkpoint if attempt == 1 else None
-                    ),
-                )
+                final = rebuild.run(resume_checkpoint=checkpoint)
                 report.final = final
                 report.attempt_reports.append(final)
                 return report
@@ -134,13 +129,11 @@ class RebuildSupervisor:
             finally:
                 ctx.tracer.finish(attempt_span)
             # An aborted run raised after its report was made.  §4.1.3:
-            # the abort path flushed and committed every completed top
-            # action before raising, so the next attempt may resume
+            # the abort path flushed every completed top action and logged
+            # its progress before raising, so the next attempt may resume
             # strictly after them.
-            failed = rebuild.last_report
-            report.attempt_reports.append(failed)
-            if failed.resume_unit is not None:
-                resume_after = failed.resume_unit
+            report.attempt_reports.append(rebuild.last_report)
+            checkpoint = ctx.rebuild_progress.get(self.tree.index_id)
             if attempt >= MAX_ATTEMPTS:
                 break
             report.retries += 1

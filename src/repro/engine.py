@@ -58,12 +58,6 @@ class Engine:
         self.storage_dir = storage_dir
         self.lock_rows = lock_rows
         self.indexes: dict[int, BTree] = {}
-        self.rebuild_checkpoints: dict[int, RebuildCheckpoint] = {}
-        """Index id → rebuild progress reconstructed by the last
-        :meth:`recover` (empty until then).  Pass one to
-        ``OnlineRebuild.run(resume_checkpoint=...)`` — or let
-        :class:`~repro.core.supervisor.RebuildSupervisor` do it — to
-        resume an interrupted rebuild instead of restarting it."""
 
     @classmethod
     def open(cls, storage_dir: str, **kwargs: object) -> "Engine":
@@ -155,9 +149,13 @@ class Engine:
     def rebuild_checkpoint(
         self, index_id: int = 1
     ) -> RebuildCheckpoint | None:
-        """Resumable rebuild progress for ``index_id`` recovered by the
-        last :meth:`recover` (None when there is nothing to resume)."""
-        ckpt = self.rebuild_checkpoints.get(index_id)
+        """The unfinished rebuild of ``index_id``: its progress — kept
+        current by a running rebuild, and rebuilt from the log by
+        :meth:`recover` — or None when its last rebuild completed.  Pass
+        it to ``OnlineRebuild.run(resume_checkpoint=...)``, or to
+        :class:`~repro.core.supervisor.RebuildSupervisor`, to continue
+        that rebuild instead of restarting it."""
+        ckpt = self.ctx.rebuild_progress.get(index_id)
         if ckpt is None or ckpt.completed:
             return None
         return ckpt
@@ -198,7 +196,6 @@ class Engine:
     def recover(self) -> RecoveryReport:
         """Run crash recovery and rebuild the index catalog."""
         report = RecoveryManager(self.ctx).recover()
-        self.rebuild_checkpoints = dict(report.rebuild_checkpoints)
         self.indexes = {
             int(index_id): BTree(
                 self.ctx,

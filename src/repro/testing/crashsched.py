@@ -483,12 +483,10 @@ class CrashScheduleHarness(_Sweeper):
         outcome.crashed = outcome.crashed or engine.ctx.disk.crash_armed
 
         try:
-            checkpoint = None
             if outcome.crashed:
                 engine.crash()
                 engine.ctx.disk.disarm()
                 engine.recover()
-                checkpoint = engine.rebuild_checkpoint(1)
                 tree = engine.index(1)
             outcome.recovered = True
             tree.verify()
@@ -506,7 +504,7 @@ class CrashScheduleHarness(_Sweeper):
                 self.resume_after_recovery or self.finish_after_recovery
             ):
                 if self.resume_after_recovery:
-                    self._finish_resumed(outcome, engine, tree, checkpoint)
+                    self._finish_resumed(outcome, engine, tree)
                 else:
                     OnlineRebuild(tree, self._config()).run()
                     tree.verify()
@@ -523,15 +521,17 @@ class CrashScheduleHarness(_Sweeper):
         return outcome
 
     def _finish_resumed(
-        self, outcome: ScheduleOutcome, engine: Engine, tree, checkpoint
+        self, outcome: ScheduleOutcome, engine: Engine, tree
     ) -> None:
         """Drive the interrupted rebuild to completion through the
         supervisor, asserting the no-repaid-work guarantee: every top
         action of the resumed run copies units strictly above the durable
-        progress floor (``RebuildCheckpoint.resume_key``).  Schedules that
-        crashed before any progress record became durable simply restart
-        from the first leaf (``checkpoint is None``) — still supervised,
-        with nothing to assert about the floor."""
+        progress floor (``RebuildCheckpoint.resume_key``) that recovery
+        rebuilt.  Schedules that crashed before any progress record
+        became durable simply restart from the first leaf (no
+        checkpoint) — still supervised, with nothing to assert about the
+        floor."""
+        checkpoint = engine.rebuild_checkpoint(1)
         floor = checkpoint.resume_key() if checkpoint is not None else None
         violations: list[bytes] = []
         if floor is not None:

@@ -16,6 +16,12 @@ The rules:
 * at the end of :meth:`Engine.recover <repro.engine.Engine.recover>` no
   page is pinned, latched, address-locked or bitted
   (:func:`~repro.testing.cleanup.left_behind`);
+* after :meth:`OnlineRebuild.run <repro.core.rebuild.OnlineRebuild.run>`
+  returns, or raises anything but a simulated power failure, the thread
+  holds no latch, the index's ``rebuild_claim`` is free, and no
+  transaction the run began is still active or holds a lock.  Only what
+  the run owns is looked at: foreground clients may hold pins and
+  latches of their own at the same time;
 * no forced page write (``BufferPool.flush_page`` / ``flush_pages`` /
   ``flush_all``, the pool's ``_write_batch(force=True)``) while the
   thread holds a latch: a forced write waits for the S latch of every
@@ -57,6 +63,24 @@ class Checks:
         if latches is not None:
             held = latches.held_by_me()
             assert not held, f"{doing} while holding latches {held}"
+
+    def rebuild_done(self, rebuild) -> None:  # noqa: ANN001 - OnlineRebuild
+        from repro.concurrency.txn import TxnState
+
+        ctx, index_id = rebuild.ctx, rebuild.tree.index_id
+        held = ctx.latches.held_by_me()
+        assert not held, f"rebuild of index {index_id} left latches {held}"
+        assert not rebuild.tree.rebuild_claim.locked(), (
+            f"rebuild of index {index_id} kept its rebuild_claim"
+        )
+        for txn in rebuild.began:
+            assert txn.state is not TxnState.ACTIVE, (
+                f"rebuild of index {index_id} left txn {txn.txn_id} active"
+            )
+            locks = ctx.locks.held_resources(txn.txn_id)
+            assert not locks, (
+                f"rebuild txn {txn.txn_id} still holds locks {locks}"
+            )
 
     def recovered(self, engine) -> None:  # noqa: ANN001 - an Engine
         from repro.errors import ChecksumError

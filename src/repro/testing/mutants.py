@@ -134,6 +134,15 @@ def _paced_inside_the_top_action():
     )
 
 
+def _abort_leaves_its_transaction_open():
+    """The rebuild's abort path flushes, frees and reports, but never
+    ends its transaction: the run returns with it active, pinning the log
+    against truncation until a restart rolls it back."""
+    return substituted(
+        OnlineRebuild, "_abort", "ctx.txns.abort(txn)\n", "\n"
+    )
+
+
 # ------------------------------------------------- checkpoints and writes
 
 
@@ -303,6 +312,15 @@ MUTANTS: dict[str, Mutant] = {
         (
             "tests/core/test_supervisor.py::"
             "test_supervised_rebuild_completes_under_transient_storm",
+        ),
+    ),
+    "rebuild-abort-leaves-its-transaction-open": Mutant(
+        _abort_leaves_its_transaction_open,
+        (
+            "tests/core/test_rebuild.py::"
+            "test_abort_keeps_completed_top_actions",
+            "tests/core/test_supervisor.py::"
+            "test_aborted_rebuild_is_retried_and_resumed",
         ),
     ),
     "runtime-undo-by-bare-fetch": Mutant(

@@ -82,9 +82,14 @@ if TYPE_CHECKING:
 
 @dataclass
 class RebuildCheckpoint:
-    """Rebuild progress reconstructed from durable ``REBUILD_PROGRESS``
-    records of the *highest* epoch (older epochs describe a superseded
-    rebuild and are discarded)."""
+    """One index's rebuild progress: the ``REBUILD_PROGRESS`` records of
+    its *highest* epoch (older epochs describe a superseded rebuild).
+
+    The engine keeps one per index in
+    :attr:`EngineContext.rebuild_progress
+    <repro.context.EngineContext.rebuild_progress>`: recovery folds the
+    durable records into it, and a running rebuild folds each record it
+    logs, so what a live engine holds is what a restart would rebuild."""
 
     epoch: int
     index_id: int
@@ -93,10 +98,17 @@ class RebuildCheckpoint:
     last_unit: bytes = b""
     """The last ``PROGRESS_RUNNING`` record's unit (b"": none yet)."""
 
+    def fold(self, state: int, last_unit: bytes) -> None:
+        """Take in one record of this epoch."""
+        if state == PROGRESS_COMPLETE:
+            self.completed = True
+        else:
+            self.last_unit = last_unit
+
     def resume_key(self) -> bytes | None:
         """Highest durably copied unit: every unit at or below it sits in
-        a rebuilt page, so a resume may pass it as ``resume_after``.  None
-        means nothing to resume from (nothing durable, or completed)."""
+        a rebuilt page, so a resumed run continues after it.  None means
+        nothing to resume from (nothing durable, or completed)."""
         if self.completed or not self.last_unit:
             return None
         return self.last_unit
@@ -112,21 +124,10 @@ class RecoveryReport:
     loser_txns: list[int] = field(default_factory=list)
     pages_freed: list[int] = field(default_factory=list)
     index_meta: dict = field(default_factory=dict)
-    rebuild_checkpoints: dict[int, RebuildCheckpoint] = field(
-        default_factory=dict
-    )
-    """Index id → reconstructed rebuild progress (highest epoch only)."""
     quarantine_ranges: list[QuarantineRange] = field(default_factory=list)
     """Damaged-range quarantines still standing after replaying
     ``QUARANTINE`` set/lift records (checkpoint state plus the log tail);
     the engine re-fences them before serving traffic."""
-
-    @property
-    def rebuild_checkpoint(self) -> RebuildCheckpoint | None:
-        """The sole (lowest-index-id) rebuild checkpoint, or None."""
-        if not self.rebuild_checkpoints:
-            return None
-        return self.rebuild_checkpoints[min(self.rebuild_checkpoints)]
 
 
 def _standing_quarantines(
@@ -311,7 +312,7 @@ class RecoveryManager:
                     if rtype == _DEALLOC:
                         pending.setdefault(txn_id, []).append((lsn, data))
                 elif rtype == _PROGRESS:
-                    self._fold_progress(LogRecord.decode(data), report)
+                    self._fold_progress(LogRecord.decode(data))
                     decoded += 1
                 elif rtype == _QUARANTINE:
                     quarantine_tail.append(LogRecord.decode(data))
@@ -354,29 +355,26 @@ class RecoveryManager:
         self.counters.add("recovery_payloads_decoded", decoded)
         return redo
 
-    @staticmethod
-    def _fold_progress(rec: LogRecord, report: RecoveryReport) -> None:
-        """Fold one ``REBUILD_PROGRESS`` record into the report's
+    def _fold_progress(self, rec: LogRecord) -> None:
+        """Fold one ``REBUILD_PROGRESS`` record into the context's
         per-index :class:`RebuildCheckpoint`\\ s.
 
         Only the highest epoch per index counts — a later rebuild
         supersedes an earlier one, and epochs (the log's next LSN at run
         start) are strictly monotone even across crashes.  Records are
         standalone (txn id 0), appended after the batch's §3 force and
-        before its commit, so every durable one is honest regardless of
-        whether its transaction turned out to be a loser: the NTA_ENDs it
-        summarizes are durable (prefix durability) and completed top
-        actions are never undone."""
-        ckpt = report.rebuild_checkpoints.get(rec.index_id)
+        before its commit or abort, so every durable one is honest
+        regardless of whether its transaction turned out to be a loser:
+        the NTA_ENDs it summarizes are durable (prefix durability) and
+        completed top actions are never undone."""
+        progress = self.engine_ctx.rebuild_progress
+        ckpt = progress.get(rec.index_id)
         if ckpt is None or rec.epoch > ckpt.epoch:
             ckpt = RebuildCheckpoint(epoch=rec.epoch, index_id=rec.index_id)
-            report.rebuild_checkpoints[rec.index_id] = ckpt
+            progress[rec.index_id] = ckpt
         elif rec.epoch < ckpt.epoch:
             return  # superseded rebuild
-        if rec.progress_state == PROGRESS_COMPLETE:
-            ckpt.completed = True
-        else:
-            ckpt.last_unit = rec.last_unit
+        ckpt.fold(rec.progress_state, rec.last_unit)
 
     # ------------------------------------------------------------------- redo
 

@@ -12,6 +12,7 @@ import pytest
 from repro import Engine
 from repro.btree.tree import BTree
 from repro.core import rebuild as rebuild_module
+from repro.core import supervisor as supervisor_module
 from repro.errors import PageFormatError
 from repro.storage import page as page_module
 from repro.storage.page import (
@@ -59,6 +60,13 @@ def pipelined(monkeypatch) -> None:
     top action, whatever the device's service time (what a rebuild picks
     by itself on a slow device)."""
     monkeypatch.setattr(rebuild_module, "PIPELINE_MIN_SERVICE", 0.0)
+
+
+@pytest.fixture
+def fast_retries(monkeypatch) -> None:
+    """A supervisor retries after a millisecond, not the production
+    backoff."""
+    monkeypatch.setattr(supervisor_module, "RETRY_BACKOFF", 0.001)
 
 
 @pytest.fixture

@@ -19,14 +19,16 @@ def test_max_pages_stops_early(index):
     index.verify()
 
 
-def test_resume_completes_the_job(index):
+def test_resume_completes_the_job(engine, index):
     make_half_empty(index, 3000)
     before = index.contents()
     report = rebuilder(index).run(max_pages=8)
     slices = 1
     while not report.completed:
+        checkpoint = engine.rebuild_checkpoint(1)
+        assert checkpoint.resume_key() == report.resume_unit
         report = rebuilder(index).run(
-            max_pages=8, resume_after=report.resume_unit
+            max_pages=8, resume_checkpoint=checkpoint
         )
         slices += 1
     assert slices > 2  # it really was incremental
@@ -43,13 +45,15 @@ def test_contents_preserved_after_partial_slice(index):
     index.verify()
 
 
-def test_oltp_between_slices(index):
+def test_oltp_between_slices(engine, index):
     make_half_empty(index, 3000)
-    report = rebuilder(index).run(max_pages=16)
+    rebuilder(index).run(max_pages=16)
     # The index is fully usable between slices.
     index.insert(intkey(100_000), 100_000)
     index.delete(intkey(1), 1)
-    report = rebuilder(index).run(resume_after=report.resume_unit)
+    report = rebuilder(index).run(
+        resume_checkpoint=engine.rebuild_checkpoint(1)
+    )
     assert report.completed
     assert index.contains(intkey(100_000), 100_000)
     assert not index.contains(intkey(1), 1)

@@ -19,10 +19,7 @@ from repro.storage.faults import FaultPlan
 from tests.conftest import contents_as_ints, make_half_empty, pinned_ids
 
 
-@pytest.fixture(autouse=True)
-def fast_retries(monkeypatch):
-    """Retry after a millisecond, not the production backoff."""
-    monkeypatch.setattr(supervisor_mod, "RETRY_BACKOFF", 0.001)
+pytestmark = pytest.mark.usefixtures("fast_retries")
 
 
 def _engine(count: int = 2000, **kw):
@@ -273,7 +270,9 @@ def test_watchdog_ignores_a_finished_run(monkeypatch):
     first = rebuild.run(max_pages=8)
     assert not first.completed
     time.sleep(STALL + 0.05)
-    assert rebuild.run(resume_after=first.resume_unit).completed
+    checkpoint = engine.rebuild_checkpoint(1)
+    assert checkpoint.resume_key() == first.resume_unit
+    assert rebuild.run(resume_checkpoint=checkpoint).completed
     assert engine.counters.watchdog_trips == 0
     assert contents_as_ints(index) == expected
     index.verify()
@@ -298,7 +297,7 @@ def test_a_callers_error_is_not_retried(how):
             engine.recover()
             index = engine.index(1)
             checkpoint = checkpoint or engine.rebuild_checkpoint(1)
-        match = "superseded"
+        match = "stale"
     else:
         assert index.rebuild_claim.acquire(blocking=False)
         match = "already has a rebuild in progress"

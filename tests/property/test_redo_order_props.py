@@ -288,7 +288,7 @@ class LogOrderRecovery(RecoveryManager):
             elif rec.txn_id:
                 active[rec.txn_id] = rec.lsn
             if rec.type is RecordType.REBUILD_PROGRESS:
-                self._fold_progress(rec, report)
+                self._fold_progress(rec)
         report.loser_txns = sorted(active)
         self._loser_last_lsn = active
         if checkpoint is not None:
@@ -344,7 +344,7 @@ def recovered(history, patch=None, building=None):
         "page_states": engine.page_manager.snapshot(),
         "loser_txns": report.loser_txns,
         "pages_freed": report.pages_freed,
-        "rebuild_checkpoint": report.rebuild_checkpoint,
+        "rebuild_progress": engine.ctx.rebuild_progress,
         "records_redone": report.records_redone,
         "records_undone": report.records_undone,
         "contents": engine.index(1).contents(),

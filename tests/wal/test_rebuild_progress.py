@@ -1,5 +1,6 @@
 """Durable rebuild progress: ``REBUILD_PROGRESS`` reconstruction, the
-epoch supersession rule, and ``RebuildCheckpoint.resume_key`` semantics."""
+epoch supersession rule, ``RebuildCheckpoint.resume_key`` semantics, and
+the one progress object a resume may name."""
 
 import pytest
 
@@ -157,7 +158,7 @@ def test_two_crashed_rebuilds_leave_only_highest_epoch_checkpoint():
     _crash_rebuild(engine, index, "rebuild.txn_committed", 1)
     engine.recover()
     # One checkpoint per index, and it is the newest epoch's.
-    assert set(engine.rebuild_checkpoints) == {1}
+    assert set(engine.ctx.rebuild_progress) == {1}
     ckpt = engine.rebuild_checkpoint(1)
     assert ckpt is not None and ckpt.epoch > first.epoch
 
@@ -178,7 +179,8 @@ def test_resume_from_stale_epoch_rejected():
     _crash_rebuild(engine, index, "rebuild.txn_committed", 1)
     engine.recover()
     index = engine.index(1)
-    with pytest.raises(RebuildError, match="superseded"):
+    assert engine.rebuild_checkpoint(1).epoch > stale.epoch
+    with pytest.raises(RebuildError, match="stale"):
         OnlineRebuild(index, RebuildConfig(ntasize=4, xactsize=8)).run(
             resume_checkpoint=stale
         )
@@ -192,49 +194,40 @@ def test_resume_from_stale_epoch_rejected():
     index.verify()
 
 
-def test_stale_epoch_rejected_when_the_newer_one_follows_a_truncation():
-    """Truncation drops the log's prefix, never renumbers it: the newer
-    epoch's records still lie past the stale epoch, where the guard
-    looks."""
+def test_a_checkpoint_held_across_a_crash_is_stale():
+    """The object a caller held before a crash describes what the lost
+    process knew; recovery rebuilds the index's progress from the log as
+    a new object, and only that one resumes."""
     engine = Engine(buffer_capacity=2048)
     index = engine.create_index(key_len=4)
     make_half_empty(index, 4000)
-    _crash_rebuild(engine, index, "rebuild.txn_committed", 2)
+    config = RebuildConfig(ntasize=4, xactsize=8)
+    OnlineRebuild(index, config).run(max_pages=16)
+    held = engine.rebuild_checkpoint(1)
+    assert held.resume_key() is not None
+    engine.crash()
     engine.recover()
-    stale = engine.rebuild_checkpoint(1)
-    assert stale is not None
-    engine.checkpoint(truncate=True)
-    progress = (RecordType.REBUILD_PROGRESS,)
-    assert not list(engine.log.scan(types=progress))  # gone with the prefix
-    index = engine.index(1)
-    _crash_rebuild(engine, index, "rebuild.txn_committed", 1)
-    engine.recover()
-    assert engine.rebuild_checkpoint(1).epoch > stale.epoch
-    with pytest.raises(RebuildError, match="superseded"):
-        OnlineRebuild(
-            engine.index(1), RebuildConfig(ntasize=4, xactsize=8)
-        ).run(resume_checkpoint=stale)
-
-
-def test_the_stale_epoch_guard_reads_the_log_from_its_own_epoch(monkeypatch):
-    engine = Engine(buffer_capacity=2048)
-    index = engine.create_index(key_len=4)
-    make_half_empty(index, 4000)
-    _crash_rebuild(engine, index, "rebuild.txn_committed", 2)
-    engine.recover()
-    ckpt = engine.rebuild_checkpoint(1)
-    assert ckpt is not None and ckpt.epoch > 0
-    log = engine.ctx.log
-    raw_records = log.raw_records
-    from_lsns = []
-
-    def recording(from_lsn=0, durable_only=False):
-        from_lsns.append(from_lsn)
-        return raw_records(from_lsn, durable_only)
-
-    monkeypatch.setattr(log, "raw_records", recording)
-    OnlineRebuild(engine.index(1), RebuildConfig(ntasize=4, xactsize=8)).run(
-        resume_checkpoint=ckpt
-    )
-    assert from_lsns[0] == ckpt.epoch
+    current = engine.rebuild_checkpoint(1)
+    assert current.resume_key() == held.resume_key()
+    with pytest.raises(RebuildError, match="stale"):
+        OnlineRebuild(engine.index(1), config).run(resume_checkpoint=held)
+    OnlineRebuild(engine.index(1), config).run(resume_checkpoint=current)
     engine.index(1).verify()
+
+
+def test_another_indexs_checkpoint_is_stale():
+    engine = Engine(buffer_capacity=2048)
+    first = engine.create_index(key_len=4)
+    second = engine.create_index(key_len=4)
+    make_half_empty(first, 4000)
+    make_half_empty(second, 4000)
+    config = RebuildConfig(ntasize=4, xactsize=8)
+    OnlineRebuild(second, config).run(max_pages=8)
+    other = engine.rebuild_checkpoint(2)
+    assert other.resume_key() is not None
+    with pytest.raises(RebuildError, match="stale"):
+        OnlineRebuild(first, config).run(resume_checkpoint=other)
+    # Neither index's progress moved.
+    assert engine.rebuild_checkpoint(1) is None
+    assert engine.rebuild_checkpoint(2) is other
+    first.verify()

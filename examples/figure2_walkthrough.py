@@ -154,7 +154,7 @@ def main() -> None:
     action.end()
     ctx.buffer.flush_pages(action.new_pages)
     ctx.txns.commit(txn)
-    OnlineRebuild(tree, config)._free_deallocated_of(txn)
+    OnlineRebuild(tree, config)._free(txn, action.deallocated)
     chunk.close()
 
     print("After commit (§3: flush new pages, then free old ones):")

@@ -1,9 +1,17 @@
 """Tree traversal with latch crabbing and safe-page retraversal (§2.6).
 
-This is a direct implementation of the paper's pseudocode:
+This is the paper's pseudocode, with the pages above the target level
+read unlatched when they allow it:
 
-* descend with latch coupling (S latches, X only at the target level in
-  writer mode);
+* the target page — the leaf, or the level a split or propagation
+  updates — is latched (S, or X in writer mode) and pinned; a page above
+  it is read with no latch and no pin, bracketed by the frame's version
+  and the latch's X state as a seqlock reader is
+  (:meth:`Traversal._read_unlatched`), and checked once more after the
+  page below it is read or latched.  Anything the bracket cannot vouch
+  for — a frame not resident, held X, carrying a protocol bit, or
+  changed — is visited latched instead, by latch coupling as the paper
+  descends (S latches, X only at the target level in writer mode);
 * a child with the SHRINK bit forces the traversal to release its latches,
   wait for an instant-duration S address lock on that page (i.e. for the
   shrinking top action to finish), and retraverse;
@@ -36,6 +44,7 @@ from repro.concurrency.txn import Transaction
 from repro.context import EngineContext
 from repro.errors import StorageError, TreeStructureError
 from repro.storage.page import Page, PageFlag, PageType
+from repro.testing import invariants
 
 
 # A just-latched child needs :meth:`Traversal._resolve_child` only when it
@@ -108,41 +117,90 @@ class Traversal:
 
         Writer mode returns the page X latched and guarantees it carries
         neither SPLIT nor SHRINK bit; reader mode returns it S latched.
+
+        A page above the target level is read unlatched when it allows
+        (:meth:`_read_unlatched`), else visited latched as in §2.6's
+        crabbing.  An unlatched page is checked again once the next page
+        down is read or latched: if it changed, that page is given back
+        and the descent restarts, every page latched from then on.
         """
         ctx = self.ctx
         counters = ctx.counters
         get_latched = ctx.get_latched
         release_page = ctx.release_page
+        changed = self._changed
         child_search = node.child_search
         scan = self.scan
         writer = mode is _WRITER
-        counters.add("traversals")
+        shard = counters.local_shard()
+        shard["traversals"] += 1
         first_attempt = True
+        unlatched = True  # until an unlatched read fails its check
         while True:
             if not first_attempt:
-                counters.add("retraversals")
+                shard["retraversals"] += 1
             first_attempt = False
 
-            p = self._start_page(unit, target_level, mode)
+            # ``version`` is None while ``p`` is latched, else the change
+            # counter it was read at, unlatched, routing to ``child_id``.
+            # ``level`` is what was read with it: an unlatched page's level
+            # read again outside its bracket may be a collapsed root's.
+            p, version, child_id, level = self._start_page(
+                unit, target_level, mode, unlatched
+            )
             new_path: list[tuple[int, int]] = []
             restart = False
 
-            while (level := p.level) > target_level:
+            while level > target_level:
                 new_path.append((p.page_id, level))
+                if version is None:
+                    _pos, child_id = child_search(p, unit, counters)
+                else:
+                    # Read unlatched: a page visit with no latch and no
+                    # fetch to count it.
+                    shard["pages_visited"] += 1
+                    if level == 1:
+                        shard["level1_visits"] += 1
+                if unlatched and level - 1 > target_level:
+                    read = self._read_unlatched(child_id, unit, target_level)
+                    if read is not None:
+                        if version is None:
+                            release_page(p.page_id)
+                        elif changed(p, version):
+                            unlatched = False
+                            restart = True
+                            break
+                        p, version, child_id, level = read
+                        continue
                 child_mode = (
                     LATCH_X if writer and level - 1 == target_level else LATCH_S
                 )
-                _pos, child_id = child_search(p, unit, counters)
                 try:
                     c = get_latched(child_id, child_mode, scan=scan)
                     if c._flags & _RESOLVE_BITS:
                         c, blocked_id = self._resolve_child(
                             c, unit, child_mode, txn
                         )
+                except StorageError:
+                    # A pointer read unlatched may name a page freed since:
+                    # only an unchanged parent makes the error the page's.
+                    if version is None or not changed(p, version):
+                        raise
+                    unlatched = False
+                    restart = True
+                    break
                 finally:
                     # Also when the child (or its side-entry sibling) is
                     # unreadable: the error leaves no latch behind.
-                    release_page(p.page_id)
+                    if version is None:
+                        release_page(p.page_id)
+                if version is not None and changed(p, version):
+                    # The parent changed since it routed here.
+                    if c is not None:
+                        release_page(c.page_id)
+                    unlatched = False
+                    restart = True
+                    break
                 if c is None:
                     # SHRINK in the way: with everything released, block for
                     # the top action via an instant S address lock (§2.6).
@@ -152,7 +210,7 @@ class Traversal:
                     )
                     restart = True
                     break
-                p = c
+                p, version, level = c, None, c.level
 
             if restart:
                 continue
@@ -175,7 +233,56 @@ class Traversal:
                 continue
 
             self._path = new_path
+            if invariants.hook is not None:
+                invariants.hook.descended(self, p, unit, target_level, txn)
             return p
+
+    def _read_unlatched(
+        self, page_id: int, unit: bytes, target_level: int
+    ) -> tuple[Page, int, int, int] | None:
+        """Read ``page_id``, a page above ``target_level``, with no latch
+        and no pin: ``(page, version, child_id, level)``, or ``None`` when
+        the page must be visited latched.
+
+        The read is bracketed as a seqlock reader is: the frame's version
+        (:meth:`BufferPool.peek`), the latch free of X, then the flags and
+        the child search, then the latch again and the version last.  A
+        mutator changes a page only under its X latch and bumps the
+        version before it lets the latch go, so a writer that overlaps the
+        read either holds the latch at one of the two checks or has
+        bumped the version between the two version reads.  An unlogged
+        bit flip bumps nothing, but it changes only the flags, which are
+        read once, inside the bracket.  ``None`` for a frame that is not
+        resident in the protected LRU, is X latched, carries any protocol
+        bit, is at or below ``target_level``, or changed during the read.
+        """
+        ctx = self.ctx
+        seen = ctx.buffer.peek(page_id)
+        if seen is None:
+            return None
+        page, version = seen
+        if ctx.latches.x_latched(page_id):
+            return None
+        try:
+            level = page.level
+            if page._flags or level <= target_level:
+                return None
+            _pos, child_id = node.child_search(page, unit, ctx.counters)
+        except Exception:  # noqa: BLE001 - a torn read; the latched visit
+            return None  # that follows raises what is real
+        if self._changed(page, version):
+            return None
+        return page, version, child_id, level
+
+    def _changed(self, page: Page, version: int) -> bool:
+        """Whether ``page``, read unlatched at ``version``, may have
+        changed since: X latched now, or its frame's version (or the frame
+        itself) is no longer the one read.  The check that closes
+        :meth:`_read_unlatched`'s bracket, and the one every unlatched
+        page gets again once the page below it is read or latched."""
+        return self.ctx.latches.x_latched(page.page_id) or (
+            self.ctx.buffer.image_version(page) != version
+        )
 
     # ---------------------------------------------------------- level 1
 
@@ -285,16 +392,29 @@ class Traversal:
     # ------------------------------------------------------------ safe start
 
     def _start_page(
-        self, unit: bytes, target_level: int, mode: AccessMode
-    ) -> Page:
-        """Latch the lowest safe remembered page, else the root (§2.6.1)."""
+        self,
+        unit: bytes,
+        target_level: int,
+        mode: AccessMode,
+        unlatched: bool,
+    ) -> tuple[Page, int | None, int | None, int]:
+        """Latch the lowest safe remembered page (§2.6.1), else read the
+        root unlatched, else latch it: ``(page, version, child_id, level)``
+        as :meth:`traverse` keeps them."""
         for page_id, level in reversed(self._path):
             if level <= target_level:
                 continue
             page = self._try_safe(page_id, level, unit)
             if page is not None:
-                return page
-        return self._latch_root(target_level, mode)
+                return page, None, None, level
+        if unlatched:
+            read = self._read_unlatched(
+                self.tree.root_page_id, unit, target_level
+            )
+            if read is not None:
+                return read
+        root = self._latch_root(target_level, mode)
+        return root, None, None, root.level
 
     def _try_safe(self, page_id: int, level: int, unit: bytes) -> Page | None:
         """Latch and validate a remembered page; None if no longer safe."""

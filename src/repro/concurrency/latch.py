@@ -183,6 +183,14 @@ class LatchManager:
 
     # ------------------------------------------------------------- inspection
 
+    def x_latched(self, page_id: int) -> bool:
+        """Whether some thread holds ``page_id``'s latch X, read without
+        the mutex: one dictionary read, the check :class:`Traversal
+        <repro.btree.traversal.Traversal>` makes on each side of an
+        unlatched read.  The answer may be stale by the time it returns;
+        the caller's version check covers that."""
+        return self._latches.get(page_id, 0) < 0
+
     def held_by_me(self) -> dict[int, LatchMode]:
         return dict(self._my_held())
 

@@ -319,6 +319,9 @@ class OnlineRebuild:
             txn = ctx.txns.begin()
             self.began.append(txn)
             txn_new_pages: list[int] = []
+            # What the transaction's completed top actions deallocated:
+            # the pages its commit frees.
+            txn_deallocated: list[int] = []
             # Old PP pages that absorbed seam rows this transaction: they
             # are keycopy *targets*, so the §3 force must cover them too —
             # a stale target makes redo re-read the source pages, which
@@ -350,7 +353,8 @@ class OnlineRebuild:
                     with tracer.span("rebuild.top_action"):
                         outcome = self._one_top_action(
                             txn, chunk_alloc, traversal, p1, txn_new_pages,
-                            report, txn_force_pages, txn_behind,
+                            txn_deallocated, report, txn_force_pages,
+                            txn_behind,
                         )
                     if outcome is None:
                         continue  # position lost; rediscover and retry
@@ -399,6 +403,22 @@ class OnlineRebuild:
                         ).wait()
                     else:
                         ctx.buffer.flush_pages(force_pages)
+                ctx.syncpoints.fire(
+                    "rebuild.txn_flushed", new_pages=list(force_pages)
+                )
+                # Durable progress: appended standalone (txn id 0) *after*
+                # the §3 force and *before* the commit record, so the
+                # commit's flush makes it durable for free and rollback /
+                # undo never see it.  Every NTA_END it summarizes precedes
+                # it in LSN order — prefix durability keeps it honest even
+                # if this commit record itself never reaches disk.
+                self._log_running(report.resume_unit)
+                with tracer.span("rebuild.commit"):
+                    # The window is held for the foreground's committers;
+                    # this commit rides along with a round in progress but
+                    # does not sleep one out on its own.  A commit that
+                    # raises (its log force failed) takes the abort path.
+                    ctx.txns.commit(txn, gather=False)
             except CrashPoint:
                 raise  # simulated power failure: skip the abort protocol
             except BaseException as exc:
@@ -406,27 +426,13 @@ class OnlineRebuild:
                     txn,
                     txn_new_pages
                     + sorted(txn_force_pages.difference(txn_new_pages)),
+                    txn_deallocated,
                     report,
                 )
                 raise RebuildAbortedError(
                     f"online rebuild aborted: {exc}"
                 ) from exc
-            ctx.syncpoints.fire(
-                "rebuild.txn_flushed", new_pages=list(force_pages)
-            )
-            # Durable progress: appended standalone (txn id 0) *after* the
-            # §3 force and *before* the commit record, so the commit's
-            # flush makes it durable for free and rollback / undo never
-            # see it.  Every NTA_END it summarizes precedes it in LSN
-            # order — prefix durability keeps it honest even if this
-            # commit record itself never reaches disk.
-            self._log_running(report.resume_unit)
-            with tracer.span("rebuild.commit"):
-                # The window is held for the foreground's committers; this
-                # commit rides along with a round in progress but does not
-                # sleep one out on its own.
-                ctx.txns.commit(txn, gather=False)
-            report.pages_freed += self._free_deallocated_of(txn)
+            report.pages_freed += self._free(txn, txn_deallocated)
             report.transactions += 1
             ctx.counters.add("rebuild_transactions")
             report.new_leaf_pages += len(txn_new_pages)
@@ -553,6 +559,7 @@ class OnlineRebuild:
         traversal: Traversal,
         p1: int,
         txn_new_pages: list[int],
+        txn_deallocated: list[int],
         report: RebuildReport,
         txn_force_pages: set[int],
         txn_behind: set[int],
@@ -578,6 +585,9 @@ class OnlineRebuild:
                 )
         except PositionLost:
             return None  # rolled back with nothing taken; rediscover
+        # Completed: what it deallocated is freed when the transaction
+        # commits (or aborts, keeping it).
+        txn_deallocated.extend(top.deallocated)
         # The deallocated source pages are never latched again and carry
         # no unflushed change but the unlogged bit set + clear: retire them
         # rather than let eviction rewrite pages about to be freed (see
@@ -703,6 +713,7 @@ class OnlineRebuild:
         self,
         txn: Transaction,
         txn_new_pages: list[int],
+        txn_deallocated: list[int],
         report: RebuildReport,
     ) -> None:
         """§4.1.3 abort path: keep completed top actions, free their pages.
@@ -736,23 +747,23 @@ class OnlineRebuild:
             self._log_running(report.resume_unit)
         ctx.txns.abort(txn)
         if flushed:
-            report.pages_freed += self._free_deallocated_of(txn)
+            report.pages_freed += self._free(txn, txn_deallocated)
         report.aborted = True
         ctx.syncpoints.fire("rebuild.aborted")
 
     # ---------------------------------------------------------------- freeing
 
-    def _free_deallocated_of(self, txn: Transaction) -> int:
-        """§4.1.3: free this transaction's deallocated pages via a log scan."""
+    def _free(self, txn: Transaction, page_ids: list[int]) -> int:
+        """§4.1.3: free ``page_ids``, what the completed top actions of
+        ``txn`` deallocated, now that its commit is durable or it has
+        aborted (which keeps them); a page no longer ``DEALLOCATED`` is
+        passed over."""
         ctx = self.ctx
+        if invariants.hook is not None:
+            invariants.hook.freeing(ctx, txn)
         freed = 0
-        for rec in ctx.log.scan(
-            from_lsn=txn.begin_lsn,
-            types=(RecordType.DEALLOC,),
-            txn_id=txn.txn_id,
-        ):
-            for pid in rec.page_ids or [rec.page_id]:
-                if ctx.page_manager.state(pid) is PageState.DEALLOCATED:
-                    ctx.page_manager.free(pid)
-                    freed += 1
+        for pid in page_ids:
+            if ctx.page_manager.state(pid) is PageState.DEALLOCATED:
+                ctx.page_manager.free(pid)
+                freed += 1
         return freed

@@ -78,7 +78,10 @@ I/O safe:
   frames still resident at the same version, so a change that lands
   mid-write is never lost.  The *in-flight write table* orders
   overlapping writes of the same page, so a slower writer holding an
-  older image can never land after a newer one.
+  older image can never land after a newer one.  The same counter lets
+  a descent read a page above its target with no latch and no pin
+  (:meth:`BufferPool.peek`, :meth:`BufferPool.image_version`); such a
+  read sets the frame's ``referenced`` bit instead of touching the LRU.
 
 **Device service time.**  :meth:`BufferPool.retrying`, which every
 physical call goes through, times each successful attempt and keeps the
@@ -117,7 +120,7 @@ has to stall on three calls in a row to be mistaken for a slow one."""
 class _Frame:
     __slots__ = (
         "page", "dirty", "pin_count", "prefetched", "version", "ring", "seq",
-        "clean_lsn",
+        "clean_lsn", "referenced",
     )
 
     def __init__(self, page: Page) -> None:
@@ -140,6 +143,9 @@ class _Frame:
         # Lives in the probationary ring (scan-class admission) rather
         # than the protected LRU.
         self.ring = False
+        # Read by :meth:`BufferPool.peek` since the evictor last passed
+        # it: the LRU touch that read did not make.
+        self.referenced = False
 
 
 class _CountedLock:
@@ -635,6 +641,27 @@ class BufferPool:
             frame = self._lookup(page_id)
             return frame.pin_count if frame else 0
 
+    def peek(self, page_id: int) -> tuple[Page, int] | None:
+        """The page of a resident protected-LRU frame and its change
+        counter, with no latch, no pin and no pool lock: the unlatched
+        read of an upper-level page by
+        :class:`~repro.btree.traversal.Traversal`, which brackets what it
+        reads with :meth:`image_version`.
+
+        ``None`` for a page not resident in the protected LRU, or not
+        fetched since its speculative admission: a ring frame's fetch
+        moves it within the ring or promotes it, and a prefetched frame's
+        first fetch counts a prefetch hit, so those take :meth:`fetch`.
+        The frame is marked ``referenced`` instead of moved to the LRU's
+        recent end, which needs the lock: the evictor's walk gives a
+        referenced frame a second chance (:meth:`_evict`).
+        """
+        frame = self._frames.get(page_id)
+        if frame is None or frame.prefetched:
+            return None
+        frame.referenced = True
+        return frame.page, frame.version
+
     def image_version(self, page: Page) -> int | None:
         """Change counter of the frame holding exactly this ``Page``
         object, or ``None`` when the pool no longer holds it.
@@ -1006,8 +1033,11 @@ class BufferPool:
         or, with ``clean_only``, a dirty one.  Each has its own rule for
         choosing among the rest.  The protected LRU gives its coldest: a
         walk from the LRU end past any pinned frames, O(1) in the common
-        case.  The ring gives the first, in first-out order, of the best
-        class: *old* consumed frames before *young* ones — a frame
+        case; a frame :meth:`peek` read since the walk last passed it is
+        moved to the recent end instead (the LRU touch the unlatched read
+        did not make), and the walk goes on.  The ring gives the first,
+        in first-out order, of the best class: *old* consumed frames
+        before *young* ones — a frame
         admitted within the last eighth of the ring's quota is the
         current top action's working set (a target still being appended
         to, a source its bit-clear will re-latch), and evicting it
@@ -1032,6 +1062,7 @@ class BufferPool:
         while True:
             young_floor = self._admit_seq - max(8, self.ring_quota // 8)
             choice = best = None
+            second_chance: list[int] = []
             for pid, frame in table.items():
                 if (
                     frame.pin_count
@@ -1040,6 +1071,9 @@ class BufferPool:
                 ):
                     continue
                 if not ring:
+                    if frame.referenced:
+                        second_chance.append(pid)
+                        continue
                     choice = pid, frame
                     break
                 if not frame.prefetched:
@@ -1052,7 +1086,14 @@ class BufferPool:
                     choice, best = (pid, frame), rank
                     if rank == 0:
                         break  # old and clean: nothing can beat it
+            for pid in second_chance:
+                # Read by a peek since it was last touched: now the most
+                # recent, as the fetch that read it would have made it.
+                table[pid].referenced = False
+                table.move_to_end(pid)
             if choice is None:
+                if second_chance:
+                    continue
                 return False
             victim_id, victim = choice
             if victim.dirty:

@@ -16,12 +16,26 @@ The rules:
 * at the end of :meth:`Engine.recover <repro.engine.Engine.recover>` no
   page is pinned, latched, address-locked or bitted
   (:func:`~repro.testing.cleanup.left_behind`);
+* what :meth:`Traversal.traverse
+  <repro.btree.traversal.Traversal.traverse>` returns is an allocated
+  page of the index, at the target level, latched by the thread, whose
+  latched contents route the unit to it: no side entry that moved the
+  unit right (§2.3), no SHRINK bit that blocks it unless the descent's
+  own transaction holds the page (§2.4).  The pages above it may have
+  been read unlatched; this is what their checks must guarantee;
 * after :meth:`OnlineRebuild.run <repro.core.rebuild.OnlineRebuild.run>`
   returns, or raises anything but a simulated power failure, the thread
   holds no latch, the index's ``rebuild_claim`` is free, and no
   transaction the run began is still active or holds a lock.  Only what
   the run owns is looked at: foreground clients may hold pins and
   latches of their own at the same time;
+* the rebuild frees the pages its completed top actions deallocated
+  (:meth:`OnlineRebuild._free <repro.core.rebuild.OnlineRebuild._free>`)
+  only once their transaction's commit is durable, or once it has
+  aborted, which keeps completed top actions: a ``DEALLOC`` covered by
+  neither can still be undone, and the page may be handed out again
+  first (§3, §4.1.3).  A shrink frees its page after its top action's
+  end, in :func:`~repro.btree.shrink.shrink_leaf` itself;
 * no forced page write (``BufferPool.flush_page`` / ``flush_pages`` /
   ``flush_all``, the pool's ``_write_batch(force=True)``) while the
   thread holds a latch: a forced write waits for the S latch of every
@@ -55,6 +69,50 @@ class Checks:
             assert not ctx.locks.holds(txn_id, LockSpace.ADDRESS, page_id), (
                 f"top action of txn {txn_id} left page {page_id} "
                 "address-locked"
+            )
+
+    def descended(  # noqa: ANN001 - a Traversal, a Page, a Transaction
+        self, traversal, page, unit: bytes, level: int, txn
+    ) -> None:
+        # Called on every descent: messages are built only on a failure,
+        # and the bit classes are imported only for a page with a bit.
+        ctx, page_id = traversal.ctx, page.page_id
+        assert ctx.page_manager.is_allocated(page_id), _reached(
+            unit, level, page_id, "which is not allocated"
+        )
+        index_id = getattr(traversal.tree, "index_id", page.index_id)
+        assert page.index_id == index_id and page.level == level, _reached(
+            unit, level, page_id,
+            f"of index {page.index_id} at level {page.level}",
+        )
+        assert ctx.latches.holds(page_id), _reached(
+            unit, level, page_id, "without its latch"
+        )
+        if page._flags:
+            from repro.concurrency.locks import LockMode, LockSpace
+            from repro.storage.page import PageFlag
+
+            assert not page.has_flag(PageFlag.OLDPGOFSPLIT) or (
+                unit < page.side_key
+            ), _reached(
+                unit, level, page_id, "whose side entry moved the unit right"
+            )
+            assert not page.blocks_unit(unit) or ctx.locks.holds(
+                txn.txn_id, LockSpace.ADDRESS, page_id, LockMode.X
+            ), _reached(unit, level, page_id, "whose SHRINK bit blocks it")
+
+    def freeing(self, ctx, txn) -> None:  # noqa: ANN001
+        from repro.concurrency.txn import TxnState
+
+        if txn.state is TxnState.COMMITTED:
+            # ``flushed_lsn`` ends the durable prefix: past the record.
+            assert ctx.log.flushed_lsn > txn.last_lsn, (
+                f"txn {txn.txn_id} frees pages before its commit "
+                f"(LSN {txn.last_lsn}) is durable"
+            )
+        else:
+            assert txn.state is TxnState.ABORTED, (
+                f"txn {txn.txn_id} frees pages while {txn.state.value}"
             )
 
     def unlatched(self, latches, doing: str) -> None:  # noqa: ANN001
@@ -96,6 +154,13 @@ class Checks:
             engine.buffer.unpin(page_id)
         left = left_behind(engine, unreadable=unreadable)
         assert left == NOTHING_LEFT, f"recovery left behind {left}"
+
+
+def _reached(unit: bytes, level: int, page_id: int, what: str) -> str:
+    return (
+        f"descent for {unit.hex()} to level {level} reached page {page_id}, "
+        f"{what}"
+    )
 
 
 hook: Checks | None = None

@@ -21,6 +21,7 @@ from unittest import mock
 
 from repro import engine as engine_module
 from repro.btree.top_action import TopAction
+from repro.btree.traversal import Traversal
 from repro.context import EngineContext
 from repro.core.rebuild import OnlineRebuild
 from repro.core.scrubber import Scrubber
@@ -140,6 +141,35 @@ def _abort_leaves_its_transaction_open():
     against truncation until a restart rolls it back."""
     return substituted(
         OnlineRebuild, "_abort", "ctx.txns.abort(txn)\n", "\n"
+    )
+
+
+def _freed_before_the_commit():
+    """The rebuild frees what its completed top actions deallocated just
+    before it commits, as a free deferred behind the next copy would if
+    it ran one transaction early.  §4.1.3 frees a rebuild's old pages at
+    its commit, once the NTA_ENDs covering their DEALLOCs are durable;
+    no test tells the two orders apart without the rule."""
+    return substituted(
+        OnlineRebuild,
+        "_drive",
+        "ctx.txns.commit(txn, gather=False)\n",
+        "report.pages_freed += self._free(txn, txn_deallocated); "
+        "ctx.txns.commit(txn, gather=False)\n",
+    )
+
+
+# ------------------------------------------------------------- descents
+
+
+def _descent_skips_its_parents_check():
+    """A descent that read the pages above its target unlatched keeps the
+    target it latched without checking that the parent still routes
+    there: a leaf the rebuild copied and freed meanwhile still holds its
+    old rows, so a reader finds the right answer on a page of no tree."""
+    return substituted(
+        Traversal, "traverse", "if version is not None and changed(",
+        "if False and changed(",
     )
 
 
@@ -321,6 +351,17 @@ MUTANTS: dict[str, Mutant] = {
             "test_abort_keeps_completed_top_actions",
             "tests/core/test_supervisor.py::"
             "test_aborted_rebuild_is_retried_and_resumed",
+        ),
+    ),
+    "rebuild-frees-before-its-commit": Mutant(
+        _freed_before_the_commit,
+        ("tests/core/test_rebuild.py::test_old_pages_deallocated_then_freed",),
+    ),
+    "descent-follows-an-unvalidated-pointer": Mutant(
+        _descent_skips_its_parents_check,
+        (
+            "tests/concurrency/test_interleavings.py::"
+            "test_a_parked_reader_lands_on_the_rebuilt_leaf",
         ),
     ),
     "runtime-undo-by-bare-fetch": Mutant(

@@ -70,6 +70,7 @@ from repro.wal.records import (
     CLR_FLAG,
     LEAF_ROW_FLAG,
     PROGRESS_COMPLETE,
+    PROGRESS_RUNNING,
     QUARANTINE_SET,
     LogRecord,
     RecordType,
@@ -99,10 +100,13 @@ class RebuildCheckpoint:
     """The last ``PROGRESS_RUNNING`` record's unit (b"": none yet)."""
 
     def fold(self, state: int, last_unit: bytes) -> None:
-        """Take in one record of this epoch."""
+        """Take in one record of this epoch, or a checkpoint's snapshot
+        of it.  An epoch's units only grow, so folding is order-free: a
+        snapshot read while a running record was appended is folded
+        after that record without taking it back."""
         if state == PROGRESS_COMPLETE:
             self.completed = True
-        else:
+        elif last_unit > self.last_unit:
             self.last_unit = last_unit
 
     def resume_key(self) -> bytes | None:
@@ -351,13 +355,32 @@ class RecoveryManager:
         report.quarantine_ranges = _standing_quarantines(
             payload.get("quarantine", []), quarantine_tail
         )
+        self._fold_checkpoint_progress(payload)
         self.counters.add("recovery_records_scanned", len(raws))
         self.counters.add("recovery_payloads_decoded", decoded)
         return redo
 
     def _fold_progress(self, rec: LogRecord) -> None:
         """Fold one ``REBUILD_PROGRESS`` record into the context's
-        per-index :class:`RebuildCheckpoint`\\ s.
+        per-index :class:`RebuildCheckpoint`\\ s (:meth:`_fold`)."""
+        self._fold(rec.index_id, rec.epoch, rec.progress_state, rec.last_unit)
+
+    def _fold_checkpoint_progress(self, payload: dict) -> None:
+        """Fold a checkpoint's snapshot of every index's progress: what
+        the ``REBUILD_PROGRESS`` records a truncation dropped said."""
+        for index_id, (epoch, completed, last_unit) in payload.get(
+            "rebuild_progress", {}
+        ).items():
+            self._fold(
+                int(index_id), epoch,
+                PROGRESS_COMPLETE if completed else PROGRESS_RUNNING,
+                bytes.fromhex(last_unit),
+            )
+
+    def _fold(
+        self, index_id: int, epoch: int, state: int, last_unit: bytes
+    ) -> None:
+        """Fold one index's progress, from a record or a snapshot.
 
         Only the highest epoch per index counts — a later rebuild
         supersedes an earlier one, and epochs (the log's next LSN at run
@@ -368,13 +391,13 @@ class RecoveryManager:
         the NTA_ENDs it summarizes are durable (prefix durability) and
         completed top actions are never undone."""
         progress = self.engine_ctx.rebuild_progress
-        ckpt = progress.get(rec.index_id)
-        if ckpt is None or rec.epoch > ckpt.epoch:
-            ckpt = RebuildCheckpoint(epoch=rec.epoch, index_id=rec.index_id)
-            progress[rec.index_id] = ckpt
-        elif rec.epoch < ckpt.epoch:
+        ckpt = progress.get(index_id)
+        if ckpt is None or epoch > ckpt.epoch:
+            ckpt = RebuildCheckpoint(epoch=epoch, index_id=index_id)
+            progress[index_id] = ckpt
+        elif epoch < ckpt.epoch:
             return  # superseded rebuild
-        ckpt.fold(rec.progress_state, rec.last_unit)
+        ckpt.fold(state, last_unit)
 
     # ------------------------------------------------------------------- redo
 
@@ -620,7 +643,10 @@ def checkpoint(
     ``ALLOC`` is logged, so the snapshot may hold a page whose birth is
     logged past ``redo_lsn`` (redone) or never (a phantom, which restart
     reclaims).  The quarantine map is read after the flush, so a set
-    logged before ``redo_lsn`` is installed by then.
+    logged before ``redo_lsn`` is installed by then.  So is each index's
+    rebuild progress (:attr:`EngineContext.rebuild_progress`): truncation
+    drops the ``REBUILD_PROGRESS`` records below ``redo_lsn``, and
+    recovery folds the snapshot with the records that stay.
 
     With ``truncate`` the log is cut below ``redo_lsn``, or below the
     begin LSN of the oldest still-active transaction when that is older.
@@ -638,6 +664,10 @@ def checkpoint(
                 "page_manager": pages,
                 "index_meta": index_meta,
                 "quarantine": quarantine_payload(ctx.quarantine.ranges()),
+                "rebuild_progress": {
+                    str(index_id): [p.epoch, p.completed, p.last_unit.hex()]
+                    for index_id, p in sorted(ctx.rebuild_progress.items())
+                },
             },
         )
         lsn = ctx.log.append(rec)

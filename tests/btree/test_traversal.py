@@ -209,3 +209,29 @@ def test_safe_page_rejected_after_deallocation(engine, tall_index):
     finally:
         ctx.page_manager.force_state(deepest, PageState.ALLOCATED)
         ctx.txns.commit(txn)
+
+
+def test_a_point_lookup_on_a_quiescent_tree_holds_one_latch_at_a_time(
+    monkeypatch,
+):
+    """Root and level 1 are read unlatched: a lookup, a ``get`` and a
+    one-key scan each latch only leaves, one at a time."""
+    from repro import Engine
+    from repro.workload.builder import bulk_load
+
+    engine = Engine(page_size=512, buffer_capacity=4096)
+    tree = bulk_load(engine, [intkey(2 * i) for i in range(2000)], 4)
+    assert tree.height() == 3
+    latches = engine.ctx.latches
+    acquire, held = latches.acquire, []
+
+    def counting(page_id, mode, *shard):
+        acquire(page_id, mode, *shard)
+        held.append(len(latches.held_by_me()))
+
+    monkeypatch.setattr(latches, "acquire", counting)
+    for i in range(0, 2000, 97):
+        assert tree.contains(intkey(2 * i), i)
+        assert tree.get(intkey(2 * i), i) == b""
+        assert tree.lookup(intkey(2 * i)) == [i]
+    assert held and max(held) == 1

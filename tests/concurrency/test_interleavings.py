@@ -8,7 +8,11 @@ allowed through:
 * a traversal arriving at the old page of an in-flight split follows the
   side entry to the new page (§2.3);
 * SHRINK bits (rebuild copy phase) block readers too (§2.4, §4.1.1);
-* blocked operations resume and succeed once the top action completes.
+* blocked operations resume and succeed once the top action completes;
+* a descent that read root and level 1 unlatched and is parked before it
+  latches its leaf lands on the right leaf whatever changed above it
+  meanwhile: a split propagated into the level-1 page, a root grow, the
+  rebuild's propagation, a shrink, an eviction, a root collapse.
 """
 
 import threading
@@ -17,12 +21,16 @@ import time
 import pytest
 
 from repro import Engine, OnlineRebuild, RebuildConfig
+from repro.btree import keys as K
+from repro.btree import node
 from repro.btree.top_action import TopAction
+from repro.btree.traversal import Traversal
 from repro.concurrency.latch import LatchMode
 from repro.concurrency.locks import LockMode, LockSpace
 from repro.concurrency.syncpoints import Rendezvous
 from repro.core.copy_phase import _acquire_page
 from repro.storage.page import PageFlag
+from repro.workload.builder import bulk_load
 from tests.conftest import fill_index, intkey
 
 
@@ -333,3 +341,267 @@ def _lock_goes_with_bit(engine, pages, pinned):
     ctx.latches.acquire = acquire
     assert not any(ctx.buffer.pin_count(pid) for pid in pages)
     assert not ctx.locks.held_resources(owner.txn_id)
+
+
+# ----------------------------------------------- unlatched upper levels
+
+
+class Descent(threading.Thread):
+    """One operation on its own thread, named so that
+    :func:`park_before_latching` parks it and nothing else."""
+
+    def __init__(self, fn) -> None:
+        super().__init__(name="descent", daemon=True)
+        self.fn = fn
+        self.result = self.error = None
+
+    def run(self) -> None:
+        try:
+            self.result = self.fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by finish
+            self.error = exc
+
+    def finish(self):
+        self.join(15)
+        assert not self.is_alive()
+        if self.error is not None:
+            raise self.error
+        return self.result
+
+
+def park_before_latching(engine, monkeypatch, page_id) -> Rendezvous:
+    """Park the descent thread the first time it asks for ``page_id``'s
+    latch: it has read the pages above unlatched, holds nothing, and has
+    not yet checked that they are unchanged."""
+    rv = Rendezvous(timeout=10.0)
+    get_latched = engine.ctx.get_latched
+    parked = []
+
+    def parking(pid, mode, *args, **kwargs):
+        if (
+            pid == page_id
+            and not parked
+            and threading.current_thread().name == "descent"
+        ):
+            parked.append(pid)
+            assert engine.ctx.latches.held_by_me() == {}
+            rv.engine_arrived()
+        return get_latched(pid, mode, *args, **kwargs)
+
+    monkeypatch.setattr(engine.ctx, "get_latched", parking)
+    return rv
+
+
+def route(engine, tree, key: bytes, rowid: int) -> list[int]:
+    """The page ids from the root to the leaf ``(key, rowid)`` routes to."""
+    unit = K.leaf_unit(key, rowid, tree.key_len)
+    path = [tree.root_page_id]
+    while True:
+        page = engine.buffer.fetch(path[-1])
+        engine.buffer.unpin(path[-1])
+        if page.level == 0:
+            return path
+        path.append(node.child_search(page, unit, engine.counters)[1])
+
+
+def leaf_keys(engine, page_id) -> list[int]:
+    page = engine.buffer.fetch(page_id)
+    engine.buffer.unpin(page_id)
+    return [int.from_bytes(row[:4], "big") for row in page.rows]
+
+
+def small_pages() -> Engine:
+    """512-byte pages: a 2 000-key load is three levels high."""
+    return Engine(page_size=512, buffer_capacity=4096, lock_timeout=10.0)
+
+
+def loaded():
+    """An engine with 2 000 even keys loaded, rowid = key // 2, and every
+    image stored; the id of a leaf in the middle and its keys."""
+    engine = small_pages()
+    tree = bulk_load(engine, [intkey(2 * i) for i in range(2000)], 4)
+    assert tree.height() == 3
+    engine.checkpoint()
+    leaf = tree.verify().leaf_page_ids[50]
+    return engine, tree, leaf, leaf_keys(engine, leaf)
+
+
+def retraversals(engine, before) -> int:
+    return engine.counters.diff(before)["retraversals"]
+
+
+def test_a_parked_writer_lands_on_the_new_leaf_of_a_split(monkeypatch):
+    """(a) A split of the writer's leaf propagates into the level-1 page
+    the writer read: the separator moved, so the leaf it was routed to no
+    longer covers its key."""
+    engine, tree, leaf, keys = loaded()
+    key = keys[-1] - 1  # odd: the leaf's last unit
+    assert route(engine, tree, intkey(key), 7)[-1] == leaf
+    rv = park_before_latching(engine, monkeypatch, leaf)
+    before = engine.counters.snapshot()
+    writer = Descent(lambda: tree.insert(intkey(key), 7))
+    writer.start()
+    rv.wait_engine()
+    added = []  # one key below it, many rowids, until the leaf splits
+    while route(engine, tree, intkey(key), 7)[-1] == leaf:
+        added.append((keys[0] + 1, 100 + len(added)))
+        tree.insert(intkey(keys[0] + 1), added[-1][1])
+    rv.release()
+    writer.finish()
+    assert retraversals(engine, before) >= 1
+    assert tree.contains(intkey(key), 7)
+    tree.verify()
+    expected = sorted([(2 * i, i) for i in range(2000)] + added + [(key, 7)])
+    assert [
+        (int.from_bytes(k, "big"), r) for k, r in tree.contents()
+    ] == expected
+
+
+def test_a_parked_reader_lands_on_its_leaf_after_a_root_grow(monkeypatch):
+    """(b) The root the reader read unlatched grows a level."""
+    engine = small_pages()
+    tree = engine.create_index(key_len=4)
+    n = 0
+    while tree.height() < 2:
+        tree.insert(intkey(n), n)
+        n += 1
+    path = route(engine, tree, intkey(0), 0)
+    assert len(path) == 2
+    rv = park_before_latching(engine, monkeypatch, path[-1])
+    before = engine.counters.snapshot()
+    reader = Descent(lambda: tree.contains(intkey(0), 0))
+    reader.start()
+    rv.wait_engine()
+    while tree.height() < 3:
+        tree.insert(intkey(n), n)
+        n += 1
+    rv.release()
+    assert reader.finish() is True
+    assert retraversals(engine, before) >= 1
+    tree.verify()
+    assert len(list(tree.contents())) == n
+
+
+def test_a_parked_reader_lands_on_the_rebuilt_leaf(monkeypatch):
+    """(c) The rebuild copies the reader's leaf, rewrites the level-1
+    page the reader read and frees the leaf.  The freed leaf still holds
+    the key on disk: only the descent rule
+    (:mod:`repro.testing.invariants`) tells a reader that lands on it
+    from one that lands on the rebuilt leaf."""
+    engine, tree, leaf, keys = loaded()
+    key = keys[0]
+    rv = park_before_latching(engine, monkeypatch, leaf)
+    reader = Descent(lambda: tree.contains(intkey(key), key // 2))
+    reader.start()
+    rv.wait_engine()
+    # One transaction: the freed pages are not handed out again.
+    OnlineRebuild(tree, RebuildConfig(xactsize=10_000)).run()
+    assert not engine.page_manager.is_allocated(leaf)
+    rv.release()
+    assert reader.finish() is True
+    tree.verify()
+
+
+def test_a_parked_writer_lands_beside_a_shrunk_leaf(monkeypatch):
+    """(d) Every row of the writer's leaf is deleted meanwhile: the leaf
+    is shrunk — unlinked, deallocated and freed — and its entry leaves
+    the level-1 page.  The insert lands in the leaf left of it."""
+    engine, tree, leaf, keys = loaded()
+    key = keys[0] + 1
+    rv = park_before_latching(engine, monkeypatch, leaf)
+    before = engine.counters.snapshot()
+    writer = Descent(lambda: tree.insert(intkey(key), 7))
+    writer.start()
+    rv.wait_engine()
+    for k in keys:
+        tree.delete(intkey(k), k // 2)
+    assert not engine.page_manager.is_allocated(leaf)
+    rv.release()
+    writer.finish()
+    assert retraversals(engine, before) >= 1
+    assert tree.contains(intkey(key), 7)
+    tree.verify()
+    expected = sorted(
+        [(2 * i, i) for i in range(2000) if 2 * i not in keys] + [(key, 7)]
+    )
+    assert [
+        (int.from_bytes(k, "big"), r) for k, r in tree.contents()
+    ] == expected
+
+
+def test_a_parked_reader_revalidates_an_evicted_level1_page(monkeypatch):
+    """(e) The level-1 page the reader read is evicted and read back:
+    the same rows in a new frame, which the reader's check tells from
+    the one it read."""
+    engine, tree, leaf, keys = loaded()
+    key = keys[0]
+    level1 = route(engine, tree, intkey(key), key // 2)[1]
+    rv = park_before_latching(engine, monkeypatch, leaf)
+    before = engine.counters.snapshot()
+    reader = Descent(lambda: tree.contains(intkey(key), key // 2))
+    reader.start()
+    rv.wait_engine()
+    engine.buffer.evict_all()
+    assert not engine.buffer.is_resident(level1)
+    assert tree.contains(intkey(keys[-1]), keys[-1] // 2)  # reads it back
+    assert engine.buffer.is_resident(level1)
+    rv.release()
+    assert reader.finish() is True
+    assert retraversals(engine, before) >= 1
+    tree.verify()
+
+
+def test_a_parked_reader_is_not_handed_a_collapsed_root(monkeypatch):
+    """The reader is parked just after its unlatched read of a level-1
+    root, and every key is deleted meanwhile: the last leaf shrinks away
+    and the root is reformatted, in place, as an empty leaf.  The root
+    now reads as a page at the reader's target level, but the reader
+    holds no latch on it; the descent goes on with the level it read
+    inside its bracket, latches the child that read routed to, finds the
+    root changed and restarts, and returns the root latched."""
+    engine = small_pages()
+    tree = engine.create_index(key_len=4)
+    n = 0
+    while tree.height() < 2:
+        tree.insert(intkey(n), n)
+        n += 1
+    root = tree.root_page_id
+    rv = Rendezvous(timeout=10.0)
+    read_unlatched, traverse = Traversal._read_unlatched, Traversal.traverse
+    parked, returned = [], []
+
+    def parking(self, page_id, unit, target_level):
+        read = read_unlatched(self, page_id, unit, target_level)
+        if (
+            page_id == root
+            and read is not None
+            and not parked
+            and threading.current_thread().name == "descent"
+        ):
+            parked.append(page_id)
+            rv.engine_arrived()
+        return read
+
+    def recording(self, unit, mode, target_level, txn):
+        page = traverse(self, unit, mode, target_level, txn)
+        if threading.current_thread().name == "descent":
+            returned.append(
+                (page.page_id, page.level, engine.ctx.latches.holds(page.page_id))
+            )
+        return page
+
+    monkeypatch.setattr(Traversal, "_read_unlatched", parking)
+    monkeypatch.setattr(Traversal, "traverse", recording)
+    before = engine.counters.snapshot()
+    reader = Descent(lambda: tree.contains(intkey(0), 0))
+    reader.start()
+    rv.wait_engine()
+    for k in range(n):
+        tree.delete(intkey(k), k)
+    assert tree.root_page_id == root and tree.height() == 1
+    rv.release()
+    assert reader.finish() is False
+    assert returned == [(root, 0, True)]
+    assert retraversals(engine, before) >= 1
+    tree.verify()
+    assert list(tree.contents()) == []

@@ -139,3 +139,32 @@ def test_a_run_that_logged_nothing_leaves_the_progress_it_found():
     engine.crash()
     engine.recover()
     assert engine.rebuild_checkpoint(1).resume_key() == found.resume_key()
+
+
+def test_a_truncating_checkpoint_keeps_a_running_rebuilds_progress():
+    """A truncating checkpoint cuts the slice's progress records with the
+    log prefix; its snapshot of the engine's progress carries the floor
+    across the crash, and the resumed pass starts above it."""
+    engine = Engine(buffer_capacity=2048)
+    index = engine.create_index(key_len=4)
+    make_half_empty(index, 4000)
+    expected = contents_as_ints(index)
+    assert not OnlineRebuild(index, CONFIG).run(max_pages=16).completed
+    floor = engine.rebuild_checkpoint(1).resume_key()
+    assert floor is not None
+    engine.checkpoint(truncate=True)
+    engine.crash()
+    engine.recover()
+    recovered = engine.rebuild_checkpoint(1)
+    assert recovered is not None and recovered.resume_key() == floor
+
+    copied_low: list[bytes] = []
+    engine.syncpoints.on(
+        "rebuild.nta_end", lambda ctx: copied_low.append(ctx["low_unit"])
+    )
+    index = engine.index(1)
+    assert OnlineRebuild(index, CONFIG).run(
+        resume_checkpoint=recovered
+    ).completed
+    assert copied_low and min(copied_low) > floor
+    assert contents_as_ints(index) == expected

@@ -234,6 +234,35 @@ def test_abort_keeps_completed_top_actions(engine, index):
     assert index.verify().leaf_fill > 0.9
 
 
+def test_a_commit_that_raises_takes_the_abort_path(engine, index, monkeypatch):
+    """The log force of the rebuild's second commit fails: the run ends
+    with ``RebuildAbortedError`` through the abort path, which ends the
+    transaction (the ``run()`` rule of :mod:`repro.testing.invariants`
+    passes), and the completed top actions stand."""
+    make_half_empty(index, 2000)
+    expected = contents_as_ints(index)
+    flush_commit = engine.ctx.log.flush_commit
+    commits = []
+
+    def failing(lsn, gather=True):
+        commits.append(lsn)
+        if len(commits) == 2:
+            raise OSError("injected log force failure")
+        flush_commit(lsn, gather)
+
+    monkeypatch.setattr(engine.ctx.log, "flush_commit", failing)
+    rebuild = OnlineRebuild(index, RebuildConfig(ntasize=2, xactsize=4))
+    with pytest.raises(RebuildAbortedError, match="log force"):
+        rebuild.run()
+    assert len(rebuild.began) == 2
+    assert not set(engine.ctx.txns.active).intersection(
+        txn.txn_id for txn in rebuild.began
+    )
+    assert rebuild.last_report.aborted
+    assert contents_as_ints(index) == expected
+    index.verify()
+
+
 def test_report_counters(index):
     make_half_empty(index, 2000)
     report = rebuild(index, ntasize=8, xactsize=64)

@@ -138,7 +138,7 @@ def run_top_action(engine, tree, ids):
     ctx.buffer.flush_pages(top.new_pages)
     ctx.txns.commit(txn)
     rb = OnlineRebuild(tree, config)
-    rb._free_deallocated_of(txn)
+    rb._free(txn, top.deallocated)
     chunk.close()
     return result
 

@@ -294,6 +294,7 @@ class LogOrderRecovery(RecoveryManager):
         if checkpoint is not None:
             report.checkpoint_lsn = checkpoint.lsn
             self.page_manager.restore(checkpoint.payload_json["page_manager"])
+            self._fold_checkpoint_progress(checkpoint.payload_json)
             report.index_meta = dict(checkpoint.payload_json["index_meta"])
             self.engine_ctx.index_roots.update(
                 {int(i): int(m["root"]) for i, m in report.index_meta.items()}

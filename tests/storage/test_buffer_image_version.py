@@ -97,6 +97,37 @@ def test_evicted_and_reread_page_is_not_the_same_image(pool):
     assert pool.image_version(page) is None
 
 
+def test_peek_reads_a_protected_frame_without_pinning_it(pool):
+    """What an unlatched descent reads: the page and the number
+    :meth:`image_version` answers; ``None`` for a page that needs a fetch
+    — not resident, in the scan ring, or prefetched and not fetched."""
+    page = resident(pool, 3)
+    assert pool.peek(3) == (page, pool.image_version(page))
+    assert pool.pin_count(3) == 0
+    assert pool.peek(5) is None  # never read
+    pool.fetch(4, scan=True)
+    pool.unpin(4)
+    assert pool.peek(4) is None  # a ring frame: its fetch would promote it
+    assert pool.prefetch(6)
+    assert pool.peek(6) is None  # a prefetch: its fetch counts a hit
+
+
+def test_a_peeked_frame_gets_the_lru_touch_it_did_not_make():
+    """The evictor gives a frame read by :meth:`peek` since it last
+    passed it the place a fetch would have: the recent end."""
+    disk = Disk(page_size=512, counters=Counters())
+    for pid in range(1, 12):
+        put_page(disk, pid, b"row-%d" % pid)
+    pool = BufferPool(disk, capacity=8, counters=disk.counters)
+    for pid in range(1, 9):
+        resident(pool, pid)  # LRU order 1 .. 8; the pool is full
+    assert pool.peek(1) is not None
+    resident(pool, 9)  # evicts the coldest unreferenced frame: 2
+    assert pool.is_resident(1) and not pool.is_resident(2)
+    resident(pool, 10)  # 1 went to the recent end once, bit cleared: 3
+    assert pool.is_resident(1) and not pool.is_resident(3)
+
+
 def test_dropped_and_reallocated_id_is_not_the_same_image(pool):
     page = pool.new_page(20)
     page.append_row(b"first incarnation")
